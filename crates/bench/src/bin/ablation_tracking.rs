@@ -36,9 +36,9 @@ fn main() {
     // (one page_info mark per PTE write instead of full accounting).
     let nl = lat_fork(&TestBed::build(SysKind::NL, 1), 8);
     let mn = lat_fork(&TestBed::build(SysKind::MN, 1), 8);
-    let (bed_track, _m) = mercury_bench::build_mn_with_strategy(TrackingStrategy::ActiveTracking);
+    let bed_track = TestBed::build_mn_with_strategy(1, TrackingStrategy::ActiveTracking);
     let mn_track = lat_fork(&bed_track, 8);
-    let (bed_dirty, _m) = mercury_bench::build_mn_with_strategy(TrackingStrategy::DirtyRecompute);
+    let bed_dirty = TestBed::build_mn_with_strategy(1, TrackingStrategy::DirtyRecompute);
     let mn_dirty = lat_fork(&bed_dirty, 8);
     println!("\nNative-mode fork latency:");
     println!("  N-L                    : {nl:>8.1} us");

@@ -1,9 +1,12 @@
 //! Run every experiment and dump a JSON artifact for EXPERIMENTS.md.
 
 use mercury::TrackingStrategy;
-use mercury_bench::{measure_sharded_recompute, measure_switch_times};
+use mercury_bench::{
+    json_num, json_object, json_str, measure_sharded_recompute, measure_switch_times,
+};
 use mercury_workloads::lmbench::LmbenchIters;
-use mercury_workloads::report::{app_figure, lmbench_table};
+use mercury_workloads::report::{app_figure, lmbench_table, AppFigure, LmbenchTable};
+use std::collections::BTreeMap;
 
 fn main() {
     let t1 = lmbench_table(1, LmbenchIters::default());
@@ -35,19 +38,46 @@ fn main() {
         sharded.cpus, sharded.serial_pginfo_us, sharded.sharded_pginfo_us, sharded.speedup
     );
 
-    let artifact = serde_json::json!({
-        "table1": t1, "table2": t2, "fig3": f3, "fig4": f4,
-        "mode_switch": {
-            "recompute": sw,
-            "active_tracking": sw_track,
-            "dirty_recompute": sw_dirty,
-            "sharded_recompute": sharded,
-        },
-    });
-    std::fs::write(
-        "bench_results.json",
-        serde_json::to_string_pretty(&artifact).unwrap(),
-    )
-    .expect("write bench_results.json");
+    // label → label → number.
+    let nested = |m: &BTreeMap<String, BTreeMap<String, f64>>| {
+        json_object(m.iter().map(|(name, inner)| {
+            (
+                name,
+                json_object(inner.iter().map(|(k, v)| (k, json_num(*v)))),
+            )
+        }))
+    };
+    let figure = |f: &AppFigure| {
+        json_object([
+            ("absolute", nested(&f.absolute)),
+            ("cpus", f.cpus.to_string()),
+            ("series", nested(&f.series)),
+            (
+                "units",
+                json_object(f.units.iter().map(|(k, u)| (k, json_str(u)))),
+            ),
+        ])
+    };
+    let table = |t: &LmbenchTable| {
+        json_object([
+            ("columns", nested(&t.columns)),
+            ("cpus", t.cpus.to_string()),
+        ])
+    };
+    let mode_switch = json_object([
+        ("active_tracking", sw_track.to_json()),
+        ("dirty_recompute", sw_dirty.to_json()),
+        ("recompute", sw.to_json()),
+        ("sharded_recompute", sharded.to_json()),
+    ]);
+    let artifact = format!(
+        "{{\n  \"fig3\": {},\n  \"fig4\": {},\n  \"mode_switch\": {},\n  \"table1\": {},\n  \"table2\": {}\n}}\n",
+        figure(&f3),
+        figure(&f4),
+        mode_switch,
+        table(&t1),
+        table(&t2),
+    );
+    std::fs::write("bench_results.json", artifact).expect("write bench_results.json");
     eprintln!("\nwrote bench_results.json");
 }

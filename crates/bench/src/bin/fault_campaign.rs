@@ -717,10 +717,6 @@ fn planned_total(s: &Sizing) -> u64 {
         + s.smp
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 fn main() {
     const {
         assert!(
@@ -876,13 +872,13 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"scenario\": \"{}\", \"mode\": \"{}\", \"fault_id\": {}, \"class\": \"{}\", \"injected_cycle\": {}, \"detected_cycle\": {}, \"action\": \"{}\", \"attach_attempts\": {}, \"answer\": \"{}\", \"recovered\": {}}}",
-                json_escape(r.scenario),
-                json_escape(r.mode),
+                merctrace::export::escape(r.scenario),
+                merctrace::export::escape(r.mode),
                 r.fault_id,
-                json_escape(r.class),
+                merctrace::export::escape(r.class),
                 r.injected_cycle,
                 r.detected_cycle,
-                json_escape(r.action),
+                merctrace::export::escape(r.action),
                 r.attach_attempts,
                 r.answer.as_str(),
                 r.recovered

@@ -49,28 +49,11 @@ fn main() {
     // Machine-readable dump for the CI perf-regression gate
     // (`tools/benchgate.py` re-runs this binary and compares against
     // the archived copy within tolerance bands).
-    let times = |t: &mercury_bench::SwitchTimes| {
-        format!(
-            concat!(
-                "{{\"strategy\": \"{}\", \"attach_us\": {:.4}, \"cold_attach_us\": {:.4}, ",
-                "\"warm_attach_us\": {:.4}, \"detach_us\": {:.4}, \"samples\": {}}}"
-            ),
-            t.strategy, t.attach_us, t.cold_attach_us, t.warm_attach_us, t.detach_us, t.samples
-        )
-    };
     let json = format!(
-        concat!(
-            "{{\n  \"recompute_on_switch\": {},\n  \"dirty_recompute\": {},\n",
-            "  \"sharded_recompute\": {{\"cpus\": {}, \"serial_pginfo_us\": {:.4}, ",
-            "\"sharded_pginfo_us\": {:.4}, \"speedup\": {:.4}, \"samples\": {}}}\n}}\n"
-        ),
-        times(&t),
-        times(&d),
-        s.cpus,
-        s.serial_pginfo_us,
-        s.sharded_pginfo_us,
-        s.speedup,
-        s.samples
+        "{{\n  \"recompute_on_switch\": {},\n  \"dirty_recompute\": {},\n  \"sharded_recompute\": {}\n}}\n",
+        t.to_json(),
+        d.to_json(),
+        s.to_json()
     );
     std::fs::write("mode_switch.json", json).expect("write mode_switch.json");
     eprintln!("wrote mode_switch.json");

@@ -13,11 +13,8 @@
 //! | `switch_timeline` | §7.3 — per-phase switch decomposition (merctrace) |
 //! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faultgen_results.json`) |
 //! | `all` | everything above, plus a JSON dump for EXPERIMENTS.md |
-//!
-//! The `benches/` directory carries criterion harnesses over the same
-//! workloads (host-time performance of the simulator itself).
 
-use mercury::{Mercury, SwitchOutcome, TrackingStrategy};
+use mercury::{SwitchOutcome, TrackingStrategy};
 use mercury_workloads::configs::{switch_with_peers, SysKind, TestBed};
 use simx86::costs::cycles_to_us;
 use std::sync::atomic::Ordering;
@@ -30,7 +27,7 @@ use std::sync::atomic::Ordering;
 /// archived quantities (request record finish offsets, fault detection
 /// cycles) — never from machine clocks, whose SMP totals include
 /// host-timing-dependent rendezvous spin.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimSpeed {
     /// Simulated mega-cycles the suite covered (one skip-on pass).
     pub sim_mcycles: f64,
@@ -45,25 +42,38 @@ pub struct SimSpeed {
     pub skip_speedup: f64,
 }
 
-/// Merge `entry` under `key` into `sim_speed.json` in the working
-/// directory, preserving entries other binaries already wrote.  The
-/// file is small and human-diffable; nightly CI uploads it and
+/// A finite `f64` as a JSON number (`1.0`, not `1`); `null` otherwise.
+pub fn json_num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:?}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// A JSON string literal.
+pub fn json_str(s: &str) -> String {
+    format!("\"{}\"", merctrace::export::escape(s))
+}
+
+/// `{"key": value, ...}` on one line, from already-rendered values.
+pub fn json_object<K: AsRef<str>>(fields: impl IntoIterator<Item = (K, String)>) -> String {
+    let fields: Vec<String> = fields
+        .into_iter()
+        .map(|(k, v)| format!("{}: {v}", json_str(k.as_ref())))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// Set suite `key` of `sim_speed.json` in the working directory to
+/// `entry`, keeping the suites other binaries wrote there.  The file
+/// is small and human-diffable; nightly CI uploads it and
 /// `benchgate.py --sim-speed` compares it against the archived copy at
 /// the repo root.
 pub fn record_sim_speed(key: &str, entry: &SimSpeed) {
-    let mut root: serde_json::Map<String, serde_json::Value> =
-        std::fs::read_to_string("sim_speed.json")
-            .ok()
-            .and_then(|s| serde_json::from_str(&s).ok())
-            .unwrap_or_default();
-    root.insert(
-        key.to_string(),
-        serde_json::to_value(entry).expect("serialize sim speed entry"),
-    );
-    let mut out =
-        serde_json::to_string_pretty(&serde_json::Value::Object(root)).expect("render sim_speed");
-    out.push('\n');
-    std::fs::write("sim_speed.json", out).expect("write sim_speed.json");
+    let old = std::fs::read_to_string("sim_speed.json").unwrap_or_default();
+    std::fs::write("sim_speed.json", merge_sim_speed(&old, key, entry))
+        .expect("write sim_speed.json");
     eprintln!(
         "sim_speed.json[{key}]: {:.1} simulated Mcycles in {:.2}s host \
          ({:.1} Mcycles/s, skip speedup {:.2}x)",
@@ -74,8 +84,33 @@ pub fn record_sim_speed(key: &str, entry: &SimSpeed) {
     );
 }
 
+/// `old` (the text of a `sim_speed.json`, or anything else) with suite
+/// `key` set to `entry`.  The file holds one `  "suite": {...}` line
+/// per suite, so the other suites' lines are carried over as text;
+/// lines in any other shape are dropped.
+fn merge_sim_speed(old: &str, key: &str, entry: &SimSpeed) -> String {
+    let mine = format!("  {}: ", json_str(key));
+    let mut suites: Vec<String> = old
+        .lines()
+        .map(|l| l.trim_end_matches(','))
+        .filter(|l| l.starts_with("  \"") && l.ends_with('}') && !l.starts_with(&mine))
+        .map(str::to_string)
+        .collect();
+    let fields = [
+        ("host_seconds_skip_off", entry.host_seconds_skip_off),
+        ("host_seconds_skip_on", entry.host_seconds_skip_on),
+        ("mcycles_per_host_second", entry.mcycles_per_host_second),
+        ("sim_mcycles", entry.sim_mcycles),
+        ("skip_speedup", entry.skip_speedup),
+    ];
+    let entry = json_object(fields.map(|(name, v)| (name, json_num(v))));
+    suites.push(mine + &entry);
+    suites.sort();
+    format!("{{\n{}\n}}\n", suites.join(",\n"))
+}
+
 /// Measured mode-switch times for one strategy.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct SwitchTimes {
     /// Strategy name.
     pub strategy: String,
@@ -97,7 +132,7 @@ pub struct SwitchTimes {
 
 /// Sharded-vs-serial attach-time `page_info` recompute on an SMP rig
 /// (§5.4 work phase: parked rendezvous peers pull frame chunks).
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedRecompute {
     /// Simulated CPUs on the rig (1 control processor + peers).
     pub cpus: usize,
@@ -112,6 +147,40 @@ pub struct ShardedRecompute {
     pub samples: u32,
 }
 
+/// Microseconds as the switch archives print them (four decimals).
+fn json_us(v: f64) -> String {
+    format!("{v:.4}")
+}
+
+impl SwitchTimes {
+    /// The one-line JSON object `mode_switch.json` and
+    /// `bench_results.json` archive.
+    pub fn to_json(&self) -> String {
+        json_object([
+            ("strategy", json_str(&self.strategy)),
+            ("attach_us", json_us(self.attach_us)),
+            ("cold_attach_us", json_us(self.cold_attach_us)),
+            ("warm_attach_us", json_us(self.warm_attach_us)),
+            ("detach_us", json_us(self.detach_us)),
+            ("samples", self.samples.to_string()),
+        ])
+    }
+}
+
+impl ShardedRecompute {
+    /// The one-line JSON object `mode_switch.json` and
+    /// `bench_results.json` archive.
+    pub fn to_json(&self) -> String {
+        json_object([
+            ("cpus", self.cpus.to_string()),
+            ("serial_pginfo_us", json_us(self.serial_pginfo_us)),
+            ("sharded_pginfo_us", json_us(self.sharded_pginfo_us)),
+            ("speedup", json_us(self.speedup)),
+            ("samples", self.samples.to_string()),
+        ])
+    }
+}
+
 /// Measure attach/detach round trips on a fresh M-N system.
 pub fn measure_switch_times(strategy: TrackingStrategy, samples: u32) -> SwitchTimes {
     let bed = if strategy == TrackingStrategy::RecomputeOnSwitch {
@@ -120,16 +189,6 @@ pub fn measure_switch_times(strategy: TrackingStrategy, samples: u32) -> SwitchT
         TestBed::build_mn_with_strategy(1, strategy)
     };
     measure_on(&bed, samples)
-}
-
-/// Build a uniprocessor M-N testbed with an explicit frame-accounting
-/// strategy (the standard testbed always uses the paper's recompute
-/// default).  Kept for the ablation binaries; delegates to
-/// [`TestBed::build_mn_with_strategy`].
-pub fn build_mn_with_strategy(strategy: TrackingStrategy) -> (TestBed, std::sync::Arc<Mercury>) {
-    let bed = TestBed::build_mn_with_strategy(1, strategy);
-    let mercury = std::sync::Arc::clone(bed.mercury.as_ref().expect("M-N testbed has mercury"));
-    (bed, mercury)
 }
 
 /// Warm a bed the same way for every measurement: a real process and a
@@ -216,5 +275,41 @@ pub fn measure_sharded_recompute(cpus: usize, samples: u32) -> ShardedRecompute 
         sharded_pginfo_us: sharded_us,
         speedup: serial_us / sharded_us,
         samples,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sim_speed_merge_keeps_other_suites_and_replaces_its_own() {
+        let entry = SimSpeed {
+            sim_mcycles: 612.0,
+            host_seconds_skip_on: 95.0,
+            host_seconds_skip_off: 148.25,
+            mcycles_per_host_second: 6.4,
+            skip_speedup: 1.56,
+        };
+        let line = concat!(
+            r#"{"host_seconds_skip_off": 148.25, "host_seconds_skip_on": 95.0, "#,
+            r#""mcycles_per_host_second": 6.4, "sim_mcycles": 612.0, "skip_speedup": 1.56}"#
+        );
+        // Anything that is not a suite line is dropped, NaN is `null`.
+        let first = merge_sim_speed("{\n  \"old\": {\n    \"x\": 1\n  }\n}\n", "serving", &entry);
+        assert_eq!(first, format!("{{\n  \"serving\": {line}\n}}\n"));
+        let both = merge_sim_speed(&first, "fault\"gen", &entry);
+        assert_eq!(
+            both,
+            format!("{{\n  \"fault\\\"gen\": {line},\n  \"serving\": {line}\n}}\n")
+        );
+        let slower = SimSpeed {
+            skip_speedup: f64::NAN,
+            ..entry
+        };
+        let again = merge_sim_speed(&both, "serving", &slower);
+        assert_eq!(again.matches("\"serving\"").count(), 1);
+        assert_eq!(again.matches("\"skip_speedup\": 1.56").count(), 1);
+        assert_eq!(again.matches("\"skip_speedup\": null").count(), 1);
     }
 }

@@ -14,7 +14,7 @@
 //! maintains and re-homes one rack at a time, always evacuating to a
 //! peer *outside* the rack under maintenance.
 
-use parking_lot::Mutex;
+use simx86::sync::Mutex;
 use std::sync::Arc;
 
 /// Where a node stands in the fleet.

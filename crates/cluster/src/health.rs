@@ -5,11 +5,10 @@
 //! supplies in the system.  These can be facilitated for hardware
 //! failure prediction."
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use simx86::sync::Mutex;
 
 /// One sample from the platform sensors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorReading {
     /// CPU/board temperature in °C.
     pub temp_c: f64,

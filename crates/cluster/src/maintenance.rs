@@ -20,7 +20,7 @@ use nimbus::Kernel;
 use simx86::costs;
 use std::sync::Arc;
 use xenon::migrate::{LiveMigration, MigrationReport};
-use xenon::{Domain, HvError};
+use xenon::{Domain, GuestState, HvError};
 
 /// Errors from the evacuation orchestration.
 #[derive(Debug)]
@@ -79,13 +79,16 @@ pub struct SplitDevices {
     ring_frames: Vec<simx86::mem::FrameNum>,
     /// Bounce frame the backend's lower native driver DMAs through.
     host_bounce: simx86::mem::FrameNum,
+    /// Payload frames the frontends grant per request, taken from the
+    /// guest kernel's own pool (block, then network).
+    guest_bufs: [simx86::mem::FrameNum; 2],
 }
 
 /// The frozen kernel image stored on a migrated domain.  A domain that
 /// arrives without one is a malformed image — an error the watchdog can
 /// turn into a degraded node and a re-route, not a panic that takes the
 /// whole fleet process down.
-fn thawed_state(dom: &Arc<Domain>) -> Result<serde_json::Value, MaintenanceError> {
+fn thawed_state(dom: &Arc<Domain>) -> Result<GuestState, MaintenanceError> {
     dom.guest_state.lock().clone().ok_or_else(|| {
         MaintenanceError::Migration(HvError::BadImage(
             "frozen kernel state missing from migrated domain".into(),
@@ -263,10 +266,16 @@ fn connect_split_devices(
             .map_err(|e| MaintenanceError::Migration(e.into()))?;
     }
 
-    // Payload frames come from the guest's own memory.
-    let guest_frames = guest_dom.frames();
-    let blk_buf = guest_frames[guest_frames.len() - 1];
-    let net_buf = guest_frames[guest_frames.len() - 2];
+    // Payload frames come from the guest's own memory, through its
+    // pool: after a migration the domain's highest frames are whatever
+    // the relocation put there (the kernel's direct-map tables, on the
+    // way back), not free memory.
+    let blk_buf = guest_kernel
+        .alloc_driver_frame(cpu)
+        .map_err(MaintenanceError::Kernel)?;
+    let net_buf = guest_kernel
+        .alloc_driver_frame(cpu)
+        .map_err(MaintenanceError::Kernel)?;
 
     let host_bounce = host
         .machine
@@ -275,7 +284,7 @@ fn connect_split_devices(
         .ok_or(MaintenanceError::Migration(HvError::OutOfMemory))?;
     let lower_blk = NativeBlockDriver::new(Arc::clone(&host.machine), host_bounce);
     let blk_back = BlkBackend::new(
-        Arc::clone(hv),
+        Arc::clone(&hv),
         Arc::clone(&host_dom),
         guest_dom.id,
         lower_blk,
@@ -288,7 +297,7 @@ fn connect_split_devices(
         .evtchn_bind(cpu, guest_dom, host_dom.id, p)
         .map_err(MaintenanceError::Migration)?;
     guest_kernel.set_block_driver(FrontendBlockDriver::new(
-        Arc::clone(hv),
+        Arc::clone(&hv),
         Arc::clone(guest_dom),
         Arc::clone(&blk_back),
         blk_buf,
@@ -297,7 +306,7 @@ fn connect_split_devices(
 
     let lower_net = nimbus::drivers::net::NativeNetDriver::new(Arc::clone(&host.machine));
     let net_back = NetBackend::new(
-        Arc::clone(hv),
+        Arc::clone(&hv),
         Arc::clone(&host_dom),
         guest_dom.id,
         lower_net,
@@ -310,7 +319,7 @@ fn connect_split_devices(
         .evtchn_bind(cpu, guest_dom, host_dom.id, p)
         .map_err(MaintenanceError::Migration)?;
     guest_kernel.set_net_driver(FrontendNetDriver::new(
-        Arc::clone(hv),
+        Arc::clone(&hv),
         Arc::clone(guest_dom),
         Arc::clone(&net_back),
         net_buf,
@@ -321,6 +330,7 @@ fn connect_split_devices(
         net: net_back,
         ring_frames,
         host_bounce,
+        guest_bufs: [blk_buf, net_buf],
     })
 }
 
@@ -370,7 +380,12 @@ pub fn return_home(
     )
     .map_err(MaintenanceError::Kernel)?;
 
-    // Back home the OS is the driver domain again: native drivers.
+    // Back home the OS is the driver domain again: native drivers, and
+    // the frontends' payload frames go back to the pool.
+    for buf in guest.devices.guest_bufs {
+        let at_home = report.frame_map.get(&buf.0).copied().unwrap_or(buf.0);
+        kernel.free_driver_frame(simx86::mem::FrameNum(at_home));
+    }
     let home_cpu = home.machine.boot_cpu();
     let bounce = home
         .machine
@@ -580,8 +595,9 @@ mod tests {
         );
     }
 
-    /// A malformed image (no frozen state on the domain) must surface
-    /// as an error the watchdog can act on, not a panic.
+    /// A malformed image (no frozen state on the domain, or a state
+    /// some other kind of guest froze) must surface as an error the
+    /// watchdog can act on, not a panic.
     #[test]
     fn missing_frozen_state_is_an_error_not_a_panic() {
         let cluster = Cluster::launch(2, &NodeConfig::default());
@@ -602,6 +618,24 @@ mod tests {
             matches!(err, MaintenanceError::Migration(HvError::BadImage(_))),
             "{err}"
         );
+
+        // A state of the wrong type gets as far as the thaw and is
+        // refused there.
+        *guest.dom.guest_state.lock() = Some(GuestState::new("not a kernel image"));
+        let foreign = super::thawed_state(&guest.dom).unwrap();
+        let thawed = Kernel::thaw(
+            Arc::clone(&host.machine),
+            BootMode::Guest {
+                hv: host.hv(),
+                dom: Arc::clone(&guest.dom),
+            },
+            &foreign,
+            &std::collections::HashMap::new(),
+        );
+        assert!(matches!(
+            thawed,
+            Err(nimbus::KernelError::Invalid("malformed kernel image"))
+        ));
     }
 }
 

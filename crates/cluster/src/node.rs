@@ -6,8 +6,8 @@ use nimbus::drivers::block::NativeBlockDriver;
 use nimbus::drivers::net::NativeNetDriver;
 use nimbus::kernel::{BootMode, KernelConfig};
 use nimbus::{Kernel, Session};
-use parking_lot::RwLock;
 use simx86::devices::LinkWire;
+use simx86::sync::RwLock;
 use simx86::{Machine, MachineConfig};
 use std::sync::{Arc, Weak};
 use xenon::{BackgroundScrubber, Hypervisor};

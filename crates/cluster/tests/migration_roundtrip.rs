@@ -27,17 +27,16 @@
 //! workload, so skip-on and skip-off runs are each held to the same
 //! bit-exact expectation.
 
+use faultgen::rng::{check, SplitMix64};
 use mercury_cluster::{evacuate, return_home, Cluster, NodeConfig, Watchdog, WatchdogPolicy};
 use nimbus::kernel::{MmapBacking, ReadOutcome};
 use nimbus::mm::Prot;
 use nimbus::Session;
-use proptest::collection::vec;
-use proptest::prelude::*;
 use simx86::{PhysAddr, VirtAddr};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Small nodes keep a proptest case affordable: the same sizing the
+/// Small nodes keep a property case affordable: the same sizing the
 /// fleet bench boots a hundred of.
 fn small_node() -> NodeConfig {
     NodeConfig {
@@ -63,27 +62,28 @@ struct Case {
     skip: bool,
 }
 
-fn case_strategy() -> impl Strategy<Value = Case> {
-    (
-        vec((0u16..2048, any::<u64>()), 1..16),
-        vec((0u16..2048, any::<u64>()), 1..16),
-        vec(vec(any::<u8>(), 1..24), 1..4),
-        0usize..4,
-        vec(any::<u8>(), 1..24),
-        1usize..4,
-        any::<bool>(),
-    )
-        .prop_map(
-            |(pre_writes, guest_writes, pre_chunks, synced, guest_chunk, rounds, skip)| Case {
-                synced_chunks: synced.min(pre_chunks.len()),
-                pre_writes,
-                guest_writes,
-                pre_chunks,
-                guest_chunk,
-                precopy_rounds: rounds,
-                skip,
-            },
-        )
+fn draw_case(rng: &mut SplitMix64) -> Case {
+    fn writes(rng: &mut SplitMix64) -> Vec<(u16, u64)> {
+        let len = rng.range(1, 16) as usize;
+        rng.vec(len, |r| (r.below(2048) as u16, r.next_u64()))
+    }
+    fn chunk(rng: &mut SplitMix64) -> Vec<u8> {
+        let len = rng.range(1, 24) as usize;
+        rng.vec(len, |r| r.next_u64() as u8)
+    }
+    let pre_writes = writes(rng);
+    let guest_writes = writes(rng);
+    let chunks = rng.range(1, 4) as usize;
+    let pre_chunks = rng.vec(chunks, chunk);
+    Case {
+        synced_chunks: (rng.below(4) as usize).min(pre_chunks.len()),
+        pre_writes,
+        guest_writes,
+        pre_chunks,
+        guest_chunk: chunk(rng),
+        precopy_rounds: rng.range(1, 4) as usize,
+        skip: rng.below(2) == 1,
+    }
 }
 
 /// Word slot `i` of the mapping at `base`.
@@ -218,17 +218,12 @@ fn run_case(case: &Case) {
     assert_eq!(host.hv().domains().len(), 1);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 6,
-        max_shrink_iters: 12,
-        .. ProptestConfig::default()
-    })]
-
-    #[test]
-    fn roundtrip_preserves_guest_state(case in case_strategy()) {
+#[test]
+fn roundtrip_preserves_guest_state() {
+    check("roundtrip_preserves_guest_state", 6, |rng| {
+        let case = draw_case(rng);
         run_case(&case);
         // Leave the process-global default as the benches expect it.
         simx86::evclock::set_default_skip(true);
-    }
+    });
 }

@@ -186,8 +186,21 @@ impl RvMonitor {
         }
     }
 
+    /// A peer's shadow record trails its real RMW by a few
+    /// instructions, so the CP can see the real count before the
+    /// record exists.  Wait (briefly) for `peers` records so the checks
+    /// below compare clocks, not arrival order.
+    fn await_records(&self, peers: usize, recorded: fn(&RvState) -> usize) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while recorded(&self.state.lock().unwrap()) < peers && std::time::Instant::now() < deadline
+        {
+            std::thread::yield_now();
+        }
+    }
+
     /// CP saw `ready == peers`.
     pub fn on_wait_ready_ok(&self, peers: usize) {
+        self.await_records(peers, |s| s.checkins.len());
         self.ready.acquire();
         let s = self.state.lock().unwrap();
         let ordered = with_clock(|c| {
@@ -220,6 +233,7 @@ impl RvMonitor {
 
     /// CP saw `done == peers` and is closing the rendezvous.
     pub fn on_wait_done_ok(&self, peers: usize) {
+        self.await_records(peers, |s| s.completes.len());
         self.done.acquire();
         {
             let s = self.state.lock().unwrap();

@@ -50,8 +50,6 @@
 //! property test asserts all strategies produce identical `page_info`
 //! state, which is the invariant the paper's design relies on.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-frame cost of adopting the actively-maintained mirror at attach
 /// (a table copy, not a walk of the page tables).
 pub const ADOPT_PER_FRAME: u64 = 3;
@@ -73,7 +71,7 @@ pub const SYNC_REVALIDATE_CAP: usize = 4096;
 
 /// How the VMM's frame accounting is kept correct across detached
 /// periods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TrackingStrategy {
     /// Re-derive all type/count state during the attach (the paper's
     /// original design; kept for the legacy full-rate path).

@@ -17,7 +17,7 @@ use xenon::save::{restore_domain_mapped, save_domain, DomainImage};
 use xenon::{HvError, Hypervisor};
 
 /// A whole-system checkpoint: every frame, the page tables, and the
-/// kernel's serialized logical state.
+/// kernel's frozen logical state.
 #[derive(Clone)]
 pub struct Checkpoint {
     /// The domain image (frames + control state).
@@ -228,7 +228,7 @@ mod tests {
 pub struct CheckpointKeeper {
     interval_cycles: u64,
     capacity: usize,
-    history: parking_lot::Mutex<std::collections::VecDeque<Checkpoint>>,
+    history: simx86::sync::Mutex<std::collections::VecDeque<Checkpoint>>,
     last_taken: std::sync::atomic::AtomicU64,
 }
 
@@ -240,7 +240,7 @@ impl CheckpointKeeper {
         CheckpointKeeper {
             interval_cycles,
             capacity,
-            history: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+            history: simx86::sync::Mutex::new(std::collections::VecDeque::new()),
             last_taken: std::sync::atomic::AtomicU64::new(0),
         }
     }

@@ -61,10 +61,10 @@ use crate::shard::{WorkQueue, SHARD_CHUNK_FRAMES};
 use crate::vo::CountedVo;
 use nimbus::paravirt::{BareOps, ExecMode, HvmOps, PvOps, XenOps};
 use nimbus::Kernel;
-use parking_lot::{Mutex, RwLock};
 use simx86::cpu::{vectors, InterruptSink, PrivLevel, TrapFrame};
 use simx86::mem::FrameNum;
 use simx86::paging::Pte;
+use simx86::sync::{Mutex, RwLock};
 use simx86::vmx::Ept;
 use simx86::{costs, Cpu, LazySet, Machine};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -780,14 +780,29 @@ impl Mercury {
 
     fn request(&self, cpu: &Arc<Cpu>, vector: u8) -> Result<SwitchOutcome, SwitchError> {
         *self.last_outcome.lock() = None;
+        // The requester is this OS, on this CPU: while its request is
+        // serviced the VMM must reflect to its domain, whichever hosted
+        // guest the CPU was last focused on.
+        let hv = self.hv();
+        let focus = hv.current(cpu.id);
+        if self.mode() == ExecMode::Virtual {
+            hv.set_current(cpu.id, Some(self.dom0.id));
+        }
         cpu.raise(vector);
         // The switch executes at the next interrupt-service point; for
         // the requester that is right here.
         cpu.service_pending();
-        self.last_outcome
+        let out = self
+            .last_outcome
             .lock()
             .take()
-            .unwrap_or(Err(SwitchError::NothingPending))
+            .unwrap_or(Err(SwitchError::NothingPending));
+        // A completed switch reloaded the CPU for this OS; anything
+        // else leaves the CPU where it was.
+        if !matches!(out, Ok(SwitchOutcome::Completed { .. })) {
+            hv.set_current(cpu.id, focus);
+        }
+        out
     }
 
     // ---- handler paths ------------------------------------------------------
@@ -1114,6 +1129,23 @@ impl Mercury {
             // the "undefined state" §4.2 warns about — stale selectors,
             // wrong table writability.  Compensate before unwinding.
             self.rollback_transfer(cpu, target, e);
+        } else {
+            // Relocate the kernel's sensitive code: one pointer store,
+            // made while every other CPU is still parked (§5.4) — a
+            // peer released first would reload for `target` and then
+            // call through the other mode's VO.
+            merctrace::span_begin!(cpu.id, "switch.vo_swap", cpu.cycles());
+            // volint::cost(256) — one pointer store plus the trace probes
+            self.kernel.set_pv(match (self.assist, target) {
+                (AssistMode::HardwareAssisted, ExecMode::Virtual) => {
+                    // volint::allow(SWITCH-PANIC): hvm_vo is built at install time whenever assist is HardwareAssisted; checked invariant, not input
+                    Arc::clone(self.hvm_vo.as_ref().expect("hvm VO built at install"))
+                        as Arc<dyn PvOps>
+                }
+                (_, ExecMode::Virtual) => self.virtual_vo() as Arc<dyn PvOps>,
+                (_, ExecMode::Native) => self.native_vo() as Arc<dyn PvOps>,
+            });
+            merctrace::span_end!(cpu.id, "switch.vo_swap", cpu.cycles());
         }
 
         if peers > 0 {
@@ -1144,19 +1176,6 @@ impl Mercury {
             (AssistMode::Software, ExecMode::Virtual) => PrivLevel::Pl1,
             _ => PrivLevel::Pl0,
         };
-
-        // Relocate the kernel's sensitive code: one pointer store.
-        merctrace::span_begin!(cpu.id, "switch.vo_swap", cpu.cycles());
-        // volint::cost(256) — one pointer store plus the trace probes
-        self.kernel.set_pv(match (self.assist, target) {
-            (AssistMode::HardwareAssisted, ExecMode::Virtual) => {
-                // volint::allow(SWITCH-PANIC): hvm_vo is built at install time whenever assist is HardwareAssisted; checked invariant, not input
-                Arc::clone(self.hvm_vo.as_ref().expect("hvm VO built at install")) as Arc<dyn PvOps>
-            }
-            (_, ExecMode::Virtual) => self.virtual_vo() as Arc<dyn PvOps>,
-            (_, ExecMode::Native) => self.native_vo() as Arc<dyn PvOps>,
-        });
-        merctrace::span_end!(cpu.id, "switch.vo_swap", cpu.cycles());
 
         merctrace::span_end!(cpu.id, _span, cpu.cycles());
         Ok(SwitchOutcome::Completed {
@@ -1372,22 +1391,6 @@ impl Mercury {
 
     fn detach_transfer(&self, cpu: &Arc<Cpu>) -> Result<(), SwitchError> {
         let hv = self.hv();
-        // 0. Close the lazy admission window.  Frames still awaiting
-        //    their first touch are drained in bulk: the clear below
-        //    discards the accounting they would have validated into, so
-        //    the deferred debt is void (DESIGN.md §7b).  The set is
-        //    sealed and deregistered so a straggler touch after this
-        //    point fails loudly instead of validating into a dead
-        //    table.
-        if let Some(set) = self.lazy_set.lock().take() {
-            let _stragglers = set.drain().len();
-            set.seal();
-            merctrace::counter!(cpu.id, "switch.lazy.stragglers", _stragglers, cpu.cycles());
-            // volint::bound(16) — one deregistration per CPU
-            for peer in &self.machine.cpus {
-                peer.set_lazy_set(None);
-            }
-        }
         // 1. The dormant VMM stops tracking.  The legacy strategies
         //    wipe its accounting wholesale (a per-frame release pass —
         //    the "cheap direction" of §7.4, but still O(owned)).  The
@@ -1398,6 +1401,23 @@ impl Mercury {
         //    of keeping the table perpetually warm (DESIGN.md §7b).
         if self.strategy.uses_dirty_baseline() {
             merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_retain", cpu.cycles());
+            // Close the lazy admission window (only these strategies
+            // open one).  Frames still awaiting their first touch are
+            // drained in bulk: the release below discards the
+            // accounting they would have validated into, so the
+            // deferred debt is void (DESIGN.md §7b).  The set is sealed
+            // and deregistered — one TLB flush per CPU, charged to this
+            // phase — so a straggler touch after this point fails
+            // loudly instead of validating into a dead table.
+            if let Some(set) = self.lazy_set.lock().take() {
+                let _stragglers = set.drain().len();
+                set.seal();
+                merctrace::counter!(cpu.id, "switch.lazy.stragglers", _stragglers, cpu.cycles());
+                // volint::bound(16) — one deregistration per CPU
+                for peer in &self.machine.cpus {
+                    peer.set_lazy_set(None);
+                }
+            }
             let tables = self.kernel.all_table_frames().len();
             // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
             cpu.tick(self.strategy.detach_cost(self.kernel.pool_frames().len(), tables));
@@ -2347,6 +2367,7 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod hw_tests {
+    use super::tests::rig;
     use super::*;
     use nimbus::drivers::block::NativeBlockDriver;
     use nimbus::drivers::net::NativeNetDriver;

@@ -11,13 +11,13 @@
 //! state) to what a cold full recompute of the live page tables
 //! produces.
 
+use faultgen::rng::check;
 use mercury::{Mercury, TrackingStrategy};
 use nimbus::drivers::block::NativeBlockDriver;
 use nimbus::drivers::net::NativeNetDriver;
 use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
 use nimbus::mm::Prot;
 use nimbus::Session;
-use proptest::prelude::*;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
 use simx86::{Machine, MachineConfig};
 use std::sync::Arc;
@@ -46,7 +46,8 @@ fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
     let bounce = machine.allocator.alloc(cpu).unwrap();
     kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
     kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-    let mercury = Mercury::install(kernel, Arc::clone(&hv), TrackingStrategy::LazyValidate).unwrap();
+    let mercury =
+        Mercury::install(kernel, Arc::clone(&hv), TrackingStrategy::LazyValidate).unwrap();
     (machine, hv, mercury)
 }
 
@@ -60,26 +61,25 @@ fn strip(v: Vec<PageInfo>) -> Vec<PageInfo> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    /// Post-attach page_info is bit-identical to a cold recompute of
-    /// the live tables, for random dirty sets (child churn leaving
-    /// freed-but-dirty tables, plus arbitrary extra dirty marks on
-    /// pool frames) and with first-touch validation faults interleaved
-    /// into ordinary guest pokes.
-    #[test]
-    fn lazy_attach_accounting_equals_cold_recompute(
+/// Post-attach page_info is bit-identical to a cold recompute of
+/// the live tables, for random dirty sets (child churn leaving
+/// freed-but-dirty tables, plus arbitrary extra dirty marks on
+/// pool frames) and with first-touch validation faults interleaved
+/// into ordinary guest pokes.
+#[test]
+fn lazy_attach_accounting_equals_cold_recompute() {
+    check("lazy_attach_accounting_equals_cold_recompute", 6, |rng| {
         // Each round: a forked child faults in `pages` anonymous pages
         // and exits, leaving its table frames freed but dirty.
-        churn_pages in proptest::collection::vec(1usize..12, 1..3),
+        let rounds = rng.range(1, 3) as usize;
+        let churn_pages = rng.vec(rounds, |r| r.range(1, 12));
         // Extra native-mode dirty marks, as indices into the pool.
-        extra_dirty in proptest::collection::vec(0usize..8192, 0..48),
+        let marks = rng.below(48) as usize;
+        let extra_dirty = rng.vec(marks, |r| r.below(8192) as usize);
         // Guest pages faulted in after admission; the pool free list is
         // LIFO, so these reuse deferred frames and take the validation
         // fault mid-traffic.
-        touches in 0usize..24,
-    ) {
+        let touches = rng.below(24);
         let (machine, hv, mercury) = rig();
         let cpu = machine.boot_cpu();
         let dom = mercury.dom0().id;
@@ -88,13 +88,13 @@ proptest! {
         // Random dirty set, part 1: child churn (freed + dirty tables).
         for pages in &churn_pages {
             let child = sess.fork().unwrap();
-            prop_assert_eq!(sess.waitpid().unwrap(), None);
+            assert_eq!(sess.waitpid().unwrap(), None);
             let va = sess.mmap(*pages, Prot::RW, MmapBacking::Anon).unwrap();
-            for p in 0..*pages as u64 {
+            for p in 0..*pages {
                 sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
             }
             sess.exit(0).unwrap();
-            prop_assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
+            assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
         }
         // Random dirty set, part 2: arbitrary marks on pool frames
         // (conservative over-approximation is always legal).
@@ -107,7 +107,7 @@ proptest! {
         mercury.switch_to_virtual(cpu).unwrap();
         if touches > 0 {
             let va = sess.mmap(touches, Prot::RW, MmapBacking::Anon).unwrap();
-            for p in 0..touches as u64 {
+            for p in 0..touches {
                 sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
             }
         }
@@ -116,7 +116,7 @@ proptest! {
         // kernel can execute through is still awaiting validation.
         if let Some(set) = mercury.lazy_set() {
             for f in mercury.kernel().all_table_frames() {
-                prop_assert!(!set.contains(f), "critical frame {:?} deferred", f);
+                assert!(!set.contains(f), "critical frame {:?} deferred", f);
             }
         }
 
@@ -127,9 +127,9 @@ proptest! {
             .recompute_for(cpu, &machine.mem, dom, pool.len(), &pgds)
             .unwrap();
         let cold = strip(hv.page_info.snapshot());
-        prop_assert_eq!(live.len(), cold.len());
+        assert_eq!(live.len(), cold.len());
         for (i, (a, b)) in live.iter().zip(cold.iter()).enumerate() {
-            prop_assert_eq!(a, b, "frame {} diverged (live vs cold recompute)", i);
+            assert_eq!(a, b, "frame {} diverged (live vs cold recompute)", i);
         }
-    }
+    });
 }

@@ -14,13 +14,13 @@
 //! check for the update path: skipping idle time must not change what
 //! the guest can see either.
 
+use faultgen::rng::check;
 use mercury::{LiveUpdatePhase, Mercury, SwitchError, SwitchOutcome, TrackingStrategy};
 use nimbus::drivers::block::NativeBlockDriver;
 use nimbus::drivers::net::NativeNetDriver;
 use nimbus::kernel::{BootMode, KernelConfig, MmapBacking, ReadOutcome};
 use nimbus::mm::Prot;
 use nimbus::Session;
-use proptest::prelude::*;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
 use simx86::{Machine, MachineConfig};
 use std::sync::Arc;
@@ -106,7 +106,9 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
     let early_read = data(sess.read(fd, split));
 
     // Guest memory: the first half of the words land before the update.
-    let va = sess.mmap(pages as u64, Prot::RW, MmapBacking::Anon).unwrap();
+    let va = sess
+        .mmap(pages as u64, Prot::RW, MmapBacking::Anon)
+        .unwrap();
     let addr = |i: usize| VirtAddr(va.0 + (i % pages) as u64 * PAGE_SIZE + (i / pages) as u64 * 8);
     let half = words.len() / 2;
     for (i, w) in words[..half].iter().enumerate() {
@@ -158,7 +160,9 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
     }
     let late_read = data(sess.read(fd, bytes.len()));
     sess.write(fd, &bytes).unwrap();
-    let peeks: Vec<u64> = (0..words.len()).map(|i| sess.peek(addr(i)).unwrap()).collect();
+    let peeks: Vec<u64> = (0..words.len())
+        .map(|i| sess.peek(addr(i)).unwrap())
+        .collect();
     sess.lseek(fd, 0).unwrap();
     let full_read = data(sess.read(fd, 4 * bytes.len().max(1)));
     let file_size = sess.stat("journal").unwrap().size;
@@ -173,20 +177,18 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-
-    /// For random guest workloads, an update interrupted at every phase
-    /// — and one that completes — leaves the guest bit-identical to a
-    /// run that never updated, under both event-clock settings.
-    #[test]
-    fn interrupted_update_is_invisible_to_the_guest(
-        pages in 1usize..5,
-        words in proptest::collection::vec(any::<u64>(), 2..24),
-        split in 0usize..24,
-    ) {
+/// For random guest workloads, an update interrupted at every phase
+/// — and one that completes — leaves the guest bit-identical to a
+/// run that never updated, under both event-clock settings.
+#[test]
+fn interrupted_update_is_invisible_to_the_guest() {
+    check("interrupted_update_is_invisible_to_the_guest", 4, |rng| {
+        let pages = rng.range(1, 5) as usize;
+        let len = rng.range(2, 24) as usize;
+        let words = rng.vec(len, |r| r.next_u64());
+        let split = rng.below(24) as usize;
         let baseline = observe(Update::None, true, pages, &words, split);
-        prop_assert_eq!(
+        assert_eq!(
             &baseline.peeks[..baseline.peeks.len()],
             &words[..],
             "sanity: pokes must read back"
@@ -201,14 +203,12 @@ proptest! {
             ];
             for update in runs {
                 let got = observe(update, skip, pages, &words, split);
-                prop_assert_eq!(
-                    &got,
-                    &baseline,
+                assert_eq!(
+                    &got, &baseline,
                     "guest state diverged: update {:?}, skip {}",
-                    update,
-                    skip
+                    update, skip
                 );
             }
         }
-    }
+    });
 }

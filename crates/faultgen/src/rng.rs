@@ -53,6 +53,33 @@ impl SplitMix64 {
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.below(hi - lo)
     }
+
+    /// `len` draws collected in order.
+    pub fn vec<T>(&mut self, len: usize, mut draw: impl FnMut(&mut SplitMix64) -> T) -> Vec<T> {
+        (0..len).map(|_| draw(self)).collect()
+    }
+}
+
+/// Run a property over `cases` seeds: case `n` gets `SplitMix64::new(n)`
+/// and draws its inputs from it.  A case that panics is named on stderr
+/// by property and seed before the panic continues, so the failure can
+/// be replayed from that one seed.
+///
+/// ```
+/// faultgen::rng::check("below stays below", 64, |rng| {
+///     let bound = rng.range(1, 1000);
+///     assert!(rng.below(bound) < bound);
+/// });
+/// ```
+pub fn check(property: &str, cases: u64, mut case: impl FnMut(&mut SplitMix64)) {
+    for seed in 0..cases {
+        let mut rng = SplitMix64::new(seed);
+        let run = std::panic::AssertUnwindSafe(|| case(&mut rng));
+        if let Err(panic) = std::panic::catch_unwind(run) {
+            eprintln!("property `{property}` failed at seed {seed}");
+            std::panic::resume_unwind(panic);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -83,6 +110,24 @@ mod tests {
             let v = r.range(5, 8);
             assert!((5..8).contains(&v));
         }
+    }
+
+    #[test]
+    fn check_runs_every_seed_and_reraises_the_failing_one() {
+        let mut seen = Vec::new();
+        check("counts", 5, |rng| seen.push(rng.next_u64()));
+        let firsts: Vec<u64> = (0..5).map(|s| SplitMix64::new(s).next_u64()).collect();
+        assert_eq!(seen, firsts);
+
+        let mut ran = 0;
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check("fails at 2", 5, |_| {
+                ran += 1;
+                assert!(ran < 3);
+            })
+        }));
+        assert!(failed.is_err());
+        assert_eq!(ran, 3, "cases after the failing seed must not run");
     }
 
     #[test]

@@ -29,7 +29,8 @@
 use crate::{Kind, Snapshot};
 use std::fmt::Write as _;
 
-fn escape(s: &str) -> String {
+/// Escape `s` for the inside of a JSON string literal.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -10,8 +10,8 @@
 use crate::drivers::block::{BlockDriver, NativeBlockDriver};
 use crate::error::KernelError;
 use crate::fs::BLOCK_SIZE;
-use parking_lot::Mutex;
 use simx86::mem::FrameNum;
+use simx86::sync::Mutex;
 use simx86::{costs, Cpu};
 use std::sync::Arc;
 use xenon::ring::{BlkOp, BlkRequest, BlkResponse, Ring};

@@ -122,7 +122,7 @@ impl BlockDriver for NativeBlockDriver {
 pub struct FrontendBlockDriver {
     hv: Arc<Hypervisor>,
     dom: Arc<Domain>,
-    backend: parking_lot::RwLock<Arc<BlkBackend>>,
+    backend: simx86::sync::RwLock<Arc<BlkBackend>>,
     ring: Ring,
     /// Payload frame, owned by the frontend's domain.
     buf: FrameNum,
@@ -144,7 +144,7 @@ impl FrontendBlockDriver {
             ring: backend.ring(),
             hv,
             dom,
-            backend: parking_lot::RwLock::new(backend),
+            backend: simx86::sync::RwLock::new(backend),
             buf,
             evtchn_port,
             next_id: AtomicU64::new(1),

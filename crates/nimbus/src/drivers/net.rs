@@ -74,7 +74,7 @@ pub const SPLIT_NET_PER_PACKET: u64 = 9_000;
 pub struct FrontendNetDriver {
     hv: Arc<Hypervisor>,
     dom: Arc<Domain>,
-    backend: parking_lot::RwLock<Arc<NetBackend>>,
+    backend: simx86::sync::RwLock<Arc<NetBackend>>,
     tx_ring: Ring,
     /// Payload frame owned by the frontend's domain.
     buf: FrameNum,
@@ -95,7 +95,7 @@ impl FrontendNetDriver {
             tx_ring: backend.tx_ring(),
             hv,
             dom,
-            backend: parking_lot::RwLock::new(backend),
+            backend: simx86::sync::RwLock::new(backend),
             buf,
             evtchn_port,
             next_id: AtomicU64::new(1),

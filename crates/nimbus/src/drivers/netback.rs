@@ -7,8 +7,8 @@
 
 use crate::drivers::net::{NativeNetDriver, NetDriver};
 use crate::error::KernelError;
-use parking_lot::Mutex;
 use simx86::mem::FrameNum;
+use simx86::sync::Mutex;
 use simx86::{costs, Cpu};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

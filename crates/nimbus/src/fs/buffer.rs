@@ -9,7 +9,6 @@
 
 use crate::drivers::block::BlockDriver;
 use crate::error::KernelError;
-use serde::{Deserialize, Serialize};
 use simx86::Cpu;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -25,14 +24,14 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// (2 MiB — pdflush-era defaults let this much dirty data sit).
 pub const DIRTY_HIGH_WATER: usize = 256;
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 struct Buf {
     data: Vec<u8>,
     dirty: bool,
 }
 
 /// The cache.  Lives inside the big kernel lock.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct BufferCache {
     blocks: HashMap<u64, Buf>,
     lru: VecDeque<u64>,
@@ -248,7 +247,7 @@ impl BufferCache {
 #[cfg(test)]
 pub mod tests_support {
     use super::*;
-    use parking_lot::Mutex;
+    use simx86::sync::Mutex;
 
     /// A block driver over a host-side map, counting operations.
     pub struct MemDriver {

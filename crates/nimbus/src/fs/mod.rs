@@ -2,7 +2,7 @@
 //! blocks live on the simulated disk, reached through the buffer cache.
 //!
 //! Metadata (directory, inode table, free block list) is kept in kernel
-//! memory and serialized with the kernel's logical state during
+//! memory and frozen with the kernel's logical state during
 //! checkpoint/migration; data blocks persist on the (migratable) disk.
 //! This is the deliberate simplification documented in DESIGN.md — the
 //! benchmarks exercise data-path costs (cache hits/misses, driver
@@ -14,13 +14,12 @@ pub use buffer::{BufferCache, BLOCK_SIZE};
 
 use crate::drivers::block::BlockDriver;
 use crate::error::KernelError;
-use serde::{Deserialize, Serialize};
 use simx86::Cpu;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An on-"disk" file.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Inode {
     /// Inode number.
     pub ino: u32,
@@ -42,7 +41,7 @@ pub struct Stat {
 }
 
 /// The filesystem.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Vfs {
     inodes: BTreeMap<u32, Inode>,
     root: BTreeMap<String, u32>,
@@ -332,19 +331,5 @@ mod tests {
         fs.sync(&cpu, &d).unwrap();
         fs.cache = BufferCache::new(8); // drop the whole cache
         assert_eq!(fs.read(&cpu, &d, ino, 0, 10).unwrap(), b"persist me");
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_metadata() {
-        let d = MemDriver::new();
-        let mut fs = Vfs::mkfs(10, 100);
-        let cpu = cpu();
-        let ino = fs.create(&cpu, "x").unwrap();
-        fs.write(&cpu, &d, ino, 0, b"abc").unwrap();
-        fs.sync(&cpu, &d).unwrap();
-        let json = serde_json::to_string(&fs).unwrap();
-        let mut fs2: Vfs = serde_json::from_str(&json).unwrap();
-        assert_eq!(fs2.lookup(&cpu, "x").unwrap(), ino);
-        assert_eq!(fs2.read(&cpu, &d, ino, 0, 3).unwrap(), b"abc");
     }
 }

@@ -17,17 +17,16 @@ use crate::paravirt::{ExecMode, KernelMap, PvOps};
 use crate::process::{BlockOn, Desc, Pid, Pipe, ProcState, Process, SavedTrapContext};
 use crate::programs::{layout, ProgramRegistry};
 use crate::sched::SchedState;
-use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use simx86::cpu::{vectors, IdtTable, InterruptSink, TrapFrame};
 use simx86::fault::AccessKind;
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, VirtAddr, PAGE_SIZE};
+use simx86::sync::{Mutex, RwLock};
 use simx86::{costs, Cpu, Machine, Mmu, PrivLevel};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use xenon::{Domain, Hypervisor};
+use xenon::{Domain, GuestState, Hypervisor};
 
 /// How the kernel is brought up.
 #[derive(Clone)]
@@ -126,8 +125,8 @@ pub(crate) struct KState {
     pub frozen: bool,
 }
 
-/// Serializable kernel image for checkpoint / migration (§6.1).
-#[derive(Serialize, Deserialize)]
+/// The kernel's logical state for checkpoint / migration (§6.1).
+#[derive(Clone)]
 pub struct KernelImage {
     kmap: KernelMap,
     kernel_pdes: Vec<(usize, u64)>,
@@ -569,7 +568,7 @@ impl Kernel {
         *self.self_virt.write() = Some(sink);
     }
 
-    fn lock_state(&self, cpu: &Arc<Cpu>) -> parking_lot::MutexGuard<'_, KState> {
+    fn lock_state(&self, cpu: &Arc<Cpu>) -> simx86::sync::MutexGuard<'_, KState> {
         if self.smp {
             cpu.tick(costs::SMP_LOCK);
         }
@@ -1717,10 +1716,10 @@ impl Kernel {
     // Checkpoint / restore (§6.1)
     // -----------------------------------------------------------------
 
-    /// Serialize the kernel's logical state.  The caller should have
+    /// Capture the kernel's logical state.  The caller should have
     /// quiesced the workload; the filesystem is flushed so disk state is
     /// consistent with the image.
-    pub fn freeze(&self, cpu: &Arc<Cpu>) -> Result<serde_json::Value, KernelError> {
+    pub fn freeze(&self, cpu: &Arc<Cpu>) -> Result<GuestState, KernelError> {
         self.sync(cpu)?;
         let mut st = self.lock_state(cpu);
         st.frozen = true;
@@ -1739,8 +1738,7 @@ impl Kernel {
             pool: st.pool.clone(),
         };
         st.frozen = false;
-        serde_json::to_value(&image)
-            .map_err(|e| KernelError::Invalid(Box::leak(e.to_string().into_boxed_str())))
+        Ok(GuestState::new(image))
     }
 
     /// Rebuild a kernel from a frozen image on `machine`, translating
@@ -1752,11 +1750,13 @@ impl Kernel {
     pub fn thaw(
         machine: Arc<Machine>,
         mode: BootMode,
-        value: &serde_json::Value,
+        state: &GuestState,
         frame_map: &HashMap<u32, u32>,
     ) -> Result<Arc<Kernel>, KernelError> {
-        let image: KernelImage = serde_json::from_value(value.clone())
-            .map_err(|_| KernelError::Invalid("malformed kernel image"))?;
+        let image = state
+            .downcast_ref::<KernelImage>()
+            .ok_or(KernelError::Invalid("malformed kernel image"))?
+            .clone();
         let tr = |f: u32| -> u32 { *frame_map.get(&f).unwrap_or(&f) };
 
         let mut kmap = image.kmap;
@@ -1907,6 +1907,18 @@ impl Kernel {
         self.state.lock().pool.all_frames()
     }
 
+    /// Take a frame out of the pool for a driver's payload buffer.  The
+    /// pool counts it in use — it is never handed to a mapping — and
+    /// the count travels through freeze/thaw with the rest of the pool.
+    pub fn alloc_driver_frame(&self, cpu: &Arc<Cpu>) -> Result<FrameNum, KernelError> {
+        self.state.lock().pool.alloc(cpu).ok_or(KernelError::NoMem)
+    }
+
+    /// Return a frame taken with [`Kernel::alloc_driver_frame`].
+    pub fn free_driver_frame(&self, frame: FrameNum) {
+        self.state.lock().pool.decref(frame);
+    }
+
     /// Total saved trap contexts across all kernel stacks (what the
     /// §5.1.2 selector fixup must rewrite).
     pub fn kstack_contexts(&self) -> usize {
@@ -2044,10 +2056,7 @@ mod tests {
             },
         )
         .unwrap();
-        let bounce = {
-            let mut st = kernel.state.lock();
-            st.pool.alloc(cpu).unwrap()
-        };
+        let bounce = kernel.alloc_driver_frame(cpu).unwrap();
         kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(machine), bounce));
         kernel.set_net_driver(NativeNetDriver::new(Arc::clone(machine)));
         (hv, kernel)

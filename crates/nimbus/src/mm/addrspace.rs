@@ -5,7 +5,6 @@
 use crate::error::KernelError;
 use crate::mm::pool::FramePool;
 use crate::paravirt::{KernelMap, PvOps};
-use serde::{Deserialize, Serialize};
 use simx86::fault::AccessKind;
 use simx86::mem::{FrameNum, PhysMemory};
 use simx86::paging::{Pte, VirtAddr, PAGE_SIZE, USER_TOP};
@@ -14,7 +13,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Protection of a VMA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Prot {
     /// May user code write?
     pub write: bool,
@@ -28,7 +27,7 @@ impl Prot {
 }
 
 /// What backs a VMA.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmaKind {
     /// Demand-zero anonymous memory.
     Anon,
@@ -52,7 +51,7 @@ pub enum VmaKind {
 }
 
 /// One virtual memory area.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vma {
     /// First byte.
     pub start: u64,
@@ -108,9 +107,9 @@ pub enum FaultFix {
 
 /// A process address space.
 ///
-/// Serializable: checkpoint/restore carries it in the guest state, with
+/// Cloneable: checkpoint/restore carries it in the guest state, with
 /// frame numbers translated through the relocation map.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AddressSpace {
     /// Base (L2) table frame.
     pub pgd: FrameNum,

@@ -5,14 +5,13 @@
 //! Data frames are reference-counted so copy-on-write sharing after
 //! `fork` can free frames only when the last mapping goes away.
 
-use serde::{Deserialize, Serialize};
 use simx86::costs;
 use simx86::mem::FrameNum;
 use simx86::Cpu;
 use std::collections::HashMap;
 
 /// The pool.  Lives inside the big kernel lock; not internally locked.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FramePool {
     free: Vec<FrameNum>,
     refs: HashMap<u32, u32>,
@@ -163,16 +162,5 @@ mod tests {
         let mut all = p.all_frames();
         all.sort_unstable();
         assert_eq!(all, vec![FrameNum(10), FrameNum(20), FrameNum(30)]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut p = pool(3);
-        let cpu = Arc::new(Cpu::new(0));
-        p.alloc(&cpu).unwrap();
-        let json = serde_json::to_string(&p).unwrap();
-        let q: FramePool = serde_json::from_str(&json).unwrap();
-        assert_eq!(q.available(), p.available());
-        assert_eq!(q.refcount(FrameNum(1)), 1);
     }
 }

@@ -4,14 +4,13 @@
 //! carry a four-byte port header.  Enough surface for the paper's ping
 //! (round-trip latency) and Iperf (throughput) benchmarks.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 
 /// Maximum payload per datagram (fits one frame with the header).
 pub const MAX_PAYLOAD: usize = 4088;
 
 /// A bound socket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Socket {
     /// Socket id.
     pub id: u32,
@@ -22,7 +21,7 @@ pub struct Socket {
 }
 
 /// The socket table.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SocketTable {
     socks: HashMap<u32, Socket>,
     ports: HashMap<u16, u32>,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use xenon::{Domain, Hypervisor, MmuUpdate, PageType};
 
 /// The kernel's execution mode (§3.2): on bare hardware or on a VMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Directly on hardware, most privileged.
     Native,
@@ -50,7 +50,7 @@ pub enum ExecMode {
 /// (the machine-vs-pseudo-physical distinction of §3.2.2), the page
 /// tables are rewritten in place, and this map is translated through
 /// the relocation — the direct-map *virtual* layout never changes.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct KernelMap {
     /// Kernel L1 tables, as `(l2 index, table frame)` pairs.
     pub l1s: Vec<(usize, FrameNum)>,

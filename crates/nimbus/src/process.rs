@@ -1,16 +1,15 @@
 //! Processes, file descriptors and pipes.
 
 use crate::mm::AddressSpace;
-use serde::{Deserialize, Serialize};
 use simx86::cpu::Selector;
 use std::collections::VecDeque;
 
 /// Process identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Pid(pub u32);
 
 /// What a blocked process is waiting for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockOn {
     /// Data in a pipe.
     PipeRead(u32),
@@ -23,7 +22,7 @@ pub enum BlockOn {
 }
 
 /// Scheduler-visible process state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcState {
     /// On the run queue.
     Ready,
@@ -40,7 +39,7 @@ pub enum ProcState {
 /// state §5.1.2 says Mercury must patch during a mode switch, lest the
 /// resume path pop a stale selector and take a general protection
 /// fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SavedTrapContext {
     /// Saved code-segment selector.
     pub cs: Selector,
@@ -49,7 +48,7 @@ pub struct SavedTrapContext {
 }
 
 /// An open descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Desc {
     /// Read end of a pipe.
     PipeR(u32),
@@ -67,7 +66,7 @@ pub enum Desc {
 }
 
 /// A process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Process {
     /// Identifier.
     pub pid: Pid,
@@ -121,7 +120,7 @@ impl Process {
 pub const PIPE_CAPACITY: usize = 65536;
 
 /// A pipe.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Pipe {
     /// Buffered bytes.
     pub buf: VecDeque<u8>,
@@ -190,14 +189,5 @@ mod tests {
         assert_eq!(pipe.space(), PIPE_CAPACITY);
         pipe.buf.extend(std::iter::repeat_n(0u8, 100));
         assert_eq!(pipe.space(), PIPE_CAPACITY - 100);
-    }
-
-    #[test]
-    fn process_serde_roundtrip() {
-        let p = proc_with_fds();
-        let json = serde_json::to_string(&p).unwrap();
-        let q: Process = serde_json::from_str(&json).unwrap();
-        assert_eq!(q.pid, p.pid);
-        assert_eq!(q.prog, "init");
     }
 }

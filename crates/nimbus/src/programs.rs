@@ -7,7 +7,6 @@
 
 use crate::error::KernelError;
 use crate::mm::FramePool;
-use serde::{Deserialize, Serialize};
 use simx86::mem::{FrameNum, PhysMemory};
 use simx86::paging::WORDS_PER_PAGE;
 use simx86::Cpu;
@@ -30,7 +29,7 @@ pub mod layout {
 }
 
 /// A loadable image.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProgramImage {
     /// Name.
     pub name: String,
@@ -52,7 +51,7 @@ impl ProgramImage {
 }
 
 /// The registry of installed programs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ProgramRegistry {
     progs: BTreeMap<String, ProgramImage>,
 }

@@ -2,14 +2,13 @@
 //!
 //! The mechanics of an actual context switch (CR3 load, kernel-stack
 //! selector handling) live in `kernel.rs`; this module is the pure
-//! state, so it can serialize into checkpoints.
+//! state, so it can be cloned into checkpoints.
 
 use crate::process::Pid;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Scheduler state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedState {
     /// Ready processes, FIFO.
     pub runq: VecDeque<Pid>,

@@ -2,16 +2,16 @@
 //! pool's reference counting and the filesystem against a flat-file
 //! reference model.
 
+use faultgen::rng::check;
 use nimbus::fs::Vfs;
 use nimbus::mm::FramePool;
-use proptest::prelude::*;
 use simx86::mem::FrameNum;
 use simx86::Cpu;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A host-memory block driver (no cost model needed here).
-struct MemDriver(parking_lot::Mutex<HashMap<u64, Vec<u8>>>);
+struct MemDriver(simx86::sync::Mutex<HashMap<u64, Vec<u8>>>);
 impl nimbus::drivers::block::BlockDriver for MemDriver {
     fn read_block(&self, _c: &Arc<Cpu>, b: u64, out: &mut [u8]) -> Result<(), nimbus::KernelError> {
         match self.0.lock().get(&b) {
@@ -32,20 +32,20 @@ impl nimbus::drivers::block::BlockDriver for MemDriver {
     }
 }
 
-proptest! {
-    /// Pool conservation: allocations + frees with random COW sharing
-    /// never lose or duplicate frames.
-    #[test]
-    fn pool_conserves_frames(ops in proptest::collection::vec(0u8..3, 1..200)) {
+/// Pool conservation: allocations + frees with random COW sharing
+/// never lose or duplicate frames.
+#[test]
+fn pool_conserves_frames() {
+    check("pool_conserves_frames", 256, |rng| {
         let total = 32u32;
         let mut pool = FramePool::new((1..=total).map(FrameNum).collect());
         let cpu = Arc::new(Cpu::new(0));
         let mut live: Vec<FrameNum> = Vec::new(); // one entry per reference
-        for op in ops {
-            match op {
+        for _ in 0..rng.range(1, 200) {
+            match rng.below(3) {
                 0 => {
                     if let Some(f) = pool.alloc(&cpu) {
-                        prop_assert!(!live.contains(&f), "allocated a live frame");
+                        assert!(!live.contains(&f), "allocated a live frame");
                         live.push(f);
                     }
                 }
@@ -67,34 +67,33 @@ proptest! {
                 *counts.entry(f.0).or_default() += 1;
             }
             for (&f, &c) in &counts {
-                prop_assert_eq!(pool.refcount(FrameNum(f)), c);
+                assert_eq!(pool.refcount(FrameNum(f)), c);
             }
             let distinct = counts.len();
-            prop_assert_eq!(pool.available(), total as usize - distinct);
+            assert_eq!(pool.available(), total as usize - distinct);
         }
-    }
+    });
+}
 
-    /// The filesystem behaves like a map of flat byte vectors under
-    /// random create/write/read/truncate/unlink sequences.
-    #[test]
-    fn vfs_matches_reference_model(
-        ops in proptest::collection::vec(
-            (0u8..5, 0u8..4, 0u16..12000, proptest::collection::vec(any::<u8>(), 0..300)),
-            1..60
-        )
-    ) {
-        let driver = MemDriver(parking_lot::Mutex::new(HashMap::new()));
+/// The filesystem behaves like a map of flat byte vectors under
+/// random create/write/read/truncate/unlink sequences.
+#[test]
+fn vfs_matches_reference_model() {
+    check("vfs_matches_reference_model", 256, |rng| {
+        let driver = MemDriver(simx86::sync::Mutex::new(HashMap::new()));
         let mut fs = Vfs::mkfs(1, 512);
         let cpu = Arc::new(Cpu::new(0));
         let mut model: HashMap<String, Vec<u8>> = HashMap::new();
 
-        for (op, file, pos, data) in ops {
+        for _ in 0..rng.range(1, 60) {
+            let (op, file, pos) = (rng.below(5), rng.below(4), rng.below(12000));
+            let len = rng.below(300) as usize;
+            let data = rng.vec(len, |r| r.next_u64() as u8);
             let name = format!("f{file}");
-            let pos = pos as u64;
             match op {
                 0 => {
                     let created = fs.create(&cpu, &name).is_ok();
-                    prop_assert_eq!(created, !model.contains_key(&name));
+                    assert_eq!(created, !model.contains_key(&name));
                     if created {
                         model.insert(name, Vec::new());
                     }
@@ -121,15 +120,15 @@ proptest! {
                             .skip(pos as usize)
                             .take(200.min(mf.len().saturating_sub(pos as usize)))
                             .collect();
-                        prop_assert_eq!(got, expect);
-                        prop_assert_eq!(fs.stat(&cpu, ino).unwrap().size, mf.len() as u64);
+                        assert_eq!(got, expect);
+                        assert_eq!(fs.stat(&cpu, ino).unwrap().size, mf.len() as u64);
                     }
                 }
                 3 => {
                     if model.remove(&name).is_some() {
                         fs.unlink(&cpu, &name).unwrap();
                     } else {
-                        prop_assert!(fs.unlink(&cpu, &name).is_err());
+                        assert!(fs.unlink(&cpu, &name).is_err());
                     }
                 }
                 _ => {
@@ -144,6 +143,6 @@ proptest! {
         // Directory listing matches.
         let mut names: Vec<String> = model.keys().cloned().collect();
         names.sort();
-        prop_assert_eq!(fs.list(), names);
-    }
+        assert_eq!(fs.list(), names);
+    });
 }

@@ -646,20 +646,26 @@ mod tests {
         let mut fs = small_fleet(4, 4);
         let t = traffic(11, 40_000, 60);
         let mid = t[20].offset;
-        let mut done = false;
+        // The second node to drain: any node that is not hosting the
+        // first one's guest (that one is pinned, asserted below).
+        let mut second = None;
         fs.run(&t, |fs, offset| {
-            if !done && offset >= mid {
-                done = true;
+            if second.is_none() && offset >= mid {
                 let h0 = fs.drain_node(0, offset, None).unwrap().unwrap();
-                let h1 = fs.drain_node(1, offset, None).unwrap().unwrap();
+                let next = (1..4).find(|n| *n != h0).unwrap();
+                second = Some(next);
+                let h1 = fs.drain_node(next, offset, None).unwrap().unwrap();
                 assert_ne!(h0, h1, "level-load guests must spread across hosts");
                 // A node hosting a parked guest must refuse to move:
                 // migrating its dom0 would strand the guest.
                 assert_eq!(fs.drain_node(h0, offset, None).unwrap(), None);
             }
         });
-        assert!(done);
-        assert_eq!(fs.host_of(0).zip(fs.host_of(1)).map(|(a, b)| a == b), Some(false));
+        let second = second.expect("the drains ran");
+        assert_eq!(
+            fs.host_of(0).zip(fs.host_of(second)).map(|(a, b)| a == b),
+            Some(false)
+        );
         let records = fs.finish();
         assert_eq!(records.len() as u64, fs.offered(), "zero lost requests");
     }

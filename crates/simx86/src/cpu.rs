@@ -7,9 +7,8 @@
 
 use crate::costs;
 use crate::fault::Fault;
+use crate::sync::{Mutex, RwLock};
 use crate::tlb::Tlb;
-use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -45,7 +44,7 @@ pub mod vectors {
 }
 
 /// Hardware privilege level.  Lower is more privileged.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(u8)]
 pub enum PrivLevel {
     /// Most privileged: the bare-metal kernel, or the VMM.
@@ -70,7 +69,7 @@ impl PrivLevel {
 /// A segment selector as saved in trap frames: descriptor index plus the
 /// requested privilege level (RPL) — the piece of state §5.1.2 has to fix
 /// up on kernel stacks during a mode switch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Selector {
     /// Descriptor table index (we only model a handful of descriptors).
     pub index: u16,
@@ -93,7 +92,7 @@ pub mod selectors {
 /// A (deliberately tiny) global descriptor table: what matters for
 /// Mercury is the *privilege level of the kernel segments*, which is 0 in
 /// native mode and 1 in virtual mode (§5.1.2 item 2).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Gdt {
     /// DPL of the kernel code/stack descriptors.
     pub kernel_dpl: PrivLevel,

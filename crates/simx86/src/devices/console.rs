@@ -1,6 +1,6 @@
 //! A write-only console device, useful for kernel log assertions.
 
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 
 /// The console: an append-only byte sink.
 #[derive(Default)]

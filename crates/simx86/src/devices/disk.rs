@@ -12,7 +12,7 @@ use crate::costs;
 use crate::cpu::vectors;
 use crate::intc::InterruptController;
 use crate::mem::{PhysAddr, PhysMemory};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::VecDeque;
 
 /// Bytes per sector.

@@ -6,8 +6,7 @@
 
 use crate::cpu::vectors;
 use crate::intc::InterruptController;
-use bytes::Bytes;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -15,15 +14,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Raw bytes on the wire.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
 }
 
 impl Packet {
     /// Wrap a byte vector.
     pub fn new(data: Vec<u8>) -> Packet {
-        Packet {
-            data: Bytes::from(data),
-        }
+        Packet { data: data.into() }
     }
 
     /// Payload length.

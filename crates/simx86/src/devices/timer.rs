@@ -7,7 +7,7 @@
 
 use crate::costs::CYCLES_PER_US;
 use crate::cpu::{vectors, Cpu};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::Arc;
 
 /// Default period: 100 Hz = 10 ms.

@@ -68,7 +68,7 @@
 //! ```
 
 use crate::cpu::Cpu;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

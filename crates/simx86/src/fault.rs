@@ -4,7 +4,7 @@ use crate::paging::VirtAddr;
 use std::fmt;
 
 /// The kind of memory access that triggered a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Data read.
     Read,

@@ -53,7 +53,7 @@ use crate::costs;
 use crate::cpu::Cpu;
 use crate::fault::Fault;
 use crate::mem::FrameNum;
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

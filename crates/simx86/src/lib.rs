@@ -58,6 +58,7 @@ pub mod mem;
 pub mod mmu;
 pub mod paging;
 pub mod privops;
+pub mod sync;
 pub mod tlb;
 pub mod vmx;
 

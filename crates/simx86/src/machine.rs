@@ -7,7 +7,7 @@ use crate::devices::{Console, SimDisk, SimNic, SimTimer};
 use crate::evclock::EvClock;
 use crate::intc::InterruptController;
 use crate::mem::{FrameNum, PhysMemory};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::sync::Arc;
 
 /// Configuration for a simulated machine.

@@ -6,7 +6,7 @@
 //! accounting bugs corrupt real state and are caught by the MMU and the
 //! hypervisor's validators, just as on hardware.
 //!
-//! Each frame has its own `parking_lot::Mutex`, so SMP guests and the
+//! Each frame has its own mutex, so SMP guests and the
 //! hypervisor can touch disjoint frames concurrently without a global
 //! lock (see *Rust Atomics and Locks* on lock granularity).
 
@@ -14,13 +14,10 @@ use crate::costs;
 use crate::cpu::Cpu;
 use crate::fault::Fault;
 use crate::paging::{Pte, PAGE_SIZE, WORDS_PER_PAGE};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use crate::sync::Mutex;
 
 /// Physical frame number.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct FrameNum(pub u32);
 
 impl FrameNum {
@@ -32,7 +29,7 @@ impl FrameNum {
 }
 
 /// A physical byte address.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(pub u64);
 
 impl std::fmt::Debug for PhysAddr {

@@ -12,8 +12,6 @@
 //! reserving a fixed portion of virtual address space for the VMM"),
 //! mirroring Xen's top-64 MiB reservation.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per page / frame.
 pub const PAGE_SIZE: u64 = 4096;
 /// 64-bit words per page.
@@ -46,7 +44,7 @@ pub const HV_BASE: u64 = 0x3C00_0000;
 pub const HV_TOP: u64 = VA_TOP;
 
 /// A virtual address in the simulated 1 GiB space.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(pub u64);
 
 impl std::fmt::Debug for VirtAddr {
@@ -131,7 +129,7 @@ impl VirtAddr {
 ///  2 USER        8 GLOBAL
 ///  bits 12..40: frame number
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct Pte(pub u64);
 
 impl std::fmt::Debug for Pte {

@@ -118,6 +118,11 @@ pub static REGISTRY: &[PrivOp] = &[
         effect: "enters/leaves VT-x-style non-root mode with an EPT",
         paper_ref: "§8",
     },
+    PrivOp {
+        name: "set_lazy_set",
+        effect: "installs/removes the MMU's pending-validation set and flushes the TLB",
+        paper_ref: "§5.1.2",
+    },
     // mem.rs
     PrivOp {
         name: "write_pte",

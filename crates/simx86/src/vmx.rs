@@ -25,7 +25,7 @@
 
 use crate::fault::Fault;
 use crate::mem::FrameNum;
-use parking_lot::RwLock;
+use crate::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -4,7 +4,7 @@
 //! ticking — must pop the same events at the same cycles in the same
 //! order, and charge their CPUs identically, for *any* schedule.
 
-use proptest::prelude::*;
+use faultgen::rng::{check, SplitMix64};
 use simx86::evclock::{EvClock, EventKind};
 use simx86::Cpu;
 use std::sync::Arc;
@@ -13,8 +13,11 @@ use std::sync::Arc;
 /// Due cycles are drawn from a small range so same-cycle collisions —
 /// the interesting case for ordering — are common, and the CPU index
 /// spans a 4-way machine so cross-CPU events collide too.
-fn entries() -> impl Strategy<Value = Vec<(u64, usize, u8)>> {
-    proptest::collection::vec((0u64..2_000, 0usize..4, 0u8..6), 1..64)
+fn entries(rng: &mut SplitMix64) -> Vec<(u64, usize, u8)> {
+    let len = rng.range(1, 64) as usize;
+    rng.vec(len, |r| {
+        (r.below(2_000), r.below(4) as usize, r.below(6) as u8)
+    })
 }
 
 fn kind_of(k: u8) -> EventKind {
@@ -47,48 +50,50 @@ fn pop_trace(plan: &[(u64, usize, u8)], skip: bool) -> (Vec<Popped>, u64) {
     (trace, cpu.cycles())
 }
 
-proptest! {
-    /// Skipping never reorders events — including events due at the
-    /// same cycle on different CPUs, which must pop in schedule order
-    /// in both modes (the `(due, seq)` contract).
-    #[test]
-    fn skip_mode_never_reorders_events(plan in entries()) {
+/// Skipping never reorders events — including events due at the
+/// same cycle on different CPUs, which must pop in schedule order
+/// in both modes (the `(due, seq)` contract).
+#[test]
+fn skip_mode_never_reorders_events() {
+    check("skip_mode_never_reorders_events", 256, |rng| {
+        let plan = entries(rng);
         let (on, cycles_on) = pop_trace(&plan, true);
         let (off, cycles_off) = pop_trace(&plan, false);
-        prop_assert_eq!(&on, &off, "pop traces must be skip-invariant");
-        prop_assert_eq!(cycles_on, cycles_off);
-        prop_assert_eq!(on.len(), plan.len(), "every event pops exactly once");
+        assert_eq!(&on, &off, "pop traces must be skip-invariant");
+        assert_eq!(cycles_on, cycles_off);
+        assert_eq!(on.len(), plan.len(), "every event pops exactly once");
         // Within the one trace: due cycles non-decreasing, and events
         // popped at the same cycle carry ascending sequence numbers —
         // i.e. schedule order, regardless of which CPU they target.
         for pair in on.windows(2) {
             let (c0, s0, ..) = pair[0];
             let (c1, s1, ..) = pair[1];
-            prop_assert!(c0 <= c1, "pop cycles must be monotonic");
+            assert!(c0 <= c1, "pop cycles must be monotonic");
             if c0 == c1 {
-                prop_assert!(s0 < s1, "same-cycle events must keep schedule order");
+                assert!(s0 < s1, "same-cycle events must keep schedule order");
             }
         }
-    }
+    });
+}
 
-    /// `advance` charges bit-identical totals in both modes for any
-    /// sequence of forward (or backward, which are free) targets.
-    #[test]
-    fn accounting_is_neutral_under_random_targets(
-        targets in proptest::collection::vec(0u64..100_000, 1..32)
-    ) {
+/// `advance` charges bit-identical totals in both modes for any
+/// sequence of forward (or backward, which are free) targets.
+#[test]
+fn accounting_is_neutral_under_random_targets() {
+    check("accounting_is_neutral_under_random_targets", 256, |rng| {
         let on = EvClock::new();
         on.set_skip(true);
         let off = EvClock::new();
         off.set_skip(false);
         let cpu_on = Arc::new(Cpu::new(0));
         let cpu_off = Arc::new(Cpu::new(0));
-        for &t in &targets {
+        for _ in 0..rng.range(1, 32) {
+            let t = rng.below(100_000);
             let a = on.advance(&cpu_on, t);
             let b = off.advance(&cpu_off, t);
-            prop_assert_eq!(a, b, "charged cycles must match per span");
-            prop_assert_eq!(cpu_on.cycles(), cpu_off.cycles());
+            assert_eq!(a, b, "charged cycles must match per span");
+            assert_eq!(cpu_on.cycles(), cpu_off.cycles());
         }
-        prop_assert_eq!(on.spans_advanced(), off.spans_advanced());
-    }
+        assert_eq!(on.spans_advanced(), off.spans_advanced());
+    });
 }

@@ -310,12 +310,13 @@ impl Sink {
     }
 }
 
-/// Test-only source trees (integration tests, examples, benches) are
-/// exercised under `cfg(test)`-like conditions and are exempt from
-/// the production invariants.
+/// Test-only source trees (integration tests, examples, benches, the
+/// `benchmark/` harness that times raw primitives) are exercised under
+/// `cfg(test)`-like conditions and are exempt from the production
+/// invariants.
 pub(crate) fn in_test_tree(name: &str) -> bool {
     name.split('/')
-        .any(|c| c == "tests" || c == "examples" || c == "benches")
+        .any(|c| matches!(c, "tests" | "examples" | "benches" | "benchmark"))
 }
 
 /// Type-ident wrappers skipped when mapping a struct field to the

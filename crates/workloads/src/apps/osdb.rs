@@ -5,9 +5,8 @@
 
 use crate::apps::AppResult;
 use crate::configs::TestBed;
+use faultgen::rng::SplitMix64;
 use nimbus::kernel::ReadOutcome;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use simx86::costs::cycles_to_us;
 
 /// Table size in 4 KiB blocks.
@@ -33,13 +32,13 @@ pub fn run(bed: &TestBed, scale: u32) -> AppResult {
     // the timed query mix starts from a clean cache.
     sess.sync().expect("post-load sync");
 
-    let mut rng = StdRng::seed_from_u64(0x05db);
+    let mut rng = SplitMix64::new(0x05db);
     let queries = QUERIES_PER_SCALE * scale;
     let t0 = sess.cpu().cycles();
     for q in 0..queries {
         // Index lookup: a few random 4 KiB block reads.
         for _ in 0..4 {
-            let blk = rng.gen_range(0..TABLE_BLOCKS);
+            let blk = rng.below(TABLE_BLOCKS);
             sess.lseek(fd, blk * 4096).expect("seek");
             match sess.read(fd, 4096).expect("read") {
                 ReadOutcome::Data(d) => assert_eq!(d.len(), 4096),

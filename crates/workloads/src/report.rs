@@ -1,13 +1,12 @@
 //! Assembling and rendering paper-style tables and figures.
 
 use crate::apps::{run_app, APP_NAMES};
-use crate::configs::{SysKind, TestBed, ALL_SYSTEMS};
-use crate::lmbench::{run_lmbench, LmbenchIters, LmbenchResults};
-use serde::Serialize;
+use crate::configs::{TestBed, ALL_SYSTEMS};
+use crate::lmbench::{run_lmbench, LmbenchIters};
 use std::collections::BTreeMap;
 
 /// A full Table 1 / Table 2: lmbench latencies for all six systems.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LmbenchTable {
     /// 1 = UP (Table 1), 2 = SMP (Table 2).
     pub cpus: usize,
@@ -16,7 +15,7 @@ pub struct LmbenchTable {
 }
 
 /// A full Fig. 3 / Fig. 4: relative application performance.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AppFigure {
     /// 1 = UP (Fig. 3), 2 = SMP (Fig. 4).
     pub cpus: usize,
@@ -39,13 +38,6 @@ pub fn lmbench_table(cpus: usize, iters: LmbenchIters) -> LmbenchTable {
         columns.insert(kind.label().to_string(), rows);
     }
     LmbenchTable { cpus, columns }
-}
-
-/// Run one system's lmbench column (finer-grained entry point for the
-/// criterion benches).
-pub fn lmbench_column(kind: SysKind, cpus: usize, iters: LmbenchIters) -> LmbenchResults {
-    let bed = TestBed::build(kind, cpus);
-    run_lmbench(&bed, iters)
 }
 
 /// Run the five application benchmarks on every system (Figs. 3/4).

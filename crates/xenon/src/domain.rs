@@ -6,23 +6,24 @@
 //! frontend drivers connected to dom0's backends.
 
 use crate::error::HvError;
-use parking_lot::{Mutex, RwLock};
-use serde::{Deserialize, Serialize};
 use simx86::cpu::InterruptSink;
 use simx86::mem::FrameNum;
+use simx86::sync::{Mutex, RwLock};
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Domain identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct DomId(pub u16);
 
 /// The privileged control/driver domain.
 pub const DOM0: DomId = DomId(0);
 
 /// State of one virtual CPU.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VcpuState {
     /// Physical CPU this vCPU is currently bound to.
     pub pcpu: usize,
@@ -31,6 +32,31 @@ pub struct VcpuState {
     pub kernel_sp: u64,
     /// Is this vCPU runnable (vs blocked in `sched_block`)?
     pub runnable: bool,
+}
+
+/// The guest kernel's logical state as the hypervisor carries it
+/// through save, checkpoint and migration: an opaque typed value that
+/// only the guest that froze it can read back.  Cloning shares the
+/// value; it is never mutated once wrapped.
+#[derive(Clone)]
+pub struct GuestState(Arc<dyn Any + Send + Sync>);
+
+impl GuestState {
+    /// Wrap a frozen guest state.
+    pub fn new<T: Any + Send + Sync>(state: T) -> GuestState {
+        GuestState(Arc::new(state))
+    }
+
+    /// The state as a `T`, or `None` when another kind of guest froze it.
+    pub fn downcast_ref<T: Any>(&self) -> Option<&T> {
+        self.0.downcast_ref()
+    }
+}
+
+impl fmt::Debug for GuestState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("GuestState(..)")
+    }
 }
 
 /// A guest domain.
@@ -50,12 +76,12 @@ pub struct Domain {
     /// Event delivery mask.
     pub(crate) evt_masked: AtomicU64,
     alive: AtomicBool,
-    /// Opaque serialized guest-kernel state, populated by the guest's
-    /// freeze path during save/checkpoint and consumed on restore.  In a
-    /// real system this state lives in the guest's frames; the simulated
-    /// kernel keeps its logical state host-side, so save/restore carries
-    /// it explicitly.
-    pub guest_state: Mutex<Option<serde_json::Value>>,
+    /// Opaque guest-kernel state, populated by the guest's freeze path
+    /// during save/checkpoint and consumed on restore.  In a real system
+    /// this state lives in the guest's frames; the simulated kernel
+    /// keeps its logical state host-side, so save/restore carries it
+    /// explicitly.
+    pub guest_state: Mutex<Option<GuestState>>,
 }
 
 impl Domain {

@@ -8,8 +8,8 @@
 
 use crate::domain::{DomId, Domain};
 use crate::error::HvError;
-use parking_lot::Mutex;
 use simx86::costs;
+use simx86::sync::Mutex;
 use simx86::{Cpu, InterruptController};
 use std::sync::atomic::Ordering;
 

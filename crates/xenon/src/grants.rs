@@ -7,9 +7,9 @@
 
 use crate::domain::DomId;
 use crate::error::HvError;
-use parking_lot::Mutex;
 use simx86::costs;
 use simx86::mem::FrameNum;
+use simx86::sync::Mutex;
 use simx86::Cpu;
 use std::collections::HashMap;
 

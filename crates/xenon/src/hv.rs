@@ -17,10 +17,10 @@ use crate::events::EventChannels;
 use crate::grants::GrantTables;
 use crate::page_info::{PageInfoTable, PageType};
 use crate::sched::{SchedUnit, Scheduler};
-use parking_lot::{Mutex, RwLock};
 use simx86::cpu::{vectors, Gdt, IdtTable, InterruptSink, TrapFrame};
 use simx86::mem::FrameNum;
 use simx86::paging::Pte;
+use simx86::sync::{Mutex, RwLock};
 use simx86::{costs, Cpu, Machine};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};

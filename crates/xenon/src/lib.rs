@@ -41,7 +41,7 @@ pub mod save;
 pub mod sched;
 pub mod scrub;
 
-pub use domain::{DomId, Domain, DOM0};
+pub use domain::{DomId, Domain, GuestState, DOM0};
 pub use error::HvError;
 pub use hv::{Hypervisor, MmuUpdate};
 pub use liveupdate::{UpdateError, UpdateReport};

@@ -351,7 +351,7 @@ mod tests {
                 .unwrap();
         }
         hv.pin_l2(cpu, &dom, f[0]).unwrap();
-        *dom.guest_state.lock() = Some(serde_json::json!({"app": "token"}));
+        *dom.guest_state.lock() = Some(crate::GuestState::new("token"));
         dom
     }
 
@@ -413,7 +413,8 @@ mod tests {
                 .unwrap(),
             999
         );
-        assert_eq!(new_dom.guest_state.lock().clone().unwrap()["app"], "token");
+        let state = new_dom.guest_state.lock().clone().unwrap();
+        assert_eq!(state.downcast_ref::<&str>(), Some(&"token"));
 
         // Source fully released its memory.
         assert!(hv_src.domain(dom.id).is_none());

@@ -26,15 +26,14 @@
 
 use crate::domain::DomId;
 use crate::error::HvError;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use simx86::costs;
 use simx86::mem::{FrameNum, PhysMemory};
 use simx86::paging::ENTRIES_PER_TABLE;
+use simx86::sync::Mutex;
 use simx86::Cpu;
 
 /// How a frame is currently typed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PageType {
     /// No type constraint (unreferenced, or only read-only mapped).
     #[default]
@@ -49,7 +48,7 @@ pub enum PageType {
 }
 
 /// Accounting record for one physical frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PageInfo {
     /// Owning domain, if any.
     pub owner: Option<DomId>,
@@ -66,6 +65,18 @@ pub struct PageInfo {
 /// The machine-wide frame accounting table.
 pub struct PageInfoTable {
     info: Mutex<Vec<PageInfo>>,
+}
+
+/// A frame being promoted to a page table inside a lazy admission
+/// window takes its deferred first-touch validation now: the guest must
+/// never run through a table whose validation is still pending
+/// (DESIGN.md §7b), and a frame recycled into a table is never touched
+/// as a leaf, so the MMU hook alone would leave it pending.
+fn settle_deferred(cpu: &Cpu, frame: FrameNum) -> Result<(), HvError> {
+    match cpu.active_lazy_set() {
+        Some(lazy) => Ok(lazy.check(cpu, frame)?),
+        None => Ok(()),
+    }
 }
 
 impl PageInfoTable {
@@ -258,6 +269,7 @@ impl PageInfoTable {
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
+        settle_deferred(cpu, frame)?;
         // The table frame itself must be owned by the domain.
         self.check_owned(frame, dom, "L1 table frame")?;
         // First pass: check, second pass: commit — so a failed
@@ -321,6 +333,7 @@ impl PageInfoTable {
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
+        settle_deferred(cpu, frame)?;
         self.check_owned(frame, dom, "L2 table frame")?;
         // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
         let mut validated_here: Vec<FrameNum> = Vec::new();

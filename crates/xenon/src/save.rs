@@ -2,16 +2,15 @@
 //!
 //! A [`DomainImage`] captures everything a domain is: its frames (with
 //! their page-table types), pinned base tables, vCPU state and the
-//! guest's serialized logical state.  Restore may place the domain in
+//! guest's frozen logical state.  Restore may place the domain in
 //! *different* physical frames — page-table words are rewritten through
 //! the old→new frame mapping, the same machine-frame renumbering a real
 //! Xen restore performs via the P2M table.
 
-use crate::domain::{DomId, Domain, VcpuState};
+use crate::domain::{DomId, Domain, GuestState, VcpuState};
 use crate::error::HvError;
 use crate::hv::Hypervisor;
 use crate::page_info::PageType;
-use serde::{Deserialize, Serialize};
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE, WORDS_PER_PAGE};
 use simx86::{costs, Cpu};
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One saved frame.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FrameImage {
     /// The frame number the domain occupied at save time.
     pub old_frame: u32,
@@ -30,7 +29,7 @@ pub struct FrameImage {
 }
 
 /// A complete domain checkpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DomainImage {
     /// Domain id at save time (preserved across restore).
     pub id: u16,
@@ -47,29 +46,15 @@ pub struct DomainImage {
     /// Vectors the guest had registered (the restored guest re-registers
     /// its handlers; this list lets tests assert nothing was lost).
     pub registered_vectors: Vec<u8>,
-    /// Serialized guest-kernel logical state.
-    pub guest_state: Option<serde_json::Value>,
+    /// The guest kernel's frozen logical state.
+    pub guest_state: Option<GuestState>,
 }
 
 impl DomainImage {
-    /// Total bytes this image represents on the wire.
+    /// Total bytes this image represents on the wire (frames only, as
+    /// live migration counts them).
     pub fn wire_bytes(&self) -> u64 {
         self.frames.len() as u64 * simx86::PAGE_SIZE
-            + self
-                .guest_state
-                .as_ref()
-                .map(|g| g.to_string().len() as u64)
-                .unwrap_or(0)
-    }
-
-    /// Serialize to a portable byte blob.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("image serialization cannot fail")
-    }
-
-    /// Deserialize from [`Self::to_bytes`] output.
-    pub fn from_bytes(bytes: &[u8]) -> Result<DomainImage, HvError> {
-        serde_json::from_slice(bytes).map_err(|e| HvError::BadImage(e.to_string()))
     }
 }
 
@@ -225,7 +210,7 @@ mod tests {
             .unwrap();
         mem.write_word(cpu, data.base(), 0xfeed_f00d).unwrap();
         hv.pin_l2(cpu, &dom, pgd).unwrap();
-        *dom.guest_state.lock() = Some(serde_json::json!({"uptime": 42}));
+        *dom.guest_state.lock() = Some(GuestState::new(42u64));
         dom
     }
 
@@ -250,7 +235,9 @@ mod tests {
 
         assert_eq!(restored.id, DomId(image.id));
         assert_eq!(restored.frame_count(), 8);
-        assert_eq!(restored.guest_state.lock().clone().unwrap()["uptime"], 42);
+        let state = restored.guest_state.lock().clone().unwrap();
+        assert_eq!(state.downcast_ref::<u64>(), Some(&42));
+        assert!(state.downcast_ref::<String>().is_none());
 
         // The rewritten tables still map the data page: walk them.
         let pgd = restored.pgds()[0];
@@ -263,19 +250,6 @@ mod tests {
             .read_word(cpu, FrameNum(pte.frame()).base())
             .unwrap();
         assert_eq!(word, 0xfeed_f00d);
-    }
-
-    #[test]
-    fn image_bytes_roundtrip() {
-        let (machine, hv) = rig();
-        let cpu = machine.boot_cpu();
-        let dom = build_guest(&machine, &hv);
-        let image = save_domain(&hv, cpu, &dom).unwrap();
-        let bytes = image.to_bytes();
-        let back = DomainImage::from_bytes(&bytes).unwrap();
-        assert_eq!(back.frames.len(), image.frames.len());
-        assert_eq!(back.pgds, image.pgds);
-        assert!(DomainImage::from_bytes(b"not an image").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! calls [`Scheduler::pick_next`] to decide which domain to drive.
 
 use crate::domain::{DomId, Domain};
-use parking_lot::Mutex;
+use simx86::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 

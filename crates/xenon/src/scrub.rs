@@ -74,7 +74,7 @@ pub struct BackgroundScrubber {
     /// authoritative page-info table), and a scrubber left pointing at
     /// the decommissioned instance would revalidate a dead ledger.
     /// [`retarget`](BackgroundScrubber::retarget) swaps the slot.
-    page_info: parking_lot::RwLock<Arc<PageInfoTable>>,
+    page_info: simx86::sync::RwLock<Arc<PageInfoTable>>,
     dom: DomId,
     revalidated: AtomicU64,
     cycles_donated: AtomicU64,
@@ -84,7 +84,7 @@ impl BackgroundScrubber {
     /// A scrubber over `dom`'s frames in `page_info`.
     pub fn new(page_info: Arc<PageInfoTable>, dom: DomId) -> Arc<BackgroundScrubber> {
         Arc::new(BackgroundScrubber {
-            page_info: parking_lot::RwLock::new(page_info),
+            page_info: simx86::sync::RwLock::new(page_info),
             dom,
             revalidated: AtomicU64::new(0),
             cycles_donated: AtomicU64::new(0),

@@ -2,64 +2,73 @@
 //! shared-memory ring against a FIFO model, and the page_info
 //! validation machinery against randomly generated page-table trees.
 
-use proptest::prelude::*;
+use faultgen::rng::{check, SplitMix64};
 use simx86::mem::{FrameNum, PhysMemory};
 use simx86::paging::Pte;
 use simx86::Cpu;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use xenon::page_info::{PageInfo, PageInfoTable, PageType};
 use xenon::ring::{Ring, SlotPayload, RING_SLOTS};
 use xenon::DomId;
 
-proptest! {
-    /// The ring is a lossless FIFO under arbitrary push/pop
-    /// interleavings of a full request/response cycle.
-    #[test]
-    fn ring_is_a_lossless_fifo(ops in proptest::collection::vec(any::<bool>(), 1..300)) {
+/// map[l2_slot] = (l1_slot → writable) leaves of a small valid tree.
+fn tree_shape(rng: &mut SplitMix64) -> BTreeMap<usize, BTreeMap<usize, bool>> {
+    let mut shape = BTreeMap::new();
+    for _ in 0..rng.below(4) {
+        let mut leaves = BTreeMap::new();
+        for _ in 0..rng.below(8) {
+            leaves.insert(rng.below(16) as usize, rng.below(2) == 1);
+        }
+        shape.insert(rng.below(8) as usize, leaves);
+    }
+    shape
+}
+
+/// The ring is a lossless FIFO under arbitrary push/pop
+/// interleavings of a full request/response cycle.
+#[test]
+fn ring_is_a_lossless_fifo() {
+    check("ring_is_a_lossless_fifo", 256, |rng| {
         let mem = PhysMemory::new(2);
         let cpu = Arc::new(Cpu::new(0));
         let ring = Ring::attach(FrameNum(1));
         let mut model: VecDeque<u64> = VecDeque::new();
         let mut next_id = 0u64;
-        for push in ops {
-            if push {
+        for _ in 0..rng.range(1, 300) {
+            if rng.below(2) == 1 {
                 let payload: SlotPayload = [next_id, 0, 0, 0, 0, 0, 0, 0];
                 match ring.push_request(&cpu, &mem, &payload) {
                     Ok(()) => {
                         model.push_back(next_id);
                         next_id += 1;
                     }
-                    Err(_) => prop_assert!(model.len() as u64 >= RING_SLOTS),
+                    Err(_) => assert!(model.len() as u64 >= RING_SLOTS),
                 }
             } else {
                 // Full cycle: backend pops + responds, frontend reaps.
                 match ring.pop_request(&cpu, &mem).unwrap() {
                     Some(got) => {
                         let expect = model.pop_front().unwrap();
-                        prop_assert_eq!(got[0], expect);
+                        assert_eq!(got[0], expect);
                         ring.push_response(&cpu, &mem, &got).unwrap();
                         let rsp = ring.pop_response(&cpu, &mem).unwrap().unwrap();
-                        prop_assert_eq!(rsp[0], expect);
+                        assert_eq!(rsp[0], expect);
                     }
-                    None => prop_assert!(model.is_empty()),
+                    None => assert!(model.is_empty()),
                 }
             }
         }
-    }
+    });
+}
 
-    /// For a randomly shaped (valid) two-level tree, incremental
-    /// pin-validation and Mercury-style recompute produce identical
-    /// accounting, and unpin returns the table to all-untyped.
-    #[test]
-    fn recompute_equals_incremental_validation(
-        // map[l2_slot] = list of (l1_slot, writable) leaves
-        shape in proptest::collection::btree_map(
-            0usize..8,
-            proptest::collection::btree_map(0usize..16, any::<bool>(), 0..8),
-            0..4
-        )
-    ) {
+/// For a randomly shaped (valid) two-level tree, incremental
+/// pin-validation and Mercury-style recompute produce identical
+/// accounting, and unpin returns the table to all-untyped.
+#[test]
+fn recompute_equals_incremental_validation() {
+    check("recompute_equals_incremental_validation", 256, |rng| {
+        let shape = tree_shape(rng);
         let frames = 64usize;
         let mem = PhysMemory::new(frames);
         let cpu = Arc::new(Cpu::new(0));
@@ -72,117 +81,159 @@ proptest! {
         let pgd = FrameNum(1);
         for (l2, leaves) in &shape {
             let l1 = FrameNum(8 + *l2 as u32);
-            mem.write_pte(&cpu, pgd, *l2, Pte::new(l1.0, Pte::WRITABLE | Pte::USER)).unwrap();
+            mem.write_pte(&cpu, pgd, *l2, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
+                .unwrap();
             for (slot, writable) in leaves {
                 let data = FrameNum(24 + *slot as u32);
-                let flags = if *writable { Pte::WRITABLE | Pte::USER } else { Pte::USER };
-                mem.write_pte(&cpu, l1, *slot, Pte::new(data.0, flags)).unwrap();
+                let flags = if *writable {
+                    Pte::WRITABLE | Pte::USER
+                } else {
+                    Pte::USER
+                };
+                mem.write_pte(&cpu, l1, *slot, Pte::new(data.0, flags))
+                    .unwrap();
             }
         }
 
         let strip = |v: Vec<PageInfo>| -> Vec<PageInfo> {
-            v.into_iter().map(|mut r| { r.dirty = false; r }).collect()
+            v.into_iter()
+                .map(|mut r| {
+                    r.dirty = false;
+                    r
+                })
+                .collect()
         };
 
         // Incremental path.
         table.pin_l2(&cpu, &mem, pgd, dom).unwrap();
         let incremental = strip(table.snapshot());
-        prop_assert_eq!(table.type_of(pgd), (PageType::L2, 1));
+        assert_eq!(table.type_of(pgd), (PageType::L2, 1));
 
         // Recompute path.
         table.clear_types_for(dom);
-        table.recompute_for(&cpu, &mem, dom, frames, &[pgd]).unwrap();
+        table
+            .recompute_for(&cpu, &mem, dom, frames, &[pgd])
+            .unwrap();
         let recomputed = strip(table.snapshot());
-        prop_assert_eq!(&incremental, &recomputed);
+        assert_eq!(&incremental, &recomputed);
 
         // Unpin restores the pristine state.
         table.unpin_l2(&cpu, &mem, pgd).unwrap();
         for f in 0..frames {
-            prop_assert_eq!(table.type_of(FrameNum(f as u32)), (PageType::None, 0));
+            assert_eq!(table.type_of(FrameNum(f as u32)), (PageType::None, 0));
         }
-    }
+    });
+}
 
-    /// Dirty-bit traffic — native-mode marks, scrubber pops, lazy-
-    /// window drains — never perturbs the validation accounting.  This
-    /// is the invariant that makes `LazyValidate` a *strategy* rather
-    /// than a semantics change: the stripped snapshot stays
-    /// bit-identical to the pinned baseline no matter how the dirty
-    /// set churns, and a cold recompute afterwards agrees too.
-    #[test]
-    fn lazy_dirty_traffic_preserves_validation_accounting(
-        shape in proptest::collection::btree_map(
-            0usize..8,
-            proptest::collection::btree_map(0usize..16, any::<bool>(), 0..8),
-            0..4
-        ),
-        // (frame, op): op 0 = mark_dirty, 1 = scrubber-style pop of
-        // some dirty frame, 2 = targeted take_dirty (the attach path's
-        // per-frame consume).
-        ops in proptest::collection::vec((0u32..64, 0u8..3), 0..96)
-    ) {
-        let frames = 64usize;
-        let mem = PhysMemory::new(frames);
-        let cpu = Arc::new(Cpu::new(0));
-        let table = PageInfoTable::new(frames);
-        let dom = DomId(0);
-        for f in 0..frames {
-            table.set_owner(FrameNum(f as u32), Some(dom));
-        }
-        let pgd = FrameNum(1);
-        for (l2, leaves) in &shape {
-            let l1 = FrameNum(8 + *l2 as u32);
-            mem.write_pte(&cpu, pgd, *l2, Pte::new(l1.0, Pte::WRITABLE | Pte::USER)).unwrap();
-            for (slot, writable) in leaves {
-                let data = FrameNum(24 + *slot as u32);
-                let flags = if *writable { Pte::WRITABLE | Pte::USER } else { Pte::USER };
-                mem.write_pte(&cpu, l1, *slot, Pte::new(data.0, flags)).unwrap();
+/// Dirty-bit traffic — native-mode marks, scrubber pops, lazy-
+/// window drains — never perturbs the validation accounting.  This
+/// is the invariant that makes `LazyValidate` a *strategy* rather
+/// than a semantics change: the stripped snapshot stays
+/// bit-identical to the pinned baseline no matter how the dirty
+/// set churns, and a cold recompute afterwards agrees too.
+#[test]
+fn lazy_dirty_traffic_preserves_validation_accounting() {
+    check(
+        "lazy_dirty_traffic_preserves_validation_accounting",
+        256,
+        |rng| {
+            let shape = tree_shape(rng);
+            let frames = 64usize;
+            let mem = PhysMemory::new(frames);
+            let cpu = Arc::new(Cpu::new(0));
+            let table = PageInfoTable::new(frames);
+            let dom = DomId(0);
+            for f in 0..frames {
+                table.set_owner(FrameNum(f as u32), Some(dom));
             }
-        }
-
-        let strip = |v: Vec<PageInfo>| -> Vec<PageInfo> {
-            v.into_iter().map(|mut r| { r.dirty = false; r }).collect()
-        };
-
-        table.pin_l2(&cpu, &mem, pgd, dom).unwrap();
-        let baseline = strip(table.snapshot());
-
-        for (frame, op) in ops {
-            match op {
-                0 => table.mark_dirty(FrameNum(frame)),
-                1 => { table.take_dirty_frame_for(dom); }
-                _ => { table.take_dirty(FrameNum(frame)); }
+            let pgd = FrameNum(1);
+            for (l2, leaves) in &shape {
+                let l1 = FrameNum(8 + *l2 as u32);
+                mem.write_pte(&cpu, pgd, *l2, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
+                    .unwrap();
+                for (slot, writable) in leaves {
+                    let data = FrameNum(24 + *slot as u32);
+                    let flags = if *writable {
+                        Pte::WRITABLE | Pte::USER
+                    } else {
+                        Pte::USER
+                    };
+                    mem.write_pte(&cpu, l1, *slot, Pte::new(data.0, flags))
+                        .unwrap();
+                }
             }
-        }
-        prop_assert_eq!(&strip(table.snapshot()), &baseline);
 
-        // A cold recompute of the (untouched) tables reproduces the
-        // same accounting, so nothing the dirty traffic did can leak
-        // into what a later attach rebuilds.
-        table.recompute_for(&cpu, &mem, dom, frames, &[pgd]).unwrap();
-        prop_assert_eq!(&strip(table.snapshot()), &baseline);
-    }
+            let strip = |v: Vec<PageInfo>| -> Vec<PageInfo> {
+                v.into_iter()
+                    .map(|mut r| {
+                        r.dirty = false;
+                        r
+                    })
+                    .collect()
+            };
 
-    /// Type references never allow a writable mapping of a typed page
-    /// table, under any interleaving.
-    #[test]
-    fn type_exclusion_invariant(ops in proptest::collection::vec((any::<bool>(), 0u8..3), 1..64)) {
+            table.pin_l2(&cpu, &mem, pgd, dom).unwrap();
+            let baseline = strip(table.snapshot());
+
+            // op 0 = mark_dirty, 1 = scrubber-style pop of some dirty
+            // frame, 2 = targeted take_dirty (the attach path's per-frame
+            // consume).
+            for _ in 0..rng.below(96) {
+                let (frame, op) = (rng.below(64) as u32, rng.below(3));
+                match op {
+                    0 => table.mark_dirty(FrameNum(frame)),
+                    1 => {
+                        table.take_dirty_frame_for(dom);
+                    }
+                    _ => {
+                        table.take_dirty(FrameNum(frame));
+                    }
+                }
+            }
+            assert_eq!(&strip(table.snapshot()), &baseline);
+
+            // A cold recompute of the (untouched) tables reproduces the
+            // same accounting, so nothing the dirty traffic did can leak
+            // into what a later attach rebuilds.
+            table
+                .recompute_for(&cpu, &mem, dom, frames, &[pgd])
+                .unwrap();
+            assert_eq!(&strip(table.snapshot()), &baseline);
+        },
+    );
+}
+
+/// Type references never allow a writable mapping of a typed page
+/// table, under any interleaving.
+#[test]
+fn type_exclusion_invariant() {
+    check("type_exclusion_invariant", 256, |rng| {
         let table = PageInfoTable::new(4);
         table.set_owner(FrameNum(1), Some(DomId(0)));
         let mut l1_refs = 0u32;
         let mut w_refs = 0u32;
-        for (get, kind) in ops {
-            let typ = if kind == 0 { PageType::L1 } else { PageType::Writable };
+        for _ in 0..rng.range(1, 64) {
+            let (get, kind) = (rng.below(2) == 1, rng.below(3));
+            let typ = if kind == 0 {
+                PageType::L1
+            } else {
+                PageType::Writable
+            };
             if get {
                 match table.get_type_ref(FrameNum(1), typ) {
                     Ok(()) => {
-                        if typ == PageType::L1 { l1_refs += 1 } else { w_refs += 1 }
+                        if typ == PageType::L1 {
+                            l1_refs += 1
+                        } else {
+                            w_refs += 1
+                        }
                     }
                     Err(_) => {
                         // Must only fail on a genuine conflict.
                         if typ == PageType::L1 {
-                            prop_assert!(w_refs > 0);
+                            assert!(w_refs > 0);
                         } else {
-                            prop_assert!(l1_refs > 0);
+                            assert!(l1_refs > 0);
                         }
                     }
                 }
@@ -193,84 +244,109 @@ proptest! {
                 table.put_type_ref(FrameNum(1), PageType::Writable);
                 w_refs -= 1;
             }
-            prop_assert!(l1_refs == 0 || w_refs == 0, "both type kinds live at once");
+            assert!(l1_refs == 0 || w_refs == 0, "both type kinds live at once");
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// Live migration with arbitrary dirty patterns between rounds
-    /// delivers memory that is bit-identical to the source at
-    /// finalization time.
-    #[test]
-    fn migration_preserves_memory_under_random_dirtying(
-        // Sequence of (page index, value) writes, partitioned into
-        // inter-round batches.
-        batches in proptest::collection::vec(
-            proptest::collection::vec((0usize..6, any::<u64>()), 0..8),
-            1..4
-        )
-    ) {
-        use simx86::{Machine, MachineConfig};
-        use simx86::mem::PhysAddr;
-        use xenon::migrate::LiveMigration;
-        use xenon::Hypervisor;
-
-        let node = || {
-            let m = Machine::new(MachineConfig {
-                num_cpus: 1,
-                mem_frames: 2048,
-                disk_sectors: 64,
+/// Live migration with arbitrary dirty patterns between rounds
+/// delivers memory that is bit-identical to the source at
+/// finalization time.
+#[test]
+fn migration_preserves_memory_under_random_dirtying() {
+    check(
+        "migration_preserves_memory_under_random_dirtying",
+        16,
+        |rng| {
+            // Sequence of (page index, value) writes, partitioned into
+            // inter-round batches.
+            let rounds = rng.range(1, 4) as usize;
+            let batches = rng.vec(rounds, |r| {
+                let writes = r.below(8) as usize;
+                r.vec(writes, |r| (r.below(6) as usize, r.next_u64()))
             });
-            let hv = Hypervisor::warm_up(&m);
-            hv.activate();
-            (m, hv)
-        };
-        let (m_src, hv_src) = node();
-        let (m_dst, hv_dst) = node();
-        let cpu = m_src.boot_cpu();
+            use simx86::mem::PhysAddr;
+            use simx86::{Machine, MachineConfig};
+            use xenon::migrate::LiveMigration;
+            use xenon::Hypervisor;
 
-        // Guest: pgd f[0], L1 f[1], six data pages f[2..8].
-        let q = m_src.allocator.alloc_many(cpu, 16).unwrap();
-        let dom = hv_src.create_domain(cpu, "g", q, 0).unwrap();
-        let f = dom.frames();
-        m_src.mem.write_pte(cpu, f[0], 0, Pte::new(f[1].0, Pte::WRITABLE | Pte::USER)).unwrap();
-        for i in 0..6 {
-            m_src.mem.write_pte(cpu, f[1], i, Pte::new(f[2 + i].0, Pte::WRITABLE | Pte::USER)).unwrap();
-        }
-        hv_src.pin_l2(cpu, &dom, f[0]).unwrap();
-        *dom.guest_state.lock() = Some(serde_json::json!({"k": 1}));
+            let node = || {
+                let m = Machine::new(MachineConfig {
+                    num_cpus: 1,
+                    mem_frames: 2048,
+                    disk_sectors: 64,
+                });
+                let hv = Hypervisor::warm_up(&m);
+                hv.activate();
+                (m, hv)
+            };
+            let (m_src, hv_src) = node();
+            let (m_dst, hv_dst) = node();
+            let cpu = m_src.boot_cpu();
 
-        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
-        let mut model = [0u64; 6];
-        for batch in &batches {
-            mig.round(cpu).unwrap();
-            // Guest dirties pages between rounds (hardware-style: set
-            // the PTE dirty bit + write the word).
-            for (page, value) in batch {
-                let pte = m_src.mem.read_pte(cpu, f[1], *page).unwrap();
-                m_src.mem.write_pte(cpu, f[1], *page, pte.with_flags(Pte::DIRTY)).unwrap();
-                m_src.mem.write_word(cpu, PhysAddr(FrameNum(pte.frame()).base().0), *value).unwrap();
-                model[*page] = *value;
-            }
-        }
-        let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
-
-        // Every page on the target matches the final source state.
-        let dst_cpu = m_dst.boot_cpu();
-        let pgd = new_dom.pgds()[0];
-        let pde = m_dst.mem.read_pte(dst_cpu, pgd, 0).unwrap();
-        for (i, item) in model.iter().enumerate() {
-            let pte = m_dst.mem.read_pte(dst_cpu, FrameNum(pde.frame()), i).unwrap();
-            let word = m_dst
+            // Guest: pgd f[0], L1 f[1], six data pages f[2..8].
+            let q = m_src.allocator.alloc_many(cpu, 16).unwrap();
+            let dom = hv_src.create_domain(cpu, "g", q, 0).unwrap();
+            let f = dom.frames();
+            m_src
                 .mem
-                .read_word(dst_cpu, FrameNum(pte.frame()).base())
+                .write_pte(cpu, f[0], 0, Pte::new(f[1].0, Pte::WRITABLE | Pte::USER))
                 .unwrap();
-            prop_assert_eq!(word, *item, "page {} diverged", i);
-        }
-        prop_assert!(report.total_frames >= 16);
-        prop_assert!(hv_src.domain(dom.id).is_none(), "source must release the domain");
-    }
+            for i in 0..6 {
+                m_src
+                    .mem
+                    .write_pte(
+                        cpu,
+                        f[1],
+                        i,
+                        Pte::new(f[2 + i].0, Pte::WRITABLE | Pte::USER),
+                    )
+                    .unwrap();
+            }
+            hv_src.pin_l2(cpu, &dom, f[0]).unwrap();
+            *dom.guest_state.lock() = Some(xenon::GuestState::new(1u64));
+
+            let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+            let mut model = [0u64; 6];
+            for batch in &batches {
+                mig.round(cpu).unwrap();
+                // Guest dirties pages between rounds (hardware-style: set
+                // the PTE dirty bit + write the word).
+                for (page, value) in batch {
+                    let pte = m_src.mem.read_pte(cpu, f[1], *page).unwrap();
+                    m_src
+                        .mem
+                        .write_pte(cpu, f[1], *page, pte.with_flags(Pte::DIRTY))
+                        .unwrap();
+                    m_src
+                        .mem
+                        .write_word(cpu, PhysAddr(FrameNum(pte.frame()).base().0), *value)
+                        .unwrap();
+                    model[*page] = *value;
+                }
+            }
+            let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+
+            // Every page on the target matches the final source state.
+            let dst_cpu = m_dst.boot_cpu();
+            let pgd = new_dom.pgds()[0];
+            let pde = m_dst.mem.read_pte(dst_cpu, pgd, 0).unwrap();
+            for (i, item) in model.iter().enumerate() {
+                let pte = m_dst
+                    .mem
+                    .read_pte(dst_cpu, FrameNum(pde.frame()), i)
+                    .unwrap();
+                let word = m_dst
+                    .mem
+                    .read_word(dst_cpu, FrameNum(pte.frame()).base())
+                    .unwrap();
+                assert_eq!(word, *item, "page {} diverged", i);
+            }
+            assert!(report.total_frames >= 16);
+            assert!(
+                hv_src.domain(dom.id).is_none(),
+                "source must release the domain"
+            );
+        },
+    );
 }

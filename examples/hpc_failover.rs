@@ -53,7 +53,7 @@ fn main() {
     );
 
     // The job continues on the healthy node, mid-iteration state intact.
-    healthy.hv.set_current(0, Some(report.guest.dom.id));
+    healthy.hv().set_current(0, Some(report.guest.dom.id));
     let gsess = Session::new(Arc::clone(&report.guest.kernel), 0);
     for i in 0..8u64 {
         assert_eq!(gsess.peek(VirtAddr(va.0 + i * 4096)).unwrap(), i * 31);

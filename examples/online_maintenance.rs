@@ -39,7 +39,7 @@ fn main() {
     );
 
     // The service keeps running on the host while node0 is on the bench.
-    host.hv.set_current(0, Some(guest.dom.id));
+    host.hv().set_current(0, Some(guest.dom.id));
     let gsess = Session::new(Arc::clone(&guest.kernel), 0);
     assert_eq!(gsess.peek(va).unwrap(), 0xfeed);
     gsess.poke(VirtAddr(va.0 + 4096), 0xbeef).unwrap();

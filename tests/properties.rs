@@ -9,12 +9,12 @@
 //! * **Checkpoint fidelity** — restore reproduces exactly the kernel
 //!   state at capture, regardless of what ran before.
 
+use faultgen::rng::{check, SplitMix64};
 use mercury::TrackingStrategy;
 use mercury_workloads::configs::{switch_with_peers, SysKind, TestBed};
 use nimbus::kernel::{MmapBacking, ReadOutcome};
 use nimbus::mm::Prot;
 use nimbus::Session;
-use proptest::prelude::*;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
 
 /// A step of the randomized workload.
@@ -28,15 +28,24 @@ enum Op {
     Switch, // toggle execution mode (no-op for beds without Mercury)
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u8..8, any::<u64>()).prop_map(|(page, value)| Op::Poke { page, value }),
-        Just(Op::ForkExitWait),
-        (1u8..64).prop_map(|bytes| Op::FileAppend { bytes }),
-        (1u8..32).prop_map(|len| Op::PipeRoundtrip { len }),
-        any::<bool>().prop_map(|ro| Op::Mprotect { ro }),
-        Just(Op::Switch),
-    ]
+fn draw_op(rng: &mut SplitMix64) -> Op {
+    match rng.below(6) {
+        0 => Op::Poke {
+            page: rng.below(8) as u8,
+            value: rng.next_u64(),
+        },
+        1 => Op::ForkExitWait,
+        2 => Op::FileAppend {
+            bytes: rng.range(1, 64) as u8,
+        },
+        3 => Op::PipeRoundtrip {
+            len: rng.range(1, 32) as u8,
+        },
+        4 => Op::Mprotect {
+            ro: rng.below(2) == 1,
+        },
+        _ => Op::Switch,
+    }
 }
 
 /// Run the op sequence; returns the observable transcript.
@@ -113,14 +122,21 @@ enum MemOp {
     ForkExitWait,
 }
 
-fn mem_op_strategy() -> impl Strategy<Value = MemOp> {
-    prop_oneof![
-        (1u8..8).prop_map(|pages| MemOp::Mmap { pages }),
-        (any::<u8>(), 0u8..8, any::<u64>())
-            .prop_map(|(area, page, value)| MemOp::Poke { area, page, value }),
-        any::<u8>().prop_map(|area| MemOp::Munmap { area }),
-        Just(MemOp::ForkExitWait),
-    ]
+fn draw_mem_op(rng: &mut SplitMix64) -> MemOp {
+    match rng.below(4) {
+        0 => MemOp::Mmap {
+            pages: rng.range(1, 8) as u8,
+        },
+        1 => MemOp::Poke {
+            area: rng.next_u64() as u8,
+            page: rng.below(8) as u8,
+            value: rng.next_u64(),
+        },
+        2 => MemOp::Munmap {
+            area: rng.next_u64() as u8,
+        },
+        _ => MemOp::ForkExitWait,
+    }
 }
 
 fn run_mem_ops(bed: &TestBed, ops: &[MemOp]) {
@@ -130,7 +146,7 @@ fn run_mem_ops(bed: &TestBed, ops: &[MemOp]) {
         match op {
             MemOp::Mmap { pages } => {
                 let va = sess
-                    .mmap(*pages as usize, Prot::RW, MmapBacking::Anon)
+                    .mmap(u64::from(*pages), Prot::RW, MmapBacking::Anon)
                     .unwrap();
                 areas.push((va, *pages));
             }
@@ -171,22 +187,17 @@ fn strip_dirty(v: Vec<xenon::PageInfo>) -> Vec<xenon::PageInfo> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 8, // each case boots three machines — keep it affordable
-        .. ProptestConfig::default()
-    })]
-
-    /// §5.1.2 equivalence: whichever way the VMM regains its frame
-    /// accounting — full recompute, active mirroring, or dirty-bit
-    /// incremental revalidation — the rebuilt `page_info` is
-    /// bit-identical after any mmap/fork/munmap interleaving.  The ops
-    /// run in the *native* window between a detach and a re-attach, so
-    /// the dirty/mirror paths do real work.
-    #[test]
-    fn all_strategies_rebuild_identical_accounting(
-        ops in proptest::collection::vec(mem_op_strategy(), 1..20)
-    ) {
+/// §5.1.2 equivalence: whichever way the VMM regains its frame
+/// accounting — full recompute, active mirroring, or dirty-bit
+/// incremental revalidation — the rebuilt `page_info` is
+/// bit-identical after any mmap/fork/munmap interleaving.  The ops
+/// run in the *native* window between a detach and a re-attach, so
+/// the dirty/mirror paths do real work.
+#[test]
+fn all_strategies_rebuild_identical_accounting() {
+    check("all_strategies_rebuild_identical_accounting", 8, |rng| {
+        let len = rng.range(1, 20) as usize;
+        let ops = rng.vec(len, draw_mem_op);
         let mut snaps = Vec::new();
         for strategy in [
             TrackingStrategy::RecomputeOnSwitch,
@@ -203,111 +214,134 @@ proptest! {
             mercury.switch_to_virtual(cpu).unwrap();
             snaps.push(strip_dirty(bed.hv.as_ref().unwrap().page_info.snapshot()));
         }
-        prop_assert_eq!(&snaps[0], &snaps[1], "active mirror diverged from recompute");
-        prop_assert_eq!(&snaps[0], &snaps[2], "dirty recompute diverged from recompute");
-    }
+        assert_eq!(
+            &snaps[0], &snaps[1],
+            "active mirror diverged from recompute"
+        );
+        assert_eq!(
+            &snaps[0], &snaps[2],
+            "dirty recompute diverged from recompute"
+        );
+    });
+}
 
-    /// The §5.4 work-phase recompute, sharded across rendezvoused
-    /// peers, rebuilds exactly the serial walk's snapshot.
-    #[test]
-    fn sharded_recompute_matches_serial_snapshot(
-        ops in proptest::collection::vec(mem_op_strategy(), 1..16)
-    ) {
+/// The §5.4 work-phase recompute, sharded across rendezvoused
+/// peers, rebuilds exactly the serial walk's snapshot.
+#[test]
+fn sharded_recompute_matches_serial_snapshot() {
+    check("sharded_recompute_matches_serial_snapshot", 8, |rng| {
+        let len = rng.range(1, 16) as usize;
+        let ops = rng.vec(len, draw_mem_op);
         let bed = TestBed::build_mn_with_strategy(4, TrackingStrategy::RecomputeOnSwitch);
         run_mem_ops(&bed, &ops);
         let mercury = bed.mercury.as_ref().unwrap();
         let hv = bed.hv.as_ref().unwrap();
-        prop_assert!(mercury.sharded_recompute());
+        assert!(mercury.sharded_recompute());
         switch_with_peers(&bed.machine, mercury, true);
         let sharded = strip_dirty(hv.page_info.snapshot());
         switch_with_peers(&bed.machine, mercury, false);
         mercury.set_sharded_recompute(false);
         switch_with_peers(&bed.machine, mercury, true);
         let serial = strip_dirty(hv.page_info.snapshot());
-        prop_assert_eq!(sharded, serial, "sharded validation diverged from the serial walk");
-    }
+        assert_eq!(
+            sharded, serial,
+            "sharded validation diverged from the serial walk"
+        );
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 12, // each case boots two machines — keep it affordable
-        .. ProptestConfig::default()
-    })]
-
-    /// Mode switches anywhere in a random workload never change its
-    /// observable behaviour: M-N with switches ≡ N-L without.
-    #[test]
-    fn switches_are_transparent_to_random_workloads(
-        ops in proptest::collection::vec(op_strategy(), 1..24)
-    ) {
+/// Mode switches anywhere in a random workload never change its
+/// observable behaviour: M-N with switches ≡ N-L without.
+#[test]
+fn switches_are_transparent_to_random_workloads() {
+    check("switches_are_transparent_to_random_workloads", 12, |rng| {
+        let len = rng.range(1, 24) as usize;
+        let ops = rng.vec(len, draw_op);
         let native = run_ops(&TestBed::build(SysKind::NL, 1), &ops);
         let switching = run_ops(&TestBed::build(SysKind::MN, 1), &ops);
-        prop_assert_eq!(native, switching);
-    }
+        assert_eq!(native, switching);
+    });
+}
 
-    /// After any random workload, attach → page_info snapshot is a pure
-    /// function of kernel state: two consecutive attach/detach cycles
-    /// produce identical accounting.
-    #[test]
-    fn frame_accounting_is_idempotent_after_random_work(
-        ops in proptest::collection::vec(op_strategy(), 1..16)
-    ) {
-        let bed = TestBed::build(SysKind::MN, 1);
-        run_ops(&bed, &ops);
-        let mercury = bed.mercury.as_ref().unwrap();
-        let hv = bed.hv.as_ref().unwrap();
-        let cpu = bed.machine.boot_cpu();
-        if mercury.mode() == mercury::ExecMode::Virtual {
+/// After any random workload, attach → page_info snapshot is a pure
+/// function of kernel state: two consecutive attach/detach cycles
+/// produce identical accounting.
+#[test]
+fn frame_accounting_is_idempotent_after_random_work() {
+    check(
+        "frame_accounting_is_idempotent_after_random_work",
+        12,
+        |rng| {
+            let len = rng.range(1, 16) as usize;
+            let ops = rng.vec(len, draw_op);
+            let bed = TestBed::build(SysKind::MN, 1);
+            run_ops(&bed, &ops);
+            let mercury = bed.mercury.as_ref().unwrap();
+            let hv = bed.hv.as_ref().unwrap();
+            let cpu = bed.machine.boot_cpu();
+            if mercury.mode() == mercury::ExecMode::Virtual {
+                mercury.switch_to_native(cpu).unwrap();
+            }
+            let strip = |v: Vec<xenon::page_info::PageInfo>| -> Vec<_> {
+                v.into_iter()
+                    .map(|mut r| {
+                        r.dirty = false;
+                        r
+                    })
+                    .collect::<Vec<_>>()
+            };
+            mercury.switch_to_virtual(cpu).unwrap();
+            let first = strip(hv.page_info.snapshot());
             mercury.switch_to_native(cpu).unwrap();
-        }
-        let strip = |v: Vec<xenon::page_info::PageInfo>| -> Vec<_> {
-            v.into_iter().map(|mut r| { r.dirty = false; r }).collect::<Vec<_>>()
-        };
-        mercury.switch_to_virtual(cpu).unwrap();
-        let first = strip(hv.page_info.snapshot());
-        mercury.switch_to_native(cpu).unwrap();
-        mercury.switch_to_virtual(cpu).unwrap();
-        let second = strip(hv.page_info.snapshot());
-        mercury.switch_to_native(cpu).unwrap();
-        prop_assert_eq!(first, second);
-    }
-
-    /// Checkpoint → restore reproduces the captured state exactly.
-    #[test]
-    fn checkpoint_restore_roundtrip_after_random_work(
-        ops in proptest::collection::vec(op_strategy(), 1..12),
-        probe_page in 0u8..8,
-    ) {
-        let bed = TestBed::build(SysKind::MN, 1);
-        run_ops(&bed, &ops);
-        let mercury = bed.mercury.as_ref().unwrap();
-        let cpu = bed.machine.boot_cpu();
-        if mercury.mode() == mercury::ExecMode::Virtual {
+            mercury.switch_to_virtual(cpu).unwrap();
+            let second = strip(hv.page_info.snapshot());
             mercury.switch_to_native(cpu).unwrap();
-        }
+            assert_eq!(first, second);
+        },
+    );
+}
 
-        // Probe state at capture time.
-        let sess = bed.session(0);
-        let va = sess.mmap(8, Prot::RW, MmapBacking::Anon).unwrap();
-        let addr = VirtAddr(va.0 + probe_page as u64 * PAGE_SIZE);
-        sess.poke(addr, 0xC0FFEE).unwrap();
-        let files_at_capture = sess.stat("prop.dat").map(|s| s.size).unwrap_or(0);
+/// Checkpoint → restore reproduces the captured state exactly.
+#[test]
+fn checkpoint_restore_roundtrip_after_random_work() {
+    check(
+        "checkpoint_restore_roundtrip_after_random_work",
+        12,
+        |rng| {
+            let len = rng.range(1, 12) as usize;
+            let ops = rng.vec(len, draw_op);
+            let probe_page = rng.below(8);
+            let bed = TestBed::build(SysKind::MN, 1);
+            run_ops(&bed, &ops);
+            let mercury = bed.mercury.as_ref().unwrap();
+            let cpu = bed.machine.boot_cpu();
+            if mercury.mode() == mercury::ExecMode::Virtual {
+                mercury.switch_to_native(cpu).unwrap();
+            }
 
-        let ckpt = mercury::scenarios::checkpoint::take(mercury, cpu).unwrap();
+            // Probe state at capture time.
+            let sess = bed.session(0);
+            let va = sess.mmap(8, Prot::RW, MmapBacking::Anon).unwrap();
+            let addr = VirtAddr(va.0 + probe_page * PAGE_SIZE);
+            sess.poke(addr, 0xC0FFEE).unwrap();
+            let files_at_capture = sess.stat("prop.dat").map(|s| s.size).unwrap_or(0);
 
-        // Diverge.
-        sess.poke(addr, 1).unwrap();
+            let ckpt = mercury::scenarios::checkpoint::take(mercury, cpu).unwrap();
 
-        // Restore elsewhere and verify.
-        let healthy = simx86::Machine::new(simx86::MachineConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            disk_sectors: 96 * 1024,
-        });
-        let restored = mercury::scenarios::checkpoint::restore(&healthy, &ckpt).unwrap();
-        let sess2 = Session::new(std::sync::Arc::clone(&restored.kernel), 0);
-        prop_assert_eq!(sess2.peek(addr).unwrap(), 0xC0FFEE);
-        let restored_size = sess2.stat("prop.dat").map(|s| s.size).unwrap_or(0);
-        prop_assert_eq!(restored_size, files_at_capture);
-    }
+            // Diverge.
+            sess.poke(addr, 1).unwrap();
+
+            // Restore elsewhere and verify.
+            let healthy = simx86::Machine::new(simx86::MachineConfig {
+                num_cpus: 1,
+                mem_frames: 16 * 1024,
+                disk_sectors: 96 * 1024,
+            });
+            let restored = mercury::scenarios::checkpoint::restore(&healthy, &ckpt).unwrap();
+            let sess2 = Session::new(std::sync::Arc::clone(&restored.kernel), 0);
+            assert_eq!(sess2.peek(addr).unwrap(), 0xC0FFEE);
+            let restored_size = sess2.stat("prop.dat").map(|s| s.size).unwrap_or(0);
+            assert_eq!(restored_size, files_at_capture);
+        },
+    );
 }

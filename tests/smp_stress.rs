@@ -55,6 +55,20 @@ fn smp_switches_under_concurrent_load() {
                     sess.close(fd).expect("peer close");
                 }
                 sess.service();
+                // The VO is swapped while this CPU is parked in the
+                // rendezvous (§5.4), so once `service` returns, the
+                // mode the kernel dispatches through and this CPU's
+                // reloaded privilege level agree; neither can change
+                // again before this CPU's next service point.
+                let expect_pl = match sess.kernel().exec_mode() {
+                    ExecMode::Virtual => simx86::PrivLevel::Pl1,
+                    ExecMode::Native => simx86::PrivLevel::Pl0,
+                };
+                assert_eq!(
+                    sess.cpu().pl(),
+                    expect_pl,
+                    "cpu1 released ahead of the VO swap"
+                );
                 rounds.fetch_add(1, Ordering::Relaxed);
                 i += 1;
                 std::thread::yield_now();

@@ -547,8 +547,9 @@ fn scenario_hypercall(
 /// pristine, newer-versioned successor — no detach, guest memory and
 /// file state untouched, VMM version marching v1 → v2 → … as the
 /// campaign proceeds.  When the sizing allows, the second-to-last fault
-/// is handled under an injected handshake abort, so its update attempt
-/// rolls back (incumbent keeps the machine, fault stays outstanding);
+/// is handled under an abort injected right after the handshake, so its
+/// update attempt rolls back (incumbent keeps the machine, fault stays
+/// outstanding);
 /// the last fault's *completed* update then clears the whole suspicion
 /// backlog — one rebuilt table heals every wiped record.
 fn scenario_vmm_update(
@@ -585,7 +586,8 @@ fn scenario_vmm_update(
         }]);
         let rollback_leg = count >= 2 && i == count - 2;
         if rollback_leg {
-            mercury.inject_update_abort(Some(mercury::LiveUpdatePhase::Handshake));
+            // Row 1: the handshake runs (and is charged), the transfer never starts.
+            mercury.inject_abort(Some(mercury.phases(mercury::Transition::Update)[1].name));
         }
         // A page-table update hypercall is the hypervisor service point
         // the corruption lands on.

@@ -936,7 +936,7 @@ fn fleet_main(seed: u64, sizing: &FleetSizing, label: &str, no_skip: bool, live_
             pass1.downtimes.len()
         ));
     }
-    if pass1.downtimes.iter().any(|&d| d == 0) {
+    if pass1.downtimes.contains(&0) {
         fail("a migration reported zero downtime".to_string());
     }
     if pass1.wave_spans.iter().any(|&s| s < MAINT_CYCLES) {

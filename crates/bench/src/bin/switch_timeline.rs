@@ -39,63 +39,20 @@
 //! `pginfo_recompute`, so its cycles appear in both rows; at ≤ 1 cycle
 //! per deferred frame the double count stays far inside the 1% band.)
 
-use mercury::{SwitchOutcome, TrackingStrategy};
+use mercury::{SwitchOutcome, TrackingStrategy, Transition};
 use mercury_workloads::configs::{SysKind, TestBed};
 use simx86::costs::{cycles_to_us, CYCLES_PER_US};
 use std::collections::BTreeMap;
 
 const SAMPLES: u32 = 20;
 
-/// Phase probes in timeline order, for the dirty-baseline attach.
-const ATTACH_PHASES: &[&str] = &[
-    "switch.transfer.flip_tables",
-    "switch.transfer.fix_selectors",
-    "switch.transfer.pginfo_recompute",
-    "switch.transfer.lazy_admit",
-    "switch.transfer.trap_table",
-    "switch.reload_cpu",
-    "switch.vo_swap",
-];
-/// Phase probes for the legacy full-recompute attach.
-const ATTACH_PHASES_FULL: &[&str] = &[
-    "switch.transfer.flip_tables",
-    "switch.transfer.fix_selectors",
-    "switch.transfer.pginfo_full",
-    "switch.transfer.trap_table",
-    "switch.reload_cpu",
-    "switch.vo_swap",
-];
-/// Phase probes for the dirty-baseline detach (snapshot retained).
-const DETACH_PHASES: &[&str] = &[
-    "switch.transfer.pginfo_retain",
-    "switch.transfer.flip_tables",
-    "switch.transfer.fix_selectors",
-    "switch.reload_cpu",
-    "switch.vo_swap",
-];
-/// Phase probes for the legacy detach (wholesale accounting wipe).
-const DETACH_PHASES_FULL: &[&str] = &[
-    "switch.transfer.pginfo_clear",
-    "switch.transfer.flip_tables",
-    "switch.transfer.fix_selectors",
-    "switch.reload_cpu",
-    "switch.vo_swap",
-];
-/// Phase probes for the hypervisor live-update (hv-to-hv, DESIGN.md
-/// §16): handshake, cold successor rebuild, commit, per-CPU reload.
-const UPDATE_PHASES: &[&str] = &[
-    "switch.liveupdate.handshake",
-    "switch.liveupdate.transfer",
-    "switch.vo_swap",
-    "switch.reload_cpu",
-];
-
 /// Accumulated per-phase cycles for one switch direction.
 struct Breakdown {
     /// Leg label (`attach`, `detach_full`, `attach_lazy`, …).
     label: &'static str,
-    /// Phase probe names in timeline order.
-    phases: &'static [&'static str],
+    /// Phase probe names in timeline order ([`mercury::Mercury::timeline`]:
+    /// the rows of the transition's table plus the driver's fixed steps).
+    phases: Vec<&'static str>,
     /// Total cycles per phase across all samples.
     cycles: BTreeMap<&'static str, u64>,
     /// Total end-to-end cycles ([`SwitchOutcome::Completed`]).
@@ -105,7 +62,7 @@ struct Breakdown {
 }
 
 impl Breakdown {
-    fn new(label: &'static str, phases: &'static [&'static str]) -> Breakdown {
+    fn new(label: &'static str, phases: Vec<&'static str>) -> Breakdown {
         Breakdown {
             label,
             phases,
@@ -145,7 +102,7 @@ impl Breakdown {
             self.label
         ));
         let total = self.total_us();
-        for p in self.phases {
+        for p in &self.phases {
             let us = self.phase_mean_us(p);
             out.push_str(&format!(
                 "| `{}` | {:.2} | {:.1}% |\n",
@@ -225,20 +182,18 @@ fn churn(sess: &nimbus::Session) {
 }
 
 /// Run one attach/detach leg: `SAMPLES` round trips on `bed`, phases
-/// split per `attach_phases`/`detach_phases`, with `before_attach` run
+/// split per the tables `bed`'s Mercury runs, with `before_attach` run
 /// (untraced) ahead of every attach.  Returns the two breakdowns plus
 /// the last pair of Chrome traces.
 fn run_leg(
     bed: &TestBed,
     labels: (&'static str, &'static str),
-    attach_phases: &'static [&'static str],
-    detach_phases: &'static [&'static str],
     mut before_attach: impl FnMut(),
 ) -> (Breakdown, Breakdown, (String, String)) {
     let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
     let cpu = bed.machine.boot_cpu();
-    let mut attach = Breakdown::new(labels.0, attach_phases);
-    let mut detach = Breakdown::new(labels.1, detach_phases);
+    let mut attach = Breakdown::new(labels.0, mercury.timeline(Transition::Attach));
+    let mut detach = Breakdown::new(labels.1, mercury.timeline(Transition::Detach));
     let mut last_traces = (String::new(), String::new());
     for _ in 0..SAMPLES {
         before_attach();
@@ -280,7 +235,7 @@ fn run_update_leg(bed: &TestBed) -> (Breakdown, String) {
         mercury.switch_to_virtual(cpu).expect("attach"),
         SwitchOutcome::Completed { .. }
     ));
-    let mut update = Breakdown::new("live_update", UPDATE_PHASES);
+    let mut update = Breakdown::new("live_update", mercury.timeline(Transition::Update));
     let mut last_trace = String::new();
     for i in 0..SAMPLES {
         let next = xenon::Hypervisor::warm_up_versioned(&bed.machine, i + 2);
@@ -302,10 +257,12 @@ fn run_update_leg(bed: &TestBed) -> (Breakdown, String) {
 }
 
 fn main() {
-    assert!(
-        merctrace::ENABLED,
-        "switch_timeline needs the merctrace probes compiled in"
-    );
+    const {
+        assert!(
+            merctrace::ENABLED,
+            "switch_timeline needs the merctrace probes compiled in"
+        )
+    };
     merctrace::init(merctrace::DEFAULT_RING_CAPACITY);
 
     // Headline leg: the default dirty-baseline strategy, warmed like
@@ -313,36 +270,20 @@ fn main() {
     // the first decompose the steady O(dirty)+O(tables) switch.
     let bed = TestBed::build_mn_with_strategy(1, TrackingStrategy::default());
     let _sess = warm(&bed);
-    let (attach, detach, traces) = run_leg(
-        &bed,
-        ("attach", "detach"),
-        ATTACH_PHASES,
-        DETACH_PHASES,
-        || {},
-    );
+    let (attach, detach, traces) = run_leg(&bed, ("attach", "detach"), || {});
 
     // Anchor leg: the paper's full recompute (§7.4's ~0.22 ms / ~0.06 ms).
     let bed_full = TestBed::build(SysKind::MN, 1);
     let _sess_full = warm(&bed_full);
-    let (attach_full, detach_full, _) = run_leg(
-        &bed_full,
-        ("attach_full", "detach_full"),
-        ATTACH_PHASES_FULL,
-        DETACH_PHASES_FULL,
-        || {},
-    );
+    let (attach_full, detach_full, _) = run_leg(&bed_full, ("attach_full", "detach_full"), || {});
 
     // Lazy leg: fault-driven admission with a churn before every attach
     // so each sample defers real frames through `lazy_admit`.
     let bed_lazy = TestBed::build_mn_with_strategy(1, TrackingStrategy::LazyValidate);
     let sess_lazy = bed_lazy.session(0);
-    let (attach_lazy, detach_lazy, _) = run_leg(
-        &bed_lazy,
-        ("attach_lazy", "detach_lazy"),
-        ATTACH_PHASES,
-        DETACH_PHASES,
-        || churn(&sess_lazy),
-    );
+    let (attach_lazy, detach_lazy, _) = run_leg(&bed_lazy, ("attach_lazy", "detach_lazy"), || {
+        churn(&sess_lazy)
+    });
 
     // Live-update leg: hv-to-hv on a warmed virtual-mode bed (§6 live
     // VMM update, DESIGN.md §16) — the kernel never detaches to native.

@@ -98,7 +98,7 @@ pub mod vo;
 pub use pgtrack::TrackingStrategy;
 pub use refcount::VoRefCount;
 pub use switch::{
-    AssistMode, LiveUpdatePhase, Mercury, ModeDetail, SwitchError, SwitchOutcome, SwitchStats,
+    AssistMode, Mercury, ModeDetail, Phase, SwitchError, SwitchOutcome, SwitchStats, Transition,
 };
 pub use vo::CountedVo;
 

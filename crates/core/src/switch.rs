@@ -1,12 +1,22 @@
-//! The mode switcher: attaching and detaching the pre-cached VMM.
+//! The mode switcher: attaching, detaching and live-updating the
+//! pre-cached VMM.
 //!
 //! [`Mercury::install`] prepares everything ahead of time (§4.1's
 //! pre-caching): the VMM is warmed, a domain-0 record for the kernel is
 //! created, both virtualization objects are built, and the dedicated
-//! switch interrupt vectors are wired up.  A mode switch is then
-//! triggered by raising `SELF_VIRT_ATTACH`/`SELF_VIRT_DETACH`; all the
-//! work happens inside the interrupt handler at PL0 (§5.1.3), and the
-//! privilege change is committed by editing the handler's return frame.
+//! switch interrupt vectors are wired up.  A [`Transition`] is then
+//! triggered by raising `SELF_VIRT_ATTACH`/`SELF_VIRT_DETACH`/
+//! `SELF_VIRT_UPDATE`; all the work happens inside the interrupt
+//! handler at PL0 (§5.1.3), and the privilege change is committed by
+//! editing the handler's return frame.
+//!
+//! The paper's switch is "a pointer swap plus a set of state-transfer
+//! and state-reload functions" (§5.1), and is written down as that:
+//! every transition is a static table of [`Phase`] rows — probe name,
+//! `run`, `undo` — and one driver, `run_transition`, walks whichever
+//! table the system calls for ([`Mercury::phases`]).  Rollback, abort
+//! injection, the timeline legs and volint's budget and lint coverage
+//! all read the same rows (DESIGN.md §7).
 //!
 //! Switch phases are **tick-exact**: no cycle inside the handler is
 //! ever fast-forwarded through the event clock (`simx86::evclock`) —
@@ -130,8 +140,10 @@ pub enum SwitchError {
     /// Cannot detach while hosting other domains — migrate or destroy
     /// them first.
     GuestsPresent(usize),
-    /// A state transfer step failed (the kernel may be inconsistent —
-    /// the paper's future-work "failure-resistant mode switch" applies).
+    /// A row of the transition's table failed, or was aborted by
+    /// [`Mercury::inject_abort`]; the rows already entered were undone
+    /// and the kernel continues in the mode it was in (the paper's
+    /// future-work "failure-resistant mode switch").
     Transfer(String),
     /// No switch has been requested on this CPU.
     NothingPending,
@@ -142,8 +154,9 @@ pub enum SwitchError {
     /// replaced; in native mode the dormant VMM can simply be swapped
     /// wholesale.
     NotVirtual,
-    /// A live-update transfer failed and the node rolled back to the
-    /// incumbent VMM (guest state untouched — DESIGN.md §16 rule #3).
+    /// [`SwitchError::Transfer`] during a live-update: the node rolled
+    /// back to the incumbent VMM (guest state untouched — DESIGN.md §16
+    /// rule #3) and the staged successor was consumed.
     UpdateRolledBack(String),
 }
 
@@ -210,26 +223,6 @@ pub struct SwitchStats {
     pub total_update_cycles: AtomicU64,
 }
 
-/// The phases of a live-update at which it can be interrupted; used by
-/// the fault-injection hooks and the interruption property tests to
-/// pin failures to a specific point of the protocol.
-///
-/// The commit (the VMM-slot swap plus VO swap, published before the
-/// rendezvoused peers are released) is the linearization point: an
-/// interruption *before* it rolls back to the incumbent VMM with guest
-/// state bit-identical, an interruption *at or after* it completes on
-/// the successor (DESIGN.md §16).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LiveUpdatePhase {
-    /// Version/pristine/machine handshake with the staged successor.
-    Handshake,
-    /// State transfer: page_info recompute on the successor, event-
-    /// channel and grant re-binding, domain adoption.
-    Transfer,
-    /// The slot swap itself — interruption here can no longer abort.
-    Commit,
-}
-
 /// Descriptor of the rendezvous round in flight, published by the
 /// control processor for its peers.  The epoch pins every peer-side
 /// rendezvous operation to *this* round so a stale interrupt from an
@@ -249,36 +242,190 @@ enum ShardChunk {
     Pgd(FrameNum),
 }
 
-/// A successor VMM staged for live-update, with both virtualization
-/// objects pre-built against it (§4.1 pre-caching applied to the
-/// update itself: nothing on the switch-critical path allocates).
-struct StagedUpdate {
+/// A VMM with both virtualization objects pre-built against it (§4.1
+/// pre-caching: nothing on the switch-critical path allocates) — what
+/// is double-buffered under the kernel, and what a live-update stages
+/// to replace it wholesale.
+struct VmmSet {
     hv: Arc<Hypervisor>,
+    /// Its dirty sink binds `hv`'s page_info table, so DirtyRecompute
+    /// can mark mutated table frames while the VMM is dormant.
     native_vo: Arc<CountedVo>,
+    /// `XenOps` binds `hv`; under hardware assist it is `HvmOps`
+    /// instead (non-root PL0 needs no hypercalls, §8).
     virtual_vo: Arc<CountedVo>,
 }
+
+impl VmmSet {
+    fn build(
+        machine: &Arc<Machine>,
+        refcount: &Arc<VoRefCount>,
+        strategy: TrackingStrategy,
+        assist: AssistMode,
+        hv: Arc<Hypervisor>,
+        dom: &Arc<Domain>,
+    ) -> VmmSet {
+        let native_vo = CountedVo::with_dirty_sink(
+            BareOps::new(Arc::clone(machine)) as Arc<dyn PvOps>,
+            Arc::clone(refcount),
+            strategy,
+            Arc::clone(&hv.page_info),
+        );
+        let virtual_ops = match assist {
+            AssistMode::Software => XenOps::new(Arc::clone(&hv), Arc::clone(dom)) as Arc<dyn PvOps>,
+            AssistMode::HardwareAssisted => HvmOps::new(Arc::clone(machine)) as Arc<dyn PvOps>,
+        };
+        let virtual_vo = CountedVo::new(virtual_ops, Arc::clone(refcount), strategy);
+        VmmSet {
+            hv,
+            native_vo,
+            virtual_vo,
+        }
+    }
+}
+
+/// A transition the switch handler can be asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Transition {
+    /// Native → virtual: attach the pre-cached VMM.
+    Attach,
+    /// Virtual → native: detach it.
+    Detach,
+    /// Virtual → virtual: replace the VMM under the running kernel
+    /// (DESIGN.md §16).
+    Update,
+}
+
+/// What a round's rows share: the control processor and, for an update,
+/// the staged successor the round consumed.
+struct Round<'a> {
+    cpu: &'a Arc<Cpu>,
+    staged: Option<VmmSet>,
+}
+
+impl Round<'_> {
+    fn successor(&self) -> Result<&Arc<Hypervisor>, SwitchError> {
+        self.staged
+            .as_ref()
+            .map(|s| &s.hv)
+            .ok_or(SwitchError::NoUpdateStaged)
+    }
+}
+
+type PhaseFn = fn(&Mercury, &Round<'_>) -> Result<(), SwitchError>;
+
+/// One row of a transition table: a state-transfer function, how to
+/// take it back, and the probe it is measured under.
+#[derive(Clone, Copy)]
+pub struct Phase {
+    /// Probe name: the driver opens this span around `run`, volint
+    /// prices `run` under it, [`Mercury::inject_abort`] names the row by it.
+    pub name: &'static str,
+    run: PhaseFn,
+    undo: PhaseFn,
+    /// Spans `run` opens inside its own that the timeline reports too.
+    nested: &'static [&'static str],
+}
+
+impl Phase {
+    const fn new(name: &'static str, run: PhaseFn, undo: PhaseFn) -> Phase {
+        Phase {
+            name,
+            run,
+            undo,
+            nested: &[],
+        }
+    }
+
+    /// The same row walked the other way: what one direction undoes is
+    /// what the other direction does.
+    const fn reversed(self) -> Phase {
+        Phase {
+            run: self.undo,
+            undo: self.run,
+            ..self
+        }
+    }
+}
+
+const FLIP: Phase = Phase::new(
+    "switch.transfer.flip_tables",
+    Mercury::flip_tables::<true>,
+    Mercury::flip_tables::<false>,
+);
+const SELECTORS: Phase = Phase::new(
+    "switch.transfer.fix_selectors",
+    Mercury::fix_selectors::<true>,
+    Mercury::fix_selectors::<false>,
+);
+const ACCOUNT_DIRTY: Phase = Phase {
+    nested: &["switch.transfer.lazy_admit"],
+    ..Phase::new(
+        "switch.transfer.pginfo_recompute",
+        Mercury::account_dirty,
+        Mercury::drop_accounting,
+    )
+};
+const ACCOUNT_FULL: Phase = Phase::new(
+    "switch.transfer.pginfo_full",
+    Mercury::account_full,
+    Mercury::drop_accounting,
+);
+const TRAP_TABLE: Phase = Phase::new(
+    "switch.transfer.trap_table",
+    Mercury::arm_vmm,
+    Mercury::vmm::<false>,
+);
+const RETAIN: Phase = Phase::new(
+    "switch.transfer.pginfo_retain",
+    Mercury::retain_accounting,
+    Mercury::rearm_accounting,
+);
+const CLEAR: Phase = Phase::new(
+    "switch.transfer.pginfo_clear",
+    Mercury::clear_accounting,
+    Mercury::rearm_accounting,
+);
+const VMCS: Phase = Phase::new(
+    "switch.transfer.vmcs",
+    Mercury::vmm::<true>,
+    Mercury::vmm::<false>,
+);
+const HANDSHAKE: Phase = Phase::new(
+    "switch.liveupdate.handshake",
+    Mercury::update_handshake,
+    Mercury::nothing,
+);
+const TRANSFER: Phase = Phase::new(
+    "switch.liveupdate.transfer",
+    Mercury::update_transfer,
+    Mercury::update_discard,
+);
+
+// The tables: walked top to bottom; if a row fails, the rows entered
+// are undone bottom to top.
+const ATTACH_DIRTY: &[Phase] = &[FLIP, SELECTORS, ACCOUNT_DIRTY, TRAP_TABLE];
+const ATTACH_FULL: &[Phase] = &[FLIP, SELECTORS, ACCOUNT_FULL, TRAP_TABLE];
+const DETACH_RETAIN: &[Phase] = &[RETAIN, FLIP.reversed(), SELECTORS.reversed()];
+const DETACH_CLEAR: &[Phase] = &[CLEAR, FLIP.reversed(), SELECTORS.reversed()];
+const ATTACH_HVM: &[Phase] = &[VMCS];
+const DETACH_HVM: &[Phase] = &[VMCS.reversed()];
+const LIVE_UPDATE: &[Phase] = &[HANDSHAKE, TRANSFER];
 
 /// The self-virtualization engine for one kernel.
 pub struct Mercury {
     kernel: Arc<Kernel>,
-    /// The VMM currently double-buffered under the kernel.  A slot
-    /// (not a bare field) because a live-update replaces it wholesale;
-    /// every switch path snapshots it once at entry.
-    hv_slot: RwLock<Arc<Hypervisor>>,
+    /// The VMM currently double-buffered under the kernel, with its
+    /// VOs.  A slot (not bare fields) because a live-update replaces it
+    /// wholesale, in one store.
+    vmm: RwLock<VmmSet>,
     machine: Arc<Machine>,
     dom0: Arc<Domain>,
     refcount: Arc<VoRefCount>,
-    /// Native VO slot: rebuilt at live-update because its dirty sink
-    /// binds the incumbent VMM's page_info table.
-    native_vo_slot: RwLock<Arc<CountedVo>>,
-    /// Virtual VO slot: rebuilt at live-update because `XenOps` binds
-    /// the incumbent VMM.
-    virtual_vo_slot: RwLock<Arc<CountedVo>>,
     strategy: TrackingStrategy,
     assist: AssistMode,
     /// EPT for hardware-assisted mode (built at install).
     ept: Option<Arc<Ept>>,
-    hvm_vo: Option<Arc<CountedVo>>,
     rendezvous: Rendezvous,
     /// The rendezvous round in flight (peers read it).  Set only after
     /// [`Rendezvous::begin`] succeeds and cleared on *every* exit path,
@@ -308,16 +455,18 @@ pub struct Mercury {
     /// the switch path ([`Mercury::stage_update`] pre-builds the VOs
     /// there), and only the consume inside the update round races the
     /// protocol — a plain mutex covers both.
-    pending_update: Mutex<Option<StagedUpdate>>,
-    /// Fault-injection hook: abort the next live-update at this phase
-    /// (the interruption property tests and faultgen campaigns set it).
-    update_abort: Mutex<Option<LiveUpdatePhase>>,
-    /// Husk of a successor consumed by a rolled-back update, parked
-    /// here by the critical section (a pointer move — freeing its
+    pending_update: Mutex<Option<VmmSet>>,
+    /// Fault-injection hook: abort the next transition before the row
+    /// of this name (the interruption property tests and faultgen
+    /// campaigns set it).
+    abort: Mutex<Option<&'static str>>,
+    /// The VMM that lost the last update round — the incumbent of a
+    /// committed update, the successor of a rolled-back one — parked
+    /// here by the critical section (a pointer move: freeing its
     /// 512-frame reservation is allocator work that must not extend
     /// the stop-the-world window).  [`Mercury::live_update`] drains it
     /// off the critical path.
-    retired_update: Mutex<Option<Arc<Hypervisor>>>,
+    retired_update: Mutex<Option<VmmSet>>,
     last_outcome: Mutex<Option<Result<SwitchOutcome, SwitchError>>>,
     /// Statistics.
     pub stats: SwitchStats,
@@ -329,9 +478,9 @@ impl InterruptSink for SwitchSink {
     fn handle(&self, cpu: &Arc<Cpu>, frame: &mut TrapFrame) {
         let Some(m) = self.0.upgrade() else { return };
         match frame.vector {
-            vectors::SELF_VIRT_ATTACH => m.handle_switch(cpu, frame, ExecMode::Virtual),
-            vectors::SELF_VIRT_DETACH => m.handle_switch(cpu, frame, ExecMode::Native),
-            vectors::SELF_VIRT_UPDATE => m.handle_live_update(cpu, frame),
+            vectors::SELF_VIRT_ATTACH => m.handle_transition(cpu, frame, Transition::Attach),
+            vectors::SELF_VIRT_DETACH => m.handle_transition(cpu, frame, Transition::Detach),
+            vectors::SELF_VIRT_UPDATE => m.handle_transition(cpu, frame, Transition::Update),
             vectors::SELF_VIRT_RENDEZVOUS => m.handle_rendezvous_peer(cpu, frame),
             _ => {}
         }
@@ -382,39 +531,19 @@ impl Mercury {
             .map_err(|e| SwitchError::Transfer(e.to_string()))?;
 
         let refcount = VoRefCount::new();
-        // The native VO gets the dormant VMM's page_info table as its
-        // dirty sink so DirtyRecompute can mark mutated table frames.
-        let native_vo = CountedVo::with_dirty_sink(
-            BareOps::new(Arc::clone(&machine)) as Arc<dyn PvOps>,
-            Arc::clone(&refcount),
-            strategy,
-            Arc::clone(&hv.page_info),
-        );
-        let virtual_vo = CountedVo::new(
-            XenOps::new(Arc::clone(&hv), Arc::clone(&dom0)) as Arc<dyn PvOps>,
-            Arc::clone(&refcount),
-            strategy,
-        );
-        kernel.set_pv(Arc::clone(&native_vo) as Arc<dyn PvOps>);
+        let vmm = VmmSet::build(&machine, &refcount, strategy, assist, hv, &dom0);
+        kernel.set_pv(Arc::clone(&vmm.native_vo) as Arc<dyn PvOps>);
 
-        let (ept, hvm_vo) = if assist == AssistMode::HardwareAssisted {
+        let ept = (assist == AssistMode::HardwareAssisted).then(|| {
             let frames = kernel.pool_frames();
             cpu.tick(costs::EPT_BUILD_PER_FRAME * frames.len() as u64);
             let ept = Ept::new(machine.mem.num_frames());
             ept.allow_all(&frames);
-            let hvm_vo = CountedVo::new(
-                HvmOps::new(Arc::clone(&machine)) as Arc<dyn PvOps>,
-                Arc::clone(&refcount),
-                strategy,
-            );
-            (Some(ept), Some(hvm_vo))
-        } else {
-            (None, None)
-        };
+            ept
+        });
 
         Ok(Self::finish_install(
-            kernel, hv, machine, dom0, refcount, native_vo, virtual_vo, strategy, assist, ept,
-            hvm_vo,
+            kernel, dom0, refcount, vmm, strategy, assist, ept,
         ))
     }
 
@@ -436,59 +565,32 @@ impl Mercury {
         );
         let machine = Arc::clone(&kernel.machine);
         let refcount = VoRefCount::new();
-        let native_vo = CountedVo::with_dirty_sink(
-            BareOps::new(Arc::clone(&machine)) as Arc<dyn PvOps>,
-            Arc::clone(&refcount),
-            strategy,
-            Arc::clone(&hv.page_info),
-        );
-        let virtual_vo = CountedVo::new(
-            XenOps::new(Arc::clone(&hv), Arc::clone(&dom)) as Arc<dyn PvOps>,
-            Arc::clone(&refcount),
-            strategy,
-        );
-        kernel.set_pv(Arc::clone(&virtual_vo) as Arc<dyn PvOps>);
+        let assist = AssistMode::Software;
+        let vmm = VmmSet::build(&machine, &refcount, strategy, assist, hv, &dom);
+        kernel.set_pv(Arc::clone(&vmm.virtual_vo) as Arc<dyn PvOps>);
         Ok(Self::finish_install(
-            kernel,
-            hv,
-            machine,
-            dom,
-            refcount,
-            native_vo,
-            virtual_vo,
-            strategy,
-            AssistMode::Software,
-            None,
-            None,
+            kernel, dom, refcount, vmm, strategy, assist, None,
         ))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn finish_install(
         kernel: Arc<Kernel>,
-        hv: Arc<Hypervisor>,
-        machine: Arc<Machine>,
         dom0: Arc<Domain>,
         refcount: Arc<VoRefCount>,
-        native_vo: Arc<CountedVo>,
-        virtual_vo: Arc<CountedVo>,
+        vmm: VmmSet,
         strategy: TrackingStrategy,
         assist: AssistMode,
         ept: Option<Arc<Ept>>,
-        hvm_vo: Option<Arc<CountedVo>>,
     ) -> Arc<Mercury> {
         let mercury = Arc::new(Mercury {
             kernel: Arc::clone(&kernel),
-            hv_slot: RwLock::new(hv),
-            machine,
+            vmm: RwLock::new(vmm),
+            machine: Arc::clone(&kernel.machine),
             dom0,
             refcount,
-            native_vo_slot: RwLock::new(native_vo),
-            virtual_vo_slot: RwLock::new(virtual_vo),
             strategy,
             assist,
             ept,
-            hvm_vo,
             rendezvous: Rendezvous::new(),
             rv_round: Mutex::new(None),
             shard_job: Mutex::new(None),
@@ -497,7 +599,7 @@ impl Mercury {
             lazy_set: Mutex::new(None),
             pending: Mutex::new(None),
             pending_update: Mutex::new(None),
-            update_abort: Mutex::new(None),
+            abort: Mutex::new(None),
             retired_update: Mutex::new(None),
             last_outcome: Mutex::new(None),
             stats: SwitchStats::default(),
@@ -580,15 +682,15 @@ impl Mercury {
     }
 
     fn hv(&self) -> Arc<Hypervisor> {
-        Arc::clone(&self.hv_slot.read())
+        Arc::clone(&self.vmm.read().hv)
     }
 
     fn native_vo(&self) -> Arc<CountedVo> {
-        Arc::clone(&self.native_vo_slot.read())
+        Arc::clone(&self.vmm.read().native_vo)
     }
 
     fn virtual_vo(&self) -> Arc<CountedVo> {
-        Arc::clone(&self.virtual_vo_slot.read())
+        Arc::clone(&self.vmm.read().virtual_vo)
     }
 
     /// The kernel's domain record (dom0 once attached).
@@ -695,22 +797,14 @@ impl Mercury {
     pub fn stage_update(&self, successor: Arc<Hypervisor>) -> Result<(), SwitchError> {
         xenon::liveupdate::handshake(&self.hv(), &successor)
             .map_err(|e| SwitchError::Transfer(e.to_string()))?;
-        let native_vo = CountedVo::with_dirty_sink(
-            BareOps::new(Arc::clone(&self.machine)) as Arc<dyn PvOps>,
-            Arc::clone(&self.refcount),
+        *self.pending_update.lock() = Some(VmmSet::build(
+            &self.machine,
+            &self.refcount,
             self.strategy,
-            Arc::clone(&successor.page_info),
-        );
-        let virtual_vo = CountedVo::new(
-            XenOps::new(Arc::clone(&successor), Arc::clone(&self.dom0)) as Arc<dyn PvOps>,
-            Arc::clone(&self.refcount),
-            self.strategy,
-        );
-        *self.pending_update.lock() = Some(StagedUpdate {
-            hv: successor,
-            native_vo,
-            virtual_vo,
-        });
+            self.assist,
+            successor,
+            &self.dom0,
+        ));
         Ok(())
     }
 
@@ -730,13 +824,6 @@ impl Mercury {
         }
     }
 
-    /// Abort the next live-update at `phase` (fault injection for the
-    /// interruption property tests and the faultgen campaigns).  The
-    /// injection is one-shot: it is consumed when it fires.
-    pub fn inject_update_abort(&self, phase: Option<LiveUpdatePhase>) {
-        *self.update_abort.lock() = phase;
-    }
-
     /// Live-update the running VMM to the staged successor: rendezvous
     /// every CPU, transfer hypervisor state v1 → v2 (the guest's
     /// domain record is *adopted*, never copied — guest memory and
@@ -754,21 +841,16 @@ impl Mercury {
         if self.pending_update.lock().is_none() {
             return Err(SwitchError::NoUpdateStaged);
         }
-        let from = self.hv();
         self.kernel
             .sync(cpu)
             .map_err(|e| SwitchError::Transfer(e.to_string()))?;
         let out = self.request(cpu, vectors::SELF_VIRT_UPDATE);
-        // Off the critical path either way: a committed update retires
-        // the incumbent, a rolled-back one retires the discarded
-        // successor husk the critical section parked for us.  Both
-        // reservations go back to the machine allocator.
-        let retiree = match &out {
-            Ok(SwitchOutcome::Completed { .. }) => Some(Arc::clone(&from)),
-            _ => self.retired_update.lock().take(),
-        };
-        if let Some(husk) = retiree {
-            let reclaimed = husk.decommission();
+        // Off the critical path: whichever VMM lost the round — the
+        // incumbent of a committed update, the discarded successor of a
+        // rolled-back one — was parked for us; its reservation goes
+        // back to the machine allocator.
+        if let Some(husk) = self.retired_update.lock().take() {
+            let reclaimed = husk.hv.decommission();
             let _n = reclaimed.len() as u64;
             for f in reclaimed {
                 self.machine.allocator.free(f);
@@ -805,259 +887,117 @@ impl Mercury {
         out
     }
 
-    // ---- handler paths ------------------------------------------------------
+    // ---- the transition driver (§5.1, §5.4) -----------------------------------
 
-    // volint::root(SWITCH, RENDEZVOUS)
-    fn handle_switch(self: &Arc<Self>, cpu: &Arc<Cpu>, frame: &mut TrapFrame, target: ExecMode) {
-        let result = self.try_switch(cpu, frame, target);
-        if let Ok(SwitchOutcome::Completed { cycles }) = &result {
-            match target {
-                ExecMode::Virtual => {
-                    self.stats.attaches.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .last_attach_cycles
-                        .store(*cycles, Ordering::Relaxed);
-                    self.stats
-                        .total_attach_cycles
-                        .fetch_add(*cycles, Ordering::Relaxed);
-                }
-                ExecMode::Native => {
-                    self.stats.detaches.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .last_detach_cycles
-                        .store(*cycles, Ordering::Relaxed);
-                    self.stats
-                        .total_detach_cycles
-                        .fetch_add(*cycles, Ordering::Relaxed);
-                }
+    /// The table the driver runs for `t` on this system (DESIGN.md §7).
+    pub fn phases(&self, t: Transition) -> &'static [Phase] {
+        let dirty = self.strategy.uses_dirty_baseline();
+        match (t, self.assist) {
+            (Transition::Update, _) => LIVE_UPDATE,
+            (Transition::Attach, AssistMode::HardwareAssisted) => ATTACH_HVM,
+            (Transition::Detach, AssistMode::HardwareAssisted) => DETACH_HVM,
+            (Transition::Attach, _) if dirty && self.dirty_baseline.load(Ordering::Acquire) => {
+                ATTACH_DIRTY
             }
-            *self.pending.lock() = None;
+            (Transition::Attach, _) => ATTACH_FULL,
+            (Transition::Detach, _) if dirty => DETACH_RETAIN,
+            (Transition::Detach, _) => DETACH_CLEAR,
         }
-        if let Err(SwitchError::Rendezvous(_)) = &result {
-            self.stats.rendezvous_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        *self.last_outcome.lock() = Some(result);
+    }
+
+    /// The probes a completed `t` emits on the control processor, in
+    /// order: each row (and the spans it nests), then the driver's
+    /// fixed commit and per-CPU reload.
+    pub fn timeline(&self, t: Transition) -> Vec<&'static str> {
+        let rows = self.phases(t).iter();
+        rows.flat_map(|row| std::iter::once(&row.name).chain(row.nested))
+            .chain(&["switch.vo_swap", "switch.reload_cpu"])
+            .copied()
+            .collect()
+    }
+
+    /// Abort the next transition just before the row named `row` (fault
+    /// injection for tests and campaigns).  One-shot: consumed on firing.
+    pub fn inject_abort(&self, row: Option<&'static str>) {
+        *self.abort.lock() = row;
     }
 
     // volint::root(SWITCH, RENDEZVOUS)
-    fn handle_live_update(self: &Arc<Self>, cpu: &Arc<Cpu>, frame: &mut TrapFrame) {
-        let result = self.try_live_update(cpu, frame);
+    fn handle_transition(self: &Arc<Self>, cpu: &Arc<Cpu>, frame: &mut TrapFrame, t: Transition) {
+        let result = self.run_transition(cpu, frame, t);
+        let s = &self.stats;
+        let bump = |counter: &AtomicU64| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        };
         match &result {
             Ok(SwitchOutcome::Completed { cycles }) => {
-                self.stats.live_updates.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .last_update_cycles
-                    .store(*cycles, Ordering::Relaxed);
-                self.stats
-                    .total_update_cycles
-                    .fetch_add(*cycles, Ordering::Relaxed);
+                let (count, last, total) = match t {
+                    Transition::Attach => {
+                        (&s.attaches, &s.last_attach_cycles, &s.total_attach_cycles)
+                    }
+                    Transition::Detach => {
+                        (&s.detaches, &s.last_detach_cycles, &s.total_detach_cycles)
+                    }
+                    Transition::Update => (
+                        &s.live_updates,
+                        &s.last_update_cycles,
+                        &s.total_update_cycles,
+                    ),
+                };
+                bump(count);
+                last.store(*cycles, Ordering::Relaxed);
+                total.fetch_add(*cycles, Ordering::Relaxed);
+                if t != Transition::Update {
+                    *self.pending.lock() = None;
+                }
             }
-            Err(SwitchError::Rendezvous(_)) => {
-                self.stats.rendezvous_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(SwitchError::UpdateRolledBack(_)) => {
-                self.stats
-                    .live_update_rollbacks
-                    .fetch_add(1, Ordering::Relaxed);
-            }
+            Err(SwitchError::Rendezvous(_)) => bump(&s.rendezvous_failures),
+            Err(SwitchError::UpdateRolledBack(_)) => bump(&s.live_update_rollbacks),
             _ => {}
         }
         *self.last_outcome.lock() = Some(result);
     }
 
-    /// The live-update critical section: the §5.4 rendezvous protocol
-    /// reused verbatim around an hv-to-hv transfer instead of a mode
-    /// change.  The round target stays `Virtual` throughout — only the
-    /// VMM under the (unchanged) mode is replaced, so a peer released
-    /// after a rollback reloads the incumbent and one released after a
-    /// commit reloads the successor, both through the same slot read.
-    fn try_live_update(
+    /// Every transition is this one walk over a different table:
+    /// refusals, the §5.1.1 gate, the §5.4 gather, the rows, then the
+    /// commit or the derived rollback, the release, the per-CPU reload.
+    fn run_transition(
         self: &Arc<Self>,
         cpu: &Arc<Cpu>,
         frame: &mut TrapFrame,
+        t: Transition,
     ) -> Result<SwitchOutcome, SwitchError> {
-        if self.mode() != ExecMode::Virtual {
-            return Err(SwitchError::NotVirtual);
-        }
-        if self.assist != AssistMode::Software {
-            return Err(SwitchError::Transfer(
-                // volint::allow(SWITCH-ALLOC): message materializes only on the refused path, before any transfer starts
-                "live-update requires the software switching mechanism".to_string(),
-            ));
-        }
-        let from = self.hv();
-        // §5.1.1 gate, unchanged for updates: never swap the VMM under
-        // in-flight virtualization-sensitive code.
-        let rc = self.refcount.current();
-        if rc != 0 {
-            self.stats.deferrals.fetch_add(1, Ordering::Relaxed);
-            merctrace::counter!(cpu.id, "switch.deferred", 1, cpu.cycles());
-            return Ok(SwitchOutcome::Deferred { refcount: rc });
-        }
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.refcount.assert_quiescent();
-
-        let t0 = cpu.rdtsc();
-        let peers = self.machine.num_cpus() - 1;
-        if peers > 0 {
-            merctrace::span_begin!(cpu.id, "switch.rendezvous.gather", cpu.cycles());
-            let epoch = self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
-            *self.rv_round.lock() = Some(RvRound {
-                epoch,
-                target: ExecMode::Virtual,
-            });
-            self.machine
-                .intc
-                .broadcast_ipi(cpu, vectors::SELF_VIRT_RENDEZVOUS);
-            if let Err(e) = self.rendezvous.wait_ready(peers) {
-                *self.rv_round.lock() = None;
-                return Err(SwitchError::Rendezvous(e));
-            }
-            merctrace::span_end!(cpu.id, "switch.rendezvous.gather", cpu.cycles());
-        }
-
-        let transfer = self.update_transfer(cpu, &from);
-
-        if peers > 0 {
-            // Peers reload for Virtual either way: after a committed
-            // transfer the slot already holds the successor; after a
-            // rollback it still holds the incumbent.
-            merctrace::span_begin!(cpu.id, "switch.rendezvous.release", cpu.cycles());
-            self.rendezvous.signal_go();
-            let done = self.rendezvous.wait_done(peers);
-            *self.rv_round.lock() = None;
-            done.map_err(SwitchError::Rendezvous)?;
-            merctrace::span_end!(cpu.id, "switch.rendezvous.release", cpu.cycles());
-        }
-        transfer?;
-
-        // Per-CPU reload on the CP: the successor's gate table goes
-        // live here, exactly as on any attach-side reload.
-        merctrace::span_begin!(cpu.id, "switch.reload_cpu", cpu.cycles());
-        self.reload_cpu(cpu, ExecMode::Virtual);
-        merctrace::span_end!(cpu.id, "switch.reload_cpu", cpu.cycles());
-        frame.return_pl = PrivLevel::Pl1;
-
-        Ok(SwitchOutcome::Completed {
-            cycles: cpu.rdtsc() - t0,
-        })
-    }
-
-    /// The hv-to-hv handshake, transfer and commit, executed between
-    /// rendezvous gather and release.  Any failure before the commit
-    /// discards the successor back to pristine and leaves the incumbent
-    /// committed — the DESIGN.md §16 rollback; the staged update is
-    /// consumed either way (a rolled-back successor must be re-staged).
-    fn update_transfer(&self, cpu: &Arc<Cpu>, from: &Arc<Hypervisor>) -> Result<(), SwitchError> {
-        let Some(staged) = self.pending_update.lock().take() else {
-            return Err(SwitchError::NoUpdateStaged);
+        // The mode the kernel runs in once `t` has committed.
+        let target = match t {
+            Transition::Detach => ExecMode::Native,
+            Transition::Attach | Transition::Update => ExecMode::Virtual,
         };
-        let abort = self.update_abort.lock().take();
-
-        // Phase 1: handshake, re-checked inside the critical section —
-        // the world may have moved since staging (a guest created, the
-        // successor corrupted).
-        merctrace::span_begin!(cpu.id, "switch.liveupdate.handshake", cpu.cycles());
-        // volint::cost(2048) — LIVE_UPDATE_HANDSHAKE: flat version-order/pristine/machine checks plus the ring-flush bookkeeping
-        cpu.tick(costs::LIVE_UPDATE_HANDSHAKE);
-        let hs = xenon::liveupdate::handshake(from, &staged.hv);
-        merctrace::span_end!(cpu.id, "switch.liveupdate.handshake", cpu.cycles());
-        if abort == Some(LiveUpdatePhase::Handshake) {
-            *self.retired_update.lock() = Some(staged.hv);
-            return Err(SwitchError::UpdateRolledBack(
-                // volint::allow(SWITCH-ALLOC): message materializes only on the injected-fault path
-                "injected handshake fault".to_string(),
-            ));
-        }
-        if let Err(e) = hs {
-            *self.retired_update.lock() = Some(staged.hv);
-            return Err(SwitchError::UpdateRolledBack(
-                // volint::allow(SWITCH-ALLOC): message materializes only on the failure path, after the update has already aborted
-                e.to_string(),
-            ));
-        }
-
-        // Phase 2: state transfer.  The successor's frame accounting is
-        // recomputed from the authoritative guest page tables (cold —
-        // the successor has no dirty baseline to lean on), which also
-        // heals any corruption the incumbent's table may carry; ports,
-        // grants and the domain records themselves carry over adopted,
-        // not copied.
-        merctrace::span_begin!(cpu.id, "switch.liveupdate.transfer", cpu.cycles());
-        // volint::cost(1638400) — cold successor rebuild: ≤ 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
-        let res = xenon::liveupdate::transfer(
-            cpu,
-            from,
-            &staged.hv,
-            costs::PGINFO_RECOMPUTE_PER_FRAME,
-        );
-        let injected_tx = abort == Some(LiveUpdatePhase::Transfer);
-        if injected_tx || res.is_err() {
-            xenon::liveupdate::discard(cpu, &staged.hv);
-        }
-        merctrace::span_end!(cpu.id, "switch.liveupdate.transfer", cpu.cycles());
-        if injected_tx {
-            *self.retired_update.lock() = Some(staged.hv);
-            return Err(SwitchError::UpdateRolledBack(
-                // volint::allow(SWITCH-ALLOC): message materializes only on the injected-fault path
-                "injected transfer fault".to_string(),
-            ));
-        }
-        let _report = match res {
-            Ok(r) => r,
-            Err(e) => {
-                *self.retired_update.lock() = Some(staged.hv);
-                return Err(SwitchError::UpdateRolledBack(
-                    // volint::allow(SWITCH-ALLOC): message materializes only on the failure path, after the update has already aborted
-                    e.to_string(),
+        if t == Transition::Update {
+            // Only the VMM under the (unchanged) mode is replaced.
+            if self.mode() != ExecMode::Virtual {
+                return Err(SwitchError::NotVirtual);
+            }
+            if self.assist != AssistMode::Software {
+                return Err(SwitchError::Transfer(
+                    // volint::allow(SWITCH-ALLOC): message materializes only on the refused path, before any transfer starts
+                    "live-update requires the software switching mechanism".to_string(),
                 ));
             }
-        };
-        merctrace::counter!(
-            cpu.id,
-            "switch.liveupdate.frames",
-            _report.frames as u64,
-            cpu.cycles()
-        );
-
-        // Phase 3: commit — the linearization point.  Published before
-        // the peers are released, so every CPU (peers via their reload,
-        // the CP right after) installs the successor.  An injected
-        // `Commit` abort lands after the slot swap by definition: the
-        // update can no longer be abandoned and completes on v2.
-        merctrace::span_begin!(cpu.id, "switch.vo_swap", cpu.cycles());
-        staged.hv.activate();
-        *self.hv_slot.write() = Arc::clone(&staged.hv);
-        *self.native_vo_slot.write() = Arc::clone(&staged.native_vo);
-        *self.virtual_vo_slot.write() = Arc::clone(&staged.virtual_vo);
-        // volint::cost(256) — one pointer store plus the trace probes
-        self.kernel
-            .set_pv(Arc::clone(&staged.virtual_vo) as Arc<dyn PvOps>);
-        merctrace::span_end!(cpu.id, "switch.vo_swap", cpu.cycles());
-        Ok(())
-    }
-
-    fn try_switch(
-        self: &Arc<Self>,
-        cpu: &Arc<Cpu>,
-        frame: &mut TrapFrame,
-        target: ExecMode,
-    ) -> Result<SwitchOutcome, SwitchError> {
-        if self.mode() == target {
-            return Ok(SwitchOutcome::AlreadyInMode);
-        }
-        if target == ExecMode::Native {
-            let guests = self.hv().domains().len().saturating_sub(1);
-            if guests > 0 {
+        } else {
+            if self.mode() == target {
+                return Ok(SwitchOutcome::AlreadyInMode);
+            }
+            if let ModeDetail::PartialVirtual { guests } = self.mode_detail() {
                 return Err(SwitchError::GuestsPresent(guests));
             }
         }
         // §5.1.1: only switch when no virtualization-sensitive code is
-        // in flight; otherwise defer to the retry timer.
+        // in flight; otherwise defer (a mode switch to the retry timer).
         let rc = self.refcount.current();
         if rc != 0 {
-            *self.pending.lock() = Some(target);
+            if t != Transition::Update {
+                *self.pending.lock() = Some(target);
+            }
             self.stats.deferrals.fetch_add(1, Ordering::Relaxed);
             merctrace::counter!(cpu.id, "switch.deferred", 1, cpu.cycles());
             return Ok(SwitchOutcome::Deferred { refcount: rc });
@@ -1069,11 +1009,12 @@ impl Mercury {
         self.refcount.assert_quiescent();
 
         let t0 = cpu.rdtsc();
-        // Probe name for the whole-switch span; only read when tracing
-        // is compiled in, hence the underscore.
-        let _span = match target {
-            ExecMode::Virtual => "switch.attach",
-            ExecMode::Native => "switch.detach",
+        // Probe name for the whole-transition span; only read when
+        // tracing is compiled in, hence the underscore.
+        let _span = match t {
+            Transition::Attach => "switch.attach",
+            Transition::Detach => "switch.detach",
+            Transition::Update => "switch.update",
         };
         merctrace::span_begin!(cpu.id, _span, cpu.cycles());
 
@@ -1083,14 +1024,11 @@ impl Mercury {
         // torn down on every error path so no stale target survives an
         // aborted round.
         let peers = self.machine.num_cpus() - 1;
-        let mut rv_epoch = 0u32;
+        let mut epoch = 0u32;
         if peers > 0 {
             merctrace::span_begin!(cpu.id, "switch.rendezvous.gather", cpu.cycles());
-            rv_epoch = self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
-            *self.rv_round.lock() = Some(RvRound {
-                epoch: rv_epoch,
-                target,
-            });
+            epoch = self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
+            *self.rv_round.lock() = Some(RvRound { epoch, target });
             self.machine
                 .intc
                 .broadcast_ipi(cpu, vectors::SELF_VIRT_RENDEZVOUS);
@@ -1108,55 +1046,89 @@ impl Mercury {
             merctrace::span_end!(cpu.id, "switch.rendezvous.gather", cpu.cycles());
         }
 
-        let transfer = match (self.assist, target) {
-            (AssistMode::Software, ExecMode::Virtual) => self.attach_transfer(cpu),
-            (AssistMode::Software, ExecMode::Native) => self.detach_transfer(cpu),
-            // Hardware-assisted transfers are trivial: the VMCS/EPT
-            // carry all the state (§8).  Per-CPU work happens in
-            // reload_cpu.
-            (AssistMode::HardwareAssisted, ExecMode::Virtual) => {
-                self.hv().activate();
-                Ok(())
-            }
-            (AssistMode::HardwareAssisted, ExecMode::Native) => {
-                self.hv().deactivate();
-                Ok(())
-            }
+        // An update consumes its staged successor here, inside the
+        // round, whatever the outcome.
+        let mut round = Round {
+            cpu,
+            staged: match t {
+                Transition::Update => self.pending_update.lock().take(),
+                _ => None,
+            },
         };
-        if let Err(e) = &transfer {
-            // Failure-resistant mode switch (the paper's §8 future-work
-            // item): a half-applied transfer would leave the kernel in
-            // the "undefined state" §4.2 warns about — stale selectors,
-            // wrong table writability.  Compensate before unwinding.
-            self.rollback_transfer(cpu, target, e);
+        let rows = self.phases(t);
+        let mut entered = 0;
+        let mut outcome = Ok(());
+        // volint::bound(4) — the longest table has four rows
+        for row in rows {
+            if self
+                .abort
+                .lock()
+                .take_if(|name| *name == row.name)
+                .is_some()
+            {
+                outcome = Err(SwitchError::Transfer(
+                    // volint::allow(SWITCH-ALLOC): message materializes only on the injected-fault path
+                    format!("injected abort before {}", row.name),
+                ));
+                break;
+            }
+            entered += 1;
+            merctrace::span_begin!(cpu.id, row.name, cpu.cycles());
+            outcome = (row.run)(self, &round);
+            merctrace::span_end!(cpu.id, row.name, cpu.cycles());
+            if outcome.is_err() {
+                break;
+            }
+        }
+
+        if outcome.is_err() {
+            // Failure-resistant transition (the paper's §8 future
+            // work): a half-applied transfer would leave the kernel in
+            // the "undefined state" of §4.2.  Undo every row entered,
+            // newest first.
+            // volint::bound(4) — at most every row of the table
+            for row in rows.iter().take(entered).rev() {
+                let _ = (row.undo)(self, &round);
+            }
+            // A rolled-back update parks its successor (see
+            // `retired_update`) and says so in its error.
+            if let Some(staged) = round.staged.take() {
+                *self.retired_update.lock() = Some(staged);
+                outcome = outcome.map_err(|e| match e {
+                    SwitchError::Transfer(why) => SwitchError::UpdateRolledBack(why),
+                    e => e,
+                });
+            }
+            // The peers reload for the *current* (unchanged) mode.
+            if peers > 0 {
+                *self.rv_round.lock() = Some(RvRound {
+                    epoch,
+                    target: self.mode(),
+                });
+            }
         } else {
-            // Relocate the kernel's sensitive code: one pointer store,
-            // made while every other CPU is still parked (§5.4) — a
-            // peer released first would reload for `target` and then
-            // call through the other mode's VO.
+            // The commit, which has no row: it cannot fail or be
+            // undone.  One pointer store relocates the kernel's
+            // sensitive code (for an update, after the slots it is read
+            // from), made while every other CPU is still parked (§5.4)
+            // — a peer released first would reload for `target` and
+            // then call through the other mode's VO.
             merctrace::span_begin!(cpu.id, "switch.vo_swap", cpu.cycles());
+            if let Some(staged) = round.staged.take() {
+                staged.hv.activate();
+                let incumbent = std::mem::replace(&mut *self.vmm.write(), staged);
+                *self.retired_update.lock() = Some(incumbent);
+            }
             // volint::cost(256) — one pointer store plus the trace probes
-            self.kernel.set_pv(match (self.assist, target) {
-                (AssistMode::HardwareAssisted, ExecMode::Virtual) => {
-                    // volint::allow(SWITCH-PANIC): hvm_vo is built at install time whenever assist is HardwareAssisted; checked invariant, not input
-                    Arc::clone(self.hvm_vo.as_ref().expect("hvm VO built at install"))
-                        as Arc<dyn PvOps>
-                }
-                (_, ExecMode::Virtual) => self.virtual_vo() as Arc<dyn PvOps>,
-                (_, ExecMode::Native) => self.native_vo() as Arc<dyn PvOps>,
+            self.kernel.set_pv(match target {
+                ExecMode::Virtual => self.virtual_vo() as Arc<dyn PvOps>,
+                ExecMode::Native => self.native_vo() as Arc<dyn PvOps>,
             });
             merctrace::span_end!(cpu.id, "switch.vo_swap", cpu.cycles());
         }
 
         if peers > 0 {
-            // Release the peers to do their per-CPU reload; on a failed
-            // transfer they reload for the *current* (unchanged) mode.
-            if transfer.is_err() {
-                *self.rv_round.lock() = Some(RvRound {
-                    epoch: rv_epoch,
-                    target: self.mode(),
-                });
-            }
+            // Release the peers to do their per-CPU reload.
             merctrace::span_begin!(cpu.id, "switch.rendezvous.release", cpu.cycles());
             self.rendezvous.signal_go();
             let done = self.rendezvous.wait_done(peers);
@@ -1164,19 +1136,9 @@ impl Mercury {
             done.map_err(SwitchError::Rendezvous)?;
             merctrace::span_end!(cpu.id, "switch.rendezvous.release", cpu.cycles());
         }
-        transfer?;
+        outcome?;
 
-        // Per-CPU reload on the control processor, and the return-stack
-        // privilege edit (§5.1.3).  Non-root guests keep PL0: hardware
-        // assist removes the de-privileging entirely.
-        merctrace::span_begin!(cpu.id, "switch.reload_cpu", cpu.cycles());
-        self.reload_cpu(cpu, target);
-        merctrace::span_end!(cpu.id, "switch.reload_cpu", cpu.cycles());
-        frame.return_pl = match (self.assist, target) {
-            (AssistMode::Software, ExecMode::Virtual) => PrivLevel::Pl1,
-            _ => PrivLevel::Pl0,
-        };
-
+        self.reload_and_return(cpu, frame, target);
         merctrace::span_end!(cpu.id, _span, cpu.cycles());
         Ok(SwitchOutcome::Completed {
             cycles: cpu.rdtsc() - t0,
@@ -1201,65 +1163,67 @@ impl Mercury {
         {
             return;
         }
-        // Re-read the target: a failed transfer rewrites the round so
+        // Re-read the target: a failed transition rewrites the round so
         // peers reload for the unchanged mode.
         let target = (*self.rv_round.lock())
             .map(|r| r.target)
             .unwrap_or(round.target);
-        merctrace::span_begin!(cpu.id, "switch.reload_cpu", cpu.cycles());
-        self.reload_cpu(cpu, target);
-        merctrace::span_end!(cpu.id, "switch.reload_cpu", cpu.cycles());
-        frame.return_pl = match (self.assist, target) {
-            (AssistMode::Software, ExecMode::Virtual) => PrivLevel::Pl1,
-            _ => PrivLevel::Pl0,
-        };
+        self.reload_and_return(cpu, frame, target);
         self.rendezvous.complete_for(round.epoch);
     }
 
-    /// Per-CPU hardware state reload (§5.1.3): gate table, descriptor
-    /// table, and a CR3 reload to flush stale translations — or, with
-    /// hardware assist, a VMCS load and non-root entry/exit.
-    fn reload_cpu(&self, cpu: &Arc<Cpu>, target: ExecMode) {
+    /// What every CPU does once released (§5.1.3): reload gate table,
+    /// descriptor table and CR3 (flushing stale translations) — or, with
+    /// hardware assist, the VMCS — then commit the mode on this CPU by
+    /// editing the return-stack privilege.  Non-root guests keep PL0.
+    fn reload_and_return(&self, cpu: &Arc<Cpu>, frame: &mut TrapFrame, target: ExecMode) {
+        merctrace::span_begin!(cpu.id, "switch.reload_cpu", cpu.cycles());
         // Read the slot fresh: a peer parked across a live-update must
         // install the successor the commit published, not the VMM that
         // was live when it checked in.
         let hv = self.hv();
+        let hvm = self.assist == AssistMode::HardwareAssisted;
         // volint::cost(8192) — STATE_RELOAD + gate/GDT swap + CR3 reload, flat per-CPU work
-        if self.assist == AssistMode::HardwareAssisted {
+        if hvm {
             cpu.tick(costs::VMCS_SWITCH);
-            match target {
-                ExecMode::Virtual => {
-                    cpu.set_non_root(self.ept.clone());
-                    cpu.tick(costs::VMENTRY);
-                    hv.set_current(cpu.id, Some(self.dom0.id));
-                }
-                ExecMode::Native => {
-                    cpu.set_non_root(None);
-                    cpu.tick(costs::VMEXIT);
-                    hv.set_current(cpu.id, None);
-                }
-            }
-            return;
         }
-        match target {
-            ExecMode::Virtual => {
-                hv.install_on_cpu(cpu);
-                hv.set_current(cpu.id, Some(self.dom0.id));
+        match (target, hvm) {
+            (ExecMode::Virtual, true) => {
+                cpu.set_non_root(self.ept.clone());
+                cpu.tick(costs::VMENTRY);
             }
-            ExecMode::Native => {
-                hv.remove_from_cpu(cpu, self.kernel.idt());
-                hv.set_current(cpu.id, None);
+            (ExecMode::Native, true) => {
+                cpu.set_non_root(None);
+                cpu.tick(costs::VMEXIT);
             }
+            (ExecMode::Virtual, false) => hv.install_on_cpu(cpu),
+            (ExecMode::Native, false) => hv.remove_from_cpu(cpu, self.kernel.idt()),
         }
-        // Reload the (unchanged) base pointer: flushes the TLB so
-        // writability flips take effect.
-        cpu.set_cr3_raw(cpu.cr3_raw());
+        hv.set_current(
+            cpu.id,
+            (target == ExecMode::Virtual).then_some(self.dom0.id),
+        );
+        if !hvm {
+            // Reload the (unchanged) base pointer: flushes the TLB so
+            // writability flips take effect.
+            cpu.set_cr3_raw(cpu.cr3_raw());
+        }
+        merctrace::span_end!(cpu.id, "switch.reload_cpu", cpu.cycles());
+        frame.return_pl = match (target, hvm) {
+            (ExecMode::Virtual, false) => PrivLevel::Pl1,
+            _ => PrivLevel::Pl0,
+        };
     }
 
-    // ---- state transfer (§5.1.2) --------------------------------------------
+    // ---- phase bodies: state transfer (§5.1.2) --------------------------------
+    //
+    // An `undo` must tolerate its row's `run` having stopped half way;
+    // its result is ignored.
 
-    /// Flip the direct-map writability of every page-table frame.
-    fn flip_table_frames(&self, cpu: &Arc<Cpu>, to_readonly: bool) -> Result<(), SwitchError> {
+    /// Flip the direct-map writability of every page-table frame:
+    /// read-only under the VMM, writable again without it.
+    fn flip_tables<const READ_ONLY: bool>(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let cpu = r.cpu;
         let kmap = self.kernel.kmap();
         let mem = &self.machine.mem;
         // volint::bound(256) — kernel table frames: one L2 root plus L1 tables for a 64 MiB pool, ≤ 256 by construction
@@ -1275,7 +1239,7 @@ impl Mercury {
             if !pte.present() {
                 continue;
             }
-            let new = if to_readonly {
+            let new = if READ_ONLY {
                 pte.without_flags(Pte::WRITABLE)
             } else {
                 pte.with_flags(Pte::WRITABLE)
@@ -1288,188 +1252,64 @@ impl Mercury {
     }
 
     /// Rewrite cached kernel-segment selectors on every saved kernel
-    /// stack (the §5.1.2 stack stub), and charge the per-thread segment
-    /// transfer.
-    fn fix_selectors(&self, cpu: &Arc<Cpu>, dpl: PrivLevel) {
+    /// stack (the §5.1.2 stack stub) — PL1 for a de-privileged kernel,
+    /// PL0 otherwise — and charge the per-thread segment transfer.
+    fn fix_selectors<const DEPRIVILEGED: bool>(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let dpl = if DEPRIVILEGED {
+            PrivLevel::Pl1
+        } else {
+            PrivLevel::Pl0
+        };
         // volint::cost(4480) — ≤ 64 processes × THREAD_SEG_TRANSFER(70) selector rewrites
-        self.kernel.fix_kstack_selectors(cpu, |ctx| {
+        self.kernel.fix_kstack_selectors(r.cpu, |ctx| {
             ctx.cs.rpl = dpl;
             ctx.ss.rpl = dpl;
         });
-        cpu.tick(costs::THREAD_SEG_TRANSFER * self.kernel.process_count() as u64);
+        r.cpu
+            .tick(costs::THREAD_SEG_TRANSFER * self.kernel.process_count() as u64);
+        Ok(())
     }
 
-    /// Undo a partially applied state transfer so the kernel continues
-    /// safely in its previous mode.
-    fn rollback_transfer(&self, cpu: &Arc<Cpu>, target: ExecMode, _cause: &SwitchError) {
-        let hv = self.hv();
-        match target {
-            ExecMode::Virtual => {
-                // Reverse of attach_transfer, tolerating partial state.
-                hv.deactivate();
-                hv.page_info.clear_types_for(self.dom0.id);
-                // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch; rollback path besides
-                self.dom0.reset_pgds(Vec::new());
-                self.fix_selectors(cpu, PrivLevel::Pl0);
-                let _ = self.flip_table_frames(cpu, false);
-            }
-            ExecMode::Native => {
-                // Reverse of detach_transfer: re-arm the virtual state.
-                let _ = self.flip_table_frames(cpu, true);
-                self.fix_selectors(cpu, PrivLevel::Pl1);
-                let pgds = self.kernel.all_pgds();
-                let frames = self.kernel.pool_frames();
-                let _ = hv.page_info.recompute_for_at(
-                    cpu,
-                    &self.machine.mem,
-                    self.dom0.id,
-                    frames.len(),
-                    &pgds,
-                    self.strategy.attach_per_frame_cost(),
-                );
-                self.dom0.reset_pgds(pgds);
-                hv.activate();
-            }
-        }
-    }
-
-    fn attach_transfer(&self, cpu: &Arc<Cpu>) -> Result<(), SwitchError> {
-        let hv = self.hv();
-        // 1. Page-table pages become read-only in the direct map.
-        merctrace::span_begin!(cpu.id, "switch.transfer.flip_tables", cpu.cycles());
-        self.flip_table_frames(cpu, true)?;
-        merctrace::span_end!(cpu.id, "switch.transfer.flip_tables", cpu.cycles());
-        // 2. Kernel-segment privilege in every saved thread context
-        //    becomes PL1.
-        merctrace::span_begin!(cpu.id, "switch.transfer.fix_selectors", cpu.cycles());
-        self.fix_selectors(cpu, PrivLevel::Pl1);
-        merctrace::span_end!(cpu.id, "switch.transfer.fix_selectors", cpu.cycles());
-        // 3. Frame accounting: make the VMM's page_info correct again.
-        //    With a dirty baseline (the always-on default — established
-        //    at boot and refreshed at every detach) the phase is
-        //    O(dirty): synchronous revalidation of the dirty frames up
-        //    to a static cap, snapshot-restore of the clean ones, and
-        //    lazy first-touch deferral of the rest.  Without one (the
-        //    legacy strategies) it is the full-rate recompute — serial,
-        //    or sharded across the rendezvoused peers (§5.4).
-        let pgds = self.kernel.all_pgds();
-        let owned = self.kernel.pool_frames().len();
-        let p0 = cpu.cycles();
-        if self.strategy.uses_dirty_baseline() && self.dirty_baseline.load(Ordering::Acquire) {
-            self.dirty_attach_phase(cpu, &pgds, owned)?;
-        } else {
-            merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_full", cpu.cycles());
-            let peers = self.machine.num_cpus() - 1;
-            if peers > 0 && self.sharded.load(Ordering::Acquire) {
-                self.sharded_recompute_phase(cpu, &pgds, owned)?;
-            } else {
-                // volint::cost(1638400) — worst case serial scan: 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
-                cpu.tick(self.pginfo_scan_cycles(owned));
-                hv.page_info
-                    .recompute_for_at(cpu, &self.machine.mem, self.dom0.id, owned, &pgds, 0)
-                    // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
-                    .map_err(|e| SwitchError::Transfer(e.to_string()))?;
-            }
-            merctrace::span_end!(cpu.id, "switch.transfer.pginfo_full", cpu.cycles());
-        }
-        self.stats
-            .last_pginfo_cycles
-            .store(cpu.cycles() - p0, Ordering::Relaxed);
-        self.dom0.reset_pgds(pgds);
-        // 4. Activate the pre-cached VMM and register the kernel's trap
-        //    table with it (the VO-assistant step of §4.4).
-        merctrace::span_begin!(cpu.id, "switch.transfer.trap_table", cpu.cycles());
+    /// Activate the pre-cached VMM and register the kernel's trap table
+    /// with it (the VO-assistant step of §4.4).
+    fn arm_vmm(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         // volint::cost(8192) — VMM activation flag flip + trap-table registration (≤ 32 gates)
-        hv.activate();
+        self.hv().activate();
         self.virtual_vo()
-            .load_trap_table(cpu, self.kernel.idt())
+            .load_trap_table(r.cpu, self.kernel.idt())
             // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
-            .map_err(|e| SwitchError::Transfer(e.to_string()))?;
-        merctrace::span_end!(cpu.id, "switch.transfer.trap_table", cpu.cycles());
-        Ok(())
+            .map_err(|e| SwitchError::Transfer(e.to_string()))
     }
 
-    fn detach_transfer(&self, cpu: &Arc<Cpu>) -> Result<(), SwitchError> {
-        let hv = self.hv();
-        // 1. The dormant VMM stops tracking.  The legacy strategies
-        //    wipe its accounting wholesale (a per-frame release pass —
-        //    the "cheap direction" of §7.4, but still O(owned)).  The
-        //    dirty-baseline strategies *retain* the just-live
-        //    accounting as the next attach's snapshot and only drop the
-        //    type restrictions on the pinned table frames, so the
-        //    detach-side accounting phase is O(tables) — the other half
-        //    of keeping the table perpetually warm (DESIGN.md §7b).
-        if self.strategy.uses_dirty_baseline() {
-            merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_retain", cpu.cycles());
-            // Close the lazy admission window (only these strategies
-            // open one).  Frames still awaiting their first touch are
-            // drained in bulk: the release below discards the
-            // accounting they would have validated into, so the
-            // deferred debt is void (DESIGN.md §7b).  The set is sealed
-            // and deregistered — one TLB flush per CPU, charged to this
-            // phase — so a straggler touch after this point fails
-            // loudly instead of validating into a dead table.
-            if let Some(set) = self.lazy_set.lock().take() {
-                let _stragglers = set.drain().len();
-                set.seal();
-                merctrace::counter!(cpu.id, "switch.lazy.stragglers", _stragglers, cpu.cycles());
-                // volint::bound(16) — one deregistration per CPU
-                for peer in &self.machine.cpus {
-                    peer.set_lazy_set(None);
-                }
-            }
-            let tables = self.kernel.all_table_frames().len();
-            // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
-            cpu.tick(self.strategy.detach_cost(self.kernel.pool_frames().len(), tables));
-            hv.page_info.clear_types_for(self.dom0.id);
-            // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch
-            self.dom0.reset_pgds(Vec::new());
-            // The state just validated *is* the snapshot; dirty
-            // tracking (re)starts from here.
-            hv.page_info.reset_dirty_for(self.dom0.id);
-            self.dirty_baseline.store(true, Ordering::Release);
-            merctrace::span_end!(cpu.id, "switch.transfer.pginfo_retain", cpu.cycles());
+    /// Flip the VMM live or back to dormancy.  This is the whole
+    /// hardware-assisted transfer: the VMCS/EPT carry all the state
+    /// (§8); per-CPU work happens in the reload.
+    fn vmm<const ACTIVE: bool>(&self, _: &Round<'_>) -> Result<(), SwitchError> {
+        if ACTIVE {
+            self.hv().activate();
         } else {
-            merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_clear", cpu.cycles());
-            // volint::cost(409600) — 16384 pool frames × PGINFO_CLEAR_PER_FRAME(25)
-            cpu.tick(costs::PGINFO_CLEAR_PER_FRAME * self.kernel.pool_frames().len() as u64);
-            hv.page_info.clear_types_for(self.dom0.id);
-            // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch
-            self.dom0.reset_pgds(Vec::new());
-            merctrace::span_end!(cpu.id, "switch.transfer.pginfo_clear", cpu.cycles());
+            self.hv().deactivate();
         }
-        // 2. Page-table pages become writable again.
-        merctrace::span_begin!(cpu.id, "switch.transfer.flip_tables", cpu.cycles());
-        self.flip_table_frames(cpu, false)?;
-        merctrace::span_end!(cpu.id, "switch.transfer.flip_tables", cpu.cycles());
-        // 3. Saved kernel selectors go back to PL0.
-        merctrace::span_begin!(cpu.id, "switch.transfer.fix_selectors", cpu.cycles());
-        self.fix_selectors(cpu, PrivLevel::Pl0);
-        merctrace::span_end!(cpu.id, "switch.transfer.fix_selectors", cpu.cycles());
-        // 4. Deactivate.
-        hv.deactivate();
         Ok(())
     }
 
-    /// The O(dirty) accounting phase of the dirty-baseline strategies
-    /// (the always-on default): partition the dirty population against
-    /// the kernel-critical frame set, synchronously revalidate the
-    /// critical frames (plus, for [`TrackingStrategy::DirtyRecompute`],
-    /// non-critical dirty frames up to [`SYNC_REVALIDATE_CAP`]),
-    /// restore clean frames from the snapshot, and defer the remainder
-    /// to first-touch validation faults.
+    /// Attach-time frame accounting with a dirty baseline (the default,
+    /// established at boot and refreshed at every detach) — O(dirty).
+    /// Partition the dirty population against the kernel-critical frame
+    /// set, synchronously revalidate the critical frames (plus, for
+    /// [`TrackingStrategy::DirtyRecompute`], non-critical dirty frames
+    /// up to [`SYNC_REVALIDATE_CAP`]), restore clean frames from the
+    /// snapshot, and defer the rest to first-touch validation faults.
     ///
     /// Admission invariant (DESIGN.md §7b): a kernel-critical frame is
     /// never deferred — the sync quota is at least the critical-dirty
     /// count under every strategy — so the guest can never execute
     /// through a page-table frame whose validation is still pending.
-    fn dirty_attach_phase(
-        &self,
-        cpu: &Arc<Cpu>,
-        pgds: &[FrameNum],
-        owned: usize,
-    ) -> Result<(), SwitchError> {
-        merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_recompute", cpu.cycles());
+    fn account_dirty(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let cpu = r.cpu;
+        let pgds = self.kernel.all_pgds();
+        let owned = self.kernel.pool_frames().len();
+        let p0 = cpu.cycles();
         let hv = self.hv();
         let dom = self.dom0.id;
         // Kernel-critical frames: the page-table frames a guest could
@@ -1509,7 +1349,7 @@ impl Mercury {
         // split; correctness never depends on a dirty bit (a scrubbed
         // or deferred frame still validates through here).
         hv.page_info
-            .recompute_for_at(cpu, &self.machine.mem, dom, owned, pgds, 0)
+            .recompute_for_at(cpu, &self.machine.mem, dom, owned, &pgds, 0)
             // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
             .map_err(|e| SwitchError::Transfer(e.to_string()))?;
 
@@ -1542,26 +1382,179 @@ impl Mercury {
             *self.lazy_set.lock() = Some(set);
         }
         merctrace::span_end!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
-        merctrace::span_end!(cpu.id, "switch.transfer.pginfo_recompute", cpu.cycles());
+        self.accounted(cpu, p0, pgds);
+        Ok(())
+    }
+
+    /// Attach-time frame accounting without a baseline (the legacy
+    /// strategies): the full-rate recompute — serial, or sharded across
+    /// the rendezvoused peers (§5.4).
+    fn account_full(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let cpu = r.cpu;
+        let pgds = self.kernel.all_pgds();
+        let owned = self.kernel.pool_frames().len();
+        let p0 = cpu.cycles();
+        if self.machine.num_cpus() > 1 && self.sharded.load(Ordering::Acquire) {
+            self.sharded_recompute_phase(cpu, &pgds, owned)?;
+        } else {
+            // volint::cost(1638400) — worst case serial scan: 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
+            cpu.tick(self.strategy.attach_cost(owned, owned));
+            self.hv()
+                .page_info
+                .recompute_for_at(cpu, &self.machine.mem, self.dom0.id, owned, &pgds, 0)
+                // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
+                .map_err(|e| SwitchError::Transfer(e.to_string()))?;
+        }
+        self.accounted(cpu, p0, pgds);
+        Ok(())
+    }
+
+    /// An accounting row succeeded: publish its makespan, bind the tables.
+    fn accounted(&self, cpu: &Arc<Cpu>, p0: u64, pgds: Vec<FrameNum>) {
+        self.stats
+            .last_pginfo_cycles
+            .store(cpu.cycles() - p0, Ordering::Relaxed);
+        self.dom0.reset_pgds(pgds);
+    }
+
+    /// Forget the attach-time accounting again: the kernel stays native.
+    fn drop_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        self.close_lazy_window(r.cpu);
+        self.release_accounting();
+        Ok(())
+    }
+
+    /// The dormant VMM stops tracking: drop the type restrictions and
+    /// the domain's base-table list.
+    fn release_accounting(&self) {
+        self.hv().page_info.clear_types_for(self.dom0.id);
+        // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch
+        self.dom0.reset_pgds(Vec::new());
+    }
+
+    /// Close the lazy admission window, if one is open.  Frames still
+    /// awaiting their first touch are drained in bulk: the release that
+    /// follows voids the accounting they would have validated into
+    /// (DESIGN.md §7b).  The set is sealed and deregistered — one TLB
+    /// flush per CPU — so a straggler touch fails loudly afterwards.
+    fn close_lazy_window(&self, _cpu: &Arc<Cpu>) {
+        if let Some(set) = self.lazy_set.lock().take() {
+            let _stragglers = set.drain().len();
+            set.seal();
+            merctrace::counter!(
+                _cpu.id,
+                "switch.lazy.stragglers",
+                _stragglers,
+                _cpu.cycles()
+            );
+            // volint::bound(16) — one deregistration per CPU
+            for peer in &self.machine.cpus {
+                peer.set_lazy_set(None);
+            }
+        }
+    }
+
+    /// Detach-side accounting of the dirty-baseline strategies: *retain*
+    /// the just-live accounting as the next attach's snapshot and only
+    /// drop the type restrictions on the pinned table frames — O(tables)
+    /// (DESIGN.md §7b).  Closing the lazy window is charged here.
+    fn retain_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let hv = self.hv();
+        hv.deactivate();
+        self.close_lazy_window(r.cpu);
+        let tables = self.kernel.all_table_frames().len();
+        // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
+        r.cpu.tick(
+            self.strategy
+                .detach_cost(self.kernel.pool_frames().len(), tables),
+        );
+        self.release_accounting();
+        // The state just validated *is* the snapshot; dirty tracking
+        // (re)starts from here.
+        hv.page_info.reset_dirty_for(self.dom0.id);
+        self.dirty_baseline.store(true, Ordering::Release);
+        Ok(())
+    }
+
+    /// Detach-side accounting of the legacy strategies: wipe it
+    /// wholesale (a per-frame release pass — the "cheap direction" of
+    /// §7.4, but still O(owned)).
+    fn clear_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        self.hv().deactivate();
+        // volint::cost(409600) — 16384 pool frames × PGINFO_CLEAR_PER_FRAME(25)
+        r.cpu
+            .tick(costs::PGINFO_CLEAR_PER_FRAME * self.kernel.pool_frames().len() as u64);
+        self.release_accounting();
+        Ok(())
+    }
+
+    /// Re-arm the accounting a detach released: the kernel stays virtual.
+    fn rearm_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let hv = self.hv();
+        let pgds = self.kernel.all_pgds();
+        let _ = hv.page_info.recompute_for_at(
+            r.cpu,
+            &self.machine.mem,
+            self.dom0.id,
+            self.kernel.pool_frames().len(),
+            &pgds,
+            self.strategy.attach_per_frame_cost(),
+        );
+        self.dom0.reset_pgds(pgds);
+        hv.activate();
+        Ok(())
+    }
+
+    // ---- phase bodies: hypervisor live-update (DESIGN.md §16) -----------------
+
+    /// The handshake, re-checked inside the critical section: the world
+    /// may have moved since staging (a guest created, a successor corrupted).
+    fn update_handshake(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let successor = r.successor()?;
+        // volint::cost(2048) — LIVE_UPDATE_HANDSHAKE: flat version-order/pristine/machine checks plus the ring-flush bookkeeping
+        r.cpu.tick(costs::LIVE_UPDATE_HANDSHAKE);
+        xenon::liveupdate::handshake(&self.hv(), successor)
+            // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the update has already aborted
+            .map_err(|e| SwitchError::Transfer(e.to_string()))
+    }
+
+    /// State transfer.  The successor's frame accounting is recomputed
+    /// from the authoritative guest page tables (cold — the successor
+    /// has no dirty baseline to lean on), which also heals any
+    /// corruption the incumbent's table may carry; ports, grants and
+    /// the domain records themselves carry over adopted, not copied.
+    fn update_transfer(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        // volint::cost(1638400) — cold successor rebuild: ≤ 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
+        let _report = xenon::liveupdate::transfer(
+            r.cpu,
+            &self.hv(),
+            r.successor()?,
+            costs::PGINFO_RECOMPUTE_PER_FRAME,
+        )
+        // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the update has already aborted
+        .map_err(|e| SwitchError::Transfer(e.to_string()))?;
+        merctrace::counter!(
+            r.cpu.id,
+            "switch.liveupdate.frames",
+            _report.frames as u64,
+            r.cpu.cycles()
+        );
+        Ok(())
+    }
+
+    /// Discard the successor back to pristine; the incumbent stays
+    /// committed (DESIGN.md §16 rule #3).
+    fn update_discard(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        xenon::liveupdate::discard(r.cpu, r.successor()?);
+        Ok(())
+    }
+
+    /// The `undo` of a row whose `run` changes nothing.
+    fn nothing(&self, _: &Round<'_>) -> Result<(), SwitchError> {
         Ok(())
     }
 
     // ---- sharded recompute (§5.4 work phase) --------------------------------
-
-    /// Total attach-time accounting (scan) cycles for the strategy in
-    /// force, given the current dirty-frame population.
-    fn pginfo_scan_cycles(&self, owned: usize) -> u64 {
-        let dirty = if self.strategy.uses_dirty_baseline()
-            && self.dirty_baseline.load(Ordering::Acquire)
-        {
-            self.hv().page_info.count_dirty_for(self.dom0.id)
-        } else {
-            // No baseline → every frame counts dirty; uniform-rate
-            // strategies ignore the count anyway.
-            owned
-        };
-        self.strategy.attach_cost(owned, dirty)
-    }
 
     /// Rebuild page_info with the rendezvoused peers as workers: the
     /// accounting scan and the per-pgd validation walks are chunked
@@ -1576,7 +1569,8 @@ impl Mercury {
     ) -> Result<(), SwitchError> {
         let hv = self.hv();
         let dom = self.dom0.id;
-        let scan_total = self.pginfo_scan_cycles(owned);
+        // No baseline on this path: every frame counts dirty.
+        let scan_total = self.strategy.attach_cost(owned, owned);
         hv.page_info.clear_types_for(dom);
 
         // Split the uniform scan into SHARD_CHUNK_FRAMES-sized slices
@@ -1619,7 +1613,6 @@ impl Mercury {
         *self.shard_job.lock() = None;
         merctrace::span_end!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
         if !drained {
-            hv.page_info.clear_types_for(dom);
             return Err(SwitchError::Transfer(
                 "sharded recompute work queue never drained".into(),
             ));
@@ -1630,7 +1623,6 @@ impl Mercury {
         let own = job.spent_of(cpu.id as u32);
         cpu.tick(job.max_spent().saturating_sub(own));
         if job.failed() {
-            hv.page_info.clear_types_for(dom);
             return Err(SwitchError::Transfer(
                 "sharded page_info validation failed".into(),
             ));
@@ -2645,14 +2637,17 @@ mod hw_tests {
         sess.poke(va, 42).unwrap();
         mercury.switch_to_virtual(cpu).unwrap();
 
-        for phase in [LiveUpdatePhase::Handshake, LiveUpdatePhase::Transfer] {
+        // Every row of the update table, named from the table itself.
+        let rows = mercury.phases(Transition::Update);
+        for row in rows {
+            let phase = row.name;
             let v2 = Hypervisor::warm_up_versioned(&machine, 2);
             mercury.stage_update(Arc::clone(&v2)).unwrap();
-            mercury.inject_update_abort(Some(phase));
+            mercury.inject_abort(Some(phase));
             let err = mercury.live_update(cpu).unwrap_err();
             assert!(
                 matches!(err, SwitchError::UpdateRolledBack(_)),
-                "{phase:?}: {err:?}"
+                "{phase}: {err:?}"
             );
             // Rolled back: the incumbent still runs the machine, the
             // failed successor was discarded back to pristine, and the
@@ -2661,25 +2656,24 @@ mod hw_tests {
             assert!(Arc::ptr_eq(&mercury.hypervisor(), &v1));
             assert!(v1.is_active());
             assert!(!v2.is_active());
-            assert!(v2.domains().is_empty(), "{phase:?}: successor not pristine");
+            assert!(v2.domains().is_empty(), "{phase}: successor not pristine");
             assert_eq!(
                 v2.reserved_frames(),
                 0,
-                "{phase:?}: husk reservation reclaimed"
+                "{phase}: husk reservation reclaimed"
             );
             assert_eq!(mercury.staged_update_version(), None);
             assert_eq!(sess.peek(va).unwrap(), 42);
         }
         assert_eq!(
             mercury.stats.live_update_rollbacks.load(Ordering::Relaxed),
-            2
+            rows.len() as u64
         );
 
-        // An abort injected at Commit lands after the linearization
-        // point: the update completes on v2 regardless.
+        // The commit has no row to abort at: with the injector spent,
+        // the next update completes on v2.
         let v2 = Hypervisor::warm_up_versioned(&machine, 2);
         mercury.stage_update(Arc::clone(&v2)).unwrap();
-        mercury.inject_update_abort(Some(LiveUpdatePhase::Commit));
         assert!(matches!(
             mercury.live_update(cpu).unwrap(),
             SwitchOutcome::Completed { .. }

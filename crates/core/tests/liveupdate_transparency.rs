@@ -1,40 +1,47 @@
-//! Live-update transparency property test (DESIGN.md §16).
+//! Transition transparency property test (DESIGN.md §7, §16).
 //!
-//! The §16 claim is that a hypervisor live-update is invisible to the
-//! guest no matter where it stops: interrupted at any phase of the
-//! rendezvous-protected critical section, the run either **completes
-//! on v2** (handshake and transfer survived; the commit published the
-//! successor before the peers were released) or **rolls back to v1**
-//! (the incumbent keeps running, the staged successor is discarded) —
+//! The claim is that a transition — attach, detach or hypervisor
+//! live-update — is invisible to the guest no matter where it stops:
+//! aborted before any row of its table, the rows already run are
+//! undone and the system stays in the mode (and on the VMM) it was in;
+//! run un-injected right afterwards, the same transition completes —
 //! and in *both* cases guest memory, file contents, and fd positions
-//! are bit-identical to a run that never attempted an update at all.
+//! are bit-identical to a run that never attempted a transition at
+//! all.  The rows are read from the tables the driver itself walks
+//! ([`Mercury::phases`]), so a new row is covered the day it is added.
 //!
 //! The same observation is taken under both event-clock settings
 //! (fast-forward on and off), so the test doubles as a skip-neutrality
-//! check for the update path: skipping idle time must not change what
+//! check for the switch path: skipping idle time must not change what
 //! the guest can see either.
 
 use faultgen::rng::check;
-use mercury::{LiveUpdatePhase, Mercury, SwitchError, SwitchOutcome, TrackingStrategy};
+use mercury::{AssistMode, Mercury, SwitchError, SwitchOutcome, TrackingStrategy, Transition};
 use nimbus::drivers::block::NativeBlockDriver;
 use nimbus::drivers::net::NativeNetDriver;
 use nimbus::kernel::{BootMode, KernelConfig, MmapBacking, ReadOutcome};
 use nimbus::mm::Prot;
+use nimbus::paravirt::ExecMode;
 use nimbus::Session;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
 use simx86::{Machine, MachineConfig};
 use std::sync::Arc;
 use xenon::Hypervisor;
 
-/// What the run does mid-workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Update {
-    /// Baseline: no update staged, no update attempted.
-    None,
-    /// Stage v2 and run the update with an abort injected at the given
-    /// phase (`None` = no injection: the update completes cleanly).
-    At(Option<LiveUpdatePhase>),
-}
+/// What the run does mid-workload: nothing (the baseline), or the
+/// transition — first aborted before the row of the given index, if
+/// any, then un-injected.
+type Step = Option<(Transition, Option<usize>)>;
+
+/// The system configurations whose tables the test walks.
+const CONFIGS: [(TrackingStrategy, AssistMode); 3] = [
+    (TrackingStrategy::DirtyRecompute, AssistMode::Software),
+    (TrackingStrategy::RecomputeOnSwitch, AssistMode::Software),
+    (
+        TrackingStrategy::RecomputeOnSwitch,
+        AssistMode::HardwareAssisted,
+    ),
+];
 
 /// Everything the guest can observe about its own state.  Cycle counts
 /// are deliberately absent: the update costs time (that is the serving
@@ -54,7 +61,7 @@ struct Observed {
     file_size: u64,
 }
 
-fn rig() -> (Arc<Machine>, Arc<Mercury>) {
+fn rig(strategy: TrackingStrategy, assist: AssistMode) -> (Arc<Machine>, Arc<Mercury>) {
     let machine = Machine::new(MachineConfig {
         num_cpus: 1,
         mem_frames: 16 * 1024,
@@ -76,7 +83,7 @@ fn rig() -> (Arc<Machine>, Arc<Mercury>) {
     let bounce = machine.allocator.alloc(cpu).unwrap();
     kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
     kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-    let mercury = Mercury::install(kernel, hv, TrackingStrategy::default()).unwrap();
+    let mercury = Mercury::install_with_assist(kernel, hv, strategy, assist).unwrap();
     (machine, mercury)
 }
 
@@ -87,17 +94,46 @@ fn data(out: Result<ReadOutcome, nimbus::KernelError>) -> Vec<u8> {
     }
 }
 
-/// One full guest run: file + mmap traffic, the update (or not) in the
-/// middle, more traffic, then the observation.
-fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize) -> Observed {
+/// Ask for `t` the way a caller would (an update stages its successor
+/// first); returns the successor too.
+fn fire(
+    t: Transition,
+    machine: &Arc<Machine>,
+    mercury: &Mercury,
+) -> (Result<SwitchOutcome, SwitchError>, Option<Arc<Hypervisor>>) {
+    let cpu = machine.boot_cpu();
+    match t {
+        Transition::Attach => (mercury.switch_to_virtual(cpu), None),
+        Transition::Detach => (mercury.switch_to_native(cpu), None),
+        Transition::Update => {
+            let v2 = Hypervisor::warm_up_versioned(machine, 2);
+            mercury.stage_update(Arc::clone(&v2)).unwrap();
+            (mercury.live_update(cpu), Some(v2))
+        }
+    }
+}
+
+/// One full guest run: file + mmap traffic, the transition (or not) in
+/// the middle, more traffic, then the observation.
+fn observe(
+    (strategy, assist): (TrackingStrategy, AssistMode),
+    step: Step,
+    skip: bool,
+    pages: usize,
+    words: &[u64],
+    split: usize,
+) -> Observed {
     simx86::evclock::set_default_skip(skip);
-    let (machine, mercury) = rig();
+    let (machine, mercury) = rig(strategy, assist);
     let cpu = machine.boot_cpu();
     let sess = Session::new(Arc::clone(mercury.kernel()), 0);
-    mercury.switch_to_virtual(cpu).unwrap();
+    // An attach starts from native mode; everything else from virtual.
+    if !matches!(step, Some((Transition::Attach, _))) {
+        mercury.switch_to_virtual(cpu).unwrap();
+    }
 
-    // Pre-update traffic: journal bytes, then consume some so the fd
-    // position sits mid-file across the update.
+    // Pre-transition traffic: journal bytes, then consume some so the
+    // fd position sits mid-file across the transition.
     let fd = sess.open("journal", true).unwrap();
     let bytes: Vec<u8> = words.iter().map(|w| (*w & 0xff) as u8).collect();
     let split = split.min(bytes.len());
@@ -105,7 +141,7 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
     sess.lseek(fd, 0).unwrap();
     let early_read = data(sess.read(fd, split));
 
-    // Guest memory: the first half of the words land before the update.
+    // Guest memory: the first half of the words land before it.
     let va = sess
         .mmap(pages as u64, Prot::RW, MmapBacking::Anon)
         .unwrap();
@@ -115,44 +151,59 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
         sess.poke(addr(i), *w).unwrap();
     }
 
-    // The update point.
-    match update {
-        Update::None => {}
-        Update::At(phase) => {
-            let v2 = Hypervisor::warm_up_versioned(&machine, 2);
-            mercury.stage_update(Arc::clone(&v2)).unwrap();
-            if phase.is_some() {
-                mercury.inject_update_abort(phase);
+    // The transition point.
+    if let Some((t, abort)) = step {
+        let (mode, version) = (mercury.mode(), mercury.hv_version());
+        if let Some(row) = abort.map(|i| mercury.phases(t)[i].name) {
+            mercury.inject_abort(Some(row));
+            let (out, successor) = fire(t, &machine, &mercury);
+            match successor {
+                Some(v2) => {
+                    assert!(
+                        matches!(out, Err(SwitchError::UpdateRolledBack(_))),
+                        "{row} must roll back, got {out:?}"
+                    );
+                    assert!(!v2.is_active(), "rolled-back successor stays down");
+                    assert_eq!(v2.reserved_frames(), 0, "husk reservation reclaimed");
+                    assert_eq!(
+                        mercury.staged_update_version(),
+                        None,
+                        "staged update consumed"
+                    );
+                }
+                None => assert!(
+                    matches!(out, Err(SwitchError::Transfer(_))),
+                    "{row} must abort, got {out:?}"
+                ),
             }
-            let rolls_back = matches!(
-                phase,
-                Some(LiveUpdatePhase::Handshake) | Some(LiveUpdatePhase::Transfer)
-            );
-            let out = mercury.live_update(cpu);
-            if rolls_back {
-                assert!(
-                    matches!(out, Err(SwitchError::UpdateRolledBack(_))),
-                    "{phase:?} must roll back, got {out:?}"
-                );
-                assert_eq!(mercury.hv_version(), 1, "incumbent keeps running");
-                assert!(!v2.is_active(), "rolled-back successor stays down");
-                assert_eq!(v2.reserved_frames(), 0, "husk reservation reclaimed");
-            } else {
-                assert!(
-                    matches!(out, Ok(SwitchOutcome::Completed { .. })),
-                    "{phase:?} must complete, got {out:?}"
-                );
-                assert_eq!(mercury.hv_version(), 2, "successor committed");
-            }
+            assert_eq!(mercury.mode(), mode, "{row}: mode unchanged");
             assert_eq!(
-                mercury.staged_update_version(),
-                None,
-                "the staged update is consumed either way"
+                mercury.hv_version(),
+                version,
+                "{row}: incumbent keeps running"
             );
+            for (i, w) in words[..half].iter().enumerate() {
+                assert_eq!(
+                    sess.peek(addr(i)).unwrap(),
+                    *w,
+                    "{row}: memory after the abort"
+                );
+            }
+        }
+        // Un-injected, the same transition completes.
+        let (out, _) = fire(t, &machine, &mercury);
+        assert!(
+            matches!(out, Ok(SwitchOutcome::Completed { .. })),
+            "{t:?} must complete, got {out:?}"
+        );
+        match t {
+            Transition::Attach => assert_eq!(mercury.mode(), ExecMode::Virtual),
+            Transition::Detach => assert_eq!(mercury.mode(), ExecMode::Native),
+            Transition::Update => assert_eq!(mercury.hv_version(), 2, "successor committed"),
         }
     }
 
-    // Post-update traffic: the rest of the words, a read resuming at
+    // Post-transition traffic: the rest of the words, a read resuming at
     // the preserved fd position (a leaked position returns the wrong
     // byte run), an append, and the whole-file readbacks.
     for (i, w) in words[half..].iter().enumerate() {
@@ -177,38 +228,46 @@ fn observe(update: Update, skip: bool, pages: usize, words: &[u64], split: usize
     }
 }
 
-/// For random guest workloads, an update interrupted at every phase
-/// — and one that completes — leaves the guest bit-identical to a
-/// run that never updated, under both event-clock settings.
+/// For random guest workloads, every transition aborted before every
+/// row of its table — and then completed — leaves the guest
+/// bit-identical to a run that never attempted it, under every table
+/// and both event-clock settings.
 #[test]
-fn interrupted_update_is_invisible_to_the_guest() {
-    check("interrupted_update_is_invisible_to_the_guest", 4, |rng| {
-        let pages = rng.range(1, 5) as usize;
-        let len = rng.range(2, 24) as usize;
-        let words = rng.vec(len, |r| r.next_u64());
-        let split = rng.below(24) as usize;
-        let baseline = observe(Update::None, true, pages, &words, split);
-        assert_eq!(
-            &baseline.peeks[..baseline.peeks.len()],
-            &words[..],
-            "sanity: pokes must read back"
-        );
-        for skip in [true, false] {
-            let runs = [
-                Update::None,
-                Update::At(None),
-                Update::At(Some(LiveUpdatePhase::Handshake)),
-                Update::At(Some(LiveUpdatePhase::Transfer)),
-                Update::At(Some(LiveUpdatePhase::Commit)),
-            ];
-            for update in runs {
-                let got = observe(update, skip, pages, &words, split);
-                assert_eq!(
-                    &got, &baseline,
-                    "guest state diverged: update {:?}, skip {}",
-                    update, skip
-                );
+fn interrupted_transition_is_invisible_to_the_guest() {
+    check(
+        "interrupted_transition_is_invisible_to_the_guest",
+        4,
+        |rng| {
+            let pages = rng.range(1, 5) as usize;
+            let len = rng.range(2, 24) as usize;
+            let words = rng.vec(len, |r| r.next_u64());
+            let split = rng.below(24) as usize;
+            let baseline = observe(CONFIGS[0], None, true, pages, &words, split);
+            assert_eq!(
+                &baseline.peeks[..],
+                &words[..],
+                "sanity: pokes must read back"
+            );
+            for config in CONFIGS {
+                let (_, probe) = rig(config.0, config.1);
+                for t in [Transition::Attach, Transition::Detach, Transition::Update] {
+                    if t == Transition::Update && config.1 != AssistMode::Software {
+                        continue; // refused: live-update is a software-path transition
+                    }
+                    // `None` first: the transition completes cleanly.
+                    let rows = (0..probe.phases(t).len()).map(Some);
+                    for (abort, skip) in std::iter::once(None)
+                        .chain(rows)
+                        .flat_map(|abort| [(abort, true), (abort, false)])
+                    {
+                        let got = observe(config, Some((t, abort)), skip, pages, &words, split);
+                        assert_eq!(
+                            &got, &baseline,
+                            "guest state diverged: {config:?} {t:?} abort {abort:?}, skip {skip}"
+                        );
+                    }
+                }
             }
-        }
-    });
+        },
+    );
 }

@@ -1027,7 +1027,7 @@ impl Kernel {
             mmap_cursor: parent.mmap_cursor,
             signalled: false,
         };
-        // Duplicate pipe end references.
+        // Duplicate pipe end and socket references.
         for d in child.fds.iter().flatten() {
             match d {
                 Desc::PipeR(id) => {
@@ -1040,7 +1040,8 @@ impl Kernel {
                         p.writers += 1;
                     }
                 }
-                _ => {}
+                Desc::Sock(id) => st.socks.dup(*id),
+                Desc::File { .. } => {}
             }
         }
         st.procs.insert(child_pid.0, child);
@@ -2222,31 +2223,53 @@ mod tests {
         assert!(sess.open("f.txt", false).is_err());
     }
 
-    #[test]
-    fn sockets_over_echo_wire() {
+    /// A bare kernel whose NIC echoes every datagram back with the
+    /// ports swapped, so it lands on the socket that sent it.
+    fn echo_session() -> Session {
         let m = machine(1);
         m.nic.connect(Arc::new(EchoWire::with_transform(
             Arc::clone(&m.nic),
             Arc::clone(&m.intc),
             |pkt| {
-                // Swap dst/src ports so the echo lands back on us.
                 let mut out = pkt.to_vec();
                 out.swap(0, 2);
                 out.swap(1, 3);
                 out
             },
         )));
-        let k = boot_bare(&m);
-        let sess = Session::new(Arc::clone(&k), 0);
-        let fd = sess.socket(5000).unwrap();
-        sess.sendto(fd, 7000, b"marco").unwrap();
+        Session::new(boot_bare(&m), 0)
+    }
+
+    fn echo_roundtrip(sess: &Session, fd: usize, payload: &[u8]) {
+        sess.sendto(fd, 7000, payload).unwrap();
         match sess.recvfrom(fd).unwrap() {
             RecvOutcome::Datagram(src, data) => {
                 assert_eq!(src, 7000);
-                assert_eq!(data, b"marco");
+                assert_eq!(data, payload);
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn sockets_over_echo_wire() {
+        let sess = echo_session();
+        let fd = sess.socket(5000).unwrap();
+        echo_roundtrip(&sess, fd, b"marco");
+    }
+
+    #[test]
+    fn forked_child_exit_keeps_the_parents_socket_open() {
+        let sess = echo_session();
+        let fd = sess.socket(5000).unwrap();
+        let child = sess.fork().unwrap();
+        assert_eq!(sess.waitpid().unwrap(), None); // parent blocks; child runs
+        sess.exit(0).unwrap(); // the child closes *its* inherited descriptor
+        assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
+        echo_roundtrip(&sess, fd, b"polo");
+        // The parent's close is the last one: the port is free again.
+        sess.close(fd).unwrap();
+        assert!(sess.socket(5000).is_ok());
     }
 
     #[test]

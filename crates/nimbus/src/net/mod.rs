@@ -18,6 +18,10 @@ pub struct Socket {
     pub port: u16,
     /// Received datagrams: (source port, payload).
     pub rx: VecDeque<(u16, Vec<u8>)>,
+    /// Descriptors referring to this socket (one per process that
+    /// inherited it across `fork`); the socket and its port go when the
+    /// last one is closed.
+    refs: u32,
 }
 
 /// The socket table.
@@ -42,16 +46,31 @@ impl SocketTable {
                 id,
                 port,
                 rx: VecDeque::new(),
+                refs: 1,
             },
         );
         self.ports.insert(port, id);
         Some(id)
     }
 
-    /// Close a socket.
+    /// Count one more descriptor on socket `id` (a forked child
+    /// inherits its parent's).
+    pub fn dup(&mut self, id: u32) {
+        if let Some(s) = self.socks.get_mut(&id) {
+            s.refs += 1;
+        }
+    }
+
+    /// Close one descriptor on socket `id`; the last close unbinds it.
     pub fn close(&mut self, id: u32) {
-        if let Some(s) = self.socks.remove(&id) {
-            self.ports.remove(&s.port);
+        let Some(s) = self.socks.get_mut(&id) else {
+            return;
+        };
+        s.refs -= 1;
+        if s.refs == 0 {
+            let port = s.port;
+            self.socks.remove(&id);
+            self.ports.remove(&port);
         }
     }
 

@@ -3,8 +3,11 @@
 //! The switch path is instrumented with `merctrace` spans whose probe
 //! names (`switch.transfer.flip_tables`, `switch.reload_cpu`, …) are
 //! exactly the phase keys of the measured `switch_timeline.json`.
-//! This module walks every span region and sums a *worst-case* cycle
-//! count for it:
+//! A phase is either a row of a transition table (the driver opens its
+//! span, so the budget is the whole-fn cost of the fns the row names —
+//! it may be walked in either direction) or a literal `span_begin!`..
+//! `span_end!` region, priced as that line range.  Either way the
+//! *worst-case* cycle count is:
 //!
 //! * each `// volint::cost(N)` marker inside the region contributes
 //!   `N` cycles, multiplied by the resolved trip bounds of every
@@ -15,8 +18,9 @@
 //!   resolves to several candidates the *most expensive* one is
 //!   charged; recursion contributes zero on the back edge.
 //!
-//! When one probe name is opened in several functions (attach and
-//! detach both emit `switch.reload_cpu`) the budget keeps the MAX.
+//! When one probe name is opened in several places (the control
+//! processor and its peers both emit `switch.reload_cpu`; two rows may
+//! share a name) the budget keeps the MAX.
 //!
 //! The emitted `volint_budget.json` is the static half of a contract
 //! checked by `tools/benchgate.py`: every measured phase must fit
@@ -145,6 +149,18 @@ fn fn_cost(
 pub fn compute(graph: &CallGraph, files: &[ParsedFile]) -> Budget {
     let mut memo = BTreeMap::new();
     let mut budget = Budget::default();
+    let mut charge = |name: &str, cycles: u64| {
+        if cycles > 0 {
+            let slot = budget.phases.entry(name.to_string()).or_insert(0);
+            *slot = (*slot).max(cycles);
+        }
+    };
+    for (name, gids) in &graph.rows {
+        for &gid in gids {
+            let cycles = fn_cost(graph, files, gid, &mut memo, &mut BTreeSet::new());
+            charge(name, cycles);
+        }
+    }
     for gid in 0..graph.fn_file.len() {
         let body = graph.body(files, gid);
         if body.in_test || crate::in_test_tree(&graph.file(files, gid).name) {
@@ -161,11 +177,7 @@ pub fn compute(graph: &CallGraph, files: &[ParsedFile]) -> Budget {
                 &mut memo,
                 &mut visiting,
             );
-            if cycles == 0 {
-                continue;
-            }
-            let slot = budget.phases.entry(span.name.clone()).or_insert(0);
-            *slot = (*slot).max(cycles);
+            charge(&span.name, cycles);
         }
     }
     budget

@@ -57,6 +57,9 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
     /// Workspace-wide numeric const table (for loop bounds).
     pub consts: BTreeMap<String, u64>,
+    /// Transition-table rows: probe name → the fns the driver reaches
+    /// through the row's pointers (no edge leads to them).
+    pub rows: Vec<(String, Vec<usize>)>,
 }
 
 impl CallGraph {
@@ -95,6 +98,23 @@ impl CallGraph {
             }
         }
 
+        let mut rows = Vec::new();
+        for file in files {
+            for row in &file.rows {
+                let gids = row
+                    .fns
+                    .iter()
+                    .flat_map(|(ty, name)| match ty {
+                        Some(t) => type_methods.get(&(t.as_str(), name.as_str())),
+                        None => free_fns.get(name.as_str()),
+                    })
+                    .flatten()
+                    .copied()
+                    .collect();
+                rows.push((row.name.clone(), gids));
+            }
+        }
+
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fn_file.len()];
         for gid in 0..fn_file.len() {
             let file = &files[fn_file[gid]];
@@ -129,6 +149,7 @@ impl CallGraph {
             fn_idx,
             edges,
             consts,
+            rows,
         }
     }
 
@@ -142,7 +163,8 @@ impl CallGraph {
         &files[self.fn_file[gid]]
     }
 
-    /// Global ids of fns carrying a `volint::root(kind)` marker.
+    /// Global ids of fns carrying a `volint::root(kind)` marker, plus
+    /// (for every kind) the fns the transition-table rows name.
     pub fn roots(&self, files: &[ParsedFile], kind: &str) -> Vec<usize> {
         (0..self.fn_file.len())
             .filter(|&g| {
@@ -151,6 +173,7 @@ impl CallGraph {
                     .iter()
                     .any(|k| k == kind)
             })
+            .chain(self.rows.iter().flat_map(|(_, gids)| gids.iter().copied()))
             .collect()
     }
 }

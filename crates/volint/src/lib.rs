@@ -4,12 +4,11 @@
 //! see: every virtualization-sensitive operation must route through a
 //! Virtualization Object (paper §4.2/§5.3), every `VoRefCount::enter`
 //! must pair with an exit so the switch gate (§5.1.1) is sound, the
-//! `PvOps` dispatch table must be total across VOes with symmetric
-//! state transfer (§5.1.2/§5.1.3), and the SMP rendezvous protocol
-//! (§5.4) must use acquire/release atomics, and the fault-injection
-//! hooks (DESIGN.md §12) must stay out of the mode-switch critical
-//! section.  volint enforces all five as a static pass over the
-//! workspace source.
+//! `PvOps` dispatch table must be total across VOes (§5.1.2), the SMP
+//! rendezvous protocol (§5.4) must use acquire/release atomics, and
+//! the fault-injection hooks (DESIGN.md §12) must stay out of the
+//! mode-switch critical section.  volint enforces all five as a static
+//! pass over the workspace source.
 //!
 //! Use it as a library ([`analyze_sources`] / [`analyze_workspace`]
 //! produce structured [`Diagnostic`]s) or as a binary
@@ -54,7 +53,7 @@ pub enum Rule {
     VoBypass,
     /// Unbalanced / leaked / deadlocking VO guard (paper §5.1.1).
     RefcountLeak,
-    /// Incomplete dispatch table or asymmetric transfer (§5.1.2/§5.1.3).
+    /// Incomplete dispatch table or un-reset rendezvous state (§5.1.2/§5.4).
     DispatchGap,
     /// Relaxed atomics on rendezvous/refcount state (paper §5.4).
     AtomicOrder,
@@ -190,8 +189,8 @@ pub struct Config {
     pub blocking_calls: BTreeSet<String>,
     /// The `faultgen` injection-hook entry points (FAULT-MASK targets).
     pub fault_hooks: BTreeSet<String>,
-    /// Functions forming the mode-switch critical section; fault hooks
-    /// must not appear in their bodies (FAULT-MASK).
+    /// Functions forming the mode-switch critical section, besides those
+    /// the transition-table rows name; no fault hooks in them (FAULT-MASK).
     pub switch_critical: BTreeSet<String>,
     /// Report stale waivers as errors instead of warnings (CI mode,
     /// `--deny-stale-waivers`).
@@ -242,14 +241,13 @@ impl Config {
             "gate_site",
             "hypercall_site",
         ];
+        // The phase bodies themselves are added from the table rows.
         let switch_critical = [
-            "try_switch",
-            "handle_switch",
+            "handle_transition",
+            "run_transition",
             "handle_rendezvous_peer",
-            "attach_transfer",
-            "detach_transfer",
-            "rollback_transfer",
-            "reload_cpu",
+            "reload_and_return",
+            "close_lazy_window",
             "sharded_recompute_phase",
             "shard_exec_one",
             "shard_poll",
@@ -398,6 +396,16 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Diagno
     let graph = callgraph::CallGraph::build(&parsed, &field_types);
     let reach = reach::compute(&graph, &parsed, ROOT_KINDS);
 
+    // Every fn a transition-table row names is switch-critical too.
+    let mut cfg = cfg.clone();
+    cfg.switch_critical.extend(
+        parsed
+            .iter()
+            .flat_map(|p| &p.rows)
+            .flat_map(|r| r.fns.iter().map(|(_, name)| name.clone())),
+    );
+    let cfg = &cfg;
+
     let mut sink = Sink::new();
     rules::check(&facts, cfg, &mut sink);
     pathrules::check(&facts, &parsed, &graph, &reach, &field_types, &mut sink);
@@ -449,7 +457,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Diagn
 
 /// Every `.rs` file under `root` as `(logical path, contents)`, in
 /// sorted path order.
-fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
     files.sort();

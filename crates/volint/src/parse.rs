@@ -5,8 +5,9 @@
 //! struct fields); this module recovers *body* structure for each
 //! function: every call site (including macro invocations), every loop
 //! with its extent and any statically knowable trip count, slice-index
-//! expressions, field accesses, `merctrace` span regions, and the
-//! `volint::` reachability/budget markers that live in comments:
+//! expressions, field accesses, `merctrace` span regions, the rows of
+//! the transition tables, and the `volint::` reachability/budget
+//! markers that live in comments:
 //!
 //! ```text
 //! // volint::root(SWITCH, RENDEZVOUS)  — above a fn: reachability root
@@ -90,6 +91,17 @@ pub struct PhaseSpan {
     pub end_line: usize,
 }
 
+/// One row of a transition table, `Phase::new("probe", T::run, T::undo)`:
+/// the only place the source ties a probe to the fns the switch driver
+/// reaches through pointers.
+#[derive(Debug, Clone)]
+pub struct PhaseRow {
+    /// Probe name (`"switch.transfer.flip_tables"`).
+    pub name: String,
+    /// The fns the row names, as `(type qualifier, fn name)`.
+    pub fns: Vec<(Option<String>, String)>,
+}
+
 /// One function definition with its body-level facts.
 #[derive(Debug, Clone, Default)]
 pub struct FnBody {
@@ -124,6 +136,8 @@ pub struct ParsedFile {
     pub name: String,
     /// All function bodies.
     pub fns: Vec<FnBody>,
+    /// Transition-table rows built outside test scope and test trees.
+    pub rows: Vec<PhaseRow>,
     /// Numeric `const NAME = N` definitions (for loop-bound resolution).
     pub consts: BTreeMap<String, u64>,
     /// `// volint::cost(N)` markers: (line, cycles).
@@ -455,6 +469,10 @@ impl<'a> Walker<'a> {
                 "while" => self.scan_while(i),
                 "loop" => self.scan_loop(i),
                 "const" => self.scan_const(i),
+                "Phase" => {
+                    self.scan_row(i);
+                    self.scan_expr_ident(i)
+                }
                 "use" => {
                     self.attrs.clear();
                     let mut j = i + 1;
@@ -763,6 +781,37 @@ impl<'a> Walker<'a> {
             }
         }
         i + 1
+    }
+
+    /// `Phase::new("probe", Type::run, Type::undo)` — record the row.
+    fn scan_row(&mut self, i: usize) {
+        let is = |k: usize, c: char| self.toks.get(k).is_some_and(|t| t.is_punct(c));
+        let ctor = is(i + 1, ':')
+            && is(i + 2, ':')
+            && self.toks.get(i + 3).is_some_and(|t| t.is_ident("new"))
+            && is(i + 4, '(');
+        let name = self.toks.get(i + 5).and_then(|t| t.str_lit());
+        let in_test = self.inherited_test() || crate::in_test_tree(&self.out.name);
+        let Some(name) = name.filter(|_| ctor && !in_test) else {
+            return;
+        };
+        // Every remaining argument is a path; its last segment (before
+        // any `::<..>`) is the fn, the segment before it the type.
+        let mut fns = Vec::new();
+        let mut j = i + 6;
+        while let Some(t) = self.toks.get(j).filter(|t| !t.is_punct(')')) {
+            let more_path = is(j + 1, ':') && !is(j + 3, '<');
+            if let Some(id) = t.ident().filter(|_| !more_path && !is(j - 1, '<')) {
+                let qualified = is(j - 1, ':') && is(j - 2, ':');
+                let ty = self.toks[j - 3].ident().filter(|_| qualified);
+                fns.push((ty.map(String::from), id.to_string()));
+            }
+            j += 1;
+        }
+        self.out.rows.push(PhaseRow {
+            name: name.to_string(),
+            fns,
+        });
     }
 
     /// `expr[..]` index site: a `[` directly after a value expression.

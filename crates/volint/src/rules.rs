@@ -8,9 +8,8 @@
 //!   immediately discarded, parked in long-lived structs, or held
 //!   across a call that blocks on a pending switch (paper §5.1.1: the
 //!   refcount gate is sound only if every entry pairs with an exit).
-//! * **DISPATCH-GAP** — a `PvOps` method missing from a VO impl, a
-//!   `Rendezvous` field `begin()` does not reset, or asymmetric
-//!   attach/detach/rollback state transfer (paper §5.1.2/§5.1.3).
+//! * **DISPATCH-GAP** — a `PvOps` method missing from a VO impl, or a
+//!   `Rendezvous` field `begin()` does not reset (paper §5.1.2/§5.4).
 //! * **ATOMIC-ORDER** — `Ordering::Relaxed` on `Rendezvous` /
 //!   `VoRefCount` state (paper §5.4: the IPI handshake is only correct
 //!   under acquire/release ordering), and on `merctrace` per-CPU
@@ -137,7 +136,7 @@ fn refcount_leak(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
     }
 
     // Guards parked in long-lived structs outlive their section and
-    // starve `try_switch`'s quiescence gate.
+    // starve `run_transition`'s quiescence gate.
     for fd in &f.fields {
         if fd.in_test || basename == "refcount.rs" {
             continue;
@@ -344,42 +343,6 @@ fn dispatch_gap(files: &[FileFacts], cfg: &Config, sink: &mut Sink) {
                         fd.field_name
                     ),
                 );
-            }
-        }
-    }
-
-    // 3. State-transfer symmetry: attach/detach/rollback must each
-    // cover the table-frame flip, the selector fixup and the VMM
-    // activation toggle (paper §5.1.2/§5.1.3).
-    let symmetry: [(&str, &[&str]); 3] = [
-        ("attach_transfer", &["flip_table_frames", "fix_selectors", "activate"]),
-        ("detach_transfer", &["flip_table_frames", "fix_selectors", "deactivate"]),
-        (
-            "rollback_transfer",
-            &["flip_table_frames", "fix_selectors", "activate", "deactivate"],
-        ),
-    ];
-    for (fn_name, needs) in symmetry {
-        for f in files {
-            if in_test_tree(&f.name) {
-                continue;
-            }
-            for func in f.fns.iter().filter(|x| x.name == fn_name && !x.in_test) {
-                let missing: Vec<&str> = needs
-                    .iter()
-                    .filter(|n| !func.idents.contains(**n))
-                    .copied()
-                    .collect();
-                if !missing.is_empty() {
-                    sink.push(f,
-                        Rule::DispatchGap,
-                        func.line,
-                        format!(
-                            "state-transfer fn `{fn_name}` does not cover: {}",
-                            missing.join(", ")
-                        ),
-                    );
-                }
             }
         }
     }

@@ -1,5 +1,5 @@
-// Known-bad fixture: incomplete dispatch table, a Rendezvous field
-// begin() never resets, and asymmetric state transfer.
+// Known-bad fixture: incomplete dispatch table and a Rendezvous field
+// begin() never resets.
 
 pub trait PvOps {
     fn mode(&self) -> ExecMode;
@@ -56,18 +56,4 @@ impl Rendezvous {
         self.go.store(false, Ordering::Release);
         // stale_epoch is never reset: the next round observes garbage.
     }
-}
-
-pub fn attach_transfer(m: &Mercury, cpu: &Arc<Cpu>) -> Result<(), Fault> { //~ DISPATCH-GAP
-    m.flip_table_frames(cpu)?;
-    m.hv().activate(cpu);
-    // fix_selectors is missing: stale selectors survive the attach.
-    Ok(())
-}
-
-pub fn detach_transfer(m: &Mercury, cpu: &Arc<Cpu>) -> Result<(), Fault> {
-    m.flip_table_frames(cpu)?;
-    m.fix_selectors(cpu)?;
-    m.hv().deactivate(cpu);
-    Ok(())
 }

@@ -1,10 +1,10 @@
 // Known-bad fixture: fault-injection hooks inside the mode-switch
 // critical section.  The switch path must be fault-free (DESIGN.md
-// §12): a campaign that can wedge `try_switch` or the transfer
-// functions wedges the very mechanism meant to answer the fault.
+// §12): a campaign that can wedge `run_transition` or the phase
+// bodies wedges the very mechanism meant to answer the fault.
 
 impl Mercury {
-    fn try_switch(&self, cpu: &Arc<Cpu>, target: ExecMode) -> Result<u64, SwitchError> { //~ FAULT-MASK
+    fn run_transition(&self, cpu: &Arc<Cpu>, target: ExecMode) -> Result<u64, SwitchError> { //~ FAULT-MASK
         // Injected hypercall penalties inside the switch would skew the
         // §7.4 latency numbers and can recurse into the watchdog.
         let penalty = faultgen::hypercall_site!(cpu.id, cpu.cycles());
@@ -13,7 +13,7 @@ impl Mercury {
         Ok(cpu.cycles())
     }
 
-    fn reload_cpu(&self, cpu: &Arc<Cpu>, target: ExecMode) { //~ FAULT-MASK
+    fn reload_and_return(&self, cpu: &Arc<Cpu>, target: ExecMode) { //~ FAULT-MASK
         // A corrupted-gate hook in the reload path could swallow the
         // very trap-table install that repairs corrupted gates.
         if faultgen::gate_site!(cpu.id, cpu.cycles(), 32) {
@@ -22,11 +22,8 @@ impl Mercury {
         self.install_tables(cpu, target);
     }
 
-    fn detach_transfer(&self, cpu: &Arc<Cpu>) -> Result<(), SwitchError> {
+    fn close_lazy_window(&self, cpu: &Arc<Cpu>) {
         // Clean: no injection hooks in the critical section.
-        self.flip_table_frames(cpu);
-        self.fix_selectors(cpu);
-        self.vmm.deactivate();
-        Ok(())
+        self.deregister(cpu);
     }
 }

@@ -4,7 +4,7 @@
 //! nothing extra.  The real workspace must come back clean.
 
 use std::collections::BTreeSet;
-use volint::{analyze_sources, analyze_workspace, Config, Severity};
+use volint::{analyze_sources, analyze_workspace, Config, Rule, Severity};
 
 /// Parse `//~ RULE-ID` expectation comments: (line, rule-id) pairs.
 fn expectations(src: &str) -> BTreeSet<(usize, String)> {
@@ -135,6 +135,23 @@ fn real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+
+    // FAULT-MASK matches fns by name: an entry that names no product
+    // fn (a rename, a deleted walk) would silently stop covering it.
+    let defined: BTreeSet<String> = volint::workspace_sources(&root)
+        .expect("workspace must be readable")
+        .iter()
+        .filter(|(name, _)| name.starts_with("crates/") && name.contains("/src/"))
+        .flat_map(|(name, src)| volint::parse::parse_file(name, src).fns)
+        .filter(|f| !f.in_test)
+        .map(|f| f.name)
+        .collect();
+    for name in &cfg.switch_critical {
+        assert!(
+            defined.contains(name),
+            "switch_critical names `{name}`, which no product fn is called"
+        );
+    }
 }
 
 /// The privileged-op set picked up from `simx86`'s
@@ -425,6 +442,50 @@ impl Vm {
     // 4 * 100 from the loop, + 50 from the callee.
     assert_eq!(b.phases.get("switch.fixup"), Some(&450));
     assert!((b.us("switch.fixup").unwrap() - 0.15).abs() < 1e-9);
+}
+
+/// A transition-table row ties a probe name to the fns the driver
+/// reaches only through pointers: the row prices them under that name,
+/// roots them for the switch-path rules, and makes them switch-critical.
+#[test]
+fn transition_rows_price_root_and_mask_their_fns() {
+    let src = r#"
+pub struct Vm;
+
+const FLIP: Phase = Phase::new("switch.flip", Vm::tables_ro::<true>, Vm::tables_rw);
+
+impl Vm {
+    fn tables_ro<const STRICT: bool>(&self, cpu: &Cpu) {
+        // volint::bound(8)
+        for _ in frames() {
+            // volint::cost(10)
+            tick(cpu);
+        }
+    }
+
+    fn tables_rw(&self, cpu: &Cpu) {
+        // volint::cost(200)
+        let scratch = Vec::new();
+        faultgen::mem_read_site!(cpu.id, cpu.cycles());
+    }
+
+    fn unrelated(&self) {
+        let scratch = Vec::new();
+    }
+}
+"#;
+    let sources = [("crates/app/src/vm.rs".to_string(), src.to_string())];
+    // MAX over the row's fns: it may be walked in either direction.
+    let b = volint::budget_sources(&sources);
+    assert_eq!(b.phases.get("switch.flip"), Some(&200));
+    let got: BTreeSet<(usize, Rule)> = analyze_sources(&sources, &Config::mercury_defaults())
+        .iter()
+        .map(|d| (d.line, d.rule))
+        .collect();
+    let want: BTreeSet<(usize, Rule)> = [(15, Rule::FaultMask), (17, Rule::SwitchAlloc)]
+        .into_iter()
+        .collect();
+    assert_eq!(got, want);
 }
 
 /// The committed `volint_budget.json` must be exactly what the

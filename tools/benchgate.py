@@ -205,13 +205,23 @@ def dig(obj, path):
     return obj
 
 
-def run_bench(binary, cwd, extra=()):
+def bench_cmd(binary, extra=()):
+    """The cargo invocation for one report binary.
+
+    The binaries write their JSON into the current directory, so they
+    run with `cwd` set to a scratch directory; cargo therefore has to be
+    told where the workspace is.  `--offline`: the workspace has no
+    registry dependency and CI must not reach for one.
+    """
     cmd = [
         "cargo",
         "run",
         "--release",
         "--locked",
+        "--offline",
         "-q",
+        "--manifest-path",
+        os.path.join(REPO, "Cargo.toml"),
         "-p",
         "mercury-bench",
         "--bin",
@@ -220,8 +230,12 @@ def run_bench(binary, cwd, extra=()):
     if extra:
         cmd.append("--")
         cmd.extend(extra)
+    return cmd
+
+
+def run_bench(binary, cwd, extra=()):
     print(f"benchgate: running {binary} …", flush=True)
-    subprocess.run(cmd, cwd=cwd, check=True, env={**os.environ, "CARGO_TARGET_DIR": os.path.join(REPO, "target")})
+    subprocess.run(bench_cmd(binary, extra), cwd=cwd, check=True, env={**os.environ, "CARGO_TARGET_DIR": os.path.join(REPO, "target")})
 
 
 class Gate:

@@ -52,6 +52,23 @@ def quiet():
         yield buf
 
 
+class BenchCommand(unittest.TestCase):
+    def test_cargo_finds_the_workspace_from_any_cwd(self):
+        # The gate runs each binary in a fresh temp dir (the binaries
+        # write into cwd); without --manifest-path cargo finds no
+        # Cargo.toml there and the default invocation crashes.
+        cmd = bg.bench_cmd("serving_tail", ["--seed", "11"])
+        manifest = cmd[cmd.index("--manifest-path") + 1]
+        self.assertTrue(os.path.isabs(manifest))
+        self.assertTrue(os.path.isfile(manifest), manifest)
+        self.assertEqual(os.path.dirname(manifest), os.path.dirname(HERE))
+        self.assertIn("--offline", cmd)
+        self.assertLess(cmd.index("--manifest-path"), cmd.index("--"))
+        self.assertEqual(cmd[cmd.index("--bin") + 1], "serving_tail")
+        self.assertEqual(cmd[cmd.index("--") + 1 :], ["--seed", "11"])
+        self.assertNotIn("--", bg.bench_cmd("mode_switch"))
+
+
 class BandMath(unittest.TestCase):
     def test_within_band_is_ok(self):
         gate = bg.Gate()

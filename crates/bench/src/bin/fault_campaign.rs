@@ -27,17 +27,15 @@
 //!   explicit baseline/degradation path);
 //! * `--quick` (CI smoke): ≥1 recovered fault.
 //!
-//! The two passes double as the **skip-neutrality gate** (DESIGN.md
-//! §14.3): pass 1 runs with the event clock's fast-forward on, pass 2
-//! with it off, and the bit-identical record comparison proves the skip
-//! changed no accounting.  `--no-skip` forces both passes to
-//! quantum-tick.  Outside `--quick`, the wall-clock-timed passes yield
-//! a simulated-Mcycles-per-host-second entry merged into
+//! The campaign runs twice in-process on the same seed and the two
+//! passes' records must be bit-identical (the determinism gate,
+//! DESIGN.md §14).  Outside `--quick`, the wall-clock-timed first pass
+//! yields a simulated-Mcycles-per-host-second entry merged into
 //! `sim_speed.json` under `"faultgen"` (gated by `tools/benchgate.py
 //! --sim-speed`); the simulated-cycle numerator is the per-scenario
 //! maximum `detected_cycle` — an archived, deterministic quantity.
-//! `--campaign` multiplies the fault counts ~77x for the nightly
-//! campaigns the skip makes affordable (EXPERIMENTS.md "Campaign scale"; hypercalls
+//! `--campaign` multiplies the fault counts ~74x for the nightly
+//! campaigns (EXPERIMENTS.md "Campaign scale"; hypercalls
 //! scale only 10x — each one costs a live mmap page — and the SMP
 //! scenario stays at 6, its rendezvous timeout burning ~5 wall-clock
 //! seconds by design).
@@ -176,12 +174,10 @@ impl Sizing {
         }
     }
 
-    /// Nightly campaign: ~77x the full fault count, affordable because
-    /// the watchdog's backoff and arm deadlines fast-forward through
-    /// the event clock.  Hypercalls scale only 10x (each fault costs a
-    /// live page in the workload mmap) and the SMP-degraded scenario
-    /// stays at 6 (its rendezvous timeout burns real wall-clock by
-    /// design).
+    /// Nightly campaign: ~74x the full fault count.  Hypercalls scale
+    /// only 10x (each fault costs a live page in the workload mmap)
+    /// and the SMP-degraded scenario stays at 6 (its rendezvous
+    /// timeout burns real wall-clock by design).
     fn campaign() -> Sizing {
         Sizing {
             mem_reactive: 4_800,
@@ -730,7 +726,6 @@ fn main() {
     let mut seed = 7u64;
     let mut quick = false;
     let mut campaign = false;
-    let mut no_skip = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -742,10 +737,7 @@ fn main() {
             }
             "--quick" => quick = true,
             "--campaign" => campaign = true,
-            "--no-skip" => no_skip = true,
-            other => {
-                panic!("unknown argument {other:?} (use --seed N / --quick / --campaign / --no-skip)")
-            }
+            other => panic!("unknown argument {other:?} (use --seed N / --quick / --campaign)"),
         }
     }
     assert!(
@@ -767,23 +759,16 @@ fn main() {
         "full"
     };
 
-    // Pass 1 fast-forwards the watchdog's dead time through the event
-    // clock; pass 2 quantum-ticks the same spans.  Bit-identical
-    // records are both the determinism gate and the skip-neutrality
-    // proof (DESIGN.md §14.3).
+    // Two same-seed passes: bit-identical records are the determinism
+    // gate (DESIGN.md §14).
     eprintln!(
-        "fault_campaign: seed {seed}, {} planned faults ({label}), skip-on + skip-off passes",
+        "fault_campaign: seed {seed}, {} planned faults ({label}), two same-seed passes",
         planned_total(&sizing),
     );
-    simx86::evclock::set_default_skip(!no_skip);
     let t1 = std::time::Instant::now();
     let (records, totals) = run_campaign(seed, &sizing);
-    let host_skip_on = t1.elapsed().as_secs_f64();
-    simx86::evclock::set_default_skip(false);
-    let t2 = std::time::Instant::now();
+    let host_seconds = t1.elapsed().as_secs_f64();
     let (records2, totals2) = run_campaign(seed, &sizing);
-    let host_skip_off = t2.elapsed().as_secs_f64();
-    simx86::evclock::set_default_skip(true);
     let deterministic = records == records2 && totals == totals2;
 
     // -- aggregate -------------------------------------------------------
@@ -907,10 +892,7 @@ fn main() {
             "faultgen",
             &mercury_bench::SimSpeed {
                 sim_mcycles,
-                host_seconds_skip_on: host_skip_on,
-                host_seconds_skip_off: host_skip_off,
-                mcycles_per_host_second: sim_mcycles / host_skip_on.max(1e-9),
-                skip_speedup: host_skip_off / host_skip_on.max(1e-9),
+                host_seconds,
             },
         );
     }

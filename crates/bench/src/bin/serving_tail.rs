@@ -40,17 +40,12 @@
 //! multi-CPU beds are measured steady-state (their one setup switch
 //! lands before the traffic-start base the records are relative to).
 //!
-//! The two passes double as the **skip-neutrality gate** (DESIGN.md
-//! §14.3): pass 1 runs with the event clock's fast-forward on, pass 2
-//! with it off (quantum ticking), and the bit-identical comparison
-//! proves the skip changed no accounting.  `--no-skip` forces both
-//! passes to quantum-tick (debugging aid).  Both passes are wall-clock
-//! timed; outside `--quick` the simulated-Mcycles-per-host-second
-//! throughput and the skip speedup are merged into `sim_speed.json`
-//! under the `"serving"` key, which `tools/benchgate.py --sim-speed`
-//! gates against the archived copy.  `--campaign` raises the request
-//! counts ~100x for the nightly campaigns the skip makes affordable
-//! (EXPERIMENTS.md "Campaign scale").
+//! Pass 1 is wall-clock timed; outside `--quick` its
+//! simulated-Mcycles-per-host-second throughput is merged into
+//! `sim_speed.json` under the `"serving"` key, which
+//! `tools/benchgate.py --sim-speed` gates against the archived copy.
+//! `--campaign` raises the request counts ~100x for the nightly
+//! campaigns (EXPERIMENTS.md "Campaign scale").
 //!
 //! Emits `serving_results.json`: per-scenario tail stats (cycles and
 //! µs), switch counts and cycles charged during the traffic window
@@ -71,8 +66,7 @@
 //! (`FleetServer::patch_tuesday_live_update`) follows: every node
 //! rolls v1→v2 in place, no guest drained, and the run fails unless
 //! the fleet's weakest-link version converges on 2.  The same two
-//! skip-on/skip-off passes
-//! gate determinism, and `fleet_results.json` archives fleet-level
+//! same-seed passes gate determinism, and `fleet_results.json` archives fleet-level
 //! p50/p99/p999, shed counts, the migration downtime distribution,
 //! evacuation makespans and wave spans — gated by
 //! `tools/benchgate.py --fleet` (zero lost requests hard).
@@ -84,8 +78,7 @@
 use faultgen::{FaultSpec, FaultTarget};
 use mercury_cluster::fleet::NodeStatus;
 use mercury_cluster::{
-    Cluster, HealthStatus, MigrationPolicy, Node, NodeConfig, SensorReading, Watchdog,
-    WatchdogPolicy,
+    Cluster, HealthStatus, Node, NodeConfig, SensorReading, Watchdog, WatchdogPolicy,
 };
 use mercury_servo::{
     generate, tail_stats, ClusterServer, FleetServer, LoadConfig, NodeServer, RequestRecord,
@@ -144,10 +137,9 @@ impl Sizing {
         }
     }
 
-    /// Nightly campaign: ~100x the full sizing, affordable because idle
-    /// stream time fast-forwards through the event clock.  Same
-    /// scenario shapes and CPU ladder, so the tails are directly
-    /// comparable to the full run (EXPERIMENTS.md "Campaign scale").
+    /// Nightly campaign: ~100x the full sizing.  Same scenario shapes
+    /// and CPU ladder, so the tails are directly comparable to the
+    /// full run (EXPERIMENTS.md "Campaign scale").
     fn campaign() -> Sizing {
         Sizing {
             steady_requests: 400_000,
@@ -602,8 +594,8 @@ fn fleet_node_config() -> NodeConfig {
     }
 }
 
-/// Everything one fleet pass produced; `PartialEq` is the
-/// skip-on/skip-off determinism gate.
+/// Everything one fleet pass produced; `PartialEq` is the same-seed
+/// determinism gate.
 #[derive(Clone, PartialEq)]
 struct FleetRun {
     records: Vec<RequestRecord>,
@@ -633,7 +625,7 @@ fn run_fleet(seed: u64, sizing: &FleetSizing, live_update: bool) -> FleetRun {
         attach_echo_host: false,
         ..ServerConfig::default()
     };
-    let mut fs = FleetServer::new(&cluster, sizing.rack_size, cfg, MigrationPolicy::default());
+    let mut fs = FleetServer::new(&cluster, sizing.rack_size, cfg);
     let racks = fs.fleet().racks();
 
     let traffic = generate(&LoadConfig {
@@ -793,21 +785,17 @@ fn dist(xs: &[u64]) -> (u64, u64, u64) {
     (v[0], v[v.len() / 2], v[v.len() - 1])
 }
 
-/// The whole `--fleet` mode: two passes (skip on / skip off), gates,
-/// and the `fleet_results.json` archive.  Returns the process exit
-/// code.
-fn fleet_main(seed: u64, sizing: &FleetSizing, label: &str, no_skip: bool, live_update: bool) -> i32 {
+/// The whole `--fleet` mode: two same-seed passes, gates, and the
+/// `fleet_results.json` archive.  Returns the process exit code.
+fn fleet_main(seed: u64, sizing: &FleetSizing, label: &str, live_update: bool) -> i32 {
     eprintln!(
         "serving_tail --fleet: seed {seed} ({label}), {} nodes in racks of {}{}",
         sizing.nodes,
         sizing.rack_size,
         if live_update { ", live-update wave" } else { "" }
     );
-    simx86::evclock::set_default_skip(!no_skip);
     let pass1 = run_fleet(seed, sizing, live_update);
-    simx86::evclock::set_default_skip(false);
     let pass2 = run_fleet(seed, sizing, live_update);
-    simx86::evclock::set_default_skip(true);
     let deterministic = pass1 == pass2;
 
     let t = tail_stats(&pass1.records);
@@ -1013,7 +1001,6 @@ fn main() {
     let mut seed = 11u64;
     let mut quick = false;
     let mut campaign = false;
-    let mut no_skip = false;
     let mut fleet = false;
     let mut live_update = false;
     let mut args = std::env::args().skip(1);
@@ -1027,11 +1014,10 @@ fn main() {
             }
             "--quick" => quick = true,
             "--campaign" => campaign = true,
-            "--no-skip" => no_skip = true,
             "--fleet" => fleet = true,
             "--live-update" => live_update = true,
             other => {
-                panic!("unknown argument {other:?} (use --seed N / --quick / --campaign / --no-skip / --fleet / --live-update)")
+                panic!("unknown argument {other:?} (use --seed N / --quick / --campaign / --fleet / --live-update)")
             }
         }
     }
@@ -1054,7 +1040,7 @@ fn main() {
         } else {
             "full"
         };
-        std::process::exit(fleet_main(seed, &sizing, label, no_skip, live_update));
+        std::process::exit(fleet_main(seed, &sizing, label, live_update));
     }
     let sizing = if quick {
         Sizing::quick()
@@ -1071,20 +1057,13 @@ fn main() {
         "full"
     };
 
-    // Pass 1 fast-forwards idle stream time through the event clock;
-    // pass 2 quantum-ticks the same spans.  Bit-identical results are
-    // both the determinism gate and the proof that skipping changed no
-    // accounting (DESIGN.md §14.3).
-    eprintln!("serving_tail: seed {seed} ({label}), skip-on + skip-off passes");
-    simx86::evclock::set_default_skip(!no_skip);
+    // Two same-seed passes: bit-identical results are the determinism
+    // gate (DESIGN.md §14).
+    eprintln!("serving_tail: seed {seed} ({label}), two same-seed passes");
     let t1 = std::time::Instant::now();
     let pass1 = run_suite(seed, &sizing, live_update);
-    let host_skip_on = t1.elapsed().as_secs_f64();
-    simx86::evclock::set_default_skip(false);
-    let t2 = std::time::Instant::now();
+    let host_seconds = t1.elapsed().as_secs_f64();
     let pass2 = run_suite(seed, &sizing, live_update);
-    let host_skip_off = t2.elapsed().as_secs_f64();
-    simx86::evclock::set_default_skip(true);
     let deterministic = pass1 == pass2;
 
     let stats: Vec<TailStats> = pass1.iter().map(|s| tail_stats(&s.records)).collect();
@@ -1213,10 +1192,7 @@ fn main() {
             "serving",
             &mercury_bench::SimSpeed {
                 sim_mcycles,
-                host_seconds_skip_on: host_skip_on,
-                host_seconds_skip_off: host_skip_off,
-                mcycles_per_host_second: sim_mcycles / host_skip_on.max(1e-9),
-                skip_speedup: host_skip_off / host_skip_on.max(1e-9),
+                host_seconds,
             },
         );
     }

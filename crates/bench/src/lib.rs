@@ -4,15 +4,11 @@
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table 1 — lmbench latencies, uniprocessor |
-//! | `table2` | Table 2 — lmbench latencies, SMP |
-//! | `fig3` | Fig. 3 — relative application performance, uniprocessor |
-//! | `fig4` | Fig. 4 — relative application performance, SMP |
+//! | `all` | Tables 1–2 (lmbench latencies, UP and SMP), Figs. 3–4 (relative application performance, UP and SMP), §7.4, and the `bench_results.json` dump for EXPERIMENTS.md |
 //! | `mode_switch` | §7.4 — mode switch times, plus sharded-vs-serial attach |
 //! | `ablation_tracking` | §5.1.2 — recompute vs active tracking vs dirty recompute |
 //! | `switch_timeline` | §7.3 — per-phase switch decomposition (merctrace) |
 //! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faultgen_results.json`) |
-//! | `all` | everything above, plus a JSON dump for EXPERIMENTS.md |
 
 use mercury::{SwitchOutcome, TrackingStrategy};
 use mercury_workloads::configs::{switch_with_peers, SysKind, TestBed};
@@ -21,7 +17,7 @@ use std::sync::atomic::Ordering;
 
 /// One campaign binary's simulated-throughput measurement, archived in
 /// `sim_speed.json` and gated by `tools/benchgate.py --sim-speed`
-/// (DESIGN.md §14.3, EXPERIMENTS.md "Campaign scale").
+/// (DESIGN.md §14, EXPERIMENTS.md "Campaign scale").
 ///
 /// The simulated-cycle numerator always comes from deterministic
 /// archived quantities (request record finish offsets, fault detection
@@ -29,17 +25,17 @@ use std::sync::atomic::Ordering;
 /// host-timing-dependent rendezvous spin.
 #[derive(Debug, Clone)]
 pub struct SimSpeed {
-    /// Simulated mega-cycles the suite covered (one skip-on pass).
+    /// Simulated mega-cycles the suite covered (one pass).
     pub sim_mcycles: f64,
-    /// Host seconds for the pass with event-driven time skip on.
-    pub host_seconds_skip_on: f64,
-    /// Host seconds for the pass with skip off (quantum ticking).
-    pub host_seconds_skip_off: f64,
-    /// Headline throughput: simulated Mcycles per host second, skip on.
-    pub mcycles_per_host_second: f64,
-    /// `host_seconds_skip_off / host_seconds_skip_on`: wall-clock factor
-    /// the event-driven skip buys on this suite.
-    pub skip_speedup: f64,
+    /// Host seconds the first pass took.
+    pub host_seconds: f64,
+}
+
+impl SimSpeed {
+    /// Headline throughput: simulated Mcycles per host second.
+    pub fn mcycles_per_host_second(&self) -> f64 {
+        self.sim_mcycles / self.host_seconds.max(1e-9)
+    }
 }
 
 /// A finite `f64` as a JSON number (`1.0`, not `1`); `null` otherwise.
@@ -75,12 +71,10 @@ pub fn record_sim_speed(key: &str, entry: &SimSpeed) {
     std::fs::write("sim_speed.json", merge_sim_speed(&old, key, entry))
         .expect("write sim_speed.json");
     eprintln!(
-        "sim_speed.json[{key}]: {:.1} simulated Mcycles in {:.2}s host \
-         ({:.1} Mcycles/s, skip speedup {:.2}x)",
+        "sim_speed.json[{key}]: {:.1} simulated Mcycles in {:.2}s host ({:.1} Mcycles/s)",
         entry.sim_mcycles,
-        entry.host_seconds_skip_on,
-        entry.mcycles_per_host_second,
-        entry.skip_speedup,
+        entry.host_seconds,
+        entry.mcycles_per_host_second(),
     );
 }
 
@@ -97,11 +91,9 @@ fn merge_sim_speed(old: &str, key: &str, entry: &SimSpeed) -> String {
         .map(str::to_string)
         .collect();
     let fields = [
-        ("host_seconds_skip_off", entry.host_seconds_skip_off),
-        ("host_seconds_skip_on", entry.host_seconds_skip_on),
-        ("mcycles_per_host_second", entry.mcycles_per_host_second),
+        ("host_seconds", entry.host_seconds),
+        ("mcycles_per_host_second", entry.mcycles_per_host_second()),
         ("sim_mcycles", entry.sim_mcycles),
-        ("skip_speedup", entry.skip_speedup),
     ];
     let entry = json_object(fields.map(|(name, v)| (name, json_num(v))));
     suites.push(mine + &entry);
@@ -286,15 +278,10 @@ mod tests {
     fn sim_speed_merge_keeps_other_suites_and_replaces_its_own() {
         let entry = SimSpeed {
             sim_mcycles: 612.0,
-            host_seconds_skip_on: 95.0,
-            host_seconds_skip_off: 148.25,
-            mcycles_per_host_second: 6.4,
-            skip_speedup: 1.56,
+            host_seconds: 96.0,
         };
-        let line = concat!(
-            r#"{"host_seconds_skip_off": 148.25, "host_seconds_skip_on": 95.0, "#,
-            r#""mcycles_per_host_second": 6.4, "sim_mcycles": 612.0, "skip_speedup": 1.56}"#
-        );
+        let line =
+            r#"{"host_seconds": 96.0, "mcycles_per_host_second": 6.375, "sim_mcycles": 612.0}"#;
         // Anything that is not a suite line is dropped, NaN is `null`.
         let first = merge_sim_speed("{\n  \"old\": {\n    \"x\": 1\n  }\n}\n", "serving", &entry);
         assert_eq!(first, format!("{{\n  \"serving\": {line}\n}}\n"));
@@ -304,12 +291,12 @@ mod tests {
             format!("{{\n  \"fault\\\"gen\": {line},\n  \"serving\": {line}\n}}\n")
         );
         let slower = SimSpeed {
-            skip_speedup: f64::NAN,
+            sim_mcycles: f64::NAN,
             ..entry
         };
         let again = merge_sim_speed(&both, "serving", &slower);
         assert_eq!(again.matches("\"serving\"").count(), 1);
-        assert_eq!(again.matches("\"skip_speedup\": 1.56").count(), 1);
-        assert_eq!(again.matches("\"skip_speedup\": null").count(), 1);
+        assert_eq!(again.matches("\"sim_mcycles\": 612.0").count(), 1);
+        assert_eq!(again.matches("\"sim_mcycles\": null").count(), 1);
     }
 }

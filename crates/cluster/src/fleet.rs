@@ -1,13 +1,11 @@
 //! The shared fleet-state view: one place where the balancer, the
-//! watchdog, and the migration policy meet.
+//! watchdog, and evacuation-target selection meet.
 //!
-//! Before this module each of those components special-cased the
-//! others (the balancer asked the watchdog, the watchdog poked the
-//! balancer's node list).  Now every component reads and writes one
-//! [`FleetState`]: the watchdog *marks* a node degraded, the migration
-//! policy *selects* targets from the same view, and the balancer folds
-//! the view into its dispatch key — a node mid-stop-and-copy must not
-//! win the least-loaded tiebreak (DESIGN.md §15).
+//! Every component reads and writes one [`FleetState`]: the watchdog
+//! *marks* a node degraded, [`FleetState::select_target`] picks
+//! evacuation targets from the same view, and the balancer folds the
+//! view into its dispatch key — a degraded node must not win the
+//! least-loaded tiebreak (DESIGN.md §15).
 //!
 //! Nodes are grouped into racks of [`FleetState::rack_size`] by index;
 //! the rolling "patch Tuesday" maintenance wave virtualizes, evacuates,
@@ -25,32 +23,15 @@ pub enum NodeStatus {
     /// The watchdog or health monitor flagged it (reason attached):
     /// route away and drain, but its OS still runs.
     Degraded(String),
-    /// Being drained ahead of evacuation: serves its queue, takes no
-    /// new work.
-    Draining,
     /// Its OS lives on a peer; there is nothing here to dispatch to.
     Evacuated,
     /// Under maintenance (rolling wave); not dispatchable.
     Maintenance,
 }
 
-/// Migration activity on a node, as the balancer sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationPhase {
-    /// No migration in flight.
-    Idle,
-    /// Iterative pre-copy rounds: the node serves, but every round
-    /// steals cycles — deprioritize it.
-    PreCopy,
-    /// Paused for the final copy.  Dispatching here parks the request
-    /// behind the whole stop-and-copy downtime.
-    StopAndCopy,
-}
-
 #[derive(Clone)]
 struct Entry {
     status: NodeStatus,
-    phase: MigrationPhase,
     /// The VMM build version the node last reported
     /// ([`xenon::Hypervisor::version`]); rolling live-update waves
     /// bump it rack by rack, and the fleet is "converged" when every
@@ -58,18 +39,18 @@ struct Entry {
     hv_version: u32,
 }
 
-/// Shared, mutex-guarded per-node status + migration phase, plus the
-/// static rack layout.  Cheap to clone the handle (`Arc`); all methods
+/// Shared, mutex-guarded per-node status, plus the static rack
+/// layout.  Cheap to clone the handle (`Arc`); all methods
 /// take `&self`.
 ///
 /// ```
-/// use mercury_cluster::fleet::{FleetState, MigrationPhase, NodeStatus};
+/// use mercury_cluster::fleet::{FleetState, NodeStatus};
 ///
 /// let fleet = FleetState::new(6, 3);
 /// assert_eq!(fleet.racks(), 2);
 /// assert_eq!(fleet.rack_of(4), 1);
-/// fleet.set_phase(2, MigrationPhase::StopAndCopy);
-/// // Stop-and-copy ranks behind every healthy idle node.
+/// fleet.set_status(2, NodeStatus::Degraded("hot".into()));
+/// // A degraded node ranks behind every healthy one.
 /// assert!(fleet.balance_class(2).unwrap() > fleet.balance_class(0).unwrap());
 /// fleet.set_status(5, NodeStatus::Evacuated);
 /// assert_eq!(fleet.balance_class(5), None); // nothing there to serve
@@ -80,14 +61,13 @@ pub struct FleetState {
 }
 
 impl FleetState {
-    /// A fleet of `nodes` healthy, idle nodes in racks of `rack_size`.
+    /// A fleet of `nodes` healthy nodes in racks of `rack_size`.
     pub fn new(nodes: usize, rack_size: usize) -> Arc<FleetState> {
         assert!(rack_size > 0, "rack size must be positive");
         Arc::new(FleetState {
             entries: Mutex::new(vec![
                 Entry {
                     status: NodeStatus::Healthy,
-                    phase: MigrationPhase::Idle,
                     hv_version: 1,
                 };
                 nodes
@@ -137,16 +117,6 @@ impl FleetState {
         self.entries.lock()[node].status = status;
     }
 
-    /// Current migration phase of `node`.
-    pub fn phase(&self, node: usize) -> MigrationPhase {
-        self.entries.lock()[node].phase
-    }
-
-    /// Set the migration phase of `node`.
-    pub fn set_phase(&self, node: usize, phase: MigrationPhase) {
-        self.entries.lock()[node].phase = phase;
-    }
-
     /// The VMM build version `node` last published.
     pub fn hv_version(&self, node: usize) -> u32 {
         self.entries.lock()[node].hv_version
@@ -175,31 +145,45 @@ impl FleetState {
     /// `None` when there is nothing running there to dispatch to
     /// (evacuated / under maintenance); otherwise a penalty class,
     /// lower is better.  Queue depth and busy cycles break ties
-    /// *within* a class, so a node mid-stop-and-copy can never win the
-    /// least-loaded tiebreak against a healthy idle peer.
+    /// *within* a class, so a degraded node can never win the
+    /// least-loaded tiebreak against a healthy peer.
     pub fn balance_class(&self, node: usize) -> Option<u64> {
-        let e = &self.entries.lock()[node];
-        match e.status {
-            NodeStatus::Evacuated | NodeStatus::Maintenance => return None,
-            NodeStatus::Healthy => {}
-            // Draining and degraded nodes still run an OS, but only
-            // take new work when nothing healthier exists.
-            NodeStatus::Degraded(_) => return Some(3),
-            NodeStatus::Draining => return Some(4),
+        match self.entries.lock()[node].status {
+            NodeStatus::Evacuated | NodeStatus::Maintenance => None,
+            NodeStatus::Healthy => Some(0),
+            // A degraded node still runs an OS, but only takes new
+            // work when nothing healthier exists.
+            NodeStatus::Degraded(_) => Some(1),
         }
-        Some(match e.phase {
-            MigrationPhase::Idle => 0,
-            MigrationPhase::PreCopy => 1,
-            MigrationPhase::StopAndCopy => 2,
-        })
     }
 
     /// Is `node` a valid *migration target* right now?  Stricter than
-    /// dispatchability: only a healthy node with no migration of its
-    /// own in flight may receive an evacuated OS.
+    /// dispatchability: only a healthy node may receive an evacuated
+    /// OS.
     pub fn migration_target_ok(&self, node: usize) -> bool {
-        let e = &self.entries.lock()[node];
-        e.status == NodeStatus::Healthy && e.phase == MigrationPhase::Idle
+        self.entries.lock()[node].status == NodeStatus::Healthy
+    }
+
+    /// Pick the evacuation target for `source`: the least-loaded node
+    /// that [`migration_target_ok`](FleetState::migration_target_ok)
+    /// admits, excluding `source` itself and, when `exclude_rack` is
+    /// given, every node in that rack (the rolling wave never evacuates
+    /// into the rack it is about to take down).  `load` supplies the
+    /// balancer's `(queued, busy_cycles)` signal per node; ties break
+    /// to the lowest index, keeping selection deterministic.
+    pub fn select_target(
+        &self,
+        source: usize,
+        exclude_rack: Option<usize>,
+        load: impl Fn(usize) -> (usize, u64),
+    ) -> Option<usize> {
+        (0..self.len())
+            .filter(|&i| i != source && self.migration_target_ok(i))
+            .filter(|&i| exclude_rack != Some(self.rack_of(i)))
+            .min_by_key(|&i| {
+                let (queued, busy) = load(i);
+                (queued, busy, i)
+            })
     }
 
     /// Indices of currently healthy nodes.
@@ -232,14 +216,11 @@ mod tests {
     #[test]
     fn balance_classes_order_the_fleet() {
         let fleet = FleetState::new(5, 5);
-        fleet.set_phase(1, MigrationPhase::PreCopy);
-        fleet.set_phase(2, MigrationPhase::StopAndCopy);
         fleet.set_status(3, NodeStatus::Degraded("hot".into()));
         fleet.set_status(4, NodeStatus::Evacuated);
         let c = |i: usize| fleet.balance_class(i);
-        assert!(c(0) < c(1), "healthy idle beats pre-copy");
-        assert!(c(1) < c(2), "pre-copy beats stop-and-copy");
-        assert!(c(2) < c(3), "stop-and-copy beats degraded");
+        assert!(c(0).is_some());
+        assert!(c(0) < c(3), "healthy beats degraded");
         assert_eq!(c(4), None, "evacuated nodes are not dispatchable");
     }
 
@@ -257,13 +238,32 @@ mod tests {
     }
 
     #[test]
-    fn migration_targets_are_healthy_and_idle() {
+    fn migration_targets_are_healthy() {
         let fleet = FleetState::new(3, 3);
         assert!(fleet.migration_target_ok(0));
-        fleet.set_phase(0, MigrationPhase::PreCopy);
-        assert!(!fleet.migration_target_ok(0));
-        fleet.set_status(1, NodeStatus::Draining);
+        fleet.set_status(1, NodeStatus::Degraded("hot".into()));
         assert!(!fleet.migration_target_ok(1));
         assert!(fleet.migration_target_ok(2));
+    }
+
+    #[test]
+    fn target_selection_prefers_least_loaded_healthy_peers() {
+        let fleet = FleetState::new(6, 3);
+        // Node 1 is busy, node 3 degraded.
+        fleet.set_status(3, NodeStatus::Degraded("hot".into()));
+        let load = |i: usize| if i == 1 { (5, 1_000) } else { (0, 0) };
+
+        // Least-loaded healthy peer wins, lowest index on a tie.
+        assert_eq!(fleet.select_target(0, None, load), Some(2));
+        // Excluding rack 0 (nodes 0..=2) skips the degraded node 3 too.
+        assert_eq!(fleet.select_target(0, Some(0), load), Some(4));
+        // Excluding rack 1 (nodes 3..=5) leaves the busy node 1 behind 2.
+        fleet.set_status(2, NodeStatus::Evacuated);
+        assert_eq!(fleet.select_target(0, Some(1), load), Some(1));
+        // No healthy peer leaves nothing.
+        fleet.set_status(1, NodeStatus::Degraded("hot".into()));
+        fleet.set_status(4, NodeStatus::Evacuated);
+        fleet.set_status(5, NodeStatus::Maintenance);
+        assert_eq!(fleet.select_target(0, None, load), None);
     }
 }

@@ -19,8 +19,8 @@
 //! and the [`maintenance`]/[`failover`] orchestrations.
 //!
 //! Fleet-scale operation (hundreds of nodes behind a balancer) builds
-//! on the shared [`fleet`] state view and the [`migration_policy`]
-//! target selection/convergence rules; see DESIGN.md §15.
+//! on the shared [`fleet`] state view and its evacuation-target
+//! selection; see DESIGN.md §15.
 
 #![deny(missing_docs)]
 
@@ -28,14 +28,12 @@ pub mod failover;
 pub mod fleet;
 pub mod health;
 pub mod maintenance;
-pub mod migration_policy;
 pub mod node;
 pub mod watchdog;
 
 pub use failover::{auto_failover, FailoverReport};
-pub use fleet::{FleetState, MigrationPhase, NodeStatus};
+pub use fleet::{FleetState, NodeStatus};
 pub use health::{HealthMonitor, HealthStatus, SensorReading};
 pub use maintenance::{evacuate, return_home, EvacuatedGuest, MaintenanceError, SplitDevices};
-pub use migration_policy::MigrationPolicy;
 pub use node::{Cluster, Node, NodeConfig};
 pub use watchdog::{FaultReport, RecoveryAction, Watchdog, WatchdogPolicy};

@@ -8,7 +8,6 @@
 //! completed, the execution environment is migrated back and the
 //! machine is returned to the native mode for full speed."
 
-use crate::fleet::MigrationPhase;
 use crate::node::Node;
 use mercury::{ExecMode, Mercury, SwitchError, SwitchOutcome, TrackingStrategy};
 use nimbus::drivers::blkback::BlkBackend;
@@ -126,18 +125,21 @@ fn migrate_storage(source: &Arc<Node>, target: &Arc<Node>) {
 }
 
 /// How many pre-copy rounds an evacuation runs.
-pub(crate) enum RoundPlan {
+enum RoundPlan {
     /// Exactly this many rounds (at least one).
     Fixed(usize),
-    /// Up to `max` rounds, stopping early once a round ships at most
-    /// `threshold` frames (the migration-policy convergence heuristic).
-    Converge {
-        /// Round cap before forcing stop-and-copy.
-        max: usize,
-        /// Frames-per-round at or below which pre-copy has converged.
-        threshold: usize,
-    },
+    /// Up to [`MAX_PRECOPY_ROUNDS`], stopping early once a round ships
+    /// at most [`CONVERGENCE_FRAMES`] frames.
+    Converge,
 }
+
+/// Pre-copy round cap before forcing stop-and-copy (Clark et al. bound
+/// the iterations; an unconverging guest must not migrate forever).
+pub const MAX_PRECOPY_ROUNDS: usize = 4;
+
+/// A dirty-set round shipping at most this many frames counts as
+/// converged: stop-and-copy immediately while downtime is small.
+pub const CONVERGENCE_FRAMES: usize = 8;
 
 /// Evacuate `source`'s operating system onto `target`:
 ///
@@ -154,18 +156,22 @@ pub fn evacuate(
     target: &Arc<Node>,
     precopy_rounds: usize,
 ) -> Result<EvacuatedGuest, MaintenanceError> {
-    evacuate_inner(source, target, RoundPlan::Fixed(precopy_rounds), &mut |_| {})
+    evacuate_inner(source, target, RoundPlan::Fixed(precopy_rounds))
 }
 
-/// The full evacuation machinery: `plan` decides how many pre-copy
-/// rounds run, and `observer` is told at each migration-phase boundary
-/// (the migration policy wires it into the shared [`FleetState`]
-/// (crate::fleet::FleetState) so the balancer sees the node's phase).
-pub(crate) fn evacuate_inner(
+/// [`evacuate`] with pre-copy run to convergence instead of a fixed
+/// round count — the fleet's evacuation (DESIGN.md §15.3).
+pub fn evacuate_converging(
+    source: &Arc<Node>,
+    target: &Arc<Node>,
+) -> Result<EvacuatedGuest, MaintenanceError> {
+    evacuate_inner(source, target, RoundPlan::Converge)
+}
+
+fn evacuate_inner(
     source: &Arc<Node>,
     target: &Arc<Node>,
     plan: RoundPlan,
-    observer: &mut dyn FnMut(MigrationPhase),
 ) -> Result<EvacuatedGuest, MaintenanceError> {
     let src_m = source.mercury();
     let dst_m = target.mercury();
@@ -175,25 +181,23 @@ pub(crate) fn evacuate_inner(
     let cpu = source.machine.boot_cpu();
 
     let mut migration = LiveMigration::new(source.hv(), Arc::clone(src_m.dom0()));
-    observer(MigrationPhase::PreCopy);
     match plan {
         RoundPlan::Fixed(n) => {
             for _ in 0..n.max(1) {
                 migration.round(cpu).map_err(MaintenanceError::Migration)?;
             }
         }
-        RoundPlan::Converge { max, threshold } => {
-            for i in 0..max.max(1) {
+        RoundPlan::Converge => {
+            for i in 0..MAX_PRECOPY_ROUNDS {
                 let stats = migration.round(cpu).map_err(MaintenanceError::Migration)?;
                 // Round 0 ships everything; convergence is judged on
                 // the dirty-set rounds after it.
-                if i > 0 && stats.frames_sent <= threshold {
+                if i > 0 && stats.frames_sent <= CONVERGENCE_FRAMES {
                     break;
                 }
             }
         }
     }
-    observer(MigrationPhase::StopAndCopy);
 
     // Freeze the guest's logical state right before stop-and-copy.
     let state = src_m
@@ -524,6 +528,15 @@ mod tests {
             ReadOutcome::Data(d) => assert_eq!(d, b"acknowledged, never synced"),
             other => panic!("unsynced write lost in migration: {other:?}"),
         }
+    }
+
+    #[test]
+    fn converging_evacuation_stops_within_the_round_cap() {
+        let cluster = Cluster::launch(2, &NodeConfig::default());
+        let guest = evacuate_converging(cluster.node(0), cluster.node(1)).unwrap();
+        // Convergence: a quiet guest never needs the full round cap.
+        assert!(guest.report.rounds.len() <= MAX_PRECOPY_ROUNDS + 1);
+        assert!(guest.report.total_frames > 0);
     }
 
     /// Writes early-acked by the split block backend must be on the

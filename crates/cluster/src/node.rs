@@ -150,14 +150,6 @@ impl Node {
         &self.scrubber
     }
 
-    /// The node machine's event clock — the deadline queue that the
-    /// node's idle consumers (serving-gap donor, watchdog backoff, the
-    /// kernel idle loop) register against so idle simulated time can
-    /// fast-forward with bit-identical accounting (DESIGN.md §14).
-    pub fn evclock(&self) -> &Arc<simx86::EvClock> {
-        &self.machine.evclock
-    }
-
     /// Replace the node's OS (after an evacuated kernel returns home).
     /// The new kernel's idle loop is rewired to the node's scrubber.
     pub fn adopt_os(&self, kernel: Arc<Kernel>, mercury: Arc<Mercury>) {

@@ -312,21 +312,12 @@ impl Watchdog {
                     break;
                 }
                 Ok(SwitchOutcome::AlreadyInMode) => break,
-                // VO refcount gate or an in-flight rendezvous: register
-                // the retry deadline on the event clock and fast-forward
-                // the backoff to it — the charge is identical to ticking
-                // the span away (DESIGN.md §14), but the wait is one
-                // host operation instead of a spin.
+                // VO refcount gate or an in-flight rendezvous: idle the
+                // backoff away (DESIGN.md §14) and retry.
                 Ok(SwitchOutcome::Deferred { .. })
                 | Err(SwitchError::Rendezvous(RendezvousError::Busy)) => {
                     let retry_at = cpu.cycles() + self.policy.backoff_cycles;
-                    let ev = self.machine.evclock.schedule_for(
-                        cpu.id,
-                        retry_at,
-                        simx86::EventKind::WatchdogRetry,
-                    );
                     self.machine.evclock.advance(cpu, retry_at);
-                    self.machine.evclock.cancel(ev);
                 }
                 // A peer CPU never reached its service point.  Each
                 // timeout burns the full rendezvous wait, so go sticky:

@@ -19,13 +19,10 @@
 //! * a small faultgen ECC campaign against the host mid-residence,
 //!   recovered through the watchdog (bit flipped back in place), which
 //!   must be invisible to the compared state (no-op when the `enabled`
-//!   feature is off — the workspace build turns it on);
-//! * both event-clock settings: the time skip is an accounting
-//!   optimization and must not change a single guest-visible bit.
+//!   feature is off — the workspace build turns it on).
 //!
 //! Every case checks the final state against a pure-Rust model of the
-//! workload, so skip-on and skip-off runs are each held to the same
-//! bit-exact expectation.
+//! workload.
 
 use faultgen::rng::{check, SplitMix64};
 use mercury_cluster::{evacuate, return_home, Cluster, NodeConfig, Watchdog, WatchdogPolicy};
@@ -59,7 +56,6 @@ struct Case {
     synced_chunks: usize,
     guest_chunk: Vec<u8>,
     precopy_rounds: usize,
-    skip: bool,
 }
 
 fn draw_case(rng: &mut SplitMix64) -> Case {
@@ -82,7 +78,6 @@ fn draw_case(rng: &mut SplitMix64) -> Case {
         pre_chunks,
         guest_chunk: chunk(rng),
         precopy_rounds: rng.range(1, 4) as usize,
-        skip: rng.below(2) == 1,
     }
 }
 
@@ -92,7 +87,6 @@ fn slot(base: VirtAddr, i: u16) -> VirtAddr {
 }
 
 fn run_case(case: &Case) {
-    simx86::evclock::set_default_skip(case.skip);
     faultgen::reset();
 
     let cluster = Cluster::launch(2, &small_node());
@@ -221,9 +215,6 @@ fn run_case(case: &Case) {
 #[test]
 fn roundtrip_preserves_guest_state() {
     check("roundtrip_preserves_guest_state", 6, |rng| {
-        let case = draw_case(rng);
-        run_case(&case);
-        // Leave the process-global default as the benches expect it.
-        simx86::evclock::set_default_skip(true);
+        run_case(&draw_case(rng));
     });
 }

@@ -28,20 +28,16 @@
 //! from an aborted round fails the epoch check and is rejected with
 //! [`RendezvousError::Stale`] without ever touching the count.
 //!
-//! ## Tick-exact: the rendezvous never skips
+//! ## Tick-exact: the rendezvous is never idle time
 //!
-//! The rendezvous spin windows are *not* fast-forwarded through the
-//! event clock (`simx86::evclock`), even though they look like idle
-//! time.  The spin is where peer CPUs are caught at a service point —
-//! its length is the measurement (§5.4's switch-time-vs-CPUs curve),
-//! not dead time, and the watchdog's sticky-degradation decision keys
-//! on a real timeout here.  Idle consumers *around* a switch (the
-//! watchdog's retry backoff, a serving gap) skip up to their next
-//! deadline and re-enter the protocol tick-exact.  The exclusion is
-//! structural, not conventional: scheduling or advancing the event
-//! clock allocates and locks, so any call introduced on a path
-//! reachable from `// volint::root(SWITCH|RENDEZVOUS)` markers is
-//! rejected by volint's `SWITCH-ALLOC` rule (DESIGN.md §14.2).
+//! The rendezvous spin windows are *not* charged in one tick through
+//! `simx86::evclock`, even though they look like idle time.  The spin
+//! is where peer CPUs are caught at a service point — its length is
+//! the measurement (§5.4's switch-time-vs-CPUs curve), not dead time,
+//! and the watchdog's sticky-degradation decision keys on a real
+//! timeout here.  Idle consumers *around* a switch (the watchdog's
+//! retry backoff, a serving gap) idle up to their next deadline and
+//! re-enter the protocol tick-exact.
 //!
 //! ## The work phase
 //!

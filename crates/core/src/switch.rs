@@ -19,14 +19,11 @@
 //! all read the same rows (DESIGN.md §7).
 //!
 //! Switch phases are **tick-exact**: no cycle inside the handler is
-//! ever fast-forwarded through the event clock (`simx86::evclock`) —
-//! the phases are what `switch_timeline` measures and what the static
-//! budget in `volint_budget.json` prices, so they must cost exactly
-//! what their priced operations add up to in every run.  Idle time
-//! *between* switches (retry backoffs, serving gaps, halted CPUs) may
-//! skip; the boundary is enforced structurally by volint's
-//! `SWITCH-ALLOC` rule, since the event-clock API allocates
-//! (DESIGN.md §14.2).
+//! charged as idle time (`simx86::evclock`) — the phases are what
+//! `switch_timeline` measures and what the static budget in
+//! `volint_budget.json` prices, so they must cost exactly what their
+//! priced operations add up to in every run.  Only time *between*
+//! switches (retry backoffs, serving gaps) is idle (DESIGN.md §14).
 //!
 //! The reference-count gate and the sub-millisecond commit, end to end:
 //!

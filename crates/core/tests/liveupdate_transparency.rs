@@ -9,11 +9,6 @@
 //! are bit-identical to a run that never attempted a transition at
 //! all.  The rows are read from the tables the driver itself walks
 //! ([`Mercury::phases`]), so a new row is covered the day it is added.
-//!
-//! The same observation is taken under both event-clock settings
-//! (fast-forward on and off), so the test doubles as a skip-neutrality
-//! check for the switch path: skipping idle time must not change what
-//! the guest can see either.
 
 use faultgen::rng::check;
 use mercury::{AssistMode, Mercury, SwitchError, SwitchOutcome, TrackingStrategy, Transition};
@@ -118,12 +113,10 @@ fn fire(
 fn observe(
     (strategy, assist): (TrackingStrategy, AssistMode),
     step: Step,
-    skip: bool,
     pages: usize,
     words: &[u64],
     split: usize,
 ) -> Observed {
-    simx86::evclock::set_default_skip(skip);
     let (machine, mercury) = rig(strategy, assist);
     let cpu = machine.boot_cpu();
     let sess = Session::new(Arc::clone(mercury.kernel()), 0);
@@ -218,7 +211,6 @@ fn observe(
     let full_read = data(sess.read(fd, 4 * bytes.len().max(1)));
     let file_size = sess.stat("journal").unwrap().size;
 
-    simx86::evclock::set_default_skip(true);
     Observed {
         peeks,
         early_read,
@@ -230,8 +222,7 @@ fn observe(
 
 /// For random guest workloads, every transition aborted before every
 /// row of its table — and then completed — leaves the guest
-/// bit-identical to a run that never attempted it, under every table
-/// and both event-clock settings.
+/// bit-identical to a run that never attempted it, under every table.
 #[test]
 fn interrupted_transition_is_invisible_to_the_guest() {
     check(
@@ -242,7 +233,7 @@ fn interrupted_transition_is_invisible_to_the_guest() {
             let len = rng.range(2, 24) as usize;
             let words = rng.vec(len, |r| r.next_u64());
             let split = rng.below(24) as usize;
-            let baseline = observe(CONFIGS[0], None, true, pages, &words, split);
+            let baseline = observe(CONFIGS[0], None, pages, &words, split);
             assert_eq!(
                 &baseline.peeks[..],
                 &words[..],
@@ -256,14 +247,11 @@ fn interrupted_transition_is_invisible_to_the_guest() {
                     }
                     // `None` first: the transition completes cleanly.
                     let rows = (0..probe.phases(t).len()).map(Some);
-                    for (abort, skip) in std::iter::once(None)
-                        .chain(rows)
-                        .flat_map(|abort| [(abort, true), (abort, false)])
-                    {
-                        let got = observe(config, Some((t, abort)), skip, pages, &words, split);
+                    for abort in std::iter::once(None).chain(rows) {
+                        let got = observe(config, Some((t, abort)), pages, &words, split);
                         assert_eq!(
                             &got, &baseline,
-                            "guest state diverged: {config:?} {t:?} abort {abort:?}, skip {skip}"
+                            "guest state diverged: {config:?} {t:?} abort {abort:?}"
                         );
                     }
                 }

@@ -139,16 +139,6 @@ pub fn outstanding() -> usize {
     st.pending.len() + st.active.len()
 }
 
-/// The earliest `due_cycle` among faults that have not fired yet, if
-/// any.  Campaign drivers register this as an event-clock deadline
-/// (`simx86::evclock`, kind `FaultDue`) so an idle span between service
-/// points fast-forwards *to* the next planted fault instead of past it
-/// — the hook still fires at its planned cycle, in either skip mode.
-pub fn earliest_due() -> Option<u64> {
-    let st = state();
-    st.pending.iter().map(|f| f.due_cycle).min()
-}
-
 /// Current bookkeeping counters.
 pub fn stats() -> InjectorStats {
     let st = state();
@@ -339,39 +329,6 @@ mod tests {
             due_cycle,
             target,
         }
-    }
-
-    #[test]
-    fn earliest_due_tracks_the_pending_plan() {
-        let _g = serial();
-        reset();
-        assert_eq!(earliest_due(), None);
-        arm(vec![
-            spec(
-                1,
-                900,
-                FaultTarget::MemWord {
-                    frame: 1,
-                    word: 0,
-                    bit: 0,
-                },
-            ),
-            spec(
-                2,
-                300,
-                FaultTarget::MemWord {
-                    frame: 2,
-                    word: 0,
-                    bit: 1,
-                },
-            ),
-        ]);
-        assert_eq!(earliest_due(), Some(300));
-        // Fire the earlier fault: the next deadline moves up.
-        assert_ne!(mem_read_site(0, 300, 2, 0), 0);
-        assert_eq!(earliest_due(), Some(900));
-        reset();
-        assert_eq!(earliest_due(), None);
     }
 
     #[test]

@@ -820,92 +820,6 @@ impl Kernel {
         }
     }
 
-    /// Run the idle loop until this CPU reaches absolute cycle `target`
-    /// or a process becomes runnable, fast-forwarding idle spans
-    /// through the machine's event clock.
-    ///
-    /// The wait is walked deadline to deadline (the CPU's timer, any
-    /// pending event-clock entry, `target` — whichever is first).  Each
-    /// segment services the timer and pending interrupts, offers the
-    /// scheduler a chance to resume work, drains the registered
-    /// [`IdleTask`]'s backlog at [`IDLE_DONATION_QUANTUM`]-cycle grain,
-    /// and only then skips the cycles nobody claimed.  Accounting is
-    /// identical in both skip modes (`simx86::evclock`); in particular
-    /// every timer tick still fires at its programmed cycle.
-    ///
-    /// Returns the pid that became runnable, or `None` if the CPU idled
-    /// all the way to `target`.
-    ///
-    /// ```
-    /// use nimbus::kernel::{BootMode, Kernel, KernelConfig};
-    /// use simx86::{Machine, MachineConfig};
-    /// use std::sync::Arc;
-    ///
-    /// let machine = Machine::new(MachineConfig::smp());
-    /// let boot = machine.boot_cpu();
-    /// let pool = machine.allocator.alloc_many(boot, 8 * 1024).unwrap();
-    /// let kernel = Kernel::boot(
-    ///     Arc::clone(&machine),
-    ///     KernelConfig { pool, mode: BootMode::Bare, fs_blocks: 128, fs_first_block: 1 },
-    /// )
-    /// .unwrap();
-    ///
-    /// // CPU 1 has nothing to run: the idle span skips to the target.
-    /// let cpu = &machine.cpus[1];
-    /// let target = cpu.cycles() + 30_000_000;
-    /// assert!(kernel.idle_until(cpu, target).unwrap().is_none());
-    /// assert_eq!(cpu.cycles(), target);
-    /// ```
-    pub fn idle_until(&self, cpu: &Arc<Cpu>, target: u64) -> Result<Option<Pid>, KernelError> {
-        let task = self.idle_task.read().clone();
-        loop {
-            let now = cpu.cycles();
-            if now >= target {
-                return Ok(None);
-            }
-            self.machine.timer.poll(cpu);
-            cpu.service_pending();
-            {
-                let mut st = self.lock_state(cpu);
-                if st.sched.current(cpu.id).is_some() {
-                    return Ok(st.sched.current(cpu.id));
-                }
-                if let Some(next) = st.sched.pick_next() {
-                    self.do_switch(&mut st, cpu, next)?;
-                    return Ok(Some(next));
-                }
-            }
-            // Nothing runnable: give the idle task the segment up to
-            // the next deadline, one quantum at a time, then skip the
-            // cycles it left over.  (The state lock is dropped above —
-            // the task may call back into kernel services.)
-            let mut stop = target;
-            if let Some(d) = self.machine.timer.next_deadline(cpu.id) {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            if let Some(d) = self.machine.evclock.next_due() {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            if let Some(task) = &task {
-                while cpu.cycles() + IDLE_DONATION_QUANTUM <= stop {
-                    let used = task(cpu, IDLE_DONATION_QUANTUM);
-                    debug_assert!(
-                        used <= IDLE_DONATION_QUANTUM,
-                        "idle task overran its {IDLE_DONATION_QUANTUM}-cycle budget: {used}"
-                    );
-                    if used == 0 {
-                        break;
-                    }
-                }
-            }
-            self.machine.evclock.advance(cpu, stop);
-        }
-    }
-
     /// Register (or clear, with `None`) the idle-loop donation task.
     ///
     /// The task runs whenever a CPU's idle loop finds nothing runnable,
@@ -2391,76 +2305,6 @@ mod error_path_tests {
         let bounce = machine.allocator.alloc(cpu).unwrap();
         kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
         (machine, kernel)
-    }
-
-    fn boot_smp_small() -> (Arc<Machine>, Arc<Kernel>) {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: 2,
-            mem_frames: 16 * 1024,
-            disk_sectors: 4096,
-        });
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 2048).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 128,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        (machine, kernel)
-    }
-
-    #[test]
-    fn idle_until_skips_dead_time_but_keeps_timer_ticks() {
-        let (m, k) = boot_smp_small();
-        let cpu = &m.cpus[1];
-        m.timer.start(cpu, 1_000_000);
-        let ticks0 = m.timer.ticks(1);
-        let target = cpu.cycles() + 10_000_000;
-        assert!(k.idle_until(cpu, target).unwrap().is_none());
-        assert!(cpu.cycles() >= target);
-        // Fast-forwarding must not swallow timer interrupts: every
-        // deadline inside the skipped span fired individually.
-        assert!(m.timer.ticks(1) - ticks0 >= 9);
-    }
-
-    #[test]
-    fn idle_until_donates_to_the_idle_task_before_skipping() {
-        let (m, k) = boot_smp_small();
-        let cpu = &m.cpus[1];
-        let donated = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let seen = Arc::clone(&donated);
-        k.set_idle_task(Some(Arc::new(move |cpu, budget| {
-            // Consume one quantum once, then report idle.
-            if seen.swap(budget, Ordering::SeqCst) == 0 {
-                cpu.tick(budget);
-                budget
-            } else {
-                0
-            }
-        })));
-        let target = cpu.cycles() + 1_000_000;
-        assert!(k.idle_until(cpu, target).unwrap().is_none());
-        assert_eq!(cpu.cycles(), target);
-        assert_eq!(donated.load(Ordering::SeqCst), IDLE_DONATION_QUANTUM);
-    }
-
-    #[test]
-    fn idle_until_returns_when_work_appears() {
-        let (m, k) = boot_smp_small();
-        // A forked child sits on the run queue; CPU 1's idle loop must
-        // adopt it instead of skipping to the target.
-        let sess = Session::new(Arc::clone(&k), 0);
-        sess.fork().unwrap();
-        let cpu = &m.cpus[1];
-        let target = cpu.cycles() + 50_000_000;
-        let pid = k.idle_until(cpu, target).unwrap();
-        assert!(pid.is_some(), "runnable child must preempt the skip");
-        assert!(cpu.cycles() < target, "no dead-time walk to the target");
     }
 
     #[test]

@@ -15,8 +15,6 @@
 
 use crate::loadgen::Arrival;
 use crate::sched::{NodeServer, RequestRecord};
-use mercury_cluster::fleet::FleetState;
-use std::sync::Arc;
 
 /// A least-loaded dispatcher over a set of node servers.
 ///
@@ -46,35 +44,13 @@ use std::sync::Arc;
 /// ```
 pub struct ClusterServer {
     nodes: Vec<NodeServer>,
-    /// Optional shared fleet view: when present, dispatch is
-    /// migration-aware (see [`least_loaded`](ClusterServer::least_loaded)).
-    fleet: Option<Arc<FleetState>>,
 }
 
 impl ClusterServer {
     /// Wrap the given node servers (dispatch order = vector order).
     pub fn new(nodes: Vec<NodeServer>) -> ClusterServer {
         assert!(!nodes.is_empty(), "balancer needs at least one node");
-        ClusterServer { nodes, fleet: None }
-    }
-
-    /// Wrap the node servers with a shared fleet-state view whose node
-    /// `i` corresponds to `nodes[i]`.  Dispatch then keys on
-    /// [`FleetState::balance_class`] before queue depth: a node
-    /// mid-stop-and-copy cannot win the least-loaded tiebreak against a
-    /// healthy idle peer, and evacuated/maintenance nodes are skipped
-    /// entirely.
-    pub fn with_fleet_state(nodes: Vec<NodeServer>, fleet: Arc<FleetState>) -> ClusterServer {
-        assert!(!nodes.is_empty(), "balancer needs at least one node");
-        assert_eq!(
-            nodes.len(),
-            fleet.len(),
-            "fleet view must cover exactly the balanced nodes"
-        );
-        ClusterServer {
-            nodes,
-            fleet: Some(fleet),
-        }
+        ClusterServer { nodes }
     }
 
     /// The node servers, for per-node inspection.
@@ -121,46 +97,15 @@ impl ClusterServer {
         }
     }
 
-    /// Index of the least-loaded node at stream offset `offset`.
-    ///
-    /// Without a fleet view this is the classic `(queued, busy, index)`
-    /// key.  With one, the node's [`FleetState::balance_class`] leads
-    /// the key — migration phase and degradation outrank raw load — and
-    /// undispatchable nodes (class `None`) are skipped.  If the view
-    /// rules out every node, dispatch falls back to plain least-loaded
-    /// rather than dropping the request on the floor; fleet-level
-    /// shedding is the caller's policy (`FleetServer` synthesizes shed
-    /// records instead of calling in here).
+    /// Index of the least-loaded node at stream offset `offset`: the
+    /// `(queued, busy, index)` key.
     fn least_loaded(&self, offset: u64) -> usize {
-        let mut best: Option<(u64, usize, u64, usize)> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            let class = match &self.fleet {
-                Some(fleet) => match fleet.balance_class(i) {
-                    Some(c) => c,
-                    None => continue,
-                },
-                None => 0,
-            };
-            let key = (class, n.queued(), n.busy_cycles(n.abs(offset)), i);
-            if best.is_none_or(|b| key < b) {
-                best = Some(key);
-            }
-        }
-        match best {
-            Some((_, _, _, i)) => i,
-            None => {
-                let mut fallback = 0usize;
-                let mut fallback_key = (usize::MAX, u64::MAX);
-                for (i, n) in self.nodes.iter().enumerate() {
-                    let key = (n.queued(), n.busy_cycles(n.abs(offset)));
-                    if key < fallback_key {
-                        fallback_key = key;
-                        fallback = i;
-                    }
-                }
-                fallback
-            }
-        }
+        (0..self.nodes.len())
+            .min_by_key(|&i| {
+                let n = &self.nodes[i];
+                (n.queued(), n.busy_cycles(n.abs(offset)), i)
+            })
+            .expect("balancer has at least one node")
     }
 }
 
@@ -222,43 +167,6 @@ mod tests {
             lb.records()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn stop_and_copy_node_loses_the_level_tiebreak() {
-        use mercury_cluster::fleet::{FleetState, MigrationPhase};
-
-        let cluster = Cluster::launch(2, &NodeConfig::default());
-        let cfg = ServerConfig {
-            attach_echo_host: false,
-            ..ServerConfig::default()
-        };
-        let fleet = FleetState::new(2, 2);
-        // Node 0 would win every level tiebreak by index; pin it in
-        // stop-and-copy and the fleet-aware key must route around it.
-        fleet.set_phase(0, MigrationPhase::StopAndCopy);
-        let mut lb = ClusterServer::with_fleet_state(
-            cluster
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, node)| NodeServer::new(node, i as u32, cfg))
-                .collect(),
-            fleet,
-        );
-        let traffic = generate(&LoadConfig {
-            seed: 7,
-            mean_gap_cycles: 50_000,
-            requests: 30,
-            mix: CostMix::web(),
-        });
-        lb.run(&traffic, |_, _| {});
-        let records = lb.records();
-        assert_eq!(records.len(), 30);
-        assert!(
-            records.iter().all(|r| r.node == 1),
-            "a node mid-stop-and-copy must not win the least-loaded tiebreak"
-        );
     }
 
     #[test]

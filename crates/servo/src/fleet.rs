@@ -2,16 +2,15 @@
 //! live migration as a first-class balancing action (DESIGN.md §15).
 //!
 //! [`FleetServer`] composes the pieces the smaller layers provide —
-//! per-node [`NodeServer`]s, the shared
-//! [`FleetState`](mercury_cluster::fleet::FleetState) view, and the
-//! [`MigrationPolicy`] — into one serving surface:
+//! per-node [`NodeServer`]s and the shared [`FleetState`] view — into
+//! one serving surface:
 //!
 //! * **Dispatch** keys on `(balance_class, queued, busy, index)`, so a
-//!   node mid-stop-and-copy or flagged degraded cannot win the
-//!   least-loaded tiebreak, and evacuated/maintenance nodes are skipped.
+//!   node flagged degraded cannot win the least-loaded tiebreak, and
+//!   evacuated/maintenance nodes are skipped.
 //! * **Evacuation** ([`FleetServer::drain_node`]) drains a node's
 //!   admission queue, retires its server, and live-migrates its OS to
-//!   the policy-selected peer while the rest of the fleet keeps
+//!   the selected peer while the rest of the fleet keeps
 //!   serving.  The peer keeps serving its *own* traffic too — it hosts
 //!   the parked guest in partial-virtual mode, exactly the paper's
 //!   §6.3 arrangement.
@@ -40,9 +39,11 @@
 use crate::loadgen::Arrival;
 use crate::sched::{NodeServer, Outcome, RequestRecord, ServerConfig};
 use mercury::{ExecMode, SwitchOutcome};
-use mercury_cluster::fleet::{FleetState, MigrationPhase, NodeStatus};
-use mercury_cluster::maintenance::{return_home, EvacuatedGuest, MaintenanceError};
-use mercury_cluster::{Cluster, MigrationPolicy, Node};
+use mercury_cluster::fleet::{FleetState, NodeStatus};
+use mercury_cluster::maintenance::{
+    evacuate_converging, return_home, EvacuatedGuest, MaintenanceError,
+};
+use mercury_cluster::{Cluster, Node};
 use mercury_workloads::mix::RequestShape;
 use std::sync::Arc;
 use xenon::Hypervisor;
@@ -64,7 +65,6 @@ struct Slot {
 pub struct FleetServer {
     nodes: Vec<Arc<Node>>,
     fleet: Arc<FleetState>,
-    policy: MigrationPolicy,
     cfg: ServerConfig,
     /// `None` while the node's OS is parked on a peer.
     slots: Vec<Option<Slot>>,
@@ -87,12 +87,7 @@ impl FleetServer {
     /// `cfg.attach_echo_host` must be off: fleet nodes are rebuilt
     /// after re-homing, and a per-node echo host would be attached
     /// twice.
-    pub fn new(
-        cluster: &Cluster,
-        rack_size: usize,
-        cfg: ServerConfig,
-        policy: MigrationPolicy,
-    ) -> FleetServer {
+    pub fn new(cluster: &Cluster, rack_size: usize, cfg: ServerConfig) -> FleetServer {
         assert!(
             !cfg.attach_echo_host,
             "fleet nodes must not attach per-node echo hosts"
@@ -114,7 +109,6 @@ impl FleetServer {
         FleetServer {
             nodes,
             fleet,
-            policy,
             cfg,
             slots,
             parked,
@@ -265,7 +259,7 @@ impl FleetServer {
     }
 
     /// Drain node `i` at stream offset `offset` and evacuate its OS to
-    /// the policy-selected peer (never inside `exclude_rack`).
+    /// the selected peer (never inside `exclude_rack`).
     ///
     /// Returns `Ok(Some(target))` on success, `Ok(None)` when the node
     /// must not move right now: no valid target exists, or the node is
@@ -287,10 +281,6 @@ impl FleetServer {
         if self.parked.iter().flatten().any(|(_, host)| *host == i) {
             return Ok(None);
         }
-        let fleet = Arc::clone(&self.fleet);
-        let prev = fleet.status(i);
-        fleet.set_status(i, NodeStatus::Draining);
-
         // Pick the target before tearing anything down.  The load key
         // is hosting-aware: a peer already hosting parked guests ranks
         // behind an empty one regardless of serving load.  Without
@@ -301,22 +291,19 @@ impl FleetServer {
         for (_, host) in self.parked.iter().flatten() {
             hosted[*host] += 1;
         }
-        let target = {
-            let slots = &self.slots;
-            self.policy
-                .select_target(&fleet, i, exclude_rack, |j| match &slots[j] {
-                    Some(s) => {
-                        let t = s.server.abs(offset.saturating_sub(s.origin));
-                        (
-                            hosted[j] * 1_000_000 + s.server.queued(),
-                            s.server.busy_cycles(t),
-                        )
-                    }
-                    None => (usize::MAX, u64::MAX),
-                })
-        };
+        let target = self
+            .fleet
+            .select_target(i, exclude_rack, |j| match &self.slots[j] {
+                Some(s) => {
+                    let t = s.server.abs(offset.saturating_sub(s.origin));
+                    (
+                        hosted[j] * 1_000_000 + s.server.queued(),
+                        s.server.busy_cycles(t),
+                    )
+                }
+                None => (usize::MAX, u64::MAX),
+            });
         let Some(target) = target else {
-            fleet.set_status(i, prev);
             return Ok(None);
         };
 
@@ -334,20 +321,18 @@ impl FleetServer {
         drop(slot);
 
         let start_cycles = self.nodes[i].machine.boot_cpu().cycles();
-        match self
-            .policy
-            .evacuate_tracked(&self.nodes[i], &self.nodes[target], &fleet, i)
-        {
+        match evacuate_converging(&self.nodes[i], &self.nodes[target]) {
             Ok(guest) => {
                 let end_cycles = self.nodes[i].machine.boot_cpu().cycles();
                 self.downtimes.push(guest.report.downtime_cycles);
                 self.evac_makespans.push(end_cycles.saturating_sub(start_cycles));
                 self.parked[i] = Some((guest, target));
-                fleet.set_status(i, NodeStatus::Evacuated);
+                self.fleet.set_status(i, NodeStatus::Evacuated);
                 Ok(Some(target))
             }
             Err(e) => {
-                fleet.set_status(i, NodeStatus::Degraded(format!("evacuation failed: {e}")));
+                self.fleet
+                    .set_status(i, NodeStatus::Degraded(format!("evacuation failed: {e}")));
                 Err(e)
             }
         }
@@ -363,7 +348,6 @@ impl FleetServer {
             Ok(report) => {
                 self.downtimes.push(report.downtime_cycles);
                 self.fleet.set_status(i, NodeStatus::Healthy);
-                self.fleet.set_phase(i, MigrationPhase::Idle);
                 self.slots[i] = Some(Slot {
                     server: NodeServer::new(&self.nodes[i], i as u32, self.cfg),
                     origin: offset,
@@ -543,7 +527,7 @@ mod tests {
             attach_echo_host: false,
             ..ServerConfig::default()
         };
-        FleetServer::new(&cluster, rack_size, cfg, MigrationPolicy::default())
+        FleetServer::new(&cluster, rack_size, cfg)
     }
 
     fn traffic(seed: u64, gap: u64, n: u32) -> Vec<Arrival> {
@@ -735,6 +719,21 @@ mod tests {
         assert_eq!(stage, 2);
         let records = fs.finish();
         assert_eq!(records.len() as u64, fs.offered(), "zero lost requests");
+    }
+
+    #[test]
+    fn degraded_node_loses_the_level_tiebreak() {
+        let mut fs = small_fleet(2, 2);
+        // Node 0 would win every level tiebreak by index; flag it
+        // degraded and the fleet-aware key must route around it.
+        fs.fleet().set_status(0, NodeStatus::Degraded("hot".into()));
+        fs.run(&traffic(7, 50_000, 30), |_, _| {});
+        let records = fs.finish();
+        assert_eq!(records.len(), 30);
+        assert!(
+            records.iter().all(|r| r.node == 1),
+            "a degraded node must not win the least-loaded tiebreak"
+        );
     }
 
     #[test]

@@ -96,9 +96,8 @@ pub fn generate(cfg: &LoadConfig) -> Vec<Arrival> {
 /// The stream's horizon: the offset of the last arrival, or 0 for an
 /// empty stream.  This is the open-loop span the server will cover —
 /// the bench binaries divide the simulated cycles actually consumed by
-/// host seconds to get the Mcycles/host-second throughput metric, and
-/// the event clock guarantees every idle gap inside the horizon is
-/// charged whether skipped or walked.
+/// host seconds to get the Mcycles/host-second throughput metric;
+/// every idle gap inside the horizon is charged to a worker's clock.
 ///
 /// ```
 /// use mercury_servo::loadgen::{generate, horizon, LoadConfig};

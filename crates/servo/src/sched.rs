@@ -29,7 +29,6 @@ use mercury_workloads::mix::RequestShape;
 use nimbus::kernel::{IdleTask, ReadOutcome, WriteOutcome};
 use nimbus::Session;
 use simx86::devices::EchoWire;
-use simx86::evclock::{EvClock, EventKind};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -172,11 +171,6 @@ pub struct NodeServer {
     /// is donated before the remainder is idled away; `None` blank-
     /// ticks the whole gap.
     donor: Option<IdleTask>,
-    /// The node machine's event clock.  Arrivals register deadlines on
-    /// it and the donor-leftover part of every open-loop gap is
-    /// fast-forwarded through it, so idle serving time skips instead of
-    /// ticking — with bit-identical accounting (DESIGN.md §14).
-    evclock: Arc<EvClock>,
 }
 
 impl NodeServer {
@@ -267,7 +261,6 @@ impl NodeServer {
             base,
             payload: chunk,
             donor: None,
-            evclock: Arc::clone(&node.machine.evclock),
         }
     }
 
@@ -419,19 +412,12 @@ impl NodeServer {
     pub fn run(&mut self, traffic: &[Arrival], mut hook: impl FnMut(&mut NodeServer, u64)) {
         for a in traffic {
             let t = self.abs(a.offset);
-            // Register the arrival as an event-clock deadline: any idle
-            // fast-forward on this machine (a halted kernel CPU, a
-            // watchdog backoff) stops at `t` rather than skipping past
-            // the arrival.
-            let ev = self.evclock.schedule(t, EventKind::RequestArrival);
             self.advance_to(t);
             hook(self, a.offset);
             // The hook may have advanced worker clocks (switch cycles);
             // late queued work runs first, then the new arrival lands.
             self.advance_to(t);
             self.offer(a.id, &a.shape, t);
-            // Admitted (or shed): the deadline is serviced, retire it.
-            self.evclock.cancel(ev);
         }
         self.drain();
     }
@@ -451,10 +437,9 @@ impl NodeServer {
                 let used = donor(cpu, gap);
                 debug_assert!(used <= gap, "idle donor overran the open-loop gap");
             }
-            // Fast-forward whatever the donor left of the gap — the
-            // charge is identical to ticking it away cycle by cycle
-            // (the evclock neutrality contract, DESIGN.md §14).
-            self.evclock.advance(cpu, start);
+            // Whatever the donor left of the gap is idle time: one
+            // tick (DESIGN.md §14).
+            self.node.machine.evclock.advance(cpu, start);
         }
         let started = cpu.cycles();
         merctrace::span_begin!(cpu.id, "servo.request", started);
@@ -588,13 +573,33 @@ mod tests {
 
     #[test]
     fn same_seed_runs_are_bit_identical() {
-        let run = || {
-            let node = Node::launch("n0", &NodeConfig::default());
-            let mut server = NodeServer::new(&node, 0, ServerConfig::default());
-            server.run(&traffic(5, 30_000, 150), |_, _| {});
-            server.records().to_vec()
+        // Gaps donated to the scrubber: records (arrival, start, finish,
+        // worker, outcome) and the frames revalidated must both repeat.
+        // Steady-state SMP serving is simulation-deterministic too (no
+        // switch during traffic), hence the 2-worker input.
+        let run = |seed: u64, cpus: usize| {
+            let node = Node::launch(
+                "n0",
+                &NodeConfig {
+                    num_cpus: cpus,
+                    ..NodeConfig::default()
+                },
+            );
+            let mut server = NodeServer::new(
+                &node,
+                0,
+                ServerConfig {
+                    workers: cpus,
+                    ..ServerConfig::default()
+                },
+            );
+            server.donate_gaps_to_scrubber();
+            server.run(&traffic(seed, 300_000 / cpus as u64, 400), |_, _| {});
+            (server.records().to_vec(), node.scrubber().revalidated())
         };
-        assert_eq!(run(), run());
+        for (seed, cpus) in [(11, 1), (42, 1), (987, 1), (7, 2)] {
+            assert_eq!(run(seed, cpus), run(seed, cpus), "seed {seed}, {cpus} cpus");
+        }
     }
 
     #[test]

@@ -255,12 +255,9 @@ impl Cpu {
 
     /// Advance this core's clock by `n` cycles.
     ///
-    /// This is a pure atomic addition, which is what makes the event
-    /// clock's fast-forward accounting-neutral: one tick of `N` cycles
-    /// leaves the counter exactly where `N / Q` ticks of `Q` would
-    /// (see [`crate::evclock`]).  The counter is the **only** source of
-    /// simulated time — the event clock schedules deadlines against it
-    /// but never stores time of its own.
+    /// This is a pure atomic addition, so an idle gap of `N` cycles is
+    /// one tick of `N` (see [`crate::evclock`]).  The counter is the
+    /// **only** source of simulated time.
     #[inline]
     pub fn tick(&self, n: u64) {
         self.cycles.fetch_add(n, Ordering::Relaxed);
@@ -478,12 +475,6 @@ impl Cpu {
     // -- halting --------------------------------------------------------
 
     /// `hlt`: privileged; parks the CPU until the next interrupt.
-    ///
-    /// A halted CPU is the canonical idle span: instead of polling for
-    /// the wake-up interrupt quantum by quantum, callers fast-forward
-    /// the halt with [`crate::Machine::idle_until`], which charges the
-    /// whole wait in one tick and still fires every timer deadline it
-    /// skips over at the exact cycle it was programmed for.
     pub fn hlt(&self) -> Result<(), Fault> {
         self.require_pl0("hlt")?;
         self.halted.store(true, Ordering::Release);

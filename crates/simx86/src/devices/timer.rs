@@ -87,16 +87,6 @@ impl SimTimer {
     pub fn ticks(&self, cpu_id: usize) -> u64 {
         self.ticks_fired.lock()[cpu_id]
     }
-
-    /// The next programmed deadline for `cpu_id`, if the timer is
-    /// enabled there.  The machine's idle fast-forward
-    /// ([`crate::Machine::idle_until`]) stops at this cycle so the
-    /// TIMER vector raises exactly where quantum-by-quantum ticking
-    /// would have raised it.
-    pub fn next_deadline(&self, cpu_id: usize) -> Option<u64> {
-        let p = self.percpu[cpu_id].lock();
-        p.enabled.then_some(p.next_deadline)
-    }
 }
 
 #[cfg(test)]
@@ -138,20 +128,6 @@ mod tests {
         assert!(t.poll(&cpu));
         // Deadline advanced past now: immediate re-poll is quiet.
         assert!(!t.poll(&cpu));
-    }
-
-    #[test]
-    fn next_deadline_tracks_programming() {
-        let cpu = Arc::new(Cpu::new(0));
-        let t = SimTimer::new(1);
-        assert_eq!(t.next_deadline(0), None, "disabled timer has no deadline");
-        t.start(&cpu, 1_000);
-        assert_eq!(t.next_deadline(0), Some(1_000));
-        cpu.tick(1_500);
-        assert!(t.poll(&cpu));
-        assert_eq!(t.next_deadline(0), Some(2_000), "catch-up reprograms");
-        t.stop(0);
-        assert_eq!(t.next_deadline(0), None);
     }
 
     #[test]

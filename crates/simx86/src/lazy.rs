@@ -18,10 +18,9 @@
 //! no cached translation can bypass the first-touch check, and removes
 //! it at detach after draining the stragglers.  Stragglers that no
 //! guest touch ever reaches are drained by the background scrubber from
-//! *donated idle cycles* — and because donation budgets are ordinary
-//! priced work, idle spans that the event clock fast-forwards
-//! ([`crate::evclock`]) charge the same revalidation cycles they would
-//! charge if walked.
+//! *donated idle cycles*; donation budgets are ordinary priced work,
+//! charged before the rest of an idle gap is ticked away
+//! ([`crate::evclock`]).
 //!
 //! ```
 //! use simx86::lazy::LazySet;

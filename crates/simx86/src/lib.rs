@@ -23,11 +23,9 @@
 //! * A **cycle cost model** ([`costs`]) calibrated as a 3 GHz CPU
 //!   (3000 cycles = 1 µs) so that simulated latencies land in the same
 //!   regime as the paper's measurements.
-//! * An **event clock** ([`evclock`]) — the second level of simulated
-//!   time: a deterministic global queue of future deadlines that lets
-//!   idle spans fast-forward to the next scheduled event without
-//!   changing accounting.  The per-CPU cycle counters remain the source
-//!   of truth (DESIGN.md §14).
+//! * **Idle time** ([`evclock`]): the per-CPU cycle counters are the
+//!   only clock, and an idle gap is one `tick` through
+//!   [`EvClock::advance`] (DESIGN.md §14).
 //!
 //! Privilege is enforced: every privileged operation checks the CPU's
 //! current privilege level and returns [`Fault::GeneralProtection`] when
@@ -63,7 +61,7 @@ pub mod tlb;
 pub mod vmx;
 
 pub use cpu::{Cpu, Gate, IdtTable, InterruptSink, PrivLevel, TrapFrame};
-pub use evclock::{EvClock, Event, EventId, EventKind};
+pub use evclock::EvClock;
 pub use fault::{AccessKind, Fault};
 pub use intc::InterruptController;
 pub use lazy::LazySet;

@@ -155,9 +155,9 @@ pub struct Machine {
     pub nic: Arc<SimNic>,
     /// Console.
     pub console: Console,
-    /// The event clock — the machine-wide deadline queue that idle
-    /// spans fast-forward against (see [`crate::evclock`]).
-    pub evclock: Arc<EvClock>,
+    /// Charges idle gaps to a CPU's cycle counter (see
+    /// [`crate::evclock`]).
+    pub evclock: EvClock,
     config: MachineConfig,
 }
 
@@ -177,7 +177,7 @@ impl Machine {
             disk: SimDisk::new(config.disk_sectors, 0),
             nic: Arc::new(SimNic::new(0)),
             console: Console::new(),
-            evclock: EvClock::new(),
+            evclock: EvClock,
             config,
         })
     }
@@ -209,49 +209,6 @@ impl Machine {
     /// Maximum cycle count across CPUs — the machine's wall clock.
     pub fn now(&self) -> u64 {
         self.cpus.iter().map(|c| c.cycles()).max().unwrap_or(0)
-    }
-
-    /// Fast-forward `cpu` through an idle span to absolute cycle
-    /// `target`, stopping at every deadline on the way: the CPU's
-    /// programmed timer, and every pending [`EvClock`] event.  Devices
-    /// are pumped at each stop, so timer interrupts raise at exactly
-    /// the cycles they would under quantum-by-quantum ticking.
-    ///
-    /// Returns the cycles charged (0 if `cpu` is already past
-    /// `target`).  Accounting is identical whether the clock skips or
-    /// walks — see [`crate::evclock`] for the neutrality contract.
-    ///
-    /// ```
-    /// use simx86::{Machine, MachineConfig};
-    ///
-    /// let m = Machine::new(MachineConfig::up());
-    /// let cpu = m.boot_cpu();
-    /// m.timer.start(cpu, 10_000); // periodic, every 10k cycles
-    /// m.idle_until(cpu, 35_000);
-    /// assert_eq!(cpu.cycles(), 35_000);
-    /// assert_eq!(m.timer.ticks(0), 3); // fired at 10k, 20k and 30k
-    /// ```
-    pub fn idle_until(&self, cpu: &Arc<Cpu>, target: u64) -> u64 {
-        let mut charged = 0u64;
-        loop {
-            let now = cpu.cycles();
-            if now >= target {
-                return charged;
-            }
-            let mut stop = target;
-            if let Some(d) = self.timer.next_deadline(cpu.id) {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            if let Some(d) = self.evclock.next_due() {
-                if d > now {
-                    stop = stop.min(d);
-                }
-            }
-            charged += self.evclock.advance(cpu, stop);
-            self.pump_devices();
-        }
     }
 }
 
@@ -327,48 +284,6 @@ mod tests {
         m.cpus[0].tick(100);
         m.cpus[1].tick(250);
         assert_eq!(m.now(), 250);
-    }
-
-    #[test]
-    fn idle_until_fires_every_timer_tick_it_skips_over() {
-        // Fast-forwarding an idle span must raise the same interrupts,
-        // at the same cycles, as walking it: a 100-cycle periodic timer
-        // skipped over for 1000 cycles fires 10 ticks, not 1.
-        let m = Machine::new(MachineConfig::up());
-        let cpu = m.boot_cpu();
-        m.timer.start(cpu, 100);
-        let charged = m.idle_until(cpu, 1_000);
-        assert_eq!(charged, 1_000);
-        assert_eq!(cpu.cycles(), 1_000);
-        assert_eq!(m.timer.ticks(0), 10);
-    }
-
-    #[test]
-    fn idle_until_stops_at_evclock_deadlines() {
-        use crate::evclock::EventKind;
-        let m = Machine::new(MachineConfig::up());
-        let cpu = m.boot_cpu();
-        m.evclock.schedule(400, EventKind::RequestArrival);
-        m.idle_until(cpu, 1_000);
-        assert_eq!(cpu.cycles(), 1_000);
-        // The event was a stop point; it is still the caller's to pop.
-        let due = m.evclock.take_due(cpu.cycles());
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].due, 400);
-    }
-
-    #[test]
-    fn idle_until_charges_identically_with_skip_off() {
-        let skip_on = Machine::new(MachineConfig::up());
-        let skip_off = Machine::new(MachineConfig::up());
-        skip_off.evclock.set_skip(false);
-        for m in [&skip_on, &skip_off] {
-            let cpu = m.boot_cpu();
-            m.timer.start(cpu, 333);
-            m.idle_until(cpu, 10_000);
-        }
-        assert_eq!(skip_on.boot_cpu().cycles(), skip_off.boot_cpu().cycles());
-        assert_eq!(skip_on.timer.ticks(0), skip_off.timer.ticks(0));
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`Hypervisor::warm_up_versioned`], and [`transfer`] moves every
 //! domain across while the guests are held in rendezvous:
 //!
-//! * **Domain records are adopted, not copied.**  The [`Domain`]
+//! * **Domain records are adopted, not copied.**  The [`Domain`](crate::Domain)
 //!   object is hypervisor-agnostic guest state (frames, pinned tables,
 //!   vCPUs, trap gates, event bits, frozen kernel state); backends,
 //!   frontends and Mercury itself hold `Arc`s to it, and all of those
@@ -22,7 +22,7 @@
 //!   instance's table — the very thing a live-update is often
 //!   *repairing* — does not propagate.
 //! * **Event channels and grant tables transfer bit-for-bit**
-//!   ([`EventChannels::transfer_from`],
+//!   ([`EventChannels::transfer_from`](crate::events::EventChannels::transfer_from),
 //!   [`GrantTables::transfer_from`](crate::grants::GrantTables::transfer_from)):
 //!   port numbers and grant refs are guest-visible handles baked into
 //!   ring messages, so they must survive unchanged.

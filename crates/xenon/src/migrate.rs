@@ -14,18 +14,11 @@ use crate::domain::Domain;
 use crate::error::HvError;
 use crate::hv::Hypervisor;
 use crate::save::{restore_domain_mapped, save_domain, DomainImage, FrameImage};
-use simx86::evclock::{EventId, EventKind};
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::{costs, Cpu};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// How far ahead (in cycles) the next pre-copy round is expected: while
-/// a migration is in flight this deadline sits in the source machine's
-/// event clock so the campaign time skip cannot fast-forward an idle
-/// span past an unconverged migration (see `simx86::evclock`).
-pub const ROUND_DEADLINE_CYCLES: u64 = 100_000;
 
 /// Statistics for one pre-copy round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,19 +63,11 @@ pub struct LiveMigration {
     rounds: Vec<RoundStats>,
     round_no: usize,
     started: bool,
-    /// The pending round-deadline event in the source machine's clock.
-    round_ev: Option<EventId>,
 }
 
 impl LiveMigration {
-    /// Begin migrating `dom` away from `source`.  Registers a round
-    /// deadline with the source machine's event clock immediately: an
-    /// in-flight migration is never invisible to the time skip.
+    /// Begin migrating `dom` away from `source`.
     pub fn new(source: Arc<Hypervisor>, dom: Arc<Domain>) -> LiveMigration {
-        let round_ev = Some(source.machine.evclock.schedule(
-            source.machine.boot_cpu().cycles() + ROUND_DEADLINE_CYCLES,
-            EventKind::MigrationRound,
-        ));
         LiveMigration {
             source,
             dom,
@@ -90,23 +75,6 @@ impl LiveMigration {
             rounds: Vec::new(),
             round_no: 0,
             started: false,
-            round_ev,
-        }
-    }
-
-    /// Re-arm the round deadline after a round ran (or cancel it for
-    /// good once the migration finalizes or is abandoned).
-    fn rearm_deadline(&mut self, cpu: &Cpu, rearm: bool) {
-        if let Some(ev) = self.round_ev.take() {
-            self.source.machine.evclock.cancel(ev);
-        }
-        if rearm {
-            self.round_ev = Some(
-                self.source
-                    .machine
-                    .evclock
-                    .schedule(cpu.cycles() + ROUND_DEADLINE_CYCLES, EventKind::MigrationRound),
-            );
         }
     }
 
@@ -189,7 +157,6 @@ impl LiveMigration {
         };
         self.rounds.push(stats);
         self.round_no += 1;
-        self.rearm_deadline(cpu, true);
         Ok(stats)
     }
 
@@ -232,7 +199,6 @@ impl LiveMigration {
         if !self.started {
             self.round(cpu)?;
         }
-        self.rearm_deadline(cpu, false);
         let downtime_start = cpu.cycles();
 
         // Pause: deschedule everywhere.
@@ -300,16 +266,6 @@ impl LiveMigration {
             rounds: std::mem::take(&mut self.rounds),
         };
         Ok((new_dom, report))
-    }
-}
-
-impl Drop for LiveMigration {
-    /// An abandoned migration (target died mid-pre-copy) must not leave
-    /// a stale round deadline pinning the event clock forever.
-    fn drop(&mut self) {
-        if let Some(ev) = self.round_ev.take() {
-            self.source.machine.evclock.cancel(ev);
-        }
     }
 }
 
@@ -419,53 +375,6 @@ mod tests {
         // Source fully released its memory.
         assert!(hv_src.domain(dom.id).is_none());
         assert_eq!(m_src.allocator.available(), src_frames_before + 16);
-    }
-
-    #[test]
-    fn in_flight_migration_pins_the_event_clock() {
-        // The campaign time skip fast-forwards to the next event; a
-        // migration in flight must therefore keep a round deadline in
-        // the queue from construction until finalize (or drop).
-        let (m_src, hv_src) = node();
-        let (_, hv_dst) = node();
-        let cpu = m_src.boot_cpu();
-        let dom = build_guest(&m_src, &hv_src);
-
-        let before = m_src.evclock.pending_events();
-        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
-        assert_eq!(
-            m_src.evclock.pending_events(),
-            before + 1,
-            "a new migration must register its round deadline"
-        );
-        let due = m_src.evclock.next_due().unwrap();
-        assert!(due <= cpu.cycles() + ROUND_DEADLINE_CYCLES);
-
-        mig.round(cpu).unwrap();
-        assert_eq!(
-            m_src.evclock.pending_events(),
-            before + 1,
-            "each round re-arms exactly one deadline"
-        );
-
-        mig.finalize(cpu, &hv_dst, 0).unwrap();
-        assert_eq!(
-            m_src.evclock.pending_events(),
-            before,
-            "finalize must cancel the round deadline"
-        );
-    }
-
-    #[test]
-    fn abandoned_migration_cancels_its_deadline() {
-        let (m_src, hv_src) = node();
-        let dom = build_guest(&m_src, &hv_src);
-        let before = m_src.evclock.pending_events();
-        {
-            let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
-            mig.round(m_src.boot_cpu()).unwrap();
-        }
-        assert_eq!(m_src.evclock.pending_events(), before);
     }
 
     #[test]

@@ -518,7 +518,7 @@ impl PageInfoTable {
     /// workers can observe "untyped" and both walk the L1 — double
     /// `Writable` references, and a snapshot that no serial walk would
     /// ever produce.  Here the L1 handling is a single lock-held
-    /// **claim** ([`Self::claim_l1`]): exactly one worker wins the
+    /// **claim** (`claim_l1`): exactly one worker wins the
     /// untyped→`L1` transition and walks the entries; everyone else
     /// just adds a type reference.  Reference counts are additive and
     /// each L1 is walked exactly once, so the final table is

@@ -18,14 +18,12 @@
 //! the cycle charge off the switch's critical path.  A PTE write after
 //! the scrub re-marks the frame through the native VO's dirty sink.
 //!
-//! Interplay with the event clock (`simx86::evclock`, DESIGN.md §14):
-//! donation happens *before* the remainder of an idle span is
-//! fast-forwarded — the donor consumes its budget in priced
+//! Interplay with idle time (`simx86::evclock`, DESIGN.md §14):
+//! donation happens *before* the remainder of an idle gap is ticked
+//! away — the donor consumes its budget in priced
 //! [`simx86::Cpu::tick`] work, and only the cycles it leaves over are
-//! skipped.  A drained scrubber ([`BackgroundScrubber::is_idle`]) is
-//! what makes a span fully skippable; a non-empty backlog converts the
-//! front of every gap into revalidation work first, identically in
-//! both skip modes.
+//! charged as idle.  A non-empty backlog converts the front of every
+//! gap into revalidation work first.
 //!
 //! ```
 //! use simx86::{costs, Cpu, FrameNum};
@@ -130,8 +128,7 @@ impl BackgroundScrubber {
     }
 
     /// Is the backlog empty?  An idle scrubber has no claim on donated
-    /// cycles, so the donor's whole span may fast-forward through the
-    /// event clock without losing revalidation work.
+    /// cycles.
     pub fn is_idle(&self) -> bool {
         self.backlog() == 0
     }

@@ -64,14 +64,10 @@ Simulated-speed gate
 With `--sim-speed PATH` the gate runs in a dedicated mode that checks
 *only* the simulated-throughput file the campaign binaries emit
 (`sim_speed.json`, one entry per suite) against the archived copy at
-the repo root (DESIGN.md §14.3, EXPERIMENTS.md "Campaign scale").  For every suite
+the repo root (DESIGN.md §14, EXPERIMENTS.md "Campaign scale").  For every suite
 present in both files, `mcycles_per_host_second` must stay above 80%
-of the archived value — the event-driven time skip is a performance
-feature, and a regression here means idle spans stopped
-fast-forwarding.  The `skip_speedup` factor must additionally stay
-≥ 1.0: the skip-on pass may never be slower than the quantum-ticking
-pass.  Suites missing from either side are skipped with a note (the
-archived file is refreshed deliberately, not by CI).
+of the archived value.  Suites missing from either side are skipped
+with a note (the archived file is refreshed deliberately, not by CI).
 
 Fleet gate
 ----------
@@ -172,8 +168,7 @@ SERVING_SCENARIO_CHECKS = [
 
 # Simulated-throughput gate: fresh mcycles_per_host_second below this
 # fraction of the archived value fails.  Host timing is noisy, so the
-# band is wide; what it catches is the qualitative regression where
-# idle spans stop fast-forwarding (a ~10-100x cliff, not a 10% drift).
+# band is wide; what it catches is a cliff, not a 10% drift.
 SIM_SPEED_MIN_FRACTION = 0.8
 
 # Fleet-gate hard ceilings (absolute, fresh-run only — an archived
@@ -399,9 +394,8 @@ def gate_sim_speed(fresh_path):
     Compares every suite present in both the fresh file and the
     archived repo-root `sim_speed.json`.  Fails if a suite's
     `mcycles_per_host_second` fell below ``SIM_SPEED_MIN_FRACTION`` of
-    the archived value, or if its `skip_speedup` dropped below 1.0
-    (the skip-on pass must never lose to quantum ticking).  Suites
-    missing from either side are notes, not failures.
+    the archived value.  Suites missing from either side are notes,
+    not failures.
     """
     with open(fresh_path) as f:
         fresh = json.load(f)
@@ -409,37 +403,27 @@ def gate_sim_speed(fresh_path):
         archived = json.load(f)
 
     regressions = []
-    print(f"{'suite'.ljust(10)} | archived Mc/s | fresh Mc/s | min Mc/s | speedup | status")
-    print(f"{'-' * 10}-|--------------:|-----------:|---------:|--------:|-------")
+    print(f"{'suite'.ljust(10)} | archived Mc/s | fresh Mc/s | min Mc/s | status")
+    print(f"{'-' * 10}-|--------------:|-----------:|---------:|-------")
     for suite in sorted(set(archived) | set(fresh)):
         if suite not in fresh:
-            print(f"{suite.ljust(10)} | {'':>13} | {'':>10} | {'':>8} | {'':>7} | missing from fresh run (note)")
+            print(f"{suite.ljust(10)} | {'':>13} | {'':>10} | {'':>8} | missing from fresh run (note)")
             continue
         if suite not in archived:
             f_tp = fresh[suite]["mcycles_per_host_second"]
-            print(f"{suite.ljust(10)} | {'':>13} | {f_tp:10.1f} | {'':>8} | {'':>7} | new suite (archive it)")
+            print(f"{suite.ljust(10)} | {'':>13} | {f_tp:10.1f} | {'':>8} | new suite (archive it)")
             continue
         a_tp = archived[suite]["mcycles_per_host_second"]
         f_tp = fresh[suite]["mcycles_per_host_second"]
-        speedup = fresh[suite]["skip_speedup"]
         floor = a_tp * SIM_SPEED_MIN_FRACTION
         status = "ok"
         if f_tp < floor:
             status = "REGRESSED"
             regressions.append(
                 f"sim_speed.{suite}.mcycles_per_host_second "
-                f"({f_tp:.1f} < {SIM_SPEED_MIN_FRACTION:.0%} of archived {a_tp:.1f} "
-                f"— idle spans likely stopped fast-forwarding)"
+                f"({f_tp:.1f} < {SIM_SPEED_MIN_FRACTION:.0%} of archived {a_tp:.1f})"
             )
-        if speedup < 1.0:
-            status = "REGRESSED"
-            regressions.append(
-                f"sim_speed.{suite}.skip_speedup ({speedup:.2f} < 1.0 — the "
-                f"skip-on pass lost to quantum ticking)"
-            )
-        print(
-            f"{suite.ljust(10)} | {a_tp:13.1f} | {f_tp:10.1f} | {floor:8.1f} | {speedup:7.2f} | {status}"
-        )
+        print(f"{suite.ljust(10)} | {a_tp:13.1f} | {f_tp:10.1f} | {floor:8.1f} | {status}")
 
     if regressions:
         print(f"\nbenchgate: FAIL — {len(regressions)} sim-speed regression(s):", file=sys.stderr)

@@ -50,7 +50,6 @@ impl std::error::Error for FailoverError {}
 pub fn auto_failover(
     failing: &Arc<Node>,
     healthy: &Arc<Node>,
-    precopy_rounds: usize,
 ) -> Result<FailoverReport, FailoverError> {
     let status = failing.health.assess();
     let HealthStatus::FailurePredicted(reason) = status else {
@@ -65,7 +64,7 @@ pub fn auto_failover(
         .mce_seen
         .load(std::sync::atomic::Ordering::Acquire));
 
-    let guest = evacuate(failing, healthy, precopy_rounds).map_err(FailoverError::Evacuation)?;
+    let guest = evacuate(failing, healthy).map_err(FailoverError::Evacuation)?;
     let downtime_us = guest.report.downtime_us();
     Ok(FailoverReport {
         trigger: reason,
@@ -86,7 +85,7 @@ mod tests {
     #[test]
     fn healthy_node_does_not_fail_over() {
         let cluster = Cluster::launch(2, &NodeConfig::default());
-        let Err(err) = auto_failover(cluster.node(0), cluster.node(1), 1) else {
+        let Err(err) = auto_failover(cluster.node(0), cluster.node(1)) else {
             panic!("healthy node must not fail over");
         };
         assert!(matches!(
@@ -117,7 +116,7 @@ mod tests {
                 ..Default::default()
             });
         }
-        let report = auto_failover(failing, healthy, 2).unwrap();
+        let report = auto_failover(failing, healthy).unwrap();
         assert!(report.trigger.contains("temperature"));
         assert!(report.downtime_us > 0.0);
 

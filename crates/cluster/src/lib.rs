@@ -18,21 +18,21 @@
 //! recovery (§6.2's device-driver-isolation use case, DESIGN.md §12),
 //! and the [`maintenance`]/[`failover`] orchestrations.
 //!
-//! Fleet-scale operation (hundreds of nodes behind a balancer) builds
-//! on the shared [`fleet`] state view and its evacuation-target
-//! selection; see DESIGN.md §15.
+//! This crate stops at the machine pair: it moves one OS between two
+//! nodes and says nothing about *which* nodes.  Who is serving at home,
+//! who is parked on which peer, rack layout and evacuation-target
+//! selection are `mercury_servo::fleet`'s one per-node state machine
+//! (DESIGN.md §15).
 
 #![deny(missing_docs)]
 
 pub mod failover;
-pub mod fleet;
 pub mod health;
 pub mod maintenance;
 pub mod node;
 pub mod watchdog;
 
 pub use failover::{auto_failover, FailoverReport};
-pub use fleet::{FleetState, NodeStatus};
 pub use health::{HealthMonitor, HealthStatus, SensorReading};
 pub use maintenance::{evacuate, return_home, EvacuatedGuest, MaintenanceError, SplitDevices};
 pub use node::{Cluster, Node, NodeConfig};

@@ -124,15 +124,6 @@ fn migrate_storage(source: &Arc<Node>, target: &Arc<Node>) {
     target.machine.disk.write_raw(0, &image);
 }
 
-/// How many pre-copy rounds an evacuation runs.
-enum RoundPlan {
-    /// Exactly this many rounds (at least one).
-    Fixed(usize),
-    /// Up to [`MAX_PRECOPY_ROUNDS`], stopping early once a round ships
-    /// at most [`CONVERGENCE_FRAMES`] frames.
-    Converge,
-}
-
 /// Pre-copy round cap before forcing stop-and-copy (Clark et al. bound
 /// the iterations; an unconverging guest must not migrate forever).
 pub const MAX_PRECOPY_ROUNDS: usize = 4;
@@ -145,7 +136,9 @@ pub const CONVERGENCE_FRAMES: usize = 8;
 ///
 /// 1. both nodes self-virtualize (`source` full-virtual, `target`
 ///    partial-virtual);
-/// 2. iterative pre-copy live migration with `precopy_rounds` rounds;
+/// 2. iterative pre-copy live migration run to convergence: up to
+///    [`MAX_PRECOPY_ROUNDS`] rounds, stopping early once a dirty-set
+///    round ships at most [`CONVERGENCE_FRAMES`] frames;
 /// 3. freeze, then copy storage (shared-storage stand-in) — the freeze
 ///    syncs the buffer cache through the still-native driver first, so
 ///    the shipped platter contains every acknowledged write;
@@ -154,24 +147,6 @@ pub const CONVERGENCE_FRAMES: usize = 8;
 pub fn evacuate(
     source: &Arc<Node>,
     target: &Arc<Node>,
-    precopy_rounds: usize,
-) -> Result<EvacuatedGuest, MaintenanceError> {
-    evacuate_inner(source, target, RoundPlan::Fixed(precopy_rounds))
-}
-
-/// [`evacuate`] with pre-copy run to convergence instead of a fixed
-/// round count — the fleet's evacuation (DESIGN.md §15.3).
-pub fn evacuate_converging(
-    source: &Arc<Node>,
-    target: &Arc<Node>,
-) -> Result<EvacuatedGuest, MaintenanceError> {
-    evacuate_inner(source, target, RoundPlan::Converge)
-}
-
-fn evacuate_inner(
-    source: &Arc<Node>,
-    target: &Arc<Node>,
-    plan: RoundPlan,
 ) -> Result<EvacuatedGuest, MaintenanceError> {
     let src_m = source.mercury();
     let dst_m = target.mercury();
@@ -181,21 +156,12 @@ fn evacuate_inner(
     let cpu = source.machine.boot_cpu();
 
     let mut migration = LiveMigration::new(source.hv(), Arc::clone(src_m.dom0()));
-    match plan {
-        RoundPlan::Fixed(n) => {
-            for _ in 0..n.max(1) {
-                migration.round(cpu).map_err(MaintenanceError::Migration)?;
-            }
-        }
-        RoundPlan::Converge => {
-            for i in 0..MAX_PRECOPY_ROUNDS {
-                let stats = migration.round(cpu).map_err(MaintenanceError::Migration)?;
-                // Round 0 ships everything; convergence is judged on
-                // the dirty-set rounds after it.
-                if i > 0 && stats.frames_sent <= CONVERGENCE_FRAMES {
-                    break;
-                }
-            }
+    for i in 0..MAX_PRECOPY_ROUNDS {
+        let stats = migration.round(cpu).map_err(MaintenanceError::Migration)?;
+        // Round 0 ships everything; convergence is judged on the
+        // dirty-set rounds after it.
+        if i > 0 && stats.frames_sent <= CONVERGENCE_FRAMES {
+            break;
         }
     }
 
@@ -237,7 +203,7 @@ fn evacuate_inner(
         Arc::clone(&kernel),
         target.hv(),
         Arc::clone(&dom),
-        TrackingStrategy::RecomputeOnSwitch,
+        TrackingStrategy::default(),
     )
     .map_err(MaintenanceError::Switch)?;
 
@@ -405,7 +371,7 @@ pub fn return_home(
         Arc::clone(&kernel),
         home.hv(),
         dom,
-        TrackingStrategy::RecomputeOnSwitch,
+        TrackingStrategy::default(),
     )
     .map_err(MaintenanceError::Switch)?;
 
@@ -468,7 +434,7 @@ mod tests {
         sess.sync().unwrap();
 
         // Evacuate.
-        let guest = evacuate(home, host, 2).unwrap();
+        let guest = evacuate(home, host).unwrap();
         assert!(guest.report.total_frames > 0);
         assert_eq!(guest.kernel.exec_mode(), ExecMode::Virtual);
         assert_eq!(host.hv().domains().len(), 2, "host hosts its OS + the guest");
@@ -519,7 +485,7 @@ mod tests {
         sess.write(fd, b"acknowledged, never synced").unwrap();
         // No sess.sync(): the write lives only in the buffer cache.
 
-        let guest = evacuate(home, host, 1).unwrap();
+        let guest = evacuate(home, host).unwrap();
 
         let gsess = Session::new(Arc::clone(&guest.kernel), 0);
         host.hv().set_current(0, Some(guest.dom.id));
@@ -533,7 +499,7 @@ mod tests {
     #[test]
     fn converging_evacuation_stops_within_the_round_cap() {
         let cluster = Cluster::launch(2, &NodeConfig::default());
-        let guest = evacuate_converging(cluster.node(0), cluster.node(1)).unwrap();
+        let guest = evacuate(cluster.node(0), cluster.node(1)).unwrap();
         // Convergence: a quiet guest never needs the full round cap.
         assert!(guest.report.rounds.len() <= MAX_PRECOPY_ROUNDS + 1);
         assert!(guest.report.total_frames > 0);
@@ -552,7 +518,7 @@ mod tests {
         sess.write(fd, b"homeward").unwrap();
         sess.sync().unwrap();
 
-        let guest = evacuate(home, host, 1).unwrap();
+        let guest = evacuate(home, host).unwrap();
         let gsess = Session::new(Arc::clone(&guest.kernel), 0);
         host.hv().set_current(0, Some(guest.dom.id));
 
@@ -583,7 +549,7 @@ mod tests {
 
         // One warm-up cycle so lazy first-switch allocations don't
         // pollute the baseline; the leak was per-cycle.
-        let guest = evacuate(home, host, 1).unwrap();
+        let guest = evacuate(home, host).unwrap();
         host.hv().set_current(0, Some(guest.dom.id));
         return_home(guest, host, home).unwrap();
 
@@ -591,7 +557,7 @@ mod tests {
         let avail_before = host.machine.allocator.available();
 
         for _ in 0..3 {
-            let guest = evacuate(home, host, 1).unwrap();
+            let guest = evacuate(home, host).unwrap();
             host.hv().set_current(0, Some(guest.dom.id));
             return_home(guest, host, home).unwrap();
         }
@@ -608,6 +574,39 @@ mod tests {
         );
     }
 
+    /// A re-homed OS used to come back on the legacy O(owned) scan with
+    /// the node's scrubber still bound to the domain that left: every
+    /// later attach paid full price and idle time revalidated nothing.
+    #[test]
+    fn rehomed_os_keeps_dirty_tracking_and_its_scrubber() {
+        let cluster = Cluster::launch(2, &NodeConfig::default());
+        let home = cluster.node(0);
+        let host = cluster.node(1);
+
+        let guest = evacuate(home, host).unwrap();
+        host.hv().set_current(0, Some(guest.dom.id));
+        return_home(guest, host, home).unwrap();
+        let mercury = home.mercury();
+        assert_eq!(mercury.strategy(), TrackingStrategy::default());
+
+        // Native PTE writes dirty the returned domain's table frames…
+        let sess = home.session();
+        let va = sess.mmap(8, Prot::RW, MmapBacking::Anon).unwrap();
+        for p in 0..8u64 {
+            sess.poke(simx86::VirtAddr(va.0 + p * simx86::PAGE_SIZE), p)
+                .unwrap();
+        }
+        let dom = mercury.dom0().id;
+        let dirty = home.hv().page_info.count_dirty_for(dom);
+        assert!(dirty > 0, "pokes must dirty tables");
+
+        // …and an idle donation retires them.
+        let cpu = home.machine.boot_cpu();
+        let used = home.scrubber().donate(cpu, 1_000_000);
+        assert!(used > 0, "the scrubber must see the new domain's dirty set");
+        assert!(home.hv().page_info.count_dirty_for(dom) < dirty);
+    }
+
     /// A malformed image (no frozen state on the domain, or a state
     /// some other kind of guest froze) must surface as an error the
     /// watchdog can act on, not a panic.
@@ -617,7 +616,7 @@ mod tests {
         let home = cluster.node(0);
         let host = cluster.node(1);
 
-        let guest = evacuate(home, host, 1).unwrap();
+        let guest = evacuate(home, host).unwrap();
         host.hv().set_current(0, Some(guest.dom.id));
 
         // Corrupt the image in the way a buggy migration would: the
@@ -681,7 +680,7 @@ mod rolling_tests {
         for i in 0..3 {
             let home = cluster.node(i);
             let host = cluster.node((i + 1) % 3);
-            let guest = evacuate(home, host, 1).unwrap();
+            let guest = evacuate(home, host).unwrap();
 
             // The evacuated OS keeps mutating while its home is down.
             host.hv().set_current(0, Some(guest.dom.id));

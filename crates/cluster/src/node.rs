@@ -26,8 +26,6 @@ pub struct NodeConfig {
     pub disk_sectors: u64,
     /// Filesystem data blocks.
     pub fs_blocks: u64,
-    /// Frame-accounting strategy for Mercury.
-    pub strategy: TrackingStrategy,
 }
 
 impl Default for NodeConfig {
@@ -38,7 +36,22 @@ impl Default for NodeConfig {
             pool_frames: 6 * 1024,
             disk_sectors: 64 * 1024,
             fs_blocks: 4096,
-            strategy: TrackingStrategy::default(),
+        }
+    }
+}
+
+impl NodeConfig {
+    /// A uniprocessor node a quarter the default size: 16 MB of
+    /// simulated RAM and a 1536-frame kernel pool (the kernel boots in
+    /// 700), so a hundred of them fit a CI runner's memory and a
+    /// migration stays cheap.
+    pub fn small() -> NodeConfig {
+        NodeConfig {
+            num_cpus: 1,
+            mem_frames: 4 * 1024,
+            pool_frames: 1536,
+            disk_sectors: 8 * 1024,
+            fs_blocks: 512,
         }
     }
 }
@@ -92,8 +105,12 @@ impl Node {
         let bounce = machine.allocator.alloc(cpu).expect("bounce frame");
         kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
         kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-        let mercury = Mercury::install(Arc::clone(&kernel), Arc::clone(&hv), config.strategy)
-            .expect("mercury install failed");
+        let mercury = Mercury::install(
+            Arc::clone(&kernel),
+            Arc::clone(&hv),
+            TrackingStrategy::default(),
+        )
+        .expect("mercury install failed");
         let scrubber = BackgroundScrubber::new(Arc::clone(&hv.page_info), mercury.dom0().id);
         Self::wire_idle_scrubber(&kernel, &mercury, &scrubber);
         Arc::new(Node {
@@ -151,8 +168,13 @@ impl Node {
     }
 
     /// Replace the node's OS (after an evacuated kernel returns home).
-    /// The new kernel's idle loop is rewired to the node's scrubber.
+    /// The scrubber follows the OS — it came back as a new domain — and
+    /// the new kernel's idle loop is rewired to it.
     pub fn adopt_os(&self, kernel: Arc<Kernel>, mercury: Arc<Mercury>) {
+        self.scrubber.retarget(
+            Arc::clone(&mercury.hypervisor().page_info),
+            mercury.dom0().id,
+        );
         Self::wire_idle_scrubber(&kernel, &mercury, &self.scrubber);
         *self.kernel.write() = kernel;
         *self.mercury.write() = mercury;

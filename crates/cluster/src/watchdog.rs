@@ -33,7 +33,6 @@
 //!   natively instead.  [`FaultReport::degraded`] records this, and
 //!   [`mercury::SwitchStats::rendezvous_failures`] counts it.
 
-use crate::fleet::{FleetState, NodeStatus};
 use faultgen::{FaultClass, FaultSignal, FaultTarget};
 use mercury::rendezvous::RendezvousError;
 use mercury::{ExecMode, Mercury, SwitchError, SwitchOutcome};
@@ -160,11 +159,10 @@ pub struct Watchdog {
     policy: WatchdogPolicy,
     /// We attached for isolation and owe a detach at window end.
     attached_by_us: bool,
-    /// Sticky: a rendezvous timed out; stop requesting attaches.
-    degraded: bool,
+    /// Sticky, with the reason: a rendezvous timed out (or a caller saw
+    /// a health signal); stop requesting attaches.
+    degraded: Option<String>,
     reports: Vec<FaultReport>,
-    /// Shared fleet view + this node's index in it, when fleet-bound.
-    fleet: Option<(Arc<FleetState>, usize)>,
     /// The node's idle scrubber, when bound: a successful live-update
     /// retargets it at the successor's frame table so donated cycles
     /// keep revalidating the *live* ledger.
@@ -192,9 +190,8 @@ impl Watchdog {
             kernel,
             policy,
             attached_by_us: false,
-            degraded: false,
+            degraded: None,
             reports: Vec::new(),
-            fleet: None,
             scrubber: None,
             suspected: Vec::new(),
         }
@@ -206,25 +203,14 @@ impl Watchdog {
         self.scrubber = Some(scrubber);
     }
 
-    /// Bind this watchdog to the shared fleet view as node `index`:
-    /// from now on a sticky degradation (or an explicit
-    /// [`mark_degraded`](Watchdog::mark_degraded)) is published as
-    /// [`NodeStatus::Degraded`] so the balancer routes away and the
-    /// migration policy can start draining the node.
-    pub fn bind_fleet(&mut self, fleet: Arc<FleetState>, index: usize) {
-        self.fleet = Some((fleet, index));
-    }
-
-    /// Degrade this node: sticky native-only recovery, published to the
-    /// bound fleet view (if any).  Called internally on rendezvous
-    /// timeouts; callers use it for health-signal degradations (rising
-    /// temperature trend, fault storms) that the watchdog itself cannot
-    /// see.
+    /// Degrade this node: sticky native-only recovery, with the reason
+    /// kept for whoever routes traffic (a fleet's run hook hands
+    /// [`degraded_reason`](Watchdog::degraded_reason) to its balancer).
+    /// Called internally on rendezvous timeouts; callers use it for
+    /// health-signal degradations (rising temperature trend, fault
+    /// storms) that the watchdog itself cannot see.
     pub fn mark_degraded(&mut self, reason: &str) {
-        self.degraded = true;
-        if let Some((fleet, index)) = &self.fleet {
-            fleet.set_status(*index, NodeStatus::Degraded(reason.to_string()));
-        }
+        self.degraded = Some(reason.to_string());
     }
 
     /// Drain and handle every pending fault signal.  Returns the number
@@ -261,7 +247,7 @@ impl Watchdog {
                 detected_cycle,
                 action,
                 attach_attempts,
-                degraded: self.degraded,
+                degraded: self.degraded(),
                 recovered,
             });
         }
@@ -288,7 +274,12 @@ impl Watchdog {
 
     /// Has the watchdog fallen back to native-only recovery?
     pub fn degraded(&self) -> bool {
-        self.degraded
+        self.degraded.is_some()
+    }
+
+    /// Why the watchdog degraded, when it has.
+    pub fn degraded_reason(&self) -> Option<&str> {
+        self.degraded.as_deref()
     }
 
     /// Is the watchdog currently holding an attach it made?
@@ -299,7 +290,7 @@ impl Watchdog {
     /// Request an attach, retrying deferred/busy outcomes with backoff.
     /// Returns the number of attempts made.
     fn ensure_attached(&mut self, cpu: &Arc<Cpu>) -> u32 {
-        if self.degraded || self.mercury.mode() == ExecMode::Virtual {
+        if self.degraded() || self.mercury.mode() == ExecMode::Virtual {
             return 0;
         }
         let mut attempts = 0;
@@ -433,7 +424,10 @@ impl Watchdog {
             Ok(SwitchOutcome::Completed { .. }) => {
                 merctrace::counter!(cpu.id, "watchdog.live_update", 1, cpu.cycles());
                 if let Some(scrubber) = &self.scrubber {
-                    scrubber.retarget(Arc::clone(&self.mercury.hypervisor().page_info));
+                    scrubber.retarget(
+                        Arc::clone(&self.mercury.hypervisor().page_info),
+                        self.mercury.dom0().id,
+                    );
                 }
                 true
             }
@@ -504,18 +498,12 @@ mod tests {
     }
 
     #[test]
-    fn degradation_is_published_to_the_bound_fleet() {
+    fn degradation_keeps_its_reason() {
         let node = Node::launch("n0", &NodeConfig::default());
         let mut dog = dog_for(&node, WatchdogPolicy::default());
-        let fleet = FleetState::new(3, 3);
-        dog.bind_fleet(Arc::clone(&fleet), 1);
-        assert_eq!(fleet.status(1), NodeStatus::Healthy);
+        assert_eq!(dog.degraded_reason(), None);
         dog.mark_degraded("temperature trend rising");
         assert!(dog.degraded());
-        assert_eq!(
-            fleet.status(1),
-            NodeStatus::Degraded("temperature trend rising".into())
-        );
-        assert_eq!(fleet.status(0), NodeStatus::Healthy, "only the bound node");
+        assert_eq!(dog.degraded_reason(), Some("temperature trend rising"));
     }
 }

@@ -33,21 +33,8 @@ use simx86::{PhysAddr, VirtAddr};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Small nodes keep a property case affordable: the same sizing the
-/// fleet bench boots a hundred of.
-fn small_node() -> NodeConfig {
-    NodeConfig {
-        num_cpus: 1,
-        mem_frames: 4 * 1024,
-        pool_frames: 1536,
-        disk_sectors: 8 * 1024,
-        fs_blocks: 512,
-        ..NodeConfig::default()
-    }
-}
-
 /// One randomized workload: word writes into a 4-page anonymous
-/// mapping, file appends with a sync split, and the migration knobs.
+/// mapping and file appends with a sync split.
 #[derive(Debug, Clone)]
 struct Case {
     pre_writes: Vec<(u16, u64)>,
@@ -55,7 +42,6 @@ struct Case {
     pre_chunks: Vec<Vec<u8>>,
     synced_chunks: usize,
     guest_chunk: Vec<u8>,
-    precopy_rounds: usize,
 }
 
 fn draw_case(rng: &mut SplitMix64) -> Case {
@@ -77,7 +63,6 @@ fn draw_case(rng: &mut SplitMix64) -> Case {
         guest_writes,
         pre_chunks,
         guest_chunk: chunk(rng),
-        precopy_rounds: rng.range(1, 4) as usize,
     }
 }
 
@@ -89,7 +74,9 @@ fn slot(base: VirtAddr, i: u16) -> VirtAddr {
 fn run_case(case: &Case) {
     faultgen::reset();
 
-    let cluster = Cluster::launch(2, &small_node());
+    // Small nodes keep a property case affordable: the same sizing the
+    // fleet bench boots a hundred of.
+    let cluster = Cluster::launch(2, &NodeConfig::small());
     let home = cluster.node(0);
     let host = cluster.node(1);
 
@@ -119,7 +106,7 @@ fn run_case(case: &Case) {
     sess.lseek(keep_fd, keep_pos).unwrap();
 
     // -- evacuate -----------------------------------------------------
-    let guest = evacuate(home, host, case.precopy_rounds).unwrap();
+    let guest = evacuate(home, host).unwrap();
     assert!(guest.report.total_frames > 0);
 
     // -- serve as a guest: concurrent dirty traffic -------------------

@@ -18,8 +18,10 @@
 //!   per CPU, a bounded FIFO admission queue, and tail-drop load
 //!   shedding when the queue is full.  Every request records its
 //!   arrival/start/finish cycles exactly, on the simulated clock.
-//! * [`balance`] — a **least-loaded balancer** dispatching one arrival
-//!   stream across the [`mercury_cluster::Node`]s of a cluster.
+//! * [`fleet`] — the **least-loaded balancer** dispatching one arrival
+//!   stream across the [`mercury_cluster::Node`]s of a cluster, and
+//!   the per-node state machine (serving at home / parked on a peer /
+//!   failed) that makes live migration a balancing action.
 //! * [`stats`] — **exact tail percentiles** (p50/p99/p999, nearest
 //!   rank) over the recorded latencies; no sampling, no sketching.
 //!
@@ -58,14 +60,12 @@
 
 #![deny(missing_docs)]
 
-pub mod balance;
 pub mod fleet;
 pub mod loadgen;
 pub mod sched;
 pub mod stats;
 
-pub use balance::ClusterServer;
-pub use fleet::{FleetServer, FLEET_SHED_NODE};
+pub use fleet::{FleetServer, NodeState};
 pub use loadgen::{generate, Arrival, LoadConfig};
 pub use sched::{NodeServer, Outcome, RequestRecord, ServerConfig};
 pub use stats::{tail_stats, TailStats};

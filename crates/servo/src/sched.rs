@@ -26,7 +26,7 @@
 use crate::loadgen::Arrival;
 use mercury_cluster::Node;
 use mercury_workloads::mix::RequestShape;
-use nimbus::kernel::{IdleTask, ReadOutcome, WriteOutcome};
+use nimbus::kernel::{ReadOutcome, WriteOutcome};
 use nimbus::Session;
 use simx86::devices::EchoWire;
 use std::collections::VecDeque;
@@ -167,10 +167,6 @@ pub struct NodeServer {
     /// to this.
     base: u64,
     payload: Vec<u8>,
-    /// Where a worker's open-loop gap (arrival later than `free_at`)
-    /// is donated before the remainder is idled away; `None` blank-
-    /// ticks the whole gap.
-    donor: Option<IdleTask>,
 }
 
 impl NodeServer {
@@ -260,34 +256,7 @@ impl NodeServer {
             records: Vec::new(),
             base,
             payload: chunk,
-            donor: None,
         }
-    }
-
-    /// Install (or clear) the open-loop gap donor.  The donor is called
-    /// with `(cpu, gap_cycles)` whenever a worker would otherwise idle
-    /// until the next request's start, and returns the cycles it
-    /// consumed (at most the gap); the scheduler idles away the rest.
-    pub fn set_idle_donor(&mut self, donor: Option<IdleTask>) {
-        self.donor = donor;
-    }
-
-    /// Donate open-loop gaps to the node's background scrubber —
-    /// Mercury's always-on dirty tracking turns serving slack into
-    /// attach-time savings.  Donation happens only while the node is
-    /// native; in virtual mode the accounting is already live.
-    ///
-    /// Deterministic: the scrubber's take-first-dirty order and the
-    /// gap lengths are pure functions of the seeded run.
-    pub fn donate_gaps_to_scrubber(&mut self) {
-        let node = Arc::clone(&self.node);
-        self.donor = Some(Arc::new(move |cpu, gap| {
-            if node.mercury().mode() == mercury::ExecMode::Native {
-                node.scrubber().donate(cpu, gap)
-            } else {
-                0
-            }
-        }));
     }
 
     /// The node being served.
@@ -433,11 +402,17 @@ impl NodeServer {
         debug_assert!(start >= cpu.cycles(), "worker clock ran past its slot");
         let gap = start - cpu.cycles();
         if gap > 0 {
-            if let Some(donor) = &self.donor {
-                let used = donor(cpu, gap);
-                debug_assert!(used <= gap, "idle donor overran the open-loop gap");
+            // An open-loop gap goes to the node's background scrubber
+            // first: always-on dirty tracking turns serving slack into
+            // attach-time savings.  Only while native — in virtual mode
+            // the accounting is already live.  Deterministic: the
+            // scrubber's take-first-dirty order and the gap lengths are
+            // pure functions of the seeded run.
+            if self.node.mercury().mode() == mercury::ExecMode::Native {
+                let used = self.node.scrubber().donate(cpu, gap);
+                debug_assert!(used <= gap, "scrubber overran the open-loop gap");
             }
-            // Whatever the donor left of the gap is idle time: one
+            // Whatever the scrubber left of the gap is idle time: one
             // tick (DESIGN.md §14).
             self.node.machine.evclock.advance(cpu, start);
         }
@@ -573,7 +548,7 @@ mod tests {
 
     #[test]
     fn same_seed_runs_are_bit_identical() {
-        // Gaps donated to the scrubber: records (arrival, start, finish,
+        // Gaps go to the scrubber: records (arrival, start, finish,
         // worker, outcome) and the frames revalidated must both repeat.
         // Steady-state SMP serving is simulation-deterministic too (no
         // switch during traffic), hence the 2-worker input.
@@ -593,7 +568,6 @@ mod tests {
                     ..ServerConfig::default()
                 },
             );
-            server.donate_gaps_to_scrubber();
             server.run(&traffic(seed, 300_000 / cpus as u64, 400), |_, _| {});
             (server.records().to_vec(), node.scrubber().revalidated())
         };
@@ -620,10 +594,9 @@ mod tests {
         let backlog0 = node.scrubber().backlog();
         assert!(backlog0 > 0, "pokes must dirty tables");
 
-        // Sparse arrivals leave open-loop gaps; with donation wired the
-        // gaps retire the dirty backlog instead of idling away.
+        // Sparse arrivals leave open-loop gaps, and the gaps retire
+        // the dirty backlog instead of idling away.
         let mut server = NodeServer::new(&node, 0, ServerConfig::default());
-        server.donate_gaps_to_scrubber();
         server.run(&traffic(13, 200_000, 50), |_, _| {});
         assert!(node.scrubber().revalidated() > 0, "gaps must scrub");
         assert!(node.scrubber().backlog() < backlog0);

@@ -67,13 +67,14 @@ use std::sync::Arc;
 /// statistics are atomics; the per-frame pop itself is serialized by
 /// the frame table's lock.
 pub struct BackgroundScrubber {
-    /// The frame table being scrubbed.  A slot, not a plain `Arc`:
-    /// a live-update replaces the running hypervisor (and with it the
-    /// authoritative page-info table), and a scrubber left pointing at
-    /// the decommissioned instance would revalidate a dead ledger.
+    /// The frame table being scrubbed and the domain whose dirty set
+    /// it holds.  A slot, not plain fields: a live-update replaces the
+    /// running hypervisor (and with it the authoritative page-info
+    /// table), a re-homed OS comes back as a new domain, and a scrubber
+    /// left pointing at the decommissioned instance or the departed
+    /// domain would never find a dirty frame again.
     /// [`retarget`](BackgroundScrubber::retarget) swaps the slot.
-    page_info: simx86::sync::RwLock<Arc<PageInfoTable>>,
-    dom: DomId,
+    target: simx86::sync::RwLock<(Arc<PageInfoTable>, DomId)>,
     revalidated: AtomicU64,
     cycles_donated: AtomicU64,
 }
@@ -82,19 +83,19 @@ impl BackgroundScrubber {
     /// A scrubber over `dom`'s frames in `page_info`.
     pub fn new(page_info: Arc<PageInfoTable>, dom: DomId) -> Arc<BackgroundScrubber> {
         Arc::new(BackgroundScrubber {
-            page_info: simx86::sync::RwLock::new(page_info),
-            dom,
+            target: simx86::sync::RwLock::new((page_info, dom)),
             revalidated: AtomicU64::new(0),
             cycles_donated: AtomicU64::new(0),
         })
     }
 
-    /// Point the scrubber at a successor hypervisor's frame table
-    /// (after a live-update decommissions the instance this scrubber
-    /// was built over).  Statistics carry across: they count work
+    /// Point the scrubber at `dom`'s frames in `page_info`: a successor
+    /// hypervisor's table after a live-update decommissions the
+    /// instance this scrubber was built over, or the domain a re-homed
+    /// OS came back as.  Statistics carry across: they count work
     /// donated on this node, not work per VMM instance.
-    pub fn retarget(&self, page_info: Arc<PageInfoTable>) {
-        *self.page_info.write() = page_info;
+    pub fn retarget(&self, page_info: Arc<PageInfoTable>, dom: DomId) {
+        *self.target.write() = (page_info, dom);
     }
 
     /// Donate up to `budget` idle cycles on `cpu`: revalidate dirty
@@ -106,11 +107,11 @@ impl BackgroundScrubber {
     /// donor on a latency path keeps its deadline.
     pub fn donate(&self, cpu: &Arc<Cpu>, budget: u64) -> u64 {
         let per_frame = costs::PGINFO_RECOMPUTE_PER_FRAME;
-        let table = Arc::clone(&self.page_info.read());
+        let (table, dom) = self.target.read().clone();
         let mut used = 0u64;
         // volint::bound(16384) — at most one pop per pool frame (64 MiB pool)
         while used + per_frame <= budget {
-            if table.take_dirty_frame_for(self.dom).is_none() {
+            if table.take_dirty_frame_for(dom).is_none() {
                 break;
             }
             cpu.tick(per_frame);
@@ -124,7 +125,8 @@ impl BackgroundScrubber {
 
     /// Dirty frames still awaiting revalidation.
     pub fn backlog(&self) -> usize {
-        self.page_info.read().count_dirty_for(self.dom)
+        let (table, dom) = &*self.target.read();
+        table.count_dirty_for(*dom)
     }
 
     /// Is the backlog empty?  An idle scrubber has no claim on donated
@@ -147,7 +149,7 @@ impl BackgroundScrubber {
 impl std::fmt::Debug for BackgroundScrubber {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BackgroundScrubber")
-            .field("dom", &self.dom)
+            .field("dom", &self.target.read().1)
             .field("backlog", &self.backlog())
             .field("revalidated", &self.revalidated())
             .finish()
@@ -217,7 +219,7 @@ mod tests {
         }
         t2.mark_dirty(FrameNum(3));
         t2.mark_dirty(FrameNum(5));
-        s.retarget(Arc::clone(&t2));
+        s.retarget(Arc::clone(&t2), DomId(0));
         // The backlog now reads the successor's ledger; the old
         // table's dirty bit is no longer this scrubber's business.
         assert_eq!(s.backlog(), 2);

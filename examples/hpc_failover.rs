@@ -46,7 +46,7 @@ fn main() {
     );
 
     // Policy engine reacts: self-virtualize + evacuate.
-    let report = auto_failover(failing, healthy, 2).unwrap();
+    let report = auto_failover(failing, healthy).unwrap();
     println!(
         "failover triggered by '{}': {} frames migrated, downtime {:.1} us",
         report.trigger, report.guest.report.total_frames, report.downtime_us

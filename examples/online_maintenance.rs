@@ -30,7 +30,7 @@ fn main() {
 
     // Operator: evacuate node0 for a RAM swap.
     println!("evacuating {} -> {} ...", home.name, host.name);
-    let guest = evacuate(home, host, 2).unwrap();
+    let guest = evacuate(home, host).unwrap();
     println!(
         "live migration done: {} frames over {} rounds, downtime {:.1} us",
         guest.report.total_frames,

@@ -43,21 +43,10 @@ steady native (`SERVING_INFLATION_CEILINGS`): the always-on dirty
 baseline makes a mode switch a tail event comparable to an unlucky
 queueing burst, not a 16x outlier, and the gate holds that line even
 if someone re-archives a regressed run.  The hypervisor live-update
-scenario (`serving_tail --live-update`) is gated the same way: the
+scenario (`update-under-load-1cpu`) is gated the same way: the
 update-under-load p99 inflation carries its own hard 2.0x ceiling.
 Quick-sized runs (`"quick": true`) are not comparable and are skipped
 with a note.
-
-Provisional archives
---------------------
-Hand-written archive entries (added before the first real full-size
-run exists) are marked provisional — `"provisional": true` inside a
-switch-timeline leg, a key listed in `provisional_inflation` inside
-`serving_results.json`, or `"provisional": true` at the top of
-`fleet_results.json` — and are excluded from band comparison with a
-loud note until re-archived from a real run.  Hard ceilings and the
-static-budget cross-check still apply to the fresh measurements:
-provisional status skips the *bands*, never the invariants.
 
 Simulated-speed gate
 --------------------
@@ -72,7 +61,7 @@ with a note (the archived file is refreshed deliberately, not by CI).
 Fleet gate
 ----------
 With `--fleet PATH` the gate runs in a dedicated mode over the
-fleet-scale serving run (`serving_tail --fleet`, DESIGN.md §15).  The
+fleet-scale serving run (`serving_tail`'s fleet row, DESIGN.md §15).  The
 fresh `fleet_results.json` at PATH must satisfy hard invariants that no
 archive can grandfather away: **zero lost requests** (every offered
 request is accounted as completed or shed — a request that vanished
@@ -81,11 +70,8 @@ determinism `"verified"`, total accounting (`offered == completed +
 shed`), a hard ceiling on the worst migration downtime, and a hard
 absolute ceiling on the fleet p999.  On top of the invariants, the
 tails and median downtime are banded against the archived repo-root
-`fleet_results.json` — unless the archived copy is marked
-`"provisional": true` (hand-written before the first real run), in
-which case the comparison is skipped with a loud note to re-archive
-from a real run.  Runs of different sizing (`mode` mismatch) are not
-compared either.
+`fleet_results.json`.  Runs of different sizing (`mode` mismatch) are
+not compared.
 
 Usage
 -----
@@ -334,39 +320,28 @@ def gate_serving(gate, archived_sv, fresh_sv, notes):
 
     archived_inf = archived_sv["inflation_vs_steady_native_1cpu"]
     fresh_inf = fresh_sv["inflation_vs_steady_native_1cpu"]
-    # Keys the archive marks provisional (hand-written before the first
-    # real run) are ceiling-checked but not banded: a made-up archived
-    # number must neither fail nor bless a fresh one.
-    provisional = set(archived_sv.get("provisional_inflation", ()))
     for key, rel, floor in SERVING_INFLATION_CHECKS:
         name = f"serving.inflation.{key}"
         archived, fresh = archived_inf.get(key), fresh_inf.get(key)
         if fresh is None:
-            # Optional-scenario key (e.g. the update_under_load pair
-            # only exists when the sweep ran with --live-update).
-            notes.append(f"{name}: not in the fresh run — band skipped")
+            # Every run executes every scenario: a missing key means
+            # its scenario fell out of the table.
+            gate.rows.append((name, archived or float("nan"), float("nan"), float("nan"), 0.0, "REGRESSED"))
+            gate.regressions.append(f"{name} (missing from fresh results)")
             continue
         if archived is None:
             notes.append(f"{name}: fresh run has a new inflation key ({fresh:.2f}x) — archive it")
             gate.rows.append((name, float("nan"), fresh, float("nan"), 0.0, "new key"))
             continue
-        if key in provisional:
-            notes.append(
-                f"{name}: archived value is PROVISIONAL (hand-written placeholder "
-                f"{archived:.2f}x) — band skipped; re-archive from a real run"
-            )
-            gate.rows.append((name, archived, fresh, fresh - archived, 0.0, "provisional"))
-            continue
         gate.check(name, archived, fresh, rel, floor)
 
     # Absolute ceilings are checked against the *fresh* run only — the
-    # archived copy can't grandfather a breach in (and a provisional
-    # archive can't dodge one).
+    # archived copy can't grandfather a breach in.  (A key missing from
+    # the fresh run already regressed above.)
     for key, ceiling in SERVING_INFLATION_CEILINGS.items():
         name = f"serving.ceiling.{key}"
         fresh = fresh_inf.get(key)
         if fresh is None:
-            notes.append(f"{name}: not in the fresh run — ceiling skipped")
             continue
         if fresh >= ceiling:
             gate.rows.append((name, ceiling, fresh, fresh - ceiling, 0.0, "REGRESSED"))
@@ -439,7 +414,7 @@ def gate_fleet(fresh_path):
     Hard invariants on the fresh `fleet_results.json` first (zero lost
     requests, verified determinism, total accounting, downtime and
     p999 ceilings), then relative bands against the archived repo-root
-    copy when it is a real (non-provisional) run of the same sizing.
+    copy when it is a run of the same sizing.
     """
     with open(fresh_path) as f:
         fresh = json.load(f)
@@ -491,14 +466,7 @@ def gate_fleet(fresh_path):
     else:
         with open(archived_path) as f:
             archived = json.load(f)
-        if archived.get("provisional"):
-            notes.append(
-                "fleet: archived fleet_results.json is PROVISIONAL (hand-written "
-                "placeholder) — band comparison skipped; re-archive it from a real "
-                "`serving_tail --fleet` run"
-            )
-            archived = None
-        elif archived.get("mode") != fresh.get("mode"):
+        if archived.get("mode") != fresh.get("mode"):
             notes.append(
                 f"fleet: fresh run is {fresh.get('mode')!r}-sized but archive is "
                 f"{archived.get('mode')!r}-sized — band comparison skipped"
@@ -583,7 +551,7 @@ def main():
         run_bench("mode_switch", outdir)
         run_bench("switch_timeline", outdir)
         if args.serving:
-            run_bench("serving_tail", outdir, extra=("--seed", "11", "--live-update"))
+            run_bench("serving_tail", outdir, extra=("--seed", "11"))
 
     with open(os.path.join(outdir, "mode_switch.json")) as f:
         fresh_ms = json.load(f)
@@ -617,21 +585,8 @@ def main():
 
     # Compare every archived timeline leg (attach/detach plus the _full
     # and _lazy variants); a leg that vanished from the fresh run is a
-    # regression, a brand-new fresh leg is informational.  A leg whose
-    # archived copy is marked `"provisional": true` (hand-written before
-    # the first real run) is skipped with a loud note — the static
-    # budget cross-check below still covers its fresh measurements.
+    # regression, a brand-new fresh leg is informational.
     for leg in sorted(archived_tl):
-        if archived_tl[leg].get("provisional"):
-            notes.append(
-                f"switch_timeline.{leg}: archived leg is PROVISIONAL (hand-written "
-                f"placeholder) — band comparison skipped; re-archive it from a real "
-                f"`switch_timeline` run"
-            )
-            status = "provisional" if leg in fresh_tl else "provisional (no fresh leg)"
-            fresh_e2e = fresh_tl[leg]["end_to_end_us"] if leg in fresh_tl else float("nan")
-            gate.rows.append((f"switch_timeline.{leg}", archived_tl[leg]["end_to_end_us"], fresh_e2e, float("nan"), 0.0, status))
-            continue
         if leg not in fresh_tl:
             gate.rows.append((f"switch_timeline.{leg}", archived_tl[leg]["end_to_end_us"], float("nan"), float("nan"), 0.0, "REGRESSED"))
             gate.regressions.append(f"switch_timeline.{leg} (leg missing from fresh results)")

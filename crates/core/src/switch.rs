@@ -437,10 +437,6 @@ pub struct Mercury {
     /// Whether the attach-time recompute is sharded across rendezvoused
     /// peers (default on; only takes effect when peers exist).
     sharded: AtomicBool,
-    /// Whether a snapshot baseline exists for the dirty strategies'
-    /// dirty-bit accounting — established once at boot (the install-
-    /// time pre-cache) and refreshed at every detach.
-    dirty_baseline: AtomicBool,
     /// Frames admitted lazily by the most recent attach, still awaiting
     /// their first-touch validation; `None` outside a lazy admission
     /// window.  Registered on every CPU's MMU while set.
@@ -592,7 +588,6 @@ impl Mercury {
             rv_round: Mutex::new(None),
             shard_job: Mutex::new(None),
             sharded: AtomicBool::new(true),
-            dirty_baseline: AtomicBool::new(false),
             lazy_set: Mutex::new(None),
             pending: Mutex::new(None),
             pending_update: Mutex::new(None),
@@ -615,7 +610,6 @@ impl Mercury {
             cpu.tick(costs::PGINFO_RECOMPUTE_PER_FRAME * owned);
             merctrace::counter!(cpu.id, "switch.precache.frames", owned, cpu.cycles());
             mercury.hv().page_info.reset_dirty_for(mercury.dom0.id);
-            mercury.dirty_baseline.store(true, Ordering::Release);
         }
 
         kernel.set_self_virt_sink(Arc::new(SwitchSink(Arc::downgrade(&mercury))));
@@ -893,9 +887,7 @@ impl Mercury {
             (Transition::Update, _) => LIVE_UPDATE,
             (Transition::Attach, AssistMode::HardwareAssisted) => ATTACH_HVM,
             (Transition::Detach, AssistMode::HardwareAssisted) => DETACH_HVM,
-            (Transition::Attach, _) if dirty && self.dirty_baseline.load(Ordering::Acquire) => {
-                ATTACH_DIRTY
-            }
+            (Transition::Attach, _) if dirty => ATTACH_DIRTY,
             (Transition::Attach, _) => ATTACH_FULL,
             (Transition::Detach, _) if dirty => DETACH_RETAIN,
             (Transition::Detach, _) => DETACH_CLEAR,
@@ -1469,7 +1461,6 @@ impl Mercury {
         // The state just validated *is* the snapshot; dirty tracking
         // (re)starts from here.
         hv.page_info.reset_dirty_for(self.dom0.id);
-        self.dirty_baseline.store(true, Ordering::Release);
         Ok(())
     }
 
@@ -2202,6 +2193,49 @@ pub(crate) mod tests {
             assert!(count > 0);
             assert!(h_dirty.page_info.get(pgd).pinned);
         }
+    }
+
+    /// An adopted OS must detach before it can attach, so even its
+    /// first attach has a snapshot: the dirty table, never the full scan.
+    #[test]
+    fn adopted_os_attaches_on_the_dirty_table() {
+        let machine = Machine::new(MachineConfig {
+            num_cpus: 1,
+            mem_frames: 16 * 1024,
+            disk_sectors: 64 * 1024,
+        });
+        let hv = Hypervisor::warm_up(&machine);
+        hv.activate();
+        let cpu = machine.boot_cpu();
+        let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
+        let dom = hv.create_domain(cpu, "guest", pool.clone(), 0).unwrap();
+        let mode = BootMode::Guest {
+            hv: Arc::clone(&hv),
+            dom: Arc::clone(&dom),
+        };
+        let kernel = Kernel::boot(
+            Arc::clone(&machine),
+            KernelConfig {
+                pool,
+                mode,
+                fs_blocks: 4096,
+                fs_first_block: 1,
+            },
+        )
+        .unwrap();
+        hv.set_current(cpu.id, Some(dom.id));
+        let mercury = Mercury::adopt(kernel, hv, dom, TrackingStrategy::default()).unwrap();
+
+        let completed = |out| matches!(out, Ok(SwitchOutcome::Completed { .. }));
+        assert!(completed(mercury.switch_to_native(cpu)));
+        assert!(completed(mercury.switch_to_virtual(cpu)));
+        let (_m, _hv, installed) = rig(1, TrackingStrategy::default());
+        let attach = mercury.timeline(Transition::Attach);
+        assert_eq!(attach, installed.timeline(Transition::Attach));
+        assert!(attach.contains(&ACCOUNT_DIRTY.name) && !attach.contains(&ACCOUNT_FULL.name));
+        let owned = mercury.kernel().pool_frames().len() as u64;
+        let pginfo = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
+        assert!(pginfo * 5 <= costs::PGINFO_RECOMPUTE_PER_FRAME * owned, "{pginfo}");
     }
 
     #[test]

@@ -148,7 +148,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// The `#[doc(alias = "volint-privileged")]` markers in this
-    /// crate's sources, extracted with volint's own scanner.
+    /// crate's sources, extracted with volint's own walker.
     fn marked() -> BTreeSet<String> {
         let sources = [
             include_str!("cpu.rs"),
@@ -157,7 +157,9 @@ mod tests {
         ];
         sources
             .iter()
-            .flat_map(|s| volint::markers::scan(s))
+            .flat_map(|s| volint::walk::walk_file("", s).fns)
+            .filter(|f| f.privileged)
+            .map(|f| f.name)
             .collect()
     }
 

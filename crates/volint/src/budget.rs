@@ -28,7 +28,7 @@
 //! code), and a measurement *far* under budget flags stale bounds.
 
 use crate::callgraph::CallGraph;
-use crate::parse::{FnBody, ParsedFile};
+use crate::walk::{FileFacts, FnBody};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Simulated clock rate; keep in sync with `simx86`'s cycle-to-µs
@@ -86,7 +86,7 @@ fn loop_product(body: &FnBody, line: usize, consts: &BTreeMap<String, u64>) -> u
 /// fn `gid`: cost markers plus callee costs, loop-multiplied.
 fn range_cost(
     graph: &CallGraph,
-    files: &[ParsedFile],
+    files: &[FileFacts],
     gid: usize,
     lo: usize,
     hi: usize,
@@ -125,7 +125,7 @@ fn range_cost(
 /// Memoized whole-fn cost; recursion contributes zero on back edges.
 fn fn_cost(
     graph: &CallGraph,
-    files: &[ParsedFile],
+    files: &[FileFacts],
     gid: usize,
     memo: &mut BTreeMap<usize, u64>,
     visiting: &mut BTreeSet<usize>,
@@ -146,7 +146,7 @@ fn fn_cost(
 /// Compute the per-phase budget over the whole workspace graph.
 /// Phases that sum to zero cycles are omitted: an un-modeled span is
 /// "no claim", not "claims zero".
-pub fn compute(graph: &CallGraph, files: &[ParsedFile]) -> Budget {
+pub fn compute(graph: &CallGraph, files: &[FileFacts]) -> Budget {
     let mut memo = BTreeMap::new();
     let mut budget = Budget::default();
     let mut charge = |name: &str, cycles: u64| {
@@ -186,12 +186,11 @@ pub fn compute(graph: &CallGraph, files: &[ParsedFile]) -> Budget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
-    use std::collections::BTreeMap;
+    use crate::walk::walk_file;
 
-    fn setup(src: &str) -> (Vec<ParsedFile>, CallGraph) {
-        let files = vec![parse_file("a.rs", src)];
-        let g = CallGraph::build(&files, &BTreeMap::new());
+    fn setup(src: &str) -> (Vec<FileFacts>, CallGraph) {
+        let files = vec![walk_file("a.rs", src)];
+        let g = CallGraph::build(&files);
         (files, g)
     }
 

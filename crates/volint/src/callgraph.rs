@@ -1,4 +1,4 @@
-//! Workspace-wide call graph over [`parse`](crate::parse) facts.
+//! Workspace-wide call graph over the [`walk`](crate::walk) facts.
 //!
 //! Resolution is deliberately conservative-but-useful: volint has no
 //! type inference, so method calls resolve through a small tier of
@@ -14,7 +14,7 @@
 //! never resolution *targets*: a test helper named like a production
 //! fn must not graft test-only allocations onto the switch path.
 
-use crate::parse::{FnBody, ParsedFile};
+use crate::walk::{FileFacts, FnBody};
 use std::collections::BTreeMap;
 
 /// One resolved call edge.
@@ -46,10 +46,18 @@ const STD_COLLISIONS: &[&str] = &[
     "clone", "iter", "next", "flush", "contains", "drain", "join",
 ];
 
+/// Type-ident wrappers skipped when mapping a struct field to the
+/// user type it holds (`shard_job: Mutex<Option<Arc<WorkQueue<..>>>>`
+/// maps to `WorkQueue`).
+const TYPE_WRAPPERS: &[&str] = &[
+    "Arc", "Rc", "Box", "Option", "Vec", "VecDeque", "Mutex", "RwLock", "RefCell", "Cell",
+    "BTreeMap", "BTreeSet", "HashMap", "HashSet", "Result",
+];
+
 /// The workspace call graph.  Global fn ids index into `fn_file` /
 /// `fn_idx` (and the per-caller `edges` rows).
 pub struct CallGraph {
-    /// gid → index of the owning file in the parsed-file slice.
+    /// gid → index of the owning file in the facts slice.
     pub fn_file: Vec<usize>,
     /// gid → index of the fn within its file's `fns`.
     pub fn_idx: Vec<usize>,
@@ -57,19 +65,23 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
     /// Workspace-wide numeric const table (for loop bounds).
     pub consts: BTreeMap<String, u64>,
+    /// Struct-field name → the first user-type identifier of its
+    /// declared type, for receiver-by-field call resolution
+    /// (`self.kernel.fix_kstack_selectors()` → `Kernel`).
+    pub field_types: BTreeMap<String, String>,
     /// Transition-table rows: probe name → the fns the driver reaches
     /// through the row's pointers (no edge leads to them).
     pub rows: Vec<(String, Vec<usize>)>,
 }
 
 impl CallGraph {
-    /// Build the graph.  `field_types` maps struct-field names to the
-    /// first user-type identifier of their declared type (from the
-    /// item scanner) and powers receiver-by-field resolution.
-    pub fn build(files: &[ParsedFile], field_types: &BTreeMap<String, String>) -> CallGraph {
+    /// Build the graph over every walked file.
+    pub fn build(files: &[FileFacts]) -> CallGraph {
         let mut fn_file = Vec::new();
         let mut fn_idx = Vec::new();
+        let mut file_base = Vec::new();
         let mut consts = BTreeMap::new();
+        let mut field_types = BTreeMap::new();
         // Resolution indices (targets exclude test code entirely).
         let mut free_fns: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         let mut type_methods: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
@@ -79,7 +91,18 @@ impl CallGraph {
             for (k, v) in &file.consts {
                 consts.entry(k.clone()).or_insert(*v);
             }
+            file_base.push(fn_file.len());
             let file_is_test = crate::in_test_tree(&file.name);
+            for fd in file.fields.iter().filter(|fd| !file_is_test && !fd.in_test) {
+                if let Some(t) = fd.type_idents.iter().find(|t| {
+                    t.starts_with(|c: char| c.is_ascii_uppercase())
+                        && !TYPE_WRAPPERS.contains(&t.as_str())
+                }) {
+                    field_types
+                        .entry(fd.field_name.clone())
+                        .or_insert_with(|| t.clone());
+                }
+            }
             for (ni, f) in file.fns.iter().enumerate() {
                 let gid = fn_file.len();
                 fn_file.push(fi);
@@ -116,22 +139,19 @@ impl CallGraph {
         }
 
         let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); fn_file.len()];
-        for gid in 0..fn_file.len() {
-            let file = &files[fn_file[gid]];
-            let f = &file.fns[fn_idx[gid]];
-            for call in &f.calls {
-                if call.is_macro {
-                    continue;
-                }
+        for (file, base) in files.iter().zip(file_base) {
+            for call in file.calls.iter().filter(|c| !c.is_macro) {
+                let Some(ni) = call.fn_idx else { continue };
+                let gid = base + ni;
                 let targets = resolve(
                     call.name.as_str(),
                     call.qualifier.as_deref(),
                     call.via_dot,
-                    f,
+                    &file.fns[ni],
                     &free_fns,
                     &type_methods,
                     &by_name,
-                    field_types,
+                    &field_types,
                 );
                 for t in targets {
                     if t != gid {
@@ -149,23 +169,24 @@ impl CallGraph {
             fn_idx,
             edges,
             consts,
+            field_types,
             rows,
         }
     }
 
     /// The [`FnBody`] behind a global fn id.
-    pub fn body<'a>(&self, files: &'a [ParsedFile], gid: usize) -> &'a FnBody {
+    pub fn body<'a>(&self, files: &'a [FileFacts], gid: usize) -> &'a FnBody {
         &files[self.fn_file[gid]].fns[self.fn_idx[gid]]
     }
 
     /// The file owning a global fn id.
-    pub fn file<'a>(&self, files: &'a [ParsedFile], gid: usize) -> &'a ParsedFile {
+    pub fn file<'a>(&self, files: &'a [FileFacts], gid: usize) -> &'a FileFacts {
         &files[self.fn_file[gid]]
     }
 
     /// Global ids of fns carrying a `volint::root(kind)` marker, plus
     /// (for every kind) the fns the transition-table rows name.
-    pub fn roots(&self, files: &[ParsedFile], kind: &str) -> Vec<usize> {
+    pub fn roots(&self, files: &[FileFacts], kind: &str) -> Vec<usize> {
         (0..self.fn_file.len())
             .filter(|&g| {
                 self.body(files, g)
@@ -270,19 +291,18 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_file;
+    use crate::walk::walk_file;
 
-    fn graph_of(sources: &[(&str, &str)]) -> (Vec<ParsedFile>, CallGraph, BTreeMap<String, String>) {
-        let files: Vec<ParsedFile> = sources
+    fn graph_of(sources: &[(&str, &str)]) -> (Vec<FileFacts>, CallGraph) {
+        let files: Vec<FileFacts> = sources
             .iter()
-            .map(|(n, s)| parse_file(n, s))
+            .map(|(n, s)| walk_file(n, s))
             .collect();
-        let ft = BTreeMap::new();
-        let g = CallGraph::build(&files, &ft);
-        (files, g, ft)
+        let g = CallGraph::build(&files);
+        (files, g)
     }
 
-    fn gid(files: &[ParsedFile], g: &CallGraph, name: &str) -> usize {
+    fn gid(files: &[FileFacts], g: &CallGraph, name: &str) -> usize {
         (0..g.fn_file.len())
             .find(|&i| g.body(files, i).name == name)
             .unwrap()
@@ -290,7 +310,7 @@ mod tests {
 
     #[test]
     fn free_fn_and_self_method_edges() {
-        let (files, g, _) = graph_of(&[(
+        let (files, g) = graph_of(&[(
             "a.rs",
             r#"
             fn top() { helper(); }
@@ -312,7 +332,7 @@ mod tests {
 
     #[test]
     fn cross_crate_type_assoc_and_field_receiver() {
-        let files: Vec<ParsedFile> = [
+        let (files, g) = graph_of(&[
             (
                 "crates/core/src/x.rs",
                 r#"
@@ -335,13 +355,11 @@ mod tests {
                 }
             "#,
             ),
-        ]
-        .iter()
-        .map(|(n, s)| parse_file(n, s))
-        .collect();
-        let mut ft = BTreeMap::new();
-        ft.insert("kernel".to_string(), "Kernel".to_string());
-        let g = CallGraph::build(&files, &ft);
+        ]);
+        assert_eq!(
+            g.field_types.get("kernel").map(String::as_str),
+            Some("Kernel")
+        );
         let go = gid(&files, &g, "go");
         let boot = gid(&files, &g, "boot");
         let walk = gid(&files, &g, "walk");
@@ -351,7 +369,7 @@ mod tests {
 
     #[test]
     fn test_fns_are_not_targets() {
-        let (files, g, _) = graph_of(&[(
+        let (files, g) = graph_of(&[(
             "a.rs",
             r#"
             fn top() { poke(); }
@@ -367,7 +385,7 @@ mod tests {
 
     #[test]
     fn roots_are_discovered() {
-        let (files, g, _) = graph_of(&[(
+        let (files, g) = graph_of(&[(
             "a.rs",
             "// volint::root(SWITCH)\nfn handle_switch() {}\nfn other() {}",
         )]);

@@ -66,6 +66,8 @@ impl Token {
 /// produces a best-effort token stream (unterminated literals run to
 /// end of input).
 pub fn lex(src: &str) -> Vec<Token> {
+    #[cfg(test)]
+    LEX_CALLS.with(|n| n.set(n.get() + 1));
     let bytes: Vec<char> = src.chars().collect();
     let mut out = Vec::new();
     let mut i = 0;
@@ -314,6 +316,12 @@ fn scan_raw_or_byte_string(s: &[char]) -> (usize, usize) {
         }
     }
     (s.len(), newlines)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`lex`] on this thread (each test runs on its own).
+    pub(crate) static LEX_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]

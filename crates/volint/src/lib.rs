@@ -1,18 +1,34 @@
 //! volint — the Mercury invariant checker.
 //!
 //! Mercury's safety story rests on invariants the Rust compiler cannot
-//! see: every virtualization-sensitive operation must route through a
-//! Virtualization Object (paper §4.2/§5.3), every `VoRefCount::enter`
-//! must pair with an exit so the switch gate (§5.1.1) is sound, the
-//! `PvOps` dispatch table must be total across VOes (§5.1.2), the SMP
-//! rendezvous protocol (§5.4) must use acquire/release atomics, and
-//! the fault-injection hooks (DESIGN.md §12) must stay out of the
-//! mode-switch critical section.  volint enforces all five as a static
-//! pass over the workspace source.
+//! see.  volint enforces them as a static pass over the workspace
+//! source; each source is lexed and walked once ([`walk`]) and every
+//! rule, the call graph and the cycle budget read the same facts:
 //!
-//! Use it as a library ([`analyze_sources`] / [`analyze_workspace`]
-//! produce structured [`Diagnostic`]s) or as a binary
-//! (`cargo run -p volint`) that exits nonzero on violations.
+//! * line rules ([`rules`]): every virtualization-sensitive operation
+//!   routes through a Virtualization Object (VO-BYPASS, paper
+//!   §4.2/§5.3); every `VoRefCount::enter` pairs with an exit so the
+//!   switch gate is sound (REFCOUNT-LEAK, §5.1.1); `Rendezvous::begin`
+//!   resets every atomic field of the round (DISPATCH-GAP, §5.4); the
+//!   rendezvous, refcount and trace-buffer atomics use acquire/release
+//!   (ATOMIC-ORDER, §5.4); the fault-injection hooks stay out of the
+//!   mode-switch critical section (FAULT-MASK, DESIGN.md §12);
+//! * call-graph rules ([`pathrules`]) over everything reachable from a
+//!   `// volint::root(..)` fn or a transition-table row: no allocation
+//!   (SWITCH-ALLOC), no panic path (SWITCH-PANIC), no unbounded loop
+//!   (SWITCH-LOOP-BOUND), `guarded_by` fields only under their guard
+//!   (LOCK-DISCIPLINE);
+//! * waiver hygiene (STALE-WAIVER) and the static per-phase cycle
+//!   budget ([`budget`]).
+//!
+//! That the `PvOps` dispatch table is total across VOes (§5.1.2) is
+//! not among them: the trait has no default methods, so rustc enforces
+//! it (E0046).
+//!
+//! Use it as a library ([`Analysis`], or the [`analyze_sources`] /
+//! [`analyze_workspace`] shorthands, produce structured
+//! [`Diagnostic`]s) or as a binary (`cargo run -p volint`) that exits
+//! nonzero on violations.
 //!
 //! Sanctioned exceptions are expressed in-source with a waiver comment
 //! on (or directly above) the offending line:
@@ -30,14 +46,12 @@
 pub mod budget;
 pub mod callgraph;
 pub mod lexer;
-pub mod markers;
-pub mod parse;
 pub mod pathrules;
 pub mod reach;
 pub mod rules;
-pub mod scan;
+pub mod walk;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -53,7 +67,7 @@ pub enum Rule {
     VoBypass,
     /// Unbalanced / leaked / deadlocking VO guard (paper §5.1.1).
     RefcountLeak,
-    /// Incomplete dispatch table or un-reset rendezvous state (§5.1.2/§5.4).
+    /// Rendezvous state `begin()` does not reset (paper §5.4).
     DispatchGap,
     /// Relaxed atomics on rendezvous/refcount state (paper §5.4).
     AtomicOrder,
@@ -168,118 +182,12 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Lint configuration: the privileged-op set, sanctioned paths and
-/// dispatch conventions.
-#[derive(Debug, Clone)]
-pub struct Config {
-    /// Names of privileged hardware primitives (VO-BYPASS targets).
-    pub privileged: BTreeSet<String>,
-    /// Path prefixes exempt from VO-BYPASS: the hardware model itself,
-    /// the VMM, and the designated switch-handler module.
-    pub allow_paths: Vec<String>,
-    /// The paravirtualization dispatch trait.
-    pub pvops_trait: String,
-    /// The canonical VO implementations that must all exist.
-    pub vo_impls: Vec<String>,
-    /// Receiver names that denote routed-through-PvOps dispatch
-    /// (`ctx.pv.invlpg(..)`).
-    pub dispatch_receivers: BTreeSet<String>,
-    /// Calls that block on a pending switch or rendezvous; holding a VO
-    /// guard across them deadlocks (REFCOUNT-LEAK).
-    pub blocking_calls: BTreeSet<String>,
-    /// The `faultgen` injection-hook entry points (FAULT-MASK targets).
-    pub fault_hooks: BTreeSet<String>,
-    /// Functions forming the mode-switch critical section, besides those
-    /// the transition-table rows name; no fault hooks in them (FAULT-MASK).
-    pub switch_critical: BTreeSet<String>,
-    /// Report stale waivers as errors instead of warnings (CI mode,
-    /// `--deny-stale-waivers`).
-    pub deny_stale_waivers: bool,
-}
-
-impl Config {
-    /// The configuration for the Mercury workspace.
-    pub fn mercury_defaults() -> Self {
-        let privileged = [
-            // control registers / address-space roots
-            "write_cr3",
-            "set_cr3_raw",
-            // descriptor tables
-            "lidt",
-            "set_idt_raw",
-            "lgdt",
-            "set_gdt_raw",
-            // interrupt flag + privilege level
-            "cli",
-            "sti",
-            "set_if_raw",
-            "set_pl_raw",
-            "set_non_root",
-            // TLB maintenance
-            "flush_tlb_local",
-            "invlpg",
-            // page-table mutation
-            "write_pte",
-            // inter-processor interrupts
-            "broadcast_ipi",
-        ];
-        let receivers = ["pv", "inner", "ops"];
-        let blocking = [
-            "switch_to_virtual",
-            "switch_to_native",
-            "wait_ready",
-            "wait_done",
-            "wait_ready_and_go",
-            "check_in_and_wait",
-            "check_in_and_wait_serving",
-            "wait_drained",
-        ];
-        let fault_hooks = [
-            "mem_read_site",
-            "disk_site",
-            "irq_site",
-            "gate_site",
-            "hypercall_site",
-        ];
-        // The phase bodies themselves are added from the table rows.
-        let switch_critical = [
-            "handle_transition",
-            "run_transition",
-            "handle_rendezvous_peer",
-            "reload_and_return",
-            "close_lazy_window",
-            "sharded_recompute_phase",
-            "shard_exec_one",
-            "shard_poll",
-        ];
-        Config {
-            privileged: privileged.iter().map(|s| s.to_string()).collect(),
-            allow_paths: vec![
-                "crates/simx86/".to_string(),
-                "crates/xenon/".to_string(),
-                "crates/core/src/switch.rs".to_string(),
-            ],
-            pvops_trait: "PvOps".to_string(),
-            vo_impls: vec![
-                "BareOps".to_string(),
-                "XenOps".to_string(),
-                "HvmOps".to_string(),
-            ],
-            dispatch_receivers: receivers.iter().map(|s| s.to_string()).collect(),
-            blocking_calls: blocking.iter().map(|s| s.to_string()).collect(),
-            fault_hooks: fault_hooks.iter().map(|s| s.to_string()).collect(),
-            switch_critical: switch_critical.iter().map(|s| s.to_string()).collect(),
-            deny_stale_waivers: false,
-        }
-    }
-}
-
 /// Diagnostic collector that also tracks which waivers actually
 /// suppressed something, so unused waivers can be reported as
 /// [`Rule::StaleWaiver`].
 #[derive(Debug, Default)]
 pub struct Sink {
-    /// Collected diagnostics (unsorted; [`analyze_sources`] sorts).
+    /// Collected diagnostics (unsorted; [`Analysis::diagnostics`] sorts).
     pub diags: Vec<Diagnostic>,
     /// Waivers that fired at least once: (file, waiver line).
     pub used_waivers: BTreeSet<(String, usize)>,
@@ -293,7 +201,7 @@ impl Sink {
 
     /// Record an error-severity diagnostic, honoring (and accounting
     /// for) any waiver on or directly above the line.
-    pub fn push(&mut self, f: &scan::FileFacts, rule: Rule, line: usize, message: String) {
+    pub fn push(&mut self, f: &walk::FileFacts, rule: Rule, line: usize, message: String) {
         if let Some(wl) = f.waiver_match(rule.as_str(), line) {
             self.used_waivers.insert((f.name.clone(), wl));
             return;
@@ -317,40 +225,9 @@ pub(crate) fn in_test_tree(name: &str) -> bool {
         .any(|c| matches!(c, "tests" | "examples" | "benches" | "benchmark"))
 }
 
-/// Type-ident wrappers skipped when mapping a struct field to the
-/// user type it holds (`shard_job: Mutex<Option<Arc<WorkQueue<..>>>>`
-/// maps to `WorkQueue`).
-const TYPE_WRAPPERS: &[&str] = &[
-    "Arc", "Rc", "Box", "Option", "Vec", "VecDeque", "Mutex", "RwLock", "RefCell", "Cell",
-    "BTreeMap", "BTreeSet", "HashMap", "HashSet", "Result",
-];
-
-/// Field name → declared user type, for receiver-by-field call
-/// resolution (`self.kernel.fix_kstack_selectors()` → `Kernel`).
-fn field_type_map(facts: &[scan::FileFacts]) -> BTreeMap<String, String> {
-    let mut m = BTreeMap::new();
-    for f in facts {
-        if in_test_tree(&f.name) {
-            continue;
-        }
-        for fd in &f.fields {
-            if fd.in_test {
-                continue;
-            }
-            if let Some(t) = fd.type_idents.iter().find(|t| {
-                t.starts_with(|c: char| c.is_ascii_uppercase())
-                    && !TYPE_WRAPPERS.contains(&t.as_str())
-            }) {
-                m.entry(fd.field_name.clone()).or_insert_with(|| t.clone());
-            }
-        }
-    }
-    m
-}
-
 /// Waivers that never fired become STALE-WAIVER diagnostics — warnings
-/// by default, errors under [`Config::deny_stale_waivers`].
-fn stale_waivers(facts: &[scan::FileFacts], cfg: &Config, sink: &mut Sink) {
+/// by default, errors under `deny`.
+fn stale_waivers(facts: &[walk::FileFacts], deny: bool, sink: &mut Sink) {
     for f in facts {
         if in_test_tree(&f.name) {
             continue; // rules skip test trees; their waivers can't fire
@@ -363,7 +240,7 @@ fn stale_waivers(facts: &[scan::FileFacts], cfg: &Config, sink: &mut Sink) {
                 file: f.name.clone(),
                 line: *wl,
                 rule: Rule::StaleWaiver,
-                severity: if cfg.deny_stale_waivers {
+                severity: if deny {
                     Severity::Error
                 } else {
                     Severity::Warning
@@ -378,81 +255,78 @@ fn stale_waivers(facts: &[scan::FileFacts], cfg: &Config, sink: &mut Sink) {
     }
 }
 
-/// Analyze in-memory sources: `(logical path, contents)` pairs.
-///
-/// Runs both the line-level rules (PR 1) and the call-graph rules:
-/// parse → call graph → reachability → SWITCH-ALLOC / SWITCH-PANIC /
-/// SWITCH-LOOP-BOUND / LOCK-DISCIPLINE, then the stale-waiver sweep.
-pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {
-    let facts: Vec<_> = sources
-        .iter()
-        .map(|(name, src)| scan::scan_file(name, src))
-        .collect();
-    let parsed: Vec<_> = sources
-        .iter()
-        .map(|(name, src)| parse::parse_file(name, src))
-        .collect();
-    let field_types = field_type_map(&facts);
-    let graph = callgraph::CallGraph::build(&parsed, &field_types);
-    let reach = reach::compute(&graph, &parsed, ROOT_KINDS);
+/// One walk of a set of sources, and the call graph over it: what the
+/// diagnostics and the budget are both derived from.
+pub struct Analysis {
+    /// Per-file facts, in source order.
+    pub facts: Vec<walk::FileFacts>,
+    /// The call graph over `facts`.
+    pub graph: callgraph::CallGraph,
+}
 
-    // Every fn a transition-table row names is switch-critical too.
-    let mut cfg = cfg.clone();
-    cfg.switch_critical.extend(
-        parsed
+impl Analysis {
+    /// Walk in-memory sources: `(logical path, contents)` pairs.
+    pub fn of(sources: &[(String, String)]) -> Analysis {
+        let facts: Vec<_> = sources
             .iter()
-            .flat_map(|p| &p.rows)
-            .flat_map(|r| r.fns.iter().map(|(_, name)| name.clone())),
-    );
-    let cfg = &cfg;
+            .map(|(name, src)| walk::walk_file(name, src))
+            .collect();
+        let graph = callgraph::CallGraph::build(&facts);
+        Analysis { facts, graph }
+    }
 
-    let mut sink = Sink::new();
-    rules::check(&facts, cfg, &mut sink);
-    pathrules::check(&facts, &parsed, &graph, &reach, &field_types, &mut sink);
-    stale_waivers(&facts, cfg, &mut sink);
+    /// Run the line rules, the call-graph rules (reachability from the
+    /// roots → SWITCH-ALLOC / SWITCH-PANIC / SWITCH-LOOP-BOUND /
+    /// LOCK-DISCIPLINE) and the stale-waiver sweep — stale waivers are
+    /// errors under `deny_stale_waivers` (CI mode), else warnings.
+    pub fn diagnostics(&self, deny_stale_waivers: bool) -> Vec<Diagnostic> {
+        let reach = reach::compute(&self.graph, &self.facts, ROOT_KINDS);
+        let mut sink = Sink::new();
+        rules::check(&self.facts, &mut sink);
+        pathrules::check(&self.facts, &self.graph, &reach, &mut sink);
+        stale_waivers(&self.facts, deny_stale_waivers, &mut sink);
 
-    let mut out = sink.diags;
-    out.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(b.file.as_str(), b.line, b.rule.as_str()))
-    });
-    out
+        let mut out = sink.diags;
+        out.sort_by(|a, b| {
+            (a.file.as_str(), a.line, a.rule.as_str()).cmp(&(
+                b.file.as_str(),
+                b.line,
+                b.rule.as_str(),
+            ))
+        });
+        out
+    }
+
+    /// The static switch-phase cycle budget.
+    pub fn budget(&self) -> budget::Budget {
+        budget::compute(&self.graph, &self.facts)
+    }
 }
 
-/// Compute the static switch-phase cycle budget for in-memory sources.
+/// Diagnostics for in-memory sources.
+pub fn analyze_sources(sources: &[(String, String)], deny_stale_waivers: bool) -> Vec<Diagnostic> {
+    Analysis::of(sources).diagnostics(deny_stale_waivers)
+}
+
+/// The static switch-phase cycle budget for in-memory sources.
 pub fn budget_sources(sources: &[(String, String)]) -> budget::Budget {
-    let facts: Vec<_> = sources
-        .iter()
-        .map(|(name, src)| scan::scan_file(name, src))
-        .collect();
-    let parsed: Vec<_> = sources
-        .iter()
-        .map(|(name, src)| parse::parse_file(name, src))
-        .collect();
-    let field_types = field_type_map(&facts);
-    let graph = callgraph::CallGraph::build(&parsed, &field_types);
-    budget::compute(&graph, &parsed)
+    Analysis::of(sources).budget()
 }
 
-/// Compute the static switch-phase cycle budget for a workspace root.
+/// Diagnostics for every `.rs` file under a workspace root.
+pub fn analyze_workspace(
+    root: &Path,
+    deny_stale_waivers: bool,
+) -> std::io::Result<Vec<Diagnostic>> {
+    Ok(analyze_sources(
+        &workspace_sources(root)?,
+        deny_stale_waivers,
+    ))
+}
+
+/// The static switch-phase cycle budget for a workspace root.
 pub fn budget_workspace(root: &Path) -> std::io::Result<budget::Budget> {
     Ok(budget_sources(&workspace_sources(root)?))
-}
-
-/// Walk a workspace root, analyze every `.rs` file, and return the
-/// diagnostics.  The privileged-op set is augmented with every
-/// `#[doc(alias = "volint-privileged")]` marker found under
-/// `crates/simx86/`, so the hardware layer stays the source of truth.
-pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Diagnostic>> {
-    let sources = workspace_sources(root)?;
-    let mut cfg = cfg.clone();
-    for (name, src) in &sources {
-        if name.starts_with("crates/simx86/") {
-            for m in markers::scan(src) {
-                cfg.privileged.insert(m);
-            }
-        }
-    }
-    Ok(analyze_sources(&sources, &cfg))
 }
 
 /// Every `.rs` file under `root` as `(logical path, contents)`, in
@@ -523,14 +397,39 @@ mod tests {
 
     #[test]
     fn analyze_sources_end_to_end() {
-        let cfg = Config::mercury_defaults();
         let bad = "fn f(cpu: &Cpu) { cpu.lidt(0); }".to_string();
-        let diags = analyze_sources(&[("crates/app/src/x.rs".to_string(), bad)], &cfg);
+        let diags = analyze_sources(&[("crates/app/src/x.rs".to_string(), bad)], false);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::VoBypass);
 
         let routed = "fn f(ctx: &Ctx) { ctx.pv.invlpg(va); }".to_string();
-        let diags = analyze_sources(&[("crates/app/src/x.rs".to_string(), routed)], &cfg);
+        let diags = analyze_sources(&[("crates/app/src/x.rs".to_string(), routed)], false);
         assert!(diags.is_empty());
+    }
+
+    /// Diagnostics and budget come from one walk: one `lex` per file.
+    #[test]
+    fn one_lex_per_file_for_diagnostics_and_budget() {
+        let sources = [
+            (
+                "crates/simx86/src/cpu.rs".to_string(),
+                "#[doc(alias = \"volint-privileged\")]\npub fn poke_msr() {}\n".to_string(),
+            ),
+            (
+                "crates/app/src/x.rs".to_string(),
+                "const ROW: Phase = Phase::new(\"p\", run);\n\
+                 fn run(cpu: &Cpu) {\n    // volint::cost(30)\n    cpu.poke_msr();\n}\n"
+                    .to_string(),
+            ),
+        ];
+        let before = lexer::LEX_CALLS.get();
+        let analysis = Analysis::of(&sources);
+        let diags = analysis.diagnostics(true);
+        let budget = analysis.budget();
+        assert_eq!(lexer::LEX_CALLS.get() - before, sources.len());
+        // The marker found in the simx86 file makes the call a bypass.
+        assert_eq!(diags.len(), 1, "{diags:#?}");
+        assert_eq!((diags[0].rule, diags[0].line), (Rule::VoBypass, 4));
+        assert_eq!(budget.phases.get("p"), Some(&30));
     }
 }

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use volint::{analyze_workspace, budget_workspace, Config, Severity};
+use volint::{workspace_sources, Analysis, Severity};
 
 const USAGE: &str = "usage: volint [--json] [--deny-stale-waivers] [--budget PATH] [ROOT]";
 
@@ -61,15 +61,14 @@ fn main() -> ExitCode {
     }
     let root = root.unwrap_or_else(default_root);
 
-    let mut cfg = Config::mercury_defaults();
-    cfg.deny_stale_waivers = deny_stale;
-    let diags = match analyze_workspace(&root, &cfg) {
-        Ok(d) => d,
+    let analysis = match workspace_sources(&root) {
+        Ok(sources) => Analysis::of(&sources),
         Err(e) => {
             eprintln!("volint: cannot read workspace at {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
+    let diags = analysis.diagnostics(deny_stale);
 
     if json {
         println!("[");
@@ -85,13 +84,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &budget_path {
-        let budget = match budget_workspace(&root) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("volint: cannot compute budget for {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
+        let budget = analysis.budget();
         if let Err(e) = std::fs::write(path, budget.to_json()) {
             eprintln!("volint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);

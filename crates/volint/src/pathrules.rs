@@ -23,11 +23,9 @@
 //!   vector clocks.
 
 use crate::callgraph::CallGraph;
-use crate::parse::{FnBody, ParsedFile};
 use crate::reach::Reachability;
-use crate::scan::FileFacts;
+use crate::walk::{FileFacts, FnBody};
 use crate::{Rule, Sink};
-use std::collections::BTreeMap;
 
 /// Allocating constructors by type.
 const ALLOC_CTORS: &[(&str, &[&str])] = &[
@@ -79,40 +77,30 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne",
 ];
 
-/// Run the four graph rules.  `facts` and `parsed` are index-aligned
-/// views of the same sources.
-pub fn check(
-    facts: &[FileFacts],
-    parsed: &[ParsedFile],
-    graph: &CallGraph,
-    reach: &Reachability,
-    field_types: &BTreeMap<String, String>,
-    sink: &mut Sink,
-) {
-    let guarded = guarded_fields(facts, parsed);
+/// Run the four graph rules.
+pub fn check(files: &[FileFacts], graph: &CallGraph, reach: &Reachability, sink: &mut Sink) {
+    let guarded = guarded_fields(files);
 
     for gid in 0..graph.fn_file.len() {
-        let file_idx = graph.fn_file[gid];
-        let pf = &parsed[file_idx];
-        let f = &facts[file_idx];
-        let body = graph.body(parsed, gid);
-        if body.in_test || crate::in_test_tree(&pf.name) {
+        let f = graph.file(files, gid);
+        let body = graph.body(files, gid);
+        if body.in_test || crate::in_test_tree(&f.name) {
             continue;
         }
 
         if let Some((kind, set)) = reach.explain(gid) {
-            let chain = set.chain(graph, parsed, gid);
-            switch_alloc(f, body, kind, &chain, sink);
-            switch_panic(f, body, kind, &chain, sink);
+            let chain = set.chain(graph, files, gid);
+            switch_alloc(f, graph.fn_idx[gid], kind, &chain, sink);
+            switch_panic(f, graph.fn_idx[gid], kind, &chain, sink);
             loop_bound(f, body, graph, kind, &chain, sink);
         }
 
-        lock_discipline(f, body, gid, reach, &guarded, field_types, sink);
+        lock_discipline(f, body, gid, graph, reach, &guarded, sink);
     }
 }
 
-fn switch_alloc(f: &FileFacts, body: &FnBody, kind: &str, chain: &str, sink: &mut Sink) {
-    for c in &body.calls {
+fn switch_alloc(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mut Sink) {
+    for c in f.calls_in(fn_idx) {
         let what = if c.is_macro {
             if ALLOC_MACROS.contains(&c.name.as_str()) {
                 Some(format!("`{}!`", c.name))
@@ -145,8 +133,8 @@ fn switch_alloc(f: &FileFacts, body: &FnBody, kind: &str, chain: &str, sink: &mu
     }
 }
 
-fn switch_panic(f: &FileFacts, body: &FnBody, kind: &str, chain: &str, sink: &mut Sink) {
-    for c in &body.calls {
+fn switch_panic(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mut Sink) {
+    for c in f.calls_in(fn_idx) {
         let what = if c.is_macro {
             if PANIC_MACROS.contains(&c.name.as_str()) {
                 Some(format!("`{}!`", c.name))
@@ -170,7 +158,7 @@ fn switch_panic(f: &FileFacts, body: &FnBody, kind: &str, chain: &str, sink: &mu
             );
         }
     }
-    for &line in &body.index_sites {
+    for &line in &f.fns[fn_idx].index_sites {
         sink.push(
             f,
             Rule::SwitchPanic,
@@ -207,12 +195,12 @@ fn loop_bound(
     }
 }
 
-/// `(struct, field, guard-root-kind)` triples from joining the item
-/// scanner's field table with `// volint::guarded_by(..)` markers.
-fn guarded_fields(facts: &[FileFacts], parsed: &[ParsedFile]) -> Vec<(String, String, String)> {
+/// `(struct, field, guard-root-kind)` triples: the struct fields a
+/// `// volint::guarded_by(..)` marker sits on or directly above.
+fn guarded_fields(files: &[FileFacts]) -> Vec<(String, String, String)> {
     let mut out = Vec::new();
-    for (f, pf) in facts.iter().zip(parsed) {
-        for (gl, guard) in &pf.guards {
+    for f in files {
+        for (gl, guard) in &f.guards {
             for fd in &f.fields {
                 if fd.line == *gl || fd.line == *gl + 1 {
                     out.push((
@@ -231,9 +219,9 @@ fn lock_discipline(
     f: &FileFacts,
     body: &FnBody,
     gid: usize,
+    graph: &CallGraph,
     reach: &Reachability,
     guarded: &[(String, String, String)],
-    field_types: &BTreeMap<String, String>,
     sink: &mut Sink,
 ) {
     for fa in &body.field_accesses {
@@ -246,7 +234,7 @@ fn lock_discipline(
             // field type is the owner.
             let owned = match fa.qualifier.as_deref() {
                 Some("self") => body.impl_type.as_deref() == Some(owner.as_str()),
-                Some(q) => field_types.get(q).map(String::as_str) == Some(owner.as_str()),
+                Some(q) => graph.field_types.get(q).map(String::as_str) == Some(owner.as_str()),
                 None => false,
             };
             if !owned {

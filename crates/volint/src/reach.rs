@@ -15,7 +15,7 @@
 //! caller's source, instead of inside the analyzer.
 
 use crate::callgraph::CallGraph;
-use crate::parse::ParsedFile;
+use crate::walk::FileFacts;
 use std::collections::BTreeMap;
 
 /// Reachable-set for one root kind, with BFS parents for diagnostics.
@@ -30,7 +30,7 @@ pub struct ReachSet {
 impl ReachSet {
     /// Human-readable shortest call chain ending at `gid`:
     /// `handle_switch → try_switch → attach_transfer`.
-    pub fn chain(&self, graph: &CallGraph, files: &[ParsedFile], gid: usize) -> String {
+    pub fn chain(&self, graph: &CallGraph, files: &[FileFacts], gid: usize) -> String {
         let mut names = vec![graph.body(files, gid).name.clone()];
         let mut cur = gid;
         let mut hops = 0;
@@ -80,7 +80,7 @@ impl Reachability {
 }
 
 /// Walk the graph from every root of every kind in `kinds`.
-pub fn compute(graph: &CallGraph, files: &[ParsedFile], kinds: &[&str]) -> Reachability {
+pub fn compute(graph: &CallGraph, files: &[FileFacts], kinds: &[&str]) -> Reachability {
     let n = graph.fn_file.len();
     let mut out = BTreeMap::new();
     for &kind in kinds {
@@ -113,16 +113,15 @@ pub fn compute(graph: &CallGraph, files: &[ParsedFile], kinds: &[&str]) -> Reach
 mod tests {
     use super::*;
     use crate::callgraph::CallGraph;
-    use crate::parse::parse_file;
-    use std::collections::BTreeMap;
+    use crate::walk::walk_file;
 
-    fn setup(src: &str) -> (Vec<ParsedFile>, CallGraph) {
-        let files = vec![parse_file("a.rs", src)];
-        let g = CallGraph::build(&files, &BTreeMap::new());
+    fn setup(src: &str) -> (Vec<FileFacts>, CallGraph) {
+        let files = vec![walk_file("a.rs", src)];
+        let g = CallGraph::build(&files);
         (files, g)
     }
 
-    fn gid(files: &[ParsedFile], g: &CallGraph, name: &str) -> usize {
+    fn gid(files: &[FileFacts], g: &CallGraph, name: &str) -> usize {
         (0..g.fn_file.len())
             .find(|&i| g.body(files, i).name == name)
             .unwrap()

@@ -8,8 +8,10 @@
 //!   immediately discarded, parked in long-lived structs, or held
 //!   across a call that blocks on a pending switch (paper §5.1.1: the
 //!   refcount gate is sound only if every entry pairs with an exit).
-//! * **DISPATCH-GAP** — a `PvOps` method missing from a VO impl, or a
-//!   `Rendezvous` field `begin()` does not reset (paper §5.1.2/§5.4).
+//! * **DISPATCH-GAP** — an atomic `Rendezvous` field `begin()` does not
+//!   reset (paper §5.4).  That every VO implements every `PvOps` method
+//!   is the compiler's to enforce: the trait has no default methods, so
+//!   a gap is rustc E0046.
 //! * **ATOMIC-ORDER** — `Ordering::Relaxed` on `Rendezvous` /
 //!   `VoRefCount` state (paper §5.4: the IPI handshake is only correct
 //!   under acquire/release ordering), and on `merctrace` per-CPU
@@ -22,38 +24,131 @@
 //!   could wedge the very mechanism meant to answer it).
 
 use crate::in_test_tree;
-use crate::scan::{FileFacts, LetBinding};
-use crate::{Config, Rule, Sink};
+use crate::walk::{Call, FileFacts, LetBinding};
+use crate::{Rule, Sink};
 use std::collections::BTreeSet;
 
-/// Run every line-level rule over the scanned files.
-pub fn check(files: &[FileFacts], cfg: &Config, sink: &mut Sink) {
+/// Names of privileged hardware primitives (VO-BYPASS targets), besides
+/// the fns `simx86` marks `#[doc(alias = "volint-privileged")]`.
+const PRIVILEGED: &[&str] = &[
+    // control registers / address-space roots
+    "write_cr3",
+    "set_cr3_raw",
+    // descriptor tables
+    "lidt",
+    "set_idt_raw",
+    "lgdt",
+    "set_gdt_raw",
+    // interrupt flag + privilege level
+    "cli",
+    "sti",
+    "set_if_raw",
+    "set_pl_raw",
+    "set_non_root",
+    // TLB maintenance
+    "flush_tlb_local",
+    "invlpg",
+    // page-table mutation
+    "write_pte",
+    // inter-processor interrupts
+    "broadcast_ipi",
+];
+
+/// Path prefixes exempt from VO-BYPASS: the hardware model itself, the
+/// VMM, and the designated switch-handler module.
+const ALLOW_PATHS: &[&str] = &[
+    "crates/simx86/",
+    "crates/xenon/",
+    "crates/core/src/switch.rs",
+];
+
+/// The paravirtualization dispatch trait.
+const PVOPS_TRAIT: &str = "PvOps";
+
+/// Receiver names that denote routed-through-PvOps dispatch
+/// (`ctx.pv.invlpg(..)`).
+const DISPATCH_RECEIVERS: &[&str] = &["pv", "inner", "ops"];
+
+/// Calls that block on a pending switch or rendezvous; holding a VO
+/// guard across them deadlocks (REFCOUNT-LEAK).
+const BLOCKING_CALLS: &[&str] = &[
+    "switch_to_virtual",
+    "switch_to_native",
+    "wait_ready",
+    "wait_done",
+    "wait_ready_and_go",
+    "check_in_and_wait",
+    "check_in_and_wait_serving",
+    "wait_drained",
+];
+
+/// The `faultgen` injection-hook entry points (FAULT-MASK targets), in
+/// the order a diagnostic lists them.
+const FAULT_HOOKS: &[&str] = &[
+    "disk_site",
+    "gate_site",
+    "hypercall_site",
+    "irq_site",
+    "mem_read_site",
+];
+
+/// Functions forming the mode-switch critical section, besides those
+/// the transition-table rows name; no fault hooks in them (FAULT-MASK).
+pub const SWITCH_CRITICAL: &[&str] = &[
+    "handle_transition",
+    "run_transition",
+    "handle_rendezvous_peer",
+    "reload_and_return",
+    "close_lazy_window",
+    "sharded_recompute_phase",
+    "shard_exec_one",
+    "shard_poll",
+];
+
+/// Run every line-level rule over the walked files.
+pub fn check(files: &[FileFacts], sink: &mut Sink) {
+    // The hardware layer is the source of truth for what is privileged.
+    let privileged: BTreeSet<&str> = files
+        .iter()
+        .filter(|f| f.name.starts_with("crates/simx86/"))
+        .flat_map(|f| f.fns.iter().filter(|b| b.privileged))
+        .map(|b| b.name.as_str())
+        .chain(PRIVILEGED.iter().copied())
+        .collect();
+    // Every fn a transition-table row names is switch-critical too.
+    let critical: BTreeSet<&str> = files
+        .iter()
+        .flat_map(|f| &f.rows)
+        .flat_map(|r| r.fns.iter().map(|(_, name)| name.as_str()))
+        .chain(SWITCH_CRITICAL.iter().copied())
+        .collect();
     for f in files {
-        vo_bypass(f, cfg, sink);
-        refcount_leak(f, cfg, sink);
+        vo_bypass(f, &privileged, sink);
+        refcount_leak(f, sink);
         atomic_order(f, sink);
-        fault_mask(f, cfg, sink);
+        fault_mask(f, &critical, sink);
+        dispatch_gap(f, sink);
     }
-    dispatch_gap(files, cfg, sink);
+}
+
+/// The product (non-test, non-macro) calls of a file.
+fn product_calls(f: &FileFacts) -> impl Iterator<Item = &Call> {
+    f.calls.iter().filter(|c| !c.in_test && !c.is_macro)
 }
 
 // ---------------------------------------------------------------- VO-BYPASS
 
-fn vo_bypass(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
-    if in_test_tree(&f.name)
-        || cfg
-            .allow_paths
-            .iter()
-            .any(|p| f.name.starts_with(p.as_str()))
-    {
+fn vo_bypass(f: &FileFacts, privileged: &BTreeSet<&str>, sink: &mut Sink) {
+    if in_test_tree(&f.name) || ALLOW_PATHS.iter().any(|p| f.name.starts_with(p)) {
         return;
     }
-    for c in &f.calls {
-        if !cfg.privileged.contains(&c.name) || c.in_test {
+    for c in product_calls(f) {
+        if !privileged.contains(c.name.as_str()) {
             continue;
         }
         // Sanctioned: the body of a PvOps impl *is* the VO.
-        if c.impl_trait.as_deref() == Some(cfg.pvops_trait.as_str()) {
+        let impl_trait = c.fn_idx.and_then(|i| f.fns[i].impl_trait.as_deref());
+        if impl_trait == Some(PVOPS_TRAIT) {
             continue;
         }
         // Sanctioned: routed through a PvOps dispatch handle
@@ -61,17 +156,18 @@ fn vo_bypass(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
         if c.via_dot
             && c.qualifier
                 .as_deref()
-                .is_some_and(|q| cfg.dispatch_receivers.contains(q))
+                .is_some_and(|q| DISPATCH_RECEIVERS.contains(&q))
         {
             continue;
         }
-        sink.push(f,
+        sink.push(
+            f,
             Rule::VoBypass,
             c.line,
             format!(
-                "privileged primitive `{}` called outside a `{}` impl; \
+                "privileged primitive `{}` called outside a `{PVOPS_TRAIT}` impl; \
                  route it through the active virtualization object",
-                c.name, cfg.pvops_trait
+                c.name
             ),
         );
     }
@@ -83,7 +179,7 @@ fn is_guard(l: &LetBinding) -> bool {
     l.init_has_enter || l.type_has_voguard
 }
 
-fn refcount_leak(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
+fn refcount_leak(f: &FileFacts, sink: &mut Sink) {
     if in_test_tree(&f.name) {
         return;
     }
@@ -107,10 +203,7 @@ fn refcount_leak(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
     }
 
     // Forgotten / leaked guards.
-    for c in &f.calls {
-        if c.in_test {
-            continue;
-        }
+    for c in product_calls(f) {
         let forget_like = matches!(
             (c.name.as_str(), c.qualifier.as_deref()),
             ("forget", _) | ("new", Some("ManuallyDrop")) | ("leak", Some("Box"))
@@ -161,11 +254,11 @@ fn refcount_leak(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
         if l.in_test || !is_guard(l) || l.name == "_" {
             continue;
         }
-        for c in &f.calls {
-            if c.in_test || c.fn_idx != l.fn_idx || c.line < l.line {
+        for c in product_calls(f) {
+            if c.fn_idx != l.fn_idx || c.line < l.line {
                 continue;
             }
-            if cfg.blocking_calls.contains(&c.name) {
+            if BLOCKING_CALLS.contains(&c.name.as_str()) {
                 sink.push(f,
                     Rule::RefcountLeak,
                     c.line,
@@ -205,29 +298,29 @@ fn atomic_order(f: &FileFacts, sink: &mut Sink) {
         "`Ordering::Relaxed` on trace-buffer state: snapshot readers \
          need acquire/release to see fully published records"
     };
-    for (line, _) in &f.relaxed {
-        sink.push(f, Rule::AtomicOrder, *line, what.to_string());
+    for &line in &f.relaxed {
+        sink.push(f, Rule::AtomicOrder, line, what.to_string());
     }
 }
 
 // --------------------------------------------------------------- FAULT-MASK
 
-fn fault_mask(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
+fn fault_mask(f: &FileFacts, critical: &BTreeSet<&str>, sink: &mut Sink) {
     if in_test_tree(&f.name) {
         return;
     }
     for func in &f.fns {
-        if func.in_test || !cfg.switch_critical.contains(&func.name) {
+        if func.in_test || !critical.contains(func.name.as_str()) {
             continue;
         }
-        let used: Vec<&str> = cfg
-            .fault_hooks
+        let used: Vec<&str> = FAULT_HOOKS
             .iter()
-            .filter(|h| func.idents.contains(h.as_str()))
-            .map(String::as_str)
+            .copied()
+            .filter(|h| func.idents.contains(*h))
             .collect();
         if !used.is_empty() {
-            sink.push(f,
+            sink.push(
+                f,
                 Rule::FaultMask,
                 func.line,
                 format!(
@@ -245,105 +338,36 @@ fn fault_mask(f: &FileFacts, cfg: &Config, sink: &mut Sink) {
 
 // ------------------------------------------------------------- DISPATCH-GAP
 
-fn dispatch_gap(files: &[FileFacts], cfg: &Config, sink: &mut Sink) {
-    // 1. Every required PvOps method implemented by every VO.
-    let required: Vec<&str> = files
-        .iter()
-        .flat_map(|f| f.trait_methods.iter())
-        .filter(|m| m.trait_name == cfg.pvops_trait && !m.has_default)
-        .map(|m| m.method.as_str())
-        .collect();
-    if !required.is_empty() {
-        for f in files {
-            if in_test_tree(&f.name) {
-                continue;
-            }
-            for imp in &f.impls {
-                if imp.in_test || imp.trait_name.as_deref() != Some(cfg.pvops_trait.as_str()) {
-                    continue;
-                }
-                let have: BTreeSet<&str> = imp.methods.iter().map(String::as_str).collect();
-                let missing: Vec<&str> = required
-                    .iter()
-                    .filter(|m| !have.contains(**m))
-                    .copied()
-                    .collect();
-                if !missing.is_empty() {
-                    sink.push(f,
-                        Rule::DispatchGap,
-                        imp.line,
-                        format!(
-                            "`impl {} for {}` is missing: {}",
-                            cfg.pvops_trait,
-                            imp.type_name,
-                            missing.join(", ")
-                        ),
-                    );
-                }
-            }
-        }
-        // All three canonical VOes must exist (only checked once at
-        // least one of them is present, so small fixtures stay quiet).
-        let present: BTreeSet<&str> = files
-            .iter()
-            .flat_map(|f| f.impls.iter())
-            .filter(|i| i.trait_name.as_deref() == Some(cfg.pvops_trait.as_str()))
-            .map(|i| i.type_name.as_str())
-            .collect();
-        if cfg.vo_impls.iter().any(|v| present.contains(v.as_str())) {
-            for vo in &cfg.vo_impls {
-                if !present.contains(vo.as_str()) {
-                    if let Some((f, line)) = files.iter().find_map(|f| {
-                        f.trait_methods
-                            .iter()
-                            .find(|m| m.trait_name == cfg.pvops_trait)
-                            .map(|m| (f, m.line))
-                    }) {
-                        sink.push(f,
-                            Rule::DispatchGap,
-                            line,
-                            format!(
-                                "virtualization object `{vo}` has no \
-                                 `{}` impl",
-                                cfg.pvops_trait
-                            ),
-                        );
-                    }
-                }
-            }
-        }
+/// Every *atomic* `Rendezvous` field is reset by `begin()` — a stale
+/// counter or flag from the previous round corrupts the next handshake.
+/// Non-atomic fields (the timeout, the dyncheck shadow monitor) are
+/// round-invariant configuration, not protocol state.
+fn dispatch_gap(f: &FileFacts, sink: &mut Sink) {
+    if !f.defines_struct("Rendezvous") {
+        return;
     }
-
-    // 2. Every *atomic* Rendezvous field reset by `begin()` — a stale
-    // counter or flag from the previous round corrupts the next
-    // handshake.  Non-atomic fields (the timeout, the dyncheck shadow
-    // monitor) are round-invariant configuration, not protocol state.
-    for f in files {
-        if !f.defines_struct("Rendezvous") {
-            continue;
-        }
-        let begin = f
-            .fns
-            .iter()
-            .find(|x| x.name == "begin" && x.impl_type.as_deref() == Some("Rendezvous"));
-        let Some(begin) = begin else { continue };
-        for fd in &f.fields {
-            if fd.struct_name == "Rendezvous"
-                && !fd.in_test
-                && fd.type_idents.iter().any(|t| t.starts_with("Atomic"))
-                && !begin.idents.contains(&fd.field_name)
-            {
-                sink.push(f,
-                    Rule::DispatchGap,
-                    fd.line,
-                    format!(
-                        "`Rendezvous` field `{}` is not touched by \
-                         `begin()`; stale state leaks into the next \
-                         rendezvous round",
-                        fd.field_name
-                    ),
-                );
-            }
+    let begin = f
+        .fns
+        .iter()
+        .find(|x| x.name == "begin" && x.impl_type.as_deref() == Some("Rendezvous"));
+    let Some(begin) = begin else { return };
+    for fd in &f.fields {
+        if fd.struct_name == "Rendezvous"
+            && !fd.in_test
+            && fd.type_idents.iter().any(|t| t.starts_with("Atomic"))
+            && !begin.idents.contains(&fd.field_name)
+        {
+            sink.push(
+                f,
+                Rule::DispatchGap,
+                fd.line,
+                format!(
+                    "`Rendezvous` field `{}` is not touched by \
+                     `begin()`; stale state leaks into the next \
+                     rendezvous round",
+                    fd.field_name
+                ),
+            );
         }
     }
 }

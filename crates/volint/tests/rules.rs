@@ -4,7 +4,7 @@
 //! nothing extra.  The real workspace must come back clean.
 
 use std::collections::BTreeSet;
-use volint::{analyze_sources, analyze_workspace, Config, Rule, Severity};
+use volint::{analyze_sources, analyze_workspace, Rule, Severity};
 
 /// Parse `//~ RULE-ID` expectation comments: (line, rule-id) pairs.
 fn expectations(src: &str) -> BTreeSet<(usize, String)> {
@@ -19,9 +19,8 @@ fn expectations(src: &str) -> BTreeSet<(usize, String)> {
 /// Run volint over one fixture under a neutral logical path (so the
 /// `tests/` exemption does not apply) and compare against expectations.
 fn check_fixture(fname: &str, src: &str) {
-    let cfg = Config::mercury_defaults();
     let logical = format!("fixture://{fname}");
-    let diags = analyze_sources(&[(logical, src.to_string())], &cfg);
+    let diags = analyze_sources(&[(logical, src.to_string())], false);
     let got: BTreeSet<(usize, String)> = diags
         .iter()
         .map(|d| (d.line, d.rule.as_str().to_string()))
@@ -74,7 +73,6 @@ fn atomic_order_trace_fixture() {
 /// atomic is flagged.
 #[test]
 fn atomic_order_covers_merctrace_paths() {
-    let cfg = Config::mercury_defaults();
     let src = "pub fn push(dropped: &AtomicU64) {\n    \
                dropped.fetch_add(1, Ordering::Relaxed);\n}\n";
     let diags = analyze_sources(
@@ -82,7 +80,7 @@ fn atomic_order_covers_merctrace_paths() {
             "crates/merctrace/src/ring.rs".to_string(),
             src.to_string(),
         )],
-        &cfg,
+        false,
     );
     assert!(
         diags
@@ -120,8 +118,7 @@ fn real_workspace_is_clean() {
         "workspace root not found at {}",
         root.display()
     );
-    let cfg = Config::mercury_defaults();
-    let diags = analyze_workspace(&root, &cfg).expect("workspace must be readable");
+    let diags = analyze_workspace(&root, false).expect("workspace must be readable");
     let errors: Vec<_> = diags
         .iter()
         .filter(|d| d.severity == Severity::Error)
@@ -142,13 +139,13 @@ fn real_workspace_is_clean() {
         .expect("workspace must be readable")
         .iter()
         .filter(|(name, _)| name.starts_with("crates/") && name.contains("/src/"))
-        .flat_map(|(name, src)| volint::parse::parse_file(name, src).fns)
+        .flat_map(|(name, src)| volint::walk::walk_file(name, src).fns)
         .filter(|f| !f.in_test)
         .map(|f| f.name)
         .collect();
-    for name in &cfg.switch_critical {
+    for name in volint::rules::SWITCH_CRITICAL {
         assert!(
-            defined.contains(name),
+            defined.contains(*name),
             "switch_critical names `{name}`, which no product fn is called"
         );
     }
@@ -166,10 +163,16 @@ fn simx86_markers_are_discovered() {
         .unwrap()
         .to_path_buf();
     let cpu = std::fs::read_to_string(root.join("crates/simx86/src/cpu.rs")).unwrap();
-    let marked = volint::markers::scan(&cpu);
+    let facts = volint::walk::walk_file("crates/simx86/src/cpu.rs", &cpu);
+    let marked: Vec<&str> = facts
+        .fns
+        .iter()
+        .filter(|f| f.privileged)
+        .map(|f| f.name.as_str())
+        .collect();
     for expect in ["write_cr3", "lidt", "lgdt", "flush_tlb_local", "invlpg"] {
         assert!(
-            marked.iter().any(|m| m == expect),
+            marked.contains(&expect),
             "`{expect}` should carry #[doc(alias = \"volint-privileged\")] in simx86/src/cpu.rs; found {marked:?}"
         );
     }
@@ -222,12 +225,10 @@ fn stale_waiver_fixture() {
 /// error; the *used* waiver in the same fixture must stay silent.
 #[test]
 fn stale_waiver_escalates_under_deny() {
-    let mut cfg = Config::mercury_defaults();
-    cfg.deny_stale_waivers = true;
     let src = include_str!("fixtures/stale_waiver_bad.rs");
     let diags = analyze_sources(
         &[("fixture://stale_waiver_bad.rs".to_string(), src.to_string())],
-        &cfg,
+        true,
     );
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!(diags[0].rule.as_str(), "STALE-WAIVER");
@@ -360,13 +361,12 @@ pub fn xenon_recompute_frames() {
     scratch.push(0usize);
 }
 ";
-    let cfg = Config::mercury_defaults();
     let diags = analyze_sources(
         &[
             ("fixture://core/switchx.rs".to_string(), core_src.to_string()),
             ("fixture://xenon/recompute.rs".to_string(), xenon_src.to_string()),
         ],
-        &cfg,
+        false,
     );
     let allocs: Vec<_> = diags
         .iter()
@@ -400,10 +400,9 @@ pub fn rebuild_everything() {
     }
 }
 ";
-    let cfg = Config::mercury_defaults();
     let diags = analyze_sources(
         &[("fixture://no_root.rs".to_string(), src.to_string())],
-        &cfg,
+        false,
     );
     assert!(diags.is_empty(), "{diags:#?}");
 }
@@ -478,7 +477,7 @@ impl Vm {
     // MAX over the row's fns: it may be walked in either direction.
     let b = volint::budget_sources(&sources);
     assert_eq!(b.phases.get("switch.flip"), Some(&200));
-    let got: BTreeSet<(usize, Rule)> = analyze_sources(&sources, &Config::mercury_defaults())
+    let got: BTreeSet<(usize, Rule)> = analyze_sources(&sources, false)
         .iter()
         .map(|d| (d.line, d.rule))
         .collect();

@@ -179,10 +179,9 @@ fn host_domu(
     );
     let p = hv.evtchn_alloc(cpu, driver_dom).expect("evtchn");
     let pf = hv.evtchn_bind(cpu, &domu, driver_dom.id, p).expect("bind");
-    // Use the domU's own free frames for payload buffers.
-    let frames = domu.frames();
-    let blk_buf = frames[frames.len() - 1];
-    let net_buf = frames[frames.len() - 2];
+    // Payload buffers come from the domU's own memory, through its pool.
+    let blk_buf = kernel.alloc_driver_frame(cpu).expect("blk payload frame");
+    let net_buf = kernel.alloc_driver_frame(cpu).expect("net payload frame");
     kernel.set_block_driver(FrontendBlockDriver::new(
         Arc::clone(hv),
         Arc::clone(&domu),
@@ -507,6 +506,35 @@ mod tests {
                 assert_eq!(data, b"probe");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// The frontends' payload buffers come out of the guest's pool: with
+    /// the pool allocated dry, no mapping shares a frame with them.
+    /// (They used to be the domain's last two frames, which the pool
+    /// still had on its free list.)
+    #[test]
+    fn domu_payload_buffers_are_never_handed_to_a_mapping() {
+        let bed = TestBed::build(SysKind::XU, 1);
+        let sess = bed.session(0);
+        let page = |p: u64| simx86::VirtAddr(p * simx86::PAGE_SIZE);
+        let pages = DOMU_POOL_FRAMES as u64;
+        let base = sess.mmap(pages, Prot::RW, MmapBacking::Anon).unwrap().0 / simx86::PAGE_SIZE;
+        let mut touched = 0;
+        while sess.poke(page(base + touched), touched + 1).is_ok() {
+            touched += 1;
+        }
+        assert!(0 < touched && touched < pages, "pool not dry after {touched} pages");
+        sess.clear_signal();
+
+        // A payload through each frontend lands in its buffer frame.
+        let sock = sess.socket(4000).unwrap();
+        sess.sendto(sock, 5000, &[0xAB; 512]).unwrap();
+        let fd = sess.open("dry.dat", true).unwrap();
+        sess.write(fd, &[0xCD; 4096]).unwrap();
+        sess.sync().unwrap();
+        for p in 0..touched {
+            assert_eq!(sess.peek(page(base + p)).unwrap(), p + 1, "page {p} of {touched}");
         }
     }
 

@@ -1,0 +1,38 @@
+#!/usr/bin/env python3
+"""Code lines per crate (and per file with --files): non-blank lines
+that are not `//` comments (`.py`: not `#` comments), a Rust file
+counted down to its first column-0 `#[cfg(test)]`, i.e. without its test
+module.  Covers `crates/*/src`, the umbrella `src/` and `tools/*.py`.
+
+usage: tools/loc.py [--files] [ROOT]
+"""
+import glob
+import os
+import sys
+
+
+def code_lines(path):
+    mark = "#" if path.endswith(".py") else "//"
+    n = 0
+    for line in open(path, encoding="utf-8"):
+        if line.startswith("#[cfg(test)]"):
+            break
+        text = line.strip()
+        n += bool(text) and not text.startswith(mark)
+    return n
+
+
+roots = [a for a in sys.argv[1:] if a != "--files"]
+os.chdir(roots[0] if roots else os.path.join(os.path.dirname(__file__), ".."))
+groups = {d[:-4]: glob.glob(d + "/**/*.rs", recursive=True) for d in glob.glob("crates/*/src")}
+groups["src"] = glob.glob("src/**/*.rs", recursive=True)
+groups["tools"] = [f for f in glob.glob("tools/*.py") if "test_" not in f]
+total = 0
+for name, files in sorted(groups.items()):
+    counts = [(code_lines(f), f) for f in sorted(files)]
+    total += sum(n for n, _ in counts)
+    print(f"{sum(n for n, _ in counts):7d}  {name}")
+    if "--files" in sys.argv:
+        for n, f in counts:
+            print(f"{n:7d}    {f}")
+print(f"{total:7d}  total")

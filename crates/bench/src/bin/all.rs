@@ -4,7 +4,8 @@ use mercury::TrackingStrategy;
 use mercury_bench::{
     json_num, json_object, json_str, measure_sharded_recompute, measure_switch_times,
 };
-use mercury_workloads::lmbench::LmbenchIters;
+use mercury_workloads::configs::{SysKind, TestBed};
+use mercury_workloads::lmbench::{lat_fork, LmbenchIters};
 use mercury_workloads::report::{app_figure, lmbench_table, AppFigure, LmbenchTable};
 use std::collections::BTreeMap;
 
@@ -17,26 +18,38 @@ fn main() {
     println!("{}", f3.render());
     let f4 = app_figure(2, 2);
     println!("{}", f4.render());
-    let sw = measure_switch_times(TrackingStrategy::RecomputeOnSwitch, 20);
-    let sw_track = measure_switch_times(TrackingStrategy::ActiveTracking, 20);
-    let sw_dirty = measure_switch_times(TrackingStrategy::DirtyRecompute, 20);
+    // §7.4 and the §5.1.2 ablation: one row per strategy, keyed as
+    // `bench_results.json` has always spelled them, with the N-L fork
+    // latency the native-mode overheads are relative to.
+    let keys = [
+        "recompute",
+        "active_tracking",
+        "dirty_recompute",
+        "lazy_validate",
+    ];
+    let nl_fork_us = lat_fork(&TestBed::build(SysKind::NL, 1), 8);
+    let mut mode_switch = vec![("nl_fork_us", format!("{nl_fork_us:.4}"))];
+    for (key, strategy) in keys.into_iter().zip(TrackingStrategy::ALL) {
+        let t = measure_switch_times(strategy, 20);
+        println!(
+            "Mode switch ({key}): attach {:.1} us (cold {:.1} / warm {:.1}) / detach {:.1} us; \
+             native fork {:.1} us ({:+.1} % vs N-L {nl_fork_us:.1} us)",
+            t.attach_us,
+            t.cold_attach_us,
+            t.warm_attach_us,
+            t.detach_us,
+            t.native_fork_us,
+            (t.native_fork_us / nl_fork_us - 1.0) * 100.0
+        );
+        mode_switch.push((key, t.to_json()));
+    }
     let sharded = measure_sharded_recompute(4, 10);
-    println!(
-        "Mode switch (recompute):   attach {:.1} us / detach {:.1} us",
-        sw.attach_us, sw.detach_us
-    );
-    println!(
-        "Mode switch (tracking):    attach {:.1} us / detach {:.1} us",
-        sw_track.attach_us, sw_track.detach_us
-    );
-    println!(
-        "Mode switch (dirty):       cold attach {:.1} us / warm {:.1} us / detach {:.1} us",
-        sw_dirty.cold_attach_us, sw_dirty.warm_attach_us, sw_dirty.detach_us
-    );
     println!(
         "Sharded recompute ({} CPUs): serial {:.1} us / sharded {:.1} us ({:.2}x)",
         sharded.cpus, sharded.serial_pginfo_us, sharded.sharded_pginfo_us, sharded.speedup
     );
+    mode_switch.push(("sharded_recompute", sharded.to_json()));
+    mode_switch.sort();
 
     // label → label → number.
     let nested = |m: &BTreeMap<String, BTreeMap<String, f64>>| {
@@ -64,17 +77,11 @@ fn main() {
             ("cpus", t.cpus.to_string()),
         ])
     };
-    let mode_switch = json_object([
-        ("active_tracking", sw_track.to_json()),
-        ("dirty_recompute", sw_dirty.to_json()),
-        ("recompute", sw.to_json()),
-        ("sharded_recompute", sharded.to_json()),
-    ]);
     let artifact = format!(
         "{{\n  \"fig3\": {},\n  \"fig4\": {},\n  \"mode_switch\": {},\n  \"table1\": {},\n  \"table2\": {}\n}}\n",
         figure(&f3),
         figure(&f4),
-        mode_switch,
+        json_object(mode_switch),
         table(&t1),
         table(&t2),
     );

@@ -4,14 +4,13 @@
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `all` | Tables 1–2 (lmbench latencies, UP and SMP), Figs. 3–4 (relative application performance, UP and SMP), §7.4, and the `bench_results.json` dump for EXPERIMENTS.md |
-//! | `mode_switch` | §7.4 — mode switch times, plus sharded-vs-serial attach |
-//! | `ablation_tracking` | §5.1.2 — recompute vs active tracking vs dirty recompute |
+//! | `all` | Tables 1–2 (lmbench latencies, UP and SMP), Figs. 3–4 (relative application performance, UP and SMP), §7.4 mode switch times and the §5.1.2 strategy ablation (one row per `TrackingStrategy`, plus sharded-vs-serial attach), and the `bench_results.json` dump for EXPERIMENTS.md |
 //! | `switch_timeline` | §7.3 — per-phase switch decomposition (merctrace) |
 //! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faultgen_results.json`) |
 
 use mercury::{SwitchOutcome, TrackingStrategy};
-use mercury_workloads::configs::{switch_with_peers, SysKind, TestBed};
+use mercury_workloads::configs::{switch_with_peers, TestBed};
+use mercury_workloads::lmbench::lat_fork;
 use simx86::costs::cycles_to_us;
 use std::sync::atomic::Ordering;
 
@@ -120,6 +119,9 @@ pub struct SwitchTimes {
     pub detach_us: f64,
     /// Samples taken.
     pub samples: u32,
+    /// Native-mode fork latency on a fresh bed (µs): what the strategy
+    /// costs while the VMM is detached (§5.1.2's "2%~3%").
+    pub native_fork_us: f64,
 }
 
 /// Sharded-vs-serial attach-time `page_info` recompute on an SMP rig
@@ -128,7 +130,8 @@ pub struct SwitchTimes {
 pub struct ShardedRecompute {
     /// Simulated CPUs on the rig (1 control processor + peers).
     pub cpus: usize,
-    /// Mean attach-time recompute cost, serial walk on the CP (µs).
+    /// Mean cost of the same recompute walked serially by the CP alone,
+    /// over a scratch table (µs).
     pub serial_pginfo_us: f64,
     /// Mean attach-time recompute cost, sharded across the rendezvoused
     /// peers — the CP charges the makespan, not the sum (µs).
@@ -145,8 +148,7 @@ fn json_us(v: f64) -> String {
 }
 
 impl SwitchTimes {
-    /// The one-line JSON object `mode_switch.json` and
-    /// `bench_results.json` archive.
+    /// The one-line JSON object `bench_results.json` archives.
     pub fn to_json(&self) -> String {
         json_object([
             ("strategy", json_str(&self.strategy)),
@@ -155,13 +157,13 @@ impl SwitchTimes {
             ("warm_attach_us", json_us(self.warm_attach_us)),
             ("detach_us", json_us(self.detach_us)),
             ("samples", self.samples.to_string()),
+            ("native_fork_us", json_us(self.native_fork_us)),
         ])
     }
 }
 
 impl ShardedRecompute {
-    /// The one-line JSON object `mode_switch.json` and
-    /// `bench_results.json` archive.
+    /// The one-line JSON object `bench_results.json` archives.
     pub fn to_json(&self) -> String {
         json_object([
             ("cpus", self.cpus.to_string()),
@@ -171,16 +173,6 @@ impl ShardedRecompute {
             ("samples", self.samples.to_string()),
         ])
     }
-}
-
-/// Measure attach/detach round trips on a fresh M-N system.
-pub fn measure_switch_times(strategy: TrackingStrategy, samples: u32) -> SwitchTimes {
-    let bed = if strategy == TrackingStrategy::RecomputeOnSwitch {
-        TestBed::build(SysKind::MN, 1)
-    } else {
-        TestBed::build_mn_with_strategy(1, strategy)
-    };
-    measure_on(&bed, samples)
 }
 
 /// Warm a bed the same way for every measurement: a real process and a
@@ -198,10 +190,14 @@ fn warm(bed: &TestBed) -> nimbus::Session {
     sess
 }
 
-fn measure_on(bed: &TestBed, samples: u32) -> SwitchTimes {
+/// Measure attach/detach round trips on a fresh M-N system, and the
+/// native-mode fork latency on another.
+pub fn measure_switch_times(strategy: TrackingStrategy, samples: u32) -> SwitchTimes {
+    let native_fork_us = lat_fork(&TestBed::build_mn_with_strategy(1, strategy), 8);
+    let bed = TestBed::build_mn_with_strategy(1, strategy);
     let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
     let cpu = bed.machine.boot_cpu();
-    let _sess = warm(bed);
+    let _sess = warm(&bed);
     let mut attach_total = 0u64;
     let mut detach_total = 0u64;
     let mut cold = 0u64;
@@ -222,45 +218,62 @@ fn measure_on(bed: &TestBed, samples: u32) -> SwitchTimes {
     }
     let warm_samples = samples.saturating_sub(1).max(1);
     SwitchTimes {
-        strategy: format!("{:?}", mercury.strategy()),
+        strategy: format!("{strategy:?}"),
         attach_us: cycles_to_us(attach_total) / samples as f64,
         cold_attach_us: cycles_to_us(cold),
         warm_attach_us: cycles_to_us(attach_total - cold) / warm_samples as f64,
         detach_us: cycles_to_us(detach_total) / samples as f64,
         samples,
+        native_fork_us,
     }
 }
 
 /// Measure the attach-time `page_info` recompute on a `cpus`-way M-N
-/// rig, serial vs sharded.  The peers are serviced by temporary host
-/// threads exactly as the SMP testbeds do; the measured quantity is
+/// rig, sharded vs serial.  The peers are serviced by temporary host
+/// threads exactly as the SMP testbeds do.  Sharded is
 /// `SwitchStats::last_pginfo_cycles` — the simulated cycles the control
-/// processor spent in the recompute phase (serial: the whole walk;
-/// sharded: dispatch + its own fair share of chunks + the makespan
-/// correction for the slowest peer).
+/// processor spent in the recompute phase (dispatch + its own fair
+/// share of chunks + the makespan correction for the slowest peer).
+/// A rig with peers always shards, so the serial reference is the same
+/// walk made by the CP alone over a scratch table while attached
+/// (detached, the tables are writable and fail validation).
 pub fn measure_sharded_recompute(cpus: usize, samples: u32) -> ShardedRecompute {
     assert!(cpus >= 2, "sharding needs at least one peer");
     let bed = TestBed::build_mn_with_strategy(cpus, TrackingStrategy::RecomputeOnSwitch);
     let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
+    let cpu = bed.machine.boot_cpu();
+    let dom = mercury.dom0().id;
     let _sess = warm(&bed);
-
-    let mut totals = [0u64; 2]; // [serial, sharded]
-    for (slot, sharded) in [(0usize, false), (1, true)] {
-        mercury.set_sharded_recompute(sharded);
-        for _ in 0..samples {
-            let out = switch_with_peers(&bed.machine, mercury, true);
-            assert!(
-                matches!(out, SwitchOutcome::Completed { .. }),
-                "attach did not complete"
-            );
-            totals[slot] += mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
-            switch_with_peers(&bed.machine, mercury, false);
-        }
+    let pool = bed.kernel.pool_frames();
+    let scratch = xenon::PageInfoTable::new(bed.machine.mem.num_frames());
+    for &f in &pool {
+        scratch.set_owner(f, Some(dom));
     }
-    mercury.set_sharded_recompute(true);
 
-    let serial_us = cycles_to_us(totals[0]) / samples as f64;
-    let sharded_us = cycles_to_us(totals[1]) / samples as f64;
+    let (mut serial, mut sharded) = (0u64, 0u64);
+    for _ in 0..samples {
+        let out = switch_with_peers(&bed.machine, mercury, true);
+        assert!(
+            matches!(out, SwitchOutcome::Completed { .. }),
+            "attach did not complete"
+        );
+        sharded += mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
+        let t0 = cpu.cycles();
+        scratch
+            .recompute_for(
+                cpu,
+                &bed.machine.mem,
+                dom,
+                pool.len(),
+                &bed.kernel.all_pgds(),
+            )
+            .expect("serial reference walk");
+        serial += cpu.cycles() - t0;
+        switch_with_peers(&bed.machine, mercury, false);
+    }
+
+    let serial_us = cycles_to_us(serial) / samples as f64;
+    let sharded_us = cycles_to_us(sharded) / samples as f64;
     ShardedRecompute {
         cpus,
         serial_pginfo_us: serial_us,

@@ -45,10 +45,27 @@
 //! [`simx86::costs::DIRTY_TRACK_PER_PTE`]); at attach time the
 //! correctness path reuses the same validator as recompute — at a
 //! mirror adoption rate ([`ADOPT_PER_FRAME`]) for active tracking, and
-//! at the capped dirty/clean/deferred blended rate
-//! ([`TrackingStrategy::attach_cost`]) for the dirty strategies.  A
-//! property test asserts all strategies produce identical `page_info`
-//! state, which is the invariant the paper's design relies on.
+//! at the capped dirty/clean/deferred blended rate for the dirty
+//! strategies.  A property test asserts all strategies produce
+//! identical `page_info` state, which is the invariant the paper's
+//! design relies on.
+//!
+//! **One table.**  What distinguishes the four strategies is written
+//! down once, as a [`LatticeRow`] per strategy
+//! ([`TrackingStrategy::row`], the only `match` on the enum in the
+//! workspace): the switch engine picks its transition tables from the
+//! row, the native VO is built from it, and the accounting rows below —
+//! the `run`/`undo` bodies of the `switch.transfer.pginfo_*` phases —
+//! charge from it.  Each cost formula lives at the `cpu.tick` that
+//! charges it.
+
+use crate::switch::{Mercury, Round, SwitchError};
+use simx86::mem::FrameNum;
+use simx86::{costs, Cpu, LazySet};
+use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use xenon::PageInfoTable;
 
 /// Per-frame cost of adopting the actively-maintained mirror at attach
 /// (a table copy, not a walk of the page tables).
@@ -90,215 +107,379 @@ pub enum TrackingStrategy {
     LazyValidate,
 }
 
+/// One row of the strategy lattice (DESIGN.md §7b): everything the
+/// switch engine, the native VO and the reports know about a strategy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LatticeRow {
+    /// Cycles the native VO charges per page-table entry written while
+    /// the VMM is detached.
+    pub native_per_pte: u64,
+    /// Whether a detach-time dirty baseline is kept: the snapshot is
+    /// retained at detach (`DETACH_RETAIN`, not `DETACH_CLEAR`) and
+    /// pre-computed at boot, the native VO marks written table frames
+    /// dirty in the dormant VMM's table, and attach is O(dirty)
+    /// (`ATTACH_DIRTY`, not `ATTACH_FULL`).
+    pub dirty_baseline: bool,
+    /// Cycles per owned frame of a whole-pool walk: the attach without
+    /// a baseline (serial or sharded) and the re-arm of a rolled-back
+    /// detach.
+    pub walk_per_frame: u64,
+    /// Dirty frames an attach revalidates synchronously.  Kernel-
+    /// critical dirty frames are never deferred, however small this is
+    /// (DESIGN.md §7b invariant 1); only read under a baseline.
+    pub sync_quota: usize,
+}
+
 impl TrackingStrategy {
-    /// Whether the strategy keeps a detach-time dirty baseline (and
-    /// therefore wants the boot-time pre-cache, dirty marking through
-    /// the native VO, and background revalidation while native).
-    pub fn uses_dirty_baseline(self) -> bool {
-        matches!(
-            self,
-            TrackingStrategy::DirtyRecompute | TrackingStrategy::LazyValidate
-        )
-    }
+    /// Every strategy, in lattice order.
+    pub const ALL: [TrackingStrategy; 4] = [
+        TrackingStrategy::RecomputeOnSwitch,
+        TrackingStrategy::ActiveTracking,
+        TrackingStrategy::DirtyRecompute,
+        TrackingStrategy::LazyValidate,
+    ];
 
-    /// Cycles per owned frame charged during attach, at the strategy's
-    /// *uniform* rate (the dirty strategies' blended rate needs the
-    /// dirty partition — see [`TrackingStrategy::attach_cost`]).  Used
-    /// by the no-baseline fallback and the switch rollback path.
-    pub fn attach_per_frame_cost(self) -> u64 {
-        match self {
-            TrackingStrategy::RecomputeOnSwitch => simx86::costs::PGINFO_RECOMPUTE_PER_FRAME,
-            TrackingStrategy::ActiveTracking => ADOPT_PER_FRAME,
-            // Without a detach-time baseline every frame counts as
-            // dirty: the fallback is a full recompute.
-            TrackingStrategy::DirtyRecompute | TrackingStrategy::LazyValidate => {
-                simx86::costs::PGINFO_RECOMPUTE_PER_FRAME
-            }
-        }
-    }
-
-    /// Total attach-time accounting cycles for `owned` frames of which
-    /// `dirty` were mutated since the last snapshot, treating every
-    /// dirty frame as kernel-critical (`dirty` is ignored by the
-    /// uniform-rate strategies).  The switch path, which knows the real
-    /// critical partition, uses [`TrackingStrategy::attach_cost_split`].
-    pub fn attach_cost(self, owned: usize, dirty: usize) -> u64 {
-        self.attach_cost_split(owned, dirty, dirty)
-    }
-
-    /// Detach-time accounting cycles for `owned` frames of which
-    /// `tables` are currently pinned page-table frames.
-    ///
-    /// The legacy strategies wipe the whole table — a release pass at
-    /// [`simx86::costs::PGINFO_CLEAR_PER_FRAME`] over every owned frame
-    /// (the §7.4 "cheap direction", but still O(owned)).  The
-    /// dirty-baseline strategies instead *retain* the just-live
-    /// accounting as the next attach's snapshot: the only per-frame
-    /// work left is dropping the VMM's type restrictions on the pinned
-    /// table frames (≤ 256 by construction), so detach is O(tables).
+    /// This strategy's row of the lattice.
     ///
     /// ```
     /// use mercury::TrackingStrategy;
-    /// let owned = 16384;
-    /// let legacy = TrackingStrategy::RecomputeOnSwitch.detach_cost(owned, 24);
-    /// let dirty = TrackingStrategy::DirtyRecompute.detach_cost(owned, 24);
-    /// assert_eq!(legacy, owned as u64 * simx86::costs::PGINFO_CLEAR_PER_FRAME);
-    /// assert_eq!(dirty, 24 * simx86::costs::PGINFO_CLEAR_PER_FRAME);
-    /// assert!(dirty * 100 < legacy);
+    /// let paper = TrackingStrategy::RecomputeOnSwitch.row();
+    /// let default = TrackingStrategy::default().row();
+    /// // The paper's design is free while native and pays at the switch;
+    /// // the default pays two cycles per PTE write for an O(dirty) attach.
+    /// assert_eq!((paper.native_per_pte, paper.dirty_baseline), (0, false));
+    /// assert_eq!((default.native_per_pte, default.dirty_baseline), (2, true));
     /// ```
-    pub fn detach_cost(self, owned: usize, tables: usize) -> u64 {
-        if self.uses_dirty_baseline() {
-            tables.min(owned) as u64 * simx86::costs::PGINFO_CLEAR_PER_FRAME
-        } else {
-            owned as u64 * simx86::costs::PGINFO_CLEAR_PER_FRAME
+    pub const fn row(self) -> LatticeRow {
+        let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
+        let (native_per_pte, dirty_baseline, walk_per_frame, sync_quota) = match self {
+            TrackingStrategy::RecomputeOnSwitch => (0, false, scan, 0),
+            TrackingStrategy::ActiveTracking => {
+                (costs::ACTIVE_TRACK_PER_PTE, false, ADOPT_PER_FRAME, 0)
+            }
+            // Without a usable baseline every frame counts as dirty:
+            // the whole-pool walk of a dirty strategy is a full scan.
+            TrackingStrategy::DirtyRecompute => {
+                (costs::DIRTY_TRACK_PER_PTE, true, scan, SYNC_REVALIDATE_CAP)
+            }
+            TrackingStrategy::LazyValidate => (costs::DIRTY_TRACK_PER_PTE, true, scan, 0),
+        };
+        LatticeRow {
+            native_per_pte,
+            dirty_baseline,
+            walk_per_frame,
+            sync_quota,
         }
     }
+}
 
-    /// [`TrackingStrategy::attach_cost`] with an explicit partition:
-    /// `critical` of the `dirty` frames are kernel-critical and must be
-    /// revalidated synchronously before the guest runs.
+// ---- the accounting rows (§5.1.2) ---------------------------------------------
+//
+// `run`/`undo` bodies of the `switch.transfer.pginfo_*` phases; the
+// tables that name them are in `crate::switch`.
+
+impl Mercury {
+    /// Attach-time frame accounting with a dirty baseline (the default,
+    /// established at boot and refreshed at every detach) — O(dirty).
+    /// Partition the dirty population against the kernel-critical frame
+    /// set, synchronously revalidate the critical frames (plus
+    /// non-critical dirty frames up to the strategy's
+    /// [`LatticeRow::sync_quota`]), restore clean frames from the
+    /// snapshot, and defer the rest to first-touch validation faults.
     ///
-    /// * `DirtyRecompute` revalidates dirty frames synchronously up to
-    ///   [`SYNC_REVALIDATE_CAP`] (critical frames sort first and the
-    ///   cap never truncates them — [`SYNC_REVALIDATE_CAP`] exceeds the
-    ///   ≤ 256 kernel table frames by construction); overflow defers at
-    ///   [`simx86::costs::LAZY_DEFER_PER_FRAME`].
-    /// * `LazyValidate` synchronously revalidates *only* the critical
-    ///   dirty frames and defers all others.
-    /// * Clean frames restore from the snapshot at
-    ///   [`RESTORE_PER_FRAME`] under both.
-    pub fn attach_cost_split(self, owned: usize, dirty: usize, critical: usize) -> u64 {
-        let scan = simx86::costs::PGINFO_RECOMPUTE_PER_FRAME;
-        match self {
-            TrackingStrategy::DirtyRecompute => {
-                let dirty = dirty.min(owned) as u64;
-                let clean = owned as u64 - dirty;
-                let sync = dirty.min(SYNC_REVALIDATE_CAP as u64);
-                let deferred = dirty - sync;
-                sync * scan
-                    + clean * RESTORE_PER_FRAME
-                    + deferred * simx86::costs::LAZY_DEFER_PER_FRAME
-            }
-            TrackingStrategy::LazyValidate => {
-                let dirty = dirty.min(owned) as u64;
-                let critical = (critical as u64).min(dirty);
-                let clean = owned as u64 - dirty;
-                let deferred = dirty - critical;
-                critical * scan
-                    + clean * RESTORE_PER_FRAME
-                    + deferred * simx86::costs::LAZY_DEFER_PER_FRAME
-            }
-            _ => self.attach_per_frame_cost() * owned as u64,
+    /// Admission invariant (DESIGN.md §7b): a kernel-critical frame is
+    /// never deferred — the sync quota is at least the critical-dirty
+    /// count under every strategy — so the guest can never execute
+    /// through a page-table frame whose validation is still pending.
+    pub(crate) fn account_dirty(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let cpu = r.cpu;
+        let owned = self.kernel().pool_frames().len();
+        let p0 = cpu.cycles();
+        let hv = self.hypervisor();
+        // Kernel-critical frames: the page-table frames a guest could
+        // subvert the VMM through.  (Gate and descriptor tables are not
+        // frame-backed in this machine model; their transfer is the
+        // trap_table phase.)
+        let critical: BTreeSet<u32> = self
+            .kernel()
+            .all_table_frames()
+            .into_iter()
+            .map(|f| f.0)
+            // volint::allow(SWITCH-ALLOC): the critical set is bounded by the ≤ 256 kernel table frames and built once per attach
+            .collect();
+        let dirty = hv.page_info.dirty_frames_for(self.dom0().id);
+        // Critical frames sort first so the sync quota can never
+        // truncate them.
+        let (mut ordered, rest): (Vec<FrameNum>, Vec<FrameNum>) =
+            dirty.into_iter().partition(|f| critical.contains(&f.0));
+        let n_critical = ordered.len();
+        // volint::allow(SWITCH-ALLOC): extends the partitioned work-list in place (total length = dirty count)
+        ordered.extend(rest);
+        // `DirtyRecompute`'s cap (4096) exceeds the ≤ 256 kernel table
+        // frames, so criticals always fit under it; `LazyValidate`'s
+        // quota of 0 leaves only the critical frames holding the guest.
+        let quota = self.strategy().row().sync_quota.max(n_critical);
+        let sync = ordered.len().min(quota);
+        let clean = owned.saturating_sub(ordered.len());
+        // volint::cost(491520) — capped synchronous revalidation: SYNC_REVALIDATE_CAP(4096) × PGINFO_RECOMPUTE_PER_FRAME(100) + 16384 clean frames × RESTORE_PER_FRAME(5)
+        cpu.tick(
+            sync as u64 * costs::PGINFO_RECOMPUTE_PER_FRAME + clean as u64 * RESTORE_PER_FRAME,
+        );
+        // The validation itself rebuilds the whole accounting from the
+        // live tables — the cycle charge above models the dirty/clean
+        // split; correctness never depends on a dirty bit (a scrubbed
+        // or deferred frame still validates through here).
+        self.rebuild_accounting(cpu, &hv.page_info, 0)?;
+
+        // Lazy admission: enqueue everything past the sync quota for
+        // first-touch validation.
+        merctrace::span_begin!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
+        // volint::cost(16384) — deferral enqueue: ≤ 16384 pool frames × LAZY_DEFER_PER_FRAME(1)
+        // volint::allow(SWITCH-PANIC): sync = ordered.len().min(quota), so the slice start is always in bounds
+        let deferred = &ordered[sync..];
+        cpu.tick(deferred.len() as u64 * costs::LAZY_DEFER_PER_FRAME);
+        if !deferred.is_empty() {
+            debug_assert!(
+                deferred.iter().all(|f| !critical.contains(&f.0)),
+                "kernel-critical frame deferred past admission"
+            );
+            merctrace::counter!(
+                cpu.id,
+                "switch.lazy.deferred",
+                deferred.len() as u64,
+                cpu.cycles()
+            );
+            // volint::allow(SWITCH-ALLOC): one Arc'd pending set per lazy admission window
+            self.open_lazy_window(Arc::new(LazySet::new(deferred.iter().copied())));
         }
+        merctrace::span_end!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
+        self.accounted(cpu, p0);
+        Ok(())
+    }
+
+    /// Attach-time frame accounting without a baseline (the legacy
+    /// strategies): the whole-pool walk — sharded across the
+    /// rendezvoused peers when there are any (§5.4), serial otherwise.
+    pub(crate) fn account_full(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let cpu = r.cpu;
+        let p0 = cpu.cycles();
+        let per_frame = self.strategy().row().walk_per_frame;
+        if self.kernel().machine.num_cpus() > 1 {
+            self.sharded_recompute_phase(cpu, per_frame)?;
+        } else {
+            // volint::cost(1638400) — worst case serial scan: 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
+            self.rebuild_accounting(cpu, &self.hypervisor().page_info, per_frame)?;
+        }
+        self.accounted(cpu, p0);
+        Ok(())
+    }
+
+    /// Rebuild `table`'s accounting for the kernel's domain from the
+    /// live page tables, charging `per_frame` cycles per owned frame,
+    /// and bind the base tables it walked to the domain — even if the
+    /// walk failed: the `undo` of the row that called unbinds them, and
+    /// a caller that is itself an `undo` has nowhere to report to.
+    fn rebuild_accounting(
+        &self,
+        cpu: &Arc<Cpu>,
+        table: &PageInfoTable,
+        per_frame: u64,
+    ) -> Result<(), SwitchError> {
+        let kernel = self.kernel();
+        let pgds = kernel.all_pgds();
+        let owned = kernel.pool_frames().len();
+        let mem = &kernel.machine.mem;
+        let walked = table.recompute_for_at(cpu, mem, self.dom0().id, owned, &pgds, per_frame);
+        self.dom0().reset_pgds(pgds);
+        // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
+        walked.map_err(|e| SwitchError::Transfer(e.to_string()))
+    }
+
+    /// An attach-side accounting row succeeded: publish its makespan.
+    fn accounted(&self, cpu: &Arc<Cpu>, p0: u64) {
+        self.stats
+            .last_pginfo_cycles
+            .store(cpu.cycles() - p0, Ordering::Relaxed);
+    }
+
+    /// Forget the attach-time accounting again: the kernel stays native.
+    pub(crate) fn drop_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        self.close_lazy_window(r.cpu);
+        self.release_accounting();
+        Ok(())
+    }
+
+    /// The dormant VMM stops tracking: drop the type restrictions and
+    /// the domain's base-table list.
+    fn release_accounting(&self) {
+        self.hypervisor().page_info.clear_types_for(self.dom0().id);
+        // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch
+        self.dom0().reset_pgds(Vec::new());
+    }
+
+    /// Detach-side accounting under a dirty baseline: *retain* the
+    /// just-live accounting as the next attach's snapshot and only drop
+    /// the type restrictions on the pinned table frames — O(tables)
+    /// (DESIGN.md §7b).  Closing the lazy window is charged here.
+    pub(crate) fn retain_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let hv = self.hypervisor();
+        hv.deactivate();
+        self.close_lazy_window(r.cpu);
+        let tables = self.kernel().all_table_frames().len();
+        // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
+        r.cpu.tick(costs::PGINFO_CLEAR_PER_FRAME * tables as u64);
+        self.release_accounting();
+        // The state just validated *is* the snapshot; dirty tracking
+        // (re)starts from here.
+        hv.page_info.reset_dirty_for(self.dom0().id);
+        Ok(())
+    }
+
+    /// Detach-side accounting without a baseline: wipe it wholesale (a
+    /// per-frame release pass — the "cheap direction" of §7.4, but
+    /// still O(owned)).
+    pub(crate) fn clear_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        self.hypervisor().deactivate();
+        // volint::cost(409600) — 16384 pool frames × PGINFO_CLEAR_PER_FRAME(25)
+        r.cpu
+            .tick(costs::PGINFO_CLEAR_PER_FRAME * self.kernel().pool_frames().len() as u64);
+        self.release_accounting();
+        Ok(())
+    }
+
+    /// Re-arm the accounting a detach released: the kernel stays virtual.
+    pub(crate) fn rearm_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
+        let hv = self.hypervisor();
+        let _ = self.rebuild_accounting(r.cpu, &hv.page_info, self.strategy().row().walk_per_frame);
+        hv.activate();
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switch::tests::{rig, scratch_walk};
+    use crate::vo::VO_INDIRECT;
+    use nimbus::paravirt::{BareOps, PvOps};
+    use simx86::paging::Pte;
 
+    /// The lattice pinned against the mechanism: per strategy, what the
+    /// native VO, the attach-time accounting phase and the detach are
+    /// *measured* to cost, against the figures of DESIGN.md §7b typed
+    /// here — including a dirty set past the sync cap and
+    /// `LazyValidate` with fewer critical frames than dirty ones.
     #[test]
-    fn dirty_recompute_is_the_default_with_a_baseline() {
-        assert_eq!(TrackingStrategy::default(), TrackingStrategy::DirtyRecompute);
-        assert!(TrackingStrategy::default().uses_dirty_baseline());
-        assert!(TrackingStrategy::LazyValidate.uses_dirty_baseline());
-        assert!(!TrackingStrategy::RecomputeOnSwitch.uses_dirty_baseline());
-        assert!(!TrackingStrategy::ActiveTracking.uses_dirty_baseline());
-        // The legacy full recompute still costs far more per frame than
-        // adopting the active mirror.
+    fn lattice_rows_price_the_mechanism() {
+        use TrackingStrategy::*;
+        assert_eq!(TrackingStrategy::default(), DirtyRecompute);
+        let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
+        // Two synthetic dirty sets, each 3 table frames plus this many
+        // other pool frames: one under the sync cap, one past it.
+        let others = [100, SYNC_REVALIDATE_CAP + 50];
+        // (strategy, native cycles per PTE write, whole-pool attach
+        // rate — `None` under a dirty baseline — and how many frames of
+        // each dirty set the attach revalidates synchronously).
+        let lattice = [
+            (RecomputeOnSwitch, 0, Some(scan), [0, 0]),
+            (
+                ActiveTracking,
+                costs::ACTIVE_TRACK_PER_PTE,
+                Some(ADOPT_PER_FRAME),
+                [0, 0],
+            ),
+            (
+                DirtyRecompute,
+                costs::DIRTY_TRACK_PER_PTE,
+                None,
+                [103, SYNC_REVALIDATE_CAP],
+            ),
+            (LazyValidate, costs::DIRTY_TRACK_PER_PTE, None, [3, 3]),
+        ];
+        assert_eq!(lattice.map(|row| row.0), TrackingStrategy::ALL);
+        let mut detach_rest = Vec::new();
+        for (strategy, per_pte, walk, syncs) in lattice {
+            let (machine, hv, mercury) = rig(1, strategy);
+            let cpu = machine.boot_cpu();
+            let kernel = mercury.kernel();
+            let owned = kernel.pool_frames().len();
+            let stat = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+
+            // Native VO: a 16-entry write to a frame outside the pool
+            // costs the bare write, the indirection, and the row's rate
+            // per entry; only a baseline marks the table dirty.
+            let table = machine.allocator.alloc(cpu).unwrap();
+            let updates: Vec<(usize, Pte)> = (0..16).map(|i| (i, Pte::ABSENT)).collect();
+            let t0 = cpu.cycles();
+            BareOps::new(Arc::clone(&machine))
+                .set_ptes(cpu, table, &updates)
+                .unwrap();
+            let bare = cpu.cycles() - t0;
+            let t0 = cpu.cycles();
+            kernel.pv().set_ptes(cpu, table, &updates).unwrap();
+            let counted = cpu.cycles() - t0;
+            assert_eq!(counted, bare + VO_INDIRECT + 16 * per_pte, "{strategy:?}");
+            assert_eq!(hv.page_info.get(table).dirty, walk.is_none());
+
+            // Mark 3 table frames and `other` other pool frames dirty.
+            let mark = |other: usize| {
+                let tables = kernel.all_table_frames();
+                let pool = kernel.pool_frames();
+                let rest = pool.iter().filter(|f| !tables.contains(f)).take(other);
+                for &f in tables.iter().take(3).chain(rest) {
+                    hv.page_info.mark_dirty(f);
+                }
+            };
+            // Attach, and return the accounting phase net of the
+            // validation walk itself (the scratch walk at rate 0).
+            let attach = || {
+                mercury.switch_to_virtual(cpu).unwrap();
+                stat(&mercury.stats.last_pginfo_cycles) - scratch_walk(&mercury, 0).0
+            };
+
+            // First attach, nothing marked: the whole-pool walk, or —
+            // pre-cached at boot — an all-clean restore.
+            let first = attach();
+            let rate = walk.unwrap_or(RESTORE_PER_FRAME);
+            assert_eq!(first, rate * owned as u64, "{strategy:?}: first attach");
+            // Detach: an O(owned) wipe, or an O(tables) release under a
+            // baseline.  The rest of a detach costs the same everywhere.
+            mercury.switch_to_native(cpu).unwrap();
+            let released = match walk {
+                Some(_) => owned,
+                None => kernel.all_table_frames().len(),
+            };
+            detach_rest.push(
+                stat(&mercury.stats.last_detach_cycles)
+                    - released as u64 * costs::PGINFO_CLEAR_PER_FRAME,
+            );
+
+            for (other, sync) in others.into_iter().zip(syncs) {
+                mark(other);
+                let phase = attach();
+                if walk.is_some() {
+                    // No baseline: dirt is not tracked, every attach is
+                    // the same whole-pool walk.
+                    assert_eq!(phase, first, "{strategy:?}");
+                } else {
+                    // Synchronous frames pay the scan, clean ones the
+                    // restore, the rest the enqueue — plus one TLB
+                    // flush on the one CPU for opening the window.
+                    let deferred = 3 + other - sync;
+                    let clean = owned - 3 - other;
+                    let expect = sync as u64 * scan
+                        + clean as u64 * RESTORE_PER_FRAME
+                        + deferred as u64 * costs::LAZY_DEFER_PER_FRAME
+                        + if deferred > 0 { costs::TLB_FLUSH } else { 0 };
+                    assert_eq!(phase, expect, "{strategy:?}: {other} + 3 dirty");
+                    assert_eq!(mercury.lazy_pending(), deferred, "{strategy:?}");
+                }
+                mercury.switch_to_native(cpu).unwrap();
+            }
+        }
         assert!(
-            TrackingStrategy::RecomputeOnSwitch.attach_per_frame_cost()
-                > TrackingStrategy::ActiveTracking.attach_per_frame_cost() * 5
+            detach_rest.windows(2).all(|w| w[0] == w[1]),
+            "{detach_rest:?}"
         );
-    }
-
-    #[test]
-    fn dirty_recompute_blends_scan_and_restore_rates() {
-        let s = TrackingStrategy::DirtyRecompute;
-        // Under the cap, all-dirty degenerates to the full recompute.
-        assert_eq!(
-            s.attach_cost(100, 100),
-            TrackingStrategy::RecomputeOnSwitch.attach_cost(100, 0)
-        );
-        // All-clean is the snapshot-restore rate: ≥5× cheaper than a
-        // full recompute (the warm re-attach acceptance bar).
-        assert!(s.attach_cost(100, 0) * 5 <= s.attach_cost(100, 100));
-        // Blend is monotone in the dirty count and clamps at `owned`.
-        assert!(s.attach_cost(100, 10) < s.attach_cost(100, 20));
-        assert_eq!(s.attach_cost(100, 200), s.attach_cost(100, 100));
-        // Uniform strategies ignore the dirty count.
-        assert_eq!(
-            TrackingStrategy::ActiveTracking.attach_cost(100, 50),
-            ADOPT_PER_FRAME * 100
-        );
-    }
-
-    #[test]
-    fn sync_cap_bounds_the_dirty_recompute_attach() {
-        let s = TrackingStrategy::DirtyRecompute;
-        let owned = 16384;
-        // Everything dirty: only SYNC_REVALIDATE_CAP frames pay the
-        // full scan rate; the rest defer at the enqueue rate.
-        let all_dirty = s.attach_cost(owned, owned);
-        let expect = SYNC_REVALIDATE_CAP as u64 * simx86::costs::PGINFO_RECOMPUTE_PER_FRAME
-            + (owned - SYNC_REVALIDATE_CAP) as u64 * simx86::costs::LAZY_DEFER_PER_FRAME;
-        assert_eq!(all_dirty, expect);
-        // The cap keeps the worst case well under the legacy full scan.
-        assert!(all_dirty * 3 < TrackingStrategy::RecomputeOnSwitch.attach_cost(owned, 0));
-        // Below the cap the cost is exactly the uncapped blend.
-        assert_eq!(
-            s.attach_cost(owned, 100),
-            100 * simx86::costs::PGINFO_RECOMPUTE_PER_FRAME
-                + (owned - 100) as u64 * RESTORE_PER_FRAME
-        );
-    }
-
-    #[test]
-    fn dirty_baseline_detach_releases_only_pinned_tables() {
-        let owned = 16384;
-        let clear = simx86::costs::PGINFO_CLEAR_PER_FRAME;
-        // Legacy strategies pay the full O(owned) wipe.
-        assert_eq!(
-            TrackingStrategy::RecomputeOnSwitch.detach_cost(owned, 24),
-            owned as u64 * clear
-        );
-        assert_eq!(
-            TrackingStrategy::ActiveTracking.detach_cost(owned, 24),
-            owned as u64 * clear
-        );
-        // Dirty-baseline strategies retain the snapshot and release
-        // only the pinned tables: O(tables), clamped at the pool size.
-        assert_eq!(TrackingStrategy::DirtyRecompute.detach_cost(owned, 24), 24 * clear);
-        assert_eq!(TrackingStrategy::LazyValidate.detach_cost(owned, 24), 24 * clear);
-        assert_eq!(
-            TrackingStrategy::LazyValidate.detach_cost(16, 9999),
-            16 * clear
-        );
-    }
-
-    #[test]
-    fn lazy_validate_pays_only_for_critical_frames_up_front() {
-        let s = TrackingStrategy::LazyValidate;
-        let owned = 16384;
-        // 2000 dirty frames, 50 of them critical: sync work is the 50
-        // critical scans; the other 1950 defer.
-        let cost = s.attach_cost_split(owned, 2000, 50);
-        assert_eq!(
-            cost,
-            50 * simx86::costs::PGINFO_RECOMPUTE_PER_FRAME
-                + (owned - 2000) as u64 * RESTORE_PER_FRAME
-                + 1950 * simx86::costs::LAZY_DEFER_PER_FRAME
-        );
-        // Far cheaper than the capped dirty recompute of the same
-        // population, which is itself far cheaper than the full scan.
-        assert!(cost < TrackingStrategy::DirtyRecompute.attach_cost_split(owned, 2000, 50));
-        // Critical clamps at the dirty population.
-        assert_eq!(
-            s.attach_cost_split(owned, 10, 100),
-            s.attach_cost_split(owned, 10, 10)
-        );
-        // The two-arg form treats every dirty frame as critical — the
-        // conservative (all-synchronous) reading.
-        assert_eq!(s.attach_cost(owned, 300), s.attach_cost_split(owned, 300, 300));
     }
 }

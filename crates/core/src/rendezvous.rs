@@ -57,13 +57,14 @@
 //! use std::sync::Arc;
 //!
 //! let rv = Arc::new(Rendezvous::new());
-//! rv.begin().unwrap();                       // CP: open the round
+//! let epoch = rv.begin().unwrap();           // CP: open the round, publish its epoch
 //! let peer = {
 //!     let rv = Arc::clone(&rv);
 //!     std::thread::spawn(move || {
-//!         rv.check_in_and_wait().unwrap();   // peer: ack the IPI, park
+//!         // peer: ack the IPI, park (serving work while parked)
+//!         rv.check_in_and_wait_serving(epoch, || false).unwrap();
 //!         // … per-CPU state reload runs here (§5.1.3) …
-//!         rv.complete();                     // peer: report done
+//!         rv.complete_for(epoch);            // peer: report done
 //!     })
 //! };
 //! rv.wait_ready(1).unwrap();                 // CP: everyone parked
@@ -162,16 +163,6 @@ impl Rendezvous {
         self.active.load(Ordering::Acquire)
     }
 
-    /// The generation of the current (or most recent) round.
-    pub fn current_epoch(&self) -> u32 {
-        epoch_of(self.ready.load(Ordering::Acquire))
-    }
-
-    /// Peers counted into the current round so far.
-    pub fn checked_in(&self) -> usize {
-        count_of(self.ready.load(Ordering::Acquire))
-    }
-
     /// CP side: open the rendezvous and return the new round's epoch.
     /// Fails if one is already running.
     pub fn begin(&self) -> Result<u32, RendezvousError> {
@@ -223,13 +214,6 @@ impl Rendezvous {
         self.go.store(true, Ordering::Release);
     }
 
-    /// CP side: wait for check-ins and immediately release the peers.
-    pub fn wait_ready_and_go(&self, peers: usize) -> Result<(), RendezvousError> {
-        self.wait_ready(peers)?;
-        self.signal_go();
-        Ok(())
-    }
-
     /// CP side: wait for all peers to complete their per-CPU step, then
     /// close the rendezvous.
     pub fn wait_done(&self, peers: usize) -> Result<(), RendezvousError> {
@@ -251,13 +235,6 @@ impl Rendezvous {
         self.monitor.on_wait_done_ok(peers);
         self.active.store(false, Ordering::Release);
         Ok(())
-    }
-
-    /// Peer side: check in to the current round and spin until the CP
-    /// raises the go flag.
-    pub fn check_in_and_wait(&self) -> Result<(), RendezvousError> {
-        let epoch = self.current_epoch();
-        self.check_in_and_wait_serving(epoch, || false)
     }
 
     /// Peer side, epoch-pinned: check in to round `epoch` (obtained
@@ -322,13 +299,6 @@ impl Rendezvous {
         Ok(())
     }
 
-    /// Peer side: report the per-CPU switch step of the current round
-    /// complete.
-    pub fn complete(&self) {
-        let epoch = epoch_of(self.done.load(Ordering::Acquire));
-        self.complete_for(epoch);
-    }
-
     /// Peer side, epoch-pinned: report completion for round `epoch`.
     /// Returns whether the completion was counted — a stale completion
     /// (round aborted and superseded) is dropped, mirroring the
@@ -360,19 +330,29 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
+    /// A peer of round `epoch` with no work to serve: check in, park
+    /// until go, report done.
+    fn peer(r: &Arc<Rendezvous>, epoch: u32) -> std::thread::JoinHandle<()> {
+        let r = Arc::clone(r);
+        std::thread::spawn(move || {
+            r.check_in_and_wait_serving(epoch, || false).unwrap();
+            assert!(r.complete_for(epoch));
+        })
+    }
+
+    /// The CP side of a round with nothing to transfer.
+    fn release(r: &Rendezvous, peers: usize) {
+        r.wait_ready(peers).unwrap();
+        r.signal_go();
+        r.wait_done(peers).unwrap();
+    }
+
     #[test]
     fn two_party_protocol_runs_to_completion() {
         let r = Arc::new(Rendezvous::new());
-        r.begin().unwrap();
-        let peer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                r.check_in_and_wait().unwrap();
-                r.complete();
-            })
-        };
-        r.wait_ready_and_go(1).unwrap();
-        r.wait_done(1).unwrap();
+        let epoch = r.begin().unwrap();
+        let peer = peer(&r, epoch);
+        release(&r, 1);
         peer.join().unwrap();
         assert!(!r.in_progress());
     }
@@ -389,7 +369,7 @@ mod tests {
         // A second CP racing into an in-flight rendezvous must bounce
         // with Busy immediately — not wedge until RENDEZVOUS_TIMEOUT.
         let r = Arc::new(Rendezvous::new());
-        r.begin().unwrap();
+        let epoch = r.begin().unwrap();
         let contender = {
             let r = Arc::clone(&r);
             std::thread::spawn(move || {
@@ -406,15 +386,8 @@ mod tests {
         );
 
         // The original rendezvous is undisturbed and still completes.
-        let peer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                r.check_in_and_wait().unwrap();
-                r.complete();
-            })
-        };
-        r.wait_ready_and_go(1).unwrap();
-        r.wait_done(1).unwrap();
+        let peer = peer(&r, epoch);
+        release(&r, 1);
         peer.join().unwrap();
         assert!(!r.in_progress());
     }
@@ -423,26 +396,16 @@ mod tests {
     fn zero_peers_trivially_completes() {
         let r = Rendezvous::new();
         r.begin().unwrap();
-        r.wait_ready_and_go(0).unwrap();
-        r.wait_done(0).unwrap();
+        release(&r, 0);
         assert!(!r.in_progress());
     }
 
     #[test]
     fn many_peers_all_observe_go_before_done() {
         let r = Arc::new(Rendezvous::new());
-        r.begin().unwrap();
-        let peers: Vec<_> = (0..4)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    r.check_in_and_wait().unwrap();
-                    r.complete();
-                })
-            })
-            .collect();
-        r.wait_ready_and_go(4).unwrap();
-        r.wait_done(4).unwrap();
+        let epoch = r.begin().unwrap();
+        let peers: Vec<_> = (0..4).map(|_| peer(&r, epoch)).collect();
+        release(&r, 4);
         for p in peers {
             p.join().unwrap();
         }
@@ -468,7 +431,8 @@ mod tests {
             r.check_in_and_wait_serving(epoch1, || false).unwrap_err(),
             RendezvousError::Stale
         );
-        assert_eq!(r.checked_in(), 0, "ghost check-in polluted the count");
+        let checked_in = || count_of(r.ready.load(Ordering::Acquire));
+        assert_eq!(checked_in(), 0, "ghost check-in polluted the count");
 
         // Round 2 opens with one real (but slow) peer expected.  The
         // ghost from round 1 arrives *while round 2 is open* — the
@@ -480,7 +444,7 @@ mod tests {
             r.check_in_and_wait_serving(epoch1, || false).unwrap_err(),
             RendezvousError::Stale
         );
-        assert_eq!(r.checked_in(), 0, "stale epoch counted into a live round");
+        assert_eq!(checked_in(), 0, "stale epoch counted into a live round");
         assert_eq!(
             r.wait_ready(1).unwrap_err(),
             RendezvousError::Timeout,
@@ -492,7 +456,8 @@ mod tests {
         let epoch3 = r.begin().unwrap();
         assert!(!r.complete_for(epoch1));
         assert!(r.complete_for(epoch3));
-        r.wait_ready_and_go(0).unwrap();
+        r.wait_ready(0).unwrap();
+        r.signal_go();
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! of the phase becomes the **max** per-CPU spend instead of the serial
 //! sum.
 //!
-//! The queue is generic over the chunk type — the switch path uses it
-//! with its own chunk enum, and the tests here exercise the claiming /
-//! completion / failure protocol with plain integers.
+//! The queue is generic over the chunk type — the driver at the bottom
+//! of this module (`ShardChunk` and the `shard_*` methods on
+//! [`Mercury`]) feeds it scan slices and base tables, and the tests
+//! here exercise the claiming / completion / failure protocol with
+//! plain integers.
 //!
 //! Protocol (per attach):
 //!
@@ -28,9 +30,13 @@
 //!    completed, so no worker is still touching shared state.  Only
 //!    then may the CP tear the queue down and (on success) signal go.
 
+use crate::rendezvous::RENDEZVOUS_TIMEOUT;
+use crate::switch::{Mercury, SwitchError};
+use simx86::mem::FrameNum;
+use simx86::{costs, Cpu};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Frames per recompute chunk.  Small enough that an 8K-frame pool
@@ -166,10 +172,145 @@ impl<T> WorkQueue<T> {
     }
 }
 
+// ---- the driver: sharded recompute (§5.4 work phase) ----------------------------
+
+/// One unit of the sharded attach-time recompute.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ShardChunk {
+    /// A slice of the per-frame accounting scan: pure simulated cycles.
+    Scan(u64),
+    /// Validate one base table (and the L1s it claims) concurrently.
+    Pgd(FrameNum),
+}
+
+impl Mercury {
+    /// Rebuild page_info with the rendezvoused peers as workers: the
+    /// accounting scan (`per_frame` cycles per owned frame) and the
+    /// per-pgd validation walks are chunked onto a shared work queue
+    /// that parked peers drain concurrently with the control processor.
+    /// The CP charges itself the phase *makespan* (max per-CPU spend),
+    /// not the serial sum.
+    pub(crate) fn sharded_recompute_phase(
+        &self,
+        cpu: &Arc<Cpu>,
+        per_frame: u64,
+    ) -> Result<(), SwitchError> {
+        let pgds = self.kernel().all_pgds();
+        let owned = self.kernel().pool_frames().len();
+        let scan_total = per_frame * owned as u64;
+        self.hypervisor().page_info.clear_types_for(self.dom0().id);
+
+        // Split the uniform scan into SHARD_CHUNK_FRAMES-sized slices
+        // and append one validation chunk per base table.
+        let n_scan = owned.div_ceil(SHARD_CHUNK_FRAMES).max(1);
+        // volint::allow(SWITCH-ALLOC): chunk list is built before any peer starts pulling; §5.4 accepts one allocation burst to set up the work queue
+        let mut chunks = Vec::with_capacity(n_scan + pgds.len());
+        let base = scan_total / n_scan as u64;
+        let rem = scan_total % n_scan as u64;
+        // volint::bound(128) — n_scan ≤ 16384 frames / SHARD_CHUNK_FRAMES(256) = 64, plus one chunk per pgd
+        for i in 0..n_scan as u64 {
+            // volint::allow(SWITCH-ALLOC): pushes into the pre-sized chunk list (capacity reserved above)
+            chunks.push(ShardChunk::Scan(base + u64::from(i < rem)));
+        }
+        // volint::allow(SWITCH-ALLOC): extends the pre-sized chunk list (capacity reserved above)
+        chunks.extend(pgds.iter().map(|&p| ShardChunk::Pgd(p)));
+
+        // volint::allow(SWITCH-ALLOC): one Arc for the shared work queue, made before the peers are released
+        let job = Arc::new(WorkQueue::new(chunks));
+        merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
+        *self.shard_job.lock() = Some(Arc::clone(&job));
+        // The CP joins the work phase as an ordinary worker, up to its
+        // fair share.  Simulated time is charged to whichever CPU pulls
+        // a chunk, so an uncapped queue would let one fast *host
+        // thread* soak up the whole phase and serialize the modelled
+        // cost; the per-CPU cap keeps the simulated schedule parallel
+        // no matter how the host OS schedules the worker threads.
+        let cap = self.shard_fair_share(&job);
+        let mut served = 0usize;
+        // volint::bound(128) — CP fair share is capped at the chunk count, ≤ 128
+        while served < cap && self.shard_exec_one(cpu, &job) {
+            served += 1;
+            std::thread::yield_now();
+        }
+        // … then waits for in-flight peer chunks to retire.  The job is
+        // unpublished before signal_go, so every peer chunk completion
+        // happens-before the release (checked by dyncheck's
+        // WorkMonitor inside wait_drained).
+        let drained = job.wait_drained(RENDEZVOUS_TIMEOUT);
+        *self.shard_job.lock() = None;
+        merctrace::span_end!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
+        if !drained {
+            return Err(SwitchError::Transfer(
+                "sharded recompute work queue never drained".into(),
+            ));
+        }
+        // Makespan accounting: the workers ran concurrently, so the
+        // phase costs the slowest CPU's spend; the CP already paid its
+        // own share while pulling chunks.
+        let own = job.spent_of(cpu.id as u32);
+        cpu.tick(job.max_spent().saturating_sub(own));
+        if job.failed() {
+            return Err(SwitchError::Transfer(
+                "sharded page_info validation failed".into(),
+            ));
+        }
+        self.dom0().reset_pgds(pgds);
+        Ok(())
+    }
+
+    /// Pull and execute one chunk from `job` on `cpu`, charging the
+    /// dispatch overhead and the chunk's work to that CPU.  Returns
+    /// whether a chunk was executed.
+    fn shard_exec_one(&self, cpu: &Arc<Cpu>, job: &WorkQueue<ShardChunk>) -> bool {
+        let Some((_, chunk)) = job.pull() else {
+            return false;
+        };
+        let t0 = cpu.cycles();
+        cpu.tick(costs::SHARD_CHUNK_DISPATCH);
+        match *chunk {
+            ShardChunk::Scan(cycles) => cpu.tick(cycles),
+            ShardChunk::Pgd(pgd) => {
+                let mem = &self.kernel().machine.mem;
+                let table = &self.hypervisor().page_info;
+                let dom = self.dom0().id;
+                if table.validate_l2_shared(cpu, mem, pgd, dom).is_err() {
+                    job.fail();
+                }
+            }
+        }
+        merctrace::counter!(cpu.id, "switch.shard.chunk", 1, cpu.cycles());
+        job.complete_one(cpu.id as u32, cpu.cycles() - t0);
+        true
+    }
+
+    /// A worker's fair share of `job`'s chunks (see
+    /// [`Mercury::sharded_recompute_phase`] on why claims are capped).
+    fn shard_fair_share(&self, job: &WorkQueue<ShardChunk>) -> usize {
+        job.total().div_ceil(self.kernel().machine.num_cpus())
+    }
+
+    /// The parked peer's work-phase callback: serve one recompute chunk
+    /// if a job is published and this peer is under its fair-share cap.
+    /// Returns whether work was done (resets the peer's rendezvous
+    /// deadline).  `served` counts this peer's claims across the round.
+    pub(crate) fn shard_poll(&self, cpu: &Arc<Cpu>, served: &mut usize) -> bool {
+        let job = self.shard_job.lock().clone();
+        let Some(job) = job else { return false };
+        if *served >= self.shard_fair_share(&job) {
+            return false;
+        }
+        if self.shard_exec_one(cpu, &job) {
+            *served += 1;
+            true
+        } else {
+            false
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn chunks_are_claimed_exactly_once() {

@@ -16,7 +16,10 @@
 //! `run`, `undo` — and one driver, `run_transition`, walks whichever
 //! table the system calls for ([`Mercury::phases`]).  Rollback, abort
 //! injection, the timeline legs and volint's budget and lint coverage
-//! all read the same rows (DESIGN.md §7).
+//! all read the same rows (DESIGN.md §7).  This module is the engine;
+//! the frame-accounting rows' bodies live beside the strategy lattice
+//! they charge from ([`crate::pgtrack`]) and the sharded walk beside
+//! its queue ([`crate::shard`]).
 //!
 //! Switch phases are **tick-exact**: no cycle inside the handler is
 //! charged as idle time (`simx86::evclock`) — the phases are what
@@ -61,20 +64,19 @@
 //! assert!(costs::cycles_to_us(cycles) < 1000.0);
 //! ```
 
-use crate::pgtrack::{TrackingStrategy, RESTORE_PER_FRAME, SYNC_REVALIDATE_CAP};
+use crate::pgtrack::TrackingStrategy;
 use crate::refcount::VoRefCount;
-use crate::rendezvous::{Rendezvous, RendezvousError, RENDEZVOUS_TIMEOUT};
-use crate::shard::{WorkQueue, SHARD_CHUNK_FRAMES};
+use crate::rendezvous::{Rendezvous, RendezvousError};
+use crate::shard::{ShardChunk, WorkQueue};
 use crate::vo::CountedVo;
 use nimbus::paravirt::{BareOps, ExecMode, HvmOps, PvOps, XenOps};
 use nimbus::Kernel;
 use simx86::cpu::{vectors, InterruptSink, PrivLevel, TrapFrame};
-use simx86::mem::FrameNum;
 use simx86::paging::Pte;
 use simx86::sync::{Mutex, RwLock};
 use simx86::vmx::Ept;
 use simx86::{costs, Cpu, LazySet, Machine};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xenon::{Domain, Hypervisor};
 
@@ -230,23 +232,14 @@ struct RvRound {
     target: ExecMode,
 }
 
-/// One unit of the sharded attach-time recompute (§5.4 work phase).
-#[derive(Debug, Clone, Copy)]
-enum ShardChunk {
-    /// A slice of the per-frame accounting scan: pure simulated cycles.
-    Scan(u64),
-    /// Validate one base table (and the L1s it claims) concurrently.
-    Pgd(FrameNum),
-}
-
 /// A VMM with both virtualization objects pre-built against it (§4.1
 /// pre-caching: nothing on the switch-critical path allocates) — what
 /// is double-buffered under the kernel, and what a live-update stages
 /// to replace it wholesale.
 struct VmmSet {
     hv: Arc<Hypervisor>,
-    /// Its dirty sink binds `hv`'s page_info table, so DirtyRecompute
-    /// can mark mutated table frames while the VMM is dormant.
+    /// Under a dirty baseline its sink binds `hv`'s page_info table, so
+    /// mutated table frames are marked while the VMM is dormant.
     native_vo: Arc<CountedVo>,
     /// `XenOps` binds `hv`; under hardware assist it is `HvmOps`
     /// instead (non-root PL0 needs no hypercalls, §8).
@@ -262,17 +255,18 @@ impl VmmSet {
         hv: Arc<Hypervisor>,
         dom: &Arc<Domain>,
     ) -> VmmSet {
-        let native_vo = CountedVo::with_dirty_sink(
+        let row = strategy.row();
+        let sink = row.dirty_baseline.then(|| Arc::clone(&hv.page_info));
+        let native_vo = CountedVo::new(
             BareOps::new(Arc::clone(machine)) as Arc<dyn PvOps>,
             Arc::clone(refcount),
-            strategy,
-            Arc::clone(&hv.page_info),
+            Some((row.native_per_pte, sink)),
         );
         let virtual_ops = match assist {
             AssistMode::Software => XenOps::new(Arc::clone(&hv), Arc::clone(dom)) as Arc<dyn PvOps>,
             AssistMode::HardwareAssisted => HvmOps::new(Arc::clone(machine)) as Arc<dyn PvOps>,
         };
-        let virtual_vo = CountedVo::new(virtual_ops, Arc::clone(refcount), strategy);
+        let virtual_vo = CountedVo::new(virtual_ops, Arc::clone(refcount), None);
         VmmSet {
             hv,
             native_vo,
@@ -295,8 +289,8 @@ pub enum Transition {
 
 /// What a round's rows share: the control processor and, for an update,
 /// the staged successor the round consumed.
-struct Round<'a> {
-    cpu: &'a Arc<Cpu>,
+pub(crate) struct Round<'a> {
+    pub(crate) cpu: &'a Arc<Cpu>,
     staged: Option<VmmSet>,
 }
 
@@ -433,10 +427,7 @@ pub struct Mercury {
     /// Work queue of the sharded recompute, published while parked
     /// peers should pull chunks; `None` outside the work phase.
     // volint::guarded_by(rendezvous) — published/cleared only while the CP owns the round
-    shard_job: Mutex<Option<Arc<WorkQueue<ShardChunk>>>>,
-    /// Whether the attach-time recompute is sharded across rendezvoused
-    /// peers (default on; only takes effect when peers exist).
-    sharded: AtomicBool,
+    pub(crate) shard_job: Mutex<Option<Arc<WorkQueue<ShardChunk>>>>,
     /// Frames admitted lazily by the most recent attach, still awaiting
     /// their first-touch validation; `None` outside a lazy admission
     /// window.  Registered on every CPU's MMU while set.
@@ -587,7 +578,6 @@ impl Mercury {
             rendezvous: Rendezvous::new(),
             rv_round: Mutex::new(None),
             shard_job: Mutex::new(None),
-            sharded: AtomicBool::new(true),
             lazy_set: Mutex::new(None),
             pending: Mutex::new(None),
             pending_update: Mutex::new(None),
@@ -604,12 +594,13 @@ impl Mercury {
         // attach (including the first) the O(dirty) path.  An adopted
         // kernel is live in virtual mode: its table is already correct
         // and the baseline is established by the first detach.
-        if strategy.uses_dirty_baseline() && kernel.exec_mode() == ExecMode::Native {
+        if strategy.row().dirty_baseline && kernel.exec_mode() == ExecMode::Native {
             let cpu = mercury.machine.boot_cpu();
             let owned = kernel.pool_frames().len() as u64;
             cpu.tick(costs::PGINFO_RECOMPUTE_PER_FRAME * owned);
             merctrace::counter!(cpu.id, "switch.precache.frames", owned, cpu.cycles());
-            mercury.hv().page_info.reset_dirty_for(mercury.dom0.id);
+            let table = &mercury.hypervisor().page_info;
+            table.reset_dirty_for(mercury.dom0.id);
         }
 
         kernel.set_self_virt_sink(Arc::new(SwitchSink(Arc::downgrade(&mercury))));
@@ -644,7 +635,7 @@ impl Mercury {
         match self.mode() {
             ExecMode::Native => ModeDetail::Native,
             ExecMode::Virtual => {
-                let guests = self.hv().domains().len().saturating_sub(1);
+                let guests = self.hypervisor().domains().len().saturating_sub(1);
                 if guests == 0 {
                     ModeDetail::FullVirtual
                 } else {
@@ -664,16 +655,12 @@ impl Mercury {
     /// and holders of the old `Arc` keep a consistent (if outdated)
     /// view rather than a dangling reference.
     pub fn hypervisor(&self) -> Arc<Hypervisor> {
-        self.hv()
+        Arc::clone(&self.vmm.read().hv)
     }
 
     /// Version of the VMM currently in the slot.
     pub fn hv_version(&self) -> u32 {
-        self.hv().version()
-    }
-
-    fn hv(&self) -> Arc<Hypervisor> {
-        Arc::clone(&self.vmm.read().hv)
+        self.hypervisor().version()
     }
 
     fn native_vo(&self) -> Arc<CountedVo> {
@@ -703,18 +690,6 @@ impl Mercury {
     /// The switching mechanism in force.
     pub fn assist(&self) -> AssistMode {
         self.assist
-    }
-
-    /// Enable or disable sharding the attach-time recompute across
-    /// rendezvoused peers (§5.4 work phase).  Default on; with no peer
-    /// CPUs the serial walk is always used.
-    pub fn set_sharded_recompute(&self, on: bool) {
-        self.sharded.store(on, Ordering::Release);
-    }
-
-    /// Whether the attach-time recompute is sharded across peers.
-    pub fn sharded_recompute(&self) -> bool {
-        self.sharded.load(Ordering::Acquire)
     }
 
     /// A switch target deferred by the reference-count gate, if any.
@@ -786,7 +761,7 @@ impl Mercury {
     /// the same machine ([`xenon::liveupdate::handshake`]); staging an
     /// unacceptable successor fails here, not mid-rendezvous.
     pub fn stage_update(&self, successor: Arc<Hypervisor>) -> Result<(), SwitchError> {
-        xenon::liveupdate::handshake(&self.hv(), &successor)
+        xenon::liveupdate::handshake(&self.hypervisor(), &successor)
             .map_err(|e| SwitchError::Transfer(e.to_string()))?;
         *self.pending_update.lock() = Some(VmmSet::build(
             &self.machine,
@@ -856,7 +831,7 @@ impl Mercury {
         // The requester is this OS, on this CPU: while its request is
         // serviced the VMM must reflect to its domain, whichever hosted
         // guest the CPU was last focused on.
-        let hv = self.hv();
+        let hv = self.hypervisor();
         let focus = hv.current(cpu.id);
         if self.mode() == ExecMode::Virtual {
             hv.set_current(cpu.id, Some(self.dom0.id));
@@ -882,7 +857,7 @@ impl Mercury {
 
     /// The table the driver runs for `t` on this system (DESIGN.md §7).
     pub fn phases(&self, t: Transition) -> &'static [Phase] {
-        let dirty = self.strategy.uses_dirty_baseline();
+        let dirty = self.strategy.row().dirty_baseline;
         match (t, self.assist) {
             (Transition::Update, _) => LIVE_UPDATE,
             (Transition::Attach, AssistMode::HardwareAssisted) => ATTACH_HVM,
@@ -1170,7 +1145,7 @@ impl Mercury {
         // Read the slot fresh: a peer parked across a live-update must
         // install the successor the commit published, not the VMM that
         // was live when it checked in.
-        let hv = self.hv();
+        let hv = self.hypervisor();
         let hvm = self.assist == AssistMode::HardwareAssisted;
         // volint::cost(8192) — STATE_RELOAD + gate/GDT swap + CR3 reload, flat per-CPU work
         if hvm {
@@ -1263,7 +1238,7 @@ impl Mercury {
     /// with it (the VO-assistant step of §4.4).
     fn arm_vmm(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         // volint::cost(8192) — VMM activation flag flip + trap-table registration (≤ 32 gates)
-        self.hv().activate();
+        self.hypervisor().activate();
         self.virtual_vo()
             .load_trap_table(r.cpu, self.kernel.idt())
             // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
@@ -1275,150 +1250,26 @@ impl Mercury {
     /// (§8); per-CPU work happens in the reload.
     fn vmm<const ACTIVE: bool>(&self, _: &Round<'_>) -> Result<(), SwitchError> {
         if ACTIVE {
-            self.hv().activate();
+            self.hypervisor().activate();
         } else {
-            self.hv().deactivate();
+            self.hypervisor().deactivate();
         }
         Ok(())
     }
 
-    /// Attach-time frame accounting with a dirty baseline (the default,
-    /// established at boot and refreshed at every detach) — O(dirty).
-    /// Partition the dirty population against the kernel-critical frame
-    /// set, synchronously revalidate the critical frames (plus, for
-    /// [`TrackingStrategy::DirtyRecompute`], non-critical dirty frames
-    /// up to [`SYNC_REVALIDATE_CAP`]), restore clean frames from the
-    /// snapshot, and defer the rest to first-touch validation faults.
-    ///
-    /// Admission invariant (DESIGN.md §7b): a kernel-critical frame is
-    /// never deferred — the sync quota is at least the critical-dirty
-    /// count under every strategy — so the guest can never execute
-    /// through a page-table frame whose validation is still pending.
-    fn account_dirty(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        let cpu = r.cpu;
-        let pgds = self.kernel.all_pgds();
-        let owned = self.kernel.pool_frames().len();
-        let p0 = cpu.cycles();
-        let hv = self.hv();
-        let dom = self.dom0.id;
-        // Kernel-critical frames: the page-table frames a guest could
-        // subvert the VMM through.  (Gate and descriptor tables are not
-        // frame-backed in this machine model; their transfer is the
-        // trap_table phase.)
-        let critical: std::collections::BTreeSet<u32> = self
-            .kernel
-            .all_table_frames()
-            .into_iter()
-            .map(|f| f.0)
-            // volint::allow(SWITCH-ALLOC): the critical set is bounded by the ≤ 256 kernel table frames and built once per attach
-            .collect();
-        let dirty = hv.page_info.dirty_frames_for(dom);
-        // Critical frames sort first so the sync quota can never
-        // truncate them.
-        let (mut ordered, rest): (Vec<FrameNum>, Vec<FrameNum>) =
-            dirty.into_iter().partition(|f| critical.contains(&f.0));
-        let n_critical = ordered.len();
-        // volint::allow(SWITCH-ALLOC): extends the partitioned work-list in place (total length = dirty count)
-        ordered.extend(rest);
-        let quota = match self.strategy {
-            // Lazy admission: only the critical frames hold the guest.
-            TrackingStrategy::LazyValidate => n_critical,
-            // Capped dirty recompute.  The cap (4096) exceeds the ≤ 256
-            // kernel table frames, so criticals always fit under it.
-            _ => SYNC_REVALIDATE_CAP.max(n_critical),
-        };
-        let sync = ordered.len().min(quota);
-        let clean = owned.saturating_sub(ordered.len());
-        // volint::cost(491520) — capped synchronous revalidation: SYNC_REVALIDATE_CAP(4096) × PGINFO_RECOMPUTE_PER_FRAME(100) + 16384 clean frames × RESTORE_PER_FRAME(5)
-        cpu.tick(
-            sync as u64 * costs::PGINFO_RECOMPUTE_PER_FRAME + clean as u64 * RESTORE_PER_FRAME,
-        );
-        // The validation itself rebuilds the whole accounting from the
-        // live tables — the cycle charge above models the dirty/clean
-        // split; correctness never depends on a dirty bit (a scrubbed
-        // or deferred frame still validates through here).
-        hv.page_info
-            .recompute_for_at(cpu, &self.machine.mem, dom, owned, &pgds, 0)
-            // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
-            .map_err(|e| SwitchError::Transfer(e.to_string()))?;
+    // The lazy window's MMU registrations are privileged, so they stay
+    // here as the helpers the accounting rows in `crate::pgtrack` call:
+    // volint exempts this one file from VO-BYPASS.
 
-        // Lazy admission: enqueue everything past the sync quota for
-        // first-touch validation and register the pending set on every
-        // CPU (registration flushes each TLB, so no cached translation
-        // can bypass the first-touch check).
-        merctrace::span_begin!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
-        // volint::cost(16384) — deferral enqueue: ≤ 16384 pool frames × LAZY_DEFER_PER_FRAME(1)
-        // volint::allow(SWITCH-PANIC): sync = ordered.len().min(quota), so the slice start is always in bounds
-        let deferred = &ordered[sync..];
-        cpu.tick(deferred.len() as u64 * costs::LAZY_DEFER_PER_FRAME);
-        if !deferred.is_empty() {
-            debug_assert!(
-                deferred.iter().all(|f| !critical.contains(&f.0)),
-                "kernel-critical frame deferred past admission"
-            );
-            // volint::allow(SWITCH-ALLOC): one Arc'd pending set per lazy admission window
-            let set = Arc::new(LazySet::new(deferred.iter().copied()));
-            merctrace::counter!(
-                cpu.id,
-                "switch.lazy.deferred",
-                deferred.len() as u64,
-                cpu.cycles()
-            );
-            // volint::bound(16) — one registration per CPU
-            for peer in &self.machine.cpus {
-                peer.set_lazy_set(Some(Arc::clone(&set)));
-            }
-            *self.lazy_set.lock() = Some(set);
+    /// Open a lazy admission window over `set`: register it on every
+    /// CPU (registration flushes each TLB, so no cached translation can
+    /// bypass the first-touch check).
+    pub(crate) fn open_lazy_window(&self, set: Arc<LazySet>) {
+        // volint::bound(16) — one registration per CPU
+        for peer in &self.machine.cpus {
+            peer.set_lazy_set(Some(Arc::clone(&set)));
         }
-        merctrace::span_end!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
-        self.accounted(cpu, p0, pgds);
-        Ok(())
-    }
-
-    /// Attach-time frame accounting without a baseline (the legacy
-    /// strategies): the full-rate recompute — serial, or sharded across
-    /// the rendezvoused peers (§5.4).
-    fn account_full(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        let cpu = r.cpu;
-        let pgds = self.kernel.all_pgds();
-        let owned = self.kernel.pool_frames().len();
-        let p0 = cpu.cycles();
-        if self.machine.num_cpus() > 1 && self.sharded.load(Ordering::Acquire) {
-            self.sharded_recompute_phase(cpu, &pgds, owned)?;
-        } else {
-            // volint::cost(1638400) — worst case serial scan: 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
-            cpu.tick(self.strategy.attach_cost(owned, owned));
-            self.hv()
-                .page_info
-                .recompute_for_at(cpu, &self.machine.mem, self.dom0.id, owned, &pgds, 0)
-                // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
-                .map_err(|e| SwitchError::Transfer(e.to_string()))?;
-        }
-        self.accounted(cpu, p0, pgds);
-        Ok(())
-    }
-
-    /// An accounting row succeeded: publish its makespan, bind the tables.
-    fn accounted(&self, cpu: &Arc<Cpu>, p0: u64, pgds: Vec<FrameNum>) {
-        self.stats
-            .last_pginfo_cycles
-            .store(cpu.cycles() - p0, Ordering::Relaxed);
-        self.dom0.reset_pgds(pgds);
-    }
-
-    /// Forget the attach-time accounting again: the kernel stays native.
-    fn drop_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        self.close_lazy_window(r.cpu);
-        self.release_accounting();
-        Ok(())
-    }
-
-    /// The dormant VMM stops tracking: drop the type restrictions and
-    /// the domain's base-table list.
-    fn release_accounting(&self) {
-        self.hv().page_info.clear_types_for(self.dom0.id);
-        // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch
-        self.dom0.reset_pgds(Vec::new());
+        *self.lazy_set.lock() = Some(set);
     }
 
     /// Close the lazy admission window, if one is open.  Frames still
@@ -1426,7 +1277,7 @@ impl Mercury {
     /// follows voids the accounting they would have validated into
     /// (DESIGN.md §7b).  The set is sealed and deregistered — one TLB
     /// flush per CPU — so a straggler touch fails loudly afterwards.
-    fn close_lazy_window(&self, _cpu: &Arc<Cpu>) {
+    pub(crate) fn close_lazy_window(&self, _cpu: &Arc<Cpu>) {
         if let Some(set) = self.lazy_set.lock().take() {
             let _stragglers = set.drain().len();
             set.seal();
@@ -1443,56 +1294,6 @@ impl Mercury {
         }
     }
 
-    /// Detach-side accounting of the dirty-baseline strategies: *retain*
-    /// the just-live accounting as the next attach's snapshot and only
-    /// drop the type restrictions on the pinned table frames — O(tables)
-    /// (DESIGN.md §7b).  Closing the lazy window is charged here.
-    fn retain_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        let hv = self.hv();
-        hv.deactivate();
-        self.close_lazy_window(r.cpu);
-        let tables = self.kernel.all_table_frames().len();
-        // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
-        r.cpu.tick(
-            self.strategy
-                .detach_cost(self.kernel.pool_frames().len(), tables),
-        );
-        self.release_accounting();
-        // The state just validated *is* the snapshot; dirty tracking
-        // (re)starts from here.
-        hv.page_info.reset_dirty_for(self.dom0.id);
-        Ok(())
-    }
-
-    /// Detach-side accounting of the legacy strategies: wipe it
-    /// wholesale (a per-frame release pass — the "cheap direction" of
-    /// §7.4, but still O(owned)).
-    fn clear_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        self.hv().deactivate();
-        // volint::cost(409600) — 16384 pool frames × PGINFO_CLEAR_PER_FRAME(25)
-        r.cpu
-            .tick(costs::PGINFO_CLEAR_PER_FRAME * self.kernel.pool_frames().len() as u64);
-        self.release_accounting();
-        Ok(())
-    }
-
-    /// Re-arm the accounting a detach released: the kernel stays virtual.
-    fn rearm_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        let hv = self.hv();
-        let pgds = self.kernel.all_pgds();
-        let _ = hv.page_info.recompute_for_at(
-            r.cpu,
-            &self.machine.mem,
-            self.dom0.id,
-            self.kernel.pool_frames().len(),
-            &pgds,
-            self.strategy.attach_per_frame_cost(),
-        );
-        self.dom0.reset_pgds(pgds);
-        hv.activate();
-        Ok(())
-    }
-
     // ---- phase bodies: hypervisor live-update (DESIGN.md §16) -----------------
 
     /// The handshake, re-checked inside the critical section: the world
@@ -1501,7 +1302,7 @@ impl Mercury {
         let successor = r.successor()?;
         // volint::cost(2048) — LIVE_UPDATE_HANDSHAKE: flat version-order/pristine/machine checks plus the ring-flush bookkeeping
         r.cpu.tick(costs::LIVE_UPDATE_HANDSHAKE);
-        xenon::liveupdate::handshake(&self.hv(), successor)
+        xenon::liveupdate::handshake(&self.hypervisor(), successor)
             // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the update has already aborted
             .map_err(|e| SwitchError::Transfer(e.to_string()))
     }
@@ -1515,7 +1316,7 @@ impl Mercury {
         // volint::cost(1638400) — cold successor rebuild: ≤ 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
         let _report = xenon::liveupdate::transfer(
             r.cpu,
-            &self.hv(),
+            &self.hypervisor(),
             r.successor()?,
             costs::PGINFO_RECOMPUTE_PER_FRAME,
         )
@@ -1540,133 +1341,6 @@ impl Mercury {
     /// The `undo` of a row whose `run` changes nothing.
     fn nothing(&self, _: &Round<'_>) -> Result<(), SwitchError> {
         Ok(())
-    }
-
-    // ---- sharded recompute (§5.4 work phase) --------------------------------
-
-    /// Rebuild page_info with the rendezvoused peers as workers: the
-    /// accounting scan and the per-pgd validation walks are chunked
-    /// onto a shared work queue that parked peers drain concurrently
-    /// with the control processor.  The CP charges itself the phase
-    /// *makespan* (max per-CPU spend), not the serial sum.
-    fn sharded_recompute_phase(
-        &self,
-        cpu: &Arc<Cpu>,
-        pgds: &[FrameNum],
-        owned: usize,
-    ) -> Result<(), SwitchError> {
-        let hv = self.hv();
-        let dom = self.dom0.id;
-        // No baseline on this path: every frame counts dirty.
-        let scan_total = self.strategy.attach_cost(owned, owned);
-        hv.page_info.clear_types_for(dom);
-
-        // Split the uniform scan into SHARD_CHUNK_FRAMES-sized slices
-        // and append one validation chunk per base table.
-        let n_scan = owned.div_ceil(SHARD_CHUNK_FRAMES).max(1);
-        // volint::allow(SWITCH-ALLOC): chunk list is built before any peer starts pulling; §5.4 accepts one allocation burst to set up the work queue
-        let mut chunks = Vec::with_capacity(n_scan + pgds.len());
-        let base = scan_total / n_scan as u64;
-        let rem = scan_total % n_scan as u64;
-        // volint::bound(128) — n_scan ≤ 16384 frames / SHARD_CHUNK_FRAMES(256) = 64, plus one chunk per pgd
-        for i in 0..n_scan as u64 {
-            // volint::allow(SWITCH-ALLOC): pushes into the pre-sized chunk list (capacity reserved above)
-            chunks.push(ShardChunk::Scan(base + u64::from(i < rem)));
-        }
-        // volint::allow(SWITCH-ALLOC): extends the pre-sized chunk list (capacity reserved above)
-        chunks.extend(pgds.iter().map(|&p| ShardChunk::Pgd(p)));
-
-        // volint::allow(SWITCH-ALLOC): one Arc for the shared work queue, made before the peers are released
-        let job = Arc::new(WorkQueue::new(chunks));
-        merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
-        *self.shard_job.lock() = Some(Arc::clone(&job));
-        // The CP joins the work phase as an ordinary worker, up to its
-        // fair share.  Simulated time is charged to whichever CPU pulls
-        // a chunk, so an uncapped queue would let one fast *host
-        // thread* soak up the whole phase and serialize the modelled
-        // cost; the per-CPU cap keeps the simulated schedule parallel
-        // no matter how the host OS schedules the worker threads.
-        let cap = self.shard_fair_share(&job);
-        let mut served = 0usize;
-        // volint::bound(128) — CP fair share is capped at the chunk count, ≤ 128
-        while served < cap && self.shard_exec_one(cpu, &job) {
-            served += 1;
-            std::thread::yield_now();
-        }
-        // … then waits for in-flight peer chunks to retire.  The job is
-        // unpublished before signal_go, so every peer chunk completion
-        // happens-before the release (checked by dyncheck's
-        // WorkMonitor inside wait_drained).
-        let drained = job.wait_drained(RENDEZVOUS_TIMEOUT);
-        *self.shard_job.lock() = None;
-        merctrace::span_end!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
-        if !drained {
-            return Err(SwitchError::Transfer(
-                "sharded recompute work queue never drained".into(),
-            ));
-        }
-        // Makespan accounting: the workers ran concurrently, so the
-        // phase costs the slowest CPU's spend; the CP already paid its
-        // own share while pulling chunks.
-        let own = job.spent_of(cpu.id as u32);
-        cpu.tick(job.max_spent().saturating_sub(own));
-        if job.failed() {
-            return Err(SwitchError::Transfer(
-                "sharded page_info validation failed".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Pull and execute one chunk from `job` on `cpu`, charging the
-    /// dispatch overhead and the chunk's work to that CPU.  Returns
-    /// whether a chunk was executed.
-    fn shard_exec_one(&self, cpu: &Arc<Cpu>, job: &WorkQueue<ShardChunk>) -> bool {
-        let Some((_, chunk)) = job.pull() else {
-            return false;
-        };
-        let t0 = cpu.cycles();
-        cpu.tick(costs::SHARD_CHUNK_DISPATCH);
-        match *chunk {
-            ShardChunk::Scan(cycles) => cpu.tick(cycles),
-            ShardChunk::Pgd(pgd) => {
-                if self
-                    .hv()
-                    .page_info
-                    .validate_l2_shared(cpu, &self.machine.mem, pgd, self.dom0.id)
-                    .is_err()
-                {
-                    job.fail();
-                }
-            }
-        }
-        merctrace::counter!(cpu.id, "switch.shard.chunk", 1, cpu.cycles());
-        job.complete_one(cpu.id as u32, cpu.cycles() - t0);
-        true
-    }
-
-    /// A worker's fair share of `job`'s chunks (see
-    /// [`Mercury::sharded_recompute_phase`] on why claims are capped).
-    fn shard_fair_share(&self, job: &WorkQueue<ShardChunk>) -> usize {
-        job.total().div_ceil(self.machine.num_cpus())
-    }
-
-    /// The parked peer's work-phase callback: serve one recompute chunk
-    /// if a job is published and this peer is under its fair-share cap.
-    /// Returns whether work was done (resets the peer's rendezvous
-    /// deadline).  `served` counts this peer's claims across the round.
-    fn shard_poll(&self, cpu: &Arc<Cpu>, served: &mut usize) -> bool {
-        let job = self.shard_job.lock().clone();
-        let Some(job) = job else { return false };
-        if *served >= self.shard_fair_share(&job) {
-            return false;
-        }
-        if self.shard_exec_one(cpu, &job) {
-            *served += 1;
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -1709,6 +1383,43 @@ pub(crate) mod tests {
         kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
         let mercury = Mercury::install(kernel, Arc::clone(&hv), strategy).unwrap();
         (machine, hv, mercury)
+    }
+
+    /// Dirty bits are charge bookkeeping, not validation state.
+    pub(crate) fn strip_dirty(snap: Vec<xenon::PageInfo>) -> Vec<xenon::PageInfo> {
+        snap.into_iter()
+            .map(|mut r| {
+                r.dirty = false;
+                r
+            })
+            .collect()
+    }
+
+    /// The serial reference walk: rebuild a scratch `page_info` for the
+    /// *attached* kernel (detached, its tables are writable and fail
+    /// validation) on the boot CPU at `per_frame` cycles per owned
+    /// frame.  Returns the cycles it cost and the stripped table.
+    pub(crate) fn scratch_walk(mercury: &Mercury, per_frame: u64) -> (u64, Vec<xenon::PageInfo>) {
+        let machine = &mercury.machine;
+        let cpu = machine.boot_cpu();
+        let dom = mercury.dom0().id;
+        let pool = mercury.kernel().pool_frames();
+        let scratch = xenon::PageInfoTable::new(machine.mem.num_frames());
+        for &f in &pool {
+            scratch.set_owner(f, Some(dom));
+        }
+        let t0 = cpu.cycles();
+        scratch
+            .recompute_for_at(
+                cpu,
+                &machine.mem,
+                dom,
+                pool.len(),
+                &mercury.kernel().all_pgds(),
+                per_frame,
+            )
+            .unwrap();
+        (cpu.cycles() - t0, strip_dirty(scratch.snapshot()))
     }
 
     #[test]
@@ -1894,16 +1605,7 @@ pub(crate) mod tests {
             sess.poke(va, i).unwrap();
             mercury.switch_to_virtual(cpu).unwrap();
             // Strip dirty bits: they legitimately differ run to run.
-            let snap: Vec<_> = hv
-                .page_info
-                .snapshot()
-                .into_iter()
-                .map(|mut r| {
-                    r.dirty = false;
-                    r
-                })
-                .collect();
-            snapshots.push(snap);
+            snapshots.push(strip_dirty(hv.page_info.snapshot()));
             assert_eq!(sess.peek(va).unwrap(), i);
             mercury.switch_to_native(cpu).unwrap();
         }
@@ -2096,25 +1798,12 @@ pub(crate) mod tests {
             })
             .collect();
 
-        let strip = |snap: Vec<xenon::PageInfo>| {
-            snap.into_iter()
-                .map(|mut r| {
-                    r.dirty = false;
-                    r
-                })
-                .collect::<Vec<_>>()
-        };
-
-        assert!(mercury.sharded_recompute());
         mercury.switch_to_virtual(&cpu0).unwrap();
         let sharded = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
-        let snap_sharded = strip(hv.page_info.snapshot());
-        mercury.switch_to_native(&cpu0).unwrap();
-
-        mercury.set_sharded_recompute(false);
-        mercury.switch_to_virtual(&cpu0).unwrap();
-        let serial = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
-        let snap_serial = strip(hv.page_info.snapshot());
+        let snap_sharded = strip_dirty(hv.page_info.snapshot());
+        // The serial reference: the same walk over a scratch table, on
+        // the CP alone.
+        let (serial, snap_serial) = scratch_walk(&mercury, costs::PGINFO_RECOMPUTE_PER_FRAME);
         mercury.switch_to_native(&cpu0).unwrap();
 
         stop.store(true, Ordering::Release);
@@ -2239,7 +1928,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn dirty_writes_raise_the_warm_reattach_cost() {
+    fn dirty_writes_raise_the_warm_reattach_price() {
         let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
         let cpu = machine.boot_cpu();
         mercury.switch_to_virtual(cpu).unwrap();
@@ -2258,8 +1947,9 @@ pub(crate) mod tests {
 
         mercury.switch_to_virtual(cpu).unwrap();
         let warm = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
-        let floor = TrackingStrategy::DirtyRecompute
-            .attach_cost(mercury.kernel().pool_frames().len(), dirtied);
+        let clean = mercury.kernel().pool_frames().len() - dirtied;
+        let floor = dirtied as u64 * costs::PGINFO_RECOMPUTE_PER_FRAME
+            + clean as u64 * crate::pgtrack::RESTORE_PER_FRAME;
         assert!(
             warm >= floor,
             "re-attach ({warm}) must pay the blended rate for {dirtied} dirty frames ({floor})"

@@ -12,24 +12,23 @@
 //!   M-N's residual overhead over native Linux (§7.2: "despite a number
 //!   pointer indirection introduced by the virtualization objects ...
 //!   Mercury still only incurs negligible overhead");
-//! * optionally, the **active tracking** mirror cost of §5.1.2's first
-//!   strategy: every native page-table mutation also updates the
-//!   dormant VMM's frame accounting;
-//! * or, under [`TrackingStrategy::DirtyRecompute`] (the default) and
-//!   [`TrackingStrategy::LazyValidate`], the far cheaper **dirty
-//!   marking**: a native page-table mutation only sets the containing
-//!   table frame's dirty bit in the dormant VMM's `page_info`, so the
-//!   next attach revalidates just the dirtied frames — synchronously up
-//!   to a cap, lazily on first touch beyond it.
+//! * on the native VO, what the frame-accounting strategy charges per
+//!   page-table mutation while the VMM is detached
+//!   ([`LatticeRow::native_per_pte`](crate::pgtrack::LatticeRow)): the
+//!   **active tracking** mirror of §5.1.2's first strategy, or — under
+//!   a dirty baseline, the default — the far cheaper **dirty marking**:
+//!   the mutation only sets the containing table frame's dirty bit in
+//!   the dormant VMM's `page_info`, so the next attach revalidates just
+//!   the dirtied frames — synchronously up to a cap, lazily on first
+//!   touch beyond it.
 
-use crate::pgtrack::TrackingStrategy;
 use crate::refcount::VoRefCount;
 use nimbus::paravirt::{ExecMode, KernelMap, PvOps};
 use nimbus::KernelError;
 use simx86::cpu::IdtTable;
 use simx86::mem::FrameNum;
 use simx86::paging::Pte;
-use simx86::{costs, Cpu};
+use simx86::Cpu;
 use std::sync::Arc;
 use xenon::PageInfoTable;
 
@@ -43,42 +42,26 @@ pub const VO_INDIRECT: u64 = 100;
 pub struct CountedVo {
     inner: Arc<dyn PvOps>,
     counter: Arc<VoRefCount>,
-    /// Frame-accounting strategy; only consulted by the native VO.
-    strategy: TrackingStrategy,
-    /// The dormant VMM's frame table, for dirty marking from native
-    /// mode (only wired on the native VO under `DirtyRecompute`).
-    page_info: Option<Arc<PageInfoTable>>,
+    /// The native VO's watch on page-table mutations: cycles charged
+    /// per entry written and, under a dirty baseline, the dormant VMM's
+    /// frame table to mark the written table frame dirty in.  `None` on
+    /// the virtual VO — an attached VMM does its own accounting.
+    tracking: Option<(u64, Option<Arc<PageInfoTable>>)>,
 }
 
 impl CountedVo {
-    /// Wrap `inner` with reference counting.
+    /// Wrap `inner` with reference counting.  `tracking` is the native
+    /// VO's `(cycles per PTE written, dirty-marking sink)`, `None` for
+    /// the virtual VO.
     pub fn new(
         inner: Arc<dyn PvOps>,
         counter: Arc<VoRefCount>,
-        strategy: TrackingStrategy,
+        tracking: Option<(u64, Option<Arc<PageInfoTable>>)>,
     ) -> Arc<CountedVo> {
         Arc::new(CountedVo {
             inner,
             counter,
-            strategy,
-            page_info: None,
-        })
-    }
-
-    /// [`CountedVo::new`] with the dormant VMM's frame table attached
-    /// as the dirty-marking sink — the native VO's wiring under
-    /// [`TrackingStrategy::DirtyRecompute`].
-    pub fn with_dirty_sink(
-        inner: Arc<dyn PvOps>,
-        counter: Arc<VoRefCount>,
-        strategy: TrackingStrategy,
-        page_info: Arc<PageInfoTable>,
-    ) -> Arc<CountedVo> {
-        Arc::new(CountedVo {
-            inner,
-            counter,
-            strategy,
-            page_info: Some(page_info),
+            tracking,
         })
     }
 
@@ -95,24 +78,16 @@ impl CountedVo {
 
     /// Extra per-entry cost of a native page-table mutation under the
     /// strategies that watch native mode: the full mirror update of
-    /// active tracking (§5.1.2), or dirty recompute's one-byte dirty
+    /// active tracking (§5.1.2), or a dirty baseline's one-byte dirty
     /// mark on the containing table frame.
     #[inline]
     fn track(&self, cpu: &Arc<Cpu>, table: FrameNum, entries: u64) {
-        if self.mode() != ExecMode::Native {
+        let Some((per_pte, sink)) = &self.tracking else {
             return;
-        }
-        match self.strategy {
-            TrackingStrategy::ActiveTracking => {
-                cpu.tick(costs::ACTIVE_TRACK_PER_PTE * entries);
-            }
-            TrackingStrategy::DirtyRecompute | TrackingStrategy::LazyValidate => {
-                cpu.tick(costs::DIRTY_TRACK_PER_PTE * entries);
-                if let Some(pi) = &self.page_info {
-                    pi.mark_dirty(table);
-                }
-            }
-            TrackingStrategy::RecomputeOnSwitch => {}
+        };
+        cpu.tick(per_pte * entries);
+        if let Some(pi) = sink {
+            pi.mark_dirty(table);
         }
     }
 }
@@ -237,20 +212,27 @@ mod tests {
     use nimbus::paravirt::BareOps;
     use simx86::{Machine, MachineConfig};
 
-    fn rig(strategy: TrackingStrategy) -> (Arc<Machine>, Arc<CountedVo>, Arc<VoRefCount>) {
+    use simx86::costs;
+
+    /// A native VO over a bare machine, tracking at `per_pte` cycles.
+    fn rig(per_pte: u64) -> (Arc<Machine>, Arc<CountedVo>, Arc<VoRefCount>) {
         let m = Machine::new(MachineConfig {
             num_cpus: 1,
             mem_frames: 64,
             disk_sectors: 64,
         });
         let rc = VoRefCount::new();
-        let vo = CountedVo::new(BareOps::new(Arc::clone(&m)), Arc::clone(&rc), strategy);
+        let vo = CountedVo::new(
+            BareOps::new(Arc::clone(&m)),
+            Arc::clone(&rc),
+            Some((per_pte, None)),
+        );
         (m, vo, rc)
     }
 
     #[test]
     fn ops_delegate_and_leave_count_balanced() {
-        let (m, vo, rc) = rig(TrackingStrategy::RecomputeOnSwitch);
+        let (m, vo, rc) = rig(0);
         let cpu = m.boot_cpu();
         vo.set_pte(cpu, FrameNum(3), 0, Pte::new(5, Pte::WRITABLE))
             .unwrap();
@@ -262,7 +244,7 @@ mod tests {
 
     #[test]
     fn indirection_charges_cycles() {
-        let (m, vo, _rc) = rig(TrackingStrategy::RecomputeOnSwitch);
+        let (m, vo, _rc) = rig(0);
         let cpu = m.boot_cpu();
         let t0 = cpu.cycles();
         vo.flush_tlb(cpu);
@@ -277,8 +259,8 @@ mod tests {
 
     #[test]
     fn active_tracking_charges_per_entry() {
-        let (m, vo_track, _) = rig(TrackingStrategy::ActiveTracking);
-        let (m2, vo_plain, _) = rig(TrackingStrategy::RecomputeOnSwitch);
+        let (m, vo_track, _) = rig(costs::ACTIVE_TRACK_PER_PTE);
+        let (m2, vo_plain, _) = rig(0);
         let updates: Vec<(usize, Pte)> = (0..16).map(|i| (i, Pte::ABSENT)).collect();
 
         let cpu = m.boot_cpu();
@@ -302,11 +284,10 @@ mod tests {
             disk_sectors: 64,
         });
         let sink = Arc::new(PageInfoTable::new(64));
-        let vo = CountedVo::with_dirty_sink(
+        let vo = CountedVo::new(
             BareOps::new(Arc::clone(&m)),
             VoRefCount::new(),
-            TrackingStrategy::DirtyRecompute,
-            Arc::clone(&sink),
+            Some((costs::DIRTY_TRACK_PER_PTE, Some(Arc::clone(&sink)))),
         );
         let updates: Vec<(usize, Pte)> = (0..16).map(|i| (i, Pte::ABSENT)).collect();
 
@@ -315,7 +296,7 @@ mod tests {
         vo.set_ptes(cpu, FrameNum(3), &updates).unwrap();
         let dirty_cost = cpu.cycles() - t0;
 
-        let (m2, vo_plain, _) = rig(TrackingStrategy::RecomputeOnSwitch);
+        let (m2, vo_plain, _) = rig(0);
         let cpu2 = m2.boot_cpu();
         let t0 = cpu2.cycles();
         vo_plain.set_ptes(cpu2, FrameNum(3), &updates).unwrap();

@@ -76,8 +76,6 @@ const BLOCKING_CALLS: &[&str] = &[
     "switch_to_native",
     "wait_ready",
     "wait_done",
-    "wait_ready_and_go",
-    "check_in_and_wait",
     "check_in_and_wait_serving",
     "wait_drained",
 ];
@@ -99,7 +97,9 @@ pub const SWITCH_CRITICAL: &[&str] = &[
     "run_transition",
     "handle_rendezvous_peer",
     "reload_and_return",
+    "open_lazy_window",
     "close_lazy_window",
+    "rebuild_accounting",
     "sharded_recompute_phase",
     "shard_exec_one",
     "shard_poll",

@@ -257,9 +257,9 @@ impl TestBed {
     /// Build the system configuration with `cpus` processors (the paper
     /// tests UP = 1 and SMP = 2).
     pub fn build(kind: SysKind, cpus: usize) -> TestBed {
-        let machine = machine(cpus);
         match kind {
             SysKind::NL => {
+                let machine = machine(cpus);
                 let kernel = boot_kernel(&machine, POOL_FRAMES, BootMode::Bare);
                 attach_native_drivers(&machine, &kernel);
                 TestBed {
@@ -272,30 +272,18 @@ impl TestBed {
                     dom: None,
                 }
             }
+            // The paper's Mercury: recompute on switch.
             SysKind::MN | SysKind::MV => {
-                let hv = Hypervisor::warm_up(&machine);
-                let kernel = boot_kernel(&machine, POOL_FRAMES, BootMode::Bare);
-                attach_native_drivers(&machine, &kernel);
-                let mercury = Mercury::install(
-                    Arc::clone(&kernel),
-                    Arc::clone(&hv),
-                    TrackingStrategy::RecomputeOnSwitch,
-                )
-                .expect("mercury install failed");
+                let bed =
+                    TestBed::build_mn_with_strategy(cpus, TrackingStrategy::RecomputeOnSwitch);
                 if kind == SysKind::MV {
-                    switch_with_peers(&machine, &mercury, true);
+                    let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
+                    switch_with_peers(&bed.machine, mercury, true);
                 }
-                TestBed {
-                    kind,
-                    machine,
-                    kernel,
-                    hv: Some(hv),
-                    mercury: Some(mercury),
-                    driver_kernel: None,
-                    dom: None,
-                }
+                TestBed { kind, ..bed }
             }
             SysKind::X0 => {
+                let machine = machine(cpus);
                 let hv = Hypervisor::warm_up(&machine);
                 hv.activate();
                 let cpu = machine.boot_cpu();
@@ -331,6 +319,7 @@ impl TestBed {
                 }
             }
             SysKind::XU => {
+                let machine = machine(cpus);
                 let hv = Hypervisor::warm_up(&machine);
                 hv.activate();
                 let cpu = machine.boot_cpu();
@@ -367,6 +356,7 @@ impl TestBed {
                 }
             }
             SysKind::MU => {
+                let machine = machine(cpus);
                 let hv = Hypervisor::warm_up(&machine);
                 let host_kernel = boot_kernel(&machine, DRIVER_POOL_FRAMES, BootMode::Bare);
                 attach_native_drivers(&machine, &host_kernel);

@@ -188,22 +188,17 @@ fn strip_dirty(v: Vec<xenon::PageInfo>) -> Vec<xenon::PageInfo> {
 }
 
 /// §5.1.2 equivalence: whichever way the VMM regains its frame
-/// accounting — full recompute, active mirroring, or dirty-bit
-/// incremental revalidation — the rebuilt `page_info` is
-/// bit-identical after any mmap/fork/munmap interleaving.  The ops
-/// run in the *native* window between a detach and a re-attach, so
-/// the dirty/mirror paths do real work.
+/// accounting — full recompute, active mirroring, dirty-bit
+/// incremental revalidation, or lazy admission — the rebuilt
+/// `page_info` is bit-identical after any mmap/fork/munmap
+/// interleaving.  The ops run in the *native* window between a detach
+/// and a re-attach, so the dirty/mirror paths do real work.
 #[test]
 fn all_strategies_rebuild_identical_accounting() {
     check("all_strategies_rebuild_identical_accounting", 8, |rng| {
         let len = rng.range(1, 20) as usize;
         let ops = rng.vec(len, draw_mem_op);
-        let mut snaps = Vec::new();
-        for strategy in [
-            TrackingStrategy::RecomputeOnSwitch,
-            TrackingStrategy::ActiveTracking,
-            TrackingStrategy::DirtyRecompute,
-        ] {
+        let snaps = TrackingStrategy::ALL.map(|strategy| {
             let bed = TestBed::build_mn_with_strategy(1, strategy);
             let mercury = bed.mercury.as_ref().unwrap();
             let cpu = bed.machine.boot_cpu();
@@ -212,21 +207,19 @@ fn all_strategies_rebuild_identical_accounting() {
             mercury.switch_to_native(cpu).unwrap();
             run_mem_ops(&bed, &ops);
             mercury.switch_to_virtual(cpu).unwrap();
-            snaps.push(strip_dirty(bed.hv.as_ref().unwrap().page_info.snapshot()));
+            strip_dirty(bed.hv.as_ref().unwrap().page_info.snapshot())
+        });
+        for (snap, strategy) in snaps.iter().zip(TrackingStrategy::ALL) {
+            assert_eq!(snap, &snaps[0], "{strategy:?} diverged from recompute");
         }
-        assert_eq!(
-            &snaps[0], &snaps[1],
-            "active mirror diverged from recompute"
-        );
-        assert_eq!(
-            &snaps[0], &snaps[2],
-            "dirty recompute diverged from recompute"
-        );
     });
 }
 
 /// The §5.4 work-phase recompute, sharded across rendezvoused
-/// peers, rebuilds exactly the serial walk's snapshot.
+/// peers, rebuilds exactly the serial walk's snapshot.  A rig with
+/// peers always shards, so the serial side is the same walk over a
+/// scratch table, made while attached (detached, the tables are
+/// writable and fail validation).
 #[test]
 fn sharded_recompute_matches_serial_snapshot() {
     check("sharded_recompute_matches_serial_snapshot", 8, |rng| {
@@ -236,15 +229,27 @@ fn sharded_recompute_matches_serial_snapshot() {
         run_mem_ops(&bed, &ops);
         let mercury = bed.mercury.as_ref().unwrap();
         let hv = bed.hv.as_ref().unwrap();
-        assert!(mercury.sharded_recompute());
         switch_with_peers(&bed.machine, mercury, true);
         let sharded = strip_dirty(hv.page_info.snapshot());
-        switch_with_peers(&bed.machine, mercury, false);
-        mercury.set_sharded_recompute(false);
-        switch_with_peers(&bed.machine, mercury, true);
-        let serial = strip_dirty(hv.page_info.snapshot());
+        let dom = mercury.dom0().id;
+        let pool = bed.kernel.pool_frames();
+        let scratch = xenon::PageInfoTable::new(bed.machine.mem.num_frames());
+        for &f in &pool {
+            scratch.set_owner(f, Some(dom));
+        }
+        let pgds = bed.kernel.all_pgds();
+        scratch
+            .recompute_for(
+                bed.machine.boot_cpu(),
+                &bed.machine.mem,
+                dom,
+                pool.len(),
+                &pgds,
+            )
+            .unwrap();
         assert_eq!(
-            sharded, serial,
+            sharded,
+            strip_dirty(scratch.snapshot()),
             "sharded validation diverged from the serial walk"
         );
     });

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """CI perf-regression gate over the archived switch benchmarks.
 
-Re-runs the two switch benchmarks (`mode_switch`, `switch_timeline`),
-loads the JSON they emit, and compares every metric against the copies
-archived at the repo root (`bench_results.json`'s "mode_switch" section
-and `switch_timeline.json`) within declared tolerance bands.  Prints a
+Re-runs the two switch benchmarks (`all`, `switch_timeline`), loads the
+JSON they emit, and compares every metric against the copies archived
+at the repo root (`bench_results.json`'s "mode_switch" section and
+`switch_timeline.json`) within declared tolerance bands.  Prints a
 per-metric delta table and exits non-zero if any metric **regressed**
 (got slower beyond its band).  Improvements beyond the band are
 reported but do not fail the gate — they mean the archive should be
@@ -76,7 +76,8 @@ not compared.
 Usage
 -----
     python3 tools/benchgate.py            # cargo-run both benches, compare
-    python3 tools/benchgate.py --results DIR   # compare pre-generated JSONs
+    python3 tools/benchgate.py --results DIR   # compare DIR's bench_results.json
+                                               # and switch_timeline.json
     python3 tools/benchgate.py --serving  # also run + gate the serving sweep
     python3 tools/benchgate.py --sim-speed PATH  # gate only sim throughput
     python3 tools/benchgate.py --fleet PATH      # gate only the fleet run
@@ -93,24 +94,29 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# (archived-section-path, fresh-section-path, metric, rel_tol, abs_floor_us)
+# (row of `bench_results.json`'s "mode_switch" section, metric, rel_tol,
+# abs_floor_us) — the same spelling on the archived and the fresh side.
 # rel_tol is the allowed relative slowdown; abs_floor_us absorbs noise on
 # metrics whose absolute value is tiny (a 10% band on 0.02 µs is silly).
 MODE_SWITCH_CHECKS = [
-    (("recompute",), ("recompute_on_switch",), "attach_us", 0.01, 0.05),
-    (("recompute",), ("recompute_on_switch",), "detach_us", 0.01, 0.05),
-    (("dirty_recompute",), ("dirty_recompute",), "attach_us", 0.01, 0.05),
+    ("recompute", "attach_us", 0.01, 0.05),
+    ("recompute", "detach_us", 0.01, 0.05),
+    ("dirty_recompute", "attach_us", 0.01, 0.05),
     # With the boot-time pre-cache the "cold" attach only pays for the
     # frames the warm-up dirtied since install — a handful of tables, so
     # the metric sits near the warm number and a small change in the
     # warm-up's table layout moves it by whole frames.  Wider floor.
-    (("dirty_recompute",), ("dirty_recompute",), "cold_attach_us", 0.01, 0.5),
-    (("dirty_recompute",), ("dirty_recompute",), "warm_attach_us", 0.01, 0.05),
-    (("dirty_recompute",), ("dirty_recompute",), "detach_us", 0.01, 0.05),
+    ("dirty_recompute", "cold_attach_us", 0.01, 0.5),
+    ("dirty_recompute", "warm_attach_us", 0.01, 0.05),
+    ("dirty_recompute", "detach_us", 0.01, 0.05),
     # Host-thread-timing dependent: wide band.
-    (("sharded_recompute",), ("sharded_recompute",), "serial_pginfo_us", 0.01, 0.05),
-    (("sharded_recompute",), ("sharded_recompute",), "sharded_pginfo_us", 0.50, 1.0),
+    ("sharded_recompute", "serial_pginfo_us", 0.01, 0.05),
+    ("sharded_recompute", "sharded_pginfo_us", 0.50, 1.0),
 ]
+
+# Sharded speedup: lower-bounded, not banded — any host should beat
+# serial by a clear margin on a 4-CPU shard.
+SHARDED_SPEEDUP_FLOOR = 1.5
 
 TIMELINE_PHASE_TOL = 0.01
 TIMELINE_PHASE_FLOOR = 0.05  # µs — phases like flip_tables sit at 0.02 µs
@@ -246,6 +252,28 @@ class Gate:
             print(
                 f"{name.ljust(w)} | {a:11.4f} | {f:8.4f} | {d:+8.4f} | {band:7.4f} | {status}"
             )
+
+
+def gate_mode_switch(gate, archived_ms, fresh_ms):
+    """The "mode_switch" section of a fresh `bench_results.json` against
+    the archived one.  `all` emits every row on every run, so a checked
+    metric missing from the fresh side is a regression."""
+    for row, metric, rel, floor in MODE_SWITCH_CHECKS:
+        name = f"mode_switch.{row}.{metric}"
+        archived, fresh = archived_ms[row][metric], fresh_ms.get(row, {}).get(metric)
+        if fresh is None:
+            gate.rows.append((name, archived, float("nan"), float("nan"), 0.0, "REGRESSED"))
+            gate.regressions.append(f"{name} (missing from fresh results)")
+        else:
+            gate.check(name, archived, fresh, rel, floor)
+
+    name = "mode_switch.sharded_recompute.speedup"
+    speedup = fresh_ms.get("sharded_recompute", {}).get("speedup", float("nan"))
+    # A missing speedup is NaN, which is not above the floor either.
+    status = "ok" if speedup >= SHARDED_SPEEDUP_FLOOR else "REGRESSED"
+    if status != "ok":
+        gate.regressions.append(name)
+    gate.rows.append((name, SHARDED_SPEEDUP_FLOOR, speedup, speedup - SHARDED_SPEEDUP_FLOOR, 0.0, status))
 
 
 def gate_budget(gate, fresh_tl, notes):
@@ -507,7 +535,7 @@ def main():
     ap.add_argument(
         "--results",
         metavar="DIR",
-        help="directory holding pre-generated mode_switch.json and "
+        help="directory holding pre-generated bench_results.json and "
         "switch_timeline.json (skips the cargo runs); if it also holds "
         "serving_results.json, the serving gate runs on that too",
     )
@@ -548,13 +576,13 @@ def main():
         outdir = args.results
     else:
         outdir = tempfile.mkdtemp(prefix="benchgate-")
-        run_bench("mode_switch", outdir)
+        run_bench("all", outdir)
         run_bench("switch_timeline", outdir)
         if args.serving:
             run_bench("serving_tail", outdir, extra=("--seed", "11"))
 
-    with open(os.path.join(outdir, "mode_switch.json")) as f:
-        fresh_ms = json.load(f)
+    with open(os.path.join(outdir, "bench_results.json")) as f:
+        fresh_ms = json.load(f).get("mode_switch", {})
     with open(os.path.join(outdir, "switch_timeline.json")) as f:
         fresh_tl = json.load(f)
 
@@ -568,18 +596,7 @@ def main():
 
     gate = Gate()
 
-    for apath, fpath, metric, rel, floor in MODE_SWITCH_CHECKS:
-        name = f"mode_switch.{'.'.join(apath)}.{metric}"
-        gate.check(name, dig(archived_ms, apath)[metric], dig(fresh_ms, fpath)[metric], rel, floor)
-
-    # Sharded speedup: lower-bounded, not banded — any host should beat
-    # serial by a clear margin on a 4-CPU shard.
-    speedup = fresh_ms["sharded_recompute"]["speedup"]
-    if speedup < 1.5:
-        gate.rows.append(("mode_switch.sharded_recompute.speedup", 1.5, speedup, speedup - 1.5, 0.0, "REGRESSED"))
-        gate.regressions.append("mode_switch.sharded_recompute.speedup")
-    else:
-        gate.rows.append(("mode_switch.sharded_recompute.speedup", 1.5, speedup, speedup - 1.5, 0.0, "ok"))
+    gate_mode_switch(gate, archived_ms, fresh_ms)
 
     notes = []
 

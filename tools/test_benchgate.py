@@ -8,6 +8,8 @@ cargo involved:
 
 * band math (relative tolerance, absolute floors, improvement vs
   regression asymmetry),
+* the mode-switch rows (one spelling on both sides; a row or metric
+  missing from the fresh `bench_results.json` regresses),
 * the static-budget cross-check (missing phases, budget breaches,
   end-to-end vs summed-phase containment, stale-bounds notes),
 * the serving-tail bands and hard inflation ceilings,
@@ -65,7 +67,7 @@ class BenchCommand(unittest.TestCase):
         self.assertLess(cmd.index("--manifest-path"), cmd.index("--"))
         self.assertEqual(cmd[cmd.index("--bin") + 1], "serving_tail")
         self.assertEqual(cmd[cmd.index("--") + 1 :], ["--seed", "11"])
-        self.assertNotIn("--", bg.bench_cmd("mode_switch"))
+        self.assertNotIn("--", bg.bench_cmd("all"))
 
 
 class BandMath(unittest.TestCase):
@@ -102,6 +104,44 @@ class BandMath(unittest.TestCase):
         self.assertEqual(gate.rows[-1][-1], "ok")
         gate.check("m2", 100.0, 106.0, 0.05, 0.1)
         self.assertEqual(gate.rows[-1][-1], "REGRESSED")
+
+
+def mode_switch_section():
+    """A "mode_switch" section carrying every checked row, all at 10 µs."""
+    section = {}
+    for row, metric, _, _ in bg.MODE_SWITCH_CHECKS:
+        section.setdefault(row, {})[metric] = 10.0
+    section["sharded_recompute"]["speedup"] = 3.5
+    return section
+
+
+class ModeSwitchGate(unittest.TestCase):
+    def test_same_rows_pass(self):
+        gate = bg.Gate()
+        bg.gate_mode_switch(gate, mode_switch_section(), mode_switch_section())
+        self.assertFalse(gate.regressions)
+        self.assertEqual(len(gate.rows), len(bg.MODE_SWITCH_CHECKS) + 1)
+
+    def test_missing_row_regresses(self):
+        # `all` emits every row on every run: a fresh file without
+        # `sharded_recompute` lost a measurement, it did not get faster.
+        gate, fresh = bg.Gate(), mode_switch_section()
+        del fresh["sharded_recompute"]
+        bg.gate_mode_switch(gate, mode_switch_section(), fresh)
+        self.assertIn("mode_switch.sharded_recompute.serial_pginfo_us (missing from fresh results)", gate.regressions)
+        self.assertIn("mode_switch.sharded_recompute.speedup", gate.regressions)
+
+    def test_missing_metric_regresses(self):
+        gate, fresh = bg.Gate(), mode_switch_section()
+        del fresh["recompute"]["detach_us"]
+        bg.gate_mode_switch(gate, mode_switch_section(), fresh)
+        self.assertEqual(gate.regressions, ["mode_switch.recompute.detach_us (missing from fresh results)"])
+
+    def test_slow_sharding_regresses(self):
+        gate, fresh = bg.Gate(), mode_switch_section()
+        fresh["sharded_recompute"]["speedup"] = bg.SHARDED_SPEEDUP_FLOOR - 0.1
+        bg.gate_mode_switch(gate, mode_switch_section(), fresh)
+        self.assertEqual(gate.regressions, ["mode_switch.sharded_recompute.speedup"])
 
 
 class BudgetCrossCheck(unittest.TestCase):

@@ -193,7 +193,7 @@ impl Mercury {
     /// through a page-table frame whose validation is still pending.
     pub(crate) fn account_dirty(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let cpu = r.cpu;
-        let owned = self.kernel().pool_frames().len();
+        let owned = self.kernel().pool_size();
         let p0 = cpu.cycles();
         let hv = self.hypervisor();
         // Kernel-critical frames: the page-table frames a guest could
@@ -287,7 +287,7 @@ impl Mercury {
     ) -> Result<(), SwitchError> {
         let kernel = self.kernel();
         let pgds = kernel.all_pgds();
-        let owned = kernel.pool_frames().len();
+        let owned = kernel.pool_size();
         let mem = &kernel.machine.mem;
         let walked = table.recompute_for_at(cpu, mem, self.dom0().id, owned, &pgds, per_frame);
         self.dom0().reset_pgds(pgds);
@@ -342,7 +342,7 @@ impl Mercury {
         self.hypervisor().deactivate();
         // volint::cost(409600) — 16384 pool frames × PGINFO_CLEAR_PER_FRAME(25)
         r.cpu
-            .tick(costs::PGINFO_CLEAR_PER_FRAME * self.kernel().pool_frames().len() as u64);
+            .tick(costs::PGINFO_CLEAR_PER_FRAME * self.kernel().pool_size() as u64);
         self.release_accounting();
         Ok(())
     }

@@ -106,18 +106,21 @@ fn scan(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairRe
 
     for pgd in kernel.all_pgds() {
         report.pgds_scanned += 1;
+        let mut l2 = mem.read_table(cpu, pgd).map_err(HealError::Hardware)?;
         for l2_idx in 0..ENTRIES_PER_TABLE {
-            let pde = mem
-                .read_pte(cpu, pgd, l2_idx)
-                .map_err(HealError::Hardware)?;
+            let pde = l2.pte(l2_idx);
             if !pde.present() || !pde.user() {
                 continue; // kernel mappings are shared and checked once
             }
             let l1 = FrameNum(pde.frame());
             report.tables_scanned += 1;
+            let mut view = mem.read_table(cpu, l1).map_err(HealError::Hardware)?;
+            // The ownership compare costs a word per slot on top of
+            // the read; every slot of the table is scanned.
+            cpu.tick(costs::MEM_WORD * ENTRIES_PER_TABLE as u64);
+            let mut zapped = Vec::new();
             for l1_idx in 0..ENTRIES_PER_TABLE {
-                cpu.tick(costs::MEM_WORD);
-                let pte = mem.read_pte(cpu, l1, l1_idx).map_err(HealError::Hardware)?;
+                let pte = view.pte(l1_idx);
                 if !pte.present() {
                     continue;
                 }
@@ -126,15 +129,15 @@ fn scan(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairRe
                 if !owned {
                     report.repaired_entries += 1;
                     if repair {
-                        // The healer runs at PL0 below the VO layer — it
-                        // repairs tables the VO dispatch itself may be
-                        // corrupted by (§6.2).
-                        // volint::allow(VO-BYPASS): sub-VO repair path
-                        mem.write_pte(cpu, l1, l1_idx, Pte::ABSENT)
-                            .map_err(HealError::Hardware)?;
+                        zapped.push((l1_idx, Pte::ABSENT));
                     }
                 }
             }
+            // The healer runs at PL0 below the VO layer — it repairs
+            // tables the VO dispatch itself may be corrupted by (§6.2).
+            // volint::allow(VO-BYPASS): sub-VO repair path
+            mem.write_ptes(cpu, l1, &zapped)
+                .map_err(HealError::Hardware)?;
         }
     }
     if repair && report.repaired_entries > 0 {
@@ -153,33 +156,39 @@ pub fn inject_taint(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<bool, Heal
     let kernel = mercury.kernel();
     let mem = &kernel.machine.mem;
     let foreign = kernel.machine.mem.num_frames() as u32 - 1; // top frame: VMM pool
-    for pgd in kernel.all_pgds() {
+
+    // The first present user leaf entry of any address space.
+    let mut victim = None;
+    'search: for pgd in kernel.all_pgds() {
+        let mut l2 = mem.read_table(cpu, pgd).map_err(HealError::Hardware)?;
         for l2_idx in 0..ENTRIES_PER_TABLE {
-            let pde = mem
-                .read_pte(cpu, pgd, l2_idx)
-                .map_err(HealError::Hardware)?;
+            let pde = l2.pte(l2_idx);
             if !pde.present() || !pde.user() {
                 continue;
             }
             let l1 = FrameNum(pde.frame());
-            for l1_idx in 0..ENTRIES_PER_TABLE {
-                let pte = mem.read_pte(cpu, l1, l1_idx).map_err(HealError::Hardware)?;
-                if pte.present() {
-                    // Deliberate fault injection: the taint must bypass the
-                    // VO or it would be validated away.
-                    // volint::allow(VO-BYPASS): fault injection
-                    mem.write_pte(cpu, l1, l1_idx, Pte::new(foreign, pte.0 & 0xfff))
-                        .map_err(HealError::Hardware)?;
-                    for c in &kernel.machine.cpus {
-                        // volint::allow(VO-BYPASS): flush of injected taint
-                        c.flush_tlb_local();
-                    }
-                    return Ok(true);
-                }
+            let mut view = mem.read_table(cpu, l1).map_err(HealError::Hardware)?;
+            victim = (0..ENTRIES_PER_TABLE)
+                .map(|l1_idx| (l1, l1_idx, view.pte(l1_idx)))
+                .find(|(_, _, pte)| pte.present());
+            if victim.is_some() {
+                break 'search;
             }
         }
     }
-    Ok(false)
+    let Some((l1, l1_idx, pte)) = victim else {
+        return Ok(false);
+    };
+    // Deliberate fault injection: the taint must bypass the VO or it
+    // would be validated away.
+    // volint::allow(VO-BYPASS): fault injection
+    mem.write_pte(cpu, l1, l1_idx, Pte::new(foreign, pte.0 & 0xfff))
+        .map_err(HealError::Hardware)?;
+    for c in &kernel.machine.cpus {
+        // volint::allow(VO-BYPASS): flush of injected taint
+        c.flush_tlb_local();
+    }
+    Ok(true)
 }
 
 #[cfg(test)]

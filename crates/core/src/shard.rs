@@ -196,7 +196,7 @@ impl Mercury {
         per_frame: u64,
     ) -> Result<(), SwitchError> {
         let pgds = self.kernel().all_pgds();
-        let owned = self.kernel().pool_frames().len();
+        let owned = self.kernel().pool_size();
         let scan_total = per_frame * owned as u64;
         self.hypervisor().page_info.clear_types_for(self.dom0().id);
 

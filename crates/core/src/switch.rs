@@ -596,7 +596,7 @@ impl Mercury {
         // and the baseline is established by the first detach.
         if strategy.row().dirty_baseline && kernel.exec_mode() == ExecMode::Native {
             let cpu = mercury.machine.boot_cpu();
-            let owned = kernel.pool_frames().len() as u64;
+            let owned = kernel.pool_size() as u64;
             cpu.tick(costs::PGINFO_RECOMPUTE_PER_FRAME * owned);
             merctrace::counter!(cpu.id, "switch.precache.frames", owned, cpu.cycles());
             let table = &mercury.hypervisor().page_info;

@@ -1822,6 +1822,12 @@ impl Kernel {
         self.state.lock().pool.all_frames()
     }
 
+    /// How many frames the kernel's pool manages, free or not — the
+    /// length of [`Kernel::pool_frames`] without building it.
+    pub fn pool_size(&self) -> usize {
+        self.state.lock().pool.total()
+    }
+
     /// Take a frame out of the pool for a driver's payload buffer.  The
     /// pool counts it in use — it is never handed to a mapping — and
     /// the count travels through freeze/thaw with the rest of the pool.
@@ -2027,6 +2033,36 @@ mod tests {
         assert_eq!(pid, child);
         assert_eq!(code, 42);
         assert_eq!(k.process_count(), 1);
+    }
+
+    #[test]
+    fn pool_size_is_the_length_of_pool_frames() {
+        // `pool_size` stands in for `pool_frames().len()` on the switch
+        // path; the two must agree whatever the pool has been through.
+        let m = machine(1);
+        let k = boot_bare(&m);
+        let size = k.pool_size();
+        let agree = |when: &str| {
+            assert_eq!(k.pool_size(), k.pool_frames().len(), "{when}");
+            assert_eq!(
+                k.pool_size(),
+                size,
+                "{when}: the pool neither grows nor shrinks"
+            );
+        };
+        agree("after boot");
+        let sess = Session::new(Arc::clone(&k), 0);
+        let child = sess.fork().unwrap();
+        agree("with a forked child sharing COW frames");
+        assert_eq!(sess.waitpid().unwrap(), None);
+        sess.exec("hello").unwrap();
+        sess.exit(0).unwrap();
+        assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
+        agree("after the child's exit");
+        let frame = k.alloc_driver_frame(m.boot_cpu()).unwrap();
+        agree("with a driver frame out");
+        k.free_driver_frame(frame);
+        agree("with it back");
     }
 
     #[test]

@@ -87,7 +87,6 @@ impl FramePool {
     /// Every frame this pool manages, free or not (ascending).
     pub fn all_frames(&self) -> Vec<FrameNum> {
         let mut v: Vec<FrameNum> = self.free.clone();
-        // volint::allow(SWITCH-ALLOC): pool-frame enumeration buffer, built on the CP before the accounting scan starts
         v.extend(self.refs.keys().map(|&f| FrameNum(f)));
         v.sort_unstable();
         v

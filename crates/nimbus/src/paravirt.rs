@@ -253,9 +253,8 @@ impl PvOps for BareOps {
         table: FrameNum,
         updates: &[(usize, Pte)],
     ) -> Result<(), KernelError> {
-        for &(index, val) in updates {
-            self.set_pte(cpu, table, index, val)?;
-        }
+        cpu.tick(costs::PTE_WRITE_NATIVE * updates.len() as u64);
+        self.machine.mem.write_ptes(cpu, table, updates)?;
         Ok(())
     }
 
@@ -429,10 +428,8 @@ impl PvOps for XenOps {
                 self.hv.mmu_update(cpu, &self.dom, chunk)?;
             }
         } else {
-            for &(index, val) in updates {
-                cpu.tick(costs::PTE_WRITE_NATIVE);
-                self.hv.machine.mem.write_pte(cpu, table, index, val)?;
-            }
+            cpu.tick(costs::PTE_WRITE_NATIVE * updates.len() as u64);
+            self.hv.machine.mem.write_ptes(cpu, table, updates)?;
         }
         Ok(())
     }
@@ -585,9 +582,8 @@ impl PvOps for HvmOps {
         table: FrameNum,
         updates: &[(usize, Pte)],
     ) -> Result<(), KernelError> {
-        for &(index, val) in updates {
-            self.set_pte(cpu, table, index, val)?;
-        }
+        cpu.tick(costs::PTE_WRITE_NATIVE * updates.len() as u64);
+        self.machine.mem.write_ptes(cpu, table, updates)?;
         Ok(())
     }
     fn flush_tlb(&self, cpu: &Arc<Cpu>) {

@@ -129,6 +129,11 @@ pub static REGISTRY: &[PrivOp] = &[
         effect: "mutates a page-table entry in physical memory",
         paper_ref: "§5.3",
     },
+    PrivOp {
+        name: "write_ptes",
+        effect: "mutates a run of entries of one page table in physical memory",
+        paper_ref: "§5.3",
+    },
     // intc.rs
     PrivOp {
         name: "broadcast_ipi",

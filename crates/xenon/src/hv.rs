@@ -15,7 +15,7 @@ use crate::domain::{DomId, Domain, DOM0};
 use crate::error::HvError;
 use crate::events::EventChannels;
 use crate::grants::GrantTables;
-use crate::page_info::{PageInfoTable, PageType};
+use crate::page_info::{PageInfoTable, PageType, Records};
 use crate::sched::{SchedUnit, Scheduler};
 use simx86::cpu::{vectors, Gdt, IdtTable, InterruptSink, TrapFrame};
 use simx86::mem::FrameNum;
@@ -385,83 +385,90 @@ impl Hypervisor {
     ) -> Result<(), HvError> {
         self.check_active()?;
         self.count_hypercall(cpu, "xenon.hypercall.mmu_update");
+        // One hold of the accounting lock per batch; the entries
+        // themselves are single (table, index) stores the guest chose.
+        let mut info = self.page_info.records();
         // volint::bound(512) — one batch ≤ ENTRIES_PER_TABLE updates; callers submit per-table batches
         for u in updates {
             cpu.tick(costs::MMU_UPDATE_PER_ENTRY);
             self.stats.mmu_entries.fetch_add(1, Ordering::Relaxed);
-            let (typ, count) = self.page_info.type_of(u.table);
+            let (typ, count) = info.type_of(u.table);
             if count == 0 {
                 return Err(HvError::TypeConflict(
                     "mmu_update on an unvalidated table (write it directly and pin)",
                 ));
             }
-            if self.page_info.owner(u.table) != Some(dom.id) {
+            if info.owner(u.table) != Some(dom.id) {
                 return Err(HvError::BadFrame {
                     frame: u.table.0,
                     why: "table not owned by caller",
                 });
             }
             match typ {
-                PageType::L1 => self.commit_l1_update(cpu, dom, u)?,
-                PageType::L2 => self.commit_l2_update(cpu, dom, u)?,
+                PageType::L1 => self.commit_l1_update(cpu, &mut info, dom, u)?,
+                PageType::L2 => self.commit_l2_update(cpu, &mut info, dom, u)?,
                 _ => {
                     return Err(HvError::TypeConflict(
                         "mmu_update target is not a page table",
                     ))
                 }
             }
-            self.page_info.mark_dirty(u.table);
+            info.mark_dirty(u.table);
         }
         Ok(())
     }
 
-    fn commit_l1_update(&self, cpu: &Cpu, dom: &Arc<Domain>, u: &MmuUpdate) -> Result<(), HvError> {
+    fn commit_l1_update(
+        &self,
+        cpu: &Cpu,
+        info: &mut Records,
+        dom: &Arc<Domain>,
+        u: &MmuUpdate,
+    ) -> Result<(), HvError> {
         let mem = &self.machine.mem;
         let old = mem.read_pte(cpu, u.table, u.index)?;
         // Take the new reference first so failure leaves state intact.
         if u.val.present() {
             let target = FrameNum(u.val.frame());
-            if self.page_info.owner(target) != Some(dom.id) {
+            if info.owner(target) != Some(dom.id) {
                 return Err(HvError::BadFrame {
                     frame: target.0,
                     why: "leaf target not owned by caller",
                 });
             }
             if u.val.writable() {
-                self.page_info.get_type_ref(target, PageType::Writable)?;
+                info.get_type_ref(target, PageType::Writable)?;
             }
         }
         if old.present() && old.writable() {
-            self.page_info
-                .put_type_ref(FrameNum(old.frame()), PageType::Writable);
+            info.put_type_ref(FrameNum(old.frame()), PageType::Writable);
         }
         mem.write_pte(cpu, u.table, u.index, u.val)?;
         Ok(())
     }
 
-    fn commit_l2_update(&self, cpu: &Cpu, dom: &Arc<Domain>, u: &MmuUpdate) -> Result<(), HvError> {
+    fn commit_l2_update(
+        &self,
+        cpu: &Cpu,
+        info: &mut Records,
+        dom: &Arc<Domain>,
+        u: &MmuUpdate,
+    ) -> Result<(), HvError> {
         let mem = &self.machine.mem;
         let old = mem.read_pte(cpu, u.table, u.index)?;
         if u.val.present() {
             let l1 = FrameNum(u.val.frame());
-            let (typ, count) = self.page_info.type_of(l1);
+            let (typ, count) = info.type_of(l1);
             if typ != PageType::L1 || count == 0 {
                 // The ref taken at the end of validate_l1 is this
                 // entry's reference.
-                self.page_info
-                    .validate_l1(cpu, mem, l1, dom.id, costs::PT_PIN_PER_ENTRY)?;
+                info.validate_l1(cpu, mem, l1, dom.id, costs::PT_PIN_PER_ENTRY)?;
             } else {
-                self.page_info.get_type_ref(l1, PageType::L1)?;
+                info.get_type_ref(l1, PageType::L1)?;
             }
         }
         if old.present() {
-            let l1 = FrameNum(old.frame());
-            self.page_info.put_type_ref(l1, PageType::L1);
-            let (typ, count) = self.page_info.type_of(l1);
-            if typ == PageType::None && count == 0 {
-                self.page_info.get_type_ref(l1, PageType::L1)?;
-                self.page_info.invalidate_l1(cpu, mem, l1)?;
-            }
+            info.put_l1_ref(cpu, mem, FrameNum(old.frame()))?;
         }
         mem.write_pte(cpu, u.table, u.index, u.val)?;
         Ok(())
@@ -1194,5 +1201,177 @@ mod wrapper_tests {
         // A migrated-in domain claiming an occupied id gets a fresh one.
         assert_ne!(hv.allocate_domid(d0.id), d0.id);
         assert_eq!(hv.allocate_domid(DomId(77)), DomId(77));
+    }
+
+    /// `mmu_update` as it was before a batch held the accounting lock
+    /// once: a round-trip through the lock per primitive, and the
+    /// per-entry validators of [`crate::page_info::oracle`].
+    fn oracle_mmu_update(
+        hv: &Hypervisor,
+        cpu: &Cpu,
+        dom: &Arc<Domain>,
+        updates: &[MmuUpdate],
+    ) -> Result<(), HvError> {
+        use crate::page_info::oracle;
+        hv.check_active()?;
+        hv.count_hypercall(cpu, "xenon.hypercall.mmu_update");
+        let (mem, info) = (&hv.machine.mem, &hv.page_info);
+        for u in updates {
+            cpu.tick(costs::MMU_UPDATE_PER_ENTRY);
+            hv.stats.mmu_entries.fetch_add(1, Ordering::Relaxed);
+            let (typ, count) = info.type_of(u.table);
+            if count == 0 {
+                return Err(HvError::TypeConflict(
+                    "mmu_update on an unvalidated table (write it directly and pin)",
+                ));
+            }
+            if info.owner(u.table) != Some(dom.id) {
+                return Err(HvError::BadFrame {
+                    frame: u.table.0,
+                    why: "table not owned by caller",
+                });
+            }
+            let new = FrameNum(u.val.frame());
+            match typ {
+                PageType::L1 => {
+                    let old = mem.read_pte(cpu, u.table, u.index)?;
+                    if u.val.present() {
+                        if info.owner(new) != Some(dom.id) {
+                            return Err(HvError::BadFrame {
+                                frame: new.0,
+                                why: "leaf target not owned by caller",
+                            });
+                        }
+                        if u.val.writable() {
+                            info.get_type_ref(new, PageType::Writable)?;
+                        }
+                    }
+                    if old.present() && old.writable() {
+                        info.put_type_ref(FrameNum(old.frame()), PageType::Writable);
+                    }
+                }
+                PageType::L2 => {
+                    let old = mem.read_pte(cpu, u.table, u.index)?;
+                    if u.val.present() {
+                        let (typ, count) = info.type_of(new);
+                        if typ != PageType::L1 || count == 0 {
+                            oracle::validate_l1(
+                                info,
+                                cpu,
+                                mem,
+                                new,
+                                dom.id,
+                                costs::PT_PIN_PER_ENTRY,
+                            )?;
+                        } else {
+                            info.get_type_ref(new, PageType::L1)?;
+                        }
+                    }
+                    if old.present() {
+                        oracle::put_l1_ref(info, cpu, mem, FrameNum(old.frame()))?;
+                    }
+                }
+                _ => {
+                    return Err(HvError::TypeConflict(
+                        "mmu_update target is not a page table",
+                    ))
+                }
+            }
+            mem.write_pte(cpu, u.table, u.index, u.val)?;
+            info.mark_dirty(u.table);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn mmu_update_batches_match_the_per_entry_oracle() {
+        // Twin machines driven by one stream of batches of 1, 2 and 64
+        // updates — good ones, and ones that name an unvalidated table,
+        // a data frame as a table, a table frame as a writable target,
+        // a foreign frame, a frame the machine does not have, an
+        // unvalidated leaf table to hook under the directory.  After
+        // every batch: same verdict, same accounting, same page-table
+        // words, same cycles, same entry count.
+        faultgen::rng::check("mmu_update matches the per-entry oracle", 60, |rng| {
+            let build = || {
+                let (machine, hv, d0, d1) = rig();
+                let cpu = machine.boot_cpu();
+                let f = d0.frames();
+                // pgd f[0] → leaf tables f[1], f[2]; f[3] is a leaf
+                // table built but not hooked in; f[4..] are data.
+                let mem = &machine.mem;
+                for (slot, l1) in [(0, f[1]), (1, f[2])] {
+                    mem.write_pte(cpu, f[0], slot, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
+                        .unwrap();
+                }
+                for (l1, data) in [(f[1], f[4]), (f[2], f[5]), (f[3], f[6])] {
+                    mem.write_pte(cpu, l1, 0, Pte::new(data.0, Pte::WRITABLE | Pte::USER))
+                        .unwrap();
+                }
+                hv.pin_l2(cpu, &d0, f[0]).unwrap();
+                (machine, hv, d0, d1)
+            };
+            let (new_m, new_hv, new_d0, d1) = build();
+            let (old_m, old_hv, old_d0, _) = build();
+            let f = new_d0.frames();
+            assert_eq!(f, old_d0.frames());
+            let foreign = d1.frames()[0];
+            let missing = FrameNum(new_m.mem.num_frames() as u32 + 9);
+            for _ in 0..12 {
+                let len = [1, 2, 64][rng.below(3) as usize];
+                // Hostile picks are per batch, not per update, or no
+                // long batch would ever run to its end.
+                let odds = 8 * len as u64;
+                let batch = rng.vec(len, |rng| {
+                    let table = match rng.below(odds) {
+                        0 => f[3], // not validated
+                        1 => f[4], // typed Writable, not a table
+                        2 => missing,
+                        n if n % 8 == 7 => f[0],
+                        _ => f[1 + rng.below(2) as usize],
+                    };
+                    let target = match rng.below(odds) {
+                        0 => f[1 + rng.below(3) as usize],
+                        1 => foreign,
+                        2 => missing,
+                        _ => f[4 + rng.below(4) as usize],
+                    };
+                    let index = rng.below(4) as usize;
+                    let val = if table == f[0] {
+                        // Directory slots: hook a leaf table in or out
+                        // (each slot its own, or a long run of batches
+                        // would orphan them all).
+                        match rng.below(odds) {
+                            0 => Pte::ABSENT,
+                            1 => Pte::new(target.0, Pte::WRITABLE | Pte::USER),
+                            _ => Pte::new(f[1 + index % 3].0, Pte::WRITABLE | Pte::USER),
+                        }
+                    } else {
+                        let flags = [0, Pte::USER, Pte::WRITABLE | Pte::USER];
+                        match rng.below(4) {
+                            0 => Pte::ABSENT,
+                            _ => Pte::new(target.0, flags[rng.below(3) as usize]),
+                        }
+                    };
+                    MmuUpdate { table, index, val }
+                });
+                let (new_cpu, old_cpu) = (new_m.boot_cpu(), old_m.boot_cpu());
+                let new = new_hv.mmu_update(new_cpu, &new_d0, &batch);
+                let old = oracle_mmu_update(&old_hv, old_cpu, &old_d0, &batch);
+                assert_eq!(new, old, "same verdict, same error");
+                assert_eq!(new_hv.page_info.snapshot(), old_hv.page_info.snapshot());
+                assert_eq!(new_cpu.cycles(), old_cpu.cycles());
+                assert_eq!(
+                    new_hv.stats.mmu_entries.load(Ordering::Relaxed),
+                    old_hv.stats.mmu_entries.load(Ordering::Relaxed)
+                );
+                for &table in &f[..4] {
+                    assert_eq!(
+                        new_m.mem.export_frame(table).unwrap(),
+                        old_m.mem.export_frame(table).unwrap()
+                    );
+                }
+            }
+        });
     }
 }

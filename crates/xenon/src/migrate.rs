@@ -87,8 +87,9 @@ impl LiveMigration {
             if self.source.page_info.take_dirty(pgd) {
                 dirty.push(pgd);
             }
+            let mut l2 = mem.read_table(cpu, pgd)?;
             for l2_idx in 0..ENTRIES_PER_TABLE {
-                let pde = mem.read_pte(cpu, pgd, l2_idx)?;
+                let pde = l2.pte(l2_idx);
                 if !pde.present() {
                     continue;
                 }
@@ -96,13 +97,16 @@ impl LiveMigration {
                 if self.source.page_info.take_dirty(l1) {
                     dirty.push(l1);
                 }
+                let mut view = mem.read_table(cpu, l1)?;
+                let mut cleaned = Vec::new();
                 for l1_idx in 0..ENTRIES_PER_TABLE {
-                    let pte = mem.read_pte(cpu, l1, l1_idx)?;
+                    let pte = view.pte(l1_idx);
                     if pte.present() && pte.dirty() {
                         dirty.push(FrameNum(pte.frame()));
-                        mem.write_pte(cpu, l1, l1_idx, pte.without_flags(Pte::DIRTY))?;
+                        cleaned.push((l1_idx, pte.without_flags(Pte::DIRTY)));
                     }
                 }
+                mem.write_ptes(cpu, l1, &cleaned)?;
             }
         }
         // Clearing dirty bits behind the TLB's back requires a flush so
@@ -167,14 +171,15 @@ impl LiveMigration {
         let mem = &self.source.machine.mem;
         let mut n = 0;
         for pgd in self.dom.pgds() {
+            let mut l2 = mem.read_table(cpu, pgd)?;
             for l2_idx in 0..ENTRIES_PER_TABLE {
-                let pde = mem.read_pte(cpu, pgd, l2_idx)?;
+                let pde = l2.pte(l2_idx);
                 if !pde.present() {
                     continue;
                 }
-                let l1 = FrameNum(pde.frame());
+                let mut l1 = mem.read_table(cpu, FrameNum(pde.frame()))?;
                 for l1_idx in 0..ENTRIES_PER_TABLE {
-                    let pte = mem.read_pte(cpu, l1, l1_idx)?;
+                    let pte = l1.pte(l1_idx);
                     if pte.present() && pte.dirty() {
                         n += 1;
                     }

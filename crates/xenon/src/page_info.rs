@@ -64,8 +64,20 @@ pub struct PageInfo {
 
 /// The machine-wide frame accounting table.
 pub struct PageInfoTable {
-    info: Mutex<Vec<PageInfo>>,
+    info: Mutex<Records>,
 }
+
+/// The frame records, as seen with the table's lock held.
+///
+/// Ownership, typing and the validators are defined once, here, on the
+/// locked records: a validator (or an `mmu_update` batch) takes the
+/// lock once and holds it across every entry it scans and every table
+/// it descends into, and [`PageInfoTable`]'s per-call methods are this
+/// lock plus one call.  Page-table frames are read through
+/// [`PhysMemory::read_table`], which holds no frame lock once it
+/// returns — the lock order is `page_info`, then at most one frame,
+/// never the reverse (DESIGN.md §14a).
+pub(crate) struct Records(Vec<PageInfo>);
 
 /// A frame being promoted to a page table inside a lazy admission
 /// window takes its deferred first-touch validation now: the guest must
@@ -79,136 +91,60 @@ fn settle_deferred(cpu: &Cpu, frame: FrameNum) -> Result<(), HvError> {
     }
 }
 
-impl PageInfoTable {
-    /// A table for `num_frames` frames, all unowned and untyped.
-    pub fn new(num_frames: usize) -> Self {
-        PageInfoTable {
-            info: Mutex::new(vec![PageInfo::default(); num_frames]),
-        }
-    }
-
-    /// Number of frames tracked.
-    pub fn len(&self) -> usize {
-        self.info.lock().len()
-    }
-
-    /// Is the table empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot the record for `frame`.
-    pub fn get(&self, frame: FrameNum) -> PageInfo {
-        self.info.lock()[frame.0 as usize]
-    }
-
-    /// Set the owner of `frame` (domain creation / frame transfer).
-    pub fn set_owner(&self, frame: FrameNum, owner: Option<DomId>) {
-        let mut info = self.info.lock();
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        let rec = &mut info[frame.0 as usize];
-        rec.owner = owner;
-    }
-
-    /// Owner of `frame`.
-    pub fn owner(&self, frame: FrameNum) -> Option<DomId> {
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        self.info.lock()[frame.0 as usize].owner
-    }
-
-    /// Wipe the type record of one frame in place — the faultgen
-    /// `VmmCorrupt` class lands here.  Type, count and pin state are
-    /// lost; ownership and the dirty bit survive, as real latent
-    /// corruption would leave unrelated bytes intact.  The table has no
-    /// way to detect this from inside: recovery is a live-update, whose
-    /// successor recomputes its records from the guest's page tables
-    /// rather than trusting (and so inheriting) these.
-    pub fn corrupt_record(&self, frame: FrameNum) {
-        if let Some(rec) = self.info.lock().get_mut(frame.0 as usize) {
-            rec.typ = PageType::None;
-            rec.type_count = 0;
-            rec.pinned = false;
-        }
-    }
-
-    /// Mark a frame dirty (log-dirty for live migration).
-    pub fn mark_dirty(&self, frame: FrameNum) {
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        self.info.lock()[frame.0 as usize].dirty = true;
-    }
-
-    /// Clear and return the dirty flag.
-    pub fn take_dirty(&self, frame: FrameNum) -> bool {
-        let mut info = self.info.lock();
-        std::mem::take(&mut info[frame.0 as usize].dirty)
-    }
-
-    /// Clear the dirty bit on every frame owned by `dom` — the
-    /// detach-time baseline of Mercury's dirty-recompute strategy
-    /// (everything native mode dirties after this point must be
-    /// revalidated at the next attach).
-    pub fn reset_dirty_for(&self, dom: DomId) {
-        let mut info = self.info.lock();
-        // volint::bound(16384) — one pass over the frame-info table (64 MiB pool)
-        for rec in info.iter_mut() {
-            if rec.owner == Some(dom) {
-                rec.dirty = false;
-            }
-        }
-    }
-
-    /// Count dirty frames owned by `dom` (the attach-time revalidation
-    /// set of the dirty-recompute strategy).
-    pub fn count_dirty_for(&self, dom: DomId) -> usize {
-        self.info
-            .lock()
-            .iter()
-            .filter(|r| r.owner == Some(dom) && r.dirty)
-            .count()
-    }
-
-    /// All dirty frames owned by `dom` — the revalidation work-list the
-    /// attach path partitions into synchronous and deferred halves.
-    pub fn dirty_frames_for(&self, dom: DomId) -> Vec<FrameNum> {
-        self.info
-            .lock()
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.owner == Some(dom) && r.dirty)
-            .map(|(i, _)| FrameNum(i as u32))
-            // volint::allow(SWITCH-ALLOC): the dirty work-list is bounded by the pool size and built once per attach
-            .collect()
-    }
-
-    /// Pop one dirty frame owned by `dom`, clearing its dirty bit — the
-    /// background scrubber's unit of work.  Returns `None` when the
-    /// domain's dirty set is empty.
-    pub fn take_dirty_frame_for(&self, dom: DomId) -> Option<FrameNum> {
-        let mut info = self.info.lock();
-        for (i, rec) in info.iter_mut().enumerate() {
-            if rec.owner == Some(dom) && rec.dirty {
-                rec.dirty = false;
-                return Some(FrameNum(i as u32));
-            }
-        }
-        None
-    }
-
-    // -- type reference counting ---------------------------------------
-
-    /// Take a type reference of kind `typ` on `frame`.
-    ///
-    /// Fails when the frame is currently typed incompatibly — the
-    /// invariant rejection at the heart of Xen-style isolation (e.g.
-    /// mapping a live page table writable).
-    pub fn get_type_ref(&self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
-        // volint::allow(SWITCH-PANIC): API-misuse guard; every caller passes a literal non-None type
-        assert_ne!(typ, PageType::None);
-        let mut info = self.info.lock();
-        let rec = info.get_mut(frame.0 as usize).ok_or(HvError::BadFrame {
+impl Records {
+    fn rec(&self, frame: FrameNum) -> Result<&PageInfo, HvError> {
+        self.0.get(frame.0 as usize).ok_or(HvError::BadFrame {
             frame: frame.0,
             why: "out of range",
-        })?;
+        })
+    }
+
+    fn rec_mut(&mut self, frame: FrameNum) -> Result<&mut PageInfo, HvError> {
+        self.0.get_mut(frame.0 as usize).ok_or(HvError::BadFrame {
+            frame: frame.0,
+            why: "out of range",
+        })
+    }
+
+    /// Owner of `frame`; a frame the machine does not have has none.
+    pub(crate) fn owner(&self, frame: FrameNum) -> Option<DomId> {
+        self.rec(frame).ok()?.owner
+    }
+
+    /// Current (type, count) of `frame`; a frame the machine does not
+    /// have is untyped.
+    pub(crate) fn type_of(&self, frame: FrameNum) -> (PageType, u32) {
+        self.rec(frame)
+            .map_or((PageType::None, 0), |rec| (rec.typ, rec.type_count))
+    }
+
+    fn check_owned(&self, frame: FrameNum, dom: DomId, why: &'static str) -> Result<(), HvError> {
+        if self.rec(frame)?.owner == Some(dom) {
+            Ok(())
+        } else {
+            Err(HvError::BadFrame {
+                frame: frame.0,
+                why,
+            })
+        }
+    }
+
+    pub(crate) fn mark_dirty(&mut self, frame: FrameNum) {
+        // frame < num_frames by construction — the table was sized from the same PhysMemory
+        self.0[frame.0 as usize].dirty = true;
+    }
+
+    fn set_pinned(&mut self, frame: FrameNum, pinned: bool) {
+        // frame < num_frames by construction — callers validated or ownership-checked it first
+        self.0[frame.0 as usize].pinned = pinned;
+    }
+
+    /// Take a type reference of kind `typ` on `frame`
+    /// ([`PageInfoTable::get_type_ref`]).
+    pub(crate) fn get_type_ref(&mut self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
+        // volint::allow(SWITCH-PANIC): API-misuse guard; every caller passes a literal non-None type
+        assert_ne!(typ, PageType::None);
+        let rec = self.rec_mut(frame)?;
         if rec.typ == PageType::None || rec.type_count == 0 {
             rec.typ = typ;
             rec.type_count = 1;
@@ -230,10 +166,9 @@ impl PageInfoTable {
     }
 
     /// Drop a type reference on `frame`.
-    pub fn put_type_ref(&self, frame: FrameNum, typ: PageType) {
-        let mut info = self.info.lock();
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the matching get_type_ref bounds-checked it
-        let rec = &mut info[frame.0 as usize];
+    pub(crate) fn put_type_ref(&mut self, frame: FrameNum, typ: PageType) {
+        // frame < num_frames by construction — the matching get_type_ref bounds-checked it
+        let rec = &mut self.0[frame.0 as usize];
         debug_assert_eq!(rec.typ, typ, "type ref mismatch on frame {}", frame.0);
         debug_assert!(rec.type_count > 0, "type underflow on frame {}", frame.0);
         rec.type_count = rec.type_count.saturating_sub(1);
@@ -242,11 +177,322 @@ impl PageInfoTable {
         }
     }
 
+    /// Drop one `L1` reference on `l1`; the last one going releases the
+    /// table's writable references too.
+    pub(crate) fn put_l1_ref(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        l1: FrameNum,
+    ) -> Result<(), HvError> {
+        self.put_type_ref(l1, PageType::L1);
+        if self.type_of(l1) == (PageType::None, 0) {
+            // Temporarily re-take the reference dropped above so the
+            // invariant checks in invalidate_l1 hold.
+            self.get_type_ref(l1, PageType::L1)?;
+            self.invalidate_l1(cpu, mem, l1)?;
+        }
+        Ok(())
+    }
+
+    /// The entry walk of an L1 validation: every present entry must
+    /// reference a frame owned by `dom`; a writable one takes a
+    /// `Writable` reference on its target and reports it to `took`.
+    fn scan_l1(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+        dom: DomId,
+        mut took: impl FnMut(FrameNum),
+    ) -> Result<(), HvError> {
+        let mut view = mem.read_table(cpu, frame)?;
+        for index in 0..ENTRIES_PER_TABLE {
+            let pte = view.pte(index);
+            if !pte.present() {
+                continue;
+            }
+            let target = FrameNum(pte.frame());
+            self.check_owned(target, dom, "L1 entry target")?;
+            if pte.writable() {
+                self.get_type_ref(target, PageType::Writable)?;
+                took(target);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`PageInfoTable::validate_l1`] under the held lock.
+    pub(crate) fn validate_l1(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+        dom: DomId,
+        charge_per_entry: u64,
+    ) -> Result<(), HvError> {
+        cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
+        settle_deferred(cpu, frame)?;
+        // The table frame itself must be owned by the domain.
+        self.check_owned(frame, dom, "L1 table frame")?;
+        // Remember what the walk took, so a failed validation leaves no
+        // stray references.
+        // volint::allow(SWITCH-ALLOC): two-pass check-then-commit needs the taken list to unwind cleanly; starts at capacity 0
+        let mut taken: Vec<FrameNum> = Vec::new();
+        let result = self
+            // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
+            .scan_l1(cpu, mem, frame, dom, |target| taken.push(target))
+            .and_then(|()| self.get_type_ref(frame, PageType::L1));
+        if result.is_err() {
+            // volint::bound(512) — ≤ ENTRIES_PER_TABLE writable refs taken per L1
+            for t in taken {
+                self.put_type_ref(t, PageType::Writable);
+            }
+        }
+        result
+    }
+
+    /// [`PageInfoTable::invalidate_l1`] under the held lock.
+    pub(crate) fn invalidate_l1(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+    ) -> Result<(), HvError> {
+        let mut view = mem.read_table(cpu, frame)?;
+        for index in 0..ENTRIES_PER_TABLE {
+            let pte = view.pte(index);
+            if pte.present() && pte.writable() {
+                self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
+            }
+        }
+        self.put_type_ref(frame, PageType::L1);
+        Ok(())
+    }
+
+    /// [`PageInfoTable::validate_l2`] under the held lock.
+    fn validate_l2(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+        dom: DomId,
+        charge_per_entry: u64,
+    ) -> Result<(), HvError> {
+        cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
+        settle_deferred(cpu, frame)?;
+        self.check_owned(frame, dom, "L2 table frame")?;
+        // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
+        let mut validated_here: Vec<FrameNum> = Vec::new();
+        // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
+        let mut refs_taken: Vec<FrameNum> = Vec::new();
+        let result = (|| {
+            let mut view = mem.read_table(cpu, frame)?;
+            for index in 0..ENTRIES_PER_TABLE {
+                let pde = view.pte(index);
+                if !pde.present() {
+                    continue;
+                }
+                let l1 = FrameNum(pde.frame());
+                let (typ, count) = self.type_of(l1);
+                if typ != PageType::L1 || count == 0 {
+                    // validate_l1's final type ref *is* this entry's
+                    // reference.
+                    view.settle();
+                    self.validate_l1(cpu, mem, l1, dom, charge_per_entry)?;
+                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
+                    validated_here.push(l1);
+                } else {
+                    self.get_type_ref(l1, PageType::L1)?;
+                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
+                    refs_taken.push(l1);
+                }
+            }
+            self.get_type_ref(frame, PageType::L2)
+        })();
+        if result.is_err() {
+            // volint::bound(512) — ≤ ENTRIES_PER_TABLE shared L1 refs per L2
+            for l1 in refs_taken {
+                self.put_type_ref(l1, PageType::L1);
+            }
+            // volint::bound(512) — ≤ ENTRIES_PER_TABLE freshly validated L1s per L2
+            for l1 in validated_here.into_iter().rev() {
+                let _ = self.invalidate_l1(cpu, mem, l1);
+            }
+        }
+        result
+    }
+
+    /// [`PageInfoTable::invalidate_l2`] under the held lock.
+    fn invalidate_l2(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+    ) -> Result<(), HvError> {
+        let mut view = mem.read_table(cpu, frame)?;
+        for index in 0..ENTRIES_PER_TABLE {
+            let pde = view.pte(index);
+            if pde.present() {
+                view.settle();
+                self.put_l1_ref(cpu, mem, FrameNum(pde.frame()))?;
+            }
+        }
+        self.put_type_ref(frame, PageType::L2);
+        Ok(())
+    }
+
+    /// Claim `frame` as an L1 table for `dom`.  Returns `Ok(true)` when
+    /// this caller performed the untyped→L1 transition (and therefore
+    /// owns the entry walk), `Ok(false)` when the frame was already
+    /// L1-typed and only a reference was added.
+    fn claim_l1(&mut self, frame: FrameNum, dom: DomId) -> Result<bool, HvError> {
+        self.check_owned(frame, dom, "L1 table frame")?;
+        let (typ, count) = self.type_of(frame);
+        self.get_type_ref(frame, PageType::L1)?;
+        Ok(typ == PageType::None || count == 0)
+    }
+}
+
+impl PageInfoTable {
+    /// A table for `num_frames` frames, all unowned and untyped.
+    pub fn new(num_frames: usize) -> Self {
+        PageInfoTable {
+            info: Mutex::new(Records(vec![PageInfo::default(); num_frames])),
+        }
+    }
+
+    /// Take the table's lock for a run of accounting operations.
+    pub(crate) fn records(&self) -> simx86::sync::MutexGuard<'_, Records> {
+        self.info.lock()
+    }
+
+    /// Number of frames tracked.
+    pub fn len(&self) -> usize {
+        self.info.lock().0.len()
+    }
+
+    /// Is the table empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Snapshot the record for `frame`.
+    pub fn get(&self, frame: FrameNum) -> PageInfo {
+        self.info.lock().0[frame.0 as usize]
+    }
+
+    /// Set the owner of `frame` (domain creation / frame transfer).
+    pub fn set_owner(&self, frame: FrameNum, owner: Option<DomId>) {
+        let mut info = self.info.lock();
+        // frame < num_frames by construction — the table was sized from the same PhysMemory
+        let rec = &mut info.0[frame.0 as usize];
+        rec.owner = owner;
+    }
+
+    /// Owner of `frame`.
+    pub fn owner(&self, frame: FrameNum) -> Option<DomId> {
+        self.info.lock().owner(frame)
+    }
+
+    /// Wipe the type record of one frame in place — the faultgen
+    /// `VmmCorrupt` class lands here.  Type, count and pin state are
+    /// lost; ownership and the dirty bit survive, as real latent
+    /// corruption would leave unrelated bytes intact.  The table has no
+    /// way to detect this from inside: recovery is a live-update, whose
+    /// successor recomputes its records from the guest's page tables
+    /// rather than trusting (and so inheriting) these.
+    pub fn corrupt_record(&self, frame: FrameNum) {
+        if let Ok(rec) = self.info.lock().rec_mut(frame) {
+            rec.typ = PageType::None;
+            rec.type_count = 0;
+            rec.pinned = false;
+        }
+    }
+
+    /// Mark a frame dirty (log-dirty for live migration).
+    pub fn mark_dirty(&self, frame: FrameNum) {
+        self.info.lock().mark_dirty(frame);
+    }
+
+    /// Clear and return the dirty flag.
+    pub fn take_dirty(&self, frame: FrameNum) -> bool {
+        let mut info = self.info.lock();
+        std::mem::take(&mut info.0[frame.0 as usize].dirty)
+    }
+
+    /// Clear the dirty bit on every frame owned by `dom` — the
+    /// detach-time baseline of Mercury's dirty-recompute strategy
+    /// (everything native mode dirties after this point must be
+    /// revalidated at the next attach).
+    pub fn reset_dirty_for(&self, dom: DomId) {
+        let mut info = self.info.lock();
+        // volint::bound(16384) — one pass over the frame-info table (64 MiB pool)
+        for rec in info.0.iter_mut() {
+            if rec.owner == Some(dom) {
+                rec.dirty = false;
+            }
+        }
+    }
+
+    /// Count dirty frames owned by `dom` (the attach-time revalidation
+    /// set of the dirty-recompute strategy).
+    pub fn count_dirty_for(&self, dom: DomId) -> usize {
+        self.info
+            .lock()
+            .0
+            .iter()
+            .filter(|r| r.owner == Some(dom) && r.dirty)
+            .count()
+    }
+
+    /// All dirty frames owned by `dom` — the revalidation work-list the
+    /// attach path partitions into synchronous and deferred halves.
+    pub fn dirty_frames_for(&self, dom: DomId) -> Vec<FrameNum> {
+        self.info
+            .lock()
+            .0
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.owner == Some(dom) && r.dirty)
+            .map(|(i, _)| FrameNum(i as u32))
+            // volint::allow(SWITCH-ALLOC): the dirty work-list is bounded by the pool size and built once per attach
+            .collect()
+    }
+
+    /// Pop one dirty frame owned by `dom`, clearing its dirty bit — the
+    /// background scrubber's unit of work.  Returns `None` when the
+    /// domain's dirty set is empty.
+    pub fn take_dirty_frame_for(&self, dom: DomId) -> Option<FrameNum> {
+        let mut info = self.info.lock();
+        for (i, rec) in info.0.iter_mut().enumerate() {
+            if rec.owner == Some(dom) && rec.dirty {
+                rec.dirty = false;
+                return Some(FrameNum(i as u32));
+            }
+        }
+        None
+    }
+
+    // -- type reference counting ---------------------------------------
+
+    /// Take a type reference of kind `typ` on `frame`.
+    ///
+    /// Fails when the frame is currently typed incompatibly — the
+    /// invariant rejection at the heart of Xen-style isolation (e.g.
+    /// mapping a live page table writable).
+    pub fn get_type_ref(&self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
+        self.info.lock().get_type_ref(frame, typ)
+    }
+
+    /// Drop a type reference on `frame`.
+    pub fn put_type_ref(&self, frame: FrameNum, typ: PageType) {
+        self.info.lock().put_type_ref(frame, typ);
+    }
+
     /// Current (type, count) of a frame.
     pub fn type_of(&self, frame: FrameNum) -> (PageType, u32) {
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        let rec = self.info.lock()[frame.0 as usize];
-        (rec.typ, rec.type_count)
+        self.info.lock().type_of(frame)
     }
 
     // -- page-table validation ------------------------------------------
@@ -268,38 +514,9 @@ impl PageInfoTable {
         dom: DomId,
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
-        cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
-        settle_deferred(cpu, frame)?;
-        // The table frame itself must be owned by the domain.
-        self.check_owned(frame, dom, "L1 table frame")?;
-        // First pass: check, second pass: commit — so a failed
-        // validation leaves no stray references.
-        // volint::allow(SWITCH-ALLOC): two-pass check-then-commit needs the taken list to unwind cleanly; starts at capacity 0
-        let mut taken: Vec<FrameNum> = Vec::new();
-        let result = (|| {
-            for index in 0..ENTRIES_PER_TABLE {
-                let pte = mem.read_pte(cpu, frame, index)?;
-                if !pte.present() {
-                    continue;
-                }
-                let target = FrameNum(pte.frame());
-                self.check_owned(target, dom, "L1 entry target")?;
-                if pte.writable() {
-                    self.get_type_ref(target, PageType::Writable)?;
-                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
-                    taken.push(target);
-                }
-            }
-            self.get_type_ref(frame, PageType::L1)?;
-            Ok(())
-        })();
-        if result.is_err() {
-            // volint::bound(512) — ≤ ENTRIES_PER_TABLE writable refs taken per L1
-            for t in taken {
-                self.put_type_ref(t, PageType::Writable);
-            }
-        }
-        result
+        self.info
+            .lock()
+            .validate_l1(cpu, mem, frame, dom, charge_per_entry)
     }
 
     /// Undo [`Self::validate_l1`]: drop the writable references its
@@ -310,14 +527,7 @@ impl PageInfoTable {
         mem: &PhysMemory,
         frame: FrameNum,
     ) -> Result<(), HvError> {
-        for index in 0..ENTRIES_PER_TABLE {
-            let pte = mem.read_pte(cpu, frame, index)?;
-            if pte.present() && pte.writable() {
-                self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
-            }
-        }
-        self.put_type_ref(frame, PageType::L1);
-        Ok(())
+        self.info.lock().invalidate_l1(cpu, mem, frame)
     }
 
     /// Validate the frame as an L2 (base) table for `dom`: every present
@@ -332,47 +542,9 @@ impl PageInfoTable {
         dom: DomId,
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
-        cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
-        settle_deferred(cpu, frame)?;
-        self.check_owned(frame, dom, "L2 table frame")?;
-        // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
-        let mut validated_here: Vec<FrameNum> = Vec::new();
-        // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
-        let mut refs_taken: Vec<FrameNum> = Vec::new();
-        let result = (|| {
-            for index in 0..ENTRIES_PER_TABLE {
-                let pde = mem.read_pte(cpu, frame, index)?;
-                if !pde.present() {
-                    continue;
-                }
-                let l1 = FrameNum(pde.frame());
-                let (typ, count) = self.type_of(l1);
-                if typ != PageType::L1 || count == 0 {
-                    // validate_l1's final type ref *is* this entry's
-                    // reference.
-                    self.validate_l1(cpu, mem, l1, dom, charge_per_entry)?;
-                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
-                    validated_here.push(l1);
-                } else {
-                    self.get_type_ref(l1, PageType::L1)?;
-                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
-                    refs_taken.push(l1);
-                }
-            }
-            self.get_type_ref(frame, PageType::L2)?;
-            Ok(())
-        })();
-        if result.is_err() {
-            // volint::bound(512) — ≤ ENTRIES_PER_TABLE shared L1 refs per L2
-            for l1 in refs_taken {
-                self.put_type_ref(l1, PageType::L1);
-            }
-            // volint::bound(512) — ≤ ENTRIES_PER_TABLE freshly validated L1s per L2
-            for l1 in validated_here.into_iter().rev() {
-                let _ = self.invalidate_l1(cpu, mem, l1);
-            }
-        }
-        result
+        self.info
+            .lock()
+            .validate_l2(cpu, mem, frame, dom, charge_per_entry)
     }
 
     /// Undo [`Self::validate_l2`].  L1 tables whose last reference drops
@@ -383,24 +555,7 @@ impl PageInfoTable {
         mem: &PhysMemory,
         frame: FrameNum,
     ) -> Result<(), HvError> {
-        for index in 0..ENTRIES_PER_TABLE {
-            let pde = mem.read_pte(cpu, frame, index)?;
-            if !pde.present() {
-                continue;
-            }
-            let l1 = FrameNum(pde.frame());
-            self.put_type_ref(l1, PageType::L1);
-            let (typ, count) = self.type_of(l1);
-            if typ == PageType::None && count == 0 {
-                // Last L1 reference gone: release its writable refs.
-                // Temporarily re-take the ref dropped above so the
-                // invariant checks in invalidate_l1 hold.
-                self.get_type_ref(l1, PageType::L1)?;
-                self.invalidate_l1(cpu, mem, l1)?;
-            }
-        }
-        self.put_type_ref(frame, PageType::L2);
-        Ok(())
+        self.info.lock().invalidate_l2(cpu, mem, frame)
     }
 
     /// Pin `frame` as a base table for `dom`: validate and take an
@@ -413,34 +568,28 @@ impl PageInfoTable {
         frame: FrameNum,
         dom: DomId,
     ) -> Result<(), HvError> {
-        {
-            let info = self.info.lock();
-            // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-            if info[frame.0 as usize].pinned {
-                return Err(HvError::TypeConflict("frame already pinned"));
-            }
+        let mut info = self.info.lock();
+        // frame < num_frames by construction — the table was sized from the same PhysMemory
+        if info.0[frame.0 as usize].pinned {
+            return Err(HvError::TypeConflict("frame already pinned"));
         }
         cpu.tick(costs::PT_PIN_BASE);
-        self.validate_l2(cpu, mem, frame, dom, costs::PT_PIN_PER_ENTRY)?;
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        self.info.lock()[frame.0 as usize].pinned = true;
+        info.validate_l2(cpu, mem, frame, dom, costs::PT_PIN_PER_ENTRY)?;
+        info.set_pinned(frame, true);
         Ok(())
     }
 
     /// Unpin a base table, releasing the whole validation tree when the
     /// last reference drops.
     pub fn unpin_l2(&self, cpu: &Cpu, mem: &PhysMemory, frame: FrameNum) -> Result<(), HvError> {
-        {
-            let mut info = self.info.lock();
-            // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-            let rec = &mut info[frame.0 as usize];
-            if !rec.pinned {
-                return Err(HvError::TypeConflict("frame not pinned"));
-            }
-            rec.pinned = false;
+        let mut info = self.info.lock();
+        // frame < num_frames by construction — the table was sized from the same PhysMemory
+        if !info.0[frame.0 as usize].pinned {
+            return Err(HvError::TypeConflict("frame not pinned"));
         }
+        info.set_pinned(frame, false);
         cpu.tick(costs::PT_PIN_BASE);
-        self.invalidate_l2(cpu, mem, frame)
+        info.invalidate_l2(cpu, mem, frame)
     }
 
     // -- bulk operations (Mercury attach/detach) -------------------------
@@ -450,7 +599,7 @@ impl PageInfoTable {
     pub fn clear_types_for(&self, dom: DomId) {
         let mut info = self.info.lock();
         // volint::bound(16384) — one pass over the frame-info table (64 MiB pool)
-        for rec in info.iter_mut() {
+        for rec in info.0.iter_mut() {
             if rec.owner == Some(dom) {
                 rec.typ = PageType::None;
                 rec.type_count = 0;
@@ -500,11 +649,11 @@ impl PageInfoTable {
         cpu.tick(per_frame_cost * owned_frames as u64);
         // Bulk validation rides on the per-frame charge above; per-entry
         // work is charged at a nominal rate via memory reads only.
+        let mut info = self.info.lock();
         // volint::bound(64) — one base table per live process
         for &pgd in pgds {
-            self.validate_l2(cpu, mem, pgd, dom, 0)?;
-            // volint::allow(SWITCH-PANIC): pgd frames were validated by validate_l2 on the line above
-            self.info.lock()[pgd.0 as usize].pinned = true;
+            info.validate_l2(cpu, mem, pgd, dom, 0)?;
+            info.set_pinned(pgd, true);
         }
         Ok(())
     }
@@ -512,12 +661,9 @@ impl PageInfoTable {
     /// Validate one base table for `dom` from a *concurrent* recompute
     /// worker — the engine of Mercury's sharded attach walk.
     ///
-    /// [`Self::validate_l2`] is not safe to run from two CPUs over base
-    /// tables that share an L1: its untyped-check and the subsequent
-    /// [`Self::validate_l1`] are separate lock acquisitions, so both
-    /// workers can observe "untyped" and both walk the L1 — double
-    /// `Writable` references, and a snapshot that no serial walk would
-    /// ever produce.  Here the L1 handling is a single lock-held
+    /// [`Self::validate_l2`] walks a whole tree under one hold of the
+    /// table's lock, which would serialize the workers.  Here the lock
+    /// is taken per L1 instead, and the L1 handling is a lock-held
     /// **claim** (`claim_l1`): exactly one worker wins the
     /// untyped→`L1` transition and walks the entries; everyone else
     /// just adds a type reference.  Reference counts are additive and
@@ -536,77 +682,26 @@ impl PageInfoTable {
         frame: FrameNum,
         dom: DomId,
     ) -> Result<(), HvError> {
-        self.check_owned(frame, dom, "L2 table frame")?;
+        self.info.lock().check_owned(frame, dom, "L2 table frame")?;
+        let mut view = mem.read_table(cpu, frame)?;
         for index in 0..ENTRIES_PER_TABLE {
-            let pde = mem.read_pte(cpu, frame, index)?;
+            let pde = view.pte(index);
             if !pde.present() {
                 continue;
             }
             let l1 = FrameNum(pde.frame());
-            if self.claim_l1(l1, dom)? {
+            view.settle();
+            let mut info = self.info.lock();
+            if info.claim_l1(l1, dom)? {
                 // We won the claim: the claim itself is this entry's
-                // L1 reference, and we alone walk the entries.
-                self.validate_l1_entries(cpu, mem, l1, dom)?;
+                // L1 reference, and we alone walk the entries — no
+                // surgical unwind, so nothing to remember.
+                info.scan_l1(cpu, mem, l1, dom, |_| {})?;
             }
         }
-        self.get_type_ref(frame, PageType::L2)?;
-        // volint::allow(SWITCH-PANIC): frame ownership was checked by check_owned before this store
-        self.info.lock()[frame.0 as usize].pinned = true;
-        Ok(())
-    }
-
-    /// Atomically claim `frame` as an L1 table for `dom`.  Returns
-    /// `Ok(true)` when this caller performed the untyped→L1 transition
-    /// (and therefore owns the entry walk), `Ok(false)` when the frame
-    /// was already L1-typed and only a reference was added.
-    fn claim_l1(&self, frame: FrameNum, dom: DomId) -> Result<bool, HvError> {
         let mut info = self.info.lock();
-        let rec = info.get_mut(frame.0 as usize).ok_or(HvError::BadFrame {
-            frame: frame.0,
-            why: "out of range",
-        })?;
-        if rec.owner != Some(dom) {
-            return Err(HvError::BadFrame {
-                frame: frame.0,
-                why: "L1 table frame",
-            });
-        }
-        if rec.typ == PageType::None || rec.type_count == 0 {
-            rec.typ = PageType::L1;
-            rec.type_count = 1;
-            Ok(true)
-        } else if rec.typ == PageType::L1 {
-            rec.type_count += 1;
-            Ok(false)
-        } else {
-            Err(HvError::TypeConflict(
-                "attempt to use a writably-mapped frame as a page table",
-            ))
-        }
-    }
-
-    /// The entry walk of [`Self::validate_l1`] without the frame's own
-    /// type reference (the sharded caller's claim already holds it) and
-    /// without surgical rollback (sharded failures are discarded
-    /// wholesale).
-    fn validate_l1_entries(
-        &self,
-        cpu: &Cpu,
-        mem: &PhysMemory,
-        frame: FrameNum,
-        dom: DomId,
-    ) -> Result<(), HvError> {
-        for index in 0..ENTRIES_PER_TABLE {
-            let pte = mem.read_pte(cpu, frame, index)?;
-            if !pte.present() {
-                continue;
-            }
-            let target = FrameNum(pte.frame());
-            self.check_owned(target, dom, "L1 entry target")?;
-            if pte.writable() {
-                self.get_type_ref(target, PageType::Writable)?;
-            }
-        }
+        info.get_type_ref(frame, PageType::L2)?;
+        info.set_pinned(frame, true);
         Ok(())
     }
 
@@ -614,6 +709,7 @@ impl PageInfoTable {
     pub fn count_owned(&self, dom: DomId) -> usize {
         self.info
             .lock()
+            .0
             .iter()
             .filter(|r| r.owner == Some(dom))
             .count()
@@ -623,6 +719,7 @@ impl PageInfoTable {
     pub fn frames_owned(&self, dom: DomId) -> Vec<FrameNum> {
         self.info
             .lock()
+            .0
             .iter()
             .enumerate()
             .filter(|(_, r)| r.owner == Some(dom))
@@ -633,23 +730,153 @@ impl PageInfoTable {
     /// Export the full table (equality checks in tests; the
     /// recompute-vs-active-tracking property test diffs two of these).
     pub fn snapshot(&self) -> Vec<PageInfo> {
-        self.info.lock().clone()
+        self.info.lock().0.clone()
+    }
+}
+
+/// The walk the table-granular validators replaced, kept as the
+/// reference they are property-tested against: one `read_pte` (a tick
+/// and a frame lock) per slot and one round-trip through the table's
+/// lock per accounting primitive.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    fn check_owned(
+        t: &PageInfoTable,
+        frame: FrameNum,
+        dom: DomId,
+        why: &'static str,
+    ) -> Result<(), HvError> {
+        t.info.lock().check_owned(frame, dom, why)
     }
 
-    fn check_owned(&self, frame: FrameNum, dom: DomId, why: &'static str) -> Result<(), HvError> {
-        let info = self.info.lock();
-        let rec = info.get(frame.0 as usize).ok_or(HvError::BadFrame {
-            frame: frame.0,
-            why: "out of range",
-        })?;
-        if rec.owner == Some(dom) {
+    pub(crate) fn validate_l1(
+        t: &PageInfoTable,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+        dom: DomId,
+        charge_per_entry: u64,
+    ) -> Result<(), HvError> {
+        cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
+        settle_deferred(cpu, frame)?;
+        check_owned(t, frame, dom, "L1 table frame")?;
+        let mut taken: Vec<FrameNum> = Vec::new();
+        let result = (|| {
+            for index in 0..ENTRIES_PER_TABLE {
+                let pte = mem.read_pte(cpu, frame, index)?;
+                if !pte.present() {
+                    continue;
+                }
+                let target = FrameNum(pte.frame());
+                check_owned(t, target, dom, "L1 entry target")?;
+                if pte.writable() {
+                    t.get_type_ref(target, PageType::Writable)?;
+                    taken.push(target);
+                }
+            }
+            t.get_type_ref(frame, PageType::L1)?;
             Ok(())
-        } else {
-            Err(HvError::BadFrame {
-                frame: frame.0,
-                why,
-            })
+        })();
+        if result.is_err() {
+            for f in taken {
+                t.put_type_ref(f, PageType::Writable);
+            }
         }
+        result
+    }
+
+    pub(crate) fn invalidate_l1(
+        t: &PageInfoTable,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+    ) -> Result<(), HvError> {
+        for index in 0..ENTRIES_PER_TABLE {
+            let pte = mem.read_pte(cpu, frame, index)?;
+            if pte.present() && pte.writable() {
+                t.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
+            }
+        }
+        t.put_type_ref(frame, PageType::L1);
+        Ok(())
+    }
+
+    pub(crate) fn validate_l2(
+        t: &PageInfoTable,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+        dom: DomId,
+        charge_per_entry: u64,
+    ) -> Result<(), HvError> {
+        cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
+        settle_deferred(cpu, frame)?;
+        check_owned(t, frame, dom, "L2 table frame")?;
+        let mut validated_here: Vec<FrameNum> = Vec::new();
+        let mut refs_taken: Vec<FrameNum> = Vec::new();
+        let result = (|| {
+            for index in 0..ENTRIES_PER_TABLE {
+                let pde = mem.read_pte(cpu, frame, index)?;
+                if !pde.present() {
+                    continue;
+                }
+                let l1 = FrameNum(pde.frame());
+                let (typ, count) = t.type_of(l1);
+                if typ != PageType::L1 || count == 0 {
+                    validate_l1(t, cpu, mem, l1, dom, charge_per_entry)?;
+                    validated_here.push(l1);
+                } else {
+                    t.get_type_ref(l1, PageType::L1)?;
+                    refs_taken.push(l1);
+                }
+            }
+            t.get_type_ref(frame, PageType::L2)?;
+            Ok(())
+        })();
+        if result.is_err() {
+            for l1 in refs_taken {
+                t.put_type_ref(l1, PageType::L1);
+            }
+            for l1 in validated_here.into_iter().rev() {
+                let _ = invalidate_l1(t, cpu, mem, l1);
+            }
+        }
+        result
+    }
+
+    /// The release of one `L1` reference, as `invalidate_l2` and the
+    /// `mmu_update` directory path both spelled it.
+    pub(crate) fn put_l1_ref(
+        t: &PageInfoTable,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        l1: FrameNum,
+    ) -> Result<(), HvError> {
+        t.put_type_ref(l1, PageType::L1);
+        let (typ, count) = t.type_of(l1);
+        if typ == PageType::None && count == 0 {
+            t.get_type_ref(l1, PageType::L1)?;
+            invalidate_l1(t, cpu, mem, l1)?;
+        }
+        Ok(())
+    }
+
+    pub(crate) fn invalidate_l2(
+        t: &PageInfoTable,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+    ) -> Result<(), HvError> {
+        for index in 0..ENTRIES_PER_TABLE {
+            let pde = mem.read_pte(cpu, frame, index)?;
+            if pde.present() {
+                put_l1_ref(t, cpu, mem, FrameNum(pde.frame()))?;
+            }
+        }
+        t.put_type_ref(frame, PageType::L2);
+        Ok(())
     }
 }
 
@@ -930,5 +1157,166 @@ mod tests {
         t.set_owner(FrameNum(2), Some(DomId(5)));
         assert_eq!(t.count_owned(D), 3);
         assert_eq!(t.frames_owned(DomId(5)), vec![FrameNum(2)]);
+    }
+
+    /// Frame numbers of the random trees: three base tables, eight
+    /// leaf tables, data frames, one frame of another domain, and one
+    /// the machine does not have.
+    const PGDS: std::ops::Range<u32> = 1..4;
+    const L1S: std::ops::Range<u32> = 4..12;
+    const DATA: std::ops::Range<u32> = 12..44;
+    const FOREIGN: u32 = 44;
+    const FRAMES: usize = 48;
+    const MISSING: u32 = 4000;
+
+    /// Random L2/L1 trees: shared L1s, and now and then a writable
+    /// mapping of a table frame, a foreign or missing target, a
+    /// directory slot naming a data frame or the directory itself.
+    fn random_tree(rng: &mut faultgen::rng::SplitMix64) -> Vec<(FrameNum, usize, Pte)> {
+        let pick = |rng: &mut faultgen::rng::SplitMix64, r: &std::ops::Range<u32>| {
+            rng.range(r.start as u64, r.end as u64) as u32
+        };
+        let mut writes = Vec::new();
+        for l1 in L1S {
+            for _ in 0..rng.below(12) {
+                let target = match rng.below(24) {
+                    0 => pick(rng, &L1S),
+                    1 => pick(rng, &PGDS),
+                    2 => FOREIGN,
+                    3 => MISSING,
+                    _ => pick(rng, &DATA),
+                };
+                let flags = [0, Pte::USER, Pte::WRITABLE, Pte::WRITABLE | Pte::USER];
+                let pte = Pte::new(target, flags[rng.below(4) as usize]);
+                writes.push((FrameNum(l1), rng.below(512) as usize, pte));
+            }
+        }
+        for pgd in PGDS {
+            for _ in 0..rng.below(8) {
+                let l1 = match rng.below(32) {
+                    0 => pick(rng, &DATA),
+                    1 => pgd,
+                    2 => FOREIGN,
+                    3 => MISSING,
+                    _ => pick(rng, &L1S),
+                };
+                let pde = Pte::new(l1, Pte::WRITABLE | Pte::USER);
+                writes.push((FrameNum(pgd), rng.below(512) as usize, pde));
+            }
+        }
+        writes
+    }
+
+    fn tree_rig(writes: &[(FrameNum, usize, Pte)]) -> (PageInfoTable, PhysMemory, Arc<Cpu>) {
+        let (t, mem, cpu) = rig(FRAMES);
+        t.set_owner(FrameNum(FOREIGN), Some(DomId(7)));
+        for &(table, index, pte) in writes {
+            mem.write_pte(&cpu, table, index, pte).unwrap();
+        }
+        (t, mem, cpu)
+    }
+
+    #[test]
+    fn table_granular_validators_match_the_per_entry_oracle() {
+        faultgen::rng::check("validators match the per-entry oracle", 300, |rng| {
+            let writes = random_tree(rng);
+            let (new_t, new_mem, new_cpu) = tree_rig(&writes);
+            let (old_t, old_mem, old_cpu) = tree_rig(&writes);
+            let mut pinned: Vec<u32> = Vec::new();
+            let mut leaf_valid: Vec<u32> = Vec::new();
+            for _ in 0..10 {
+                let before = new_t.snapshot();
+                let charge = [0, costs::PT_PIN_PER_ENTRY][rng.below(2) as usize];
+                let (new, old, must_restore) = match rng.below(4) {
+                    // Validate a base table not validated yet.
+                    0 | 1 => {
+                        let pgd = rng.range(PGDS.start as u64, PGDS.end as u64) as u32;
+                        if pinned.contains(&pgd) {
+                            continue;
+                        }
+                        let f = FrameNum(pgd);
+                        let new = new_t.validate_l2(&new_cpu, &new_mem, f, D, charge);
+                        let old = oracle::validate_l2(&old_t, &old_cpu, &old_mem, f, D, charge);
+                        if new.is_ok() {
+                            pinned.push(pgd);
+                        }
+                        (new, old, true)
+                    }
+                    // Release one that is.
+                    2 => {
+                        if pinned.is_empty() {
+                            continue;
+                        }
+                        let f =
+                            FrameNum(pinned.swap_remove(rng.below(pinned.len() as u64) as usize));
+                        let new = new_t.invalidate_l2(&new_cpu, &new_mem, f);
+                        let old = oracle::invalidate_l2(&old_t, &old_cpu, &old_mem, f);
+                        (new, old, false)
+                    }
+                    // A leaf table on its own: validate, or release one
+                    // validated this way.
+                    _ => {
+                        if !leaf_valid.is_empty() && rng.below(2) == 0 {
+                            let f = FrameNum(leaf_valid.swap_remove(0));
+                            if new_t.type_of(f) != (PageType::L1, 1) {
+                                // A directory holds it too by now: its
+                                // entries are not this caller's to drop.
+                                continue;
+                            }
+                            let new = new_t.invalidate_l1(&new_cpu, &new_mem, f);
+                            let old = oracle::invalidate_l1(&old_t, &old_cpu, &old_mem, f);
+                            (new, old, false)
+                        } else {
+                            let l1 = rng.range(L1S.start as u64, DATA.end as u64) as u32;
+                            let f = FrameNum(l1);
+                            if new_t.type_of(f).1 != 0 {
+                                continue;
+                            }
+                            let new = new_t.validate_l1(&new_cpu, &new_mem, f, D, charge);
+                            let old = oracle::validate_l1(&old_t, &old_cpu, &old_mem, f, D, charge);
+                            if new.is_ok() {
+                                leaf_valid.push(l1);
+                            }
+                            (new, old, true)
+                        }
+                    }
+                };
+                assert_eq!(new, old, "same verdict, same error");
+                assert_eq!(new_t.snapshot(), old_t.snapshot(), "same accounting");
+                assert_eq!(new_cpu.cycles(), old_cpu.cycles(), "same cycles");
+                if must_restore && new.is_err() {
+                    assert_eq!(
+                        new_t.snapshot(),
+                        before,
+                        "a failed validation left a reference"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn sharded_walk_matches_the_per_entry_oracle_on_one_cpu() {
+        // One worker, so the interleaving is the serial one: same
+        // accounting as the oracle's walk, and the same cycles as a
+        // rate-0 serial walk.  On a rejected tree the sharded walk
+        // leaves its partial references for the wholesale teardown, so
+        // only the verdict and the cycles are compared there.
+        faultgen::rng::check("sharded walk matches the oracle", 200, |rng| {
+            let writes = random_tree(rng);
+            let (new_t, new_mem, new_cpu) = tree_rig(&writes);
+            let (old_t, old_mem, old_cpu) = tree_rig(&writes);
+            for pgd in PGDS.map(FrameNum) {
+                let new = new_t.validate_l2_shared(&new_cpu, &new_mem, pgd, D);
+                let old = oracle::validate_l2(&old_t, &old_cpu, &old_mem, pgd, D, 0);
+                assert_eq!(new.is_ok(), old.is_ok());
+                if new.is_err() {
+                    return;
+                }
+                old_t.info.lock().set_pinned(pgd, true);
+                assert_eq!(new_t.snapshot(), old_t.snapshot());
+                assert_eq!(new_cpu.cycles(), old_cpu.cycles());
+            }
+        });
     }
 }

@@ -124,3 +124,120 @@ fn armed_campaign_is_cycle_and_state_identical_when_disabled() {
         "disabled fault hooks perturbed cycles or memory state"
     );
 }
+
+/// A page-table word can be reached a word at a time
+/// (`PhysMemory::read_word`) or through a whole-table view
+/// (`PhysMemory::read_table`, which coalesces its cycle charges).  A
+/// `MemWord` flip planted in such a word must not be able to tell: it
+/// fires on the same read, at the same cycle, hands back the same
+/// mask, and persists in memory.
+#[cfg(feature = "faults")]
+#[test]
+fn planted_flip_fires_identically_through_the_table_view() {
+    use simx86::{costs, Cpu, FrameNum, PhysMemory, Pte};
+
+    const OUTER: FrameNum = FrameNum(1);
+    const INNER: FrameNum = FrameNum(2);
+    const WORD: usize = 7;
+    let plant = |due_cycle| {
+        faultgen::reset();
+        faultgen::arm(vec![FaultSpec {
+            id: 1,
+            due_cycle,
+            target: FaultTarget::MemWord {
+                frame: INNER.0,
+                word: WORD as u16,
+                bit: 5,
+            },
+        }]);
+    };
+
+    // Three entries into an outer table, an inner table twice over, the
+    // rest of the outer one.  The flip is due between the two inner
+    // passes' reads of its word, so firing on the right pass — and at
+    // the right cycle — needs every earlier charge, the outer table's
+    // three included, to be on the clock already.
+    let walk = |by_view: bool| {
+        let mem = PhysMemory::new(4);
+        let cpu = Cpu::new(0);
+        let word = |table: FrameNum, i: usize| PhysAddr(table.base().0 + 8 * i as u64);
+        mem.write_pte(&cpu, INNER, WORD, Pte::new(3, Pte::USER))
+            .unwrap();
+        let start = cpu.cycles();
+        let one_pass = 512 * costs::MEM_WORD;
+        plant(start + 3 * costs::MEM_WORD + one_pass + WORD as u64 * costs::MEM_WORD);
+        let mut seen = Vec::new();
+        if by_view {
+            let mut outer = mem.read_table(&cpu, OUTER).unwrap();
+            for i in 0..3 {
+                outer.pte(i);
+            }
+            for _pass in 0..2 {
+                let mut inner = mem.read_table(&cpu, INNER).unwrap();
+                seen.extend((0..512).map(|i| inner.pte(i).0));
+            }
+            for i in 3..512 {
+                outer.pte(i);
+            }
+        } else {
+            for i in 0..3 {
+                mem.read_word(&cpu, word(OUTER, i)).unwrap();
+            }
+            for _pass in 0..2 {
+                seen.extend((0..512).map(|i| mem.read_word(&cpu, word(INNER, i)).unwrap()));
+            }
+            for i in 3..512 {
+                mem.read_word(&cpu, word(OUTER, i)).unwrap();
+            }
+        }
+        let fired: Vec<(u64, FaultTarget)> = faultgen::drain_signals()
+            .iter()
+            .map(|s| (s.injected_cycle - start, s.target))
+            .collect();
+        let spent = cpu.cycles() - start;
+        // Persisted: a later read sees the flipped word and nothing
+        // fires twice.
+        let after = mem.read_word(&cpu, word(INNER, WORD)).unwrap();
+        assert!(faultgen::drain_signals().is_empty());
+        faultgen::reset();
+        (seen, fired, spent, after, mem.export_frame(INNER).unwrap())
+    };
+
+    let per_word = walk(false);
+    let through_view = walk(true);
+    assert_eq!(through_view, per_word);
+    let (seen, fired, spent, after, _) = per_word;
+    let clean = Pte::new(3, Pte::USER).0;
+    assert_eq!(
+        (seen[WORD], seen[512 + WORD], after),
+        (clean, clean ^ 32, clean ^ 32)
+    );
+    // Once: second pass, eighth word, 3 + 512 + 8 reads in.
+    assert_eq!(fired.len(), 1);
+    assert_eq!(fired[0].0, (3 + 512 + 8) * costs::MEM_WORD);
+    assert_eq!(spent, 3 * 512 * costs::MEM_WORD);
+
+    // The same through the validator that nests one view in another:
+    // base table 1 names leaf table 2 in slot 3; the flip sits in the
+    // leaf's word 7 and is due at once.  `validate_l2` at rate 0 reads
+    // four directory words, then eight leaf words, then fires.
+    let mem = PhysMemory::new(4);
+    let cpu = Cpu::new(0);
+    let table = xenon::PageInfoTable::new(4);
+    for f in 0..4 {
+        table.set_owner(FrameNum(f), Some(xenon::DOM0));
+    }
+    mem.write_pte(&cpu, OUTER, 3, Pte::new(INNER.0, Pte::WRITABLE))
+        .unwrap();
+    let start = cpu.cycles();
+    plant(0);
+    table
+        .validate_l2(&cpu, &mem, OUTER, xenon::DOM0, 0)
+        .unwrap();
+    let signals = faultgen::drain_signals();
+    faultgen::reset();
+    assert_eq!(signals.len(), 1);
+    assert_eq!(signals[0].injected_cycle - start, (4 + 8) * costs::MEM_WORD);
+    assert_eq!(cpu.cycles() - start, 2 * 512 * costs::MEM_WORD);
+    assert_eq!(mem.read_pte(&cpu, INNER, WORD).unwrap().0, 32);
+}

@@ -1370,7 +1370,6 @@ impl Kernel {
         let Some(proc) = procs.get_mut(&cur.0) else {
             return;
         };
-        let vma = proc.aspace.vma_at(va).cloned();
         let mut ctx = MmCtx {
             cpu,
             pv: &pv,
@@ -1386,8 +1385,9 @@ impl Kernel {
         if fix != FaultFix::Signal {
             return;
         }
-        // Backed kinds need data the address space can't reach.
-        let Some(vma) = vma else {
+        // Backed kinds need data the address space can't reach; the
+        // VMA is cloned because mapping the page borrows the space.
+        let Some(vma) = proc.aspace.vma_at(va).cloned() else {
             proc.signalled = true;
             return;
         };

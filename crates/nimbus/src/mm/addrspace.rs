@@ -336,8 +336,13 @@ impl AddressSpace {
         let mut freed = 0;
         let pool = &mut *ctx.pool;
         let runs = self.edit_range(ctx.mem, ctx.cpu, start, pages, |pte| {
-            // Image-shared pages are not pool-tracked (the registry owns
-            // them); pool-tracked frames get their ref dropped.
+            // Every frame the kernel maps here is the pool's (anonymous
+            // and file pages from `alloc`, image pages from the registry,
+            // which takes them from `alloc` too), so an entry naming a
+            // frame without a count is a corrupted one — the healing
+            // scenario's taint points a live PTE at the VMM's pool, and
+            // a fork and an exit must survive it (`fork_from` guards its
+            // `incref` the same way).  Such a frame is not ours to free.
             if pool.refcount(FrameNum(pte.frame())) > 0 {
                 pool.decref(FrameNum(pte.frame()));
             }
@@ -432,10 +437,13 @@ impl AddressSpace {
         access: AccessKind,
     ) -> Result<FaultFix, KernelError> {
         ctx.cpu.tick(costs::PF_HANDLER);
-        let Some(vma) = self.vma_at(va).cloned() else {
+        let Some(vma) = self.vma_at(va) else {
             return Ok(FaultFix::Signal);
         };
-        if access == AccessKind::Write && !vma.prot.write {
+        // The two facts read below, copied out: the borrow ends here and
+        // an image VMA's clone would allocate its program name.
+        let (prot, anon) = (vma.prot, matches!(vma.kind, VmaKind::Anon));
+        if access == AccessKind::Write && !prot.write {
             ctx.cpu.tick(costs::PROT_FAULT_HANDLER);
             return Ok(FaultFix::Signal);
         }
@@ -478,21 +486,19 @@ impl AddressSpace {
             return Ok(FaultFix::Mapped);
         }
 
-        match vma.kind {
-            VmaKind::Anon => {
-                let frame = ctx.pool.alloc(ctx.cpu).ok_or(KernelError::NoMem)?;
-                ctx.mem.zero_frame(ctx.cpu, frame)?;
-                let flags = if vma.prot.write {
-                    Pte::WRITABLE | Pte::ACCESSED
-                } else {
-                    Pte::ACCESSED
-                };
-                self.map_page(ctx, va.page_base(), frame, flags)?;
-                Ok(FaultFix::DemandZero)
-            }
+        if !anon {
             // Backed kinds are the kernel's job (needs fs / registry).
-            VmaKind::File { .. } | VmaKind::Image { .. } => Ok(FaultFix::Signal),
+            return Ok(FaultFix::Signal);
         }
+        let frame = ctx.pool.alloc(ctx.cpu).ok_or(KernelError::NoMem)?;
+        ctx.mem.zero_frame(ctx.cpu, frame)?;
+        let flags = if prot.write {
+            Pte::WRITABLE | Pte::ACCESSED
+        } else {
+            Pte::ACCESSED
+        };
+        self.map_page(ctx, va.page_base(), frame, flags)?;
+        Ok(FaultFix::DemandZero)
     }
 
     /// Tear the space down: unmap everything, unpin, unregister and free

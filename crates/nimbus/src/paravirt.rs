@@ -420,12 +420,17 @@ impl PvOps for XenOps {
         updates: &[(usize, Pte)],
     ) -> Result<(), KernelError> {
         if self.table_is_validated(table) {
-            let batch: Vec<MmuUpdate> = updates
-                .iter()
-                .map(|&(index, val)| MmuUpdate { table, index, val })
-                .collect();
-            for chunk in batch.chunks(MMU_BATCH) {
-                self.hv.mmu_update(cpu, &self.dom, chunk)?;
+            // One hypercall's worth at a time, on the stack.
+            for chunk in updates.chunks(MMU_BATCH) {
+                let mut batch = [MmuUpdate {
+                    table,
+                    index: 0,
+                    val: Pte::ABSENT,
+                }; MMU_BATCH];
+                for (slot, &(index, val)) in batch.iter_mut().zip(chunk) {
+                    *slot = MmuUpdate { table, index, val };
+                }
+                self.hv.mmu_update(cpu, &self.dom, &batch[..chunk.len()])?;
             }
         } else {
             cpu.tick(costs::PTE_WRITE_NATIVE * updates.len() as u64);
@@ -731,6 +736,66 @@ mod tests {
             .set_pte(cpu, l1, 2, Pte::new(l1.0, Pte::WRITABLE))
             .unwrap_err();
         assert!(matches!(err, KernelError::Hypervisor(_)));
+    }
+
+    #[test]
+    fn xen_ops_set_ptes_is_one_hypercall_per_mmu_batch() {
+        use simx86::paging::ENTRIES_PER_TABLE;
+        use std::sync::atomic::Ordering::Relaxed;
+        let m = machine();
+        let hv = Hypervisor::warm_up(&m);
+        hv.activate();
+        let cpu = m.boot_cpu();
+        let quota = m.allocator.alloc_many(cpu, 8).unwrap();
+        let dom = hv.create_domain(cpu, "dom0", quota, 0).unwrap();
+        let ops = XenOps::new(Arc::clone(&hv), Arc::clone(&dom));
+        let f = dom.frames();
+        let (pgd, l1, data) = (f[0], f[1], f[2]);
+        ops.set_pte(cpu, pgd, 0, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
+            .unwrap();
+        ops.pin_base_table(cpu, pgd).unwrap();
+
+        let mut expect = vec![0u64; ENTRIES_PER_TABLE];
+        for (round, n) in [0, 1, 2, 3, ENTRIES_PER_TABLE].into_iter().enumerate() {
+            // A different value each round, so a store that did not
+            // happen cannot hide behind the previous round's.
+            let val = Pte::new(data.0, Pte::USER | ((round as u64 & 1) * Pte::ACCESSED));
+            let run: Vec<(usize, Pte)> = (0..n).map(|i| (ENTRIES_PER_TABLE - 1 - i, val)).collect();
+            let (calls, entries) = (
+                hv.stats.hypercalls.load(Relaxed),
+                hv.stats.mmu_entries.load(Relaxed),
+            );
+            ops.set_ptes(cpu, l1, &run).unwrap();
+            assert_eq!(
+                hv.stats.hypercalls.load(Relaxed) - calls,
+                n.div_ceil(MMU_BATCH) as u64,
+                "{n} entries"
+            );
+            assert_eq!(hv.stats.mmu_entries.load(Relaxed) - entries, n as u64);
+            for &(index, pte) in &run {
+                expect[index] = pte.0;
+            }
+            assert_eq!(m.mem.export_frame(l1).unwrap(), expect, "{n} entries");
+        }
+
+        // The first failing chunk stops the run with its error: the
+        // chunks before it are in the table, the ones after never ran.
+        let good = Pte::new(data.0, Pte::USER | Pte::DIRTY);
+        let bad = Pte::new(l1.0, Pte::WRITABLE | Pte::USER);
+        let run = [
+            (0, good),
+            (1, good),
+            (2, good),
+            (3, bad),
+            (4, good),
+            (5, good),
+        ];
+        let calls = hv.stats.hypercalls.load(Relaxed);
+        let err = ops.set_ptes(cpu, l1, &run).unwrap_err();
+        assert!(matches!(err, KernelError::Hypervisor(_)));
+        assert_eq!(hv.stats.hypercalls.load(Relaxed) - calls, 2);
+        expect[..3].fill(good.0);
+        assert_eq!(m.mem.export_frame(l1).unwrap(), expect);
     }
 
     #[test]

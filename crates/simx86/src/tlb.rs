@@ -5,22 +5,32 @@
 //! what matters to the reproduction is *when* flushes happen: CR3 loads
 //! flush non-global entries (costly in virtual mode where they become
 //! hypercalls), and `invlpg` drops a single page.
+//!
+//! The table is a tag array beside a PTE array: a translation scans 64
+//! page numbers, 512 contiguous bytes, and touches one PTE on a hit.
+//! A page number is an address shifted right by twelve, so the all-ones
+//! tag is no page's and marks a free slot.
 
 use crate::paging::Pte;
 
 /// TLB capacity in entries.
 pub const TLB_ENTRIES: usize = 64;
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TlbEntry {
-    vpn: u64,
-    pte: Pte,
-}
+/// The tag of a slot that holds no translation.  The MMU looks up and
+/// inserts pages of canonical addresses only; an `invlpg` of this
+/// value (its operand is the guest's to choose) finds a free slot and
+/// frees it again.
+const EMPTY: u64 = u64::MAX;
 
 /// The TLB itself.  Owned by a [`crate::Cpu`] behind a mutex.
 #[derive(Debug)]
 pub struct Tlb {
-    entries: Vec<Option<TlbEntry>>,
+    /// Virtual page number cached in each slot, or [`EMPTY`].  A page
+    /// is in at most one slot ([`insert`](Self::insert) replaces in
+    /// place).
+    tags: [u64; TLB_ENTRIES],
+    /// The leaf PTE cached in each slot; stale where the tag is empty.
+    ptes: [Pte; TLB_ENTRIES],
     next_slot: usize,
     hits: u64,
     misses: u64,
@@ -31,7 +41,8 @@ impl Tlb {
     /// An empty TLB.
     pub fn new() -> Tlb {
         Tlb {
-            entries: vec![None; TLB_ENTRIES],
+            tags: [EMPTY; TLB_ENTRIES],
+            ptes: [Pte::ABSENT; TLB_ENTRIES],
             next_slot: 0,
             hits: 0,
             misses: 0,
@@ -39,18 +50,18 @@ impl Tlb {
         }
     }
 
+    /// The slot caching `vpn`, if any.
+    #[inline]
+    fn find(&self, vpn: u64) -> Option<usize> {
+        self.tags.iter().position(|&tag| tag == vpn)
+    }
+
     /// Look up a virtual page number.  Returns the cached leaf PTE.
     pub fn lookup(&mut self, vpn: u64) -> Option<Pte> {
-        match self
-            .entries
-            .iter()
-            .flatten()
-            .find(|e| e.vpn == vpn)
-            .map(|e| e.pte)
-        {
-            Some(pte) => {
+        match self.find(vpn) {
+            Some(slot) => {
                 self.hits += 1;
-                Some(pte)
+                Some(self.ptes[slot])
             }
             None => {
                 self.misses += 1;
@@ -61,25 +72,23 @@ impl Tlb {
 
     /// Install a translation after a successful walk.
     pub fn insert(&mut self, vpn: u64, pte: Pte) {
-        // Replace an existing entry for the same page if present.
-        if let Some(slot) = self
-            .entries
-            .iter_mut()
-            .find(|e| matches!(e, Some(x) if x.vpn == vpn))
-        {
-            *slot = Some(TlbEntry { vpn, pte });
-            return;
-        }
-        self.entries[self.next_slot] = Some(TlbEntry { vpn, pte });
-        self.next_slot = (self.next_slot + 1) % TLB_ENTRIES;
+        // Replace an existing entry for the same page if present;
+        // otherwise the FIFO victim goes, free slots elsewhere or not.
+        let slot = self.find(vpn).unwrap_or_else(|| {
+            let victim = self.next_slot;
+            self.next_slot = (victim + 1) % TLB_ENTRIES;
+            victim
+        });
+        self.tags[slot] = vpn;
+        self.ptes[slot] = pte;
     }
 
     /// Drop every non-global entry (CR3 reload).
     pub fn flush(&mut self) {
         self.flushes += 1;
-        for e in self.entries.iter_mut() {
-            if !matches!(e, Some(x) if x.pte.global()) {
-                *e = None;
+        for (tag, pte) in self.tags.iter_mut().zip(&self.ptes) {
+            if !pte.global() {
+                *tag = EMPTY;
             }
         }
     }
@@ -87,16 +96,14 @@ impl Tlb {
     /// Drop everything including global entries (CR4.PGE toggle).
     pub fn flush_all(&mut self) {
         self.flushes += 1;
-        self.entries.iter_mut().for_each(|e| *e = None);
+        self.tags = [EMPTY; TLB_ENTRIES];
     }
 
     /// Drop a single page's translation (`invlpg`).
     pub fn invalidate(&mut self, vpn: u64) {
-        // volint::bound(64) — fixed-size TLB entry array
-        for e in self.entries.iter_mut() {
-            if matches!(e, Some(x) if x.vpn == vpn) {
-                *e = None;
-            }
+        if let Some(slot) = self.find(vpn) {
+            // volint::allow(SWITCH-PANIC): find() returns a position in this array
+            self.tags[slot] = EMPTY;
         }
     }
 
@@ -112,9 +119,142 @@ impl Default for Tlb {
     }
 }
 
+/// The TLB this one replaced — a `Vec` of `Option<(vpn, pte)>` scanned
+/// slot by slot — kept as the oracle the tag array is checked against.
+#[cfg(test)]
+mod oracle {
+    use super::{Pte, TLB_ENTRIES};
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct TlbEntry {
+        pub vpn: u64,
+        pub pte: Pte,
+    }
+
+    pub struct Tlb {
+        pub entries: Vec<Option<TlbEntry>>,
+        pub next_slot: usize,
+        hits: u64,
+        misses: u64,
+        flushes: u64,
+    }
+
+    impl Tlb {
+        pub fn new() -> Tlb {
+            Tlb {
+                entries: vec![None; TLB_ENTRIES],
+                next_slot: 0,
+                hits: 0,
+                misses: 0,
+                flushes: 0,
+            }
+        }
+
+        pub fn lookup(&mut self, vpn: u64) -> Option<Pte> {
+            match self
+                .entries
+                .iter()
+                .flatten()
+                .find(|e| e.vpn == vpn)
+                .map(|e| e.pte)
+            {
+                Some(pte) => {
+                    self.hits += 1;
+                    Some(pte)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        pub fn insert(&mut self, vpn: u64, pte: Pte) {
+            if let Some(slot) = self
+                .entries
+                .iter_mut()
+                .find(|e| matches!(e, Some(x) if x.vpn == vpn))
+            {
+                *slot = Some(TlbEntry { vpn, pte });
+                return;
+            }
+            self.entries[self.next_slot] = Some(TlbEntry { vpn, pte });
+            self.next_slot = (self.next_slot + 1) % TLB_ENTRIES;
+        }
+
+        pub fn flush(&mut self) {
+            self.flushes += 1;
+            for e in self.entries.iter_mut() {
+                if !matches!(e, Some(x) if x.pte.global()) {
+                    *e = None;
+                }
+            }
+        }
+
+        pub fn flush_all(&mut self) {
+            self.flushes += 1;
+            self.entries.iter_mut().for_each(|e| *e = None);
+        }
+
+        pub fn invalidate(&mut self, vpn: u64) {
+            for e in self.entries.iter_mut() {
+                if matches!(e, Some(x) if x.vpn == vpn) {
+                    *e = None;
+                }
+            }
+        }
+
+        pub fn stats(&self) -> (u64, u64, u64) {
+            (self.hits, self.misses, self.flushes)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faultgen::rng::check;
+
+    /// Same returns, same counters and the same translation in the same
+    /// slot after every step of a random run — global entries, flushes
+    /// of both kinds and more live pages than the TLB holds.
+    #[test]
+    fn tag_array_matches_the_old_tlb_step_by_step() {
+        check("tag_array_matches_the_old_tlb_step_by_step", 256, |rng| {
+            let mut tlb = Tlb::new();
+            let mut old = oracle::Tlb::new();
+            for _ in 0..rng.range(1, 800) {
+                let vpn = rng.below(3 * TLB_ENTRIES as u64);
+                match rng.below(20) {
+                    0..=8 => {
+                        let global = (rng.below(5) == 0) as u64 * Pte::GLOBAL;
+                        let pte = Pte::new(rng.below(1024) as u32, Pte::WRITABLE | global);
+                        tlb.insert(vpn, pte);
+                        old.insert(vpn, pte);
+                    }
+                    9..=14 => assert_eq!(tlb.lookup(vpn), old.lookup(vpn)),
+                    15..=17 => {
+                        tlb.invalidate(vpn);
+                        old.invalidate(vpn);
+                    }
+                    18 => {
+                        tlb.flush();
+                        old.flush();
+                    }
+                    _ => {
+                        tlb.flush_all();
+                        old.flush_all();
+                    }
+                }
+                assert_eq!(tlb.stats(), old.stats());
+                assert_eq!(tlb.next_slot, old.next_slot);
+                let resident: Vec<Option<oracle::TlbEntry>> = (tlb.tags.iter().zip(&tlb.ptes))
+                    .map(|(&vpn, &pte)| (vpn != EMPTY).then_some(oracle::TlbEntry { vpn, pte }))
+                    .collect();
+                assert_eq!(resident, old.entries);
+            }
+        });
+    }
 
     #[test]
     fn insert_lookup_invalidate() {
@@ -133,7 +273,7 @@ mod tests {
         tlb.insert(5, Pte::new(2, 0));
         assert_eq!(tlb.lookup(5).unwrap().frame(), 2);
         // Only one slot used.
-        assert_eq!(tlb.entries.iter().flatten().count(), 1);
+        assert_eq!(tlb.tags.iter().filter(|&&t| t != EMPTY).count(), 1);
     }
 
     #[test]

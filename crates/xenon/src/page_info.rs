@@ -74,9 +74,8 @@ pub struct PageInfoTable {
 /// lock once and holds it across every entry it scans and every table
 /// it descends into, and [`PageInfoTable`]'s per-call methods are this
 /// lock plus one call.  Page-table frames are read through
-/// [`PhysMemory::read_table`], which holds no frame lock once it
-/// returns — the lock order is `page_info`, then at most one frame,
-/// never the reverse (DESIGN.md §14a).
+/// [`PhysMemory::read_table`]; memory takes no lock of its own, so this
+/// lock is what keeps two validators off one table (DESIGN.md §14a).
 pub(crate) struct Records(Vec<PageInfo>);
 
 /// A frame being promoted to a page table inside a lazy admission
@@ -736,8 +735,8 @@ impl PageInfoTable {
 
 /// The walk the table-granular validators replaced, kept as the
 /// reference they are property-tested against: one `read_pte` (a tick
-/// and a frame lock) per slot and one round-trip through the table's
-/// lock per accounting primitive.
+/// and a load) per slot and one round-trip through the table's lock
+/// per accounting primitive.
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;

@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Self-tests for tools/hostprof/report.py (stdlib only, no cargo, no
+binutils: `nm` and `objdump` are stood in for by checked-in output).
+
+Run directly: `python3 tools/test_hostprof.py`.
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import os
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURES = os.path.join(HERE, "fixtures", "hostprof")
+
+spec = importlib.util.spec_from_file_location(
+    "report", os.path.join(HERE, "hostprof", "report.py")
+)
+rp = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(rp)
+
+
+def fixture(name):
+    with open(os.path.join(FIXTURES, name)) as f:
+        return f.read()
+
+
+# The fixture's harness has symbols and code; its libc has neither.
+# `load_bias` keeps its own name for the test that reads a real header.
+read_program_headers = rp.load_bias
+rp.run_nm = lambda path: fixture("nm.txt") if path == "/fixture/harness" else ""
+rp.run_objdump = lambda path: fixture("objdump.txt") if path == "/fixture/harness" else ""
+rp.load_bias = lambda path: 0
+
+
+def run(**mode):
+    args = argparse.Namespace(top=25, callers=None, locked=False)
+    vars(args).update(mode)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = rp.report(fixture("profile.txt"), args)
+    return code, out.getvalue()
+
+
+def rows(text, title):
+    """The (share, count, name) rows of the table headed `title`."""
+    lines = text.split(title + "\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    return [tuple(line.split(None, 2)) for line in lines]
+
+
+class Profile(unittest.TestCase):
+    def test_parse_keeps_executable_file_mappings_and_every_stack(self):
+        header, maps, stacks = rp.parse_profile(fixture("profile.txt"))
+        self.assertEqual(header, {"period_us": "200", "dropped": "0"})
+        self.assertEqual(
+            [(m.path, m.offset) for m in maps],
+            [("/fixture/harness", 0x1000), ("/fixture/lib/libc.so.6", 0x28000)],
+        )
+        self.assertEqual(len(stacks), 8)
+        self.assertEqual(stacks[4], [0x555500001204, 0x555500001106, 0x555500001310, 0x555500001010])
+
+    def test_addresses_resolve_through_the_mapping_offset(self):
+        _, maps, _ = rp.parse_profile(fixture("profile.txt"))
+        res = rp.Resolver(maps)
+        self.assertEqual(res.locate(0x555500001106), ("/fixture/harness", 0x1106))
+        self.assertEqual(res.locate(0x7F0000000040), ("/fixture/lib/libc.so.6", 0x28040))
+        self.assertEqual(res.function(0x555500001106), "simx86::mem::PhysMemory::read_pte")
+        self.assertEqual(res.function(0x555500001000), "main")
+        self.assertEqual(res.function(0x7F0000000040), "[libc.so.6]")
+        self.assertEqual(res.function(0x1234), "[unmapped]")
+        # One past the last mapping's end is nobody's either.
+        self.assertEqual(res.function(0x7F0000002000), "[unmapped]")
+
+    def test_self_and_inclusive_tables(self):
+        code, out = run()
+        self.assertEqual(code, 0)
+        self.assertIn("8 samples, period 200 us, 0 dropped", out)
+        self.assertEqual(
+            rows(out, "self")[0], ("50.00%", "4", "simx86::mem::PhysMemory::read_pte")
+        )
+        self.assertEqual(
+            {name: count for _, count, name in rows(out, "self")[1:]},
+            {
+                "simx86::cpu::Cpu::tick": "1",
+                "nimbus::mm::pool::FramePool::incref": "1",
+                "[libc.so.6]": "1",
+                "[unmapped]": "1",
+            },
+        )
+        inclusive = {name: (share, count) for share, count, name in rows(out, "inclusive")}
+        self.assertEqual(inclusive["main"], ("87.50%", "7"))
+        # Once per sample, however often a function is on the stack.
+        self.assertEqual(inclusive["simx86::mem::PhysMemory::read_pte"], ("62.50%", "5"))
+        self.assertEqual(inclusive["nimbus::mm::pool::FramePool::incref"], ("62.50%", "5"))
+
+    def test_callers_take_the_innermost_match(self):
+        _, out = run(callers="read_pte")
+        self.assertEqual(
+            rows(out, "callers of /read_pte/ (innermost match per sample)"),
+            [
+                ("50.00%", "4", "nimbus::mm::pool::FramePool::incref"),
+                ("12.50%", "1", "main"),
+            ],
+        )
+        _, out = run(callers="^main$")
+        self.assertEqual(
+            rows(out, "callers of /^main$/ (innermost match per sample)"),
+            [("87.50%", "7", "[root]")],
+        )
+
+    def test_locked_share_counts_lock_prefixes_and_memory_xchg_only(self):
+        _, out = run(locked=True)
+        self.assertIn("50.0% of samples (4) follow a lock-prefixed instruction or an xchg", out)
+        self.assertEqual(
+            rows(out, "after a locked instruction, by function"),
+            [
+                ("37.50%", "3", "simx86::mem::PhysMemory::read_pte"),
+                ("12.50%", "1", "simx86::cpu::Cpu::tick"),
+            ],
+        )
+
+    def test_objdump_marks_the_instruction_after_not_the_next_function(self):
+        after = rp.parse_objdump(fixture("objdump.txt"))
+        # After `lock addq`, after `xchg %rax,(%rdx)`, after `lock xadd`;
+        # not after the register-to-register xchg, not after a bare
+        # cmpxchg, and main's closing `lock incq` does not leak into the
+        # function laid out behind it.
+        self.assertEqual(after, {0x1106, 0x110C, 0x1204})
+
+    def test_an_empty_profile_is_an_error(self):
+        args = argparse.Namespace(top=25, callers=None, locked=False)
+        with contextlib.redirect_stderr(io.StringIO()):
+            self.assertEqual(rp.report("# hostprof period_us=200 dropped=0\n# maps\n# stacks\n", args), 1)
+
+    def test_load_bias_reads_the_executable_segment(self):
+        def phdr(p_type, flags, offset, vaddr):
+            return (
+                p_type.to_bytes(4, "little")
+                + flags.to_bytes(4, "little")
+                + offset.to_bytes(8, "little")
+                + vaddr.to_bytes(8, "little")
+                + bytes(32)
+            )
+
+        ehdr = bytearray(64)
+        ehdr[:5] = b"\x7fELF\x02"
+        ehdr[32:40] = (64).to_bytes(8, "little")  # e_phoff
+        ehdr[54:56] = (56).to_bytes(2, "little")  # e_phentsize
+        ehdr[56:58] = (2).to_bytes(2, "little")  # e_phnum
+        image = bytes(ehdr) + phdr(1, 4, 0, 0) + phdr(1, 5, 0x33000, 0x34000)
+        with tempfile.NamedTemporaryFile() as f:
+            f.write(image)
+            f.flush()
+            self.assertEqual(read_program_headers(f.name), 0x1000)
+        self.assertEqual(read_program_headers("/nonexistent/file"), 0)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -4,7 +4,7 @@
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `all` | Tables 1–2 (lmbench latencies, UP and SMP), Figs. 3–4 (relative application performance, UP and SMP), §7.4 mode switch times and the §5.1.2 strategy ablation (one row per `TrackingStrategy`, plus sharded-vs-serial attach), and the `bench_results.json` dump for EXPERIMENTS.md |
+//! | `all` | Tables 1–2 (lmbench latencies, UP and SMP), Figs. 3–4 (relative application performance, UP and SMP), §7.4 mode switch times and the §5.1.2 strategy ablation (one row per `TrackingStrategy`, plus sharded-vs-serial attach), the two §8 probes (software vs hardware-assisted switching, switch time vs processor count), the dbench writeback probe, and the `bench_results.json` dump for EXPERIMENTS.md |
 //! | `switch_timeline` | §7.3 — per-phase switch decomposition (merctrace) |
 //! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faultgen_results.json`) |
 
@@ -143,7 +143,7 @@ pub struct ShardedRecompute {
 }
 
 /// Microseconds as the switch archives print them (four decimals).
-fn json_us(v: f64) -> String {
+pub fn json_us(v: f64) -> String {
     format!("{v:.4}")
 }
 

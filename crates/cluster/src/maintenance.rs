@@ -10,12 +10,9 @@
 
 use crate::node::Node;
 use mercury::{ExecMode, Mercury, SwitchError, SwitchOutcome, TrackingStrategy};
-use nimbus::drivers::blkback::BlkBackend;
-use nimbus::drivers::block::{FrontendBlockDriver, NativeBlockDriver};
-use nimbus::drivers::net::FrontendNetDriver;
-use nimbus::drivers::netback::NetBackend;
+use nimbus::drivers::{attach_native, connect_split};
 use nimbus::kernel::BootMode;
-use nimbus::Kernel;
+use nimbus::{Kernel, KernelError};
 use simx86::costs;
 use std::sync::Arc;
 use xenon::migrate::{LiveMigration, MigrationReport};
@@ -31,7 +28,19 @@ pub enum MaintenanceError {
     /// The hypervisor-level migration failed.
     Migration(HvError),
     /// The guest kernel failed to freeze/thaw.
-    Kernel(nimbus::KernelError),
+    Kernel(KernelError),
+}
+
+/// A device-wiring failure: the hypervisor's half (rings, event
+/// channels, host frames) reads as a migration failure, the guest's
+/// half (its pool) as a kernel one.
+impl From<KernelError> for MaintenanceError {
+    fn from(e: KernelError) -> Self {
+        match e {
+            KernelError::Hypervisor(e) => MaintenanceError::Migration(e),
+            e => MaintenanceError::Kernel(e),
+        }
+    }
 }
 
 impl std::fmt::Display for MaintenanceError {
@@ -64,24 +73,11 @@ pub struct EvacuatedGuest {
     pub devices: SplitDevices,
 }
 
-/// The host-side half of a migrated guest's split device setup:
-/// backend objects (shared with the guest's frontends) plus the host
-/// resources they sit on.  [`return_home`] uses the handles to drain
-/// early-acked block writes before the storage copy and reclaims the
-/// frames once the guest has left.
-pub struct SplitDevices {
-    /// The block backend in the host's driver domain.
-    pub blk: Arc<BlkBackend>,
-    /// The network backend in the host's driver domain.
-    pub net: Arc<NetBackend>,
-    /// Ring frames taken from the host hypervisor's reserved pool.
-    ring_frames: Vec<simx86::mem::FrameNum>,
-    /// Bounce frame the backend's lower native driver DMAs through.
-    host_bounce: simx86::mem::FrameNum,
-    /// Payload frames the frontends grant per request, taken from the
-    /// guest kernel's own pool (block, then network).
-    guest_bufs: [simx86::mem::FrameNum; 2],
-}
+/// The host-side half of a migrated guest's split devices.
+/// [`return_home`] uses the handles to drain early-acked block writes
+/// before the storage copy and reclaims the frames once the guest has
+/// left.
+pub use nimbus::drivers::SplitDevices;
 
 /// The frozen kernel image stored on a migrated domain.  A domain that
 /// arrives without one is a malformed image — an error the watchdog can
@@ -197,7 +193,7 @@ pub fn evacuate(
 
     // §5.2: reconnect device frontends to the new driver domain's
     // backends after the migration completes.
-    let devices = connect_split_devices(target, &kernel, &dom)?;
+    let devices = connect_split(&target.machine, &target.hv(), dst_m.dom0(), &kernel, &dom)?;
 
     let mercury = Mercury::adopt(
         Arc::clone(&kernel),
@@ -213,94 +209,6 @@ pub fn evacuate(
         mercury,
         report,
         devices,
-    })
-}
-
-/// Wire frontend drivers in the migrated guest to fresh backends in
-/// `host`'s driver domain.  Returns the backend handles and the host
-/// resources they occupy so the departure path can quiesce and reclaim.
-fn connect_split_devices(
-    host: &Arc<Node>,
-    guest_kernel: &Arc<Kernel>,
-    guest_dom: &Arc<Domain>,
-) -> Result<SplitDevices, MaintenanceError> {
-    let hv = host.hv();
-    let cpu = host.machine.boot_cpu();
-    let host_dom = host.mercury().dom0().clone();
-
-    let ring_frames = hv.take_reserved(2).map_err(MaintenanceError::Migration)?;
-    for f in &ring_frames {
-        host.machine
-            .mem
-            .zero_frame(cpu, *f)
-            .map_err(|e| MaintenanceError::Migration(e.into()))?;
-    }
-
-    // Payload frames come from the guest's own memory, through its
-    // pool: after a migration the domain's highest frames are whatever
-    // the relocation put there (the kernel's direct-map tables, on the
-    // way back), not free memory.
-    let blk_buf = guest_kernel
-        .alloc_driver_frame(cpu)
-        .map_err(MaintenanceError::Kernel)?;
-    let net_buf = guest_kernel
-        .alloc_driver_frame(cpu)
-        .map_err(MaintenanceError::Kernel)?;
-
-    let host_bounce = host
-        .machine
-        .allocator
-        .alloc(cpu)
-        .ok_or(MaintenanceError::Migration(HvError::OutOfMemory))?;
-    let lower_blk = NativeBlockDriver::new(Arc::clone(&host.machine), host_bounce);
-    let blk_back = BlkBackend::new(
-        Arc::clone(&hv),
-        Arc::clone(&host_dom),
-        guest_dom.id,
-        lower_blk,
-        ring_frames[0],
-    );
-    let p = hv
-        .evtchn_alloc(cpu, &host_dom)
-        .map_err(MaintenanceError::Migration)?;
-    let pf = hv
-        .evtchn_bind(cpu, guest_dom, host_dom.id, p)
-        .map_err(MaintenanceError::Migration)?;
-    guest_kernel.set_block_driver(FrontendBlockDriver::new(
-        Arc::clone(&hv),
-        Arc::clone(guest_dom),
-        Arc::clone(&blk_back),
-        blk_buf,
-        pf,
-    ));
-
-    let lower_net = nimbus::drivers::net::NativeNetDriver::new(Arc::clone(&host.machine));
-    let net_back = NetBackend::new(
-        Arc::clone(&hv),
-        Arc::clone(&host_dom),
-        guest_dom.id,
-        lower_net,
-        ring_frames[1],
-    );
-    let p = hv
-        .evtchn_alloc(cpu, &host_dom)
-        .map_err(MaintenanceError::Migration)?;
-    let pf = hv
-        .evtchn_bind(cpu, guest_dom, host_dom.id, p)
-        .map_err(MaintenanceError::Migration)?;
-    guest_kernel.set_net_driver(FrontendNetDriver::new(
-        Arc::clone(&hv),
-        Arc::clone(guest_dom),
-        Arc::clone(&net_back),
-        net_buf,
-        pf,
-    ));
-    Ok(SplitDevices {
-        blk: blk_back,
-        net: net_back,
-        ring_frames,
-        host_bounce,
-        guest_bufs: [blk_buf, net_buf],
     })
 }
 
@@ -352,20 +260,12 @@ pub fn return_home(
 
     // Back home the OS is the driver domain again: native drivers, and
     // the frontends' payload frames go back to the pool.
-    for buf in guest.devices.guest_bufs {
+    for buf in guest.devices.guest_bufs() {
         let at_home = report.frame_map.get(&buf.0).copied().unwrap_or(buf.0);
         kernel.free_driver_frame(simx86::mem::FrameNum(at_home));
     }
     let home_cpu = home.machine.boot_cpu();
-    let bounce = home
-        .machine
-        .allocator
-        .alloc(home_cpu)
-        .ok_or(MaintenanceError::Migration(HvError::OutOfMemory))?;
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&home.machine), bounce));
-    kernel.set_net_driver(nimbus::drivers::net::NativeNetDriver::new(Arc::clone(
-        &home.machine,
-    )));
+    attach_native(&home.machine, &kernel)?;
 
     let mercury = Mercury::adopt(
         Arc::clone(&kernel),
@@ -400,13 +300,7 @@ pub fn return_home(
     // Without this every evacuate/return cycle leaked two reserved ring
     // frames and a bounce frame, exhausting the pools over a rolling
     // maintenance wave (pinned by `repeated_cycles_do_not_leak_host_frames`).
-    let SplitDevices {
-        ring_frames,
-        host_bounce,
-        ..
-    } = guest.devices;
-    host.hv().give_reserved(ring_frames);
-    host.machine.allocator.free(host_bounce);
+    guest.devices.reclaim(&host.machine, &host.hv());
 
     Ok(report)
 }

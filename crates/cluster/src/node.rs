@@ -1,60 +1,23 @@
 //! Nodes and clusters: whole machines running Mercury-enabled kernels.
+//!
+//! A node is [`mercury::Stack::build`] — machine, dormant VMM, natively
+//! booted kernel with its drivers, Mercury, in the allocation order
+//! every frame number hangs on (DESIGN.md §3a) — at the default
+//! tracking strategy, plus what only a cluster needs: a background
+//! scrubber on the idle loop and hardware health sensors.  Its sizing
+//! record, [`NodeConfig`], is the builder's own.
 
 use crate::health::HealthMonitor;
-use mercury::{ExecMode, Mercury, TrackingStrategy};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::drivers::net::NativeNetDriver;
-use nimbus::kernel::{BootMode, KernelConfig};
+use mercury::{AssistMode, ExecMode, Mercury, Stack, TrackingStrategy};
 use nimbus::{Kernel, Session};
 use simx86::devices::LinkWire;
 use simx86::sync::RwLock;
-use simx86::{Machine, MachineConfig};
+use simx86::Machine;
 use std::sync::{Arc, Weak};
 use xenon::{BackgroundScrubber, Hypervisor};
 
-/// Node sizing.
-#[derive(Debug, Clone)]
-pub struct NodeConfig {
-    /// CPUs per node.
-    pub num_cpus: usize,
-    /// Physical memory in frames.
-    pub mem_frames: usize,
-    /// Kernel pool size in frames (rest stays with the machine
-    /// allocator for hosting migrated guests).
-    pub pool_frames: usize,
-    /// Disk sectors.
-    pub disk_sectors: u64,
-    /// Filesystem data blocks.
-    pub fs_blocks: u64,
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            pool_frames: 6 * 1024,
-            disk_sectors: 64 * 1024,
-            fs_blocks: 4096,
-        }
-    }
-}
-
-impl NodeConfig {
-    /// A uniprocessor node a quarter the default size: 16 MB of
-    /// simulated RAM and a 1536-frame kernel pool (the kernel boots in
-    /// 700), so a hundred of them fit a CI runner's memory and a
-    /// migration stays cheap.
-    pub fn small() -> NodeConfig {
-        NodeConfig {
-            num_cpus: 1,
-            mem_frames: 4 * 1024,
-            pool_frames: 1536,
-            disk_sectors: 8 * 1024,
-            fs_blocks: 512,
-        }
-    }
-}
+/// Node sizing: the one sizing record of the stack builder.
+pub use mercury::NodeConfig;
 
 /// One cluster node: machine + warm hypervisor + Mercury-enabled
 /// kernel + health monitor.
@@ -77,40 +40,17 @@ pub struct Node {
 }
 
 impl Node {
-    /// Build and boot a node: machine powered on, VMM warmed (dormant),
-    /// kernel booted natively, Mercury installed, native drivers
-    /// attached.
+    /// Build and boot a node — machine powered on, VMM warmed (dormant),
+    /// kernel booted natively, native drivers attached, Mercury
+    /// installed: [`Stack::build`] at the default strategy — and give
+    /// it its scrubber and health sensors.
     pub fn launch(name: &str, config: &NodeConfig) -> Arc<Node> {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: config.num_cpus,
-            mem_frames: config.mem_frames,
-            disk_sectors: config.disk_sectors,
-        });
-        let hv = Hypervisor::warm_up(&machine);
-        let cpu = machine.boot_cpu();
-        let pool = machine
-            .allocator
-            .alloc_many(cpu, config.pool_frames)
-            .expect("node sized too small for its kernel pool");
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: config.fs_blocks,
-                fs_first_block: 1,
-            },
-        )
-        .expect("node kernel boot failed");
-        let bounce = machine.allocator.alloc(cpu).expect("bounce frame");
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-        kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-        let mercury = Mercury::install(
-            Arc::clone(&kernel),
-            Arc::clone(&hv),
-            TrackingStrategy::default(),
-        )
-        .expect("mercury install failed");
+        let Stack {
+            machine,
+            hv,
+            kernel,
+            mercury,
+        } = Stack::build(config, TrackingStrategy::default(), AssistMode::Software);
         let scrubber = BackgroundScrubber::new(Arc::clone(&hv.page_info), mercury.dom0().id);
         Self::wire_idle_scrubber(&kernel, &mercury, &scrubber);
         Arc::new(Node {

@@ -41,34 +41,24 @@
 //!   which adds multi-node simulation.)
 //! * **Hardware assist** ([`switch::AssistMode`], §8 future work):
 //!   VT-x/EPT-style switching as an alternative mechanism.
+//! * **Bring-up** ([`stack`], §4.1): the one place a whole system —
+//!   machine, pre-cached VMM, natively booted kernel, Mercury — is
+//!   assembled, in the allocation order every frame number hangs on.
 //!
 //! # Example
 //!
 //! ```
-//! use mercury::{Mercury, SwitchOutcome, TrackingStrategy};
-//! use nimbus::drivers::block::NativeBlockDriver;
-//! use nimbus::kernel::{BootMode, KernelConfig};
-//! use nimbus::{Kernel, Session};
-//! use simx86::{Machine, MachineConfig};
-//! use std::sync::Arc;
-//! use xenon::Hypervisor;
+//! use mercury::{AssistMode, NodeConfig, Stack, SwitchOutcome, TrackingStrategy};
+//! use nimbus::Session;
 //!
-//! // Power on; pre-cache the VMM (it stays dormant).
-//! let machine = Machine::new(MachineConfig::up());
-//! let hv = Hypervisor::warm_up(&machine);
-//!
-//! // Boot the kernel natively and make it self-virtualizable.
+//! // Power on, pre-cache the VMM (it stays dormant), boot the kernel
+//! // natively and make it self-virtualizable.
+//! let Stack { machine, kernel, mercury, .. } = Stack::build(
+//!     &NodeConfig::default(),
+//!     TrackingStrategy::RecomputeOnSwitch,
+//!     AssistMode::Software,
+//! );
 //! let cpu = machine.boot_cpu();
-//! let pool = machine.allocator.alloc_many(cpu, 4096).unwrap();
-//! let kernel = Kernel::boot(
-//!     Arc::clone(&machine),
-//!     KernelConfig { pool, mode: BootMode::Bare, fs_blocks: 512, fs_first_block: 1 },
-//! )
-//! .unwrap();
-//! let bounce = machine.allocator.alloc(cpu).unwrap();
-//! kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-//! let mercury =
-//!     Mercury::install(Arc::clone(&kernel), hv, TrackingStrategy::RecomputeOnSwitch).unwrap();
 //!
 //! // Attach the VMM under a live workload, then detach.
 //! let sess = Session::new(kernel, 0);
@@ -92,11 +82,13 @@ pub mod refcount;
 pub mod rendezvous;
 pub mod scenarios;
 pub mod shard;
+pub mod stack;
 pub mod switch;
 pub mod vo;
 
 pub use pgtrack::TrackingStrategy;
 pub use refcount::VoRefCount;
+pub use stack::{NodeConfig, Stack};
 pub use switch::{
     AssistMode, Mercury, ModeDetail, Phase, SwitchError, SwitchOutcome, SwitchStats, Transition,
 };

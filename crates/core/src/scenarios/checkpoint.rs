@@ -8,8 +8,6 @@
 //! restored to another healthy machine."
 
 use crate::switch::{Mercury, SwitchError, SwitchOutcome};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::drivers::net::NativeNetDriver;
 use nimbus::{BootMode, Kernel};
 use simx86::{Cpu, Machine};
 use std::sync::Arc;
@@ -142,12 +140,7 @@ pub fn restore(
     .map_err(CheckpointError::Kernel)?;
     // Reattach drivers on the new machine (native shape: the restored
     // OS is the driver domain).
-    let bounce = machine
-        .allocator
-        .alloc(cpu)
-        .ok_or(CheckpointError::Hv(HvError::OutOfMemory))?;
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(machine), bounce));
-    kernel.set_net_driver(NativeNetDriver::new(Arc::clone(machine)));
+    nimbus::drivers::attach_native(machine, &kernel).map_err(CheckpointError::Kernel)?;
     Ok(RestoredSystem { hv, kernel })
 }
 
@@ -196,6 +189,42 @@ mod tests {
         // Note: file *data* lives on the failed machine's disk; §6.1
         // pairs checkpoints with shared storage.  Metadata travelled:
         assert!(sess2.stat("ckpt.txt").is_ok());
+    }
+
+    /// §5.1.1's retry timer rides every CPU's tick, so a restored SMP
+    /// kernel must tick on its peers too, not just on the boot CPU.
+    #[test]
+    fn restored_smp_kernel_ticks_on_every_cpu() {
+        let (machine, _hv, mercury) = rig(2, TrackingStrategy::RecomputeOnSwitch);
+        // CPU 1 answers the rendezvous from its own thread while CPU 0
+        // attaches, snapshots and detaches.
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let ckpt = std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(std::sync::atomic::Ordering::Acquire) {
+                    machine.cpus[1].tick(50);
+                    machine.cpus[1].service_pending();
+                    std::thread::yield_now();
+                }
+            });
+            let ckpt = take(&mercury, machine.boot_cpu());
+            done.store(true, std::sync::atomic::Ordering::Release);
+            ckpt
+        })
+        .unwrap();
+        let healthy = simx86::Machine::new(MachineConfig {
+            num_cpus: 2,
+            mem_frames: 16 * 1024,
+            disk_sectors: 64 * 1024,
+        });
+        restore(&healthy, &ckpt).unwrap();
+        let cpu1 = &healthy.cpus[1];
+        assert!(
+            !healthy.timer.poll(cpu1),
+            "no tick before a period has passed"
+        );
+        cpu1.tick(simx86::devices::timer::DEFAULT_PERIOD_CYCLES);
+        assert!(healthy.timer.poll(cpu1), "CPU 1's timer was never armed");
     }
 
     #[test]

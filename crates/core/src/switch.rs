@@ -31,23 +31,15 @@
 //! The reference-count gate and the sub-millisecond commit, end to end:
 //!
 //! ```
-//! use mercury::{Mercury, SwitchOutcome, TrackingStrategy};
-//! use nimbus::kernel::{BootMode, KernelConfig};
-//! use nimbus::Kernel;
-//! use simx86::{costs, Machine, MachineConfig};
-//! use std::sync::Arc;
-//! use xenon::Hypervisor;
+//! use mercury::{AssistMode, NodeConfig, Stack, SwitchOutcome, TrackingStrategy};
+//! use simx86::costs;
 //!
-//! let machine = Machine::new(MachineConfig::up());
-//! let hv = Hypervisor::warm_up(&machine);
+//! let Stack { machine, mercury, .. } = Stack::build(
+//!     &NodeConfig::default(),
+//!     TrackingStrategy::RecomputeOnSwitch,
+//!     AssistMode::Software,
+//! );
 //! let cpu = machine.boot_cpu();
-//! let pool = machine.allocator.alloc_many(cpu, 4096).unwrap();
-//! let kernel = Kernel::boot(
-//!     Arc::clone(&machine),
-//!     KernelConfig { pool, mode: BootMode::Bare, fs_blocks: 512, fs_first_block: 1 },
-//! )
-//! .unwrap();
-//! let mercury = Mercury::install(kernel, hv, TrackingStrategy::RecomputeOnSwitch).unwrap();
 //!
 //! // A busy VO defers the switch to the retry timer (§5.1.1) …
 //! let guard = mercury.vo_refcount().enter();
@@ -702,26 +694,16 @@ impl Mercury {
     /// guest touch).
     ///
     /// ```
-    /// # use mercury::{Mercury, TrackingStrategy};
-    /// # use nimbus::kernel::{BootMode, KernelConfig};
-    /// # use nimbus::Kernel;
-    /// # use simx86::{Machine, MachineConfig};
-    /// # use std::sync::Arc;
-    /// # use xenon::Hypervisor;
-    /// # let machine = Machine::new(MachineConfig::up());
-    /// # let hv = Hypervisor::warm_up(&machine);
-    /// # let cpu = machine.boot_cpu();
-    /// # let pool = machine.allocator.alloc_many(cpu, 4096).unwrap();
-    /// # let kernel = Kernel::boot(
-    /// #     Arc::clone(&machine),
-    /// #     KernelConfig { pool, mode: BootMode::Bare, fs_blocks: 512, fs_first_block: 1 },
-    /// # )
-    /// # .unwrap();
+    /// # use mercury::{AssistMode, NodeConfig, Stack, TrackingStrategy};
     /// // LazyValidate admits the guest after validating only the dirty
     /// // kernel-critical frames; anything else dirty waits in the
     /// // pending set for its first touch.
-    /// let mercury =
-    ///     Mercury::install(kernel, hv, TrackingStrategy::LazyValidate).unwrap();
+    /// let Stack { machine, mercury, .. } = Stack::build(
+    ///     &NodeConfig::default(),
+    ///     TrackingStrategy::LazyValidate,
+    ///     AssistMode::Software,
+    /// );
+    /// # let cpu = machine.boot_cpu();
     /// assert!(mercury.lazy_set().is_none(), "no window before an attach");
     /// mercury.switch_to_virtual(cpu).unwrap();
     /// let pending = mercury.lazy_pending();
@@ -1347,42 +1329,37 @@ impl Mercury {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use nimbus::drivers::block::NativeBlockDriver;
-    use nimbus::drivers::net::NativeNetDriver;
-    use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
+    use crate::stack::{NodeConfig, Stack};
+    use nimbus::kernel::MmapBacking;
     use nimbus::mm::Prot;
     use nimbus::Session;
     use simx86::paging::{VirtAddr, PAGE_SIZE};
-    use simx86::MachineConfig;
+
+    /// The unit-test system: the default node with an 8 Ki-frame pool.
+    pub(crate) fn rig_with(
+        cpus: usize,
+        strategy: TrackingStrategy,
+        assist: AssistMode,
+    ) -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
+        let config = NodeConfig {
+            num_cpus: cpus,
+            pool_frames: 8 * 1024,
+            ..NodeConfig::default()
+        };
+        let Stack {
+            machine,
+            hv,
+            mercury,
+            ..
+        } = Stack::build(&config, strategy, assist);
+        (machine, hv, mercury)
+    }
 
     pub(crate) fn rig(
         cpus: usize,
         strategy: TrackingStrategy,
     ) -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: cpus,
-            mem_frames: 16 * 1024,
-            disk_sectors: 64 * 1024,
-        });
-        // Pre-cache the VMM first so its reservation comes off the top.
-        let hv = Hypervisor::warm_up(&machine);
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 4096,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-        kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-        let mercury = Mercury::install(kernel, Arc::clone(&hv), strategy).unwrap();
-        (machine, hv, mercury)
+        rig_with(cpus, strategy, AssistMode::Software)
     }
 
     /// Dirty bits are charge bookkeeping, not validation state.
@@ -1888,37 +1865,31 @@ pub(crate) mod tests {
     /// first attach has a snapshot: the dirty table, never the full scan.
     #[test]
     fn adopted_os_attaches_on_the_dirty_table() {
-        let machine = Machine::new(MachineConfig {
+        // The adopted shape §6.1 makes: an OS checkpointed on one
+        // machine and restored, as a guest, onto another.
+        let (source, _hv, installed) = rig(1, TrackingStrategy::default());
+        let ckpt = crate::scenarios::checkpoint::take(&installed, source.boot_cpu()).unwrap();
+        let machine = Machine::new(simx86::MachineConfig {
             num_cpus: 1,
             mem_frames: 16 * 1024,
             disk_sectors: 64 * 1024,
         });
-        let hv = Hypervisor::warm_up(&machine);
-        hv.activate();
         let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
-        let dom = hv.create_domain(cpu, "guest", pool.clone(), 0).unwrap();
-        let mode = BootMode::Guest {
-            hv: Arc::clone(&hv),
-            dom: Arc::clone(&dom),
+        let restored = crate::scenarios::checkpoint::restore(&machine, &ckpt).unwrap();
+        let nimbus::BootMode::Guest { dom, .. } = restored.kernel.boot_mode().clone() else {
+            panic!("a restored OS runs as a guest")
         };
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode,
-                fs_blocks: 4096,
-                fs_first_block: 1,
-            },
+        let mercury = Mercury::adopt(
+            restored.kernel,
+            restored.hv,
+            dom,
+            TrackingStrategy::default(),
         )
         .unwrap();
-        hv.set_current(cpu.id, Some(dom.id));
-        let mercury = Mercury::adopt(kernel, hv, dom, TrackingStrategy::default()).unwrap();
 
         let completed = |out| matches!(out, Ok(SwitchOutcome::Completed { .. }));
         assert!(completed(mercury.switch_to_native(cpu)));
         assert!(completed(mercury.switch_to_virtual(cpu)));
-        let (_m, _hv, installed) = rig(1, TrackingStrategy::default());
         let attach = mercury.timeline(Transition::Attach);
         assert_eq!(attach, installed.timeline(Transition::Attach));
         assert!(attach.contains(&ACCOUNT_DIRTY.name) && !attach.contains(&ACCOUNT_FULL.name));
@@ -2080,46 +2051,19 @@ pub(crate) mod tests {
 
 #[cfg(test)]
 mod hw_tests {
-    use super::tests::rig;
+    use super::tests::{rig, rig_with};
     use super::*;
-    use nimbus::drivers::block::NativeBlockDriver;
-    use nimbus::drivers::net::NativeNetDriver;
-    use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
+    use nimbus::kernel::MmapBacking;
     use nimbus::mm::Prot;
     use nimbus::Session;
     use simx86::paging::{VirtAddr, PAGE_SIZE};
-    use simx86::MachineConfig;
 
     fn hw_rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            disk_sectors: 64 * 1024,
-        });
-        let hv = Hypervisor::warm_up(&machine);
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 4096,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-        kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-        let mercury = Mercury::install_with_assist(
-            kernel,
-            Arc::clone(&hv),
+        rig_with(
+            1,
             TrackingStrategy::RecomputeOnSwitch,
             AssistMode::HardwareAssisted,
         )
-        .unwrap();
-        (machine, hv, mercury)
     }
 
     #[test]

@@ -12,42 +12,31 @@
 //! produces.
 
 use faultgen::rng::check;
-use mercury::{Mercury, TrackingStrategy};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::drivers::net::NativeNetDriver;
-use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
+use mercury::{AssistMode, Mercury, NodeConfig, Stack, TrackingStrategy};
+use nimbus::kernel::MmapBacking;
 use nimbus::mm::Prot;
 use nimbus::Session;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
-use simx86::{Machine, MachineConfig};
+use simx86::Machine;
 use std::sync::Arc;
 use xenon::page_info::PageInfo;
 use xenon::Hypervisor;
 
 fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
-    let machine = Machine::new(MachineConfig {
-        num_cpus: 1,
-        mem_frames: 16 * 1024,
-        disk_sectors: 64 * 1024,
-    });
-    let hv = Hypervisor::warm_up(&machine);
-    let cpu = machine.boot_cpu();
-    let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
-    let kernel = nimbus::Kernel::boot(
-        Arc::clone(&machine),
-        KernelConfig {
-            pool,
-            mode: BootMode::Bare,
-            fs_blocks: 4096,
-            fs_first_block: 1,
-        },
-    )
-    .unwrap();
-    let bounce = machine.allocator.alloc(cpu).unwrap();
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-    kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-    let mercury =
-        Mercury::install(kernel, Arc::clone(&hv), TrackingStrategy::LazyValidate).unwrap();
+    let config = NodeConfig {
+        pool_frames: 8 * 1024,
+        ..NodeConfig::default()
+    };
+    let Stack {
+        machine,
+        hv,
+        mercury,
+        ..
+    } = Stack::build(
+        &config,
+        TrackingStrategy::LazyValidate,
+        AssistMode::Software,
+    );
     (machine, hv, mercury)
 }
 

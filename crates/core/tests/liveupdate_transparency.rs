@@ -11,15 +11,16 @@
 //! ([`Mercury::phases`]), so a new row is covered the day it is added.
 
 use faultgen::rng::check;
-use mercury::{AssistMode, Mercury, SwitchError, SwitchOutcome, TrackingStrategy, Transition};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::drivers::net::NativeNetDriver;
-use nimbus::kernel::{BootMode, KernelConfig, MmapBacking, ReadOutcome};
+use mercury::{
+    AssistMode, Mercury, NodeConfig, Stack, SwitchError, SwitchOutcome, TrackingStrategy,
+    Transition,
+};
+use nimbus::kernel::{MmapBacking, ReadOutcome};
 use nimbus::mm::Prot;
 use nimbus::paravirt::ExecMode;
 use nimbus::Session;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
-use simx86::{Machine, MachineConfig};
+use simx86::Machine;
 use std::sync::Arc;
 use xenon::Hypervisor;
 
@@ -57,29 +58,8 @@ struct Observed {
 }
 
 fn rig(strategy: TrackingStrategy, assist: AssistMode) -> (Arc<Machine>, Arc<Mercury>) {
-    let machine = Machine::new(MachineConfig {
-        num_cpus: 1,
-        mem_frames: 16 * 1024,
-        disk_sectors: 64 * 1024,
-    });
-    let hv = Hypervisor::warm_up(&machine);
-    let cpu = machine.boot_cpu();
-    let pool = machine.allocator.alloc_many(cpu, 6 * 1024).unwrap();
-    let kernel = nimbus::Kernel::boot(
-        Arc::clone(&machine),
-        KernelConfig {
-            pool,
-            mode: BootMode::Bare,
-            fs_blocks: 4096,
-            fs_first_block: 1,
-        },
-    )
-    .unwrap();
-    let bounce = machine.allocator.alloc(cpu).unwrap();
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-    kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-    let mercury = Mercury::install_with_assist(kernel, hv, strategy, assist).unwrap();
-    (machine, mercury)
+    let stack = Stack::build(&NodeConfig::default(), strategy, assist);
+    (stack.machine, stack.mercury)
 }
 
 fn data(out: Result<ReadOutcome, nimbus::KernelError>) -> Vec<u8> {

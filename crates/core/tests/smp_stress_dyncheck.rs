@@ -11,40 +11,19 @@
 
 #![cfg(feature = "dyncheck")]
 
-use mercury::{dyncheck, Mercury, SwitchOutcome, TrackingStrategy};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::drivers::net::NativeNetDriver;
-use nimbus::kernel::{BootMode, KernelConfig};
-use nimbus::Kernel;
-use simx86::{Machine, MachineConfig};
+use mercury::{dyncheck, AssistMode, Mercury, NodeConfig, Stack, SwitchOutcome, TrackingStrategy};
+use simx86::Machine;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use xenon::Hypervisor;
 
 fn rig(cpus: usize, strategy: TrackingStrategy) -> (Arc<Machine>, Arc<Mercury>) {
-    let machine = Machine::new(MachineConfig {
+    let config = NodeConfig {
         num_cpus: cpus,
-        mem_frames: 16 * 1024,
-        disk_sectors: 64 * 1024,
-    });
-    let hv = Hypervisor::warm_up(&machine);
-    let cpu = machine.boot_cpu();
-    let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
-    let kernel = Kernel::boot(
-        Arc::clone(&machine),
-        KernelConfig {
-            pool,
-            mode: BootMode::Bare,
-            fs_blocks: 4096,
-            fs_first_block: 1,
-        },
-    )
-    .unwrap();
-    let bounce = machine.allocator.alloc(cpu).unwrap();
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-    kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-    let mercury = Mercury::install(kernel, hv, strategy).unwrap();
-    (machine, mercury)
+        pool_frames: 8 * 1024,
+        ..NodeConfig::default()
+    };
+    let stack = Stack::build(&config, strategy, AssistMode::Software);
+    (stack.machine, stack.mercury)
 }
 
 #[test]
@@ -126,11 +105,8 @@ fn smp_stress_has_no_happens_before_violations() {
 
     // End in native mode (peer thread still servicing CPU 1).
     if mercury.mode() == mercury::ExecMode::Virtual {
-        loop {
-            match mercury.switch_to_native(cpu0).unwrap() {
-                SwitchOutcome::Deferred { .. } => std::thread::yield_now(),
-                _ => break,
-            }
+        while let SwitchOutcome::Deferred { .. } = mercury.switch_to_native(cpu0).unwrap() {
+            std::thread::yield_now();
         }
     }
     stop_peer.store(true, Ordering::Release);
@@ -198,7 +174,7 @@ fn concurrent_scrub_donation_keeps_accounting_balanced() {
                 table.mark_dirty(pool[i % pool.len()]);
                 marks.fetch_add(1, Ordering::Relaxed);
                 i += 1;
-                if i % 64 == 0 {
+                if i.is_multiple_of(64) {
                     std::thread::yield_now();
                 }
             }
@@ -252,11 +228,8 @@ fn concurrent_scrub_donation_keeps_accounting_balanced() {
         d.join().expect("donor panicked");
     }
     if mercury.mode() == mercury::ExecMode::Virtual {
-        loop {
-            match mercury.switch_to_native(cpu0).unwrap() {
-                SwitchOutcome::Deferred { .. } => std::thread::yield_now(),
-                _ => break,
-            }
+        while let SwitchOutcome::Deferred { .. } = mercury.switch_to_native(cpu0).unwrap() {
+            std::thread::yield_now();
         }
     }
     stop_peer.store(true, Ordering::Release);

@@ -32,8 +32,6 @@ pub enum KernelError {
     Hypervisor(HvError),
     /// Unknown program image.
     NoProgram,
-    /// The kernel is frozen (checkpoint in progress).
-    Frozen,
 }
 
 impl fmt::Display for KernelError {
@@ -51,7 +49,6 @@ impl fmt::Display for KernelError {
             KernelError::Oops(fault) => write!(f, "kernel oops: {fault}"),
             KernelError::Hypervisor(e) => write!(f, "hypercall failed: {e}"),
             KernelError::NoProgram => write!(f, "no such program image"),
-            KernelError::Frozen => write!(f, "kernel is frozen"),
         }
     }
 }

@@ -24,14 +24,14 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 /// (2 MiB — pdflush-era defaults let this much dirty data sit).
 pub const DIRTY_HIGH_WATER: usize = 256;
 
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 struct Buf {
     data: Vec<u8>,
     dirty: bool,
 }
 
 /// The cache.  Lives inside the big kernel lock.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct BufferCache {
     blocks: HashMap<u64, Buf>,
     lru: VecDeque<u64>,

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An on-"disk" file.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Inode {
     /// Inode number.
     pub ino: u32,
@@ -41,7 +41,7 @@ pub struct Stat {
 }
 
 /// The filesystem.
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct Vfs {
     inodes: BTreeMap<u32, Inode>,
     root: BTreeMap<String, u32>,

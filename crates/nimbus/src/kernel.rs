@@ -6,13 +6,27 @@
 //! Mercury builds on the same object: it boots bare, swaps in its
 //! switchable virtualization objects, and moves the kernel between modes
 //! at runtime without the kernel noticing.
+//!
+//! A kernel object is made in one place: [`Kernel::boot`] (a fresh
+//! state on a fresh pool) and [`Kernel::thaw`] (a frozen state that
+//! travelled, §6.1) both hand a [`KernelImage`] to the private
+//! `assemble` — gate table, object, trap delivery per mode — and then
+//! `start` it: each CPU loads the base table of the process it is on
+//! and every CPU's timer is armed.  The image is the locked state
+//! itself plus the direct map, the kernel PDEs and the live patches, so
+//! whatever the state holds is what a checkpoint or a migration
+//! carries.  Devices are attached afterwards, by
+//! [`crate::drivers::attach_native`] or
+//! [`crate::drivers::connect_split`]; a whole system — machine, VMM,
+//! kernel, Mercury — is assembled by `mercury::Stack::build`
+//! (DESIGN.md §3a).
 
 use crate::drivers::block::BlockDriver;
 use crate::drivers::net::NetDriver;
 use crate::error::KernelError;
 use crate::fs::{Vfs, BLOCK_SIZE};
 use crate::mm::{AddressSpace, FramePool, MmCtx, Prot, Vma, VmaKind};
-use crate::net::{decode_packet, encode_packet, SocketTable};
+use crate::net::{decode_packet, encode_packet, Socket, SocketTable};
 use crate::paravirt::{ExecMode, KernelMap, PvOps};
 use crate::process::{BlockOn, Desc, Pid, Pipe, ProcState, Process, SavedTrapContext};
 use crate::programs::{layout, ProgramRegistry};
@@ -111,6 +125,9 @@ pub type IdleTask = Arc<dyn Fn(&Arc<Cpu>, u64) -> u64 + Send + Sync>;
 /// more than a few microseconds of donated work.
 pub const IDLE_DONATION_QUANTUM: u64 = 10_000;
 
+/// Everything behind the kernel lock — and, cloned whole, everything a
+/// checkpoint or a migration carries (§6.1).
+#[derive(Clone)]
 pub(crate) struct KState {
     pub pool: FramePool,
     pub procs: BTreeMap<u32, Process>,
@@ -122,24 +139,84 @@ pub(crate) struct KState {
     pub vfs: Vfs,
     pub programs: ProgramRegistry,
     pub next_pid: u32,
-    pub frozen: bool,
 }
 
-/// The kernel's logical state for checkpoint / migration (§6.1).
+/// The kernel's logical state for checkpoint / migration (§6.1): the
+/// locked state as it stood at the freeze, plus the three things a
+/// kernel object holds outside the lock that must survive the move.
 #[derive(Clone)]
 pub struct KernelImage {
     kmap: KernelMap,
-    kernel_pdes: Vec<(usize, u64)>,
-    procs: BTreeMap<u32, Process>,
-    zombies: BTreeMap<u32, (Pid, i32)>,
-    sched: SchedState,
-    pipes: HashMap<u32, Pipe>,
-    next_pipe: u32,
-    socks: SocketTable,
-    vfs: Vfs,
-    programs: ProgramRegistry,
-    next_pid: u32,
-    pool: FramePool,
+    kernel_pdes: Vec<(usize, Pte)>,
+    patches: HashMap<String, u64>,
+    state: KState,
+}
+
+impl KState {
+    /// The process running on `cpu`, and the pool its address space
+    /// draws on.
+    fn current_and_pool(
+        &mut self,
+        cpu: &Cpu,
+    ) -> Result<(&mut Process, &mut FramePool), KernelError> {
+        let pid = self.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
+        let proc = self.procs.get_mut(&pid.0).ok_or(KernelError::NoProcess)?;
+        Ok((proc, &mut self.pool))
+    }
+
+    /// The process running on `cpu`.
+    fn current(&mut self, cpu: &Cpu) -> Result<&mut Process, KernelError> {
+        Ok(self.current_and_pool(cpu)?.0)
+    }
+
+    /// Descriptor `fd` of the process running on `cpu`.
+    fn current_fd(&mut self, cpu: &Cpu, fd: usize) -> Result<Desc, KernelError> {
+        self.current(cpu)?.fd(fd).ok_or(KernelError::BadFd)
+    }
+
+    /// The socket behind descriptor `fd` of the process running on `cpu`.
+    fn current_sock(&mut self, cpu: &Cpu, fd: usize) -> Result<&mut Socket, KernelError> {
+        let Desc::Sock(id) = self.current_fd(cpu, fd)? else {
+            return Err(KernelError::BadFd);
+        };
+        self.socks.get(id).ok_or(KernelError::BadFd)
+    }
+
+    /// One more holder of `desc`: a forked child inherits it.
+    fn dup_desc(&mut self, desc: Desc) {
+        match desc {
+            Desc::PipeR(id) => {
+                if let Some(p) = self.pipes.get_mut(&id) {
+                    p.readers += 1;
+                }
+            }
+            Desc::PipeW(id) => {
+                if let Some(p) = self.pipes.get_mut(&id) {
+                    p.writers += 1;
+                }
+            }
+            Desc::Sock(id) => self.socks.dup(id),
+            Desc::File { .. } => {}
+        }
+    }
+
+    /// One holder of `desc` fewer: a `close`, or the holder's `exit`.
+    fn release_desc(&mut self, desc: Desc) {
+        match desc {
+            Desc::PipeR(id) => {
+                if let Some(p) = self.pipes.get_mut(&id) {
+                    p.readers = p.readers.saturating_sub(1);
+                }
+            }
+            Desc::PipeW(id) => {
+                if let Some(p) = self.pipes.get_mut(&id) {
+                    p.writers = p.writers.saturating_sub(1);
+                }
+            }
+            Desc::Sock(id) => self.socks.close(id),
+            Desc::File { .. } => {}
+        }
+    }
 }
 
 /// The kernel.
@@ -198,10 +275,8 @@ impl InterruptSink for GpSink {
     fn handle(&self, cpu: &Arc<Cpu>, _frame: &mut TrapFrame) {
         let Some(k) = self.0.upgrade() else { return };
         let mut st = k.state.lock();
-        if let Some(pid) = st.sched.current(cpu.id) {
-            if let Some(p) = st.procs.get_mut(&pid.0) {
-                p.signalled = true;
-            }
+        if let Ok(p) = st.current(cpu) {
+            p.signalled = true;
         }
     }
 }
@@ -285,29 +360,63 @@ impl Kernel {
     /// initializes the filesystem and program registry, installs trap
     /// handlers through the mode's paravirt object, and starts `init`
     /// (pid 1) on CPU 0.
+    ///
+    /// The pool is consumed in a fixed order — direct-map L1 tables,
+    /// program images, then `init`'s address space — and that order is
+    /// load-bearing: it decides every frame number the kernel ever
+    /// maps, hence the direct map and every archived cycle count.
     pub fn boot(machine: Arc<Machine>, config: KernelConfig) -> Result<Arc<Kernel>, KernelError> {
         let cpu = Arc::clone(machine.boot_cpu());
-        let mut pool = FramePool::new(config.pool.clone());
-
-        // ---- kernel direct map -------------------------------------------
+        let mut pool = FramePool::new(config.pool);
         let (kmap, kernel_pdes) = Self::build_direct_map(&machine, &cpu, &mut pool)?;
-
-        // ---- programs ------------------------------------------------------
         let mut programs = ProgramRegistry::default();
         programs.install_standard(&cpu, &machine.mem, &mut pool)?;
+        let state = KState {
+            pool,
+            procs: BTreeMap::new(),
+            zombies: BTreeMap::new(),
+            sched: SchedState::new(machine.num_cpus()),
+            pipes: HashMap::new(),
+            next_pipe: 0,
+            socks: SocketTable::default(),
+            vfs: Vfs::mkfs(config.fs_first_block, config.fs_blocks),
+            programs,
+            next_pid: 1,
+        };
+        let image = KernelImage {
+            kmap,
+            kernel_pdes,
+            patches: HashMap::new(),
+            state,
+        };
+        let kernel = Self::assemble(machine, config.mode, image)?;
+        {
+            let mut st = kernel.state.lock();
+            let mut init = kernel.build_process(&mut st, &cpu, Pid(0), "init")?;
+            init.state = ProcState::Running;
+            st.sched.current[0] = Some(init.pid);
+            st.procs.insert(init.pid.0, init);
+        }
+        kernel.start()?;
+        Ok(kernel)
+    }
 
-        // ---- core object ---------------------------------------------------
-        let pv: Arc<dyn PvOps> = match &config.mode {
+    /// The one place a kernel object is made, under [`Kernel::boot`]
+    /// (a fresh image) and [`Kernel::thaw`] (a travelled one): the gate
+    /// table, the object itself, and trap delivery per mode.
+    fn assemble(
+        machine: Arc<Machine>,
+        mode: BootMode,
+        image: KernelImage,
+    ) -> Result<Arc<Kernel>, KernelError> {
+        let pv: Arc<dyn PvOps> = match &mode {
             BootMode::Bare => crate::paravirt::BareOps::new(Arc::clone(&machine)),
             BootMode::Guest { hv, dom } => {
                 crate::paravirt::XenOps::new(Arc::clone(hv), Arc::clone(dom))
             }
         };
-        let smp = machine.num_cpus() > 1;
-        let num_cpus = machine.num_cpus();
-        let vfs = Vfs::mkfs(config.fs_first_block, config.fs_blocks);
-
         let kernel = Arc::new_cyclic(|weak: &Weak<Kernel>| {
+            let self_virt = || Arc::new(SelfVirtSink(weak.clone()));
             let mut idt = IdtTable::new("nimbus");
             idt.set_gate(vectors::PAGE_FAULT, Arc::new(PageFaultSink(weak.clone())));
             idt.set_gate(vectors::GP_FAULT, Arc::new(GpSink(weak.clone())));
@@ -316,74 +425,45 @@ impl Kernel {
             idt.set_gate(vectors::DISK, Arc::new(DiskSink));
             idt.set_gate(vectors::MACHINE_CHECK, Arc::new(MceSink(weak.clone())));
             idt.set_gate(vectors::EVTCHN_UPCALL, Arc::new(EvtchnSink(weak.clone())));
-            idt.set_gate(
-                vectors::SELF_VIRT_ATTACH,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            idt.set_gate(
-                vectors::SELF_VIRT_DETACH,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            idt.set_gate(
-                vectors::SELF_VIRT_RENDEZVOUS,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            idt.set_gate(
-                vectors::SELF_VIRT_UPDATE,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
+            idt.set_gate(vectors::SELF_VIRT_ATTACH, self_virt());
+            idt.set_gate(vectors::SELF_VIRT_DETACH, self_virt());
+            idt.set_gate(vectors::SELF_VIRT_RENDEZVOUS, self_virt());
+            idt.set_gate(vectors::SELF_VIRT_UPDATE, self_virt());
             Kernel {
-                machine: Arc::clone(&machine),
+                smp: machine.num_cpus() > 1,
+                machine,
                 pv: RwLock::new(pv),
-                state: Mutex::new(KState {
-                    pool,
-                    procs: BTreeMap::new(),
-                    zombies: BTreeMap::new(),
-                    sched: SchedState::new(num_cpus),
-                    pipes: HashMap::new(),
-                    next_pipe: 0,
-                    socks: SocketTable::default(),
-                    vfs,
-                    programs,
-                    next_pid: 1,
-                    frozen: false,
-                }),
+                state: Mutex::new(image.state),
                 idt: Arc::new(idt),
-                kmap,
-                kernel_pdes,
+                kmap: image.kmap,
+                kernel_pdes: image.kernel_pdes,
                 block: RwLock::new(None),
                 net: RwLock::new(None),
                 timer_callbacks: Mutex::new(Vec::new()),
                 self_virt: RwLock::new(None),
-                patches: RwLock::new(HashMap::new()),
+                patches: RwLock::new(image.patches),
                 preemptible: AtomicBool::new(false),
                 idle_task: RwLock::new(None),
-                mode: config.mode.clone(),
-                smp,
+                mode,
                 mce_seen: AtomicBool::new(false),
             }
         });
-
         kernel.install_traps_and_privilege()?;
-
-        // ---- init process --------------------------------------------------
-        {
-            let mut st = kernel.state.lock();
-            let init = kernel.build_process(&mut st, &cpu, Pid(0), "init")?;
-            let pid = init.pid;
-            st.procs.insert(pid.0, init);
-            st.sched.current[0] = Some(pid);
-            st.procs.get_mut(&pid.0).unwrap().state = ProcState::Running;
-            let pgd = st.procs.get(&pid.0).unwrap().aspace.pgd;
-            kernel.pv().load_base_table(&cpu, pgd)?;
-        }
-        for c in &kernel.machine.cpus {
-            kernel
-                .machine
-                .timer
-                .start(c, simx86::devices::timer::DEFAULT_PERIOD_CYCLES);
-        }
         Ok(kernel)
+    }
+
+    /// Let an assembled kernel run: every CPU loads the base table of
+    /// the process it is on, and every CPU's periodic timer is armed.
+    fn start(&self) -> Result<(), KernelError> {
+        for cpu in &self.machine.cpus {
+            if let Some(pgd) = self.current_pgd(cpu) {
+                self.pv().load_base_table(cpu, pgd)?;
+            }
+            self.machine
+                .timer
+                .start(cpu, simx86::devices::timer::DEFAULT_PERIOD_CYCLES);
+        }
+        Ok(())
     }
 
     /// Build the direct map: one kernel L1 table per 2 MiB slice of the
@@ -575,11 +655,32 @@ impl Kernel {
         self.state.lock()
     }
 
-    /// Run `f` under the kernel lock (crate-internal and test use).
-    #[allow(dead_code)]
-    pub(crate) fn with_state<R>(&self, cpu: &Arc<Cpu>, f: impl FnOnce(&mut KState) -> R) -> R {
-        let mut st = self.lock_state(cpu);
-        f(&mut st)
+    /// An [`MmCtx`] charging `cpu`, through `pv`, over `pool`.
+    fn mm_ctx<'a>(
+        &'a self,
+        cpu: &'a Arc<Cpu>,
+        pv: &'a Arc<dyn PvOps>,
+        pool: &'a mut FramePool,
+    ) -> MmCtx<'a> {
+        MmCtx {
+            cpu,
+            pv,
+            mem: &self.machine.mem,
+            pool,
+            kmap: &self.kmap,
+        }
+    }
+
+    /// The process running on `cpu` and an [`MmCtx`] over the pool:
+    /// what every address-space syscall starts from.
+    fn current_mm<'a>(
+        &'a self,
+        st: &'a mut KState,
+        cpu: &'a Arc<Cpu>,
+        pv: &'a Arc<dyn PvOps>,
+    ) -> Result<(&'a mut Process, MmCtx<'a>), KernelError> {
+        let (proc, pool) = st.current_and_pool(cpu)?;
+        Ok((proc, self.mm_ctx(cpu, pv, pool)))
     }
 
     // -----------------------------------------------------------------
@@ -620,14 +721,7 @@ impl Kernel {
     ) -> Result<AddressSpace, KernelError> {
         let pv = self.pv();
         let image = st.programs.get(prog)?.clone();
-        let KState { pool, .. } = st;
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool,
-            kmap: &self.kmap,
-        };
+        let mut ctx = self.mm_ctx(cpu, &pv, &mut st.pool);
         let mut asp = AddressSpace::new(&mut ctx, &self.kernel_pdes)?;
 
         // Text: shared RO.
@@ -747,29 +841,27 @@ impl Kernel {
         cpu: &Arc<Cpu>,
         on: BlockOn,
     ) -> Result<Option<Pid>, KernelError> {
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        {
-            let p = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-            p.state = ProcState::Blocked(on);
+        st.current(cpu)?.state = ProcState::Blocked(on);
+        let next = self.run_next(st, cpu)?;
+        if next.is_none() {
+            // Idle: push the blocked process's context and park.
+            let gdt = cpu.current_gdt();
+            st.current(cpu)?.kstack.push(SavedTrapContext {
+                cs: gdt.kernel_cs(),
+                ss: gdt.kernel_ss(),
+            });
+            st.sched.current[cpu.id] = None;
         }
-        match st.sched.pick_next() {
-            Some(next) => {
-                self.do_switch(st, cpu, next)?;
-                Ok(Some(next))
-            }
-            None => {
-                // Idle: push the blocked process's context and park.
-                let gdt = cpu.current_gdt();
-                if let Some(p) = st.procs.get_mut(&cur.0) {
-                    p.kstack.push(SavedTrapContext {
-                        cs: gdt.kernel_cs(),
-                        ss: gdt.kernel_ss(),
-                    });
-                }
-                st.sched.current[cpu.id] = None;
-                Ok(None)
-            }
+        Ok(next)
+    }
+
+    /// Switch `cpu` to the next ready process, if there is one.
+    fn run_next(&self, st: &mut KState, cpu: &Arc<Cpu>) -> Result<Option<Pid>, KernelError> {
+        let next = st.sched.pick_next();
+        if let Some(next) = next {
+            self.do_switch(st, cpu, next)?;
         }
+        Ok(next)
     }
 
     fn wake_matching(st: &mut KState, pred: impl Fn(BlockOn) -> bool) {
@@ -796,28 +888,23 @@ impl Kernel {
         if st.sched.current(cpu.id).is_some() {
             return Ok(st.sched.current(cpu.id));
         }
-        match st.sched.pick_next() {
-            Some(next) => {
-                self.do_switch(&mut st, cpu, next)?;
-                Ok(Some(next))
-            }
-            None => {
-                // Truly idle: donate a bounded quantum to the registered
-                // idle task (background frame revalidation) instead of
-                // spinning the cycles away.  The state lock is dropped
-                // first — the task may call back into kernel services.
-                drop(st);
-                let task = self.idle_task.read().clone();
-                if let Some(task) = task {
-                    let used = task(cpu, IDLE_DONATION_QUANTUM);
-                    debug_assert!(
-                        used <= IDLE_DONATION_QUANTUM,
-                        "idle task overran its {IDLE_DONATION_QUANTUM}-cycle budget: {used}"
-                    );
-                }
-                Ok(None)
+        let next = self.run_next(&mut st, cpu)?;
+        if next.is_none() {
+            // Truly idle: donate a bounded quantum to the registered
+            // idle task (background frame revalidation) instead of
+            // spinning the cycles away.  The state lock is dropped
+            // first — the task may call back into kernel services.
+            drop(st);
+            let task = self.idle_task.read().clone();
+            if let Some(task) = task {
+                let used = task(cpu, IDLE_DONATION_QUANTUM);
+                debug_assert!(
+                    used <= IDLE_DONATION_QUANTUM,
+                    "idle task overran its {IDLE_DONATION_QUANTUM}-cycle budget: {used}"
+                );
             }
         }
+        Ok(next)
     }
 
     /// Register (or clear, with `None`) the idle-loop donation task.
@@ -914,22 +1001,15 @@ impl Kernel {
         cpu.tick(costs::FORK_BASE);
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
+        st.current(cpu)?; // an idle CPU forks nothing: no pid is spent
         let child_pid = Pid(st.next_pid);
         st.next_pid += 1;
 
-        let parent = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool: &mut st.pool,
-            kmap: &self.kmap,
-        };
+        let (parent, mut ctx) = self.current_mm(st, cpu, &pv)?;
         let child_as = parent.aspace.fork_from(&mut ctx, &self.kernel_pdes)?;
         let child = Process {
             pid: child_pid,
-            parent: cur,
+            parent: parent.pid,
             state: ProcState::Ready,
             aspace: child_as,
             fds: parent.fds.clone(),
@@ -941,22 +1021,9 @@ impl Kernel {
             mmap_cursor: parent.mmap_cursor,
             signalled: false,
         };
-        // Duplicate pipe end and socket references.
-        for d in child.fds.iter().flatten() {
-            match d {
-                Desc::PipeR(id) => {
-                    if let Some(p) = st.pipes.get_mut(id) {
-                        p.readers += 1;
-                    }
-                }
-                Desc::PipeW(id) => {
-                    if let Some(p) = st.pipes.get_mut(id) {
-                        p.writers += 1;
-                    }
-                }
-                Desc::Sock(id) => st.socks.dup(*id),
-                Desc::File { .. } => {}
-            }
+        // The child holds every pipe end and socket its parent does.
+        for &d in child.fds.iter().flatten() {
+            st.dup_desc(d);
         }
         st.procs.insert(child_pid.0, child);
         st.sched.enqueue(child_pid);
@@ -969,21 +1036,14 @@ impl Kernel {
         cpu.tick(costs::EXEC_BASE);
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
+        st.current(cpu)?; // an idle CPU has nothing to exec into: build nothing
         let new_as = self.build_image_aspace(st, cpu, prog)?;
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
+        let proc = st.current(cpu)?;
         let old = std::mem::replace(&mut proc.aspace, new_as);
         proc.prog = prog.to_string();
         proc.mmap_cursor = layout::MMAP_BASE;
         let pgd = proc.aspace.pgd;
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool: &mut st.pool,
-            kmap: &self.kmap,
-        };
-        old.destroy(&mut ctx)?;
+        old.destroy(&mut self.mm_ctx(cpu, &pv, &mut st.pool))?;
         pv.load_base_table(cpu, pgd)?;
         Ok(())
     }
@@ -998,21 +1058,8 @@ impl Kernel {
         let proc = st.procs.remove(&cur.0).ok_or(KernelError::NoProcess)?;
 
         // Close descriptors (dropping pipe end counts wakes peers).
-        for d in proc.fds.iter().flatten() {
-            match d {
-                Desc::PipeR(id) => {
-                    if let Some(p) = st.pipes.get_mut(id) {
-                        p.readers = p.readers.saturating_sub(1);
-                    }
-                }
-                Desc::PipeW(id) => {
-                    if let Some(p) = st.pipes.get_mut(id) {
-                        p.writers = p.writers.saturating_sub(1);
-                    }
-                }
-                Desc::Sock(id) => st.socks.close(*id),
-                Desc::File { .. } => {}
-            }
+        for &d in proc.fds.iter().flatten() {
+            st.release_desc(d);
         }
         // Pipe peers may be unblocked by the closed descriptors; the
         // parent wakes only if it is actually waiting (a broadcast here
@@ -1028,25 +1075,12 @@ impl Kernel {
             }
         }
 
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool: &mut st.pool,
-            kmap: &self.kmap,
-        };
-        proc.aspace.destroy(&mut ctx)?;
+        proc.aspace
+            .destroy(&mut self.mm_ctx(cpu, &pv, &mut st.pool))?;
         st.zombies.insert(cur.0, (proc.parent, code));
         st.sched.current[cpu.id] = None;
         st.sched.remove(cur);
-
-        match st.sched.pick_next() {
-            Some(next) => {
-                self.do_switch(st, cpu, next)?;
-                Ok(Some(next))
-            }
-            None => Ok(None),
-        }
+        self.run_next(st, cpu)
     }
 
     /// `waitpid(-1)`: reap any zombie child, or block.
@@ -1079,9 +1113,13 @@ impl Kernel {
     /// `pipe`: returns (read fd, write fd).
     pub fn pipe(&self, cpu: &Arc<Cpu>) -> Result<(usize, usize), KernelError> {
         let mut st = self.lock_state(cpu);
-        let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
         let id = st.next_pipe;
+        let proc = st.current(cpu)?;
+        cpu.tick(1_200);
+        let fds = (
+            proc.alloc_fd(Desc::PipeR(id)),
+            proc.alloc_fd(Desc::PipeW(id)),
+        );
         st.next_pipe += 1;
         st.pipes.insert(
             id,
@@ -1091,12 +1129,7 @@ impl Kernel {
                 writers: 1,
             },
         );
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        cpu.tick(1_200);
-        Ok((
-            proc.alloc_fd(Desc::PipeR(id)),
-            proc.alloc_fd(Desc::PipeW(id)),
-        ))
+        Ok(fds)
     }
 
     /// `read`: pipes block when empty; files read at the descriptor
@@ -1104,13 +1137,7 @@ impl Kernel {
     pub fn read(&self, cpu: &Arc<Cpu>, fd: usize, len: usize) -> Result<ReadOutcome, KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let desc = st
-            .procs
-            .get(&cur.0)
-            .and_then(|p| p.fd(fd))
-            .ok_or(KernelError::BadFd)?;
-        match desc {
+        match st.current_fd(cpu, fd)? {
             Desc::PipeR(id) => {
                 let pipe = st.pipes.get_mut(&id).ok_or(KernelError::BadFd)?;
                 if pipe.buf.is_empty() {
@@ -1129,12 +1156,10 @@ impl Kernel {
             Desc::File { ino, pos } => {
                 let driver = self.block_driver()?;
                 let data = st.vfs.read(cpu, driver.as_ref(), ino, pos, len)?;
-                let n = data.len() as u64;
-                if let Some(p) = st.procs.get_mut(&cur.0) {
-                    if let Some(Some(Desc::File { pos, .. })) = p.fds.get_mut(fd) {
-                        *pos += n;
-                    }
-                }
+                st.current(cpu)?.fds[fd] = Some(Desc::File {
+                    ino,
+                    pos: pos + data.len() as u64,
+                });
                 Ok(ReadOutcome::Data(data))
             }
             _ => Err(KernelError::BadFd),
@@ -1150,13 +1175,7 @@ impl Kernel {
     ) -> Result<WriteOutcome, KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let desc = st
-            .procs
-            .get(&cur.0)
-            .and_then(|p| p.fd(fd))
-            .ok_or(KernelError::BadFd)?;
-        match desc {
+        match st.current_fd(cpu, fd)? {
             Desc::PipeW(id) => {
                 let pipe = st.pipes.get_mut(&id).ok_or(KernelError::BadFd)?;
                 if pipe.space() < data.len() {
@@ -1174,11 +1193,10 @@ impl Kernel {
             Desc::File { ino, pos } => {
                 let driver = self.block_driver()?;
                 let n = st.vfs.write(cpu, driver.as_ref(), ino, pos, data)?;
-                if let Some(p) = st.procs.get_mut(&cur.0) {
-                    if let Some(Some(Desc::File { pos, .. })) = p.fds.get_mut(fd) {
-                        *pos += n as u64;
-                    }
-                }
+                st.current(cpu)?.fds[fd] = Some(Desc::File {
+                    ino,
+                    pos: pos + n as u64,
+                });
                 Ok(WriteOutcome::Wrote(n))
             }
             _ => Err(KernelError::BadFd),
@@ -1189,28 +1207,13 @@ impl Kernel {
     pub fn close(&self, cpu: &Arc<Cpu>, fd: usize) -> Result<(), KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let desc = st
-            .procs
-            .get_mut(&cur.0)
-            .ok_or(KernelError::NoProcess)?
-            .close_fd(fd)
-            .ok_or(KernelError::BadFd)?;
+        let desc = st.current(cpu)?.close_fd(fd).ok_or(KernelError::BadFd)?;
+        st.release_desc(desc);
+        // A pipe end gone may be what the other end's waiters wait for.
         match desc {
-            Desc::PipeR(id) => {
-                if let Some(p) = st.pipes.get_mut(&id) {
-                    p.readers = p.readers.saturating_sub(1);
-                }
-                Self::wake_matching(st, |on| on == BlockOn::PipeWrite(id));
-            }
-            Desc::PipeW(id) => {
-                if let Some(p) = st.pipes.get_mut(&id) {
-                    p.writers = p.writers.saturating_sub(1);
-                }
-                Self::wake_matching(st, |on| on == BlockOn::PipeRead(id));
-            }
-            Desc::Sock(id) => st.socks.close(id),
-            Desc::File { .. } => {}
+            Desc::PipeR(id) => Self::wake_matching(st, |on| on == BlockOn::PipeWrite(id)),
+            Desc::PipeW(id) => Self::wake_matching(st, |on| on == BlockOn::PipeRead(id)),
+            Desc::Sock(_) | Desc::File { .. } => {}
         }
         Ok(())
     }
@@ -1223,14 +1226,13 @@ impl Kernel {
     pub fn open(&self, cpu: &Arc<Cpu>, name: &str, create: bool) -> Result<usize, KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
+        st.current(cpu)?; // an idle CPU opens nothing: no file is created
         let ino = match st.vfs.lookup(cpu, name) {
             Ok(ino) => ino,
             Err(KernelError::NoEnt) if create => st.vfs.create(cpu, name)?,
             Err(e) => return Err(e),
         };
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        Ok(proc.alloc_fd(Desc::File { ino, pos: 0 }))
+        Ok(st.current(cpu)?.alloc_fd(Desc::File { ino, pos: 0 }))
     }
 
     /// `unlink`.
@@ -1258,9 +1260,7 @@ impl Kernel {
     /// Reposition a file descriptor.
     pub fn lseek(&self, cpu: &Arc<Cpu>, fd: usize, pos: u64) -> Result<(), KernelError> {
         let mut st = self.lock_state(cpu);
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let p = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        match p.fds.get_mut(fd) {
+        match st.current(cpu)?.fds.get_mut(fd) {
             Some(Some(Desc::File { pos: fpos, .. })) => {
                 *fpos = pos;
                 Ok(())
@@ -1282,9 +1282,7 @@ impl Kernel {
         backing: MmapBacking,
     ) -> Result<VirtAddr, KernelError> {
         let mut st = self.lock_state(cpu);
-        let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
+        let proc = st.current(cpu)?;
         let base = proc.mmap_cursor;
         proc.mmap_cursor += pages * PAGE_SIZE;
         cpu.tick(1_500); // vma bookkeeping
@@ -1305,16 +1303,7 @@ impl Kernel {
     pub fn munmap(&self, cpu: &Arc<Cpu>, va: VirtAddr, pages: u64) -> Result<u64, KernelError> {
         let pv = self.pv();
         let mut st = self.lock_state(cpu);
-        let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool: &mut st.pool,
-            kmap: &self.kmap,
-        };
+        let (proc, mut ctx) = self.current_mm(&mut st, cpu, &pv)?;
         let freed = proc.aspace.unmap_range(&mut ctx, va, pages)?;
         // LIFO address reuse: unmapping the most recent mapping winds
         // the placement cursor back, so mmap/munmap loops do not march
@@ -1335,16 +1324,7 @@ impl Kernel {
     ) -> Result<(), KernelError> {
         let pv = self.pv();
         let mut st = self.lock_state(cpu);
-        let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool: &mut st.pool,
-            kmap: &self.kmap,
-        };
+        let (proc, mut ctx) = self.current_mm(&mut st, cpu, &pv)?;
         proc.aspace.protect_range(&mut ctx, va, pages, prot)
     }
 
@@ -1370,13 +1350,7 @@ impl Kernel {
         let Some(proc) = procs.get_mut(&cur.0) else {
             return;
         };
-        let mut ctx = MmCtx {
-            cpu,
-            pv: &pv,
-            mem: &self.machine.mem,
-            pool,
-            kmap: &self.kmap,
-        };
+        let mut ctx = self.mm_ctx(cpu, &pv, pool);
         use crate::mm::FaultFix;
         let fix = match proc.aspace.handle_anon_fault(&mut ctx, va, access) {
             Ok(f) => f,
@@ -1480,22 +1454,14 @@ impl Kernel {
 
     /// Is the current process of `cpu` signalled?
     pub fn current_signalled(&self, cpu: &Arc<Cpu>) -> bool {
-        let st = self.state.lock();
-        st.sched
-            .current(cpu.id)
-            .and_then(|pid| st.procs.get(&pid.0))
-            .map(|p| p.signalled)
-            .unwrap_or(false)
+        self.state.lock().current(cpu).is_ok_and(|p| p.signalled)
     }
 
     /// Clear the current process's pending signal (a benchmark's SIGSEGV
     /// handler).
     pub fn clear_signal(&self, cpu: &Arc<Cpu>) {
-        let mut st = self.state.lock();
-        if let Some(pid) = st.sched.current(cpu.id) {
-            if let Some(p) = st.procs.get_mut(&pid.0) {
-                p.signalled = false;
-            }
+        if let Ok(p) = self.state.lock().current(cpu) {
+            p.signalled = false;
         }
     }
 
@@ -1521,14 +1487,13 @@ impl Kernel {
     pub fn socket(&self, cpu: &Arc<Cpu>, port: u16) -> Result<usize, KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
+        st.current(cpu)?; // an idle CPU binds nothing: the port stays free
         let id = st
             .socks
             .bind(port)
             .ok_or(KernelError::Invalid("port in use"))?;
         cpu.tick(1_000);
-        let proc = st.procs.get_mut(&cur.0).ok_or(KernelError::NoProcess)?;
-        Ok(proc.alloc_fd(Desc::Sock(id)))
+        Ok(st.current(cpu)?.alloc_fd(Desc::Sock(id)))
     }
 
     /// `sendto`.
@@ -1540,20 +1505,7 @@ impl Kernel {
         payload: &[u8],
     ) -> Result<(), KernelError> {
         let driver = self.net_driver()?;
-        let src_port = {
-            let mut st = self.lock_state(cpu);
-            let st = &mut *st;
-            let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-            let desc = st
-                .procs
-                .get(&cur.0)
-                .and_then(|p| p.fd(fd))
-                .ok_or(KernelError::BadFd)?;
-            let Desc::Sock(id) = desc else {
-                return Err(KernelError::BadFd);
-            };
-            st.socks.get(id).ok_or(KernelError::BadFd)?.port
-        };
+        let src_port = self.lock_state(cpu).current_sock(cpu, fd)?.port;
         let pkt = encode_packet(dst_port, src_port, payload);
         driver.send(cpu, &pkt)
     }
@@ -1584,17 +1536,7 @@ impl Kernel {
     ) -> Result<Option<(u16, Vec<u8>)>, KernelError> {
         self.net_rx_pump(cpu);
         let mut st = self.lock_state(cpu);
-        let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let desc = st
-            .procs
-            .get(&cur.0)
-            .and_then(|p| p.fd(fd))
-            .ok_or(KernelError::BadFd)?;
-        let Desc::Sock(id) = desc else {
-            return Err(KernelError::BadFd);
-        };
-        let sock = st.socks.get(id).ok_or(KernelError::BadFd)?;
+        let sock = st.current_sock(cpu, fd)?;
         Ok(sock.rx.pop_front().inspect(|(_, data)| {
             cpu.tick(500 + data.len() as u64 / 4);
         }))
@@ -1605,16 +1547,8 @@ impl Kernel {
         self.net_rx_pump(cpu);
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
-        let cur = st.sched.current(cpu.id).ok_or(KernelError::NoProcess)?;
-        let desc = st
-            .procs
-            .get(&cur.0)
-            .and_then(|p| p.fd(fd))
-            .ok_or(KernelError::BadFd)?;
-        let Desc::Sock(id) = desc else {
-            return Err(KernelError::BadFd);
-        };
-        let sock = st.socks.get(id).ok_or(KernelError::BadFd)?;
+        let sock = st.current_sock(cpu, fd)?;
+        let id = sock.id;
         match sock.rx.pop_front() {
             Some((src, data)) => {
                 cpu.tick(500 + data.len() as u64 / 4);
@@ -1636,24 +1570,13 @@ impl Kernel {
     /// consistent with the image.
     pub fn freeze(&self, cpu: &Arc<Cpu>) -> Result<GuestState, KernelError> {
         self.sync(cpu)?;
-        let mut st = self.lock_state(cpu);
-        st.frozen = true;
-        let image = KernelImage {
+        let state = self.lock_state(cpu).clone();
+        Ok(GuestState::new(KernelImage {
             kmap: self.kmap.clone(),
-            kernel_pdes: self.kernel_pdes.iter().map(|&(i, p)| (i, p.0)).collect(),
-            procs: st.procs.clone(),
-            zombies: st.zombies.clone(),
-            sched: st.sched.clone(),
-            pipes: st.pipes.clone(),
-            next_pipe: st.next_pipe,
-            socks: st.socks.clone(),
-            vfs: st.vfs.clone(),
-            programs: st.programs.clone(),
-            next_pid: st.next_pid,
-            pool: st.pool.clone(),
-        };
-        st.frozen = false;
-        Ok(GuestState::new(image))
+            kernel_pdes: self.kernel_pdes.clone(),
+            patches: self.patches.read().clone(),
+            state,
+        }))
     }
 
     /// Rebuild a kernel from a frozen image on `machine`, translating
@@ -1668,124 +1591,33 @@ impl Kernel {
         state: &GuestState,
         frame_map: &HashMap<u32, u32>,
     ) -> Result<Arc<Kernel>, KernelError> {
-        let image = state
+        let mut image = state
             .downcast_ref::<KernelImage>()
             .ok_or(KernelError::Invalid("malformed kernel image"))?
             .clone();
         let tr = |f: u32| -> u32 { *frame_map.get(&f).unwrap_or(&f) };
 
-        let mut kmap = image.kmap;
-        kmap.translate(frame_map);
-        let kernel_pdes: Vec<(usize, Pte)> = image
-            .kernel_pdes
-            .iter()
-            .map(|&(i, p)| {
-                let pte = Pte(p);
-                (i, Pte::new(tr(pte.frame()), pte.0 & !0x0000_00ff_ffff_f000))
-            })
-            .collect();
-
-        let mut pool = image.pool;
-        pool.translate(frame_map);
-        let mut programs = image.programs;
-        programs.translate(frame_map);
-        let mut procs = image.procs;
-        for p in procs.values_mut() {
+        image.kmap.translate(frame_map);
+        for (_, pde) in &mut image.kernel_pdes {
+            *pde = Pte::new(tr(pde.frame()), pde.0 & !0x0000_00ff_ffff_f000);
+        }
+        let st = &mut image.state;
+        st.pool.translate(frame_map);
+        st.programs.translate(frame_map);
+        for p in st.procs.values_mut() {
             p.aspace.translate(frame_map);
         }
-
         // The disk travelled separately (storage pre-copy); clean cache
         // entries must be re-read from the migrated platter so any
         // storage-level divergence surfaces instead of being masked by
         // stale cached copies.  Dirty blocks are the guest's unsynced
         // data and travel with the image.
-        let mut vfs = image.vfs;
-        vfs.cache.drop_clean();
+        st.vfs.cache.drop_clean();
+        st.sched.current.resize(machine.num_cpus(), None);
+        st.sched.need_resched.resize(machine.num_cpus(), false);
 
-        let pv: Arc<dyn PvOps> = match &mode {
-            BootMode::Bare => crate::paravirt::BareOps::new(Arc::clone(&machine)),
-            BootMode::Guest { hv, dom } => {
-                crate::paravirt::XenOps::new(Arc::clone(hv), Arc::clone(dom))
-            }
-        };
-        let smp = machine.num_cpus() > 1;
-        let mut sched = image.sched;
-        sched.current.resize(machine.num_cpus(), None);
-        sched.need_resched.resize(machine.num_cpus(), false);
-
-        let kernel = Arc::new_cyclic(|weak: &Weak<Kernel>| {
-            let mut idt = IdtTable::new("nimbus");
-            idt.set_gate(vectors::PAGE_FAULT, Arc::new(PageFaultSink(weak.clone())));
-            idt.set_gate(vectors::GP_FAULT, Arc::new(GpSink(weak.clone())));
-            idt.set_gate(vectors::TIMER, Arc::new(TimerSink(weak.clone())));
-            idt.set_gate(vectors::NIC, Arc::new(NicSink(weak.clone())));
-            idt.set_gate(vectors::DISK, Arc::new(DiskSink));
-            idt.set_gate(vectors::MACHINE_CHECK, Arc::new(MceSink(weak.clone())));
-            idt.set_gate(vectors::EVTCHN_UPCALL, Arc::new(EvtchnSink(weak.clone())));
-            idt.set_gate(
-                vectors::SELF_VIRT_ATTACH,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            idt.set_gate(
-                vectors::SELF_VIRT_DETACH,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            idt.set_gate(
-                vectors::SELF_VIRT_RENDEZVOUS,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            idt.set_gate(
-                vectors::SELF_VIRT_UPDATE,
-                Arc::new(SelfVirtSink(weak.clone())),
-            );
-            Kernel {
-                machine: Arc::clone(&machine),
-                pv: RwLock::new(pv),
-                state: Mutex::new(KState {
-                    pool,
-                    procs,
-                    zombies: image.zombies,
-                    sched,
-                    pipes: image.pipes,
-                    next_pipe: image.next_pipe,
-                    socks: image.socks,
-                    vfs,
-                    programs,
-                    next_pid: image.next_pid,
-                    frozen: false,
-                }),
-                idt: Arc::new(idt),
-                kmap,
-                kernel_pdes,
-                block: RwLock::new(None),
-                net: RwLock::new(None),
-                timer_callbacks: Mutex::new(Vec::new()),
-                self_virt: RwLock::new(None),
-                patches: RwLock::new(HashMap::new()),
-                preemptible: AtomicBool::new(false),
-                idle_task: RwLock::new(None),
-                mode: mode.clone(),
-                smp,
-                mce_seen: AtomicBool::new(false),
-            }
-        });
-        kernel.install_traps_and_privilege()?;
-
-        // Reload the current process's base table on each CPU.
-        {
-            let st = kernel.state.lock();
-            for cpu in &kernel.machine.cpus {
-                if let Some(pid) = st.sched.current(cpu.id) {
-                    if let Some(p) = st.procs.get(&pid.0) {
-                        kernel.pv().load_base_table(cpu, p.aspace.pgd)?;
-                    }
-                }
-            }
-        }
-        kernel.machine.timer.start(
-            machine.boot_cpu(),
-            simx86::devices::timer::DEFAULT_PERIOD_CYCLES,
-        );
+        let kernel = Self::assemble(machine, mode, image)?;
+        kernel.start()?;
         Ok(kernel)
     }
 
@@ -1873,11 +1705,8 @@ impl Kernel {
     /// The page-directory of the process currently on `cpu` (what a
     /// world switch into this kernel must load into CR3).
     pub fn current_pgd(&self, cpu: &Arc<Cpu>) -> Option<FrameNum> {
-        let st = self.state.lock();
-        st.sched
-            .current(cpu.id)
-            .and_then(|pid| st.procs.get(&pid.0))
-            .map(|p| p.aspace.pgd)
+        let mut st = self.state.lock();
+        st.current(cpu).ok().map(|p| p.aspace.pgd)
     }
 
     /// Number of live processes.
@@ -1923,13 +1752,12 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drivers::block::NativeBlockDriver;
-    use crate::drivers::net::NativeNetDriver;
+    use crate::drivers::attach_native;
     use crate::session::Session;
     use simx86::devices::EchoWire;
     use simx86::MachineConfig;
 
-    fn machine(cpus: usize) -> Arc<Machine> {
+    pub(super) fn machine(cpus: usize) -> Arc<Machine> {
         Machine::new(MachineConfig {
             num_cpus: cpus,
             mem_frames: 16 * 1024,
@@ -1937,24 +1765,31 @@ mod tests {
         })
     }
 
-    /// Boot a bare (native) kernel with drivers attached.
-    fn boot_bare(machine: &Arc<Machine>) -> Arc<Kernel> {
+    /// Boot a bare (native) kernel on `pool_frames` frames, with
+    /// drivers attached.
+    pub(super) fn boot_sized(
+        machine: &Arc<Machine>,
+        pool_frames: usize,
+        fs_blocks: u64,
+    ) -> Arc<Kernel> {
         let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 8 * 1024).unwrap();
+        let pool = machine.allocator.alloc_many(cpu, pool_frames).unwrap();
         let kernel = Kernel::boot(
             Arc::clone(machine),
             KernelConfig {
                 pool,
                 mode: BootMode::Bare,
-                fs_blocks: 4096,
+                fs_blocks,
                 fs_first_block: 1,
             },
         )
         .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(machine), bounce));
-        kernel.set_net_driver(NativeNetDriver::new(Arc::clone(machine)));
+        attach_native(machine, &kernel).unwrap();
         kernel
+    }
+
+    fn boot_bare(machine: &Arc<Machine>) -> Arc<Kernel> {
+        boot_sized(machine, 8 * 1024, 4096)
     }
 
     /// Boot a guest kernel on an always-on hypervisor (the X-0 shape).
@@ -1977,9 +1812,7 @@ mod tests {
             },
         )
         .unwrap();
-        let bounce = kernel.alloc_driver_frame(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(machine), bounce));
-        kernel.set_net_driver(NativeNetDriver::new(Arc::clone(machine)));
+        attach_native(machine, &kernel).unwrap();
         (hv, kernel)
     }
 
@@ -2177,15 +2010,9 @@ mod tests {
     /// ports swapped, so it lands on the socket that sent it.
     fn echo_session() -> Session {
         let m = machine(1);
-        m.nic.connect(Arc::new(EchoWire::with_transform(
+        m.nic.connect(Arc::new(EchoWire::port_swapping(
             Arc::clone(&m.nic),
             Arc::clone(&m.intc),
-            |pkt| {
-                let mut out = pkt.to_vec();
-                out.swap(0, 2);
-                out.swap(1, 3);
-                out
-            },
         )));
         Session::new(boot_bare(&m), 0)
     }
@@ -2297,49 +2124,85 @@ mod tests {
         sess.write(fd, b"survives").unwrap();
         let va = sess.mmap(1, Prot::RW, MmapBacking::Anon).unwrap();
         sess.poke(va, 424242).unwrap();
+        // Every table of the state holds something: a pipe with bytes
+        // in flight, a bound socket, an unreaped zombie, a live child.
+        let (rfd, wfd) = sess.pipe().unwrap();
+        sess.write(wfd, b"in flight").unwrap();
+        sess.socket(5000).unwrap();
+        sess.fork().unwrap();
+        assert_eq!(sess.waitpid().unwrap(), None); // the child runs ...
+        sess.exit(7).unwrap(); // ... and is left a zombie
+        sess.fork().unwrap();
         let image = k.freeze(m.boot_cpu()).unwrap();
 
         // In-place thaw (identity frame map): same machine, same frames.
         let k2 = Kernel::thaw(Arc::clone(&m), BootMode::Bare, &image, &HashMap::new()).unwrap();
-        let bounce = m.allocator.alloc(m.boot_cpu()).unwrap();
-        k2.set_block_driver(crate::drivers::block::NativeBlockDriver::new(
-            Arc::clone(&m),
-            bounce,
-        ));
+        attach_native(&m, &k2).unwrap();
+
+        // The image *is* the state: every field comes back as it was
+        // (less the clean cache blocks a thaw drops on purpose).  The
+        // pattern names each field, so one added later cannot be left
+        // out of this list.
+        let mut want = k.state.lock().clone();
+        want.vfs.cache.drop_clean();
+        {
+            let got = k2.state.lock();
+            let KState {
+                pool,
+                procs,
+                zombies,
+                sched,
+                pipes,
+                next_pipe,
+                socks,
+                vfs,
+                programs,
+                next_pid,
+            } = &*got;
+            assert!(*pool == want.pool, "pool");
+            assert!(*procs == want.procs && procs.len() == 2, "procs");
+            assert!(*zombies == want.zombies && zombies.len() == 1, "zombies");
+            assert!(*sched == want.sched, "sched");
+            assert!(*pipes == want.pipes && pipes[&0].buf.len() == 9, "pipes");
+            assert_eq!(*next_pipe, want.next_pipe);
+            assert!(*socks == want.socks, "socks");
+            assert!(*vfs == want.vfs, "vfs");
+            assert!(*programs == want.programs, "programs");
+            assert_eq!(*next_pid, want.next_pid);
+        }
+
         let sess2 = Session::new(Arc::clone(&k2), 0);
         assert_eq!(sess2.current_pid(), Some(Pid(1)));
         assert_eq!(sess2.stat("keep.txt").unwrap().size, 8);
         assert_eq!(sess2.peek(va).unwrap(), 424242);
+        assert_eq!(
+            sess2.read(rfd, 16).unwrap(),
+            ReadOutcome::Data(b"in flight".to_vec())
+        );
+    }
+
+    /// §6.4 then §6.3: an OS patched live and then evacuated must come
+    /// home still patched.
+    #[test]
+    fn thawed_kernel_keeps_its_live_patches() {
+        let m = machine(1);
+        let k = boot_bare(&m);
+        k.apply_patch("p", 3);
+        let image = k.freeze(m.boot_cpu()).unwrap();
+        let k2 = Kernel::thaw(Arc::clone(&m), BootMode::Bare, &image, &HashMap::new()).unwrap();
+        assert_eq!(k2.patch_version("p"), Some(3));
     }
 }
 
 #[cfg(test)]
 mod error_path_tests {
+    use super::tests::{boot_sized, machine};
     use super::*;
-    use crate::drivers::block::NativeBlockDriver;
     use crate::session::Session;
-    use simx86::MachineConfig;
 
     fn boot_small(pool_frames: usize) -> (Arc<Machine>, Arc<Kernel>) {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            disk_sectors: 4096,
-        });
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, pool_frames).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 128,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
+        let machine = machine(1);
+        let kernel = boot_sized(&machine, pool_frames, 128);
         (machine, kernel)
     }
 
@@ -2468,32 +2331,13 @@ mod error_path_tests {
 
 #[cfg(test)]
 mod preempt_tests {
+    use super::tests::{boot_sized, machine};
     use super::*;
-    use crate::drivers::block::NativeBlockDriver;
     use crate::session::Session;
-    use simx86::MachineConfig;
 
     #[test]
     fn timer_tick_preempts_between_cpu_bound_processes() {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            disk_sectors: 4096,
-        });
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 4096).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 256,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
+        let kernel = boot_sized(&machine(1), 4096, 256);
         kernel.set_preemptible(true);
         let sess = Session::new(Arc::clone(&kernel), 0);
 
@@ -2516,25 +2360,7 @@ mod preempt_tests {
 
     #[test]
     fn sole_process_is_not_preempted_away() {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            disk_sectors: 4096,
-        });
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 4096).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 256,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
+        let kernel = boot_sized(&machine(1), 4096, 256);
         kernel.set_preemptible(true);
         let sess = Session::new(Arc::clone(&kernel), 0);
         let me = sess.current_pid().unwrap();
@@ -2548,32 +2374,13 @@ mod preempt_tests {
 
 #[cfg(test)]
 mod yield_to_tests {
+    use super::tests::{boot_sized, machine};
     use super::*;
-    use crate::drivers::block::NativeBlockDriver;
     use crate::session::Session;
-    use simx86::MachineConfig;
 
     #[test]
     fn directed_yield_targets_a_specific_process() {
-        let machine = Machine::new(MachineConfig {
-            num_cpus: 1,
-            mem_frames: 16 * 1024,
-            disk_sectors: 4096,
-        });
-        let cpu = machine.boot_cpu();
-        let pool = machine.allocator.alloc_many(cpu, 4096).unwrap();
-        let kernel = Kernel::boot(
-            Arc::clone(&machine),
-            KernelConfig {
-                pool,
-                mode: BootMode::Bare,
-                fs_blocks: 256,
-                fs_first_block: 1,
-            },
-        )
-        .unwrap();
-        let bounce = machine.allocator.alloc(cpu).unwrap();
-        kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
+        let kernel = boot_sized(&machine(1), 4096, 256);
         let sess = Session::new(Arc::clone(&kernel), 0);
 
         let root = sess.current_pid().unwrap();

@@ -113,7 +113,7 @@ type TableRun = (FrameNum, Vec<(usize, Pte)>);
 ///
 /// Cloneable: checkpoint/restore carries it in the guest state, with
 /// frame numbers translated through the relocation map.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AddressSpace {
     /// Base (L2) table frame.
     pub pgd: FrameNum,

@@ -17,7 +17,7 @@ use simx86::Cpu;
 use std::collections::HashMap;
 
 /// The pool.  Lives inside the big kernel lock; not internally locked.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FramePool {
     free: Vec<FrameNum>,
     /// Sharing count by frame number; 0 = free or untracked.

@@ -10,7 +10,7 @@ use std::collections::{HashMap, VecDeque};
 pub const MAX_PAYLOAD: usize = 4088;
 
 /// A bound socket.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Socket {
     /// Socket id.
     pub id: u32,
@@ -25,7 +25,7 @@ pub struct Socket {
 }
 
 /// The socket table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SocketTable {
     socks: HashMap<u32, Socket>,
     ports: HashMap<u16, u32>,

@@ -66,7 +66,7 @@ pub enum Desc {
 }
 
 /// A process.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Process {
     /// Identifier.
     pub pid: Pid,
@@ -120,7 +120,7 @@ impl Process {
 pub const PIPE_CAPACITY: usize = 65536;
 
 /// A pipe.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Pipe {
     /// Buffered bytes.
     pub buf: VecDeque<u8>,

@@ -29,7 +29,7 @@ pub mod layout {
 }
 
 /// A loadable image.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramImage {
     /// Name.
     pub name: String,
@@ -51,7 +51,7 @@ impl ProgramImage {
 }
 
 /// The registry of installed programs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProgramRegistry {
     progs: BTreeMap<String, ProgramImage>,
 }

@@ -8,7 +8,7 @@ use crate::process::Pid;
 use std::collections::VecDeque;
 
 /// Scheduler state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedState {
     /// Ready processes, FIFO.
     pub runq: VecDeque<Pid>,

@@ -96,9 +96,10 @@ pub struct ServerConfig {
     /// get replies.  Leave off for nodes whose NIC is wired to a
     /// cluster peer; echo sends then fall back to fire-and-forget.
     pub attach_echo_host: bool,
-    /// Size of each worker's circular working-file window, bytes.
-    pub io_window_bytes: u32,
 }
+
+/// Size of each worker's circular working-file window, bytes.
+const IO_WINDOW_BYTES: u64 = 16 * 1024;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -106,7 +107,6 @@ impl Default for ServerConfig {
             workers: 1,
             queue_capacity: 64,
             attach_echo_host: true,
-            io_window_bytes: 16 * 1024,
         }
     }
 }
@@ -179,17 +179,9 @@ impl NodeServer {
         if cfg.attach_echo_host {
             // Same in-process echo peer as the netperf testbeds: the
             // reply swaps the port header so it lands on the sender.
-            node.machine.nic.connect(Arc::new(EchoWire::with_transform(
+            node.machine.nic.connect(Arc::new(EchoWire::port_swapping(
                 Arc::clone(&node.machine.nic),
                 Arc::clone(&node.machine.intc),
-                |pkt| {
-                    let mut out = pkt.to_vec();
-                    if out.len() >= 4 {
-                        out.swap(0, 2);
-                        out.swap(1, 3);
-                    }
-                    out
-                },
             )));
         }
 
@@ -199,7 +191,6 @@ impl NodeServer {
         for _ in 1..workers {
             sess0.fork().expect("fork worker process");
         }
-        let window = cfg.io_window_bytes.max(4_096) as u64;
         let chunk = vec![0xA5u8; 2_048];
         let mut built = Vec::with_capacity(workers);
         for w in 0..workers {
@@ -214,8 +205,8 @@ impl NodeServer {
                 .expect("open working file");
             // Prefill the window so reads always hit data.
             let mut written = 0u64;
-            while written < window {
-                let n = chunk.len().min((window - written) as usize);
+            while written < IO_WINDOW_BYTES {
+                let n = chunk.len().min((IO_WINDOW_BYTES - written) as usize);
                 match sess.write(fd, &chunk[..n]).expect("prefill") {
                     WriteOutcome::Wrote(k) => written += k as u64,
                     other => panic!("prefill write blocked: {other:?}"),
@@ -394,7 +385,6 @@ impl NodeServer {
     /// Run one request on worker `w`, starting at absolute cycle
     /// `start` (its CPU idles forward to `start` first).
     fn execute(&mut self, w: usize, p: Pending, start: u64) {
-        let window = self.cfg.io_window_bytes.max(4_096) as u64;
         let shape = p.shape;
         let io = (shape.io_bytes as usize).min(self.payload.len());
         let wk = &mut self.workers[w];
@@ -427,7 +417,7 @@ impl NodeServer {
                 WriteOutcome::Wrote(_) => {}
                 other => panic!("log write blocked: {other:?}"),
             }
-            wk.wpos = (wk.wpos + io as u64) % (window - io as u64 + 1);
+            wk.wpos = (wk.wpos + io as u64) % (IO_WINDOW_BYTES - io as u64 + 1);
         }
         for _ in 0..shape.file_reads {
             wk.sess.lseek(wk.fd, wk.rpos).expect("read seek");
@@ -435,7 +425,7 @@ impl NodeServer {
                 ReadOutcome::Data(_) => {}
                 other => panic!("log read blocked: {other:?}"),
             }
-            wk.rpos = (wk.rpos + io as u64) % (window - io as u64 + 1);
+            wk.rpos = (wk.rpos + io as u64) % (IO_WINDOW_BYTES - io as u64 + 1);
         }
         for _ in 0..shape.net_echoes {
             // No socket (cluster-wired NIC): fire-and-forget shape.

@@ -142,6 +142,21 @@ impl EchoWire {
             transform: Some(Box::new(f)),
         }
     }
+
+    /// The peer host of the ping/Iperf/serving test beds: echoes every
+    /// datagram with its two leading 16-bit fields — the kernel's
+    /// `[dst port, src port]` header — exchanged, so the reply lands on
+    /// the socket that sent it.
+    pub fn port_swapping(nic: Arc<SimNic>, intc: Arc<InterruptController>) -> Self {
+        Self::with_transform(nic, intc, |pkt| {
+            let mut out = pkt.to_vec();
+            if out.len() >= 4 {
+                out.swap(0, 2);
+                out.swap(1, 3);
+            }
+            out
+        })
+    }
 }
 
 impl Wire for EchoWire {
@@ -213,6 +228,17 @@ mod tests {
         )));
         nic.tx(Packet::new(vec![1, 2, 3]));
         assert_eq!(nic.rx().unwrap().data.as_ref(), &[3, 2, 1]);
+    }
+
+    #[test]
+    fn port_swapping_echo_exchanges_the_header_fields() {
+        let (nic, intc, _) = rig();
+        nic.connect(Arc::new(EchoWire::port_swapping(nic.clone(), intc.clone())));
+        nic.tx(Packet::new(vec![1, 2, 3, 4, 5]));
+        assert_eq!(nic.rx().unwrap().data.as_ref(), &[3, 4, 1, 2, 5]);
+        // Too short to carry the header: echoed as it came.
+        nic.tx(Packet::new(vec![9]));
+        assert_eq!(nic.rx().unwrap().data.as_ref(), &[9]);
     }
 
     #[test]

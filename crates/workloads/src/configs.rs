@@ -1,10 +1,15 @@
-//! Building the six measured system configurations.
+//! Building the six measured system configurations (§7).
+//!
+//! Six recipes over the same parts.  The three Mercury systems are
+//! [`Stack::build`] — M-V then attaches, M-U attaches and hosts a domU;
+//! N-L is a bare kernel with no VMM under it; X-0 and X-U boot guest
+//! kernels on an always-on VMM ([`boot_guest`]), X-U's and M-U's domU
+//! wired to its driver domain by [`nimbus::drivers::connect_split`].
+//! Every bed is the same machine — 64 MiB, a 96 Ki-sector disk, an
+//! 8 Ki-block filesystem, an echo host on the LAN.
 
-use mercury::{Mercury, SwitchOutcome, TrackingStrategy};
-use nimbus::drivers::blkback::BlkBackend;
-use nimbus::drivers::block::{FrontendBlockDriver, NativeBlockDriver};
-use nimbus::drivers::net::{FrontendNetDriver, NativeNetDriver};
-use nimbus::drivers::netback::NetBackend;
+use mercury::{AssistMode, Mercury, NodeConfig, Stack, SwitchOutcome, TrackingStrategy};
+use nimbus::drivers::{attach_native, connect_split};
 use nimbus::kernel::{BootMode, KernelConfig};
 use nimbus::{Kernel, Session};
 use simx86::devices::EchoWire;
@@ -85,129 +90,74 @@ pub struct TestBed {
     pub dom: Option<Arc<Domain>>,
 }
 
-fn machine(cpus: usize) -> Arc<Machine> {
-    let m = Machine::new(MachineConfig {
-        num_cpus: cpus,
-        mem_frames: 16 * 1024,
-        disk_sectors: 96 * 1024,
-    });
-    // Benchmarks that need a peer (ping/Iperf) get an echo host that
-    // swaps the port header so replies land on the sender's socket.
-    m.nic.connect(Arc::new(EchoWire::with_transform(
-        Arc::clone(&m.nic),
-        Arc::clone(&m.intc),
-        |pkt| {
-            let mut out = pkt.to_vec();
-            if out.len() >= 4 {
-                out.swap(0, 2);
-                out.swap(1, 3);
-            }
-            out
-        },
+/// Every bed's machine: 64 MiB of memory and a 48 MiB disk whose first
+/// 8 Ki blocks hold the measured kernel's filesystem.
+const MEM_FRAMES: usize = 16 * 1024;
+const DISK_SECTORS: u64 = 96 * 1024;
+const FS_BLOCKS: u64 = 8 * 1024;
+
+/// Benchmarks that need a peer (ping/Iperf) get an echo host that
+/// swaps the port header so replies land on the sender's socket.
+fn attach_echo_host(machine: &Machine) {
+    machine.nic.connect(Arc::new(EchoWire::port_swapping(
+        Arc::clone(&machine.nic),
+        Arc::clone(&machine.intc),
     )));
-    m
 }
 
-fn boot_kernel(machine: &Arc<Machine>, pool_frames: usize, mode: BootMode) -> Arc<Kernel> {
+/// A bed's machine with nothing on it yet (N-L and the Xen beds, whose
+/// VMM — if any — is always on rather than pre-cached).
+fn machine(cpus: usize) -> Arc<Machine> {
+    let machine = Machine::new(MachineConfig {
+        num_cpus: cpus,
+        mem_frames: MEM_FRAMES,
+        disk_sectors: DISK_SECTORS,
+    });
+    attach_echo_host(&machine);
+    machine
+}
+
+/// Take `pool_frames` frames off `machine`, make them domain `name` of
+/// `hv`, and boot a guest kernel in it whose filesystem is `fs_blocks`
+/// long from disk block `fs_first_block`.
+pub fn boot_guest(
+    machine: &Arc<Machine>,
+    hv: &Arc<Hypervisor>,
+    name: &str,
+    pool_frames: usize,
+    fs_blocks: u64,
+    fs_first_block: u64,
+) -> (Arc<Kernel>, Arc<Domain>) {
     let cpu = machine.boot_cpu();
     let pool = machine
         .allocator
         .alloc_many(cpu, pool_frames)
         .expect("machine too small");
-    Kernel::boot(
-        Arc::clone(machine),
-        KernelConfig {
-            pool,
-            mode,
-            fs_blocks: 8 * 1024,
-            fs_first_block: 1,
+    let dom = hv
+        .create_domain(cpu, name, pool.clone(), 0)
+        .expect("domain creation failed");
+    let config = KernelConfig {
+        pool,
+        mode: BootMode::Guest {
+            hv: Arc::clone(hv),
+            dom: Arc::clone(&dom),
         },
-    )
-    .expect("kernel boot failed")
-}
-
-fn attach_native_drivers(machine: &Arc<Machine>, kernel: &Arc<Kernel>) {
-    let cpu = machine.boot_cpu();
-    let bounce = machine.allocator.alloc(cpu).expect("bounce frame");
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(machine), bounce));
-    kernel.set_net_driver(NativeNetDriver::new(Arc::clone(machine)));
+        fs_blocks,
+        fs_first_block,
+    };
+    let kernel = Kernel::boot(Arc::clone(machine), config).expect("guest kernel boot failed");
+    (kernel, dom)
 }
 
 /// Boot a domU kernel with frontend drivers connected to backends in
-/// `driver_kernel` (the driver domain).
+/// `driver_dom` (the driver domain).
 fn host_domu(
     machine: &Arc<Machine>,
     hv: &Arc<Hypervisor>,
     driver_dom: &Arc<Domain>,
 ) -> (Arc<Kernel>, Arc<Domain>) {
-    let cpu = machine.boot_cpu();
-    let quota = machine
-        .allocator
-        .alloc_many(cpu, DOMU_POOL_FRAMES)
-        .expect("machine too small for domU");
-    let domu = hv
-        .create_domain(cpu, "domU", quota.clone(), 0)
-        .expect("domU creation failed");
-    let kernel = Kernel::boot(
-        Arc::clone(machine),
-        KernelConfig {
-            pool: quota,
-            mode: BootMode::Guest {
-                hv: Arc::clone(hv),
-                dom: Arc::clone(&domu),
-            },
-            fs_blocks: 8 * 1024,
-            fs_first_block: 1,
-        },
-    )
-    .expect("domU kernel boot failed");
-
-    // Split devices (§5.2): rings in shared VMM memory, payload frames
-    // granted per request from the domU's own pool.
-    let ring_frames = hv.take_reserved(2).expect("ring frames");
-    for f in &ring_frames {
-        machine.mem.zero_frame(cpu, *f).expect("zero ring");
-    }
-    let host_bounce = machine.allocator.alloc(cpu).expect("backend bounce");
-    let blk_lower = NativeBlockDriver::new(Arc::clone(machine), host_bounce);
-    let blk_back = BlkBackend::new(
-        Arc::clone(hv),
-        Arc::clone(driver_dom),
-        domu.id,
-        blk_lower,
-        ring_frames[0],
-    );
-    let p = hv.evtchn_alloc(cpu, driver_dom).expect("evtchn");
-    let pf = hv.evtchn_bind(cpu, &domu, driver_dom.id, p).expect("bind");
-    // Payload buffers come from the domU's own memory, through its pool.
-    let blk_buf = kernel.alloc_driver_frame(cpu).expect("blk payload frame");
-    let net_buf = kernel.alloc_driver_frame(cpu).expect("net payload frame");
-    kernel.set_block_driver(FrontendBlockDriver::new(
-        Arc::clone(hv),
-        Arc::clone(&domu),
-        blk_back,
-        blk_buf,
-        pf,
-    ));
-
-    let net_lower = NativeNetDriver::new(Arc::clone(machine));
-    let net_back = NetBackend::new(
-        Arc::clone(hv),
-        Arc::clone(driver_dom),
-        domu.id,
-        net_lower,
-        ring_frames[1],
-    );
-    let p = hv.evtchn_alloc(cpu, driver_dom).expect("evtchn");
-    let pf = hv.evtchn_bind(cpu, &domu, driver_dom.id, p).expect("bind");
-    kernel.set_net_driver(FrontendNetDriver::new(
-        Arc::clone(hv),
-        Arc::clone(&domu),
-        net_back,
-        net_buf,
-        pf,
-    ));
-
+    let (kernel, domu) = boot_guest(machine, hv, "domU", DOMU_POOL_FRAMES, FS_BLOCKS, 1);
+    connect_split(machine, hv, driver_dom, &kernel, &domu).expect("split devices");
     // Reflection routes to the measured guest.
     for c in &machine.cpus {
         hv.set_current(c.id, Some(domu.id));
@@ -257,126 +207,73 @@ impl TestBed {
     /// Build the system configuration with `cpus` processors (the paper
     /// tests UP = 1 and SMP = 2).
     pub fn build(kind: SysKind, cpus: usize) -> TestBed {
+        // The paper's Mercury: recompute on switch.
+        let paper = TrackingStrategy::RecomputeOnSwitch;
         match kind {
             SysKind::NL => {
                 let machine = machine(cpus);
-                let kernel = boot_kernel(&machine, POOL_FRAMES, BootMode::Bare);
-                attach_native_drivers(&machine, &kernel);
-                TestBed {
-                    kind,
-                    machine,
-                    kernel,
-                    hv: None,
-                    mercury: None,
-                    driver_kernel: None,
-                    dom: None,
-                }
+                let pool = machine
+                    .allocator
+                    .alloc_many(machine.boot_cpu(), POOL_FRAMES)
+                    .expect("machine too small");
+                let config = KernelConfig {
+                    pool,
+                    mode: BootMode::Bare,
+                    fs_blocks: FS_BLOCKS,
+                    fs_first_block: 1,
+                };
+                let kernel =
+                    Kernel::boot(Arc::clone(&machine), config).expect("kernel boot failed");
+                attach_native(&machine, &kernel).expect("bounce frame");
+                TestBed::bare(kind, machine, kernel)
             }
-            // The paper's Mercury: recompute on switch.
-            SysKind::MN | SysKind::MV => {
-                let bed =
-                    TestBed::build_mn_with_strategy(cpus, TrackingStrategy::RecomputeOnSwitch);
-                if kind == SysKind::MV {
-                    let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
-                    switch_with_peers(&bed.machine, mercury, true);
-                }
-                TestBed { kind, ..bed }
+            SysKind::MN => TestBed::build_mn_with_strategy(cpus, paper),
+            SysKind::MV => {
+                let bed = TestBed::mercury(kind, cpus, POOL_FRAMES, paper);
+                let mercury = bed.mercury.as_ref().expect("a Mercury bed");
+                switch_with_peers(&bed.machine, mercury, true);
+                bed
             }
             SysKind::X0 => {
                 let machine = machine(cpus);
                 let hv = Hypervisor::warm_up(&machine);
                 hv.activate();
-                let cpu = machine.boot_cpu();
-                let quota = machine
-                    .allocator
-                    .alloc_many(cpu, POOL_FRAMES)
-                    .expect("machine too small");
-                let dom0 = hv
-                    .create_domain(cpu, "dom0", quota.clone(), 0)
-                    .expect("dom0 creation failed");
-                let kernel = Kernel::boot(
-                    Arc::clone(&machine),
-                    KernelConfig {
-                        pool: quota,
-                        mode: BootMode::Guest {
-                            hv: Arc::clone(&hv),
-                            dom: Arc::clone(&dom0),
-                        },
-                        fs_blocks: 8 * 1024,
-                        fs_first_block: 1,
-                    },
-                )
-                .expect("dom0 kernel boot failed");
-                attach_native_drivers(&machine, &kernel);
+                let (kernel, dom0) = boot_guest(&machine, &hv, "dom0", POOL_FRAMES, FS_BLOCKS, 1);
+                attach_native(&machine, &kernel).expect("bounce frame");
                 TestBed {
-                    kind,
-                    machine,
-                    kernel,
                     hv: Some(hv),
-                    mercury: None,
-                    driver_kernel: None,
                     dom: Some(dom0),
+                    ..TestBed::bare(kind, machine, kernel)
                 }
             }
             SysKind::XU => {
                 let machine = machine(cpus);
                 let hv = Hypervisor::warm_up(&machine);
                 hv.activate();
-                let cpu = machine.boot_cpu();
-                let quota = machine
-                    .allocator
-                    .alloc_many(cpu, DRIVER_POOL_FRAMES)
-                    .expect("machine too small");
-                let dom0 = hv
-                    .create_domain(cpu, "dom0", quota.clone(), 0)
-                    .expect("dom0 creation failed");
-                let driver_kernel = Kernel::boot(
-                    Arc::clone(&machine),
-                    KernelConfig {
-                        pool: quota,
-                        mode: BootMode::Guest {
-                            hv: Arc::clone(&hv),
-                            dom: Arc::clone(&dom0),
-                        },
-                        fs_blocks: 1024,
-                        fs_first_block: 10_000, // dom0's own fs at the disk tail
-                    },
-                )
-                .expect("dom0 kernel boot failed");
-                attach_native_drivers(&machine, &driver_kernel);
+                // dom0's own filesystem sits at the disk tail.
+                let (driver_kernel, dom0) =
+                    boot_guest(&machine, &hv, "dom0", DRIVER_POOL_FRAMES, 1024, 10_000);
+                attach_native(&machine, &driver_kernel).expect("bounce frame");
                 let (kernel, domu) = host_domu(&machine, &hv, &dom0);
                 TestBed {
-                    kind,
-                    machine,
-                    kernel,
                     hv: Some(hv),
-                    mercury: None,
                     driver_kernel: Some(driver_kernel),
                     dom: Some(domu),
+                    ..TestBed::bare(kind, machine, kernel)
                 }
             }
             SysKind::MU => {
-                let machine = machine(cpus);
-                let hv = Hypervisor::warm_up(&machine);
-                let host_kernel = boot_kernel(&machine, DRIVER_POOL_FRAMES, BootMode::Bare);
-                attach_native_drivers(&machine, &host_kernel);
-                let mercury = Mercury::install(
-                    Arc::clone(&host_kernel),
-                    Arc::clone(&hv),
-                    TrackingStrategy::RecomputeOnSwitch,
-                )
-                .expect("mercury install failed");
+                let host = TestBed::mercury(kind, cpus, DRIVER_POOL_FRAMES, paper);
+                let mercury = host.mercury.as_ref().expect("a Mercury bed");
                 // Self-virtualize (partial-virtual mode) to host a guest.
-                switch_with_peers(&machine, &mercury, true);
-                let (kernel, domu) = host_domu(&machine, &hv, mercury.dom0());
+                switch_with_peers(&host.machine, mercury, true);
+                let (kernel, domu) =
+                    host_domu(&host.machine, &mercury.hypervisor(), mercury.dom0());
                 TestBed {
-                    kind,
-                    machine,
-                    kernel,
-                    hv: Some(hv),
-                    mercury: Some(mercury),
-                    driver_kernel: Some(host_kernel),
+                    driver_kernel: Some(Arc::clone(&host.kernel)),
                     dom: Some(domu),
+                    kernel,
+                    ..host
                 }
             }
         }
@@ -385,20 +282,42 @@ impl TestBed {
     /// An M-N testbed with an explicit frame-accounting strategy (the
     /// tracking-ablation and strategy-equivalence studies).
     pub fn build_mn_with_strategy(cpus: usize, strategy: TrackingStrategy) -> TestBed {
-        let machine = machine(cpus);
-        let hv = Hypervisor::warm_up(&machine);
-        let kernel = boot_kernel(&machine, POOL_FRAMES, BootMode::Bare);
-        attach_native_drivers(&machine, &kernel);
-        let mercury = Mercury::install(Arc::clone(&kernel), Arc::clone(&hv), strategy)
-            .expect("mercury install failed");
+        TestBed::mercury(SysKind::MN, cpus, POOL_FRAMES, strategy)
+    }
+
+    /// A bed with nothing but a machine and the measured kernel on it.
+    fn bare(kind: SysKind, machine: Arc<Machine>, kernel: Arc<Kernel>) -> TestBed {
         TestBed {
-            kind: SysKind::MN,
+            kind,
             machine,
             kernel,
-            hv: Some(hv),
-            mercury: Some(mercury),
+            hv: None,
+            mercury: None,
             driver_kernel: None,
             dom: None,
+        }
+    }
+
+    /// A Mercury bed, native: [`Stack::build`] at the beds' sizing.
+    fn mercury(
+        kind: SysKind,
+        cpus: usize,
+        pool_frames: usize,
+        strategy: TrackingStrategy,
+    ) -> TestBed {
+        let config = NodeConfig {
+            num_cpus: cpus,
+            mem_frames: MEM_FRAMES,
+            pool_frames,
+            disk_sectors: DISK_SECTORS,
+            fs_blocks: FS_BLOCKS,
+        };
+        let stack = Stack::build(&config, strategy, AssistMode::Software);
+        attach_echo_host(&stack.machine);
+        TestBed {
+            hv: Some(stack.hv),
+            mercury: Some(stack.mercury),
+            ..TestBed::bare(kind, stack.machine, stack.kernel)
         }
     }
 

@@ -6,37 +6,25 @@
 //! ```
 
 use mercury::scenarios::checkpoint;
-use mercury::{Mercury, TrackingStrategy};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
+use mercury::{AssistMode, NodeConfig, Stack, TrackingStrategy};
+use nimbus::kernel::MmapBacking;
 use nimbus::mm::Prot;
-use nimbus::{Kernel, Session};
+use nimbus::Session;
 use simx86::{Machine, MachineConfig, VirtAddr};
 use std::sync::Arc;
-use xenon::Hypervisor;
 
 fn main() {
-    let machine = Machine::new(MachineConfig::up());
-    let hv = Hypervisor::warm_up(&machine);
+    let Stack {
+        machine,
+        kernel,
+        mercury,
+        ..
+    } = Stack::build(
+        &NodeConfig::default(),
+        TrackingStrategy::RecomputeOnSwitch,
+        AssistMode::Software,
+    );
     let cpu = machine.boot_cpu();
-    let pool = machine.allocator.alloc_many(cpu, 6 * 1024).unwrap();
-    let kernel = Kernel::boot(
-        Arc::clone(&machine),
-        KernelConfig {
-            pool,
-            mode: BootMode::Bare,
-            fs_blocks: 4096,
-            fs_first_block: 1,
-        },
-    )
-    .unwrap();
-    let bounce = machine.allocator.alloc(cpu).unwrap();
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-    kernel.set_net_driver(nimbus::drivers::net::NativeNetDriver::new(Arc::clone(
-        &machine,
-    )));
-    let mercury =
-        Mercury::install(Arc::clone(&kernel), hv, TrackingStrategy::RecomputeOnSwitch).unwrap();
 
     // Mission-critical computation in progress.
     let sess = Session::new(Arc::clone(&kernel), 0);

@@ -5,52 +5,35 @@
 //! cargo run --example quickstart
 //! ```
 
-use mercury::{Mercury, SwitchOutcome, TrackingStrategy};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::drivers::net::NativeNetDriver;
-use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
+use mercury::{AssistMode, NodeConfig, Stack, SwitchOutcome, TrackingStrategy};
+use nimbus::kernel::MmapBacking;
 use nimbus::mm::Prot;
-use nimbus::{Kernel, Session};
+use nimbus::Session;
 use simx86::costs::cycles_to_us;
-use simx86::{Machine, MachineConfig, VirtAddr};
+use simx86::VirtAddr;
 use std::sync::Arc;
-use xenon::Hypervisor;
 
 fn main() {
-    // 1. Power on a machine and warm up the (dormant) hypervisor.
-    let machine = Machine::new(MachineConfig::up());
-    let hv = Hypervisor::warm_up(&machine);
+    // 1–3. Bring a system up: power on a machine, pre-cache the
+    //    hypervisor (warm but dormant), boot the kernel natively (full
+    //    speed, PL0) on its pool, attach its drivers and install
+    //    Mercury — the kernel gains the ability to virtualize itself.
+    let Stack {
+        machine,
+        hv,
+        kernel,
+        mercury,
+    } = Stack::build(
+        &NodeConfig::default(),
+        TrackingStrategy::RecomputeOnSwitch,
+        AssistMode::Software,
+    );
+    let cpu = machine.boot_cpu();
     println!(
         "machine up: {} MiB RAM, VMM pre-cached ({} frames reserved, dormant)",
         machine.mem.size_bytes() / (1024 * 1024),
         hv.reserved_frames()
     );
-
-    // 2. Boot the kernel natively (full speed, PL0).
-    let cpu = machine.boot_cpu();
-    let pool = machine.allocator.alloc_many(cpu, 6 * 1024).unwrap();
-    let kernel = Kernel::boot(
-        Arc::clone(&machine),
-        KernelConfig {
-            pool,
-            mode: BootMode::Bare,
-            fs_blocks: 4096,
-            fs_first_block: 1,
-        },
-    )
-    .unwrap();
-    let bounce = machine.allocator.alloc(cpu).unwrap();
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-    kernel.set_net_driver(NativeNetDriver::new(Arc::clone(&machine)));
-
-    // 3. Install Mercury: the kernel gains the ability to virtualize
-    //    itself.
-    let mercury = Mercury::install(
-        Arc::clone(&kernel),
-        Arc::clone(&hv),
-        TrackingStrategy::RecomputeOnSwitch,
-    )
-    .unwrap();
     println!("mercury installed, mode = {:?}", mercury.mode());
 
     // 4. Run a workload.

@@ -6,34 +6,24 @@
 //! ```
 
 use mercury::scenarios::healing;
-use mercury::{Mercury, TrackingStrategy};
-use nimbus::drivers::block::NativeBlockDriver;
-use nimbus::kernel::{BootMode, KernelConfig, MmapBacking};
+use mercury::{AssistMode, NodeConfig, Stack, TrackingStrategy};
+use nimbus::kernel::MmapBacking;
 use nimbus::mm::Prot;
-use nimbus::{Kernel, Session};
-use simx86::{Machine, MachineConfig};
+use nimbus::Session;
 use std::sync::Arc;
-use xenon::Hypervisor;
 
 fn main() {
-    let machine = Machine::new(MachineConfig::up());
-    let hv = Hypervisor::warm_up(&machine);
+    let Stack {
+        machine,
+        kernel,
+        mercury,
+        ..
+    } = Stack::build(
+        &NodeConfig::default(),
+        TrackingStrategy::RecomputeOnSwitch,
+        AssistMode::Software,
+    );
     let cpu = machine.boot_cpu();
-    let pool = machine.allocator.alloc_many(cpu, 6 * 1024).unwrap();
-    let kernel = Kernel::boot(
-        Arc::clone(&machine),
-        KernelConfig {
-            pool,
-            mode: BootMode::Bare,
-            fs_blocks: 4096,
-            fs_first_block: 1,
-        },
-    )
-    .unwrap();
-    let bounce = machine.allocator.alloc(cpu).unwrap();
-    kernel.set_block_driver(NativeBlockDriver::new(Arc::clone(&machine), bounce));
-    let mercury =
-        Mercury::install(Arc::clone(&kernel), hv, TrackingStrategy::RecomputeOnSwitch).unwrap();
 
     let sess = Session::new(Arc::clone(&kernel), 0);
     let va = sess.mmap(4, Prot::RW, MmapBacking::Anon).unwrap();

@@ -3,10 +3,9 @@
 //! run queue, and keeps them isolated.
 
 use mercury::ModeDetail;
-use mercury_workloads::configs::{SysKind, TestBed};
-use nimbus::drivers::blkback::BlkBackend;
-use nimbus::drivers::block::{FrontendBlockDriver, NativeBlockDriver};
-use nimbus::kernel::{BootMode, KernelConfig, MmapBacking, ReadOutcome};
+use mercury_workloads::configs::{boot_guest, SysKind, TestBed};
+use nimbus::drivers::connect_split;
+use nimbus::kernel::{MmapBacking, ReadOutcome};
 use nimbus::mm::Prot;
 use nimbus::{Kernel, Session};
 use std::sync::Arc;
@@ -28,41 +27,12 @@ fn enter_tenant(hv: &Arc<Hypervisor>, dom: &Arc<Domain>, kernel: &Arc<Kernel>, s
 use xenon::sched::SchedUnit;
 use xenon::Domain;
 
-/// Boot a PV tenant with a frontend block driver served by the host.
+/// Boot a PV tenant whose split devices are served by the host.
 fn boot_tenant(bed: &TestBed, name: &str, fs_first_block: u64) -> (Arc<Kernel>, Arc<Domain>) {
     let hv = bed.hv.as_ref().unwrap();
-    let host_dom = bed.mercury.as_ref().unwrap().dom0().clone();
-    let cpu = bed.machine.boot_cpu();
-    let quota = bed.machine.allocator.alloc_many(cpu, 2048).unwrap();
-    let dom = hv.create_domain(cpu, name, quota.clone(), 0).unwrap();
-    let kernel = Kernel::boot(
-        Arc::clone(&bed.machine),
-        KernelConfig {
-            pool: quota,
-            mode: BootMode::Guest {
-                hv: Arc::clone(hv),
-                dom: Arc::clone(&dom),
-            },
-            fs_blocks: 512,
-            fs_first_block,
-        },
-    )
-    .unwrap();
-    let ring = hv.take_reserved(1).unwrap()[0];
-    bed.machine.mem.zero_frame(cpu, ring).unwrap();
-    let bounce = bed.machine.allocator.alloc(cpu).unwrap();
-    let lower = NativeBlockDriver::new(Arc::clone(&bed.machine), bounce);
-    let back = BlkBackend::new(Arc::clone(hv), Arc::clone(&host_dom), dom.id, lower, ring);
-    let p = hv.evtchn_alloc(cpu, &host_dom).unwrap();
-    let pf = hv.evtchn_bind(cpu, &dom, host_dom.id, p).unwrap();
-    let buf = dom.frames()[dom.frames().len() - 1];
-    kernel.set_block_driver(FrontendBlockDriver::new(
-        Arc::clone(hv),
-        Arc::clone(&dom),
-        back,
-        buf,
-        pf,
-    ));
+    let host_dom = bed.mercury.as_ref().unwrap().dom0();
+    let (kernel, dom) = boot_guest(&bed.machine, hv, name, 2048, 512, fs_first_block);
+    connect_split(&bed.machine, hv, host_dom, &kernel, &dom).unwrap();
     (kernel, dom)
 }
 

@@ -135,6 +135,43 @@ struct Worker {
     rpos: u64,
 }
 
+/// Where an `io`-byte access at circular cursor `pos` goes — at `pos`,
+/// or back at the window's start when it would run past the end (the
+/// cursor may sit anywhere a *smaller* request left it) — with the
+/// cursor moved past it.
+fn window_slot(pos: &mut u64, io: usize) -> u64 {
+    if *pos + io as u64 > IO_WINDOW_BYTES {
+        *pos = 0;
+    }
+    let at = *pos;
+    *pos += io as u64;
+    at
+}
+
+impl Worker {
+    /// One circular-log append of `data` at the write cursor: bounded
+    /// file, append-shaped cost.
+    fn append(&mut self, data: &[u8]) {
+        let at = window_slot(&mut self.wpos, data.len());
+        self.sess.lseek(self.fd, at).expect("log seek");
+        match self.sess.write(self.fd, data).expect("log write") {
+            WriteOutcome::Wrote(_) => {}
+            other => panic!("log write blocked: {other:?}"),
+        }
+    }
+
+    /// One `io`-byte read at the read cursor; the window is prefilled,
+    /// so all `io` bytes come back.
+    fn read(&mut self, io: usize) -> Vec<u8> {
+        let at = window_slot(&mut self.rpos, io);
+        self.sess.lseek(self.fd, at).expect("read seek");
+        match self.sess.read(self.fd, io).expect("log read") {
+            ReadOutcome::Data(data) => data,
+            other => panic!("log read blocked: {other:?}"),
+        }
+    }
+}
+
 /// The run-to-completion server for one node.
 ///
 /// ```
@@ -411,21 +448,10 @@ impl NodeServer {
 
         wk.sess.compute(shape.compute_cycles);
         for _ in 0..shape.file_appends {
-            // Circular log write: bounded file, append-shaped cost.
-            wk.sess.lseek(wk.fd, wk.wpos).expect("log seek");
-            match wk.sess.write(wk.fd, &self.payload[..io]).expect("log write") {
-                WriteOutcome::Wrote(_) => {}
-                other => panic!("log write blocked: {other:?}"),
-            }
-            wk.wpos = (wk.wpos + io as u64) % (IO_WINDOW_BYTES - io as u64 + 1);
+            wk.append(&self.payload[..io]);
         }
         for _ in 0..shape.file_reads {
-            wk.sess.lseek(wk.fd, wk.rpos).expect("read seek");
-            match wk.sess.read(wk.fd, io).expect("log read") {
-                ReadOutcome::Data(_) => {}
-                other => panic!("log read blocked: {other:?}"),
-            }
-            wk.rpos = (wk.rpos + io as u64) % (IO_WINDOW_BYTES - io as u64 + 1);
+            wk.read(io);
         }
         for _ in 0..shape.net_echoes {
             // No socket (cluster-wired NIC): fire-and-forget shape.
@@ -443,6 +469,7 @@ impl NodeServer {
             }
         }
 
+        let cpu = wk.sess.cpu();
         let finish = cpu.cycles();
         merctrace::span_end!(cpu.id, "servo.request", finish);
         merctrace::hist!(cpu.id, "servo.sojourn", finish - p.arrival_abs, finish);
@@ -475,6 +502,29 @@ mod tests {
             requests: n,
             mix: CostMix::oltp(),
         })
+    }
+
+    /// After a smaller request the cursor may sit where a larger one no
+    /// longer fits; the larger one wraps to the window's start instead
+    /// of reading (or writing) past its end.
+    #[test]
+    fn larger_request_after_a_smaller_one_at_the_windows_end_wraps() {
+        let node = Node::launch("n0", &NodeConfig::default());
+        let mut server = NodeServer::new(&node, 0, ServerConfig::default());
+        let wk = &mut server.workers[0];
+        // The last 512 bytes of the window: a 256-byte request fits
+        // twice, a 512-byte one only at this very position.
+        wk.rpos = IO_WINDOW_BYTES - 512;
+        wk.wpos = IO_WINDOW_BYTES - 512;
+        assert_eq!(wk.read(256).len(), 256);
+        assert_eq!(wk.read(512).len(), 512, "short read off the window's end");
+        wk.append(&[1; 256]);
+        wk.append(&[2; 512]);
+        let size = wk.sess.stat("servo_n0_w0.log").unwrap().size;
+        assert_eq!(
+            size, IO_WINDOW_BYTES,
+            "the working file grew past its window"
+        );
     }
 
     #[test]

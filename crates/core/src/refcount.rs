@@ -26,15 +26,15 @@ impl VoRefCount {
         Arc::new(VoRefCount::default())
     }
 
-    /// Enter a sensitive section; the guard exits on drop.
-    pub fn enter(self: &Arc<Self>) -> VoGuard {
+    /// Enter a sensitive section; the guard exits on drop.  The guard
+    /// borrows the counter: the paper's one add on entry and one on
+    /// exit are the only shared writes a section costs.
+    pub fn enter(&self) -> VoGuard<'_> {
         #[cfg(feature = "dyncheck")]
         // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
         self.monitor.on_enter();
         self.count.fetch_add(1, Ordering::AcqRel);
-        VoGuard {
-            counter: Arc::clone(self),
-        }
+        VoGuard { counter: self }
     }
 
     /// Current in-flight count.
@@ -66,11 +66,11 @@ impl VoRefCount {
 }
 
 /// RAII guard over a sensitive section.
-pub struct VoGuard {
-    counter: Arc<VoRefCount>,
+pub struct VoGuard<'a> {
+    counter: &'a VoRefCount,
 }
 
-impl Drop for VoGuard {
+impl Drop for VoGuard<'_> {
     fn drop(&mut self) {
         #[cfg(feature = "dyncheck")]
         // volint::prune(*) — dyncheck instrumentation, compiled out in production builds

@@ -143,7 +143,7 @@ fn scan(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairRe
     if repair && report.repaired_entries > 0 {
         for c in &kernel.machine.cpus {
             // volint::allow(VO-BYPASS): post-repair TLB shootdown, below VO
-            c.flush_tlb_local();
+            c.request_tlb_flush();
         }
     }
     Ok(report)
@@ -186,7 +186,7 @@ pub fn inject_taint(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<bool, Heal
         .map_err(HealError::Hardware)?;
     for c in &kernel.machine.cpus {
         // volint::allow(VO-BYPASS): flush of injected taint
-        c.flush_tlb_local();
+        c.request_tlb_flush();
     }
     Ok(true)
 }

@@ -2027,6 +2027,96 @@ pub(crate) mod tests {
         );
     }
 
+    /// The lazy window is registered on every CPU from the initiator's
+    /// thread, so each registration's flush is a shootdown request.  A
+    /// peer translating a deferred frame's page on its own thread still
+    /// takes the validation fault on the first translation it starts
+    /// after `open_lazy_window` returned, and its clock ends at its own
+    /// ticks plus one `TLB_FLUSH` for the open and one for the close.
+    #[test]
+    fn lazy_window_reaches_a_peer_that_is_running_on_its_own_thread() {
+        use simx86::fault::AccessKind;
+        use simx86::mmu::Mmu;
+        use simx86::paging::Pte;
+        use std::sync::atomic::AtomicBool;
+
+        let (machine, _hv, mercury) = rig(2, TrackingStrategy::RecomputeOnSwitch);
+        let (cpu0, cpu1) = (Arc::clone(&machine.cpus[0]), Arc::clone(&machine.cpus[1]));
+        // A one-page address space of CPU 1's own, outside the kernel's.
+        let f = machine.allocator.alloc_many(&cpu0, 3).unwrap();
+        let (pgd, l1, data) = (f[0], f[1], f[2]);
+        let va = VirtAddr(0x0020_3000);
+        let flags = Pte::WRITABLE | Pte::ACCESSED;
+        let mem = &machine.mem;
+        mem.write_pte(&cpu0, pgd, va.l2_index(), Pte::new(l1.0, flags))
+            .unwrap();
+        mem.write_pte(&cpu0, l1, va.l1_index(), Pte::new(data.0, flags))
+            .unwrap();
+        cpu1.set_cr3_raw(pgd.0);
+
+        let translate = || Mmu::translate(mem, &cpu1, va, AccessKind::Read, false);
+        let c = cpu1.cycles();
+        translate().unwrap();
+        let miss_cost = cpu1.cycles() - c;
+        translate().unwrap();
+        let hit_cost = cpu1.cycles() - c - miss_cost;
+        let (hits0, misses0, flushes0) = cpu1.tlb_stats();
+        let cycles0 = cpu1.cycles();
+
+        let (rounds, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        let set = Arc::new(LazySet::new([data]));
+        std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            let peer = s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    assert_eq!(translate().unwrap().frame(), data);
+                    cpu1.tick(7);
+                    rounds.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            // Until the peer has begun and ended a translation after now.
+            let peer_translates = || {
+                let seen = rounds.load(Ordering::SeqCst);
+                while rounds.load(Ordering::SeqCst) < seen + 2 {
+                    assert!(!peer.is_finished(), "the peer's thread died");
+                    std::thread::yield_now();
+                }
+            };
+            peer_translates();
+            assert_eq!(set.validated(), 0);
+            mercury.open_lazy_window(Arc::clone(&set));
+            peer_translates();
+            assert_eq!(
+                (set.validated(), set.remaining()),
+                (1, 0),
+                "the deferred frame's first touch on the peer took the validation fault"
+            );
+            mercury.close_lazy_window(&cpu0);
+            peer_translates();
+        });
+
+        let rounds = rounds.load(Ordering::SeqCst);
+        let (hits, misses, flushes) = cpu1.tlb_stats();
+        assert_eq!(hits - hits0 + misses - misses0, rounds);
+        assert_eq!(flushes - flushes0, 2, "one flush counted per registration");
+        assert!(cpu1.active_lazy_set().is_none());
+        assert_eq!(
+            cpu1.cycles() - cycles0,
+            (hits - hits0) * hit_cost
+                + (misses - misses0) * miss_cost
+                + rounds * 7
+                + set.cycles_charged()
+                + 2 * costs::TLB_FLUSH,
+            "the peer's clock is its own ticks plus one TLB_FLUSH per registration"
+        );
+    }
+
     #[test]
     fn kstack_selectors_are_rewritten_across_switch() {
         let (machine, _hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);

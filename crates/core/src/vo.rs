@@ -71,7 +71,7 @@ impl CountedVo {
     }
 
     #[inline]
-    fn enter(&self, cpu: &Arc<Cpu>) -> crate::refcount::VoGuard {
+    fn enter(&self, cpu: &Arc<Cpu>) -> crate::refcount::VoGuard<'_> {
         cpu.tick(VO_INDIRECT);
         self.counter.enter()
     }

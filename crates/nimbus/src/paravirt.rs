@@ -263,13 +263,16 @@ impl PvOps for BareOps {
     }
     fn flush_tlb_all(&self, cpu: &Arc<Cpu>) {
         // IPI shootdown: the cost of notifying each peer, plus the
-        // flushes themselves (performed here; the cooperative driver
-        // model stands in for the ack wait).
+        // flushes themselves, which each peer is charged now and
+        // applies before it next uses its TLB (that stands in for the
+        // ack wait).
         for c in &self.machine.cpus {
-            if c.id != cpu.id {
+            if c.id == cpu.id {
+                cpu.flush_tlb_local();
+            } else {
                 cpu.tick(costs::IPI_SEND);
+                c.request_tlb_flush();
             }
-            c.flush_tlb_local();
         }
     }
     fn invlpg(&self, cpu: &Arc<Cpu>, vpn: u64) {
@@ -596,10 +599,12 @@ impl PvOps for HvmOps {
     }
     fn flush_tlb_all(&self, cpu: &Arc<Cpu>) {
         for c in &self.machine.cpus {
-            if c.id != cpu.id {
+            if c.id == cpu.id {
+                cpu.flush_tlb_local();
+            } else {
                 cpu.tick(costs::IPI_SEND);
+                c.request_tlb_flush();
             }
-            c.flush_tlb_local();
         }
     }
     fn invlpg(&self, cpu: &Arc<Cpu>, vpn: u64) {
@@ -846,5 +851,118 @@ mod tests {
         ops.unregister_page_table(cpu, &km, f[2]).unwrap();
         let pte = m.mem.read_pte(cpu, f[0], km_va.l1_index()).unwrap();
         assert!(pte.writable());
+    }
+
+    /// A shootdown is a request the target honours (DESIGN.md "Who may
+    /// write a CPU").  CPU 1 translates one page in a loop on its own
+    /// thread while CPU 0 remaps the page and calls `flush_tlb_all`:
+    /// every translation CPU 1 starts after a `flush_tlb_all` returned
+    /// sees a frame at least that new, and at the join CPU 1's clock is
+    /// its own ticks plus exactly one `TLB_FLUSH` per shootdown — which
+    /// a peer flush through the owner path (`flush_tlb_local` on CPU 1
+    /// from CPU 0's thread) loses cycles from, or trips the debug
+    /// build's ownership check.
+    #[test]
+    fn shootdown_reaches_a_peer_that_is_running_on_its_own_thread() {
+        use simx86::fault::AccessKind;
+        use simx86::mmu::Mmu;
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+        const SHOOTDOWNS: u64 = 10_000;
+        const FRAMES: u64 = 8;
+        let (pgd, l1, first_data) = (FrameNum(1), FrameNum(2), 16);
+        let frame_of = |remap: u64| first_data + (remap % FRAMES) as u32;
+        let flags = Pte::WRITABLE | Pte::ACCESSED;
+
+        let m = Machine::new(MachineConfig {
+            num_cpus: 2,
+            mem_frames: 2048,
+            disk_sectors: 64,
+        });
+        let ops = BareOps::new(Arc::clone(&m));
+        let (cpu0, cpu1) = (Arc::clone(&m.cpus[0]), Arc::clone(&m.cpus[1]));
+        let va = VirtAddr(0x0020_3000);
+        ops.set_pte(&cpu0, pgd, va.l2_index(), Pte::new(l1.0, flags))
+            .unwrap();
+        ops.set_pte(&cpu0, l1, va.l1_index(), Pte::new(frame_of(0), flags))
+            .unwrap();
+        ops.load_base_table(&cpu0, pgd).unwrap();
+        ops.load_base_table(&cpu1, pgd).unwrap();
+
+        // What a hit and a miss cost CPU 1, measured before it has company.
+        let translate = |cpu: &Cpu| Mmu::translate(&m.mem, cpu, va, AccessKind::Read, false);
+        let c = cpu1.cycles();
+        translate(&cpu1).unwrap();
+        let miss_cost = cpu1.cycles() - c;
+        translate(&cpu1).unwrap();
+        let hit_cost = cpu1.cycles() - c - miss_cost;
+        let (hits0, misses0, flushes0) = cpu1.tlb_stats();
+        let cycles0 = cpu1.cycles();
+
+        // Remaps begun, and remaps whose flush_tlb_all has returned.
+        let (begun, returned) = (AtomicU64::new(0), AtomicU64::new(0));
+        let (rounds, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        // Stops the peer however the scope is left, so a failure on
+        // either thread is a failed test and not a hung one.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            let peer = s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    let oldest = returned.load(Ordering::SeqCst);
+                    let frame = translate(&cpu1).unwrap().frame().0;
+                    let newest = begun.load(Ordering::SeqCst);
+                    assert!(
+                        (oldest..=newest).any(|remap| frame_of(remap) == frame),
+                        "frame {frame} is of no remap in {oldest}..={newest}: a stale translation"
+                    );
+                    cpu1.tick(7);
+                    cpu1.service_pending();
+                    rounds.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            for remap in 1..=SHOOTDOWNS {
+                begun.store(remap, Ordering::SeqCst);
+                ops.set_pte(&cpu0, l1, va.l1_index(), Pte::new(frame_of(remap), flags))
+                    .unwrap();
+                ops.flush_tlb_all(&cpu0);
+                returned.store(remap, Ordering::SeqCst);
+                // Now and then wait for the peer to translate against
+                // this very remap, whatever the host's scheduler does.
+                if remap % 100 == 0 {
+                    let seen = rounds.load(Ordering::SeqCst);
+                    while rounds.load(Ordering::SeqCst) < seen + 2 {
+                        assert!(!peer.is_finished(), "the peer's thread died");
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        });
+
+        let rounds = rounds.load(Ordering::SeqCst);
+        let (hits, misses, flushes) = cpu1.tlb_stats();
+        assert_eq!(hits - hits0 + misses - misses0, rounds);
+        assert!(
+            misses - misses0 >= SHOOTDOWNS / 100,
+            "the peer refilled after the waits"
+        );
+        assert_eq!(
+            flushes - flushes0,
+            SHOOTDOWNS,
+            "one flush counted per shootdown"
+        );
+        assert_eq!(
+            cpu1.cycles() - cycles0,
+            (hits - hits0) * hit_cost
+                + (misses - misses0) * miss_cost
+                + rounds * 7
+                + SHOOTDOWNS * costs::TLB_FLUSH,
+            "the peer's clock is its own ticks plus one TLB_FLUSH per shootdown"
+        );
     }
 }

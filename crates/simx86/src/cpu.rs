@@ -1,13 +1,23 @@
 //! The simulated CPU: privilege levels, control registers, descriptor
 //! tables, interrupt dispatch and the cycle counter.
 //!
-//! Everything cross-thread-visible is atomic or lock-protected so that an
-//! SMP machine can be driven by one host thread per virtual CPU (the
-//! §5.4 IPI rendezvous protocol runs on real atomics).
+//! An SMP machine is driven by one host thread per virtual CPU (the
+//! §5.4 IPI rendezvous protocol runs on real atomics), and a CPU's state
+//! is split by who may write it (DESIGN.md "Who may write a CPU"):
+//!
+//! * **owner-written** — the cycle counter, the TLB and `in_service` are
+//!   written only by the thread driving this CPU, as a relaxed load and
+//!   a store with no `lock` prefix; any thread may read them;
+//! * **mailboxes** — what another thread wants of this CPU is a request
+//!   the owner honours: `pending` vectors ([`Cpu::raise`]), cycles
+//!   charged to it from outside and TLB shootdowns
+//!   ([`Cpu::request_tlb_flush`]);
+//! * **shared** — everything else is an atomic or behind a lock, and
+//!   any thread at PL0 may write it.
 
 use crate::costs;
 use crate::fault::Fault;
-use crate::sync::{Mutex, RwLock};
+use crate::sync::{owner_store, RwLock};
 use crate::tlb::Tlb;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -214,7 +224,10 @@ impl IdtTable {
 pub struct Cpu {
     /// Core id (APIC id).
     pub id: usize,
+    /// Cycles this CPU charged itself; written by its driving thread.
     cycles: AtomicU64,
+    /// Cycles other threads charged it (a shootdown's flush).
+    foreign_cycles: AtomicU64,
     pl: AtomicU8,
     cr3: AtomicU64,
     if_flag: AtomicBool,
@@ -222,12 +235,16 @@ pub struct Cpu {
     in_service: AtomicBool,
     halted: AtomicBool,
     idt: RwLock<Option<Arc<IdtTable>>>,
-    gdt: RwLock<Gdt>,
+    /// The loaded descriptor table, as its one field.
+    gdt_kernel_dpl: AtomicU8,
+    /// Is an EPT installed?  Read in place of `ept` while it is `None`.
     non_root: AtomicBool,
     ept: RwLock<Option<Arc<crate::vmx::Ept>>>,
+    /// Is a lazy set registered?  Read in place of `lazy` while it is `None`.
+    lazy_present: AtomicBool,
     lazy: RwLock<Option<Arc<crate::lazy::LazySet>>>,
-    /// The TLB; the MMU locks it during translations.
-    pub(crate) tlb: Mutex<Tlb>,
+    /// The TLB; the MMU uses it during translations.
+    pub(crate) tlb: Tlb,
 }
 
 impl Cpu {
@@ -236,6 +253,7 @@ impl Cpu {
         Cpu {
             id,
             cycles: AtomicU64::new(0),
+            foreign_cycles: AtomicU64::new(0),
             pl: AtomicU8::new(PrivLevel::Pl0 as u8),
             cr3: AtomicU64::new(0),
             if_flag: AtomicBool::new(false),
@@ -243,30 +261,38 @@ impl Cpu {
             in_service: AtomicBool::new(false),
             halted: AtomicBool::new(false),
             idt: RwLock::new(None),
-            gdt: RwLock::new(Gdt::NATIVE),
+            gdt_kernel_dpl: AtomicU8::new(Gdt::NATIVE.kernel_dpl as u8),
             non_root: AtomicBool::new(false),
             ept: RwLock::new(None),
+            lazy_present: AtomicBool::new(false),
             lazy: RwLock::new(None),
-            tlb: Mutex::new(Tlb::new()),
+            tlb: Tlb::new(id),
         }
     }
 
     // -- time ---------------------------------------------------------
 
-    /// Advance this core's clock by `n` cycles.
+    /// Advance this core's clock by `n` cycles.  Only the thread
+    /// driving this CPU may call it: the update is a load and a store,
+    /// not an atomic addition, and a second writer would lose cycles
+    /// (debug builds panic on one — [`owner_store`]).
     ///
-    /// This is a pure atomic addition, so an idle gap of `N` cycles is
+    /// The cost does not depend on `n`, so an idle gap of `N` cycles is
     /// one tick of `N` (see [`crate::evclock`]).  The counter is the
     /// **only** source of simulated time.
     #[inline]
     pub fn tick(&self, n: u64) {
-        self.cycles.fetch_add(n, Ordering::Relaxed);
+        let c = self.cycles.load(Ordering::Relaxed);
+        owner_store(&self.cycles, c, c.wrapping_add(n), self.id, "cycle counter");
     }
 
-    /// Current cycle count.
+    /// Current cycle count: what this CPU charged itself plus what
+    /// other threads charged it.  Any thread may read it.
     #[inline]
     pub fn cycles(&self) -> u64 {
-        self.cycles.load(Ordering::Relaxed)
+        self.cycles
+            .load(Ordering::Relaxed)
+            .wrapping_add(self.foreign_cycles.load(Ordering::Relaxed))
     }
 
     /// `RDTSC`: read the time-stamp counter (readable at any privilege,
@@ -341,19 +367,39 @@ impl Cpu {
     }
 
     /// Flush this CPU's entire TLB (privilege enforced by callers via
-    /// `invlpg`/CR3 paths; exposed for the paravirt layer).
+    /// `invlpg`/CR3 paths; exposed for the paravirt layer).  For the
+    /// thread driving this CPU; a peer's TLB is flushed with
+    /// [`Cpu::request_tlb_flush`].
     #[doc(alias = "volint-privileged")]
     pub fn flush_tlb_local(&self) {
         self.tick(costs::TLB_FLUSH);
-        self.tlb.lock().flush();
+        self.tlb.flush();
         merctrace::counter!(self.id, "simx86.tlb.flush", 1, self.cycles());
+    }
+
+    /// The target's half of a TLB shootdown, callable from any thread
+    /// (on x86 the initiator sends an IPI and the target flushes).  The
+    /// flush is charged to this CPU now and applied by its driving
+    /// thread before its next use of the TLB, so a translation it starts
+    /// after this returns sees the page tables as the caller left them.
+    #[doc(alias = "volint-privileged")]
+    pub fn request_tlb_flush(&self) {
+        self.foreign_cycles
+            .fetch_add(costs::TLB_FLUSH, Ordering::Relaxed);
+        self.tlb.request_shootdown();
+        merctrace::counter!(self.id, "simx86.tlb.flush", 1, self.cycles());
+    }
+
+    /// (hits, misses, flushes) of this CPU's TLB.
+    pub fn tlb_stats(&self) -> (u64, u64, u64) {
+        self.tlb.stats()
     }
 
     /// Invalidate a single page translation.
     #[doc(alias = "volint-privileged")]
     pub fn invlpg(&self, vpn: u64) {
         self.tick(4);
-        self.tlb.lock().invalidate(vpn);
+        self.tlb.invalidate(vpn);
         merctrace::counter!(self.id, "simx86.tlb.invlpg", 1, self.cycles());
     }
 
@@ -415,7 +461,7 @@ impl Cpu {
     pub fn lgdt(&self, gdt: Gdt) -> Result<(), Fault> {
         self.require_pl0("lgdt")?;
         self.tick(60);
-        *self.gdt.write() = gdt;
+        self.set_gdt_raw(gdt);
         merctrace::counter!(self.id, "simx86.privop.lgdt", 1, self.cycles());
         Ok(())
     }
@@ -423,12 +469,15 @@ impl Cpu {
     /// Hardware-internal GDT swap for the state-reload path.
     #[doc(alias = "volint-privileged")]
     pub fn set_gdt_raw(&self, gdt: Gdt) {
-        *self.gdt.write() = gdt;
+        self.gdt_kernel_dpl
+            .store(gdt.kernel_dpl as u8, Ordering::Release);
     }
 
     /// The currently loaded descriptor table.
     pub fn current_gdt(&self) -> Gdt {
-        *self.gdt.read()
+        Gdt {
+            kernel_dpl: PrivLevel::from_u8(self.gdt_kernel_dpl.load(Ordering::Acquire)),
+        }
     }
 
     // -- hardware virtualization assist (§8 extension) -------------------
@@ -438,8 +487,14 @@ impl Cpu {
     /// EPT filters every translation.
     #[doc(alias = "volint-privileged")]
     pub fn set_non_root(&self, ept: Option<Arc<crate::vmx::Ept>>) {
-        self.non_root.store(ept.is_some(), Ordering::Release);
-        *self.ept.write() = ept;
+        let present = ept.is_some();
+        {
+            // The flag moves under the lock, so it never disagrees with
+            // the slot for longer than this block.
+            let mut slot = self.ept.write();
+            *slot = ept;
+            self.non_root.store(present, Ordering::Release);
+        }
         // Address-space view changed: flush.
         self.flush_tlb_local();
     }
@@ -451,6 +506,9 @@ impl Cpu {
 
     /// The active EPT, if any (the MMU consults this on every walk).
     pub fn active_ept(&self) -> Option<Arc<crate::vmx::Ept>> {
+        if !self.in_non_root() {
+            return None;
+        }
         self.ept.read().clone()
     }
 
@@ -460,15 +518,25 @@ impl Cpu {
     /// on every TLB-miss walk (Mercury's fault-driven attach).  Like
     /// [`Cpu::set_non_root`], changing the set flushes the TLB so no
     /// cached translation can bypass a deferred frame's first-touch
-    /// validation fault.
+    /// validation fault.  The switch engine registers the set on every
+    /// CPU from the initiator's thread, so the flush is a request
+    /// ([`Cpu::request_tlb_flush`]) whichever CPU this is.
     #[doc(alias = "volint-privileged")]
     pub fn set_lazy_set(&self, set: Option<Arc<crate::lazy::LazySet>>) {
-        *self.lazy.write() = set;
-        self.flush_tlb_local();
+        let present = set.is_some();
+        {
+            let mut slot = self.lazy.write();
+            *slot = set;
+            self.lazy_present.store(present, Ordering::Release);
+        }
+        self.request_tlb_flush();
     }
 
     /// The registered lazy-validation pending set, if any.
     pub fn active_lazy_set(&self) -> Option<Arc<crate::lazy::LazySet>> {
+        if !self.lazy_present.load(Ordering::Acquire) {
+            return None;
+        }
         self.lazy.read().clone()
     }
 
@@ -515,9 +583,11 @@ impl Cpu {
     pub fn service_pending(self: &Arc<Self>) -> usize {
         let mut n = 0;
         // Don't recurse into interrupt servicing from inside a handler.
-        if self.in_service.swap(true, Ordering::AcqRel) {
+        // Only the driving thread services a CPU, so the flag is its own.
+        if self.in_service.load(Ordering::Relaxed) {
             return 0;
         }
+        self.in_service.store(true, Ordering::Relaxed);
         // Fault injection (compiled out by default): a due spurious
         // interrupt fires once; a stuck line re-asserts its vector at
         // every service point until the fault is resolved.
@@ -531,10 +601,13 @@ impl Cpu {
             }
             let vector = bits.trailing_zeros() as u8;
             self.pending.fetch_and(!(1 << vector), Ordering::AcqRel);
-            self.dispatch(vector, 0);
+            // A handler may load another gate table; read it per vector.
+            if let Some(idt) = self.current_idt() {
+                self.dispatch(&idt, vector, 0);
+            }
             n += 1;
         }
-        self.in_service.store(false, Ordering::Release);
+        self.in_service.store(false, Ordering::Relaxed);
         n
     }
 
@@ -544,22 +617,21 @@ impl Cpu {
     /// Returns the fault back to the caller if no handler is installed
     /// (double fault).
     pub fn deliver_exception(self: &Arc<Self>, vector: u8, error: u64) -> Result<(), Fault> {
-        let idt = self.current_idt();
-        match idt.as_ref().and_then(|t| t.gate(vector)) {
-            Some(_) => {
+        match self.current_idt() {
+            Some(idt) if idt.gate(vector).is_some() => {
                 merctrace::counter!(self.id, "simx86.fault", 1, self.cycles());
                 merctrace::hist!(self.id, "simx86.fault.vector", vector, self.cycles());
-                self.dispatch(vector, error);
+                self.dispatch(&idt, vector, error);
                 Ok(())
             }
-            None => Err(Fault::DoubleFault),
+            _ => Err(Fault::DoubleFault),
         }
     }
 
-    /// Core gate dispatch: push a trap frame, raise to PL0, run the
-    /// handler, and `iret` to whatever privilege level the handler left
-    /// in the frame.
-    fn dispatch(self: &Arc<Self>, vector: u8, error: u64) {
+    /// Core gate dispatch through the loaded table `idt`: push a trap
+    /// frame, raise to PL0, run the handler, and `iret` to whatever
+    /// privilege level the handler left in the frame.
+    fn dispatch(self: &Arc<Self>, idt: &IdtTable, vector: u8, error: u64) {
         // Fault injection (compiled out by default): a corrupted
         // descriptor makes the gate unreadable — the dispatch is
         // swallowed until the descriptor is rewritten and the fault
@@ -567,9 +639,6 @@ impl Cpu {
         if faultgen::gate_site!(self.id, self.cycles(), vector) {
             return;
         }
-        let Some(idt) = self.current_idt() else {
-            return;
-        };
         let Some(gate) = idt.gate(vector) else {
             return;
         };
@@ -609,8 +678,7 @@ impl Cpu {
         // Interrupt gates disable interrupts and enter at PL0.
         self.set_if_raw(false);
         self.set_pl_raw(PrivLevel::Pl0);
-        let sink = Arc::clone(&gate.sink);
-        sink.handle(self, &mut frame);
+        gate.sink.handle(self, &mut frame);
         // `iret`: restore (possibly handler-edited) privilege and IF.
         self.set_pl_raw(frame.return_pl);
         self.set_if_raw(frame.saved_if);
@@ -754,5 +822,30 @@ mod tests {
         cpu.tick(100);
         let b = cpu.rdtsc();
         assert!(b > a);
+    }
+
+    #[test]
+    fn requested_flush_is_charged_at_once_and_counted_once() {
+        let cpu = Cpu::new(0);
+        cpu.tick(100);
+        let (_, _, flushes) = cpu.tlb_stats();
+        cpu.request_tlb_flush();
+        assert_eq!(cpu.cycles(), 100 + costs::TLB_FLUSH);
+        assert_eq!(cpu.tlb_stats().2, flushes + 1);
+        // The owner's own ticks and the foreign charge add up.
+        cpu.tick(5);
+        assert_eq!(cpu.cycles(), 105 + costs::TLB_FLUSH);
+    }
+
+    /// The debug build's ownership check names the CPU whose clock a
+    /// second writer moved between the owner's load and its store.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "CPU 2: cycle counter moved from 10 to 17")]
+    fn second_writer_of_the_clock_panics_in_debug_builds() {
+        let cpu = Cpu::new(2);
+        cpu.tick(17);
+        // What `tick` does when its load saw 10 and a foreign tick of 7 landed.
+        owner_store(&cpu.cycles, 10, 11, cpu.id, "cycle counter");
     }
 }

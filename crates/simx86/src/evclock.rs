@@ -2,8 +2,8 @@
 //!
 //! Simulated time has one level: the per-CPU cycle counters
 //! ([`Cpu::cycles`]) advanced by [`Cpu::tick`] at every priced
-//! operation.  `tick` is a pure atomic addition, so a CPU that is idle
-//! until cycle `T` — a servo worker waiting for its next open-loop
+//! operation.  `tick` costs the same whatever it adds, so a CPU that is
+//! idle until cycle `T` — a servo worker waiting for its next open-loop
 //! arrival, a watchdog backing off between attach attempts — gets there
 //! in one `tick` of the whole gap.  [`EvClock::advance`] is that one
 //! addition plus the `simx86.evclock.skip` probe that makes idle time

@@ -40,7 +40,7 @@ impl Mmu {
         // TLB lookup.  A write through a clean cached entry re-walks so
         // the dirty bit lands in memory (dirty tracking feeds live
         // migration's log).
-        if let Some(pte) = cpu.tlb.lock().lookup(vpn) {
+        if let Some(pte) = cpu.tlb.lookup(vpn) {
             let dirty_ok = access != AccessKind::Write || pte.dirty();
             if dirty_ok {
                 Self::check_perms(pte, va, access, user_access)?;
@@ -78,7 +78,7 @@ impl Mmu {
         if updated != leaf {
             mem.write_pte(cpu, table, index, updated)?;
         }
-        cpu.tlb.lock().insert(vpn, updated);
+        cpu.tlb.insert(vpn, updated);
         Ok(PhysAddr(
             FrameNum(updated.frame()).base().0 + va.page_offset(),
         ))
@@ -163,9 +163,9 @@ mod tests {
         assert_eq!(pa.frame(), FrameNum(3));
         assert_eq!(pa.offset(), va.page_offset());
         // Second access: TLB hit.
-        let (h0, _, _) = cpu.tlb.lock().stats();
+        let (h0, _, _) = cpu.tlb_stats();
         Mmu::translate(&mem, &cpu, va, AccessKind::Read, true).unwrap();
-        let (h1, _, _) = cpu.tlb.lock().stats();
+        let (h1, _, _) = cpu.tlb_stats();
         assert_eq!(h1, h0 + 1);
     }
 

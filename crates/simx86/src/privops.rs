@@ -74,6 +74,11 @@ pub static REGISTRY: &[PrivOp] = &[
         paper_ref: "§5.3",
     },
     PrivOp {
+        name: "request_tlb_flush",
+        effect: "charges a peer CPU a TLB flush and has it applied before that CPU's next TLB use",
+        paper_ref: "§5.3",
+    },
+    PrivOp {
         name: "invlpg",
         effect: "invalidates one page translation",
         paper_ref: "§5.3",

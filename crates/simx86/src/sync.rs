@@ -4,6 +4,7 @@
 //! tests panic inside critical sections on purpose (the Busy fail-fast
 //! and panic-safety regressions) and then keep using the machine.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{self, PoisonError};
 
 pub use std::sync::MutexGuard;
@@ -46,5 +47,28 @@ impl<T: ?Sized> RwLock<T> {
     /// Block until exclusive access is held.
     pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Commit `new` to a cell that only the thread driving CPU `cpu` writes
+/// (DESIGN.md "Who may write a CPU"); `seen` is the value that thread
+/// just loaded from it.  Release builds store.  Debug builds
+/// compare-and-exchange, and a value that moved in between is a second
+/// writer — a foreign thread on the owner path — so they panic naming
+/// the CPU instead of silently losing one of the two updates.
+#[inline]
+pub fn owner_store(cell: &AtomicU64, seen: u64, new: u64, cpu: usize, what: &str) {
+    #[cfg(debug_assertions)]
+    if let Err(found) = cell.compare_exchange(seen, new, Ordering::Relaxed, Ordering::Relaxed) {
+        // volint::allow(SWITCH-PANIC): debug builds only, and only on a data race the release build would lose cycles to
+        panic!(
+            "CPU {cpu}: {what} moved from {seen} to {found} under its owner's update: \
+             a thread that does not drive this CPU wrote owner state"
+        );
+    }
+    #[cfg(not(debug_assertions))]
+    {
+        let _ = (seen, cpu, what);
+        cell.store(new, Ordering::Relaxed);
     }
 }

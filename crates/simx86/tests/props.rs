@@ -66,7 +66,7 @@ fn memory_bytes_match_reference() {
 #[test]
 fn tlb_matches_reference_model() {
     check("tlb_matches_reference_model", 256, |rng| {
-        let mut tlb = Tlb::new();
+        let tlb = Tlb::new(0);
         let mut model: HashMap<u64, Pte> = HashMap::new();
         for _ in 0..rng.range(1, 200) {
             let (op, vpn, frame) = (rng.below(4), rng.below(32), rng.below(1024) as u32);

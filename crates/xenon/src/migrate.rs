@@ -111,8 +111,9 @@ impl LiveMigration {
         }
         // Clearing dirty bits behind the TLB's back requires a flush so
         // cached "already dirty" translations don't swallow new writes.
+        // The guest's CPUs run on their own threads: each is asked.
         for c in &self.source.machine.cpus {
-            c.flush_tlb_local();
+            c.request_tlb_flush();
         }
         dirty.sort_unstable_by_key(|f| f.0);
         dirty.dedup();

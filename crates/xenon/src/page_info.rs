@@ -206,11 +206,9 @@ impl Records {
         mut took: impl FnMut(FrameNum),
     ) -> Result<(), HvError> {
         let mut view = mem.read_table(cpu, frame)?;
-        for index in 0..ENTRIES_PER_TABLE {
-            let pte = view.pte(index);
-            if !pte.present() {
-                continue;
-            }
+        let mut at = 0;
+        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
+        while let Some(pte) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
             let target = FrameNum(pte.frame());
             self.check_owned(target, dom, "L1 entry target")?;
             if pte.writable() {
@@ -259,9 +257,10 @@ impl Records {
         frame: FrameNum,
     ) -> Result<(), HvError> {
         let mut view = mem.read_table(cpu, frame)?;
-        for index in 0..ENTRIES_PER_TABLE {
-            let pte = view.pte(index);
-            if pte.present() && pte.writable() {
+        let mut at = 0;
+        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
+        while let Some(pte) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+            if pte.writable() {
                 self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
             }
         }
@@ -287,11 +286,9 @@ impl Records {
         let mut refs_taken: Vec<FrameNum> = Vec::new();
         let result = (|| {
             let mut view = mem.read_table(cpu, frame)?;
-            for index in 0..ENTRIES_PER_TABLE {
-                let pde = view.pte(index);
-                if !pde.present() {
-                    continue;
-                }
+            let mut at = 0;
+            // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
+            while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
                 let l1 = FrameNum(pde.frame());
                 let (typ, count) = self.type_of(l1);
                 if typ != PageType::L1 || count == 0 {
@@ -330,12 +327,11 @@ impl Records {
         frame: FrameNum,
     ) -> Result<(), HvError> {
         let mut view = mem.read_table(cpu, frame)?;
-        for index in 0..ENTRIES_PER_TABLE {
-            let pde = view.pte(index);
-            if pde.present() {
-                view.settle();
-                self.put_l1_ref(cpu, mem, FrameNum(pde.frame()))?;
-            }
+        let mut at = 0;
+        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
+        while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+            view.settle();
+            self.put_l1_ref(cpu, mem, FrameNum(pde.frame()))?;
         }
         self.put_type_ref(frame, PageType::L2);
         Ok(())
@@ -683,11 +679,9 @@ impl PageInfoTable {
     ) -> Result<(), HvError> {
         self.info.lock().check_owned(frame, dom, "L2 table frame")?;
         let mut view = mem.read_table(cpu, frame)?;
-        for index in 0..ENTRIES_PER_TABLE {
-            let pde = view.pte(index);
-            if !pde.present() {
-                continue;
-            }
+        let mut at = 0;
+        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
+        while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
             let l1 = FrameNum(pde.frame());
             view.settle();
             let mut info = self.info.lock();

@@ -11,7 +11,9 @@
 Symbols come from `nm -C`, the instruction before a sample from
 `objdump -d`; both are run on the files PROFILE's own copy of
 /proc/self/maps names, so the report must run where those files still
-are.  A sample lands on the instruction *after* the one that was
+are — and are still the same: PROFILE records its executable's size and
+mtime, and a file that has been rebuilt since is refused, because its
+addresses would resolve to the wrong functions.  A sample lands on the instruction *after* the one that was
 executing when the timer fired, which is why "follows a locked
 instruction" is the test: an uncontended atomic read-modify-write
 drains the store buffer, and the time that takes is billed to whatever
@@ -21,7 +23,9 @@ comes next.  Stdlib only.
 import argparse
 import bisect
 import collections
+import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -42,6 +46,8 @@ def parse_profile(text):
             header = dict(kv.split("=", 1) for kv in line.split()[2:])
         elif line.startswith("# "):
             section = line[2:].strip()
+        elif section == "exe":
+            header["exe"] = line
         elif section == "maps":
             fields = line.split(None, 5)
             if len(fields) == 6 and "x" in fields[1] and fields[5].startswith("/"):
@@ -50,6 +56,31 @@ def parse_profile(text):
         elif section == "stacks" and line.strip():
             stacks.append([int(x, 16) for x in line.split()])
     return header, maps, stacks
+
+
+def stat_exe(path):
+    """(size, mtime in ns) of PATH, or None if it is gone."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_size, st.st_mtime_ns
+
+
+def stale_executable(header):
+    """Why the profiled executable cannot be symbolised against, if it
+    cannot: a one-line message, or None.  A profile from a sampler that
+    did not record the executable is taken on trust."""
+    if "exe_size" not in header:
+        return None
+    then = (int(header["exe_size"]), int(header["exe_mtime_ns"]))
+    now = stat_exe(header["exe"])
+    if now == then:
+        return None
+    return "%s %s since it was profiled: profile it again" % (
+        header["exe"],
+        "is gone" if now is None else "has been rebuilt",
+    )
 
 
 def run_nm(path):
@@ -190,6 +221,10 @@ def report(text, args):
     if not stacks:
         print("no samples in the profile", file=sys.stderr)
         return 1
+    stale = stale_executable(header)
+    if stale:
+        print(stale, file=sys.stderr)
+        return 1
     res = Resolver(maps)
     total = len(stacks)
     print(
@@ -237,6 +272,8 @@ def main(argv=None):
     mode.add_argument("--callers", metavar="PATTERN")
     mode.add_argument("--locked", action="store_true")
     args = ap.parse_args(argv)
+    # `report.py PROFILE | head`: die of the closed pipe as `cat` would.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     with open(args.profile) as f:
         return report(f.read(), args)
 

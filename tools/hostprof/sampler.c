@@ -6,9 +6,11 @@
  * which is 40 samples for a 10 s run); the handler takes the interrupted
  * instruction pointer from the signal context, walks the frame-pointer
  * chain from there into a static buffer, and the destructor writes
- * /proc/self/maps and the stacks to $HOSTPROF_OUT (default
- * ./hostprof.out) for report.py.  Real time, not CPU time: a process
- * that sleeps is sampled where it sleeps.
+ * the executable's path, size and mtime, /proc/self/maps and the
+ * stacks to $HOSTPROF_OUT (default ./hostprof.out) for report.py, which
+ * symbolises against the files on disk and so refuses an executable
+ * rebuilt since.  Real time, not CPU time: a process that sleeps is
+ * sampled where it sleeps.
  *
  * The target must keep frame pointers (RUSTFLAGS="-C
  * force-frame-pointers=yes"); a frame that does not is where the walk
@@ -24,8 +26,10 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <ucontext.h>
+#include <unistd.h>
 
 #define PERIOD_US 200
 #define MAX_DEPTH 48
@@ -115,9 +119,20 @@ __attribute__((destructor)) static void hostprof_dump(void)
     FILE *out = fopen(path ? path : "hostprof.out", "w");
     FILE *maps = fopen("/proc/self/maps", "r");
     char line[512];
+    char exe[4096];
+    struct stat st;
     if (!out)
         return;
-    fprintf(out, "# hostprof period_us=%d dropped=%zu\n# maps\n", PERIOD_US, dropped);
+    fprintf(out, "# hostprof period_us=%d dropped=%zu", PERIOD_US, dropped);
+    ssize_t len = readlink("/proc/self/exe", exe, sizeof exe - 1);
+    if (len > 0 && stat("/proc/self/exe", &st) == 0) {
+        exe[len] = '\0';
+        fprintf(out, " exe_size=%lld exe_mtime_ns=%lld\n# exe\n%s\n", (long long)st.st_size,
+                (long long)st.st_mtim.tv_sec * 1000000000LL + st.st_mtim.tv_nsec, exe);
+    } else {
+        fputc('\n', out);
+    }
+    fprintf(out, "# maps\n");
     while (maps && fgets(line, sizeof line, maps))
         fputs(line, out);
     if (maps)

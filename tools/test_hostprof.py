@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Self-tests for tools/hostprof/report.py (stdlib only, no cargo, no
 binutils: `nm` and `objdump` are stood in for by checked-in output).
+The sampler itself is built and run once where there is a `gcc`.
 
 Run directly: `python3 tools/test_hostprof.py`.
 """
@@ -10,6 +11,10 @@ import contextlib
 import importlib.util
 import io
 import os
+import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import unittest
 
@@ -34,6 +39,9 @@ read_program_headers = rp.load_bias
 rp.run_nm = lambda path: fixture("nm.txt") if path == "/fixture/harness" else ""
 rp.run_objdump = lambda path: fixture("objdump.txt") if path == "/fixture/harness" else ""
 rp.load_bias = lambda path: 0
+# The fixture's harness as it was when the fixture profile was taken.
+FIXTURE_EXE = (45056, 1790000000123456789)
+rp.stat_exe = lambda path: FIXTURE_EXE if path == "/fixture/harness" else None
 
 
 def run(**mode):
@@ -54,7 +62,16 @@ def rows(text, title):
 class Profile(unittest.TestCase):
     def test_parse_keeps_executable_file_mappings_and_every_stack(self):
         header, maps, stacks = rp.parse_profile(fixture("profile.txt"))
-        self.assertEqual(header, {"period_us": "200", "dropped": "0"})
+        self.assertEqual(
+            header,
+            {
+                "period_us": "200",
+                "dropped": "0",
+                "exe_size": str(FIXTURE_EXE[0]),
+                "exe_mtime_ns": str(FIXTURE_EXE[1]),
+                "exe": "/fixture/harness",
+            },
+        )
         self.assertEqual(
             [(m.path, m.offset) for m in maps],
             [("/fixture/harness", 0x1000), ("/fixture/lib/libc.so.6", 0x28000)],
@@ -135,6 +152,33 @@ class Profile(unittest.TestCase):
         with contextlib.redirect_stderr(io.StringIO()):
             self.assertEqual(rp.report("# hostprof period_us=200 dropped=0\n# maps\n# stacks\n", args), 1)
 
+    def test_a_rebuilt_or_missing_executable_is_refused_in_one_line(self):
+        size, mtime = FIXTURE_EXE
+        for now, why in (
+            ((size, mtime + 1), "has been rebuilt"),
+            ((size + 4096, mtime), "has been rebuilt"),
+            (None, "is gone"),
+        ):
+            rp.stat_exe = lambda path, now=now: now
+            try:
+                code, out = run()
+            finally:
+                rp.stat_exe = lambda path: FIXTURE_EXE if path == "/fixture/harness" else None
+            self.assertEqual(code, 1)
+            self.assertEqual(
+                out, "/fixture/harness %s since it was profiled: profile it again\n" % why
+            )
+
+    def test_a_profile_without_the_executable_record_is_taken_on_trust(self):
+        old = fixture("profile.txt").split("\n")
+        old[0] = "# hostprof period_us=200 dropped=0"
+        del old[1:3]  # the `# exe` section
+        args = argparse.Namespace(top=25, callers=None, locked=False)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            self.assertEqual(rp.report("\n".join(old), args), 0)
+        self.assertIn("8 samples", out.getvalue())
+
     def test_load_bias_reads_the_executable_segment(self):
         def phdr(p_type, flags, offset, vaddr):
             return (
@@ -156,6 +200,76 @@ class Profile(unittest.TestCase):
             f.flush()
             self.assertEqual(read_program_headers(f.name), 0x1000)
         self.assertEqual(read_program_headers("/nonexistent/file"), 0)
+
+
+class CommandLine(unittest.TestCase):
+    """report.py as a process, over a profile of a stand-in executable."""
+
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.exe = os.path.join(self.dir.name, "harness")
+        with open(self.exe, "wb") as f:
+            f.write(b"not an ELF file")
+        st = os.stat(self.exe)
+        self.profile = os.path.join(self.dir.name, "harness.prof")
+        with open(self.profile, "w") as f:
+            f.write(
+                "# hostprof period_us=200 dropped=0 exe_size=%d exe_mtime_ns=%d\n"
+                "# exe\n%s\n# maps\n"
+                "555500001000-555500003000 r-xp 00001000 fe:00 1001    %s\n"
+                "# stacks\n555500001106\n"
+                % (st.st_size, st.st_mtime_ns, self.exe, self.exe)
+            )
+        self.command = [sys.executable, os.path.join(HERE, "hostprof", "report.py"), self.profile]
+
+    def tearDown(self):
+        self.dir.cleanup()
+
+    def test_a_closed_pipe_ends_the_report_quietly(self):
+        # `report.py PROFILE | head`: the reader is gone before the
+        # report's first flush.
+        proc = subprocess.Popen(self.command, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        self.assertEqual(proc.wait(), -signal.SIGPIPE)
+        self.assertEqual(stderr, "")
+
+    def test_an_executable_rebuilt_after_the_profile_is_refused(self):
+        done = subprocess.run(self.command, capture_output=True, text=True)
+        self.assertEqual((done.returncode, done.stderr), (0, ""))
+        self.assertIn("1 samples", done.stdout)
+        with open(self.exe, "ab") as f:
+            f.write(b", rebuilt")
+        done = subprocess.run(self.command, capture_output=True, text=True)
+        self.assertEqual(done.returncode, 1)
+        self.assertEqual(done.stdout, "")
+        self.assertEqual(
+            done.stderr, "%s has been rebuilt since it was profiled: profile it again\n" % self.exe
+        )
+
+
+@unittest.skipUnless(shutil.which("gcc"), "no gcc to build the sampler with")
+class Sampler(unittest.TestCase):
+    def test_the_header_records_the_executable_it_ran_in(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            lib, out = os.path.join(tmp, "sampler.so"), os.path.join(tmp, "out.prof")
+            subprocess.run(
+                ["gcc", "-O2", "-shared", "-fPIC", "-o", lib,
+                 os.path.join(HERE, "hostprof", "sampler.c")],
+                check=True,
+            )
+            env = dict(os.environ, LD_PRELOAD=lib, HOSTPROF_OUT=out)
+            subprocess.run([sys.executable, "-c", "pass"], env=env, check=True)
+            with open(out) as f:
+                header, maps, _ = rp.parse_profile(f.read())
+        exe = os.path.realpath(sys.executable)
+        st = os.stat(exe)
+        self.assertEqual(header["exe"], exe)
+        self.assertEqual(
+            (int(header["exe_size"]), int(header["exe_mtime_ns"])), (st.st_size, st.st_mtime_ns)
+        )
+        self.assertIn(exe, [m.path for m in maps])
 
 
 if __name__ == "__main__":

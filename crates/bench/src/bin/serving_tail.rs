@@ -19,10 +19,11 @@
 //! `--quick`) whose every migration path fires from a
 //! `(stream fraction, event)` timeline under live traffic.
 //!
-//! Every server donates its open-loop gaps to the node's background
-//! scrubber: while the node is native, worker idle time revalidates
-//! dirty frames so the attaches in the switching scenarios pay only for
-//! what the gaps didn't reach (`scrub_revalidated` counts them).
+//! Every server donates its open-loop gaps to Mercury's revalidation
+//! (`Mercury::donate_idle`): while the node is native, worker idle time
+//! revalidates written frames so the attaches in the switching
+//! scenarios pay only for what the gaps didn't reach
+//! (`scrub_revalidated` counts them).
 //!
 //! Determinism: the whole table runs **twice in-process** and every
 //! request record, switch counter and fleet fact must be bit-identical
@@ -135,9 +136,8 @@ struct SwitchSnap {
     /// Completed hv-to-hv live-updates (DESIGN.md §16).
     updates: u64,
     update_cycles: u64,
-    /// Frames the background scrubber revalidated out of open-loop
-    /// serving gaps (native mode only) — each one shaved off the next
-    /// attach's dirty set.
+    /// Frames revalidated out of open-loop serving gaps (native mode
+    /// only) — each one shaved off the next attach's work-list.
     scrubbed: u64,
 }
 
@@ -152,7 +152,7 @@ impl SwitchSnap {
             detach_cycles: s.total_detach_cycles.load(Relaxed),
             updates: s.live_updates.load(Relaxed),
             update_cycles: s.total_update_cycles.load(Relaxed),
-            scrubbed: node.scrubber().revalidated(),
+            scrubbed: s.idle_revalidated.load(Relaxed),
         }
     }
 

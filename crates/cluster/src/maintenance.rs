@@ -468,11 +468,11 @@ mod tests {
         );
     }
 
-    /// A re-homed OS used to come back on the legacy O(owned) scan with
-    /// the node's scrubber still bound to the domain that left: every
-    /// later attach paid full price and idle time revalidated nothing.
+    /// A re-homed OS comes back as a new domain under a new engine: it
+    /// must still be on the write log's O(dirty) attach, with idle time
+    /// revalidating what it writes.
     #[test]
-    fn rehomed_os_keeps_dirty_tracking_and_its_scrubber() {
+    fn rehomed_os_keeps_dirty_tracking_and_idle_revalidation() {
         let cluster = Cluster::launch(2, &NodeConfig::default());
         let home = cluster.node(0);
         let host = cluster.node(1);
@@ -490,15 +490,14 @@ mod tests {
             sess.poke(simx86::VirtAddr(va.0 + p * simx86::PAGE_SIZE), p)
                 .unwrap();
         }
-        let dom = mercury.dom0().id;
-        let dirty = home.hv().page_info.count_dirty_for(dom);
+        let dirty = mercury.revalidation_backlog().len();
         assert!(dirty > 0, "pokes must dirty tables");
 
         // …and an idle donation retires them.
         let cpu = home.machine.boot_cpu();
-        let used = home.scrubber().donate(cpu, 1_000_000);
-        assert!(used > 0, "the scrubber must see the new domain's dirty set");
-        assert!(home.hv().page_info.count_dirty_for(dom) < dirty);
+        let used = mercury.donate_idle(cpu, 1_000_000);
+        assert!(used > 0, "idle time must see the new domain's writes");
+        assert!(mercury.revalidation_backlog().len() < dirty);
     }
 
     /// A malformed image (no frozen state on the domain, or a state

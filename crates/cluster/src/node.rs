@@ -3,18 +3,19 @@
 //! A node is [`mercury::Stack::build`] — machine, dormant VMM, natively
 //! booted kernel with its drivers, Mercury, in the allocation order
 //! every frame number hangs on (DESIGN.md §3a) — at the default
-//! tracking strategy, plus what only a cluster needs: a background
-//! scrubber on the idle loop and hardware health sensors.  Its sizing
+//! tracking strategy, plus what only a cluster needs: an idle loop that
+//! donates its time to Mercury's revalidation
+//! ([`Mercury::donate_idle`]) and hardware health sensors.  Its sizing
 //! record, [`NodeConfig`], is the builder's own.
 
 use crate::health::HealthMonitor;
-use mercury::{AssistMode, ExecMode, Mercury, Stack, TrackingStrategy};
+use mercury::{AssistMode, Mercury, Stack, TrackingStrategy};
 use nimbus::{Kernel, Session};
 use simx86::devices::LinkWire;
 use simx86::sync::RwLock;
 use simx86::Machine;
-use std::sync::{Arc, Weak};
-use xenon::{BackgroundScrubber, Hypervisor};
+use std::sync::Arc;
+use xenon::Hypervisor;
 
 /// Node sizing: the one sizing record of the stack builder.
 pub use mercury::NodeConfig;
@@ -31,10 +32,6 @@ pub struct Node {
     kernel: RwLock<Arc<Kernel>>,
     /// The Mercury engine for the current kernel.
     mercury: RwLock<Arc<Mercury>>,
-    /// Background revalidator over dom0's dirty frames: idle CPU time
-    /// and serving-gap cycles are donated here while the node is
-    /// native, shortening the dirty set the next attach must pay for.
-    scrubber: Arc<BackgroundScrubber>,
     /// Hardware health sensors.
     pub health: HealthMonitor,
 }
@@ -43,42 +40,30 @@ impl Node {
     /// Build and boot a node — machine powered on, VMM warmed (dormant),
     /// kernel booted natively, native drivers attached, Mercury
     /// installed: [`Stack::build`] at the default strategy — and give
-    /// it its scrubber and health sensors.
+    /// it its idle task and health sensors.
     pub fn launch(name: &str, config: &NodeConfig) -> Arc<Node> {
         let Stack {
             machine,
-            hv,
             kernel,
             mercury,
+            ..
         } = Stack::build(config, TrackingStrategy::default(), AssistMode::Software);
-        let scrubber = BackgroundScrubber::new(Arc::clone(&hv.page_info), mercury.dom0().id);
-        Self::wire_idle_scrubber(&kernel, &mercury, &scrubber);
+        Self::wire_idle_task(&kernel, &mercury);
         Arc::new(Node {
             name: name.to_string(),
             machine,
             kernel: RwLock::new(kernel),
             mercury: RwLock::new(mercury),
-            scrubber,
             health: HealthMonitor::new(),
         })
     }
 
-    /// Point `kernel`'s idle loop at the node's scrubber: an idle CPU
-    /// donates its quantum to dirty-frame revalidation, but only while
-    /// Mercury is native — in virtual mode the frame accounting is live
-    /// and there is nothing to pre-validate.
-    fn wire_idle_scrubber(
-        kernel: &Arc<Kernel>,
-        mercury: &Arc<Mercury>,
-        scrubber: &Arc<BackgroundScrubber>,
-    ) {
-        let merc: Weak<Mercury> = Arc::downgrade(mercury);
-        let scrub = Arc::clone(scrubber);
+    /// An idle CPU of `kernel` donates its quantum to `mercury`'s
+    /// revalidation of written frames.
+    fn wire_idle_task(kernel: &Arc<Kernel>, mercury: &Arc<Mercury>) {
+        let mercury = Arc::downgrade(mercury);
         kernel.set_idle_task(Some(Arc::new(move |cpu, budget| {
-            match merc.upgrade() {
-                Some(m) if m.mode() == ExecMode::Native => scrub.donate(cpu, budget),
-                _ => 0,
-            }
+            mercury.upgrade().map_or(0, |m| m.donate_idle(cpu, budget))
         })));
     }
 
@@ -102,20 +87,10 @@ impl Node {
         self.mercury().hypervisor()
     }
 
-    /// The node's background dirty-frame scrubber.
-    pub fn scrubber(&self) -> &Arc<BackgroundScrubber> {
-        &self.scrubber
-    }
-
-    /// Replace the node's OS (after an evacuated kernel returns home).
-    /// The scrubber follows the OS — it came back as a new domain — and
-    /// the new kernel's idle loop is rewired to it.
+    /// Replace the node's OS (after an evacuated kernel returns home):
+    /// the new kernel's idle loop donates to the new engine.
     pub fn adopt_os(&self, kernel: Arc<Kernel>, mercury: Arc<Mercury>) {
-        self.scrubber.retarget(
-            Arc::clone(&mercury.hypervisor().page_info),
-            mercury.dom0().id,
-        );
-        Self::wire_idle_scrubber(&kernel, &mercury, &self.scrubber);
+        Self::wire_idle_task(&kernel, &mercury);
         *self.kernel.write() = kernel;
         *self.mercury.write() = mercury;
     }
@@ -203,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_cpu_donates_to_the_scrubber() {
+    fn idle_cpu_donates_to_revalidation() {
         let node = Node::launch(
             "n0",
             &NodeConfig {
@@ -211,8 +186,8 @@ mod tests {
                 ..NodeConfig::default()
             },
         );
-        // Fault in pages on CPU 0: the PTE writes mark their table
-        // frames dirty in the dormant VMM's accounting.
+        // Fault in pages on CPU 0: the PTE writes log their table
+        // frames in the dormant VMM's accounting.
         let sess = node.session();
         let va = sess
             .mmap(8, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
@@ -224,16 +199,19 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(node.scrubber().backlog() > 0, "pokes must dirty tables");
+        let mercury = node.mercury();
+        let backlog = mercury.revalidation_backlog().len() as u64;
+        assert!(backlog > 0, "pokes must dirty tables");
 
-        // CPU 1 has nothing to run: its idle pass donates cycles to the
-        // scrubber, shrinking the dirty set the next attach pays for.
+        // CPU 1 has nothing to run: its idle pass donates cycles to
+        // revalidation, shrinking the work-list the next attach pays for.
         let idle = Session::new(node.kernel(), 1);
-        while node.scrubber().backlog() > 0 {
+        while !mercury.revalidation_backlog().is_empty() {
             idle.idle().unwrap();
         }
-        assert!(node.scrubber().revalidated() > 0);
-        assert!(node.scrubber().cycles_donated() > 0);
+        let stat = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(stat(&mercury.stats.idle_revalidated), backlog);
+        assert!(stat(&mercury.stats.idle_cycles_donated) > 0);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use mercury::{ExecMode, Mercury, SwitchError, SwitchOutcome};
 use nimbus::Kernel;
 use simx86::{Cpu, Machine, PhysAddr};
 use std::sync::Arc;
-use xenon::{BackgroundScrubber, Hypervisor};
+use xenon::Hypervisor;
 
 /// Watchdog tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -163,10 +163,6 @@ pub struct Watchdog {
     /// a health signal); stop requesting attaches.
     degraded: Option<String>,
     reports: Vec<FaultReport>,
-    /// The node's idle scrubber, when bound: a successful live-update
-    /// retargets it at the successor's frame table so donated cycles
-    /// keep revalidating the *live* ledger.
-    scrubber: Option<Arc<BackgroundScrubber>>,
     /// `VmmCorrupt` faults whose update attempt rolled back.  They stay
     /// outstanding in the injector (the damage lives in the incumbent's
     /// tables), and the next *completed* update resolves them wholesale
@@ -192,15 +188,8 @@ impl Watchdog {
             attached_by_us: false,
             degraded: None,
             reports: Vec::new(),
-            scrubber: None,
             suspected: Vec::new(),
         }
-    }
-
-    /// Bind the node's idle scrubber so a live-update recovery can
-    /// retarget it at the successor hypervisor's frame table.
-    pub fn bind_scrubber(&mut self, scrubber: Arc<BackgroundScrubber>) {
-        self.scrubber = Some(scrubber);
     }
 
     /// Degrade this node: sticky native-only recovery, with the reason
@@ -423,12 +412,6 @@ impl Watchdog {
         match self.mercury.live_update(cpu) {
             Ok(SwitchOutcome::Completed { .. }) => {
                 merctrace::counter!(cpu.id, "watchdog.live_update", 1, cpu.cycles());
-                if let Some(scrubber) = &self.scrubber {
-                    scrubber.retarget(
-                        Arc::clone(&self.mercury.hypervisor().page_info),
-                        self.mercury.dom0().id,
-                    );
-                }
                 true
             }
             _ => {

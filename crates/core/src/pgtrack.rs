@@ -19,11 +19,12 @@
 //!   time".
 //! * [`TrackingStrategy::DirtyRecompute`] — **the default**.  Snapshot
 //!   the validation results at detach (and once at boot, so even the
-//!   first attach has a baseline) and, while native, merely *set a
-//!   dirty bit* on the containing table frame at each PTE write (one
-//!   byte store, [`simx86::costs::DIRTY_TRACK_PER_PTE`] ≪ the active
-//!   mirror's [`simx86::costs::ACTIVE_TRACK_PER_PTE`]).  Re-attach
-//!   revalidates dirty frames at the full scan rate — but only up to
+//!   first attach has a baseline) and, while native, merely *stamp
+//!   the containing table frame in the VMM's write log* at each PTE
+//!   write (one word store, [`simx86::costs::DIRTY_TRACK_PER_PTE`] ≪
+//!   the active mirror's [`simx86::costs::ACTIVE_TRACK_PER_PTE`]).
+//!   Re-attach revalidates the frames written since the snapshot
+//!   ("dirty" below) at the full scan rate — but only up to
 //!   [`SYNC_REVALIDATE_CAP`] of them synchronously; overflow beyond the
 //!   cap is deferred to first guest touch through the lazy
 //!   validation-fault path ([`simx86::lazy::LazySet`]) — and restores
@@ -49,6 +50,25 @@
 //! strategies.  A property test asserts all strategies produce
 //! identical `page_info` state, which is the invariant the paper's
 //! design relies on.
+//!
+//! **One log, Mercury's cursor.**  The baseline is not a copy of
+//! anything: it is an epoch of [`xenon::page_info`]'s write log, held
+//! in a [`xenon::WriteCursor`] that lives in the engine's VMM slot
+//! beside the VO's sink (so a live-update replaces table, sink and
+//! cursor together and no caller re-points a reader).  Detach and the
+//! boot pre-cache move it with one `checkpoint()`; the attach reads
+//! "written since" through it and clears nothing; and
+//! [`Mercury::donate_idle`] sweeps it on donated idle cycles, so a
+//! frame revalidated in the background is off the next attach's
+//! work-list.  The donation counters
+//! ([`SwitchStats::idle_revalidated`](crate::SwitchStats) and
+//! `idle_cycles_donated`) count per `Mercury` instance, so a re-homed
+//! OS — a new instance — starts them again (no archive reads them
+//! across a re-homing: the fleet row records no switch counters).
+//! Without a baseline (`RecomputeOnSwitch`, `ActiveTracking`) the
+//! attach revalidates everything whatever was written, so there is
+//! nothing to donate to — where a free-standing scrubber would have
+//! popped the log-dirty marks `mmu_update` leaves for live migration.
 //!
 //! **One table.**  What distinguishes the four strategies is written
 //! down once, as a [`LatticeRow`] per strategy
@@ -207,7 +227,7 @@ impl Mercury {
             .map(|f| f.0)
             // volint::allow(SWITCH-ALLOC): the critical set is bounded by the ≤ 256 kernel table frames and built once per attach
             .collect();
-        let dirty = hv.page_info.dirty_frames_for(self.dom0().id);
+        let dirty = self.revalidation_backlog();
         // Critical frames sort first so the sync quota can never
         // truncate them.
         let (mut ordered, rest): (Vec<FrameNum>, Vec<FrameNum>) =
@@ -227,8 +247,8 @@ impl Mercury {
         );
         // The validation itself rebuilds the whole accounting from the
         // live tables — the cycle charge above models the dirty/clean
-        // split; correctness never depends on a dirty bit (a scrubbed
-        // or deferred frame still validates through here).
+        // split; correctness never depends on the write log (a frame
+        // idle time retired, or a deferred one, still validates here).
         self.rebuild_accounting(cpu, &hv.page_info, 0)?;
 
         // Lazy admission: enqueue everything past the sync quota for
@@ -329,9 +349,7 @@ impl Mercury {
         // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
         r.cpu.tick(costs::PGINFO_CLEAR_PER_FRAME * tables as u64);
         self.release_accounting();
-        // The state just validated *is* the snapshot; dirty tracking
-        // (re)starts from here.
-        hv.page_info.reset_dirty_for(self.dom0().id);
+        self.rebase_write_cursor();
         Ok(())
     }
 
@@ -419,7 +437,10 @@ mod tests {
             kernel.pv().set_ptes(cpu, table, &updates).unwrap();
             let counted = cpu.cycles() - t0;
             assert_eq!(counted, bare + VO_INDIRECT + 16 * per_pte, "{strategy:?}");
-            assert_eq!(hv.page_info.get(table).dirty, walk.is_none());
+            let logged = hv
+                .page_info
+                .frame_written_since(table, xenon::Epoch::default());
+            assert_eq!(logged, walk.is_none());
 
             // Mark 3 table frames and `other` other pool frames dirty.
             let mark = |other: usize| {
@@ -481,5 +502,59 @@ mod tests {
             detach_rest.windows(2).all(|w| w[0] == w[1]),
             "{detach_rest:?}"
         );
+    }
+
+    /// Donated idle time sweeps the attach's work-list: k frames'
+    /// worth of budget shrinks it by exactly k, and a frame behind the
+    /// sweep that is written again is back on the list — the attach
+    /// pays for it, or the next sweep retires it.
+    #[test]
+    fn idle_sweep_shrinks_the_attach_work_list_frame_by_frame() {
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
+        let cpu = machine.boot_cpu();
+        let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
+        let pool = mercury.kernel().pool_frames();
+        let owned = pool.len() as u64;
+        let ten: Vec<FrameNum> = pool.iter().step_by(7).take(10).copied().collect();
+        // Ten written frames, three retired, the lowest written again.
+        let sweep_three_and_rewrite = || {
+            assert_eq!(mercury.revalidation_backlog(), []);
+            assert_eq!(mercury.donate_idle(cpu, 50 * scan), 0, "nothing to retire");
+            for &f in &ten {
+                hv.page_info.mark_dirty(f);
+            }
+            let c0 = cpu.cycles();
+            assert_eq!(mercury.donate_idle(cpu, 3 * scan + scan / 2), 3 * scan);
+            assert_eq!(cpu.cycles() - c0, 3 * scan);
+            assert_eq!(mercury.revalidation_backlog()[..], ten[3..]);
+            hv.page_info.mark_dirty(ten[0]);
+            assert_eq!(mercury.revalidation_backlog().len(), 8);
+            assert_eq!(mercury.revalidation_backlog()[0], ten[0]);
+        };
+
+        // The attach is handed all eight, the re-written one included.
+        sweep_three_and_rewrite();
+        mercury.switch_to_virtual(cpu).unwrap();
+        let phase =
+            mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed) - scratch_walk(&mercury, 0).0;
+        assert_eq!(phase, 8 * scan + (owned - 8) * RESTORE_PER_FRAME);
+        // Virtual: the accounting is live, nothing to donate to.
+        assert_eq!(mercury.donate_idle(cpu, 50 * scan), 0);
+        mercury.switch_to_native(cpu).unwrap();
+
+        // Or idle time gets there first: the sweep finishes its pass,
+        // then a second one retires the frame behind it.
+        sweep_three_and_rewrite();
+        assert_eq!(mercury.donate_idle(cpu, u64::MAX / 2), 8 * scan);
+        assert_eq!(mercury.revalidation_backlog(), []);
+        assert_eq!(mercury.stats.idle_revalidated.load(Ordering::Relaxed), 14);
+        assert_eq!(
+            mercury.stats.idle_cycles_donated.load(Ordering::Relaxed),
+            14 * scan
+        );
+        mercury.switch_to_virtual(cpu).unwrap();
+        let phase =
+            mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed) - scratch_walk(&mercury, 0).0;
+        assert_eq!(phase, owned * RESTORE_PER_FRAME, "an all-clean restore");
     }
 }

@@ -70,7 +70,7 @@ use simx86::vmx::Ept;
 use simx86::{costs, Cpu, LazySet, Machine};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use xenon::{Domain, Hypervisor};
+use xenon::{Domain, Hypervisor, WriteCursor};
 
 /// Which switching mechanism Mercury uses (the paper's §8 extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -212,6 +212,12 @@ pub struct SwitchStats {
     pub last_update_cycles: AtomicU64,
     /// Cumulative cycles spent inside completed live-updates.
     pub total_update_cycles: AtomicU64,
+    /// Written frames revalidated out of donated idle cycles
+    /// ([`Mercury::donate_idle`]) — each one off the next attach's
+    /// work-list.
+    pub idle_revalidated: AtomicU64,
+    /// Idle cycles [`Mercury::donate_idle`] consumed doing so.
+    pub idle_cycles_donated: AtomicU64,
 }
 
 /// Descriptor of the rendezvous round in flight, published by the
@@ -231,8 +237,13 @@ struct RvRound {
 struct VmmSet {
     hv: Arc<Hypervisor>,
     /// Under a dirty baseline its sink binds `hv`'s page_info table, so
-    /// mutated table frames are marked while the VMM is dormant.
+    /// mutated table frames are logged while the VMM is dormant.
     native_vo: Arc<CountedVo>,
+    /// Mercury's place in that table's write log: the detach baseline
+    /// (what an attach must revalidate was written since) and the
+    /// idle-time sweep over it.  Beside the sink, so a live-update
+    /// replaces table, sink and cursor in the one store.
+    cursor: Mutex<WriteCursor>,
     /// `XenOps` binds `hv`; under hardware assist it is `HvmOps`
     /// instead (non-root PL0 needs no hypercalls, §8).
     virtual_vo: Arc<CountedVo>,
@@ -262,6 +273,7 @@ impl VmmSet {
         VmmSet {
             hv,
             native_vo,
+            cursor: Mutex::default(),
             virtual_vo,
         }
     }
@@ -591,8 +603,7 @@ impl Mercury {
             let owned = kernel.pool_size() as u64;
             cpu.tick(costs::PGINFO_RECOMPUTE_PER_FRAME * owned);
             merctrace::counter!(cpu.id, "switch.precache.frames", owned, cpu.cycles());
-            let table = &mercury.hypervisor().page_info;
-            table.reset_dirty_for(mercury.dom0.id);
+            mercury.rebase_write_cursor();
         }
 
         kernel.set_self_virt_sink(Arc::new(SwitchSink(Arc::downgrade(&mercury))));
@@ -719,6 +730,58 @@ impl Mercury {
     /// current lazy admission window (0 when no window is open).
     pub fn lazy_pending(&self) -> usize {
         self.lazy_set.lock().as_ref().map_or(0, |s| s.remaining())
+    }
+
+    // ---- the write log's cursor (DESIGN.md §7b) -------------------------------
+
+    /// The state just validated *is* the snapshot: what the next attach
+    /// must revalidate is what gets written from here on.
+    pub(crate) fn rebase_write_cursor(&self) {
+        let vmm = self.vmm.read();
+        vmm.cursor.lock().rebase(&vmm.hv.page_info);
+    }
+
+    /// The kernel's frames written since the baseline and not yet
+    /// revalidated by donated idle time: the next attach's work-list.
+    pub fn revalidation_backlog(&self) -> Vec<simx86::FrameNum> {
+        let vmm = self.vmm.read();
+        let cursor = vmm.cursor.lock();
+        cursor.pending(&vmm.hv.page_info, self.dom0.id)
+    }
+
+    /// Donate up to `budget` idle cycles on `cpu` (a serving node's
+    /// open-loop gap, the kernel's idle loop) to revalidating written
+    /// frames while still native: each
+    /// [`costs::PGINFO_RECOMPUTE_PER_FRAME`] retires one frame from
+    /// [`revalidation_backlog`](Mercury::revalidation_backlog), so it
+    /// re-attaches at the snapshot-restore rate instead of the scan
+    /// rate.  Returns the cycles consumed (ticked on `cpu`), never more
+    /// than `budget`; the caller idles away the rest (DESIGN.md §14).
+    ///
+    /// Nothing is donated in virtual mode (the accounting is live) or
+    /// without a dirty baseline (nothing is revalidated at attach), and
+    /// "nothing written since" is answered without a pass over the
+    /// frames.  Sound because the attach rebuilds the accounting from
+    /// the live tables whatever the log says: a retired frame only
+    /// moves its charge off the switch, and a later write logs it again.
+    pub fn donate_idle(&self, cpu: &Arc<Cpu>, budget: u64) -> u64 {
+        if self.mode() != ExecMode::Native || !self.strategy.row().dirty_baseline {
+            return 0;
+        }
+        let per_frame = costs::PGINFO_RECOMPUTE_PER_FRAME;
+        let vmm = self.vmm.read();
+        let mut cursor = vmm.cursor.lock();
+        let mut used = 0;
+        while used + per_frame <= budget && cursor.pop(&vmm.hv.page_info, self.dom0.id).is_some() {
+            cpu.tick(per_frame);
+            used += per_frame;
+            merctrace::counter!(cpu.id, "switch.idle.revalidate", 1, cpu.cycles());
+        }
+        let frames = used / per_frame;
+        let stats = &self.stats;
+        stats.idle_revalidated.fetch_add(frames, Ordering::Relaxed);
+        stats.idle_cycles_donated.fetch_add(used, Ordering::Relaxed);
+        used
     }
 
     /// Request native→virtual (attach the VMM).  Triggers the dedicated
@@ -1362,20 +1425,10 @@ pub(crate) mod tests {
         rig_with(cpus, strategy, AssistMode::Software)
     }
 
-    /// Dirty bits are charge bookkeeping, not validation state.
-    pub(crate) fn strip_dirty(snap: Vec<xenon::PageInfo>) -> Vec<xenon::PageInfo> {
-        snap.into_iter()
-            .map(|mut r| {
-                r.dirty = false;
-                r
-            })
-            .collect()
-    }
-
     /// The serial reference walk: rebuild a scratch `page_info` for the
     /// *attached* kernel (detached, its tables are writable and fail
     /// validation) on the boot CPU at `per_frame` cycles per owned
-    /// frame.  Returns the cycles it cost and the stripped table.
+    /// frame.  Returns the cycles it cost and the table.
     pub(crate) fn scratch_walk(mercury: &Mercury, per_frame: u64) -> (u64, Vec<xenon::PageInfo>) {
         let machine = &mercury.machine;
         let cpu = machine.boot_cpu();
@@ -1396,7 +1449,7 @@ pub(crate) mod tests {
                 per_frame,
             )
             .unwrap();
-        (cpu.cycles() - t0, strip_dirty(scratch.snapshot()))
+        (cpu.cycles() - t0, scratch.snapshot())
     }
 
     #[test]
@@ -1581,8 +1634,7 @@ pub(crate) mod tests {
         for i in 0..5u64 {
             sess.poke(va, i).unwrap();
             mercury.switch_to_virtual(cpu).unwrap();
-            // Strip dirty bits: they legitimately differ run to run.
-            snapshots.push(strip_dirty(hv.page_info.snapshot()));
+            snapshots.push(hv.page_info.snapshot());
             assert_eq!(sess.peek(va).unwrap(), i);
             mercury.switch_to_native(cpu).unwrap();
         }
@@ -1777,7 +1829,7 @@ pub(crate) mod tests {
 
         mercury.switch_to_virtual(&cpu0).unwrap();
         let sharded = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
-        let snap_sharded = strip_dirty(hv.page_info.snapshot());
+        let snap_sharded = hv.page_info.snapshot();
         // The serial reference: the same walk over a scratch table, on
         // the CP alone.
         let (serial, snap_serial) = scratch_walk(&mercury, costs::PGINFO_RECOMPUTE_PER_FRAME);
@@ -1900,11 +1952,11 @@ pub(crate) mod tests {
 
     #[test]
     fn dirty_writes_raise_the_warm_reattach_price() {
-        let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
+        let (machine, _hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
         let cpu = machine.boot_cpu();
         mercury.switch_to_virtual(cpu).unwrap();
         mercury.switch_to_native(cpu).unwrap();
-        assert_eq!(hv.page_info.count_dirty_for(mercury.dom0().id), 0);
+        assert_eq!(mercury.revalidation_backlog(), []);
 
         // Native-mode page-table mutations mark their table frames
         // dirty through the VO sink.
@@ -1913,7 +1965,7 @@ pub(crate) mod tests {
         for p in 0..8u64 {
             sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
         }
-        let dirtied = hv.page_info.count_dirty_for(mercury.dom0().id);
+        let dirtied = mercury.revalidation_backlog().len();
         assert!(dirtied > 0, "faulted-in pages must dirty their tables");
 
         mercury.switch_to_virtual(cpu).unwrap();
@@ -1953,7 +2005,7 @@ pub(crate) mod tests {
         let (machine, hv, mercury, _sess) = lazy_rig(TrackingStrategy::LazyValidate);
         let cpu = machine.boot_cpu();
         assert!(
-            hv.page_info.count_dirty_for(mercury.dom0().id) > 0,
+            !mercury.revalidation_backlog().is_empty(),
             "the exited child must leave dirty frames behind"
         );
 

@@ -17,10 +17,10 @@
 //!   ([`LatticeRow::native_per_pte`](crate::pgtrack::LatticeRow)): the
 //!   **active tracking** mirror of §5.1.2's first strategy, or — under
 //!   a dirty baseline, the default — the far cheaper **dirty marking**:
-//!   the mutation only sets the containing table frame's dirty bit in
-//!   the dormant VMM's `page_info`, so the next attach revalidates just
-//!   the dirtied frames — synchronously up to a cap, lazily on first
-//!   touch beyond it.
+//!   the mutation only stamps the containing table frame in the
+//!   dormant VMM's write log ([`xenon::page_info`]), so the next attach
+//!   revalidates just the written frames — synchronously up to a cap,
+//!   lazily on first touch beyond it.
 
 use crate::refcount::VoRefCount;
 use nimbus::paravirt::{ExecMode, KernelMap, PvOps};
@@ -44,7 +44,7 @@ pub struct CountedVo {
     counter: Arc<VoRefCount>,
     /// The native VO's watch on page-table mutations: cycles charged
     /// per entry written and, under a dirty baseline, the dormant VMM's
-    /// frame table to mark the written table frame dirty in.  `None` on
+    /// frame table to log the written table frame in.  `None` on
     /// the virtual VO — an attached VMM does its own accounting.
     tracking: Option<(u64, Option<Arc<PageInfoTable>>)>,
 }
@@ -78,8 +78,8 @@ impl CountedVo {
 
     /// Extra per-entry cost of a native page-table mutation under the
     /// strategies that watch native mode: the full mirror update of
-    /// active tracking (§5.1.2), or a dirty baseline's one-byte dirty
-    /// mark on the containing table frame.
+    /// active tracking (§5.1.2), or a dirty baseline's one-word stamp
+    /// on the containing table frame.
     #[inline]
     fn track(&self, cpu: &Arc<Cpu>, table: FrameNum, entries: u64) {
         let Some((per_pte, sink)) = &self.tracking else {
@@ -303,8 +303,8 @@ mod tests {
         let plain = cpu2.cycles() - t0;
 
         // The write marked exactly the containing table frame dirty …
-        assert!(sink.get(FrameNum(3)).dirty);
-        assert!(!sink.get(FrameNum(4)).dirty);
+        assert!(sink.frame_written_since(FrameNum(3), xenon::Epoch::default()));
+        assert!(!sink.frame_written_since(FrameNum(4), xenon::Epoch::default()));
         // … at the dirty rate, well under the active mirror's.
         assert_eq!(dirty_cost, plain + 16 * costs::DIRTY_TRACK_PER_PTE);
         const {

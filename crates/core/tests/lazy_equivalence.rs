@@ -7,9 +7,7 @@
 //! observable in the accounting: after an attach — under an arbitrary
 //! native-mode dirty set and with validation faults interleaved into
 //! ordinary guest memory traffic — the page_info table is bit-identical
-//! (modulo dirty bits, which are charge bookkeeping, not validation
-//! state) to what a cold full recompute of the live page tables
-//! produces.
+//! to what a cold full recompute of the live page tables produces.
 
 use faultgen::rng::check;
 use mercury::{AssistMode, Mercury, NodeConfig, Stack, TrackingStrategy};
@@ -19,7 +17,6 @@ use nimbus::Session;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
 use simx86::Machine;
 use std::sync::Arc;
-use xenon::page_info::PageInfo;
 use xenon::Hypervisor;
 
 fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
@@ -38,16 +35,6 @@ fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
         AssistMode::Software,
     );
     (machine, hv, mercury)
-}
-
-/// Validation state with the dirty charge-bookkeeping bit masked off.
-fn strip(v: Vec<PageInfo>) -> Vec<PageInfo> {
-    v.into_iter()
-        .map(|mut r| {
-            r.dirty = false;
-            r
-        })
-        .collect()
 }
 
 /// Post-attach page_info is bit-identical to a cold recompute of
@@ -110,12 +97,12 @@ fn lazy_attach_accounting_equals_cold_recompute() {
         }
 
         // Live accounting vs a cold recompute of the same tables.
-        let live = strip(hv.page_info.snapshot());
+        let live = hv.page_info.snapshot();
         let pgds = mercury.kernel().all_pgds();
         hv.page_info
             .recompute_for(cpu, &machine.mem, dom, pool.len(), &pgds)
             .unwrap();
-        let cold = strip(hv.page_info.snapshot());
+        let cold = hv.page_info.snapshot();
         assert_eq!(live.len(), cold.len());
         for (i, (a, b)) in live.iter().zip(cold.iter()).enumerate() {
             assert_eq!(a, b, "frame {} diverged (live vs cold recompute)", i);

@@ -125,27 +125,22 @@ fn smp_stress_has_no_happens_before_violations() {
     assert!(mercury.vo_refcount().is_idle());
 }
 
-/// SMP stress over the background scrubber: two donor threads hammer
-/// [`BackgroundScrubber::donate`] while a dirtier thread keeps marking
-/// pool frames and the control processor flips modes — whose
-/// `DirtyRecompute` attach path consumes the *same* dirty set.  Every
-/// pop is serialized by the frame-table lock, so the scrubber's
-/// accounting must balance exactly, no frame may be retired more often
-/// than it was marked, and the happens-before monitors on the
-/// rendezvous/refcount paths must stay silent throughout.
+/// SMP stress over idle-time revalidation: two donor threads hammer
+/// [`Mercury::donate_idle`] while a dirtier thread keeps marking pool
+/// frames and the control processor flips modes — whose
+/// `DirtyRecompute` attach reads the *same* cursor and whose detach
+/// replaces it.  Every pop is serialized by the cursor's lock, so the
+/// donation accounting must balance exactly, no frame may be retired
+/// more often than it was marked, and the happens-before monitors on
+/// the rendezvous/refcount paths must stay silent throughout.
 #[test]
 fn concurrent_scrub_donation_keeps_accounting_balanced() {
     use nimbus::kernel::IDLE_DONATION_QUANTUM;
     use simx86::{costs, Cpu};
     use std::sync::atomic::AtomicU64;
-    use xenon::BackgroundScrubber;
 
     let (machine, mercury) = rig(2, TrackingStrategy::DirtyRecompute);
     let _ = dyncheck::take_reports();
-    let scrubber = BackgroundScrubber::new(
-        Arc::clone(&mercury.hypervisor().page_info),
-        mercury.dom0().id,
-    );
 
     let stop = Arc::new(AtomicBool::new(false));
     let stop_peer = Arc::new(AtomicBool::new(false));
@@ -184,24 +179,37 @@ fn concurrent_scrub_donation_keeps_accounting_balanced() {
     // Donors: each donates idle quanta from its own host-side vCPU.
     let donors: Vec<_> = (0..2u32)
         .map(|k| {
-            let s = Arc::clone(&scrubber);
+            let m = Arc::clone(&mercury);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let cpu = Arc::new(Cpu::new(4 + k as usize));
                 while !stop.load(Ordering::Acquire) {
-                    s.donate(&cpu, IDLE_DONATION_QUANTUM);
+                    m.donate_idle(&cpu, IDLE_DONATION_QUANTUM);
                     std::thread::yield_now();
                 }
             })
         })
         .collect();
 
-    // CP: mode round trips; the dirty attach races the donors for the
-    // same dirty bits.
+    // CP: mode round trips; the dirty attach and the donors read the
+    // same cursor.
     let cpu0 = machine.boot_cpu();
+    let retired = || mercury.stats.idle_revalidated.load(Ordering::Relaxed);
     for round in 0..6u64 {
         let to_virtual = round % 2 == 0;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        if to_virtual {
+            // Donors only work while native: leave each native window
+            // only once they have retired something the marker wrote.
+            let before = retired();
+            while retired() == before {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "round {round}: donors retired nothing"
+                );
+                std::thread::yield_now();
+            }
+        }
         loop {
             let out = if to_virtual {
                 mercury.switch_to_virtual(cpu0)
@@ -237,8 +245,8 @@ fn concurrent_scrub_donation_keeps_accounting_balanced() {
 
     // Drain the leftover backlog so the final balance is exact.
     let cpu = Arc::new(Cpu::new(6));
-    while scrubber.backlog() > 0 {
-        scrubber.donate(&cpu, IDLE_DONATION_QUANTUM);
+    while !mercury.revalidation_backlog().is_empty() {
+        mercury.donate_idle(&cpu, IDLE_DONATION_QUANTUM);
     }
 
     let reports = dyncheck::take_reports();
@@ -248,15 +256,16 @@ fn concurrent_scrub_donation_keeps_accounting_balanced() {
         reports.len(),
         reports.join("\n")
     );
-    assert!(scrubber.revalidated() > 0, "donors never retired a frame");
+    let stat = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let revalidated = stat(&mercury.stats.idle_revalidated);
+    assert!(revalidated > 0, "donors never retired a frame");
     assert_eq!(
-        scrubber.cycles_donated(),
-        scrubber.revalidated() * costs::PGINFO_RECOMPUTE_PER_FRAME,
+        stat(&mercury.stats.idle_cycles_donated),
+        revalidated * costs::PGINFO_RECOMPUTE_PER_FRAME,
         "a pop was charged at the wrong rate (or double-counted)"
     );
     assert!(
-        scrubber.revalidated() <= marks.load(Ordering::Relaxed),
+        revalidated <= stat(&marks),
         "a frame was retired more often than it was marked"
     );
-    assert_eq!(scrubber.backlog(), 0);
 }

@@ -911,9 +911,9 @@ impl Kernel {
     ///
     /// The task runs whenever a CPU's idle loop finds nothing runnable,
     /// with a budget of [`IDLE_DONATION_QUANTUM`] cycles per pass; it
-    /// returns the cycles it actually consumed.  Mercury's background
-    /// scrubber rides this to revalidate dirty frames while native, so
-    /// the next attach finds a shorter dirty set.
+    /// returns the cycles it actually consumed.  Mercury's idle-time
+    /// revalidation rides this to retire written frames while native,
+    /// so the next attach finds a shorter work-list.
     pub fn set_idle_task(&self, task: Option<IdleTask>) {
         *self.idle_task.write() = task;
     }

@@ -575,10 +575,6 @@ impl FleetServer {
                         guests,
                         "an update must carry every domain across"
                     );
-                    // Donated gaps scrub the table the native VO now
-                    // marks: the successor's, not the retired one.
-                    let table = Arc::clone(&node.hv().page_info);
-                    node.scrubber().retarget(table, mercury.dom0().id);
                 } else {
                     // A rollback consumes the staged successor; drop
                     // anything a refused stage left behind too.
@@ -915,18 +911,6 @@ mod tests {
         for node in fs.nodes() {
             assert_eq!(node.hv().version(), 2);
             assert_eq!(node.mercury().mode(), ExecMode::Native);
-            // The scrubber followed the VMM: once idle, it sees the
-            // table frame a native PTE write dirties — which the VO
-            // marks in the successor's table, not the retired one.
-            let scrubber = node.scrubber();
-            scrubber.donate(node.machine.boot_cpu(), u64::MAX);
-            assert!(scrubber.is_idle());
-            let sess = node.session();
-            let va = sess
-                .mmap(1, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
-                .unwrap();
-            sess.poke(va, 1).unwrap();
-            assert!(scrubber.backlog() > 0, "scrubbing a retired table");
         }
         assert!(
             fs.downtimes().is_empty(),

@@ -429,18 +429,15 @@ impl NodeServer {
         debug_assert!(start >= cpu.cycles(), "worker clock ran past its slot");
         let gap = start - cpu.cycles();
         if gap > 0 {
-            // An open-loop gap goes to the node's background scrubber
+            // An open-loop gap goes to revalidating written frames
             // first: always-on dirty tracking turns serving slack into
-            // attach-time savings.  Only while native — in virtual mode
-            // the accounting is already live.  Deterministic: the
-            // scrubber's take-first-dirty order and the gap lengths are
-            // pure functions of the seeded run.
-            if self.node.mercury().mode() == mercury::ExecMode::Native {
-                let used = self.node.scrubber().donate(cpu, gap);
-                debug_assert!(used <= gap, "scrubber overran the open-loop gap");
-            }
-            // Whatever the scrubber left of the gap is idle time: one
-            // tick (DESIGN.md §14).
+            // attach-time savings.  Deterministic: the sweep's frame
+            // order and the gap lengths are pure functions of the
+            // seeded run.
+            let used = self.node.mercury().donate_idle(cpu, gap);
+            debug_assert!(used <= gap, "revalidation overran the open-loop gap");
+            // Whatever that left of the gap is idle time: one tick
+            // (DESIGN.md §14).
             self.node.machine.evclock.advance(cpu, start);
         }
         let started = cpu.cycles();
@@ -502,6 +499,11 @@ mod tests {
             requests: n,
             mix: CostMix::oltp(),
         })
+    }
+
+    fn revalidated(node: &Node) -> u64 {
+        let revalidated = &node.mercury().stats.idle_revalidated;
+        revalidated.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// After a smaller request the cursor may sit where a larger one no
@@ -588,7 +590,7 @@ mod tests {
 
     #[test]
     fn same_seed_runs_are_bit_identical() {
-        // Gaps go to the scrubber: records (arrival, start, finish,
+        // Gaps go to revalidation: records (arrival, start, finish,
         // worker, outcome) and the frames revalidated must both repeat.
         // Steady-state SMP serving is simulation-deterministic too (no
         // switch during traffic), hence the 2-worker input.
@@ -609,7 +611,7 @@ mod tests {
                 },
             );
             server.run(&traffic(seed, 300_000 / cpus as u64, 400), |_, _| {});
-            (server.records().to_vec(), node.scrubber().revalidated())
+            (server.records().to_vec(), revalidated(&node))
         };
         for (seed, cpus) in [(11, 1), (42, 1), (987, 1), (7, 2)] {
             assert_eq!(run(seed, cpus), run(seed, cpus), "seed {seed}, {cpus} cpus");
@@ -617,7 +619,7 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_gaps_feed_the_scrubber() {
+    fn open_loop_gaps_feed_revalidation() {
         let node = Node::launch("n0", &NodeConfig::default());
         // Dirty some table frames natively before traffic starts.
         let sess = node.session();
@@ -631,15 +633,15 @@ mod tests {
             )
             .unwrap();
         }
-        let backlog0 = node.scrubber().backlog();
+        let backlog0 = node.mercury().revalidation_backlog().len();
         assert!(backlog0 > 0, "pokes must dirty tables");
 
         // Sparse arrivals leave open-loop gaps, and the gaps retire
         // the dirty backlog instead of idling away.
         let mut server = NodeServer::new(&node, 0, ServerConfig::default());
         server.run(&traffic(13, 200_000, 50), |_, _| {});
-        assert!(node.scrubber().revalidated() > 0, "gaps must scrub");
-        assert!(node.scrubber().backlog() < backlog0);
+        assert!(revalidated(&node) > 0, "gaps must revalidate");
+        assert!(node.mercury().revalidation_backlog().len() < backlog0);
     }
 
     #[test]

@@ -16,11 +16,8 @@
 //! Registration mirrors the EPT hook: the switch path installs the set
 //! on each CPU ([`crate::Cpu::set_lazy_set`]), which flushes the TLB so
 //! no cached translation can bypass the first-touch check, and removes
-//! it at detach after draining the stragglers.  Stragglers that no
-//! guest touch ever reaches are drained by the background scrubber from
-//! *donated idle cycles*; donation budgets are ordinary priced work,
-//! charged before the rest of an idle gap is ticked away
-//! ([`crate::evclock`]).
+//! it at detach after draining the stragglers no guest touch ever
+//! reached.
 //!
 //! ```
 //! use simx86::lazy::LazySet;

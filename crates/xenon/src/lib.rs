@@ -39,11 +39,9 @@ pub mod page_info;
 pub mod ring;
 pub mod save;
 pub mod sched;
-pub mod scrub;
 
 pub use domain::{DomId, Domain, GuestState, DOM0};
 pub use error::HvError;
 pub use hv::{Hypervisor, MmuUpdate};
 pub use liveupdate::{UpdateError, UpdateReport};
-pub use page_info::{PageInfo, PageInfoTable, PageType};
-pub use scrub::BackgroundScrubber;
+pub use page_info::{Epoch, PageInfo, PageInfoTable, PageType, WriteCursor};

@@ -7,12 +7,16 @@
 //! materializes the domain on the target hypervisor.  Dirty tracking
 //! uses the hardware dirty bits in the guest's own page tables (scanned
 //! and cleared each round, with a TLB flush so subsequent writes re-walk)
-//! plus the hypervisor's log-dirty bits for table frames — the log-dirty
+//! plus the hypervisor's write log for table frames — the log-dirty
 //! scheme of Clark et al.'s live migration, adapted to direct paging.
+//! The migration reads the log through a cursor of its own (the epoch
+//! its previous round closed), so a round takes nothing from any other
+//! reader of [`crate::page_info`]'s log, and none takes from it.
 
 use crate::domain::Domain;
 use crate::error::HvError;
 use crate::hv::Hypervisor;
+use crate::page_info::Epoch;
 use crate::save::{restore_domain_mapped, save_domain, DomainImage, FrameImage};
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
@@ -63,6 +67,8 @@ pub struct LiveMigration {
     rounds: Vec<RoundStats>,
     round_no: usize,
     started: bool,
+    /// Table frames written up to here were shipped by an earlier round.
+    shipped: Epoch,
 }
 
 impl LiveMigration {
@@ -75,16 +81,21 @@ impl LiveMigration {
             rounds: Vec::new(),
             round_no: 0,
             started: false,
+            shipped: Epoch::default(),
         }
     }
 
     /// Frames the guest has dirtied since the last scan.  Clears the
-    /// dirty bits and flushes TLBs so future writes are caught again.
-    fn collect_dirty(&self, cpu: &Cpu) -> Result<Vec<FrameNum>, HvError> {
+    /// PTE dirty bits and flushes TLBs so future writes are caught
+    /// again; table frames are read from the write log, which a write
+    /// racing this scan can only make report the frame twice.
+    fn collect_dirty(&mut self, cpu: &Cpu) -> Result<Vec<FrameNum>, HvError> {
         let mem = &self.source.machine.mem;
+        let table = &self.source.page_info;
+        let since = std::mem::replace(&mut self.shipped, table.checkpoint());
         let mut dirty = Vec::new();
         for pgd in self.dom.pgds() {
-            if self.source.page_info.take_dirty(pgd) {
+            if table.frame_written_since(pgd, since) {
                 dirty.push(pgd);
             }
             let mut l2 = mem.read_table(cpu, pgd)?;
@@ -94,7 +105,7 @@ impl LiveMigration {
                     continue;
                 }
                 let l1 = FrameNum(pde.frame());
-                if self.source.page_info.take_dirty(l1) {
+                if table.frame_written_since(l1, since) {
                     dirty.push(l1);
                 }
                 let mut view = mem.read_table(cpu, l1)?;

@@ -17,12 +17,28 @@
 //! paper describes the two strategies Mercury supports to fix it on
 //! re-attach — full **recomputation** (the default; dominates the 0.22 ms
 //! switch time) and **active tracking** from native mode (2~3 % overhead).
-//! Mercury adds a third, **dirty recompute** (snapshot at detach, dirty
-//! bits while native, revalidate only dirtied frames on re-attach), and
-//! a **sharded** variant of the recompute walk
+//! Mercury adds a third, **dirty recompute** (snapshot at detach, log
+//! writes while native, revalidate only written frames on re-attach),
+//! and a **sharded** variant of the recompute walk
 //! ([`PageInfoTable::validate_l2_shared`]) safe to run from several
 //! rendezvoused CPUs at once.  All strategies produce this table; a
 //! property test in the mercury crate asserts they agree.
+//!
+//! # The write log
+//!
+//! Which frames were written is kept beside the records, not in them: a
+//! monotonic [`Epoch`] counter and, per frame, the epoch of its last
+//! tracked write.  The writer ([`PageInfoTable::mark_dirty`]: the native
+//! VO's sink and `mmu_update`) only stamps.  A reader calls
+//! [`PageInfoTable::checkpoint`] to get "now", keeps it, and later asks
+//! [`PageInfoTable::written_since`] (or, for one frame,
+//! [`PageInfoTable::frame_written_since`]) — a query that clears
+//! nothing, so live migration's pre-copy rounds, Mercury's detach
+//! baseline and its idle-time revalidation ([`WriteCursor`]) each hold
+//! a cursor of their own over the one log and cannot take an
+//! observation from each other.  [`PageInfo`] is pure accounting:
+//! `==` on a [`PageInfoTable::snapshot`] compares validation state and
+//! nothing else.
 
 use crate::domain::DomId;
 use crate::error::HvError;
@@ -58,9 +74,12 @@ pub struct PageInfo {
     pub type_count: u32,
     /// Pinned as a base table (adds one type reference).
     pub pinned: bool,
-    /// Dirty since the last migration-round scan (log-dirty bit).
-    pub dirty: bool,
 }
+
+/// A point in a table's write log ([`PageInfoTable::checkpoint`]).  The
+/// default is the point before any write.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub struct Epoch(u64);
 
 /// The machine-wide frame accounting table.
 pub struct PageInfoTable {
@@ -76,7 +95,21 @@ pub struct PageInfoTable {
 /// lock plus one call.  Page-table frames are read through
 /// [`PhysMemory::read_table`]; memory takes no lock of its own, so this
 /// lock is what keeps two validators off one table (DESIGN.md §14a).
-pub(crate) struct Records(Vec<PageInfo>);
+///
+/// Beside the records sits the **write log**: per frame, the epoch of
+/// its last tracked write.  A write only stamps; readers compare stamps
+/// against an [`Epoch`] of their own and never clear anything, so any
+/// number of them read one log without disturbing each other.
+pub(crate) struct Records {
+    frames: Vec<PageInfo>,
+    /// Epoch of each frame's last tracked write; 0 = never written.
+    written: Vec<u64>,
+    /// The epoch tracked writes are stamped with, from 1.
+    now: u64,
+    /// Stamp of the newest tracked write: "nothing written since `e`"
+    /// is `newest <= e`, one compare and no pass over the frames.
+    newest: u64,
+}
 
 /// A frame being promoted to a page table inside a lazy admission
 /// window takes its deferred first-touch validation now: the guest must
@@ -92,17 +125,19 @@ fn settle_deferred(cpu: &Cpu, frame: FrameNum) -> Result<(), HvError> {
 
 impl Records {
     fn rec(&self, frame: FrameNum) -> Result<&PageInfo, HvError> {
-        self.0.get(frame.0 as usize).ok_or(HvError::BadFrame {
+        self.frames.get(frame.0 as usize).ok_or(HvError::BadFrame {
             frame: frame.0,
             why: "out of range",
         })
     }
 
     fn rec_mut(&mut self, frame: FrameNum) -> Result<&mut PageInfo, HvError> {
-        self.0.get_mut(frame.0 as usize).ok_or(HvError::BadFrame {
-            frame: frame.0,
-            why: "out of range",
-        })
+        self.frames
+            .get_mut(frame.0 as usize)
+            .ok_or(HvError::BadFrame {
+                frame: frame.0,
+                why: "out of range",
+            })
     }
 
     /// Owner of `frame`; a frame the machine does not have has none.
@@ -129,13 +164,39 @@ impl Records {
     }
 
     pub(crate) fn mark_dirty(&mut self, frame: FrameNum) {
-        // frame < num_frames by construction — the table was sized from the same PhysMemory
-        self.0[frame.0 as usize].dirty = true;
+        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
+        self.written[frame.0 as usize] = self.now;
+        self.newest = self.now;
+    }
+
+    fn checkpoint(&mut self) -> Epoch {
+        self.now += 1;
+        Epoch(self.now - 1)
+    }
+
+    /// Those of `frames` that `dom` owns and whose last tracked write
+    /// is after `since` and not after `upto`, in frame order.  When
+    /// nothing at all was written in that span the pass is skipped.
+    fn written(
+        &self,
+        dom: DomId,
+        frames: std::ops::Range<u32>,
+        since: Epoch,
+        upto: Epoch,
+    ) -> impl Iterator<Item = FrameNum> + '_ {
+        let live = since.0 < upto.0.min(self.newest);
+        let frames = if live { frames } else { 0..0 };
+        let stamps = self.written.iter().zip(&self.frames).enumerate();
+        stamps
+            .skip(frames.start as usize)
+            .take(frames.len())
+            .filter(move |(_, (&w, rec))| w > since.0 && w <= upto.0 && rec.owner == Some(dom))
+            .map(|(i, _)| FrameNum(i as u32))
     }
 
     fn set_pinned(&mut self, frame: FrameNum, pinned: bool) {
-        // frame < num_frames by construction — callers validated or ownership-checked it first
-        self.0[frame.0 as usize].pinned = pinned;
+        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — callers validated or ownership-checked it first
+        self.frames[frame.0 as usize].pinned = pinned;
     }
 
     /// Take a type reference of kind `typ` on `frame`
@@ -166,8 +227,8 @@ impl Records {
 
     /// Drop a type reference on `frame`.
     pub(crate) fn put_type_ref(&mut self, frame: FrameNum, typ: PageType) {
-        // frame < num_frames by construction — the matching get_type_ref bounds-checked it
-        let rec = &mut self.0[frame.0 as usize];
+        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the matching get_type_ref bounds-checked it
+        let rec = &mut self.frames[frame.0 as usize];
         debug_assert_eq!(rec.typ, typ, "type ref mismatch on frame {}", frame.0);
         debug_assert!(rec.type_count > 0, "type underflow on frame {}", frame.0);
         rec.type_count = rec.type_count.saturating_sub(1);
@@ -353,7 +414,12 @@ impl PageInfoTable {
     /// A table for `num_frames` frames, all unowned and untyped.
     pub fn new(num_frames: usize) -> Self {
         PageInfoTable {
-            info: Mutex::new(Records(vec![PageInfo::default(); num_frames])),
+            info: Mutex::new(Records {
+                frames: vec![PageInfo::default(); num_frames],
+                written: vec![0; num_frames],
+                now: 1,
+                newest: 0,
+            }),
         }
     }
 
@@ -364,7 +430,7 @@ impl PageInfoTable {
 
     /// Number of frames tracked.
     pub fn len(&self) -> usize {
-        self.info.lock().0.len()
+        self.info.lock().frames.len()
     }
 
     /// Is the table empty?
@@ -374,14 +440,14 @@ impl PageInfoTable {
 
     /// Snapshot the record for `frame`.
     pub fn get(&self, frame: FrameNum) -> PageInfo {
-        self.info.lock().0[frame.0 as usize]
+        self.info.lock().frames[frame.0 as usize]
     }
 
     /// Set the owner of `frame` (domain creation / frame transfer).
     pub fn set_owner(&self, frame: FrameNum, owner: Option<DomId>) {
         let mut info = self.info.lock();
-        // frame < num_frames by construction — the table was sized from the same PhysMemory
-        let rec = &mut info.0[frame.0 as usize];
+        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
+        let rec = &mut info.frames[frame.0 as usize];
         rec.owner = owner;
     }
 
@@ -392,7 +458,7 @@ impl PageInfoTable {
 
     /// Wipe the type record of one frame in place — the faultgen
     /// `VmmCorrupt` class lands here.  Type, count and pin state are
-    /// lost; ownership and the dirty bit survive, as real latent
+    /// lost; ownership and the write log survive, as real latent
     /// corruption would leave unrelated bytes intact.  The table has no
     /// way to detect this from inside: recovery is a live-update, whose
     /// successor recomputes its records from the guest's page tables
@@ -405,68 +471,37 @@ impl PageInfoTable {
         }
     }
 
-    /// Mark a frame dirty (log-dirty for live migration).
+    // -- the write log ----------------------------------------------------
+
+    /// Record a tracked write to `frame`: stamp it with the current
+    /// epoch.  A frame the machine does not have is not tracked.
     pub fn mark_dirty(&self, frame: FrameNum) {
-        self.info.lock().mark_dirty(frame);
-    }
-
-    /// Clear and return the dirty flag.
-    pub fn take_dirty(&self, frame: FrameNum) -> bool {
         let mut info = self.info.lock();
-        std::mem::take(&mut info.0[frame.0 as usize].dirty)
-    }
-
-    /// Clear the dirty bit on every frame owned by `dom` — the
-    /// detach-time baseline of Mercury's dirty-recompute strategy
-    /// (everything native mode dirties after this point must be
-    /// revalidated at the next attach).
-    pub fn reset_dirty_for(&self, dom: DomId) {
-        let mut info = self.info.lock();
-        // volint::bound(16384) — one pass over the frame-info table (64 MiB pool)
-        for rec in info.0.iter_mut() {
-            if rec.owner == Some(dom) {
-                rec.dirty = false;
-            }
+        if (frame.0 as usize) < info.written.len() {
+            info.mark_dirty(frame);
         }
     }
 
-    /// Count dirty frames owned by `dom` (the attach-time revalidation
-    /// set of the dirty-recompute strategy).
-    pub fn count_dirty_for(&self, dom: DomId) -> usize {
-        self.info
-            .lock()
-            .0
-            .iter()
-            .filter(|r| r.owner == Some(dom) && r.dirty)
-            .count()
+    /// Close the current epoch and return it; writes from here on are
+    /// *since* the returned epoch.  A reader keeps the value as its
+    /// cursor — the log itself keeps no per-reader state.
+    pub fn checkpoint(&self) -> Epoch {
+        self.info.lock().checkpoint()
     }
 
-    /// All dirty frames owned by `dom` — the revalidation work-list the
-    /// attach path partitions into synchronous and deferred halves.
-    pub fn dirty_frames_for(&self, dom: DomId) -> Vec<FrameNum> {
-        self.info
-            .lock()
-            .0
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.owner == Some(dom) && r.dirty)
-            .map(|(i, _)| FrameNum(i as u32))
-            // volint::allow(SWITCH-ALLOC): the dirty work-list is bounded by the pool size and built once per attach
-            .collect()
+    /// Frames owned by `dom` with a tracked write since `epoch`, in
+    /// frame order.  Clears nothing.
+    pub fn written_since(&self, dom: DomId, epoch: Epoch) -> Vec<FrameNum> {
+        WriteCursor::at(epoch).pending(self, dom)
     }
 
-    /// Pop one dirty frame owned by `dom`, clearing its dirty bit — the
-    /// background scrubber's unit of work.  Returns `None` when the
-    /// domain's dirty set is empty.
-    pub fn take_dirty_frame_for(&self, dom: DomId) -> Option<FrameNum> {
-        let mut info = self.info.lock();
-        for (i, rec) in info.0.iter_mut().enumerate() {
-            if rec.owner == Some(dom) && rec.dirty {
-                rec.dirty = false;
-                return Some(FrameNum(i as u32));
-            }
-        }
-        None
+    /// Was `frame` written since `epoch`?  A frame the machine does not
+    /// have was not.
+    pub fn frame_written_since(&self, frame: FrameNum, epoch: Epoch) -> bool {
+        let info = self.info.lock();
+        info.written
+            .get(frame.0 as usize)
+            .is_some_and(|&w| w > epoch.0)
     }
 
     // -- type reference counting ---------------------------------------
@@ -564,8 +599,8 @@ impl PageInfoTable {
         dom: DomId,
     ) -> Result<(), HvError> {
         let mut info = self.info.lock();
-        // frame < num_frames by construction — the table was sized from the same PhysMemory
-        if info.0[frame.0 as usize].pinned {
+        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
+        if info.frames[frame.0 as usize].pinned {
             return Err(HvError::TypeConflict("frame already pinned"));
         }
         cpu.tick(costs::PT_PIN_BASE);
@@ -578,8 +613,8 @@ impl PageInfoTable {
     /// last reference drops.
     pub fn unpin_l2(&self, cpu: &Cpu, mem: &PhysMemory, frame: FrameNum) -> Result<(), HvError> {
         let mut info = self.info.lock();
-        // frame < num_frames by construction — the table was sized from the same PhysMemory
-        if !info.0[frame.0 as usize].pinned {
+        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
+        if !info.frames[frame.0 as usize].pinned {
             return Err(HvError::TypeConflict("frame not pinned"));
         }
         info.set_pinned(frame, false);
@@ -594,7 +629,7 @@ impl PageInfoTable {
     pub fn clear_types_for(&self, dom: DomId) {
         let mut info = self.info.lock();
         // volint::bound(16384) — one pass over the frame-info table (64 MiB pool)
-        for rec in info.0.iter_mut() {
+        for rec in info.frames.iter_mut() {
             if rec.owner == Some(dom) {
                 rec.typ = PageType::None;
                 rec.type_count = 0;
@@ -702,7 +737,7 @@ impl PageInfoTable {
     pub fn count_owned(&self, dom: DomId) -> usize {
         self.info
             .lock()
-            .0
+            .frames
             .iter()
             .filter(|r| r.owner == Some(dom))
             .count()
@@ -712,7 +747,7 @@ impl PageInfoTable {
     pub fn frames_owned(&self, dom: DomId) -> Vec<FrameNum> {
         self.info
             .lock()
-            .0
+            .frames
             .iter()
             .enumerate()
             .filter(|(_, r)| r.owner == Some(dom))
@@ -723,7 +758,106 @@ impl PageInfoTable {
     /// Export the full table (equality checks in tests; the
     /// recompute-vs-active-tracking property test diffs two of these).
     pub fn snapshot(&self) -> Vec<PageInfo> {
-        self.info.lock().0.clone()
+        self.info.lock().frames.clone()
+    }
+}
+
+/// One reader's place in a table's write log: the frames written since
+/// its epoch are its to see, less those its **sweep** — a position
+/// `(epoch, next frame)` — has retired one [`pop`](WriteCursor::pop) at
+/// a time.  The cursor is the reader's own: nothing it does changes what
+/// another reader of the same log sees.
+///
+/// ```
+/// use simx86::FrameNum;
+/// use xenon::{DomId, PageInfoTable, WriteCursor};
+///
+/// let table = PageInfoTable::new(8);
+/// for f in 0..8 {
+///     table.set_owner(FrameNum(f), Some(DomId(0)));
+/// }
+/// let mut cursor = WriteCursor::default();
+/// cursor.rebase(&table);
+/// table.mark_dirty(FrameNum(2));
+/// table.mark_dirty(FrameNum(5));
+///
+/// // One pop retires one frame; the other stays pending.
+/// assert_eq!(cursor.pop(&table, DomId(0)), Some(FrameNum(2)));
+/// assert_eq!(cursor.pending(&table, DomId(0)), [FrameNum(5)]);
+///
+/// // A frame behind the sweep that is written again is pending again,
+/// // and is retired by the next sweep.
+/// table.mark_dirty(FrameNum(2));
+/// assert_eq!(cursor.pending(&table, DomId(0)), [FrameNum(2), FrameNum(5)]);
+/// assert_eq!(cursor.pop(&table, DomId(0)), Some(FrameNum(5)));
+/// assert_eq!(cursor.pop(&table, DomId(0)), Some(FrameNum(2)));
+/// assert_eq!(cursor.pop(&table, DomId(0)), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WriteCursor {
+    /// Everything written up to here has been seen.
+    since: Epoch,
+    /// The sweep in progress retires frames written up to here …
+    sweep: Epoch,
+    /// … and has passed every frame below this one.
+    next: u32,
+}
+
+impl WriteCursor {
+    /// A cursor that has seen everything up to `epoch`.
+    fn at(epoch: Epoch) -> WriteCursor {
+        WriteCursor {
+            since: epoch,
+            sweep: epoch,
+            next: 0,
+        }
+    }
+
+    /// Everything written to `table` so far has been seen: start again
+    /// from a fresh checkpoint.  The epoch is taken *inside* the
+    /// exclusive borrow, so a holder that shares the cursor behind a
+    /// lock cannot take it first and store it after another thread's
+    /// sweep closed a later one — which would move the cursor back over
+    /// frames that sweep had retired.
+    pub fn rebase(&mut self, table: &PageInfoTable) {
+        *self = WriteCursor::at(table.checkpoint());
+    }
+
+    /// Frames of `dom` written since this cursor's epoch and not
+    /// retired by its sweep, in frame order.
+    pub fn pending(&self, table: &PageInfoTable, dom: DomId) -> Vec<FrameNum> {
+        let info = table.info.lock();
+        let last = Epoch(u64::MAX);
+        // Behind the sweep only a write after its epoch is pending.
+        let behind = info.written(dom, 0..self.next, self.sweep, last);
+        let ahead = info.written(dom, self.next..u32::MAX, self.since, last);
+        // volint::allow(SWITCH-ALLOC): the work-list is bounded by the pool size and built once per attach
+        let mut frames: Vec<FrameNum> = behind.collect();
+        // volint::allow(SWITCH-ALLOC): the other half of the same work-list
+        frames.extend(ahead);
+        frames
+    }
+
+    /// Retire one pending frame of `dom` and return it; `None` when
+    /// nothing is pending, which costs no pass over the frames when
+    /// nothing was written at all.  The sweep moves forward only: a
+    /// frame written after the sweep began waits for the next sweep, so
+    /// the log never has to be told what was retired.
+    pub fn pop(&mut self, table: &PageInfoTable, dom: DomId) -> Option<FrameNum> {
+        let mut info = table.info.lock();
+        loop {
+            let ahead = self.next..u32::MAX;
+            if let Some(f) = info.written(dom, ahead, self.since, self.sweep).next() {
+                self.next = f.0 + 1;
+                return Some(f);
+            }
+            // The sweep has passed every frame written up to its epoch.
+            *self = WriteCursor::at(self.sweep);
+            if info.newest <= self.since.0 {
+                return None;
+            }
+            self.sweep = info.checkpoint();
+        }
     }
 }
 
@@ -1018,18 +1152,7 @@ mod tests {
         // From-scratch recompute.
         t.clear_types_for(D);
         t.recompute_for(&cpu, &mem, D, 16, &[FrameNum(1)]).unwrap();
-        let recomputed = t.snapshot();
-
-        // Dirty bits aside, the tables must agree.
-        let strip = |v: Vec<PageInfo>| {
-            v.into_iter()
-                .map(|mut r| {
-                    r.dirty = false;
-                    r
-                })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(strip(incremental), strip(recomputed));
+        assert_eq!(incremental, t.snapshot());
     }
 
     #[test]
@@ -1041,12 +1164,21 @@ mod tests {
     }
 
     #[test]
-    fn dirty_bits() {
+    fn write_log_is_total_over_frame_numbers() {
         let (t, _, _) = rig(4);
-        assert!(!t.take_dirty(FrameNum(1)));
+        let start = t.checkpoint();
+        assert!(!t.frame_written_since(FrameNum(1), start));
         t.mark_dirty(FrameNum(1));
-        assert!(t.take_dirty(FrameNum(1)));
-        assert!(!t.take_dirty(FrameNum(1)));
+        assert!(t.frame_written_since(FrameNum(1), start));
+        assert!(
+            t.frame_written_since(FrameNum(1), start),
+            "a query clears nothing"
+        );
+        assert!(!t.frame_written_since(FrameNum(1), t.checkpoint()));
+        // A frame the machine does not have: not tracked, not written.
+        t.mark_dirty(FrameNum(MISSING));
+        assert!(!t.frame_written_since(FrameNum(MISSING), Epoch::default()));
+        assert_eq!(t.written_since(D, Epoch::default()), [FrameNum(1)]);
     }
 
     #[test]
@@ -1130,18 +1262,38 @@ mod tests {
     }
 
     #[test]
-    fn dirty_baseline_reset_and_count() {
+    fn written_since_reads_by_owner_and_epoch() {
         let (t, _, _) = rig(8);
         t.set_owner(FrameNum(7), Some(DomId(9)));
         t.mark_dirty(FrameNum(1));
         t.mark_dirty(FrameNum(2));
-        t.mark_dirty(FrameNum(7)); // foreign — not counted, not reset
-        assert_eq!(t.count_dirty_for(D), 2);
-        t.reset_dirty_for(D);
-        assert_eq!(t.count_dirty_for(D), 0);
-        assert!(t.get(FrameNum(7)).dirty, "foreign dirty bit untouched");
+        t.mark_dirty(FrameNum(7)); // foreign — another reader's business
+        assert_eq!(t.written_since(D, Epoch::default()).len(), 2);
+        let baseline = t.checkpoint();
+        assert_eq!(t.written_since(D, baseline), []);
+        assert_eq!(t.written_since(DomId(9), Epoch::default()), [FrameNum(7)]);
         t.mark_dirty(FrameNum(3));
-        assert_eq!(t.count_dirty_for(D), 1);
+        assert_eq!(t.written_since(D, baseline), [FrameNum(3)]);
+        assert_eq!(t.written_since(D, Epoch::default()).len(), 3);
+    }
+
+    #[test]
+    fn sweep_retires_one_frame_a_pop_and_never_a_foreign_one() {
+        let (t, _, _) = rig(16);
+        t.set_owner(FrameNum(6), Some(DomId(7)));
+        let mut cursor = WriteCursor::default();
+        cursor.rebase(&t);
+        assert_eq!(cursor.pop(&t, D), None);
+        for f in [9u32, 1, 6, 4] {
+            t.mark_dirty(FrameNum(f));
+        }
+        for left in (0..3).rev() {
+            assert!(cursor.pop(&t, D).is_some());
+            assert_eq!(cursor.pending(&t, D).len(), left);
+        }
+        assert_eq!(cursor.pop(&t, D), None);
+        // The other domain's write is still in the log for its reader.
+        assert_eq!(t.written_since(DomId(7), Epoch::default()), [FrameNum(6)]);
     }
 
     #[test]

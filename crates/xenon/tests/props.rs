@@ -6,9 +6,9 @@ use faultgen::rng::{check, SplitMix64};
 use simx86::mem::{FrameNum, PhysMemory};
 use simx86::paging::Pte;
 use simx86::Cpu;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-use xenon::page_info::{PageInfo, PageInfoTable, PageType};
+use xenon::page_info::{Epoch, PageInfoTable, PageType, WriteCursor};
 use xenon::ring::{Ring, SlotPayload, RING_SLOTS};
 use xenon::DomId;
 
@@ -95,18 +95,9 @@ fn recompute_equals_incremental_validation() {
             }
         }
 
-        let strip = |v: Vec<PageInfo>| -> Vec<PageInfo> {
-            v.into_iter()
-                .map(|mut r| {
-                    r.dirty = false;
-                    r
-                })
-                .collect()
-        };
-
         // Incremental path.
         table.pin_l2(&cpu, &mem, pgd, dom).unwrap();
-        let incremental = strip(table.snapshot());
+        let incremental = table.snapshot();
         assert_eq!(table.type_of(pgd), (PageType::L2, 1));
 
         // Recompute path.
@@ -114,8 +105,7 @@ fn recompute_equals_incremental_validation() {
         table
             .recompute_for(&cpu, &mem, dom, frames, &[pgd])
             .unwrap();
-        let recomputed = strip(table.snapshot());
-        assert_eq!(&incremental, &recomputed);
+        assert_eq!(incremental, table.snapshot());
 
         // Unpin restores the pristine state.
         table.unpin_l2(&cpu, &mem, pgd).unwrap();
@@ -125,82 +115,66 @@ fn recompute_equals_incremental_validation() {
     });
 }
 
-/// Dirty-bit traffic — native-mode marks, scrubber pops, lazy-
-/// window drains — never perturbs the validation accounting.  This
-/// is the invariant that makes `LazyValidate` a *strategy* rather
-/// than a semantics change: the stripped snapshot stays
-/// bit-identical to the pinned baseline no matter how the dirty
-/// set churns, and a cold recompute afterwards agrees too.
+/// The write log has one writer and any number of readers, and no
+/// reader can take an observation from another: under random
+/// interleavings of marks, two readers' checkpoint-and-query rounds and
+/// a third reader's sweep pops, each sees exactly the frames marked
+/// since *its own* checkpoint (model: one set per reader), a pop
+/// retires exactly the frame it returns, and the accounting records
+/// never move.
 #[test]
-fn lazy_dirty_traffic_preserves_validation_accounting() {
-    check(
-        "lazy_dirty_traffic_preserves_validation_accounting",
-        256,
-        |rng| {
-            let shape = tree_shape(rng);
-            let frames = 64usize;
-            let mem = PhysMemory::new(frames);
-            let cpu = Arc::new(Cpu::new(0));
-            let table = PageInfoTable::new(frames);
-            let dom = DomId(0);
-            for f in 0..frames {
-                table.set_owner(FrameNum(f as u32), Some(dom));
-            }
-            let pgd = FrameNum(1);
-            for (l2, leaves) in &shape {
-                let l1 = FrameNum(8 + *l2 as u32);
-                mem.write_pte(&cpu, pgd, *l2, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
-                    .unwrap();
-                for (slot, writable) in leaves {
-                    let data = FrameNum(24 + *slot as u32);
-                    let flags = if *writable {
-                        Pte::WRITABLE | Pte::USER
-                    } else {
-                        Pte::USER
-                    };
-                    mem.write_pte(&cpu, l1, *slot, Pte::new(data.0, flags))
-                        .unwrap();
+fn write_log_readers_are_independent() {
+    check("write_log_readers_are_independent", 256, |rng| {
+        let frames = 64u32;
+        let table = PageInfoTable::new(frames as usize);
+        let dom = DomId(0);
+        // A few frames belong to someone else: marked, never reported.
+        let foreign = |f: u32| f % 13 == 5;
+        for f in 0..frames {
+            let owner = if foreign(f) { DomId(9) } else { dom };
+            table.set_owner(FrameNum(f), Some(owner));
+        }
+        let accounting = table.snapshot();
+
+        let mut readers: [(Epoch, BTreeSet<u32>); 2] = Default::default();
+        let mut sweep = WriteCursor::default();
+        let mut unswept: BTreeSet<u32> = BTreeSet::new();
+        let as_set = |v: Vec<FrameNum>| v.into_iter().map(|f| f.0).collect::<BTreeSet<u32>>();
+        for _ in 0..rng.below(160) {
+            match rng.below(8) {
+                // Reader A or B closes a round: it sees its own set, and
+                // starts the next one empty.
+                op @ (0 | 1) => {
+                    let (since, seen) = &mut readers[op as usize];
+                    let next = table.checkpoint();
+                    assert_eq!(&as_set(table.written_since(dom, *since)), seen);
+                    (*since, *seen) = (next, BTreeSet::new());
                 }
-            }
-
-            let strip = |v: Vec<PageInfo>| -> Vec<PageInfo> {
-                v.into_iter()
-                    .map(|mut r| {
-                        r.dirty = false;
-                        r
-                    })
-                    .collect()
-            };
-
-            table.pin_l2(&cpu, &mem, pgd, dom).unwrap();
-            let baseline = strip(table.snapshot());
-
-            // op 0 = mark_dirty, 1 = scrubber-style pop of some dirty
-            // frame, 2 = targeted take_dirty (the attach path's per-frame
-            // consume).
-            for _ in 0..rng.below(96) {
-                let (frame, op) = (rng.below(64) as u32, rng.below(3));
-                match op {
-                    0 => table.mark_dirty(FrameNum(frame)),
-                    1 => {
-                        table.take_dirty_frame_for(dom);
-                    }
-                    _ => {
-                        table.take_dirty(FrameNum(frame));
+                2 | 3 => match sweep.pop(&table, dom) {
+                    Some(f) => assert!(unswept.remove(&f.0), "popped {f:?} twice"),
+                    None => assert!(unswept.is_empty(), "{unswept:?} left behind"),
+                },
+                _ => {
+                    let f = rng.below(frames as u64 + 2) as u32;
+                    table.mark_dirty(FrameNum(f));
+                    if f < frames && !foreign(f) {
+                        unswept.insert(f);
+                        for (_, seen) in &mut readers {
+                            seen.insert(f);
+                        }
                     }
                 }
             }
-            assert_eq!(&strip(table.snapshot()), &baseline);
-
-            // A cold recompute of the (untouched) tables reproduces the
-            // same accounting, so nothing the dirty traffic did can leak
-            // into what a later attach rebuilds.
-            table
-                .recompute_for(&cpu, &mem, dom, frames, &[pgd])
-                .unwrap();
-            assert_eq!(&strip(table.snapshot()), &baseline);
-        },
-    );
+            assert_eq!(as_set(sweep.pending(&table, dom)), unswept);
+            for (since, seen) in &readers {
+                for f in 0..frames + 2 {
+                    let hit = table.frame_written_since(FrameNum(f), *since);
+                    assert_eq!(hit && !foreign(f), seen.contains(&f), "frame {f}");
+                }
+            }
+        }
+        assert_eq!(table.snapshot(), accounting);
+    });
 }
 
 /// Type references never allow a writable mapping of a typed page

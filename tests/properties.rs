@@ -176,19 +176,8 @@ fn run_mem_ops(bed: &TestBed, ops: &[MemOp]) {
     }
 }
 
-/// Dirty bits are the tracking instrument itself (they legitimately
-/// differ by strategy); everything else must be bit-identical.
-fn strip_dirty(v: Vec<xenon::PageInfo>) -> Vec<xenon::PageInfo> {
-    v.into_iter()
-        .map(|mut r| {
-            r.dirty = false;
-            r
-        })
-        .collect()
-}
-
 /// §5.1.2 equivalence: whichever way the VMM regains its frame
-/// accounting — full recompute, active mirroring, dirty-bit
+/// accounting — full recompute, active mirroring, write-log
 /// incremental revalidation, or lazy admission — the rebuilt
 /// `page_info` is bit-identical after any mmap/fork/munmap
 /// interleaving.  The ops run in the *native* window between a detach
@@ -207,7 +196,7 @@ fn all_strategies_rebuild_identical_accounting() {
             mercury.switch_to_native(cpu).unwrap();
             run_mem_ops(&bed, &ops);
             mercury.switch_to_virtual(cpu).unwrap();
-            strip_dirty(bed.hv.as_ref().unwrap().page_info.snapshot())
+            bed.hv.as_ref().unwrap().page_info.snapshot()
         });
         for (snap, strategy) in snaps.iter().zip(TrackingStrategy::ALL) {
             assert_eq!(snap, &snaps[0], "{strategy:?} diverged from recompute");
@@ -230,7 +219,7 @@ fn sharded_recompute_matches_serial_snapshot() {
         let mercury = bed.mercury.as_ref().unwrap();
         let hv = bed.hv.as_ref().unwrap();
         switch_with_peers(&bed.machine, mercury, true);
-        let sharded = strip_dirty(hv.page_info.snapshot());
+        let sharded = hv.page_info.snapshot();
         let dom = mercury.dom0().id;
         let pool = bed.kernel.pool_frames();
         let scratch = xenon::PageInfoTable::new(bed.machine.mem.num_frames());
@@ -249,7 +238,7 @@ fn sharded_recompute_matches_serial_snapshot() {
             .unwrap();
         assert_eq!(
             sharded,
-            strip_dirty(scratch.snapshot()),
+            scratch.snapshot(),
             "sharded validation diverged from the serial walk"
         );
     });
@@ -287,19 +276,11 @@ fn frame_accounting_is_idempotent_after_random_work() {
             if mercury.mode() == mercury::ExecMode::Virtual {
                 mercury.switch_to_native(cpu).unwrap();
             }
-            let strip = |v: Vec<xenon::page_info::PageInfo>| -> Vec<_> {
-                v.into_iter()
-                    .map(|mut r| {
-                        r.dirty = false;
-                        r
-                    })
-                    .collect::<Vec<_>>()
-            };
             mercury.switch_to_virtual(cpu).unwrap();
-            let first = strip(hv.page_info.snapshot());
+            let first = hv.page_info.snapshot();
             mercury.switch_to_native(cpu).unwrap();
             mercury.switch_to_virtual(cpu).unwrap();
-            let second = strip(hv.page_info.snapshot());
+            let second = hv.page_info.snapshot();
             mercury.switch_to_native(cpu).unwrap();
             assert_eq!(first, second);
         },

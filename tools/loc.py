@@ -23,6 +23,9 @@ def code_lines(path):
 
 
 roots = [a for a in sys.argv[1:] if a != "--files"]
+if len(roots) > 1 or any(a.startswith("-") for a in roots):
+    print(__doc__.strip().splitlines()[-1])
+    sys.exit(0 if "--help" in roots else 2)
 os.chdir(roots[0] if roots else os.path.join(os.path.dirname(__file__), ".."))
 groups = {d[:-4]: glob.glob(d + "/**/*.rs", recursive=True) for d in glob.glob("crates/*/src")}
 groups["src"] = glob.glob("src/**/*.rs", recursive=True)

@@ -10,7 +10,8 @@
 
 use mercury::{AssistMode, NodeConfig, Stack, SwitchOutcome, TrackingStrategy};
 use mercury_bench::{
-    json_num, json_object, json_str, json_us, measure_sharded_recompute, measure_switch_times,
+    json_block, json_num, json_object, json_str, json_us, measure_sharded_recompute,
+    measure_switch_times,
 };
 use mercury_workloads::apps::run_app;
 use mercury_workloads::configs::{switch_with_peers, SysKind, TestBed};
@@ -193,16 +194,19 @@ fn main() {
             ("cpus", t.cpus.to_string()),
         ])
     };
-    let artifact = format!(
-        "{{\n  \"fig3\": {},\n  \"fig4\": {},\n  \"hw_assist\": {},\n  \"mode_switch\": {},\n  \"scalability\": {},\n  \"table1\": {},\n  \"table2\": {}\n}}\n",
-        figure(&f3),
-        figure(&f4),
-        json_object(hw_assist.map(|(key, us)| (key, json_us(us)))),
-        json_object(mode_switch),
-        json_object(scalability),
-        table(&t1),
-        table(&t2),
-    );
-    std::fs::write("bench_results.json", artifact).expect("write bench_results.json");
+    let artifact = [
+        ("fig3", figure(&f3)),
+        ("fig4", figure(&f4)),
+        (
+            "hw_assist",
+            json_object(hw_assist.map(|(key, us)| (key, json_us(us)))),
+        ),
+        ("mode_switch", json_object(mode_switch)),
+        ("scalability", json_object(scalability)),
+        ("table1", table(&t1)),
+        ("table2", table(&t2)),
+    ];
+    std::fs::write("bench_results.json", json_block(0, artifact) + "\n")
+        .expect("write bench_results.json");
     eprintln!("\nwrote bench_results.json");
 }

@@ -6,7 +6,8 @@
 //! operator's version of that question: *what happens to request
 //! p50/p99/p999 when the machine self-virtualizes under live load?*
 //!
-//! It is one static table, [`SCENARIOS`], walked by one `main`: every
+//! It is one static table, [`SCENARIOS`], walked by one `main` on the
+//! shared campaign harness (`mercury_bench::campaign`): every
 //! run executes every row (rows on more CPUs than the sizing allows are
 //! the only ones left out), on the simulated cycle clock via
 //! `mercury-servo` — the steady native/virtual anchors at 1, 2 and 4
@@ -25,9 +26,11 @@
 //! scenarios pay only for what the gaps didn't reach
 //! (`scrub_revalidated` counts them).
 //!
-//! Determinism: the whole table runs **twice in-process** and every
-//! request record, switch counter and fleet fact must be bit-identical
-//! before anything is archived.  Switch-during-load scenarios run on
+//! Determinism: the serving rows, and then the fleet row, run **twice
+//! in-process** and every request record, switch counter and fleet fact
+//! must be bit-identical before anything is archived; a divergence
+//! names the scenario and the first record that differs.
+//! Switch-during-load scenarios run on
 //! uniprocessor nodes only: SMP rendezvous spin cycles depend on host
 //! thread timing, so multi-CPU beds are measured steady-state (their
 //! one setup switch lands before the traffic-start base the records are
@@ -39,8 +42,9 @@
 //! `fleet_results.json` (fleet tails, the migration downtime
 //! distribution, evacuation makespans, wave spans, weakest-link
 //! hypervisor version; gated by `tools/benchgate.py --fleet`, zero lost
-//! requests hard).  Pass 1 of the non-fleet rows is wall-clock timed;
-//! outside `--quick` its simulated-Mcycles-per-host-second lands in
+//! requests hard).  Pass 1 of the serving rows is wall-clock timed;
+//! outside `--quick`, and only when every gate passed, its
+//! simulated-Mcycles-per-host-second lands in
 //! `sim_speed.json["serving"]` for `tools/benchgate.py --sim-speed`.
 //! `--quick` / `--campaign` are the only sizing choice (EXPERIMENTS.md
 //! "Campaign scale").
@@ -49,8 +53,11 @@
 //! or a row did not show the [`Shape`] its table entry expects.
 
 use faultgen::{FaultSpec, FaultTarget};
-use mercury::SwitchOutcome;
-use mercury_bench::{json_object, json_str};
+use mercury::{SwitchCounts, SwitchOutcome};
+use mercury_bench::campaign::{
+    first_difference, flip_plan, plant_and_sweep, two_pass, Cli, Gates, Size,
+};
+use mercury_bench::{json_block, json_list, json_object, json_str, SimSpeed};
 use mercury_cluster::{
     Cluster, HealthStatus, Node, NodeConfig, SensorReading, Watchdog, WatchdogPolicy,
 };
@@ -61,7 +68,7 @@ use mercury_servo::{
 use mercury_workloads::configs::switch_with_peers;
 use mercury_workloads::mix::CostMix;
 use simx86::costs::cycles_to_us;
-use simx86::PhysAddr;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Toggle the VMM — or, in the live-update row, roll it forward: one
@@ -91,7 +98,6 @@ enum Column {
 
 /// Run sizing.
 struct Sizing {
-    label: &'static str,
     /// Requests per row, indexed by [`Column`].
     requests: [u32; 5],
     /// Rows on more CPUs than this are left out.
@@ -101,7 +107,6 @@ struct Sizing {
 }
 
 const FULL: Sizing = Sizing {
-    label: "full",
     requests: [4_000, 4_000, 3_000, 2_500, 20_000],
     max_cpus: 4,
     fleet_nodes: 100,
@@ -110,7 +115,6 @@ const FULL: Sizing = Sizing {
 
 /// CI smoke: same scenario shapes, a few times cheaper.
 const QUICK: Sizing = Sizing {
-    label: "quick",
     requests: [800, 800, 600, 500, 3_000],
     max_cpus: 2,
     fleet_nodes: 24,
@@ -121,58 +125,12 @@ const QUICK: Sizing = Sizing {
 /// scenario shapes and CPU ladder, so the tails are directly comparable
 /// to the full run (EXPERIMENTS.md "Campaign scale").
 const CAMPAIGN: Sizing = Sizing {
-    label: "campaign",
     requests: [400_000, 400_000, 300_000, 250_000, 200_000],
     ..FULL
 };
 
-/// Switch-engine counters relevant to serving windows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct SwitchSnap {
-    attaches: u64,
-    detaches: u64,
-    attach_cycles: u64,
-    detach_cycles: u64,
-    /// Completed hv-to-hv live-updates (DESIGN.md §16).
-    updates: u64,
-    update_cycles: u64,
-    /// Frames revalidated out of open-loop serving gaps (native mode
-    /// only) — each one shaved off the next attach's work-list.
-    scrubbed: u64,
-}
-
-impl SwitchSnap {
-    fn of(node: &Node) -> SwitchSnap {
-        use std::sync::atomic::Ordering::Relaxed;
-        let s = &node.mercury().stats;
-        SwitchSnap {
-            attaches: s.attaches.load(Relaxed),
-            detaches: s.detaches.load(Relaxed),
-            attach_cycles: s.total_attach_cycles.load(Relaxed),
-            detach_cycles: s.total_detach_cycles.load(Relaxed),
-            updates: s.live_updates.load(Relaxed),
-            update_cycles: s.total_update_cycles.load(Relaxed),
-            scrubbed: s.idle_revalidated.load(Relaxed),
-        }
-    }
-
-    /// What `node` did since `base`, added onto `self`.
-    fn plus_since(self, node: &Node, base: SwitchSnap) -> SwitchSnap {
-        let s = SwitchSnap::of(node);
-        SwitchSnap {
-            attaches: self.attaches + s.attaches - base.attaches,
-            detaches: self.detaches + s.detaches - base.detaches,
-            attach_cycles: self.attach_cycles + s.attach_cycles - base.attach_cycles,
-            detach_cycles: self.detach_cycles + s.detach_cycles - base.detach_cycles,
-            updates: self.updates + s.updates - base.updates,
-            update_cycles: self.update_cycles + s.update_cycles - base.update_cycles,
-            scrubbed: self.scrubbed + s.scrubbed - base.scrubbed,
-        }
-    }
-}
-
 /// What the fleet row reports beyond its records.
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct FleetFacts {
     nodes: usize,
     offered: u64,
@@ -187,12 +145,12 @@ struct FleetFacts {
     hv_version_min: u32,
 }
 
-/// Everything one row produced.  `PartialEq` is the determinism gate:
-/// two same-seed passes must compare equal, record for record.
-#[derive(Clone, PartialEq)]
+/// Everything one row produced: what two same-seed passes must agree
+/// on, record for record ([`first_divergence`]).
 struct Ran {
     records: Vec<RequestRecord>,
-    switches: SwitchSnap,
+    /// What the row's engines did during its traffic window.
+    switches: SwitchCounts,
     faults_recovered: u64,
     fleet: Option<FleetFacts>,
 }
@@ -275,10 +233,10 @@ fn oltp_traffic(seed: u64, workers: usize, requests: u32) -> Vec<Arrival> {
 
 /// A single-node row's result: the server's records plus what the node
 /// did since `base`.
-fn single_node(server: &NodeServer, base: SwitchSnap, faults_recovered: u64) -> Ran {
+fn single_node(server: &NodeServer, base: SwitchCounts, faults_recovered: u64) -> Ran {
     Ran {
         records: server.records().to_vec(),
-        switches: SwitchSnap::default().plus_since(server.node(), base),
+        switches: server.node().mercury().stats.snapshot() - base,
         faults_recovered,
         fleet: None,
     }
@@ -337,7 +295,7 @@ fn run_node(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
         },
     );
     let traffic = oltp_traffic(seed, row.cpus, row.requests(sizing));
-    let base = SwitchSnap::of(&node);
+    let base = node.mercury().stats.snapshot();
     let mut hook = cadence(row.shape, &node);
     server.run(&traffic, |_, off| hook(off));
     single_node(&server, base, 0)
@@ -368,15 +326,14 @@ fn run_cluster(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
     let cluster = Cluster::launch(row.nodes, &NodeConfig::default());
     let mut lb = FleetServer::new(&cluster, row.nodes, wired_config());
     let traffic = web_traffic(seed, row.nodes, 200_000, row.requests(sizing));
-    let bases: Vec<SwitchSnap> = cluster.nodes.iter().map(|n| SwitchSnap::of(n)).collect();
+    let counts = || cluster.nodes.iter().map(|n| n.mercury().stats.snapshot());
+    let bases: Vec<SwitchCounts> = counts().collect();
     let mut hook = cadence(row.shape, cluster.node(0));
     lb.run(&traffic, |_, off| hook(off));
-    let switches = cluster
-        .nodes
-        .iter()
+    let switches = counts()
         .zip(bases)
-        .fold(SwitchSnap::default(), |sum, (node, base)| {
-            sum.plus_since(node, base)
+        .fold(SwitchCounts::default(), |sum, (now, base)| {
+            sum + (now - base)
         });
     Ran {
         records: lb.finish(),
@@ -384,28 +341,6 @@ fn run_cluster(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
         faults_recovered: 0,
         fleet: None,
     }
-}
-
-/// Arm one planted bit-flip, trip it with the scrubber sweep read that
-/// would find it, and let the watchdog answer.
-fn plant_and_sweep(node: &Node, dog: &mut Watchdog, spec: FaultSpec) {
-    let FaultTarget::MemWord { frame, word, .. } = spec.target else {
-        unreachable!("the serving scenarios plant MemWord faults only")
-    };
-    faultgen::arm(vec![spec]);
-    let cpu = node.machine.boot_cpu();
-    let pa = PhysAddr(((frame as u64) << 12) + (word as u64) * 8);
-    node.machine.mem.read_word(cpu, pa).expect("sweep read");
-    dog.poll(cpu);
-}
-
-fn watchdog_for(node: &Node) -> Watchdog {
-    Watchdog::new(
-        node.mercury(),
-        Arc::clone(&node.machine),
-        node.kernel(),
-        WatchdogPolicy::default(),
-    )
 }
 
 /// Seeded memory bit-flips injected beneath live traffic on a
@@ -416,35 +351,15 @@ fn run_fault_under_load(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
     let node = Node::launch("bench", &node_config(1));
     let mut server = NodeServer::new(&node, 0, ServerConfig::default());
     let traffic = oltp_traffic(seed.wrapping_add(1), 1, row.requests(sizing));
-    let base = SwitchSnap::of(&node);
+    let base = node.mercury().stats.snapshot();
 
     faultgen::reset();
     let mut rng = faultgen::rng::SplitMix64::new(seed ^ 0xfa01);
-    let mut dog = watchdog_for(&node);
-    // Pre-plan the flips (high frames, one per word) so both passes
-    // draw the identical fault sequence.
+    let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
+    // Pre-plan the flips so both passes draw the identical fault
+    // sequence.
     let span = traffic.last().map(|a| a.offset).unwrap_or(0);
-    let mut used = std::collections::BTreeSet::new();
-    let plan: Vec<FaultSpec> = (0..span / FAULT_PERIOD)
-        .map(|i| {
-            let (frame, word) = loop {
-                let f = 15_000 + rng.below(1_000) as u32;
-                let w = rng.below(512) as u16;
-                if used.insert((f, w)) {
-                    break (f, w);
-                }
-            };
-            FaultSpec {
-                id: 9_000 + i,
-                due_cycle: 0,
-                target: FaultTarget::MemWord {
-                    frame,
-                    word,
-                    bit: rng.below(64) as u8,
-                },
-            }
-        })
-        .collect();
+    let plan = flip_plan(&mut rng, 9_000, span / FAULT_PERIOD);
 
     let mut next_fault = FAULT_PERIOD;
     let mut next_window = WINDOW_PERIOD;
@@ -452,7 +367,7 @@ fn run_fault_under_load(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
     server.run(&traffic, |srv, off| {
         while off >= next_fault {
             let Some(&spec) = planned.next() else { break };
-            plant_and_sweep(srv.node(), &mut dog, spec);
+            plant_and_sweep(&srv.node().machine, &mut dog, spec);
             next_fault += FAULT_PERIOD;
         }
         while off >= next_window {
@@ -512,7 +427,10 @@ fn run_fleet(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
     let fault_node = 2usize;
     let health_node = nodes / 2 + 1;
     assert_ne!(fault_node, health_node);
-    let mut dog = watchdog_for(cluster.node(fault_node));
+    let mut dog = Watchdog::new(
+        cluster.node(fault_node).mercury(),
+        WatchdogPolicy::default(),
+    );
 
     // (stream fraction, event): the wave spreads its racks over 55–90 %.
     let at = |percent: u64| span * percent / 100;
@@ -546,7 +464,7 @@ fn run_fleet(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
                             bit: k as u8,
                         },
                     };
-                    plant_and_sweep(&fs.nodes()[fault_node], &mut dog, spec);
+                    plant_and_sweep(&fs.nodes()[fault_node].machine, &mut dog, spec);
                 }
                 assert_eq!(dog.reports().len(), 3, "storm must be detected");
                 assert!(dog.reports().iter().all(|r| r.recovered));
@@ -602,7 +520,7 @@ fn run_fleet(row: &Scenario, seed: u64, sizing: &Sizing) -> Ran {
     let faults_recovered = dog.reports().len() as u64;
     Ran {
         records: fs.finish(),
-        switches: SwitchSnap::default(),
+        switches: SwitchCounts::default(),
         faults_recovered,
         fleet: Some(FleetFacts {
             nodes,
@@ -658,7 +576,7 @@ fn wrong_shape(shape: Shape, r: &Ran) -> Vec<String> {
             expect(s.attaches != 0, "never attached");
         }
         Shape::Updating => {
-            expect(s.updates != 0 && s.update_cycles != 0, "never updated");
+            expect(s.live_updates != 0 && s.update_cycles != 0, "never updated");
             expect(!switched, "left virtual mode");
         }
         Shape::Fleet => {
@@ -716,13 +634,13 @@ fn json_scenario(s: &Scenario, r: &Ran, t: &TailStats) -> String {
         ("detaches", sw.detaches),
         ("attach_cycles", sw.attach_cycles),
         ("detach_cycles", sw.detach_cycles),
-        ("live_updates", sw.updates),
+        ("live_updates", sw.live_updates),
         ("update_cycles", sw.update_cycles),
-        ("scrub_revalidated", sw.scrubbed),
+        ("scrub_revalidated", sw.idle_revalidated),
         ("faults_recovered", r.faults_recovered),
     ];
     fields.extend(counters.map(|(k, v)| (k, v.to_string())));
-    format!("    {}", json_object(fields))
+    json_object(fields)
 }
 
 /// `{"min": …, "p50": …, "max": …}` of a cycle-count sample, in cycles
@@ -743,7 +661,7 @@ fn dist(xs: &[u64]) -> (String, String) {
 }
 
 /// Print the fleet row's summary and render `fleet_results.json`.
-fn fleet_json(seed: u64, sizing: &Sizing, determinism: &str, r: &Ran, t: &TailStats) -> String {
+fn fleet_json(cli: Cli, sizing: &Sizing, determinism: &str, r: &Ran, t: &TailStats) -> String {
     let f = r.fleet.as_ref().expect("the fleet row reports fleet facts");
     let lost = f.offered - r.records.len() as u64;
     let (downtime_cycles, downtime_us) = dist(&f.downtimes);
@@ -759,8 +677,8 @@ fn fleet_json(seed: u64, sizing: &Sizing, determinism: &str, r: &Ran, t: &TailSt
     );
     let list = |xs: Vec<String>| format!("[{}]", xs.join(", "));
     let mut fields = vec![
-        ("seed", seed.to_string()),
-        ("mode", json_str(sizing.label)),
+        ("seed", cli.seed.to_string()),
+        ("mode", json_str(cli.size.label())),
         ("determinism", json_str(determinism)),
         ("nodes", f.nodes.to_string()),
         ("rack_size", sizing.rack_size.to_string()),
@@ -783,83 +701,61 @@ fn fleet_json(seed: u64, sizing: &Sizing, determinism: &str, r: &Ran, t: &TailSt
             list(f.degrade_reasons.iter().map(|r| json_str(r)).collect()),
         ),
     ]);
-    let lines: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("  \"{k}\": {v}"))
-        .collect();
-    format!("{{\n{}\n}}\n", lines.join(",\n"))
+    json_block(0, fields) + "\n"
 }
 
-/// One pass over the table: a pure function of `(seed, sizing)`.  Also
-/// returns the host seconds spent in the rows `sim_speed.json` counts
-/// (everything but the fleet, whose node boots would swamp it).
-fn run_table(seed: u64, sizing: &Sizing) -> (Vec<(&'static Scenario, Ran)>, f64) {
-    let mut host_seconds = 0.0;
-    let ran = SCENARIOS
+/// What a pass produced, in table order.
+type Table = Vec<(&'static Scenario, Ran)>;
+
+/// One pass over the serving rows of the table, or over its fleet row:
+/// a pure function of `(seed, sizing)`.  The two are passed apart
+/// because `sim_speed.json` times the serving rows alone — the fleet's
+/// node boots would swamp them.
+fn run_table(seed: u64, sizing: &Sizing, fleet: bool) -> Table {
+    SCENARIOS
         .iter()
-        .filter(|s| s.cpus <= sizing.max_cpus)
-        .map(|s| {
-            let t = std::time::Instant::now();
-            let r = (s.run)(s, seed, sizing);
-            if r.fleet.is_none() {
-                host_seconds += t.elapsed().as_secs_f64();
-            }
-            (s, r)
-        })
-        .collect();
-    (ran, host_seconds)
+        .filter(|s| s.cpus <= sizing.max_cpus && matches!(s.shape, Shape::Fleet) == fleet)
+        .map(|s| (s, (s.run)(s, seed, sizing)))
+        .collect()
 }
 
-fn main() {
-    const {
-        assert!(
-            faultgen::ENABLED,
-            "serving_tail needs the faultgen hooks compiled in (feature `enabled`)"
-        )
+/// The first row in which two passes over the same rows differ.
+fn first_divergence(a: &Table, b: &Table) -> Option<String> {
+    a.iter().zip(b).find_map(|((s, x), (_, y))| {
+        let of = |what: &str| format!("{} {what}", s.name);
+        let (fx, fy) = ([x.faults_recovered], [y.faults_recovered]);
+        first_difference(&of("records"), &x.records, &y.records)
+            .or_else(|| first_difference(&of("switches"), &[x.switches], &[y.switches]))
+            .or_else(|| first_difference(&of("faults_recovered"), &fx, &fy))
+            .or_else(|| first_difference(&of("facts"), x.fleet.as_slice(), y.fleet.as_slice()))
+    })
+}
+
+/// A pass's rows with their tail statistics.
+fn with_tails(table: &Table) -> Vec<(&'static Scenario, &Ran, TailStats)> {
+    let tails = table.iter().map(|(s, r)| (*s, r, tail_stats(&r.records)));
+    tails.collect()
+}
+
+fn main() -> ExitCode {
+    let cli = Cli::from_env(env!("CARGO_BIN_NAME"), 11);
+    let Cli { seed, size } = cli;
+    let sizing = match size {
+        Size::Quick => &QUICK,
+        Size::Full => &FULL,
+        Size::Campaign => &CAMPAIGN,
     };
+    let quick = size == Size::Quick;
 
-    let mut seed = 11u64;
-    let mut sizing = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes an integer");
-            }
-            "--quick" | "--campaign" => {
-                assert!(
-                    sizing.is_none(),
-                    "--quick and --campaign are mutually exclusive"
-                );
-                sizing = Some(if a == "--quick" { QUICK } else { CAMPAIGN });
-            }
-            other => panic!("unknown argument {other:?} (use --seed N / --quick / --campaign)"),
-        }
-    }
-    let sizing = &sizing.unwrap_or(FULL);
-    let quick = sizing.label == QUICK.label;
-
-    // Two same-seed passes: bit-identical results are the determinism
-    // gate (DESIGN.md §14).
     eprintln!(
         "serving_tail: seed {seed} ({}), two same-seed passes, fleet of {} in racks of {}",
-        sizing.label, sizing.fleet_nodes, sizing.rack_size
+        size.label(),
+        sizing.fleet_nodes,
+        sizing.rack_size
     );
-    let (pass1, host_seconds) = run_table(seed, sizing);
-    let (pass2, _) = run_table(seed, sizing);
-    let deterministic = pass1
-        .iter()
-        .map(|(_, r)| r)
-        .eq(pass2.iter().map(|(_, r)| r));
-    let determinism = if deterministic { "verified" } else { "FAILED" };
-    let rows: Vec<(&Scenario, &Ran, TailStats)> = pass1
-        .iter()
-        .map(|(s, r)| (*s, r, tail_stats(&r.records)))
-        .collect();
-    let (fleet, tails): (Vec<_>, Vec<_>) = rows.iter().partition(|(_, r, _)| r.fleet.is_some());
+    let pass = |fleet| two_pass(|| run_table(seed, sizing, fleet), first_divergence);
+    let (serving, fleet) = (pass(false), pass(true));
+    let (tails, fleet_rows) = (with_tails(&serving.first), with_tails(&fleet.first));
 
     // -- report ----------------------------------------------------------
     println!("Serving tail latency (seed {seed})");
@@ -887,66 +783,35 @@ fn main() {
         &found.unwrap_or_else(|| panic!("missing scenario {name}")).2
     };
     println!("\nvs {ANCHOR}:");
-    let ratios: Vec<String> = INFLATION
-        .iter()
-        .map(|&(key, scenario, percentile)| {
-            let ratio =
-                percentile(stats(scenario)) as f64 / percentile(stats(ANCHOR)).max(1) as f64;
-            println!("  {key} {ratio:.2}x");
-            format!("    \"{key}\": {ratio:.4}")
-        })
-        .collect();
+    let ratios = INFLATION.map(|(key, scenario, percentile)| {
+        let ratio = percentile(stats(scenario)) as f64 / percentile(stats(ANCHOR)).max(1) as f64;
+        println!("  {key} {ratio:.2}x");
+        (key, format!("{ratio:.4}"))
+    });
 
     // -- archives --------------------------------------------------------
-    let scenarios: Vec<String> = tails
-        .iter()
-        .map(|(s, r, t)| json_scenario(s, r, t))
-        .collect();
-    let json = [
-        "{".to_string(),
-        format!("  \"seed\": {seed},"),
-        format!("  \"quick\": {quick},"),
-        format!("  \"determinism\": \"{determinism}\","),
-        "  \"inflation_vs_steady_native_1cpu\": {".to_string(),
-        ratios.join(",\n"),
-        "  },".to_string(),
-        "  \"scenarios\": [".to_string(),
-        scenarios.join(",\n"),
-        "  ]\n}\n".to_string(),
-    ]
-    .join("\n");
-    std::fs::write("serving_results.json", json).expect("write serving_results.json");
+    let scenarios = tails.iter().map(|(s, r, t)| json_scenario(s, r, t));
+    let archive = [
+        ("seed", seed.to_string()),
+        ("quick", quick.to_string()),
+        ("determinism", json_str(serving.determinism())),
+        ("inflation_vs_steady_native_1cpu", json_block(2, ratios)),
+        ("scenarios", json_list(2, scenarios)),
+    ];
+    std::fs::write("serving_results.json", json_block(0, archive) + "\n")
+        .expect("write serving_results.json");
     eprintln!("wrote serving_results.json");
-    for (_, r, t) in &fleet {
-        let json = fleet_json(seed, sizing, determinism, r, t);
+    for (_, r, t) in &fleet_rows {
+        let json = fleet_json(cli, sizing, fleet.determinism(), r, t);
         std::fs::write("fleet_results.json", json).expect("write fleet_results.json");
         eprintln!("wrote fleet_results.json");
     }
 
-    // Simulated throughput: stream time covered per scenario is the
-    // last record's finish offset — a deterministic, archived quantity
-    // (machine clocks would fold in host-timing-dependent SMP
-    // rendezvous spin).  Quick runs are too short to be meaningful.
-    if !quick {
-        let sim_cycles: u64 = tails
-            .iter()
-            .map(|(_, r, _)| r.records.iter().map(|r| r.finish).max().unwrap_or(0))
-            .sum();
-        mercury_bench::record_sim_speed(
-            "serving",
-            &mercury_bench::SimSpeed {
-                sim_mcycles: sim_cycles as f64 / 1e6,
-                host_seconds,
-            },
-        );
-    }
-
     // -- gates -----------------------------------------------------------
-    let mut failures = Vec::new();
-    if !deterministic {
-        failures.push("two same-seed passes diverged".to_string());
-    }
-    for (s, r, t) in &rows {
+    let mut gates = Gates::default();
+    gates.determinism(&serving);
+    gates.determinism(&fleet);
+    for (s, r, t) in tails.iter().chain(&fleet_rows) {
         let mut wrong = wrong_shape(s.shape, r);
         if t.offered != t.completed + t.shed {
             wrong.push(format!("offered {} != completed+shed", t.offered));
@@ -954,12 +819,23 @@ fn main() {
         if t.completed == 0 {
             wrong.push("no request completed".to_string());
         }
-        failures.extend(wrong.into_iter().map(|w| format!("{}: {w}", s.name)));
+        for w in wrong {
+            gates.fail(format!("{}: {w}", s.name));
+        }
     }
-    for f in &failures {
-        eprintln!("FAIL: {f}");
-    }
-    if !failures.is_empty() {
-        std::process::exit(1);
-    }
+
+    // Simulated throughput: stream time covered per scenario is the
+    // last record's finish offset — a deterministic, archived quantity
+    // (machine clocks would fold in host-timing-dependent SMP
+    // rendezvous spin).  Quick runs are too short to be meaningful.
+    let speed = (!quick).then(|| {
+        let last_finish = |r: &Ran| r.records.iter().map(|r| r.finish).max().unwrap_or(0);
+        let sim_cycles: u64 = tails.iter().map(|(_, r, _)| last_finish(r)).sum();
+        let speed = SimSpeed {
+            sim_mcycles: sim_cycles as f64 / 1e6,
+            host_seconds: serving.host_seconds,
+        };
+        ("serving", speed)
+    });
+    gates.finish(speed)
 }

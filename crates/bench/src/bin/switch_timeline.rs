@@ -40,9 +40,12 @@
 //! per deferred frame the double count stays far inside the 1% band.)
 
 use mercury::{SwitchOutcome, TrackingStrategy, Transition};
+use mercury_bench::campaign::Gates;
+use mercury_bench::{json_block, warm};
 use mercury_workloads::configs::{SysKind, TestBed};
 use simx86::costs::{cycles_to_us, CYCLES_PER_US};
 use std::collections::BTreeMap;
+use std::process::ExitCode;
 
 const SAMPLES: u32 = 20;
 
@@ -120,39 +123,20 @@ impl Breakdown {
         out
     }
 
+    /// The leg's entry of `switch_timeline.json`.
     fn json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "  \"{}\": {{\n    \"samples\": {},\n    \"end_to_end_us\": {:.5},\n    \"phase_sum_us\": {:.5},\n    \"phases_us\": {{\n",
-            self.label,
-            self.samples,
-            self.total_us(),
-            self.sum_us()
-        ));
-        let rows: Vec<String> = self
-            .phases
-            .iter()
-            .map(|p| format!("      \"{}\": {:.5}", p, self.phase_mean_us(p)))
-            .collect();
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n    }\n  }");
-        out
+        let us = |v: f64| format!("{v:.5}");
+        let phases = self.phases.iter().map(|p| (p, us(self.phase_mean_us(p))));
+        json_block(
+            2,
+            [
+                ("samples", self.samples.to_string()),
+                ("end_to_end_us", us(self.total_us())),
+                ("phase_sum_us", us(self.sum_us())),
+                ("phases_us", json_block(4, phases)),
+            ],
+        )
     }
-}
-
-/// Warm a bed the way `mode_switch` does: a real process and a 128-page
-/// dirty mapping, so the transfer functions have work to do.
-fn warm(bed: &TestBed) -> nimbus::Session {
-    let sess = bed.session(0);
-    sess.exec("lat_proc").expect("exec");
-    let va = sess
-        .mmap(128, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
-        .expect("mmap");
-    for p in 0..128u64 {
-        sess.poke(simx86::VirtAddr(va.0 + p * 4096), p)
-            .expect("touch");
-    }
-    sess
 }
 
 /// Dirty some *deferrable* frames: a short-lived child maps and touches
@@ -256,7 +240,7 @@ fn run_update_leg(bed: &TestBed) -> (Breakdown, String) {
     (update, last_trace)
 }
 
-fn main() {
+fn main() -> ExitCode {
     const {
         assert!(
             merctrace::ENABLED,
@@ -313,14 +297,8 @@ fn main() {
         &detach_lazy,
         &update,
     ];
-    let json = format!(
-        "{{\n{}\n}}\n",
-        legs.iter()
-            .map(|b| b.json())
-            .collect::<Vec<_>>()
-            .join(",\n")
-    );
-    std::fs::write("switch_timeline.json", &json).expect("write switch_timeline.json");
+    let json = json_block(0, legs.map(|b| (b.label, b.json()))) + "\n";
+    std::fs::write("switch_timeline.json", json).expect("write switch_timeline.json");
     // Keep the default leg's last attach/detach pair plus the last
     // live-update as the Chrome trace (the other legs differ only in
     // the accounting phase).
@@ -333,21 +311,17 @@ fn main() {
 
     // The decomposition must account for the headline number: phases sum
     // within 1% of the end-to-end cost (§7.4 / bench_results.json).
-    let mut ok = true;
+    let mut gates = Gates::default();
     for b in legs {
         let gap = (b.sum_us() - b.total_us()).abs() / b.total_us();
-        if gap > 0.01 {
-            eprintln!(
-                "FAIL: {} phases sum to {:.2} µs but end-to-end is {:.2} µs ({:.2}% apart)",
-                b.label,
-                b.sum_us(),
-                b.total_us(),
-                100.0 * gap
-            );
-            ok = false;
-        }
+        let apart = format!(
+            "{} phases sum to {:.2} µs but end-to-end is {:.2} µs ({:.2}% apart)",
+            b.label,
+            b.sum_us(),
+            b.total_us(),
+            100.0 * gap
+        );
+        gates.fail_if(gap > 0.01, apart);
     }
-    if !ok {
-        std::process::exit(1);
-    }
+    gates.finish(None)
 }

@@ -7,6 +7,13 @@
 //! | `all` | Tables 1–2 (lmbench latencies, UP and SMP), Figs. 3–4 (relative application performance, UP and SMP), §7.4 mode switch times and the §5.1.2 strategy ablation (one row per `TrackingStrategy`, plus sharded-vs-serial attach), the two §8 probes (software vs hardware-assisted switching, switch time vs processor count), the dbench writeback probe, and the `bench_results.json` dump for EXPERIMENTS.md |
 //! | `switch_timeline` | §7.3 — per-phase switch decomposition (merctrace) |
 //! | `fault_campaign` | DESIGN.md §12 — seeded dependability campaigns (`faultgen_results.json`) |
+//! | `serving_tail` | DESIGN.md §13, §15, §16 — request tails while the machine self-virtualizes under load (`serving_results.json`) and the fleet under its migration timeline (`fleet_results.json`) |
+//!
+//! The two campaign bins stand on one harness, [`campaign`]; every bin
+//! writes its archive with [`json_block`], [`json_list`] and
+//! [`json_object`].
+
+pub mod campaign;
 
 use mercury::{SwitchOutcome, TrackingStrategy};
 use mercury_workloads::configs::{switch_with_peers, TestBed};
@@ -58,6 +65,29 @@ pub fn json_object<K: AsRef<str>>(fields: impl IntoIterator<Item = (K, String)>)
         .map(|(k, v)| format!("{}: {v}", json_str(k.as_ref())))
         .collect();
     format!("{{{}}}", fields.join(", "))
+}
+
+/// `open`, one line per entry two spaces past `indent`, `close` at
+/// `indent`: the multi-line layout of the archives.
+fn json_lines(open: char, close: char, indent: usize, lines: Vec<String>) -> String {
+    let pad = " ".repeat(indent);
+    let lines = lines.join(&format!(",\n{pad}  "));
+    format!("{open}\n{pad}  {lines}\n{pad}{close}")
+}
+
+/// `{"key": value, ...}` with one field per line, for an object that
+/// sits `indent` spaces deep.
+pub fn json_block<K: AsRef<str>>(
+    indent: usize,
+    fields: impl IntoIterator<Item = (K, String)>,
+) -> String {
+    let field = |(k, v): (K, String)| format!("{}: {v}", json_str(k.as_ref()));
+    json_lines('{', '}', indent, fields.into_iter().map(field).collect())
+}
+
+/// `[item, ...]` with one already-rendered item per line.
+pub fn json_list(indent: usize, items: impl IntoIterator<Item = String>) -> String {
+    json_lines('[', ']', indent, items.into_iter().collect())
 }
 
 /// Set suite `key` of `sim_speed.json` in the working directory to
@@ -177,7 +207,7 @@ impl ShardedRecompute {
 
 /// Warm a bed the same way for every measurement: a real process and a
 /// 128-page dirty mapping, so the transfer functions have work to do.
-fn warm(bed: &TestBed) -> nimbus::Session {
+pub fn warm(bed: &TestBed) -> nimbus::Session {
     let sess = bed.session(0);
     sess.exec("lat_proc").expect("exec");
     let va = sess

@@ -19,12 +19,10 @@
 //! as the campaign binaries.
 
 use faultgen::rng::SplitMix64;
-use faultgen::{FaultSpec, FaultTarget};
+use mercury_bench::campaign::{flip_plan, plant_and_sweep};
 use mercury_cluster::{Node, NodeConfig, Watchdog, WatchdogPolicy};
 use mercury_servo::{generate, LoadConfig, NodeServer, Outcome, ServerConfig};
 use mercury_workloads::mix::CostMix;
-use simx86::PhysAddr;
-use std::sync::Arc;
 
 fn traffic(seed: u64, requests: u32) -> Vec<mercury_servo::Arrival> {
     generate(&LoadConfig {
@@ -33,47 +31,6 @@ fn traffic(seed: u64, requests: u32) -> Vec<mercury_servo::Arrival> {
         requests,
         mix: CostMix::oltp(),
     })
-}
-
-/// Plan `count` distinct memory bit-flips in the scrubber's high-frame
-/// sweep window.
-fn plan_flips(seed: u64, count: usize) -> Vec<FaultSpec> {
-    let mut rng = SplitMix64::new(seed);
-    let mut used = std::collections::BTreeSet::new();
-    let mut plan = Vec::new();
-    for i in 0..count {
-        let (frame, word) = loop {
-            let f = 15_000 + rng.below(1_000) as u32;
-            let w = rng.below(512) as u16;
-            if used.insert((f, w)) {
-                break (f, w);
-            }
-        };
-        plan.push(FaultSpec {
-            id: 7_000 + i as u64,
-            due_cycle: 0,
-            target: FaultTarget::MemWord {
-                frame,
-                word,
-                bit: rng.below(64) as u8,
-            },
-        });
-    }
-    plan
-}
-
-/// Inject one planned fault: arm it, trip it with a sweep read, let the
-/// watchdog poll (detect + recover, reactively attaching if policy says
-/// so).
-fn inject(node: &Node, dog: &mut Watchdog, spec: FaultSpec) {
-    let FaultTarget::MemWord { frame, word, .. } = spec.target else {
-        panic!("flip plan holds MemWord faults only")
-    };
-    faultgen::arm(vec![spec]);
-    let cpu = node.machine.boot_cpu();
-    let pa = PhysAddr(((frame as u64) << 12) + (word as u64) * 8);
-    node.machine.mem.read_word(cpu, pa).expect("sweep read");
-    dog.poll(cpu);
 }
 
 /// Requests keep flowing while the watchdog detects faults, attaches
@@ -91,26 +48,18 @@ fn watchdog_cycle_under_live_traffic_drops_nothing() {
             ..ServerConfig::default()
         },
     );
-    let mut dog = Watchdog::new(
-        node.mercury(),
-        Arc::clone(&node.machine),
-        node.kernel(),
-        WatchdogPolicy {
-            attach_on_fault: true,
-            ..WatchdogPolicy::default()
-        },
-    );
+    let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
 
     faultgen::reset();
     let stream = traffic(101, 400);
-    let mut flips = plan_flips(909, 6).into_iter();
+    let mut flips = flip_plan(&mut SplitMix64::new(909), 7_000, 6).into_iter();
     // Fault every 60 arrivals; end the holding window (detach) every
     // 120, so the run exercises attach *and* detach mid-traffic.
     server.run(&stream, |srv, _off| {
         let n = srv.records().len();
         if n > 0 && n % 60 == 0 {
             if let Some(spec) = flips.next() {
-                inject(srv.node(), &mut dog, spec);
+                plant_and_sweep(&srv.node().machine, &mut dog, spec);
             }
         }
         if n > 0 && n % 120 == 0 {
@@ -144,11 +93,10 @@ fn watchdog_cycle_under_live_traffic_drops_nothing() {
     let reports = dog.reports();
     assert_eq!(reports.len(), 6, "all six injected faults detected");
     assert!(reports.iter().all(|r| r.recovered));
-    use std::sync::atomic::Ordering::Relaxed;
-    let stats = &node.mercury().stats;
-    assert!(stats.attaches.load(Relaxed) >= 1, "reactive attach happened");
-    assert!(stats.detaches.load(Relaxed) >= 1, "window-end detach happened");
-    assert_eq!(stats.rendezvous_failures.load(Relaxed), 0);
+    let switches = node.mercury().stats.snapshot();
+    assert!(switches.attaches >= 1, "reactive attach happened");
+    assert!(switches.detaches >= 1, "window-end detach happened");
+    assert_eq!(switches.rendezvous_failures, 0);
 }
 
 /// The documented degradation path under live traffic: a 2-CPU node
@@ -175,19 +123,11 @@ fn sticky_degradation_still_answers_traffic() {
             ..ServerConfig::default()
         },
     );
-    let mut dog = Watchdog::new(
-        node.mercury(),
-        Arc::clone(&node.machine),
-        node.kernel(),
-        WatchdogPolicy {
-            attach_on_fault: true,
-            ..WatchdogPolicy::default()
-        },
-    );
+    let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
 
     faultgen::reset();
     let stream = traffic(202, 120);
-    let mut flips = plan_flips(808, 3).into_iter();
+    let mut flips = flip_plan(&mut SplitMix64::new(808), 7_000, 3).into_iter();
     let mut warned = false;
     server.run(&stream, |srv, _off| {
         let n = srv.records().len();
@@ -200,7 +140,7 @@ fn sticky_degradation_still_answers_traffic() {
                     eprintln!("expecting one ~5 s rendezvous timeout (degradation path) …");
                     warned = true;
                 }
-                inject(srv.node(), &mut dog, spec);
+                plant_and_sweep(&srv.node().machine, &mut dog, spec);
             }
         }
     });
@@ -220,11 +160,10 @@ fn sticky_degradation_still_answers_traffic() {
     let reports = dog.reports();
     assert_eq!(reports.len(), 3);
     assert!(reports.iter().all(|r| r.recovered));
-    use std::sync::atomic::Ordering::Relaxed;
-    let stats = &node.mercury().stats;
+    let switches = node.mercury().stats.snapshot();
     assert!(
-        stats.rendezvous_failures.load(Relaxed) >= 1,
+        switches.rendezvous_failures >= 1,
         "the degradation was caused by a rendezvous timeout"
     );
-    assert_eq!(stats.attaches.load(Relaxed), 0, "attach never completed");
+    assert_eq!(switches.attaches, 0, "attach never completed");
 }

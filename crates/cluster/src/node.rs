@@ -209,9 +209,9 @@ mod tests {
         while !mercury.revalidation_backlog().is_empty() {
             idle.idle().unwrap();
         }
-        let stat = |c: &std::sync::atomic::AtomicU64| c.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(stat(&mercury.stats.idle_revalidated), backlog);
-        assert!(stat(&mercury.stats.idle_cycles_donated) > 0);
+        let donated = mercury.stats.snapshot();
+        assert_eq!(donated.idle_revalidated, backlog);
+        assert!(donated.idle_cycles_donated > 0);
     }
 
     #[test]

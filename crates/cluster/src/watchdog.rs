@@ -139,12 +139,7 @@ pub struct FaultReport {
 /// use mercury_cluster::{Node, NodeConfig, Watchdog, WatchdogPolicy};
 ///
 /// let node = Node::launch("n0", &NodeConfig::default());
-/// let mut dog = Watchdog::new(
-///     node.mercury(),
-///     std::sync::Arc::clone(&node.machine),
-///     node.kernel(),
-///     WatchdogPolicy::default(),
-/// );
+/// let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
 /// let cpu = node.machine.boot_cpu();
 /// // Nothing armed: nothing detected, nothing attached.
 /// assert_eq!(dog.poll(cpu), 0);
@@ -172,14 +167,12 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// A watchdog for the node composed of `machine` + `kernel` +
-    /// `mercury`.
-    pub fn new(
-        mercury: Arc<Mercury>,
-        machine: Arc<Machine>,
-        kernel: Arc<Kernel>,
-        policy: WatchdogPolicy,
-    ) -> Watchdog {
+    /// A watchdog for the node `mercury` manages: the kernel and the
+    /// machine it recovers on are that engine's own, so the three
+    /// handles cannot disagree.
+    pub fn new(mercury: Arc<Mercury>, policy: WatchdogPolicy) -> Watchdog {
+        let kernel = Arc::clone(mercury.kernel());
+        let machine = Arc::clone(&kernel.machine);
         Watchdog {
             mercury,
             machine,
@@ -432,19 +425,10 @@ mod tests {
     use crate::node::{Node, NodeConfig};
     use faultgen::FaultSpec;
 
-    fn dog_for(node: &Node, policy: WatchdogPolicy) -> Watchdog {
-        Watchdog::new(
-            node.mercury(),
-            Arc::clone(&node.machine),
-            node.kernel(),
-            policy,
-        )
-    }
-
     #[test]
     fn quiet_system_means_quiet_watchdog() {
         let node = Node::launch("n0", &NodeConfig::default());
-        let mut dog = dog_for(&node, WatchdogPolicy::default());
+        let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
         let cpu = node.machine.boot_cpu();
         assert_eq!(dog.poll(cpu), 0);
         assert!(dog.reports().is_empty());
@@ -459,7 +443,7 @@ mod tests {
     #[test]
     fn armed_but_unfired_faults_do_not_trigger_recovery() {
         let node = Node::launch("n0", &NodeConfig::default());
-        let mut dog = dog_for(&node, WatchdogPolicy::default());
+        let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
         let cpu = node.machine.boot_cpu();
         faultgen::reset();
         faultgen::arm(vec![FaultSpec {
@@ -483,7 +467,7 @@ mod tests {
     #[test]
     fn degradation_keeps_its_reason() {
         let node = Node::launch("n0", &NodeConfig::default());
-        let mut dog = dog_for(&node, WatchdogPolicy::default());
+        let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
         assert_eq!(dog.degraded_reason(), None);
         dog.mark_degraded("temperature trend rising");
         assert!(dog.degraded());

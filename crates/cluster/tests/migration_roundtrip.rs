@@ -135,12 +135,7 @@ fn run_case(case: &Case) {
     // An ECC storm on the host mid-residence: planted flips, tripped by
     // sweep reads, flipped back by the watchdog.  State-neutral by
     // construction — which is exactly what the final comparison checks.
-    let mut dog = Watchdog::new(
-        host.mercury(),
-        Arc::clone(&host.machine),
-        host.kernel(),
-        WatchdogPolicy::default(),
-    );
+    let mut dog = Watchdog::new(host.mercury(), WatchdogPolicy::default());
     let cpu = host.machine.boot_cpu();
     for k in 0..2u64 {
         faultgen::arm(vec![faultgen::FaultSpec {

@@ -14,19 +14,13 @@ use mercury_cluster::{Node, NodeConfig, RecoveryAction, Watchdog, WatchdogPolicy
 use nimbus::kernel::MmapBacking;
 use nimbus::mm::Prot;
 use simx86::{costs, FrameNum, VirtAddr, PAGE_SIZE};
-use std::sync::Arc;
 
 #[test]
 fn writes_after_a_watchdog_live_update_are_backlog_a_donated_gap_retires() {
     let node = Node::launch("n0", &NodeConfig::default());
     let cpu = node.machine.boot_cpu();
     let mercury = node.mercury();
-    let mut dog = Watchdog::new(
-        node.mercury(),
-        Arc::clone(&node.machine),
-        node.kernel(),
-        WatchdogPolicy::default(),
-    );
+    let mut dog = Watchdog::new(node.mercury(), WatchdogPolicy::default());
 
     // The corruption lands at a hypervisor service point, so the node
     // is virtual.  Hooks are compiled out of this build: fire the armed

@@ -90,7 +90,8 @@ pub use pgtrack::TrackingStrategy;
 pub use refcount::VoRefCount;
 pub use stack::{NodeConfig, Stack};
 pub use switch::{
-    AssistMode, Mercury, ModeDetail, Phase, SwitchError, SwitchOutcome, SwitchStats, Transition,
+    AssistMode, Mercury, ModeDetail, Phase, SwitchCounts, SwitchError, SwitchOutcome, SwitchStats,
+    Transition,
 };
 pub use vo::CountedVo;
 

@@ -220,6 +220,89 @@ pub struct SwitchStats {
     pub idle_cycles_donated: AtomicU64,
 }
 
+/// The cumulative counters of [`SwitchStats`] as plain numbers: what a
+/// report subtracts to charge a window (`now - base`) and adds to sum
+/// windows over several engines.  The `last_*` gauges are not counters
+/// and have no difference, so they are not here.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SwitchCounts {
+    /// [`SwitchStats::attaches`].
+    pub attaches: u64,
+    /// [`SwitchStats::detaches`].
+    pub detaches: u64,
+    /// [`SwitchStats::deferrals`].
+    pub deferrals: u64,
+    /// [`SwitchStats::rendezvous_failures`].
+    pub rendezvous_failures: u64,
+    /// [`SwitchStats::total_attach_cycles`].
+    pub attach_cycles: u64,
+    /// [`SwitchStats::total_detach_cycles`].
+    pub detach_cycles: u64,
+    /// [`SwitchStats::live_updates`].
+    pub live_updates: u64,
+    /// [`SwitchStats::live_update_rollbacks`].
+    pub live_update_rollbacks: u64,
+    /// [`SwitchStats::total_update_cycles`].
+    pub update_cycles: u64,
+    /// [`SwitchStats::idle_revalidated`].
+    pub idle_revalidated: u64,
+    /// [`SwitchStats::idle_cycles_donated`].
+    pub idle_cycles_donated: u64,
+}
+
+impl SwitchStats {
+    /// The counters as they stand.
+    pub fn snapshot(&self) -> SwitchCounts {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        SwitchCounts {
+            attaches: load(&self.attaches),
+            detaches: load(&self.detaches),
+            deferrals: load(&self.deferrals),
+            rendezvous_failures: load(&self.rendezvous_failures),
+            attach_cycles: load(&self.total_attach_cycles),
+            detach_cycles: load(&self.total_detach_cycles),
+            live_updates: load(&self.live_updates),
+            live_update_rollbacks: load(&self.live_update_rollbacks),
+            update_cycles: load(&self.total_update_cycles),
+            idle_revalidated: load(&self.idle_revalidated),
+            idle_cycles_donated: load(&self.idle_cycles_donated),
+        }
+    }
+}
+
+impl SwitchCounts {
+    fn zip(self, o: SwitchCounts, f: fn(u64, u64) -> u64) -> SwitchCounts {
+        SwitchCounts {
+            attaches: f(self.attaches, o.attaches),
+            detaches: f(self.detaches, o.detaches),
+            deferrals: f(self.deferrals, o.deferrals),
+            rendezvous_failures: f(self.rendezvous_failures, o.rendezvous_failures),
+            attach_cycles: f(self.attach_cycles, o.attach_cycles),
+            detach_cycles: f(self.detach_cycles, o.detach_cycles),
+            live_updates: f(self.live_updates, o.live_updates),
+            live_update_rollbacks: f(self.live_update_rollbacks, o.live_update_rollbacks),
+            update_cycles: f(self.update_cycles, o.update_cycles),
+            idle_revalidated: f(self.idle_revalidated, o.idle_revalidated),
+            idle_cycles_donated: f(self.idle_cycles_donated, o.idle_cycles_donated),
+        }
+    }
+}
+
+/// What happened since `base`: `stats.snapshot() - base`.
+impl std::ops::Sub for SwitchCounts {
+    type Output = SwitchCounts;
+    fn sub(self, base: SwitchCounts) -> SwitchCounts {
+        self.zip(base, |now, base| now - base)
+    }
+}
+
+impl std::ops::Add for SwitchCounts {
+    type Output = SwitchCounts;
+    fn add(self, other: SwitchCounts) -> SwitchCounts {
+        self.zip(other, |a, b| a + b)
+    }
+}
+
 /// Descriptor of the rendezvous round in flight, published by the
 /// control processor for its peers.  The epoch pins every peer-side
 /// rendezvous operation to *this* round so a stale interrupt from an
@@ -1644,6 +1727,48 @@ pub(crate) mod tests {
         }
         assert_eq!(mercury.stats.attaches.load(Ordering::Relaxed), 5);
         assert_eq!(mercury.stats.detaches.load(Ordering::Relaxed), 5);
+    }
+
+    /// The snapshot's difference is the hand-loaded atomics' difference.
+    #[test]
+    fn counts_since_a_base_match_the_atomics_after_one_round_trip() {
+        let (machine, _hv, mercury) = rig(1, TrackingStrategy::default());
+        let cpu = machine.boot_cpu();
+        mercury.switch_to_virtual(cpu).unwrap();
+        mercury.switch_to_native(cpu).unwrap();
+        let stats = &mercury.stats;
+        let by_hand = || {
+            [
+                &stats.attaches,
+                &stats.detaches,
+                &stats.total_attach_cycles,
+                &stats.total_detach_cycles,
+                &stats.deferrals,
+            ]
+            .map(|counter| counter.load(Ordering::Relaxed))
+        };
+        let (base, base_by_hand) = (stats.snapshot(), by_hand());
+        mercury.switch_to_virtual(cpu).unwrap();
+        mercury.switch_to_native(cpu).unwrap();
+        let since = stats.snapshot() - base;
+        let since_by_hand: Vec<u64> = by_hand()
+            .iter()
+            .zip(base_by_hand)
+            .map(|(now, base)| now - base)
+            .collect();
+        assert_eq!(
+            vec![
+                since.attaches,
+                since.detaches,
+                since.attach_cycles,
+                since.detach_cycles,
+                since.deferrals
+            ],
+            since_by_hand
+        );
+        assert_eq!((since.attaches, since.detaches), (1, 1));
+        assert!(since.attach_cycles > 0 && since.detach_cycles > 0);
+        assert_eq!(base + since, stats.snapshot());
     }
 
     #[test]

@@ -502,8 +502,7 @@ mod tests {
     }
 
     fn revalidated(node: &Node) -> u64 {
-        let revalidated = &node.mercury().stats.idle_revalidated;
-        revalidated.load(std::sync::atomic::Ordering::Relaxed)
+        node.mercury().stats.snapshot().idle_revalidated
     }
 
     /// After a smaller request the cursor may sit where a larger one no

@@ -88,7 +88,6 @@ impl Mode {
     fn policy(self) -> WatchdogPolicy {
         WatchdogPolicy {
             attach_on_fault: self == Mode::Reactive,
-            ..WatchdogPolicy::default()
         }
     }
 

@@ -42,43 +42,26 @@ pub enum HealthStatus {
     FailurePredicted(String),
 }
 
-/// Prediction thresholds (the policy of a Leangsuksun-style
-/// "failure predictive and policy-based high availability strategy").
-#[derive(Debug, Clone, Copy)]
-pub struct Thresholds {
-    /// Degraded above this temperature.
-    pub temp_warn: f64,
-    /// Failure predicted above this temperature.
-    pub temp_crit: f64,
-    /// Degraded below this fan speed.
-    pub fan_warn: f64,
-    /// Failure predicted below this fan speed.
-    pub fan_crit: f64,
-    /// Allowed relative voltage deviation before warning.
-    pub volt_warn_frac: f64,
-    /// Failure predicted beyond this relative deviation.
-    pub volt_crit_frac: f64,
-    /// Corrected-error rate that predicts imminent uncorrectable ones.
-    pub dram_ce_crit: u32,
-}
+// Prediction thresholds (the policy of a Leangsuksun-style "failure
+// predictive and policy-based high availability strategy").
 
-impl Default for Thresholds {
-    fn default() -> Self {
-        Thresholds {
-            temp_warn: 70.0,
-            temp_crit: 85.0,
-            fan_warn: 2000.0,
-            fan_crit: 800.0,
-            volt_warn_frac: 0.05,
-            volt_crit_frac: 0.10,
-            dram_ce_crit: 16,
-        }
-    }
-}
+/// Degraded above this temperature.
+const TEMP_WARN: f64 = 70.0;
+/// Failure predicted above this temperature.
+const TEMP_CRIT: f64 = 85.0;
+/// Degraded below this fan speed.
+const FAN_WARN: f64 = 2000.0;
+/// Failure predicted below this fan speed.
+const FAN_CRIT: f64 = 800.0;
+/// Allowed relative voltage deviation before warning.
+const VOLT_WARN_FRAC: f64 = 0.05;
+/// Failure predicted beyond this relative deviation.
+const VOLT_CRIT_FRAC: f64 = 0.10;
+/// Corrected-error rate that predicts imminent uncorrectable ones.
+const DRAM_CE_CRIT: u32 = 16;
 
 /// The monitor: keeps the latest reading and a short trend window.
 pub struct HealthMonitor {
-    thresholds: Thresholds,
     history: Mutex<Vec<SensorReading>>,
 }
 
@@ -86,19 +69,9 @@ pub struct HealthMonitor {
 const WINDOW: usize = 16;
 
 impl HealthMonitor {
-    /// A monitor with default thresholds, primed with one nominal
-    /// reading.
+    /// A monitor primed with one nominal reading.
     pub fn new() -> HealthMonitor {
         HealthMonitor {
-            thresholds: Thresholds::default(),
-            history: Mutex::new(vec![SensorReading::default()]),
-        }
-    }
-
-    /// A monitor with custom thresholds.
-    pub fn with_thresholds(thresholds: Thresholds) -> HealthMonitor {
-        HealthMonitor {
-            thresholds,
             history: Mutex::new(vec![SensorReading::default()]),
         }
     }
@@ -140,40 +113,39 @@ impl HealthMonitor {
     /// temperature-trend predictor (three consecutive rising samples
     /// already past the warning line predict failure).
     pub fn assess(&self) -> HealthStatus {
-        let t = &self.thresholds;
         let h = self.history.lock();
         let r = *h.last().expect("primed");
         let volt_dev = (r.voltage - 12.0).abs() / 12.0;
 
-        if r.temp_c >= t.temp_crit {
+        if r.temp_c >= TEMP_CRIT {
             return HealthStatus::FailurePredicted(format!("temperature {:.0}°C", r.temp_c));
         }
-        if r.fan_rpm <= t.fan_crit {
+        if r.fan_rpm <= FAN_CRIT {
             return HealthStatus::FailurePredicted(format!("fan at {:.0} RPM", r.fan_rpm));
         }
-        if volt_dev >= t.volt_crit_frac {
+        if volt_dev >= VOLT_CRIT_FRAC {
             return HealthStatus::FailurePredicted(format!("voltage {:.2} V", r.voltage));
         }
-        if r.dram_ce >= t.dram_ce_crit {
+        if r.dram_ce >= DRAM_CE_CRIT {
             return HealthStatus::FailurePredicted(format!("{} corrected DRAM errors", r.dram_ce));
         }
         // Trend: rising temperature already past the warning line.
         if h.len() >= 3 {
             let tail = &h[h.len() - 3..];
-            if tail.windows(2).all(|w| w[1].temp_c > w[0].temp_c) && r.temp_c >= t.temp_warn {
+            if tail.windows(2).all(|w| w[1].temp_c > w[0].temp_c) && r.temp_c >= TEMP_WARN {
                 return HealthStatus::FailurePredicted(format!(
                     "temperature trending up through {:.0}°C",
                     r.temp_c
                 ));
             }
         }
-        if r.temp_c >= t.temp_warn {
+        if r.temp_c >= TEMP_WARN {
             return HealthStatus::Degraded(format!("temperature {:.0}°C", r.temp_c));
         }
-        if r.fan_rpm <= t.fan_warn {
+        if r.fan_rpm <= FAN_WARN {
             return HealthStatus::Degraded(format!("fan at {:.0} RPM", r.fan_rpm));
         }
-        if volt_dev >= t.volt_warn_frac {
+        if volt_dev >= VOLT_WARN_FRAC {
             return HealthStatus::Degraded(format!("voltage {:.2} V", r.voltage));
         }
         HealthStatus::Healthy
@@ -248,7 +220,7 @@ mod tests {
     #[test]
     fn bit_flips_accumulate_into_a_failure_prediction() {
         let m = HealthMonitor::new();
-        for _ in 0..Thresholds::default().dram_ce_crit {
+        for _ in 0..DRAM_CE_CRIT {
             m.observe_fault(faultgen::FaultClass::MemBitFlip);
         }
         assert!(matches!(m.assess(), HealthStatus::FailurePredicted(_)));

@@ -9,7 +9,7 @@
 //! machine is returned to the native mode for full speed."
 
 use crate::node::Node;
-use mercury::{ExecMode, Mercury, SwitchError, SwitchOutcome, TrackingStrategy};
+use mercury::{ExecMode, Mercury, SwitchError, TrackingStrategy};
 use nimbus::drivers::{attach_native, connect_split};
 use nimbus::kernel::BootMode;
 use nimbus::{Kernel, KernelError};
@@ -21,10 +21,8 @@ use xenon::{Domain, GuestState, HvError};
 /// Errors from the evacuation orchestration.
 #[derive(Debug)]
 pub enum MaintenanceError {
-    /// A mode switch failed.
+    /// A mode switch failed or was refused.
     Switch(SwitchError),
-    /// A switch was deferred; retry.
-    Busy,
     /// The hypervisor-level migration failed.
     Migration(HvError),
     /// The guest kernel failed to freeze/thaw.
@@ -43,11 +41,16 @@ impl From<KernelError> for MaintenanceError {
     }
 }
 
+impl From<SwitchError> for MaintenanceError {
+    fn from(e: SwitchError) -> Self {
+        MaintenanceError::Switch(e)
+    }
+}
+
 impl std::fmt::Display for MaintenanceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             MaintenanceError::Switch(e) => write!(f, "mode switch failed: {e}"),
-            MaintenanceError::Busy => write!(f, "virtualization object busy; retry"),
             MaintenanceError::Migration(e) => write!(f, "live migration failed: {e}"),
             MaintenanceError::Kernel(e) => write!(f, "guest kernel error: {e}"),
         }
@@ -89,19 +92,6 @@ fn thawed_state(dom: &Arc<Domain>) -> Result<GuestState, MaintenanceError> {
             "frozen kernel state missing from migrated domain".into(),
         ))
     })
-}
-
-fn ensure_virtual(m: &Arc<Mercury>) -> Result<(), MaintenanceError> {
-    if m.mode() == ExecMode::Virtual {
-        return Ok(());
-    }
-    match m
-        .switch_to_virtual(m.kernel().machine.boot_cpu())
-        .map_err(MaintenanceError::Switch)?
-    {
-        SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => Ok(()),
-        SwitchOutcome::Deferred { .. } => Err(MaintenanceError::Busy),
-    }
 }
 
 /// Copy the source disk image to the target ("networked file system"
@@ -146,8 +136,9 @@ pub fn evacuate(
 ) -> Result<EvacuatedGuest, MaintenanceError> {
     let src_m = source.mercury();
     let dst_m = target.mercury();
-    ensure_virtual(&src_m)?;
-    ensure_virtual(&dst_m)?;
+    for m in [&src_m, &dst_m] {
+        m.reach(ExecMode::Virtual, m.kernel().machine.boot_cpu())?;
+    }
 
     let cpu = source.machine.boot_cpu();
 
@@ -200,8 +191,7 @@ pub fn evacuate(
         target.hv(),
         Arc::clone(&dom),
         TrackingStrategy::default(),
-    )
-    .map_err(MaintenanceError::Switch)?;
+    )?;
 
     Ok(EvacuatedGuest {
         kernel,
@@ -272,17 +262,10 @@ pub fn return_home(
         home.hv(),
         dom,
         TrackingStrategy::default(),
-    )
-    .map_err(MaintenanceError::Switch)?;
+    )?;
 
     // "the machine is returned to the native mode for full speed."
-    match mercury
-        .switch_to_native(home_cpu)
-        .map_err(MaintenanceError::Switch)?
-    {
-        SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {}
-        SwitchOutcome::Deferred { .. } => return Err(MaintenanceError::Busy),
-    }
+    mercury.reach(ExecMode::Native, home_cpu)?;
     home.adopt_os(kernel, mercury);
 
     // The host may return to native speed too, now that its guest left.
@@ -498,6 +481,26 @@ mod tests {
         let used = mercury.donate_idle(cpu, 1_000_000);
         assert!(used > 0, "idle time must see the new domain's writes");
         assert!(mercury.revalidation_backlog().len() < dirty);
+    }
+
+    /// An evacuation the §5.1.1 gate refuses is over: nothing stays
+    /// pending for the retry timer to attach under a node nobody is
+    /// evacuating any more.
+    #[test]
+    fn refused_evacuation_leaves_the_source_native() {
+        let cluster = Cluster::launch(2, &NodeConfig::default());
+        let (home, host) = (cluster.node(0), cluster.node(1));
+        let mercury = home.mercury();
+        let guard = mercury.vo_refcount().enter();
+        let err = evacuate(home, host).err().expect("the gate refuses");
+        assert!(
+            matches!(err, MaintenanceError::Switch(SwitchError::Busy(1))),
+            "{err}"
+        );
+        drop(guard);
+        assert_eq!(mercury.pending_target(), None);
+        assert_eq!(mercury.mode(), ExecMode::Native);
+        assert_eq!(host.mercury().mode(), ExecMode::Native);
     }
 
     /// A malformed image (no frozen state on the domain, or a state

@@ -24,8 +24,8 @@
 //!
 //! * **`Busy`/deferred switches** — if the attach is deferred by the VO
 //!   reference-count gate or the rendezvous block is busy, the watchdog
-//!   backs off [`WatchdogPolicy::backoff_cycles`] and retries, up to
-//!   [`WatchdogPolicy::max_attach_attempts`] times.
+//!   backs off [`Watchdog::BACKOFF_CYCLES`] and retries, up to
+//!   [`Watchdog::MAX_ATTACH_ATTEMPTS`] times.
 //! * **Rendezvous timeout** — if a peer CPU never reaches a rendezvous
 //!   service point, the attach is abandoned and the watchdog goes
 //!   *sticky degraded*: it stops requesting attaches (each timeout
@@ -39,16 +39,10 @@ use mercury::{ExecMode, Mercury, SwitchError, SwitchOutcome};
 use nimbus::Kernel;
 use simx86::{Cpu, Machine, PhysAddr};
 use std::sync::Arc;
-use xenon::Hypervisor;
 
-/// Watchdog tuning knobs.
+/// The watchdog's one deployment choice.
 #[derive(Debug, Clone, Copy)]
 pub struct WatchdogPolicy {
-    /// Attach attempts per poll before giving up on virtualization for
-    /// this batch of faults (covers `Deferred` and `Busy` outcomes).
-    pub max_attach_attempts: u32,
-    /// Simulated cycles to back off between attach attempts.
-    pub backoff_cycles: u64,
     /// `false` = never attach: recover natively (the paper's
     /// always-native baseline; also what a pure-virtual deployment
     /// uses, where the VMM is already attached).
@@ -58,8 +52,6 @@ pub struct WatchdogPolicy {
 impl Default for WatchdogPolicy {
     fn default() -> Self {
         WatchdogPolicy {
-            max_attach_attempts: 3,
-            backoff_cycles: 20_000,
             attach_on_fault: true,
         }
     }
@@ -269,6 +261,12 @@ impl Watchdog {
         self.attached_by_us
     }
 
+    /// Attach attempts per poll before giving up on virtualization for
+    /// this batch of faults (covers deferred and busy outcomes).
+    pub const MAX_ATTACH_ATTEMPTS: u32 = 3;
+    /// Simulated cycles to back off between attach attempts.
+    pub const BACKOFF_CYCLES: u64 = 20_000;
+
     /// Request an attach, retrying deferred/busy outcomes with backoff.
     /// Returns the number of attempts made.
     fn ensure_attached(&mut self, cpu: &Arc<Cpu>) -> u32 {
@@ -276,7 +274,7 @@ impl Watchdog {
             return 0;
         }
         let mut attempts = 0;
-        while attempts < self.policy.max_attach_attempts {
+        while attempts < Self::MAX_ATTACH_ATTEMPTS {
             attempts += 1;
             match self.mercury.switch_to_virtual(cpu) {
                 Ok(SwitchOutcome::Completed { .. }) => {
@@ -289,7 +287,7 @@ impl Watchdog {
                 // backoff away (DESIGN.md §14) and retry.
                 Ok(SwitchOutcome::Deferred { .. })
                 | Err(SwitchError::Rendezvous(RendezvousError::Busy)) => {
-                    let retry_at = cpu.cycles() + self.policy.backoff_cycles;
+                    let retry_at = cpu.cycles() + Self::BACKOFF_CYCLES;
                     self.machine.evclock.advance(cpu, retry_at);
                 }
                 // A peer CPU never reached its service point.  Each
@@ -394,28 +392,15 @@ impl Watchdog {
         // before this poll, `ensure_attached` has already re-attached
         // (and the attach recompute would *mask* the damage — but the
         // fault stays armed until an update actually resolves it).
-        if self.mercury.mode() != ExecMode::Virtual {
-            return false;
+        // A failed roll-forward has dropped its staging, so the next
+        // poll stages a fresh instance.
+        let updated = self.mercury.roll_forward(cpu).is_ok();
+        if updated {
+            merctrace::counter!(cpu.id, "watchdog.live_update", 1, cpu.cycles());
+        } else {
+            merctrace::counter!(cpu.id, "watchdog.live_update_failed", 1, cpu.cycles());
         }
-        let successor =
-            Hypervisor::warm_up_versioned(&self.machine, self.mercury.hv_version() + 1);
-        if self.mercury.stage_update(successor).is_err() {
-            return false;
-        }
-        match self.mercury.live_update(cpu) {
-            Ok(SwitchOutcome::Completed { .. }) => {
-                merctrace::counter!(cpu.id, "watchdog.live_update", 1, cpu.cycles());
-                true
-            }
-            _ => {
-                // Deferred or rolled back: drop any leftover staging
-                // (and its reserved successor frames) so the next poll
-                // stages a fresh instance.
-                self.mercury.clear_staged_update();
-                merctrace::counter!(cpu.id, "watchdog.live_update_failed", 1, cpu.cycles());
-                false
-            }
-        }
+        updated
     }
 }
 

@@ -7,7 +7,7 @@
 //! checkpoint.  For hardware failures, the snapshot could be manually
 //! restored to another healthy machine."
 
-use crate::switch::{Mercury, SwitchError, SwitchOutcome};
+use crate::switch::{Mercury, SwitchError};
 use nimbus::{BootMode, Kernel};
 use simx86::{Cpu, Machine};
 use std::sync::Arc;
@@ -34,10 +34,8 @@ impl Checkpoint {
 /// Errors from checkpoint/restore orchestration.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// A mode switch failed or stayed deferred.
+    /// The on-demand bracket's attach or detach failed or was refused.
     Switch(SwitchError),
-    /// The switch was deferred (sensitive code in flight) — retry.
-    Busy,
     /// The hypervisor rejected the image.
     Hv(HvError),
     /// The kernel failed to freeze/thaw.
@@ -48,7 +46,6 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Switch(e) => write!(f, "mode switch failed: {e}"),
-            CheckpointError::Busy => write!(f, "virtualization object busy; retry"),
             CheckpointError::Hv(e) => write!(f, "hypervisor error: {e}"),
             CheckpointError::Kernel(e) => write!(f, "kernel error: {e}"),
         }
@@ -57,39 +54,25 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Take a checkpoint: self-virtualize if needed, snapshot, and return
-/// to the original mode.  Applications resume unaware.
+impl From<SwitchError> for CheckpointError {
+    fn from(e: SwitchError) -> Self {
+        CheckpointError::Switch(e)
+    }
+}
+
+/// Take a checkpoint on demand ([`Mercury::on_demand`]): freeze and
+/// snapshot on the VMM.  Applications resume unaware.
 pub fn take(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<Checkpoint, CheckpointError> {
-    let was_native = mercury.mode() == crate::ExecMode::Native;
-    if was_native {
-        match mercury
-            .switch_to_virtual(cpu)
-            .map_err(CheckpointError::Switch)?
-        {
-            SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {}
-            SwitchOutcome::Deferred { .. } => return Err(CheckpointError::Busy),
-        }
-    }
-
-    // Freeze the kernel's logical state into the domain record, then
-    // snapshot the domain (frames + tables + control state).
-    let state = mercury
-        .kernel()
-        .freeze(cpu)
-        .map_err(CheckpointError::Kernel)?;
-    *mercury.dom0().guest_state.lock() = Some(state);
-    let image =
-        save_domain(&mercury.hypervisor(), cpu, mercury.dom0()).map_err(CheckpointError::Hv)?;
-
-    if was_native {
-        match mercury
-            .switch_to_native(cpu)
-            .map_err(CheckpointError::Switch)?
-        {
-            SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {}
-            SwitchOutcome::Deferred { .. } => return Err(CheckpointError::Busy),
-        }
-    }
+    let image = mercury.on_demand(cpu, |_| {
+        // Freeze the kernel's logical state into the domain record, then
+        // snapshot the domain (frames + tables + control state).
+        let state = mercury
+            .kernel()
+            .freeze(cpu)
+            .map_err(CheckpointError::Kernel)?;
+        *mercury.dom0().guest_state.lock() = Some(state);
+        save_domain(&mercury.hypervisor(), cpu, mercury.dom0()).map_err(CheckpointError::Hv)
+    })?;
     Ok(Checkpoint {
         image,
         taken_at: cpu.cycles(),
@@ -149,9 +132,10 @@ mod tests {
     use super::*;
     use crate::switch::tests::rig;
     use crate::TrackingStrategy;
+    use nimbus::drivers::BlockDriver;
     use nimbus::kernel::MmapBacking;
     use nimbus::mm::Prot;
-    use nimbus::Session;
+    use nimbus::{KernelError, Session};
     use simx86::MachineConfig;
 
     #[test]
@@ -236,12 +220,52 @@ mod tests {
         assert_eq!(mercury.mode(), crate::ExecMode::Virtual);
     }
 
+    /// The kernel's own driver, except that nothing ever becomes durable.
+    struct FlushFails(Arc<dyn BlockDriver>);
+
+    impl BlockDriver for FlushFails {
+        fn read_block(
+            &self,
+            cpu: &Arc<Cpu>,
+            block: u64,
+            out: &mut [u8],
+        ) -> Result<(), KernelError> {
+            self.0.read_block(cpu, block, out)
+        }
+        fn write_block(&self, cpu: &Arc<Cpu>, block: u64, data: &[u8]) -> Result<(), KernelError> {
+            self.0.write_block(cpu, block, data)
+        }
+        fn flush(&self, _: &Arc<Cpu>) -> Result<(), KernelError> {
+            Err(KernelError::NoSpace)
+        }
+        fn kind(&self) -> &'static str {
+            "flush-fails"
+        }
+    }
+
+    #[test]
+    fn failed_freeze_does_not_strand_the_node_in_virtual_mode() {
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
+        let cpu = machine.boot_cpu();
+        let kernel = mercury.kernel();
+        kernel.set_block_driver(Arc::new(FlushFails(kernel.block_driver().unwrap())));
+        assert!(matches!(
+            take(&mercury, cpu),
+            Err(CheckpointError::Kernel(KernelError::NoSpace))
+        ));
+        assert_eq!(mercury.mode(), crate::ExecMode::Native);
+        assert!(!hv.is_active());
+    }
+
     #[test]
     fn busy_vo_fails_cleanly() {
         let (machine, _hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
         let cpu = machine.boot_cpu();
         let _guard = mercury.vo_refcount().enter();
-        assert!(matches!(take(&mercury, cpu), Err(CheckpointError::Busy)));
+        assert!(matches!(
+            take(&mercury, cpu),
+            Err(CheckpointError::Switch(SwitchError::Busy(1)))
+        ));
         assert_eq!(mercury.mode(), crate::ExecMode::Native);
     }
 }

@@ -9,14 +9,13 @@
 //! the bit-flip class the DRAM-error studies cited by the paper
 //! motivate): a PTE pointing outside the frames the OS owns.  The
 //! *sensor* is a validation walk with the dormant VMM's ownership
-//! records; the *healer* runs at PL0 in the switch handler's context,
-//! zaps the poisoned entries (the page refaults cleanly afterwards), and
-//! then self-virtualization proceeds — an attach over tainted tables
-//! would be rejected by the hypervisor's validators, which is itself a
-//! detection layer.
+//! records; the *healer* runs at PL0 in the switch handler's context and
+//! zaps the poisoned entries (the page refaults cleanly afterwards).  An
+//! attach over tainted tables would be rejected by the hypervisor's
+//! validators, which is itself a detection layer — and what validates
+//! the repair.
 
-use crate::switch::{Mercury, SwitchError, SwitchOutcome};
-use crate::ExecMode;
+use crate::switch::{Mercury, SwitchError};
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::{costs, Cpu};
@@ -38,10 +37,9 @@ pub struct RepairReport {
 /// Healing errors.
 #[derive(Debug)]
 pub enum HealError {
-    /// The post-repair validation attach failed: state is still bad.
-    StillTainted(SwitchError),
-    /// A switch was deferred; retry.
-    Busy,
+    /// The post-repair validating round trip failed (the state is
+    /// still bad) or was refused.
+    Switch(SwitchError),
     /// Hardware fault during the scan.
     Hardware(simx86::Fault),
 }
@@ -49,14 +47,19 @@ pub enum HealError {
 impl std::fmt::Display for HealError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HealError::StillTainted(e) => write!(f, "repair did not converge: {e}"),
-            HealError::Busy => write!(f, "virtualization object busy; retry"),
+            HealError::Switch(e) => write!(f, "repair not validated: {e}"),
             HealError::Hardware(e) => write!(f, "hardware fault while scanning: {e}"),
         }
     }
 }
 
 impl std::error::Error for HealError {}
+
+impl From<SwitchError> for HealError {
+    fn from(e: SwitchError) -> Self {
+        HealError::Switch(e)
+    }
+}
 
 /// The sensor: count PTEs referencing frames the OS does not own.
 /// Cheap enough to run periodically.
@@ -65,7 +68,7 @@ pub fn sense(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<usize, HealError>
 }
 
 /// Run the sensor and, if it fires, the VMM-assisted repair followed by
-/// a validating attach/detach round trip.
+/// a validating round trip (an empty [`Mercury::on_demand`]).
 pub fn heal(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<RepairReport, HealError> {
     let mut report = scan(mercury, cpu, true)?;
     if report.repaired_entries == 0 {
@@ -73,24 +76,7 @@ pub fn heal(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<RepairReport, Heal
     }
     // Validate: a full self-virtualization round trip re-runs the
     // hypervisor's validators over every table.
-    let was_native = mercury.mode() == ExecMode::Native;
-    if was_native {
-        match mercury
-            .switch_to_virtual(cpu)
-            .map_err(HealError::StillTainted)?
-        {
-            SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {}
-            SwitchOutcome::Deferred { .. } => return Err(HealError::Busy),
-        }
-        match mercury
-            .switch_to_native(cpu)
-            .map_err(HealError::StillTainted)?
-        {
-            SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {}
-            SwitchOutcome::Deferred { .. } => return Err(HealError::Busy),
-        }
-        report.validated_by_attach = true;
-    }
+    report.validated_by_attach = mercury.on_demand(cpu, Ok::<bool, SwitchError>)?;
     Ok(report)
 }
 

@@ -7,8 +7,7 @@
 //! applies the live update and is detached when the live update is
 //! completed."
 
-use crate::switch::{Mercury, SwitchError, SwitchOutcome};
-use crate::ExecMode;
+use crate::switch::{Mercury, SwitchError};
 use simx86::{costs, Cpu};
 use std::sync::Arc;
 
@@ -31,60 +30,22 @@ pub struct UpdateReport {
     pub returned_native: bool,
 }
 
-/// Errors from the live-update orchestration.
-#[derive(Debug)]
-pub enum UpdateError {
-    /// Mode switch failed.
-    Switch(SwitchError),
-    /// Sensitive code in flight; retry later.
-    Busy,
-}
-
-impl std::fmt::Display for UpdateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UpdateError::Switch(e) => write!(f, "mode switch failed: {e}"),
-            UpdateError::Busy => write!(f, "virtualization object busy; retry"),
-        }
-    }
-}
-
-impl std::error::Error for UpdateError {}
-
-/// Apply a live patch: attach the VMM if needed, patch under its
-/// mediation, and detach again.  Running applications never stop.
+/// Apply a live patch under the VMM's mediation, on demand
+/// ([`Mercury::on_demand`]).  Running applications never stop.
 pub fn apply(
     mercury: &Arc<Mercury>,
     cpu: &Arc<Cpu>,
     name: &str,
     version: u64,
-) -> Result<UpdateReport, UpdateError> {
+) -> Result<UpdateReport, SwitchError> {
     let t0 = cpu.cycles();
-    let was_native = mercury.mode() == ExecMode::Native;
-    if was_native {
-        match mercury
-            .switch_to_virtual(cpu)
-            .map_err(UpdateError::Switch)?
-        {
-            SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {}
-            SwitchOutcome::Deferred { .. } => return Err(UpdateError::Busy),
-        }
-    }
-
-    // The VMM is in full control; apply the patch atomically with
-    // respect to guest execution.
-    cpu.tick(PATCH_APPLY_COST);
-    let old_version = mercury.kernel().apply_patch(name, version);
-
-    let mut returned_native = false;
-    if was_native {
-        match mercury.switch_to_native(cpu).map_err(UpdateError::Switch)? {
-            SwitchOutcome::Completed { .. } | SwitchOutcome::AlreadyInMode => {
-                returned_native = true;
-            }
-            SwitchOutcome::Deferred { .. } => return Err(UpdateError::Busy),
-        }
-    }
+    let (old_version, returned_native) = mercury.on_demand(cpu, |attached| {
+        // The VMM is in full control; apply the patch atomically with
+        // respect to guest execution.
+        cpu.tick(PATCH_APPLY_COST);
+        let old = mercury.kernel().apply_patch(name, version);
+        Ok::<_, SwitchError>((old, attached))
+    })?;
     Ok(UpdateReport {
         name: name.to_string(),
         old_version,
@@ -103,7 +64,7 @@ pub fn estimated_disruption_us(report: &UpdateReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::switch::tests::rig;
+    use crate::switch::tests::{let_the_retry_timer_fire, rig};
     use crate::TrackingStrategy;
 
     #[test]
@@ -143,12 +104,17 @@ mod tests {
 
     #[test]
     fn busy_vo_rejects_update() {
-        let (machine, _hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
         let cpu = machine.boot_cpu();
-        let _g = mercury.vo_refcount().enter();
-        assert!(matches!(
-            apply(&mercury, cpu, "x", 1),
-            Err(UpdateError::Busy)
-        ));
+        let guard = mercury.vo_refcount().enter();
+        assert_eq!(apply(&mercury, cpu, "x", 1), Err(SwitchError::Busy(1)));
+        assert_eq!(mercury.kernel().patch_version("x"), None);
+        // A refused update is over: the retry timer must not attach the
+        // VMM later on behalf of a caller that already gave up.
+        assert_eq!(mercury.pending_target(), None);
+        drop(guard);
+        let_the_retry_timer_fire(&machine, cpu);
+        assert_eq!(mercury.mode(), crate::ExecMode::Native);
+        assert!(!hv.is_active());
     }
 }

@@ -149,6 +149,11 @@ pub enum SwitchError {
     /// back to the incumbent VMM (guest state untouched — DESIGN.md §16
     /// rule #3) and the staged successor was consumed.
     UpdateRolledBack(String),
+    /// The §5.1.1 gate refused a caller that wanted the switch now or
+    /// not at all ([`Mercury::reach`]): virtualization-sensitive code
+    /// was in flight (the offending reference count), nothing was left
+    /// for the retry timer, and the caller may simply try again.
+    Busy(usize),
 }
 
 impl std::fmt::Display for SwitchError {
@@ -166,6 +171,9 @@ impl std::fmt::Display for SwitchError {
             }
             SwitchError::UpdateRolledBack(e) => {
                 write!(f, "live-update rolled back to the incumbent VMM: {e}")
+            }
+            SwitchError::Busy(rc) => {
+                write!(f, "virtualization object busy ({rc} in flight); retry")
             }
         }
     }
@@ -878,6 +886,58 @@ impl Mercury {
         self.request(cpu, vectors::SELF_VIRT_DETACH)
     }
 
+    // ---- the on-demand bracket (DESIGN.md §6) ------------------------------
+
+    /// Reach `target` now or not at all.  Where
+    /// [`switch_to_virtual`](Mercury::switch_to_virtual) leaves a
+    /// deferred request with the §5.1.1 retry timer, this withdraws it:
+    /// a caller that gave up must not find the VMM attached (or gone) a
+    /// timer period later with nobody left to switch back.  Returns
+    /// whether this call switched; a refusal is
+    /// [`SwitchError::Busy`].  Charges no cycle of its own.
+    pub fn reach(&self, target: ExecMode, cpu: &Arc<Cpu>) -> Result<bool, SwitchError> {
+        if self.mode() == target {
+            // No request is raised, so none of its interrupt cost is paid.
+            return Ok(false);
+        }
+        let out = match target {
+            ExecMode::Virtual => self.switch_to_virtual(cpu),
+            ExecMode::Native => self.switch_to_native(cpu),
+        }?;
+        match out {
+            SwitchOutcome::Completed { .. } => Ok(true),
+            SwitchOutcome::AlreadyInMode => Ok(false),
+            SwitchOutcome::Deferred { refcount } => {
+                *self.pending.lock() = None;
+                Err(SwitchError::Busy(refcount))
+            }
+        }
+    }
+
+    /// Virtualize on demand (PAPER.md §1): attach the VMM if the kernel
+    /// is native, run `body` on it, and detach again if — and only if —
+    /// this call attached.  `body` is told whether it did.  The bracket
+    /// undoes what it did on `body`'s error path too, so a failed
+    /// freeze or save leaves the node in the mode it was found in; a
+    /// node that was already virtual stays virtual either way.  When
+    /// both `body` and the detach fail, `body`'s error is the one
+    /// returned.
+    pub fn on_demand<T, E: From<SwitchError>>(
+        &self,
+        cpu: &Arc<Cpu>,
+        body: impl FnOnce(bool) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let was_native = self.reach(ExecMode::Virtual, cpu)?;
+        let out = body(was_native);
+        if was_native {
+            let back = self.reach(ExecMode::Native, cpu);
+            if out.is_ok() {
+                back?;
+            }
+        }
+        out
+    }
+
     // ---- hypervisor live-update (DESIGN.md §16) -----------------------------
 
     /// Stage `successor` for a hypervisor live-update: validate the
@@ -950,6 +1010,29 @@ impl Mercury {
                 self.machine.allocator.free(f);
             }
             merctrace::counter!(cpu.id, "switch.liveupdate.reclaimed", _n, cpu.cycles());
+        }
+        out
+    }
+
+    /// Roll the running VMM forward one version: warm up a pristine
+    /// successor, stage it, live-update onto it.  Anything short of a
+    /// committed update — a refused stage, a deferral, a rollback —
+    /// drops the staging and its reserved frames before the error is
+    /// returned, so a caller cannot leak the successor's pool.
+    pub fn roll_forward(&self, cpu: &Arc<Cpu>) -> Result<(), SwitchError> {
+        if self.mode() != ExecMode::Virtual {
+            return Err(SwitchError::NotVirtual);
+        }
+        let successor = Hypervisor::warm_up_versioned(&self.machine, self.hv_version() + 1);
+        let out = self
+            .stage_update(successor)
+            .and_then(|()| self.live_update(cpu))
+            .and_then(|out| match out {
+                SwitchOutcome::Deferred { refcount } => Err(SwitchError::Busy(refcount)),
+                _ => Ok(()),
+            });
+        if out.is_err() {
+            self.clear_staged_update();
         }
         out
     }
@@ -1645,18 +1728,73 @@ pub(crate) mod tests {
         assert_eq!(mercury.stats.deferrals.load(Ordering::Relaxed), 1);
 
         // Still busy at the next tick: stays native.
-        cpu.tick(costs::SWITCH_RETRY_PERIOD + 1000);
-        machine.timer.poll(cpu);
-        cpu.service_pending();
+        let_the_retry_timer_fire(&machine, cpu);
         assert_eq!(mercury.mode(), ExecMode::Native);
 
         // Release and let the retry timer fire (§5.1.1).
         drop(guard);
+        let_the_retry_timer_fire(&machine, cpu);
+        assert_eq!(mercury.mode(), ExecMode::Virtual);
+        assert_eq!(mercury.pending_target(), None);
+    }
+
+    /// One retry period passes and its timer tick is serviced: what
+    /// §5.1.1 does with whatever a deferred or refused caller left.
+    pub(crate) fn let_the_retry_timer_fire(machine: &Machine, cpu: &Arc<Cpu>) {
         cpu.tick(costs::SWITCH_RETRY_PERIOD + 1000);
         machine.timer.poll(cpu);
         cpu.service_pending();
-        assert_eq!(mercury.mode(), ExecMode::Virtual);
+    }
+
+    #[test]
+    fn refused_bracket_leaves_nothing_for_the_retry_timer() {
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
+        let cpu = machine.boot_cpu();
+        let guard = mercury.vo_refcount().enter();
+        let ran = std::cell::Cell::new(false);
+        let out = mercury.on_demand(cpu, |_| {
+            ran.set(true);
+            Ok::<_, SwitchError>(())
+        });
+        assert_eq!(out, Err(SwitchError::Busy(1)));
+        assert!(!ran.get(), "the body runs on the VMM or not at all");
         assert_eq!(mercury.pending_target(), None);
+
+        drop(guard);
+        let_the_retry_timer_fire(&machine, cpu);
+        assert_eq!(mercury.mode(), ExecMode::Native);
+        assert!(!hv.is_active());
+    }
+
+    #[test]
+    fn bracket_undoes_its_attach_when_the_body_fails() {
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
+        let cpu = machine.boot_cpu();
+        let out = mercury.on_demand(cpu, |attached| {
+            assert!(attached && hv.is_active());
+            Err::<(), _>(SwitchError::NothingPending)
+        });
+        assert_eq!(out, Err(SwitchError::NothingPending));
+        assert_eq!(mercury.mode(), ExecMode::Native);
+        assert!(!hv.is_active());
+        assert_eq!(mercury.stats.snapshot().detaches, 1);
+    }
+
+    #[test]
+    fn bracket_leaves_an_already_virtual_node_virtual() {
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
+        let cpu = machine.boot_cpu();
+        mercury.switch_to_virtual(cpu).unwrap();
+        let before = (cpu.cycles(), mercury.stats.snapshot());
+        let out = mercury.on_demand(cpu, |attached| {
+            assert!(!attached);
+            Err::<(), _>(SwitchError::NothingPending)
+        });
+        assert_eq!(out, Err(SwitchError::NothingPending));
+        assert_eq!(mercury.mode(), ExecMode::Virtual);
+        assert!(hv.is_active());
+        // It only undoes what it did, and asking cost nothing.
+        assert_eq!((cpu.cycles(), mercury.stats.snapshot()), before);
     }
 
     #[test]
@@ -2558,6 +2696,30 @@ mod hw_tests {
         assert_eq!(mercury.staged_update_version(), Some(2));
         mercury.clear_staged_update();
         assert_eq!(mercury.staged_update_version(), None);
+    }
+
+    #[test]
+    fn failed_roll_forward_keeps_no_staging_and_no_frames() {
+        let (machine, _v1, mercury) = rig(1, TrackingStrategy::default());
+        let cpu = machine.boot_cpu();
+        let free = machine.allocator.available();
+        // Native: refused before a successor is warmed up.
+        assert_eq!(mercury.roll_forward(cpu), Err(SwitchError::NotVirtual));
+        // Deferred and rolled back: the staging goes with the error.
+        mercury.switch_to_virtual(cpu).unwrap();
+        let guard = mercury.vo_refcount().enter();
+        assert_eq!(mercury.roll_forward(cpu), Err(SwitchError::Busy(1)));
+        drop(guard);
+        mercury.inject_abort(Some(mercury.phases(Transition::Update)[0].name));
+        let err = mercury.roll_forward(cpu).unwrap_err();
+        assert!(matches!(err, SwitchError::UpdateRolledBack(_)), "{err}");
+        assert_eq!(mercury.staged_update_version(), None);
+        assert_eq!(machine.allocator.available(), free);
+        assert_eq!(mercury.hv_version(), 1);
+
+        mercury.roll_forward(cpu).unwrap();
+        assert_eq!(mercury.hv_version(), 2);
+        assert_eq!(machine.allocator.available(), free);
     }
 
     #[test]

@@ -52,13 +52,12 @@
 
 use crate::loadgen::Arrival;
 use crate::sched::{NodeServer, RequestRecord, ServerConfig};
-use mercury::{ExecMode, SwitchOutcome};
+use mercury::SwitchError;
 use mercury_cluster::maintenance::{evacuate, return_home, EvacuatedGuest, MaintenanceError};
 use mercury_cluster::{Cluster, Node};
 use mercury_workloads::mix::RequestShape;
 use std::ops::Range;
 use std::sync::Arc;
-use xenon::Hypervisor;
 
 /// Where one node's OS is.
 pub enum NodeState {
@@ -534,8 +533,9 @@ impl FleetServer {
     /// native node is attached for the duration of its updates and
     /// detached again; a node already virtual (e.g. hosting a parked
     /// guest) updates under its live domains.  Returns how many nodes
-    /// rolled forward; a node whose update rolls back is degraded (its
-    /// incumbent VMM keeps running) and skipped.
+    /// rolled forward; a node whose update rolls back (its incumbent
+    /// VMM keeps running), or that cannot attach for it or return
+    /// native after it, is degraded and not counted.
     pub fn update_rack(&mut self, rack: usize, target_version: u32) -> usize {
         let mut updated = 0;
         for m in self.rack_members(rack) {
@@ -552,44 +552,21 @@ impl FleetServer {
                 continue;
             }
             let cpu = node.machine.boot_cpu();
-            let was_native = mercury.mode() == ExecMode::Native;
-            if was_native {
-                let out = mercury.switch_to_virtual(cpu);
-                if !matches!(out, Ok(SwitchOutcome::Completed { .. })) {
-                    self.degrade(m, &format!("live-update attach failed: {out:?}"));
-                    continue;
-                }
-            }
-            let mut ok = true;
-            while ok && mercury.hv_version() < target_version {
-                let guests = node.hv().domains().len();
-                let succ = Hypervisor::warm_up_versioned(&node.machine, mercury.hv_version() + 1);
-                ok = mercury.stage_update(succ).is_ok()
-                    && matches!(
-                        mercury.live_update(cpu),
-                        Ok(SwitchOutcome::Completed { .. })
-                    );
-                if ok {
+            let rolled = mercury.on_demand(cpu, |_| {
+                while mercury.hv_version() < target_version {
+                    let guests = node.hv().domains().len();
+                    mercury.roll_forward(cpu)?;
                     debug_assert_eq!(
                         node.hv().domains().len(),
                         guests,
                         "an update must carry every domain across"
                     );
-                } else {
-                    // A rollback consumes the staged successor; drop
-                    // anything a refused stage left behind too.
-                    mercury.clear_staged_update();
                 }
-            }
-            if was_native {
-                // Back to native serving; a failure here leaves the
-                // node virtual, which still serves.
-                let _ = mercury.switch_to_native(cpu);
-            }
-            if ok {
-                updated += 1;
-            } else {
-                self.degrade(m, "live-update rolled back");
+                Ok::<_, SwitchError>(())
+            });
+            match rolled {
+                Ok(()) => updated += 1,
+                Err(e) => self.degrade(m, &format!("live-update failed: {e}")),
             }
         }
         updated
@@ -615,6 +592,7 @@ mod tests {
     use crate::loadgen::{generate, LoadConfig};
     use crate::sched::Outcome;
     use faultgen::rng::{check, SplitMix64};
+    use mercury::ExecMode;
     use mercury_cluster::NodeConfig;
     use mercury_workloads::mix::CostMix;
 
@@ -918,6 +896,27 @@ mod tests {
         );
         let records = fs.finish();
         assert_eq!(records.len() as u64, fs.offered(), "zero lost requests");
+    }
+
+    /// A node the §5.1.1 gate refuses is degraded with the reason and
+    /// left as it was found: native, and with nothing pending that the
+    /// retry timer would attach after the wave has moved on.
+    #[test]
+    fn live_update_wave_degrades_a_refused_node_and_leaves_it_native() {
+        let mut fs = small_fleet(2, 2);
+        let busy = fs.nodes()[0].mercury();
+        let guard = busy.vo_refcount().enter();
+        assert_eq!(fs.update_rack(0, 2), 1, "only the idle node rolls");
+        drop(guard);
+        let NodeState::Serving { degraded, .. } = fs.state(0) else {
+            panic!("node 0 stopped serving");
+        };
+        let reason = degraded.as_deref().expect("refused node is degraded");
+        assert!(reason.contains("busy"), "{reason}");
+        assert_eq!(busy.pending_target(), None);
+        assert_eq!(busy.mode(), ExecMode::Native);
+        assert_eq!(busy.staged_update_version(), None);
+        assert_eq!(fs.min_hv_version(), 1);
     }
 
     #[test]

@@ -37,8 +37,9 @@ use simx86::mem::FrameNum;
 use simx86::paging::{Pte, VirtAddr, PAGE_SIZE};
 use simx86::sync::{Mutex, RwLock};
 use simx86::{costs, Cpu, Machine, Mmu, PrivLevel};
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xenon::{Domain, GuestState, Hypervisor};
 
@@ -124,6 +125,61 @@ pub type IdleTask = Arc<dyn Fn(&Arc<Cpu>, u64) -> u64 + Send + Sync>;
 /// small enough that an interrupt-driven wakeup is never delayed by
 /// more than a few microseconds of donated work.
 pub const IDLE_DONATION_QUANTUM: u64 = 10_000;
+
+const NO_BLOCK_DRIVER: KernelError = KernelError::Invalid("no block driver");
+const NO_NET_DRIVER: KernelError = KernelError::Invalid("no net driver");
+
+/// A slot the kernel swaps a few times a second and reads on every
+/// syscall — the VO, the block driver, the net driver (DESIGN.md §14b).
+/// A writer stores under the lock, then bumps the stamp (`Release`); a
+/// [`SlotCache`] takes the lock only when the stamp moved.
+pub(crate) struct Published<V> {
+    value: RwLock<V>,
+    stamp: AtomicU64,
+}
+
+impl<V: Clone> Published<V> {
+    fn new(value: V) -> Self {
+        Published {
+            value: RwLock::new(value),
+            stamp: AtomicU64::new(0),
+        }
+    }
+
+    /// The value now: a lock and a clone (the cold readers' path).
+    fn get(&self) -> V {
+        self.value.read().clone()
+    }
+
+    fn publish(&self, value: V) {
+        *self.value.write() = value;
+        self.stamp.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// The reader's half of a [`Published`] slot, for the one host thread
+/// that drives a [`crate::Session`]: the value as of the stamp it was
+/// read at.  A reader that sees the new stamp then reads at least that
+/// value; one that sees the old stamp uses what it would have read a
+/// moment earlier.
+pub(crate) struct SlotCache<V>(RefCell<(u64, V)>);
+
+impl<V: Clone> SlotCache<V> {
+    pub(crate) fn new(slot: &Published<V>) -> Self {
+        let stamp = slot.stamp.load(Ordering::Acquire);
+        SlotCache(RefCell::new((stamp, slot.get())))
+    }
+
+    /// The slot's value: one `Acquire` load, and the lock only when
+    /// the stamp moved since the last read.
+    pub(crate) fn read(&self, slot: &Published<V>) -> Ref<'_, V> {
+        let stamp = slot.stamp.load(Ordering::Acquire);
+        if self.0.borrow().0 != stamp {
+            *self.0.borrow_mut() = (stamp, slot.get());
+        }
+        Ref::map(self.0.borrow(), |(_, value)| value)
+    }
+}
 
 /// Everything behind the kernel lock — and, cloned whole, everything a
 /// checkpoint or a migration carries (§6.1).
@@ -223,13 +279,13 @@ impl KState {
 pub struct Kernel {
     /// The machine this kernel runs on.
     pub machine: Arc<Machine>,
-    pv: RwLock<Arc<dyn PvOps>>,
+    pub(crate) pv: Published<Arc<dyn PvOps>>,
     state: Mutex<KState>,
     idt: Arc<IdtTable>,
     kmap: KernelMap,
     kernel_pdes: Vec<(usize, Pte)>,
-    block: RwLock<Option<Arc<dyn BlockDriver>>>,
-    net: RwLock<Option<Arc<dyn NetDriver>>>,
+    pub(crate) block: Published<Option<Arc<dyn BlockDriver>>>,
+    pub(crate) net: Published<Option<Arc<dyn NetDriver>>>,
     timer_callbacks: Mutex<Vec<TimerCallback>>,
     self_virt: RwLock<Option<Arc<dyn InterruptSink>>>,
     mode: BootMode,
@@ -302,7 +358,7 @@ struct NicSink(Weak<Kernel>);
 impl InterruptSink for NicSink {
     fn handle(&self, cpu: &Arc<Cpu>, _frame: &mut TrapFrame) {
         let Some(k) = self.0.upgrade() else { return };
-        k.net_rx_pump(cpu);
+        k.net_rx_pump(cpu, k.net.get().as_deref());
     }
 }
 
@@ -432,13 +488,13 @@ impl Kernel {
             Kernel {
                 smp: machine.num_cpus() > 1,
                 machine,
-                pv: RwLock::new(pv),
+                pv: Published::new(pv),
                 state: Mutex::new(image.state),
                 idt: Arc::new(idt),
                 kmap: image.kmap,
                 kernel_pdes: image.kernel_pdes,
-                block: RwLock::new(None),
-                net: RwLock::new(None),
+                block: Published::new(None),
+                net: Published::new(None),
                 timer_callbacks: Mutex::new(Vec::new()),
                 self_virt: RwLock::new(None),
                 patches: RwLock::new(image.patches),
@@ -569,17 +625,17 @@ impl Kernel {
 
     /// The active paravirt object.
     pub fn pv(&self) -> Arc<dyn PvOps> {
-        Arc::clone(&self.pv.read())
+        self.pv.get()
     }
 
     /// Swap the paravirt object (Mercury's VO relocation, §4.2).
     pub fn set_pv(&self, pv: Arc<dyn PvOps>) {
-        *self.pv.write() = pv;
+        self.pv.publish(pv);
     }
 
     /// Current execution mode.
     pub fn exec_mode(&self) -> ExecMode {
-        self.pv.read().mode()
+        self.pv.value.read().mode()
     }
 
     /// The kernel's own gate table (Mercury restores it on detach).
@@ -611,28 +667,22 @@ impl Kernel {
     /// Attach the block driver (done by the test bed after boot, since
     /// driver shape depends on the system configuration).
     pub fn set_block_driver(&self, d: Arc<dyn BlockDriver>) {
-        *self.block.write() = Some(d);
+        self.block.publish(Some(d));
     }
 
     /// Attach the network driver.
     pub fn set_net_driver(&self, d: Arc<dyn NetDriver>) {
-        *self.net.write() = Some(d);
+        self.net.publish(Some(d));
     }
 
     /// The block driver.
     pub fn block_driver(&self) -> Result<Arc<dyn BlockDriver>, KernelError> {
-        self.block
-            .read()
-            .clone()
-            .ok_or(KernelError::Invalid("no block driver"))
+        self.block.get().ok_or(NO_BLOCK_DRIVER)
     }
 
     /// The network driver.
     pub fn net_driver(&self) -> Result<Arc<dyn NetDriver>, KernelError> {
-        self.net
-            .read()
-            .clone()
-            .ok_or(KernelError::Invalid("no net driver"))
+        self.net.get().ok_or(NO_NET_DRIVER)
     }
 
     /// Register a periodic timer callback (Mercury's retry timer,
@@ -1133,8 +1183,14 @@ impl Kernel {
     }
 
     /// `read`: pipes block when empty; files read at the descriptor
-    /// cursor.
-    pub fn read(&self, cpu: &Arc<Cpu>, fd: usize, len: usize) -> Result<ReadOutcome, KernelError> {
+    /// cursor, through `block` (the caller's copy of the block driver).
+    pub fn read(
+        &self,
+        cpu: &Arc<Cpu>,
+        fd: usize,
+        len: usize,
+        block: Option<&dyn BlockDriver>,
+    ) -> Result<ReadOutcome, KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
         match st.current_fd(cpu, fd)? {
@@ -1154,8 +1210,8 @@ impl Kernel {
                 Ok(ReadOutcome::Data(data))
             }
             Desc::File { ino, pos } => {
-                let driver = self.block_driver()?;
-                let data = st.vfs.read(cpu, driver.as_ref(), ino, pos, len)?;
+                let driver = block.ok_or(NO_BLOCK_DRIVER)?;
+                let data = st.vfs.read(cpu, driver, ino, pos, len)?;
                 st.current(cpu)?.fds[fd] = Some(Desc::File {
                     ino,
                     pos: pos + data.len() as u64,
@@ -1166,12 +1222,14 @@ impl Kernel {
         }
     }
 
-    /// `write`: pipes block when full; files write at the cursor.
+    /// `write`: pipes block when full; files write at the cursor,
+    /// through `block`.
     pub fn write(
         &self,
         cpu: &Arc<Cpu>,
         fd: usize,
         data: &[u8],
+        block: Option<&dyn BlockDriver>,
     ) -> Result<WriteOutcome, KernelError> {
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
@@ -1191,8 +1249,8 @@ impl Kernel {
                 Ok(WriteOutcome::Wrote(data.len()))
             }
             Desc::File { ino, pos } => {
-                let driver = self.block_driver()?;
-                let n = st.vfs.write(cpu, driver.as_ref(), ino, pos, data)?;
+                let driver = block.ok_or(NO_BLOCK_DRIVER)?;
+                let n = st.vfs.write(cpu, driver, ino, pos, data)?;
                 st.current(cpu)?.fds[fd] = Some(Desc::File {
                     ino,
                     pos: pos + n as u64,
@@ -1496,23 +1554,24 @@ impl Kernel {
         Ok(st.current(cpu)?.alloc_fd(Desc::Sock(id)))
     }
 
-    /// `sendto`.
+    /// `sendto`, through `net` (the caller's copy of the net driver).
     pub fn sendto(
         &self,
         cpu: &Arc<Cpu>,
         fd: usize,
         dst_port: u16,
         payload: &[u8],
+        net: Option<&dyn NetDriver>,
     ) -> Result<(), KernelError> {
-        let driver = self.net_driver()?;
+        let driver = net.ok_or(NO_NET_DRIVER)?;
         let src_port = self.lock_state(cpu).current_sock(cpu, fd)?.port;
         let pkt = encode_packet(dst_port, src_port, payload);
         driver.send(cpu, &pkt)
     }
 
-    /// Drain the network driver into socket receive queues.
-    pub fn net_rx_pump(&self, cpu: &Arc<Cpu>) -> usize {
-        let Ok(driver) = self.net_driver() else {
+    /// Drain the network driver `net` into socket receive queues.
+    pub fn net_rx_pump(&self, cpu: &Arc<Cpu>, net: Option<&dyn NetDriver>) -> usize {
+        let Some(driver) = net else {
             return 0;
         };
         let mut delivered = 0;
@@ -1528,13 +1587,15 @@ impl Kernel {
         delivered
     }
 
-    /// Non-blocking receive: pop a datagram if one is queued.
+    /// Non-blocking receive: drain `net`, then pop a datagram if one is
+    /// queued.
     pub fn recvfrom_nonblock(
         &self,
         cpu: &Arc<Cpu>,
         fd: usize,
+        net: Option<&dyn NetDriver>,
     ) -> Result<Option<(u16, Vec<u8>)>, KernelError> {
-        self.net_rx_pump(cpu);
+        self.net_rx_pump(cpu, net);
         let mut st = self.lock_state(cpu);
         let sock = st.current_sock(cpu, fd)?;
         Ok(sock.rx.pop_front().inspect(|(_, data)| {
@@ -1542,9 +1603,14 @@ impl Kernel {
         }))
     }
 
-    /// `recvfrom`: pop a datagram or block.
-    pub fn recvfrom(&self, cpu: &Arc<Cpu>, fd: usize) -> Result<RecvOutcome, KernelError> {
-        self.net_rx_pump(cpu);
+    /// `recvfrom`: drain `net`, then pop a datagram or block.
+    pub fn recvfrom(
+        &self,
+        cpu: &Arc<Cpu>,
+        fd: usize,
+        net: Option<&dyn NetDriver>,
+    ) -> Result<RecvOutcome, KernelError> {
+        self.net_rx_pump(cpu, net);
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
         let sock = st.current_sock(cpu, fd)?;
@@ -1750,14 +1816,14 @@ impl Kernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::drivers::attach_native;
     use crate::session::Session;
     use simx86::devices::EchoWire;
     use simx86::MachineConfig;
 
-    pub(super) fn machine(cpus: usize) -> Arc<Machine> {
+    pub(crate) fn machine(cpus: usize) -> Arc<Machine> {
         Machine::new(MachineConfig {
             num_cpus: cpus,
             mem_frames: 16 * 1024,
@@ -1767,7 +1833,7 @@ mod tests {
 
     /// Boot a bare (native) kernel on `pool_frames` frames, with
     /// drivers attached.
-    pub(super) fn boot_sized(
+    pub(crate) fn boot_sized(
         machine: &Arc<Machine>,
         pool_frames: usize,
         fs_blocks: u64,
@@ -2033,6 +2099,83 @@ mod tests {
         let sess = echo_session();
         let fd = sess.socket(5000).unwrap();
         echo_roundtrip(&sess, fd, b"marco");
+    }
+
+    /// A driver that counts the calls reaching it on their way to the
+    /// driver it wraps.
+    struct Counting<D: ?Sized>(AtomicU64, Arc<D>);
+
+    impl<D: ?Sized> Counting<D> {
+        fn wrap(inner: Arc<D>) -> Arc<Self> {
+            Arc::new(Counting(AtomicU64::new(0), inner))
+        }
+        fn hit(&self) -> &D {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            &self.1
+        }
+        fn calls(&self) -> u64 {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    impl BlockDriver for Counting<dyn BlockDriver> {
+        fn read_block(
+            &self,
+            cpu: &Arc<Cpu>,
+            block: u64,
+            out: &mut [u8],
+        ) -> Result<(), KernelError> {
+            self.hit().read_block(cpu, block, out)
+        }
+        fn write_block(&self, cpu: &Arc<Cpu>, block: u64, data: &[u8]) -> Result<(), KernelError> {
+            self.hit().write_block(cpu, block, data)
+        }
+        fn flush(&self, cpu: &Arc<Cpu>) -> Result<(), KernelError> {
+            self.hit().flush(cpu)
+        }
+        fn kind(&self) -> &'static str {
+            self.1.kind()
+        }
+    }
+
+    impl NetDriver for Counting<dyn NetDriver> {
+        fn send(&self, cpu: &Arc<Cpu>, pkt: &[u8]) -> Result<(), KernelError> {
+            self.hit().send(cpu, pkt)
+        }
+        fn recv(&self, cpu: &Arc<Cpu>) -> Option<Vec<u8>> {
+            self.hit().recv(cpu)
+        }
+        fn kind(&self) -> &'static str {
+            self.1.kind()
+        }
+    }
+
+    #[test]
+    fn a_driver_replaced_between_syscalls_is_the_one_the_next_syscall_uses() {
+        let sess = echo_session();
+        let k = Arc::clone(sess.kernel());
+        let fd = sess.open("f.bin", true).unwrap();
+        sess.write(fd, b"on disk").unwrap();
+        sess.sync().unwrap();
+        k.state.lock().vfs.cache.drop_clean();
+
+        let block = Counting::wrap(k.block_driver().unwrap());
+        k.set_block_driver(block.clone());
+        sess.lseek(fd, 0).unwrap();
+        let data = sess.read(fd, 7).unwrap();
+        assert_eq!(data, ReadOutcome::Data(b"on disk".to_vec()));
+        assert_eq!(block.calls(), 1, "the cache miss went to the new driver");
+
+        let net = Counting::wrap(k.net_driver().unwrap());
+        k.set_net_driver(net.clone());
+        let sock = sess.socket(5000).unwrap();
+        sess.sendto(sock, 7000, b"marco").unwrap();
+        assert_eq!(net.calls(), 1, "the datagram left through the new driver");
+        match sess.recvfrom(sock).unwrap() {
+            RecvOutcome::Datagram(7000, data) => assert_eq!(data, b"marco"),
+            other => panic!("{other:?}"),
+        }
+        assert!(net.calls() > 1, "and came back through it");
     }
 
     #[test]

@@ -5,25 +5,42 @@
 //! dispatched, and the paravirt object's syscall entry/exit costs are
 //! charged — the simulation's equivalent of the user/kernel boundary.
 
+use crate::drivers::block::BlockDriver;
+use crate::drivers::net::NetDriver;
 use crate::error::KernelError;
-use crate::kernel::{Kernel, MmapBacking, ReadOutcome, RecvOutcome, WriteOutcome};
+use crate::kernel::{Kernel, MmapBacking, ReadOutcome, RecvOutcome, SlotCache, WriteOutcome};
 use crate::mm::Prot;
+use crate::paravirt::PvOps;
 use crate::process::Pid;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
 use simx86::{costs, Cpu};
+use std::cell::Ref;
 use std::sync::Arc;
 
 /// A driver-thread ↔ CPU binding.
+///
+/// One host thread drives a session (DESIGN.md §14b), so it keeps its
+/// own copy of the kernel's VO and drivers and re-reads one only when
+/// the kernel published a new one: a syscall's hit path takes no lock.
 pub struct Session {
     kernel: Arc<Kernel>,
     cpu: Arc<Cpu>,
+    pv: SlotCache<Arc<dyn PvOps>>,
+    block: SlotCache<Option<Arc<dyn BlockDriver>>>,
+    net: SlotCache<Option<Arc<dyn NetDriver>>>,
 }
 
 impl Session {
     /// Open a session on CPU `cpu_id`.
     pub fn new(kernel: Arc<Kernel>, cpu_id: usize) -> Session {
         let cpu = Arc::clone(&kernel.machine.cpus[cpu_id]);
-        Session { kernel, cpu }
+        Session {
+            pv: SlotCache::new(&kernel.pv),
+            block: SlotCache::new(&kernel.block),
+            net: SlotCache::new(&kernel.net),
+            kernel,
+            cpu,
+        }
     }
 
     /// The kernel.
@@ -46,11 +63,11 @@ impl Session {
     fn enter(&self) {
         self.service();
         merctrace::span_begin!(self.cpu.id, "nimbus.syscall", self.cpu.cycles());
-        self.kernel.pv().syscall_entry(&self.cpu);
+        self.pv.read(&self.kernel.pv).syscall_entry(&self.cpu);
     }
 
     fn leave(&self) {
-        self.kernel.pv().syscall_exit(&self.cpu);
+        self.pv.read(&self.kernel.pv).syscall_exit(&self.cpu);
         merctrace::span_end!(self.cpu.id, "nimbus.syscall", self.cpu.cycles());
         // Kernel preemption point: honor a pending timer reschedule.
         let _ = self.kernel.maybe_preempt(&self.cpu);
@@ -61,6 +78,16 @@ impl Session {
         let r = f();
         self.leave();
         r
+    }
+
+    /// The block driver the kernel last published.
+    fn block(&self) -> Ref<'_, Option<Arc<dyn BlockDriver>>> {
+        self.block.read(&self.kernel.block)
+    }
+
+    /// The net driver the kernel last published.
+    fn net(&self) -> Ref<'_, Option<Arc<dyn NetDriver>>> {
+        self.net.read(&self.kernel.net)
     }
 
     // ---- process management --------------------------------------------
@@ -116,12 +143,18 @@ impl Session {
 
     /// `read`.
     pub fn read(&self, fd: usize, len: usize) -> Result<ReadOutcome, KernelError> {
-        self.syscall(|| self.kernel.read(&self.cpu, fd, len))
+        self.syscall(|| {
+            self.kernel
+                .read(&self.cpu, fd, len, self.block().as_deref())
+        })
     }
 
     /// `write`.
     pub fn write(&self, fd: usize, data: &[u8]) -> Result<WriteOutcome, KernelError> {
-        self.syscall(|| self.kernel.write(&self.cpu, fd, data))
+        self.syscall(|| {
+            self.kernel
+                .write(&self.cpu, fd, data, self.block().as_deref())
+        })
     }
 
     /// `close`.
@@ -230,17 +263,23 @@ impl Session {
 
     /// `sendto`.
     pub fn sendto(&self, fd: usize, dst_port: u16, payload: &[u8]) -> Result<(), KernelError> {
-        self.syscall(|| self.kernel.sendto(&self.cpu, fd, dst_port, payload))
+        self.syscall(|| {
+            self.kernel
+                .sendto(&self.cpu, fd, dst_port, payload, self.net().as_deref())
+        })
     }
 
     /// `recvfrom`.
     pub fn recvfrom(&self, fd: usize) -> Result<RecvOutcome, KernelError> {
-        self.syscall(|| self.kernel.recvfrom(&self.cpu, fd))
+        self.syscall(|| self.kernel.recvfrom(&self.cpu, fd, self.net().as_deref()))
     }
 
     /// Non-blocking `recvfrom` (MSG_DONTWAIT).
     pub fn recvfrom_nonblock(&self, fd: usize) -> Result<Option<(u16, Vec<u8>)>, KernelError> {
-        self.syscall(|| self.kernel.recvfrom_nonblock(&self.cpu, fd))
+        self.syscall(|| {
+            self.kernel
+                .recvfrom_nonblock(&self.cpu, fd, self.net().as_deref())
+        })
     }
 
     // ---- user compute ----------------------------------------------------
@@ -250,5 +289,145 @@ impl Session {
     /// show little virtualization overhead).
     pub fn compute(&self, cycles: u64) {
         self.cpu.tick(cycles);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel::tests::{boot_sized, machine};
+    use crate::paravirt::{ExecMode, KernelMap};
+    use simx86::cpu::IdtTable;
+    use simx86::mem::FrameNum;
+    use simx86::paging::Pte;
+
+    /// A VO that charges its own syscall entry and exit costs and does
+    /// everything else as the VO it wraps.
+    struct Marked {
+        inner: Arc<dyn PvOps>,
+        entry: u64,
+        exit: u64,
+    }
+
+    impl PvOps for Marked {
+        fn mode(&self) -> ExecMode {
+            self.inner.mode()
+        }
+        fn name(&self) -> &'static str {
+            "marked"
+        }
+        fn irq_disable(&self, cpu: &Arc<Cpu>) {
+            self.inner.irq_disable(cpu)
+        }
+        fn irq_enable(&self, cpu: &Arc<Cpu>) {
+            self.inner.irq_enable(cpu)
+        }
+        fn load_base_table(&self, cpu: &Arc<Cpu>, pgd: FrameNum) -> Result<(), KernelError> {
+            self.inner.load_base_table(cpu, pgd)
+        }
+        fn load_trap_table(&self, cpu: &Arc<Cpu>, idt: Arc<IdtTable>) -> Result<(), KernelError> {
+            self.inner.load_trap_table(cpu, idt)
+        }
+        fn set_kernel_stack(&self, cpu: &Arc<Cpu>, sp: u64) -> Result<(), KernelError> {
+            self.inner.set_kernel_stack(cpu, sp)
+        }
+        fn syscall_entry(&self, cpu: &Arc<Cpu>) {
+            cpu.tick(self.entry);
+        }
+        fn syscall_exit(&self, cpu: &Arc<Cpu>) {
+            cpu.tick(self.exit);
+        }
+        fn context_switch_extra(&self, cpu: &Arc<Cpu>) {
+            self.inner.context_switch_extra(cpu)
+        }
+        fn set_pte(
+            &self,
+            cpu: &Arc<Cpu>,
+            table: FrameNum,
+            index: usize,
+            val: Pte,
+        ) -> Result<(), KernelError> {
+            self.inner.set_pte(cpu, table, index, val)
+        }
+        fn set_ptes(
+            &self,
+            cpu: &Arc<Cpu>,
+            table: FrameNum,
+            updates: &[(usize, Pte)],
+        ) -> Result<(), KernelError> {
+            self.inner.set_ptes(cpu, table, updates)
+        }
+        fn flush_tlb(&self, cpu: &Arc<Cpu>) {
+            self.inner.flush_tlb(cpu)
+        }
+        fn flush_tlb_all(&self, cpu: &Arc<Cpu>) {
+            self.inner.flush_tlb_all(cpu)
+        }
+        fn invlpg(&self, cpu: &Arc<Cpu>, vpn: u64) {
+            self.inner.invlpg(cpu, vpn)
+        }
+        fn register_page_table(
+            &self,
+            cpu: &Arc<Cpu>,
+            kmap: &KernelMap,
+            frame: FrameNum,
+        ) -> Result<(), KernelError> {
+            self.inner.register_page_table(cpu, kmap, frame)
+        }
+        fn unregister_page_table(
+            &self,
+            cpu: &Arc<Cpu>,
+            kmap: &KernelMap,
+            frame: FrameNum,
+        ) -> Result<(), KernelError> {
+            self.inner.unregister_page_table(cpu, kmap, frame)
+        }
+        fn pin_base_table(&self, cpu: &Arc<Cpu>, pgd: FrameNum) -> Result<(), KernelError> {
+            self.inner.pin_base_table(cpu, pgd)
+        }
+        fn unpin_base_table(&self, cpu: &Arc<Cpu>, pgd: FrameNum) -> Result<(), KernelError> {
+            self.inner.unpin_base_table(cpu, pgd)
+        }
+        fn console_write(&self, cpu: &Arc<Cpu>, msg: &str) {
+            self.inner.console_write(cpu, msg)
+        }
+    }
+
+    #[test]
+    fn a_vo_published_inside_a_syscall_is_the_one_leave_charges() {
+        let m = machine(1);
+        let k = boot_sized(&m, 1024, 16);
+        let marked = |entry, exit| -> Arc<dyn PvOps> {
+            Arc::new(Marked {
+                inner: k.pv(),
+                entry,
+                exit,
+            })
+        };
+        let (first, second) = (marked(1_000, 10), marked(7_000, 300));
+        k.set_pv(first);
+        let sess = Session::new(Arc::clone(&k), 0);
+        let cost = |body: &dyn Fn() -> Result<(), KernelError>| {
+            let t0 = sess.cpu().cycles();
+            sess.syscall(body).unwrap();
+            sess.cpu().cycles() - t0
+        };
+
+        let plain = cost(&|| Ok(()));
+        let swapped = cost(&|| {
+            k.set_pv(Arc::clone(&second));
+            Ok(())
+        });
+        assert_eq!(
+            swapped - plain,
+            300 - 10,
+            "entered through the first VO, left through the second"
+        );
+        let after = cost(&|| Ok(()));
+        assert_eq!(
+            after - swapped,
+            7_000 - 1_000,
+            "the next syscall enters through the second"
+        );
     }
 }

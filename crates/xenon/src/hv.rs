@@ -348,7 +348,7 @@ impl Hypervisor {
     pub fn destroy_domain(&self, cpu: &Cpu, dom: &Arc<Domain>) -> Result<Vec<FrameNum>, HvError> {
         for pgd in dom.pgds() {
             // Best effort: a half-built domain may not have pins.
-            let _ = self.page_info.unpin_l2(cpu, &self.machine.mem, pgd);
+            let _ = self.page_info.unpin_l2(cpu, &self.machine.mem, pgd, dom.id);
             dom.remove_pgd(pgd);
         }
         self.page_info.clear_types_for(dom.id);
@@ -533,7 +533,8 @@ impl Hypervisor {
     pub fn unpin_l2(&self, cpu: &Cpu, dom: &Arc<Domain>, pgd: FrameNum) -> Result<(), HvError> {
         self.check_active()?;
         self.count_hypercall(cpu, "xenon.hypercall.unpin_l2");
-        self.page_info.unpin_l2(cpu, &self.machine.mem, pgd)?;
+        self.page_info
+            .unpin_l2(cpu, &self.machine.mem, pgd, dom.id)?;
         dom.remove_pgd(pgd);
         Ok(())
     }
@@ -1445,5 +1446,47 @@ mod wrapper_tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn pin_and_unpin_of_a_frame_the_machine_lacks_are_bad_frames() {
+        let (machine, hv, d0, _d1) = rig();
+        let cpu = machine.boot_cpu();
+        let missing = FrameNum(machine.mem.num_frames() as u32 + 9);
+        let out_of_range = HvError::BadFrame {
+            frame: missing.0,
+            why: "out of range",
+        };
+        let before = hv.page_info.snapshot();
+        assert_eq!(hv.pin_l2(cpu, &d0, missing), Err(out_of_range.clone()));
+        assert_eq!(hv.unpin_l2(cpu, &d0, missing), Err(out_of_range));
+        assert_eq!(hv.page_info.snapshot(), before);
+    }
+
+    #[test]
+    fn a_domain_cannot_unpin_another_domains_base_table() {
+        let (machine, hv, d0, d1) = rig();
+        let cpu = machine.boot_cpu();
+        let f = d0.frames();
+        let (pgd, l1, data) = (f[0], f[1], f[2]);
+        let mem = &machine.mem;
+        mem.write_pte(cpu, pgd, 0, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
+            .unwrap();
+        mem.write_pte(cpu, l1, 0, Pte::new(data.0, Pte::WRITABLE | Pte::USER))
+            .unwrap();
+        hv.pin_l2(cpu, &d0, pgd).unwrap();
+        let pinned = hv.page_info.snapshot();
+
+        assert!(matches!(
+            hv.unpin_l2(cpu, &d1, pgd),
+            Err(HvError::BadFrame { frame, .. }) if frame == pgd.0
+        ));
+        assert_eq!(hv.page_info.snapshot(), pinned, "d0's pin and tree stand");
+        assert_eq!(hv.page_info.type_of(pgd), (PageType::L2, 1));
+        assert_eq!(hv.page_info.type_of(l1), (PageType::L1, 1));
+
+        // The owner still can.
+        hv.unpin_l2(cpu, &d0, pgd).unwrap();
+        assert_eq!(hv.page_info.type_of(pgd), (PageType::None, 0));
     }
 }

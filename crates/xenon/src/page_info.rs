@@ -599,8 +599,7 @@ impl PageInfoTable {
         dom: DomId,
     ) -> Result<(), HvError> {
         let mut info = self.info.lock();
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        if info.frames[frame.0 as usize].pinned {
+        if info.rec(frame)?.pinned {
             return Err(HvError::TypeConflict("frame already pinned"));
         }
         cpu.tick(costs::PT_PIN_BASE);
@@ -609,12 +608,19 @@ impl PageInfoTable {
         Ok(())
     }
 
-    /// Unpin a base table, releasing the whole validation tree when the
-    /// last reference drops.
-    pub fn unpin_l2(&self, cpu: &Cpu, mem: &PhysMemory, frame: FrameNum) -> Result<(), HvError> {
+    /// Unpin `dom`'s base table, releasing the whole validation tree
+    /// when the last reference drops.  This is `MMUEXT_UNPIN_TABLE`'s
+    /// engine.
+    pub fn unpin_l2(
+        &self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        frame: FrameNum,
+        dom: DomId,
+    ) -> Result<(), HvError> {
         let mut info = self.info.lock();
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        if !info.frames[frame.0 as usize].pinned {
+        info.check_owned(frame, dom, "L2 table frame")?;
+        if !info.rec(frame)?.pinned {
             return Err(HvError::TypeConflict("frame not pinned"));
         }
         info.set_pinned(frame, false);
@@ -1093,7 +1099,7 @@ mod tests {
         // Double pin rejected.
         assert!(t.pin_l2(&cpu, &mem, FrameNum(1), D).is_err());
 
-        t.unpin_l2(&cpu, &mem, FrameNum(1)).unwrap();
+        t.unpin_l2(&cpu, &mem, FrameNum(1), D).unwrap();
         assert_eq!(t.type_of(FrameNum(1)), (PageType::None, 0));
         assert_eq!(t.type_of(FrameNum(2)), (PageType::None, 0));
         assert_eq!(t.type_of(FrameNum(3)), (PageType::None, 0));
@@ -1117,11 +1123,11 @@ mod tests {
         // Frame 3 is writable-mapped once per validation of frame 2 —
         // validated once, so one writable ref.
         assert_eq!(t.type_of(FrameNum(3)), (PageType::Writable, 1));
-        t.unpin_l2(&cpu, &mem, FrameNum(1)).unwrap();
+        t.unpin_l2(&cpu, &mem, FrameNum(1), D).unwrap();
         // Shared L1 still referenced by the other PGD.
         assert_eq!(t.type_of(FrameNum(2)), (PageType::L1, 1));
         assert_eq!(t.type_of(FrameNum(3)), (PageType::Writable, 1));
-        t.unpin_l2(&cpu, &mem, FrameNum(4)).unwrap();
+        t.unpin_l2(&cpu, &mem, FrameNum(4), D).unwrap();
         assert_eq!(t.type_of(FrameNum(2)), (PageType::None, 0));
         assert_eq!(t.type_of(FrameNum(3)), (PageType::None, 0));
     }

@@ -108,7 +108,7 @@ fn recompute_equals_incremental_validation() {
         assert_eq!(incremental, table.snapshot());
 
         // Unpin restores the pristine state.
-        table.unpin_l2(&cpu, &mem, pgd).unwrap();
+        table.unpin_l2(&cpu, &mem, pgd, dom).unwrap();
         for f in 0..frames {
             assert_eq!(table.type_of(FrameNum(f as u32)), (PageType::None, 0));
         }

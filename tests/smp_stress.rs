@@ -4,7 +4,7 @@
 //! lock, per-frame memory locks and the VO reference count under real
 //! concurrency.
 
-use mercury::{ExecMode, SwitchOutcome};
+use mercury::{ExecMode, SwitchError, SwitchOutcome};
 use mercury_workloads::configs::{SysKind, TestBed};
 use nimbus::kernel::MmapBacking;
 use nimbus::mm::Prot;
@@ -159,6 +159,101 @@ fn smp_switches_under_concurrent_load() {
             reports.is_empty(),
             "dyncheck found happens-before violations:\n{}",
             reports.join("\n")
+        );
+    }
+}
+
+/// Cycles one null syscall charges on `sess`'s CPU: the close of a
+/// descriptor nobody has, which takes the kernel lock and fails, so all
+/// that differs between modes is the VO's entry and exit.
+fn null_syscall_cycles(sess: &Session) -> u64 {
+    let t0 = sess.cpu().cycles();
+    let _ = sess.close(usize::MAX);
+    sess.cpu().cycles() - t0
+}
+
+/// Each session keeps its own copy of the kernel's VO (DESIGN.md §14b).
+/// Two sessions, each on its own thread, run null syscalls through a
+/// native → virtual → native round trip; in every phase each one's
+/// cheapest syscall is the phase's mode's, so neither kept the VO it
+/// started with.
+#[test]
+fn each_session_follows_the_vo_through_a_round_trip() {
+    const SAMPLES: u64 = 16;
+    const PHASES: [ExecMode; 3] = [ExecMode::Native, ExecMode::Virtual, ExecMode::Native];
+    let bed = TestBed::build(SysKind::MN, 2);
+    let mercury = Arc::clone(bed.mercury.as_ref().unwrap());
+    // The phase CPU 0 has switched into (PHASES.len() = stop), and how
+    // many syscalls CPU 1 has sampled in each.
+    let phase = Arc::new(AtomicU64::new(0));
+    let taken: Arc<[AtomicU64; 3]> = Arc::new(Default::default());
+
+    let peer = {
+        let (kernel, phase, taken) = (
+            Arc::clone(&bed.kernel),
+            Arc::clone(&phase),
+            Arc::clone(&taken),
+        );
+        std::thread::spawn(move || {
+            let sess = Session::new(kernel, 1);
+            let mut least = [u64::MAX; 3];
+            loop {
+                let p = phase.load(Ordering::Acquire) as usize;
+                if p == PHASES.len() {
+                    return least;
+                }
+                let cycles = null_syscall_cycles(&sess);
+                // CPU 0 switches again only once this phase is sampled
+                // in full, so a sample taken below it spans no switch.
+                if taken[p].load(Ordering::Acquire) < SAMPLES {
+                    least[p] = least[p].min(cycles);
+                    taken[p].fetch_add(1, Ordering::AcqRel);
+                }
+                std::thread::yield_now();
+            }
+        })
+    };
+
+    let cpu0 = bed.machine.boot_cpu();
+    let sess0 = bed.session(0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    let mut least = [u64::MAX; 3];
+    for (p, &mode) in PHASES.iter().enumerate() {
+        loop {
+            match mercury.reach(mode, cpu0) {
+                Ok(_) => break,
+                Err(SwitchError::Busy(_)) => sess0.service(),
+                Err(e) => panic!("switch to {mode:?} failed: {e}"),
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "switch to {mode:?} never landed"
+            );
+        }
+        phase.store(p as u64, Ordering::Release);
+        for _ in 0..SAMPLES {
+            least[p] = least[p].min(null_syscall_cycles(&sess0));
+        }
+        while taken[p].load(Ordering::Acquire) < SAMPLES {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "cpu1 stalled in phase {p}"
+            );
+            std::thread::yield_now();
+        }
+    }
+    phase.store(PHASES.len() as u64, Ordering::Release);
+    let peer_least = peer.join().expect("peer thread panicked");
+
+    for (cpu, least) in [(0, least), (1, peer_least)] {
+        assert_eq!(
+            least[1] - least[0],
+            simx86::costs::SYSCALL_VIRT_EXTRA,
+            "cpu{cpu}: syscalls after the attach go through the virtual VO ({least:?})"
+        );
+        assert_eq!(
+            least[2], least[0],
+            "cpu{cpu}: and after the detach through the native one"
         );
     }
 }

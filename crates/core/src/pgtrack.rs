@@ -249,6 +249,10 @@ impl Mercury {
         // live tables — the cycle charge above models the dirty/clean
         // split; correctness never depends on the write log (a frame
         // idle time retired, or a deferred one, still validates here).
+        // On the host the rebuild costs the tables it walks, not the
+        // machine: the work-list above skipped every log block unwritten
+        // since the baseline, and the clear inside skips every block
+        // the detach's clear left without type state (DESIGN.md §7b).
         self.rebuild_accounting(cpu, &hv.page_info, 0)?;
 
         // Lazy admission: enqueue everything past the sync quota for

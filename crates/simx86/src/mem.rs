@@ -424,6 +424,15 @@ impl TableView<'_> {
         None
     }
 
+    /// The `index`-th entry as [`pte`](Self::pte) handed it out, read
+    /// again from the snapshot: no charge and no injection hook, for a
+    /// walker unwinding over entries it has already consumed.  `None`
+    /// past the end of the table.
+    #[inline]
+    pub fn reread(&self, index: usize) -> Option<Pte> {
+        self.words.get(index).map(|&word| Pte(word))
+    }
+
     /// Tick the CPU for every entry consumed so far.
     #[inline]
     pub fn settle(&mut self) {

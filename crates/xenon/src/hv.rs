@@ -672,7 +672,13 @@ impl Hypervisor {
         self.check_active()?;
         self.count_hypercall(cpu, "xenon.hypercall.balloon_out");
         // Validate everything first: partial balloons are confusing.
-        for &f in frames {
+        for (i, &f) in frames.iter().enumerate() {
+            if frames[..i].contains(&f) {
+                return Err(HvError::BadFrame {
+                    frame: f.0,
+                    why: "ballooning a frame twice in one call",
+                });
+            }
             if self.page_info.owner(f) != Some(dom.id) {
                 return Err(HvError::BadFrame {
                     frame: f.0,
@@ -1266,6 +1272,28 @@ mod wrapper_tests {
         ));
         // Nothing moved on failure.
         assert_eq!(d0.frame_count(), 8);
+    }
+
+    #[test]
+    fn ballooning_rejects_a_frame_named_twice() {
+        let (machine, hv, d0, d1) = rig();
+        let cpu = machine.boot_cpu();
+        let reserved0 = hv.reserved_frames();
+        let f = d0.frames()[6];
+        // Accepted, the frame would sit in the reserved pool twice and
+        // two later balloon_in calls would hand it to two domains.
+        assert!(matches!(
+            hv.balloon_out(cpu, &d0, &[f, d0.frames()[5], f]),
+            Err(HvError::BadFrame { frame, .. }) if frame == f.0
+        ));
+        // Nothing moved.
+        assert_eq!(d0.frame_count(), 8);
+        assert_eq!(hv.reserved_frames(), reserved0);
+        assert_eq!(hv.page_info.owner(f), Some(d0.id));
+        // Named once, it goes out once.
+        hv.balloon_out(cpu, &d0, &[f]).unwrap();
+        assert_eq!(hv.reserved_frames(), reserved0 + 1);
+        assert_eq!(hv.balloon_in(cpu, &d1, 1).unwrap(), [f]);
     }
 
     #[test]

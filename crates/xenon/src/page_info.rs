@@ -43,8 +43,8 @@
 use crate::domain::DomId;
 use crate::error::HvError;
 use simx86::costs;
-use simx86::mem::{FrameNum, PhysMemory};
-use simx86::paging::ENTRIES_PER_TABLE;
+use simx86::mem::{FrameNum, PhysMemory, TableView};
+use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::sync::Mutex;
 use simx86::Cpu;
 
@@ -100,15 +100,65 @@ pub struct PageInfoTable {
 /// its last tracked write.  A write only stamps; readers compare stamps
 /// against an [`Epoch`] of their own and never clear anything, so any
 /// number of them read one log without disturbing each other.
+///
+/// Two block indexes keep the whole-table passes proportional to what
+/// changed rather than to the machine (DESIGN.md §7b): per
+/// [`WRITE_BLOCK`] frames the newest stamp in the block, so a query
+/// skips a block written before its epoch; and per [`TYPE_BLOCK`]
+/// frames whether a record in it may be typed or pinned, so a clear
+/// skips a block that holds no type state.
 pub(crate) struct Records {
     frames: Vec<PageInfo>,
     /// Epoch of each frame's last tracked write; 0 = never written.
     written: Vec<u64>,
+    /// Per [`WRITE_BLOCK`] frames, the newest stamp in `written`.
+    block_written: Vec<u64>,
+    /// Per [`TYPE_BLOCK`] frames: may a record in the block be typed or
+    /// pinned?  Set by a record's first type reference (a pin only ever
+    /// follows one), cleared by a clear that leaves the block without
+    /// type state.
+    block_typed: Vec<bool>,
     /// The epoch tracked writes are stamped with, from 1.
     now: u64,
     /// Stamp of the newest tracked write: "nothing written since `e`"
     /// is `newest <= e`, one compare and no pass over the frames.
     newest: u64,
+}
+
+/// Frames per block of the write log's newest-stamp index.
+const WRITE_BLOCK: usize = 64;
+
+/// Frames per block of the typed-block index.
+const TYPE_BLOCK: usize = 64;
+
+impl PageInfo {
+    /// Does the record hold type state: a type, a count or a pin?
+    fn typed(&self) -> bool {
+        self.typ != PageType::None || self.type_count != 0 || self.pinned
+    }
+
+    /// Take a type reference of kind `typ`; `Ok(true)` when it is the
+    /// record's first.
+    fn take_ref(&mut self, typ: PageType) -> Result<bool, HvError> {
+        if self.typ == PageType::None || self.type_count == 0 {
+            self.typ = typ;
+            self.type_count = 1;
+            Ok(true)
+        } else if self.typ == typ {
+            self.type_count += 1;
+            Ok(false)
+        } else {
+            Err(HvError::TypeConflict(match (self.typ, typ) {
+                (PageType::L1 | PageType::L2, PageType::Writable) => {
+                    "attempt to map a page-table frame writable"
+                }
+                (PageType::Writable, PageType::L1 | PageType::L2) => {
+                    "attempt to use a writably-mapped frame as a page table"
+                }
+                _ => "incompatible page type",
+            }))
+        }
+    }
 }
 
 /// A frame being promoted to a page table inside a lazy admission
@@ -164,8 +214,12 @@ impl Records {
     }
 
     pub(crate) fn mark_dirty(&mut self, frame: FrameNum) {
+        let i = frame.0 as usize;
         // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        self.written[frame.0 as usize] = self.now;
+        self.written[i] = self.now;
+        if let Some(block) = self.block_written.get_mut(i / WRITE_BLOCK) {
+            *block = self.now;
+        }
         self.newest = self.now;
     }
 
@@ -176,7 +230,8 @@ impl Records {
 
     /// Those of `frames` that `dom` owns and whose last tracked write
     /// is after `since` and not after `upto`, in frame order.  When
-    /// nothing at all was written in that span the pass is skipped.
+    /// nothing at all was written in that span the pass is skipped, and
+    /// so is every block whose newest write is not after `since`.
     fn written(
         &self,
         dom: DomId,
@@ -186,12 +241,31 @@ impl Records {
     ) -> impl Iterator<Item = FrameNum> + '_ {
         let live = since.0 < upto.0.min(self.newest);
         let frames = if live { frames } else { 0..0 };
-        let stamps = self.written.iter().zip(&self.frames).enumerate();
-        stamps
-            .skip(frames.start as usize)
-            .take(frames.len())
+        let end = self.frames.len().min(frames.end as usize);
+        let start = end.min(frames.start as usize);
+        let first = start / WRITE_BLOCK;
+        let blocks = self.block_written.get(first..end.div_ceil(WRITE_BLOCK));
+        blocks
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &newest)| newest > since.0)
+            .flat_map(move |(b, _)| {
+                let base = (first + b) * WRITE_BLOCK;
+                let span = base.max(start)..end.min(base + WRITE_BLOCK);
+                let stamps = self.written.get(span.clone()).unwrap_or_default();
+                let recs = self.frames.get(span.clone()).unwrap_or_default();
+                span.zip(stamps.iter().zip(recs))
+            })
             .filter(move |(_, (&w, rec))| w > since.0 && w <= upto.0 && rec.owner == Some(dom))
             .map(|(i, _)| FrameNum(i as u32))
+    }
+
+    /// A record of `frame`'s block is about to hold type state.
+    fn flag_typed(&mut self, frame: FrameNum) {
+        if let Some(flag) = self.block_typed.get_mut(frame.0 as usize / TYPE_BLOCK) {
+            *flag = true;
+        }
     }
 
     fn set_pinned(&mut self, frame: FrameNum, pinned: bool) {
@@ -204,25 +278,73 @@ impl Records {
     pub(crate) fn get_type_ref(&mut self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
         // volint::allow(SWITCH-PANIC): API-misuse guard; every caller passes a literal non-None type
         assert_ne!(typ, PageType::None);
-        let rec = self.rec_mut(frame)?;
-        if rec.typ == PageType::None || rec.type_count == 0 {
-            rec.typ = typ;
-            rec.type_count = 1;
-            Ok(())
-        } else if rec.typ == typ {
-            rec.type_count += 1;
-            Ok(())
-        } else {
-            Err(HvError::TypeConflict(match (rec.typ, typ) {
-                (PageType::L1 | PageType::L2, PageType::Writable) => {
-                    "attempt to map a page-table frame writable"
-                }
-                (PageType::Writable, PageType::L1 | PageType::L2) => {
-                    "attempt to use a writably-mapped frame as a page table"
-                }
-                _ => "incompatible page type",
-            }))
+        if self.rec_mut(frame)?.take_ref(typ)? {
+            self.flag_typed(frame);
         }
+        Ok(())
+    }
+
+    /// One L1 entry's claim on its target, in one record lookup: the
+    /// target must be owned by `dom`, and a writable entry takes a
+    /// `Writable` reference on it.
+    fn take_entry_ref(&mut self, pte: Pte, dom: DomId) -> Result<(), HvError> {
+        let target = FrameNum(pte.frame());
+        let rec = self.rec_mut(target)?;
+        if rec.owner != Some(dom) {
+            return Err(HvError::BadFrame {
+                frame: target.0,
+                why: "L1 entry target",
+            });
+        }
+        if pte.writable() && rec.take_ref(PageType::Writable)? {
+            self.flag_typed(target);
+        }
+        Ok(())
+    }
+
+    /// Drop the `Writable` references the first `n` entries of an L1
+    /// walk took, re-reading them from its view at no charge.
+    fn drop_entry_refs(&mut self, view: &TableView<'_>, n: usize) {
+        // volint::bound(512) — n ≤ ENTRIES_PER_TABLE entries already consumed
+        for pte in (0..n).filter_map(|i| view.reread(i)) {
+            if pte.present() && pte.writable() {
+                self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
+            }
+        }
+    }
+
+    /// [`PageInfoTable::clear_types_for`] under the held lock: only the
+    /// blocks flagged as holding type state are visited, and a block
+    /// the clear leaves without any is unflagged.
+    fn clear_types_for(&mut self, dom: DomId) {
+        let blocks = self.frames.chunks_mut(TYPE_BLOCK);
+        // volint::bound(256) — one step per TYPE_BLOCK frames of the 16 384-frame pool
+        for (flag, block) in self.block_typed.iter_mut().zip(blocks) {
+            if !*flag {
+                continue;
+            }
+            let mut typed = false;
+            // volint::bound(64) — the TYPE_BLOCK records of one block
+            for rec in block {
+                if rec.owner == Some(dom) {
+                    rec.typ = PageType::None;
+                    rec.type_count = 0;
+                    rec.pinned = false;
+                }
+                typed |= rec.typed();
+            }
+            *flag = typed;
+        }
+        debug_assert!(
+            self.typed_blocks_flagged(),
+            "a typed record in an unflagged block"
+        );
+    }
+
+    /// Does every typed or pinned record lie in a flagged block?
+    fn typed_blocks_flagged(&self) -> bool {
+        let mut blocks = self.frames.chunks(TYPE_BLOCK).zip(&self.block_typed);
+        blocks.all(|(block, &flag)| flag || !block.iter().any(PageInfo::typed))
     }
 
     /// Drop a type reference on `frame`.
@@ -255,26 +377,18 @@ impl Records {
         Ok(())
     }
 
-    /// The entry walk of an L1 validation: every present entry must
-    /// reference a frame owned by `dom`; a writable one takes a
-    /// `Writable` reference on its target and reports it to `took`.
-    fn scan_l1(
-        &mut self,
-        cpu: &Cpu,
-        mem: &PhysMemory,
-        frame: FrameNum,
-        dom: DomId,
-        mut took: impl FnMut(FrameNum),
-    ) -> Result<(), HvError> {
-        let mut view = mem.read_table(cpu, frame)?;
+    /// The entry walk of an L1 validation over the table's `view`: every
+    /// present entry must reference a frame owned by `dom`, and a
+    /// writable one takes a `Writable` reference on its target.  A
+    /// failed walk drops the references it took.
+    fn scan_l1(&mut self, view: &mut TableView<'_>, dom: DomId) -> Result<(), HvError> {
         let mut at = 0;
         // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
         while let Some(pte) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
-            let target = FrameNum(pte.frame());
-            self.check_owned(target, dom, "L1 entry target")?;
-            if pte.writable() {
-                self.get_type_ref(target, PageType::Writable)?;
-                took(target);
+            if let Err(e) = self.take_entry_ref(pte, dom) {
+                // The entry that failed, `at - 1`, took nothing.
+                self.drop_entry_refs(view, at - 1);
+                return Err(e);
             }
         }
         Ok(())
@@ -293,19 +407,11 @@ impl Records {
         settle_deferred(cpu, frame)?;
         // The table frame itself must be owned by the domain.
         self.check_owned(frame, dom, "L1 table frame")?;
-        // Remember what the walk took, so a failed validation leaves no
-        // stray references.
-        // volint::allow(SWITCH-ALLOC): two-pass check-then-commit needs the taken list to unwind cleanly; starts at capacity 0
-        let mut taken: Vec<FrameNum> = Vec::new();
-        let result = self
-            // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
-            .scan_l1(cpu, mem, frame, dom, |target| taken.push(target))
-            .and_then(|()| self.get_type_ref(frame, PageType::L1));
+        let mut view = mem.read_table(cpu, frame)?;
+        self.scan_l1(&mut view, dom)?;
+        let result = self.get_type_ref(frame, PageType::L1);
         if result.is_err() {
-            // volint::bound(512) — ≤ ENTRIES_PER_TABLE writable refs taken per L1
-            for t in taken {
-                self.put_type_ref(t, PageType::Writable);
-            }
+            self.drop_entry_refs(&view, ENTRIES_PER_TABLE);
         }
         result
     }
@@ -341,40 +447,38 @@ impl Records {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
         settle_deferred(cpu, frame)?;
         self.check_owned(frame, dom, "L2 table frame")?;
-        // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
-        let mut validated_here: Vec<FrameNum> = Vec::new();
-        // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate; starts at capacity 0
-        let mut refs_taken: Vec<FrameNum> = Vec::new();
-        let result = (|| {
-            let mut view = mem.read_table(cpu, frame)?;
-            let mut at = 0;
-            // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
-            while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
-                let l1 = FrameNum(pde.frame());
-                let (typ, count) = self.type_of(l1);
-                if typ != PageType::L1 || count == 0 {
-                    // validate_l1's final type ref *is* this entry's
-                    // reference.
-                    view.settle();
-                    self.validate_l1(cpu, mem, l1, dom, charge_per_entry)?;
-                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
-                    validated_here.push(l1);
-                } else {
-                    self.get_type_ref(l1, PageType::L1)?;
-                    // volint::allow(SWITCH-ALLOC): unwind bookkeeping for the two-pass validate
-                    refs_taken.push(l1);
-                }
+        let mut view = mem.read_table(cpu, frame)?;
+        let mut at = 0;
+        // If the walk fails, the entries below `held` hold an L1 reference.
+        let mut held = ENTRIES_PER_TABLE;
+        let mut result = Ok(());
+        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
+        while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+            let l1 = FrameNum(pde.frame());
+            let (typ, count) = self.type_of(l1);
+            result = if typ != PageType::L1 || count == 0 {
+                // validate_l1's final type ref *is* this entry's
+                // reference.
+                view.settle();
+                self.validate_l1(cpu, mem, l1, dom, charge_per_entry)
+            } else {
+                self.get_type_ref(l1, PageType::L1)
+            };
+            if result.is_err() {
+                held = at - 1;
+                break;
             }
-            self.get_type_ref(frame, PageType::L2)
-        })();
+        }
+        let result = result.and_then(|()| self.get_type_ref(frame, PageType::L2));
         if result.is_err() {
-            // volint::bound(512) — ≤ ENTRIES_PER_TABLE shared L1 refs per L2
-            for l1 in refs_taken {
-                self.put_type_ref(l1, PageType::L1);
-            }
-            // volint::bound(512) — ≤ ENTRIES_PER_TABLE freshly validated L1s per L2
-            for l1 in validated_here.into_iter().rev() {
-                let _ = self.invalidate_l1(cpu, mem, l1);
+            // Last reference first: an L1 this walk validated drops its
+            // own entries' references when its count reaches zero.
+            view.settle();
+            // volint::bound(512) — held ≤ ENTRIES_PER_TABLE entries already consumed
+            for pde in (0..held).rev().filter_map(|i| view.reread(i)) {
+                if pde.present() {
+                    let _ = self.put_l1_ref(cpu, mem, FrameNum(pde.frame()));
+                }
             }
         }
         result
@@ -417,6 +521,8 @@ impl PageInfoTable {
             info: Mutex::new(Records {
                 frames: vec![PageInfo::default(); num_frames],
                 written: vec![0; num_frames],
+                block_written: vec![0; num_frames.div_ceil(WRITE_BLOCK)],
+                block_typed: vec![false; num_frames.div_ceil(TYPE_BLOCK)],
                 now: 1,
                 newest: 0,
             }),
@@ -632,16 +738,10 @@ impl PageInfoTable {
 
     /// Wipe all type information for frames owned by `dom`, keeping
     /// ownership.  Used on VMM detach: the dormant VMM stops tracking.
+    /// Only the blocks that may hold type state are visited, so a clear
+    /// right after another costs the host next to nothing.
     pub fn clear_types_for(&self, dom: DomId) {
-        let mut info = self.info.lock();
-        // volint::bound(16384) — one pass over the frame-info table (64 MiB pool)
-        for rec in info.frames.iter_mut() {
-            if rec.owner == Some(dom) {
-                rec.typ = PageType::None;
-                rec.type_count = 0;
-                rec.pinned = false;
-            }
-        }
+        self.info.lock().clear_types_for(dom);
     }
 
     /// Recompute the full type/count state for `dom` from its base
@@ -728,9 +828,8 @@ impl PageInfoTable {
             let mut info = self.info.lock();
             if info.claim_l1(l1, dom)? {
                 // We won the claim: the claim itself is this entry's
-                // L1 reference, and we alone walk the entries — no
-                // surgical unwind, so nothing to remember.
-                info.scan_l1(cpu, mem, l1, dom, |_| {})?;
+                // L1 reference, and we alone walk the entries.
+                info.scan_l1(&mut mem.read_table(cpu, l1)?, dom)?;
             }
         }
         let mut info = self.info.lock();
@@ -1016,7 +1115,6 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simx86::paging::Pte;
     use std::sync::Arc;
 
     const D: DomId = DomId(0);

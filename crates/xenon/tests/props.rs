@@ -121,11 +121,13 @@ fn recompute_equals_incremental_validation() {
 /// a third reader's sweep pops, each sees exactly the frames marked
 /// since *its own* checkpoint (model: one set per reader), a pop
 /// retires exactly the frame it returns, and the accounting records
-/// never move.
+/// never move.  Table sizes cross the log's 64-frame blocks and end
+/// inside one, and marks land past the end too.
 #[test]
 fn write_log_readers_are_independent() {
     check("write_log_readers_are_independent", 256, |rng| {
-        let frames = 64u32;
+        let frames = rng.range(1, 201) as u32;
+        let past = frames + 70;
         let table = PageInfoTable::new(frames as usize);
         let dom = DomId(0);
         // A few frames belong to someone else: marked, never reported.
@@ -155,7 +157,7 @@ fn write_log_readers_are_independent() {
                     None => assert!(unswept.is_empty(), "{unswept:?} left behind"),
                 },
                 _ => {
-                    let f = rng.below(frames as u64 + 2) as u32;
+                    let f = rng.below(past as u64) as u32;
                     table.mark_dirty(FrameNum(f));
                     if f < frames && !foreign(f) {
                         unswept.insert(f);
@@ -167,13 +169,144 @@ fn write_log_readers_are_independent() {
             }
             assert_eq!(as_set(sweep.pending(&table, dom)), unswept);
             for (since, seen) in &readers {
-                for f in 0..frames + 2 {
+                for f in 0..past {
                     let hit = table.frame_written_since(FrameNum(f), *since);
                     assert_eq!(hit && !foreign(f), seen.contains(&f), "frame {f}");
                 }
             }
         }
         assert_eq!(table.snapshot(), accounting);
+    });
+}
+
+/// `clear_types_for` visits only the blocks that may hold type state.
+/// Two domains own frames interleaved in short runs, so their typed
+/// frames share the 64-frame blocks; under random pins, unpins, leaf
+/// validations and releases by both, a clear of one leaves exactly what
+/// a full pass over every record would have, a recompute from the
+/// pinned tables restores what the clear wiped, and the other domain
+/// can still release everything it holds.
+#[test]
+fn block_skipping_clear_equals_a_full_pass() {
+    check("block_skipping_clear_equals_a_full_pass", 128, |rng| {
+        let frames = rng.range(64, 200) as usize;
+        let run = rng.range(1, 5) as usize;
+        let doms = [DomId(1), DomId(2)];
+        let mem = PhysMemory::new(frames);
+        let cpu = Arc::new(Cpu::new(0));
+        let table = PageInfoTable::new(frames);
+        let mut owned: [Vec<FrameNum>; 2] = Default::default();
+        for f in 0..frames {
+            let d = f / run % 2;
+            table.set_owner(FrameNum(f as u32), Some(doms[d]));
+            owned[d].push(FrameNum(f as u32));
+        }
+        // Per domain: three base tables, six leaf tables, data after
+        // them; now and then an entry names a table frame or a frame of
+        // the other domain, so some validations fail.
+        let pick = |rng: &mut SplitMix64, frames: &[FrameNum]| {
+            frames[rng.below(frames.len() as u64) as usize]
+        };
+        for d in 0..2 {
+            let (pgds, rest) = owned[d].split_at(3);
+            let (l1s, data) = rest.split_at(6);
+            for &l1 in l1s {
+                for _ in 0..rng.below(10) {
+                    let target = match rng.below(16) {
+                        0 => pick(rng, l1s),
+                        1 => pick(rng, &owned[1 - d]),
+                        _ => pick(rng, data),
+                    };
+                    let flags = [Pte::USER, Pte::WRITABLE | Pte::USER][rng.below(2) as usize];
+                    let slot = rng.below(512) as usize;
+                    mem.write_pte(&cpu, l1, slot, Pte::new(target.0, flags))
+                        .unwrap();
+                }
+            }
+            for &pgd in pgds {
+                for _ in 0..rng.below(6) {
+                    let l1 = if rng.below(12) == 0 {
+                        pick(rng, data)
+                    } else {
+                        pick(rng, l1s)
+                    };
+                    let pde = Pte::new(l1.0, Pte::WRITABLE | Pte::USER);
+                    mem.write_pte(&cpu, pgd, rng.below(512) as usize, pde)
+                        .unwrap();
+                }
+            }
+        }
+
+        let mut pinned: [Vec<FrameNum>; 2] = Default::default();
+        let mut leaves: [Vec<FrameNum>; 2] = Default::default();
+        for _ in 0..48 {
+            let d = rng.below(2) as usize;
+            let dom = doms[d];
+            match rng.below(7) {
+                0 | 1 => {
+                    let pgd = owned[d][rng.below(3) as usize];
+                    if !pinned[d].contains(&pgd) && table.pin_l2(&cpu, &mem, pgd, dom).is_ok() {
+                        pinned[d].push(pgd);
+                    }
+                }
+                2 if !pinned[d].is_empty() => {
+                    let at = rng.below(pinned[d].len() as u64) as usize;
+                    table
+                        .unpin_l2(&cpu, &mem, pinned[d].swap_remove(at), dom)
+                        .unwrap();
+                }
+                3 => {
+                    let f = pick(rng, &owned[d][3..]);
+                    if table.type_of(f).1 == 0 && table.validate_l1(&cpu, &mem, f, dom, 0).is_ok() {
+                        leaves[d].push(f);
+                    }
+                }
+                4 => {
+                    // One not held by a directory too: the others'
+                    // entries are not this caller's to drop yet.
+                    let alone = |f: &FrameNum| table.type_of(*f) == (PageType::L1, 1);
+                    if let Some(at) = leaves[d].iter().position(alone) {
+                        table
+                            .invalidate_l1(&cpu, &mem, leaves[d].swap_remove(at))
+                            .unwrap();
+                    }
+                }
+                5 => {
+                    let mut expect = table.snapshot();
+                    for rec in expect.iter_mut().filter(|rec| rec.owner == Some(dom)) {
+                        (rec.typ, rec.type_count, rec.pinned) = (PageType::None, 0, false);
+                    }
+                    table.clear_types_for(dom);
+                    assert_eq!(table.snapshot(), expect, "clear of {dom:?}");
+                    pinned[d].clear();
+                    leaves[d].clear();
+                }
+                6 if leaves[d].is_empty() => {
+                    let before = table.snapshot();
+                    table
+                        .recompute_for(&cpu, &mem, dom, owned[d].len(), &pinned[d])
+                        .unwrap();
+                    assert_eq!(table.snapshot(), before, "recompute of {dom:?}");
+                }
+                _ => {}
+            }
+        }
+        // Each domain releases what it holds; nothing is left typed.
+        for d in 0..2 {
+            for &pgd in &pinned[d] {
+                table.unpin_l2(&cpu, &mem, pgd, doms[d]).unwrap();
+            }
+            for &f in &leaves[d] {
+                table.invalidate_l1(&cpu, &mem, f).unwrap();
+            }
+        }
+        for (f, rec) in table.snapshot().iter().enumerate() {
+            assert_eq!(
+                (rec.typ, rec.type_count, rec.pinned),
+                (PageType::None, 0, false),
+                "frame {f}"
+            );
+        }
     });
 }
 

@@ -8,8 +8,8 @@
                                         instruction follows a `lock`-prefixed
                                         one or an `xchg`, by function
 
-Symbols come from `nm -C`, the instruction before a sample from
-`objdump -d`; both are run on the files PROFILE's own copy of
+Symbols and their sizes come from `nm -C -S`, the instruction before a
+sample from `objdump -d`; both are run on the files PROFILE's own copy of
 /proc/self/maps names, so the report must run where those files still
 are — and are still the same: PROFILE records its executable's size and
 mtime, and a file that has been rebuilt since is refused, because its
@@ -84,10 +84,11 @@ def stale_executable(header):
 
 
 def run_nm(path):
-    """`nm -C` over PATH: its own symbols, or its dynamic ones if stripped."""
+    """`nm -C -S` over PATH: its own symbols, or its dynamic ones if
+    stripped, with their sizes."""
     for extra in ([], ["-D"]):
         done = subprocess.run(
-            ["nm", "-C", "--defined-only", *extra, path], capture_output=True, text=True
+            ["nm", "-C", "-S", "--defined-only", *extra, path], capture_output=True, text=True
         )
         if done.returncode == 0 and done.stdout.strip():
             return done.stdout
@@ -128,21 +129,32 @@ def load_bias(path):
     return 0
 
 
+NM_LINE = re.compile(r"([0-9a-f]+) (?:([0-9a-f]+) )?([TtWw]) (.+)")
+
+
 class Symbols:
-    """Sorted text symbols of one file: address → function name."""
+    """Sorted text symbols of one file: address → function name.
+
+    A symbol `nm -S` gives a size covers only that many bytes: an
+    address past its end has no name, rather than the name of whatever
+    exported symbol precedes it in a stripped library."""
 
     def __init__(self, nm_text):
         found = {}
         for line in nm_text.splitlines():
-            fields = line.split(None, 2)
-            if len(fields) == 3 and fields[1] in "TtWw":
-                found.setdefault(int(fields[0], 16), fields[2])
+            m = NM_LINE.fullmatch(line)
+            if m:
+                size = int(m.group(2), 16) if m.group(2) else None
+                found.setdefault(int(m.group(1), 16), (m.group(4), size))
         self.addrs = sorted(found)
-        self.names = [found[a] for a in self.addrs]
+        self.symbols = [found[a] for a in self.addrs]
 
     def name(self, addr):
         at = bisect.bisect_right(self.addrs, addr) - 1
-        return self.names[at] if at >= 0 else None
+        if at < 0:
+            return None
+        name, size = self.symbols[at]
+        return None if size is not None and addr >= self.addrs[at] + size else name
 
 
 def parse_objdump(text):

@@ -33,10 +33,12 @@ def fixture(name):
         return f.read()
 
 
-# The fixture's harness has symbols and code; its libc has neither.
+# The fixture's harness has symbols and code; its libc has no code and,
+# being stripped, only two exported functions, with their sizes.
 # `load_bias` keeps its own name for the test that reads a real header.
 read_program_headers = rp.load_bias
-rp.run_nm = lambda path: fixture("nm.txt") if path == "/fixture/harness" else ""
+NM = {"/fixture/harness": "nm.txt", "/fixture/lib/libc.so.6": "nm_libc.txt"}
+rp.run_nm = lambda path: fixture(NM[path]) if path in NM else ""
 rp.run_objdump = lambda path: fixture("objdump.txt") if path == "/fixture/harness" else ""
 rp.load_bias = lambda path: 0
 # The fixture's harness as it was when the fixture profile was taken.
@@ -90,6 +92,21 @@ class Profile(unittest.TestCase):
         self.assertEqual(res.function(0x1234), "[unmapped]")
         # One past the last mapping's end is nobody's either.
         self.assertEqual(res.function(0x7F0000002000), "[unmapped]")
+
+    def test_an_address_past_a_sized_symbol_is_the_library_not_the_symbol(self):
+        _, maps, _ = rp.parse_profile(fixture("profile.txt"))
+        res = rp.Resolver(maps)
+        # libc's malloc internals lie behind a 0x33-byte exported stub.
+        self.assertEqual(res.function(0x7F0000000000), "__default_morecore@GLIBC_2.2.5")
+        self.assertEqual(res.function(0x7F0000000032), "__default_morecore@GLIBC_2.2.5")
+        self.assertEqual(res.function(0x7F0000000033), "[libc.so.6]")
+        self.assertEqual(res.function(0x7F0000000040), "[libc.so.6]")
+        self.assertEqual(res.function(0x7F000000010C), "__nss_database_lookup@GLIBC_2.2.5")
+        self.assertEqual(res.function(0x7F000000010D), "[libc.so.6]")
+        # A symbol nm gives no size for still runs up to the next one.
+        self.assertEqual(res.function(0x5555000012FF), "simx86::cpu::Cpu::tick")
+        # And data symbols name no code.
+        self.assertEqual(res.function(0x7F0000001010), "[libc.so.6]")
 
     def test_self_and_inclusive_tables(self):
         code, out = run()

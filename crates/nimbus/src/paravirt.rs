@@ -25,7 +25,7 @@ use simx86::mem::FrameNum;
 use simx86::paging::{Pte, KERNEL_BASE, PAGE_SIZE};
 use simx86::{costs, Cpu, VirtAddr};
 use std::sync::Arc;
-use xenon::{Domain, Hypervisor, MmuUpdate, PageType};
+use xenon::{Domain, Hypervisor};
 
 /// The kernel's execution mode (§3.2): on bare hardware or on a VMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -314,11 +314,6 @@ impl PvOps for BareOps {
 // XenOps: hypercalls into a live Xenon (classic paravirtualization)
 // ===========================================================================
 
-/// How many `mmu_update` entries ride in one hypercall on bulk paths.
-/// Xen-Linux 2.6's multicall batching was modest; 2 reproduces the
-/// hypercall-dominated fork/exec costs of Table 1 (fork ≈ 5× native).
-pub const MMU_BATCH: usize = 2;
-
 /// Virtual-mode operations: every sensitive op becomes a hypercall (or
 /// a shared-info fast path, for the interrupt flag).
 pub struct XenOps {
@@ -340,11 +335,6 @@ impl XenOps {
     /// The domain this object acts for.
     pub fn domain(&self) -> &Arc<Domain> {
         &self.dom
-    }
-
-    fn table_is_validated(&self, table: FrameNum) -> bool {
-        let (typ, count) = self.hv.page_info.type_of(table);
-        count > 0 && matches!(typ, PageType::L1 | PageType::L2)
     }
 }
 
@@ -404,16 +394,7 @@ impl PvOps for XenOps {
         index: usize,
         val: Pte,
     ) -> Result<(), KernelError> {
-        if self.table_is_validated(table) {
-            self.hv
-                .mmu_update(cpu, &self.dom, &[MmuUpdate { table, index, val }])?;
-        } else {
-            // Unvalidated tables (still being built) take direct writes;
-            // the pin validates them wholesale.
-            cpu.tick(costs::PTE_WRITE_NATIVE);
-            self.hv.machine.mem.write_pte(cpu, table, index, val)?;
-        }
-        Ok(())
+        self.set_ptes(cpu, table, &[(index, val)])
     }
 
     fn set_ptes(
@@ -422,20 +403,10 @@ impl PvOps for XenOps {
         table: FrameNum,
         updates: &[(usize, Pte)],
     ) -> Result<(), KernelError> {
-        if self.table_is_validated(table) {
-            // One hypercall's worth at a time, on the stack.
-            for chunk in updates.chunks(MMU_BATCH) {
-                let mut batch = [MmuUpdate {
-                    table,
-                    index: 0,
-                    val: Pte::ABSENT,
-                }; MMU_BATCH];
-                for (slot, &(index, val)) in batch.iter_mut().zip(chunk) {
-                    *slot = MmuUpdate { table, index, val };
-                }
-                self.hv.mmu_update(cpu, &self.dom, &batch[..chunk.len()])?;
-            }
-        } else {
+        // A validated table takes one mmu_update per xenon::MMU_BATCH entries.
+        if !self.hv.update_table(cpu, &self.dom, table, updates)? {
+            // Unvalidated tables (still being built) take direct writes;
+            // the pin validates them wholesale.
             cpu.tick(costs::PTE_WRITE_NATIVE * updates.len() as u64);
             self.hv.machine.mem.write_ptes(cpu, table, updates)?;
         }
@@ -773,7 +744,7 @@ mod tests {
             ops.set_ptes(cpu, l1, &run).unwrap();
             assert_eq!(
                 hv.stats.hypercalls.load(Relaxed) - calls,
-                n.div_ceil(MMU_BATCH) as u64,
+                n.div_ceil(xenon::MMU_BATCH) as u64,
                 "{n} entries"
             );
             assert_eq!(hv.stats.mmu_entries.load(Relaxed) - entries, n as u64);

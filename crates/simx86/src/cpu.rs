@@ -204,6 +204,7 @@ impl IdtTable {
     /// An empty table owned by `owner`.
     pub fn new(owner: &'static str) -> Self {
         IdtTable {
+            // volint::allow(SWITCH-ALLOC): a VMM builds a gate table when a route changes (a trap table registered or adopted), never per trap
             gates: vec![None; N_VECTORS],
             owner,
         }
@@ -211,6 +212,7 @@ impl IdtTable {
 
     /// Install a handler for `vector`.
     pub fn set_gate(&mut self, vector: u8, sink: Arc<dyn InterruptSink>) {
+        // volint::allow(SWITCH-PANIC): API-misuse guard; the VMM's gate tables name only its reflected vectors, all < N_VECTORS
         self.gates[vector as usize] = Some(Gate { sink });
     }
 
@@ -449,6 +451,17 @@ impl Cpu {
     #[doc(alias = "volint-privileged")]
     pub fn set_idt_raw(&self, table: Arc<IdtTable>) {
         *self.idt.write() = Some(table);
+    }
+
+    /// Hardware-internal IDT swap that happens only while `loaded` is
+    /// the table in place: how a VMM re-routes its own gate table
+    /// without taking back a CPU that has since loaded another.
+    #[doc(alias = "volint-privileged")]
+    pub fn replace_idt_raw(&self, loaded: &Arc<IdtTable>, table: Arc<IdtTable>) {
+        let mut idt = self.idt.write();
+        if idt.as_ref().is_some_and(|t| Arc::ptr_eq(t, loaded)) {
+            *idt = Some(table);
+        }
     }
 
     /// The currently loaded gate table, if any.

@@ -109,6 +109,11 @@ pub static REGISTRY: &[PrivOp] = &[
         paper_ref: "§5.1.3",
     },
     PrivOp {
+        name: "replace_idt_raw",
+        effect: "hardware-internal IDT swap, only while a given table is loaded",
+        paper_ref: "§3.2.1",
+    },
+    PrivOp {
         name: "lgdt",
         effect: "installs a segment descriptor table",
         paper_ref: "§5.1.2",

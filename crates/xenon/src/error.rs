@@ -21,6 +21,13 @@ pub enum HvError {
         /// What went wrong.
         why: &'static str,
     },
+    /// An `mmu_update` entry named a slot past the end of its table.
+    BadIndex {
+        /// The page-table frame.
+        table: u32,
+        /// The slot asked for.
+        index: usize,
+    },
     /// A page-table validation rule was violated.
     TypeConflict(&'static str),
     /// No frames left to satisfy an allocation.
@@ -45,6 +52,9 @@ impl fmt::Display for HvError {
             HvError::BadDomain => write!(f, "bad domain reference"),
             HvError::NotPrivileged(w) => write!(f, "operation requires privilege: {w}"),
             HvError::BadFrame { frame, why } => write!(f, "bad frame {frame}: {why}"),
+            HvError::BadIndex { table, index } => {
+                write!(f, "bad index {index} into page table {table}")
+            }
             HvError::TypeConflict(w) => write!(f, "page type conflict: {w}"),
             HvError::OutOfMemory => write!(f, "out of memory"),
             HvError::BadGrant(w) => write!(f, "bad grant: {w}"),

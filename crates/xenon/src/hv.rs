@@ -19,7 +19,7 @@ use crate::page_info::{PageInfoTable, PageType, Records};
 use crate::sched::{SchedUnit, Scheduler};
 use simx86::cpu::{vectors, Gdt, IdtTable, InterruptSink, TrapFrame};
 use simx86::mem::FrameNum;
-use simx86::paging::Pte;
+use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::sync::{owner_store, Mutex, RwLock};
 use simx86::{costs, Cpu, Machine};
 use std::collections::BTreeMap;
@@ -30,6 +30,23 @@ use std::sync::{Arc, Weak};
 /// heap, and per-domain structures).  512 frames = 2 MiB: "a VMM
 /// occupies only a reasonably small chunk of memory" (§4.1).
 pub const HV_RESERVED_FRAMES: usize = 512;
+
+/// The vectors the VMM's gate table takes: each is reflected into the
+/// guest.
+const REFLECTED: [u8; 12] = [
+    vectors::PAGE_FAULT,
+    vectors::GP_FAULT,
+    vectors::MACHINE_CHECK,
+    vectors::TIMER,
+    vectors::DISK,
+    vectors::NIC,
+    vectors::IPI_CALL,
+    vectors::SELF_VIRT_ATTACH,
+    vectors::SELF_VIRT_DETACH,
+    vectors::SELF_VIRT_RENDEZVOUS,
+    vectors::SELF_VIRT_UPDATE,
+    vectors::EVTCHN_UPCALL,
+];
 
 /// One entry of an `mmu_update` batch: write `val` into slot `index` of
 /// the (validated) page table living in `table`.
@@ -42,6 +59,12 @@ pub struct MmuUpdate {
     /// New entry value.
     pub val: Pte,
 }
+
+/// How many entries of a guest's PTE run ride in one `mmu_update`
+/// hypercall ([`Hypervisor::update_table`]).  Xen-Linux 2.6's multicall
+/// batching was modest; 2 reproduces the hypercall-dominated fork/exec
+/// costs of Table 1 (fork ≈ 5× native).
+pub const MMU_BATCH: usize = 2;
 
 /// One running counter: a cache line per physical CPU, each written
 /// only by the thread driving that CPU (a load and a store — see
@@ -112,19 +135,40 @@ pub struct Hypervisor {
     pub grants: GrantTables,
     /// vCPU scheduler.
     pub sched: Scheduler,
-    /// Counters.
-    pub stats: HvStats,
+    /// Counters.  Shared with the gate tables, whose sinks count
+    /// reflections without reaching the hypervisor.
+    pub stats: Arc<HvStats>,
     domains: RwLock<BTreeMap<u16, Arc<Domain>>>,
     active: AtomicBool,
     /// VMM build version.  Live-update only ever moves a node to a
     /// strictly newer version (DESIGN.md §16 handshake rule #1).
     version: u32,
     next_domid: AtomicU16,
-    hv_idt: Arc<IdtTable>,
     reserved: Mutex<Vec<FrameNum>>,
-    /// Which domain currently runs on each physical CPU (reflection
-    /// routing).
-    current: RwLock<Vec<Option<DomId>>>,
+    routing: Mutex<Routing>,
+    /// This hypervisor, for the sinks of the gate tables it builds.
+    me: Weak<Hypervisor>,
+}
+
+/// Where a trap taken under the VMM goes, resolved when it changes
+/// rather than per trap (DESIGN.md §14b).
+struct Routing {
+    /// Which domain runs on each physical CPU.
+    current: Vec<Option<DomId>>,
+    /// Per live domain that registered handlers, the gate table that
+    /// reflects into them.
+    tables: BTreeMap<u16, Arc<IdtTable>>,
+    /// The gate table of a CPU whose domain has none: every reflected
+    /// trap is charged and goes nowhere.
+    unrouted: Arc<IdtTable>,
+}
+
+impl Routing {
+    /// The gate table a CPU running `dom` loads.
+    fn table(&self, dom: Option<DomId>) -> &Arc<IdtTable> {
+        dom.and_then(|id| self.tables.get(&id.0))
+            .unwrap_or(&self.unrouted)
+    }
 }
 
 impl Hypervisor {
@@ -150,40 +194,25 @@ impl Hypervisor {
             .alloc_high(boot, HV_RESERVED_FRAMES)
             .expect("machine too small for the VMM reservation");
         let num_cpus = machine.num_cpus();
-        Arc::new_cyclic(|weak: &Weak<Hypervisor>| {
-            let mut idt = IdtTable::new("xenon");
-            let reflect: Arc<dyn InterruptSink> = Arc::new(ReflectSink { hv: weak.clone() });
-            for v in [
-                vectors::PAGE_FAULT,
-                vectors::GP_FAULT,
-                vectors::MACHINE_CHECK,
-                vectors::TIMER,
-                vectors::DISK,
-                vectors::NIC,
-                vectors::IPI_CALL,
-                vectors::SELF_VIRT_ATTACH,
-                vectors::SELF_VIRT_DETACH,
-                vectors::SELF_VIRT_RENDEZVOUS,
-                vectors::SELF_VIRT_UPDATE,
-                vectors::EVTCHN_UPCALL,
-            ] {
-                idt.set_gate(v, Arc::clone(&reflect));
-            }
-            Hypervisor {
-                machine: Arc::clone(machine),
-                page_info: Arc::new(PageInfoTable::new(machine.mem.num_frames())),
-                events: EventChannels::new(),
-                grants: GrantTables::new(),
-                sched: Scheduler::new(num_cpus),
-                stats: HvStats::new(num_cpus),
-                domains: RwLock::new(BTreeMap::new()),
-                active: AtomicBool::new(false),
-                version,
-                next_domid: AtomicU16::new(1),
-                hv_idt: Arc::new(idt),
-                reserved: Mutex::new(reserved),
-                current: RwLock::new(vec![None; num_cpus]),
-            }
+        let stats = Arc::new(HvStats::new(num_cpus));
+        Arc::new_cyclic(|me: &Weak<Hypervisor>| Hypervisor {
+            machine: Arc::clone(machine),
+            page_info: Arc::new(PageInfoTable::new(machine.mem.num_frames())),
+            events: EventChannels::new(),
+            grants: GrantTables::new(),
+            sched: Scheduler::new(num_cpus),
+            domains: RwLock::new(BTreeMap::new()),
+            active: AtomicBool::new(false),
+            version,
+            next_domid: AtomicU16::new(1),
+            reserved: Mutex::new(reserved),
+            routing: Mutex::new(Routing {
+                current: vec![None; num_cpus],
+                tables: BTreeMap::new(),
+                unrouted: gate_table(me, &stats, None),
+            }),
+            stats,
+            me: me.clone(),
         })
     }
 
@@ -206,12 +235,18 @@ impl Hypervisor {
         self.active.store(false, Ordering::Release);
     }
 
-    /// Take over one CPU: install the VMM's gate table and the
-    /// de-privileging GDT.  Must run at PL0 (interrupt context of the
-    /// switch handler).
+    /// Take over one CPU: install the VMM's gate table for the domain
+    /// current on it and the de-privileging GDT.  Must run at PL0
+    /// (interrupt context of the switch handler).
     pub fn install_on_cpu(&self, cpu: &Arc<Cpu>) {
         cpu.tick(costs::STATE_RELOAD);
-        cpu.set_idt_raw(Arc::clone(&self.hv_idt));
+        {
+            // Under the lock, so a re-route cannot slip between the
+            // read of the table and its installation.
+            let routing = self.routing.lock();
+            let current = routing.current.get(cpu.id).copied().flatten();
+            cpu.set_idt_raw(Arc::clone(routing.table(current)));
+        }
         cpu.set_gdt_raw(Gdt::VIRTUALIZED);
     }
 
@@ -221,11 +256,6 @@ impl Hypervisor {
         cpu.tick(costs::STATE_RELOAD);
         cpu.set_idt_raw(kernel_idt);
         cpu.set_gdt_raw(Gdt::NATIVE);
-    }
-
-    /// The VMM's gate table (tests, diagnostics).
-    pub fn idt(&self) -> Arc<IdtTable> {
-        Arc::clone(&self.hv_idt)
     }
 
     /// Frames reserved for the VMM itself.
@@ -253,8 +283,13 @@ impl Hypervisor {
         for id in ids {
             self.sched.remove_domain(DomId(id));
         }
-        for slot in self.current.write().iter_mut() {
-            *slot = None;
+        {
+            let mut routing = self.routing.lock();
+            // volint::bound(64) — one slot per physical CPU
+            for pcpu in 0..routing.current.len() {
+                self.route_cpu(&mut routing, pcpu, None);
+            }
+            routing.tables.clear();
         }
         std::mem::take(&mut *self.reserved.lock())
     }
@@ -265,6 +300,7 @@ impl Hypervisor {
     pub fn forget_domain(&self, id: DomId) {
         self.domains.write().remove(&id.0);
         self.sched.remove_domain(id);
+        self.route_domain(id);
     }
 
     /// Borrow `n` frames from the VMM's reserved pool (ring buffers,
@@ -291,9 +327,16 @@ impl Hypervisor {
         }
     }
 
+    fn count_hypercall(&self, cpu: &Cpu, probe: &'static str) {
+        self.count_hypercall_on(cpu, probe, |frame| self.page_info.corrupt_record(frame));
+    }
+
+    /// Charge and count one hypercall.  A planted VMM-state fault wipes
+    /// its record through `corrupt`: the table's own lock, or the
+    /// records a caller already holds.
     // `probe` is read only by the merctrace probes (compiled out by
     // default), hence the underscore.
-    fn count_hypercall(&self, cpu: &Cpu, _probe: &'static str) {
+    fn count_hypercall_on(&self, cpu: &Cpu, _probe: &'static str, corrupt: impl FnOnce(FrameNum)) {
         cpu.tick(costs::HYPERCALL_BASE);
         // Fault injection (compiled out by default): a transiently
         // failed hypercall is retried by the caller and a slow one takes
@@ -308,7 +351,7 @@ impl Hypervisor {
         // back, persisting until a live-update rebuilds it on a
         // pristine successor.
         if let Some(frame) = faultgen::vmm_site!(cpu.id, cpu.cycles()) {
-            self.page_info.corrupt_record(FrameNum(frame));
+            corrupt(FrameNum(frame));
         }
         self.stats.hypercalls.add(cpu, 1);
         merctrace::counter!(cpu.id, "xenon.hypercall", 1, cpu.cycles());
@@ -360,6 +403,7 @@ impl Hypervisor {
         dom.kill();
         self.sched.remove_domain(dom.id);
         self.domains.write().remove(&dom.id.0);
+        self.route_domain(dom.id);
         Ok(frames)
     }
 
@@ -394,18 +438,59 @@ impl Hypervisor {
         self.sched.enqueue(pcpu, SchedUnit { dom: id, vcpu: 0 });
         let next = self.next_domid.load(Ordering::Relaxed).max(id.0 + 1);
         self.next_domid.store(next, Ordering::Relaxed);
+        self.route_domain(id);
     }
 
     /// Record which domain runs on `pcpu` (context switch by the
     /// scheduler/test bed); reflection routes through this.
     pub fn set_current(&self, pcpu: usize, dom: Option<DomId>) {
-        // volint::allow(SWITCH-PANIC): pcpu comes from Cpu::id, always < num_cpus — the vector was sized from the same machine
-        self.current.write()[pcpu] = dom;
+        self.route_cpu(&mut self.routing.lock(), pcpu, dom);
     }
 
     /// The domain currently on `pcpu`.
     pub fn current(&self, pcpu: usize) -> Option<DomId> {
-        self.current.read()[pcpu]
+        self.routing.lock().current.get(pcpu).copied().flatten()
+    }
+
+    // -- reflection routing ---------------------------------------------
+
+    /// Put `dom` on `pcpu`, and its gate table in place of the one the
+    /// CPU had if that one is loaded there.
+    fn route_cpu(&self, routing: &mut Routing, pcpu: usize, dom: Option<DomId>) {
+        let Some(slot) = routing.current.get_mut(pcpu) else {
+            return;
+        };
+        let was = std::mem::replace(slot, dom);
+        if let Some(cpu) = self.machine.cpus.get(pcpu) {
+            let old = Arc::clone(routing.table(was));
+            cpu.replace_idt_raw(&old, Arc::clone(routing.table(dom)));
+        }
+    }
+
+    /// Re-resolve `id`'s gate table from this hypervisor's record of it
+    /// (none once the record is gone), and put it in place on every CPU
+    /// running `id` that has the old one loaded.  Every change to what a
+    /// domain's traps reach — its record, its handlers — ends here.
+    fn route_domain(&self, id: DomId) {
+        // The record is read under the lock, so the last of two racing
+        // changes is the one that stays.
+        let mut routing = self.routing.lock();
+        let old = Arc::clone(routing.table(Some(id)));
+        match self.domain(id) {
+            Some(dom) => {
+                let table = gate_table(&self.me, &self.stats, Some(&dom));
+                // volint::allow(SWITCH-ALLOC): one map node per domain, ≤ a handful; re-registration replaces it
+                routing.tables.insert(id.0, table)
+            }
+            None => routing.tables.remove(&id.0),
+        };
+        let new = routing.table(Some(id));
+        // volint::bound(64) — one slot per physical CPU
+        for (cpu, &dom) in self.machine.cpus.iter().zip(&routing.current) {
+            if dom == Some(id) {
+                cpu.replace_idt_raw(&old, Arc::clone(new));
+            }
+        }
     }
 
     // -- MMU hypercalls -----------------------------------------------------
@@ -418,6 +503,7 @@ impl Hypervisor {
     ///   guests build *new* tables with ordinary writes and then pin;
     /// * a leaf entry may only map a frame the domain owns;
     /// * a writable leaf entry may not target a page-table frame;
+    /// * the entry index must lie inside the table;
     /// * a directory entry may only reference a (possibly just-now
     ///   validated) L1 table.
     // volint::root(SWITCH)
@@ -427,11 +513,60 @@ impl Hypervisor {
         dom: &Arc<Domain>,
         updates: &[MmuUpdate],
     ) -> Result<(), HvError> {
-        self.check_active()?;
-        self.count_hypercall(cpu, "xenon.hypercall.mmu_update");
-        // One hold of the accounting lock per batch; the entries
-        // themselves are single (table, index) stores the guest chose.
+        self.mmu_call(
+            cpu,
+            &mut self.page_info.records(),
+            dom,
+            updates.iter().copied(),
+        )
+    }
+
+    /// A guest's write of `updates` into slots of `table`, issued as
+    /// `mmu_update` hypercalls of [`MMU_BATCH`] entries each — what
+    /// `XenOps::set_pte`/`set_ptes` make — under one hold of the
+    /// accounting lock for the type check and every call.  Each call is
+    /// charged and counted as its own hypercall; the first that fails
+    /// ends the run with its error, and the calls before it stand.
+    ///
+    /// `Ok(false)`, with nothing charged, when `table` is not a
+    /// validated page table: a table still being built takes the
+    /// guest's direct writes, and the pin validates it wholesale.
+    // volint::root(SWITCH)
+    pub fn update_table(
+        &self,
+        cpu: &Cpu,
+        dom: &Arc<Domain>,
+        table: FrameNum,
+        updates: &[(usize, Pte)],
+    ) -> Result<bool, HvError> {
         let mut info = self.page_info.records();
+        let (typ, count) = info.type_of(table);
+        if count == 0 || !matches!(typ, PageType::L1 | PageType::L2) {
+            return Ok(false);
+        }
+        // volint::bound(256) — one call per MMU_BATCH entries of a run ≤ ENTRIES_PER_TABLE
+        for call in updates.chunks(MMU_BATCH) {
+            let call = call
+                .iter()
+                .map(|&(index, val)| MmuUpdate { table, index, val });
+            self.mmu_call(cpu, &mut info, dom, call)?;
+        }
+        Ok(true)
+    }
+
+    /// One `mmu_update` hypercall on the held records: charged and
+    /// counted, then each entry validated and committed in order.
+    fn mmu_call(
+        &self,
+        cpu: &Cpu,
+        info: &mut Records,
+        dom: &Arc<Domain>,
+        updates: impl IntoIterator<Item = MmuUpdate>,
+    ) -> Result<(), HvError> {
+        self.check_active()?;
+        self.count_hypercall_on(cpu, "xenon.hypercall.mmu_update", |frame| {
+            info.corrupt_record(frame)
+        });
         // volint::bound(512) — one batch ≤ ENTRIES_PER_TABLE updates; callers submit per-table batches
         for u in updates {
             cpu.tick(costs::MMU_UPDATE_PER_ENTRY);
@@ -448,9 +583,15 @@ impl Hypervisor {
                     why: "table not owned by caller",
                 });
             }
+            if u.index >= ENTRIES_PER_TABLE {
+                return Err(HvError::BadIndex {
+                    table: u.table.0,
+                    index: u.index,
+                });
+            }
             match typ {
-                PageType::L1 => self.commit_l1_update(cpu, &mut info, dom, u)?,
-                PageType::L2 => self.commit_l2_update(cpu, &mut info, dom, u)?,
+                PageType::L1 => self.commit_l1_update(cpu, info, dom, &u)?,
+                PageType::L2 => self.commit_l2_update(cpu, info, dom, &u)?,
                 _ => {
                     return Err(HvError::TypeConflict(
                         "mmu_update target is not a page table",
@@ -616,6 +757,7 @@ impl Hypervisor {
         for (vector, sink) in entries {
             dom.set_trap_gate(vector, sink);
         }
+        self.route_domain(dom.id);
         Ok(())
     }
 
@@ -807,25 +949,55 @@ impl Hypervisor {
     }
 }
 
-/// The VMM's gate-table sink: receives every trap while the VMM owns the
-/// hardware and reflects it into the guest's registered handler,
-/// charging the extra ring crossings (§3.2.1's cost of de-privileging).
+/// The gate table of a CPU running `dom` (`None`: no domain, or one that
+/// registered no handlers): a [`ReflectSink`] on every reflected vector,
+/// each holding `dom`'s handler for it.
+fn gate_table(hv: &Weak<Hypervisor>, stats: &Arc<HvStats>, dom: Option<&Domain>) -> Arc<IdtTable> {
+    let mut idt = IdtTable::new("xenon");
+    // volint::bound(12) — the REFLECTED vectors
+    for vector in REFLECTED {
+        let sink = ReflectSink {
+            hv: hv.clone(),
+            stats: Arc::clone(stats),
+            guest: dom.and_then(|d| d.trap_gate(vector)),
+        };
+        // volint::allow(SWITCH-ALLOC): twelve gates per registration of a domain's trap table, not per trap
+        idt.set_gate(vector, Arc::new(sink));
+    }
+    // volint::allow(SWITCH-ALLOC): one table per registration of a domain's trap table, not per trap
+    Arc::new(idt)
+}
+
+/// A gate of the VMM's table: receives a trap while the VMM owns the
+/// hardware and reflects it into the guest handler resolved when the
+/// route last changed, charging the extra ring crossings (§3.2.1's cost
+/// of de-privileging).  It takes no lock and no reference count: the
+/// route is in the table the CPU loaded.
 struct ReflectSink {
     hv: Weak<Hypervisor>,
+    stats: Arc<HvStats>,
+    /// The handler the domain current on the CPU registered for this
+    /// vector.
+    guest: Option<Arc<dyn InterruptSink>>,
 }
 
 impl InterruptSink for ReflectSink {
     fn handle(&self, cpu: &Arc<Cpu>, frame: &mut TrapFrame) {
-        let Some(hv) = self.hv.upgrade() else {
+        // A table left loaded by a hypervisor since dropped reflects
+        // nothing.  (A load, where `upgrade` would be a locked add.)
+        if self.hv.strong_count() == 0 {
             return;
-        };
+        }
         cpu.tick(costs::TRAP_REFLECT_VIRT);
-        hv.stats.reflections.add(cpu, 1);
+        self.stats.reflections.add(cpu, 1);
         merctrace::counter!(cpu.id, "xenon.trap.reflect", 1, cpu.cycles());
 
         if frame.vector == vectors::EVTCHN_UPCALL {
             // Deliver to every domain homed on this CPU with pending
             // events.
+            let Some(hv) = self.hv.upgrade() else {
+                return;
+            };
             for dom in hv.domains() {
                 if dom.home_pcpu() == cpu.id && dom.evt_pending.load(Ordering::Acquire) != 0 {
                     if let Some(gate) = dom.trap_gate(vectors::EVTCHN_UPCALL) {
@@ -837,10 +1009,7 @@ impl InterruptSink for ReflectSink {
         }
 
         // Everything else goes to the domain currently on this CPU.
-        let Some(dom) = hv.current(cpu.id).and_then(|id| hv.domain(id)) else {
-            return;
-        };
-        if let Some(gate) = dom.trap_gate(frame.vector) {
+        if let Some(gate) = &self.guest {
             gate.handle(cpu, frame);
         }
     }
@@ -1122,6 +1291,113 @@ mod tests {
         assert_eq!(cpu.pl(), simx86::PrivLevel::Pl1);
     }
 
+    /// The gate table a CPU loads stands in for the lookup a reflected
+    /// trap used to make — current domain → its record → its handler.
+    /// After every change that moves a route, a page fault on each of
+    /// two CPUs lands at exactly the handler that lookup names, or at
+    /// none, and is charged as a reflection either way.  Any one of
+    /// `install_on_cpu`, `set_current`, `set_trap_table`,
+    /// `forget_domain`, `adopt_domain`, `destroy_domain` and
+    /// `decommission` leaving the table as it was fails a step.
+    #[test]
+    fn a_reflected_fault_reaches_the_handler_the_route_names() {
+        type Log = Arc<Mutex<Vec<usize>>>;
+        struct Tagged(usize, Log);
+        impl InterruptSink for Tagged {
+            fn handle(&self, _c: &Arc<Cpu>, _f: &mut TrapFrame) {
+                self.1.lock().push(self.0);
+            }
+        }
+        let machine = Machine::new(MachineConfig {
+            num_cpus: 2,
+            mem_frames: 2048,
+            disk_sectors: 64,
+        });
+        let hv = Hypervisor::warm_up(&machine);
+        hv.activate();
+        let boot = machine.boot_cpu();
+        let d0 = hv
+            .create_domain(boot, "dom0", quota(&machine, 4), 0)
+            .unwrap();
+        let d1 = hv
+            .create_domain(boot, "domU", quota(&machine, 4), 1)
+            .unwrap();
+        let log: Log = Arc::default();
+        let handlers: Vec<Arc<dyn InterruptSink>> = (0..3)
+            .map(|tag| Arc::new(Tagged(tag, Arc::clone(&log))) as Arc<dyn InterruptSink>)
+            .collect();
+        let register = |dom: &Arc<Domain>, tag: usize| {
+            let entries = vec![(vectors::PAGE_FAULT, Arc::clone(&handlers[tag]))];
+            hv.set_trap_table(boot, dom, entries).unwrap();
+        };
+        // The handler the lookup names for `pcpu`, by tag.
+        let named = |hv: &Hypervisor, pcpu: usize| {
+            let gate = hv
+                .current(pcpu)
+                .and_then(|id| hv.domain(id))?
+                .trap_gate(vectors::PAGE_FAULT)?;
+            let at = |h: &Arc<dyn InterruptSink>| {
+                Arc::as_ptr(h) as *const () == Arc::as_ptr(&gate) as *const ()
+            };
+            handlers.iter().position(at)
+        };
+        let step = |hv: &Hypervisor, what: &str, want: [Option<usize>; 2]| {
+            for (cpu, want) in machine.cpus.iter().zip(want) {
+                assert_eq!(
+                    named(hv, cpu.id),
+                    want,
+                    "{what}: the lookup on CPU {}",
+                    cpu.id
+                );
+                let reflections = hv.stats.reflections.load(Ordering::Relaxed);
+                cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+                let reached = log.lock().pop();
+                assert_eq!(reached, want, "{what}: the fault on CPU {}", cpu.id);
+                assert_eq!(
+                    hv.stats.reflections.load(Ordering::Relaxed),
+                    reflections + 1
+                );
+            }
+        };
+
+        register(&d0, 0);
+        register(&d1, 1);
+        hv.set_current(0, Some(d0.id));
+        for cpu in &machine.cpus {
+            hv.install_on_cpu(cpu);
+        }
+        step(&hv, "install", [Some(0), None]);
+        hv.set_current(1, Some(d0.id));
+        step(&hv, "set_current", [Some(0), Some(0)]);
+        hv.set_current(0, Some(d1.id));
+        step(&hv, "set_current to another domain", [Some(1), Some(0)]);
+        register(&d1, 2);
+        step(&hv, "a re-registered trap table", [Some(2), Some(0)]);
+        hv.forget_domain(d1.id);
+        step(&hv, "forget_domain", [None, Some(0)]);
+        hv.adopt_domain(Arc::clone(&d1));
+        step(&hv, "adopt_domain", [Some(2), Some(0)]);
+        hv.destroy_domain(boot, &d0).unwrap();
+        step(&hv, "destroy_domain", [Some(2), None]);
+        hv.set_current(1, Some(d1.id));
+        step(&hv, "set_current after a destroy", [Some(2), Some(2)]);
+        hv.decommission();
+        step(&hv, "decommission", [None, None]);
+
+        // A table left loaded by a hypervisor since dropped charges and
+        // reaches nothing.
+        hv.set_current(0, Some(d1.id));
+        let cpu = &machine.cpus[0];
+        let c0 = cpu.cycles();
+        cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        let live = cpu.cycles() - c0;
+        drop(hv);
+        let c0 = cpu.cycles();
+        cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        assert_eq!(cpu.cycles() - c0, live - costs::TRAP_REFLECT_VIRT);
+        assert!(log.lock().is_empty());
+    }
+
     #[test]
     fn grant_requires_ownership() {
         let machine = small_machine();
@@ -1147,11 +1423,35 @@ mod tests {
 #[cfg(test)]
 mod wrapper_tests {
     use super::*;
+    use crate::page_info::PageInfo;
     use simx86::MachineConfig;
 
     fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Domain>, Arc<Domain>) {
+        rig_of(1)
+    }
+
+    /// [`rig`] with d0's tree pinned: directory f[0] → leaf tables f[1]
+    /// and f[2]; f[3] a leaf table built but not hooked in; f[4..] data.
+    fn pinned_rig(num_cpus: usize) -> (Arc<Machine>, Arc<Hypervisor>, Arc<Domain>, Arc<Domain>) {
+        let (machine, hv, d0, d1) = rig_of(num_cpus);
+        let cpu = machine.boot_cpu();
+        let f = d0.frames();
+        let mem = &machine.mem;
+        for (slot, l1) in [(0, f[1]), (1, f[2])] {
+            mem.write_pte(cpu, f[0], slot, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
+                .unwrap();
+        }
+        for (l1, data) in [(f[1], f[4]), (f[2], f[5]), (f[3], f[6])] {
+            mem.write_pte(cpu, l1, 0, Pte::new(data.0, Pte::WRITABLE | Pte::USER))
+                .unwrap();
+        }
+        hv.pin_l2(cpu, &d0, f[0]).unwrap();
+        (machine, hv, d0, d1)
+    }
+
+    fn rig_of(num_cpus: usize) -> (Arc<Machine>, Arc<Hypervisor>, Arc<Domain>, Arc<Domain>) {
         let machine = Machine::new(MachineConfig {
-            num_cpus: 1,
+            num_cpus,
             mem_frames: 2048,
             disk_sectors: 64,
         });
@@ -1394,26 +1694,8 @@ mod wrapper_tests {
         // every batch: same verdict, same accounting, same page-table
         // words, same cycles, same entry count.
         faultgen::rng::check("mmu_update matches the per-entry oracle", 60, |rng| {
-            let build = || {
-                let (machine, hv, d0, d1) = rig();
-                let cpu = machine.boot_cpu();
-                let f = d0.frames();
-                // pgd f[0] → leaf tables f[1], f[2]; f[3] is a leaf
-                // table built but not hooked in; f[4..] are data.
-                let mem = &machine.mem;
-                for (slot, l1) in [(0, f[1]), (1, f[2])] {
-                    mem.write_pte(cpu, f[0], slot, Pte::new(l1.0, Pte::WRITABLE | Pte::USER))
-                        .unwrap();
-                }
-                for (l1, data) in [(f[1], f[4]), (f[2], f[5]), (f[3], f[6])] {
-                    mem.write_pte(cpu, l1, 0, Pte::new(data.0, Pte::WRITABLE | Pte::USER))
-                        .unwrap();
-                }
-                hv.pin_l2(cpu, &d0, f[0]).unwrap();
-                (machine, hv, d0, d1)
-            };
-            let (new_m, new_hv, new_d0, d1) = build();
-            let (old_m, old_hv, old_d0, _) = build();
+            let (new_m, new_hv, new_d0, d1) = pinned_rig(1);
+            let (old_m, old_hv, old_d0, _) = pinned_rig(1);
             let f = new_d0.frames();
             assert_eq!(f, old_d0.frames());
             let foreign = d1.frames()[0];
@@ -1474,6 +1756,198 @@ mod wrapper_tests {
                 }
             }
         });
+    }
+
+    /// [`Hypervisor::update_table`] as `XenOps` spelled it before one
+    /// hold covered the run: the type check, then one `mmu_update` —
+    /// one round-trip through the accounting lock — per call.
+    fn per_call_updates(
+        hv: &Hypervisor,
+        cpu: &Cpu,
+        dom: &Arc<Domain>,
+        table: FrameNum,
+        run: &[(usize, Pte)],
+    ) -> Result<bool, HvError> {
+        let (typ, count) = hv.page_info.type_of(table);
+        if count == 0 || !matches!(typ, PageType::L1 | PageType::L2) {
+            return Ok(false);
+        }
+        for call in run.chunks(MMU_BATCH) {
+            let call: Vec<MmuUpdate> = call
+                .iter()
+                .map(|&(index, val)| MmuUpdate { table, index, val })
+                .collect();
+            hv.mmu_update(cpu, dom, &call)?;
+        }
+        Ok(true)
+    }
+
+    /// What a twin-machine test compares after a run on `cpu`.
+    #[allow(clippy::type_complexity)]
+    fn observed(
+        machine: &Machine,
+        hv: &Hypervisor,
+        cpu: &Cpu,
+        frames: &[FrameNum],
+    ) -> (
+        u64,
+        u64,
+        u64,
+        Vec<PageInfo>,
+        (Vec<u64>, u64, u64),
+        Vec<Vec<u64>>,
+    ) {
+        (
+            cpu.cycles(),
+            hv.stats.hypercalls.load(Ordering::Relaxed),
+            hv.stats.mmu_entries.load(Ordering::Relaxed),
+            hv.page_info.snapshot(),
+            hv.page_info.write_log(),
+            frames
+                .iter()
+                .map(|&f| machine.mem.export_frame(f).unwrap())
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn a_pte_run_matches_one_mmu_update_per_call() {
+        // Twin machines: one takes each run through `update_table`'s one
+        // hold, the other through a loop of `mmu_update` calls.  Runs of
+        // 0–512 entries into the directory, the two leaf tables, a leaf
+        // table not yet validated and a data frame; entries present or
+        // absent, writable or not; a third of the runs carry one hostile
+        // entry somewhere (a foreign, missing or page-table target, or a
+        // slot past the table's end), so they fail part way.  After
+        // every run: same verdict, cycles, hypercall and entry counts,
+        // records, write-log stamps and table words.
+        faultgen::rng::check("a PTE run matches one mmu_update per call", 40, |rng| {
+            let (new_m, new_hv, new_d0, d1) = pinned_rig(1);
+            let (old_m, old_hv, old_d0, _) = pinned_rig(1);
+            let f = new_d0.frames();
+            let foreign = d1.frames()[0];
+            let missing = FrameNum(new_m.mem.num_frames() as u32 + 9);
+            let flags = [0, Pte::USER, Pte::WRITABLE | Pte::USER];
+            for _ in 0..6 {
+                let table = [f[0], f[0], f[1], f[2], f[3], f[4]][rng.below(6) as usize];
+                let len = rng.below(ENTRIES_PER_TABLE as u64 + 1) as usize;
+                let mut run = rng.vec(len, |rng| {
+                    let index = rng.below(ENTRIES_PER_TABLE as u64) as usize;
+                    let val = match (table == f[0], rng.below(4)) {
+                        (_, 0) => Pte::ABSENT,
+                        // Directory slots hook a leaf table in.
+                        (true, n) => Pte::new(f[n as usize].0, Pte::WRITABLE | Pte::USER),
+                        (false, _) => {
+                            Pte::new(f[4 + rng.below(4) as usize].0, flags[rng.below(3) as usize])
+                        }
+                    };
+                    (index, val)
+                });
+                if len > 0 && rng.below(3) == 0 {
+                    let (index, val) = &mut run[rng.below(len as u64) as usize];
+                    match rng.below(4) {
+                        0 => *val = Pte::new(foreign.0, Pte::USER),
+                        1 => *val = Pte::new(missing.0, Pte::USER),
+                        2 => *val = Pte::new(f[1].0, Pte::WRITABLE | Pte::USER),
+                        _ => *index = ENTRIES_PER_TABLE + rng.below(4) as usize,
+                    }
+                }
+                let (new_cpu, old_cpu) = (new_m.boot_cpu(), old_m.boot_cpu());
+                let new = new_hv.update_table(new_cpu, &new_d0, table, &run);
+                let old = per_call_updates(&old_hv, old_cpu, &old_d0, table, &run);
+                assert_eq!(new, old, "same verdict, same error");
+                assert_eq!(
+                    observed(&new_m, &new_hv, new_cpu, &f[..8]),
+                    observed(&old_m, &old_hv, old_cpu, &f[..8])
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn an_mmu_update_index_past_its_table_is_a_bad_index() {
+        // Unchecked, index 512 of a leaf table is word 0 of the next
+        // frame: the write would land in a frame never validated.
+        let (machine, hv, d0, _d1) = pinned_rig(1);
+        let cpu = machine.boot_cpu();
+        let f = d0.frames();
+        let before = observed(&machine, &hv, cpu, &f[..8]);
+        for (table, val) in [
+            (f[1], Pte::new(f[7].0, Pte::WRITABLE | Pte::USER)),
+            (f[0], Pte::new(f[3].0, Pte::WRITABLE | Pte::USER)),
+        ] {
+            for index in [ENTRIES_PER_TABLE, ENTRIES_PER_TABLE + 1, usize::MAX] {
+                let u = MmuUpdate { table, index, val };
+                assert_eq!(
+                    hv.mmu_update(cpu, &d0, &[u]),
+                    Err(HvError::BadIndex {
+                        table: table.0,
+                        index
+                    })
+                );
+            }
+        }
+        let after = observed(&machine, &hv, cpu, &f[..8]);
+        assert_eq!((after.3, after.4, after.5), (before.3, before.4, before.5));
+    }
+
+    /// A VMM-state fault due in the middle of a PTE run wipes its
+    /// record through the held accounting lock (taking it again would
+    /// deadlock), and the calls after it see the wipe exactly as a loop
+    /// of `mmu_update` calls does: a wiped table refuses the rest of
+    /// the run, a wiped target takes its next reference afresh.
+    #[cfg(feature = "fault")]
+    #[test]
+    fn a_vmm_fault_due_mid_run_lands_as_on_the_per_call_path() {
+        use faultgen::{FaultSpec, FaultTarget};
+        // The plan is process-wide: CPU 7 keeps it from every other
+        // test in this binary, whose machines have at most four.
+        const CPU: usize = 7;
+        let outcome = |one_hold: bool, wiped: usize| {
+            let (machine, hv, d0, _d1) = pinned_rig(CPU + 1);
+            let cpu = &machine.cpus[CPU];
+            let f = d0.frames();
+            let run: Vec<(usize, Pte)> = (8..16)
+                .map(|i| (i, Pte::new(f[4 + i % 4].0, Pte::WRITABLE | Pte::USER)))
+                .collect();
+            faultgen::reset();
+            faultgen::arm(vec![FaultSpec {
+                id: 1,
+                // Past the first call's charge, so the second one fires it.
+                due_cycle: cpu.cycles() + costs::HYPERCALL_BASE + 1,
+                target: FaultTarget::VmmState {
+                    cpu: CPU,
+                    frame: f[wiped].0,
+                },
+            }]);
+            let result = if one_hold {
+                hv.update_table(cpu, &d0, f[1], &run)
+            } else {
+                per_call_updates(&hv, cpu, &d0, f[1], &run)
+            };
+            let fired = faultgen::drain_signals().len();
+            faultgen::reset();
+            (result, fired, observed(&machine, &hv, cpu, &f[..8]))
+        };
+        // Wiped: the leaf table being written, then a frame it maps.
+        for (wiped, result, calls, entries) in [
+            (
+                1,
+                Err(HvError::TypeConflict(
+                    "mmu_update on an unvalidated table (write it directly and pin)",
+                )),
+                2,
+                3,
+            ),
+            (5, Ok(true), 4, 8),
+        ] {
+            let one_hold = outcome(true, wiped);
+            assert_eq!(one_hold, outcome(false, wiped));
+            let (got, fired, (_, hypercalls, mmu_entries, ..)) = one_hold;
+            assert_eq!((got, fired), (result, 1));
+            // The pin was a hypercall too.
+            assert_eq!((hypercalls, mmu_entries), (1 + calls, entries));
+        }
     }
 
     #[test]

@@ -42,6 +42,6 @@ pub mod sched;
 
 pub use domain::{DomId, Domain, GuestState, DOM0};
 pub use error::HvError;
-pub use hv::{Hypervisor, MmuUpdate};
+pub use hv::{Hypervisor, MmuUpdate, MMU_BATCH};
 pub use liveupdate::{UpdateError, UpdateReport};
 pub use page_info::{Epoch, PageInfo, PageInfoTable, PageType, WriteCursor};

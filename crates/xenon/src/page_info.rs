@@ -89,12 +89,13 @@ pub struct PageInfoTable {
 /// The frame records, as seen with the table's lock held.
 ///
 /// Ownership, typing and the validators are defined once, here, on the
-/// locked records: a validator (or an `mmu_update` batch) takes the
-/// lock once and holds it across every entry it scans and every table
-/// it descends into, and [`PageInfoTable`]'s per-call methods are this
-/// lock plus one call.  Page-table frames are read through
-/// [`PhysMemory::read_table`]; memory takes no lock of its own, so this
-/// lock is what keeps two validators off one table (DESIGN.md §14a).
+/// locked records: a validator (or a guest's PTE call, with every
+/// `mmu_update` it makes) takes the lock once and holds it across every
+/// entry it scans and every table it descends into, and
+/// [`PageInfoTable`]'s per-call methods are this lock plus one call.
+/// Page-table frames are read through [`PhysMemory::read_table`];
+/// memory takes no lock of its own, so this lock is what keeps two
+/// validators off one table (DESIGN.md §14a).
 ///
 /// Beside the records sits the **write log**: per frame, the epoch of
 /// its last tracked write.  A write only stamps; readers compare stamps
@@ -226,6 +227,15 @@ impl Records {
     fn checkpoint(&mut self) -> Epoch {
         self.now += 1;
         Epoch(self.now - 1)
+    }
+
+    /// [`PageInfoTable::corrupt_record`] under the held lock.
+    pub(crate) fn corrupt_record(&mut self, frame: FrameNum) {
+        if let Ok(rec) = self.rec_mut(frame) {
+            rec.typ = PageType::None;
+            rec.type_count = 0;
+            rec.pinned = false;
+        }
     }
 
     /// Those of `frames` that `dom` owns and whose last tracked write
@@ -570,11 +580,7 @@ impl PageInfoTable {
     /// successor recomputes its records from the guest's page tables
     /// rather than trusting (and so inheriting) these.
     pub fn corrupt_record(&self, frame: FrameNum) {
-        if let Ok(rec) = self.info.lock().rec_mut(frame) {
-            rec.typ = PageType::None;
-            rec.type_count = 0;
-            rec.pinned = false;
-        }
+        self.info.lock().corrupt_record(frame);
     }
 
     // -- the write log ----------------------------------------------------
@@ -864,6 +870,14 @@ impl PageInfoTable {
     /// recompute-vs-active-tracking property test diffs two of these).
     pub fn snapshot(&self) -> Vec<PageInfo> {
         self.info.lock().frames.clone()
+    }
+
+    /// The write log as it stands: each frame's stamp, then the current
+    /// epoch and the newest stamp (twin-machine tests diff two of these).
+    #[cfg(test)]
+    pub(crate) fn write_log(&self) -> (Vec<u64>, u64, u64) {
+        let info = self.info.lock();
+        (info.written.clone(), info.now, info.newest)
     }
 }
 

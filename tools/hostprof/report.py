@@ -7,6 +7,9 @@
     report.py PROFILE --locked          the share of samples whose interrupted
                                         instruction follows a `lock`-prefixed
                                         one or an `xchg`, by function
+    report.py --diff A B                two profiles side by side: each
+                                        function's self and after-locked
+                                        shares in A and in B, and the change
 
 Symbols and their sizes come from `nm -C -S`, the instruction before a
 sample from `objdump -d`; both are run on the files PROFILE's own copy of
@@ -228,27 +231,64 @@ def table(title, rows, total, top):
     print()
 
 
-def report(text, args):
+def symbolise(text):
+    """(header, stacks, function names leaf first per stack, resolver) of
+    a sampler dump — or None, the reason said in one line on stderr, if
+    it has no samples or its executable has changed since."""
     header, maps, stacks = parse_profile(text)
-    if not stacks:
-        print("no samples in the profile", file=sys.stderr)
-        return 1
-    stale = stale_executable(header)
-    if stale:
-        print(stale, file=sys.stderr)
-        return 1
+    why = stale_executable(header) if stacks else "no samples in the profile"
+    if why:
+        print(why, file=sys.stderr)
+        return None
     res = Resolver(maps)
+    return header, stacks, [[res.function(a) for a in stack] for stack in stacks], res
+
+
+def after_locked(stacks, named, res):
+    """Samples whose instruction follows a locked one, by function."""
+    return collections.Counter(
+        names[0] for stack, names in zip(stacks, named) if res.follows_locked(stack[0])
+    )
+
+
+def diff(texts, top):
+    """Self and after-locked shares per function of profile A beside B."""
+    profiles = [symbolise(text) for text in texts]
+    if None in profiles:
+        return 1
+    sides = []
+    for label, (_, stacks, named, res) in zip("AB", profiles):
+        total, locked = len(stacks), after_locked(stacks, named, res)
+        print("%s: %d samples, %.1f%% after a locked instruction"
+              % (label, total, 100.0 * sum(locked.values()) / total))
+        sides.append((total, collections.Counter(names[0] for names in named), locked))
+    print()
+
+    def shares(name):
+        return [100.0 * side[k][name] / side[0] for k in (1, 2) for side in sides]
+
+    names = sorted(set(sides[0][1]) | set(sides[1][1]), key=lambda n: (-max(shares(n)), n))
+    print("%9s %8s %8s %10s %8s %8s  function" % ("self A", "B", "change", "locked A", "B", "change"))
+    for name in names[:top]:
+        self_a, self_b, locked_a, locked_b = shares(name)
+        print("%8.2f%% %7.2f%% %+7.2f%% %9.2f%% %7.2f%% %+7.2f%%  %s"
+              % (self_a, self_b, self_b - self_a, locked_a, locked_b, locked_b - locked_a, name))
+    return 0
+
+
+def report(text, args):
+    profile = symbolise(text)
+    if profile is None:
+        return 1
+    header, stacks, named, res = profile
     total = len(stacks)
     print(
         "%d samples, period %s us, %s dropped\n"
         % (total, header.get("period_us", "?"), header.get("dropped", "?"))
     )
-    named = [[res.function(a) for a in stack] for stack in stacks]
 
     if args.locked:
-        by_fn = collections.Counter(
-            names[0] for stack, names in zip(stacks, named) if res.follows_locked(stack[0])
-        )
+        by_fn = after_locked(stacks, named, res)
         hit = sum(by_fn.values())
         print("%.1f%% of samples (%d) follow a lock-prefixed instruction or an xchg\n"
               % (100.0 * hit / total, hit))
@@ -278,16 +318,22 @@ def report(text, args):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("profile")
+    ap.add_argument("profile", nargs="?")
     ap.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--callers", metavar="PATTERN")
     mode.add_argument("--locked", action="store_true")
+    mode.add_argument("--diff", nargs=2, metavar=("A", "B"))
     args = ap.parse_args(argv)
+    if (args.profile is None) == (args.diff is None):
+        ap.error("give one PROFILE, or --diff A B")
     # `report.py PROFILE | head`: die of the closed pipe as `cat` would.
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    with open(args.profile) as f:
-        return report(f.read(), args)
+    texts = []
+    for path in args.diff or [args.profile]:
+        with open(path) as f:
+            texts.append(f.read())
+    return diff(texts, args.top) if args.diff else report(texts[0], args)
 
 
 if __name__ == "__main__":

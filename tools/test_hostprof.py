@@ -156,6 +156,42 @@ class Profile(unittest.TestCase):
             ],
         )
 
+    def test_diff_sets_two_profiles_side_by_side(self):
+        # profile_b.txt: read_pte once after a lock, incref twice after a
+        # plain cmpxchg, tick once after a lock xadd.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = rp.diff([fixture("profile.txt"), fixture("profile_b.txt")], 25)
+        self.assertEqual(code, 0)
+        lines = out.getvalue().splitlines()
+        self.assertEqual(
+            lines[:2],
+            [
+                "A: 8 samples, 50.0% after a locked instruction",
+                "B: 4 samples, 50.0% after a locked instruction",
+            ],
+        )
+        # Largest share on either side first; a tie goes by name.
+        self.assertEqual(
+            [line.split() for line in lines[4:]],
+            [
+                ["12.50%", "50.00%", "+37.50%", "0.00%", "0.00%", "+0.00%",
+                 "nimbus::mm::pool::FramePool::incref"],
+                ["50.00%", "25.00%", "-25.00%", "37.50%", "25.00%", "-12.50%",
+                 "simx86::mem::PhysMemory::read_pte"],
+                ["12.50%", "25.00%", "+12.50%", "12.50%", "25.00%", "+12.50%",
+                 "simx86::cpu::Cpu::tick"],
+                ["12.50%", "0.00%", "-12.50%", "0.00%", "0.00%", "+0.00%", "[libc.so.6]"],
+                ["12.50%", "0.00%", "-12.50%", "0.00%", "0.00%", "+0.00%", "[unmapped]"],
+            ],
+        )
+        # An unusable side is refused, one line each, before any table.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = rp.diff([fixture("profile.txt"), "# hostprof period_us=200\n"], 25)
+        self.assertEqual(code, 1)
+        self.assertEqual(out.getvalue(), "no samples in the profile\n")
+
     def test_objdump_marks_the_instruction_after_not_the_next_function(self):
         after = rp.parse_objdump(fixture("objdump.txt"))
         # After `lock addq`, after `xchg %rax,(%rdx)`, after `lock xadd`;

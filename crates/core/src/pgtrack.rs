@@ -251,8 +251,8 @@ impl Mercury {
         // idle time retired, or a deferred one, still validates here).
         // On the host the rebuild costs the tables it walks, not the
         // machine: the work-list above skipped every log block unwritten
-        // since the baseline, and the clear inside skips every block
-        // the detach's clear left without type state (DESIGN.md §7b).
+        // since the baseline, and the clear inside is one generation
+        // increment (DESIGN.md §7b).
         self.rebuild_accounting(cpu, &hv.page_info, 0)?;
 
         // Lazy admission: enqueue everything past the sync quota for

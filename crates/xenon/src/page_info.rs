@@ -100,25 +100,22 @@ pub struct PageInfoTable {
 /// Beside the records sits the **write log**: per frame, the epoch of
 /// its last tracked write.  A write only stamps; readers compare stamps
 /// against an [`Epoch`] of their own and never clear anything, so any
-/// number of them read one log without disturbing each other.
+/// number of them read one log without disturbing each other.  Per
+/// [`WRITE_BLOCK`] frames the log keeps the newest stamp in the block,
+/// so a query skips a block written before its epoch.
 ///
-/// Two block indexes keep the whole-table passes proportional to what
-/// changed rather than to the machine (DESIGN.md §7b): per
-/// [`WRITE_BLOCK`] frames the newest stamp in the block, so a query
-/// skips a block written before its epoch; and per [`TYPE_BLOCK`]
-/// frames whether a record in it may be typed or pinned, so a clear
-/// skips a block that holds no type state.
+/// A domain's type state is cleared by bumping its **generation**
+/// (DESIGN.md §7b): a record's type state (type, count, pin) counts
+/// only while the generation it was written under is its owner's.  Every read of
+/// type state goes through [`Record::view`], every write through
+/// [`Record::live`].
 pub(crate) struct Records {
-    frames: Vec<PageInfo>,
+    frames: Vec<Record>,
+    generations: Generations,
     /// Epoch of each frame's last tracked write; 0 = never written.
     written: Vec<u64>,
     /// Per [`WRITE_BLOCK`] frames, the newest stamp in `written`.
     block_written: Vec<u64>,
-    /// Per [`TYPE_BLOCK`] frames: may a record in the block be typed or
-    /// pinned?  Set by a record's first type reference (a pin only ever
-    /// follows one), cleared by a clear that leaves the block without
-    /// type state.
-    block_typed: Vec<bool>,
     /// The epoch tracked writes are stamped with, from 1.
     now: u64,
     /// Stamp of the newest tracked write: "nothing written since `e`"
@@ -126,28 +123,82 @@ pub(crate) struct Records {
     newest: u64,
 }
 
+/// One frame's stored record: its accounting, and the generation of
+/// its owner that accounting was written under.
+#[derive(Clone, Copy, Default)]
+struct Record {
+    info: PageInfo,
+    generation: u32,
+}
+
+/// Per domain, the generation its records' type state counts under;
+/// one slot per `DomId` value, so every domain has one from the start
+/// and a lookup's bounds check folds away.  An unowned frame's
+/// generation is 0 and never moves.
+struct Generations(Box<[u32; DOMAINS]>);
+
+/// One generation slot per `DomId` value.
+const DOMAINS: usize = 1 << 16;
+
 /// Frames per block of the write log's newest-stamp index.
 const WRITE_BLOCK: usize = 64;
 
-/// Frames per block of the typed-block index.
-const TYPE_BLOCK: usize = 64;
-
-impl PageInfo {
-    /// Does the record hold type state: a type, a count or a pin?
-    fn typed(&self) -> bool {
-        self.typ != PageType::None || self.type_count != 0 || self.pinned
+impl Record {
+    /// The record as it counts, given its owner's current generation:
+    /// its type state only while it was written under that generation.
+    fn view(&self, generation: u32) -> PageInfo {
+        if self.generation == generation {
+            self.info
+        } else {
+            PageInfo::untyped(self.info.owner)
+        }
     }
 
-    /// Take a type reference of kind `typ`; `Ok(true)` when it is the
-    /// record's first.
-    fn take_ref(&mut self, typ: PageType) -> Result<bool, HvError> {
+    /// The accounting to write under `generation`, its owner's current
+    /// one: a stale record is reset and stamped first.
+    fn live(&mut self, generation: u32) -> &mut PageInfo {
+        if self.generation != generation {
+            let info = self.view(generation);
+            *self = Record { info, generation };
+        }
+        &mut self.info
+    }
+}
+
+impl Generations {
+    fn of(&self, owner: Option<DomId>) -> u32 {
+        owner
+            .and_then(|dom| self.0.get(usize::from(dom.0)))
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
+fn out_of_range(frame: FrameNum) -> HvError {
+    HvError::BadFrame {
+        frame: frame.0,
+        why: "out of range",
+    }
+}
+
+impl PageInfo {
+    /// A record of `owner` with no type, count or pin.
+    fn untyped(owner: Option<DomId>) -> PageInfo {
+        PageInfo {
+            owner,
+            ..PageInfo::default()
+        }
+    }
+
+    /// Take a type reference of kind `typ`.
+    fn take_ref(&mut self, typ: PageType) -> Result<(), HvError> {
         if self.typ == PageType::None || self.type_count == 0 {
             self.typ = typ;
             self.type_count = 1;
-            Ok(true)
+            Ok(())
         } else if self.typ == typ {
             self.type_count += 1;
-            Ok(false)
+            Ok(())
         } else {
             Err(HvError::TypeConflict(match (self.typ, typ) {
                 (PageType::L1 | PageType::L2, PageType::Writable) => {
@@ -175,25 +226,26 @@ fn settle_deferred(cpu: &Cpu, frame: FrameNum) -> Result<(), HvError> {
 }
 
 impl Records {
-    fn rec(&self, frame: FrameNum) -> Result<&PageInfo, HvError> {
-        self.frames.get(frame.0 as usize).ok_or(HvError::BadFrame {
-            frame: frame.0,
-            why: "out of range",
-        })
+    /// `frame`'s record as it counts ([`Record::view`]).
+    #[inline]
+    fn rec(&self, frame: FrameNum) -> Result<PageInfo, HvError> {
+        let rec = self.frames.get(frame.0 as usize).ok_or(out_of_range(frame))?;
+        Ok(rec.view(self.generations.of(rec.info.owner)))
     }
 
+    /// `frame`'s record, to write ([`Record::live`]).
+    #[inline]
     fn rec_mut(&mut self, frame: FrameNum) -> Result<&mut PageInfo, HvError> {
-        self.frames
+        let rec = self
+            .frames
             .get_mut(frame.0 as usize)
-            .ok_or(HvError::BadFrame {
-                frame: frame.0,
-                why: "out of range",
-            })
+            .ok_or(out_of_range(frame))?;
+        Ok(rec.live(self.generations.of(rec.info.owner)))
     }
 
     /// Owner of `frame`; a frame the machine does not have has none.
     pub(crate) fn owner(&self, frame: FrameNum) -> Option<DomId> {
-        self.rec(frame).ok()?.owner
+        self.frames.get(frame.0 as usize)?.info.owner
     }
 
     /// Current (type, count) of `frame`; a frame the machine does not
@@ -204,7 +256,8 @@ impl Records {
     }
 
     fn check_owned(&self, frame: FrameNum, dom: DomId, why: &'static str) -> Result<(), HvError> {
-        if self.rec(frame)?.owner == Some(dom) {
+        let rec = self.frames.get(frame.0 as usize).ok_or(out_of_range(frame))?;
+        if rec.info.owner == Some(dom) {
             Ok(())
         } else {
             Err(HvError::BadFrame {
@@ -232,9 +285,7 @@ impl Records {
     /// [`PageInfoTable::corrupt_record`] under the held lock.
     pub(crate) fn corrupt_record(&mut self, frame: FrameNum) {
         if let Ok(rec) = self.rec_mut(frame) {
-            rec.typ = PageType::None;
-            rec.type_count = 0;
-            rec.pinned = false;
+            *rec = PageInfo::untyped(rec.owner);
         }
     }
 
@@ -267,47 +318,44 @@ impl Records {
                 let recs = self.frames.get(span.clone()).unwrap_or_default();
                 span.zip(stamps.iter().zip(recs))
             })
-            .filter(move |(_, (&w, rec))| w > since.0 && w <= upto.0 && rec.owner == Some(dom))
+            .filter(move |(_, (&w, rec))| {
+                w > since.0 && w <= upto.0 && rec.info.owner == Some(dom)
+            })
             .map(|(i, _)| FrameNum(i as u32))
     }
 
-    /// A record of `frame`'s block is about to hold type state.
-    fn flag_typed(&mut self, frame: FrameNum) {
-        if let Some(flag) = self.block_typed.get_mut(frame.0 as usize / TYPE_BLOCK) {
-            *flag = true;
-        }
-    }
-
-    fn set_pinned(&mut self, frame: FrameNum, pinned: bool) {
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — callers validated or ownership-checked it first
-        self.frames[frame.0 as usize].pinned = pinned;
+    fn set_pinned(&mut self, frame: FrameNum, pinned: bool) -> Result<(), HvError> {
+        self.rec_mut(frame)?.pinned = pinned;
+        Ok(())
     }
 
     /// Take a type reference of kind `typ` on `frame`
     /// ([`PageInfoTable::get_type_ref`]).
+    #[inline]
     pub(crate) fn get_type_ref(&mut self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
         // volint::allow(SWITCH-PANIC): API-misuse guard; every caller passes a literal non-None type
         assert_ne!(typ, PageType::None);
-        if self.rec_mut(frame)?.take_ref(typ)? {
-            self.flag_typed(frame);
-        }
-        Ok(())
+        self.rec_mut(frame)?.take_ref(typ)
     }
 
     /// One L1 entry's claim on its target, in one record lookup: the
-    /// target must be owned by `dom`, and a writable entry takes a
-    /// `Writable` reference on it.
-    fn take_entry_ref(&mut self, pte: Pte, dom: DomId) -> Result<(), HvError> {
+    /// target must be owned by `dom`, whose current generation is
+    /// `generation`, and a writable entry takes a `Writable` reference
+    /// on it.
+    fn take_entry_ref(&mut self, pte: Pte, dom: DomId, generation: u32) -> Result<(), HvError> {
         let target = FrameNum(pte.frame());
-        let rec = self.rec_mut(target)?;
-        if rec.owner != Some(dom) {
+        let rec = self
+            .frames
+            .get_mut(target.0 as usize)
+            .ok_or(out_of_range(target))?;
+        if rec.info.owner != Some(dom) {
             return Err(HvError::BadFrame {
                 frame: target.0,
                 why: "L1 entry target",
             });
         }
-        if pte.writable() && rec.take_ref(PageType::Writable)? {
-            self.flag_typed(target);
+        if pte.writable() {
+            rec.live(generation).take_ref(PageType::Writable)?;
         }
         Ok(())
     }
@@ -323,44 +371,35 @@ impl Records {
         }
     }
 
-    /// [`PageInfoTable::clear_types_for`] under the held lock: only the
-    /// blocks flagged as holding type state are visited, and a block
-    /// the clear leaves without any is unflagged.
+    /// [`PageInfoTable::clear_types_for`] under the held lock: one
+    /// increment of `dom`'s generation.  A wrapped generation is one a
+    /// stale record of `dom` may still carry, so only then are `dom`'s
+    /// records reset, in one pass.
     fn clear_types_for(&mut self, dom: DomId) {
-        let blocks = self.frames.chunks_mut(TYPE_BLOCK);
-        // volint::bound(256) — one step per TYPE_BLOCK frames of the 16 384-frame pool
-        for (flag, block) in self.block_typed.iter_mut().zip(blocks) {
-            if !*flag {
-                continue;
-            }
-            let mut typed = false;
-            // volint::bound(64) — the TYPE_BLOCK records of one block
-            for rec in block {
-                if rec.owner == Some(dom) {
-                    rec.typ = PageType::None;
-                    rec.type_count = 0;
-                    rec.pinned = false;
-                }
-                typed |= rec.typed();
-            }
-            *flag = typed;
+        let Some(generation) = self.generations.0.get_mut(usize::from(dom.0)) else {
+            return;
+        };
+        *generation = generation.wrapping_add(1);
+        if *generation != 0 {
+            return;
         }
-        debug_assert!(
-            self.typed_blocks_flagged(),
-            "a typed record in an unflagged block"
-        );
+        let owned = self.frames.iter_mut().filter(|rec| rec.info.owner == Some(dom));
+        // volint::bound(16384) — one step per frame of the 16 384-frame pool, once per 2^32 clears
+        for rec in owned {
+            *rec = Record {
+                info: PageInfo::untyped(Some(dom)),
+                generation: 0,
+            };
+        }
     }
 
-    /// Does every typed or pinned record lie in a flagged block?
-    fn typed_blocks_flagged(&self) -> bool {
-        let mut blocks = self.frames.chunks(TYPE_BLOCK).zip(&self.block_typed);
-        blocks.all(|(block, &flag)| flag || !block.iter().any(PageInfo::typed))
-    }
-
-    /// Drop a type reference on `frame`.
+    /// Drop a type reference on `frame`; a frame the machine does not
+    /// have holds none.
+    #[inline]
     pub(crate) fn put_type_ref(&mut self, frame: FrameNum, typ: PageType) {
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the matching get_type_ref bounds-checked it
-        let rec = &mut self.frames[frame.0 as usize];
+        let Ok(rec) = self.rec_mut(frame) else {
+            return;
+        };
         debug_assert_eq!(rec.typ, typ, "type ref mismatch on frame {}", frame.0);
         debug_assert!(rec.type_count > 0, "type underflow on frame {}", frame.0);
         rec.type_count = rec.type_count.saturating_sub(1);
@@ -392,10 +431,11 @@ impl Records {
     /// writable one takes a `Writable` reference on its target.  A
     /// failed walk drops the references it took.
     fn scan_l1(&mut self, view: &mut TableView<'_>, dom: DomId) -> Result<(), HvError> {
+        let generation = self.generations.of(Some(dom));
         let mut at = 0;
         // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
         while let Some(pte) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
-            if let Err(e) = self.take_entry_ref(pte, dom) {
+            if let Err(e) = self.take_entry_ref(pte, dom, generation) {
                 // The entry that failed, `at - 1`, took nothing.
                 self.drop_entry_refs(view, at - 1);
                 return Err(e);
@@ -529,10 +569,10 @@ impl PageInfoTable {
     pub fn new(num_frames: usize) -> Self {
         PageInfoTable {
             info: Mutex::new(Records {
-                frames: vec![PageInfo::default(); num_frames],
+                frames: vec![Record::default(); num_frames],
+                generations: Generations(vec![0; DOMAINS].try_into().expect("DOMAINS slots")),
                 written: vec![0; num_frames],
                 block_written: vec![0; num_frames.div_ceil(WRITE_BLOCK)],
-                block_typed: vec![false; num_frames.div_ceil(TYPE_BLOCK)],
                 now: 1,
                 newest: 0,
             }),
@@ -554,17 +594,25 @@ impl PageInfoTable {
         self.len() == 0
     }
 
-    /// Snapshot the record for `frame`.
+    /// Snapshot the record for `frame`; a frame the machine does not
+    /// have is unowned and untyped.
     pub fn get(&self, frame: FrameNum) -> PageInfo {
-        self.info.lock().frames[frame.0 as usize]
+        self.info.lock().rec(frame).unwrap_or_default()
     }
 
-    /// Set the owner of `frame` (domain creation / frame transfer).
+    /// Set the owner of `frame` (domain creation / frame transfer).  The
+    /// record's type state moves with it as it counted under the old
+    /// owner; a frame the machine does not have is ignored.
     pub fn set_owner(&self, frame: FrameNum, owner: Option<DomId>) {
-        let mut info = self.info.lock();
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        let rec = &mut info.frames[frame.0 as usize];
-        rec.owner = owner;
+        let mut guard = self.info.lock();
+        let info = &mut *guard;
+        if let Some(rec) = info.frames.get_mut(frame.0 as usize) {
+            let carried = rec.view(info.generations.of(rec.info.owner));
+            *rec = Record {
+                info: PageInfo { owner, ..carried },
+                generation: info.generations.of(owner),
+            };
+        }
     }
 
     /// Owner of `frame`.
@@ -716,8 +764,7 @@ impl PageInfoTable {
         }
         cpu.tick(costs::PT_PIN_BASE);
         info.validate_l2(cpu, mem, frame, dom, costs::PT_PIN_PER_ENTRY)?;
-        info.set_pinned(frame, true);
-        Ok(())
+        info.set_pinned(frame, true)
     }
 
     /// Unpin `dom`'s base table, releasing the whole validation tree
@@ -735,7 +782,7 @@ impl PageInfoTable {
         if !info.rec(frame)?.pinned {
             return Err(HvError::TypeConflict("frame not pinned"));
         }
-        info.set_pinned(frame, false);
+        info.set_pinned(frame, false)?;
         cpu.tick(costs::PT_PIN_BASE);
         info.invalidate_l2(cpu, mem, frame)
     }
@@ -744,8 +791,7 @@ impl PageInfoTable {
 
     /// Wipe all type information for frames owned by `dom`, keeping
     /// ownership.  Used on VMM detach: the dormant VMM stops tracking.
-    /// Only the blocks that may hold type state are visited, so a clear
-    /// right after another costs the host next to nothing.
+    /// It bumps `dom`'s generation and touches no record.
     pub fn clear_types_for(&self, dom: DomId) {
         self.info.lock().clear_types_for(dom);
     }
@@ -787,15 +833,15 @@ impl PageInfoTable {
         pgds: &[FrameNum],
         per_frame_cost: u64,
     ) -> Result<(), HvError> {
-        self.clear_types_for(dom);
+        let mut info = self.info.lock();
+        info.clear_types_for(dom);
         cpu.tick(per_frame_cost * owned_frames as u64);
         // Bulk validation rides on the per-frame charge above; per-entry
         // work is charged at a nominal rate via memory reads only.
-        let mut info = self.info.lock();
         // volint::bound(64) — one base table per live process
         for &pgd in pgds {
             info.validate_l2(cpu, mem, pgd, dom, 0)?;
-            info.set_pinned(pgd, true);
+            info.set_pinned(pgd, true)?;
         }
         Ok(())
     }
@@ -840,8 +886,7 @@ impl PageInfoTable {
         }
         let mut info = self.info.lock();
         info.get_type_ref(frame, PageType::L2)?;
-        info.set_pinned(frame, true);
-        Ok(())
+        info.set_pinned(frame, true)
     }
 
     /// Count frames owned by `dom` (diagnostics, migration sizing).
@@ -850,7 +895,7 @@ impl PageInfoTable {
             .lock()
             .frames
             .iter()
-            .filter(|r| r.owner == Some(dom))
+            .filter(|r| r.info.owner == Some(dom))
             .count()
     }
 
@@ -861,15 +906,18 @@ impl PageInfoTable {
             .frames
             .iter()
             .enumerate()
-            .filter(|(_, r)| r.owner == Some(dom))
+            .filter(|(_, r)| r.info.owner == Some(dom))
             .map(|(i, _)| FrameNum(i as u32))
             .collect()
     }
 
-    /// Export the full table (equality checks in tests; the
-    /// recompute-vs-active-tracking property test diffs two of these).
+    /// Export the full table, every record as it counts (equality
+    /// checks in tests; the recompute-vs-active-tracking property test
+    /// diffs two of these).
     pub fn snapshot(&self) -> Vec<PageInfo> {
-        self.info.lock().frames.clone()
+        let info = self.info.lock();
+        let view = |rec: &Record| rec.view(info.generations.of(rec.info.owner));
+        info.frames.iter().map(view).collect()
     }
 
     /// The write log as it stands: each frame's stamp, then the current
@@ -1415,6 +1463,111 @@ mod tests {
     }
 
     #[test]
+    fn a_frame_the_machine_lacks_reads_unowned_and_untyped() {
+        let (t, _, _) = rig(4);
+        t.get_type_ref(FrameNum(1), PageType::Writable).unwrap();
+        let before = t.snapshot();
+        let missing = FrameNum(MISSING);
+        t.set_owner(missing, Some(D));
+        t.put_type_ref(missing, PageType::Writable);
+        t.corrupt_record(missing);
+        assert_eq!(t.get(missing), PageInfo::default());
+        assert_eq!(t.owner(missing), None);
+        assert_eq!(t.type_of(missing), (PageType::None, 0));
+        assert!(t.get_type_ref(missing, PageType::L1).is_err());
+        assert_eq!(t.snapshot(), before);
+    }
+
+    /// Start `dom`'s generation at `generation`, as if that many clears
+    /// had run since the table was made.
+    fn start_generation(t: &PageInfoTable, dom: DomId, generation: u32) {
+        t.info.lock().generations.0[usize::from(dom.0)] = generation;
+    }
+
+    /// The clear a generation bump replaces: every record `dom` owns
+    /// loses its type state, one at a time.
+    fn eager_clear(t: &PageInfoTable, dom: DomId) {
+        for f in t.frames_owned(dom) {
+            t.corrupt_record(f);
+        }
+    }
+
+    #[test]
+    fn a_record_typed_before_the_generation_wraps_stays_cleared() {
+        let (t, mem, cpu) = rig(8);
+        // PGD 1 → L1 2 → data frame 3 writable, typed at generation 0.
+        mem.write_pte(&cpu, FrameNum(1), 0, Pte::new(2, Pte::WRITABLE))
+            .unwrap();
+        mem.write_pte(&cpu, FrameNum(2), 0, Pte::new(3, Pte::WRITABLE))
+            .unwrap();
+        t.pin_l2(&cpu, &mem, FrameNum(1), D).unwrap();
+        let typed = t.snapshot();
+        let untyped = vec![PageInfo::untyped(Some(D)); 8];
+        start_generation(&t, D, u32::MAX - 1);
+        assert_eq!(t.snapshot(), untyped);
+        t.clear_types_for(D);
+        assert_eq!(t.snapshot(), untyped);
+        // The generation wraps to 0, the one frames 1–3 were typed under.
+        t.clear_types_for(D);
+        assert_eq!(t.snapshot(), untyped, "a record typed before the wrap came back");
+        t.recompute_for(&cpu, &mem, D, 8, &[FrameNum(1)]).unwrap();
+        assert_eq!(t.snapshot(), typed);
+    }
+
+    #[test]
+    fn clears_across_a_generation_wrap_match_an_eager_pass() {
+        faultgen::rng::check("clears across a generation wrap", 200, |rng| {
+            let writes = random_tree(rng);
+            let (t, mem, cpu) = tree_rig(&writes);
+            let (eager, eager_mem, eager_cpu) = tree_rig(&writes);
+            // Records typed at generation 0, then as many clears as take
+            // the generation to just short of the wrap back to 0.
+            for pgd in PGDS.map(FrameNum) {
+                assert_eq!(
+                    t.pin_l2(&cpu, &mem, pgd, D),
+                    eager.pin_l2(&eager_cpu, &eager_mem, pgd, D)
+                );
+            }
+            start_generation(&t, D, u32::MAX - rng.below(4) as u32);
+            eager_clear(&eager, D);
+            let mut pinned: Vec<FrameNum> = Vec::new();
+            for _ in 0..12 {
+                match rng.below(3) {
+                    0 => {
+                        let pgd = FrameNum(rng.range(PGDS.start as u64, PGDS.end as u64) as u32);
+                        if pinned.contains(&pgd) {
+                            continue;
+                        }
+                        let got = t.pin_l2(&cpu, &mem, pgd, D);
+                        assert_eq!(got, eager.pin_l2(&eager_cpu, &eager_mem, pgd, D));
+                        if got.is_ok() {
+                            pinned.push(pgd);
+                        }
+                    }
+                    1 => {
+                        t.clear_types_for(D);
+                        eager_clear(&eager, D);
+                        pinned.clear();
+                    }
+                    _ => {
+                        let got = t.recompute_for(&cpu, &mem, D, FRAMES, &pinned);
+                        eager_clear(&eager, D);
+                        let want = eager.recompute_for(&eager_cpu, &eager_mem, D, FRAMES, &pinned);
+                        assert_eq!(got, want);
+                        if got.is_err() {
+                            t.clear_types_for(D);
+                            eager_clear(&eager, D);
+                            pinned.clear();
+                        }
+                    }
+                }
+                assert_eq!(t.snapshot(), eager.snapshot());
+                assert_eq!(cpu.cycles(), eager_cpu.cycles());
+            }
+        });
+    }
+
+    #[test]
     fn owned_frame_queries() {
         let (t, _, _) = rig(4);
         t.set_owner(FrameNum(2), Some(DomId(5)));
@@ -1576,7 +1729,7 @@ mod tests {
                 if new.is_err() {
                     return;
                 }
-                old_t.info.lock().set_pinned(pgd, true);
+                old_t.info.lock().set_pinned(pgd, true).unwrap();
                 assert_eq!(new_t.snapshot(), old_t.snapshot());
                 assert_eq!(new_cpu.cycles(), old_cpu.cycles());
             }

@@ -179,26 +179,41 @@ fn write_log_readers_are_independent() {
     });
 }
 
-/// `clear_types_for` visits only the blocks that may hold type state.
-/// Two domains own frames interleaved in short runs, so their typed
-/// frames share the 64-frame blocks; under random pins, unpins, leaf
-/// validations and releases by both, a clear of one leaves exactly what
-/// a full pass over every record would have, a recompute from the
-/// pinned tables restores what the clear wiped, and the other domain
-/// can still release everything it holds.
+/// The eager clear a generation bump replaces: every record `dom` owns
+/// loses its type state, one at a time.
+fn eager_clear(table: &PageInfoTable, dom: DomId) {
+    for f in table.frames_owned(dom) {
+        table.corrupt_record(f);
+    }
+}
+
+/// `clear_types_for` is one bump of the domain's generation; the oracle
+/// is a twin table whose clears are eager passes over the domain's
+/// records.  Two domains own frames interleaved in short runs.  Under
+/// random pins, unpins, leaf validations and releases by both, clears,
+/// recomputes, untyped frames moving between the domains and to no
+/// owner, `corrupt_record`s and destroy-style clear-then-disown, the two
+/// tables give the same verdicts, cycles, `snapshot()`, `get()` and
+/// `type_of()` after every step: a record cleared under one owner does
+/// not come back when its frame moves away and back.  While a domain's
+/// pins and leaves account for all its type state, a recompute from its
+/// pinned tables restores what a clear wiped; at the end, a clear of
+/// both domains leaves nothing typed.
 #[test]
-fn block_skipping_clear_equals_a_full_pass() {
-    check("block_skipping_clear_equals_a_full_pass", 128, |rng| {
+fn generation_clear_equals_an_eager_pass_across_ownership_moves() {
+    check("generation_clear_equals_an_eager_pass_across_ownership_moves", 128, |rng| {
         let frames = rng.range(64, 200) as usize;
         let run = rng.range(1, 5) as usize;
         let doms = [DomId(1), DomId(2)];
         let mem = PhysMemory::new(frames);
         let cpu = Arc::new(Cpu::new(0));
         let table = PageInfoTable::new(frames);
+        let eager = PageInfoTable::new(frames);
         let mut owned: [Vec<FrameNum>; 2] = Default::default();
         for f in 0..frames {
             let d = f / run % 2;
             table.set_owner(FrameNum(f as u32), Some(doms[d]));
+            eager.set_owner(FrameNum(f as u32), Some(doms[d]));
             owned[d].push(FrameNum(f as u32));
         }
         // Per domain: three base tables, six leaf tables, data after
@@ -237,69 +252,147 @@ fn block_skipping_clear_equals_a_full_pass() {
             }
         }
 
+        let eager_cpu = Arc::new(Cpu::new(1));
+        let setup = cpu.cycles();
+        // What each domain's structures hold references through.  A
+        // clear, a failed recompute or a corrupted record forgets them:
+        // their references are gone or no longer theirs to drop.  While
+        // `exact`, they account for all of the domain's type state.
         let mut pinned: [Vec<FrameNum>; 2] = Default::default();
         let mut leaves: [Vec<FrameNum>; 2] = Default::default();
-        for _ in 0..48 {
+        let mut exact = [true; 2];
+        let owner_of = |f: FrameNum| doms.iter().position(|&dom| table.owner(f) == Some(dom));
+        for step in 0..64 {
             let d = rng.below(2) as usize;
             let dom = doms[d];
-            match rng.below(7) {
+            let what = match rng.below(11) {
                 0 | 1 => {
                     let pgd = owned[d][rng.below(3) as usize];
-                    if !pinned[d].contains(&pgd) && table.pin_l2(&cpu, &mem, pgd, dom).is_ok() {
+                    if pinned[d].contains(&pgd) {
+                        continue;
+                    }
+                    let got = table.pin_l2(&cpu, &mem, pgd, dom);
+                    assert_eq!(got, eager.pin_l2(&eager_cpu, &mem, pgd, dom), "step {step}");
+                    if got.is_ok() {
                         pinned[d].push(pgd);
                     }
+                    "pin"
                 }
                 2 if !pinned[d].is_empty() => {
                     let at = rng.below(pinned[d].len() as u64) as usize;
-                    table
-                        .unpin_l2(&cpu, &mem, pinned[d].swap_remove(at), dom)
-                        .unwrap();
+                    let pgd = pinned[d].swap_remove(at);
+                    let got = table.unpin_l2(&cpu, &mem, pgd, dom);
+                    assert_eq!(got, eager.unpin_l2(&eager_cpu, &mem, pgd, dom), "step {step}");
+                    got.unwrap();
+                    "unpin"
                 }
                 3 => {
                     let f = pick(rng, &owned[d][3..]);
-                    if table.type_of(f).1 == 0 && table.validate_l1(&cpu, &mem, f, dom, 0).is_ok() {
+                    if table.type_of(f).1 != 0 {
+                        continue;
+                    }
+                    let got = table.validate_l1(&cpu, &mem, f, dom, 0);
+                    assert_eq!(got, eager.validate_l1(&eager_cpu, &mem, f, dom, 0), "step {step}");
+                    if got.is_ok() {
                         leaves[d].push(f);
                     }
+                    "validate a leaf"
                 }
                 4 => {
                     // One not held by a directory too: the others'
                     // entries are not this caller's to drop yet.
                     let alone = |f: &FrameNum| table.type_of(*f) == (PageType::L1, 1);
-                    if let Some(at) = leaves[d].iter().position(alone) {
-                        table
-                            .invalidate_l1(&cpu, &mem, leaves[d].swap_remove(at))
-                            .unwrap();
-                    }
+                    let Some(at) = leaves[d].iter().position(alone) else {
+                        continue;
+                    };
+                    let f = leaves[d].swap_remove(at);
+                    table.invalidate_l1(&cpu, &mem, f).unwrap();
+                    eager.invalidate_l1(&eager_cpu, &mem, f).unwrap();
+                    "release a leaf"
                 }
                 5 => {
-                    let mut expect = table.snapshot();
-                    for rec in expect.iter_mut().filter(|rec| rec.owner == Some(dom)) {
-                        (rec.typ, rec.type_count, rec.pinned) = (PageType::None, 0, false);
-                    }
                     table.clear_types_for(dom);
-                    assert_eq!(table.snapshot(), expect, "clear of {dom:?}");
-                    pinned[d].clear();
-                    leaves[d].clear();
+                    eager_clear(&eager, dom);
+                    (pinned[d], leaves[d]) = Default::default();
+                    exact[d] = true;
+                    "clear"
                 }
                 6 if leaves[d].is_empty() => {
                     let before = table.snapshot();
-                    table
-                        .recompute_for(&cpu, &mem, dom, owned[d].len(), &pinned[d])
-                        .unwrap();
-                    assert_eq!(table.snapshot(), before, "recompute of {dom:?}");
+                    let got = table.recompute_for(&cpu, &mem, dom, owned[d].len(), &pinned[d]);
+                    eager_clear(&eager, dom);
+                    let want = eager.recompute_for(&eager_cpu, &mem, dom, owned[d].len(), &pinned[d]);
+                    assert_eq!(got, want, "step {step}");
+                    if got.is_err() {
+                        // The switch rollback's wholesale teardown.
+                        table.clear_types_for(dom);
+                        eager_clear(&eager, dom);
+                        pinned[d].clear();
+                        exact[d] = true;
+                    } else if exact[d] {
+                        assert_eq!(table.snapshot(), before, "recompute of {dom:?}");
+                    }
+                    "recompute"
                 }
-                _ => {}
+                7 | 8 => {
+                    // An untyped frame (a cleared one included) moves to
+                    // either domain or to none, now and then one the
+                    // machine lacks.  A typed one moves to the other
+                    // domain with its type state, and its old owner's
+                    // structures are forgotten: their references moved.
+                    let f = FrameNum(rng.below(frames as u64 + 2) as u32);
+                    let rec = table.get(f);
+                    let typed = (rec.typ, rec.type_count, rec.pinned) != (PageType::None, 0, false);
+                    let to = match owner_of(f) {
+                        Some(from) if typed => {
+                            (pinned[from], leaves[from]) = Default::default();
+                            exact = [false; 2];
+                            Some(doms[1 - from])
+                        }
+                        _ => [Some(doms[0]), Some(doms[1]), None][rng.below(3) as usize],
+                    };
+                    table.set_owner(f, to);
+                    eager.set_owner(f, to);
+                    "move"
+                }
+                9 => {
+                    let f = FrameNum(rng.below(frames as u64) as u32);
+                    if let Some(hit) = owner_of(f) {
+                        (pinned[hit], leaves[hit]) = Default::default();
+                        exact[hit] = false;
+                    }
+                    table.corrupt_record(f);
+                    eager.corrupt_record(f);
+                    "corrupt"
+                }
+                10 => {
+                    // `destroy_domain` once its pins are dropped.
+                    let gone = table.frames_owned(dom);
+                    assert_eq!(gone, eager.frames_owned(dom), "step {step}");
+                    table.clear_types_for(dom);
+                    eager_clear(&eager, dom);
+                    for &f in &gone {
+                        table.set_owner(f, None);
+                        eager.set_owner(f, None);
+                    }
+                    (pinned[d], leaves[d]) = Default::default();
+                    exact[d] = true;
+                    "destroy"
+                }
+                _ => continue,
+            };
+            assert_eq!(table.snapshot(), eager.snapshot(), "step {step}: {what} by {dom:?}");
+            for f in (0..frames as u32 + 2).map(FrameNum) {
+                assert_eq!(table.get(f), eager.get(f), "step {step}: {what}, {f:?}");
+                assert_eq!(table.type_of(f), eager.type_of(f), "step {step}: {what}, {f:?}");
             }
+            assert_eq!(cpu.cycles() - setup, eager_cpu.cycles(), "step {step}: {what}");
         }
-        // Each domain releases what it holds; nothing is left typed.
-        for d in 0..2 {
-            for &pgd in &pinned[d] {
-                table.unpin_l2(&cpu, &mem, pgd, doms[d]).unwrap();
-            }
-            for &f in &leaves[d] {
-                table.invalidate_l1(&cpu, &mem, f).unwrap();
-            }
+        for dom in doms {
+            table.clear_types_for(dom);
+            eager_clear(&eager, dom);
         }
+        assert_eq!(table.snapshot(), eager.snapshot());
         for (f, rec) in table.snapshot().iter().enumerate() {
             assert_eq!(
                 (rec.typ, rec.type_count, rec.pinned),

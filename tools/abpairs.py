@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Alternated A/B pairs of two built benchmark harnesses on one workload.
+
+    python3 tools/abpairs.py A B --workload W [--seed N] [--seconds S] [--pairs K]
+
+A and B are `mercury-benchmark` executables (a parent build, then the
+change's; `benchmark/run.sh` builds one under
+`$CARGO_TARGET_DIR/untraced/release/`, and a build rewrites
+`benchmark/Cargo.lock`: `git checkout benchmark/Cargo.lock` after it).
+Each pair runs both once, untraced,
+with the same workload, seed and duration; the order alternates from
+pair to pair (AB, BA, AB, ...) so a drift in the host's speed does not
+favour one side.  Prints one line per pair, then the median and IQR of
+`host_ops_per_s` on each side and how many pairs B won (higher rate).
+
+Every `sim_*` metric is a pure function of the seed, so the two sides
+must agree on all of them in every pair: the first that differs is
+named and the exit status is 1.  A run that fails or prints no result is
+exit 2.  Defaults: seed 11, 10 s, 6 pairs.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+
+RATE = "host_ops_per_s"
+
+
+def run(binary, workload, seed, seconds, out):
+    """One untraced run; returns the result's `metrics` map."""
+    argv = [binary, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0", "--out", out]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    lines = [line for line in done.stdout.splitlines() if line.strip()]
+    if done.returncode != 0 or not lines:
+        tail = done.stderr.strip().splitlines()[-1:] or ["no output"]
+        raise RuntimeError(f"{binary} exited {done.returncode}: {tail[0]}")
+    return json.loads(lines[-1])["metrics"]
+
+
+def spread(values):
+    """`(median, interquartile range)`."""
+    if len(values) < 2:
+        return values[0], 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return statistics.median(values), q3 - q1
+
+
+def first_sim_difference(a, b):
+    """Name of the first `sim_*` metric whose values differ, or None."""
+    for name in sorted(set(a) | set(b)):
+        if name.startswith("sim_") and a.get(name, {}).get("value") != b.get(name, {}).get("value"):
+            return name
+    return None
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(prog="abpairs", description=__doc__.splitlines()[0])
+    parser.add_argument("a")
+    parser.add_argument("b")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=6)
+    args = parser.parse_args(argv[1:])
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    rates = {"A": [], "B": []}
+    wins = 0
+    with tempfile.TemporaryDirectory() as out:
+        for pair in range(1, args.pairs + 1):
+            order = ("A", "B") if pair % 2 else ("B", "A")
+            got = {}
+            try:
+                for side in order:
+                    binary = args.a if side == "A" else args.b
+                    got[side] = run(binary, args.workload, args.seed, args.seconds, out)
+            except (OSError, RuntimeError, ValueError, KeyError) as e:
+                print(f"abpairs: pair {pair}: {e}", file=sys.stderr)
+                return 2
+            differs = first_sim_difference(got["A"], got["B"])
+            if differs:
+                va, vb = got["A"].get(differs, {}).get("value"), got["B"].get(differs, {}).get("value")
+                print(f"abpairs: pair {pair}: {differs} differs: A {va!r} B {vb!r}")
+                return 1
+            a, b = got["A"][RATE]["value"], got["B"][RATE]["value"]
+            rates["A"].append(a)
+            rates["B"].append(b)
+            wins += b > a
+            print(f"pair {pair} ({''.join(order)}): A {a:,.0f}  B {b:,.0f}  x{b / a:.3f}")
+    (ma, ia), (mb, ib) = spread(rates["A"]), spread(rates["B"])
+    print(f"{RATE}: A median {ma:,.0f} (IQR {ia:,.0f})  B median {mb:,.0f} (IQR {ib:,.0f})  "
+          f"x{mb / ma:.3f}, B won {wins}/{args.pairs}")
+    print(f"sim_*: identical in every pair ({args.workload}, seed {args.seed}, {args.seconds} s)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Self-tests for tools/abpairs.py (stdlib only, no cargo).
+
+Run directly: `python3 tools/test_abpairs.py`.  The two "harnesses" are
+stub scripts that check the arguments they are given and print canned
+result JSON in the shape `mercury-benchmark` prints.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import os
+import stat
+import tempfile
+import unittest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+spec = importlib.util.spec_from_file_location("abpairs", os.path.join(HERE, "abpairs.py"))
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+
+# The n-th run of a stub reports rates[n % len(rates)].
+STUB = """#!/usr/bin/env python3
+import json, os, sys
+me = os.path.abspath(__file__)
+with open(me + ".json") as f:
+    canned = json.load(f)
+runs = me + ".runs"
+n = int(open(runs).read()) if os.path.exists(runs) else 0
+with open(runs, "w") as f:
+    f.write(str(n + 1))
+want = ["--workload", "switch_cycle", "--seed", "23", "--seconds", "1", "--trace", "0", "--out"]
+if sys.argv[1:10] != want or canned["exit"]:
+    print("harness: bad arguments" if sys.argv[1:10] != want else "harness: broke", file=sys.stderr)
+    sys.exit(canned["exit"] or 2)
+print("calibrating")
+metrics = {"setup_s": {"value": 0.02 + n, "unit": "s"}}
+metrics.update({k: {"value": v, "unit": "us"} for k, v in canned["sim"].items()})
+metrics["host_ops_per_s"] = {"value": canned["rates"][n % len(canned["rates"])], "unit": "1/s"}
+print(json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}))
+"""
+
+SIM = {"sim_p50_us": 27.69, "sim_p99_us": 28.515, "sim_mean_us": 27.68}
+
+
+class AbPairs(unittest.TestCase):
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.addCleanup(self.dir.cleanup)
+
+    def stub(self, name, rates, sim=SIM, exit=0):
+        path = os.path.join(self.dir.name, name)
+        with open(path, "w") as f:
+            f.write(STUB)
+        os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
+        with open(path + ".json", "w") as f:
+            json.dump({"rates": rates, "sim": sim, "exit": exit}, f)
+        return path
+
+    def run_main(self, a, b, pairs):
+        out = io.StringIO()
+        argv = ["abpairs", a, b, "--workload", "switch_cycle", "--seed", "23",
+                "--seconds", "1", "--pairs", str(pairs)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = ab.main(argv)
+        return code, out.getvalue()
+
+    def test_pairs_alternate_and_the_summary_counts_wins(self):
+        a = self.stub("a", [100.0, 104.0, 98.0, 102.0])
+        b = self.stub("b", [125.0, 103.0, 130.0, 128.0])
+        code, text = self.run_main(a, b, 4)
+        self.assertEqual(code, 0, text)
+        self.assertIn("pair 1 (AB): A 100  B 125  x1.250", text)
+        self.assertIn("pair 2 (BA): A 104  B 103  x0.990", text)
+        # Medians 101 and 126.5; inclusive quartiles 99.5..102.5 and 119.5..128.5.
+        self.assertIn("host_ops_per_s: A median 101 (IQR 3)  B median 126 (IQR 9)  x1.252, B won 3/4", text)
+        self.assertIn("sim_*: identical in every pair (switch_cycle, seed 23, 1 s)", text)
+
+    def test_a_differing_sim_value_is_named(self):
+        a = self.stub("a", [100.0])
+        b = self.stub("b", [120.0], sim=dict(SIM, sim_p99_us=28.516))
+        code, text = self.run_main(a, b, 3)
+        self.assertEqual(code, 1)
+        self.assertIn("pair 1: sim_p99_us differs: A 28.515 B 28.516", text)
+        self.assertNotIn("pair 2", text)
+
+    def test_host_metrics_may_differ(self):
+        # setup_s moves with every run; only sim_* is compared.
+        code, text = self.run_main(self.stub("a", [1.0]), self.stub("b", [1.0]), 1)
+        self.assertEqual(code, 0, text)
+        self.assertIn("IQR 0", text)
+
+    def test_a_failing_run_stops_the_pairs(self):
+        a = self.stub("a", [100.0])
+        b = self.stub("b", [100.0], exit=3)
+        code, text = self.run_main(a, b, 2)
+        self.assertEqual(code, 2)
+        self.assertIn("exited 3: harness: broke", text)
+        code, text = self.run_main(a, os.path.join(self.dir.name, "missing"), 1)
+        self.assertEqual(code, 2)
+
+
+if __name__ == "__main__":
+    unittest.main()

@@ -19,6 +19,7 @@ use crate::switch::{Mercury, SwitchError};
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::{costs, Cpu};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// What the sensor + healer did.
@@ -64,13 +65,13 @@ impl From<SwitchError> for HealError {
 /// The sensor: count PTEs referencing frames the OS does not own.
 /// Cheap enough to run periodically.
 pub fn sense(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<usize, HealError> {
-    scan(mercury, cpu, false).map(|r| r.repaired_entries)
+    sweep(mercury, cpu, false).map(|r| r.repaired_entries)
 }
 
 /// Run the sensor and, if it fires, the VMM-assisted repair followed by
 /// a validating round trip (an empty [`Mercury::on_demand`]).
 pub fn heal(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<RepairReport, HealError> {
-    let mut report = scan(mercury, cpu, true)?;
+    let mut report = sweep(mercury, cpu, true)?;
     if report.repaired_entries == 0 {
         return Ok(report);
     }
@@ -83,7 +84,7 @@ pub fn heal(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<RepairReport, Heal
 /// Walk every process's page tables checking each present leaf against
 /// the ownership records the pre-cached VMM keeps.  With `repair`,
 /// poisoned entries are zapped (they demand-fault cleanly afterwards).
-fn scan(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairReport, HealError> {
+fn sweep(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairReport, HealError> {
     let kernel = mercury.kernel();
     let hv = mercury.hypervisor();
     let mem = &kernel.machine.mem;
@@ -93,23 +94,18 @@ fn scan(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairRe
     for pgd in kernel.all_pgds() {
         report.pgds_scanned += 1;
         let mut l2 = mem.read_table(cpu, pgd).map_err(HealError::Hardware)?;
-        for l2_idx in 0..ENTRIES_PER_TABLE {
-            let pde = l2.pte(l2_idx);
-            if !pde.present() || !pde.user() {
-                continue; // kernel mappings are shared and checked once
+        l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
+            if !pde.user() {
+                return Ok(()); // kernel mappings are shared and checked once
             }
             let l1 = FrameNum(pde.frame());
             report.tables_scanned += 1;
-            let mut view = mem.read_table(cpu, l1).map_err(HealError::Hardware)?;
+            let mut view = mem.read_table(cpu, l1)?;
             // The ownership compare costs a word per slot on top of
             // the read; every slot of the table is scanned.
             cpu.tick(costs::MEM_WORD * ENTRIES_PER_TABLE as u64);
             let mut zapped = Vec::new();
-            for l1_idx in 0..ENTRIES_PER_TABLE {
-                let pte = view.pte(l1_idx);
-                if !pte.present() {
-                    continue;
-                }
+            let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, l1_idx, pte| {
                 let target = FrameNum(pte.frame());
                 let owned = hv.page_info.owner(target) == Some(dom);
                 if !owned {
@@ -118,13 +114,14 @@ fn scan(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>, repair: bool) -> Result<RepairRe
                         zapped.push((l1_idx, Pte::ABSENT));
                     }
                 }
-            }
+                Ok::<_, Infallible>(())
+            });
             // The healer runs at PL0 below the VO layer — it repairs
             // tables the VO dispatch itself may be corrupted by (§6.2).
             // volint::allow(VO-BYPASS): sub-VO repair path
             mem.write_ptes(cpu, l1, &zapped)
-                .map_err(HealError::Hardware)?;
-        }
+        })
+        .map_err(HealError::Hardware)?;
     }
     if repair && report.repaired_entries > 0 {
         for c in &kernel.machine.cpus {
@@ -143,23 +140,25 @@ pub fn inject_taint(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<bool, Heal
     let mem = &kernel.machine.mem;
     let foreign = kernel.machine.mem.num_frames() as u32 - 1; // top frame: VMM pool
 
-    // The first present user leaf entry of any address space.
+    // The first present user leaf entry of any address space: both scans
+    // stop there and hand it out as `Err(Ok(entry))`; `Err(Err(fault))`
+    // is a table the machine does not have.
     let mut victim = None;
-    'search: for pgd in kernel.all_pgds() {
+    for pgd in kernel.all_pgds() {
         let mut l2 = mem.read_table(cpu, pgd).map_err(HealError::Hardware)?;
-        for l2_idx in 0..ENTRIES_PER_TABLE {
-            let pde = l2.pte(l2_idx);
-            if !pde.present() || !pde.user() {
-                continue;
+        let scanned = l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
+            if !pde.user() {
+                return Ok(());
             }
             let l1 = FrameNum(pde.frame());
-            let mut view = mem.read_table(cpu, l1).map_err(HealError::Hardware)?;
-            victim = (0..ENTRIES_PER_TABLE)
-                .map(|l1_idx| (l1, l1_idx, view.pte(l1_idx)))
-                .find(|(_, _, pte)| pte.present());
-            if victim.is_some() {
-                break 'search;
-            }
+            let mut view = mem.read_table(cpu, l1).map_err(Err)?;
+            view.scan(0..ENTRIES_PER_TABLE, |_, l1_idx, pte| {
+                Err(Ok((l1, l1_idx, pte)))
+            })
+        });
+        if let Err(found) = scanned {
+            victim = Some(found.map_err(HealError::Hardware)?);
+            break;
         }
     }
     let Some((l1, l1_idx, pte)) = victim else {

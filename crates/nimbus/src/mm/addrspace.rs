@@ -10,6 +10,7 @@ use simx86::mem::{FrameNum, PhysMemory};
 use simx86::paging::{Pte, VirtAddr, ENTRIES_PER_TABLE, PAGE_SIZE, USER_TOP};
 use simx86::{costs, Cpu};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Protection of a VMA.
@@ -248,9 +249,9 @@ impl AddressSpace {
     }
 
     /// Walk the present leaf entries of `pages` pages from `start`,
-    /// reading each L1 table the range crosses once, and gather per
-    /// table the entries `edit` wants stored (tables with nothing to
-    /// store are left out).
+    /// scanning in each L1 table the range crosses the entries it
+    /// covers, and no others, and gather per table the entries `edit`
+    /// wants stored (tables with nothing to store are left out).
     fn edit_range(
         &self,
         mem: &PhysMemory,
@@ -269,15 +270,12 @@ impl AddressSpace {
             let Some(l1) = self.l1_of(va) else { continue };
             let mut view = mem.read_table(cpu, l1)?;
             let mut updates = Vec::new();
-            for index in first..first + span as usize {
-                let pte = view.pte(index);
-                if !pte.present() {
-                    continue;
-                }
+            let Ok(()) = view.scan(first..first + span as usize, |_, index, pte| {
                 if let Some(new) = edit(pte) {
                     updates.push((index, new));
                 }
-            }
+                Ok::<_, Infallible>(())
+            });
             if !updates.is_empty() {
                 runs.push((l1, updates));
             }
@@ -379,11 +377,7 @@ impl AddressSpace {
             let mut parent_updates: Vec<(usize, Pte)> = Vec::new();
             let mut child_entries: Vec<(usize, Pte)> = Vec::new();
             let mut view = ctx.mem.read_table(ctx.cpu, parent_l1)?;
-            for idx in 0..ENTRIES_PER_TABLE {
-                let pte = view.pte(idx);
-                if !pte.present() {
-                    continue;
-                }
+            let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, idx, pte| {
                 let frame = FrameNum(pte.frame());
                 let shared = if pte.writable() {
                     // Downgrade both sides to COW read-only.
@@ -397,7 +391,8 @@ impl AddressSpace {
                 if ctx.pool.refcount(frame) > 0 {
                     ctx.pool.incref(frame);
                 }
-            }
+                Ok::<_, Infallible>(())
+            });
             // The reads are on the clock before anything below can
             // stamp it (the paravirt calls carry trace probes).
             drop(view);

@@ -30,18 +30,20 @@
 //! [`costs::MEM_WORD`] tick; that is the access of the MMU walker and
 //! of anything that touches one entry.  Code that walks a whole page
 //! table — or a run of entries in one — takes the *frame* as its unit
-//! instead: [`PhysMemory::read_table`] copies the frame's 512 words out
-//! once, and the [`TableView`] it returns charges `MEM_WORD` per entry
-//! *consumed*, coalesced into one tick; [`PhysMemory::write_ptes`]
-//! stores a run of entries under one tick.  The simulated cost is the
-//! per-word cost to the cycle, early exits included; only the host pays
-//! less.
+//! instead: [`PhysMemory::read_table`] opens a [`TableView`] on the
+//! frame, which loads each entry when it is consumed and charges
+//! `MEM_WORD` per entry consumed, coalesced into one tick;
+//! [`TableView::scan`] is the one loop over a table's present entries;
+//! [`PhysMemory::write_ptes`] stores a run of entries under one tick.
+//! The simulated cost is the per-word cost to the cycle, early exits
+//! included; only the host pays less.
 //!
-//! The view is a **snapshot**, word by word (DESIGN.md §14a): each
-//! entry is the value its word held at some moment during
-//! `read_table`, and a store that lands in the frame afterwards
-//! (another CPU's walker setting an accessed bit, the walking CPU's own
-//! `write_pte`) is not seen through it.  Whole-frame operations
+//! A view loads each entry **once, when it is consumed**, and keeps
+//! what it loaded (DESIGN.md §14a): [`TableView::reread`] returns
+//! exactly what the walk was handed, and a store that lands in an entry
+//! after the walk consumed it (another CPU's walker setting an accessed
+//! bit, the walking CPU's own `write_pte`) is not seen through the view.
+//! An entry not yet consumed is read when it is.  Whole-frame operations
 //! ([`PhysMemory::copy_frame`], [`PhysMemory::zero_frame`], the byte
 //! movers) are loops over words with the same guarantee and no more: a
 //! frame copied while another CPU writes it ends with every word a
@@ -197,13 +199,13 @@ impl PhysMemory {
         self.write_word(cpu, PhysAddr(table.base().0 + (index as u64) * 8), pte.0)
     }
 
-    /// Read the whole table living in `table`: its 512 words copied
-    /// out, one load each.  Nothing is charged here — the view charges
-    /// per entry consumed — except on a frame that does not exist,
-    /// which costs the `MEM_WORD` the walk's first
-    /// [`read_pte`](Self::read_pte) would have spent before faulting.
-    // Inlined, the view's 4 KiB are built in the caller's frame; returned
-    // from a call they are built here and copied there.
+    /// Open the table living in `table` for a walk.  Nothing is read or
+    /// charged here — the view loads and charges per entry consumed —
+    /// except on a frame that does not exist, which costs the
+    /// `MEM_WORD` the walk's first [`read_pte`](Self::read_pte) would
+    /// have spent before faulting.
+    // Inlined, the view is built in the caller's frame; returned from a
+    // call it is built here and copied there.
     #[inline]
     pub fn read_table<'a>(&'a self, cpu: &'a Cpu, table: FrameNum) -> Result<TableView<'a>, Fault> {
         let frame = self
@@ -213,8 +215,10 @@ impl PhysMemory {
             frame,
             cpu,
             table,
-            // volint::allow(SWITCH-PANIC): from_fn counts to the length of `words`, which is the frame's
-            words: std::array::from_fn(|i| frame[i].load(Ordering::Acquire)),
+            words: [0; WORDS_PER_PAGE],
+            consumed: [0; WORDS_PER_PAGE / 64],
+            scanned: 0..0,
+            paid: 0,
             owed: 0,
         })
     }
@@ -356,15 +360,18 @@ fn word_spans(
     })
 }
 
-/// One page table, read once ([`PhysMemory::read_table`]).
+/// One page table, open for a walk ([`PhysMemory::read_table`]).
 ///
-/// [`pte`](Self::pte) hands out entries of the snapshot and owes the
-/// CPU one [`costs::MEM_WORD`] each; the debt reaches the cycle counter
-/// in one tick — at [`settle`](Self::settle), or when the view drops,
-/// so an early `?` out of a walk has paid for exactly the entries it
-/// consumed.  Anything that can *observe* `cpu.cycles()` between two
-/// entries (a nested validation, a `merctrace` probe) must see the
-/// counter the per-word walk would have shown it: call `settle` first.
+/// Each entry is loaded from memory once, when it is consumed — by
+/// [`pte`](Self::pte) or by [`scan`](Self::scan) — and what the walk
+/// was handed is kept for [`reread`](Self::reread).  Each consumed
+/// entry owes the CPU one [`costs::MEM_WORD`]; the debt reaches the
+/// cycle counter in one tick — at [`settle`](Self::settle), or when the
+/// view drops, so an early `?` out of a walk has paid for exactly the
+/// entries it consumed.  Anything that can *observe* `cpu.cycles()`
+/// between two entries (a nested validation, a `merctrace` probe) must
+/// see the counter the per-word walk would have shown it: call
+/// `settle` first.
 pub struct TableView<'a> {
     frame: &'a [AtomicU64; WORDS_PER_PAGE],
     cpu: &'a Cpu,
@@ -372,70 +379,193 @@ pub struct TableView<'a> {
     /// default.
     #[allow(dead_code)]
     table: FrameNum,
+    /// Each consumed entry as it was handed out; 0, [`Pte::ABSENT`],
+    /// for one a scan passed over.
     words: [u64; WORDS_PER_PAGE],
+    /// One bit per consumed entry; a scan marks its entries when it ends.
+    consumed: [u64; WORDS_PER_PAGE / 64],
+    /// The entries the scan in progress has consumed so far, marked in
+    /// `consumed` only when it ends.
+    scanned: std::ops::Range<usize>,
+    /// Those of `scanned` from here on are not yet counted in `owed`.
+    paid: usize,
     /// Entries consumed whose `MEM_WORD` has not been ticked yet.
     owed: u64,
 }
 
+/// The bits of word `w` of a one-bit-per-entry map that fall in `range`.
+#[inline]
+fn span_bits(range: &std::ops::Range<usize>, w: usize) -> u64 {
+    let (lo, hi) = (
+        range.start.clamp(w * 64, w * 64 + 64),
+        range.end.clamp(w * 64, w * 64 + 64),
+    );
+    if hi > lo {
+        (u64::MAX >> (64 - (hi - lo))) << (lo - w * 64)
+    } else {
+        0
+    }
+}
+
 impl TableView<'_> {
-    /// The `index`-th entry, as [`PhysMemory::read_pte`] would have
-    /// read it when the view was taken.
+    /// The `index`-th entry, as [`PhysMemory::read_pte`] would read it
+    /// now.
     #[inline]
     pub fn pte(&mut self, index: usize) -> Pte {
         self.owed += 1;
+        let pte = self.load(self.frame, index);
+        if let Some(word) = self.words.get_mut(index) {
+            *word = pte.0;
+        }
+        self.mark(index..index + 1);
+        pte
+    }
+
+    /// Hand each present entry of `range` to `visit`, in order, with its
+    /// index and the view; stop at the first `Err` and return it.  Every
+    /// entry passed over, absent ones included, is consumed as by
+    /// [`pte`](Self::pte): this is a walker's `let pte = view.pte(i);
+    /// if !pte.present() { continue }`, and the one loop over a table's
+    /// entries that walkers share.
+    ///
+    /// A visitor may [`settle`](Self::settle) (before it descends into a
+    /// child table or reads the clock) and [`reread`](Self::reread) what
+    /// the scan has consumed, yet per entry the loop writes the view only
+    /// to keep a present entry and to say how far it has got: the cursor
+    /// and the count owed live in locals, `settle` derives the count from
+    /// how far the scan got, and the absent entries passed over are
+    /// marked only when the scan ends and, in a view's first scan, never
+    /// stored.  Each of those, per entry, would be a store or a
+    /// read-modify-write through memory, since an atomic load is, to the
+    /// optimiser, a write to all of it.
+    #[inline]
+    pub fn scan<E>(
+        &mut self,
+        range: std::ops::Range<usize>,
+        visit: impl FnMut(&mut Self, usize, Pte) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // Only a view that has consumed entries before can keep a word
+        // for an entry this scan passes over as absent.
+        if self.scanned.is_empty() && self.consumed == [0; WORDS_PER_PAGE / 64] {
+            self.walk(range, visit, false)
+        } else {
+            self.rescan(range, visit)
+        }
+    }
+
+    /// [`scan`](Self::scan) over a view that has consumed entries before
+    /// (a walk's first scan never has): it overwrites the kept word of
+    /// each entry it passes over as absent, and leaves those beyond the
+    /// entry it stops at as they were handed out.  Out of line, so that
+    /// the first scan's loop stores nothing for an absent entry.
+    #[cold]
+    #[inline(never)]
+    fn rescan<E>(
+        &mut self,
+        range: std::ops::Range<usize>,
+        visit: impl FnMut(&mut Self, usize, Pte) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.walk(range, visit, true)
+    }
+
+    /// The loop of [`scan`](Self::scan); `rescan` is a constant at each
+    /// call.
+    #[inline(always)]
+    fn walk<E>(
+        &mut self,
+        range: std::ops::Range<usize>,
+        mut visit: impl FnMut(&mut Self, usize, Pte) -> Result<(), E>,
+        rescan: bool,
+    ) -> Result<(), E> {
+        let (frame, mut at, end) = (self.frame, range.start, range.end);
+        // A visitor's own scan of this view leaves ours as it found it.
+        self.fold();
+        let outer = (
+            std::mem::replace(&mut self.scanned, at..at),
+            std::mem::replace(&mut self.paid, at),
+        );
+        let mut result = Ok(());
+        // volint::bound(512) — at most ENTRIES_PER_TABLE entries to pass over
+        while at < end {
+            if faultgen::ENABLED {
+                self.scanned.end = at + 1;
+            }
+            let pte = self.load(frame, at);
+            at += 1;
+            if pte.present() {
+                // volint::allow(SWITCH-PANIC): `load` has indexed the frame, which is as long as `words`
+                self.words[at - 1] = pte.0;
+                self.scanned.end = at;
+                result = visit(self, at - 1, pte);
+                if result.is_err() {
+                    break;
+                }
+            } else if rescan {
+                // volint::allow(SWITCH-PANIC): `load` has indexed the frame, which is as long as `words`
+                self.words[at - 1] = Pte::ABSENT.0;
+            }
+        }
+        self.owed += (at - self.paid) as u64;
+        self.mark(range.start..at);
+        (self.scanned, self.paid) = outer;
+        result
+    }
+
+    /// Load the `index`-th entry of `frame`, the view's; the caller
+    /// counts its charge and keeps it.  A due mem-bit-flip on this word
+    /// fires here exactly as in `read_word`, and persists in memory as
+    /// it does there.  (`frame` comes from the caller's register: read
+    /// from the view, it would be reloaded after every atomic load.)
+    #[inline(always)]
+    fn load(&mut self, frame: &[AtomicU64; WORDS_PER_PAGE], index: usize) -> Pte {
         if faultgen::ENABLED {
             // The injection hook reads the clock: this entry's charge
             // must already be on it (compiled out by default).
             self.settle();
         }
-        // A due mem-bit-flip on this word fires here exactly as in
-        // `read_word`, and persists in memory as it does there.
+        // volint::allow(SWITCH-PANIC): index < ENTRIES_PER_TABLE is the caller's contract, as for read_pte
+        let word = &frame[index];
         let flip = faultgen::mem_read_site!(self.cpu.id, self.cpu.cycles(), self.table.0, index);
         if flip != 0 {
-            // volint::allow(SWITCH-PANIC): same index as the read below
-            self.words[index] ^= flip;
-            // volint::allow(SWITCH-PANIC): same index as the read below
-            self.frame[index].fetch_xor(flip, Ordering::AcqRel);
+            Pte(word.fetch_xor(flip, Ordering::AcqRel) ^ flip)
+        } else {
+            Pte(word.load(Ordering::Acquire))
         }
-        // volint::allow(SWITCH-PANIC): index < ENTRIES_PER_TABLE is the caller's contract, as for read_pte
-        Pte(self.words[index])
     }
 
-    /// The next present entry of `*cursor..end`, with the cursor left
-    /// behind it; `None`, with the cursor at `end`, when there is none.  Every entry passed over is consumed as by
-    /// [`pte`](Self::pte): a walker's `let pte = view.pte(i); if
-    /// !pte.present() { continue }`.  A walker that ticks inside its
-    /// loop — it settles, descends, takes a lazy fixup — should skip
-    /// this way: a tick is a relaxed atomic store, which the optimiser
-    /// takes for a write to all of memory, so around one the count of
-    /// entries owed lives on the stack and every entry, absent ones
-    /// included, pays a store-to-load round trip.  This loop has no
-    /// tick in it and counts in a register.
+    /// Mark the entries of `range` consumed.
     #[inline]
-    pub fn next_present(&mut self, cursor: &mut usize, end: usize) -> Option<Pte> {
-        // volint::bound(512) — at most ENTRIES_PER_TABLE entries to pass over
-        while *cursor < end {
-            let pte = self.pte(*cursor);
-            *cursor += 1;
-            if pte.present() {
-                return Some(pte);
-            }
+    fn mark(&mut self, range: std::ops::Range<usize>) {
+        // volint::bound(8) — one word per 64 entries of a 512-entry table
+        for (w, bits) in self.consumed.iter_mut().enumerate() {
+            *bits |= span_bits(&range, w);
         }
-        None
     }
 
-    /// The `index`-th entry as [`pte`](Self::pte) handed it out, read
-    /// again from the snapshot: no charge and no injection hook, for a
-    /// walker unwinding over entries it has already consumed.  `None`
-    /// past the end of the table.
+    /// Count in `owed` what the scan in progress has consumed since.
+    #[inline]
+    fn fold(&mut self) {
+        self.owed += (self.scanned.end - self.paid) as u64;
+        self.paid = self.scanned.end;
+    }
+
+    /// The `index`-th entry as the walk was handed it, with no charge,
+    /// no load and no injection hook, for a walker unwinding over
+    /// entries it has already consumed: exactly what `pte` or a scan's
+    /// visitor got, and [`Pte::ABSENT`] for an entry a scan passed over.
+    /// `None` for an entry the view has not consumed, and past the end
+    /// of the table.
     #[inline]
     pub fn reread(&self, index: usize) -> Option<Pte> {
-        self.words.get(index).map(|&word| Pte(word))
+        let (word, bits) = (self.words.get(index)?, self.consumed.get(index / 64)?);
+        let consumed = self.scanned.contains(&index) || (bits >> (index % 64)) & 1 != 0;
+        consumed.then_some(Pte(*word))
     }
 
     /// Tick the CPU for every entry consumed so far.
     #[inline]
     pub fn settle(&mut self) {
+        self.fold();
         if self.owed != 0 {
             self.cpu.tick(self.owed * costs::MEM_WORD);
             self.owed = 0;
@@ -587,66 +717,130 @@ mod tests {
         }
     }
 
-    /// Skipping to the next present entry finds the entries, and owes
-    /// the cycles, of the loop it stands for — over a whole table, a
-    /// sub-range, and with a settle between two finds.
+    /// The scan hands out the entries, owes the cycles and consumes the
+    /// entries of the per-entry loop it stands for — over a whole
+    /// table, a sub-range and an empty one, and leaving early through
+    /// an `Err`.  Both walks settle at every present entry, so each
+    /// visit also sees the clock the loop showed.
     #[test]
-    fn next_present_walks_and_charges_like_the_skip_loop() {
+    fn scan_walks_and_charges_like_the_per_entry_loop() {
         let mem = PhysMemory::new(4);
         let cpu = test_cpu();
         let t = FrameNum(2);
         sparse_table(&mem, &cpu, t);
-        for (first, end) in [(0, WORDS_PER_PAGE), (2, 300), (7, 7)] {
+        // (range, the present entry whose visit fails)
+        for (range, stop) in [
+            (0..WORDS_PER_PAGE, None),
+            (2..300, None),
+            (7..7, None),
+            (0..WORDS_PER_PAGE, Some(99)),
+            (5..200, Some(6)),
+        ] {
             let c0 = cpu.cycles();
             let mut view = mem.read_table(&cpu, t).unwrap();
-            let mut by_loop = Vec::new();
-            for index in first..end {
+            let (mut by_loop, mut loop_result) = (Vec::new(), Ok(()));
+            for index in range.clone() {
                 let pte = view.pte(index);
                 if !pte.present() {
                     continue;
                 }
                 view.settle();
-                by_loop.push((pte, cpu.cycles()));
+                by_loop.push((index, pte, cpu.cycles() - c0));
+                if Some(index) == stop {
+                    loop_result = Err(index);
+                    break;
+                }
             }
+            let loop_consumed: Vec<_> = (0..WORDS_PER_PAGE).map(|i| view.reread(i)).collect();
             drop(view);
             let loop_cost = cpu.cycles() - c0;
 
             let c1 = cpu.cycles();
             let mut view = mem.read_table(&cpu, t).unwrap();
-            let (mut at, mut by_skip) = (first, Vec::new());
-            while let Some(pte) = view.next_present(&mut at, end) {
+            let mut by_scan = Vec::new();
+            let scan_result = view.scan(range.clone(), |view, index, pte| {
                 view.settle();
-                by_skip.push((pte, cpu.cycles() - c1 + c0));
-            }
-            assert_eq!(at, end);
+                by_scan.push((index, pte, cpu.cycles() - c1));
+                // An unwind from here rereads what the scan has consumed.
+                assert!(view.reread(range.start).is_some());
+                assert_eq!(view.reread(index), Some(pte));
+                assert_eq!(view.reread(index + 1), None);
+                if Some(index) == stop {
+                    return Err(index);
+                }
+                Ok(())
+            });
+            let scan_consumed: Vec<_> = (0..WORDS_PER_PAGE).map(|i| view.reread(i)).collect();
             drop(view);
-            assert_eq!(by_skip, by_loop, "{first}..{end}");
-            assert_eq!(cpu.cycles() - c1, loop_cost, "{first}..{end}");
+            assert_eq!(scan_result, loop_result, "{range:?}");
+            assert_eq!(by_scan, by_loop, "{range:?}");
+            assert_eq!(cpu.cycles() - c1, loop_cost, "{range:?}");
+            assert_eq!(scan_consumed, loop_consumed, "{range:?}");
+            let end = stop.map_or(range.end, |index| index + 1);
+            let consumed = scan_consumed.iter().filter(|pte| pte.is_some()).count();
+            assert_eq!(consumed, end - range.start, "{range:?}");
         }
     }
 
+    /// An entry consumed before a store keeps, through `reread`, the
+    /// value the walk was handed; an entry not yet consumed is read when
+    /// it is consumed, and until then `reread` has nothing for it.
     #[test]
-    fn table_view_settles_on_demand_and_is_a_snapshot() {
+    fn table_view_settles_on_demand_and_keeps_what_it_consumed() {
         let mem = PhysMemory::new(4);
         let cpu = test_cpu();
         let t = FrameNum(1);
         sparse_table(&mem, &cpu, t);
         let c0 = cpu.cycles();
         let mut view = mem.read_table(&cpu, t).unwrap();
-        assert_eq!(cpu.cycles(), c0, "taking the view is free");
-        view.pte(0);
+        assert_eq!(cpu.cycles(), c0, "opening the view is free");
+        assert_eq!(view.pte(0), Pte::new(7, Pte::USER));
         view.pte(1);
         view.settle();
         assert_eq!(cpu.cycles() - c0, 2 * costs::MEM_WORD);
         view.settle();
         assert_eq!(cpu.cycles() - c0, 2 * costs::MEM_WORD, "nothing owed twice");
-        // The frame can be written under the live view, and the view
-        // keeps what it read.
+        // The frame can be written under the live view.
         let c1 = cpu.cycles();
+        mem.write_pte(&cpu, t, 0, Pte::ABSENT).unwrap();
         mem.write_pte(&cpu, t, 3, Pte::ABSENT).unwrap();
-        assert_eq!(view.pte(3), Pte::new(10, Pte::USER));
+        assert_eq!(
+            view.reread(0),
+            Some(Pte::new(7, Pte::USER)),
+            "consumed before the store"
+        );
+        assert_eq!(view.reread(1), Some(Pte::ABSENT));
+        // Not a zero word, which an unwind would take for "absent".
+        assert_eq!(view.reread(3), None, "never consumed");
+        assert_eq!(view.pte(3), Pte::ABSENT, "read when consumed");
+        assert_eq!(view.reread(3), Some(Pte::ABSENT));
+        assert_eq!(view.reread(WORDS_PER_PAGE), None);
+        // A scan consumes again what it passes over.  It keeps only the
+        // present entries it hands out: entry 0, absent now, rereads as
+        // absent, and so does entry 1, a non-present word with other
+        // bits set, which `pte` hands back whole.
+        let not_present = Pte(5 << 12);
+        mem.write_pte(&cpu, t, 1, not_present).unwrap();
+        let mut visited = Vec::new();
+        let Ok(()) = view.scan(0..4, |_, index, _| {
+            visited.push(index);
+            Ok::<_, std::convert::Infallible>(())
+        });
+        assert_eq!(visited, [] as [usize; 0], "0 and 3 were written absent");
+        assert_eq!(view.reread(0), Some(Pte::ABSENT));
+        assert_eq!(view.reread(1), Some(Pte::ABSENT));
+        assert_eq!(view.pte(1), not_present);
+        assert_eq!(view.reread(1), Some(not_present));
+        // A scan that stops early leaves what was consumed beyond the
+        // stop as the walk was handed it.
+        let nine = view.pte(9);
+        let stopped = view.scan(4..12, |_, index, _| Err(index));
+        assert_eq!(stopped, Err(6));
+        assert_eq!(view.reread(9), Some(nine));
+        assert_eq!(view.reread(7), None);
         drop(view);
-        assert_eq!(cpu.cycles() - c1, 2 * costs::MEM_WORD);
+        // Three stores and ten entries: rereads are free.
+        assert_eq!(cpu.cycles() - c1, 13 * costs::MEM_WORD);
         assert_eq!(mem.read_pte(&cpu, t, 3).unwrap(), Pte::ABSENT);
     }
 

@@ -6,10 +6,13 @@
 //! flush non-global entries (costly in virtual mode where they become
 //! hypercalls), and `invlpg` drops a single page.
 //!
-//! The table is a tag array beside a PTE array: a translation scans 64
-//! page numbers, 512 contiguous bytes, and touches one PTE on a hit.
-//! A page number is an address shifted right by twelve, so the all-ones
-//! tag is no page's and marks a free slot.
+//! The table is three arrays: a fingerprint byte per slot, packed eight
+//! to a word, then a tag (the page number) and a PTE per slot.  A
+//! translation reads the fingerprint words, compares the tag of each
+//! slot whose byte matches the page's, and touches one PTE on a hit.
+//! A slot is in use exactly when its fingerprint byte is non-zero, and
+//! the byte also says whether the entry is global, so a flush rewrites
+//! fingerprint words and touches no tag or PTE.
 //!
 //! Who writes what (DESIGN.md "Who may write a CPU"): the arrays, the
 //! FIFO cursor and the counters are written only by the thread driving
@@ -26,22 +29,39 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// TLB capacity in entries.
 pub const TLB_ENTRIES: usize = 64;
 
-/// The tag of a slot that holds no translation.  The MMU looks up and
-/// inserts pages of canonical addresses only; an `invlpg` of this
-/// value (its operand is the guest's to choose) finds a free slot and
-/// frees it again.
-const EMPTY: u64 = u64::MAX;
+/// Slots per fingerprint word.
+const LANES: usize = 8;
+
+/// One in each byte lane of a fingerprint word.
+const LOW: u64 = 0x0101_0101_0101_0101;
+
+/// Fingerprint bit: the slot is in use.
+const USED: u64 = 0x80;
+
+/// Fingerprint bit: the slot's entry is global.
+const GLOBAL: u64 = 0x40;
+
+/// The fingerprint byte of a slot caching `vpn`, [`GLOBAL`] aside: in
+/// use, and six bits of the page number — a page and the 63 that share
+/// its aligned block of 64 all differ there.
+#[inline]
+fn fingerprint(vpn: u64) -> u64 {
+    USED | ((vpn ^ (vpn >> 6)) & 0x3f)
+}
 
 /// The TLB itself, owned by a [`crate::Cpu`].
 #[derive(Debug)]
 pub struct Tlb {
     /// The owning CPU's id, for the debug-build ownership check.
     cpu: usize,
-    /// Virtual page number cached in each slot, or [`EMPTY`].  A page
-    /// is in at most one slot ([`insert`](Self::insert) replaces in
-    /// place).
+    /// Slot `s`'s [`fingerprint`] in byte `s % 8` of word `s / 8`; 0 for
+    /// a free slot.
+    prints: [AtomicU64; TLB_ENTRIES / LANES],
+    /// Virtual page number cached in each slot; stale where the slot is
+    /// free.  A page is in at most one slot in use
+    /// ([`insert`](Self::insert) replaces in place).
     tags: [AtomicU64; TLB_ENTRIES],
-    /// The leaf PTE cached in each slot; stale where the tag is empty.
+    /// The leaf PTE cached in each slot; stale where the slot is free.
     ptes: [AtomicU64; TLB_ENTRIES],
     next_slot: AtomicU64,
     hits: AtomicU64,
@@ -64,7 +84,8 @@ impl Tlb {
     pub fn new(cpu: usize) -> Tlb {
         Tlb {
             cpu,
-            tags: [const { AtomicU64::new(EMPTY) }; TLB_ENTRIES],
+            prints: [const { AtomicU64::new(0) }; TLB_ENTRIES / LANES],
+            tags: [const { AtomicU64::new(0) }; TLB_ENTRIES],
             ptes: [const { AtomicU64::new(Pte::ABSENT.0) }; TLB_ENTRIES],
             next_slot: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -75,20 +96,57 @@ impl Tlb {
         }
     }
 
-    /// The slot caching `vpn`, if any.
+    /// The slot in use caching `vpn`, if any: the tag of each slot whose
+    /// fingerprint matches `vpn`'s, global bit aside, is compared.
     #[inline]
     fn find(&self, vpn: u64) -> Option<usize> {
-        self.tags
-            .iter()
-            .position(|tag| tag.load(Ordering::Relaxed) == vpn)
+        let want = fingerprint(vpn) * LOW;
+        // volint::bound(8) — TLB_ENTRIES / LANES fingerprint words
+        for (word, prints) in self.prints.iter().enumerate() {
+            // A lane is zero here exactly where its slot is in use with
+            // `vpn`'s fingerprint; a free lane keeps its top bit.
+            let lanes = (prints.load(Ordering::Relaxed) ^ want) & !(GLOBAL * LOW);
+            // The top bit of each zero lane, and possibly of lanes above
+            // one (a borrow): the tag check weeds those out.
+            let mut candidates = lanes.wrapping_sub(LOW) & !lanes & (USED * LOW);
+            // volint::bound(8) — LANES slots per word
+            while candidates != 0 {
+                let slot = word * LANES + candidates.trailing_zeros() as usize / 8;
+                if self.tags.get(slot)?.load(Ordering::Relaxed) == vpn {
+                    return Some(slot);
+                }
+                candidates &= candidates - 1;
+            }
+        }
+        None
     }
 
-    /// Drop every non-global entry.
-    fn drop_non_global(&self) {
-        // volint::bound(64) — TLB_ENTRIES slots
-        for (tag, pte) in self.tags.iter().zip(&self.ptes) {
-            if !Pte(pte.load(Ordering::Relaxed)).global() {
-                tag.store(EMPTY, Ordering::Relaxed);
+    /// Set slot `slot`'s fingerprint byte to `print` (0 frees the slot).
+    #[inline]
+    fn set_print(&self, slot: usize, print: u64) {
+        let Some(word) = self.prints.get(slot / LANES) else {
+            return;
+        };
+        let shift = slot % LANES * 8;
+        let seen = word.load(Ordering::Relaxed);
+        let new = (seen & !(0xff << shift)) | (print << shift);
+        owner_store(word, seen, new, self.cpu, "TLB fingerprints");
+    }
+
+    /// Drop every entry, or every non-global one: a whole fingerprint
+    /// word at a time, and only the words that change.
+    fn drop_entries(&self, keep_global: bool) {
+        // volint::bound(8) — TLB_ENTRIES / LANES fingerprint words
+        for word in &self.prints {
+            let seen = word.load(Ordering::Relaxed);
+            // Each global lane's bit 6, spread over its whole byte.
+            let kept = if keep_global {
+                seen & (((seen >> 6) & LOW) * 0xff)
+            } else {
+                0
+            };
+            if kept != seen {
+                owner_store(word, seen, kept, self.cpu, "TLB fingerprints");
             }
         }
     }
@@ -104,7 +162,7 @@ impl Tlb {
         let pending = requested != self.applied.load(Ordering::Relaxed);
         if pending {
             self.applied.store(requested, Ordering::Relaxed);
-            self.drop_non_global();
+            self.drop_entries(true);
         }
         pending
     }
@@ -150,13 +208,14 @@ impl Tlb {
         });
         self.tags[slot].store(vpn, Ordering::Relaxed);
         self.ptes[slot].store(pte.0, Ordering::Relaxed);
+        self.set_print(slot, fingerprint(vpn) | (GLOBAL * u64::from(pte.global())));
     }
 
     /// Drop every non-global entry (CR3 reload).
     pub fn flush(&self) {
         // A pending shootdown asks for no more than this does.
         if !self.sync() {
-            self.drop_non_global();
+            self.drop_entries(true);
         }
         bump(&self.flushes);
     }
@@ -165,18 +224,14 @@ impl Tlb {
     pub fn flush_all(&self) {
         self.sync();
         bump(&self.flushes);
-        // volint::bound(64) — TLB_ENTRIES slots
-        for tag in &self.tags {
-            tag.store(EMPTY, Ordering::Relaxed);
-        }
+        self.drop_entries(false);
     }
 
     /// Drop a single page's translation (`invlpg`).
     pub fn invalidate(&self, vpn: u64) {
         self.sync();
         if let Some(slot) = self.find(vpn) {
-            // volint::allow(SWITCH-PANIC): find() returns a position in this array
-            self.tags[slot].store(EMPTY, Ordering::Relaxed);
+            self.set_print(slot, 0);
         }
     }
 
@@ -192,7 +247,8 @@ impl Tlb {
 }
 
 /// The TLB this one replaced — a `Vec` of `Option<(vpn, pte)>` scanned
-/// slot by slot — kept as the oracle the tag array is checked against.
+/// slot by slot — kept as the oracle the fingerprinted table is checked
+/// against.
 #[cfg(test)]
 mod oracle {
     use super::{Pte, TLB_ENTRIES};
@@ -288,12 +344,21 @@ mod tests {
     use faultgen::rng::check;
 
     impl Tlb {
-        /// What each slot holds, in the oracle's terms.
+        /// What each slot holds, in the oracle's terms; a slot in use
+        /// must carry its entry's fingerprint.
         fn resident(&self) -> Vec<Option<oracle::TlbEntry>> {
-            (self.tags.iter().zip(&self.ptes))
-                .map(|(tag, pte)| {
-                    let (vpn, pte) = (tag.load(Ordering::Relaxed), pte.load(Ordering::Relaxed));
-                    (vpn != EMPTY).then_some(oracle::TlbEntry { vpn, pte: Pte(pte) })
+            (0..TLB_ENTRIES)
+                .map(|slot| {
+                    let print = self.prints[slot / LANES].load(Ordering::Relaxed)
+                        >> (slot % LANES * 8)
+                        & 0xff;
+                    let vpn = self.tags[slot].load(Ordering::Relaxed);
+                    let pte = Pte(self.ptes[slot].load(Ordering::Relaxed));
+                    if print != 0 {
+                        let want = fingerprint(vpn) | (GLOBAL * u64::from(pte.global()));
+                        assert_eq!(print, want, "slot {slot}'s fingerprint, page {vpn:#x}");
+                    }
+                    (print != 0).then_some(oracle::TlbEntry { vpn, pte })
                 })
                 .collect()
         }
@@ -302,10 +367,15 @@ mod tests {
     /// Same returns, same counters and the same translation in the same
     /// slot after every step of a random run — global entries, flushes
     /// of both kinds, shootdown requests (a flush at once in the old
-    /// TLB) and more live pages than the TLB holds.  A fill follows a
-    /// lookup of its page, as it does in the MMU; a request leaves the
-    /// entries where they are until the next use, so the resident set is
-    /// compared once that use has happened.
+    /// TLB), more live pages than the TLB holds and, in runs that flush
+    /// rarely, fills that evict a slot in use.  A fill follows a
+    /// lookup of its page, as it does in the MMU, and a shootdown may be
+    /// requested in between, which drops the fill.  Nearly half the
+    /// pages share one fingerprint byte, and `u64::MAX` — a page number
+    /// no address has — is looked up, filled and invalidated like any
+    /// other.  A request leaves the entries where they are until the
+    /// next use, so the resident set is compared once that use has
+    /// happened.
     #[test]
     fn owner_written_tlb_matches_the_old_tlb_step_by_step() {
         check(
@@ -314,16 +384,33 @@ mod tests {
             |rng| {
                 let tlb = Tlb::new(0);
                 let mut old = oracle::Tlb::new();
+                // Pages with `shared`'s fingerprint: flip the same bits in
+                // both six-bit halves, or change the bits above them.
+                let shared = rng.below(1 << 12);
+                // Ops 24 and up are fills: in a run that draws from more
+                // than 24, flushes are rare, the table fills and the FIFO
+                // victim is a slot in use.
+                let ops = [24, 96, 400][rng.below(3) as usize];
                 for _ in 0..rng.range(1, 800) {
-                    let vpn = rng.below(3 * TLB_ENTRIES as u64);
-                    let op = rng.below(22);
+                    let vpn = match rng.below(16) {
+                        0 => u64::MAX,
+                        1..=7 => (shared ^ (rng.below(64) * 0x41)) + (rng.below(3) << 12),
+                        _ => rng.below(3 * TLB_ENTRIES as u64),
+                    };
+                    let op = rng.below(ops);
                     match op {
-                        0..=8 => {
+                        0..=8 | 22 | 24.. => {
                             let global = (rng.below(5) == 0) as u64 * Pte::GLOBAL;
                             let pte = Pte::new(rng.below(1024) as u32, Pte::WRITABLE | global);
                             assert_eq!(tlb.lookup(vpn), old.lookup(vpn));
+                            if op == 22 {
+                                // The walk straddles a shootdown.
+                                tlb.request_shootdown();
+                                old.flush();
+                            } else {
+                                old.insert(vpn, pte);
+                            }
                             tlb.insert(vpn, pte);
-                            old.insert(vpn, pte);
                         }
                         9..=14 => {
                             assert_eq!(tlb.lookup(vpn), old.lookup(vpn));
@@ -350,7 +437,7 @@ mod tests {
                         tlb.next_slot.load(Ordering::Relaxed) as usize,
                         old.next_slot
                     );
-                    if op < 20 {
+                    if !matches!(op, 20 | 21 | 23) {
                         assert_eq!(tlb.resident(), old.entries);
                     }
                 }

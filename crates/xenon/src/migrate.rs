@@ -22,6 +22,7 @@ use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::{costs, Cpu};
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Statistics for one pre-copy round.
@@ -99,26 +100,23 @@ impl LiveMigration {
                 dirty.push(pgd);
             }
             let mut l2 = mem.read_table(cpu, pgd)?;
-            for l2_idx in 0..ENTRIES_PER_TABLE {
-                let pde = l2.pte(l2_idx);
-                if !pde.present() {
-                    continue;
-                }
+            l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
                 let l1 = FrameNum(pde.frame());
                 if table.frame_written_since(l1, since) {
                     dirty.push(l1);
                 }
-                let mut view = mem.read_table(cpu, l1)?;
                 let mut cleaned = Vec::new();
-                for l1_idx in 0..ENTRIES_PER_TABLE {
-                    let pte = view.pte(l1_idx);
-                    if pte.present() && pte.dirty() {
+                let mut view = mem.read_table(cpu, l1)?;
+                let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, l1_idx, pte| {
+                    if pte.dirty() {
                         dirty.push(FrameNum(pte.frame()));
                         cleaned.push((l1_idx, pte.without_flags(Pte::DIRTY)));
                     }
-                }
+                    Ok::<_, Infallible>(())
+                });
                 mem.write_ptes(cpu, l1, &cleaned)?;
-            }
+                Ok::<_, HvError>(())
+            })?;
         }
         // Clearing dirty bits behind the TLB's back requires a flush so
         // cached "already dirty" translations don't swallow new writes.
@@ -184,19 +182,14 @@ impl LiveMigration {
         let mut n = 0;
         for pgd in self.dom.pgds() {
             let mut l2 = mem.read_table(cpu, pgd)?;
-            for l2_idx in 0..ENTRIES_PER_TABLE {
-                let pde = l2.pte(l2_idx);
-                if !pde.present() {
-                    continue;
-                }
+            l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
                 let mut l1 = mem.read_table(cpu, FrameNum(pde.frame()))?;
-                for l1_idx in 0..ENTRIES_PER_TABLE {
-                    let pte = l1.pte(l1_idx);
-                    if pte.present() && pte.dirty() {
-                        n += 1;
-                    }
-                }
-            }
+                let Ok(()) = l1.scan(0..ENTRIES_PER_TABLE, |_, _, pte| {
+                    n += usize::from(pte.dirty());
+                    Ok::<_, Infallible>(())
+                });
+                Ok::<_, HvError>(())
+            })?;
         }
         Ok(n)
     }

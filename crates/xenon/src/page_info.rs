@@ -47,6 +47,7 @@ use simx86::mem::{FrameNum, PhysMemory, TableView};
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::sync::Mutex;
 use simx86::Cpu;
+use std::convert::Infallible;
 
 /// How a frame is currently typed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -432,16 +433,14 @@ impl Records {
     /// failed walk drops the references it took.
     fn scan_l1(&mut self, view: &mut TableView<'_>, dom: DomId) -> Result<(), HvError> {
         let generation = self.generations.of(Some(dom));
-        let mut at = 0;
-        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
-        while let Some(pte) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
-            if let Err(e) = self.take_entry_ref(pte, dom, generation) {
-                // The entry that failed, `at - 1`, took nothing.
-                self.drop_entry_refs(view, at - 1);
-                return Err(e);
+        view.scan(0..ENTRIES_PER_TABLE, |view, at, pte| {
+            let taken = self.take_entry_ref(pte, dom, generation);
+            if taken.is_err() {
+                // The entry that failed, `at`, took nothing.
+                self.drop_entry_refs(view, at);
             }
-        }
-        Ok(())
+            taken
+        })
     }
 
     /// [`PageInfoTable::validate_l1`] under the held lock.
@@ -474,13 +473,12 @@ impl Records {
         frame: FrameNum,
     ) -> Result<(), HvError> {
         let mut view = mem.read_table(cpu, frame)?;
-        let mut at = 0;
-        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
-        while let Some(pte) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+        let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, _, pte| {
             if pte.writable() {
                 self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
             }
-        }
+            Ok::<_, Infallible>(())
+        });
         self.put_type_ref(frame, PageType::L1);
         Ok(())
     }
@@ -498,15 +496,12 @@ impl Records {
         settle_deferred(cpu, frame)?;
         self.check_owned(frame, dom, "L2 table frame")?;
         let mut view = mem.read_table(cpu, frame)?;
-        let mut at = 0;
         // If the walk fails, the entries below `held` hold an L1 reference.
         let mut held = ENTRIES_PER_TABLE;
-        let mut result = Ok(());
-        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
-        while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+        let result = view.scan(0..ENTRIES_PER_TABLE, |view, at, pde| {
             let l1 = FrameNum(pde.frame());
             let (typ, count) = self.type_of(l1);
-            result = if typ != PageType::L1 || count == 0 {
+            let result = if typ != PageType::L1 || count == 0 {
                 // validate_l1's final type ref *is* this entry's
                 // reference.
                 view.settle();
@@ -515,10 +510,10 @@ impl Records {
                 self.get_type_ref(l1, PageType::L1)
             };
             if result.is_err() {
-                held = at - 1;
-                break;
+                held = at;
             }
-        }
+            result
+        });
         let result = result.and_then(|()| self.get_type_ref(frame, PageType::L2));
         if result.is_err() {
             // Last reference first: an L1 this walk validated drops its
@@ -542,12 +537,10 @@ impl Records {
         frame: FrameNum,
     ) -> Result<(), HvError> {
         let mut view = mem.read_table(cpu, frame)?;
-        let mut at = 0;
-        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
-        while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+        view.scan(0..ENTRIES_PER_TABLE, |view, _, pde| {
             view.settle();
-            self.put_l1_ref(cpu, mem, FrameNum(pde.frame()))?;
-        }
+            self.put_l1_ref(cpu, mem, FrameNum(pde.frame()))
+        })?;
         self.put_type_ref(frame, PageType::L2);
         Ok(())
     }
@@ -872,9 +865,7 @@ impl PageInfoTable {
     ) -> Result<(), HvError> {
         self.info.lock().check_owned(frame, dom, "L2 table frame")?;
         let mut view = mem.read_table(cpu, frame)?;
-        let mut at = 0;
-        // volint::bound(512) — one step per present entry, ≤ ENTRIES_PER_TABLE
-        while let Some(pde) = view.next_present(&mut at, ENTRIES_PER_TABLE) {
+        view.scan(0..ENTRIES_PER_TABLE, |view, _, pde| {
             let l1 = FrameNum(pde.frame());
             view.settle();
             let mut info = self.info.lock();
@@ -883,7 +874,8 @@ impl PageInfoTable {
                 // L1 reference, and we alone walk the entries.
                 info.scan_l1(&mut mem.read_table(cpu, l1)?, dom)?;
             }
-        }
+            Ok::<_, HvError>(())
+        })?;
         let mut info = self.info.lock();
         info.get_type_ref(frame, PageType::L2)?;
         info.set_pinned(frame, true)

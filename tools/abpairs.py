@@ -11,7 +11,12 @@ Each pair runs both once, untraced,
 with the same workload, seed and duration; the order alternates from
 pair to pair (AB, BA, AB, ...) so a drift in the host's speed does not
 favour one side.  Prints one line per pair, then the median and IQR of
-`host_ops_per_s` on each side and how many pairs B won (higher rate).
+`host_ops_per_s` on each side and how many pairs B won (higher rate),
+then both sides' medians of every other end-to-end metric BENCHMARK.json
+lists off the simulated clock (`setup_s`, `host_busy_mcycles_per_s`,
+`peak_rss_mb`).  A metric whose B median is worse than A's by more than
+its BENCHMARK.json bound — the acceptance gate's test — is marked
+`OUT OF BOUND`.
 
 Every `sim_*` metric is a pure function of the seed, so the two sides
 must agree on all of them in every pair: the first that differs is
@@ -21,12 +26,29 @@ exit 2.  Defaults: seed 11, 10 s, 6 pairs.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 import tempfile
 
 RATE = "host_ops_per_s"
+SPEC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "BENCHMARK.json")
+
+
+def host_bounds(path=SPEC):
+    """`{name: (better, bound)}` of BENCHMARK.json's end-to-end metrics
+    off the simulated clock, in its order."""
+    with open(path) as f:
+        spec = json.load(f)
+    return {m["name"]: (m["better"], m["bound"])
+            for m in spec["end_to_end"] if not m["name"].startswith("sim_")}
+
+
+def worse_by(better, a, b):
+    """How much worse `b` is than `a`, as a share of `a`."""
+    change = (b - a) / a if a else float(b != a)
+    return change if better == "lower" else -change
 
 
 def run(binary, workload, seed, seconds, out):
@@ -49,6 +71,11 @@ def spread(values):
     return statistics.median(values), q3 - q1
 
 
+def figure(value):
+    """Four significant digits, and no exponent for thousands and up."""
+    return f"{value:,.0f}" if abs(value) >= 1000 else f"{value:.4g}"
+
+
 def first_sim_difference(a, b):
     """Name of the first `sim_*` metric whose values differ, or None."""
     for name in sorted(set(a) | set(b)):
@@ -69,7 +96,8 @@ def main(argv):
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    rates = {"A": [], "B": []}
+    bounds = host_bounds()
+    host = {"A": {}, "B": {}}
     wins = 0
     with tempfile.TemporaryDirectory() as out:
         for pair in range(1, args.pairs + 1):
@@ -87,14 +115,28 @@ def main(argv):
                 va, vb = got["A"].get(differs, {}).get("value"), got["B"].get(differs, {}).get("value")
                 print(f"abpairs: pair {pair}: {differs} differs: A {va!r} B {vb!r}")
                 return 1
+            for side in "AB":
+                for name in bounds:
+                    if name in got[side]:
+                        host[side].setdefault(name, []).append(got[side][name]["value"])
             a, b = got["A"][RATE]["value"], got["B"][RATE]["value"]
-            rates["A"].append(a)
-            rates["B"].append(b)
             wins += b > a
             print(f"pair {pair} ({''.join(order)}): A {a:,.0f}  B {b:,.0f}  x{b / a:.3f}")
-    (ma, ia), (mb, ib) = spread(rates["A"]), spread(rates["B"])
+
+    def out_of_bound(name, ma, mb):
+        better, bound = bounds[name]
+        worse = worse_by(better, ma, mb)
+        return worse, f"  OUT OF BOUND (bound {100 * bound:.0f} %)" if worse > bound else ""
+
+    (ma, ia), (mb, ib) = spread(host["A"][RATE]), spread(host["B"][RATE])
     print(f"{RATE}: A median {ma:,.0f} (IQR {ia:,.0f})  B median {mb:,.0f} (IQR {ib:,.0f})  "
-          f"x{mb / ma:.3f}, B won {wins}/{args.pairs}")
+          f"x{mb / ma:.3f}, B won {wins}/{args.pairs}{out_of_bound(RATE, ma, mb)[1]}")
+    for name in bounds:
+        if name == RATE or name not in host["A"] or name not in host["B"]:
+            continue
+        ma, mb = statistics.median(host["A"][name]), statistics.median(host["B"][name])
+        worse, flag = out_of_bound(name, ma, mb)
+        print(f"{name}: A median {figure(ma)}  B median {figure(mb)}  worse by {100 * worse:+.2f} %{flag}")
     print(f"sim_*: identical in every pair ({args.workload}, seed {args.seed}, {args.seconds} s)")
     return 0
 

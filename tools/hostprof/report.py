@@ -10,6 +10,9 @@
     report.py --diff A B                two profiles side by side: each
                                         function's self and after-locked
                                         shares in A and in B, and the change
+    report.py PROFILE --annotate SYMBOL the self samples of the functions
+                                        matching SYMBOL (a regex) per
+                                        instruction, beside `objdump -d`
 
 Symbols and their sizes come from `nm -C -S`, the instruction before a
 sample from `objdump -d`; both are run on the files PROFILE's own copy of
@@ -106,30 +109,45 @@ def run_objdump(path):
     return done.stdout if done.returncode == 0 else ""
 
 
-def load_bias(path):
-    """Link-time address minus file offset of PATH's executable segment
-    (from its ELF64 program headers): a mapping gives a sample's file
-    offset, `nm` and `objdump` speak link-time addresses."""
+class Segment(collections.namedtuple("Segment", "offset vaddr filesz")):
+    """One PT_LOAD program header: file bytes [offset, offset + filesz)
+    are loaded at link-time address vaddr."""
+
+
+def load_segments(path):
+    """PATH's loadable segments, from its ELF64 program headers; none
+    for a file that is not one."""
+    segments = []
     try:
         with open(path, "rb") as f:
             ehdr = f.read(64)
             if ehdr[:4] != b"\x7fELF" or ehdr[4] != 2:
-                return 0
+                return []
             phoff = int.from_bytes(ehdr[32:40], "little")
             phentsize = int.from_bytes(ehdr[54:56], "little")
             phnum = int.from_bytes(ehdr[56:58], "little")
             f.seek(phoff)
             for _ in range(phnum):
                 ph = f.read(phentsize)
-                p_type = int.from_bytes(ph[0:4], "little")
-                p_flags = int.from_bytes(ph[4:8], "little")
-                if p_type == 1 and p_flags & 1:  # PT_LOAD, executable
-                    p_offset = int.from_bytes(ph[8:16], "little")
-                    p_vaddr = int.from_bytes(ph[16:24], "little")
-                    return p_vaddr - p_offset
+                if int.from_bytes(ph[0:4], "little") == 1:  # PT_LOAD
+                    segments.append(Segment(*(int.from_bytes(ph[i:i + 8], "little")
+                                              for i in (8, 16, 32))))
     except OSError:
-        pass
-    return 0
+        return []
+    return segments
+
+
+def link_address(segments, offset):
+    """The link-time address of file offset OFFSET: a mapping gives a
+    sample's file offset, `nm` and `objdump` speak link-time addresses,
+    and the two differ by the segment holding the offset (in a
+    position-independent executable the text segment is typically
+    loaded a page above its file offset).  An offset no segment holds is
+    taken as it is."""
+    for seg in segments:
+        if seg.offset <= offset < seg.offset + seg.filesz:
+            return offset - seg.offset + seg.vaddr
+    return offset
 
 
 NM_LINE = re.compile(r"([0-9a-f]+) (?:([0-9a-f]+) )?([TtWw]) (.+)")
@@ -152,31 +170,52 @@ class Symbols:
         self.addrs = sorted(found)
         self.symbols = [found[a] for a in self.addrs]
 
-    def name(self, addr):
+    def covering(self, addr):
+        """(name, start, end) of the symbol covering ADDR, or None.  A
+        symbol without a size runs up to the next one."""
         at = bisect.bisect_right(self.addrs, addr) - 1
         if at < 0:
             return None
-        name, size = self.symbols[at]
-        return None if size is not None and addr >= self.addrs[at] + size else name
+        start, (name, size) = self.addrs[at], self.symbols[at]
+        if size is not None:
+            end = start + size
+        else:
+            end = self.addrs[at + 1] if at + 1 < len(self.addrs) else float("inf")
+        return (name, start, end) if addr < end else None
+
+    def name(self, addr):
+        found = self.covering(addr)
+        return found[0] if found else None
 
 
-def parse_objdump(text):
+def parse_instructions(text):
+    """The (address, instruction) lines of `objdump -d` output, in order;
+    None stands between two functions (a symbol header or a blank line)."""
+    lines = []
+    for line in text.splitlines():
+        head, sep, rest = line.partition(":\t")
+        if not sep:
+            lines.append(None)
+            continue
+        try:
+            lines.append((int(head.strip(), 16), rest.strip()))
+        except ValueError:
+            continue
+    return lines
+
+
+def after_locked_instructions(instructions):
     """Addresses whose *preceding* instruction is `lock`-prefixed or an
     `xchg` with a memory operand (which locks the bus without saying so)."""
     after_locked = set()
     previous_locked = False
-    for line in text.splitlines():
-        head, sep, rest = line.partition(":\t")
-        if not sep:
-            previous_locked = False  # a symbol header or a blank line
+    for line in instructions:
+        if line is None:
+            previous_locked = False
             continue
-        try:
-            addr = int(head.strip(), 16)
-        except ValueError:
-            continue
+        addr, insn = line
         if previous_locked:
             after_locked.add(addr)
-        insn = rest.strip()
         previous_locked = insn.startswith("lock ") or (
             insn.startswith("xchg") and "(" in insn
         )
@@ -195,32 +234,41 @@ class Resolver:
     def __init__(self, maps):
         self.maps = sorted(maps)
         self.starts = [m.start for m in self.maps]
-        self.symbols, self.biases, self.locked = {}, {}, {}
+        self.symbols, self.segments, self.disassembly, self.locked = {}, {}, {}, {}
 
     def locate(self, addr):
         at = bisect.bisect_right(self.starts, addr) - 1
         if at < 0 or addr >= self.maps[at].end:
             return None, addr
         m = self.maps[at]
-        if m.path not in self.biases:
-            self.biases[m.path] = load_bias(m.path)
-        return m.path, addr - m.start + m.offset + self.biases[m.path]
+        if m.path not in self.segments:
+            self.segments[m.path] = load_segments(m.path)
+        return m.path, link_address(self.segments[m.path], addr - m.start + m.offset)
+
+    def symbols_of(self, path):
+        if path not in self.symbols:
+            self.symbols[path] = Symbols(run_nm(path))
+        return self.symbols[path]
 
     def function(self, addr):
         path, vaddr = self.locate(addr)
         if path is None:
             return "[unmapped]"
-        if path not in self.symbols:
-            self.symbols[path] = Symbols(run_nm(path))
-        name = self.symbols[path].name(vaddr)
+        name = self.symbols_of(path).name(vaddr)
         return short(name) if name else "[%s]" % path.rsplit("/", 1)[-1]
+
+    def instructions(self, path):
+        """`objdump -d` of PATH as a list of (address, instruction)."""
+        if path not in self.disassembly:
+            self.disassembly[path] = parse_instructions(run_objdump(path))
+        return self.disassembly[path]
 
     def follows_locked(self, addr):
         path, vaddr = self.locate(addr)
         if path is None:
             return False
         if path not in self.locked:
-            self.locked[path] = parse_objdump(run_objdump(path))
+            self.locked[path] = after_locked_instructions(self.instructions(path))
         return vaddr in self.locked[path]
 
 
@@ -276,6 +324,43 @@ def diff(texts, top):
     return 0
 
 
+def annotate(text, pattern):
+    """Each function matching PATTERN (a regex) that has self samples,
+    most sampled first: its instructions from `objdump -d`, each with the
+    self samples that landed on it and their share of the function's."""
+    profile = symbolise(text)
+    if profile is None:
+        return 1
+    _, stacks, named, res = profile
+    want = re.compile(pattern)
+    # (name, file, (start, end) of its symbol or None) → samples by address
+    hits = collections.defaultdict(collections.Counter)
+    for stack, names in zip(stacks, named):
+        if want.search(names[0]):
+            path, vaddr = res.locate(stack[0])
+            found = res.symbols_of(path).covering(vaddr) if path else None
+            hits[(names[0], path, found and found[1:])][vaddr] += 1
+    if not hits:
+        print("no self samples in a function matching /%s/" % pattern, file=sys.stderr)
+        return 1
+    print("%d samples; a sample lands on the instruction after the one executing\n" % len(stacks))
+    for (name, path, span), counts in sorted(
+        hits.items(), key=lambda kv: (-sum(kv[1].values()), kv[0][0])
+    ):
+        n = sum(counts.values())
+        print("%s: %d self samples (%.2f%%)" % (name, n, 100.0 * n / len(stacks)))
+        if span is None:
+            print("  (no symbol: nothing to disassemble)\n")
+            continue
+        for line in res.instructions(path):
+            if line is not None and span[0] <= line[0] < span[1]:
+                count = counts[line[0]]
+                share = "%.2f%%" % (100.0 * count / n) if count else ""
+                print("%7s %7s  %8x:  %s" % (count or "", share, line[0], line[1]))
+        print()
+    return 0
+
+
 def report(text, args):
     profile = symbolise(text)
     if profile is None:
@@ -324,6 +409,7 @@ def main(argv=None):
     mode.add_argument("--callers", metavar="PATTERN")
     mode.add_argument("--locked", action="store_true")
     mode.add_argument("--diff", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--annotate", metavar="SYMBOL")
     args = ap.parse_args(argv)
     if (args.profile is None) == (args.diff is None):
         ap.error("give one PROFILE, or --diff A B")
@@ -333,7 +419,11 @@ def main(argv=None):
     for path in args.diff or [args.profile]:
         with open(path) as f:
             texts.append(f.read())
-    return diff(texts, args.top) if args.diff else report(texts[0], args)
+    if args.diff:
+        return diff(texts, args.top)
+    if args.annotate:
+        return annotate(texts[0], args.annotate)
+    return report(texts[0], args)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ print("calibrating")
 metrics = {"setup_s": {"value": 0.02 + n, "unit": "s"}}
 metrics.update({k: {"value": v, "unit": "us"} for k, v in canned["sim"].items()})
 metrics["host_ops_per_s"] = {"value": canned["rates"][n % len(canned["rates"])], "unit": "1/s"}
+metrics.update({k: {"value": v[n % len(v)], "unit": ""} for k, v in canned["host"].items()})
 print(json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}))
 """
 
@@ -50,13 +51,13 @@ class AbPairs(unittest.TestCase):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
 
-    def stub(self, name, rates, sim=SIM, exit=0):
+    def stub(self, name, rates, sim=SIM, exit=0, host=None):
         path = os.path.join(self.dir.name, name)
         with open(path, "w") as f:
             f.write(STUB)
         os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
         with open(path + ".json", "w") as f:
-            json.dump({"rates": rates, "sim": sim, "exit": exit}, f)
+            json.dump({"rates": rates, "sim": sim, "exit": exit, "host": host or {}}, f)
         return path
 
     def run_main(self, a, b, pairs):
@@ -91,6 +92,28 @@ class AbPairs(unittest.TestCase):
         code, text = self.run_main(self.stub("a", [1.0]), self.stub("b", [1.0]), 1)
         self.assertEqual(code, 0, text)
         self.assertIn("IQR 0", text)
+
+    def test_every_host_metric_is_shown_and_held_to_its_bound(self):
+        # Bounds from BENCHMARK.json: rate and busy 15 %, RSS 10 %, set-up 25 %.
+        a = self.stub("a", [100.0], host={"peak_rss_mb": [100.0], "host_busy_mcycles_per_s": [50.0]})
+        b = self.stub("b", [101.0], host={"peak_rss_mb": [112.0], "host_busy_mcycles_per_s": [45.0, 44.0]})
+        code, text = self.run_main(a, b, 4)
+        self.assertEqual(code, 0, text)
+        self.assertIn("B won 4/4\n", text)
+        # Each stub's n-th run takes 0.02 + n s to set up: medians 1.52.
+        self.assertIn("setup_s: A median 1.52  B median 1.52  worse by +0.00 %\n", text)
+        self.assertIn("host_busy_mcycles_per_s: A median 50  B median 44.5  worse by +11.00 %\n", text)
+        self.assertIn("peak_rss_mb: A median 100  B median 112  worse by +12.00 %  OUT OF BOUND (bound 10 %)\n",
+                      text)
+        self.assertEqual(list(ab.host_bounds()),
+                         ["setup_s", "host_ops_per_s", "host_busy_mcycles_per_s", "peak_rss_mb"])
+
+    def test_a_rate_below_its_bound_is_marked(self):
+        code, text = self.run_main(self.stub("a", [100.0]), self.stub("b", [84.0]), 2)
+        self.assertEqual(code, 0, text)
+        self.assertIn("x0.840, B won 0/2  OUT OF BOUND (bound 15 %)\n", text)
+        code, text = self.run_main(self.stub("c", [100.0]), self.stub("d", [86.0]), 2)
+        self.assertIn("x0.860, B won 0/2\n", text)
 
     def test_a_failing_run_stops_the_pairs(self):
         a = self.stub("a", [100.0])

@@ -34,13 +34,19 @@ def fixture(name):
 
 
 # The fixture's harness has symbols and code; its libc has no code and,
-# being stripped, only two exported functions, with their sizes.
-# `load_bias` keeps its own name for the test that reads a real header.
-read_program_headers = rp.load_bias
-NM = {"/fixture/harness": "nm.txt", "/fixture/lib/libc.so.6": "nm_libc.txt"}
+# being stripped, only two exported functions, with their sizes.  Both
+# link at their file offsets.  The position-independent executable's
+# text segment links a page above its file offset, as a real one here
+# does.  `load_segments` keeps its own name for the test that reads a
+# real header.
+read_segments = rp.load_segments
+NM = {"/fixture/harness": "nm.txt", "/fixture/lib/libc.so.6": "nm_libc.txt",
+      "/fixture/pie": "nm_pie.txt"}
+OBJDUMP = {"/fixture/harness": "objdump.txt", "/fixture/pie": "objdump_pie.txt"}
+SEGMENTS = {"/fixture/pie": [rp.Segment(0, 0, 0x1000), rp.Segment(0x1000, 0x2000, 0x1000)]}
 rp.run_nm = lambda path: fixture(NM[path]) if path in NM else ""
-rp.run_objdump = lambda path: fixture("objdump.txt") if path == "/fixture/harness" else ""
-rp.load_bias = lambda path: 0
+rp.run_objdump = lambda path: fixture(OBJDUMP[path]) if path in OBJDUMP else ""
+rp.load_segments = lambda path: SEGMENTS.get(path, [])
 # The fixture's harness as it was when the fixture profile was taken.
 FIXTURE_EXE = (45056, 1790000000123456789)
 rp.stat_exe = lambda path: FIXTURE_EXE if path == "/fixture/harness" else None
@@ -193,7 +199,7 @@ class Profile(unittest.TestCase):
         self.assertEqual(out.getvalue(), "no samples in the profile\n")
 
     def test_objdump_marks_the_instruction_after_not_the_next_function(self):
-        after = rp.parse_objdump(fixture("objdump.txt"))
+        after = rp.after_locked_instructions(rp.parse_instructions(fixture("objdump.txt")))
         # After `lock addq`, after `xchg %rax,(%rdx)`, after `lock xadd`;
         # not after the register-to-register xchg, not after a bare
         # cmpxchg, and main's closing `lock incq` does not leak into the
@@ -232,27 +238,69 @@ class Profile(unittest.TestCase):
             self.assertEqual(rp.report("\n".join(old), args), 0)
         self.assertIn("8 samples", out.getvalue())
 
-    def test_load_bias_reads_the_executable_segment(self):
-        def phdr(p_type, flags, offset, vaddr):
+    def test_segments_come_from_the_program_headers(self):
+        def phdr(p_type, flags, offset, vaddr, filesz):
             return (
                 p_type.to_bytes(4, "little")
                 + flags.to_bytes(4, "little")
                 + offset.to_bytes(8, "little")
                 + vaddr.to_bytes(8, "little")
-                + bytes(32)
+                + bytes(8)
+                + filesz.to_bytes(8, "little")
+                + bytes(16)
             )
 
         ehdr = bytearray(64)
         ehdr[:5] = b"\x7fELF\x02"
         ehdr[32:40] = (64).to_bytes(8, "little")  # e_phoff
         ehdr[54:56] = (56).to_bytes(2, "little")  # e_phentsize
-        ehdr[56:58] = (2).to_bytes(2, "little")  # e_phnum
-        image = bytes(ehdr) + phdr(1, 4, 0, 0) + phdr(1, 5, 0x33000, 0x34000)
+        ehdr[56:58] = (3).to_bytes(2, "little")  # e_phnum
+        image = (bytes(ehdr) + phdr(6, 4, 64, 64, 0xa8)  # PT_PHDR: not loaded
+                 + phdr(1, 4, 0, 0, 0x33000) + phdr(1, 5, 0x33000, 0x34000, 0x80000))
         with tempfile.NamedTemporaryFile() as f:
             f.write(image)
             f.flush()
-            self.assertEqual(read_program_headers(f.name), 0x1000)
-        self.assertEqual(read_program_headers("/nonexistent/file"), 0)
+            segments = read_segments(f.name)
+        self.assertEqual(segments, [(0, 0, 0x33000), (0x33000, 0x34000, 0x80000)])
+        # Through the segment holding the offset: text a page up, the
+        # read-only head where it lies, and an offset no segment holds
+        # as it is.
+        self.assertEqual(rp.link_address(segments, 0x33106), 0x34106)
+        self.assertEqual(rp.link_address(segments, 0x32fff), 0x32fff)
+        self.assertEqual(rp.link_address(segments, 0xb3000), 0xb3000)
+        self.assertEqual(read_segments("/nonexistent/file"), [])
+
+    def test_annotate_counts_self_samples_per_instruction(self):
+        _, maps, _ = rp.parse_profile(fixture("profile_pie.txt"))
+        res = rp.Resolver(maps)
+        # File offset 0x1104 is link-time 0x2104, not 0x1104.
+        self.assertEqual(res.locate(0x555500001104), ("/fixture/pie", 0x2104))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = rp.annotate(fixture("profile_pie.txt"), "Tlb::find")
+        self.assertEqual(code, 0)
+        self.assertEqual(
+            out.getvalue().splitlines(),
+            [
+                "6 samples; a sample lands on the instruction after the one executing",
+                "",
+                "simx86::tlb::Tlb::find: 5 self samples (83.33%)",
+                "                     2100:  mov    (%rdi),%rax",
+                "      3  60.00%      2104:  xor    %rsi,%rax",
+                "      1  20.00%      2109:  and    %rdx,%rax",
+                "      1  20.00%      210c:  test   %rax,%rax",
+                "                     210f:  ret",
+                "",
+            ],
+        )
+        # A sample in no symbol is named after its file and not listed;
+        # a pattern no sampled function matches is an error.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            self.assertEqual(rp.annotate(fixture("profile_pie.txt"), r"\[pie\]"), 0)
+            self.assertEqual(rp.annotate(fixture("profile_pie.txt"), "^main$"), 1)
+        self.assertIn("[pie]: 1 self samples (16.67%)\n  (no symbol: nothing to disassemble)", out.getvalue())
+        self.assertIn("no self samples in a function matching /^main$/", out.getvalue())
 
 
 class CommandLine(unittest.TestCase):

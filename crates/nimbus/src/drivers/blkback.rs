@@ -96,11 +96,26 @@ impl BlkBackend {
         Ok(served)
     }
 
+    /// Serve one request through its mapped grant.  The grant is
+    /// unmapped whatever the request's outcome: a failed request that
+    /// left it mapped would fail the frontend's revoke for good.
     fn serve(&self, cpu: &Arc<Cpu>, req: &BlkRequest) -> Result<u64, KernelError> {
-        let mem = &self.hv.machine.mem;
         let (payload, _ro) = self.hv.grant_map(cpu, &self.dom, self.frontend, req.gref)?;
+        let result = self.serve_mapped(cpu, req, payload);
+        self.hv
+            .grant_unmap(cpu, &self.dom, self.frontend, req.gref)?;
+        result
+    }
+
+    fn serve_mapped(
+        &self,
+        cpu: &Arc<Cpu>,
+        req: &BlkRequest,
+        payload: FrameNum,
+    ) -> Result<u64, KernelError> {
+        let mem = &self.hv.machine.mem;
         let block = req.sector / (BLOCK_SIZE as u64 / 512);
-        let result = match req.op {
+        match req.op {
             BlkOp::Read => {
                 // Check the write queue first (read-after-write must see
                 // queued data).
@@ -141,10 +156,7 @@ impl BlkBackend {
                 self.flush(cpu)?;
                 Ok(0)
             }
-        };
-        self.hv
-            .grant_unmap(cpu, &self.dom, self.frontend, req.gref)?;
-        result
+        }
     }
 
     /// Drain the write queue to the device (cost lands here).
@@ -273,6 +285,29 @@ mod tests {
         frontend.read_block(cpu, 2, &mut out).unwrap();
         // All grants revoked: none outstanding for the frontend domain.
         assert_eq!(hv.grants.outstanding(xenon::DomId(1)), 0);
+    }
+
+    /// A request the disk refuses comes back `BadAddress`, and its grant
+    /// is unmapped as a served one's is: the frontend's revoke succeeds,
+    /// so the ref is gone for a later map.
+    #[test]
+    fn a_failed_request_returns_its_grant() {
+        let (machine, hv, frontend, backend) = rig();
+        let cpu = machine.boot_cpu();
+        let mut out = vec![0u8; BLOCK_SIZE];
+        // Block 1 000 starts past the rig's 4 096-sector disk.
+        assert_eq!(
+            frontend.read_block(cpu, 1_000, &mut out),
+            Err(KernelError::BadAddress)
+        );
+        frontend.read_block(cpu, 1, &mut out).unwrap();
+        assert_eq!(hv.grants.outstanding(backend.frontend), 0);
+        for gref in [0, 1] {
+            assert_eq!(
+                hv.grant_map(cpu, &backend.dom, backend.frontend, gref),
+                Err(xenon::HvError::BadGrant("no such grant"))
+            );
+        }
     }
 
     #[test]

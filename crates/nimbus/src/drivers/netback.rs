@@ -60,12 +60,20 @@ impl NetBackend {
         let mut n = 0;
         while let Some(slot) = self.tx_ring.pop_request(cpu, mem)? {
             let msg = NetMessage::decode(&slot);
+            // The length comes from the frontend: a payload is one
+            // granted frame, and nothing past it is the frontend's.
+            if u64::from(msg.len) > simx86::PAGE_SIZE {
+                return Err(KernelError::Invalid("tx length larger than a frame"));
+            }
             let (payload, _) = self.hv.grant_map(cpu, &self.dom, self.frontend, msg.gref)?;
             let mut pkt = vec![0u8; msg.len as usize];
-            mem.read_bytes(payload.base(), &mut pkt)?;
-            cpu.tick(msg.len as u64 * costs::NIC_PER_BYTE); // copy out
+            let copied = mem.read_bytes(payload.base(), &mut pkt);
+            if copied.is_ok() {
+                cpu.tick(msg.len as u64 * costs::NIC_PER_BYTE); // copy out
+            }
             self.hv
                 .grant_unmap(cpu, &self.dom, self.frontend, msg.gref)?;
+            copied?;
             self.lower.send(cpu, &pkt)?;
             self.tx_ring.push_response(
                 cpu,
@@ -123,7 +131,12 @@ mod tests {
     use simx86::devices::EchoWire;
     use simx86::{Machine, MachineConfig};
 
-    fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<FrontendNetDriver>) {
+    fn rig() -> (
+        Arc<Machine>,
+        Arc<Hypervisor>,
+        Arc<FrontendNetDriver>,
+        Arc<NetBackend>,
+    ) {
         let machine = Machine::new(MachineConfig {
             num_cpus: 1,
             mem_frames: 2048,
@@ -155,14 +168,19 @@ mod tests {
         let port_b = hv.evtchn_alloc(cpu, &dom0).unwrap();
         let port_f = hv.evtchn_bind(cpu, &domu, dom0.id, port_b).unwrap();
         let buf = domu.frames()[0];
-        let frontend =
-            FrontendNetDriver::new(Arc::clone(&hv), Arc::clone(&domu), backend, buf, port_f);
-        (machine, hv, frontend)
+        let frontend = FrontendNetDriver::new(
+            Arc::clone(&hv),
+            Arc::clone(&domu),
+            Arc::clone(&backend),
+            buf,
+            port_f,
+        );
+        (machine, hv, frontend, backend)
     }
 
     #[test]
     fn split_send_reaches_wire_and_echo_returns() {
-        let (_machine, _hv, frontend) = rig();
+        let (_machine, _hv, frontend, _) = rig();
         let cpu = _machine.boot_cpu();
         frontend.send(cpu, &[1, 2, 3, 4]).unwrap();
         let back = frontend.recv(cpu).unwrap();
@@ -172,7 +190,7 @@ mod tests {
 
     #[test]
     fn split_send_costs_more_than_native_send() {
-        let (machine, _hv, frontend) = rig();
+        let (machine, _hv, frontend, _) = rig();
         let cpu = machine.boot_cpu();
         let native = NativeNetDriver::new(Arc::clone(&machine));
         let pkt = vec![0u8; 1400];
@@ -192,9 +210,32 @@ mod tests {
 
     #[test]
     fn oversized_packet_rejected() {
-        let (_machine, _hv, frontend) = rig();
+        let (_machine, _hv, frontend, _) = rig();
         let cpu = _machine.boot_cpu();
         let too_big = vec![0u8; simx86::PAGE_SIZE as usize + 1];
         assert!(frontend.send(cpu, &too_big).is_err());
+    }
+
+    /// A hostile frontend writes the ring slot itself: a length past one
+    /// frame is refused before the grant is mapped, so nothing reaches
+    /// the wire and the grant stays revocable.
+    #[test]
+    fn a_tx_length_past_one_frame_is_refused() {
+        let (machine, hv, frontend, backend) = rig();
+        let cpu = machine.boot_cpu();
+        let frame = machine.allocator.alloc(cpu).unwrap();
+        for len in [simx86::PAGE_SIZE as u32 + 1, u32::MAX] {
+            let gref =
+                hv.grants
+                    .grant(cpu, backend.frontend, backend.backend_dom_id(), frame, true);
+            let msg = NetMessage { id: 1, len, gref };
+            backend
+                .tx_ring()
+                .push_request(cpu, &machine.mem, &msg.encode())
+                .unwrap();
+            assert!(backend.process_tx(cpu).is_err(), "len {len} accepted");
+            assert!(frontend.recv(cpu).is_none(), "len {len} reached the wire");
+            hv.grants.revoke(cpu, backend.frontend, gref).unwrap();
+        }
     }
 }

@@ -387,6 +387,7 @@ impl Cpu {
     #[doc(alias = "volint-privileged")]
     pub fn request_tlb_flush(&self) {
         self.foreign_cycles
+            // volint::allow(FORBIDDEN): the foreign cycle charge is a mailbox other CPUs add to
             .fetch_add(costs::TLB_FLUSH, Ordering::Relaxed);
         self.tlb.request_shootdown();
         merctrace::counter!(self.id, "simx86.tlb.flush", 1, self.cycles());

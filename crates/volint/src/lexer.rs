@@ -254,6 +254,8 @@ fn scan_string(s: &[char]) -> (String, usize, usize) {
     while i < s.len() {
         match s[i] {
             '\\' => {
+                // An escaped newline (a `\` line continuation) is a line.
+                newlines += usize::from(s.get(i + 1) == Some(&'\n'));
                 i += 2;
             }
             '"' => {
@@ -293,7 +295,10 @@ fn scan_raw_or_byte_string(s: &[char]) -> (usize, usize) {
     let mut newlines = 0;
     while i < s.len() {
         match s[i] {
-            '\\' if !raw => i += 2,
+            '\\' if !raw => {
+                newlines += usize::from(s.get(i + 1) == Some(&'\n'));
+                i += 2;
+            }
             '\n' => {
                 newlines += 1;
                 i += 1;
@@ -360,6 +365,13 @@ mod tests {
         assert_eq!(find("a"), 1);
         assert_eq!(find("b"), 4);
         assert_eq!(find("c"), 7);
+    }
+
+    #[test]
+    fn line_continuations_in_strings_keep_their_lines() {
+        let toks = lex("let s = \"a \\\n b\";\nlet t = b\"c \\\n d\";\nafter");
+        let after = toks.iter().find(|t| t.is_ident("after")).unwrap();
+        assert_eq!(after.line, 5);
     }
 
     #[test]

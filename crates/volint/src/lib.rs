@@ -12,7 +12,11 @@
 //!   resets every atomic field of the round (DISPATCH-GAP, §5.4); the
 //!   rendezvous, refcount and trace-buffer atomics use acquire/release
 //!   (ATOMIC-ORDER, §5.4); the fault-injection hooks stay out of the
-//!   mode-switch critical section (FAULT-MASK, DESIGN.md §12);
+//!   mode-switch critical section (FAULT-MASK, DESIGN.md §12); each
+//!   fact stated once — one bring-up, one on-demand bracket, one
+//!   campaign, one write log, owner-written CPU state, a syscall's VO
+//!   and drivers from the session — keeps its token sequences in the
+//!   files that state it (FORBIDDEN, one [`rules::FORBIDDEN`] row each);
 //! * call-graph rules ([`pathrules`]) over everything reachable from a
 //!   `// volint::root(..)` fn or a transition-table row: no allocation
 //!   (SWITCH-ALLOC), no panic path (SWITCH-PANIC), no unbounded loop
@@ -86,6 +90,9 @@ pub enum Rule {
     LockDiscipline,
     /// `volint::allow(..)` waiver that no longer suppresses anything.
     StaleWaiver,
+    /// A [`rules::FORBIDDEN`] token sequence outside the files that
+    /// state its fact (one bring-up, one on-demand bracket, ...).
+    Forbidden,
 }
 
 impl Rule {
@@ -102,6 +109,7 @@ impl Rule {
             Rule::SwitchLoopBound => "SWITCH-LOOP-BOUND",
             Rule::LockDiscipline => "LOCK-DISCIPLINE",
             Rule::StaleWaiver => "STALE-WAIVER",
+            Rule::Forbidden => "FORBIDDEN",
         }
     }
 }

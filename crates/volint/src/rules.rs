@@ -1,4 +1,4 @@
-//! The five Mercury invariant rules.
+//! The six Mercury invariant rules.
 //!
 //! * **VO-BYPASS** — privileged `simx86` primitives reached outside a
 //!   `PvOps` impl or the allowlisted switch-handler/hardware layers
@@ -22,8 +22,14 @@
 //!   stay fault-free — injection targets the workload and device
 //!   surface, never the attach/detach machinery itself, or a campaign
 //!   could wedge the very mechanism meant to answer it).
+//! * **FORBIDDEN** — a token sequence of the [`FORBIDDEN`] table outside
+//!   the files that state its fact (bring-up, the on-demand bracket, a
+//!   campaign, the write log's readers, a CPU's own state, a syscall's
+//!   VO and drivers — each stated once, in the DESIGN.md section the row
+//!   cites).
 
 use crate::in_test_tree;
+use crate::lexer::{Token, TokenKind};
 use crate::walk::{Call, FileFacts, LetBinding};
 use crate::{Rule, Sink};
 use std::collections::BTreeSet;
@@ -105,6 +111,92 @@ pub const SWITCH_CRITICAL: &[&str] = &[
     "shard_poll",
 ];
 
+/// One row of [`FORBIDDEN`]: a fact stated in one place, and the token
+/// sequences that type it out again anywhere else.
+#[derive(Debug)]
+pub struct Forbidden {
+    /// What is stated once, and what to call instead.
+    pub name: &'static str,
+    /// Lexed token sequences, tokens separated by spaces (`std :: env ::
+    /// args`); a word ending in `*` matches every identifier it starts.
+    pub tokens: &'static [&'static str],
+    /// Path prefixes the row covers; a `*/` component matches any one.
+    pub paths: &'static [&'static str],
+    /// If not empty, the row covers only these `(impl type, fn)` bodies.
+    pub bodies: &'static [(&'static str, &'static str)],
+    /// Files that may contain the sequences: where the fact is stated.
+    pub allowed: &'static [&'static str],
+    /// `#[cfg(test)]` code is covered too.
+    pub tests: bool,
+    /// The DESIGN.md section the diagnostic cites.
+    pub section: &'static str,
+}
+
+/// The defaults a [`FORBIDDEN`] row overrides: every workspace source,
+/// test code included, and no file allowed.
+#[rustfmt::skip]
+const ANYWHERE: Forbidden = Forbidden {
+    name: "", section: "", tokens: &[], paths: &["crates/", "src/", "tests/", "examples/"],
+    allowed: &[], bodies: &[], tests: true,
+};
+
+const ON_DEMAND: &str =
+    "the on-demand bracket is stated once: call `Mercury::on_demand` / `Mercury::reach`";
+const CAMPAIGN: &str = "a campaign is stated once: use `mercury_bench::campaign`, \
+                        `mercury::SwitchCounts`, `Watchdog::new(mercury, policy)`";
+const OWNER_WRITTEN: &str =
+    "a CPU's own state is a load and a store (`simx86::sync::owner_store`); \
+     cross-CPU work is a mailbox request";
+const SYSCALL: &str = "a syscall reads its VO and drivers through the session's `SlotCache`";
+const SRC: &[&str] = &["crates/*/src/"];
+const CAMPAIGN_RS: &[&str] = &["crates/bench/src/campaign.rs"];
+
+/// Structural facts stated once, each checked as FORBIDDEN: a row's
+/// token sequences may appear in its scope only in its allowed files.
+#[rustfmt::skip]
+pub const FORBIDDEN: &[Forbidden] = &[
+    Forbidden {
+        name: "bring-up is stated once: call `mercury::Stack::build` / \
+               `nimbus::drivers::{attach_native, connect_split}`",
+        section: "§3a",
+        tokens: &["KernelConfig {", "NativeBlockDriver :: new", "FrontendBlockDriver :: new", "BlkBackend :: new"],
+        paths: &["crates/core/", "crates/cluster/", "crates/workloads/", "crates/servo/", "crates/bench/",
+                 "examples/", "tests/"],
+        allowed: &["crates/core/src/stack.rs", "crates/workloads/src/configs.rs"],
+        ..ANYWHERE
+    },
+    Forbidden { name: ON_DEMAND, section: "§6", tokens: &["was_native"], paths: SRC,
+                allowed: &["crates/core/src/switch.rs"], ..ANYWHERE },
+    Forbidden { name: ON_DEMAND, section: "§6", tokens: &["SwitchOutcome :: Deferred"], paths: SRC,
+                allowed: &["crates/core/src/switch.rs", "crates/cluster/src/watchdog.rs"], ..ANYWHERE },
+    Forbidden { name: CAMPAIGN, section: "§14", tokens: &["std :: env :: args"], paths: &["crates/bench/src/"],
+                allowed: CAMPAIGN_RS, ..ANYWHERE },
+    Forbidden { name: CAMPAIGN, section: "§14", tokens: &["15_000 + rng . below"], paths: &["crates/bench/"],
+                allowed: CAMPAIGN_RS, ..ANYWHERE },
+    Forbidden { name: CAMPAIGN, section: "§14",
+                tokens: &["fn watchdog_for", "struct SwitchTotals", "struct SwitchSnap"], ..ANYWHERE },
+    Forbidden {
+        name: "the write log has no clearing or retargetable reader: read \
+               `xenon::page_info`'s log through a cursor",
+        section: "§7b",
+        tokens: &["take_dirty", "reset_dirty_for", "count_dirty_for", "dirty_frames_for",
+                  "take_dirty_frame_for", "retarget", "bind_scrubber", "strip_dirty"],
+        ..ANYWHERE
+    },
+    Forbidden { name: OWNER_WRITTEN, section: "§14b", tokens: &[". fetch_add (", ". fetch_sub (", "swap (", "Mutex"],
+                paths: &["crates/simx86/src/cpu.rs"], tests: false, ..ANYWHERE },
+    Forbidden { name: OWNER_WRITTEN, section: "§14b",
+                tokens: &[". fetch_* (", "swap (", ". compare_exchange* (", "Mutex", "RwLock"],
+                paths: &["crates/simx86/src/tlb.rs"], tests: false, ..ANYWHERE },
+    Forbidden { name: SYSCALL, section: "§14b", tokens: &[". pv ( )", "block_driver ( )", "net_driver ( )"],
+                paths: &["crates/nimbus/src/session.rs"], tests: false, ..ANYWHERE },
+    Forbidden { name: SYSCALL, section: "§14b", tokens: &["block_driver ( )", "net_driver ( )"],
+                paths: &["crates/nimbus/src/kernel.rs"], tests: false,
+                bodies: &[("Kernel", "read"), ("Kernel", "write"), ("Kernel", "sendto"),
+                          ("Kernel", "recvfrom"), ("Kernel", "recvfrom_nonblock")],
+                ..ANYWHERE },
+];
+
 /// Run every line-level rule over the walked files.
 pub fn check(files: &[FileFacts], sink: &mut Sink) {
     // The hardware layer is the source of truth for what is privileged.
@@ -128,6 +220,7 @@ pub fn check(files: &[FileFacts], sink: &mut Sink) {
         atomic_order(f, sink);
         fault_mask(f, &critical, sink);
         dispatch_gap(f, sink);
+        forbidden(f, sink);
     }
 }
 
@@ -369,5 +462,86 @@ fn dispatch_gap(f: &FileFacts, sink: &mut Sink) {
                 ),
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------- FORBIDDEN
+
+fn forbidden(f: &FileFacts, sink: &mut Sink) {
+    for &(row, seq, line) in &f.forbidden {
+        let place = match row.allowed {
+            [] => "in this file".to_string(),
+            files => format!("outside {}", files.join(", ")),
+        };
+        let why = format!("`{seq}` {place}; {} (DESIGN.md {})", row.name, row.section);
+        sink.push(f, Rule::Forbidden, line, why);
+    }
+}
+
+/// Every [`FORBIDDEN`] sequence in the file `f` whose one token stream
+/// is `toks` (`test_spans`: its `#[cfg(test)]` bodies, as token-index
+/// ranges), outside the row's allowed files: `(row, sequence, line)`.
+pub(crate) fn forbidden_hits(
+    f: &FileFacts,
+    toks: &[Token],
+    test_spans: &[(usize, usize)],
+) -> Vec<(&'static Forbidden, &'static str, usize)> {
+    let mut hits = Vec::new();
+    for row in FORBIDDEN {
+        if !row.paths.iter().any(|p| under(&f.name, p)) || row.allowed.contains(&f.name.as_str()) {
+            continue;
+        }
+        for &seq in row.tokens {
+            let words = words(seq);
+            for (i, w) in toks.windows(words.len()).enumerate() {
+                let line = w[0].line;
+                let found = w.iter().zip(&words).all(|(t, word)| word_matches(t, word))
+                    && (row.tests || !test_spans.iter().any(|&(a, b)| a <= i && i <= b))
+                    && (row.bodies.is_empty()
+                        || f.fns.iter().any(|b| {
+                            (b.line..=b.end_line).contains(&line)
+                                && row
+                                    .bodies
+                                    .contains(&(b.impl_type.as_deref().unwrap_or(""), &b.name))
+                        }));
+                if found {
+                    hits.push((row, seq, line));
+                }
+            }
+        }
+    }
+    hits
+}
+
+/// Is `name` under `prefix`?  A `*/` component matches any one.
+fn under(name: &str, prefix: &str) -> bool {
+    match prefix.split_once("*/") {
+        None => name.starts_with(prefix),
+        Some((head, tail)) => name
+            .strip_prefix(head)
+            .and_then(|rest| rest.split_once('/'))
+            .is_some_and(|(_, rest)| rest.starts_with(tail)),
+    }
+}
+
+/// A sequence's words, one per token: a run of punctuation is one word
+/// per character (`::` is two `:` tokens).
+fn words(seq: &str) -> Vec<&str> {
+    seq.split_whitespace()
+        .flat_map(|w| {
+            let punct = w.bytes().all(|b| b.is_ascii_punctuation());
+            (0..if punct { w.len() } else { 1 }).map(move |i| if punct { &w[i..=i] } else { w })
+        })
+        .collect()
+}
+
+fn word_matches(t: &Token, word: &str) -> bool {
+    match &t.kind {
+        TokenKind::Ident(s) | TokenKind::Num(s) => match word.strip_suffix('*') {
+            Some(stem) => s.starts_with(stem),
+            None => s == word,
+        },
+        TokenKind::Punct(c) => word.chars().eq([*c]),
+        _ => false,
     }
 }

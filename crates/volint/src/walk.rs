@@ -8,6 +8,7 @@
 //! every call site (receiver, argument identifiers, macro
 //! invocations), `let` bindings, `Ordering::Relaxed` uses, the rows of
 //! the transition tables, `#[cfg(test)]` scoping, the
+//! [`FORBIDDEN`](crate::rules::FORBIDDEN) sequences, the
 //! `#[doc(alias = "volint-privileged")]` flag on fns, and the
 //! `volint::` markers that live in comments:
 //!
@@ -212,6 +213,9 @@ pub struct FileFacts {
     pub guards: Marked<String>,
     /// `// volint::prune(KIND, ..)` markers: (line, root kinds).
     pub prunes: Marked<Vec<String>>,
+    /// [`rules::FORBIDDEN`](crate::rules::FORBIDDEN) sequences outside
+    /// their allowed files: (row, sequence, line).
+    pub forbidden: Vec<(&'static crate::rules::Forbidden, &'static str, usize)>,
 }
 
 /// Does a `(marker line, names)` entry cover (`name`, `line`) — marker
@@ -334,15 +338,17 @@ pub fn walk_file(name: &str, src: &str) -> FileFacts {
     };
     let (roots, bounds) = collect_markers(src, &mut out);
     let toks = lex(src);
-    Walker {
+    let test_spans = Walker {
         toks: &toks,
         out: &mut out,
         stack: Vec::new(),
         pending: None,
         attrs: Vec::new(),
         span_stack: Vec::new(),
+        test_spans: Vec::new(),
     }
     .run();
+    out.forbidden = crate::rules::forbidden_hits(&out, &toks, &test_spans);
 
     // Attach markers by line proximity.
     for (ml, kinds) in roots {
@@ -419,14 +425,18 @@ struct Walker<'a> {
     attrs: Vec<String>,
     /// Open `span_begin!` probes of the current fn: (name, line).
     span_stack: Vec<(String, usize)>,
+    /// Outermost test-only bodies, `{` to `}`, as token indices.
+    test_spans: Vec<(usize, usize)>,
 }
 
 impl Walker<'_> {
-    fn run(mut self) {
+    /// Walk every token; return the outermost test-only bodies.
+    fn run(mut self) -> Vec<(usize, usize)> {
         let mut i = 0;
         while i < self.toks.len() {
             i = self.step(i);
         }
+        self.test_spans
     }
 
     fn is_punct(&self, i: usize, c: char) -> bool {
@@ -494,12 +504,24 @@ impl Walker<'_> {
                     Some((_, kind, test)) => (kind, test),
                     None => (ScopeKind::Plain, false),
                 };
-                let test = test || self.inherited_test();
-                self.stack.push(Scope { kind, test });
+                let inherited = self.inherited_test();
+                if test && !inherited {
+                    self.test_spans.push((i, self.toks.len()));
+                }
+                self.stack.push(Scope {
+                    kind,
+                    test: test || inherited,
+                });
                 i + 1
             }
             TokenKind::Punct('}') => {
-                match self.stack.pop().map(|s| s.kind) {
+                let scope = self.stack.pop();
+                if scope.as_ref().is_some_and(|s| s.test) && !self.inherited_test() {
+                    if let Some(span) = self.test_spans.last_mut() {
+                        span.1 = i;
+                    }
+                }
+                match scope.map(|s| s.kind) {
                     Some(ScopeKind::Fn(idx)) => {
                         self.out.fns[idx].end_line = t.line;
                         self.span_stack.clear();

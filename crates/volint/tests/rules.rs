@@ -507,3 +507,173 @@ fn committed_budget_matches_sources() {
          `cargo run -p volint -- --budget volint_budget.json`"
     );
 }
+
+// ---------------------------------------------------------------
+// FORBIDDEN: facts stated once
+// ---------------------------------------------------------------
+
+/// One `FORBIDDEN` row's fixture, analysed under the row's real
+/// logical paths.  `wrap` places `LINES` (each using one of the row's
+/// sequences) in code: at `path` each line fires, and so does its copy
+/// in a `#[cfg(test)]` module that is not last in the file iff the row
+/// covers `tests`; the same lines in comments and string literals never
+/// fire, and at an `allowed` path nothing fires.  The `FORBIDDEN` waiver
+/// above `clean` has nothing to suppress and is reported stale.
+fn forbidden_fixture(path: &str, wrap: &str, lines: &[&str], tests: bool, allowed: &[&str]) {
+    let planted = |mark: &str| -> String { lines.iter().map(|l| format!("{l}{mark}\n")).collect() };
+    let quoted: String = lines
+        .iter()
+        .map(|l| format!("// {l}\nconst QUOTED: &str = {l:?};\n"))
+        .collect();
+    let src = format!(
+        "{}{quoted}#[cfg(test)]\nmod tests {{\n{}}}\n\
+         // volint::allow(FORBIDDEN): nothing here to waive //~ STALE-WAIVER\n\
+         fn clean() {{}}\n#[cfg(test)]\nmod last {{}}\n",
+        wrap.replace("LINES", &planted(" //~ FORBIDDEN")),
+        wrap.replace("LINES", &planted(if tests { " //~ FORBIDDEN" } else { "" })),
+    );
+    let got = |logical: &str| -> BTreeSet<(usize, String)> {
+        analyze_sources(&[(logical.to_string(), src.clone())], false)
+            .iter()
+            .map(|d| (d.line, d.rule.as_str().to_string()))
+            .collect()
+    };
+    let want = expectations(&src);
+    assert!(want.iter().any(|(_, r)| r == "FORBIDDEN"));
+    assert_eq!(got(path), want, "{path}:\n{src}");
+    let stale: BTreeSet<_> = want
+        .into_iter()
+        .filter(|(_, r)| r == "STALE-WAIVER")
+        .collect();
+    for file in allowed {
+        assert_eq!(got(file), stale, "{file}:\n{src}");
+    }
+}
+
+const IN_FN: &str = "fn planted() {\nLINES}\n";
+
+#[test]
+fn forbidden_bring_up_fixture() {
+    let lines = [
+        "let config = KernelConfig { cpus: 1 };",
+        "let native = NativeBlockDriver::new(machine, bounce);",
+        "let front = FrontendBlockDriver::new(hv, dom, back, buf, port);",
+        "let back = BlkBackend::new(hv, dom0, domu, native, ring);",
+    ];
+    let allowed = [
+        "crates/core/src/stack.rs",
+        "crates/workloads/src/configs.rs",
+    ];
+    let path = "crates/cluster/src/maintenance.rs";
+    forbidden_fixture(path, IN_FN, &lines, true, &allowed);
+}
+
+#[test]
+fn forbidden_on_demand_flag_fixture() {
+    let lines = ["let was_native = mercury.reach(ExecMode::Virtual, cpu)?;"];
+    let allowed = ["crates/core/src/switch.rs"];
+    let path = "crates/cluster/src/maintenance.rs";
+    forbidden_fixture(path, IN_FN, &lines, true, &allowed);
+    // `crates/*/src/` is the scope: an integration test may keep a flag.
+    let flag = format!("fn t() {{\n{}\n}}\n", lines[0]);
+    assert!(analyze_sources(&[("crates/core/tests/stress.rs".into(), flag)], true).is_empty());
+}
+
+#[test]
+fn forbidden_on_demand_arm_fixture() {
+    let lines = ["if let Ok(SwitchOutcome::Deferred { .. }) = outcome {}"];
+    let allowed = [
+        "crates/core/src/switch.rs",
+        "crates/cluster/src/watchdog.rs",
+    ];
+    forbidden_fixture("crates/servo/src/lib.rs", IN_FN, &lines, true, &allowed);
+}
+
+#[test]
+fn forbidden_campaign_args_fixture() {
+    let lines = ["let argv: Vec<String> = std::env::args().collect();"];
+    let allowed = ["crates/bench/src/campaign.rs"];
+    let path = "crates/bench/src/bin/serving_tail.rs";
+    forbidden_fixture(path, IN_FN, &lines, true, &allowed);
+}
+
+#[test]
+fn forbidden_campaign_planner_fixture() {
+    let lines = ["let frame = 15_000 + rng.below(1_000) as u32;"];
+    let allowed = ["crates/bench/src/campaign.rs"];
+    let path = "crates/bench/src/bin/fault_campaign.rs";
+    forbidden_fixture(path, IN_FN, &lines, true, &allowed);
+}
+
+#[test]
+fn forbidden_campaign_helpers_fixture() {
+    let lines = [
+        "fn watchdog_for(mercury: &Mercury) {}",
+        "struct SwitchTotals;",
+        "struct SwitchSnap;",
+    ];
+    forbidden_fixture("crates/bench/src/lib.rs", IN_FN, &lines, true, &[]);
+}
+
+#[test]
+fn forbidden_write_log_fixture() {
+    let lines = [
+        "table.take_dirty(frame);",
+        "table.reset_dirty_for(dom);",
+        "let n = table.count_dirty_for(dom);",
+        "let v = table.dirty_frames_for(dom);",
+        "let f = table.take_dirty_frame_for(dom);",
+        "scrubber.retarget(table);",
+        "mercury.bind_scrubber(scrubber);",
+        "strip_dirty(frame);",
+    ];
+    forbidden_fixture("crates/core/src/switch.rs", IN_FN, &lines, true, &[]);
+}
+
+#[test]
+fn forbidden_cpu_state_fixture() {
+    let lines = [
+        "self.clock.fetch_add(cycles, Ordering::Relaxed);",
+        "self.clock.fetch_sub(cycles, Ordering::Relaxed);",
+        "let was = self.in_service.swap(true, Ordering::AcqRel);",
+        "let owner: Mutex<u64>;",
+    ];
+    forbidden_fixture("crates/simx86/src/cpu.rs", IN_FN, &lines, false, &[]);
+}
+
+#[test]
+fn forbidden_tlb_state_fixture() {
+    let lines = [
+        "self.fingerprints[set].fetch_or(bit, Ordering::AcqRel);",
+        "let gen = self.generation.swap(0, Ordering::AcqRel);",
+        "let _ = self.tags[i].compare_exchange_weak(old, new, Ordering::AcqRel, Ordering::Acquire);",
+        "let entries: Mutex<Vec<u64>>;",
+        "let entries: RwLock<Vec<u64>>;",
+    ];
+    forbidden_fixture("crates/simx86/src/tlb.rs", IN_FN, &lines, false, &[]);
+}
+
+#[test]
+fn forbidden_session_fixture() {
+    let lines = [
+        "let pv = self.kernel.pv();",
+        "let disk = self.kernel.block_driver();",
+        "let nic = self.kernel.net_driver();",
+    ];
+    forbidden_fixture("crates/nimbus/src/session.rs", IN_FN, &lines, false, &[]);
+}
+
+/// The kernel's row covers the bodies of the syscalls a session hands
+/// its drivers to, and no other fn: `Kernel::sync` keeps its lookup.
+#[test]
+fn forbidden_syscall_bodies_fixture() {
+    let wrap = "impl Kernel {\n\
+                pub fn read(&self) -> Result<(), KernelError> {\nLINES}\n\
+                pub fn sync(&self) -> Result<(), KernelError> {\n\
+                self.block_driver()?.flush(cpu)\n}\n}\n";
+    let lines = [
+        "let disk = self.block_driver()?;",
+        "let nic = self.net_driver()?;",
+    ];
+    forbidden_fixture("crates/nimbus/src/kernel.rs", wrap, &lines, false, &[]);
+}

@@ -144,10 +144,10 @@ pub fn evacuate(
 
     let mut migration = LiveMigration::new(source.hv(), Arc::clone(src_m.dom0()));
     for i in 0..MAX_PRECOPY_ROUNDS {
-        let stats = migration.round(cpu).map_err(MaintenanceError::Migration)?;
+        let shipped = migration.round(cpu).map_err(MaintenanceError::Migration)?;
         // Round 0 ships everything; convergence is judged on the
         // dirty-set rounds after it.
-        if i > 0 && stats.frames_sent <= CONVERGENCE_FRAMES {
+        if i > 0 && shipped <= CONVERGENCE_FRAMES {
             break;
         }
     }

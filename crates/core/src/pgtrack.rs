@@ -51,16 +51,15 @@
 //! identical `page_info` state, which is the invariant the paper's
 //! design relies on.
 //!
-//! **One log, Mercury's cursor.**  The baseline is not a copy of
+//! **One log, Mercury's rounds.**  The baseline is not a copy of
 //! anything: it is an epoch of [`xenon::page_info`]'s write log, held
-//! in a [`xenon::WriteCursor`] that lives in the engine's VMM slot
-//! beside the VO's sink (so a live-update replaces table, sink and
-//! cursor together and no caller re-points a reader).  Detach and the
-//! boot pre-cache move it with one `checkpoint()`; the attach reads
-//! "written since" through it and clears nothing; and
-//! [`Mercury::donate_idle`] sweeps it on donated idle cycles, so a
-//! frame revalidated in the background is off the next attach's
-//! work-list.  The donation counters
+//! by a [`xenon::Rounds`] that lives in the engine's VMM slot beside
+//! the VO's sink (so a live-update replaces table, sink and rounds
+//! together and no caller re-points a reader).  Detach and the boot
+//! pre-cache rebase it; the attach is its final round, which reads the
+//! work-list and clears nothing; and [`Mercury::donate_idle`] runs
+//! budgeted rounds on donated idle cycles, so a frame revalidated in
+//! the background is off the next attach's work-list.  The donation counters
 //! ([`SwitchStats::idle_revalidated`](crate::SwitchStats) and
 //! `idle_cycles_donated`) count per `Mercury` instance, so a re-homed
 //! OS — a new instance — starts them again (no archive reads them
@@ -441,10 +440,14 @@ mod tests {
             kernel.pv().set_ptes(cpu, table, &updates).unwrap();
             let counted = cpu.cycles() - t0;
             assert_eq!(counted, bare + VO_INDIRECT + 16 * per_pte, "{strategy:?}");
-            let logged = hv
-                .page_info
-                .frame_written_since(table, xenon::Epoch::default());
-            assert_eq!(logged, walk.is_none());
+            // The frame is outside the pool: lend it an owner to read
+            // its log entry by, and take it back before the attaches
+            // below rebuild accounting from this table.
+            let (lender, was) = (xenon::DomId(0x7fff), hv.page_info.owner(table));
+            hv.page_info.set_owner(table, Some(lender));
+            let logged = xenon::Rounds::new(lender).pending(&hv.page_info);
+            hv.page_info.set_owner(table, was);
+            assert_eq!(logged.contains(&table), walk.is_none());
 
             // Mark 3 table frames and `other` other pool frames dirty.
             let mark = |other: usize| {

@@ -70,7 +70,7 @@ use simx86::vmx::Ept;
 use simx86::{costs, Cpu, LazySet, Machine};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use xenon::{Domain, Hypervisor, WriteCursor};
+use xenon::{Domain, Hypervisor, Rounds};
 
 /// Which switching mechanism Mercury uses (the paper's §8 extension).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -330,11 +330,11 @@ struct VmmSet {
     /// Under a dirty baseline its sink binds `hv`'s page_info table, so
     /// mutated table frames are logged while the VMM is dormant.
     native_vo: Arc<CountedVo>,
-    /// Mercury's place in that table's write log: the detach baseline
-    /// (what an attach must revalidate was written since) and the
-    /// idle-time sweep over it.  Beside the sink, so a live-update
-    /// replaces table, sink and cursor in the one store.
-    cursor: Mutex<WriteCursor>,
+    /// Mercury's rounds over that table's write log: the detach
+    /// baseline (what an attach must revalidate was written since) and
+    /// the idle-time sweep over it.  Beside the sink, so a live-update
+    /// replaces table, sink and rounds in the one store.
+    rounds: Mutex<Rounds>,
     /// `XenOps` binds `hv`; under hardware assist it is `HvmOps`
     /// instead (non-root PL0 needs no hypercalls, §8).
     virtual_vo: Arc<CountedVo>,
@@ -364,7 +364,7 @@ impl VmmSet {
         VmmSet {
             hv,
             native_vo,
-            cursor: Mutex::default(),
+            rounds: Mutex::new(Rounds::new(dom.id)),
             virtual_vo,
         }
     }
@@ -823,21 +823,21 @@ impl Mercury {
         self.lazy_set.lock().as_ref().map_or(0, |s| s.remaining())
     }
 
-    // ---- the write log's cursor (DESIGN.md §7b) -------------------------------
+    // ---- the write log's rounds (DESIGN.md §7b) -------------------------------
 
     /// The state just validated *is* the snapshot: what the next attach
     /// must revalidate is what gets written from here on.
     pub(crate) fn rebase_write_cursor(&self) {
         let vmm = self.vmm.read();
-        vmm.cursor.lock().rebase(&vmm.hv.page_info);
+        vmm.rounds.lock().rebase(&vmm.hv.page_info);
     }
 
     /// The kernel's frames written since the baseline and not yet
     /// revalidated by donated idle time: the next attach's work-list.
     pub fn revalidation_backlog(&self) -> Vec<simx86::FrameNum> {
         let vmm = self.vmm.read();
-        let cursor = vmm.cursor.lock();
-        cursor.pending(&vmm.hv.page_info, self.dom0.id)
+        let rounds = vmm.rounds.lock();
+        rounds.pending(&vmm.hv.page_info)
     }
 
     /// Donate up to `budget` idle cycles on `cpu` (a serving node's
@@ -861,14 +861,13 @@ impl Mercury {
         }
         let per_frame = costs::PGINFO_RECOMPUTE_PER_FRAME;
         let vmm = self.vmm.read();
-        let mut cursor = vmm.cursor.lock();
-        let mut used = 0;
-        while used + per_frame <= budget && cursor.pop(&vmm.hv.page_info, self.dom0.id).is_some() {
+        let mut rounds = vmm.rounds.lock();
+        let max = (budget / per_frame) as usize;
+        let frames = rounds.sweep(&vmm.hv.page_info, max, |_| {
             cpu.tick(per_frame);
-            used += per_frame;
             merctrace::counter!(cpu.id, "switch.idle.revalidate", 1, cpu.cycles());
-        }
-        let frames = used / per_frame;
+        }) as u64;
+        let used = frames * per_frame;
         let stats = &self.stats;
         stats.idle_revalidated.fetch_add(frames, Ordering::Relaxed);
         stats.idle_cycles_donated.fetch_add(used, Ordering::Relaxed);

@@ -303,8 +303,11 @@ mod tests {
         let plain = cpu2.cycles() - t0;
 
         // The write marked exactly the containing table frame dirty …
-        assert!(sink.frame_written_since(FrameNum(3), xenon::Epoch::default()));
-        assert!(!sink.frame_written_since(FrameNum(4), xenon::Epoch::default()));
+        let dom = xenon::DomId(0);
+        for f in 0..64 {
+            sink.set_owner(FrameNum(f), Some(dom));
+        }
+        assert_eq!(xenon::Rounds::new(dom).pending(&sink), [FrameNum(3)]);
         // … at the dirty rate, well under the active mirror's.
         assert_eq!(dirty_cost, plain + 16 * costs::DIRTY_TRACK_PER_PTE);
         const {

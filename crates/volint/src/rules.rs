@@ -176,11 +176,13 @@ pub const FORBIDDEN: &[Forbidden] = &[
     Forbidden { name: CAMPAIGN, section: "§14",
                 tokens: &["fn watchdog_for", "struct SwitchTotals", "struct SwitchSnap"], ..ANYWHERE },
     Forbidden {
-        name: "the write log has no clearing or retargetable reader: read \
-               `xenon::page_info`'s log through a cursor",
+        name: "the write log is read by its one round engine: a consumer is a `xenon::Rounds` \
+               and a per-frame action, not a clearing, retargetable or hand-written reader",
         section: "§7b",
         tokens: &["take_dirty", "reset_dirty_for", "count_dirty_for", "dirty_frames_for",
-                  "take_dirty_frame_for", "retarget", "bind_scrubber", "strip_dirty"],
+                  "take_dirty_frame_for", "retarget", "bind_scrubber", "strip_dirty",
+                  "WriteCursor", "written_since", "frame_written_since"],
+        allowed: &["crates/xenon/src/page_info.rs", "crates/xenon/src/rounds.rs"],
         ..ANYWHERE
     },
     Forbidden { name: OWNER_WRITTEN, section: "§14b", tokens: &[". fetch_add (", ". fetch_sub (", "swap (", "Mutex"],

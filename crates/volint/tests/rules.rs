@@ -626,8 +626,16 @@ fn forbidden_write_log_fixture() {
         "scrubber.retarget(table);",
         "mercury.bind_scrubber(scrubber);",
         "strip_dirty(frame);",
+        "let mut cursor = WriteCursor::default();",
+        "let dirty = table.written_since(dom, epoch);",
+        "if table.frame_written_since(frame, epoch) {}",
     ];
-    forbidden_fixture("crates/core/src/switch.rs", IN_FN, &lines, true, &[]);
+    let allowed = [
+        "crates/xenon/src/page_info.rs",
+        "crates/xenon/src/rounds.rs",
+    ];
+    forbidden_fixture("crates/core/src/switch.rs", IN_FN, &lines, true, &allowed);
+    forbidden_fixture("crates/xenon/src/migrate.rs", IN_FN, &lines, true, &allowed);
 }
 
 #[test]

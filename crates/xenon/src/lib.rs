@@ -21,6 +21,8 @@
 //! * **Save/restore** ([`save`]) and iterative pre-copy **live
 //!   migration** ([`migrate`]) — the machinery behind the paper's
 //!   online-maintenance and HPC-availability scenarios (§6.3, §6.5).
+//!   Its rounds, and Mercury's reads of the write log, run on one
+//!   engine ([`rounds`]).
 //!
 //! The hypervisor supports Mercury's defining trick: it can sit *warm
 //! but dormant* in reserved memory ([`Hypervisor::warm_up`]) and be
@@ -37,6 +39,7 @@ pub mod liveupdate;
 pub mod migrate;
 pub mod page_info;
 pub mod ring;
+pub mod rounds;
 pub mod save;
 pub mod sched;
 
@@ -44,4 +47,5 @@ pub use domain::{DomId, Domain, GuestState, DOM0};
 pub use error::HvError;
 pub use hv::{Hypervisor, MmuUpdate, MMU_BATCH};
 pub use liveupdate::{UpdateError, UpdateReport};
-pub use page_info::{Epoch, PageInfo, PageInfoTable, PageType, WriteCursor};
+pub use page_info::{PageInfo, PageInfoTable, PageType};
+pub use rounds::Rounds;

@@ -9,14 +9,15 @@
 //! and cleared each round, with a TLB flush so subsequent writes re-walk)
 //! plus the hypervisor's write log for table frames — the log-dirty
 //! scheme of Clark et al.'s live migration, adapted to direct paging.
-//! The migration reads the log through a cursor of its own (the epoch
-//! its previous round closed), so a round takes nothing from any other
-//! reader of [`crate::page_info`]'s log, and none takes from it.
+//! Each round, the stop-and-copy included, is a whole round of the
+//! migration's own [`Rounds`] with the dirty bits as its second source,
+//! so a round takes nothing from any other reader of
+//! [`crate::page_info`]'s log, and none takes from it.
 
 use crate::domain::Domain;
 use crate::error::HvError;
 use crate::hv::Hypervisor;
-use crate::page_info::Epoch;
+use crate::rounds::Rounds;
 use crate::save::{restore_domain_mapped, save_domain, DomainImage, FrameImage};
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
@@ -25,31 +26,18 @@ use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::Arc;
 
-/// Statistics for one pre-copy round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RoundStats {
-    /// Round number (0 = full copy).
-    pub round: usize,
-    /// Frames shipped this round.
-    pub frames_sent: usize,
-    /// Cycles charged to the source CPU for the transfer.
-    pub cycles: u64,
-}
-
 /// Final report for a completed migration.
 #[derive(Debug, Clone)]
 pub struct MigrationReport {
     /// Old→new frame relocation (for the guest kernel's thaw).
     pub frame_map: HashMap<u32, u32>,
-    /// Per-round statistics (pre-copy rounds, then the stop-and-copy
-    /// round last).
-    pub rounds: Vec<RoundStats>,
+    /// Frames shipped per round: round 0's full copy first, the
+    /// stop-and-copy last.
+    pub rounds: Vec<usize>,
     /// Total frames shipped, counting resends.
     pub total_frames: usize,
     /// Guest-observed downtime in cycles (the stop-and-copy phase).
     pub downtime_cycles: u64,
-    /// Total bytes on the wire.
-    pub wire_bytes: u64,
 }
 
 impl MigrationReport {
@@ -65,46 +53,38 @@ pub struct LiveMigration {
     dom: Arc<Domain>,
     /// Frames staged at the "target side", keyed by source frame number.
     staged: HashMap<u32, FrameImage>,
-    rounds: Vec<RoundStats>,
-    round_no: usize,
-    started: bool,
-    /// Table frames written up to here were shipped by an earlier round.
-    shipped: Epoch,
+    /// The pre-copy over the source's write log.
+    rounds: Rounds,
+    /// Frames shipped by every round run so far, in order.
+    shipped: Vec<usize>,
 }
+
+/// Cycles to ship one frame: one NIC packet carrying a page.
+const SHIP_PER_FRAME: u64 = costs::NIC_PACKET_BASE + simx86::PAGE_SIZE * costs::NIC_PER_BYTE;
 
 impl LiveMigration {
     /// Begin migrating `dom` away from `source`.
     pub fn new(source: Arc<Hypervisor>, dom: Arc<Domain>) -> LiveMigration {
         LiveMigration {
+            rounds: Rounds::new(dom.id),
             source,
             dom,
             staged: HashMap::new(),
-            rounds: Vec::new(),
-            round_no: 0,
-            started: false,
-            shipped: Epoch::default(),
+            shipped: Vec::new(),
         }
     }
 
-    /// Frames the guest has dirtied since the last scan.  Clears the
-    /// PTE dirty bits and flushes TLBs so future writes are caught
-    /// again; table frames are read from the write log, which a write
-    /// racing this scan can only make report the frame twice.
-    fn collect_dirty(&mut self, cpu: &Cpu) -> Result<Vec<FrameNum>, HvError> {
+    /// Data frames the guest has written since the last scan, from the
+    /// dirty bits of its page tables (the write log holds the table
+    /// frames).  Clears the bits and flushes TLBs so future writes are
+    /// caught again.
+    fn clean_dirty_bits(&self, cpu: &Cpu) -> Result<Vec<FrameNum>, HvError> {
         let mem = &self.source.machine.mem;
-        let table = &self.source.page_info;
-        let since = std::mem::replace(&mut self.shipped, table.checkpoint());
         let mut dirty = Vec::new();
         for pgd in self.dom.pgds() {
-            if table.frame_written_since(pgd, since) {
-                dirty.push(pgd);
-            }
             let mut l2 = mem.read_table(cpu, pgd)?;
             l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
                 let l1 = FrameNum(pde.frame());
-                if table.frame_written_since(l1, since) {
-                    dirty.push(l1);
-                }
                 let mut cleaned = Vec::new();
                 let mut view = mem.read_table(cpu, l1)?;
                 let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, l1_idx, pte| {
@@ -124,74 +104,33 @@ impl LiveMigration {
         for c in &self.source.machine.cpus {
             c.request_tlb_flush();
         }
-        dirty.sort_unstable_by_key(|f| f.0);
-        dirty.dedup();
         Ok(dirty)
     }
 
-    fn ship(&mut self, cpu: &Cpu, frames: &[FrameNum]) -> Result<u64, HvError> {
-        let mem = &self.source.machine.mem;
-        let mut cycles = 0;
-        for &f in frames {
-            let (typ, _) = self.source.page_info.type_of(f);
-            let words = mem.export_frame(f)?;
-            let cost = costs::NIC_PACKET_BASE + simx86::PAGE_SIZE * costs::NIC_PER_BYTE;
-            cpu.tick(cost);
-            cycles += cost;
-            self.staged.insert(
-                f.0,
-                FrameImage {
-                    old_frame: f.0,
-                    typ,
-                    words,
-                },
-            );
+    /// Run one pre-copy round: round 0 ships every owned frame; later
+    /// rounds ship what was written since the one before — every frame
+    /// the write log holds for the domain, and every data frame its PTE
+    /// dirty bits name.  The guest keeps running between rounds.
+    /// Returns the frames shipped.
+    pub fn round(&mut self, cpu: &Cpu) -> Result<usize, HvError> {
+        let mut dirty = self.clean_dirty_bits(cpu)?;
+        if self.shipped.is_empty() {
+            dirty = self.dom.frames();
         }
-        Ok(cycles)
-    }
-
-    /// Run one pre-copy round: round 0 ships every owned frame;
-    /// subsequent rounds ship only the dirty set.  The guest keeps
-    /// running between rounds.
-    pub fn round(&mut self, cpu: &Cpu) -> Result<RoundStats, HvError> {
-        let frames = if !self.started {
-            self.started = true;
-            // Prime dirty tracking: clear current bits so round 1 sees
-            // only subsequent writes.
-            let _ = self.collect_dirty(cpu)?;
-            self.dom.frames()
-        } else {
-            self.collect_dirty(cpu)?
-        };
-        let cycles = self.ship(cpu, &frames)?;
-        let stats = RoundStats {
-            round: self.round_no,
-            frames_sent: frames.len(),
-            cycles,
-        };
-        self.rounds.push(stats);
-        self.round_no += 1;
-        Ok(stats)
-    }
-
-    /// Dirty frames that would be shipped if a round ran now (peek; used
-    /// by the convergence heuristic).
-    pub fn dirty_backlog(&self, cpu: &Cpu) -> Result<usize, HvError> {
-        // A peek that doesn't clear: scan without clearing PTE bits.
-        let mem = &self.source.machine.mem;
-        let mut n = 0;
-        for pgd in self.dom.pgds() {
-            let mut l2 = mem.read_table(cpu, pgd)?;
-            l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
-                let mut l1 = mem.read_table(cpu, FrameNum(pde.frame()))?;
-                let Ok(()) = l1.scan(0..ENTRIES_PER_TABLE, |_, _, pte| {
-                    n += usize::from(pte.dirty());
-                    Ok::<_, Infallible>(())
-                });
-                Ok::<_, HvError>(())
-            })?;
-        }
-        Ok(n)
+        let (table, mem) = (&self.source.page_info, &self.source.machine.mem);
+        let staged = &mut self.staged;
+        let frames = self.rounds.round(table, dirty, |f| {
+            cpu.tick(SHIP_PER_FRAME);
+            let image = FrameImage {
+                old_frame: f.0,
+                typ: table.type_of(f).0,
+                words: mem.export_frame(f)?,
+            };
+            staged.insert(f.0, image);
+            Ok::<_, HvError>(())
+        })?;
+        self.shipped.push(frames);
+        Ok(frames)
     }
 
     /// Stop-and-copy: pause the guest, ship the last dirty set and the
@@ -206,7 +145,7 @@ impl LiveMigration {
         target: &Arc<Hypervisor>,
         target_pcpu: usize,
     ) -> Result<(Arc<Domain>, MigrationReport), HvError> {
-        if !self.started {
+        if self.shipped.is_empty() {
             self.round(cpu)?;
         }
         let downtime_start = cpu.cycles();
@@ -217,14 +156,8 @@ impl LiveMigration {
         }
         self.source.sched.remove_domain(self.dom.id);
 
-        // Final dirty round.
-        let dirty = self.collect_dirty(cpu)?;
-        let cycles = self.ship(cpu, &dirty)?;
-        self.rounds.push(RoundStats {
-            round: self.round_no,
-            frames_sent: dirty.len(),
-            cycles,
-        });
+        // The stop-and-copy: the last round, with the guest paused.
+        self.round(cpu)?;
 
         // Ship the control-plane image (vCPUs, pgds, guest state).
         let control = save_domain(&self.source, cpu, &self.dom)?;
@@ -267,13 +200,12 @@ impl LiveMigration {
         }
 
         let downtime_cycles = cpu.cycles() - downtime_start;
-        let total_frames: usize = self.rounds.iter().map(|r| r.frames_sent).sum();
+        let total_frames = self.shipped.iter().sum();
         let report = MigrationReport {
             frame_map,
             total_frames,
             downtime_cycles,
-            wire_bytes: total_frames as u64 * simx86::PAGE_SIZE,
-            rounds: std::mem::take(&mut self.rounds),
+            rounds: std::mem::take(&mut self.shipped),
         };
         Ok((new_dom, report))
     }
@@ -282,6 +214,7 @@ impl LiveMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MmuUpdate;
     use simx86::mem::PhysAddr;
     use simx86::{Machine, MachineConfig};
 
@@ -348,17 +281,13 @@ mod tests {
 
         let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
         let r0 = mig.round(cpu).unwrap();
-        assert_eq!(r0.frames_sent, 16);
+        assert_eq!(r0, 16);
 
         // Guest dirties two pages between rounds.
         guest_writes(&m_src, &dom, 1, 999);
         guest_writes(&m_src, &dom, 3, 888);
         let r1 = mig.round(cpu).unwrap();
-        assert!(
-            r1.frames_sent >= 2 && r1.frames_sent < 16,
-            "round1 sent {}",
-            r1.frames_sent
-        );
+        assert!((2..16).contains(&r1), "round1 sent {r1}");
 
         let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
         assert_eq!(report.rounds.len(), 3);
@@ -395,8 +324,35 @@ mod tests {
         let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
         mig.round(cpu).unwrap();
         let r1 = mig.round(cpu).unwrap();
-        assert_eq!(r1.frames_sent, 0);
-        assert_eq!(mig.dirty_backlog(cpu).unwrap(), 0);
+        assert_eq!(r1, 0);
+    }
+
+    /// A table the guest writes and then unlinks in one window between
+    /// rounds is no longer reachable from its base tables, but the
+    /// write log still names it: the stop-and-copy ships what the
+    /// guest wrote, not the copy of round 0.
+    #[test]
+    fn a_table_written_then_unlinked_is_shipped() {
+        let (m_src, hv_src) = node();
+        let (m_dst, hv_dst) = node();
+        let cpu = m_src.boot_cpu();
+        let dom = build_guest(&m_src, &hv_src);
+        let f = dom.frames();
+        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+        mig.round(cpu).unwrap();
+
+        let write = |table, index, val| {
+            let update = MmuUpdate { table, index, val };
+            hv_src.mmu_update(cpu, &dom, &[update])
+        };
+        let entry = Pte::new(f[7].0, Pte::USER);
+        write(f[1], 5, entry).unwrap();
+        write(f[0], 0, Pte::ABSENT).unwrap();
+        let (_, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+
+        assert_eq!(report.rounds[1], 2, "pgd and the unlinked L1");
+        let l1 = FrameNum(report.frame_map[&f[1].0]);
+        assert_eq!(m_dst.mem.read_pte(m_dst.boot_cpu(), l1, 5).unwrap(), entry);
     }
 
     #[test]
@@ -409,7 +365,7 @@ mod tests {
         for i in 0..3 {
             guest_writes(&m_src, &dom, i % 4, i as u64);
             let r = mig.round(cpu).unwrap();
-            assert!(r.frames_sent >= 1);
+            assert!(r >= 1);
         }
     }
 

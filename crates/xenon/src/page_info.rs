@@ -27,18 +27,16 @@
 //! # The write log
 //!
 //! Which frames were written is kept beside the records, not in them: a
-//! monotonic [`Epoch`] counter and, per frame, the epoch of its last
+//! monotonic epoch counter and, per frame, the epoch of its last
 //! tracked write.  The writer ([`PageInfoTable::mark_dirty`]: the native
-//! VO's sink and `mmu_update`) only stamps.  A reader calls
-//! [`PageInfoTable::checkpoint`] to get "now", keeps it, and later asks
-//! [`PageInfoTable::written_since`] (or, for one frame,
-//! [`PageInfoTable::frame_written_since`]) — a query that clears
-//! nothing, so live migration's pre-copy rounds, Mercury's detach
-//! baseline and its idle-time revalidation ([`WriteCursor`]) each hold
-//! a cursor of their own over the one log and cannot take an
-//! observation from each other.  [`PageInfo`] is pure accounting:
-//! `==` on a [`PageInfoTable::snapshot`] compares validation state and
-//! nothing else.
+//! VO's sink and `mmu_update`) only stamps.  The one reader is a
+//! `WriteCursor`, held by a [`Rounds`](crate::Rounds): it keeps an
+//! epoch of its own and asks what was written since, which clears
+//! nothing, so live migration's pre-copy rounds and Mercury's detach
+//! baseline with its idle-time sweep each read the one log without
+//! taking an observation from each other.  [`PageInfo`] is pure
+//! accounting: `==` on a [`PageInfoTable::snapshot`] compares validation
+//! state and nothing else.
 
 use crate::domain::DomId;
 use crate::error::HvError;
@@ -77,10 +75,10 @@ pub struct PageInfo {
     pub pinned: bool,
 }
 
-/// A point in a table's write log ([`PageInfoTable::checkpoint`]).  The
-/// default is the point before any write.
+/// A point in a table's write log.  The default is the point before
+/// any write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub struct Epoch(u64);
+struct Epoch(u64);
 
 /// The machine-wide frame accounting table.
 pub struct PageInfoTable {
@@ -635,28 +633,6 @@ impl PageInfoTable {
         }
     }
 
-    /// Close the current epoch and return it; writes from here on are
-    /// *since* the returned epoch.  A reader keeps the value as its
-    /// cursor — the log itself keeps no per-reader state.
-    pub fn checkpoint(&self) -> Epoch {
-        self.info.lock().checkpoint()
-    }
-
-    /// Frames owned by `dom` with a tracked write since `epoch`, in
-    /// frame order.  Clears nothing.
-    pub fn written_since(&self, dom: DomId, epoch: Epoch) -> Vec<FrameNum> {
-        WriteCursor::at(epoch).pending(self, dom)
-    }
-
-    /// Was `frame` written since `epoch`?  A frame the machine does not
-    /// have was not.
-    pub fn frame_written_since(&self, frame: FrameNum, epoch: Epoch) -> bool {
-        let info = self.info.lock();
-        info.written
-            .get(frame.0 as usize)
-            .is_some_and(|&w| w > epoch.0)
-    }
-
     // -- type reference counting ---------------------------------------
 
     /// Take a type reference of kind `typ` on `frame`.
@@ -881,16 +857,6 @@ impl PageInfoTable {
         info.set_pinned(frame, true)
     }
 
-    /// Count frames owned by `dom` (diagnostics, migration sizing).
-    pub fn count_owned(&self, dom: DomId) -> usize {
-        self.info
-            .lock()
-            .frames
-            .iter()
-            .filter(|r| r.info.owner == Some(dom))
-            .count()
-    }
-
     /// All frames owned by `dom`.
     pub fn frames_owned(&self, dom: DomId) -> Vec<FrameNum> {
         self.info
@@ -921,39 +887,14 @@ impl PageInfoTable {
     }
 }
 
-/// One reader's place in a table's write log: the frames written since
-/// its epoch are its to see, less those its **sweep** — a position
-/// `(epoch, next frame)` — has retired one [`pop`](WriteCursor::pop) at
-/// a time.  The cursor is the reader's own: nothing it does changes what
-/// another reader of the same log sees.
-///
-/// ```
-/// use simx86::FrameNum;
-/// use xenon::{DomId, PageInfoTable, WriteCursor};
-///
-/// let table = PageInfoTable::new(8);
-/// for f in 0..8 {
-///     table.set_owner(FrameNum(f), Some(DomId(0)));
-/// }
-/// let mut cursor = WriteCursor::default();
-/// cursor.rebase(&table);
-/// table.mark_dirty(FrameNum(2));
-/// table.mark_dirty(FrameNum(5));
-///
-/// // One pop retires one frame; the other stays pending.
-/// assert_eq!(cursor.pop(&table, DomId(0)), Some(FrameNum(2)));
-/// assert_eq!(cursor.pending(&table, DomId(0)), [FrameNum(5)]);
-///
-/// // A frame behind the sweep that is written again is pending again,
-/// // and is retired by the next sweep.
-/// table.mark_dirty(FrameNum(2));
-/// assert_eq!(cursor.pending(&table, DomId(0)), [FrameNum(2), FrameNum(5)]);
-/// assert_eq!(cursor.pop(&table, DomId(0)), Some(FrameNum(5)));
-/// assert_eq!(cursor.pop(&table, DomId(0)), Some(FrameNum(2)));
-/// assert_eq!(cursor.pop(&table, DomId(0)), None);
-/// ```
+/// One reader's place in a table's write log, and the log's only
+/// reader: the frames written since its epoch are its to see, less
+/// those its **sweep** — a position `(epoch, next frame)` — has retired
+/// one [`pop`](WriteCursor::pop) at a time.  The cursor is the reader's
+/// own: nothing it does changes what another reader of the same log
+/// sees.  [`Rounds`](crate::Rounds) is its one holder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WriteCursor {
+pub(crate) struct WriteCursor {
     /// Everything written up to here has been seen.
     since: Epoch,
     /// The sweep in progress retires frames written up to here …
@@ -978,13 +919,13 @@ impl WriteCursor {
     /// lock cannot take it first and store it after another thread's
     /// sweep closed a later one — which would move the cursor back over
     /// frames that sweep had retired.
-    pub fn rebase(&mut self, table: &PageInfoTable) {
-        *self = WriteCursor::at(table.checkpoint());
+    pub(crate) fn rebase(&mut self, table: &PageInfoTable) {
+        *self = WriteCursor::at(table.info.lock().checkpoint());
     }
 
     /// Frames of `dom` written since this cursor's epoch and not
     /// retired by its sweep, in frame order.
-    pub fn pending(&self, table: &PageInfoTable, dom: DomId) -> Vec<FrameNum> {
+    pub(crate) fn pending(&self, table: &PageInfoTable, dom: DomId) -> Vec<FrameNum> {
         let info = table.info.lock();
         let last = Epoch(u64::MAX);
         // Behind the sweep only a write after its epoch is pending.
@@ -1002,7 +943,7 @@ impl WriteCursor {
     /// nothing was written at all.  The sweep moves forward only: a
     /// frame written after the sweep began waits for the next sweep, so
     /// the log never has to be told what was retired.
-    pub fn pop(&mut self, table: &PageInfoTable, dom: DomId) -> Option<FrameNum> {
+    pub(crate) fn pop(&mut self, table: &PageInfoTable, dom: DomId) -> Option<FrameNum> {
         let mut info = table.info.lock();
         loop {
             let ahead = self.next..u32::MAX;
@@ -1321,22 +1262,30 @@ mod tests {
         assert!(cpu.cycles() - before >= 16 * costs::PGINFO_RECOMPUTE_PER_FRAME);
     }
 
+    /// A cursor that has seen everything written to `t` so far.
+    fn now(t: &PageInfoTable) -> WriteCursor {
+        let mut cursor = WriteCursor::default();
+        cursor.rebase(t);
+        cursor
+    }
+
+    /// Frames of `dom` written since the log began.
+    fn ever_written(t: &PageInfoTable, dom: DomId) -> Vec<FrameNum> {
+        WriteCursor::default().pending(t, dom)
+    }
+
     #[test]
     fn write_log_is_total_over_frame_numbers() {
         let (t, _, _) = rig(4);
-        let start = t.checkpoint();
-        assert!(!t.frame_written_since(FrameNum(1), start));
+        let start = now(&t);
+        assert_eq!(start.pending(&t, D), []);
         t.mark_dirty(FrameNum(1));
-        assert!(t.frame_written_since(FrameNum(1), start));
-        assert!(
-            t.frame_written_since(FrameNum(1), start),
-            "a query clears nothing"
-        );
-        assert!(!t.frame_written_since(FrameNum(1), t.checkpoint()));
+        assert_eq!(start.pending(&t, D), [FrameNum(1)]);
+        assert_eq!(start.pending(&t, D), [FrameNum(1)], "clears nothing");
+        assert_eq!(now(&t).pending(&t, D), []);
         // A frame the machine does not have: not tracked, not written.
         t.mark_dirty(FrameNum(MISSING));
-        assert!(!t.frame_written_since(FrameNum(MISSING), Epoch::default()));
-        assert_eq!(t.written_since(D, Epoch::default()), [FrameNum(1)]);
+        assert_eq!(ever_written(&t, D), [FrameNum(1)]);
     }
 
     #[test]
@@ -1420,27 +1369,26 @@ mod tests {
     }
 
     #[test]
-    fn written_since_reads_by_owner_and_epoch() {
+    fn a_cursor_reads_by_owner_and_epoch() {
         let (t, _, _) = rig(8);
         t.set_owner(FrameNum(7), Some(DomId(9)));
         t.mark_dirty(FrameNum(1));
         t.mark_dirty(FrameNum(2));
         t.mark_dirty(FrameNum(7)); // foreign — another reader's business
-        assert_eq!(t.written_since(D, Epoch::default()).len(), 2);
-        let baseline = t.checkpoint();
-        assert_eq!(t.written_since(D, baseline), []);
-        assert_eq!(t.written_since(DomId(9), Epoch::default()), [FrameNum(7)]);
+        assert_eq!(ever_written(&t, D).len(), 2);
+        let baseline = now(&t);
+        assert_eq!(baseline.pending(&t, D), []);
+        assert_eq!(ever_written(&t, DomId(9)), [FrameNum(7)]);
         t.mark_dirty(FrameNum(3));
-        assert_eq!(t.written_since(D, baseline), [FrameNum(3)]);
-        assert_eq!(t.written_since(D, Epoch::default()).len(), 3);
+        assert_eq!(baseline.pending(&t, D), [FrameNum(3)]);
+        assert_eq!(ever_written(&t, D).len(), 3);
     }
 
     #[test]
     fn sweep_retires_one_frame_a_pop_and_never_a_foreign_one() {
         let (t, _, _) = rig(16);
         t.set_owner(FrameNum(6), Some(DomId(7)));
-        let mut cursor = WriteCursor::default();
-        cursor.rebase(&t);
+        let mut cursor = now(&t);
         assert_eq!(cursor.pop(&t, D), None);
         for f in [9u32, 1, 6, 4] {
             t.mark_dirty(FrameNum(f));
@@ -1451,7 +1399,7 @@ mod tests {
         }
         assert_eq!(cursor.pop(&t, D), None);
         // The other domain's write is still in the log for its reader.
-        assert_eq!(t.written_since(DomId(7), Epoch::default()), [FrameNum(6)]);
+        assert_eq!(ever_written(&t, DomId(7)), [FrameNum(6)]);
     }
 
     #[test]
@@ -1563,7 +1511,7 @@ mod tests {
     fn owned_frame_queries() {
         let (t, _, _) = rig(4);
         t.set_owner(FrameNum(2), Some(DomId(5)));
-        assert_eq!(t.count_owned(D), 3);
+        assert_eq!(t.frames_owned(D).len(), 3);
         assert_eq!(t.frames_owned(DomId(5)), vec![FrameNum(2)]);
     }
 

@@ -8,9 +8,9 @@ use simx86::paging::Pte;
 use simx86::Cpu;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
-use xenon::page_info::{Epoch, PageInfoTable, PageType, WriteCursor};
+use xenon::page_info::{PageInfoTable, PageType};
 use xenon::ring::{Ring, SlotPayload, RING_SLOTS};
-use xenon::DomId;
+use xenon::{DomId, Rounds};
 
 /// map[l2_slot] = (l1_slot → writable) leaves of a small valid tree.
 fn tree_shape(rng: &mut SplitMix64) -> BTreeMap<usize, BTreeMap<usize, bool>> {
@@ -117,12 +117,12 @@ fn recompute_equals_incremental_validation() {
 
 /// The write log has one writer and any number of readers, and no
 /// reader can take an observation from another: under random
-/// interleavings of marks, two readers' checkpoint-and-query rounds and
-/// a third reader's sweep pops, each sees exactly the frames marked
-/// since *its own* checkpoint (model: one set per reader), a pop
-/// retires exactly the frame it returns, and the accounting records
-/// never move.  Table sizes cross the log's 64-frame blocks and end
-/// inside one, and marks land past the end too.
+/// interleavings of marks, two readers' whole rounds and a third
+/// reader's one-frame sweeps, each sees exactly the frames marked since
+/// *its own* last round (model: one set per reader), a sweep retires
+/// exactly the frame it hands over, and the accounting records never
+/// move.  Table sizes cross the log's 64-frame blocks and end inside
+/// one, and marks land past the end too.
 #[test]
 fn write_log_readers_are_independent() {
     check("write_log_readers_are_independent", 256, |rng| {
@@ -138,8 +138,9 @@ fn write_log_readers_are_independent() {
         }
         let accounting = table.snapshot();
 
-        let mut readers: [(Epoch, BTreeSet<u32>); 2] = Default::default();
-        let mut sweep = WriteCursor::default();
+        let mut readers: [(Rounds, BTreeSet<u32>); 2] =
+            [(); 2].map(|()| (Rounds::new(dom), BTreeSet::new()));
+        let mut sweep = Rounds::new(dom);
         let mut unswept: BTreeSet<u32> = BTreeSet::new();
         let as_set = |v: Vec<FrameNum>| v.into_iter().map(|f| f.0).collect::<BTreeSet<u32>>();
         for _ in 0..rng.below(160) {
@@ -147,15 +148,24 @@ fn write_log_readers_are_independent() {
                 // Reader A or B closes a round: it sees its own set, and
                 // starts the next one empty.
                 op @ (0 | 1) => {
-                    let (since, seen) = &mut readers[op as usize];
-                    let next = table.checkpoint();
-                    assert_eq!(&as_set(table.written_since(dom, *since)), seen);
-                    (*since, *seen) = (next, BTreeSet::new());
+                    let (rounds, seen) = &mut readers[op as usize];
+                    let mut got = BTreeSet::new();
+                    let ok = rounds.round(&table, Vec::new(), |f| {
+                        assert!(got.insert(f.0), "{f:?} twice in a round");
+                        Ok::<_, ()>(())
+                    });
+                    assert_eq!(ok, Ok(seen.len()));
+                    assert_eq!(&got, seen);
+                    seen.clear();
                 }
-                2 | 3 => match sweep.pop(&table, dom) {
-                    Some(f) => assert!(unswept.remove(&f.0), "popped {f:?} twice"),
-                    None => assert!(unswept.is_empty(), "{unswept:?} left behind"),
-                },
+                2 | 3 => {
+                    let mut popped = None;
+                    sweep.sweep(&table, 1, |f| popped = Some(f));
+                    match popped {
+                        Some(f) => assert!(unswept.remove(&f.0), "swept {f:?} twice"),
+                        None => assert!(unswept.is_empty(), "{unswept:?} left behind"),
+                    }
+                }
                 _ => {
                     let f = rng.below(past as u64) as u32;
                     table.mark_dirty(FrameNum(f));
@@ -167,12 +177,9 @@ fn write_log_readers_are_independent() {
                     }
                 }
             }
-            assert_eq!(as_set(sweep.pending(&table, dom)), unswept);
-            for (since, seen) in &readers {
-                for f in 0..past {
-                    let hit = table.frame_written_since(FrameNum(f), *since);
-                    assert_eq!(hit && !foreign(f), seen.contains(&f), "frame {f}");
-                }
+            assert_eq!(as_set(sweep.pending(&table)), unswept);
+            for (rounds, seen) in &readers {
+                assert_eq!(&as_set(rounds.pending(&table)), seen);
             }
         }
         assert_eq!(table.snapshot(), accounting);

@@ -155,7 +155,7 @@ pub struct SwitchTimes {
 }
 
 /// Sharded-vs-serial attach-time `page_info` recompute on an SMP rig
-/// (§5.4 work phase: parked rendezvous peers pull frame chunks).
+/// (§5.4 work phase: parked rendezvous peers charge stripes of the scan).
 #[derive(Debug, Clone)]
 pub struct ShardedRecompute {
     /// Simulated CPUs on the rig (1 control processor + peers).
@@ -262,8 +262,8 @@ pub fn measure_switch_times(strategy: TrackingStrategy, samples: u32) -> SwitchT
 /// rig, sharded vs serial.  The peers are serviced by temporary host
 /// threads exactly as the SMP testbeds do.  Sharded is
 /// `SwitchStats::last_pginfo_cycles` — the simulated cycles the control
-/// processor spent in the recompute phase (dispatch + its own fair
-/// share of chunks + the makespan correction for the slowest peer).
+/// processor spent in the recompute phase (its stripe of the scan and
+/// the table walk, or the longest stripe if that is more).
 /// A rig with peers always shards, so the serial reference is the same
 /// walk made by the CP alone over a scratch table while attached
 /// (detached, the tables are writable and fail validation).

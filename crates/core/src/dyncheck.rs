@@ -231,73 +231,24 @@ impl RvMonitor {
         self.state.lock().unwrap().completes.push((tid(), snapshot));
     }
 
-    /// CP saw `done == peers` and is closing the rendezvous.
+    /// CP saw `done == peers` and is about to close the rendezvous.
     pub fn on_wait_done_ok(&self, peers: usize) {
         self.await_records(peers, |s| s.completes.len());
         self.done.acquire();
-        {
-            let s = self.state.lock().unwrap();
-            let ordered = with_clock(|c| {
-                s.completes
-                    .iter()
-                    .filter(|(_, ck)| ck.leq(c))
-                    .count()
-            });
-            if ordered < peers {
-                report(format!(
-                    "dyncheck[rendezvous]: CP proceeded past \
-                     wait_done({peers}) but only {ordered} completion(s) \
-                     happen-before it"
-                ));
-            }
-        }
-        self.active.release();
-    }
-
-    /// CP aborted (timeout): the closing `active` store.
-    pub fn on_abort(&self) {
-        self.active.release();
-    }
-}
-
-// ------------------------------------------------------ work-queue monitor
-
-/// Shadow state for one [`crate::shard::WorkQueue`]: validates that
-/// every chunk completion in the §5.4 work phase happens-before the
-/// point where the CP declares the queue drained (and therefore before
-/// its `signal_go`) — otherwise a peer's partially-written `page_info`
-/// updates could be observed by the reloading CPUs.
-#[derive(Debug, Default)]
-pub struct WorkMonitor {
-    completed: Loc,
-    state: Mutex<Vec<(usize, VClock)>>,
-}
-
-impl WorkMonitor {
-    /// A worker finished one chunk (call *before* the real completion
-    /// count is bumped, so the shadow publish is visible to any CP that
-    /// observes the bump).
-    pub fn on_chunk_complete(&self) {
-        let snapshot = with_clock(|c| c.clone());
-        self.completed.acq_rel();
-        self.state.lock().unwrap().push((tid(), snapshot));
-    }
-
-    /// The CP observed the queue fully drained and is about to leave
-    /// the work phase: every one of the `expected` chunk completions
-    /// must happen-before this point.
-    pub fn on_drained(&self, expected: usize) {
-        self.completed.acquire();
         let s = self.state.lock().unwrap();
-        let ordered = with_clock(|c| s.iter().filter(|(_, ck)| ck.leq(c)).count());
-        if ordered < expected {
+        let ordered = with_clock(|c| s.completes.iter().filter(|(_, ck)| ck.leq(c)).count());
+        if ordered < peers {
             report(format!(
-                "dyncheck[shard]: CP left the work phase expecting \
-                 {expected} chunk completion(s) but only {ordered} \
-                 happen-before it — a peer's validation writes are not \
-                 ordered before signal_go"
+                "dyncheck[rendezvous]: CP proceeded past \
+                 wait_done({peers}) but only {ordered} completion(s) \
+                 happen-before it"
             ));
         }
+    }
+
+    /// CP closed the round, completed or aborted: the `active` store.
+    pub fn on_close(&self) {
+        self.active.release();
     }
 }
 
@@ -476,38 +427,6 @@ mod tests {
         let reports = take_reports();
         assert_eq!(reports.len(), 1, "{reports:?}");
         assert!(reports[0].contains("observed go"));
-    }
-
-    #[test]
-    fn work_monitor_ordered_completions_are_silent() {
-        let _lk = serialized();
-        let _ = take_reports();
-        let m = Arc::new(WorkMonitor::default());
-        let workers: Vec<_> = (0..3)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                std::thread::spawn(move || m.on_chunk_complete())
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        m.on_drained(3);
-        assert_eq!(take_reports(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn work_monitor_reports_missing_completion_edge() {
-        let _lk = serialized();
-        let _ = take_reports();
-        let m = WorkMonitor::default();
-        // The CP claims the queue drained two chunks, but only one
-        // completion ever published a happens-before edge.
-        m.on_chunk_complete();
-        m.on_drained(2);
-        let reports = take_reports();
-        assert_eq!(reports.len(), 1, "{reports:?}");
-        assert!(reports[0].contains("work phase"));
     }
 
     #[test]

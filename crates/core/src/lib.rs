@@ -32,9 +32,9 @@
 //!   atomic variables so no core ever runs in the wrong mode.  The
 //!   rendezvous rounds are generation-stamped so a late IPI from an
 //!   aborted round can never pollute a later one, and the parked peers
-//!   double as workers: they pull chunks of the attach-time page-frame
-//!   recompute from a shared queue ([`shard`]) instead of spinning,
-//!   turning §7.4's dominant serial cost into a parallel one.
+//!   double as workers: each charges its stripe of the attach-time
+//!   page-frame scan ([`shard`]) while the control processor walks the
+//!   tables, turning §7.4's dominant serial cost into a parallel one.
 //! * **Usage scenarios** ([`scenarios`], §6): checkpoint/restart,
 //!   self-healing, and live kernel update.  (Online hardware
 //!   maintenance and HPC failover live in the `mercury-cluster` crate,

@@ -281,8 +281,8 @@ impl Mercury {
     }
 
     /// Attach-time frame accounting without a baseline (the legacy
-    /// strategies): the whole-pool walk — sharded across the
-    /// rendezvoused peers when there are any (§5.4), serial otherwise.
+    /// strategies): the whole-pool walk, its scan shared with the
+    /// rendezvoused peers when there are any (§5.4).
     pub(crate) fn account_full(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let cpu = r.cpu;
         let p0 = cpu.cycles();
@@ -302,7 +302,7 @@ impl Mercury {
     /// and bind the base tables it walked to the domain — even if the
     /// walk failed: the `undo` of the row that called unbinds them, and
     /// a caller that is itself an `undo` has nowhere to report to.
-    fn rebuild_accounting(
+    pub(crate) fn rebuild_accounting(
         &self,
         cpu: &Arc<Cpu>,
         table: &PageInfoTable,

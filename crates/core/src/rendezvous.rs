@@ -44,9 +44,9 @@
 //! While parked between check-in and the go flag, peers would spin
 //! uselessly for the whole state transfer.  [`Rendezvous::
 //! check_in_and_wait_serving`] instead polls a caller-supplied closure
-//! each iteration; Mercury feeds it chunks of the attach-time
-//! `page_info` recompute so the parked capacity validates frames
-//! concurrently with the CP (see `crate::shard`).
+//! each iteration; on an SMP attach Mercury has each parked peer
+//! charge its stripe of the `page_info` recompute scan there while the
+//! CP walks the tables (see `crate::shard`).
 //!
 //! The full handshake, with the peer on its own thread as a second CPU
 //! would be (in the real switch path the peer side runs inside the
@@ -96,6 +96,21 @@ fn count_of(word: u64) -> usize {
 /// A fresh counter word for round `epoch` with a zero count.
 fn pack(epoch: u32) -> u64 {
     (epoch as u64) << 32
+}
+
+/// Spin (host wall-clock) until `done` holds; `false` if `timeout`
+/// passed first.
+pub(crate) fn spin_until(timeout: Duration, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    // volint::bound(4096) — timeout-bounded spin (5 s hard abort); healthy-path budget: peers answer within microseconds
+    while !done() {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::hint::spin_loop();
+        std::thread::yield_now();
+    }
+    true
 }
 
 /// The shared coordination block.
@@ -187,19 +202,7 @@ impl Rendezvous {
     /// performs the global state transfer while every peer is parked,
     /// and releases them with [`Rendezvous::signal_go`].
     pub fn wait_ready(&self, peers: usize) -> Result<(), RendezvousError> {
-        let deadline = Instant::now() + self.timeout;
-        // volint::bound(4096) — timeout-bounded spin (5 s hard abort); healthy-path budget: peers check in within microseconds
-        while count_of(self.ready.load(Ordering::Acquire)) < peers {
-            if Instant::now() > deadline {
-                #[cfg(feature = "dyncheck")]
-                // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-                self.monitor.on_abort();
-                self.active.store(false, Ordering::Release);
-                return Err(RendezvousError::Timeout);
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
+        self.wait_count(&self.ready, peers)?;
         #[cfg(feature = "dyncheck")]
         // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
         self.monitor.on_wait_ready_ok(peers);
@@ -217,24 +220,31 @@ impl Rendezvous {
     /// CP side: wait for all peers to complete their per-CPU step, then
     /// close the rendezvous.
     pub fn wait_done(&self, peers: usize) -> Result<(), RendezvousError> {
-        let deadline = Instant::now() + self.timeout;
-        // volint::bound(4096) — timeout-bounded spin (5 s hard abort); healthy-path budget: peers complete within microseconds
-        while count_of(self.done.load(Ordering::Acquire)) < peers {
-            if Instant::now() > deadline {
-                #[cfg(feature = "dyncheck")]
-                // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-                self.monitor.on_abort();
-                self.active.store(false, Ordering::Release);
-                return Err(RendezvousError::Timeout);
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
-        }
+        self.wait_count(&self.done, peers)?;
         #[cfg(feature = "dyncheck")]
         // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
         self.monitor.on_wait_done_ok(peers);
-        self.active.store(false, Ordering::Release);
+        self.end_round();
         Ok(())
+    }
+
+    /// CP side: spin until the count in `word` reaches `peers`; past the
+    /// patience window the round is aborted.
+    fn wait_count(&self, word: &AtomicU64, peers: usize) -> Result<(), RendezvousError> {
+        let counted = || count_of(word.load(Ordering::Acquire)) >= peers;
+        if spin_until(self.timeout, counted) {
+            return Ok(());
+        }
+        self.end_round();
+        Err(RendezvousError::Timeout)
+    }
+
+    /// CP side: end the round, completed or aborted.
+    fn end_round(&self) {
+        #[cfg(feature = "dyncheck")]
+        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
+        self.monitor.on_close();
+        self.active.store(false, Ordering::Release);
     }
 
     /// Peer side, epoch-pinned: check in to round `epoch` (obtained

@@ -18,8 +18,8 @@
 //! injection, the timeline legs and volint's budget and lint coverage
 //! all read the same rows (DESIGN.md §7).  This module is the engine;
 //! the frame-accounting rows' bodies live beside the strategy lattice
-//! they charge from ([`crate::pgtrack`]) and the sharded walk beside
-//! its queue ([`crate::shard`]).
+//! they charge from ([`crate::pgtrack`]) and the SMP work phase in
+//! [`crate::shard`].
 //!
 //! Switch phases are **tick-exact**: no cycle inside the handler is
 //! charged as idle time (`simx86::evclock`) — the phases are what
@@ -59,9 +59,9 @@
 use crate::pgtrack::TrackingStrategy;
 use crate::refcount::VoRefCount;
 use crate::rendezvous::{Rendezvous, RendezvousError};
-use crate::shard::{ShardChunk, WorkQueue};
+use crate::shard::ScanJob;
 use crate::vo::CountedVo;
-use nimbus::paravirt::{BareOps, ExecMode, HvmOps, PvOps, XenOps};
+use nimbus::paravirt::{BareOps, ExecMode, PvOps, XenOps};
 use nimbus::Kernel;
 use simx86::cpu::{vectors, InterruptSink, PrivLevel, TrapFrame};
 use simx86::paging::Pte;
@@ -335,7 +335,7 @@ struct VmmSet {
     /// the idle-time sweep over it.  Beside the sink, so a live-update
     /// replaces table, sink and rounds in the one store.
     rounds: Mutex<Rounds>,
-    /// `XenOps` binds `hv`; under hardware assist it is `HvmOps`
+    /// `XenOps` binds `hv`; under hardware assist it is `BareOps::hvm`
     /// instead (non-root PL0 needs no hypercalls, §8).
     virtual_vo: Arc<CountedVo>,
 }
@@ -358,7 +358,7 @@ impl VmmSet {
         );
         let virtual_ops = match assist {
             AssistMode::Software => XenOps::new(Arc::clone(&hv), Arc::clone(dom)) as Arc<dyn PvOps>,
-            AssistMode::HardwareAssisted => HvmOps::new(Arc::clone(machine)) as Arc<dyn PvOps>,
+            AssistMode::HardwareAssisted => BareOps::hvm(Arc::clone(machine)) as Arc<dyn PvOps>,
         };
         let virtual_vo = CountedVo::new(virtual_ops, Arc::clone(refcount), None);
         VmmSet {
@@ -519,10 +519,10 @@ pub struct Mercury {
     /// peer to reload into (the split-brain hazard of §5.4).
     // volint::guarded_by(rendezvous) — peers may read it only from inside a rendezvous round
     rv_round: Mutex<Option<RvRound>>,
-    /// Work queue of the sharded recompute, published while parked
-    /// peers should pull chunks; `None` outside the work phase.
+    /// The scan stripes parked peers still owe in an SMP attach's work
+    /// phase; `None` outside it.
     // volint::guarded_by(rendezvous) — published/cleared only while the CP owns the round
-    pub(crate) shard_job: Mutex<Option<Arc<WorkQueue<ShardChunk>>>>,
+    pub(crate) shard_job: Mutex<Option<ScanJob>>,
     /// Frames admitted lazily by the most recent attach, still awaiting
     /// their first-touch validation; `None` outside a lazy admission
     /// window.  Registered on every CPU's MMU while set.
@@ -1326,13 +1326,13 @@ impl Mercury {
         let Some(round) = *self.rv_round.lock() else {
             return;
         };
-        // Check in pinned to this round's epoch, and serve recompute
-        // chunks while parked (§5.4 work phase).  A Stale error means
-        // the round we saw was torn down before our check-in landed.
-        let mut served = 0usize;
+        // Check in pinned to this round's epoch, and charge this CPU's
+        // stripe of the recompute scan while parked (§5.4 work phase).
+        // A Stale error means the round we saw was torn down before our
+        // check-in landed.
         if self
             .rendezvous
-            .check_in_and_wait_serving(round.epoch, || self.shard_poll(cpu, &mut served))
+            .check_in_and_wait_serving(round.epoch, || self.shard_poll(cpu))
             .is_err()
         {
             return;
@@ -2069,38 +2069,38 @@ pub(crate) mod tests {
         assert_eq!(mercury.mode(), ExecMode::Native);
     }
 
-    #[test]
-    fn sharded_recompute_beats_serial_on_smp() {
-        use std::sync::atomic::AtomicBool as StopFlag;
-        let (machine, hv, mercury) = rig(4, TrackingStrategy::RecomputeOnSwitch);
-        let cpu0 = Arc::clone(&machine.cpus[0]);
-        let stop = Arc::new(StopFlag::new(false));
-        let peers: Vec<_> = (1..4)
-            .map(|i| {
-                let stop = Arc::clone(&stop);
-                let cpu = Arc::clone(&machine.cpus[i]);
-                std::thread::spawn(move || {
+    /// Run `f` on the boot CPU while every other CPU of `machine` only
+    /// services its interrupts, on a host thread of its own; the peers
+    /// are joined before this returns, so their clocks have settled.
+    fn with_serving_peers<R>(machine: &Machine, f: impl FnOnce() -> R) -> R {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for cpu in &machine.cpus[1..] {
+                let stop = &stop;
+                scope.spawn(move || {
                     while !stop.load(Ordering::Acquire) {
-                        cpu.tick(50);
                         cpu.service_pending();
                         std::thread::yield_now();
                     }
-                })
-            })
-            .collect();
+                });
+            }
+            let out = f();
+            stop.store(true, Ordering::Release);
+            out
+        })
+    }
 
-        mercury.switch_to_virtual(&cpu0).unwrap();
+    #[test]
+    fn sharded_recompute_beats_serial_on_smp() {
+        let (machine, hv, mercury) = rig(4, TrackingStrategy::RecomputeOnSwitch);
+        let cpu0 = &machine.cpus[0];
+        with_serving_peers(&machine, || mercury.switch_to_virtual(cpu0).unwrap());
         let sharded = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
         let snap_sharded = hv.page_info.snapshot();
         // The serial reference: the same walk over a scratch table, on
         // the CP alone.
         let (serial, snap_serial) = scratch_walk(&mercury, costs::PGINFO_RECOMPUTE_PER_FRAME);
-        mercury.switch_to_native(&cpu0).unwrap();
-
-        stop.store(true, Ordering::Release);
-        for p in peers {
-            p.join().unwrap();
-        }
+        with_serving_peers(&machine, || mercury.switch_to_native(cpu0).unwrap());
         assert_eq!(
             snap_sharded, snap_serial,
             "sharded validation must rebuild the exact serial accounting"
@@ -2109,6 +2109,75 @@ pub(crate) mod tests {
             serial >= sharded * 2,
             "4-CPU sharded recompute phase ({sharded}) must be ≥2× faster than serial ({serial})"
         );
+    }
+
+    #[test]
+    fn an_smp_attach_costs_its_stripe_arithmetic_on_every_run() {
+        // Each attach's accounting phase and every CPU's clock delta
+        // over it, on a fresh rig; and the rate-0 walk's cycles.
+        fn attaches(strategy: TrackingStrategy) -> (Vec<u64>, Vec<Vec<u64>>, u64, usize) {
+            let (machine, _hv, mercury) = rig(4, strategy);
+            let cpu0 = &machine.cpus[0];
+            let clocks = || machine.cpus.iter().map(|c| c.cycles()).collect::<Vec<_>>();
+            let (mut pginfo, mut deltas) = (Vec::new(), Vec::new());
+            for round in 0..3 {
+                if round > 0 {
+                    with_serving_peers(&machine, || mercury.switch_to_native(cpu0).unwrap());
+                }
+                let before = clocks();
+                with_serving_peers(&machine, || mercury.switch_to_virtual(cpu0).unwrap());
+                pginfo.push(mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed));
+                deltas.push(clocks().iter().zip(before).map(|(a, b)| a - b).collect());
+            }
+            let (walk, _) = scratch_walk(&mercury, 0);
+            (pginfo, deltas, walk, mercury.kernel().pool_size())
+        }
+        let first = attaches(TrackingStrategy::RecomputeOnSwitch);
+        let second = attaches(TrackingStrategy::RecomputeOnSwitch);
+        assert_eq!(first, second, "two rigs, same cycles");
+        let (pginfo, deltas, walk, owned) = first;
+        // 32 chunks on 4 CPUs: eight each.  The CP's stripe is as long
+        // as any, so the phase costs exactly that stripe plus the walk.
+        assert_eq!(owned, 32 * crate::shard::SHARD_CHUNK_FRAMES);
+        let chunk = costs::PGINFO_RECOMPUTE_PER_FRAME * owned as u64 / 32;
+        let stripe = 8 * (chunk + costs::SHARD_CHUNK_DISPATCH);
+        assert_eq!(pginfo, [walk + stripe; 3]);
+        // A peer's attach is its reload, which a dirty attach (no
+        // whole-pool walk) makes alone, plus its stripe.
+        let (_, reloads, _, _) = attaches(TrackingStrategy::DirtyRecompute);
+        for (d, r) in deltas.iter().zip(&reloads) {
+            assert_eq!(d[0], deltas[0][0]);
+            let paid: Vec<u64> = r[1..].iter().map(|r| r + stripe).collect();
+            assert_eq!(d[1..], paid);
+        }
+    }
+
+    #[test]
+    fn an_smp_attach_over_a_writable_page_table_rolls_back() {
+        let (machine, hv, mercury) = rig(4, TrackingStrategy::RecomputeOnSwitch);
+        let cpu0 = &machine.cpus[0];
+        let sess = Session::new(Arc::clone(mercury.kernel()), 0);
+        let va = sess.mmap(1, Prot::RW, MmapBacking::Anon).unwrap();
+        sess.poke(va, 1).unwrap();
+        // Map the process's own base table writable behind `va`.
+        let pgd = simx86::FrameNum(cpu0.cr3_raw());
+        let (pte, table, index) = simx86::Mmu::walk_leaf(&machine.mem, cpu0, pgd, va)
+            .unwrap()
+            .unwrap();
+        let planted = Pte::new(pgd.0, (pte.0 & 0xfff) | Pte::WRITABLE);
+        machine.mem.write_pte(cpu0, table, index, planted).unwrap();
+        cpu0.flush_tlb_local();
+        let before = hv.page_info.snapshot();
+
+        let err = with_serving_peers(&machine, || mercury.switch_to_virtual(cpu0).unwrap_err());
+        assert!(matches!(err, SwitchError::Transfer(_)), "{err:?}");
+        assert_eq!(mercury.mode(), ExecMode::Native);
+        assert!(mercury.shard_job.lock().is_none());
+        for cpu in &machine.cpus {
+            assert_eq!(cpu.pl(), PrivLevel::Pl0, "cpu{} left virtual", cpu.id);
+            assert_eq!(cpu.current_idt().unwrap().owner, "nimbus");
+        }
+        assert_eq!(hv.page_info.snapshot(), before);
     }
 
     #[test]

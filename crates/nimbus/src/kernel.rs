@@ -292,12 +292,6 @@ pub struct Kernel {
     smp: bool,
     /// A machine-check was observed (cluster failure injection, §6.5).
     pub mce_seen: AtomicBool,
-    /// Involuntary (timer-tick) preemption at syscall exit.  Off by
-    /// default, like 2.6-era `!CONFIG_PREEMPT` kernels — and because
-    /// the benchmark drivers, which stand in for the user programs,
-    /// need deterministic process roles.  [`Kernel::set_preemptible`]
-    /// turns it on.
-    preemptible: AtomicBool,
     /// Applied live patches: name → version (§6.4's live kernel update
     /// target state; patched "code" is modelled as versioned behaviour
     /// flags the workloads can observe).
@@ -344,8 +338,6 @@ impl InterruptSink for TimerSink {
         {
             let mut st = k.state.lock();
             st.sched.jiffies += 1;
-            let id = cpu.id;
-            st.sched.need_resched[id] = true;
         }
         let callbacks: Vec<TimerCallback> = k.timer_callbacks.lock().clone();
         for cb in callbacks {
@@ -498,7 +490,6 @@ impl Kernel {
                 timer_callbacks: Mutex::new(Vec::new()),
                 self_virt: RwLock::new(None),
                 patches: RwLock::new(image.patches),
-                preemptible: AtomicBool::new(false),
                 idle_task: RwLock::new(None),
                 mode,
                 mce_seen: AtomicBool::new(false),
@@ -879,7 +870,6 @@ impl Kernel {
         }
         nextp.state = ProcState::Running;
         st.sched.current[cpu.id] = Some(next);
-        st.sched.need_resched[cpu.id] = false;
         Ok(())
     }
 
@@ -966,41 +956,6 @@ impl Kernel {
     /// so the next attach finds a shorter work-list.
     pub fn set_idle_task(&self, task: Option<IdleTask>) {
         *self.idle_task.write() = task;
-    }
-
-    /// Enable or disable involuntary preemption (`CONFIG_PREEMPT`).
-    pub fn set_preemptible(&self, on: bool) {
-        self.preemptible.store(on, Ordering::Release);
-    }
-
-    /// Involuntary preemption: if the timer tick requested a reschedule
-    /// and another process is runnable, switch to it.  Called at
-    /// syscall-exit service points (kernel preemption points); a no-op
-    /// unless [`Kernel::set_preemptible`] enabled it.
-    pub fn maybe_preempt(&self, cpu: &Arc<Cpu>) -> Result<bool, KernelError> {
-        if !self.preemptible.load(Ordering::Acquire) {
-            return Ok(false);
-        }
-        let mut st = self.lock_state(cpu);
-        if !st.sched.need_resched[cpu.id] {
-            return Ok(false);
-        }
-        st.sched.need_resched[cpu.id] = false;
-        if st.sched.current(cpu.id).is_none() {
-            return Ok(false);
-        }
-        match st.sched.pick_next() {
-            Some(next) if Some(next) != st.sched.current(cpu.id) => {
-                self.do_switch(&mut st, cpu, next)?;
-                Ok(true)
-            }
-            Some(next) => {
-                // Only ourselves runnable: keep running.
-                st.sched.enqueue(next);
-                Ok(false)
-            }
-            None => Ok(false),
-        }
     }
 
     /// Voluntarily yield the CPU round-robin.
@@ -1680,7 +1635,6 @@ impl Kernel {
         // data and travel with the image.
         st.vfs.cache.drop_clean();
         st.sched.current.resize(machine.num_cpus(), None);
-        st.sched.need_resched.resize(machine.num_cpus(), false);
 
         let kernel = Self::assemble(machine, mode, image)?;
         kernel.start()?;
@@ -2469,49 +2423,6 @@ mod error_path_tests {
         // Sole process blocked on Wait: CPU idles.
         assert_eq!(sess.current_pid(), None);
         assert_eq!(sess.idle().unwrap(), None);
-    }
-}
-
-#[cfg(test)]
-mod preempt_tests {
-    use super::tests::{boot_sized, machine};
-    use super::*;
-    use crate::session::Session;
-
-    #[test]
-    fn timer_tick_preempts_between_cpu_bound_processes() {
-        let kernel = boot_sized(&machine(1), 4096, 256);
-        kernel.set_preemptible(true);
-        let sess = Session::new(Arc::clone(&kernel), 0);
-
-        let a = sess.current_pid().unwrap();
-        let b = sess.fork().unwrap();
-        // Two CPU-bound processes: burn past timer ticks; the scheduler
-        // must rotate them without any voluntary yield.
-        let mut ran = std::collections::HashSet::new();
-        for _ in 0..6 {
-            sess.compute(simx86::devices::timer::DEFAULT_PERIOD_CYCLES + 1_000);
-            // Any syscall is a preemption point.
-            let _ = sess.stat("nonexistent");
-            ran.insert(sess.current_pid().unwrap());
-        }
-        assert!(
-            ran.contains(&a) && ran.contains(&b),
-            "no time sharing: {ran:?}"
-        );
-    }
-
-    #[test]
-    fn sole_process_is_not_preempted_away() {
-        let kernel = boot_sized(&machine(1), 4096, 256);
-        kernel.set_preemptible(true);
-        let sess = Session::new(Arc::clone(&kernel), 0);
-        let me = sess.current_pid().unwrap();
-        for _ in 0..3 {
-            sess.compute(simx86::devices::timer::DEFAULT_PERIOD_CYCLES + 1_000);
-            let _ = sess.stat("x");
-            assert_eq!(sess.current_pid(), Some(me));
-        }
     }
 }
 

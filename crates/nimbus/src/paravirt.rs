@@ -12,7 +12,7 @@
 //! benchmarks against:
 //!
 //! * [`BareOps`] — direct hardware access; what unmodified native Linux
-//!   (N-L) does.
+//!   (N-L) does, and what a VT-x non-root guest does (§8).
 //! * [`XenOps`] — hypercalls into a live Xenon; what Xen-Linux (X-0 and
 //!   X-U) does.
 //!
@@ -185,37 +185,66 @@ pub trait PvOps: Send + Sync {
 }
 
 // ===========================================================================
-// BareOps: direct hardware access (native Linux)
+// BareOps: direct hardware access (native Linux, or a VT-x guest)
 // ===========================================================================
 
-/// Native-mode operations: direct privileged instructions and stores.
-/// This is what an unmodified kernel does; it only works at PL0.
+/// Direct privileged instructions and stores: what an unmodified kernel
+/// does, at PL0.
+///
+/// Natively ([`BareOps::new`]) that is the bare machine.  Under hardware
+/// assist ([`BareOps::hvm`], the paper's §8 extension) the kernel runs
+/// in VT-x non-root mode at its own PL0, so *nothing is de-privileged*:
+/// MMU writes are direct stores (EPT provides isolation), the kernel
+/// keeps its own gate table, and page tables need no registration,
+/// pinning or read-only flipping.  The costs move instead into VM exits
+/// on external interrupts and device I/O, charged by the CPU dispatch
+/// path and the drivers, and on the console.  This realizes §8's
+/// prediction: "this could make the mode switch ... much easier to
+/// implement.  Further, the nested page table or extended page table
+/// could ease the tracking of the states of each page."
 pub struct BareOps {
     machine: Arc<simx86::Machine>,
+    /// `Virtual` for a non-root guest.
+    mode: ExecMode,
 }
 
 impl BareOps {
     /// Operations against `machine`'s bare hardware.
     pub fn new(machine: Arc<simx86::Machine>) -> Arc<BareOps> {
-        Arc::new(BareOps { machine })
+        Arc::new(BareOps {
+            machine,
+            mode: ExecMode::Native,
+        })
+    }
+
+    /// Operations for a non-root guest on `machine`.
+    pub fn hvm(machine: Arc<simx86::Machine>) -> Arc<BareOps> {
+        Arc::new(BareOps {
+            machine,
+            mode: ExecMode::Virtual,
+        })
     }
 }
 
 impl PvOps for BareOps {
     fn mode(&self) -> ExecMode {
-        ExecMode::Native
+        self.mode
     }
     fn name(&self) -> &'static str {
-        "bare"
+        match self.mode {
+            ExecMode::Native => "bare",
+            ExecMode::Virtual => "hvm",
+        }
     }
 
     fn irq_disable(&self, cpu: &Arc<Cpu>) {
-        cpu.cli().expect("native kernel runs at PL0");
+        cpu.cli().expect("a bare or non-root kernel runs at PL0");
     }
     fn irq_enable(&self, cpu: &Arc<Cpu>) {
-        cpu.sti().expect("native kernel runs at PL0");
+        cpu.sti().expect("a bare or non-root kernel runs at PL0");
     }
     fn load_base_table(&self, cpu: &Arc<Cpu>, pgd: FrameNum) -> Result<(), KernelError> {
+        // With EPT, guest CR3 loads need not exit.
         cpu.write_cr3(pgd.0)?;
         Ok(())
     }
@@ -285,7 +314,8 @@ impl PvOps for BareOps {
         _kmap: &KernelMap,
         _frame: FrameNum,
     ) -> Result<(), KernelError> {
-        // Native kernels keep their page tables writable.
+        // Native kernels keep their page tables writable; under EPT
+        // page-table typing is unnecessary.
         Ok(())
     }
     fn unregister_page_table(
@@ -305,7 +335,11 @@ impl PvOps for BareOps {
         Ok(())
     }
 
-    fn console_write(&self, _cpu: &Arc<Cpu>, msg: &str) {
+    fn console_write(&self, cpu: &Arc<Cpu>, msg: &str) {
+        if self.mode == ExecMode::Virtual {
+            // Console I/O exits to the VMM.
+            cpu.tick(costs::VMEXIT + costs::VMENTRY);
+        }
         self.machine.console.write_line(msg);
     }
 }
@@ -476,140 +510,6 @@ impl PvOps for XenOps {
 
     fn console_write(&self, cpu: &Arc<Cpu>, msg: &str) {
         let _ = self.hv.console_io(cpu, msg);
-    }
-}
-
-// ===========================================================================
-// HvmOps: hardware-assisted virtual mode (the paper's §8 extension)
-// ===========================================================================
-
-/// Hardware-assisted virtual-mode operations: the kernel runs in VT-x
-/// non-root mode at its own PL0, so *nothing is de-privileged* — MMU
-/// writes are direct stores (EPT provides isolation), the kernel keeps
-/// its own gate table, and page tables need no registration, pinning or
-/// read-only flipping.  The costs move instead into VM exits on
-/// external interrupts and device I/O, charged by the CPU dispatch path
-/// and the drivers.
-///
-/// This realizes §8's prediction: "this could make the mode switch ...
-/// much easier to implement.  Further, the nested page table or
-/// extended page table could ease the tracking of the states of each
-/// page."
-pub struct HvmOps {
-    machine: Arc<simx86::Machine>,
-}
-
-impl HvmOps {
-    /// Operations for a non-root guest on `machine`.
-    pub fn new(machine: Arc<simx86::Machine>) -> Arc<HvmOps> {
-        Arc::new(HvmOps { machine })
-    }
-}
-
-impl PvOps for HvmOps {
-    fn mode(&self) -> ExecMode {
-        ExecMode::Virtual
-    }
-    fn name(&self) -> &'static str {
-        "hvm"
-    }
-
-    fn irq_disable(&self, cpu: &Arc<Cpu>) {
-        // Non-root ring 0: cli executes directly.
-        cpu.cli().expect("non-root guest kernel runs at PL0");
-    }
-    fn irq_enable(&self, cpu: &Arc<Cpu>) {
-        cpu.sti().expect("non-root guest kernel runs at PL0");
-    }
-    fn load_base_table(&self, cpu: &Arc<Cpu>, pgd: FrameNum) -> Result<(), KernelError> {
-        // With EPT, guest CR3 loads need not exit.
-        cpu.write_cr3(pgd.0)?;
-        Ok(())
-    }
-    fn load_trap_table(&self, cpu: &Arc<Cpu>, idt: Arc<IdtTable>) -> Result<(), KernelError> {
-        cpu.lidt(idt)?;
-        Ok(())
-    }
-    fn set_kernel_stack(&self, cpu: &Arc<Cpu>, _sp: u64) -> Result<(), KernelError> {
-        cpu.tick(30);
-        Ok(())
-    }
-    fn syscall_entry(&self, cpu: &Arc<Cpu>) {
-        // Syscalls stay inside the guest: native cost, no exit.
-        cpu.tick(costs::SYSCALL_NATIVE / 2);
-    }
-    fn syscall_exit(&self, cpu: &Arc<Cpu>) {
-        cpu.tick(costs::SYSCALL_NATIVE / 2);
-    }
-    fn context_switch_extra(&self, _cpu: &Arc<Cpu>) {}
-
-    fn set_pte(
-        &self,
-        cpu: &Arc<Cpu>,
-        table: FrameNum,
-        index: usize,
-        val: Pte,
-    ) -> Result<(), KernelError> {
-        // Direct store: the EPT, not validation, provides isolation.
-        cpu.tick(costs::PTE_WRITE_NATIVE);
-        self.machine.mem.write_pte(cpu, table, index, val)?;
-        Ok(())
-    }
-    fn set_ptes(
-        &self,
-        cpu: &Arc<Cpu>,
-        table: FrameNum,
-        updates: &[(usize, Pte)],
-    ) -> Result<(), KernelError> {
-        cpu.tick(costs::PTE_WRITE_NATIVE * updates.len() as u64);
-        self.machine.mem.write_ptes(cpu, table, updates)?;
-        Ok(())
-    }
-    fn flush_tlb(&self, cpu: &Arc<Cpu>) {
-        cpu.flush_tlb_local();
-    }
-    fn flush_tlb_all(&self, cpu: &Arc<Cpu>) {
-        for c in &self.machine.cpus {
-            if c.id == cpu.id {
-                cpu.flush_tlb_local();
-            } else {
-                cpu.tick(costs::IPI_SEND);
-                c.request_tlb_flush();
-            }
-        }
-    }
-    fn invlpg(&self, cpu: &Arc<Cpu>, vpn: u64) {
-        cpu.invlpg(vpn);
-    }
-    fn register_page_table(
-        &self,
-        _cpu: &Arc<Cpu>,
-        _kmap: &KernelMap,
-        _frame: FrameNum,
-    ) -> Result<(), KernelError> {
-        Ok(()) // EPT makes page-table typing unnecessary
-    }
-    fn unregister_page_table(
-        &self,
-        _cpu: &Arc<Cpu>,
-        _kmap: &KernelMap,
-        _frame: FrameNum,
-    ) -> Result<(), KernelError> {
-        Ok(())
-    }
-    fn pin_base_table(&self, cpu: &Arc<Cpu>, _pgd: FrameNum) -> Result<(), KernelError> {
-        cpu.tick(40);
-        Ok(())
-    }
-    fn unpin_base_table(&self, cpu: &Arc<Cpu>, _pgd: FrameNum) -> Result<(), KernelError> {
-        cpu.tick(40);
-        Ok(())
-    }
-
-    fn console_write(&self, cpu: &Arc<Cpu>, msg: &str) {
-        // Console I/O exits to the VMM.
-        cpu.tick(costs::VMEXIT + costs::VMENTRY);
-        self.machine.console.write_line(msg);
     }
 }
 

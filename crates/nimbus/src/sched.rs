@@ -14,8 +14,6 @@ pub struct SchedState {
     pub runq: VecDeque<Pid>,
     /// Current process per CPU.
     pub current: Vec<Option<Pid>>,
-    /// Preemption requested per CPU (set by the timer tick).
-    pub need_resched: Vec<bool>,
     /// Timer ticks observed.
     pub jiffies: u64,
 }
@@ -26,7 +24,6 @@ impl SchedState {
         SchedState {
             runq: VecDeque::new(),
             current: vec![None; num_cpus],
-            need_resched: vec![false; num_cpus],
             jiffies: 0,
         }
     }

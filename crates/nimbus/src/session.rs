@@ -69,8 +69,6 @@ impl Session {
     fn leave(&self) {
         self.pv.read(&self.kernel.pv).syscall_exit(&self.cpu);
         merctrace::span_end!(self.cpu.id, "nimbus.syscall", self.cpu.cycles());
-        // Kernel preemption point: honor a pending timer reschedule.
-        let _ = self.kernel.maybe_preempt(&self.cpu);
     }
 
     fn syscall<R>(&self, f: impl FnOnce() -> Result<R, KernelError>) -> Result<R, KernelError> {

@@ -267,9 +267,9 @@ pub const ACTIVE_TRACK_PER_PTE: u64 = 12;
 /// [`ACTIVE_TRACK_PER_PTE`]'s full mirror update.
 pub const DIRTY_TRACK_PER_PTE: u64 = 2;
 
-/// Claiming one chunk from the shared work queue of the parallel
-/// attach-time recompute (§5.4 work phase): the atomic fetch-add plus
-/// the cache-line transfer of the chunk descriptor to the claiming CPU.
+/// Dispatching one chunk of a CPU's stripe of the parallel attach-time
+/// recompute scan (§5.4 work phase): the chunk's bounds and the
+/// cache-line transfer of its descriptor to that CPU.
 pub const SHARD_CHUNK_DISPATCH: u64 = 200;
 
 /// Deferring one dirty frame to the lazy pending set at attach instead

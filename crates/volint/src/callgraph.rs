@@ -47,8 +47,8 @@ const STD_COLLISIONS: &[&str] = &[
 ];
 
 /// Type-ident wrappers skipped when mapping a struct field to the
-/// user type it holds (`shard_job: Mutex<Option<Arc<WorkQueue<..>>>>`
-/// maps to `WorkQueue`).
+/// user type it holds (`rv_round: Mutex<Option<RvRound>>` maps to
+/// `RvRound`).
 const TYPE_WRAPPERS: &[&str] = &[
     "Arc", "Rc", "Box", "Option", "Vec", "VecDeque", "Mutex", "RwLock", "RefCell", "Cell",
     "BTreeMap", "BTreeSet", "HashMap", "HashSet", "Result",

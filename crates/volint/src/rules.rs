@@ -83,7 +83,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "wait_ready",
     "wait_done",
     "check_in_and_wait_serving",
-    "wait_drained",
+    "spin_until",
 ];
 
 /// The `faultgen` injection-hook entry points (FAULT-MASK targets), in
@@ -107,8 +107,12 @@ pub const SWITCH_CRITICAL: &[&str] = &[
     "close_lazy_window",
     "rebuild_accounting",
     "sharded_recompute_phase",
-    "shard_exec_one",
     "shard_poll",
+    "stripe",
+    "charge_stripe",
+    "spin_until",
+    "wait_count",
+    "end_round",
 ];
 
 /// One row of [`FORBIDDEN`]: a fact stated in one place, and the token

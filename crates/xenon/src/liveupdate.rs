@@ -29,8 +29,7 @@
 //!
 //! On any error the successor must be discarded wholesale
 //! ([`Hypervisor::decommission`]) — partial transfer state is never
-//! repaired in place, mirroring the sharded-recompute rollback
-//! contract.  The old instance is untouched until the caller commits,
+//! repaired in place.  The old instance is untouched until the caller commits,
 //! so rollback is simply "keep using v1".
 
 use crate::domain::DomId;

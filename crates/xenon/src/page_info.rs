@@ -18,10 +18,8 @@
 //! re-attach — full **recomputation** (the default; dominates the 0.22 ms
 //! switch time) and **active tracking** from native mode (2~3 % overhead).
 //! Mercury adds a third, **dirty recompute** (snapshot at detach, log
-//! writes while native, revalidate only written frames on re-attach),
-//! and a **sharded** variant of the recompute walk
-//! ([`PageInfoTable::validate_l2_shared`]) safe to run from several
-//! rendezvoused CPUs at once.  All strategies produce this table; a
+//! writes while native, revalidate only written frames on re-attach).
+//! All strategies produce this table through the one walk below; a
 //! property test in the mercury crate asserts they agree.
 //!
 //! # The write log
@@ -542,17 +540,6 @@ impl Records {
         self.put_type_ref(frame, PageType::L2);
         Ok(())
     }
-
-    /// Claim `frame` as an L1 table for `dom`.  Returns `Ok(true)` when
-    /// this caller performed the untyped→L1 transition (and therefore
-    /// owns the entry walk), `Ok(false)` when the frame was already
-    /// L1-typed and only a reference was added.
-    fn claim_l1(&mut self, frame: FrameNum, dom: DomId) -> Result<bool, HvError> {
-        self.check_owned(frame, dom, "L1 table frame")?;
-        let (typ, count) = self.type_of(frame);
-        self.get_type_ref(frame, PageType::L1)?;
-        Ok(typ == PageType::None || count == 0)
-    }
 }
 
 impl PageInfoTable {
@@ -813,48 +800,6 @@ impl PageInfoTable {
             info.set_pinned(pgd, true)?;
         }
         Ok(())
-    }
-
-    /// Validate one base table for `dom` from a *concurrent* recompute
-    /// worker — the engine of Mercury's sharded attach walk.
-    ///
-    /// [`Self::validate_l2`] walks a whole tree under one hold of the
-    /// table's lock, which would serialize the workers.  Here the lock
-    /// is taken per L1 instead, and the L1 handling is a lock-held
-    /// **claim** (`claim_l1`): exactly one worker wins the
-    /// untyped→`L1` transition and walks the entries; everyone else
-    /// just adds a type reference.  Reference counts are additive and
-    /// each L1 is walked exactly once, so the final table is
-    /// bit-identical to the serial walk's regardless of interleaving.
-    ///
-    /// Error handling is wholesale, not surgical: a failed validation
-    /// leaves partial references behind and the caller (who has already
-    /// stopped all workers) discards the domain's state with
-    /// [`Self::clear_types_for`] — the same teardown the switch
-    /// rollback performs anyway.
-    pub fn validate_l2_shared(
-        &self,
-        cpu: &Cpu,
-        mem: &PhysMemory,
-        frame: FrameNum,
-        dom: DomId,
-    ) -> Result<(), HvError> {
-        self.info.lock().check_owned(frame, dom, "L2 table frame")?;
-        let mut view = mem.read_table(cpu, frame)?;
-        view.scan(0..ENTRIES_PER_TABLE, |view, _, pde| {
-            let l1 = FrameNum(pde.frame());
-            view.settle();
-            let mut info = self.info.lock();
-            if info.claim_l1(l1, dom)? {
-                // We won the claim: the claim itself is this entry's
-                // L1 reference, and we alone walk the entries.
-                info.scan_l1(&mut mem.read_table(cpu, l1)?, dom)?;
-            }
-            Ok::<_, HvError>(())
-        })?;
-        let mut info = self.info.lock();
-        info.get_type_ref(frame, PageType::L2)?;
-        info.set_pinned(frame, true)
     }
 
     /// All frames owned by `dom`.
@@ -1289,86 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_validation_matches_serial_snapshot() {
-        // Many base tables sharing L1s — the topology where the naive
-        // check-then-validate race would double-count.  Run the shared
-        // validator from several real threads and diff against the
-        // serial walk.
-        let frames = 64;
-        let (t, mem, cpu) = rig(frames);
-        // PGDs 1..=8 each map L1s 10..14 (heavily shared) plus a
-        // private L1; L1s map data frames 30.. writable.
-        let pgds: Vec<FrameNum> = (1..=8).map(FrameNum).collect();
-        for l1 in 10..15u32 {
-            for slot in 0..4usize {
-                mem.write_pte(
-                    &cpu,
-                    FrameNum(l1),
-                    slot,
-                    Pte::new(30 + (l1 - 10) * 4 + slot as u32, Pte::WRITABLE),
-                )
-                .unwrap();
-            }
-        }
-        for (i, &pgd) in pgds.iter().enumerate() {
-            for (slot, l1) in (10..15u32).enumerate() {
-                mem.write_pte(&cpu, pgd, slot, Pte::new(l1, Pte::WRITABLE))
-                    .unwrap();
-            }
-            // Private L1 per pgd.
-            let private = 20 + i as u32;
-            mem.write_pte(&cpu, FrameNum(private), 0, Pte::new(50 + i as u32, Pte::WRITABLE))
-                .unwrap();
-            mem.write_pte(&cpu, pgd, 5, Pte::new(private, Pte::WRITABLE))
-                .unwrap();
-        }
-
-        // Serial reference.
-        t.recompute_for(&cpu, &mem, D, frames, &pgds).unwrap();
-        let serial = t.snapshot();
-
-        // Sharded run: 4 threads pull pgds from a shared index.
-        t.clear_types_for(D);
-        let t = Arc::new(t);
-        let mem = Arc::new(mem);
-        let next = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let pgds = Arc::new(pgds);
-        let workers: Vec<_> = (0..4)
-            .map(|id| {
-                let (t, mem, next, pgds) =
-                    (Arc::clone(&t), Arc::clone(&mem), Arc::clone(&next), Arc::clone(&pgds));
-                std::thread::spawn(move || {
-                    let wcpu = Arc::new(Cpu::new(id));
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-                        let Some(&pgd) = pgds.get(i) else { break };
-                        t.validate_l2_shared(&wcpu, &mem, pgd, D).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            w.join().unwrap();
-        }
-        assert_eq!(t.snapshot(), serial);
-    }
-
-    #[test]
-    fn sharded_validation_rejects_writable_page_table() {
-        let (t, mem, cpu) = rig(8);
-        // PGD 1 → L1 2 → maps PGD 1 itself writable: the claim path
-        // must reject it just like the serial walk does.
-        mem.write_pte(&cpu, FrameNum(1), 0, Pte::new(2, Pte::WRITABLE))
-            .unwrap();
-        mem.write_pte(&cpu, FrameNum(2), 0, Pte::new(1, Pte::WRITABLE))
-            .unwrap();
-        assert!(t.validate_l2_shared(&cpu, &mem, FrameNum(1), D).is_err());
-        // Wholesale teardown is the caller's contract.
-        t.clear_types_for(D);
-        assert_eq!(t.type_of(FrameNum(2)), (PageType::None, 0));
-    }
-
-    #[test]
     fn a_cursor_reads_by_owner_and_epoch() {
         let (t, _, _) = rig(8);
         t.set_owner(FrameNum(7), Some(DomId(9)));
@@ -1647,31 +1512,6 @@ mod tests {
                         "a failed validation left a reference"
                     );
                 }
-            }
-        });
-    }
-
-    #[test]
-    fn sharded_walk_matches_the_per_entry_oracle_on_one_cpu() {
-        // One worker, so the interleaving is the serial one: same
-        // accounting as the oracle's walk, and the same cycles as a
-        // rate-0 serial walk.  On a rejected tree the sharded walk
-        // leaves its partial references for the wholesale teardown, so
-        // only the verdict and the cycles are compared there.
-        faultgen::rng::check("sharded walk matches the oracle", 200, |rng| {
-            let writes = random_tree(rng);
-            let (new_t, new_mem, new_cpu) = tree_rig(&writes);
-            let (old_t, old_mem, old_cpu) = tree_rig(&writes);
-            for pgd in PGDS.map(FrameNum) {
-                let new = new_t.validate_l2_shared(&new_cpu, &new_mem, pgd, D);
-                let old = oracle::validate_l2(&old_t, &old_cpu, &old_mem, pgd, D, 0);
-                assert_eq!(new.is_ok(), old.is_ok());
-                if new.is_err() {
-                    return;
-                }
-                old_t.info.lock().set_pinned(pgd, true).unwrap();
-                assert_eq!(new_t.snapshot(), old_t.snapshot());
-                assert_eq!(new_cpu.cycles(), old_cpu.cycles());
             }
         });
     }

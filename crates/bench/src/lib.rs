@@ -155,7 +155,7 @@ pub struct SwitchTimes {
 }
 
 /// Sharded-vs-serial attach-time `page_info` recompute on an SMP rig
-/// (§5.4 work phase: parked rendezvous peers charge stripes of the scan).
+/// (every CPU of the §5.4 rendezvous charges its stripe of the scan).
 #[derive(Debug, Clone)]
 pub struct ShardedRecompute {
     /// Simulated CPUs on the rig (1 control processor + peers).

@@ -28,25 +28,17 @@
 //! from an aborted round fails the epoch check and is rejected with
 //! [`RendezvousError::Stale`] without ever touching the count.
 //!
-//! ## Tick-exact: the rendezvous is never idle time
+//! ## A spin charges nothing
 //!
-//! The rendezvous spin windows are *not* charged in one tick through
-//! `simx86::evclock`, even though they look like idle time.  The spin
-//! is where peer CPUs are caught at a service point — its length is
-//! the measurement (§5.4's switch-time-vs-CPUs curve), not dead time,
-//! and the watchdog's sticky-degradation decision keys on a real
-//! timeout here.  Idle consumers *around* a switch (the watchdog's
-//! retry backoff, a serving gap) idle up to their next deadline and
-//! re-enter the protocol tick-exact.
-//!
-//! ## The work phase
-//!
-//! While parked between check-in and the go flag, peers would spin
-//! uselessly for the whole state transfer.  [`Rendezvous::
-//! check_in_and_wait_serving`] instead polls a caller-supplied closure
-//! each iteration; on an SMP attach Mercury has each parked peer
-//! charge its stripe of the `page_info` recompute scan there while the
-//! CP walks the tables (see `crate::shard`).
+//! Every wait here is one loop, `spin_until`, and a spinning CPU is
+//! charged no cycle: its simulated clock stands still while its host
+//! thread spins, and is not idled forward through `simx86::evclock`
+//! either.  Only the host clock bounds the wait — the
+//! [`RENDEZVOUS_TIMEOUT`] behind the watchdog's sticky-degradation
+//! decision — so a wedged peer costs host time, not simulated time.
+//! Idle consumers *around* a switch (the watchdog's retry backoff, a
+//! serving gap) idle up to their next deadline and re-enter the
+//! protocol tick-exact.
 //!
 //! The full handshake, with the peer on its own thread as a second CPU
 //! would be (in the real switch path the peer side runs inside the
@@ -61,8 +53,8 @@
 //! let peer = {
 //!     let rv = Arc::clone(&rv);
 //!     std::thread::spawn(move || {
-//!         // peer: ack the IPI, park (serving work while parked)
-//!         rv.check_in_and_wait_serving(epoch, || false).unwrap();
+//!         // peer: ack the IPI, park until go
+//!         rv.check_in_and_wait(epoch).unwrap();
 //!         // … per-CPU state reload runs here (§5.1.3) …
 //!         rv.complete_for(epoch);            // peer: report done
 //!     })
@@ -250,19 +242,10 @@ impl Rendezvous {
     /// Peer side, epoch-pinned: check in to round `epoch` (obtained
     /// from the CP's published round descriptor) and spin until go.
     ///
-    /// While parked, `work` is polled every iteration; it returns
-    /// `true` when it performed a unit of work (the CP is alive and
-    /// feeding the queue, so the patience window restarts) and `false`
-    /// when there is nothing to do right now.
-    ///
     /// The check-in itself is an epoch-guarded compare-and-swap: if the
     /// target round has been aborted or superseded the call returns
     /// [`RendezvousError::Stale`] and the count is untouched.
-    pub fn check_in_and_wait_serving(
-        &self,
-        epoch: u32,
-        mut work: impl FnMut() -> bool,
-    ) -> Result<(), RendezvousError> {
+    pub fn check_in_and_wait(&self, epoch: u32) -> Result<(), RendezvousError> {
         // Reject before counting: a ghost IPI from an aborted round
         // must never pollute a later round's count.
         if !self.in_progress() {
@@ -285,23 +268,15 @@ impl Rendezvous {
         #[cfg(feature = "dyncheck")]
         // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
         self.monitor.on_check_in();
-        let mut deadline = Instant::now() + self.timeout;
-        // volint::bound(4096) — timeout-bounded spin on the go flag (5 s hard abort)
-        while !self.go.load(Ordering::Acquire) {
-            if epoch_of(self.ready.load(Ordering::Acquire)) != epoch || !self.in_progress() {
-                // CP aborted (e.g. its own timeout) or the round was
-                // superseded while we were parked.
-                return Err(RendezvousError::Timeout);
-            }
-            if work() {
-                deadline = Instant::now() + self.timeout;
-                continue;
-            }
-            if Instant::now() > deadline {
-                return Err(RendezvousError::Timeout);
-            }
-            std::hint::spin_loop();
-            std::thread::yield_now();
+        // Stop on go, or once the CP aborted (e.g. its own timeout) or
+        // superseded the round while we were parked.
+        let mut released = false;
+        spin_until(self.timeout, || {
+            released = self.go.load(Ordering::Acquire);
+            released || epoch_of(self.ready.load(Ordering::Acquire)) != epoch || !self.in_progress()
+        });
+        if !released {
+            return Err(RendezvousError::Timeout);
         }
         #[cfg(feature = "dyncheck")]
         // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
@@ -337,15 +312,13 @@ impl Rendezvous {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Arc;
 
-    /// A peer of round `epoch` with no work to serve: check in, park
-    /// until go, report done.
+    /// A peer of round `epoch`: check in, park until go, report done.
     fn peer(r: &Arc<Rendezvous>, epoch: u32) -> std::thread::JoinHandle<()> {
         let r = Arc::clone(r);
         std::thread::spawn(move || {
-            r.check_in_and_wait_serving(epoch, || false).unwrap();
+            r.check_in_and_wait(epoch).unwrap();
             assert!(r.complete_for(epoch));
         })
     }
@@ -438,7 +411,7 @@ mod tests {
         // The aborted round's IPI is finally serviced, *between*
         // rounds: rejected without counting.
         assert_eq!(
-            r.check_in_and_wait_serving(epoch1, || false).unwrap_err(),
+            r.check_in_and_wait(epoch1).unwrap_err(),
             RendezvousError::Stale
         );
         let checked_in = || count_of(r.ready.load(Ordering::Acquire));
@@ -451,7 +424,7 @@ mod tests {
         let epoch2 = r.begin().unwrap();
         assert_ne!(epoch2, epoch1);
         assert_eq!(
-            r.check_in_and_wait_serving(epoch1, || false).unwrap_err(),
+            r.check_in_and_wait(epoch1).unwrap_err(),
             RendezvousError::Stale
         );
         assert_eq!(checked_in(), 0, "stale epoch counted into a live round");
@@ -468,45 +441,5 @@ mod tests {
         assert!(r.complete_for(epoch3));
         r.wait_ready(0).unwrap();
         r.signal_go();
-    }
-
-    #[test]
-    fn parked_peers_serve_work_until_go() {
-        // The §5.4 work phase: while parked between check-in and go,
-        // peers drain a shared queue instead of spinning.
-        let r = Arc::new(Rendezvous::new());
-        let epoch = r.begin().unwrap();
-        let work = Arc::new(AtomicUsize::new(0));
-        const ITEMS: usize = 64;
-        let peers: Vec<_> = (0..2)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                let work = Arc::clone(&work);
-                std::thread::spawn(move || {
-                    r.check_in_and_wait_serving(epoch, || {
-                        work.fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
-                            (n < ITEMS).then_some(n + 1)
-                        })
-                        .is_ok()
-                    })
-                    .unwrap();
-                    assert!(r.complete_for(epoch));
-                })
-            })
-            .collect();
-        r.wait_ready(2).unwrap();
-        // All queued work is drained by the parked peers before the CP
-        // releases them.
-        let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
-        while work.load(Ordering::Acquire) < ITEMS {
-            assert!(Instant::now() < deadline, "peers never drained the work");
-            std::thread::yield_now();
-        }
-        r.signal_go();
-        r.wait_done(2).unwrap();
-        for p in peers {
-            p.join().unwrap();
-        }
-        assert_eq!(work.load(Ordering::Acquire), ITEMS);
     }
 }

@@ -1,9 +1,9 @@
-//! The §5.4 work phase of an SMP attach: the parked peers share the
-//! accounting scan.
+//! The sharded scan of an SMP attach: every CPU in the §5.4 rendezvous
+//! pays a share of the accounting scan.
 //!
 //! §7.4 of the paper attributes most of the native→virtual switch cost
 //! to recomputing the type/count information for all page frames, and
-//! during exactly that window the §5.4 rendezvous parks every peer CPU.
+//! during exactly that window the §5.4 rendezvous holds every peer CPU.
 //! The recompute is a uniform per-frame scan plus a walk of the base
 //! tables.  Only the scan is shared: it is cut into
 //! [`SHARD_CHUNK_FRAMES`]-frame chunks, chunk *i* belongs to CPU *i* mod
@@ -14,17 +14,15 @@
 //! phase costs its makespan, the slowest CPU's spend, and since a
 //! CPU's stripe is fixed by its id, that is the same on every run.
 //!
-//! Protocol (per attach, between `wait_ready` and `signal_go`):
-//!
-//! 1. The CP publishes a [`ScanJob`] in which every peer owes its stripe.
-//! 2. Each parked peer, polling from its rendezvous wait
-//!    ([`Mercury::shard_poll`]), charges its stripe and clears its bit.
-//! 3. The CP charges its own stripe, walks the tables and waits until
-//!    no peer owes one.
-//! 4. The CP unpublishes the job, on the failure path too, before it
-//!    signals go.
+//! Protocol (per attach): between `wait_ready` and `signal_go` the CP
+//! writes the `ScanJob` into the round descriptor it already
+//! published, charges its own stripe and walks the tables.  A peer
+//! re-reads the descriptor after go and charges its stripe before it
+//! reloads.  A simulated clock does not move while its thread spins, so
+//! paying after go costs the peer what paying while parked would.  A
+//! failed transition rewrites only the descriptor's target: once the CP
+//! reached the scan, every peer pays its stripe.
 
-use crate::rendezvous::{spin_until, RENDEZVOUS_TIMEOUT};
 use crate::switch::{Mercury, SwitchError};
 use simx86::{costs, Cpu};
 use std::sync::Arc;
@@ -44,9 +42,6 @@ pub(crate) struct ScanJob {
     chunks: u64,
     /// CPUs the chunks are dealt to.
     cpus: u64,
-    /// One bit per CPU that still owes its stripe, by CPU id (so at
-    /// most 64 CPUs).
-    owed: u64,
 }
 
 impl ScanJob {
@@ -61,62 +56,41 @@ impl ScanJob {
     }
 
     /// Charge `cpu`'s stripe to its own clock.
-    fn charge_stripe(&self, cpu: &Cpu) {
+    pub(crate) fn charge_stripe(&self, cpu: &Cpu) {
         cpu.tick(self.stripe(cpu.id));
         merctrace::counter!(cpu.id, "switch.shard.stripe", 1, cpu.cycles());
     }
 }
 
 impl Mercury {
-    /// Rebuild page_info on an SMP attach: the CP walks every base table
-    /// while the parked peers charge their stripes of the scan
-    /// (`per_frame` cycles per owned frame).  The CP is charged the
-    /// phase's makespan, not the serial sum.
+    /// Rebuild page_info on an SMP attach: the CP deals the scan
+    /// (`per_frame` cycles per owned frame) through the round
+    /// descriptor and walks every base table; each peer charges its
+    /// stripe once released.  The CP is charged the phase's makespan,
+    /// not the serial sum.
     pub(crate) fn sharded_recompute_phase(
         &self,
         cpu: &Arc<Cpu>,
         per_frame: u64,
     ) -> Result<(), SwitchError> {
         let owned = self.kernel().pool_size();
-        let cpus = self.kernel().machine.num_cpus();
         let job = ScanJob {
             cycles: per_frame * owned as u64,
             chunks: owned.div_ceil(SHARD_CHUNK_FRAMES).max(1) as u64,
-            cpus: cpus as u64,
-            owed: (u64::MAX >> (64 - cpus)) & !(1 << cpu.id),
+            cpus: self.kernel().machine.num_cpus() as u64,
         };
         merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
-        *self.shard_job.lock() = Some(job);
+        if let Some(round) = self.rv_round.lock().as_mut() {
+            round.scan = Some(job);
+        }
         let p0 = cpu.cycles();
         job.charge_stripe(cpu);
         let walked = self.rebuild_accounting(cpu, &self.hypervisor().page_info, 0);
-        let paid = spin_until(RENDEZVOUS_TIMEOUT, || {
-            self.shard_job.lock().is_some_and(|job| job.owed == 0)
-        });
-        *self.shard_job.lock() = None;
         // Chunk 0's CPU holds the longest stripe.
         let spent = cpu.cycles() - p0;
         cpu.tick(job.stripe(0).saturating_sub(spent));
         merctrace::span_end!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
-        if !paid {
-            return Err(SwitchError::Transfer(
-                "a peer never charged its recompute stripe".into(),
-            ));
-        }
         walked
-    }
-
-    /// The parked peer's work-phase callback: charge this CPU's stripe
-    /// if a job is published and it still owes it.  Returns whether it
-    /// did (which resets the peer's rendezvous deadline).
-    pub(crate) fn shard_poll(&self, cpu: &Cpu) -> bool {
-        let mut slot = self.shard_job.lock();
-        let Some(job) = slot.as_mut().filter(|job| job.owed & (1 << cpu.id) != 0) else {
-            return false;
-        };
-        job.charge_stripe(cpu);
-        job.owed &= !(1 << cpu.id);
-        true
     }
 }
 
@@ -129,7 +103,6 @@ mod tests {
             cycles,
             chunks,
             cpus,
-            owed: 0,
         }
     }
 

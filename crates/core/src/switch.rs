@@ -18,8 +18,8 @@
 //! injection, the timeline legs and volint's budget and lint coverage
 //! all read the same rows (DESIGN.md §7).  This module is the engine;
 //! the frame-accounting rows' bodies live beside the strategy lattice
-//! they charge from ([`crate::pgtrack`]) and the SMP work phase in
-//! [`crate::shard`].
+//! they charge from ([`crate::pgtrack`]) and the SMP attach's shared
+//! scan in [`crate::shard`].
 //!
 //! Switch phases are **tick-exact**: no cycle inside the handler is
 //! charged as idle time (`simx86::evclock`) — the phases are what
@@ -316,9 +316,12 @@ impl std::ops::Add for SwitchCounts {
 /// rendezvous operation to *this* round so a stale interrupt from an
 /// aborted round can never check into (or complete) a later one.
 #[derive(Debug, Clone, Copy)]
-struct RvRound {
+pub(crate) struct RvRound {
     epoch: u32,
     target: ExecMode,
+    /// The attach's scan, once the CP has dealt it: each peer charges
+    /// its stripe after go (see `crate::shard`).
+    pub(crate) scan: Option<ScanJob>,
 }
 
 /// A VMM with both virtualization objects pre-built against it (§4.1
@@ -518,11 +521,7 @@ pub struct Mercury {
     /// so a failed round can never leave a stale target for a later
     /// peer to reload into (the split-brain hazard of §5.4).
     // volint::guarded_by(rendezvous) — peers may read it only from inside a rendezvous round
-    rv_round: Mutex<Option<RvRound>>,
-    /// The scan stripes parked peers still owe in an SMP attach's work
-    /// phase; `None` outside it.
-    // volint::guarded_by(rendezvous) — published/cleared only while the CP owns the round
-    pub(crate) shard_job: Mutex<Option<ScanJob>>,
+    pub(crate) rv_round: Mutex<Option<RvRound>>,
     /// Frames admitted lazily by the most recent attach, still awaiting
     /// their first-touch validation; `None` outside a lazy admission
     /// window.  Registered on every CPU's MMU while set.
@@ -672,7 +671,6 @@ impl Mercury {
             ept,
             rendezvous: Rendezvous::new(),
             rv_round: Mutex::new(None),
-            shard_job: Mutex::new(None),
             lazy_set: Mutex::new(None),
             pending: Mutex::new(None),
             pending_update: Mutex::new(None),
@@ -1198,11 +1196,14 @@ impl Mercury {
         // torn down on every error path so no stale target survives an
         // aborted round.
         let peers = self.machine.num_cpus() - 1;
-        let mut epoch = 0u32;
         if peers > 0 {
             merctrace::span_begin!(cpu.id, "switch.rendezvous.gather", cpu.cycles());
-            epoch = self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
-            *self.rv_round.lock() = Some(RvRound { epoch, target });
+            let epoch = self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
+            *self.rv_round.lock() = Some(RvRound {
+                epoch,
+                target,
+                scan: None,
+            });
             self.machine
                 .intc
                 .broadcast_ipi(cpu, vectors::SELF_VIRT_RENDEZVOUS);
@@ -1273,12 +1274,10 @@ impl Mercury {
                     e => e,
                 });
             }
-            // The peers reload for the *current* (unchanged) mode.
-            if peers > 0 {
-                *self.rv_round.lock() = Some(RvRound {
-                    epoch,
-                    target: self.mode(),
-                });
+            // The peers reload for the *current* (unchanged) mode, and
+            // still pay any scan stripe they were dealt.
+            if let Some(round) = self.rv_round.lock().as_mut() {
+                round.target = self.mode();
             }
         } else {
             // The commit, which has no row: it cannot fail or be
@@ -1326,23 +1325,19 @@ impl Mercury {
         let Some(round) = *self.rv_round.lock() else {
             return;
         };
-        // Check in pinned to this round's epoch, and charge this CPU's
-        // stripe of the recompute scan while parked (§5.4 work phase).
-        // A Stale error means the round we saw was torn down before our
-        // check-in landed.
-        if self
-            .rendezvous
-            .check_in_and_wait_serving(round.epoch, || self.shard_poll(cpu))
-            .is_err()
-        {
+        // Check in pinned to this round's epoch.  A Stale error means
+        // the round we saw was torn down before our check-in landed.
+        if self.rendezvous.check_in_and_wait(round.epoch).is_err() {
             return;
         }
-        // Re-read the target: a failed transition rewrites the round so
-        // peers reload for the unchanged mode.
-        let target = (*self.rv_round.lock())
-            .map(|r| r.target)
-            .unwrap_or(round.target);
-        self.reload_and_return(cpu, frame, target);
+        // Re-read the round: the CP may have dealt this CPU a stripe of
+        // the recompute scan, and a failed transition rewrites the
+        // target so peers reload for the unchanged mode.
+        let now = (*self.rv_round.lock()).unwrap_or(round);
+        if let Some(scan) = now.scan {
+            scan.charge_stripe(cpu);
+        }
+        self.reload_and_return(cpu, frame, now.target);
         self.rendezvous.complete_for(round.epoch);
     }
 
@@ -2018,18 +2013,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn smp_switch_times_out_if_peer_not_serving() {
-        let (machine, _hv, mercury) = rig(2, TrackingStrategy::RecomputeOnSwitch);
-        let cpu0 = Arc::clone(&machine.cpus[0]);
-        // CPU1 never services interrupts → rendezvous must time out, and
-        // the system must remain native and consistent.
-        let err = mercury.switch_to_virtual(&cpu0).unwrap_err();
-        assert!(matches!(err, SwitchError::Rendezvous(_)));
-        assert_eq!(mercury.mode(), ExecMode::Native);
-        assert_eq!(cpu0.pl(), PrivLevel::Pl0);
-    }
-
-    #[test]
     fn failed_rendezvous_leaves_no_stale_round() {
         // Regression for the stale rv_target bug: the round descriptor
         // used to be published *before* begin() and left set on the
@@ -2052,9 +2035,11 @@ pub(crate) mod tests {
         mercury.rendezvous.wait_done(0).unwrap();
 
         // Timeout: the peer never services, wait_ready aborts — the
-        // descriptor must be torn down with the round.
+        // descriptor must be torn down with the round, and the CP stays
+        // native.
         let err = mercury.switch_to_virtual(&cpu0).unwrap_err();
         assert_eq!(err, SwitchError::Rendezvous(RendezvousError::Timeout));
+        assert_eq!(cpu0.pl(), PrivLevel::Pl0);
         assert!(
             mercury.rv_round.lock().is_none(),
             "a timed-out switch must not leave a stale round target"
@@ -2152,14 +2137,13 @@ pub(crate) mod tests {
         }
     }
 
-    #[test]
-    fn an_smp_attach_over_a_writable_page_table_rolls_back() {
-        let (machine, hv, mercury) = rig(4, TrackingStrategy::RecomputeOnSwitch);
+    /// Map the boot CPU's base table writable behind a fresh page, so
+    /// the next whole-pool walk fails validation.
+    fn plant_writable_base_table(machine: &Machine, mercury: &Mercury) {
         let cpu0 = &machine.cpus[0];
         let sess = Session::new(Arc::clone(mercury.kernel()), 0);
         let va = sess.mmap(1, Prot::RW, MmapBacking::Anon).unwrap();
         sess.poke(va, 1).unwrap();
-        // Map the process's own base table writable behind `va`.
         let pgd = simx86::FrameNum(cpu0.cr3_raw());
         let (pte, table, index) = simx86::Mmu::walk_leaf(&machine.mem, cpu0, pgd, va)
             .unwrap()
@@ -2167,17 +2151,49 @@ pub(crate) mod tests {
         let planted = Pte::new(pgd.0, (pte.0 & 0xfff) | Pte::WRITABLE);
         machine.mem.write_pte(cpu0, table, index, planted).unwrap();
         cpu0.flush_tlb_local();
+    }
+
+    #[test]
+    fn an_smp_attach_over_a_writable_page_table_rolls_back() {
+        let (machine, hv, mercury) = rig(4, TrackingStrategy::RecomputeOnSwitch);
+        let cpu0 = &machine.cpus[0];
+        plant_writable_base_table(&machine, &mercury);
         let before = hv.page_info.snapshot();
 
         let err = with_serving_peers(&machine, || mercury.switch_to_virtual(cpu0).unwrap_err());
         assert!(matches!(err, SwitchError::Transfer(_)), "{err:?}");
         assert_eq!(mercury.mode(), ExecMode::Native);
-        assert!(mercury.shard_job.lock().is_none());
+        assert!(mercury.rv_round.lock().is_none());
         for cpu in &machine.cpus {
             assert_eq!(cpu.pl(), PrivLevel::Pl0, "cpu{} left virtual", cpu.id);
             assert_eq!(cpu.current_idt().unwrap().owner, "nimbus");
         }
         assert_eq!(hv.page_info.snapshot(), before);
+    }
+
+    #[test]
+    fn a_failed_smp_attach_charges_the_peers_stripes_once_the_scan_is_dealt() {
+        // Every peer's clock delta over one failed attach on a fresh rig.
+        fn peer_deltas(fail: impl FnOnce(&Machine, &Mercury)) -> (Vec<u64>, usize) {
+            let (machine, _hv, mercury) = rig(4, TrackingStrategy::RecomputeOnSwitch);
+            fail(&machine, &mercury);
+            let clocks = || machine.cpus.iter().map(|c| c.cycles()).collect::<Vec<_>>();
+            let before = clocks();
+            let cpu0 = &machine.cpus[0];
+            let err = with_serving_peers(&machine, || mercury.switch_to_virtual(cpu0).unwrap_err());
+            assert!(matches!(err, SwitchError::Transfer(_)), "{err:?}");
+            let deltas = clocks().into_iter().zip(before).map(|(a, b)| a - b);
+            (deltas.skip(1).collect(), mercury.kernel().pool_size())
+        }
+        // The walk fails inside the row, after the CP dealt the scan …
+        let (walked, owned) = peer_deltas(plant_writable_base_table);
+        // … and an abort before the row deals none.
+        let (aborted, _) =
+            peer_deltas(|_, mercury| mercury.inject_abort(Some("switch.transfer.pginfo_full")));
+        let chunk = costs::PGINFO_RECOMPUTE_PER_FRAME * owned as u64 / 32;
+        let stripe = 8 * (chunk + costs::SHARD_CHUNK_DISPATCH);
+        let paid: Vec<u64> = aborted.iter().map(|d| d + stripe).collect();
+        assert_eq!(walked, paid);
     }
 
     #[test]

@@ -268,7 +268,7 @@ pub const ACTIVE_TRACK_PER_PTE: u64 = 12;
 pub const DIRTY_TRACK_PER_PTE: u64 = 2;
 
 /// Dispatching one chunk of a CPU's stripe of the parallel attach-time
-/// recompute scan (§5.4 work phase): the chunk's bounds and the
+/// recompute scan (§5.4 rendezvous): the chunk's bounds and the
 /// cache-line transfer of its descriptor to that CPU.
 pub const SHARD_CHUNK_DISPATCH: u64 = 200;
 

@@ -82,7 +82,7 @@ const BLOCKING_CALLS: &[&str] = &[
     "switch_to_native",
     "wait_ready",
     "wait_done",
-    "check_in_and_wait_serving",
+    "check_in_and_wait",
     "spin_until",
 ];
 
@@ -107,7 +107,6 @@ pub const SWITCH_CRITICAL: &[&str] = &[
     "close_lazy_window",
     "rebuild_accounting",
     "sharded_recompute_phase",
-    "shard_poll",
     "stripe",
     "charge_stripe",
     "spin_until",

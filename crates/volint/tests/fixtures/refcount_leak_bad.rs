@@ -31,6 +31,12 @@ pub fn holds_guard_across_switch(rc: &Arc<VoRefCount>, m: &Mercury, cpu: &Arc<Cp
     drop(g);
 }
 
+pub fn holds_guard_across_check_in(rc: &Arc<VoRefCount>, rv: &Rendezvous, epoch: u32) {
+    let g = rc.enter();
+    let _ = rv.check_in_and_wait(epoch); //~ REFCOUNT-LEAK
+    drop(g);
+}
+
 // Balanced use: not flagged.
 pub fn balanced(rc: &Arc<VoRefCount>) -> usize {
     let g = rc.enter();

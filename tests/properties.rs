@@ -204,8 +204,8 @@ fn all_strategies_rebuild_identical_accounting() {
     });
 }
 
-/// The §5.4 work-phase recompute, sharded across rendezvoused
-/// peers, rebuilds exactly the serial walk's snapshot.  A rig with
+/// The attach-time recompute, its scan sharded across the §5.4
+/// rendezvous, rebuilds exactly the serial walk's snapshot.  A rig with
 /// peers always shards, so the serial side is the same walk over a
 /// scratch table, made while attached (detached, the tables are
 /// writable and fail validation).

@@ -148,10 +148,10 @@ fn smp_switches_under_concurrent_load() {
         assert_eq!(cpu.current_idt().unwrap().owner, "nimbus");
     }
     // With the happens-before checker compiled in, every rendezvous
-    // round and every sharded work phase above ran under the
-    // vector-clock monitors: any missing release/acquire edge (a chunk
-    // completion not ordered before signal_go, a check-in not ordered
-    // before the CP's decision) would have been recorded.
+    // round above ran under the vector-clock monitors: any missing
+    // release/acquire edge (a check-in not ordered before the CP's
+    // decision, a completion not ordered before the round's close)
+    // would have been recorded.
     #[cfg(feature = "dyncheck")]
     {
         let reports = mercury::dyncheck::take_reports();

@@ -28,10 +28,12 @@
 //!   [`SYNC_REVALIDATE_CAP`] of them synchronously; overflow beyond the
 //!   cap is deferred to first guest touch through the lazy
 //!   validation-fault path ([`simx86::lazy::LazySet`]) — and restores
-//!   the clean frames at the snapshot-restore rate.  An idle detach
-//!   window makes the re-attach nearly free, and the cap makes the
-//!   attach-time accounting phase *statically bounded* regardless of
-//!   how much native mode dirtied.
+//!   the clean frames at the snapshot-restore rate — on the host too:
+//!   the detach's records are restored, not re-derived (the boot
+//!   pre-cache keeps only the log's baseline, so the first attach
+//!   walks).  An idle detach window makes the re-attach nearly free,
+//!   and the cap makes the attach-time accounting phase *statically
+//!   bounded* regardless of how much native mode dirtied.
 //! * [`TrackingStrategy::LazyValidate`] — the demand-paged extreme:
 //!   attach synchronously revalidates only the *kernel-critical* dirty
 //!   frames (the page-table frames a guest could subvert the VMM
@@ -43,13 +45,19 @@
 //! **Modelling note** (see DESIGN.md §7b): the mirror's bookkeeping work
 //! is charged per mutation through the native VO
 //! ([`simx86::costs::ACTIVE_TRACK_PER_PTE`] /
-//! [`simx86::costs::DIRTY_TRACK_PER_PTE`]); at attach time the
-//! correctness path reuses the same validator as recompute — at a
-//! mirror adoption rate ([`ADOPT_PER_FRAME`]) for active tracking, and
-//! at the capped dirty/clean/deferred blended rate for the dirty
-//! strategies.  A property test asserts all strategies produce
-//! identical `page_info` state, which is the invariant the paper's
-//! design relies on.
+//! [`simx86::costs::DIRTY_TRACK_PER_PTE`]).  At attach time active
+//! tracking reuses recompute's whole walk at a mirror adoption rate
+//! ([`ADOPT_PER_FRAME`]).  The dirty strategies charge the capped
+//! dirty/clean/deferred blended rate and do what it says: the detach
+//! keeps its records restorable, and the attach restores them and
+//! applies the old → new reference delta of each page table written
+//! while native — the table's pre-image, kept by the VO's sink at its
+//! first write, against the live frame — falling back to the whole
+//! walk wherever the retained records do not cover a change
+//! ([`xenon::PageInfoTable::reattach`]).  Either way the records and
+//! the cycles are the walk's.  A property test asserts all strategies
+//! produce identical `page_info` state, which is the invariant the
+//! paper's design relies on.
 //!
 //! **One log, Mercury's rounds.**  The baseline is not a copy of
 //! anything: it is an epoch of [`xenon::page_info`]'s write log, held
@@ -57,7 +65,9 @@
 //! the VO's sink (so a live-update replaces table, sink and rounds
 //! together and no caller re-points a reader).  Detach and the boot
 //! pre-cache rebase it; the attach is its final round, which reads the
-//! work-list and clears nothing; and [`Mercury::donate_idle`] runs
+//! work-list for its charge and clears nothing (which tables it
+//! re-derives is told by memory's write stamps, not by the log); and
+//! [`Mercury::donate_idle`] runs
 //! budgeted rounds on donated idle cycles, so a frame revalidated in
 //! the background is off the next attach's work-list.  The donation counters
 //! ([`SwitchStats::idle_revalidated`](crate::SwitchStats) and
@@ -79,12 +89,11 @@
 //! charges it.
 
 use crate::switch::{Mercury, Round, SwitchError};
-use simx86::mem::FrameNum;
+use simx86::mem::{FrameNum, PhysMemory};
 use simx86::{costs, Cpu, LazySet};
-use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use xenon::PageInfoTable;
+use xenon::{HvError, PageInfoTable};
 
 /// Per-frame cost of adopting the actively-maintained mirror at attach
 /// (a table copy, not a walk of the page tables).
@@ -219,18 +228,13 @@ impl Mercury {
         // subvert the VMM through.  (Gate and descriptor tables are not
         // frame-backed in this machine model; their transfer is the
         // trap_table phase.)
-        let critical: BTreeSet<u32> = self
-            .kernel()
-            .all_table_frames()
-            .into_iter()
-            .map(|f| f.0)
-            // volint::allow(SWITCH-ALLOC): the critical set is bounded by the ≤ 256 kernel table frames and built once per attach
-            .collect();
+        // Sorted, so membership is a binary search.
+        let critical = self.kernel().all_table_frames();
         let dirty = self.revalidation_backlog();
         // Critical frames sort first so the sync quota can never
         // truncate them.
         let (mut ordered, rest): (Vec<FrameNum>, Vec<FrameNum>) =
-            dirty.into_iter().partition(|f| critical.contains(&f.0));
+            dirty.into_iter().partition(|f| critical.binary_search(f).is_ok());
         let n_critical = ordered.len();
         // volint::allow(SWITCH-ALLOC): extends the partitioned work-list in place (total length = dirty count)
         ordered.extend(rest);
@@ -244,26 +248,27 @@ impl Mercury {
         cpu.tick(
             sync as u64 * costs::PGINFO_RECOMPUTE_PER_FRAME + clean as u64 * RESTORE_PER_FRAME,
         );
-        // The validation itself rebuilds the whole accounting from the
-        // live tables — the cycle charge above models the dirty/clean
-        // split; correctness never depends on the write log (a frame
-        // idle time retired, or a deferred one, still validates here).
-        // On the host the rebuild costs the tables it walks, not the
-        // machine: the work-list above skipped every log block unwritten
-        // since the baseline, and the clear inside is one generation
-        // increment (DESIGN.md §7b).
-        self.rebuild_accounting(cpu, &hv.page_info, 0)?;
+        // The validation itself restores the records the detach kept
+        // and patches them by the tables written while native — the
+        // cycle charge above models the dirty/clean split, and the
+        // patch charges the walk's reads it stands for, so a clean
+        // frame's restore is a restore.  Correctness never depends on
+        // the write log: the tables written are told by the memory's
+        // stamps, not by the log a frame idle time retired or a
+        // deferred one sits in.  Anything the retained records do not
+        // cover falls back to the whole walk from the live tables, one
+        // generation increment and all (DESIGN.md §7b).
+        self.reattach_accounting(cpu, &hv.page_info, &critical)?;
 
         // Lazy admission: enqueue everything past the sync quota for
         // first-touch validation.
         merctrace::span_begin!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
         // volint::cost(16384) — deferral enqueue: ≤ 16384 pool frames × LAZY_DEFER_PER_FRAME(1)
-        // volint::allow(SWITCH-PANIC): sync = ordered.len().min(quota), so the slice start is always in bounds
-        let deferred = &ordered[sync..];
+        let deferred = ordered.get(sync..).unwrap_or_default();
         cpu.tick(deferred.len() as u64 * costs::LAZY_DEFER_PER_FRAME);
         if !deferred.is_empty() {
             debug_assert!(
-                deferred.iter().all(|f| !critical.contains(&f.0)),
+                deferred.iter().all(|f| critical.binary_search(f).is_err()),
                 "kernel-critical frame deferred past admission"
             );
             merctrace::counter!(
@@ -298,22 +303,54 @@ impl Mercury {
     }
 
     /// Rebuild `table`'s accounting for the kernel's domain from the
-    /// live page tables, charging `per_frame` cycles per owned frame,
-    /// and bind the base tables it walked to the domain — even if the
-    /// walk failed: the `undo` of the row that called unbinds them, and
-    /// a caller that is itself an `undo` has nowhere to report to.
+    /// live page tables, charging `per_frame` cycles per owned frame
+    /// ([`Self::bind_accounting`]).
     pub(crate) fn rebuild_accounting(
         &self,
         cpu: &Arc<Cpu>,
         table: &PageInfoTable,
         per_frame: u64,
     ) -> Result<(), SwitchError> {
+        let dom = self.dom0().id;
+        self.bind_accounting(|mem, owned, pgds| {
+            table
+                .recompute_for_at(cpu, mem, dom, owned, pgds, per_frame)
+                .map(|()| false)
+        })
+    }
+
+    /// [`Self::rebuild_accounting`] under a dirty baseline: the
+    /// detach's retained records patched by what changed, or the whole
+    /// walk where they do not cover it ([`PageInfoTable::reattach`]);
+    /// the cycles and the records are the walk's either way.
+    /// `tables` is every page-table frame of the kernel, sorted.
+    fn reattach_accounting(
+        &self,
+        cpu: &Arc<Cpu>,
+        table: &PageInfoTable,
+        tables: &[FrameNum],
+    ) -> Result<(), SwitchError> {
+        let dom = self.dom0().id;
+        self.bind_accounting(|mem, owned, pgds| table.reattach(cpu, mem, dom, owned, pgds, tables))
+    }
+
+    /// Account the kernel's domain with `account` (memory, owned
+    /// frames, base tables; whether the retained records served) and
+    /// bind the base tables to the domain — even if it failed: the
+    /// `undo` of the row that called unbinds them, and a caller that is
+    /// itself an `undo` has nowhere to report to.
+    fn bind_accounting(
+        &self,
+        account: impl FnOnce(&PhysMemory, usize, &[FrameNum]) -> Result<bool, HvError>,
+    ) -> Result<(), SwitchError> {
         let kernel = self.kernel();
         let pgds = kernel.all_pgds();
-        let owned = kernel.pool_size();
-        let mem = &kernel.machine.mem;
-        let walked = table.recompute_for_at(cpu, mem, self.dom0().id, owned, &pgds, per_frame);
+        let walked = account(&kernel.machine.mem, kernel.pool_size(), &pgds);
         self.dom0().reset_pgds(pgds);
+        if walked == Ok(true) {
+            self.stats.delta_attaches.fetch_add(1, Ordering::Relaxed);
+        }
+        let walked = walked.map(drop);
         // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
         walked.map_err(|e| SwitchError::Transfer(e.to_string()))
     }
@@ -336,6 +373,11 @@ impl Mercury {
     /// the domain's base-table list.
     fn release_accounting(&self) {
         self.hypervisor().page_info.clear_types_for(self.dom0().id);
+        self.unbind_pgds();
+    }
+
+    /// The domain has no base tables the VMM validated.
+    fn unbind_pgds(&self) {
         // volint::allow(SWITCH-ALLOC): Vec::new is capacity 0 — no heap touch
         self.dom0().reset_pgds(Vec::new());
     }
@@ -343,15 +385,19 @@ impl Mercury {
     /// Detach-side accounting under a dirty baseline: *retain* the
     /// just-live accounting as the next attach's snapshot and only drop
     /// the type restrictions on the pinned table frames — O(tables)
-    /// (DESIGN.md §7b).  Closing the lazy window is charged here.
+    /// (DESIGN.md §7b).  The records stay restorable, with the tables
+    /// they stand for ([`PageInfoTable::retain`]).  Closing the lazy
+    /// window is charged here.
     pub(crate) fn retain_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let hv = self.hypervisor();
         hv.deactivate();
         self.close_lazy_window(r.cpu);
-        let tables = self.kernel().all_table_frames().len();
+        let tables = self.kernel().all_table_frames();
         // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
-        r.cpu.tick(costs::PGINFO_CLEAR_PER_FRAME * tables as u64);
-        self.release_accounting();
+        r.cpu
+            .tick(costs::PGINFO_CLEAR_PER_FRAME * tables.len() as u64);
+        hv.page_info.retain(self.dom0().id, tables);
+        self.unbind_pgds();
         self.rebase_write_cursor();
         Ok(())
     }
@@ -382,8 +428,11 @@ mod tests {
     use super::*;
     use crate::switch::tests::{rig, scratch_walk};
     use crate::vo::VO_INDIRECT;
+    use nimbus::kernel::MmapBacking;
+    use nimbus::mm::Prot;
     use nimbus::paravirt::{BareOps, PvOps};
-    use simx86::paging::Pte;
+    use nimbus::Session;
+    use simx86::paging::{Pte, VirtAddr, PAGE_SIZE};
 
     /// The lattice pinned against the mechanism: per strategy, what the
     /// native VO, the attach-time accounting phase and the detach are
@@ -563,5 +612,75 @@ mod tests {
         let phase =
             mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed) - scratch_walk(&mercury, 0).0;
         assert_eq!(phase, owned * RESTORE_PER_FRAME, "an all-clean restore");
+    }
+
+    /// Under both dirty strategies, each attach after the first
+    /// restores what the detach retained and patches it by the tables
+    /// the kernel wrote while native (pages mapped, re-protected and
+    /// unmapped in tables that already exist, and a direct-map entry of
+    /// a table frame rewritten through the VO, which puts the detach's
+    /// flip in a pre-image): the records are the whole walk's, and the
+    /// retained records served every time.
+    #[test]
+    fn a_reattach_from_retained_records_is_the_walk() {
+        for strategy in [TrackingStrategy::DirtyRecompute, TrackingStrategy::LazyValidate] {
+            let (machine, hv, mercury) = rig(1, strategy);
+            let cpu = machine.boot_cpu();
+            let sess = Session::new(Arc::clone(mercury.kernel()), 0);
+            let va = sess.mmap(64, Prot::RW, MmapBacking::Anon).unwrap();
+            let page = |i: u64| VirtAddr(va.0 + i * PAGE_SIZE);
+            sess.poke(page(0), 1).unwrap();
+            let served = || mercury.stats.delta_attaches.load(Ordering::Relaxed);
+            mercury.switch_to_virtual(cpu).unwrap();
+            assert_eq!(served(), 0, "{strategy:?}: nothing is retained at boot");
+            for round in 1..=4u64 {
+                mercury.switch_to_native(cpu).unwrap();
+                sess.poke(page(round * 3), round).unwrap();
+                let prot = [Prot::RO, Prot::RW][round as usize % 2];
+                sess.mprotect(page(0), 1, prot).unwrap();
+                sess.munmap(page(round * 3 - 2), 1).unwrap();
+                let kernel = mercury.kernel();
+                let (l1, index) = kernel.kmap().locate(kernel.all_pgds()[0]).unwrap();
+                let entry = machine.mem.read_pte(cpu, l1, index).unwrap();
+                assert!(entry.writable(), "the detach flipped it writable");
+                kernel.pv().set_pte(cpu, l1, index, entry).unwrap();
+                mercury.switch_to_virtual(cpu).unwrap();
+                assert_eq!(served(), round, "{strategy:?}: round {round}");
+                let walked = scratch_walk(&mercury, 0).1;
+                assert_eq!(hv.page_info.snapshot(), walked, "{strategy:?}: round {round}");
+            }
+        }
+    }
+
+    /// A retained record wiped — a leaf table's or a writably mapped
+    /// frame's, while virtual before the detach or while native — is
+    /// repaired by the next attach, as the whole walk repairs it:
+    /// retained records stand only for what the validators derived.
+    #[test]
+    fn a_wiped_retained_record_is_repaired_by_the_next_attach() {
+        for while_virtual in [true, false] {
+            for leaf_table in [true, false] {
+                let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
+                let cpu = machine.boot_cpu();
+                mercury.switch_to_virtual(cpu).unwrap();
+                // A detach that retained what an attach derived.
+                mercury.switch_to_native(cpu).unwrap();
+                mercury.switch_to_virtual(cpu).unwrap();
+                let wanted = [xenon::PageType::Writable, xenon::PageType::L1][usize::from(leaf_table)];
+                let frame = hv.page_info.snapshot().iter().position(|rec| rec.typ == wanted);
+                let frame = simx86::FrameNum(frame.unwrap() as u32);
+                if while_virtual {
+                    hv.page_info.corrupt_record(frame);
+                }
+                mercury.switch_to_native(cpu).unwrap();
+                if !while_virtual {
+                    hv.page_info.corrupt_record(frame);
+                }
+                mercury.switch_to_virtual(cpu).unwrap();
+                let walked = scratch_walk(&mercury, 0).1;
+                let case = format!("{wanted:?} wiped while virtual: {while_virtual}");
+                assert_eq!(hv.page_info.snapshot(), walked, "{case}");
+            }
+        }
     }
 }

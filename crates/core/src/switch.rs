@@ -226,6 +226,10 @@ pub struct SwitchStats {
     pub idle_revalidated: AtomicU64,
     /// Idle cycles [`Mercury::donate_idle`] consumed doing so.
     pub idle_cycles_donated: AtomicU64,
+    /// Attaches whose accounting the detach's retained records served,
+    /// patched by what changed while native, instead of a whole walk
+    /// ([`xenon::PageInfoTable::reattach`]).
+    pub delta_attaches: AtomicU64,
 }
 
 /// The cumulative counters of [`SwitchStats`] as plain numbers: what a
@@ -353,7 +357,9 @@ impl VmmSet {
         dom: &Arc<Domain>,
     ) -> VmmSet {
         let row = strategy.row();
-        let sink = row.dirty_baseline.then(|| Arc::clone(&hv.page_info));
+        let sink = row
+            .dirty_baseline
+            .then(|| (Arc::clone(&hv.page_info), Arc::clone(machine)));
         let native_vo = CountedVo::new(
             BareOps::new(Arc::clone(machine)) as Arc<dyn PvOps>,
             Arc::clone(refcount),
@@ -1390,11 +1396,19 @@ impl Mercury {
     // its result is ignored.
 
     /// Flip the direct-map writability of every page-table frame:
-    /// read-only under the VMM, writable again without it.
+    /// read-only under the VMM, writable again without it.  These are
+    /// the VMM's own stores to the tables a detach retained, and they
+    /// cancel out across a native window; the frame table is told when
+    /// the window opens and before it closes, so a table stamped in
+    /// between is one the kernel wrote.
     fn flip_tables<const READ_ONLY: bool>(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let cpu = r.cpu;
         let kmap = self.kernel.kmap();
         let mem = &self.machine.mem;
+        let page_info = &self.hypervisor().page_info;
+        if READ_ONLY {
+            page_info.close_native_window(mem);
+        }
         // volint::bound(256) — kernel table frames: one L2 root plus L1 tables for a 64 MiB pool, ≤ 256 by construction
         for f in self.kernel.all_table_frames() {
             // volint::cost(12) — per-frame PTE read + writability flip
@@ -1416,6 +1430,9 @@ impl Mercury {
             mem.write_pte(cpu, l1, idx, new)
                 // volint::allow(SWITCH-ALLOC): map_err string materializes only on the failure path, after the transfer has already aborted
                 .map_err(|e| SwitchError::Transfer(e.to_string()))?;
+        }
+        if !READ_ONLY {
+            page_info.open_native_window(mem);
         }
         Ok(())
     }
@@ -2140,17 +2157,64 @@ pub(crate) mod tests {
     /// Map the boot CPU's base table writable behind a fresh page, so
     /// the next whole-pool walk fails validation.
     fn plant_writable_base_table(machine: &Machine, mercury: &Mercury) {
-        let cpu0 = &machine.cpus[0];
         let sess = Session::new(Arc::clone(mercury.kernel()), 0);
         let va = sess.mmap(1, Prot::RW, MmapBacking::Anon).unwrap();
         sess.poke(va, 1).unwrap();
+        plant_over(machine, va);
+    }
+
+    /// The leaf table mapping `va` and the entry that does.
+    fn leaf_of(machine: &Machine, va: VirtAddr) -> (Pte, simx86::FrameNum, usize) {
+        let cpu0 = &machine.cpus[0];
         let pgd = simx86::FrameNum(cpu0.cr3_raw());
-        let (pte, table, index) = simx86::Mmu::walk_leaf(&machine.mem, cpu0, pgd, va)
+        simx86::Mmu::walk_leaf(&machine.mem, cpu0, pgd, va)
             .unwrap()
-            .unwrap();
-        let planted = Pte::new(pgd.0, (pte.0 & 0xfff) | Pte::WRITABLE);
+            .unwrap()
+    }
+
+    /// Turn the mapping of `va` into a writable mapping of the base
+    /// table with a raw store, past every VO.
+    fn plant_over(machine: &Machine, va: VirtAddr) {
+        let cpu0 = &machine.cpus[0];
+        let (pte, table, index) = leaf_of(machine, va);
+        let pgd = cpu0.cr3_raw();
+        let planted = Pte::new(pgd, (pte.0 & 0xfff) | Pte::WRITABLE);
         machine.mem.write_pte(cpu0, table, index, planted).unwrap();
         cpu0.flush_tlb_local();
+    }
+
+    /// A table written while native with a store no VO saw is read
+    /// from memory at the attach, under every strategy: the attach
+    /// rolls back as the walk does, whether the write is the table's
+    /// first since the detach or follows a tracked one that left the
+    /// retained records a pre-image to diff against.
+    #[test]
+    fn an_attach_over_an_untracked_table_write_rolls_back() {
+        for strategy in TrackingStrategy::ALL {
+            for tracked_first in [false, true] {
+                let (machine, hv, mercury) = rig(1, strategy);
+                let cpu = machine.boot_cpu();
+                let sess = Session::new(Arc::clone(mercury.kernel()), 0);
+                // A leaf table the detach retains, mapping a page.
+                let va = sess.mmap(2, Prot::RW, MmapBacking::Anon).unwrap();
+                sess.poke(va, 1).unwrap();
+                mercury.switch_to_virtual(cpu).unwrap();
+                mercury.switch_to_native(cpu).unwrap();
+                let (_, table, index) = leaf_of(&machine, va);
+                if tracked_first {
+                    let next = (index + 1) % simx86::paging::ENTRIES_PER_TABLE;
+                    mercury.kernel().pv().set_pte(cpu, table, next, Pte::ABSENT).unwrap();
+                }
+                plant_over(&machine, va);
+                let before = hv.page_info.snapshot();
+
+                let err = mercury.switch_to_virtual(cpu).unwrap_err();
+                let case = format!("{strategy:?}, tracked write first: {tracked_first}");
+                assert!(matches!(err, SwitchError::Transfer(_)), "{case}: {err:?}");
+                assert_eq!(mercury.mode(), ExecMode::Native, "{case}");
+                assert_eq!(hv.page_info.snapshot(), before, "{case}");
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,10 @@
 //!   the mutation only stamps the containing table frame in the
 //!   dormant VMM's write log ([`xenon::page_info`]), so the next attach
 //!   revalidates just the written frames — synchronously up to a cap,
-//!   lazily on first touch beyond it.
+//!   lazily on first touch beyond it.  The sink runs before the write
+//!   lands, so at a retained table's first write since the detach it
+//!   keeps the frame's pre-image: the old side of the attach's delta
+//!   ([`PageInfoTable::reattach`]).
 
 use crate::refcount::VoRefCount;
 use nimbus::paravirt::{ExecMode, KernelMap, PvOps};
@@ -28,7 +31,7 @@ use nimbus::KernelError;
 use simx86::cpu::IdtTable;
 use simx86::mem::FrameNum;
 use simx86::paging::Pte;
-use simx86::Cpu;
+use simx86::{Cpu, Machine};
 use std::sync::Arc;
 use xenon::PageInfoTable;
 
@@ -43,11 +46,15 @@ pub struct CountedVo {
     inner: Arc<dyn PvOps>,
     counter: Arc<VoRefCount>,
     /// The native VO's watch on page-table mutations: cycles charged
-    /// per entry written and, under a dirty baseline, the dormant VMM's
-    /// frame table to log the written table frame in.  `None` on
-    /// the virtual VO — an attached VMM does its own accounting.
-    tracking: Option<(u64, Option<Arc<PageInfoTable>>)>,
+    /// per entry written and, under a dirty baseline, the sink.  `None`
+    /// on the virtual VO — an attached VMM does its own accounting.
+    tracking: Option<(u64, Option<DirtySink>)>,
 }
+
+/// Under a dirty baseline, where the native VO reports a table frame
+/// about to be written: the dormant VMM's frame table, and the memory
+/// it keeps pre-images of.
+pub type DirtySink = (Arc<PageInfoTable>, Arc<Machine>);
 
 impl CountedVo {
     /// Wrap `inner` with reference counting.  `tracking` is the native
@@ -56,7 +63,7 @@ impl CountedVo {
     pub fn new(
         inner: Arc<dyn PvOps>,
         counter: Arc<VoRefCount>,
-        tracking: Option<(u64, Option<Arc<PageInfoTable>>)>,
+        tracking: Option<(u64, Option<DirtySink>)>,
     ) -> Arc<CountedVo> {
         Arc::new(CountedVo {
             inner,
@@ -86,8 +93,8 @@ impl CountedVo {
             return;
         };
         cpu.tick(per_pte * entries);
-        if let Some(pi) = sink {
-            pi.mark_dirty(table);
+        if let Some((pi, machine)) = sink {
+            pi.note_write(&machine.mem, table);
         }
     }
 }
@@ -287,7 +294,10 @@ mod tests {
         let vo = CountedVo::new(
             BareOps::new(Arc::clone(&m)),
             VoRefCount::new(),
-            Some((costs::DIRTY_TRACK_PER_PTE, Some(Arc::clone(&sink)))),
+            Some((
+                costs::DIRTY_TRACK_PER_PTE,
+                Some((Arc::clone(&sink), Arc::clone(&m))),
+            )),
         );
         let updates: Vec<(usize, Pte)> = (0..16).map(|i| (i, Pte::ABSENT)).collect();
 

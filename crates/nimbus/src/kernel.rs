@@ -1647,7 +1647,7 @@ impl Kernel {
 
     /// All page-table frames of all live processes plus the kernel's own
     /// tables — the set whose direct-map writability Mercury's state
-    /// transfer flips (§5.1.2 item 1).
+    /// transfer flips (§5.1.2 item 1).  Sorted, without duplicates.
     pub fn all_table_frames(&self) -> Vec<FrameNum> {
         let st = self.state.lock();
         // volint::allow(SWITCH-ALLOC): table-frame enumeration buffer; built on the CP before the flip loop touches any PTE, §5.1.2 accepts it

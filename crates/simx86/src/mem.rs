@@ -48,6 +48,24 @@
 //! movers) are loops over words with the same guarantee and no more: a
 //! frame copied while another CPU writes it ends with every word a
 //! value somebody stored, not with one moment's image of the frame.
+//!
+//! # Every store stamps its frame
+//!
+//! Memory keeps a machine **write epoch** and, per frame, the epoch of
+//! its last store.  Every path that changes a word — [`PhysMemory::write_word`]
+//! and [`PhysMemory::write_pte`], [`PhysMemory::write_ptes`], the
+//! destination of [`PhysMemory::copy_frame`], [`PhysMemory::zero_frame`],
+//! [`PhysMemory::write_bytes`], [`PhysMemory::import_frame`] and a due
+//! fault-injection bit flip — stamps the frame *before* it stores its
+//! data, and a stamp only grows; no read path stamps.  So "frame F is
+//! unchanged since [`checkpoint`](PhysMemory::checkpoint) E"
+//! ([`PhysMemory::stored_since`]) is a fact of this file, whoever wrote
+//! the frame and through which layer (DESIGN.md §14a): a store ordered
+//! after the checkpoint reads as after it, and a reader that loaded any
+//! word such a store wrote sees its stamp on its next
+//! [`stored_since`](PhysMemory::stored_since), as in a seqlock.  Only
+//! a store in flight across the checkpoint itself may read either way.
+//! Stamps cost no cycle.
 
 use crate::costs;
 use crate::cpu::Cpu;
@@ -111,9 +129,17 @@ fn new_frame() -> Frame {
         .expect("exact size")
 }
 
+/// A point in the machine's write history ([`PhysMemory::checkpoint`]).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
+pub struct WriteEpoch(u64);
+
 /// The machine's physical memory.
 pub struct PhysMemory {
     frames: Box<[Frame]>,
+    /// Per frame, the write epoch of its last store.
+    stamps: Box<[AtomicU64]>,
+    /// The epoch stores are stamped with.
+    epoch: AtomicU64,
 }
 
 impl PhysMemory {
@@ -121,6 +147,42 @@ impl PhysMemory {
     pub fn new(num_frames: usize) -> Self {
         PhysMemory {
             frames: (0..num_frames).map(|_| new_frame()).collect(),
+            stamps: (0..num_frames).map(|_| AtomicU64::new(0)).collect(),
+            epoch: AtomicU64::new(0),
+        }
+    }
+
+    /// Start a new write epoch and return it: a store that begins after
+    /// this call returns (ordered after it) is stamped with it or a
+    /// later one.  A store in flight across the call may carry the
+    /// epoch before it, so a caller that needs every later store seen
+    /// checkpoints while no CPU stores.
+    pub fn checkpoint(&self) -> WriteEpoch {
+        WriteEpoch(self.epoch.fetch_add(1, Ordering::AcqRel) + 1)
+    }
+
+    /// Has `frame` been stored to since `epoch`?  A frame the machine
+    /// does not have reads as written.
+    pub fn stored_since(&self, frame: FrameNum, epoch: WriteEpoch) -> bool {
+        self.stamps
+            .get(frame.0 as usize)
+            .is_none_or(|stamp| stamp.load(Ordering::Acquire) >= epoch.0)
+    }
+
+    /// Stamp `frame` with the current epoch, *before* its data is
+    /// stored: the data store is `Release`, so whoever loads a word this
+    /// store writes also sees the stamp.  A stamp only grows: a store
+    /// that loaded an older epoch cannot hide a newer one.  The frame's
+    /// first store in an epoch raises its stamp; every later one only
+    /// loads it.
+    #[inline]
+    fn stamp(&self, frame: FrameNum) {
+        let Some(stamp) = self.stamps.get(frame.0 as usize) else {
+            return;
+        };
+        let epoch = self.epoch.load(Ordering::Acquire);
+        if stamp.load(Ordering::Acquire) < epoch {
+            stamp.fetch_max(epoch, Ordering::AcqRel);
         }
     }
 
@@ -161,6 +223,7 @@ impl PhysMemory {
         // persists until a watchdog scrubs it.
         let flip = faultgen::mem_read_site!(cpu.id, cpu.cycles(), pa.frame().0, pa.word_index());
         if flip != 0 {
+            self.stamp(pa.frame());
             return Ok(word.fetch_xor(flip, Ordering::AcqRel) ^ flip);
         }
         Ok(word.load(Ordering::Acquire))
@@ -169,7 +232,9 @@ impl PhysMemory {
     /// Write one 8-byte word.  Charges [`costs::MEM_WORD`] to `cpu`.
     pub fn write_word(&self, cpu: &Cpu, pa: PhysAddr, value: u64) -> Result<(), Fault> {
         cpu.tick(costs::MEM_WORD);
-        self.word_ref(pa)?.store(value, Ordering::Release);
+        let word = self.word_ref(pa)?;
+        self.stamp(pa.frame());
+        word.store(value, Ordering::Release);
         Ok(())
     }
 
@@ -213,6 +278,7 @@ impl PhysMemory {
             .inspect_err(|_| cpu.tick(costs::MEM_WORD))?;
         Ok(TableView {
             frame,
+            mem: self,
             cpu,
             table,
             words: [0; WORDS_PER_PAGE],
@@ -244,6 +310,7 @@ impl PhysMemory {
             .frame_ref(table)
             .inspect_err(|_| cpu.tick(costs::MEM_WORD))?;
         cpu.tick(costs::MEM_WORD * entries.len() as u64);
+        self.stamp(table);
         // volint::bound(512) — one run ≤ ENTRIES_PER_TABLE entries of one table
         for &(index, pte) in entries {
             // index < WORDS_PER_PAGE is the caller's contract, as for write_pte
@@ -259,6 +326,7 @@ impl PhysMemory {
             return Ok(());
         }
         let (s, d) = (self.frame_ref(src)?, self.frame_ref(dst)?);
+        self.stamp(dst);
         for (to, from) in d.iter().zip(s) {
             to.store(from.load(Ordering::Acquire), Ordering::Release);
         }
@@ -268,7 +336,9 @@ impl PhysMemory {
     /// Zero-fill a frame.  Charges [`costs::FRAME_ZERO`].
     pub fn zero_frame(&self, cpu: &Cpu, frame: FrameNum) -> Result<(), Fault> {
         cpu.tick(costs::FRAME_ZERO);
-        for word in self.frame_ref(frame)? {
+        let words = self.frame_ref(frame)?;
+        self.stamp(frame);
+        for word in words {
             word.store(0, Ordering::Release);
         }
         Ok(())
@@ -293,8 +363,14 @@ impl PhysMemory {
     /// bytes of one word both land.  A buffer that runs off the end of
     /// memory is written up to the last frame that exists, then faults.
     pub fn write_bytes(&self, pa: PhysAddr, data: &[u8]) -> Result<(), Fault> {
+        // Each frame is stamped once, before its first word is stored.
+        let mut stamped = None;
         for (at, lanes, range) in word_spans(pa, data.len()) {
             let word = self.word_ref(at)?;
+            if stamped != Some(at.frame()) {
+                self.stamp(at.frame());
+                stamped = Some(at.frame());
+            }
             let mut bytes = [0u8; 8];
             bytes[lanes.clone()].copy_from_slice(&data[range]);
             let bits = u64::from_le_bytes(bytes);
@@ -320,10 +396,23 @@ impl PhysMemory {
     /// Import raw contents into a frame (restore, migration receive).
     pub fn import_frame(&self, frame: FrameNum, words: &[u64]) -> Result<(), Fault> {
         assert_eq!(words.len(), WORDS_PER_PAGE, "frame image has wrong size");
-        for (to, &from) in self.frame_ref(frame)?.iter().zip(words) {
+        let to = self.frame_ref(frame)?;
+        self.stamp(frame);
+        for (to, &from) in to.iter().zip(words) {
             to.store(from, Ordering::Release);
         }
         Ok(())
+    }
+
+    /// The words of `frame`, each loaded as the iterator reaches it,
+    /// uncharged and unhooked: the host's view of memory for a caller
+    /// that charges what it stands for itself.  A frame the machine
+    /// does not have faults.
+    pub fn words(&self, frame: FrameNum) -> Result<impl Iterator<Item = u64> + '_, Fault> {
+        Ok(self
+            .frame_ref(frame)?
+            .iter()
+            .map(|word| word.load(Ordering::Acquire)))
     }
 
     /// Compare two frames for equality (used by migration tests).
@@ -374,10 +463,11 @@ fn word_spans(
 /// `settle` first.
 pub struct TableView<'a> {
     frame: &'a [AtomicU64; WORDS_PER_PAGE],
+    /// Stamps the frame when an injected flip lands.
+    mem: &'a PhysMemory,
     cpu: &'a Cpu,
     /// Names the frame to the injection hook, which is compiled out by
-    /// default.
-    #[allow(dead_code)]
+    /// default, and to its stamp.
     table: FrameNum,
     /// Each consumed entry as it was handed out; 0, [`Pte::ABSENT`],
     /// for one a scan passed over.
@@ -527,6 +617,7 @@ impl TableView<'_> {
         let word = &frame[index];
         let flip = faultgen::mem_read_site!(self.cpu.id, self.cpu.cycles(), self.table.0, index);
         if flip != 0 {
+            self.mem.stamp(self.table);
             Pte(word.fetch_xor(flip, Ordering::AcqRel) ^ flip)
         } else {
             Pte(word.load(Ordering::Acquire))
@@ -980,6 +1071,137 @@ mod tests {
         mem.copy_frame(&test_cpu(), src, dst).unwrap();
         assert!(mem.frames_equal(src, dst).unwrap());
         assert_eq!(mem.export_frame(dst).unwrap()[511], stamp(PASSES, 511));
+    }
+
+    /// A copy taken between two `stored_since` checks that both read
+    /// clean holds no word stored after the checkpoint, whatever store
+    /// raced it on another thread: memory stamps before it stores, so
+    /// the second check sees the stamp of any store whose word the copy
+    /// loaded.  Each round the writer fills the frame from its last
+    /// word down while the reader copies from its first word up, so a
+    /// copy's last loads meet the writer's first stores.
+    #[test]
+    fn a_copy_that_loaded_a_store_sees_its_stamp() {
+        const ROUNDS: u64 = 10_000;
+        let mem = PhysMemory::new(1);
+        let cpu = test_cpu();
+        let frame = FrameNum(0);
+        let mut kept = 0;
+        for round in 1..=ROUNDS {
+            mem.zero_frame(&cpu, frame).unwrap();
+            let since = mem.checkpoint();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for i in (0..WORDS_PER_PAGE as u64).rev() {
+                        mem.write_bytes(PhysAddr(i * 8), &round.to_le_bytes())
+                            .unwrap();
+                    }
+                });
+                loop {
+                    let clean = !mem.stored_since(frame, since);
+                    let copy: Vec<u64> = mem.words(frame).unwrap().collect();
+                    if clean && !mem.stored_since(frame, since) {
+                        kept += 1;
+                        assert!(
+                            copy.iter().all(|&word| word == 0),
+                            "round {round}: a clean copy holds a racing store"
+                        );
+                    }
+                    if copy.iter().all(|&word| word == round) {
+                        break;
+                    }
+                }
+            });
+        }
+        assert!(kept > 0, "no copy ever ran ahead of the writer");
+    }
+
+    /// Every store path stamps the frame it changes and nothing else;
+    /// no read path stamps: a copy stamps its destination, not its
+    /// source.
+    #[test]
+    fn every_store_path_stamps_its_frame_and_no_read_does() {
+        let mem = PhysMemory::new(4);
+        let cpu = test_cpu();
+        let (a, b) = (FrameNum(1), FrameNum(2));
+        let written = |since| -> Vec<bool> {
+            (0..4)
+                .map(|f| mem.stored_since(FrameNum(f), since))
+                .collect()
+        };
+        let image = mem.export_frame(FrameNum(0)).unwrap();
+        /// A store path, and which frames it must stamp.
+        type Store<'a> = (&'a str, &'a dyn Fn(), [bool; 4]);
+        let stores: [Store; 8] = [
+            (
+                "write_word",
+                &|| mem.write_word(&cpu, a.base(), 1).unwrap(),
+                [false, true, false, false],
+            ),
+            (
+                "write_pte",
+                &|| mem.write_pte(&cpu, b, 3, Pte::new(5, 0)).unwrap(),
+                [false, false, true, false],
+            ),
+            (
+                "write_ptes",
+                &|| mem.write_ptes(&cpu, a, &[(0, Pte::ABSENT)]).unwrap(),
+                [false, true, false, false],
+            ),
+            (
+                "copy_frame",
+                &|| mem.copy_frame(&cpu, a, b).unwrap(),
+                [false, false, true, false],
+            ),
+            (
+                "zero_frame",
+                &|| mem.zero_frame(&cpu, FrameNum(3)).unwrap(),
+                [false, false, false, true],
+            ),
+            // Eight bytes across the boundary of frames 1 and 2.
+            (
+                "write_bytes",
+                &|| {
+                    mem.write_bytes(PhysAddr(2 * PAGE_SIZE - 4), &[7; 8])
+                        .unwrap()
+                },
+                [false, true, true, false],
+            ),
+            (
+                "import_frame",
+                &|| mem.import_frame(FrameNum(0), &image).unwrap(),
+                [true, false, false, false],
+            ),
+            (
+                "an empty run",
+                &|| mem.write_ptes(&cpu, a, &[]).unwrap(),
+                [false; 4],
+            ),
+        ];
+        for (name, store, stamped) in stores {
+            let since = mem.checkpoint();
+            assert_eq!(written(since), [false; 4], "{name}: nothing yet");
+            store();
+            assert_eq!(written(since), stamped, "{name}");
+        }
+        let since = mem.checkpoint();
+        mem.read_word(&cpu, a.base()).unwrap();
+        mem.read_pte(&cpu, b, 3).unwrap();
+        let mut view = mem.read_table(&cpu, b).unwrap();
+        view.pte(3);
+        let Ok(()) = view.scan(0..WORDS_PER_PAGE, |_, _, _| {
+            Ok::<_, std::convert::Infallible>(())
+        });
+        drop(view);
+        mem.read_bytes(PhysAddr(8), &mut [0; 16]).unwrap();
+        mem.export_frame(a).unwrap();
+        assert_eq!(mem.words(a).unwrap().count(), WORDS_PER_PAGE);
+        mem.frames_equal(a, b).unwrap();
+        assert_eq!(written(since), [false; 4], "reads stamp nothing");
+        assert!(
+            mem.stored_since(FrameNum(9), since),
+            "a missing frame reads as written"
+        );
     }
 
     #[test]

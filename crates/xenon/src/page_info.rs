@@ -35,11 +35,24 @@
 //! taking an observation from each other.  [`PageInfo`] is pure
 //! accounting: `==` on a [`PageInfoTable::snapshot`] compares validation
 //! state and nothing else.
+//!
+//! # Retained records
+//!
+//! A detach under a dirty baseline keeps its records restorable
+//! ([`PageInfoTable::retain`]) and the next attach
+//! ([`PageInfoTable::reattach`]) restores them and applies, per page
+//! table written while native, the old → new reference delta — or
+//! walks every table as [`PageInfoTable::recompute_for_at`] does when
+//! the retained records do not cover a change.  Which tables were
+//! written is told by memory's write stamps ([`PhysMemory::stored_since`]),
+//! not by the write log; the old side of a written table is the
+//! pre-image [`PageInfoTable::note_write`] kept at its first tracked
+//! write (DESIGN.md §7b).
 
 use crate::domain::DomId;
 use crate::error::HvError;
 use simx86::costs;
-use simx86::mem::{FrameNum, PhysMemory, TableView};
+use simx86::mem::{FrameNum, PhysMemory, TableView, WriteEpoch};
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::sync::Mutex;
 use simx86::Cpu;
@@ -118,7 +131,41 @@ pub(crate) struct Records {
     /// Stamp of the newest tracked write: "nothing written since `e`"
     /// is `newest <= e`, one compare and no pass over the frames.
     newest: u64,
+    /// The domain whose type state is exactly what its page tables
+    /// derive: set by a whole walk or a reattach, kept by the
+    /// validators, lost to any other write of a record
+    /// ([`Records::underived`]).
+    derived: Option<DomId>,
+    /// What a detach kept for the next attach ([`Retained`]).
+    retained: Option<Retained>,
 }
+
+/// One frame's words.
+type Image = [u64; ENTRIES_PER_TABLE];
+
+/// A detach's accounting, kept restorable for the next attach
+/// ([`PageInfoTable::reattach`]): the records stay where they are,
+/// counting under the generation the detach retired.
+struct Retained {
+    dom: DomId,
+    /// The generation the kept records count under.
+    generation: u32,
+    /// Every page-table frame at the detach, sorted: the frames whose
+    /// writes the attach must see.  At most [`RETAINED_TABLES`].
+    tables: Vec<FrameNum>,
+    /// Set when the detach's flip of the tables' direct-map entries is
+    /// done: a table stamped from here on was written while native.
+    native_since: Option<WriteEpoch>,
+    /// Set by the attach's flip before it writes: bit `i` says
+    /// `tables[i]` was written while native.
+    written: Option<[u64; RETAINED_TABLES / 64]>,
+    /// `preimages[i]`: what `tables[i]` held at its first tracked
+    /// write while native, if it had one.
+    preimages: [Option<Box<Image>>; RETAINED_TABLES],
+}
+
+/// Table frames a detach retains; past this many it keeps nothing.
+const RETAINED_TABLES: usize = 256;
 
 /// One frame's stored record: its accounting, and the generation of
 /// its owner that accounting was written under.
@@ -237,7 +284,30 @@ impl Records {
             .frames
             .get_mut(frame.0 as usize)
             .ok_or(out_of_range(frame))?;
+        if self
+            .retained
+            .as_ref()
+            .is_some_and(|kept| rec.info.owner == Some(kept.dom))
+        {
+            self.retained = None;
+        }
         Ok(rec.live(self.generations.of(rec.info.owner)))
+    }
+
+    /// A record is about to be written other than by a validator: no
+    /// domain's type state is its tables' derivation any more, and no
+    /// retained accounting stands for what `owner` had at its detach.
+    fn underived(&mut self, owner: Option<DomId>) {
+        self.derived = None;
+        self.forget_retained(owner);
+    }
+
+    /// A record of `owner` is written: what a detach retained for it
+    /// no longer stands.
+    fn forget_retained(&mut self, owner: Option<DomId>) {
+        if self.retained.as_ref().is_some_and(|kept| owner == Some(kept.dom)) {
+            self.retained = None;
+        }
     }
 
     /// Owner of `frame`; a frame the machine does not have has none.
@@ -266,8 +336,10 @@ impl Records {
 
     pub(crate) fn mark_dirty(&mut self, frame: FrameNum) {
         let i = frame.0 as usize;
-        // volint::allow(SWITCH-PANIC): frame < num_frames by construction — the table was sized from the same PhysMemory
-        self.written[i] = self.now;
+        let Some(stamp) = self.written.get_mut(i) else {
+            return;
+        };
+        *stamp = self.now;
         if let Some(block) = self.block_written.get_mut(i / WRITE_BLOCK) {
             *block = self.now;
         }
@@ -281,6 +353,7 @@ impl Records {
 
     /// [`PageInfoTable::corrupt_record`] under the held lock.
     pub(crate) fn corrupt_record(&mut self, frame: FrameNum) {
+        self.underived(self.owner(frame));
         if let Ok(rec) = self.rec_mut(frame) {
             *rec = PageInfo::untyped(rec.owner);
         }
@@ -351,7 +424,7 @@ impl Records {
                 why: "L1 entry target",
             });
         }
-        if pte.writable() {
+        if held_ref(pte).is_some() {
             rec.live(generation).take_ref(PageType::Writable)?;
         }
         Ok(())
@@ -362,8 +435,8 @@ impl Records {
     fn drop_entry_refs(&mut self, view: &TableView<'_>, n: usize) {
         // volint::bound(512) — n ≤ ENTRIES_PER_TABLE entries already consumed
         for pte in (0..n).filter_map(|i| view.reread(i)) {
-            if pte.present() && pte.writable() {
-                self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
+            if let Some(target) = held_ref(pte) {
+                self.put_type_ref(target, PageType::Writable);
             }
         }
     }
@@ -373,6 +446,10 @@ impl Records {
     /// stale record of `dom` may still carry, so only then are `dom`'s
     /// records reset, in one pass.
     fn clear_types_for(&mut self, dom: DomId) {
+        if self.derived == Some(dom) {
+            self.derived = None;
+        }
+        self.forget_retained(Some(dom));
         let Some(generation) = self.generations.0.get_mut(usize::from(dom.0)) else {
             return;
         };
@@ -428,6 +505,7 @@ impl Records {
     /// writable one takes a `Writable` reference on its target.  A
     /// failed walk drops the references it took.
     fn scan_l1(&mut self, view: &mut TableView<'_>, dom: DomId) -> Result<(), HvError> {
+        self.forget_retained(Some(dom));
         let generation = self.generations.of(Some(dom));
         view.scan(0..ENTRIES_PER_TABLE, |view, at, pte| {
             let taken = self.take_entry_ref(pte, dom, generation);
@@ -470,8 +548,8 @@ impl Records {
     ) -> Result<(), HvError> {
         let mut view = mem.read_table(cpu, frame)?;
         let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, _, pte| {
-            if pte.writable() {
-                self.put_type_ref(FrameNum(pte.frame()), PageType::Writable);
+            if let Some(target) = held_ref(pte) {
+                self.put_type_ref(target, PageType::Writable);
             }
             Ok::<_, Infallible>(())
         });
@@ -542,6 +620,403 @@ impl Records {
     }
 }
 
+/// Why a reattach walks the tables after all: the kept accounting does
+/// not cover what changed.  Never leaves the table; the walk decides.
+fn uncovered() -> HvError {
+    HvError::TypeConflict("a change the retained accounting does not cover")
+}
+
+/// What a present L1 entry claims of its target: the frame, and
+/// whether writably.
+fn claim(pte: Pte) -> Option<(u32, bool)> {
+    pte.present().then(|| (pte.frame(), pte.writable()))
+}
+
+/// The reference a present L1 entry holds on its target, the one
+/// [`Records::take_entry_ref`] takes: a `Writable` one on a frame it
+/// maps writable.  Every path that gives entries' references back —
+/// a failed walk, [`Records::invalidate_l1`], the reattach's delta —
+/// puts back what this names.
+fn held_ref(pte: Pte) -> Option<FrameNum> {
+    (pte.present() && pte.writable()).then(|| FrameNum(pte.frame()))
+}
+
+/// What a present directory entry claims: the L1 it names.
+fn names(pde: Pte) -> Option<u32> {
+    pde.present().then(|| pde.frame())
+}
+
+/// Is bit `i` of a one-bit-per-retained-table map set?
+fn bit(map: &[u64; RETAINED_TABLES / 64], i: usize) -> bool {
+    map.get(i / 64)
+        .is_some_and(|word| (word >> (i % 64)) & 1 != 0)
+}
+
+fn set_bit(map: &mut [u64; RETAINED_TABLES / 64], i: usize) {
+    if let Some(word) = map.get_mut(i / 64) {
+        *word |= 1 << (i % 64);
+    }
+}
+
+impl Records {
+    /// [`PageInfoTable::recompute_for_at`] under the held lock: the
+    /// whole walk, after which `dom`'s records are its tables'
+    /// derivation.
+    fn recompute(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        dom: DomId,
+        owned_frames: usize,
+        pgds: &[FrameNum],
+        per_frame_cost: u64,
+    ) -> Result<(), HvError> {
+        self.clear_types_for(dom);
+        cpu.tick(per_frame_cost * owned_frames as u64);
+        // Bulk validation rides on the per-frame charge above; per-entry
+        // work is charged at a nominal rate via memory reads only.
+        // volint::bound(64) — one base table per live process
+        for &pgd in pgds {
+            self.validate_l2(cpu, mem, pgd, dom, 0)?;
+            self.set_pinned(pgd, true)?;
+        }
+        self.derived = Some(dom);
+        Ok(())
+    }
+
+    /// [`PageInfoTable::retain`] under the held lock.
+    fn retain(&mut self, dom: DomId, tables: Vec<FrameNum>) {
+        let (derived, generation) = (self.derived == Some(dom), self.generations.of(Some(dom)));
+        self.clear_types_for(dom);
+        // A wrapped generation reset every record of `dom`.
+        let wrapped = self.generations.of(Some(dom)) == 0;
+        if derived && !wrapped && tables.len() <= RETAINED_TABLES && tables.is_sorted() {
+            self.retained = Some(Retained {
+                dom,
+                generation,
+                tables,
+                native_since: None,
+                written: None,
+                preimages: [const { None }; RETAINED_TABLES],
+            });
+        }
+    }
+
+    /// [`PageInfoTable::note_write`]'s pre-image: kept at the first
+    /// tracked write to a retained table once native mode began, and
+    /// only while nothing has stored to the frame since.
+    fn keep_preimage(&mut self, mem: &PhysMemory, frame: FrameNum) {
+        let Some(kept) = &mut self.retained else {
+            return;
+        };
+        let Some(since) = kept.native_since else {
+            return;
+        };
+        let Ok(slot) = kept.tables.binary_search(&frame) else {
+            return;
+        };
+        let Some(preimage @ None) = kept.preimages.get_mut(slot) else {
+            return;
+        };
+        let Ok(words) = mem.words(frame) else { return };
+        if mem.stored_since(frame, since) {
+            return;
+        }
+        let mut image = Box::new([0; ENTRIES_PER_TABLE]);
+        for (to, word) in image.iter_mut().zip(words) {
+            *to = word;
+        }
+        // Memory stamps a frame before it stores, so a store whose word
+        // the copy loaded shows in the stamp now; one whose word it did
+        // not load shows at the attach, which then diffs it.
+        if !mem.stored_since(frame, since) {
+            *preimage = Some(image);
+        }
+    }
+
+    /// [`PageInfoTable::reattach`]'s delta: restore the retained
+    /// records and patch them by what changed, or return `false` having
+    /// charged nothing — the records are then the walk's to clear.
+    fn reattach_delta(
+        &mut self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        dom: DomId,
+        pgds: &[FrameNum],
+        tables: &[FrameNum],
+    ) -> bool {
+        let Some(kept) = self.retained.take() else {
+            return false;
+        };
+        let Some(written) = kept.written else {
+            return false;
+        };
+        let unmoved = self.generations.of(Some(dom)) == kept.generation.wrapping_add(1);
+        let same_tables = kept.tables.as_slice() == tables;
+        if kept.dom != dom || !same_tables || !unmoved || cpu.active_lazy_set().is_some() {
+            return false;
+        }
+        if let Some(generation) = self.generations.0.get_mut(usize::from(dom.0)) {
+            *generation = kept.generation;
+        }
+        let delta = Delta {
+            mem,
+            kept: &kept,
+            pgds,
+            written,
+        };
+        let Ok(l1s) = delta.apply(self, dom) else {
+            return false;
+        };
+        // What the walk reads: every base table and every distinct L1
+        // they reach, each whole.
+        cpu.tick(costs::MEM_WORD * (ENTRIES_PER_TABLE * (pgds.len() + l1s)) as u64);
+        self.derived = Some(dom);
+        true
+    }
+
+    /// Drop a type reference the delta knows is there: one that is not
+    /// fails the reattach rather than the table.
+    fn put_held(&mut self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
+        let rec = self.rec_mut(frame)?;
+        if rec.typ != typ || rec.type_count == 0 {
+            return Err(uncovered());
+        }
+        rec.type_count -= 1;
+        if rec.type_count == 0 {
+            rec.typ = PageType::None;
+        }
+        Ok(())
+    }
+}
+
+/// One reattach's view of a detach's retained accounting: which table
+/// frames changed while native and what they held at the detach.
+struct Delta<'a> {
+    mem: &'a PhysMemory,
+    kept: &'a Retained,
+    /// The base tables now.
+    pgds: &'a [FrameNum],
+    written: [u64; RETAINED_TABLES / 64],
+}
+
+impl Delta<'_> {
+    /// `frame`'s place among the retained tables.
+    fn slot(&self, frame: FrameNum) -> Option<usize> {
+        self.kept.tables.binary_search(&frame).ok()
+    }
+
+    /// Was retained table `frame` written while native?  A frame that
+    /// was no table is not covered.
+    fn was_written(&self, frame: FrameNum) -> Result<bool, HvError> {
+        let slot = self.slot(frame).ok_or_else(uncovered)?;
+        Ok(bit(&self.written, slot))
+    }
+
+    /// The live words of `frame`.
+    fn live(&self, frame: FrameNum) -> Result<impl Iterator<Item = u64> + '_, HvError> {
+        Ok(self.mem.words(frame)?)
+    }
+
+    /// An entry of a pre-image as it stood at the detach.  The
+    /// pre-image was taken after the detach's flip, and a writable
+    /// entry naming a retained table can only be that flip's: the
+    /// records the detach kept hold no table mapped writable.
+    fn unflip(&self, pte: Pte) -> Pte {
+        let flipped = pte.present() && pte.writable() && self.slot(FrameNum(pte.frame())).is_some();
+        if flipped {
+            pte.without_flags(Pte::WRITABLE)
+        } else {
+            pte
+        }
+    }
+
+    /// The pre-image of written table `frame`; none means a store the
+    /// sink never saw came first, which is not covered.
+    fn preimage(&self, frame: FrameNum) -> Result<&Image, HvError> {
+        let slot = self.slot(frame).ok_or_else(uncovered)?;
+        let image = self.kept.preimages.get(slot).and_then(Option::as_deref);
+        image.ok_or_else(uncovered)
+    }
+
+    /// Hand `each` the old and the live entry at every slot where
+    /// written table `frame` changed while native.  Equal words are
+    /// passed over unread: the flips cancel, so only a native store
+    /// makes a pre-image word differ from the live one.
+    fn changes(
+        &self,
+        frame: FrameNum,
+        mut each: impl FnMut(Pte, Pte) -> Result<(), HvError>,
+    ) -> Result<(), HvError> {
+        let image = self.preimage(frame)?;
+        // volint::bound(512) — one step per entry of a table
+        for (&old, new) in image.iter().zip(self.live(frame)?) {
+            if old != new {
+                each(self.unflip(Pte(old)), Pte(new))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Hand `each` every entry retained table `frame` held at the
+    /// detach.  Unwritten while native, that is its live image: the
+    /// attach's flip has undone the detach's.
+    fn old(
+        &self,
+        frame: FrameNum,
+        mut each: impl FnMut(Pte) -> Result<(), HvError>,
+    ) -> Result<(), HvError> {
+        if self.was_written(frame)? {
+            // volint::bound(512) — one step per entry of a table
+            for &word in self.preimage(frame)? {
+                each(self.unflip(Pte(word)))?;
+            }
+        } else {
+            // volint::bound(512) — one step per entry of a table
+            for word in self.live(frame)? {
+                each(Pte(word))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The written retained tables that are base tables (`true`) or
+    /// not (`false`), in frame order.
+    fn written(&self, base: bool) -> impl Iterator<Item = FrameNum> + '_ {
+        let tables = self.kept.tables.iter().enumerate();
+        tables
+            .filter(|&(i, _)| bit(&self.written, i))
+            .map(|(_, &f)| f)
+            .filter(move |f| self.pgds.contains(f) == base)
+    }
+
+    /// Patch the restored records from the detach's tables to the live
+    /// ones, entry by entry of each written table, and return how many
+    /// distinct L1s the base tables reach.  Puts and takes interleave:
+    /// a claim the walk would refuse still meets its rival at the later
+    /// of the two takes, while a conflict met only on the way (a frame
+    /// changing from table to leaf) falls back to the walk, which
+    /// decides.
+    fn apply(&self, info: &mut Records, dom: DomId) -> Result<usize, HvError> {
+        let generation = info.generations.of(Some(dom));
+        // The detach's records: every retained table typed, and the
+        // base tables now — every one a retained table — exactly the
+        // pinned ones.
+        // volint::bound(64) — one base table per live process
+        for &pgd in self.pgds {
+            self.slot(pgd).ok_or_else(uncovered)?;
+        }
+        // volint::bound(256) — RETAINED_TABLES
+        for &f in &self.kept.tables {
+            let rec = info.rec(f)?;
+            let base = self.pgds.contains(&f);
+            let typ = if base { PageType::L2 } else { PageType::L1 };
+            if rec.typ != typ || rec.type_count == 0 || rec.pinned != base {
+                return Err(uncovered());
+            }
+        }
+        // Directory entries first: an L1 they let go releases what it
+        // held at the detach, one they name afresh is validated from
+        // its live words, as the walk would; neither is patched below.
+        let mut whole = [0u64; RETAINED_TABLES / 64];
+        // volint::bound(64) — one base table per live process
+        for pgd in self.written(true) {
+            self.changes(pgd, |old, new| {
+                if names(old) == names(new) {
+                    return Ok(());
+                }
+                if let Some(l1) = names(new).map(FrameNum) {
+                    let (typ, count) = info.type_of(l1);
+                    if typ != PageType::L1 || count == 0 {
+                        self.validate(info, l1, dom, generation)?;
+                        set_bit(&mut whole, self.slot(l1).ok_or_else(uncovered)?);
+                    } else {
+                        info.get_type_ref(l1, PageType::L1)?;
+                    }
+                }
+                if let Some(l1) = names(old).map(FrameNum) {
+                    info.put_held(l1, PageType::L1)?;
+                    // The count reaches 0 only before any take: takes
+                    // are never put back, so a released L1 holds what
+                    // it held at the detach.
+                    if info.type_of(l1).1 == 0 {
+                        self.release(info, l1)?;
+                        set_bit(&mut whole, self.slot(l1).ok_or_else(uncovered)?);
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        // Then the entries of the written L1s the directories kept.
+        // volint::bound(256) — RETAINED_TABLES
+        for l1 in self.written(false) {
+            if self.slot(l1).is_none_or(|slot| bit(&whole, slot)) {
+                continue;
+            }
+            self.changes(l1, |old, new| {
+                if claim(old) == claim(new) {
+                    return Ok(());
+                }
+                if new.present() {
+                    info.take_entry_ref(new, dom, generation)?;
+                }
+                match held_ref(old) {
+                    Some(target) => info.put_held(target, PageType::Writable),
+                    None => Ok(()),
+                }
+            })?;
+        }
+        // Every L1 the base tables reach is a retained table, so no
+        // frame outside them was read from memory the records trust.
+        let mut reached = [0u64; RETAINED_TABLES / 64];
+        // volint::bound(64) — one base table per live process
+        for &pgd in self.pgds {
+            // volint::bound(512) — one step per directory entry
+            for word in self.live(pgd)? {
+                let Some(l1) = names(Pte(word)) else { continue };
+                let slot = self.slot(FrameNum(l1)).ok_or_else(uncovered)?;
+                if info.type_of(FrameNum(l1)).0 != PageType::L1 {
+                    return Err(uncovered());
+                }
+                set_bit(&mut reached, slot);
+            }
+        }
+        Ok(reached.iter().map(|word| word.count_ones() as usize).sum())
+    }
+
+    /// The last reference to `l1` went: give back the references its
+    /// detach-time entries held, as [`Records::invalidate_l1`] would
+    /// have then.
+    fn release(&self, info: &mut Records, l1: FrameNum) -> Result<(), HvError> {
+        self.old(l1, |old| match held_ref(old) {
+            Some(target) => info.put_held(target, PageType::Writable),
+            None => Ok(()),
+        })
+    }
+
+    /// [`Records::validate_l1`]'s rule over `l1`'s live words — owned
+    /// table, [`Records::take_entry_ref`] per present entry, then the
+    /// table's own `L1` reference — charging nothing: the reattach
+    /// charges the walk's reads once, at the end.  A failure leaves the
+    /// references taken for the walk's clear.
+    fn validate(
+        &self,
+        info: &mut Records,
+        l1: FrameNum,
+        dom: DomId,
+        generation: u32,
+    ) -> Result<(), HvError> {
+        info.check_owned(l1, dom, "L1 table frame")?;
+        // volint::bound(512) — one step per entry of a table
+        for word in self.live(l1)? {
+            if Pte(word).present() {
+                info.take_entry_ref(Pte(word), dom, generation)?;
+            }
+        }
+        info.get_type_ref(l1, PageType::L1)
+    }
+}
+
 impl PageInfoTable {
     /// A table for `num_frames` frames, all unowned and untyped.
     pub fn new(num_frames: usize) -> Self {
@@ -553,6 +1028,8 @@ impl PageInfoTable {
                 block_written: vec![0; num_frames.div_ceil(WRITE_BLOCK)],
                 now: 1,
                 newest: 0,
+                derived: None,
+                retained: None,
             }),
         }
     }
@@ -584,6 +1061,8 @@ impl PageInfoTable {
     pub fn set_owner(&self, frame: FrameNum, owner: Option<DomId>) {
         let mut guard = self.info.lock();
         let info = &mut *guard;
+        info.underived(info.owner(frame));
+        info.underived(owner);
         if let Some(rec) = info.frames.get_mut(frame.0 as usize) {
             let carried = rec.view(info.generations.of(rec.info.owner));
             *rec = Record {
@@ -614,10 +1093,7 @@ impl PageInfoTable {
     /// Record a tracked write to `frame`: stamp it with the current
     /// epoch.  A frame the machine does not have is not tracked.
     pub fn mark_dirty(&self, frame: FrameNum) {
-        let mut info = self.info.lock();
-        if (frame.0 as usize) < info.written.len() {
-            info.mark_dirty(frame);
-        }
+        self.info.lock().mark_dirty(frame);
     }
 
     // -- type reference counting ---------------------------------------
@@ -627,13 +1103,23 @@ impl PageInfoTable {
     /// Fails when the frame is currently typed incompatibly — the
     /// invariant rejection at the heart of Xen-style isolation (e.g.
     /// mapping a live page table writable).
+    ///
+    /// A reference taken this way is no table's: the domain's records
+    /// stop being its tables' derivation.
     pub fn get_type_ref(&self, frame: FrameNum, typ: PageType) -> Result<(), HvError> {
-        self.info.lock().get_type_ref(frame, typ)
+        let mut info = self.info.lock();
+        let owner = info.owner(frame);
+        info.underived(owner);
+        info.get_type_ref(frame, typ)
     }
 
-    /// Drop a type reference on `frame`.
+    /// Drop a type reference on `frame`, with the same effect on the
+    /// domain's derivation as [`Self::get_type_ref`].
     pub fn put_type_ref(&self, frame: FrameNum, typ: PageType) {
-        self.info.lock().put_type_ref(frame, typ);
+        let mut info = self.info.lock();
+        let owner = info.owner(frame);
+        info.underived(owner);
+        info.put_type_ref(frame, typ);
     }
 
     /// Current (type, count) of a frame.
@@ -789,17 +1275,90 @@ impl PageInfoTable {
         pgds: &[FrameNum],
         per_frame_cost: u64,
     ) -> Result<(), HvError> {
-        let mut info = self.info.lock();
-        info.clear_types_for(dom);
-        cpu.tick(per_frame_cost * owned_frames as u64);
-        // Bulk validation rides on the per-frame charge above; per-entry
-        // work is charged at a nominal rate via memory reads only.
-        // volint::bound(64) — one base table per live process
-        for &pgd in pgds {
-            info.validate_l2(cpu, mem, pgd, dom, 0)?;
-            info.set_pinned(pgd, true)?;
+        self.info
+            .lock()
+            .recompute(cpu, mem, dom, owned_frames, pgds, per_frame_cost)
+    }
+
+    /// Detach with a baseline: clear `dom`'s type state as
+    /// [`Self::clear_types_for`] does, but keep the records restorable
+    /// for [`Self::reattach`], with every page-table frame `tables`
+    /// (sorted) they stood for.  Nothing is
+    /// kept unless the records are their tables' derivation — a
+    /// record wiped or re-owned since the last walk is repaired by the
+    /// next one — and the clear did not wrap the generation.
+    pub fn retain(&self, dom: DomId, tables: Vec<FrameNum>) {
+        self.info.lock().retain(dom, tables);
+    }
+
+    /// The detach's own stores to the retained tables are done (the
+    /// flip of their direct-map entries): a table stamped after this
+    /// was written while native.  Once per detach; no-op without a
+    /// retained detach.
+    pub fn open_native_window(&self, mem: &PhysMemory) {
+        if let Some(kept) = &mut self.info.lock().retained {
+            kept.native_since.get_or_insert_with(|| mem.checkpoint());
         }
-        Ok(())
+    }
+
+    /// The attach is about to store to the retained tables (the flip
+    /// back): note, while the stamps still say so, which of them were
+    /// written while native.
+    pub fn close_native_window(&self, mem: &PhysMemory) {
+        if let Some(kept) = &mut self.info.lock().retained {
+            let Some(since) = kept.native_since else {
+                return;
+            };
+            let mut written = [0; RETAINED_TABLES / 64];
+            // volint::bound(256) — RETAINED_TABLES
+            for (slot, &table) in kept.tables.iter().enumerate() {
+                if mem.stored_since(table, since) {
+                    set_bit(&mut written, slot);
+                }
+            }
+            kept.written = Some(written);
+        }
+    }
+
+    /// The native VO's sink, run before each tracked page-table write:
+    /// log the write ([`Self::mark_dirty`]) and, at the first one to a
+    /// retained table, keep the frame's pre-image for the next
+    /// [`Self::reattach`].
+    pub fn note_write(&self, mem: &PhysMemory, frame: FrameNum) {
+        let mut info = self.info.lock();
+        info.mark_dirty(frame);
+        info.keep_preimage(mem, frame);
+    }
+
+    /// Attach with a baseline: `dom`'s accounting for the base tables
+    /// `pgds` and the page-table frames `tables` (sorted), exactly as
+    /// [`Self::recompute_for_at`] at no per-frame cost computes and
+    /// charges it, but from what the detach retained: the records are
+    /// restored and patched by the old → new references of each table
+    /// written while native.  The old side is the table's pre-image, or
+    /// its live image if it was not written.  Walks the tables whole
+    /// instead — before anything is charged — when nothing was
+    /// retained (boot, a rolled-back switch, a re-arm), the set of
+    /// tables changed, a table was written with no pre-image, a record
+    /// was written outside the validators since the last walk, the
+    /// generation wrapped, a lazy window is open, or the patch meets a
+    /// conflict or a foreign frame.  Returns whether the retained
+    /// accounting served.
+    pub fn reattach(
+        &self,
+        cpu: &Cpu,
+        mem: &PhysMemory,
+        dom: DomId,
+        owned_frames: usize,
+        pgds: &[FrameNum],
+        tables: &[FrameNum],
+    ) -> Result<bool, HvError> {
+        let mut info = self.info.lock();
+        if info.reattach_delta(cpu, mem, dom, pgds, tables) {
+            return Ok(true);
+        }
+        info.recompute(cpu, mem, dom, owned_frames, pgds, 0)?;
+        Ok(false)
     }
 
     /// All frames owned by `dom`.
@@ -1435,6 +1994,109 @@ mod tests {
             mem.write_pte(&cpu, table, index, pte).unwrap();
         }
         (t, mem, cpu)
+    }
+
+    /// One native store to a random table of the random trees: a leaf
+    /// entry (now and then writable onto a table, foreign or missing),
+    /// or a directory entry moved, cleared or pointed at another L1.
+    fn random_store(rng: &mut faultgen::rng::SplitMix64) -> (FrameNum, usize, Pte) {
+        let pick = |rng: &mut faultgen::rng::SplitMix64, r: &std::ops::Range<u32>| {
+            rng.range(r.start as u64, r.end as u64) as u32
+        };
+        if rng.below(3) == 0 {
+            let pde = match rng.below(16) {
+                0 => Pte::ABSENT,
+                1 => Pte::new(pick(rng, &DATA), Pte::WRITABLE),
+                _ => Pte::new(pick(rng, &L1S), Pte::WRITABLE | Pte::USER),
+            };
+            return (FrameNum(pick(rng, &PGDS)), rng.below(4) as usize, pde);
+        }
+        let target = match rng.below(40) {
+            0 => pick(rng, &L1S),
+            1 => FOREIGN,
+            2 => MISSING,
+            _ => pick(rng, &DATA),
+        };
+        let flags = [0, Pte::USER, Pte::WRITABLE, Pte::WRITABLE | Pte::USER];
+        let pte = match rng.below(8) {
+            0 => Pte::ABSENT,
+            _ => Pte::new(
+                target,
+                flags[rng.below(4) as usize] | (Pte::ACCESSED * rng.below(2)),
+            ),
+        };
+        (FrameNum(pick(rng, &L1S)), rng.below(12) as usize, pte)
+    }
+
+    /// Rounds of detach → native stores → attach: the reattach leaves
+    /// the records, the verdict and the clock exactly as the whole walk
+    /// on a twin machine does, whatever mix of stores the sink saw
+    /// (with a pre-image kept) or did not (raw, as a stray store would).
+    #[test]
+    fn a_reattach_matches_the_whole_walk_round_after_round() {
+        let mut served = 0;
+        faultgen::rng::check("a reattach matches the whole walk", 300, |rng| {
+            // Directories name only the first slots, so stores meet them.
+            let mut writes = Vec::new();
+            for pgd in PGDS {
+                for slot in 0..4 {
+                    let l1 = rng.range(L1S.start as u64, L1S.end as u64) as u32;
+                    writes.push((FrameNum(pgd), slot, Pte::new(l1, Pte::WRITABLE | Pte::USER)));
+                }
+            }
+            for l1 in L1S {
+                for slot in 0..12 {
+                    let data = rng.range(DATA.start as u64, DATA.end as u64) as u32;
+                    let flags = [Pte::USER, Pte::WRITABLE | Pte::USER][rng.below(2) as usize];
+                    writes.push((FrameNum(l1), slot, Pte::new(data, flags)));
+                }
+            }
+            let (t, mem, cpu) = tree_rig(&writes);
+            let (twin, twin_mem, twin_cpu) = tree_rig(&writes);
+            let pgds: Vec<FrameNum> = PGDS.map(FrameNum).collect();
+            let walk = |t: &PageInfoTable, mem: &PhysMemory, cpu: &Cpu| {
+                t.recompute_for_at(cpu, mem, D, FRAMES, &pgds, 0)
+            };
+            assert_eq!(walk(&t, &mem, &cpu), walk(&twin, &twin_mem, &twin_cpu));
+            for _ in 0..4 {
+                // The kernel's table frames: those the walk typed.
+                let mut tables: Vec<FrameNum> = (0..FRAMES as u32)
+                    .map(FrameNum)
+                    .filter(|&f| matches!(t.type_of(f).0, PageType::L1 | PageType::L2))
+                    .collect();
+                // Now and then a list that misses one: its stores go
+                // unseen, so nothing it reaches may be trusted.
+                if rng.below(8) == 0 {
+                    tables.retain(|f| f.0 != L1S.start);
+                }
+                t.retain(D, tables.clone());
+                twin.clear_types_for(D);
+                t.open_native_window(&mem);
+                assert_eq!(t.snapshot(), twin.snapshot(), "native: the types are gone");
+                for _ in 0..rng.below(6) {
+                    let (table, index, pte) = random_store(rng);
+                    if rng.below(4) != 0 {
+                        t.note_write(&mem, table);
+                    }
+                    mem.write_pte(&cpu, table, index, pte).unwrap();
+                    twin_mem.write_pte(&twin_cpu, table, index, pte).unwrap();
+                }
+                t.close_native_window(&mem);
+                let got = t.reattach(&cpu, &mem, D, FRAMES, &pgds, &tables);
+                let want = walk(&twin, &twin_mem, &twin_cpu);
+                served += usize::from(got == Ok(true));
+                assert_eq!(got.clone().map(drop), want, "same verdict");
+                assert_eq!(t.snapshot(), twin.snapshot(), "same accounting");
+                assert_eq!(cpu.cycles(), twin_cpu.cycles(), "same cycles");
+                if want.is_err() {
+                    break;
+                }
+            }
+        });
+        assert!(
+            served > 300,
+            "the retained records served {served} attaches"
+        );
     }
 
     #[test]

@@ -181,25 +181,39 @@ fn run_mem_ops(bed: &TestBed, ops: &[MemOp]) {
 /// incremental revalidation, or lazy admission — the rebuilt
 /// `page_info` is bit-identical after any mmap/fork/munmap
 /// interleaving.  The ops run in the *native* window between a detach
-/// and a re-attach, so the dirty/mirror paths do real work.
+/// and a re-attach, so the dirty/mirror paths do real work, and for one
+/// to four rounds, so a detach retains what an attach from retained
+/// records rebuilt.
 #[test]
 fn all_strategies_rebuild_identical_accounting() {
     check("all_strategies_rebuild_identical_accounting", 8, |rng| {
-        let len = rng.range(1, 20) as usize;
-        let ops = rng.vec(len, draw_mem_op);
+        let rounds = rng.range(1, 5) as usize;
+        let ops: Vec<Vec<MemOp>> = (0..rounds)
+            .map(|_| {
+                let len = rng.range(1, 20) as usize;
+                rng.vec(len, draw_mem_op)
+            })
+            .collect();
         let snaps = TrackingStrategy::ALL.map(|strategy| {
             let bed = TestBed::build_mn_with_strategy(1, strategy);
             let mercury = bed.mercury.as_ref().unwrap();
             let cpu = bed.machine.boot_cpu();
-            // Establish a detach baseline, mutate natively, re-attach.
+            // Establish a detach baseline; then per round mutate
+            // natively, re-attach, and detach again.
             mercury.switch_to_virtual(cpu).unwrap();
-            mercury.switch_to_native(cpu).unwrap();
-            run_mem_ops(&bed, &ops);
-            mercury.switch_to_virtual(cpu).unwrap();
-            bed.hv.as_ref().unwrap().page_info.snapshot()
+            ops.iter()
+                .map(|round| {
+                    mercury.switch_to_native(cpu).unwrap();
+                    run_mem_ops(&bed, round);
+                    mercury.switch_to_virtual(cpu).unwrap();
+                    bed.hv.as_ref().unwrap().page_info.snapshot()
+                })
+                .collect::<Vec<_>>()
         });
         for (snap, strategy) in snaps.iter().zip(TrackingStrategy::ALL) {
-            assert_eq!(snap, &snaps[0], "{strategy:?} diverged from recompute");
+            for (round, (got, want)) in snap.iter().zip(&snaps[0]).enumerate() {
+                assert_eq!(got, want, "{strategy:?} diverged from recompute in round {round}");
+            }
         }
     });
 }

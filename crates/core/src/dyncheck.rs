@@ -20,7 +20,7 @@
 //! Violations are *recorded*, not panicked (hooks run inside `Drop`);
 //! tests drain them with [`take_reports`] and assert emptiness.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -121,18 +121,16 @@ pub fn take_reports() -> Vec<String> {
 
 // ----------------------------------------------------- rendezvous monitor
 
-/// Shadow state for one [`crate::rendezvous::Rendezvous`].
+/// Shadow state for one [`crate::rendezvous::Rendezvous`]: one
+/// location for its one word.
 #[derive(Debug, Default)]
 pub struct RvMonitor {
-    ready: Loc,
-    go: Loc,
-    done: Loc,
-    active: Loc,
-    state: Mutex<RvState>,
+    word: Loc,
+    state: Mutex<RoundRecords>,
 }
 
 #[derive(Debug, Default)]
-struct RvState {
+struct RoundRecords {
     /// (tid, thread clock at check-in) for this round.
     checkins: Vec<(usize, VClock)>,
     /// (tid, thread clock at completion) for this round.
@@ -142,30 +140,24 @@ struct RvState {
 }
 
 impl RvMonitor {
-    /// CP opened the rendezvous (`begin` succeeded).
+    /// CP opened the rendezvous (`begin`'s compare-and-swap landed).
     pub fn on_begin(&self) {
-        self.active.acq_rel();
-        self.ready.release();
-        self.done.release();
-        self.go.release();
-        let mut s = self.state.lock().unwrap();
-        s.checkins.clear();
-        s.completes.clear();
-        s.go_clock = None;
+        self.word.acq_rel();
+        *self.state.lock().unwrap() = RoundRecords::default();
     }
 
-    /// A peer bumped the ready count.
+    /// A peer's check-in landed (once per counted check-in).
     pub fn on_check_in(&self) {
         // The event clock is the clock as *published*: snapshot before
         // the shadow RMW ticks past it.
         let snapshot = with_clock(|c| c.clone());
-        self.ready.acq_rel();
+        self.word.acq_rel();
         self.state.lock().unwrap().checkins.push((tid(), snapshot));
     }
 
     /// A peer observed the go flag and is about to reload.
     pub fn on_observed_go(&self) {
-        self.go.acquire();
+        self.word.acquire();
         let s = self.state.lock().unwrap();
         if let Some(go_clock) = &s.go_clock {
             let ordered = with_clock(|c| go_clock.leq(c));
@@ -186,69 +178,63 @@ impl RvMonitor {
         }
     }
 
-    /// A peer's shadow record trails its real RMW by a few
-    /// instructions, so the CP can see the real count before the
-    /// record exists.  Wait (briefly) for `peers` records so the checks
-    /// below compare clocks, not arrival order.
-    fn await_records(&self, peers: usize, recorded: fn(&RvState) -> usize) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
-        while recorded(&self.state.lock().unwrap()) < peers && std::time::Instant::now() < deadline
-        {
-            std::thread::yield_now();
-        }
-    }
-
     /// CP saw `ready == peers`.
     pub fn on_wait_ready_ok(&self, peers: usize) {
-        self.await_records(peers, |s| s.checkins.len());
-        self.ready.acquire();
-        let s = self.state.lock().unwrap();
-        let ordered = with_clock(|c| {
-            s.checkins
-                .iter()
-                .filter(|(_, ck)| ck.leq(c))
-                .count()
+        self.check_counted(peers, "wait_ready", "check-in(s)", |r| &r.checkins);
+    }
+
+    /// The CP passed `wait`: `peers` distinct threads' `events` must
+    /// happen-before it (one thread recorded twice stands in for no
+    /// other).  A peer's record trails its real RMW by a few
+    /// instructions, so the CP can see the real count before the record
+    /// exists: wait (briefly) for `peers` records first, so the check
+    /// compares clocks, not arrival order.
+    fn check_counted(
+        &self,
+        peers: usize,
+        wait: &str,
+        what: &str,
+        events: fn(&RoundRecords) -> &Vec<(usize, VClock)>,
+    ) {
+        let recorded = || events(&self.state.lock().unwrap()).len() >= peers;
+        crate::rendezvous::spin_until(std::time::Duration::from_secs(1), recorded);
+        self.word.acquire();
+        let records = self.state.lock().unwrap();
+        let threads: BTreeSet<usize> = with_clock(|c| {
+            let ordered = events(&records).iter().filter(|(_, ck)| ck.leq(c));
+            ordered.map(|(t, _)| *t).collect()
         });
+        let ordered = threads.len();
         if ordered < peers {
             report(format!(
-                "dyncheck[rendezvous]: CP proceeded past wait_ready({peers}) \
-                 but only {ordered} check-in(s) happen-before it"
+                "dyncheck[rendezvous]: CP proceeded past {wait}({peers}) \
+                 but only {ordered} {what} happen-before it"
             ));
         }
     }
 
-    /// CP raised the go flag.
+    /// CP is about to raise the go flag (a compare-and-swap).
     pub fn on_signal_go(&self) {
         let snapshot = with_clock(|c| c.clone());
         self.state.lock().unwrap().go_clock = Some(snapshot);
-        self.go.release();
+        self.word.acq_rel();
     }
 
-    /// A peer reported completion.
+    /// A peer's completion landed (once per counted completion).
     pub fn on_complete(&self) {
         let snapshot = with_clock(|c| c.clone());
-        self.done.acq_rel();
+        self.word.acq_rel();
         self.state.lock().unwrap().completes.push((tid(), snapshot));
     }
 
     /// CP saw `done == peers` and is about to close the rendezvous.
     pub fn on_wait_done_ok(&self, peers: usize) {
-        self.await_records(peers, |s| s.completes.len());
-        self.done.acquire();
-        let s = self.state.lock().unwrap();
-        let ordered = with_clock(|c| s.completes.iter().filter(|(_, ck)| ck.leq(c)).count());
-        if ordered < peers {
-            report(format!(
-                "dyncheck[rendezvous]: CP proceeded past \
-                 wait_done({peers}) but only {ordered} completion(s) \
-                 happen-before it"
-            ));
-        }
+        self.check_counted(peers, "wait_done", "completion(s)", |r| &r.completes);
     }
 
-    /// CP closed the round, completed or aborted: the `active` store.
+    /// CP closed the round, completed or aborted: the closing store.
     pub fn on_close(&self) {
-        self.active.release();
+        self.word.release();
     }
 }
 
@@ -409,6 +395,29 @@ mod tests {
         peer.join().unwrap();
         m.on_wait_done_ok(1);
         assert_eq!(take_reports(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn one_peer_completing_twice_stands_in_for_no_other() {
+        let _lk = serialized();
+        let _ = take_reports();
+        let m = Arc::new(RvMonitor::default());
+        m.on_begin();
+        m.on_wait_ready_ok(0);
+        m.on_signal_go();
+        let peer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                m.on_observed_go();
+                m.on_complete();
+                m.on_complete();
+            })
+        };
+        peer.join().unwrap();
+        m.on_wait_done_ok(2);
+        let reports = take_reports();
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        assert!(reports[0].contains("only 1 completion"), "{reports:?}");
     }
 
     #[test]

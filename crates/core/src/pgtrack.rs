@@ -293,7 +293,7 @@ impl Mercury {
         let p0 = cpu.cycles();
         let per_frame = self.strategy().row().walk_per_frame;
         if self.kernel().machine.num_cpus() > 1 {
-            self.sharded_recompute_phase(cpu, per_frame)?;
+            self.sharded_recompute_phase(r, per_frame)?;
         } else {
             // volint::cost(1638400) — worst case serial scan: 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
             self.rebuild_accounting(cpu, &self.hypervisor().page_info, per_frame)?;

@@ -15,17 +15,17 @@
 //! CPU's stripe is fixed by its id, that is the same on every run.
 //!
 //! Protocol (per attach): between `wait_ready` and `signal_go` the CP
-//! writes the `ScanJob` into the round descriptor it already
-//! published, charges its own stripe and walks the tables.  A peer
-//! re-reads the descriptor after go and charges its stripe before it
-//! reloads.  A simulated clock does not move while its thread spins, so
-//! paying after go costs the peer what paying while parked would.  A
-//! failed transition rewrites only the descriptor's target: once the CP
-//! reached the scan, every peer pays its stripe.
+//! deals the `ScanJob` into the transition's `Round`, charges its own
+//! stripe and walks the tables.  The job rides in the `Round` until go,
+//! when `Rendezvous::signal_go` hands it to every peer together with
+//! the mode to reload for; a peer charges its stripe before it reloads.
+//! A simulated clock does not move while its thread spins, so paying
+//! after go costs the peer what paying while parked would.  A failed
+//! transition releases the peers with the job too: once the CP reached
+//! the scan, every peer pays its stripe.
 
-use crate::switch::{Mercury, SwitchError};
+use crate::switch::{Mercury, Round, SwitchError};
 use simx86::{costs, Cpu};
-use std::sync::Arc;
 
 /// Frames per scan chunk.  Small enough that an 8K-frame pool splits
 /// into 32 chunks (an even deal on 2–8 CPUs), large enough that the
@@ -64,15 +64,15 @@ impl ScanJob {
 
 impl Mercury {
     /// Rebuild page_info on an SMP attach: the CP deals the scan
-    /// (`per_frame` cycles per owned frame) through the round
-    /// descriptor and walks every base table; each peer charges its
-    /// stripe once released.  The CP is charged the phase's makespan,
-    /// not the serial sum.
+    /// (`per_frame` cycles per owned frame) into the round and walks
+    /// every base table; each peer charges its stripe once released.
+    /// The CP is charged the phase's makespan, not the serial sum.
     pub(crate) fn sharded_recompute_phase(
         &self,
-        cpu: &Arc<Cpu>,
+        r: &Round<'_>,
         per_frame: u64,
     ) -> Result<(), SwitchError> {
+        let cpu = r.cpu;
         let owned = self.kernel().pool_size();
         let job = ScanJob {
             cycles: per_frame * owned as u64,
@@ -80,9 +80,7 @@ impl Mercury {
             cpus: self.kernel().machine.num_cpus() as u64,
         };
         merctrace::span_begin!(cpu.id, "switch.transfer.pginfo_shard", cpu.cycles());
-        if let Some(round) = self.rv_round.lock().as_mut() {
-            round.scan = Some(job);
-        }
+        r.scan.set(Some(job));
         let p0 = cpu.cycles();
         job.charge_stripe(cpu);
         let walked = self.rebuild_accounting(cpu, &self.hypervisor().page_info, 0);

@@ -68,6 +68,7 @@ use simx86::paging::Pte;
 use simx86::sync::{Mutex, RwLock};
 use simx86::vmx::Ept;
 use simx86::{costs, Cpu, LazySet, Machine};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xenon::{Domain, Hypervisor, Rounds};
@@ -315,19 +316,6 @@ impl std::ops::Add for SwitchCounts {
     }
 }
 
-/// Descriptor of the rendezvous round in flight, published by the
-/// control processor for its peers.  The epoch pins every peer-side
-/// rendezvous operation to *this* round so a stale interrupt from an
-/// aborted round can never check into (or complete) a later one.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RvRound {
-    epoch: u32,
-    target: ExecMode,
-    /// The attach's scan, once the CP has dealt it: each peer charges
-    /// its stripe after go (see `crate::shard`).
-    pub(crate) scan: Option<ScanJob>,
-}
-
 /// A VMM with both virtualization objects pre-built against it (§4.1
 /// pre-caching: nothing on the switch-critical path allocates) — what
 /// is double-buffered under the kernel, and what a live-update stages
@@ -391,11 +379,13 @@ pub enum Transition {
     Update,
 }
 
-/// What a round's rows share: the control processor and, for an update,
-/// the staged successor the round consumed.
+/// What a round's rows share: the control processor, for an update the
+/// staged successor the round consumed, and for an SMP attach the scan
+/// the CP dealt, which rides here until go.
 pub(crate) struct Round<'a> {
     pub(crate) cpu: &'a Arc<Cpu>,
     staged: Option<VmmSet>,
+    pub(crate) scan: Cell<Option<ScanJob>>,
 }
 
 impl Round<'_> {
@@ -521,13 +511,10 @@ pub struct Mercury {
     assist: AssistMode,
     /// EPT for hardware-assisted mode (built at install).
     ept: Option<Arc<Ept>>,
-    rendezvous: Rendezvous,
-    /// The rendezvous round in flight (peers read it).  Set only after
-    /// [`Rendezvous::begin`] succeeds and cleared on *every* exit path,
-    /// so a failed round can never leave a stale target for a later
-    /// peer to reload into (the split-brain hazard of §5.4).
-    // volint::guarded_by(rendezvous) — peers may read it only from inside a rendezvous round
-    pub(crate) rv_round: Mutex<Option<RvRound>>,
+    /// The §5.4 rendezvous.  The control processor hands its peers
+    /// with go the mode to reload for and the attach's scan, if it
+    /// dealt one (each peer charges its stripe; see `crate::shard`).
+    rendezvous: Rendezvous<(ExecMode, Option<ScanJob>)>,
     /// Frames admitted lazily by the most recent attach, still awaiting
     /// their first-touch validation; `None` outside a lazy admission
     /// window.  Registered on every CPU's MMU while set.
@@ -676,7 +663,6 @@ impl Mercury {
             assist,
             ept,
             rendezvous: Rendezvous::new(),
-            rv_round: Mutex::new(None),
             lazy_set: Mutex::new(None),
             pending: Mutex::new(None),
             pending_update: Mutex::new(None),
@@ -1100,7 +1086,7 @@ impl Mercury {
         *self.abort.lock() = row;
     }
 
-    // volint::root(SWITCH, RENDEZVOUS)
+    // volint::root(SWITCH)
     fn handle_transition(self: &Arc<Self>, cpu: &Arc<Cpu>, frame: &mut TrapFrame, t: Transition) {
         let result = self.run_transition(cpu, frame, t);
         let s = &self.stats;
@@ -1196,28 +1182,19 @@ impl Mercury {
         };
         merctrace::span_begin!(cpu.id, _span, cpu.cycles());
 
-        // §5.4: rendezvous the other CPUs.  The round descriptor is
-        // published only *after* begin() succeeds — a Busy begin must
-        // not clobber the target of the round another CPU owns — and is
-        // torn down on every error path so no stale target survives an
-        // aborted round.
+        // §5.4: rendezvous the other CPUs.  A failed wait closes the
+        // round, so no peer of it reloads.
         let peers = self.machine.num_cpus() - 1;
         if peers > 0 {
             merctrace::span_begin!(cpu.id, "switch.rendezvous.gather", cpu.cycles());
-            let epoch = self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
-            *self.rv_round.lock() = Some(RvRound {
-                epoch,
-                target,
-                scan: None,
-            });
+            self.rendezvous.begin().map_err(SwitchError::Rendezvous)?;
             self.machine
                 .intc
                 .broadcast_ipi(cpu, vectors::SELF_VIRT_RENDEZVOUS);
             let _w0 = cpu.cycles();
-            if let Err(e) = self.rendezvous.wait_ready(peers) {
-                *self.rv_round.lock() = None;
-                return Err(SwitchError::Rendezvous(e));
-            }
+            self.rendezvous
+                .wait_ready(peers)
+                .map_err(SwitchError::Rendezvous)?;
             merctrace::hist!(
                 cpu.id,
                 "switch.rendezvous.wait",
@@ -1235,6 +1212,7 @@ impl Mercury {
                 Transition::Update => self.pending_update.lock().take(),
                 _ => None,
             },
+            scan: Cell::new(None),
         };
         let rows = self.phases(t);
         let mut entered = 0;
@@ -1280,11 +1258,6 @@ impl Mercury {
                     e => e,
                 });
             }
-            // The peers reload for the *current* (unchanged) mode, and
-            // still pay any scan stripe they were dealt.
-            if let Some(round) = self.rv_round.lock().as_mut() {
-                round.target = self.mode();
-            }
         } else {
             // The commit, which has no row: it cannot fail or be
             // undone.  One pointer store relocates the kernel's
@@ -1307,12 +1280,14 @@ impl Mercury {
         }
 
         if peers > 0 {
-            // Release the peers to do their per-CPU reload.
+            // Release the peers to do their per-CPU reload for the mode
+            // now in force — the target, or after a rollback the
+            // unchanged mode — with any scan stripe they were dealt.
             merctrace::span_begin!(cpu.id, "switch.rendezvous.release", cpu.cycles());
-            self.rendezvous.signal_go();
-            let done = self.rendezvous.wait_done(peers);
-            *self.rv_round.lock() = None;
-            done.map_err(SwitchError::Rendezvous)?;
+            self.rendezvous.signal_go((self.mode(), round.scan.get()));
+            self.rendezvous
+                .wait_done(peers)
+                .map_err(SwitchError::Rendezvous)?;
             merctrace::span_end!(cpu.id, "switch.rendezvous.release", cpu.cycles());
         }
         outcome?;
@@ -1324,26 +1299,20 @@ impl Mercury {
         })
     }
 
-    // volint::root(SWITCH, RENDEZVOUS)
+    // volint::root(SWITCH)
     fn handle_rendezvous_peer(self: &Arc<Self>, cpu: &Arc<Cpu>, frame: &mut TrapFrame) {
-        // No round published — this is a stale interrupt left over from
-        // an aborted rendezvous.  Nothing to join.
-        let Some(round) = *self.rv_round.lock() else {
+        // Check in pinned to the round in the word, and receive what
+        // the CP released it with.  An error means no round was open —
+        // a stale interrupt left over from an aborted rendezvous — or it
+        // closed before the check-in landed or before go.
+        let round = self.rendezvous.state();
+        let Ok((target, scan)) = self.rendezvous.check_in_and_wait(round.epoch) else {
             return;
         };
-        // Check in pinned to this round's epoch.  A Stale error means
-        // the round we saw was torn down before our check-in landed.
-        if self.rendezvous.check_in_and_wait(round.epoch).is_err() {
-            return;
-        }
-        // Re-read the round: the CP may have dealt this CPU a stripe of
-        // the recompute scan, and a failed transition rewrites the
-        // target so peers reload for the unchanged mode.
-        let now = (*self.rv_round.lock()).unwrap_or(round);
-        if let Some(scan) = now.scan {
+        if let Some(scan) = scan {
             scan.charge_stripe(cpu);
         }
-        self.reload_and_return(cpu, frame, now.target);
+        self.reload_and_return(cpu, frame, target);
         self.rendezvous.complete_for(round.epoch);
     }
 
@@ -2039,33 +2008,36 @@ pub(crate) mod tests {
         let cpu0 = Arc::clone(&machine.cpus[0]);
 
         // Busy: another CPU owns a round, so begin() fails — the
-        // descriptor of the owning round must not be clobbered.
-        let _held = mercury.rendezvous.begin().unwrap();
+        // owning round must not be disturbed.
+        let held = mercury.rendezvous.begin().unwrap();
+        let owned = mercury.rendezvous.state();
         let err = mercury.switch_to_virtual(&cpu0).unwrap_err();
         assert_eq!(err, SwitchError::Rendezvous(RendezvousError::Busy));
-        assert!(
-            mercury.rv_round.lock().is_none(),
-            "a Busy switch attempt must not publish a round descriptor"
+        assert_eq!(
+            mercury.rendezvous.state(),
+            owned,
+            "a Busy switch attempt must leave the owning round as it was"
         );
         // Retire the held round (zero peers → the waits are trivial).
-        mercury.rendezvous.signal_go();
+        mercury.rendezvous.signal_go((ExecMode::Native, None));
         mercury.rendezvous.wait_done(0).unwrap();
 
         // Timeout: the peer never services, wait_ready aborts — the
-        // descriptor must be torn down with the round, and the CP stays
-        // native.
+        // round must be closed, and the CP stays native.
         let err = mercury.switch_to_virtual(&cpu0).unwrap_err();
         assert_eq!(err, SwitchError::Rendezvous(RendezvousError::Timeout));
         assert_eq!(cpu0.pl(), PrivLevel::Pl0);
+        let closed = mercury.rendezvous.state();
         assert!(
-            mercury.rv_round.lock().is_none(),
-            "a timed-out switch must not leave a stale round target"
+            !closed.open && closed.epoch == held + 1,
+            "a timed-out switch must close its round: {closed:?}"
         );
         // The rendezvous IPI is still pending on CPU1.  Servicing it
-        // now must find no round and leave the CPU untouched.
+        // now must find no open round and leave the CPU untouched.
         let cpu1 = Arc::clone(&machine.cpus[1]);
         cpu1.tick(50);
         cpu1.service_pending();
+        assert_eq!(mercury.rendezvous.state(), closed, "the ghost was counted");
         assert_eq!(cpu1.pl(), PrivLevel::Pl0);
         assert_eq!(cpu1.current_idt().unwrap().owner, "nimbus");
         assert_eq!(mercury.mode(), ExecMode::Native);
@@ -2227,7 +2199,11 @@ pub(crate) mod tests {
         let err = with_serving_peers(&machine, || mercury.switch_to_virtual(cpu0).unwrap_err());
         assert!(matches!(err, SwitchError::Transfer(_)), "{err:?}");
         assert_eq!(mercury.mode(), ExecMode::Native);
-        assert!(mercury.rv_round.lock().is_none());
+        let closed = mercury.rendezvous.state();
+        assert!(
+            !closed.open,
+            "the failed attach left its round open: {closed:?}"
+        );
         for cpu in &machine.cpus {
             assert_eq!(cpu.pl(), PrivLevel::Pl0, "cpu{} left virtual", cpu.id);
             assert_eq!(cpu.current_idt().unwrap().owner, "nimbus");

@@ -8,8 +8,7 @@
 //! * line rules ([`rules`]): every virtualization-sensitive operation
 //!   routes through a Virtualization Object (VO-BYPASS, paper
 //!   §4.2/§5.3); every `VoRefCount::enter` pairs with an exit so the
-//!   switch gate is sound (REFCOUNT-LEAK, §5.1.1); `Rendezvous::begin`
-//!   resets every atomic field of the round (DISPATCH-GAP, §5.4); the
+//!   switch gate is sound (REFCOUNT-LEAK, §5.1.1); the
 //!   rendezvous, refcount and trace-buffer atomics use acquire/release
 //!   (ATOMIC-ORDER, §5.4); the fault-injection hooks stay out of the
 //!   mode-switch critical section (FAULT-MASK, DESIGN.md §12); each
@@ -20,14 +19,16 @@
 //! * call-graph rules ([`pathrules`]) over everything reachable from a
 //!   `// volint::root(..)` fn or a transition-table row: no allocation
 //!   (SWITCH-ALLOC), no panic path (SWITCH-PANIC), no unbounded loop
-//!   (SWITCH-LOOP-BOUND), `guarded_by` fields only under their guard
-//!   (LOCK-DISCIPLINE);
+//!   (SWITCH-LOOP-BOUND);
 //! * waiver hygiene (STALE-WAIVER) and the static per-phase cycle
 //!   budget ([`budget`]).
 //!
-//! That the `PvOps` dispatch table is total across VOes (§5.1.2) is
-//! not among them: the trait has no default methods, so rustc enforces
-//! it (E0046).
+//! Two facts are not among them because rustc enforces them: the
+//! `PvOps` dispatch table is total across VOes (§5.1.2; the trait has
+//! no default methods, E0046), and the §5.4 rendezvous round is one
+//! private word that every write builds whole (`mercury::rendezvous`:
+//! a round missing a field is E0063, and touching it from outside the
+//! module is E0616).
 //!
 //! Use it as a library ([`Analysis`], or the [`analyze_sources`] /
 //! [`analyze_workspace`] shorthands, produce structured
@@ -60,9 +61,9 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// The root kinds the reachability engine walks.  `SWITCH` tags the
-/// mode-switch entry points (and the xenon hypercall dispatch);
-/// `RENDEZVOUS` tags the paths that run inside a rendezvous round.
-pub const ROOT_KINDS: &[&str] = &["SWITCH", "RENDEZVOUS"];
+/// mode-switch entry points (the transition handler, the rendezvous
+/// peer) and the xenon hypercall dispatch.
+pub const ROOT_KINDS: &[&str] = &["SWITCH"];
 
 /// The invariant a diagnostic belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,8 +72,6 @@ pub enum Rule {
     VoBypass,
     /// Unbalanced / leaked / deadlocking VO guard (paper §5.1.1).
     RefcountLeak,
-    /// Rendezvous state `begin()` does not reset (paper §5.4).
-    DispatchGap,
     /// Relaxed atomics on rendezvous/refcount state (paper §5.4).
     AtomicOrder,
     /// Fault-injection hook used inside the switch critical section
@@ -85,9 +84,6 @@ pub enum Rule {
     /// Loop reachable from a switch root with no static trip bound
     /// (graph rule; bounds feed the static cycle budget).
     SwitchLoopBound,
-    /// `guarded_by(..)` field touched outside its guard's reach set
-    /// (graph rule; static complement of dyncheck's vector clocks).
-    LockDiscipline,
     /// `volint::allow(..)` waiver that no longer suppresses anything.
     StaleWaiver,
     /// A [`rules::FORBIDDEN`] token sequence outside the files that
@@ -101,13 +97,11 @@ impl Rule {
         match self {
             Rule::VoBypass => "VO-BYPASS",
             Rule::RefcountLeak => "REFCOUNT-LEAK",
-            Rule::DispatchGap => "DISPATCH-GAP",
             Rule::AtomicOrder => "ATOMIC-ORDER",
             Rule::FaultMask => "FAULT-MASK",
             Rule::SwitchAlloc => "SWITCH-ALLOC",
             Rule::SwitchPanic => "SWITCH-PANIC",
             Rule::SwitchLoopBound => "SWITCH-LOOP-BOUND",
-            Rule::LockDiscipline => "LOCK-DISCIPLINE",
             Rule::StaleWaiver => "STALE-WAIVER",
             Rule::Forbidden => "FORBIDDEN",
         }
@@ -284,8 +278,8 @@ impl Analysis {
     }
 
     /// Run the line rules, the call-graph rules (reachability from the
-    /// roots → SWITCH-ALLOC / SWITCH-PANIC / SWITCH-LOOP-BOUND /
-    /// LOCK-DISCIPLINE) and the stale-waiver sweep — stale waivers are
+    /// roots → SWITCH-ALLOC / SWITCH-PANIC / SWITCH-LOOP-BOUND) and the
+    /// stale-waiver sweep — stale waivers are
     /// errors under `deny_stale_waivers` (CI mode), else warnings.
     pub fn diagnostics(&self, deny_stale_waivers: bool) -> Vec<Diagnostic> {
         let reach = reach::compute(&self.graph, &self.facts, ROOT_KINDS);

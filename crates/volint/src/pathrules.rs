@@ -1,6 +1,6 @@
 //! The call-graph-powered switch-path rules.
 //!
-//! All four rules consume the [`reach`](crate::reach) sets computed
+//! All three rules consume the [`reach`](crate::reach) sets computed
 //! from `// volint::root(..)` markers:
 //!
 //! * **SWITCH-ALLOC** — no heap allocation (`Box`/`Vec`/`String`
@@ -17,10 +17,6 @@
 //!   `.take(N)`) or carries a `// volint::bound(N)` marker.  The
 //!   bounds double as inputs to the static cycle budget
 //!   ([`budget`](crate::budget)).
-//! * **LOCK-DISCIPLINE** — fields tagged `// volint::guarded_by(
-//!   rendezvous)` may only be touched from functions reachable under
-//!   a `RENDEZVOUS` root: the static complement to dyncheck's runtime
-//!   vector clocks.
 
 use crate::callgraph::CallGraph;
 use crate::reach::Reachability;
@@ -77,10 +73,8 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne",
 ];
 
-/// Run the four graph rules.
+/// Run the three graph rules.
 pub fn check(files: &[FileFacts], graph: &CallGraph, reach: &Reachability, sink: &mut Sink) {
-    let guarded = guarded_fields(files);
-
     for gid in 0..graph.fn_file.len() {
         let f = graph.file(files, gid);
         let body = graph.body(files, gid);
@@ -94,8 +88,6 @@ pub fn check(files: &[FileFacts], graph: &CallGraph, reach: &Reachability, sink:
             switch_panic(f, graph.fn_idx[gid], kind, &chain, sink);
             loop_bound(f, body, graph, kind, &chain, sink);
         }
-
-        lock_discipline(f, body, gid, graph, reach, &guarded, sink);
     }
 }
 
@@ -191,70 +183,6 @@ fn loop_bound(
                      budget stays finite"
                 ),
             );
-        }
-    }
-}
-
-/// `(struct, field, guard-root-kind)` triples: the struct fields a
-/// `// volint::guarded_by(..)` marker sits on or directly above.
-fn guarded_fields(files: &[FileFacts]) -> Vec<(String, String, String)> {
-    let mut out = Vec::new();
-    for f in files {
-        for (gl, guard) in &f.guards {
-            for fd in &f.fields {
-                if fd.line == *gl || fd.line == *gl + 1 {
-                    out.push((
-                        fd.struct_name.clone(),
-                        fd.field_name.clone(),
-                        guard.to_ascii_uppercase(),
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-fn lock_discipline(
-    f: &FileFacts,
-    body: &FnBody,
-    gid: usize,
-    graph: &CallGraph,
-    reach: &Reachability,
-    guarded: &[(String, String, String)],
-    sink: &mut Sink,
-) {
-    for fa in &body.field_accesses {
-        for (owner, field, guard_kind) in guarded {
-            if fa.name != *field {
-                continue;
-            }
-            // Attribute the access to the owning struct: `self.field`
-            // inside the owner's impl, or a receiver whose declared
-            // field type is the owner.
-            let owned = match fa.qualifier.as_deref() {
-                Some("self") => body.impl_type.as_deref() == Some(owner.as_str()),
-                Some(q) => graph.field_types.get(q).map(String::as_str) == Some(owner.as_str()),
-                None => false,
-            };
-            if !owned {
-                continue;
-            }
-            if !reach.under(guard_kind, gid) {
-                sink.push(
-                    f,
-                    Rule::LockDiscipline,
-                    fa.line,
-                    format!(
-                        "field `{owner}.{field}` is `guarded_by({})` but \
-                         `{}` is not reachable from any {guard_kind} root; \
-                         accessing it outside the protocol races the \
-                         rendezvous round",
-                        guard_kind.to_ascii_lowercase(),
-                        body.name
-                    ),
-                );
-            }
         }
     }
 }

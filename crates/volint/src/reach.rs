@@ -1,11 +1,11 @@
 //! Reachability over the call graph, per root kind.
 //!
-//! A root kind is the tag inside a `// volint::root(KIND)` marker —
-//! `SWITCH` for mode-switch entry points, `RENDEZVOUS` for the peer
-//! paths that run inside a rendezvous round.  Each kind gets its own
-//! breadth-first walk so rules can ask both "is this fn on *any*
-//! switch path?" (SWITCH-ALLOC and friends) and "is this fn under a
-//! *rendezvous* root specifically?" (LOCK-DISCIPLINE).
+//! A root kind is the tag inside a `// volint::root(KIND)` marker;
+//! the workspace uses one, `SWITCH`, on the mode-switch entry points
+//! (the transition handler and the rendezvous peer) and the hypercall
+//! dispatch.  Each kind gets its own breadth-first walk, and the
+//! switch-path rules (SWITCH-ALLOC and friends) ask whether a fn is on
+//! any of them.
 //!
 //! `// volint::prune(KIND)` markers cut individual call edges during
 //! the walk: a prune on (or directly above) a call-site line stops
@@ -49,19 +49,11 @@ impl ReachSet {
 
 /// All reach sets, keyed by root kind.
 pub struct Reachability {
-    /// Kind (`SWITCH`, `RENDEZVOUS`) → its reach set.
+    /// Kind (`SWITCH`) → its reach set.
     pub kinds: BTreeMap<String, ReachSet>,
 }
 
 impl Reachability {
-    /// Is `gid` reachable under *any* computed root kind?
-    pub fn under_any(&self, gid: usize) -> Option<&str> {
-        self.kinds
-            .iter()
-            .find(|(_, set)| set.reachable[gid])
-            .map(|(k, _)| k.as_str())
-    }
-
     /// Is `gid` reachable under the given kind?
     pub fn under(&self, kind: &str, gid: usize) -> bool {
         self.kinds
@@ -144,12 +136,12 @@ mod tests {
     #[test]
     fn prune_cuts_one_kind_only() {
         let (files, g) = setup(
-            "// volint::root(SWITCH, RENDEZVOUS)\nfn root_fn() {\n    // volint::prune(SWITCH)\n    deep();\n}\nfn deep() {}",
+            "// volint::root(SWITCH, PEER)\nfn root_fn() {\n    // volint::prune(SWITCH)\n    deep();\n}\nfn deep() {}",
         );
-        let r = compute(&g, &files, &["SWITCH", "RENDEZVOUS"]);
+        let r = compute(&g, &files, &["SWITCH", "PEER"]);
         let deep = gid(&files, &g, "deep");
         assert!(!r.under("SWITCH", deep), "pruned for SWITCH");
-        assert!(r.under("RENDEZVOUS", deep), "not pruned for RENDEZVOUS");
-        assert_eq!(r.under_any(deep), Some("RENDEZVOUS"));
+        assert!(r.under("PEER", deep), "not pruned for PEER");
+        assert_eq!(r.explain(deep).map(|(k, _)| k), Some("PEER"));
     }
 }

@@ -1,4 +1,4 @@
-//! The six Mercury invariant rules.
+//! The five Mercury line rules.
 //!
 //! * **VO-BYPASS** — privileged `simx86` primitives reached outside a
 //!   `PvOps` impl or the allowlisted switch-handler/hardware layers
@@ -8,10 +8,6 @@
 //!   immediately discarded, parked in long-lived structs, or held
 //!   across a call that blocks on a pending switch (paper §5.1.1: the
 //!   refcount gate is sound only if every entry pairs with an exit).
-//! * **DISPATCH-GAP** — an atomic `Rendezvous` field `begin()` does not
-//!   reset (paper §5.4).  That every VO implements every `PvOps` method
-//!   is the compiler's to enforce: the trait has no default methods, so
-//!   a gap is rustc E0046.
 //! * **ATOMIC-ORDER** — `Ordering::Relaxed` on `Rendezvous` /
 //!   `VoRefCount` state (paper §5.4: the IPI handshake is only correct
 //!   under acquire/release ordering), and on `merctrace` per-CPU
@@ -111,7 +107,7 @@ pub const SWITCH_CRITICAL: &[&str] = &[
     "charge_stripe",
     "spin_until",
     "wait_count",
-    "end_round",
+    "close_round",
 ];
 
 /// One row of [`FORBIDDEN`]: a fact stated in one place, and the token
@@ -224,7 +220,6 @@ pub fn check(files: &[FileFacts], sink: &mut Sink) {
         refcount_leak(f, sink);
         atomic_order(f, sink);
         fault_mask(f, &critical, sink);
-        dispatch_gap(f, sink);
         forbidden(f, sink);
     }
 }
@@ -428,42 +423,6 @@ fn fault_mask(f: &FileFacts, critical: &BTreeSet<&str>, sink: &mut Sink) {
                      recovery mechanism itself",
                     func.name,
                     used.join(", ")
-                ),
-            );
-        }
-    }
-}
-
-// ------------------------------------------------------------- DISPATCH-GAP
-
-/// Every *atomic* `Rendezvous` field is reset by `begin()` — a stale
-/// counter or flag from the previous round corrupts the next handshake.
-/// Non-atomic fields (the timeout, the dyncheck shadow monitor) are
-/// round-invariant configuration, not protocol state.
-fn dispatch_gap(f: &FileFacts, sink: &mut Sink) {
-    if !f.defines_struct("Rendezvous") {
-        return;
-    }
-    let begin = f
-        .fns
-        .iter()
-        .find(|x| x.name == "begin" && x.impl_type.as_deref() == Some("Rendezvous"));
-    let Some(begin) = begin else { return };
-    for fd in &f.fields {
-        if fd.struct_name == "Rendezvous"
-            && !fd.in_test
-            && fd.type_idents.iter().any(|t| t.starts_with("Atomic"))
-            && !begin.idents.contains(&fd.field_name)
-        {
-            sink.push(
-                f,
-                Rule::DispatchGap,
-                fd.line,
-                format!(
-                    "`Rendezvous` field `{}` is not touched by \
-                     `begin()`; stale state leaks into the next \
-                     rendezvous round",
-                    fd.field_name
                 ),
             );
         }

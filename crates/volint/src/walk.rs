@@ -4,7 +4,7 @@
 //! the call graph and the cycle budget read: items (`impl`/`trait`
 //! blocks, struct fields, numeric consts), every function body (extent,
 //! identifier set, loops with any statically knowable trip count,
-//! slice-index expressions, field accesses, `merctrace` span regions),
+//! slice-index expressions, `merctrace` span regions),
 //! every call site (receiver, argument identifiers, macro
 //! invocations), `let` bindings, `Ordering::Relaxed` uses, the rows of
 //! the transition tables, `#[cfg(test)]` scoping, the
@@ -13,12 +13,11 @@
 //! `volint::` markers that live in comments:
 //!
 //! ```text
-//! // volint::allow(RULE, ..): why      — on/above a line: waive RULE there
-//! // volint::root(SWITCH, RENDEZVOUS)  — above a fn: reachability root
-//! // volint::bound(64)                 — on/above a loop: worst-case trips
-//! // volint::cost(8192)                — cycles statically charged here
-//! // volint::guarded_by(rendezvous)    — on/above a struct field
-//! // volint::prune(SWITCH)             — cut call edges on this line
+//! // volint::allow(RULE, ..): why  — on/above a line: waive RULE there
+//! // volint::root(SWITCH)           — above a fn: reachability root
+//! // volint::bound(64)              — on/above a loop: worst-case trips
+//! // volint::cost(8192)             — cycles statically charged here
+//! // volint::prune(SWITCH)          — cut call edges on this line
 //! ```
 //!
 //! The walk is deliberately tolerant: unknown constructs fall through
@@ -115,17 +114,6 @@ impl LoopInfo {
     }
 }
 
-/// A field access (`recv.field`, not followed by a call's `(`).
-#[derive(Debug, Clone)]
-pub struct FieldAccess {
-    /// Accessed field name.
-    pub name: String,
-    /// Receiver identifier (`self` in `self.rv_round`).
-    pub qualifier: Option<String>,
-    /// 1-based line.
-    pub line: usize,
-}
-
 /// A `merctrace` span region (`span_begin!`..`span_end!` with a string
 /// probe name) inside one function.
 #[derive(Debug, Clone)]
@@ -175,8 +163,6 @@ pub struct FnBody {
     pub loops: Vec<LoopInfo>,
     /// Lines with a slice/array index expression (`x[i]`).
     pub index_sites: Vec<usize>,
-    /// Every field access in the body.
-    pub field_accesses: Vec<FieldAccess>,
     /// `merctrace` span regions opened and closed in this body.
     pub phases: Vec<PhaseSpan>,
 }
@@ -209,8 +195,6 @@ pub struct FileFacts {
     pub waivers: Marked<Vec<String>>,
     /// `// volint::cost(N)` markers: (line, cycles).
     pub costs: Marked<u64>,
-    /// `// volint::guarded_by(NAME)` markers: (line, guard name).
-    pub guards: Marked<String>,
     /// `// volint::prune(KIND, ..)` markers: (line, root kinds).
     pub prunes: Marked<Vec<String>>,
     /// [`rules::FORBIDDEN`](crate::rules::FORBIDDEN) sequences outside
@@ -321,7 +305,6 @@ fn collect_markers(src: &str, out: &mut FileFacts) -> (Marked<Vec<String>>, Mark
             "allow" => out.waivers.push((ln, args)),
             "root" => roots.push((ln, args)),
             "prune" => out.prunes.push((ln, args)),
-            "guarded_by" => out.guards.push((ln, first.clone())),
             "bound" => bounds.extend(num_value(first).map(|n| (ln, n))),
             "cost" => out.costs.extend(num_value(first).map(|n| (ln, n))),
             _ => {}
@@ -950,16 +933,6 @@ impl Walker<'_> {
                 fn_idx,
                 in_test: self.inherited_test(),
             });
-        } else if let Some(idx) = fn_idx {
-            // Field access: `recv.name` (not `a..b`, not `recv.name(`).
-            if i >= 1 && self.is_punct(i - 1, '.') && !(i >= 2 && self.is_punct(i - 2, '.')) {
-                let qualifier = i.checked_sub(2).and_then(|q| self.toks[q].ident());
-                self.out.fns[idx].field_accesses.push(FieldAccess {
-                    name: id.to_string(),
-                    qualifier: qualifier.map(String::from),
-                    line,
-                });
-            }
         }
         i + 1
     }
@@ -1291,49 +1264,45 @@ mod tests {
     }
 
     #[test]
-    fn index_sites_and_field_accesses() {
+    fn index_sites() {
         let src = r#"
             fn f(&self, xs: &[u8]) -> u8 {
                 let [a, b] = split(xs);
-                let _ = *self.rv_round.lock();
                 self.stats.deferrals.incr();
                 xs[3] + a + b
             }
         "#;
         let p = walk_file("x.rs", src);
-        let f = &p.fns[0];
-        assert_eq!(f.index_sites.len(), 1, "slice pattern must not count");
-        let rv = f.field_accesses.iter().find(|a| a.name == "rv_round");
-        assert_eq!(rv.unwrap().qualifier.as_deref(), Some("self"));
-        assert!(f.field_accesses.iter().any(|a| a.name == "stats"));
-        // `lock()` and `incr()` are calls, not field accesses.
-        assert!(!f.field_accesses.iter().any(|a| a.name == "lock"));
+        assert_eq!(
+            p.fns[0].index_sites.len(),
+            1,
+            "slice pattern must not count"
+        );
     }
 
     #[test]
     fn root_markers_attach_to_following_fn() {
         let src = r#"
-            // volint::root(SWITCH, RENDEZVOUS)
+            // volint::root(SWITCH, PEER)
             fn handle_switch(&self) {}
 
             fn unrooted(&self) {}
         "#;
         let p = walk_file("x.rs", src);
-        assert_eq!(p.fns[0].root_kinds, vec!["SWITCH", "RENDEZVOUS"]);
+        assert_eq!(p.fns[0].root_kinds, vec!["SWITCH", "PEER"]);
         assert!(p.fns[1].root_kinds.is_empty());
     }
 
     #[test]
-    fn consts_costs_guards_prunes() {
+    fn consts_costs_prunes() {
         let src = "pub const ENTRIES_PER_TABLE: usize = 512;\n\
-                   struct S {\n    // volint::guarded_by(rendezvous)\n    job: Mutex<u8>,\n}\n\
+                   struct S {\n    // a comment, not a marker\n    job: Mutex<u8>,\n}\n\
                    fn f() {\n    // volint::cost(4_096)\n    tick();\n    // volint::prune(SWITCH)\n    helper();\n    for i in 0..ENTRIES_PER_TABLE { walk(i); }\n}\n";
         let p = walk_file("x.rs", src);
         assert_eq!(p.consts.get("ENTRIES_PER_TABLE"), Some(&512));
         assert_eq!(p.costs, vec![(7, 4096)]);
-        assert_eq!(p.guards, vec![(3, "rendezvous".to_string())]);
         assert!(p.is_pruned("SWITCH", 10));
-        assert!(!p.is_pruned("RENDEZVOUS", 10));
+        assert!(!p.is_pruned("PEER", 10));
         let lp = &p.fns[0].loops[0];
         assert_eq!(lp.static_end_const.as_deref(), Some("ENTRIES_PER_TABLE"));
         assert_eq!(lp.resolved_bound(&p.consts), Some(512));

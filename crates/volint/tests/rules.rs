@@ -48,13 +48,6 @@ fn refcount_leak_fixture() {
 }
 
 #[test]
-fn dispatch_gap_fixture() {
-    let src = include_str!("fixtures/dispatch_gap_bad.rs");
-    assert!(expectations(src).iter().any(|(_, r)| r == "DISPATCH-GAP"));
-    check_fixture("dispatch_gap_bad.rs", src);
-}
-
-#[test]
 fn atomic_order_fixture() {
     let src = include_str!("fixtures/atomic_order_bad.rs");
     assert!(expectations(src).iter().any(|(_, r)| r == "ATOMIC-ORDER"));
@@ -203,15 +196,6 @@ fn loop_bound_fixture() {
         .iter()
         .any(|(_, r)| r == "SWITCH-LOOP-BOUND"));
     check_fixture("loop_bound_bad.rs", src);
-}
-
-#[test]
-fn lock_discipline_fixture() {
-    let src = include_str!("fixtures/lock_discipline_bad.rs");
-    assert!(expectations(src)
-        .iter()
-        .any(|(_, r)| r == "LOCK-DISCIPLINE"));
-    check_fixture("lock_discipline_bad.rs", src);
 }
 
 #[test]

@@ -122,7 +122,7 @@ impl BlockDriver for NativeBlockDriver {
 pub struct FrontendBlockDriver {
     hv: Arc<Hypervisor>,
     dom: Arc<Domain>,
-    backend: simx86::sync::RwLock<Arc<BlkBackend>>,
+    backend: Arc<BlkBackend>,
     ring: Ring,
     /// Payload frame, owned by the frontend's domain.
     buf: FrameNum,
@@ -144,22 +144,15 @@ impl FrontendBlockDriver {
             ring: backend.ring(),
             hv,
             dom,
-            backend: simx86::sync::RwLock::new(backend),
+            backend,
             buf,
             evtchn_port,
             next_id: AtomicU64::new(1),
         })
     }
 
-    /// Reconnect to a new backend after live migration (§5.2: "creates
-    /// the frontend device drivers and connects them to the backend
-    /// drivers after the migration has been completed").
-    pub fn reconnect(&self, backend: Arc<BlkBackend>) {
-        *self.backend.write() = backend;
-    }
-
     fn roundtrip(&self, cpu: &Arc<Cpu>, op: BlkOp, block: u64) -> Result<BlkResponse, KernelError> {
-        let backend = Arc::clone(&self.backend.read());
+        let backend = &self.backend;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let gref = self
             .hv
@@ -217,8 +210,7 @@ impl BlockDriver for FrontendBlockDriver {
     }
 
     fn flush(&self, cpu: &Arc<Cpu>) -> Result<(), KernelError> {
-        let backend = Arc::clone(&self.backend.read());
-        backend.flush(cpu)
+        self.backend.flush(cpu)
     }
 
     fn kind(&self) -> &'static str {

@@ -74,7 +74,7 @@ pub const SPLIT_NET_PER_PACKET: u64 = 9_000;
 pub struct FrontendNetDriver {
     hv: Arc<Hypervisor>,
     dom: Arc<Domain>,
-    backend: simx86::sync::RwLock<Arc<NetBackend>>,
+    backend: Arc<NetBackend>,
     tx_ring: Ring,
     /// Payload frame owned by the frontend's domain.
     buf: FrameNum,
@@ -95,24 +95,17 @@ impl FrontendNetDriver {
             tx_ring: backend.tx_ring(),
             hv,
             dom,
-            backend: simx86::sync::RwLock::new(backend),
+            backend,
             buf,
             evtchn_port,
             next_id: AtomicU64::new(1),
         })
     }
-
-    /// Reconnect to a new driver domain's backend after live migration
-    /// (§5.2: frontends reconnect *after* the move; in-flight packet
-    /// loss is the transport protocol's problem).
-    pub fn reconnect(&self, backend: Arc<NetBackend>) {
-        *self.backend.write() = backend;
-    }
 }
 
 impl NetDriver for FrontendNetDriver {
     fn send(&self, cpu: &Arc<Cpu>, pkt: &[u8]) -> Result<(), KernelError> {
-        let backend = Arc::clone(&self.backend.read());
+        let backend = &self.backend;
         if pkt.len() > simx86::PAGE_SIZE as usize {
             return Err(KernelError::Invalid("packet larger than a frame"));
         }
@@ -137,7 +130,7 @@ impl NetDriver for FrontendNetDriver {
     }
 
     fn recv(&self, cpu: &Arc<Cpu>) -> Option<Vec<u8>> {
-        let backend = Arc::clone(&self.backend.read());
+        let backend = &self.backend;
         // Pull anything the wire delivered into the backend first.
         backend.poll_rx(cpu).ok()?;
         let pkt = backend.take_rx_for(self.dom.id)?;

@@ -113,15 +113,6 @@ impl NetBackend {
     pub fn take_rx_for(&self, dom: DomId) -> Option<Vec<u8>> {
         self.rx_queues.lock().get_mut(&dom)?.pop_front()
     }
-
-    /// Packets waiting for `dom`.
-    pub fn rx_backlog(&self, dom: DomId) -> usize {
-        self.rx_queues
-            .lock()
-            .get(&dom)
-            .map(|q| q.len())
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -121,11 +121,6 @@ impl Vfs {
         self.root.keys().cloned().collect()
     }
 
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.root.len()
-    }
-
     /// Free data blocks remaining.
     pub fn free_block_count(&self) -> usize {
         self.free_blocks.len()

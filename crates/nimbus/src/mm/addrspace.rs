@@ -218,25 +218,6 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Remove the mapping at `va`.  Returns the frame that was mapped
-    /// (the caller decides whether to decref it).
-    pub fn unmap_page(
-        &mut self,
-        ctx: &mut MmCtx<'_>,
-        va: VirtAddr,
-    ) -> Result<Option<FrameNum>, KernelError> {
-        let Some(l1) = self.l1_of(va) else {
-            return Ok(None);
-        };
-        let pte = ctx.mem.read_pte(ctx.cpu, l1, va.l1_index())?;
-        if !pte.present() {
-            return Ok(None);
-        }
-        ctx.pv.set_pte(ctx.cpu, l1, va.l1_index(), Pte::ABSENT)?;
-        ctx.pv.invlpg(ctx.cpu, va.vpn());
-        Ok(Some(FrameNum(pte.frame())))
-    }
-
     /// Add a VMA covering `[start, start + pages*4K)`.
     pub fn add_vma(&mut self, vma: Vma) {
         debug_assert!(vma.start.is_multiple_of(PAGE_SIZE) && vma.end.is_multiple_of(PAGE_SIZE));

@@ -6,9 +6,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-/// Maximum payload per datagram (fits one frame with the header).
-pub const MAX_PAYLOAD: usize = 4088;
-
 /// A bound socket.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Socket {

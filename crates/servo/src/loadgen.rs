@@ -93,26 +93,6 @@ pub fn generate(cfg: &LoadConfig) -> Vec<Arrival> {
     out
 }
 
-/// The stream's horizon: the offset of the last arrival, or 0 for an
-/// empty stream.  This is the open-loop span the server will cover —
-/// the bench binaries divide the simulated cycles actually consumed by
-/// host seconds to get the Mcycles/host-second throughput metric;
-/// every idle gap inside the horizon is charged to a worker's clock.
-///
-/// ```
-/// use mercury_servo::loadgen::{generate, horizon, LoadConfig};
-/// use mercury_workloads::mix::CostMix;
-///
-/// let t = generate(&LoadConfig {
-///     seed: 7, mean_gap_cycles: 30_000, requests: 100, mix: CostMix::web(),
-/// });
-/// assert_eq!(horizon(&t), t.last().unwrap().offset);
-/// assert_eq!(horizon(&[]), 0);
-/// ```
-pub fn horizon(traffic: &[Arrival]) -> u64 {
-    traffic.last().map(|a| a.offset).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

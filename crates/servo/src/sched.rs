@@ -73,14 +73,6 @@ impl RequestRecord {
             Outcome::Shed => None,
         }
     }
-
-    /// Time queued before service began; `None` for sheds.
-    pub fn queue_delay(&self) -> Option<u64> {
-        match self.outcome {
-            Outcome::Completed => Some(self.start - self.arrival),
-            Outcome::Shed => None,
-        }
-    }
 }
 
 /// Scheduler tuning.

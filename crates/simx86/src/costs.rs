@@ -184,9 +184,6 @@ pub const NIC_PACKET_BASE: u64 = 5_500;
 /// NIC: per-byte copy cost between socket buffer and device.
 pub const NIC_PER_BYTE: u64 = 2;
 
-/// Wire propagation delay for a LAN round trip half (cable + switch).
-pub const WIRE_LATENCY: u64 = 90_000;
-
 /// Extra cost per device request when the *driver domain* itself is
 /// de-privileged (X-0 / M-V): the driver's port-I/O and doorbell writes
 /// trap into the VMM.  Responsible for domain0's I/O-heavy losses in

@@ -316,6 +316,7 @@ impl Cpu {
     /// Hardware-internal privilege update.  Only trap dispatch, `iret`
     /// and the state-reload path may call this; ordinary code changes
     /// privilege exclusively through gates.
+    /// Virtualization-sensitive (paper §4.2).
     #[inline]
     #[doc(alias = "volint-privileged")]
     pub fn set_pl_raw(&self, pl: PrivLevel) {
@@ -336,6 +337,21 @@ impl Cpu {
 
     /// Load CR3 with the page-directory frame number.  Privileged;
     /// flushes the TLB (non-global entries) and charges the reload cost.
+    /// Virtualization-sensitive (paper §5.3): executed de-privileged it
+    /// takes a `#GP`, as the paper's de-privileged kernel traps into the
+    /// VMM.
+    ///
+    /// ```
+    /// use simx86::cpu::{Cpu, PrivLevel};
+    ///
+    /// let cpu = Cpu::new(0);
+    /// cpu.write_cr3(1).expect("PL0 may load CR3");
+    ///
+    /// // De-privilege the CPU, as Mercury's attach does to the kernel …
+    /// cpu.set_pl_raw(PrivLevel::Pl1);
+    /// // … and the same instruction now takes a #GP.
+    /// assert!(cpu.write_cr3(2).is_err());
+    /// ```
     #[doc(alias = "volint-privileged")]
     pub fn write_cr3(&self, pgd_frame: u32) -> Result<(), Fault> {
         self.require_pl0("mov cr3")?;
@@ -347,6 +363,7 @@ impl Cpu {
     }
 
     /// Read CR3.  Privileged, as on x86.
+    /// Virtualization-sensitive (paper §5.3).
     #[doc(alias = "volint-privileged")]
     pub fn read_cr3(&self) -> Result<u32, Fault> {
         self.require_pl0("mov from cr3")?;
@@ -362,6 +379,7 @@ impl Cpu {
 
     /// Hardware-internal CR3 restore used by state reloading; does not
     /// charge the privileged-instruction path.
+    /// Virtualization-sensitive (paper §5.1.3).
     #[doc(alias = "volint-privileged")]
     pub fn set_cr3_raw(&self, pgd_frame: u32) {
         self.cr3.store(pgd_frame as u64, Ordering::Release);
@@ -372,6 +390,7 @@ impl Cpu {
     /// `invlpg`/CR3 paths; exposed for the paravirt layer).  For the
     /// thread driving this CPU; a peer's TLB is flushed with
     /// [`Cpu::request_tlb_flush`].
+    /// Virtualization-sensitive (paper §5.3).
     #[doc(alias = "volint-privileged")]
     pub fn flush_tlb_local(&self) {
         self.tick(costs::TLB_FLUSH);
@@ -384,6 +403,7 @@ impl Cpu {
     /// flush is charged to this CPU now and applied by its driving
     /// thread before its next use of the TLB, so a translation it starts
     /// after this returns sees the page tables as the caller left them.
+    /// Virtualization-sensitive (paper §5.3).
     #[doc(alias = "volint-privileged")]
     pub fn request_tlb_flush(&self) {
         self.foreign_cycles
@@ -399,6 +419,7 @@ impl Cpu {
     }
 
     /// Invalidate a single page translation.
+    /// Virtualization-sensitive (paper §5.3).
     #[doc(alias = "volint-privileged")]
     pub fn invlpg(&self, vpn: u64) {
         self.tick(4);
@@ -409,6 +430,7 @@ impl Cpu {
     // -- interrupt flag -----------------------------------------------
 
     /// `cli`: disable interrupts.  Privileged.
+    /// Virtualization-sensitive (paper §5.4).
     #[doc(alias = "volint-privileged")]
     pub fn cli(&self) -> Result<(), Fault> {
         self.require_pl0("cli")?;
@@ -417,6 +439,7 @@ impl Cpu {
     }
 
     /// `sti`: enable interrupts.  Privileged.
+    /// Virtualization-sensitive (paper §5.4).
     #[doc(alias = "volint-privileged")]
     pub fn sti(&self) -> Result<(), Fault> {
         self.require_pl0("sti")?;
@@ -425,6 +448,7 @@ impl Cpu {
     }
 
     /// Hardware-internal IF manipulation for trap entry/exit.
+    /// Virtualization-sensitive (paper §5.4).
     #[doc(alias = "volint-privileged")]
     pub fn set_if_raw(&self, enabled: bool) {
         self.if_flag.store(enabled, Ordering::Release);
@@ -439,6 +463,7 @@ impl Cpu {
     // -- descriptor tables --------------------------------------------
 
     /// `lidt`: install a gate table.  Privileged.
+    /// Virtualization-sensitive (paper §5.1.2).
     #[doc(alias = "volint-privileged")]
     pub fn lidt(&self, table: Arc<IdtTable>) -> Result<(), Fault> {
         self.require_pl0("lidt")?;
@@ -449,6 +474,7 @@ impl Cpu {
     }
 
     /// Hardware-internal IDT swap for the state-reload path.
+    /// Virtualization-sensitive (paper §5.1.3).
     #[doc(alias = "volint-privileged")]
     pub fn set_idt_raw(&self, table: Arc<IdtTable>) {
         *self.idt.write() = Some(table);
@@ -457,6 +483,7 @@ impl Cpu {
     /// Hardware-internal IDT swap that happens only while `loaded` is
     /// the table in place: how a VMM re-routes its own gate table
     /// without taking back a CPU that has since loaded another.
+    /// Virtualization-sensitive (paper §3.2.1).
     #[doc(alias = "volint-privileged")]
     pub fn replace_idt_raw(&self, loaded: &Arc<IdtTable>, table: Arc<IdtTable>) {
         let mut idt = self.idt.write();
@@ -471,6 +498,7 @@ impl Cpu {
     }
 
     /// `lgdt`: install a descriptor table.  Privileged.
+    /// Virtualization-sensitive (paper §5.1.2).
     #[doc(alias = "volint-privileged")]
     pub fn lgdt(&self, gdt: Gdt) -> Result<(), Fault> {
         self.require_pl0("lgdt")?;
@@ -481,6 +509,7 @@ impl Cpu {
     }
 
     /// Hardware-internal GDT swap for the state-reload path.
+    /// Virtualization-sensitive (paper §5.1.3).
     #[doc(alias = "volint-privileged")]
     pub fn set_gdt_raw(&self, gdt: Gdt) {
         self.gdt_kernel_dpl
@@ -499,6 +528,7 @@ impl Cpu {
     /// Enter or leave VT-x-style non-root execution with the given EPT.
     /// In non-root mode the kernel keeps PL0 (no de-privileging); the
     /// EPT filters every translation.
+    /// Virtualization-sensitive (paper §8).
     #[doc(alias = "volint-privileged")]
     pub fn set_non_root(&self, ept: Option<Arc<crate::vmx::Ept>>) {
         let present = ept.is_some();
@@ -535,6 +565,7 @@ impl Cpu {
     /// validation fault.  The switch engine registers the set on every
     /// CPU from the initiator's thread, so the flush is a request
     /// ([`Cpu::request_tlb_flush`]) whichever CPU this is.
+    /// Virtualization-sensitive (paper §5.1.2).
     #[doc(alias = "volint-privileged")]
     pub fn set_lazy_set(&self, set: Option<Arc<crate::lazy::LazySet>>) {
         let present = set.is_some();

@@ -9,14 +9,6 @@ use crate::costs;
 use crate::cpu::Cpu;
 use std::sync::Arc;
 
-/// Routing of a device interrupt line: either a fixed CPU or the boot
-/// CPU (id 0).  A fuller IOAPIC model isn't needed for the reproduction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IrqRoute {
-    /// Deliver to a fixed CPU.
-    Cpu(usize),
-}
-
 /// The machine's interrupt controller.
 pub struct InterruptController {
     cpus: Vec<Arc<Cpu>>,
@@ -38,15 +30,8 @@ impl InterruptController {
         self.cpus[cpu].raise(vector);
     }
 
-    /// Send an IPI from `from` to `to`.  Charges the APIC ICR cost to the
-    /// sender.
-    pub fn send_ipi(&self, from: &Cpu, to: usize, vector: u8) {
-        from.tick(costs::IPI_SEND);
-        merctrace::counter!(from.id, "simx86.ipi.send", 1, from.cycles());
-        self.cpus[to].raise(vector);
-    }
-
     /// Send an IPI to every CPU except the sender.
+    /// Virtualization-sensitive (paper §5.4).
     #[doc(alias = "volint-privileged")]
     pub fn broadcast_ipi(&self, from: &Cpu, vector: u8) {
         // volint::bound(64) — one IPI per CPU; the machine model tops out well below this

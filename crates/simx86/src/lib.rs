@@ -31,7 +31,11 @@
 //! current privilege level and returns [`Fault::GeneralProtection`] when
 //! executed de-privileged.  A hypervisor claims PL0 and installs its own
 //! gate table; the guest kernel then runs at PL1 and must either use
-//! hypercalls (paravirtualization) or trap.
+//! hypercalls (paravirtualization) or trap.  Each primitive a
+//! de-privileged kernel must not reach directly carries
+//! `#[doc(alias = "volint-privileged")]` and its paper section at its
+//! definition; those markers are the one list of them, and `volint`'s
+//! VO-BYPASS rule reads it.
 //!
 //! With the `fault` feature (off by default, an alias for
 //! `faultgen/enabled`) the memory, interrupt and device paths compile in
@@ -55,7 +59,6 @@ pub mod machine;
 pub mod mem;
 pub mod mmu;
 pub mod paging;
-pub mod privops;
 pub mod sync;
 pub mod tlb;
 pub mod vmx;

@@ -252,6 +252,7 @@ impl PhysMemory {
     /// This is the *raw hardware store*: privilege / ownership policy is
     /// enforced by the layers above (kernel paravirt layer, hypervisor
     /// validators), not here.
+    /// Virtualization-sensitive (paper §5.3).
     #[doc(alias = "volint-privileged")]
     pub fn write_pte(
         &self,
@@ -296,6 +297,7 @@ impl PhysMemory {
     /// `MEM_WORD` is charged, as that loop would.
     ///
     /// The raw hardware store, like `write_pte`: policy lives above.
+    /// Virtualization-sensitive (paper §5.3).
     #[doc(alias = "volint-privileged")]
     pub fn write_ptes(
         &self,

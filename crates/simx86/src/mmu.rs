@@ -106,11 +106,6 @@ impl Mmu {
         Ok(Some((l1, l1_table, va.l1_index())))
     }
 
-    /// Read the L2 (page-directory) entry covering `va`.
-    pub fn read_l2(mem: &PhysMemory, cpu: &Cpu, pgd: FrameNum, va: VirtAddr) -> Result<Pte, Fault> {
-        mem.read_pte(cpu, pgd, va.l2_index())
-    }
-
     fn check_perms(
         pte: Pte,
         va: VirtAddr,

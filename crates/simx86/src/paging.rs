@@ -165,8 +165,6 @@ impl Pte {
     pub const GLOBAL: u64 = 1 << 8;
     /// Software bit: this mapping is copy-on-write.
     pub const COW: u64 = 1 << 9;
-    /// Software bit: hint that the mapped frame is a pinned page table.
-    pub const PIN_HINT: u64 = 1 << 10;
 
     const FRAME_MASK: u64 = 0x0000_00ff_ffff_f000;
 

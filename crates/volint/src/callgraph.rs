@@ -184,16 +184,11 @@ impl CallGraph {
         &files[self.fn_file[gid]]
     }
 
-    /// Global ids of fns carrying a `volint::root(kind)` marker, plus
-    /// (for every kind) the fns the transition-table rows name.
-    pub fn roots(&self, files: &[FileFacts], kind: &str) -> Vec<usize> {
+    /// Global ids of fns carrying a `volint::root(..)` marker, plus
+    /// the fns the transition-table rows name.
+    pub fn roots(&self, files: &[FileFacts]) -> Vec<usize> {
         (0..self.fn_file.len())
-            .filter(|&g| {
-                self.body(files, g)
-                    .root_kinds
-                    .iter()
-                    .any(|k| k == kind)
-            })
+            .filter(|&g| self.body(files, g).root)
             .chain(self.rows.iter().flat_map(|(_, gids)| gids.iter().copied()))
             .collect()
     }
@@ -389,7 +384,7 @@ mod tests {
             "a.rs",
             "// volint::root(SWITCH)\nfn handle_switch() {}\nfn other() {}",
         )]);
-        let roots = g.roots(&files, "SWITCH");
+        let roots = g.roots(&files);
         assert_eq!(roots.len(), 1);
         assert_eq!(g.body(&files, roots[0]).name, "handle_switch");
     }

@@ -60,11 +60,6 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// The root kinds the reachability engine walks.  `SWITCH` tags the
-/// mode-switch entry points (the transition handler, the rendezvous
-/// peer) and the xenon hypercall dispatch.
-pub const ROOT_KINDS: &[&str] = &["SWITCH"];
-
 /// The invariant a diagnostic belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
@@ -282,7 +277,7 @@ impl Analysis {
     /// stale-waiver sweep — stale waivers are
     /// errors under `deny_stale_waivers` (CI mode), else warnings.
     pub fn diagnostics(&self, deny_stale_waivers: bool) -> Vec<Diagnostic> {
-        let reach = reach::compute(&self.graph, &self.facts, ROOT_KINDS);
+        let reach = reach::compute(&self.graph, &self.facts);
         let mut sink = Sink::new();
         rules::check(&self.facts, &mut sink);
         pathrules::check(&self.facts, &self.graph, &reach, &mut sink);
@@ -399,14 +394,23 @@ mod tests {
 
     #[test]
     fn analyze_sources_end_to_end() {
-        let bad = "fn f(cpu: &Cpu) { cpu.lidt(0); }".to_string();
-        let diags = analyze_sources(&[("crates/app/src/x.rs".to_string(), bad)], false);
+        let cpu = "#[doc(alias = \"volint-privileged\")]\npub fn lidt() {}\n\
+                   #[doc(alias = \"volint-privileged\")]\npub fn invlpg() {}\n";
+        let with_cpu = |src: &str| {
+            let sources = [
+                ("crates/simx86/src/cpu.rs".to_string(), cpu.to_string()),
+                ("crates/app/src/x.rs".to_string(), src.to_string()),
+            ];
+            analyze_sources(&sources, false)
+        };
+        let diags = with_cpu("fn f(cpu: &Cpu) { cpu.lidt(0); }");
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::VoBypass);
+        assert!(with_cpu("fn f(ctx: &Ctx) { ctx.pv.invlpg(va); }").is_empty());
 
-        let routed = "fn f(ctx: &Ctx) { ctx.pv.invlpg(va); }".to_string();
-        let diags = analyze_sources(&[("crates/app/src/x.rs".to_string(), routed)], false);
-        assert!(diags.is_empty());
+        // Only a marker makes a primitive privileged.
+        let unmarked = "fn f(cpu: &Cpu) { cpu.lidt(0); }".to_string();
+        assert!(analyze_sources(&[("crates/app/src/x.rs".to_string(), unmarked)], false).is_empty());
     }
 
     /// Diagnostics and budget come from one walk: one `lex` per file.

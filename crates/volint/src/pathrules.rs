@@ -1,7 +1,7 @@
 //! The call-graph-powered switch-path rules.
 //!
-//! All three rules consume the [`reach`](crate::reach) sets computed
-//! from `// volint::root(..)` markers:
+//! All three rules consume the [`reach`](crate::reach) set computed
+//! from the `// volint::root(..)` markers and the transition-table rows:
 //!
 //! * **SWITCH-ALLOC** — no heap allocation (`Box`/`Vec`/`String`
 //!   constructors, collection growth methods, `vec!`/`format!`)
@@ -19,7 +19,7 @@
 //!   ([`budget`](crate::budget)).
 
 use crate::callgraph::CallGraph;
-use crate::reach::Reachability;
+use crate::reach::ReachSet;
 use crate::walk::{FileFacts, FnBody};
 use crate::{Rule, Sink};
 
@@ -74,7 +74,7 @@ const PANIC_MACROS: &[&str] = &[
 ];
 
 /// Run the three graph rules.
-pub fn check(files: &[FileFacts], graph: &CallGraph, reach: &Reachability, sink: &mut Sink) {
+pub fn check(files: &[FileFacts], graph: &CallGraph, reach: &ReachSet, sink: &mut Sink) {
     for gid in 0..graph.fn_file.len() {
         let f = graph.file(files, gid);
         let body = graph.body(files, gid);
@@ -82,16 +82,16 @@ pub fn check(files: &[FileFacts], graph: &CallGraph, reach: &Reachability, sink:
             continue;
         }
 
-        if let Some((kind, set)) = reach.explain(gid) {
-            let chain = set.chain(graph, files, gid);
-            switch_alloc(f, graph.fn_idx[gid], kind, &chain, sink);
-            switch_panic(f, graph.fn_idx[gid], kind, &chain, sink);
-            loop_bound(f, body, graph, kind, &chain, sink);
+        if reach.reachable[gid] {
+            let chain = reach.chain(graph, files, gid);
+            switch_alloc(f, graph.fn_idx[gid], &chain, sink);
+            switch_panic(f, graph.fn_idx[gid], &chain, sink);
+            loop_bound(f, body, graph, &chain, sink);
         }
     }
 }
 
-fn switch_alloc(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mut Sink) {
+fn switch_alloc(f: &FileFacts, fn_idx: usize, chain: &str, sink: &mut Sink) {
     for c in f.calls_in(fn_idx) {
         let what = if c.is_macro {
             if ALLOC_MACROS.contains(&c.name.as_str()) {
@@ -117,7 +117,7 @@ fn switch_alloc(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mu
                 Rule::SwitchAlloc,
                 c.line,
                 format!(
-                    "{what} allocates on the {kind} path ({chain}); the \
+                    "{what} allocates on the switch path ({chain}); the \
                      switch critical section must not enter the allocator"
                 ),
             );
@@ -125,7 +125,7 @@ fn switch_alloc(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mu
     }
 }
 
-fn switch_panic(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mut Sink) {
+fn switch_panic(f: &FileFacts, fn_idx: usize, chain: &str, sink: &mut Sink) {
     for c in f.calls_in(fn_idx) {
         let what = if c.is_macro {
             if PANIC_MACROS.contains(&c.name.as_str()) {
@@ -144,7 +144,7 @@ fn switch_panic(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mu
                 Rule::SwitchPanic,
                 c.line,
                 format!(
-                    "{what} can panic on the {kind} path ({chain}); a panic \
+                    "{what} can panic on the switch path ({chain}); a panic \
                      mid-transfer strands every rendezvous peer"
                 ),
             );
@@ -156,21 +156,14 @@ fn switch_panic(f: &FileFacts, fn_idx: usize, kind: &str, chain: &str, sink: &mu
             Rule::SwitchPanic,
             line,
             format!(
-                "unchecked index can panic on the {kind} path ({chain}); \
+                "unchecked index can panic on the switch path ({chain}); \
                  use `.get()` or waive with a bounds argument"
             ),
         );
     }
 }
 
-fn loop_bound(
-    f: &FileFacts,
-    body: &FnBody,
-    graph: &CallGraph,
-    kind: &str,
-    chain: &str,
-    sink: &mut Sink,
-) {
+fn loop_bound(f: &FileFacts, body: &FnBody, graph: &CallGraph, chain: &str, sink: &mut Sink) {
     for l in &body.loops {
         if l.resolved_bound(&graph.consts).is_none() {
             sink.push(
@@ -178,7 +171,7 @@ fn loop_bound(
                 Rule::SwitchLoopBound,
                 l.line,
                 format!(
-                    "loop on the {kind} path ({chain}) has no static trip \
+                    "loop on the switch path ({chain}) has no static trip \
                      bound; annotate `// volint::bound(N)` so the cycle \
                      budget stays finite"
                 ),

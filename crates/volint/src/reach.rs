@@ -1,26 +1,23 @@
-//! Reachability over the call graph, per root kind.
+//! Reachability over the call graph from the switch roots.
 //!
-//! A root kind is the tag inside a `// volint::root(KIND)` marker;
-//! the workspace uses one, `SWITCH`, on the mode-switch entry points
-//! (the transition handler and the rendezvous peer) and the hypercall
-//! dispatch.  Each kind gets its own breadth-first walk, and the
-//! switch-path rules (SWITCH-ALLOC and friends) ask whether a fn is on
-//! any of them.
+//! The roots are the fns under a `// volint::root(..)` marker — the
+//! mode-switch entry points (the transition handler and the rendezvous
+//! peer) and the hypercall dispatch — plus the fns the transition-table
+//! rows name.  One breadth-first walk from all of them gives the switch
+//! path the switch-path rules (SWITCH-ALLOC and friends) check.
 //!
-//! `// volint::prune(KIND)` markers cut individual call edges during
-//! the walk: a prune on (or directly above) a call-site line stops
-//! that edge from propagating the given kind.  This is how the few
+//! A `// volint::prune(..)` marker on (or directly above) a call-site
+//! line cuts that edge during the walk.  This is how the few
 //! genuinely-unreachable dispatch fan-out edges (the graph has no
 //! branch sensitivity) are kept off the switch path — visibly, in the
 //! caller's source, instead of inside the analyzer.
 
 use crate::callgraph::CallGraph;
 use crate::walk::FileFacts;
-use std::collections::BTreeMap;
 
-/// Reachable-set for one root kind, with BFS parents for diagnostics.
+/// The fns reachable from the roots, with BFS parents for diagnostics.
 pub struct ReachSet {
-    /// gid → reachable from some root of this kind.
+    /// gid → reachable from some root.
     pub reachable: Vec<bool>,
     /// gid → (caller gid, call-site line) on a shortest root path.
     /// Roots have no parent.
@@ -47,58 +44,30 @@ impl ReachSet {
     }
 }
 
-/// All reach sets, keyed by root kind.
-pub struct Reachability {
-    /// Kind (`SWITCH`) → its reach set.
-    pub kinds: BTreeMap<String, ReachSet>,
-}
-
-impl Reachability {
-    /// Is `gid` reachable under the given kind?
-    pub fn under(&self, kind: &str, gid: usize) -> bool {
-        self.kinds
-            .get(kind)
-            .is_some_and(|s| s.reachable[gid])
-    }
-
-    /// The reach set whose chain best explains `gid` (first kind that
-    /// reaches it, in `BTreeMap` order — deterministic).
-    pub fn explain(&self, gid: usize) -> Option<(&str, &ReachSet)> {
-        self.kinds
-            .iter()
-            .find(|(_, s)| s.reachable[gid])
-            .map(|(k, s)| (k.as_str(), s))
-    }
-}
-
-/// Walk the graph from every root of every kind in `kinds`.
-pub fn compute(graph: &CallGraph, files: &[FileFacts], kinds: &[&str]) -> Reachability {
+/// Walk the graph from every root.
+pub fn compute(graph: &CallGraph, files: &[FileFacts]) -> ReachSet {
     let n = graph.fn_file.len();
-    let mut out = BTreeMap::new();
-    for &kind in kinds {
-        let mut reachable = vec![false; n];
-        let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
-        let mut queue: Vec<usize> = graph.roots(files, kind);
-        for &r in &queue {
-            reachable[r] = true;
-        }
-        let mut head = 0;
-        while head < queue.len() {
-            let cur = queue[head];
-            head += 1;
-            let file = graph.file(files, cur);
-            for e in &graph.edges[cur] {
-                if reachable[e.callee] || file.is_pruned(kind, e.line) {
-                    continue;
-                }
-                reachable[e.callee] = true;
-                parent[e.callee] = Some((cur, e.line));
-                queue.push(e.callee);
-            }
-        }
-        out.insert(kind.to_string(), ReachSet { reachable, parent });
+    let mut reachable = vec![false; n];
+    let mut parent: Vec<Option<(usize, usize)>> = vec![None; n];
+    let mut queue: Vec<usize> = graph.roots(files);
+    for &r in &queue {
+        reachable[r] = true;
     }
-    Reachability { kinds: out }
+    let mut head = 0;
+    while head < queue.len() {
+        let cur = queue[head];
+        head += 1;
+        let file = graph.file(files, cur);
+        for e in &graph.edges[cur] {
+            if reachable[e.callee] || file.is_pruned(e.line) {
+                continue;
+            }
+            reachable[e.callee] = true;
+            parent[e.callee] = Some((cur, e.line));
+            queue.push(e.callee);
+        }
+    }
+    ReachSet { reachable, parent }
 }
 
 #[cfg(test)]
@@ -124,24 +93,21 @@ mod tests {
         let (files, g) = setup(
             "// volint::root(SWITCH)\nfn root_fn() { mid(); }\nfn mid() { deep(); }\nfn deep() {}\nfn unrelated() { deep(); }",
         );
-        let r = compute(&g, &files, &["SWITCH"]);
+        let r = compute(&g, &files);
         let deep = gid(&files, &g, "deep");
         let unrelated = gid(&files, &g, "unrelated");
-        assert!(r.under("SWITCH", deep));
-        assert!(!r.under("SWITCH", unrelated));
-        let set = &r.kinds["SWITCH"];
-        assert_eq!(set.chain(&g, &files, deep), "root_fn \u{2192} mid \u{2192} deep");
+        assert!(r.reachable[deep]);
+        assert!(!r.reachable[unrelated]);
+        assert_eq!(r.chain(&g, &files, deep), "root_fn \u{2192} mid \u{2192} deep");
     }
 
     #[test]
-    fn prune_cuts_one_kind_only() {
+    fn prune_cuts_its_edge_only() {
         let (files, g) = setup(
-            "// volint::root(SWITCH, PEER)\nfn root_fn() {\n    // volint::prune(SWITCH)\n    deep();\n}\nfn deep() {}",
+            "// volint::root(SWITCH)\nfn root_fn() {\n    // volint::prune(*)\n    deep();\n    mid();\n}\nfn mid() {}\nfn deep() {}",
         );
-        let r = compute(&g, &files, &["SWITCH", "PEER"]);
-        let deep = gid(&files, &g, "deep");
-        assert!(!r.under("SWITCH", deep), "pruned for SWITCH");
-        assert!(r.under("PEER", deep), "not pruned for PEER");
-        assert_eq!(r.explain(deep).map(|(k, _)| k), Some("PEER"));
+        let r = compute(&g, &files);
+        assert!(!r.reachable[gid(&files, &g, "deep")], "pruned edge");
+        assert!(r.reachable[gid(&files, &g, "mid")], "the next line is not pruned");
     }
 }

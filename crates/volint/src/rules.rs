@@ -3,7 +3,9 @@
 //! * **VO-BYPASS** — privileged `simx86` primitives reached outside a
 //!   `PvOps` impl or the allowlisted switch-handler/hardware layers
 //!   (paper §4.2/§5.3: every virtualization-sensitive operation routes
-//!   through a Virtualization Object).
+//!   through a Virtualization Object).  The privileged set is the fns
+//!   `crates/simx86/` marks `#[doc(alias = "volint-privileged")]`, and
+//!   nothing else.
 //! * **REFCOUNT-LEAK** — `VoRefCount::enter` guards that are forgotten,
 //!   immediately discarded, parked in long-lived structs, or held
 //!   across a call that blocks on a pending switch (paper §5.1.1: the
@@ -30,32 +32,6 @@ use crate::walk::{Call, FileFacts, LetBinding};
 use crate::{Rule, Sink};
 use std::collections::BTreeSet;
 
-/// Names of privileged hardware primitives (VO-BYPASS targets), besides
-/// the fns `simx86` marks `#[doc(alias = "volint-privileged")]`.
-const PRIVILEGED: &[&str] = &[
-    // control registers / address-space roots
-    "write_cr3",
-    "set_cr3_raw",
-    // descriptor tables
-    "lidt",
-    "set_idt_raw",
-    "lgdt",
-    "set_gdt_raw",
-    // interrupt flag + privilege level
-    "cli",
-    "sti",
-    "set_if_raw",
-    "set_pl_raw",
-    "set_non_root",
-    // TLB maintenance
-    "flush_tlb_local",
-    "invlpg",
-    // page-table mutation
-    "write_pte",
-    // inter-processor interrupts
-    "broadcast_ipi",
-];
-
 /// Path prefixes exempt from VO-BYPASS: the hardware model itself, the
 /// VMM, and the designated switch-handler module.
 const ALLOW_PATHS: &[&str] = &[
@@ -73,7 +49,7 @@ const DISPATCH_RECEIVERS: &[&str] = &["pv", "inner", "ops"];
 
 /// Calls that block on a pending switch or rendezvous; holding a VO
 /// guard across them deadlocks (REFCOUNT-LEAK).
-const BLOCKING_CALLS: &[&str] = &[
+pub const BLOCKING_CALLS: &[&str] = &[
     "switch_to_virtual",
     "switch_to_native",
     "wait_ready",
@@ -84,7 +60,7 @@ const BLOCKING_CALLS: &[&str] = &[
 
 /// The `faultgen` injection-hook entry points (FAULT-MASK targets), in
 /// the order a diagnostic lists them.
-const FAULT_HOOKS: &[&str] = &[
+pub const FAULT_HOOKS: &[&str] = &[
     "disk_site",
     "gate_site",
     "hypercall_site",
@@ -200,13 +176,12 @@ pub const FORBIDDEN: &[Forbidden] = &[
 
 /// Run every line-level rule over the walked files.
 pub fn check(files: &[FileFacts], sink: &mut Sink) {
-    // The hardware layer is the source of truth for what is privileged.
+    // The hardware layer's markers are the one list of what is privileged.
     let privileged: BTreeSet<&str> = files
         .iter()
         .filter(|f| f.name.starts_with("crates/simx86/"))
         .flat_map(|f| f.fns.iter().filter(|b| b.privileged))
         .map(|b| b.name.as_str())
-        .chain(PRIVILEGED.iter().copied())
         .collect();
     // Every fn a transition-table row names is switch-critical too.
     let critical: BTreeSet<&str> = files

@@ -14,10 +14,10 @@
 //!
 //! ```text
 //! // volint::allow(RULE, ..): why  — on/above a line: waive RULE there
-//! // volint::root(SWITCH)           — above a fn: reachability root
+//! // volint::root(SWITCH)           — above a fn: a switch-path root
 //! // volint::bound(64)              — on/above a loop: worst-case trips
 //! // volint::cost(8192)             — cycles statically charged here
-//! // volint::prune(SWITCH)          — cut call edges on this line
+//! // volint::prune(*)               — cut call edges on/below this line
 //! ```
 //!
 //! The walk is deliberately tolerant: unknown constructs fall through
@@ -155,8 +155,8 @@ pub struct FnBody {
     pub in_test: bool,
     /// Carries `#[doc(alias = "volint-privileged")]`.
     pub privileged: bool,
-    /// Root kinds from a `// volint::root(..)` marker (`SWITCH`, ...).
-    pub root_kinds: Vec<String>,
+    /// Under a `// volint::root(..)` marker: a switch-path root.
+    pub root: bool,
     /// Every identifier appearing in the body.
     pub idents: BTreeSet<String>,
     /// Every loop in the body.
@@ -195,17 +195,17 @@ pub struct FileFacts {
     pub waivers: Marked<Vec<String>>,
     /// `// volint::cost(N)` markers: (line, cycles).
     pub costs: Marked<u64>,
-    /// `// volint::prune(KIND, ..)` markers: (line, root kinds).
-    pub prunes: Marked<Vec<String>>,
+    /// Lines of `// volint::prune(..)` markers.
+    pub prunes: Vec<usize>,
     /// [`rules::FORBIDDEN`](crate::rules::FORBIDDEN) sequences outside
     /// their allowed files: (row, sequence, line).
     pub forbidden: Vec<(&'static crate::rules::Forbidden, &'static str, usize)>,
 }
 
-/// Does a `(marker line, names)` entry cover (`name`, `line`) — marker
-/// on the same line or the line directly above, naming `name` or `*`?
-fn covers(entry: &(usize, Vec<String>), name: &str, line: usize) -> bool {
-    (entry.0 == line || entry.0 + 1 == line) && entry.1.iter().any(|n| n == name || n == "*")
+/// Does a marker on line `marker` cover `line` — the same line or the
+/// line directly above?
+fn covers(marker: usize, line: usize) -> bool {
+    marker == line || marker + 1 == line
 }
 
 impl FileFacts {
@@ -219,18 +219,19 @@ impl FileFacts {
         self.calls.iter().filter(move |c| c.fn_idx == Some(fn_idx))
     }
 
-    /// The line of the waiver covering (`rule`, `line`), if any — used
-    /// to track which waivers actually fire (stale-waiver detection).
+    /// The line of the waiver naming `rule` (or `*`) that covers
+    /// `line`, if any — used to track which waivers actually fire
+    /// (stale-waiver detection).
     pub fn waiver_match(&self, rule: &str, line: usize) -> Option<usize> {
         self.waivers
             .iter()
-            .find(|w| covers(w, rule, line))
+            .find(|(wl, rules)| covers(*wl, line) && rules.iter().any(|r| r == rule || r == "*"))
             .map(|w| w.0)
     }
 
-    /// Is the call edge at `line` pruned for root kind `kind`?
-    pub fn is_pruned(&self, kind: &str, line: usize) -> bool {
-        self.prunes.iter().any(|p| covers(p, kind, line))
+    /// Is the call edge at `line` cut by a prune marker covering it?
+    pub fn is_pruned(&self, line: usize) -> bool {
+        self.prunes.iter().any(|&p| covers(p, line))
     }
 }
 
@@ -281,10 +282,10 @@ fn marker_comment(line: &str) -> Option<&str> {
 }
 
 /// Pull every `// volint::kind(args)` marker out of the raw source
-/// (they live in comments, which the lexer strips).  Waivers, costs,
-/// guards and prunes land on `out`; roots and bounds are returned for
+/// (they live in comments, which the lexer strips).  Waivers, costs
+/// and prunes land on `out`; root lines and bounds are returned for
 /// attachment to the fns and loops the walk finds.
-fn collect_markers(src: &str, out: &mut FileFacts) -> (Marked<Vec<String>>, Marked<u64>) {
+fn collect_markers(src: &str, out: &mut FileFacts) -> (Vec<usize>, Marked<u64>) {
     let (mut roots, mut bounds) = (Vec::new(), Vec::new());
     for (i, line) in src.lines().enumerate() {
         let ln = i + 1;
@@ -303,8 +304,8 @@ fn collect_markers(src: &str, out: &mut FileFacts) -> (Marked<Vec<String>>, Mark
         let Some(first) = args.first() else { continue };
         match kind {
             "allow" => out.waivers.push((ln, args)),
-            "root" => roots.push((ln, args)),
-            "prune" => out.prunes.push((ln, args)),
+            "root" => roots.push(ln),
+            "prune" => out.prunes.push(ln),
             "bound" => bounds.extend(num_value(first).map(|n| (ln, n))),
             "cost" => out.costs.extend(num_value(first).map(|n| (ln, n))),
             _ => {}
@@ -334,7 +335,7 @@ pub fn walk_file(name: &str, src: &str) -> FileFacts {
     out.forbidden = crate::rules::forbidden_hits(&out, &toks, &test_spans);
 
     // Attach markers by line proximity.
-    for (ml, kinds) in roots {
+    for ml in roots {
         // The nearest following fn (doc comments / attributes may sit
         // between the marker and the `fn` keyword).
         if let Some(f) = out
@@ -343,11 +344,7 @@ pub fn walk_file(name: &str, src: &str) -> FileFacts {
             .filter(|f| f.line > ml && f.line - ml <= 8)
             .min_by_key(|f| f.line)
         {
-            for k in kinds {
-                if !f.root_kinds.contains(&k) {
-                    f.root_kinds.push(k);
-                }
-            }
+            f.root = true;
         }
     }
     for (ml, n) in bounds {
@@ -1283,26 +1280,27 @@ mod tests {
     #[test]
     fn root_markers_attach_to_following_fn() {
         let src = r#"
-            // volint::root(SWITCH, PEER)
+            // volint::root(SWITCH)
             fn handle_switch(&self) {}
 
             fn unrooted(&self) {}
         "#;
         let p = walk_file("x.rs", src);
-        assert_eq!(p.fns[0].root_kinds, vec!["SWITCH", "PEER"]);
-        assert!(p.fns[1].root_kinds.is_empty());
+        assert!(p.fns[0].root);
+        assert!(!p.fns[1].root);
     }
 
     #[test]
     fn consts_costs_prunes() {
         let src = "pub const ENTRIES_PER_TABLE: usize = 512;\n\
                    struct S {\n    // a comment, not a marker\n    job: Mutex<u8>,\n}\n\
-                   fn f() {\n    // volint::cost(4_096)\n    tick();\n    // volint::prune(SWITCH)\n    helper();\n    for i in 0..ENTRIES_PER_TABLE { walk(i); }\n}\n";
+                   fn f() {\n    // volint::cost(4_096)\n    tick();\n    // volint::prune(*)\n    helper();\n    for i in 0..ENTRIES_PER_TABLE { walk(i); }\n}\n";
         let p = walk_file("x.rs", src);
         assert_eq!(p.consts.get("ENTRIES_PER_TABLE"), Some(&512));
         assert_eq!(p.costs, vec![(7, 4096)]);
-        assert!(p.is_pruned("SWITCH", 10));
-        assert!(!p.is_pruned("PEER", 10));
+        assert_eq!(p.prunes, vec![9]);
+        assert!(p.is_pruned(9) && p.is_pruned(10));
+        assert!(!p.is_pruned(8) && !p.is_pruned(11));
         let lp = &p.fns[0].loops[0];
         assert_eq!(lp.static_end_const.as_deref(), Some("ENTRIES_PER_TABLE"));
         assert_eq!(lp.resolved_bound(&p.consts), Some(512));

@@ -16,11 +16,22 @@ fn expectations(src: &str) -> BTreeSet<(usize, String)> {
         .collect()
 }
 
+/// A stand-in for `crates/simx86/src/cpu.rs` whose markers make the
+/// fixtures' privileged calls VO-BYPASS targets, as the real file's do.
+fn marked_cpu_stub() -> (String, String) {
+    let fns: String = ["set_pl_raw", "write_cr3", "write_pte", "cli", "sti", "lidt", "lgdt", "invlpg"]
+        .iter()
+        .map(|f| format!("#[doc(alias = \"volint-privileged\")]\npub fn {f}() {{}}\n"))
+        .collect();
+    ("crates/simx86/src/cpu.rs".to_string(), fns)
+}
+
 /// Run volint over one fixture under a neutral logical path (so the
-/// `tests/` exemption does not apply) and compare against expectations.
+/// `tests/` exemption does not apply), beside the marked stub, and
+/// compare against expectations.
 fn check_fixture(fname: &str, src: &str) {
     let logical = format!("fixture://{fname}");
-    let diags = analyze_sources(&[(logical, src.to_string())], false);
+    let diags = analyze_sources(&[(logical, src.to_string()), marked_cpu_stub()], false);
     let got: BTreeSet<(usize, String)> = diags
         .iter()
         .map(|d| (d.line, d.rule.as_str().to_string()))
@@ -126,28 +137,45 @@ fn real_workspace_is_clean() {
             .join("\n")
     );
 
-    // FAULT-MASK matches fns by name: an entry that names no product
-    // fn (a rename, a deleted walk) would silently stop covering it.
-    let defined: BTreeSet<String> = volint::workspace_sources(&root)
-        .expect("workspace must be readable")
+    // FAULT-MASK and REFCOUNT-LEAK match by name: an entry that names
+    // no product fn or hook macro (a rename, a deleted walk) would
+    // silently stop covering it.
+    let sources = volint::workspace_sources(&root).expect("workspace must be readable");
+    let defined: BTreeSet<String> = sources
         .iter()
         .filter(|(name, _)| name.starts_with("crates/") && name.contains("/src/"))
         .flat_map(|(name, src)| volint::walk::walk_file(name, src).fns)
         .filter(|f| !f.in_test)
         .map(|f| f.name)
         .collect();
-    for name in volint::rules::SWITCH_CRITICAL {
+    for (list, names) in [
+        ("SWITCH_CRITICAL", volint::rules::SWITCH_CRITICAL),
+        ("BLOCKING_CALLS", volint::rules::BLOCKING_CALLS),
+    ] {
+        for name in names {
+            assert!(
+                defined.contains(*name),
+                "{list} names `{name}`, which no product fn is called"
+            );
+        }
+    }
+    let faultgen: String = sources
+        .iter()
+        .filter(|(name, _)| name.starts_with("crates/faultgen/src/"))
+        .map(|(_, src)| src.as_str())
+        .collect();
+    for hook in volint::rules::FAULT_HOOKS {
         assert!(
-            defined.contains(*name),
-            "switch_critical names `{name}`, which no product fn is called"
+            faultgen.contains(&format!("macro_rules! {hook} ")),
+            "FAULT_HOOKS names `{hook}`, which is no faultgen macro"
         );
     }
 }
 
-/// The privileged-op set picked up from `simx86`'s
-/// `#[doc(alias = "volint-privileged")]` markers must agree with the
-/// crate's own registry names (markers are scanned here; the registry
-/// side is asserted by simx86's tests).
+/// The privileged set is `simx86`'s `#[doc(alias = "volint-privileged")]`
+/// markers and nothing else, so the markers across all of its sources
+/// must be exactly these 20 primitives: a dropped or an added marker
+/// changes what VO-BYPASS checks, and fails here until this list says so.
 #[test]
 fn simx86_markers_are_discovered() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -155,20 +183,41 @@ fn simx86_markers_are_discovered() {
         .and_then(|p| p.parent())
         .unwrap()
         .to_path_buf();
-    let cpu = std::fs::read_to_string(root.join("crates/simx86/src/cpu.rs")).unwrap();
-    let facts = volint::walk::walk_file("crates/simx86/src/cpu.rs", &cpu);
-    let marked: Vec<&str> = facts
-        .fns
+    let marked: BTreeSet<String> = volint::workspace_sources(&root.join("crates/simx86/src"))
+        .unwrap()
         .iter()
+        .flat_map(|(name, src)| volint::walk::walk_file(name, src).fns)
         .filter(|f| f.privileged)
-        .map(|f| f.name.as_str())
+        .map(|f| f.name)
         .collect();
-    for expect in ["write_cr3", "lidt", "lgdt", "flush_tlb_local", "invlpg"] {
-        assert!(
-            marked.contains(&expect),
-            "`{expect}` should carry #[doc(alias = \"volint-privileged\")] in simx86/src/cpu.rs; found {marked:?}"
-        );
-    }
+    let want: BTreeSet<String> = [
+        // cpu.rs
+        "set_pl_raw",
+        "write_cr3",
+        "read_cr3",
+        "set_cr3_raw",
+        "flush_tlb_local",
+        "request_tlb_flush",
+        "invlpg",
+        "cli",
+        "sti",
+        "set_if_raw",
+        "lidt",
+        "set_idt_raw",
+        "replace_idt_raw",
+        "lgdt",
+        "set_gdt_raw",
+        "set_non_root",
+        "set_lazy_set",
+        // mem.rs
+        "write_pte",
+        "write_ptes",
+        // intc.rs
+        "broadcast_ipi",
+    ]
+    .map(String::from)
+    .into();
+    assert_eq!(marked, want, "simx86's privileged markers changed");
 }
 
 // ---------------------------------------------------------------

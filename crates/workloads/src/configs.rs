@@ -57,11 +57,6 @@ impl SysKind {
             SysKind::MU => "M-U",
         }
     }
-
-    /// Does this configuration use split (frontend/backend) I/O?
-    pub fn split_io(&self) -> bool {
-        matches!(self, SysKind::XU | SysKind::MU)
-    }
 }
 
 /// Frames given to the measured kernel.  The paper gives each Linux

@@ -16,9 +16,9 @@
 //!   recompute-on-switch path, kept as the §7.4 anchor (the ~0.22 ms /
 //!   ~0.06 ms numbers).
 //! * **attach_lazy / detach_lazy** — [`TrackingStrategy::LazyValidate`]
-//!   with a fork-and-exit churn before every attach, so each sample has
-//!   both kernel-critical dirty frames (validated synchronously) and
-//!   deferrable ones (enqueued in `lazy_admit` for first-touch
+//!   with a churn child forked before every detach that exits in the
+//!   native window after it, so every attach but the first defers the
+//!   child's freed tables (enqueued in `lazy_admit` for first-touch
 //!   validation).
 //! * **live_update** — the hv-to-hv update path (DESIGN.md §16): the
 //!   kernel stays virtual while a pre-cached successor hypervisor
@@ -139,40 +139,47 @@ impl Breakdown {
     }
 }
 
-/// Dirty some *deferrable* frames: a short-lived child maps and touches
-/// pages, then exits.  Its table frames go back to the pool dirty but
-/// no longer kernel-critical — exactly the population `LazyValidate`
-/// defers to first-touch validation — while the fork's COW flips dirty
-/// the parent's (live, critical) tables.
-fn churn(sess: &nimbus::Session) {
-    let child = sess.fork().expect("fork");
-    assert!(
-        sess.waitpid().expect("waitpid").is_none(),
-        "child should still be running"
-    );
-    let va = sess
-        .mmap(32, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
-        .expect("mmap");
-    for p in 0..32u64 {
-        sess.poke(simx86::VirtAddr(va.0 + p * 4096), p)
-            .expect("touch");
+/// Make some *deferrable* frames: before a detach a child is forked
+/// that maps and touches pages, so its tables are among the detach's;
+/// before the next attach it exits, and its table frames go back to
+/// the pool stored to but no longer kernel-critical — exactly the
+/// population `LazyValidate` defers to first-touch validation.
+fn churn(sess: &nimbus::Session, child: &mut Option<nimbus::Pid>, next: Transition) {
+    match (next, child.take()) {
+        (Transition::Detach, _) => {
+            *child = Some(sess.fork().expect("fork"));
+            assert!(
+                sess.waitpid().expect("waitpid").is_none(),
+                "child should still be running"
+            );
+            let va = sess
+                .mmap(32, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
+                .expect("mmap");
+            for p in 0..32u64 {
+                sess.poke(simx86::VirtAddr(va.0 + p * 4096), p)
+                    .expect("touch");
+            }
+        }
+        (_, Some(pid)) => {
+            sess.exit(0).expect("exit");
+            assert_eq!(
+                sess.waitpid().expect("waitpid").expect("child exited").0,
+                pid,
+                "reaped the churn child"
+            );
+        }
+        (_, None) => {}
     }
-    sess.exit(0).expect("exit");
-    assert_eq!(
-        sess.waitpid().expect("waitpid").expect("child exited").0,
-        child,
-        "reaped the churn child"
-    );
 }
 
 /// Run one attach/detach leg: `SAMPLES` round trips on `bed`, phases
-/// split per the tables `bed`'s Mercury runs, with `before_attach` run
-/// (untraced) ahead of every attach.  Returns the two breakdowns plus
-/// the last pair of Chrome traces.
+/// split per the tables `bed`'s Mercury runs, with `before` run
+/// (untraced) ahead of every switch, told which.  Returns the two
+/// breakdowns plus the last pair of Chrome traces.
 fn run_leg(
     bed: &TestBed,
     labels: (&'static str, &'static str),
-    mut before_attach: impl FnMut(),
+    mut before: impl FnMut(Transition),
 ) -> (Breakdown, Breakdown, (String, String)) {
     let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
     let cpu = bed.machine.boot_cpu();
@@ -180,7 +187,7 @@ fn run_leg(
     let mut detach = Breakdown::new(labels.1, mercury.timeline(Transition::Detach));
     let mut last_traces = (String::new(), String::new());
     for _ in 0..SAMPLES {
-        before_attach();
+        before(Transition::Attach);
         merctrace::reset();
         merctrace::arm();
         let SwitchOutcome::Completed { cycles } = mercury.switch_to_virtual(cpu).expect("attach")
@@ -193,6 +200,7 @@ fn run_leg(
         attach.add(&snap, cycles);
         last_traces.0 = merctrace::export::chrome_trace(&snap, CYCLES_PER_US);
 
+        before(Transition::Detach);
         merctrace::reset();
         merctrace::arm();
         let SwitchOutcome::Completed { cycles } = mercury.switch_to_native(cpu).expect("detach")
@@ -254,19 +262,21 @@ fn main() -> ExitCode {
     // the first decompose the steady O(dirty)+O(tables) switch.
     let bed = TestBed::build_mn_with_strategy(1, TrackingStrategy::default());
     let _sess = warm(&bed);
-    let (attach, detach, traces) = run_leg(&bed, ("attach", "detach"), || {});
+    let (attach, detach, traces) = run_leg(&bed, ("attach", "detach"), |_| {});
 
     // Anchor leg: the paper's full recompute (§7.4's ~0.22 ms / ~0.06 ms).
     let bed_full = TestBed::build(SysKind::MN, 1);
     let _sess_full = warm(&bed_full);
-    let (attach_full, detach_full, _) = run_leg(&bed_full, ("attach_full", "detach_full"), || {});
+    let (attach_full, detach_full, _) = run_leg(&bed_full, ("attach_full", "detach_full"), |_| {});
 
-    // Lazy leg: fault-driven admission with a churn before every attach
-    // so each sample defers real frames through `lazy_admit`.
+    // Lazy leg: fault-driven admission with a churn child alive at
+    // every detach and gone before the next attach, so each sample
+    // after the first defers real frames through `lazy_admit`.
     let bed_lazy = TestBed::build_mn_with_strategy(1, TrackingStrategy::LazyValidate);
     let sess_lazy = bed_lazy.session(0);
-    let (attach_lazy, detach_lazy, _) = run_leg(&bed_lazy, ("attach_lazy", "detach_lazy"), || {
-        churn(&sess_lazy)
+    let mut child = None;
+    let (attach_lazy, detach_lazy, _) = run_leg(&bed_lazy, ("attach_lazy", "detach_lazy"), |t| {
+        churn(&sess_lazy, &mut child, t)
     });
 
     // Live-update leg: hv-to-hv on a warmed virtual-mode bed (§6 live

@@ -452,7 +452,7 @@ mod tests {
     }
 
     /// A re-homed OS comes back as a new domain under a new engine: it
-    /// must still be on the write log's O(dirty) attach, with idle time
+    /// must still be on the O(dirty) attach, with idle time
     /// revalidating what it writes.
     #[test]
     fn rehomed_os_keeps_dirty_tracking_and_idle_revalidation() {

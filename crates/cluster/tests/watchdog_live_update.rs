@@ -1,9 +1,9 @@
 //! The watchdog answers VMM-state corruption by live-updating the node
 //! onto a successor hypervisor (DESIGN.md §16).  Whoever replaces the
 //! VMM — a fleet's update wave or this recovery — the native kernel's
-//! page-table writes afterwards land in the *successor's* write log,
-//! and idle-time revalidation must read them there: Mercury keeps its
-//! cursor beside the table it reads, so no caller has anything to
+//! page-table writes afterwards are the *successor's* work-list, and
+//! idle-time revalidation must read them there: Mercury keeps its
+//! rounds beside the table they serve, so no caller has anything to
 //! re-point.  (One test, its own process: faultgen's injector is
 //! process-global.)
 

@@ -19,19 +19,19 @@
 //!   time".
 //! * [`TrackingStrategy::DirtyRecompute`] — **the default**.  Snapshot
 //!   the validation results at detach (and once at boot, so even the
-//!   first attach has a baseline) and, while native, merely *stamp
-//!   the containing table frame in the VMM's write log* at each PTE
-//!   write (one word store, [`simx86::costs::DIRTY_TRACK_PER_PTE`] ≪
-//!   the active mirror's [`simx86::costs::ACTIVE_TRACK_PER_PTE`]).
-//!   Re-attach revalidates the frames written since the snapshot
-//!   ("dirty" below) at the full scan rate — but only up to
+//!   first attach has a baseline) and, while native, charge each PTE
+//!   write one word store ([`simx86::costs::DIRTY_TRACK_PER_PTE`] ≪
+//!   the active mirror's [`simx86::costs::ACTIVE_TRACK_PER_PTE`]):
+//!   memory stamps the table frame it changes.  Re-attach revalidates
+//!   the kernel's tables stored to since the snapshot ("dirty" below)
+//!   at the full scan rate — but only up to
 //!   [`SYNC_REVALIDATE_CAP`] of them synchronously; overflow beyond the
 //!   cap is deferred to first guest touch through the lazy
 //!   validation-fault path ([`simx86::lazy::LazySet`]) — and restores
 //!   the clean frames at the snapshot-restore rate — on the host too:
 //!   the detach's records are restored, not re-derived (the boot
-//!   pre-cache keeps only the log's baseline, so the first attach
-//!   walks).  An idle detach window makes the re-attach nearly free,
+//!   pre-cache opens the first native window but retains no records,
+//!   so the first attach walks).  An idle detach window makes the re-attach nearly free,
 //!   and the cap makes the attach-time accounting phase *statically
 //!   bounded* regardless of how much native mode dirtied.
 //! * [`TrackingStrategy::LazyValidate`] — the demand-paged extreme:
@@ -59,25 +59,27 @@
 //! produce identical `page_info` state, which is the invariant the
 //! paper's design relies on.
 //!
-//! **One log, Mercury's rounds.**  The baseline is not a copy of
-//! anything: it is an epoch of [`xenon::page_info`]'s write log, held
-//! by a [`xenon::Rounds`] that lives in the engine's VMM slot beside
-//! the VO's sink (so a live-update replaces table, sink and rounds
-//! together and no caller re-points a reader).  Detach and the boot
-//! pre-cache rebase it; the attach is its final round, which reads the
-//! work-list for its charge and clears nothing (which tables it
-//! re-derives is told by memory's write stamps, not by the log); and
-//! [`Mercury::donate_idle`] runs
-//! budgeted rounds on donated idle cycles, so a frame revalidated in
-//! the background is off the next attach's work-list.  The donation counters
+//! **One write clock, Mercury's rounds.**  The baseline is not a copy
+//! of anything: it is a checkpoint of memory's write stamps, the
+//! native window's open, held by a [`xenon::Rounds`] that lives in the
+//! engine's VMM slot beside the VO's sink (so a live-update replaces
+//! table, sink and rounds together and no caller re-points a reader).
+//! The window opens after a detach's flip, or at the boot pre-cache,
+//! with the kernel's page tables of that moment, and closes before the
+//! attach's flip, where it adds the tables of that moment; the
+//! work-list is those tables stored to inside the window, which is
+//! also how the retained records learn which tables changed.  The
+//! attach reads the work-list for its charge and clears nothing, and
+//! [`Mercury::donate_idle`] runs budgeted rounds on donated idle
+//! cycles, so a table revalidated in the background is off the next
+//! attach's work-list.  The donation counters
 //! ([`SwitchStats::idle_revalidated`](crate::SwitchStats) and
 //! `idle_cycles_donated`) count per `Mercury` instance, so a re-homed
 //! OS — a new instance — starts them again (no archive reads them
 //! across a re-homing: the fleet row records no switch counters).
 //! Without a baseline (`RecomputeOnSwitch`, `ActiveTracking`) the
 //! attach revalidates everything whatever was written, so there is
-//! nothing to donate to — where a free-standing scrubber would have
-//! popped the log-dirty marks `mmu_update` leaves for live migration.
+//! nothing to donate to.
 //!
 //! **One table.**  What distinguishes the four strategies is written
 //! down once, as a [`LatticeRow`] per strategy
@@ -123,8 +125,8 @@ pub enum TrackingStrategy {
     RecomputeOnSwitch,
     /// Mirror every native page-table mutation while detached.
     ActiveTracking,
-    /// Snapshot at detach (and at boot), mark table frames dirty on
-    /// native PTE writes, revalidate dirty frames at re-attach — at
+    /// Snapshot at detach (and at boot), revalidate at re-attach the
+    /// table frames stored to while native — at
     /// most [`SYNC_REVALIDATE_CAP`] of them synchronously, the rest
     /// lazily on first touch.  The default.
     #[default]
@@ -144,8 +146,8 @@ pub struct LatticeRow {
     pub native_per_pte: u64,
     /// Whether a detach-time dirty baseline is kept: the snapshot is
     /// retained at detach (`DETACH_RETAIN`, not `DETACH_CLEAR`) and
-    /// pre-computed at boot, the native VO marks written table frames
-    /// dirty in the dormant VMM's table, and attach is O(dirty)
+    /// pre-computed at boot, the native VO keeps the pre-images of
+    /// retained tables for the dormant VMM, and attach is O(dirty)
     /// (`ATTACH_DIRTY`, not `ATTACH_FULL`).
     pub dirty_baseline: bool,
     /// Cycles per owned frame of a whole-pool walk: the attach without
@@ -253,9 +255,9 @@ impl Mercury {
         // cycle charge above models the dirty/clean split, and the
         // patch charges the walk's reads it stands for, so a clean
         // frame's restore is a restore.  Correctness never depends on
-        // the write log: the tables written are told by the memory's
-        // stamps, not by the log a frame idle time retired or a
-        // deferred one sits in.  Anything the retained records do not
+        // the work-list: the records learn which tables were written
+        // from the stamps at the window's close, not from a list idle
+        // time retired frames from.  Anything the retained records do not
         // cover falls back to the whole walk from the live tables, one
         // generation increment and all (DESIGN.md §7b).
         self.reattach_accounting(cpu, &hv.page_info, &critical)?;
@@ -398,7 +400,6 @@ impl Mercury {
             .tick(costs::PGINFO_CLEAR_PER_FRAME * tables.len() as u64);
         hv.page_info.retain(self.dom0().id, tables);
         self.unbind_pgds();
-        self.rebase_write_cursor();
         Ok(())
     }
 
@@ -434,42 +435,47 @@ mod tests {
     use nimbus::Session;
     use simx86::paging::{Pte, VirtAddr, PAGE_SIZE};
 
+    /// Store an unchanged entry back into each of `tables` through the
+    /// kernel's VO: a store that stamps the table and changes nothing.
+    fn restore_entries(mercury: &Mercury, tables: &[FrameNum]) {
+        let kernel = mercury.kernel();
+        let cpu = kernel.machine.boot_cpu();
+        for &table in tables {
+            let entry = kernel.machine.mem.read_pte(cpu, table, 0).unwrap();
+            kernel.pv().set_pte(cpu, table, 0, entry).unwrap();
+        }
+    }
+
     /// The lattice pinned against the mechanism: per strategy, what the
     /// native VO, the attach-time accounting phase and the detach are
     /// *measured* to cost, against the figures of DESIGN.md §7b typed
-    /// here — including a dirty set past the sync cap and
-    /// `LazyValidate` with fewer critical frames than dirty ones.
+    /// here — including `LazyValidate` with fewer critical frames than
+    /// dirty ones.  The dirty set is made of real stores: three kernel
+    /// tables re-store an entry, and a child alive at the detach exits
+    /// while native, leaving its tables freed.
     #[test]
     fn lattice_rows_price_the_mechanism() {
         use TrackingStrategy::*;
         assert_eq!(TrackingStrategy::default(), DirtyRecompute);
         let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
-        // Two synthetic dirty sets, each 3 table frames plus this many
-        // other pool frames: one under the sync cap, one past it.
-        let others = [100, SYNC_REVALIDATE_CAP + 50];
         // (strategy, native cycles per PTE write, whole-pool attach
-        // rate — `None` under a dirty baseline — and how many frames of
-        // each dirty set the attach revalidates synchronously).
+        // rate — `None` under a dirty baseline — and whether the attach
+        // revalidates only the critical dirty frames).
         let lattice = [
-            (RecomputeOnSwitch, 0, Some(scan), [0, 0]),
+            (RecomputeOnSwitch, 0, Some(scan), false),
             (
                 ActiveTracking,
                 costs::ACTIVE_TRACK_PER_PTE,
                 Some(ADOPT_PER_FRAME),
-                [0, 0],
+                false,
             ),
-            (
-                DirtyRecompute,
-                costs::DIRTY_TRACK_PER_PTE,
-                None,
-                [103, SYNC_REVALIDATE_CAP],
-            ),
-            (LazyValidate, costs::DIRTY_TRACK_PER_PTE, None, [3, 3]),
+            (DirtyRecompute, costs::DIRTY_TRACK_PER_PTE, None, false),
+            (LazyValidate, costs::DIRTY_TRACK_PER_PTE, None, true),
         ];
         assert_eq!(lattice.map(|row| row.0), TrackingStrategy::ALL);
         let mut detach_rest = Vec::new();
-        for (strategy, per_pte, walk, syncs) in lattice {
-            let (machine, hv, mercury) = rig(1, strategy);
+        for (strategy, per_pte, walk, critical_only) in lattice {
+            let (machine, _, mercury) = rig(1, strategy);
             let cpu = machine.boot_cpu();
             let kernel = mercury.kernel();
             let owned = kernel.pool_frames().len();
@@ -477,7 +483,7 @@ mod tests {
 
             // Native VO: a 16-entry write to a frame outside the pool
             // costs the bare write, the indirection, and the row's rate
-            // per entry; only a baseline marks the table dirty.
+            // per entry.
             let table = machine.allocator.alloc(cpu).unwrap();
             let updates: Vec<(usize, Pte)> = (0..16).map(|i| (i, Pte::ABSENT)).collect();
             let t0 = cpu.cycles();
@@ -489,24 +495,7 @@ mod tests {
             kernel.pv().set_ptes(cpu, table, &updates).unwrap();
             let counted = cpu.cycles() - t0;
             assert_eq!(counted, bare + VO_INDIRECT + 16 * per_pte, "{strategy:?}");
-            // The frame is outside the pool: lend it an owner to read
-            // its log entry by, and take it back before the attaches
-            // below rebuild accounting from this table.
-            let (lender, was) = (xenon::DomId(0x7fff), hv.page_info.owner(table));
-            hv.page_info.set_owner(table, Some(lender));
-            let logged = xenon::Rounds::new(lender).pending(&hv.page_info);
-            hv.page_info.set_owner(table, was);
-            assert_eq!(logged.contains(&table), walk.is_none());
 
-            // Mark 3 table frames and `other` other pool frames dirty.
-            let mark = |other: usize| {
-                let tables = kernel.all_table_frames();
-                let pool = kernel.pool_frames();
-                let rest = pool.iter().filter(|f| !tables.contains(f)).take(other);
-                for &f in tables.iter().take(3).chain(rest) {
-                    hv.page_info.mark_dirty(f);
-                }
-            };
             // Attach, and return the accounting phase net of the
             // validation walk itself (the scratch walk at rate 0).
             let attach = || {
@@ -514,45 +503,66 @@ mod tests {
                 stat(&mercury.stats.last_pginfo_cycles) - scratch_walk(&mercury, 0).0
             };
 
-            // First attach, nothing marked: the whole-pool walk, or —
+            // First attach, nothing stored: the whole-pool walk, or —
             // pre-cached at boot — an all-clean restore.
             let first = attach();
             let rate = walk.unwrap_or(RESTORE_PER_FRAME);
             assert_eq!(first, rate * owned as u64, "{strategy:?}: first attach");
+            // A child with pages of its own, alive at the detach.
+            let sess = Session::new(Arc::clone(kernel), 0);
+            sess.fork().unwrap();
+            assert_eq!(sess.waitpid().unwrap(), None, "the parent blocks, the child runs");
+            let va = sess.mmap(8, Prot::RW, MmapBacking::Anon).unwrap();
+            sess.poke(va, 1).unwrap();
             // Detach: an O(owned) wipe, or an O(tables) release under a
             // baseline.  The rest of a detach costs the same everywhere.
             mercury.switch_to_native(cpu).unwrap();
+            let at_detach = kernel.all_table_frames();
             let released = match walk {
                 Some(_) => owned,
-                None => kernel.all_table_frames().len(),
+                None => at_detach.len(),
             };
             detach_rest.push(
                 stat(&mercury.stats.last_detach_cycles)
                     - released as u64 * costs::PGINFO_CLEAR_PER_FRAME,
             );
 
-            for (other, sync) in others.into_iter().zip(syncs) {
-                mark(other);
-                let phase = attach();
-                if walk.is_some() {
-                    // No baseline: dirt is not tracked, every attach is
-                    // the same whole-pool walk.
-                    assert_eq!(phase, first, "{strategy:?}");
-                } else {
-                    // Synchronous frames pay the scan, clean ones the
-                    // restore, the rest the enqueue — plus one TLB
-                    // flush on the one CPU for opening the window.
-                    let deferred = 3 + other - sync;
-                    let clean = owned - 3 - other;
-                    let expect = sync as u64 * scan
-                        + clean as u64 * RESTORE_PER_FRAME
-                        + deferred as u64 * costs::LAZY_DEFER_PER_FRAME
-                        + if deferred > 0 { costs::TLB_FLUSH } else { 0 };
-                    assert_eq!(phase, expect, "{strategy:?}: {other} + 3 dirty");
-                    assert_eq!(mercury.lazy_pending(), deferred, "{strategy:?}");
-                }
-                mercury.switch_to_native(cpu).unwrap();
+            sess.exit(0).unwrap();
+            assert!(sess.waitpid().unwrap().is_some());
+            let critical = kernel.all_table_frames();
+            restore_entries(&mercury, &critical[..3]);
+            let dirty = mercury.revalidation_backlog();
+            let freed: Vec<FrameNum> =
+                at_detach.iter().filter(|f| !critical.contains(f)).copied().collect();
+            let n_critical = dirty.iter().filter(|f| critical.contains(f)).count();
+            if walk.is_none() {
+                // The three tables stored to, and the freed tables the
+                // exit stored to: nothing else.
+                assert!(critical[..3].iter().all(|f| dirty.contains(f)), "{strategy:?}");
+                let freed_dirty = dirty.iter().filter(|f| freed.contains(f)).count();
+                assert!(freed_dirty > 0, "{strategy:?}");
+                assert_eq!((n_critical, dirty.len()), (3, 3 + freed_dirty), "{strategy:?}");
             }
+            let phase = attach();
+            if walk.is_some() {
+                // No baseline: dirt is not tracked, every attach is the
+                // same whole-pool walk.
+                assert_eq!(phase, first, "{strategy:?}");
+            } else {
+                // Synchronous frames pay the scan, clean ones the
+                // restore, the rest the enqueue — plus one TLB flush on
+                // the one CPU for opening the window.
+                let sync = if critical_only { n_critical } else { dirty.len() };
+                let deferred = dirty.len() - sync;
+                let clean = owned - dirty.len();
+                let expect = sync as u64 * scan
+                    + clean as u64 * RESTORE_PER_FRAME
+                    + deferred as u64 * costs::LAZY_DEFER_PER_FRAME
+                    + if deferred > 0 { costs::TLB_FLUSH } else { 0 };
+                assert_eq!(phase, expect, "{strategy:?}: {} dirty", dirty.len());
+                assert_eq!(mercury.lazy_pending(), deferred, "{strategy:?}");
+            }
+            mercury.switch_to_native(cpu).unwrap();
         }
         assert!(
             detach_rest.windows(2).all(|w| w[0] == w[1]),
@@ -561,29 +571,26 @@ mod tests {
     }
 
     /// Donated idle time sweeps the attach's work-list: k frames'
-    /// worth of budget shrinks it by exactly k, and a frame behind the
-    /// sweep that is written again is back on the list — the attach
+    /// worth of budget shrinks it by exactly k, and a table behind the
+    /// sweep that is stored to again is back on the list — the attach
     /// pays for it, or the next sweep retires it.
     #[test]
     fn idle_sweep_shrinks_the_attach_work_list_frame_by_frame() {
-        let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
+        let (machine, _, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
         let cpu = machine.boot_cpu();
         let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
-        let pool = mercury.kernel().pool_frames();
-        let owned = pool.len() as u64;
-        let ten: Vec<FrameNum> = pool.iter().step_by(7).take(10).copied().collect();
-        // Ten written frames, three retired, the lowest written again.
+        let owned = mercury.kernel().pool_size() as u64;
+        let ten: Vec<FrameNum> = mercury.kernel().all_table_frames()[..10].to_vec();
+        // Ten tables stored to, three retired, the lowest stored to again.
         let sweep_three_and_rewrite = || {
             assert_eq!(mercury.revalidation_backlog(), []);
             assert_eq!(mercury.donate_idle(cpu, 50 * scan), 0, "nothing to retire");
-            for &f in &ten {
-                hv.page_info.mark_dirty(f);
-            }
+            restore_entries(&mercury, &ten);
             let c0 = cpu.cycles();
             assert_eq!(mercury.donate_idle(cpu, 3 * scan + scan / 2), 3 * scan);
             assert_eq!(cpu.cycles() - c0, 3 * scan);
             assert_eq!(mercury.revalidation_backlog()[..], ten[3..]);
-            hv.page_info.mark_dirty(ten[0]);
+            restore_entries(&mercury, &ten[..1]);
             assert_eq!(mercury.revalidation_backlog().len(), 8);
             assert_eq!(mercury.revalidation_backlog()[0], ten[0]);
         };
@@ -649,6 +656,34 @@ mod tests {
                 let walked = scratch_walk(&mercury, 0).1;
                 assert_eq!(hv.page_info.snapshot(), walked, "{strategy:?}: round {round}");
             }
+        }
+    }
+
+    /// An attach rolled back at any row after the flip reopens the
+    /// native window where it opened: the tables the kernel stored to
+    /// before the attempt are still the work-list, and the next attach
+    /// — which the failed one's two flips leave to the whole walk —
+    /// still sees them.
+    #[test]
+    fn an_attach_rolled_back_past_the_flip_keeps_the_native_window() {
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
+        let cpu = machine.boot_cpu();
+        let sess = Session::new(Arc::clone(mercury.kernel()), 0);
+        let va = sess.mmap(4, Prot::RW, MmapBacking::Anon).unwrap();
+        mercury.switch_to_virtual(cpu).unwrap();
+        let rows = mercury.phases(crate::Transition::Attach);
+        for (i, row) in rows.iter().enumerate().skip(1) {
+            mercury.switch_to_native(cpu).unwrap();
+            sess.poke(VirtAddr(va.0 + i as u64 * PAGE_SIZE), 7).unwrap();
+            sess.mprotect(va, 1, [Prot::RO, Prot::RW][i % 2]).unwrap();
+            let before = mercury.revalidation_backlog();
+            assert!(!before.is_empty(), "{}", row.name);
+            mercury.inject_abort(Some(row.name));
+            assert!(mercury.switch_to_virtual(cpu).is_err(), "{}", row.name);
+            let after = mercury.revalidation_backlog();
+            assert!(before.iter().all(|f| after.contains(f)), "{}: {after:?}", row.name);
+            mercury.switch_to_virtual(cpu).unwrap();
+            assert_eq!(hv.page_info.snapshot(), scratch_walk(&mercury, 0).1, "{}", row.name);
         }
     }
 

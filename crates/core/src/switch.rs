@@ -323,11 +323,12 @@ impl std::ops::Add for SwitchCounts {
 struct VmmSet {
     hv: Arc<Hypervisor>,
     /// Under a dirty baseline its sink binds `hv`'s page_info table, so
-    /// mutated table frames are logged while the VMM is dormant.
+    /// a retained table's pre-image is kept at its first write while
+    /// the VMM is dormant.
     native_vo: Arc<CountedVo>,
-    /// Mercury's rounds over that table's write log: the detach
-    /// baseline (what an attach must revalidate was written since) and
-    /// the idle-time sweep over it.  Beside the sink, so a live-update
+    /// Mercury's rounds over memory's stamps: the native window (what
+    /// an attach must revalidate was stored to inside it) and the
+    /// idle-time sweep over it.  Beside the sink, so a live-update
     /// replaces table, sink and rounds in the one store.
     rounds: Mutex<Rounds>,
     /// `XenOps` binds `hv`; under hardware assist it is `BareOps::hvm`
@@ -361,7 +362,7 @@ impl VmmSet {
         VmmSet {
             hv,
             native_vo,
-            rounds: Mutex::new(Rounds::new(dom.id)),
+            rounds: Mutex::new(Rounds::default()),
             virtual_vo,
         }
     }
@@ -684,7 +685,7 @@ impl Mercury {
             let owned = kernel.pool_size() as u64;
             cpu.tick(costs::PGINFO_RECOMPUTE_PER_FRAME * owned);
             merctrace::counter!(cpu.id, "switch.precache.frames", owned, cpu.cycles());
-            mercury.rebase_write_cursor();
+            mercury.open_native_window(kernel.all_table_frames());
         }
 
         kernel.set_self_virt_sink(Arc::new(SwitchSink(Arc::downgrade(&mercury))));
@@ -813,21 +814,26 @@ impl Mercury {
         self.lazy_set.lock().as_ref().map_or(0, |s| s.remaining())
     }
 
-    // ---- the write log's rounds (DESIGN.md §7b) -------------------------------
+    // ---- the native window's rounds (DESIGN.md §7b) --------------------------
 
-    /// The state just validated *is* the snapshot: what the next attach
-    /// must revalidate is what gets written from here on.
-    pub(crate) fn rebase_write_cursor(&self) {
+    /// The state just validated *is* the snapshot: open the native
+    /// window at a checkpoint, which the rounds and the records the
+    /// detach retained both count from, following the kernel's page
+    /// tables as they are now.
+    fn open_native_window(&self, tables: Vec<simx86::FrameNum>) {
         let vmm = self.vmm.read();
-        vmm.rounds.lock().rebase(&vmm.hv.page_info);
+        let since = vmm.rounds.lock().rebase(&self.machine.mem, tables);
+        vmm.hv.page_info.open_native_window(since);
     }
 
-    /// The kernel's frames written since the baseline and not yet
-    /// revalidated by donated idle time: the next attach's work-list.
+    /// The kernel's page-table frames — at the native window's open
+    /// and now — stored to in the window and not yet revalidated by
+    /// donated idle time: the next attach's work-list.
     pub fn revalidation_backlog(&self) -> Vec<simx86::FrameNum> {
+        let tables = self.kernel.all_table_frames();
         let vmm = self.vmm.read();
         let rounds = vmm.rounds.lock();
-        rounds.pending(&vmm.hv.page_info)
+        rounds.pending(&self.machine.mem, &tables)
     }
 
     /// Donate up to `budget` idle cycles on `cpu` (a serving node's
@@ -840,20 +846,20 @@ impl Mercury {
     /// than `budget`; the caller idles away the rest (DESIGN.md §14).
     ///
     /// Nothing is donated in virtual mode (the accounting is live) or
-    /// without a dirty baseline (nothing is revalidated at attach), and
-    /// "nothing written since" is answered without a pass over the
-    /// frames.  Sound because the attach rebuilds the accounting from
-    /// the live tables whatever the log says: a retired frame only
-    /// moves its charge off the switch, and a later write logs it again.
+    /// without a dirty baseline (nothing is revalidated at attach).
+    /// Sound because the attach rebuilds the accounting from the live
+    /// tables whatever the sweep retired: a retired frame only moves
+    /// its charge off the switch, and a later store puts it back.
     pub fn donate_idle(&self, cpu: &Arc<Cpu>, budget: u64) -> u64 {
         if self.mode() != ExecMode::Native || !self.strategy.row().dirty_baseline {
             return 0;
         }
         let per_frame = costs::PGINFO_RECOMPUTE_PER_FRAME;
+        let tables = self.kernel.all_table_frames();
         let vmm = self.vmm.read();
         let mut rounds = vmm.rounds.lock();
         let max = (budget / per_frame) as usize;
-        let frames = rounds.sweep(&vmm.hv.page_info, max, |_| {
+        let frames = rounds.sweep(&self.machine.mem, &tables, max, |_| {
             cpu.tick(per_frame);
             merctrace::counter!(cpu.id, "switch.idle.revalidate", 1, cpu.cycles());
         }) as u64;
@@ -1366,20 +1372,24 @@ impl Mercury {
 
     /// Flip the direct-map writability of every page-table frame:
     /// read-only under the VMM, writable again without it.  These are
-    /// the VMM's own stores to the tables a detach retained, and they
-    /// cancel out across a native window; the frame table is told when
-    /// the window opens and before it closes, so a table stamped in
-    /// between is one the kernel wrote.
+    /// the VMM's own stores to the kernel's tables (the direct-map L1s
+    /// are kernel tables too), and they cancel out across a native
+    /// window; the window opens after the detach's flip and closes
+    /// before the attach's, so a table stamped in between is one the
+    /// kernel wrote.  An attach rolled back past this row reopens the
+    /// window it closed.
     fn flip_tables<const READ_ONLY: bool>(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let cpu = r.cpu;
         let kmap = self.kernel.kmap();
         let mem = &self.machine.mem;
-        let page_info = &self.hypervisor().page_info;
+        let tables = self.kernel.all_table_frames();
         if READ_ONLY {
-            page_info.close_native_window(mem);
+            let vmm = self.vmm.read();
+            vmm.rounds.lock().close(mem, &tables);
+            vmm.hv.page_info.close_native_window(mem);
         }
         // volint::bound(256) — kernel table frames: one L2 root plus L1 tables for a 64 MiB pool, ≤ 256 by construction
-        for f in self.kernel.all_table_frames() {
+        for &f in &tables {
             // volint::cost(12) — per-frame PTE read + writability flip
             let Some((l1, idx)) = kmap.locate(f) else {
                 continue;
@@ -1401,7 +1411,11 @@ impl Mercury {
                 .map_err(|e| SwitchError::Transfer(e.to_string()))?;
         }
         if !READ_ONLY {
-            page_info.open_native_window(mem);
+            if self.mode() == ExecMode::Virtual {
+                self.open_native_window(tables);
+            } else {
+                self.vmm.read().rounds.lock().reopen();
+            }
         }
         Ok(())
     }
@@ -2368,13 +2382,14 @@ pub(crate) mod tests {
     }
 
     /// A rig whose dirty set contains *non-critical* frames: a forked
-    /// child faults in pages (dirtying its table frames through the VO
-    /// sink) and then exits, so those tables are freed — still dirty,
-    /// but no longer in [`Kernel::all_table_frames`].
+    /// child faults in pages, a detach finds it alive, and it exits
+    /// while native, so its tables are freed — stored to in the native
+    /// window, but no longer in [`Kernel::all_table_frames`].
     fn lazy_rig(
         strategy: TrackingStrategy,
     ) -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>, Session) {
         let (machine, hv, mercury) = rig(1, strategy);
+        let cpu = machine.boot_cpu();
         let sess = Session::new(Arc::clone(mercury.kernel()), 0);
         let child = sess.fork().unwrap();
         assert_eq!(sess.waitpid().unwrap(), None); // parent blocks; child runs
@@ -2382,7 +2397,9 @@ pub(crate) mod tests {
         for p in 0..8u64 {
             sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
         }
-        sess.exit(0).unwrap(); // child's dirty tables are freed, stay dirty
+        mercury.switch_to_virtual(cpu).unwrap();
+        mercury.switch_to_native(cpu).unwrap();
+        sess.exit(0).unwrap(); // the child's tables are freed while native
         assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
         (machine, hv, mercury, sess)
     }

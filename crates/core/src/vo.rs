@@ -17,12 +17,11 @@
 //!   ([`LatticeRow::native_per_pte`](crate::pgtrack::LatticeRow)): the
 //!   **active tracking** mirror of §5.1.2's first strategy, or — under
 //!   a dirty baseline, the default — the far cheaper **dirty marking**:
-//!   the mutation only stamps the containing table frame in the
-//!   dormant VMM's write log ([`xenon::page_info`]), so the next attach
-//!   revalidates just the written frames — synchronously up to a cap,
-//!   lazily on first touch beyond it.  The sink runs before the write
-//!   lands, so at a retained table's first write since the detach it
-//!   keeps the frame's pre-image: the old side of the attach's delta
+//!   memory stamps the table frame the mutation stores to, so the next
+//!   attach revalidates just the written tables — synchronously up to a
+//!   cap, lazily on first touch beyond it.  The sink runs before the
+//!   write lands, so at a retained table's first write since the detach
+//!   it keeps the frame's pre-image: the old side of the attach's delta
 //!   ([`PageInfoTable::reattach`]).
 
 use crate::refcount::VoRefCount;
@@ -58,7 +57,7 @@ pub type DirtySink = (Arc<PageInfoTable>, Arc<Machine>);
 
 impl CountedVo {
     /// Wrap `inner` with reference counting.  `tracking` is the native
-    /// VO's `(cycles per PTE written, dirty-marking sink)`, `None` for
+    /// VO's `(cycles per PTE written, pre-image sink)`, `None` for
     /// the virtual VO.
     pub fn new(
         inner: Arc<dyn PvOps>,
@@ -284,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_tracking_marks_table_and_charges_less() {
+    fn dirty_tracking_stores_one_table_and_charges_less() {
         let m = Machine::new(MachineConfig {
             num_cpus: 1,
             mem_frames: 64,
@@ -301,6 +300,8 @@ mod tests {
         );
         let updates: Vec<(usize, Pte)> = (0..16).map(|i| (i, Pte::ABSENT)).collect();
 
+        let mut rounds = xenon::Rounds::default();
+        rounds.rebase(&m.mem, (0..64).map(FrameNum).collect());
         let cpu = m.boot_cpu();
         let t0 = cpu.cycles();
         vo.set_ptes(cpu, FrameNum(3), &updates).unwrap();
@@ -312,12 +313,8 @@ mod tests {
         vo_plain.set_ptes(cpu2, FrameNum(3), &updates).unwrap();
         let plain = cpu2.cycles() - t0;
 
-        // The write marked exactly the containing table frame dirty …
-        let dom = xenon::DomId(0);
-        for f in 0..64 {
-            sink.set_owner(FrameNum(f), Some(dom));
-        }
-        assert_eq!(xenon::Rounds::new(dom).pending(&sink), [FrameNum(3)]);
+        // The write stored to exactly the containing table frame …
+        assert_eq!(rounds.pending(&m.mem, &[]), [FrameNum(3)]);
         // … at the dirty rate, well under the active mirror's.
         assert_eq!(dirty_cost, plain + 16 * costs::DIRTY_TRACK_PER_PTE);
         const {

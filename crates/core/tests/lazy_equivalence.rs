@@ -39,17 +39,20 @@ fn rig() -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>) {
 
 /// Post-attach page_info is bit-identical to a cold recompute of
 /// the live tables, for random dirty sets (child churn leaving
-/// freed-but-dirty tables, plus arbitrary extra dirty marks on
-/// pool frames) and with first-touch validation faults interleaved
-/// into ordinary guest pokes.
+/// freed-but-dirty tables, plus arbitrary re-stores of unchanged
+/// kernel-table entries) and with first-touch validation faults
+/// interleaved into ordinary guest pokes.
 #[test]
 fn lazy_attach_accounting_equals_cold_recompute() {
     check("lazy_attach_accounting_equals_cold_recompute", 6, |rng| {
-        // Each round: a forked child faults in `pages` anonymous pages
-        // and exits, leaving its table frames freed but dirty.
+        // Each round forks a child that faults in `pages` anonymous
+        // pages; the children are alive at a detach and exit while
+        // native, leaving their table frames freed but stored to.
         let rounds = rng.range(1, 3) as usize;
         let churn_pages = rng.vec(rounds, |r| r.range(1, 12));
-        // Extra native-mode dirty marks, as indices into the pool.
+        // Re-stores of an unchanged entry, as indices into the kernel's
+        // table frames and their slots: each stamps a table and changes
+        // nothing (conservative over-approximation is always legal).
         let marks = rng.below(48) as usize;
         let extra_dirty = rng.vec(marks, |r| r.below(8192) as usize);
         // Guest pages faulted in after admission; the pool free list is
@@ -62,25 +65,34 @@ fn lazy_attach_accounting_equals_cold_recompute() {
         let sess = Session::new(Arc::clone(mercury.kernel()), 0);
 
         // Random dirty set, part 1: child churn (freed + dirty tables).
+        let mut children = Vec::new();
         for pages in &churn_pages {
-            let child = sess.fork().unwrap();
+            children.push(sess.fork().unwrap());
             assert_eq!(sess.waitpid().unwrap(), None);
             let va = sess.mmap(*pages, Prot::RW, MmapBacking::Anon).unwrap();
             for p in 0..*pages {
                 sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
             }
+        }
+        mercury.switch_to_virtual(cpu).unwrap();
+        mercury.switch_to_native(cpu).unwrap();
+        for child in children.into_iter().rev() {
             sess.exit(0).unwrap();
             assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
         }
-        // Random dirty set, part 2: arbitrary marks on pool frames
-        // (conservative over-approximation is always legal).
-        let pool = mercury.kernel().pool_frames();
+        // Random dirty set, part 2: re-stores of kernel-table entries.
+        let kernel = mercury.kernel();
+        let tables = kernel.all_table_frames();
         for i in &extra_dirty {
-            hv.page_info.mark_dirty(pool[*i % pool.len()]);
+            let (table, slot) = (tables[*i % tables.len()], *i % 512);
+            let entry = machine.mem.read_pte(cpu, table, slot).unwrap();
+            kernel.pv().set_pte(cpu, table, slot, entry).unwrap();
         }
+        let pool = kernel.pool_frames();
 
         // Lazy admission, then fault-interleaved guest traffic.
         mercury.switch_to_virtual(cpu).unwrap();
+        assert!(mercury.lazy_pending() > 0, "the children's freed tables are deferred");
         if touches > 0 {
             let va = sess.mmap(touches, Prot::RW, MmapBacking::Anon).unwrap();
             for p in 0..touches {

@@ -126,13 +126,14 @@ fn smp_stress_has_no_happens_before_violations() {
 }
 
 /// SMP stress over idle-time revalidation: two donor threads hammer
-/// [`Mercury::donate_idle`] while a dirtier thread keeps marking pool
-/// frames and the control processor flips modes — whose
-/// `DirtyRecompute` attach reads the *same* cursor and whose detach
-/// replaces it.  Every pop is serialized by the cursor's lock, so the
-/// donation accounting must balance exactly, no frame may be retired
-/// more often than it was marked, and the happens-before monitors on
-/// the rendezvous/refcount paths must stay silent throughout.
+/// [`Mercury::donate_idle`] while a dirtier thread keeps re-storing
+/// unchanged kernel-table entries and the control processor flips
+/// modes — whose `DirtyRecompute` attach closes the *same* rounds and
+/// whose detach rebases them.  Every pop is serialized by the rounds'
+/// lock, so the donation accounting must balance exactly, no frame may
+/// be retired more often than it was stored to, and the happens-before
+/// monitors on the rendezvous/refcount paths must stay silent
+/// throughout.
 #[test]
 fn concurrent_scrub_donation_keeps_accounting_balanced() {
     use nimbus::kernel::IDLE_DONATION_QUANTUM;
@@ -156,18 +157,26 @@ fn concurrent_scrub_donation_keeps_accounting_balanced() {
         })
     };
 
-    // Dirtier: re-marks pool frames round-robin, counting raw marks.
+    // Dirtier: re-stores kernel-table entries round-robin, each as it
+    // finds it, counting the stores.  It leaves alone the direct-map
+    // entries of table frames, which the switch flips.
     let marks = Arc::new(AtomicU64::new(0));
     let dirtier = {
-        let table = Arc::clone(&mercury.hypervisor().page_info);
-        let pool = mercury.kernel().pool_frames();
+        let kernel = Arc::clone(mercury.kernel());
+        let tables = kernel.all_table_frames();
         let stop = Arc::clone(&stop);
         let marks = Arc::clone(&marks);
         std::thread::spawn(move || {
+            let (mem, cpu) = (&kernel.machine.mem, Cpu::new(3));
             let mut i = 0usize;
             while !stop.load(Ordering::Acquire) {
-                table.mark_dirty(pool[i % pool.len()]);
-                marks.fetch_add(1, Ordering::Relaxed);
+                let (table, slot) = (tables[i % tables.len()], i / tables.len() % 512);
+                let entry = mem.read_pte(&cpu, table, slot).unwrap();
+                let flipped = entry.present() && tables.binary_search(&simx86::FrameNum(entry.frame())).is_ok();
+                if !flipped {
+                    mem.write_pte(&cpu, table, slot, entry).unwrap();
+                    marks.fetch_add(1, Ordering::Relaxed);
+                }
                 i += 1;
                 if i.is_multiple_of(64) {
                     std::thread::yield_now();

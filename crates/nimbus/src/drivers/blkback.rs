@@ -254,6 +254,41 @@ mod tests {
         assert_eq!(machine.disk.read_raw(7 * 8, 4), vec![0xab; 4]);
     }
 
+    /// A read the backend serves between two pre-copy rounds lands in
+    /// the frontend's granted frame by a copy no translation sees; the
+    /// frame's stamp ships it, so the migrated frame holds the block.
+    #[test]
+    fn a_blkback_read_between_rounds_is_shipped() {
+        let (machine, hv, frontend, backend) = rig();
+        let (target, target_hv) = {
+            let m = Machine::new(MachineConfig {
+                num_cpus: 1,
+                mem_frames: 2048,
+                disk_sectors: 64,
+            });
+            let hv = Hypervisor::warm_up(&m);
+            hv.activate();
+            (m, hv)
+        };
+        let cpu = machine.boot_cpu();
+        let block = vec![0x5a_u8; BLOCK_SIZE];
+        machine.disk.write_raw(7 * 8, &block);
+        let domu = hv.domain(backend.frontend).unwrap();
+        let buf = domu.frames()[0];
+        let mut migration = xenon::migrate::LiveMigration::new(Arc::clone(&hv), domu);
+        migration.round(cpu).unwrap();
+
+        let mut out = vec![0u8; BLOCK_SIZE];
+        frontend.read_block(cpu, 7, &mut out).unwrap();
+        assert_eq!(out, block);
+        let (_, report) = migration.finalize(cpu, &target_hv, 0).unwrap();
+
+        let moved = FrameNum(report.frame_map[&buf.0]);
+        let mut landed = vec![0u8; BLOCK_SIZE];
+        target.mem.read_bytes(moved.base(), &mut landed).unwrap();
+        assert!(landed == block, "the target holds round 0's copy of the frame");
+    }
+
     #[test]
     fn frontend_write_is_cheaper_than_native_write() {
         let (machine, _hv, frontend, _backend) = rig();

@@ -258,9 +258,10 @@ pub const STATE_RELOAD: u64 = 2_800;
 pub const ACTIVE_TRACK_PER_PTE: u64 = 12;
 
 /// The dirty-tracking middle ground between recompute and active
-/// tracking: a native PTE write only stamps the containing table frame
-/// in the VMM's write log (one word store, no mirror bookkeeping), so the
-/// attach can revalidate just the written tables.  Far cheaper per write than
+/// tracking: a native PTE write only marks its table frame written for
+/// the dormant VMM (one word store, no mirror bookkeeping; memory's own
+/// stamp, which says the same, is free), so the attach can revalidate
+/// just the written tables.  Far cheaper per write than
 /// [`ACTIVE_TRACK_PER_PTE`]'s full mirror update.
 pub const DIRTY_TRACK_PER_PTE: u64 = 2;
 

@@ -169,6 +169,15 @@ impl PhysMemory {
             .is_none_or(|stamp| stamp.load(Ordering::Acquire) >= epoch.0)
     }
 
+    /// Was `frame`'s last store after `since` and before `upto`?  The
+    /// window of one round, read from one load of the stamp.  A frame
+    /// the machine does not have reads as not stored.
+    pub fn stored_between(&self, frame: FrameNum, since: WriteEpoch, upto: WriteEpoch) -> bool {
+        self.stamps
+            .get(frame.0 as usize)
+            .is_some_and(|stamp| (since.0..upto.0).contains(&stamp.load(Ordering::Acquire)))
+    }
+
     /// Stamp `frame` with the current epoch, *before* its data is
     /// stored: the data store is `Release`, so whoever loads a word this
     /// store writes also sees the stamp.  A stamp only grows: a store

@@ -38,8 +38,7 @@ impl Mmu {
         let vpn = va.vpn();
 
         // TLB lookup.  A write through a clean cached entry re-walks so
-        // the dirty bit lands in memory (dirty tracking feeds live
-        // migration's log).
+        // the dirty bit lands in memory, as hardware does.
         if let Some(pte) = cpu.tlb.lookup(vpn) {
             let dirty_ok = access != AccessKind::Write || pte.dirty();
             if dirty_ok {

@@ -13,7 +13,7 @@
 //!   (ATOMIC-ORDER, §5.4); the fault-injection hooks stay out of the
 //!   mode-switch critical section (FAULT-MASK, DESIGN.md §12); each
 //!   fact stated once — one bring-up, one on-demand bracket, one
-//!   campaign, one write log, owner-written CPU state, a syscall's VO
+//!   campaign, one write clock, owner-written CPU state, a syscall's VO
 //!   and drivers from the session — keeps its token sequences in the
 //!   files that state it (FORBIDDEN, one [`rules::FORBIDDEN`] row each);
 //! * call-graph rules ([`pathrules`]) over everything reachable from a

@@ -22,7 +22,7 @@
 //!   could wedge the very mechanism meant to answer it).
 //! * **FORBIDDEN** — a token sequence of the [`FORBIDDEN`] table outside
 //!   the files that state its fact (bring-up, the on-demand bracket, a
-//!   campaign, the write log's readers, a CPU's own state, a syscall's
+//!   campaign, the write stamps' readers, a CPU's own state, a syscall's
 //!   VO and drivers — each stated once, in the DESIGN.md section the row
 //!   cites).
 
@@ -151,13 +151,15 @@ pub const FORBIDDEN: &[Forbidden] = &[
     Forbidden { name: CAMPAIGN, section: "§14",
                 tokens: &["fn watchdog_for", "struct SwitchTotals", "struct SwitchSnap"], ..ANYWHERE },
     Forbidden {
-        name: "the write log is read by its one round engine: a consumer is a `xenon::Rounds` \
-               and a per-frame action, not a clearing, retargetable or hand-written reader",
+        name: "memory's write stamps are read by the native window and its one round engine: \
+               a consumer is a `xenon::Rounds` and a per-frame action, not a clearing, \
+               retargetable or hand-written reader",
         section: "§7b",
         tokens: &["take_dirty", "reset_dirty_for", "count_dirty_for", "dirty_frames_for",
                   "take_dirty_frame_for", "retarget", "bind_scrubber", "strip_dirty",
-                  "WriteCursor", "written_since", "frame_written_since"],
-        allowed: &["crates/xenon/src/page_info.rs", "crates/xenon/src/rounds.rs"],
+                  ". checkpoint (", ". stored_since (", ". stored_between ("],
+        allowed: &["crates/simx86/src/mem.rs", "crates/xenon/src/page_info.rs",
+                   "crates/xenon/src/rounds.rs"],
         ..ANYWHERE
     },
     Forbidden { name: OWNER_WRITTEN, section: "§14b", tokens: &[". fetch_add (", ". fetch_sub (", "swap (", "Mutex"],

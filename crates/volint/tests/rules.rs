@@ -649,7 +649,7 @@ fn forbidden_campaign_helpers_fixture() {
 }
 
 #[test]
-fn forbidden_write_log_fixture() {
+fn forbidden_write_stamps_fixture() {
     let lines = [
         "table.take_dirty(frame);",
         "table.reset_dirty_for(dom);",
@@ -659,11 +659,12 @@ fn forbidden_write_log_fixture() {
         "scrubber.retarget(table);",
         "mercury.bind_scrubber(scrubber);",
         "strip_dirty(frame);",
-        "let mut cursor = WriteCursor::default();",
-        "let dirty = table.written_since(dom, epoch);",
-        "if table.frame_written_since(frame, epoch) {}",
+        "let since = mem.checkpoint();",
+        "if mem.stored_since(frame, since) {}",
+        "let fresh = mem.stored_between(frame, since, upto);",
     ];
     let allowed = [
+        "crates/simx86/src/mem.rs",
         "crates/xenon/src/page_info.rs",
         "crates/xenon/src/rounds.rs",
     ];

@@ -598,7 +598,6 @@ impl Hypervisor {
                     ))
                 }
             }
-            info.mark_dirty(u.table);
         }
         Ok(())
     }
@@ -1679,7 +1678,6 @@ mod wrapper_tests {
                 }
             }
             mem.write_pte(cpu, u.table, u.index, u.val)?;
-            info.mark_dirty(u.table);
         }
         Ok(())
     }
@@ -1794,7 +1792,6 @@ mod wrapper_tests {
         u64,
         u64,
         Vec<PageInfo>,
-        (Vec<u64>, u64, u64),
         Vec<Vec<u64>>,
     ) {
         (
@@ -1802,7 +1799,6 @@ mod wrapper_tests {
             hv.stats.hypercalls.load(Ordering::Relaxed),
             hv.stats.mmu_entries.load(Ordering::Relaxed),
             hv.page_info.snapshot(),
-            hv.page_info.write_log(),
             frames
                 .iter()
                 .map(|&f| machine.mem.export_frame(f).unwrap())
@@ -1820,7 +1816,7 @@ mod wrapper_tests {
         // entry somewhere (a foreign, missing or page-table target, or a
         // slot past the table's end), so they fail part way.  After
         // every run: same verdict, cycles, hypercall and entry counts,
-        // records, write-log stamps and table words.
+        // records and table words.
         faultgen::rng::check("a PTE run matches one mmu_update per call", 40, |rng| {
             let (new_m, new_hv, new_d0, d1) = pinned_rig(1);
             let (old_m, old_hv, old_d0, _) = pinned_rig(1);
@@ -1888,7 +1884,7 @@ mod wrapper_tests {
             }
         }
         let after = observed(&machine, &hv, cpu, &f[..8]);
-        assert_eq!((after.3, after.4, after.5), (before.3, before.4, before.5));
+        assert_eq!((after.3, after.4), (before.3, before.4));
     }
 
     /// A VMM-state fault due in the middle of a PTE run wipes its

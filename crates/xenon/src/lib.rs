@@ -21,8 +21,8 @@
 //! * **Save/restore** ([`save`]) and iterative pre-copy **live
 //!   migration** ([`migrate`]) — the machinery behind the paper's
 //!   online-maintenance and HPC-availability scenarios (§6.3, §6.5).
-//!   Its rounds, and Mercury's reads of the write log, run on one
-//!   engine ([`rounds`]).
+//!   Its rounds, and Mercury's reads of memory's write stamps, run on
+//!   one engine ([`rounds`]).
 //!
 //! The hypervisor supports Mercury's defining trick: it can sit *warm
 //! but dormant* in reserved memory ([`Hypervisor::warm_up`]) and be

@@ -1,29 +1,26 @@
 //! Live migration with iterative pre-copy — the mechanism behind online
 //! hardware maintenance (§6.3) and HPC failover (§6.5).
 //!
-//! Rounds of [`LiveMigration::round`] ship the frames dirtied since the
-//! previous round while the guest keeps running; [`LiveMigration::finalize`]
-//! pauses the guest, ships the final dirty set plus vCPU/guest state, and
-//! materializes the domain on the target hypervisor.  Dirty tracking
-//! uses the hardware dirty bits in the guest's own page tables (scanned
-//! and cleared each round, with a TLB flush so subsequent writes re-walk)
-//! plus the hypervisor's write log for table frames — the log-dirty
-//! scheme of Clark et al.'s live migration, adapted to direct paging.
-//! Each round, the stop-and-copy included, is a whole round of the
-//! migration's own [`Rounds`] with the dirty bits as its second source,
-//! so a round takes nothing from any other reader of
-//! [`crate::page_info`]'s log, and none takes from it.
+//! Rounds of [`LiveMigration::round`] ship the frames stored to since
+//! the previous round while the guest keeps running;
+//! [`LiveMigration::finalize`] pauses the guest, ships the final dirty
+//! set plus vCPU/guest state, and materializes the domain on the target
+//! hypervisor.  What was stored to is memory's write stamps, which
+//! every store path sets — through the MMU or not: a backend's copy
+//! into a granted page, a ring word, a ballooned frame's zeroing — the
+//! log-dirty scheme of Clark et al.'s live migration, read as Xen's
+//! `SHADOW_OP_CLEAN` reads its bitmap.  Each round, the stop-and-copy
+//! included, is a whole round of the migration's own [`Rounds`], so it
+//! takes nothing from any other reader of the stamps, and the guest's
+//! page tables are never rewritten.
 
 use crate::domain::Domain;
 use crate::error::HvError;
 use crate::hv::Hypervisor;
 use crate::rounds::Rounds;
 use crate::save::{restore_domain_mapped, save_domain, DomainImage, FrameImage};
-use simx86::mem::FrameNum;
-use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::{costs, Cpu};
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::sync::Arc;
 
 /// Final report for a completed migration.
@@ -53,7 +50,7 @@ pub struct LiveMigration {
     dom: Arc<Domain>,
     /// Frames staged at the "target side", keyed by source frame number.
     staged: HashMap<u32, FrameImage>,
-    /// The pre-copy over the source's write log.
+    /// The pre-copy over the source's write stamps.
     rounds: Rounds,
     /// Frames shipped by every round run so far, in order.
     shipped: Vec<usize>,
@@ -66,7 +63,7 @@ impl LiveMigration {
     /// Begin migrating `dom` away from `source`.
     pub fn new(source: Arc<Hypervisor>, dom: Arc<Domain>) -> LiveMigration {
         LiveMigration {
-            rounds: Rounds::new(dom.id),
+            rounds: Rounds::default(),
             source,
             dom,
             staged: HashMap::new(),
@@ -74,52 +71,17 @@ impl LiveMigration {
         }
     }
 
-    /// Data frames the guest has written since the last scan, from the
-    /// dirty bits of its page tables (the write log holds the table
-    /// frames).  Clears the bits and flushes TLBs so future writes are
-    /// caught again.
-    fn clean_dirty_bits(&self, cpu: &Cpu) -> Result<Vec<FrameNum>, HvError> {
-        let mem = &self.source.machine.mem;
-        let mut dirty = Vec::new();
-        for pgd in self.dom.pgds() {
-            let mut l2 = mem.read_table(cpu, pgd)?;
-            l2.scan(0..ENTRIES_PER_TABLE, |_, _, pde| {
-                let l1 = FrameNum(pde.frame());
-                let mut cleaned = Vec::new();
-                let mut view = mem.read_table(cpu, l1)?;
-                let Ok(()) = view.scan(0..ENTRIES_PER_TABLE, |_, l1_idx, pte| {
-                    if pte.dirty() {
-                        dirty.push(FrameNum(pte.frame()));
-                        cleaned.push((l1_idx, pte.without_flags(Pte::DIRTY)));
-                    }
-                    Ok::<_, Infallible>(())
-                });
-                mem.write_ptes(cpu, l1, &cleaned)?;
-                Ok::<_, HvError>(())
-            })?;
-        }
-        // Clearing dirty bits behind the TLB's back requires a flush so
-        // cached "already dirty" translations don't swallow new writes.
-        // The guest's CPUs run on their own threads: each is asked.
-        for c in &self.source.machine.cpus {
-            c.request_tlb_flush();
-        }
-        Ok(dirty)
-    }
-
     /// Run one pre-copy round: round 0 ships every owned frame; later
-    /// rounds ship what was written since the one before — every frame
-    /// the write log holds for the domain, and every data frame its PTE
-    /// dirty bits name.  The guest keeps running between rounds.
-    /// Returns the frames shipped.
+    /// rounds ship the domain's frames stored to since the one before,
+    /// whoever stored and however.  Each round reads the domain's dirty
+    /// bitmap, one word per 64 frames.  The guest keeps running between
+    /// rounds.  Returns the frames shipped.
     pub fn round(&mut self, cpu: &Cpu) -> Result<usize, HvError> {
-        let mut dirty = self.clean_dirty_bits(cpu)?;
-        if self.shipped.is_empty() {
-            dirty = self.dom.frames();
-        }
+        let owned = self.dom.frames();
+        cpu.tick(costs::MEM_WORD * owned.len().div_ceil(64) as u64);
         let (table, mem) = (&self.source.page_info, &self.source.machine.mem);
         let staged = &mut self.staged;
-        let frames = self.rounds.round(table, dirty, |f| {
+        let frames = self.rounds.round(mem, &owned, |f| {
             cpu.tick(SHIP_PER_FRAME);
             let image = FrameImage {
                 old_frame: f.0,
@@ -215,7 +177,8 @@ impl LiveMigration {
 mod tests {
     use super::*;
     use crate::MmuUpdate;
-    use simx86::mem::PhysAddr;
+    use simx86::mem::{FrameNum, PhysAddr};
+    use simx86::paging::Pte;
     use simx86::{Machine, MachineConfig};
 
     pub(super) fn node() -> (Arc<Machine>, Arc<Hypervisor>) {
@@ -254,7 +217,8 @@ mod tests {
         dom
     }
 
-    /// Simulate guest activity: write through the MMU so dirty bits set.
+    /// Simulate guest activity: a write through the MMU, which sets the
+    /// PTE's dirty bit and stores the word.
     fn guest_writes(machine: &Arc<Machine>, dom: &Arc<Domain>, page: usize, val: u64) {
         let cpu = machine.boot_cpu();
         let f = dom.frames();
@@ -328,9 +292,9 @@ mod tests {
     }
 
     /// A table the guest writes and then unlinks in one window between
-    /// rounds is no longer reachable from its base tables, but the
-    /// write log still names it: the stop-and-copy ships what the
-    /// guest wrote, not the copy of round 0.
+    /// rounds is no longer reachable from its base tables, but its
+    /// stamp still names it: the stop-and-copy ships what the guest
+    /// wrote, not the copy of round 0.
     #[test]
     fn a_table_written_then_unlinked_is_shipped() {
         let (m_src, hv_src) = node();
@@ -353,6 +317,67 @@ mod tests {
         assert_eq!(report.rounds[1], 2, "pgd and the unlinked L1");
         let l1 = FrameNum(report.frame_map[&f[1].0]);
         assert_eq!(m_dst.mem.read_pte(m_dst.boot_cpu(), l1, 5).unwrap(), entry);
+    }
+
+    /// A store that goes through no translation — here a device's
+    /// copy into a guest frame — is shipped by the next round: the
+    /// destination holds what was stored, not round 0's copy.
+    #[test]
+    fn a_store_between_rounds_that_bypasses_the_mmu_is_shipped() {
+        let (m_src, hv_src) = node();
+        let (m_dst, hv_dst) = node();
+        let cpu = m_src.boot_cpu();
+        let dom = build_guest(&m_src, &hv_src);
+        let f = dom.frames();
+        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+        mig.round(cpu).unwrap();
+
+        m_src.mem.write_bytes(f[3].base(), &0xabcd_u64.to_le_bytes()).unwrap();
+        let (_, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+
+        assert_eq!(report.rounds, [16, 1]);
+        let moved = FrameNum(report.frame_map[&f[3].0]);
+        assert_eq!(m_dst.mem.read_word(m_dst.boot_cpu(), moved.base()).unwrap(), 0xabcd);
+    }
+
+    /// A frame ballooned in between rounds is one round 0 never saw:
+    /// the balloon's scrub stamps it, so the stop-and-copy ships it.
+    #[test]
+    fn a_frame_ballooned_in_between_rounds_is_shipped() {
+        let (m_src, hv_src) = node();
+        let (_, hv_dst) = node();
+        let cpu = m_src.boot_cpu();
+        let dom = build_guest(&m_src, &hv_src);
+        hv_src.balloon_out(cpu, &dom, &[dom.frames()[11]]).unwrap();
+        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+        assert_eq!(mig.round(cpu).unwrap(), 15);
+
+        let fresh = hv_src.balloon_in(cpu, &dom, 1).unwrap();
+        let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+
+        assert_eq!(report.rounds, [15, 1]);
+        assert!(report.frame_map.contains_key(&fresh[0].0));
+        assert_eq!(new_dom.frame_count(), 16);
+    }
+
+    /// A round reads the domain's dirty bitmap — one word per 64 frames
+    /// — and ships each frame stored to, and never writes the guest's
+    /// page tables.
+    #[test]
+    fn a_round_charges_the_bitmap_and_leaves_the_tables_alone() {
+        let (m_src, hv_src) = node();
+        let cpu = m_src.boot_cpu();
+        let dom = build_guest(&m_src, &hv_src);
+        let f = dom.frames();
+        let tables = |m: &Machine| [f[0], f[1]].map(|t| m.mem.export_frame(t).unwrap());
+        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+        mig.round(cpu).unwrap();
+        guest_writes(&m_src, &dom, 2, 5);
+        let before = tables(&m_src);
+        let c0 = cpu.cycles();
+        assert_eq!(mig.round(cpu).unwrap(), 2, "the leaf table and the data frame");
+        assert_eq!(cpu.cycles() - c0, costs::MEM_WORD + 2 * SHIP_PER_FRAME);
+        assert_eq!(tables(&m_src), before);
     }
 
     #[test]

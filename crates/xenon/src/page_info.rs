@@ -17,24 +17,16 @@
 //! paper describes the two strategies Mercury supports to fix it on
 //! re-attach — full **recomputation** (the default; dominates the 0.22 ms
 //! switch time) and **active tracking** from native mode (2~3 % overhead).
-//! Mercury adds a third, **dirty recompute** (snapshot at detach, log
-//! writes while native, revalidate only written frames on re-attach).
+//! Mercury adds a third, **dirty recompute** (snapshot at detach,
+//! revalidate on re-attach only the tables stored to while native).
 //! All strategies produce this table through the one walk below; a
 //! property test in the mercury crate asserts they agree.
 //!
-//! # The write log
-//!
-//! Which frames were written is kept beside the records, not in them: a
-//! monotonic epoch counter and, per frame, the epoch of its last
-//! tracked write.  The writer ([`PageInfoTable::mark_dirty`]: the native
-//! VO's sink and `mmu_update`) only stamps.  The one reader is a
-//! `WriteCursor`, held by a [`Rounds`](crate::Rounds): it keeps an
-//! epoch of its own and asks what was written since, which clears
-//! nothing, so live migration's pre-copy rounds and Mercury's detach
-//! baseline with its idle-time sweep each read the one log without
-//! taking an observation from each other.  [`PageInfo`] is pure
-//! accounting: `==` on a [`PageInfoTable::snapshot`] compares validation
-//! state and nothing else.
+//! Which frames were written is not kept here: memory stamps every
+//! store ([`PhysMemory::stored_since`]), and a [`Rounds`](crate::Rounds)
+//! reads the stamps.  [`PageInfo`] is pure accounting: `==` on a
+//! [`PageInfoTable::snapshot`] compares validation state and nothing
+//! else.
 //!
 //! # Retained records
 //!
@@ -44,10 +36,9 @@
 //! table written while native, the old → new reference delta — or
 //! walks every table as [`PageInfoTable::recompute_for_at`] does when
 //! the retained records do not cover a change.  Which tables were
-//! written is told by memory's write stamps ([`PhysMemory::stored_since`]),
-//! not by the write log; the old side of a written table is the
-//! pre-image [`PageInfoTable::note_write`] kept at its first tracked
-//! write (DESIGN.md §7b).
+//! written is told by memory's write stamps; the old side of a written
+//! table is the pre-image [`PageInfoTable::note_write`] kept at its
+//! first tracked write (DESIGN.md §7b).
 
 use crate::domain::DomId;
 use crate::error::HvError;
@@ -86,11 +77,6 @@ pub struct PageInfo {
     pub pinned: bool,
 }
 
-/// A point in a table's write log.  The default is the point before
-/// any write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-struct Epoch(u64);
-
 /// The machine-wide frame accounting table.
 pub struct PageInfoTable {
     info: Mutex<Records>,
@@ -107,13 +93,6 @@ pub struct PageInfoTable {
 /// memory takes no lock of its own, so this lock is what keeps two
 /// validators off one table (DESIGN.md §14a).
 ///
-/// Beside the records sits the **write log**: per frame, the epoch of
-/// its last tracked write.  A write only stamps; readers compare stamps
-/// against an [`Epoch`] of their own and never clear anything, so any
-/// number of them read one log without disturbing each other.  Per
-/// [`WRITE_BLOCK`] frames the log keeps the newest stamp in the block,
-/// so a query skips a block written before its epoch.
-///
 /// A domain's type state is cleared by bumping its **generation**
 /// (DESIGN.md §7b): a record's type state (type, count, pin) counts
 /// only while the generation it was written under is its owner's.  Every read of
@@ -122,15 +101,6 @@ pub struct PageInfoTable {
 pub(crate) struct Records {
     frames: Vec<Record>,
     generations: Generations,
-    /// Epoch of each frame's last tracked write; 0 = never written.
-    written: Vec<u64>,
-    /// Per [`WRITE_BLOCK`] frames, the newest stamp in `written`.
-    block_written: Vec<u64>,
-    /// The epoch tracked writes are stamped with, from 1.
-    now: u64,
-    /// Stamp of the newest tracked write: "nothing written since `e`"
-    /// is `newest <= e`, one compare and no pass over the frames.
-    newest: u64,
     /// The domain whose type state is exactly what its page tables
     /// derive: set by a whole walk or a reattach, kept by the
     /// validators, lost to any other write of a record
@@ -183,9 +153,6 @@ struct Generations(Box<[u32; DOMAINS]>);
 
 /// One generation slot per `DomId` value.
 const DOMAINS: usize = 1 << 16;
-
-/// Frames per block of the write log's newest-stamp index.
-const WRITE_BLOCK: usize = 64;
 
 impl Record {
     /// The record as it counts, given its owner's current generation:
@@ -334,64 +301,12 @@ impl Records {
         }
     }
 
-    pub(crate) fn mark_dirty(&mut self, frame: FrameNum) {
-        let i = frame.0 as usize;
-        let Some(stamp) = self.written.get_mut(i) else {
-            return;
-        };
-        *stamp = self.now;
-        if let Some(block) = self.block_written.get_mut(i / WRITE_BLOCK) {
-            *block = self.now;
-        }
-        self.newest = self.now;
-    }
-
-    fn checkpoint(&mut self) -> Epoch {
-        self.now += 1;
-        Epoch(self.now - 1)
-    }
-
     /// [`PageInfoTable::corrupt_record`] under the held lock.
     pub(crate) fn corrupt_record(&mut self, frame: FrameNum) {
         self.underived(self.owner(frame));
         if let Ok(rec) = self.rec_mut(frame) {
             *rec = PageInfo::untyped(rec.owner);
         }
-    }
-
-    /// Those of `frames` that `dom` owns and whose last tracked write
-    /// is after `since` and not after `upto`, in frame order.  When
-    /// nothing at all was written in that span the pass is skipped, and
-    /// so is every block whose newest write is not after `since`.
-    fn written(
-        &self,
-        dom: DomId,
-        frames: std::ops::Range<u32>,
-        since: Epoch,
-        upto: Epoch,
-    ) -> impl Iterator<Item = FrameNum> + '_ {
-        let live = since.0 < upto.0.min(self.newest);
-        let frames = if live { frames } else { 0..0 };
-        let end = self.frames.len().min(frames.end as usize);
-        let start = end.min(frames.start as usize);
-        let first = start / WRITE_BLOCK;
-        let blocks = self.block_written.get(first..end.div_ceil(WRITE_BLOCK));
-        blocks
-            .unwrap_or_default()
-            .iter()
-            .enumerate()
-            .filter(move |&(_, &newest)| newest > since.0)
-            .flat_map(move |(b, _)| {
-                let base = (first + b) * WRITE_BLOCK;
-                let span = base.max(start)..end.min(base + WRITE_BLOCK);
-                let stamps = self.written.get(span.clone()).unwrap_or_default();
-                let recs = self.frames.get(span.clone()).unwrap_or_default();
-                span.zip(stamps.iter().zip(recs))
-            })
-            .filter(move |(_, (&w, rec))| {
-                w > since.0 && w <= upto.0 && rec.info.owner == Some(dom)
-            })
-            .map(|(i, _)| FrameNum(i as u32))
     }
 
     fn set_pinned(&mut self, frame: FrameNum, pinned: bool) -> Result<(), HvError> {
@@ -1024,10 +939,6 @@ impl PageInfoTable {
             info: Mutex::new(Records {
                 frames: vec![Record::default(); num_frames],
                 generations: Generations(vec![0; DOMAINS].try_into().expect("DOMAINS slots")),
-                written: vec![0; num_frames],
-                block_written: vec![0; num_frames.div_ceil(WRITE_BLOCK)],
-                now: 1,
-                newest: 0,
                 derived: None,
                 retained: None,
             }),
@@ -1079,21 +990,13 @@ impl PageInfoTable {
 
     /// Wipe the type record of one frame in place — the faultgen
     /// `VmmCorrupt` class lands here.  Type, count and pin state are
-    /// lost; ownership and the write log survive, as real latent
+    /// lost; ownership survives, as real latent
     /// corruption would leave unrelated bytes intact.  The table has no
     /// way to detect this from inside: recovery is a live-update, whose
     /// successor recomputes its records from the guest's page tables
     /// rather than trusting (and so inheriting) these.
     pub fn corrupt_record(&self, frame: FrameNum) {
         self.info.lock().corrupt_record(frame);
-    }
-
-    // -- the write log ----------------------------------------------------
-
-    /// Record a tracked write to `frame`: stamp it with the current
-    /// epoch.  A frame the machine does not have is not tracked.
-    pub fn mark_dirty(&self, frame: FrameNum) {
-        self.info.lock().mark_dirty(frame);
     }
 
     // -- type reference counting ---------------------------------------
@@ -1292,12 +1195,12 @@ impl PageInfoTable {
     }
 
     /// The detach's own stores to the retained tables are done (the
-    /// flip of their direct-map entries): a table stamped after this
-    /// was written while native.  Once per detach; no-op without a
-    /// retained detach.
-    pub fn open_native_window(&self, mem: &PhysMemory) {
+    /// flip of their direct-map entries): a table stamped from `since`,
+    /// a checkpoint taken after them, was written while native.  No-op
+    /// without a retained detach.
+    pub fn open_native_window(&self, since: WriteEpoch) {
         if let Some(kept) = &mut self.info.lock().retained {
-            kept.native_since.get_or_insert_with(|| mem.checkpoint());
+            kept.native_since = Some(since);
         }
     }
 
@@ -1321,13 +1224,10 @@ impl PageInfoTable {
     }
 
     /// The native VO's sink, run before each tracked page-table write:
-    /// log the write ([`Self::mark_dirty`]) and, at the first one to a
-    /// retained table, keep the frame's pre-image for the next
-    /// [`Self::reattach`].
+    /// at the first one to a retained table, keep the frame's pre-image
+    /// for the next [`Self::reattach`].
     pub fn note_write(&self, mem: &PhysMemory, frame: FrameNum) {
-        let mut info = self.info.lock();
-        info.mark_dirty(frame);
-        info.keep_preimage(mem, frame);
+        self.info.lock().keep_preimage(mem, frame);
     }
 
     /// Attach with a baseline: `dom`'s accounting for the base tables
@@ -1380,88 +1280,6 @@ impl PageInfoTable {
         let info = self.info.lock();
         let view = |rec: &Record| rec.view(info.generations.of(rec.info.owner));
         info.frames.iter().map(view).collect()
-    }
-
-    /// The write log as it stands: each frame's stamp, then the current
-    /// epoch and the newest stamp (twin-machine tests diff two of these).
-    #[cfg(test)]
-    pub(crate) fn write_log(&self) -> (Vec<u64>, u64, u64) {
-        let info = self.info.lock();
-        (info.written.clone(), info.now, info.newest)
-    }
-}
-
-/// One reader's place in a table's write log, and the log's only
-/// reader: the frames written since its epoch are its to see, less
-/// those its **sweep** — a position `(epoch, next frame)` — has retired
-/// one [`pop`](WriteCursor::pop) at a time.  The cursor is the reader's
-/// own: nothing it does changes what another reader of the same log
-/// sees.  [`Rounds`](crate::Rounds) is its one holder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct WriteCursor {
-    /// Everything written up to here has been seen.
-    since: Epoch,
-    /// The sweep in progress retires frames written up to here …
-    sweep: Epoch,
-    /// … and has passed every frame below this one.
-    next: u32,
-}
-
-impl WriteCursor {
-    /// A cursor that has seen everything up to `epoch`.
-    fn at(epoch: Epoch) -> WriteCursor {
-        WriteCursor {
-            since: epoch,
-            sweep: epoch,
-            next: 0,
-        }
-    }
-
-    /// Everything written to `table` so far has been seen: start again
-    /// from a fresh checkpoint.  The epoch is taken *inside* the
-    /// exclusive borrow, so a holder that shares the cursor behind a
-    /// lock cannot take it first and store it after another thread's
-    /// sweep closed a later one — which would move the cursor back over
-    /// frames that sweep had retired.
-    pub(crate) fn rebase(&mut self, table: &PageInfoTable) {
-        *self = WriteCursor::at(table.info.lock().checkpoint());
-    }
-
-    /// Frames of `dom` written since this cursor's epoch and not
-    /// retired by its sweep, in frame order.
-    pub(crate) fn pending(&self, table: &PageInfoTable, dom: DomId) -> Vec<FrameNum> {
-        let info = table.info.lock();
-        let last = Epoch(u64::MAX);
-        // Behind the sweep only a write after its epoch is pending.
-        let behind = info.written(dom, 0..self.next, self.sweep, last);
-        let ahead = info.written(dom, self.next..u32::MAX, self.since, last);
-        // volint::allow(SWITCH-ALLOC): the work-list is bounded by the pool size and built once per attach
-        let mut frames: Vec<FrameNum> = behind.collect();
-        // volint::allow(SWITCH-ALLOC): the other half of the same work-list
-        frames.extend(ahead);
-        frames
-    }
-
-    /// Retire one pending frame of `dom` and return it; `None` when
-    /// nothing is pending, which costs no pass over the frames when
-    /// nothing was written at all.  The sweep moves forward only: a
-    /// frame written after the sweep began waits for the next sweep, so
-    /// the log never has to be told what was retired.
-    pub(crate) fn pop(&mut self, table: &PageInfoTable, dom: DomId) -> Option<FrameNum> {
-        let mut info = table.info.lock();
-        loop {
-            let ahead = self.next..u32::MAX;
-            if let Some(f) = info.written(dom, ahead, self.since, self.sweep).next() {
-                self.next = f.0 + 1;
-                return Some(f);
-            }
-            // The sweep has passed every frame written up to its epoch.
-            *self = WriteCursor::at(self.sweep);
-            if info.newest <= self.since.0 {
-                return None;
-            }
-            self.sweep = info.checkpoint();
-        }
     }
 }
 
@@ -1766,66 +1584,6 @@ mod tests {
         assert!(cpu.cycles() - before >= 16 * costs::PGINFO_RECOMPUTE_PER_FRAME);
     }
 
-    /// A cursor that has seen everything written to `t` so far.
-    fn now(t: &PageInfoTable) -> WriteCursor {
-        let mut cursor = WriteCursor::default();
-        cursor.rebase(t);
-        cursor
-    }
-
-    /// Frames of `dom` written since the log began.
-    fn ever_written(t: &PageInfoTable, dom: DomId) -> Vec<FrameNum> {
-        WriteCursor::default().pending(t, dom)
-    }
-
-    #[test]
-    fn write_log_is_total_over_frame_numbers() {
-        let (t, _, _) = rig(4);
-        let start = now(&t);
-        assert_eq!(start.pending(&t, D), []);
-        t.mark_dirty(FrameNum(1));
-        assert_eq!(start.pending(&t, D), [FrameNum(1)]);
-        assert_eq!(start.pending(&t, D), [FrameNum(1)], "clears nothing");
-        assert_eq!(now(&t).pending(&t, D), []);
-        // A frame the machine does not have: not tracked, not written.
-        t.mark_dirty(FrameNum(MISSING));
-        assert_eq!(ever_written(&t, D), [FrameNum(1)]);
-    }
-
-    #[test]
-    fn a_cursor_reads_by_owner_and_epoch() {
-        let (t, _, _) = rig(8);
-        t.set_owner(FrameNum(7), Some(DomId(9)));
-        t.mark_dirty(FrameNum(1));
-        t.mark_dirty(FrameNum(2));
-        t.mark_dirty(FrameNum(7)); // foreign — another reader's business
-        assert_eq!(ever_written(&t, D).len(), 2);
-        let baseline = now(&t);
-        assert_eq!(baseline.pending(&t, D), []);
-        assert_eq!(ever_written(&t, DomId(9)), [FrameNum(7)]);
-        t.mark_dirty(FrameNum(3));
-        assert_eq!(baseline.pending(&t, D), [FrameNum(3)]);
-        assert_eq!(ever_written(&t, D).len(), 3);
-    }
-
-    #[test]
-    fn sweep_retires_one_frame_a_pop_and_never_a_foreign_one() {
-        let (t, _, _) = rig(16);
-        t.set_owner(FrameNum(6), Some(DomId(7)));
-        let mut cursor = now(&t);
-        assert_eq!(cursor.pop(&t, D), None);
-        for f in [9u32, 1, 6, 4] {
-            t.mark_dirty(FrameNum(f));
-        }
-        for left in (0..3).rev() {
-            assert!(cursor.pop(&t, D).is_some());
-            assert_eq!(cursor.pending(&t, D).len(), left);
-        }
-        assert_eq!(cursor.pop(&t, D), None);
-        // The other domain's write is still in the log for its reader.
-        assert_eq!(ever_written(&t, DomId(7)), [FrameNum(6)]);
-    }
-
     #[test]
     fn a_frame_the_machine_lacks_reads_unowned_and_untyped() {
         let (t, _, _) = rig(4);
@@ -2071,7 +1829,7 @@ mod tests {
                 }
                 t.retain(D, tables.clone());
                 twin.clear_types_for(D);
-                t.open_native_window(&mem);
+                t.open_native_window(mem.checkpoint());
                 assert_eq!(t.snapshot(), twin.snapshot(), "native: the types are gone");
                 for _ in 0..rng.below(6) {
                     let (table, index, pte) = random_store(rng);

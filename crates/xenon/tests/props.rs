@@ -115,32 +115,30 @@ fn recompute_equals_incremental_validation() {
     });
 }
 
-/// The write log has one writer and any number of readers, and no
-/// reader can take an observation from another: under random
-/// interleavings of marks, two readers' whole rounds and a third
-/// reader's one-frame sweeps, each sees exactly the frames marked since
-/// *its own* last round (model: one set per reader), a sweep retires
-/// exactly the frame it hands over, and the accounting records never
-/// move.  Table sizes cross the log's 64-frame blocks and end inside
-/// one, and marks land past the end too.
+/// Memory's stamps have any number of readers, and no reader can take
+/// an observation from another: under random interleavings of stores,
+/// two readers' whole rounds and a third reader's one-frame sweeps,
+/// each sees exactly the frames stored to since *its own* last round
+/// (model: one set per reader), a sweep retires exactly the frame it
+/// hands over, and memory's words never move.  Some frames are not
+/// followed: stored to, never reported.
 #[test]
-fn write_log_readers_are_independent() {
-    check("write_log_readers_are_independent", 256, |rng| {
+fn rounds_over_one_memory_are_independent() {
+    check("rounds_over_one_memory_are_independent", 256, |rng| {
         let frames = rng.range(1, 201) as u32;
-        let past = frames + 70;
-        let table = PageInfoTable::new(frames as usize);
-        let dom = DomId(0);
-        // A few frames belong to someone else: marked, never reported.
-        let foreign = |f: u32| f % 13 == 5;
-        for f in 0..frames {
-            let owner = if foreign(f) { DomId(9) } else { dom };
-            table.set_owner(FrameNum(f), Some(owner));
-        }
-        let accounting = table.snapshot();
+        let mem = PhysMemory::new(frames as usize);
+        let cpu = Cpu::new(0);
+        let unfollowed = |f: u32| f % 13 == 5;
+        let followed: Vec<FrameNum> = (0..frames).filter(|&f| !unfollowed(f)).map(FrameNum).collect();
+        let words = |mem: &PhysMemory| (0..frames).map(|f| mem.export_frame(FrameNum(f)).unwrap()).collect::<Vec<_>>();
 
         let mut readers: [(Rounds, BTreeSet<u32>); 2] =
-            [(); 2].map(|()| (Rounds::new(dom), BTreeSet::new()));
-        let mut sweep = Rounds::new(dom);
+            [(); 2].map(|()| (Rounds::default(), BTreeSet::new()));
+        for (rounds, _) in &mut readers {
+            rounds.rebase(&mem, Vec::new());
+        }
+        let mut sweep = Rounds::default();
+        sweep.rebase(&mem, Vec::new());
         let mut unswept: BTreeSet<u32> = BTreeSet::new();
         let as_set = |v: Vec<FrameNum>| v.into_iter().map(|f| f.0).collect::<BTreeSet<u32>>();
         for _ in 0..rng.below(160) {
@@ -150,26 +148,32 @@ fn write_log_readers_are_independent() {
                 op @ (0 | 1) => {
                     let (rounds, seen) = &mut readers[op as usize];
                     let mut got = BTreeSet::new();
-                    let ok = rounds.round(&table, Vec::new(), |f| {
+                    let before = words(&mem);
+                    let ok = rounds.round(&mem, &followed, |f| {
                         assert!(got.insert(f.0), "{f:?} twice in a round");
                         Ok::<_, ()>(())
                     });
                     assert_eq!(ok, Ok(seen.len()));
                     assert_eq!(&got, seen);
+                    assert_eq!(words(&mem), before, "a round stored nothing");
                     seen.clear();
                 }
                 2 | 3 => {
                     let mut popped = None;
-                    sweep.sweep(&table, 1, |f| popped = Some(f));
+                    sweep.sweep(&mem, &followed, 1, |f| popped = Some(f));
                     match popped {
                         Some(f) => assert!(unswept.remove(&f.0), "swept {f:?} twice"),
                         None => assert!(unswept.is_empty(), "{unswept:?} left behind"),
                     }
                 }
+                // A store, re-storing the word it finds half the time.
                 _ => {
-                    let f = rng.below(past as u64) as u32;
-                    table.mark_dirty(FrameNum(f));
-                    if f < frames && !foreign(f) {
+                    let f = rng.below(frames as u64) as u32;
+                    let at = FrameNum(f).base();
+                    let word = mem.read_word(&cpu, at).unwrap();
+                    let word = if rng.below(2) == 0 { word } else { rng.next_u64() };
+                    mem.write_word(&cpu, at, word).unwrap();
+                    if !unfollowed(f) {
                         unswept.insert(f);
                         for (_, seen) in &mut readers {
                             seen.insert(f);
@@ -177,12 +181,11 @@ fn write_log_readers_are_independent() {
                     }
                 }
             }
-            assert_eq!(as_set(sweep.pending(&table)), unswept);
+            assert_eq!(as_set(sweep.pending(&mem, &followed)), unswept);
             for (rounds, seen) in &readers {
-                assert_eq!(&as_set(rounds.pending(&table)), seen);
+                assert_eq!(&as_set(rounds.pending(&mem, &followed)), seen);
             }
         }
-        assert_eq!(table.snapshot(), accounting);
     });
 }
 
@@ -517,8 +520,8 @@ fn migration_preserves_memory_under_random_dirtying() {
             let mut model = [0u64; 6];
             for batch in &batches {
                 mig.round(cpu).unwrap();
-                // Guest dirties pages between rounds (hardware-style: set
-                // the PTE dirty bit + write the word).
+                // Guest dirties pages between rounds (hardware-style: the
+                // walker sets the PTE dirty bit, then the word is written).
                 for (page, value) in batch {
                     let pte = m_src.mem.read_pte(cpu, f[1], *page).unwrap();
                     m_src

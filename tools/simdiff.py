@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""First simulated-clock difference between two benchmark/out directories.
+"""First simulated-clock difference between two benchmark/out directories,
+or every numeric difference between two JSON files.
 
     python3 tools/simdiff.py A B
 
@@ -16,6 +17,11 @@ Prints the first value that differs, in file-name then metric order,
 and exits 1; exits 0 with a count when nothing does.  A report present
 on one side only, or two sides run with different seeds or block sizes,
 is a usage error (exit 2): there is nothing to compare.
+
+Given two files instead — two copies of an archive such as
+`fleet_results.json` — it lists every numeric leaf that differs, by its
+path in the document (`nodes[3].downtime_us: 41.2 != 40.9`; a leaf on one
+side only reads `(absent)` on the other), and exits 1 if there is one.
 """
 
 import json
@@ -86,10 +92,55 @@ def first_difference(a, b):
     return compared, None
 
 
+def leaves(tree, path=""):
+    """`[(path, value)]` of every numeric leaf of a parsed JSON document."""
+    if isinstance(tree, dict):
+        return [leaf for key, value in tree.items() for leaf in leaves(value, f"{path}.{key}" if path else key)]
+    if isinstance(tree, list):
+        return [leaf for i, value in enumerate(tree) for leaf in leaves(value, f"{path}[{i}]")]
+    if isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        return [(path, tree)]
+    return []
+
+
+def leaf_differences(a, b):
+    """`(compared, ["path: a != b"])` over the numeric leaves of two documents."""
+    la, lb = dict(leaves(a)), dict(leaves(b))
+    paths = list(la) + [path for path in lb if path not in la]
+
+    def shown(value):
+        return "(absent)" if value is None else repr(value)
+
+    rows = [
+        f"{path}: {shown(la.get(path))} != {shown(lb.get(path))}"
+        for path in paths
+        if la.get(path) != lb.get(path)
+    ]
+    return len(paths), rows
+
+
+def compare_files(a, b):
+    try:
+        with open(a) as fa, open(b) as fb:
+            compared, rows = leaf_differences(json.load(fa), json.load(fb))
+    except (OSError, ValueError) as e:
+        print(f"simdiff: {e}", file=sys.stderr)
+        return 2
+    for row in rows:
+        print(row)
+    if rows:
+        print(f"simdiff: {len(rows)} of {compared} numeric values differ")
+        return 1
+    print(f"simdiff: {compared} numeric values identical")
+    return 0
+
+
 def main(argv):
     if len(argv) != 3:
         print("usage: python3 tools/simdiff.py A B", file=sys.stderr)
         return 2
+    if os.path.isfile(argv[1]) and os.path.isfile(argv[2]):
+        return compare_files(argv[1], argv[2])
     try:
         compared, diff = first_difference(reports(argv[1]), reports(argv[2]))
     except (OSError, ValueError) as e:

@@ -120,6 +120,37 @@ class SimDiff(unittest.TestCase):
         self.assertEqual(self.run_main(a, fewer)[0], 2)
         self.assertEqual(self.run_main({}, {})[0], 2)
 
+    def test_two_files_list_every_numeric_leaf_that_differs(self):
+        a = {"seed": 11, "mode": "full", "nodes": [{"frames": 16, "up": True}, {"frames": 9}]}
+        b = copy.deepcopy(a)
+        b["nodes"][0]["frames"] = 17
+        b["nodes"][1]["frames"] = 8.5
+        b["nodes"][1]["extra"] = 3
+        b["mode"] = "quick"
+        with tempfile.TemporaryDirectory() as root:
+            paths = [os.path.join(root, name) for name in ("a.json", "b.json")]
+            for path, body in zip(paths, (a, b)):
+                with open(path, "w") as f:
+                    json.dump(body, f)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                code = sd.main(["simdiff", *paths])
+            same = io.StringIO()
+            with contextlib.redirect_stdout(same), contextlib.redirect_stderr(same):
+                same_code = sd.main(["simdiff", paths[0], paths[0]])
+        self.assertEqual(code, 1, out.getvalue())
+        self.assertEqual(
+            out.getvalue().splitlines(),
+            [
+                "nodes[0].frames: 16 != 17",
+                "nodes[1].frames: 9 != 8.5",
+                "nodes[1].extra: (absent) != 3",
+                "simdiff: 3 of 4 numeric values differ",
+            ],
+        )
+        self.assertEqual(same_code, 0, same.getvalue())
+        self.assertIn("3 numeric values identical", same.getvalue())
+
     def test_raw_span_dumps_are_skipped(self):
         a = {"r.json": report(), "trace.json": {"switch_cycle": []}}
         b = {"r.json": report(), "trace.json": {"switch_cycle": [1]}}

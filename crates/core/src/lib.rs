@@ -75,8 +75,6 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "dyncheck")]
-pub mod dyncheck;
 pub mod pgtrack;
 pub mod refcount;
 pub mod rendezvous;

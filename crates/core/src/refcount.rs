@@ -15,9 +15,6 @@ use std::sync::Arc;
 #[derive(Debug, Default)]
 pub struct VoRefCount {
     count: AtomicUsize,
-    /// Happens-before shadow for the dynamic protocol checker.
-    #[cfg(feature = "dyncheck")]
-    monitor: crate::dyncheck::RcMonitor,
 }
 
 impl VoRefCount {
@@ -30,38 +27,18 @@ impl VoRefCount {
     /// borrows the counter: the paper's one add on entry and one on
     /// exit are the only shared writes a section costs.
     pub fn enter(&self) -> VoGuard<'_> {
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_enter();
         self.count.fetch_add(1, Ordering::AcqRel);
         VoGuard { counter: self }
     }
 
     /// Current in-flight count.
     pub fn current(&self) -> usize {
-        let n = self.count.load(Ordering::Acquire);
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_observe();
-        n
+        self.count.load(Ordering::Acquire)
     }
 
     /// Is a mode switch safe right now?
     pub fn is_idle(&self) -> bool {
         self.current() == 0
-    }
-
-    /// Dynamic check: every completed exit happens-before this point
-    /// (called by the switch path right after the quiescence gate).
-    #[cfg(feature = "dyncheck")]
-    pub fn assert_quiescent(&self) {
-        self.monitor.assert_quiescent();
-    }
-
-    /// Dynamic check: enters and exits balance at a join point.
-    #[cfg(feature = "dyncheck")]
-    pub fn check_balanced(&self) -> Option<String> {
-        self.monitor.check_balanced()
     }
 }
 
@@ -72,9 +49,6 @@ pub struct VoGuard<'a> {
 
 impl Drop for VoGuard<'_> {
     fn drop(&mut self) {
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.counter.monitor.on_exit();
         self.counter.count.fetch_sub(1, Ordering::AcqRel);
     }
 }

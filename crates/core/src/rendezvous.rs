@@ -18,8 +18,11 @@
 //! round.  [`Rendezvous::begin`] opens one with a single
 //! compare-and-swap from a closed word; a check-in, the go and a
 //! completion are compare-and-swaps pinned to the open epoch; closing a
-//! round, completed or aborted, is one store.  The peer CPUs run on real
-//! host threads, so the protocol is exercised under genuine concurrency.
+//! round, completed or aborted, is one store.  Each write is one named
+//! transition of `RvState`, and this module's tests enumerate every
+//! interleaving of them at small scope (DESIGN.md §10).  The peer CPUs
+//! run on real host threads, so the protocol is also exercised under
+//! genuine concurrency.
 //!
 //! What a peer acts on after go — in the switch, the mode to reload for
 //! and its stripe of the attach scan — is handed over by
@@ -151,6 +154,49 @@ impl RvState {
     fn is_open(self, epoch: u32) -> bool {
         self.open && self.epoch == epoch
     }
+
+    // The word's transitions.  Each is the whole of one write to the
+    // word — `Rendezvous` applies them and the explorer in this module's
+    // tests enumerates them — and a refused one is `None`.
+
+    /// Open the next round, from a closed word only.
+    fn begin(self) -> Option<RvState> {
+        (!self.open).then(|| RvState::fresh((self.epoch + 1) & EPOCH_MASK, true))
+    }
+
+    /// Count one check-in into the open round `epoch`, before its go.
+    fn check_in(self, epoch: u32) -> Option<RvState> {
+        (self.is_open(epoch) && !self.go).then_some(RvState {
+            ready: self.ready + 1,
+            ..self
+        })
+    }
+
+    /// Raise the go of the open round `epoch`.
+    fn go(self, epoch: u32) -> Option<RvState> {
+        self.is_open(epoch).then_some(RvState { go: true, ..self })
+    }
+
+    /// Count one completion into the open round `epoch`.
+    fn complete(self, epoch: u32) -> Option<RvState> {
+        self.is_open(epoch).then_some(RvState {
+            done: self.done + 1,
+            ..self
+        })
+    }
+
+    /// Close the round, completed or aborted: only its epoch survives.
+    fn close(self) -> RvState {
+        RvState::fresh(self.epoch, false)
+    }
+}
+
+/// A parked peer's decision once its spin ends: it is released, with
+/// what the CP released, iff the release carries its epoch.  The CP
+/// writes the release just before go, so a round closed after its go
+/// still releases a peer that missed the go bit.
+fn released<T>(release: Option<(u32, T)>, epoch: u32) -> Option<T> {
+    release.filter(|r| r.0 == epoch).map(|r| r.1)
 }
 
 /// Spin (host wall-clock) until `done` holds; `false` if `timeout`
@@ -188,9 +234,6 @@ pub struct Rendezvous<T> {
     /// Spin patience before a participant declares the protocol wedged
     /// (configuration, not round state — tests shorten it).
     timeout: Duration,
-    /// Happens-before shadow for the dynamic protocol checker.
-    #[cfg(feature = "dyncheck")]
-    monitor: crate::dyncheck::RvMonitor,
 }
 
 /// Why a rendezvous failed.
@@ -225,8 +268,6 @@ impl<T: Copy> Rendezvous<T> {
             round: AtomicU64::new(0),
             release: Mutex::new(None),
             timeout,
-            #[cfg(feature = "dyncheck")]
-            monitor: crate::dyncheck::RvMonitor::default(),
         }
     }
 
@@ -259,16 +300,10 @@ impl<T: Copy> Rendezvous<T> {
     /// running.
     pub fn begin(&self) -> Result<u32, RendezvousError> {
         let cur = self.state();
-        if cur.open {
-            return Err(RendezvousError::Busy);
-        }
-        let next = RvState::fresh((cur.epoch + 1) & EPOCH_MASK, true);
+        let next = cur.begin().ok_or(RendezvousError::Busy)?;
         self.round
             .compare_exchange(cur.pack(), next.pack(), Ordering::AcqRel, Ordering::Acquire)
             .map_err(|_| RendezvousError::Busy)?;
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_begin();
         Ok(next.epoch)
     }
 
@@ -276,30 +311,20 @@ impl<T: Copy> Rendezvous<T> {
     /// performs the global state transfer while every peer is parked,
     /// and releases them with [`Rendezvous::signal_go`].
     pub fn wait_ready(&self, peers: usize) -> Result<(), RendezvousError> {
-        self.wait_count(peers, |s| s.ready)?;
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_wait_ready_ok(peers);
-        Ok(())
+        self.wait_count(peers, |s| s.ready)
     }
 
     /// CP side: hand the parked peers `release` and raise go.
     pub fn signal_go(&self, release: T) {
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_signal_go();
         let epoch = self.state().epoch;
         *self.release.lock() = Some((epoch, release));
-        self.update(|s| s.is_open(epoch).then_some(RvState { go: true, ..s }));
+        self.update(|s| s.go(epoch));
     }
 
     /// CP side: wait for all peers to complete their per-CPU step, then
     /// close the round.
     pub fn wait_done(&self, peers: usize) -> Result<(), RendezvousError> {
         self.wait_count(peers, |s| s.done)?;
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_wait_done_ok(peers);
         self.close_round();
         Ok(())
     }
@@ -317,10 +342,7 @@ impl<T: Copy> Rendezvous<T> {
     /// CP side: close the round, completed or aborted.  A parked or late
     /// peer of it sees the closed word and gives up as stale.
     fn close_round(&self) {
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_close();
-        let closed = RvState::fresh(self.state().epoch, false).pack();
+        let closed = self.state().close().pack();
         self.round.store(closed, Ordering::Release);
     }
 
@@ -333,52 +355,22 @@ impl<T: Copy> Rendezvous<T> {
     /// superseded round returns [`RendezvousError::Stale`] and the count
     /// is untouched.
     pub fn check_in_and_wait(&self, epoch: u32) -> Result<T, RendezvousError> {
-        self.update(|s| {
-            (s.is_open(epoch) && !s.go).then_some(RvState {
-                ready: s.ready + 1,
-                ..s
-            })
-        })
-        .ok_or(RendezvousError::Stale)?;
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_check_in();
+        self.update(|s| s.check_in(epoch))
+            .ok_or(RendezvousError::Stale)?;
         // Stop on go, or once the CP closed the round (its own timeout)
         // while we were parked.
         spin_until(self.timeout, || {
             let s = self.state();
             s.go || !s.is_open(epoch)
         });
-        // Go was given iff the release carries this epoch: the CP writes
-        // it just before go, so a round closed after its go still
-        // releases a peer that missed the go bit.
-        let Some((_, release)) = (*self.release.lock()).filter(|&(tag, _)| tag == epoch) else {
-            return Err(RendezvousError::Timeout);
-        };
-        #[cfg(feature = "dyncheck")]
-        // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-        self.monitor.on_observed_go();
-        Ok(release)
+        released(*self.release.lock(), epoch).ok_or(RendezvousError::Timeout)
     }
 
     /// Peer side, epoch-pinned: report completion for round `epoch`.
     /// Returns whether the completion was counted — one for a round
     /// that is no longer open is dropped, mirroring the check-in guard.
     pub fn complete_for(&self, epoch: u32) -> bool {
-        let counted = self
-            .update(|s| {
-                s.is_open(epoch).then_some(RvState {
-                    done: s.done + 1,
-                    ..s
-                })
-            })
-            .is_some();
-        #[cfg(feature = "dyncheck")]
-        if counted {
-            // volint::prune(*) — dyncheck instrumentation, compiled out in production builds
-            self.monitor.on_complete();
-        }
-        counted
+        self.update(|s| s.complete(epoch)).is_some()
     }
 }
 
@@ -541,6 +533,411 @@ mod tests {
         r.signal_go(epoch);
         assert_eq!(r.check_in_and_wait(epoch), Err(RendezvousError::Stale));
         assert_eq!(r.state().ready, 0);
+    }
+
+    // ---- the round word, explored exhaustively --------------------------
+    //
+    // Every write to the word is one `RvState` transition applied
+    // atomically (`update`'s compare-and-swap retries until one applies,
+    // and `close_round`'s store only keeps the epoch, which only the CP
+    // changes), so an interleaving of the protocol is an interleaving of
+    // those transitions, of the reads between them and of the release
+    // cell's one write and reads.  The explorer enumerates every one for
+    // a CP running a fixed number of rounds and `n` peers, and checks
+    // §5.4's invariants on each step.  Either of the CP's waits may time
+    // out at any step.  A parked peer's spin ends only on go or on a
+    // closed round: its own deadline is host time, and a peer that gave
+    // up while its round went on to go would run the old mode through
+    // the transfer (DESIGN.md §10).
+
+    /// The release cell: the epoch tag and what the CP released, which
+    /// here is its epoch too.
+    type Release = Option<(u32, u32)>;
+
+    /// The peer's transitions the explorer applies: `Rendezvous`'s own,
+    /// or a broken set it must catch.  The CP's (`begin`, `go`, `close`)
+    /// are always the real ones.
+    #[derive(Clone, Copy)]
+    struct Protocol {
+        check_in: fn(RvState, u32) -> Option<RvState>,
+        complete: fn(RvState, u32) -> Option<RvState>,
+        /// The peer's decision once its spin ends, from the release
+        /// cell and the word it reads then.
+        released: fn(Release, RvState, u32) -> Option<u32>,
+    }
+
+    const PROTOCOL: Protocol = Protocol {
+        check_in: RvState::check_in,
+        complete: RvState::complete,
+        released: |release, _, epoch| released(release, epoch),
+    };
+
+    /// The CP's next step within a round: `Rendezvous::begin`, the IPI
+    /// broadcast, `wait_ready`, `signal_go`'s release write and its go,
+    /// `wait_done`, and `close_round` after either wait.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Cp {
+        Begin,
+        Broadcast,
+        WaitReady,
+        Release,
+        Go,
+        WaitDone,
+        Close,
+        Finished,
+    }
+
+    /// A peer's next step: service the IPI (reading the epoch), check in,
+    /// leave its spin, read the release, complete.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    enum Pc {
+        Idle,
+        CheckIn,
+        Parked,
+        Decide,
+        Complete,
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct Peer {
+        /// The rendezvous IPI is pending (IPIs of one vector coalesce).
+        ipi: bool,
+        pc: Pc,
+        /// The epoch read when the IPI was serviced.
+        epoch: u32,
+        /// Completions counted since the CP's last `begin`.
+        completions: u8,
+    }
+
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct World {
+        word: u64,
+        release: Release,
+        /// Bit `e` once round `e`'s `signal_go` wrote its release.
+        signalled: u32,
+        cp: Cp,
+        /// Rounds the CP has begun.
+        rounds: u8,
+        peers: Vec<Peer>,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Step {
+        Cp(Cp),
+        /// The CP's spin times out (a choice at any step of either wait).
+        Timeout,
+        Peer(usize, Pc),
+    }
+
+    /// What a step leads to: the next world, or the invariant it broke.
+    type Next = Result<World, &'static str>;
+
+    /// Every step enabled in `w` for a CP that runs `rounds` rounds.
+    fn steps(p: Protocol, rounds: u8, w: &World) -> Vec<(Step, Next)> {
+        let s = RvState::unpack(w.word);
+        let n = w.peers.len();
+        let with = |f: &dyn Fn(&mut World)| {
+            let mut next = w.clone();
+            f(&mut next);
+            next
+        };
+        let mut out = Vec::new();
+        if matches!(w.cp, Cp::WaitReady | Cp::WaitDone) {
+            out.push((Step::Timeout, Ok(with(&|x| x.cp = Cp::Close))));
+        }
+        let cp = match w.cp {
+            Cp::Begin => Some(s.begin().ok_or("begin found the round open").map(|b| {
+                with(&|x| {
+                    x.word = b.pack();
+                    x.cp = Cp::Broadcast;
+                    x.rounds += 1;
+                    x.peers.iter_mut().for_each(|q| q.completions = 0);
+                })
+            })),
+            Cp::Broadcast => Some(Ok(with(&|x| {
+                x.cp = Cp::WaitReady;
+                x.peers.iter_mut().for_each(|q| q.ipi = true);
+            }))),
+            Cp::WaitReady => (usize::from(s.ready) >= n).then(|| {
+                let parked = |q: &&Peer| q.pc == Pc::Parked && q.epoch == s.epoch;
+                (w.peers.iter().filter(parked).count() == n)
+                    .then(|| with(&|x| x.cp = Cp::Release))
+                    .ok_or("wait_ready returned with a peer of its round not parked")
+            }),
+            Cp::Release => Some(Ok(with(&|x| {
+                x.release = Some((s.epoch, s.epoch));
+                x.signalled |= 1 << s.epoch;
+                x.cp = Cp::Go;
+            }))),
+            Cp::Go => Some(Ok(with(&|x| {
+                x.word = s.go(s.epoch).unwrap_or(s).pack();
+                x.cp = Cp::WaitDone;
+            }))),
+            Cp::WaitDone => (usize::from(s.done) >= n).then(|| {
+                w.peers
+                    .iter()
+                    .all(|q| q.completions == 1)
+                    .then(|| with(&|x| x.cp = Cp::Close))
+                    .ok_or("wait_done returned before every peer completed once")
+            }),
+            Cp::Close => Some(Ok(with(&|x| {
+                x.word = s.close().pack();
+                x.cp = if x.rounds < rounds {
+                    Cp::Begin
+                } else {
+                    Cp::Finished
+                };
+            }))),
+            Cp::Finished => None,
+        };
+        out.extend(cp.map(|next| (Step::Cp(w.cp), next)));
+        for (i, q) in w.peers.iter().enumerate() {
+            let e = q.epoch;
+            let step = |f: &dyn Fn(&mut Peer)| with(&|x| f(&mut x.peers[i]));
+            let next = match q.pc {
+                Pc::Idle if q.ipi => Ok(step(&|x| {
+                    x.ipi = false;
+                    x.epoch = s.epoch;
+                    x.pc = Pc::CheckIn;
+                })),
+                Pc::Idle => continue,
+                Pc::CheckIn => Ok(match (p.check_in)(s, e) {
+                    Some(c) => with(&|x| {
+                        x.word = c.pack();
+                        x.peers[i].pc = Pc::Parked;
+                    }),
+                    None => step(&|x| x.pc = Pc::Idle),
+                }),
+                Pc::Parked if s.go || !s.is_open(e) => Ok(step(&|x| x.pc = Pc::Decide)),
+                Pc::Parked => continue,
+                Pc::Decide => {
+                    let go = w.signalled & 1 << e != 0;
+                    match (p.released)(w.release, s, e) {
+                        Some(r) if r != e || !go => {
+                            Err("a peer was released for another round or before its go")
+                        }
+                        Some(_) => Ok(step(&|x| x.pc = Pc::Complete)),
+                        None if go => Err(
+                            "a peer checked into a round whose go was signalled left unreleased",
+                        ),
+                        None => Ok(step(&|x| x.pc = Pc::Idle)),
+                    }
+                }
+                Pc::Complete => Ok(match (p.complete)(s, e) {
+                    Some(c) => with(&|x| {
+                        x.word = c.pack();
+                        x.peers[i].pc = Pc::Idle;
+                        x.peers[i].completions += 1;
+                    }),
+                    None => step(&|x| x.pc = Pc::Idle),
+                }),
+            };
+            out.push((Step::Peer(i, q.pc), next));
+        }
+        out
+    }
+
+    /// A run ends only with the CP finished and the word as a close
+    /// leaves it.
+    fn ended(w: &World) -> Result<(), &'static str> {
+        let s = RvState::unpack(w.word);
+        if w.cp != Cp::Finished || s != s.close() {
+            return Err("a run ended with the word not closed");
+        }
+        Ok(())
+    }
+
+    /// The step from `before` as one trace line, with the word after it.
+    fn show(step: Step, before: &World, after: Option<&World>) -> String {
+        let what = match step {
+            Step::Cp(pc) => format!(
+                "CP      {}",
+                match pc {
+                    Cp::Begin => "begin",
+                    Cp::Broadcast => "broadcast the IPI",
+                    Cp::WaitReady => "wait_ready returns",
+                    Cp::Release => "signal_go: write the release",
+                    Cp::Go => "signal_go: raise go",
+                    Cp::WaitDone => "wait_done returns",
+                    Cp::Close => "close the round",
+                    Cp::Finished => "finished",
+                }
+            ),
+            Step::Timeout => match before.cp {
+                Cp::WaitReady => "CP      wait_ready times out".into(),
+                _ => "CP      wait_done times out".into(),
+            },
+            Step::Peer(i, pc) => {
+                let e = before.peers[i].epoch;
+                let what = match pc {
+                    Pc::Idle => "services the IPI, reads the epoch".into(),
+                    Pc::CheckIn => format!("check_in({e})"),
+                    Pc::Parked => format!("leaves its spin ({e})"),
+                    Pc::Decide => format!("reads the release ({e})"),
+                    Pc::Complete => format!("complete({e})"),
+                };
+                format!("peer {i}  {what}")
+            }
+        };
+        match after {
+            Some(a) => format!(
+                "{what:<42} {:?}, release {:?}",
+                RvState::unpack(a.word),
+                a.release
+            ),
+            None => what,
+        }
+    }
+
+    /// A counterexample: `why`, then the shortest path to `at` and the
+    /// step from it, `last`, that broke the invariant.
+    fn trace(
+        worlds: &[(World, Option<(usize, Step)>)],
+        mut at: usize,
+        last: String,
+        why: &str,
+    ) -> String {
+        let mut lines = vec![last];
+        while let Some((from, step)) = worlds[at].1 {
+            lines.push(show(step, &worlds[from].0, Some(&worlds[at].0)));
+            at = from;
+        }
+        lines.reverse();
+        let lines: Vec<String> = lines
+            .iter()
+            .enumerate()
+            .map(|(k, l)| format!("{:>3}. {l}", k + 1))
+            .collect();
+        format!("{why}:\n{}", lines.join("\n"))
+    }
+
+    /// Explore every interleaving of a CP running `rounds` rounds with
+    /// `peers` peers, breadth first.  `Ok((states, interleavings))`, or
+    /// the first broken invariant with its shortest trace.
+    fn explore(p: Protocol, rounds: u8, peers: usize) -> Result<(usize, u128), String> {
+        let start = World {
+            word: RvState::fresh(0, false).pack(),
+            release: None,
+            signalled: 0,
+            cp: Cp::Begin,
+            rounds: 0,
+            peers: vec![
+                Peer {
+                    ipi: false,
+                    pc: Pc::Idle,
+                    epoch: 0,
+                    completions: 0
+                };
+                peers
+            ],
+        };
+        // Each world with the step that first reached it, and its successors.
+        let mut worlds = vec![(start.clone(), None::<(usize, Step)>)];
+        let mut succ: Vec<Vec<usize>> = Vec::new();
+        let mut seen = std::collections::HashMap::from([(start, 0)]);
+        let mut at = 0;
+        while at < worlds.len() {
+            let w = worlds[at].0.clone();
+            let next = steps(p, rounds, &w);
+            if next.is_empty() {
+                ended(&w).map_err(|why| trace(&worlds, at, "(end)".into(), why))?;
+            }
+            let mut out = Vec::new();
+            for (step, n) in next {
+                let n = n.map_err(|why| trace(&worlds, at, show(step, &w, None), why))?;
+                let k = *seen.entry(n.clone()).or_insert_with(|| {
+                    worlds.push((n, Some((at, step))));
+                    worlds.len() - 1
+                });
+                out.push(k);
+            }
+            succ.push(out);
+            at += 1;
+        }
+        // The world graph is acyclic (every step advances the CP or
+        // consumes an IPI or moves a peer on within one), so the
+        // interleavings are its paths, counted from the sinks back.
+        let mut paths: Vec<Option<u128>> = vec![None; worlds.len()];
+        fn count(k: usize, succ: &[Vec<usize>], paths: &mut [Option<u128>]) -> u128 {
+            if let Some(c) = paths[k] {
+                return c;
+            }
+            let c = match succ[k].as_slice() {
+                [] => 1,
+                next => next.iter().map(|&j| count(j, succ, paths)).sum(),
+            };
+            paths[k] = Some(c);
+            c
+        }
+        Ok((worlds.len(), count(0, &succ, &mut paths)))
+    }
+
+    #[test]
+    fn the_protocol_holds_on_every_interleaving() {
+        // CP + 2 peers over two rounds, either of which may abort at
+        // either wait (so a ghost of the first can reach the second);
+        // CP + 3 peers over one.
+        for (rounds, peers) in [(2, 2), (1, 3)] {
+            match explore(PROTOCOL, rounds, peers) {
+                Ok((states, runs)) => println!(
+                    "rendezvous: {rounds} round(s), {peers} peers: {states} states, {runs} interleavings"
+                ),
+                Err(trace) => panic!("{rounds} round(s), {peers} peers: {trace}"),
+            }
+        }
+    }
+
+    #[test]
+    fn the_explorer_catches_each_broken_protocol() {
+        let broken: [(&str, Protocol); 4] = [
+            (
+                "a check-in that ignores the epoch",
+                Protocol {
+                    check_in: |s, _| {
+                        (s.open && !s.go).then_some(RvState {
+                            ready: s.ready + 1,
+                            ..s
+                        })
+                    },
+                    ..PROTOCOL
+                },
+            ),
+            (
+                "a check-in accepted after go",
+                Protocol {
+                    check_in: |s, e| {
+                        s.is_open(e).then_some(RvState {
+                            ready: s.ready + 1,
+                            ..s
+                        })
+                    },
+                    ..PROTOCOL
+                },
+            ),
+            (
+                "a completion counted into a closed round",
+                Protocol {
+                    complete: |s, e| {
+                        (s.epoch == e).then_some(RvState {
+                            done: s.done + 1,
+                            ..s
+                        })
+                    },
+                    ..PROTOCOL
+                },
+            ),
+            (
+                "a peer released on the go bit without the epoch tag",
+                Protocol {
+                    released: |release, s, _| s.go.then_some(release?.1),
+                    ..PROTOCOL
+                },
+            ),
+        ];
+        for (bug, p) in broken {
+            let trace = explore(p, 2, 2).expect_err(bug);
+            println!("{bug} — {trace}\n");
+        }
     }
 
     #[test]

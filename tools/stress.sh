@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# Loop the SMP stress binaries.  Each run races real host threads, so
-# one pass proves little: build each binary once (debug, where a second
+# Loop the SMP stress binary.  Each run races real host threads, so one
+# pass proves little: build the binary once (debug, where a second
 # writer of owner-written CPU state panics) and run it many times.
 #
-#   tools/stress.sh            # smp_stress 20x, again 20x under dyncheck,
-#                              # smp_stress_dyncheck 50x
+#   tools/stress.sh            # smp_stress 50x
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +31,4 @@ loop() {
     echo "stress: $* passed $n/$n"
 }
 
-loop 20 --test smp_stress
-loop 20 --features dyncheck --test smp_stress
-loop 50 --features dyncheck -p mercury --test smp_stress_dyncheck
+loop 50 --test smp_stress

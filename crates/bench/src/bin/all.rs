@@ -63,12 +63,7 @@ fn main() {
     // §7.4 and the §5.1.2 ablation: one row per strategy, keyed as
     // `bench_results.json` has always spelled them, with the N-L fork
     // latency the native-mode overheads are relative to.
-    let keys = [
-        "recompute",
-        "active_tracking",
-        "dirty_recompute",
-        "lazy_validate",
-    ];
+    let keys = ["recompute", "active_tracking", "dirty_recompute"];
     let nl_fork_us = lat_fork(&TestBed::build(SysKind::NL, 1), 8);
     let mut mode_switch = vec![("nl_fork_us", format!("{nl_fork_us:.4}"))];
     let times = TrackingStrategy::ALL.map(|strategy| measure_switch_times(strategy, 20));

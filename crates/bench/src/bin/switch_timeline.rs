@@ -6,7 +6,7 @@
 //! state transfer (page-table writability flips, selector fixups, frame
 //! accounting), per-CPU hardware reload, and the VO pointer swap.
 //!
-//! Four legs, one per path of interest:
+//! Three legs, one per path of interest:
 //!
 //! * **attach / detach** — the default ([`TrackingStrategy::DirtyRecompute`])
 //!   path: boot pre-cache + O(dirty) revalidation on attach, snapshot
@@ -15,11 +15,6 @@
 //! * **attach_full / detach_full** — the paper's original
 //!   recompute-on-switch path, kept as the §7.4 anchor (the ~0.22 ms /
 //!   ~0.06 ms numbers).
-//! * **attach_lazy / detach_lazy** — [`TrackingStrategy::LazyValidate`]
-//!   with a churn child forked before every detach that exits in the
-//!   native window after it, so every attach but the first defers the
-//!   child's freed tables (enqueued in `lazy_admit` for first-touch
-//!   validation).
 //! * **live_update** — the hv-to-hv update path (DESIGN.md §16): the
 //!   kernel stays virtual while a pre-cached successor hypervisor
 //!   handshakes, rebuilds its frame accounting cold, and commits.
@@ -35,9 +30,7 @@
 //! The sum of the phases is checked against the end-to-end switch cost
 //! for every leg: the binary exits non-zero if they disagree by more
 //! than 1%, so the decomposition cannot silently drift from the
-//! headline number.  (`lazy_admit` is nested inside
-//! `pginfo_recompute`, so its cycles appear in both rows; at ≤ 1 cycle
-//! per deferred frame the double count stays far inside the 1% band.)
+//! headline number.
 
 use mercury::{SwitchOutcome, TrackingStrategy, Transition};
 use mercury_bench::campaign::Gates;
@@ -51,7 +44,7 @@ const SAMPLES: u32 = 20;
 
 /// Accumulated per-phase cycles for one switch direction.
 struct Breakdown {
-    /// Leg label (`attach`, `detach_full`, `attach_lazy`, …).
+    /// Leg label (`attach`, `detach_full`, `live_update`, …).
     label: &'static str,
     /// Phase probe names in timeline order ([`mercury::Mercury::timeline`]:
     /// the rows of the transition's table plus the driver's fixed steps).
@@ -139,47 +132,12 @@ impl Breakdown {
     }
 }
 
-/// Make some *deferrable* frames: before a detach a child is forked
-/// that maps and touches pages, so its tables are among the detach's;
-/// before the next attach it exits, and its table frames go back to
-/// the pool stored to but no longer kernel-critical — exactly the
-/// population `LazyValidate` defers to first-touch validation.
-fn churn(sess: &nimbus::Session, child: &mut Option<nimbus::Pid>, next: Transition) {
-    match (next, child.take()) {
-        (Transition::Detach, _) => {
-            *child = Some(sess.fork().expect("fork"));
-            assert!(
-                sess.waitpid().expect("waitpid").is_none(),
-                "child should still be running"
-            );
-            let va = sess
-                .mmap(32, nimbus::mm::Prot::RW, nimbus::kernel::MmapBacking::Anon)
-                .expect("mmap");
-            for p in 0..32u64 {
-                sess.poke(simx86::VirtAddr(va.0 + p * 4096), p)
-                    .expect("touch");
-            }
-        }
-        (_, Some(pid)) => {
-            sess.exit(0).expect("exit");
-            assert_eq!(
-                sess.waitpid().expect("waitpid").expect("child exited").0,
-                pid,
-                "reaped the churn child"
-            );
-        }
-        (_, None) => {}
-    }
-}
-
 /// Run one attach/detach leg: `SAMPLES` round trips on `bed`, phases
-/// split per the tables `bed`'s Mercury runs, with `before` run
-/// (untraced) ahead of every switch, told which.  Returns the two
+/// split per the tables `bed`'s Mercury runs.  Returns the two
 /// breakdowns plus the last pair of Chrome traces.
 fn run_leg(
     bed: &TestBed,
     labels: (&'static str, &'static str),
-    mut before: impl FnMut(Transition),
 ) -> (Breakdown, Breakdown, (String, String)) {
     let mercury = bed.mercury.as_ref().expect("M-N testbed has mercury");
     let cpu = bed.machine.boot_cpu();
@@ -187,7 +145,6 @@ fn run_leg(
     let mut detach = Breakdown::new(labels.1, mercury.timeline(Transition::Detach));
     let mut last_traces = (String::new(), String::new());
     for _ in 0..SAMPLES {
-        before(Transition::Attach);
         merctrace::reset();
         merctrace::arm();
         let SwitchOutcome::Completed { cycles } = mercury.switch_to_virtual(cpu).expect("attach")
@@ -200,7 +157,6 @@ fn run_leg(
         attach.add(&snap, cycles);
         last_traces.0 = merctrace::export::chrome_trace(&snap, CYCLES_PER_US);
 
-        before(Transition::Detach);
         merctrace::reset();
         merctrace::arm();
         let SwitchOutcome::Completed { cycles } = mercury.switch_to_native(cpu).expect("detach")
@@ -262,22 +218,12 @@ fn main() -> ExitCode {
     // the first decompose the steady O(dirty)+O(tables) switch.
     let bed = TestBed::build_mn_with_strategy(1, TrackingStrategy::default());
     let _sess = warm(&bed);
-    let (attach, detach, traces) = run_leg(&bed, ("attach", "detach"), |_| {});
+    let (attach, detach, traces) = run_leg(&bed, ("attach", "detach"));
 
     // Anchor leg: the paper's full recompute (§7.4's ~0.22 ms / ~0.06 ms).
     let bed_full = TestBed::build(SysKind::MN, 1);
     let _sess_full = warm(&bed_full);
-    let (attach_full, detach_full, _) = run_leg(&bed_full, ("attach_full", "detach_full"), |_| {});
-
-    // Lazy leg: fault-driven admission with a churn child alive at
-    // every detach and gone before the next attach, so each sample
-    // after the first defers real frames through `lazy_admit`.
-    let bed_lazy = TestBed::build_mn_with_strategy(1, TrackingStrategy::LazyValidate);
-    let sess_lazy = bed_lazy.session(0);
-    let mut child = None;
-    let (attach_lazy, detach_lazy, _) = run_leg(&bed_lazy, ("attach_lazy", "detach_lazy"), |t| {
-        churn(&sess_lazy, &mut child, t)
-    });
+    let (attach_full, detach_full, _) = run_leg(&bed_full, ("attach_full", "detach_full"));
 
     // Live-update leg: hv-to-hv on a warmed virtual-mode bed (§6 live
     // VMM update, DESIGN.md §16) — the kernel never detaches to native.
@@ -292,21 +238,10 @@ fn main() -> ExitCode {
     println!("Legacy anchor (recompute-on-switch):\n");
     println!("{}", attach_full.markdown());
     println!("{}", detach_full.markdown());
-    println!("Lazy fault-driven admission (lazy-validate, churned):\n");
-    println!("{}", attach_lazy.markdown());
-    println!("{}", detach_lazy.markdown());
     println!("Hypervisor live-update (hv-to-hv, kernel stays virtual):\n");
     println!("{}", update.markdown());
 
-    let legs = [
-        &attach,
-        &detach,
-        &attach_full,
-        &detach_full,
-        &attach_lazy,
-        &detach_lazy,
-        &update,
-    ];
+    let legs = [&attach, &detach, &attach_full, &detach_full, &update];
     let json = json_block(0, legs.map(|b| (b.label, b.json()))) + "\n";
     std::fs::write("switch_timeline.json", json).expect("write switch_timeline.json");
     // Keep the default leg's last attach/detach pair plus the last

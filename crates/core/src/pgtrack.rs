@@ -2,7 +2,7 @@
 //!
 //! When the VMM is detached it "loses track of the usage information" of
 //! the kernel's page frames.  The paper implements two ways to make the
-//! VMM's `page_info` table correct again; we add two more that trade
+//! VMM's `page_info` table correct again; we add a third that trades
 //! native-mode overhead against attach-time latency:
 //!
 //! * [`TrackingStrategy::RecomputeOnSwitch`] — the paper's original
@@ -24,31 +24,22 @@
 //!   the active mirror's [`simx86::costs::ACTIVE_TRACK_PER_PTE`]):
 //!   memory stamps the table frame it changes.  Re-attach revalidates
 //!   the kernel's tables stored to since the snapshot ("dirty" below)
-//!   at the full scan rate — but only up to
-//!   [`SYNC_REVALIDATE_CAP`] of them synchronously; overflow beyond the
-//!   cap is deferred to first guest touch through the lazy
-//!   validation-fault path ([`simx86::lazy::LazySet`]) — and restores
-//!   the clean frames at the snapshot-restore rate — on the host too:
-//!   the detach's records are restored, not re-derived (the boot
-//!   pre-cache opens the first native window but retains no records,
-//!   so the first attach walks).  An idle detach window makes the re-attach nearly free,
-//!   and the cap makes the attach-time accounting phase *statically
-//!   bounded* regardless of how much native mode dirtied.
-//! * [`TrackingStrategy::LazyValidate`] — the demand-paged extreme:
-//!   attach synchronously revalidates only the *kernel-critical* dirty
-//!   frames (the page-table frames a guest could subvert the VMM
-//!   through) and defers every other dirty frame to its first guest
-//!   touch.  Admission latency is O(critical-dirty); the rest of the
-//!   validation debt is paid at [`simx86::costs::LAZY_VALIDATE_FAULT`]
-//!   per frame, only for frames the guest actually uses.
+//!   at the full scan rate and restores the clean frames at the
+//!   snapshot-restore rate — on the host too: the detach's records are
+//!   restored, not re-derived (the boot pre-cache opens the first
+//!   native window but retains no records, so the first attach walks).
+//!   An idle detach window makes the re-attach nearly free.  The
+//!   work-list — the kernel's tables at the window's open and at its
+//!   close — is a set of pool frames, so the attach-time accounting
+//!   phase never costs more than the whole walk.
 //!
 //! **Modelling note** (see DESIGN.md §7b): the mirror's bookkeeping work
 //! is charged per mutation through the native VO
 //! ([`simx86::costs::ACTIVE_TRACK_PER_PTE`] /
 //! [`simx86::costs::DIRTY_TRACK_PER_PTE`]).  At attach time active
 //! tracking reuses recompute's whole walk at a mirror adoption rate
-//! ([`ADOPT_PER_FRAME`]).  The dirty strategies charge the capped
-//! dirty/clean/deferred blended rate and do what it says: the detach
+//! ([`ADOPT_PER_FRAME`]).  The dirty strategy charges the dirty/clean
+//! blended rate and does what it says: the detach
 //! keeps its records restorable, and the attach restores them and
 //! applies the old → new reference delta of each page table written
 //! while native — the table's pre-image, kept by the VO's sink at its
@@ -81,7 +72,7 @@
 //! attach revalidates everything whatever was written, so there is
 //! nothing to donate to.
 //!
-//! **One table.**  What distinguishes the four strategies is written
+//! **One table.**  What distinguishes the three strategies is written
 //! down once, as a [`LatticeRow`] per strategy
 //! ([`TrackingStrategy::row`], the only `match` on the enum in the
 //! workspace): the switch engine picks its transition tables from the
@@ -92,7 +83,7 @@
 
 use crate::switch::{Mercury, Round, SwitchError};
 use simx86::mem::{FrameNum, PhysMemory};
-use simx86::{costs, Cpu, LazySet};
+use simx86::{costs, Cpu};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use xenon::{HvError, PageInfoTable};
@@ -102,19 +93,9 @@ use xenon::{HvError, PageInfoTable};
 pub const ADOPT_PER_FRAME: u64 = 3;
 
 /// Per-frame cost of restoring a *clean* frame's accounting from the
-/// detach-time snapshot under the dirty strategies (a copy plus the
+/// detach-time snapshot under a dirty baseline (a copy plus the
 /// dirty-bit check).
 pub const RESTORE_PER_FRAME: u64 = 5;
-
-/// Maximum number of dirty frames [`TrackingStrategy::DirtyRecompute`]
-/// revalidates *synchronously* during the attach.  Dirty frames beyond
-/// the cap (kernel-critical frames always sort first, so only
-/// non-critical frames ever overflow) are deferred to the lazy
-/// validation-fault path, which is what makes the attach-time
-/// accounting phase statically bounded: at most
-/// `SYNC_REVALIDATE_CAP × PGINFO_RECOMPUTE_PER_FRAME` cycles of full-
-/// rate scanning no matter how much native mode dirtied.
-pub const SYNC_REVALIDATE_CAP: usize = 4096;
 
 /// How the VMM's frame accounting is kept correct across detached
 /// periods.
@@ -126,15 +107,9 @@ pub enum TrackingStrategy {
     /// Mirror every native page-table mutation while detached.
     ActiveTracking,
     /// Snapshot at detach (and at boot), revalidate at re-attach the
-    /// table frames stored to while native — at
-    /// most [`SYNC_REVALIDATE_CAP`] of them synchronously, the rest
-    /// lazily on first touch.  The default.
+    /// table frames stored to while native.  The default.
     #[default]
     DirtyRecompute,
-    /// Dirty tracking plus fault-driven admission: synchronously
-    /// revalidate only kernel-critical dirty frames at attach; every
-    /// other dirty frame is validated on its first guest touch.
-    LazyValidate,
 }
 
 /// One row of the strategy lattice (DESIGN.md §7b): everything the
@@ -154,19 +129,14 @@ pub struct LatticeRow {
     /// a baseline (serial or sharded) and the re-arm of a rolled-back
     /// detach.
     pub walk_per_frame: u64,
-    /// Dirty frames an attach revalidates synchronously.  Kernel-
-    /// critical dirty frames are never deferred, however small this is
-    /// (DESIGN.md §7b invariant 1); only read under a baseline.
-    pub sync_quota: usize,
 }
 
 impl TrackingStrategy {
     /// Every strategy, in lattice order.
-    pub const ALL: [TrackingStrategy; 4] = [
+    pub const ALL: [TrackingStrategy; 3] = [
         TrackingStrategy::RecomputeOnSwitch,
         TrackingStrategy::ActiveTracking,
         TrackingStrategy::DirtyRecompute,
-        TrackingStrategy::LazyValidate,
     ];
 
     /// This strategy's row of the lattice.
@@ -182,23 +152,19 @@ impl TrackingStrategy {
     /// ```
     pub const fn row(self) -> LatticeRow {
         let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
-        let (native_per_pte, dirty_baseline, walk_per_frame, sync_quota) = match self {
-            TrackingStrategy::RecomputeOnSwitch => (0, false, scan, 0),
+        let (native_per_pte, dirty_baseline, walk_per_frame) = match self {
+            TrackingStrategy::RecomputeOnSwitch => (0, false, scan),
             TrackingStrategy::ActiveTracking => {
-                (costs::ACTIVE_TRACK_PER_PTE, false, ADOPT_PER_FRAME, 0)
+                (costs::ACTIVE_TRACK_PER_PTE, false, ADOPT_PER_FRAME)
             }
             // Without a usable baseline every frame counts as dirty:
             // the whole-pool walk of a dirty strategy is a full scan.
-            TrackingStrategy::DirtyRecompute => {
-                (costs::DIRTY_TRACK_PER_PTE, true, scan, SYNC_REVALIDATE_CAP)
-            }
-            TrackingStrategy::LazyValidate => (costs::DIRTY_TRACK_PER_PTE, true, scan, 0),
+            TrackingStrategy::DirtyRecompute => (costs::DIRTY_TRACK_PER_PTE, true, scan),
         };
         LatticeRow {
             native_per_pte,
             dirty_baseline,
             walk_per_frame,
-            sync_quota,
         }
     }
 }
@@ -211,44 +177,18 @@ impl TrackingStrategy {
 impl Mercury {
     /// Attach-time frame accounting with a dirty baseline (the default,
     /// established at boot and refreshed at every detach) — O(dirty).
-    /// Partition the dirty population against the kernel-critical frame
-    /// set, synchronously revalidate the critical frames (plus
-    /// non-critical dirty frames up to the strategy's
-    /// [`LatticeRow::sync_quota`]), restore clean frames from the
-    /// snapshot, and defer the rest to first-touch validation faults.
-    ///
-    /// Admission invariant (DESIGN.md §7b): a kernel-critical frame is
-    /// never deferred — the sync quota is at least the critical-dirty
-    /// count under every strategy — so the guest can never execute
-    /// through a page-table frame whose validation is still pending.
+    /// Revalidate the work-list (the kernel's page tables stored to
+    /// inside the native window), restore the clean frames from the
+    /// snapshot, and reattach the records.
     pub(crate) fn account_dirty(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let cpu = r.cpu;
         let owned = self.kernel().pool_size();
         let p0 = cpu.cycles();
-        let hv = self.hypervisor();
-        // Kernel-critical frames: the page-table frames a guest could
-        // subvert the VMM through.  (Gate and descriptor tables are not
-        // frame-backed in this machine model; their transfer is the
-        // trap_table phase.)
-        // Sorted, so membership is a binary search.
-        let critical = self.kernel().all_table_frames();
-        let dirty = self.revalidation_backlog();
-        // Critical frames sort first so the sync quota can never
-        // truncate them.
-        let (mut ordered, rest): (Vec<FrameNum>, Vec<FrameNum>) =
-            dirty.into_iter().partition(|f| critical.binary_search(f).is_ok());
-        let n_critical = ordered.len();
-        // volint::allow(SWITCH-ALLOC): extends the partitioned work-list in place (total length = dirty count)
-        ordered.extend(rest);
-        // `DirtyRecompute`'s cap (4096) exceeds the ≤ 256 kernel table
-        // frames, so criticals always fit under it; `LazyValidate`'s
-        // quota of 0 leaves only the critical frames holding the guest.
-        let quota = self.strategy().row().sync_quota.max(n_critical);
-        let sync = ordered.len().min(quota);
-        let clean = owned.saturating_sub(ordered.len());
-        // volint::cost(491520) — capped synchronous revalidation: SYNC_REVALIDATE_CAP(4096) × PGINFO_RECOMPUTE_PER_FRAME(100) + 16384 clean frames × RESTORE_PER_FRAME(5)
+        let dirty = self.revalidation_backlog().len();
+        let clean = owned.saturating_sub(dirty);
+        // volint::cost(1638400) — every page table is a pool frame and the work-list is deduplicated, so dirty ≤ owned and dirty × PGINFO_RECOMPUTE_PER_FRAME + clean × RESTORE_PER_FRAME ≤ 16384 pool frames × PGINFO_RECOMPUTE_PER_FRAME(100)
         cpu.tick(
-            sync as u64 * costs::PGINFO_RECOMPUTE_PER_FRAME + clean as u64 * RESTORE_PER_FRAME,
+            dirty as u64 * costs::PGINFO_RECOMPUTE_PER_FRAME + clean as u64 * RESTORE_PER_FRAME,
         );
         // The validation itself restores the records the detach kept
         // and patches them by the tables written while native — the
@@ -260,29 +200,8 @@ impl Mercury {
         // time retired frames from.  Anything the retained records do not
         // cover falls back to the whole walk from the live tables, one
         // generation increment and all (DESIGN.md §7b).
-        self.reattach_accounting(cpu, &hv.page_info, &critical)?;
-
-        // Lazy admission: enqueue everything past the sync quota for
-        // first-touch validation.
-        merctrace::span_begin!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
-        // volint::cost(16384) — deferral enqueue: ≤ 16384 pool frames × LAZY_DEFER_PER_FRAME(1)
-        let deferred = ordered.get(sync..).unwrap_or_default();
-        cpu.tick(deferred.len() as u64 * costs::LAZY_DEFER_PER_FRAME);
-        if !deferred.is_empty() {
-            debug_assert!(
-                deferred.iter().all(|f| critical.binary_search(f).is_err()),
-                "kernel-critical frame deferred past admission"
-            );
-            merctrace::counter!(
-                cpu.id,
-                "switch.lazy.deferred",
-                deferred.len() as u64,
-                cpu.cycles()
-            );
-            // volint::allow(SWITCH-ALLOC): one Arc'd pending set per lazy admission window
-            self.open_lazy_window(Arc::new(LazySet::new(deferred.iter().copied())));
-        }
-        merctrace::span_end!(cpu.id, "switch.transfer.lazy_admit", cpu.cycles());
+        let tables = self.kernel().all_table_frames();
+        self.reattach_accounting(cpu, &self.hypervisor().page_info, &tables)?;
         self.accounted(cpu, p0);
         Ok(())
     }
@@ -365,8 +284,7 @@ impl Mercury {
     }
 
     /// Forget the attach-time accounting again: the kernel stays native.
-    pub(crate) fn drop_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
-        self.close_lazy_window(r.cpu);
+    pub(crate) fn drop_accounting(&self, _: &Round<'_>) -> Result<(), SwitchError> {
         self.release_accounting();
         Ok(())
     }
@@ -388,12 +306,10 @@ impl Mercury {
     /// just-live accounting as the next attach's snapshot and only drop
     /// the type restrictions on the pinned table frames — O(tables)
     /// (DESIGN.md §7b).  The records stay restorable, with the tables
-    /// they stand for ([`PageInfoTable::retain`]).  Closing the lazy
-    /// window is charged here.
+    /// they stand for ([`PageInfoTable::retain`]).
     pub(crate) fn retain_accounting(&self, r: &Round<'_>) -> Result<(), SwitchError> {
         let hv = self.hypervisor();
         hv.deactivate();
-        self.close_lazy_window(r.cpu);
         let tables = self.kernel().all_table_frames();
         // volint::cost(6400) — release pass over the ≤ 256 pinned table frames × PGINFO_CLEAR_PER_FRAME(25); the snapshot itself is retained, not wiped
         r.cpu
@@ -449,32 +365,28 @@ mod tests {
     /// The lattice pinned against the mechanism: per strategy, what the
     /// native VO, the attach-time accounting phase and the detach are
     /// *measured* to cost, against the figures of DESIGN.md §7b typed
-    /// here — including `LazyValidate` with fewer critical frames than
-    /// dirty ones.  The dirty set is made of real stores: three kernel
-    /// tables re-store an entry, and a child alive at the detach exits
-    /// while native, leaving its tables freed.
+    /// here.  The dirty set is made of real stores: three kernel tables
+    /// re-store an entry, and a child alive at the detach exits while
+    /// native, leaving its tables freed.
     #[test]
     fn lattice_rows_price_the_mechanism() {
         use TrackingStrategy::*;
         assert_eq!(TrackingStrategy::default(), DirtyRecompute);
         let scan = costs::PGINFO_RECOMPUTE_PER_FRAME;
         // (strategy, native cycles per PTE write, whole-pool attach
-        // rate — `None` under a dirty baseline — and whether the attach
-        // revalidates only the critical dirty frames).
+        // rate — `None` under a dirty baseline).
         let lattice = [
-            (RecomputeOnSwitch, 0, Some(scan), false),
+            (RecomputeOnSwitch, 0, Some(scan)),
             (
                 ActiveTracking,
                 costs::ACTIVE_TRACK_PER_PTE,
                 Some(ADOPT_PER_FRAME),
-                false,
             ),
-            (DirtyRecompute, costs::DIRTY_TRACK_PER_PTE, None, false),
-            (LazyValidate, costs::DIRTY_TRACK_PER_PTE, None, true),
+            (DirtyRecompute, costs::DIRTY_TRACK_PER_PTE, None),
         ];
         assert_eq!(lattice.map(|row| row.0), TrackingStrategy::ALL);
         let mut detach_rest = Vec::new();
-        for (strategy, per_pte, walk, critical_only) in lattice {
+        for (strategy, per_pte, walk) in lattice {
             let (machine, _, mercury) = rig(1, strategy);
             let cpu = machine.boot_cpu();
             let kernel = mercury.kernel();
@@ -529,19 +441,19 @@ mod tests {
 
             sess.exit(0).unwrap();
             assert!(sess.waitpid().unwrap().is_some());
-            let critical = kernel.all_table_frames();
-            restore_entries(&mercury, &critical[..3]);
+            let live = kernel.all_table_frames();
+            restore_entries(&mercury, &live[..3]);
             let dirty = mercury.revalidation_backlog();
             let freed: Vec<FrameNum> =
-                at_detach.iter().filter(|f| !critical.contains(f)).copied().collect();
-            let n_critical = dirty.iter().filter(|f| critical.contains(f)).count();
+                at_detach.iter().filter(|f| !live.contains(f)).copied().collect();
             if walk.is_none() {
                 // The three tables stored to, and the freed tables the
                 // exit stored to: nothing else.
-                assert!(critical[..3].iter().all(|f| dirty.contains(f)), "{strategy:?}");
+                assert!(live[..3].iter().all(|f| dirty.contains(f)), "{strategy:?}");
+                let n_live = dirty.iter().filter(|f| live.contains(f)).count();
                 let freed_dirty = dirty.iter().filter(|f| freed.contains(f)).count();
                 assert!(freed_dirty > 0, "{strategy:?}");
-                assert_eq!((n_critical, dirty.len()), (3, 3 + freed_dirty), "{strategy:?}");
+                assert_eq!((n_live, dirty.len()), (3, 3 + freed_dirty), "{strategy:?}");
             }
             let phase = attach();
             if walk.is_some() {
@@ -549,18 +461,10 @@ mod tests {
                 // same whole-pool walk.
                 assert_eq!(phase, first, "{strategy:?}");
             } else {
-                // Synchronous frames pay the scan, clean ones the
-                // restore, the rest the enqueue — plus one TLB flush on
-                // the one CPU for opening the window.
-                let sync = if critical_only { n_critical } else { dirty.len() };
-                let deferred = dirty.len() - sync;
+                // Dirty frames pay the scan, clean ones the restore.
                 let clean = owned - dirty.len();
-                let expect = sync as u64 * scan
-                    + clean as u64 * RESTORE_PER_FRAME
-                    + deferred as u64 * costs::LAZY_DEFER_PER_FRAME
-                    + if deferred > 0 { costs::TLB_FLUSH } else { 0 };
+                let expect = dirty.len() as u64 * scan + clean as u64 * RESTORE_PER_FRAME;
                 assert_eq!(phase, expect, "{strategy:?}: {} dirty", dirty.len());
-                assert_eq!(mercury.lazy_pending(), deferred, "{strategy:?}");
             }
             mercury.switch_to_native(cpu).unwrap();
         }
@@ -621,8 +525,8 @@ mod tests {
         assert_eq!(phase, owned * RESTORE_PER_FRAME, "an all-clean restore");
     }
 
-    /// Under both dirty strategies, each attach after the first
-    /// restores what the detach retained and patches it by the tables
+    /// Under a dirty baseline, each attach after the first restores
+    /// what the detach retained and patches it by the tables
     /// the kernel wrote while native (pages mapped, re-protected and
     /// unmapped in tables that already exist, and a direct-map entry of
     /// a table frame rewritten through the VO, which puts the detach's
@@ -630,32 +534,30 @@ mod tests {
     /// retained records served every time.
     #[test]
     fn a_reattach_from_retained_records_is_the_walk() {
-        for strategy in [TrackingStrategy::DirtyRecompute, TrackingStrategy::LazyValidate] {
-            let (machine, hv, mercury) = rig(1, strategy);
-            let cpu = machine.boot_cpu();
-            let sess = Session::new(Arc::clone(mercury.kernel()), 0);
-            let va = sess.mmap(64, Prot::RW, MmapBacking::Anon).unwrap();
-            let page = |i: u64| VirtAddr(va.0 + i * PAGE_SIZE);
-            sess.poke(page(0), 1).unwrap();
-            let served = || mercury.stats.delta_attaches.load(Ordering::Relaxed);
+        let (machine, hv, mercury) = rig(1, TrackingStrategy::DirtyRecompute);
+        let cpu = machine.boot_cpu();
+        let sess = Session::new(Arc::clone(mercury.kernel()), 0);
+        let va = sess.mmap(64, Prot::RW, MmapBacking::Anon).unwrap();
+        let page = |i: u64| VirtAddr(va.0 + i * PAGE_SIZE);
+        sess.poke(page(0), 1).unwrap();
+        let served = || mercury.stats.delta_attaches.load(Ordering::Relaxed);
+        mercury.switch_to_virtual(cpu).unwrap();
+        assert_eq!(served(), 0, "nothing is retained at boot");
+        for round in 1..=4u64 {
+            mercury.switch_to_native(cpu).unwrap();
+            sess.poke(page(round * 3), round).unwrap();
+            let prot = [Prot::RO, Prot::RW][round as usize % 2];
+            sess.mprotect(page(0), 1, prot).unwrap();
+            sess.munmap(page(round * 3 - 2), 1).unwrap();
+            let kernel = mercury.kernel();
+            let (l1, index) = kernel.kmap().locate(kernel.all_pgds()[0]).unwrap();
+            let entry = machine.mem.read_pte(cpu, l1, index).unwrap();
+            assert!(entry.writable(), "the detach flipped it writable");
+            kernel.pv().set_pte(cpu, l1, index, entry).unwrap();
             mercury.switch_to_virtual(cpu).unwrap();
-            assert_eq!(served(), 0, "{strategy:?}: nothing is retained at boot");
-            for round in 1..=4u64 {
-                mercury.switch_to_native(cpu).unwrap();
-                sess.poke(page(round * 3), round).unwrap();
-                let prot = [Prot::RO, Prot::RW][round as usize % 2];
-                sess.mprotect(page(0), 1, prot).unwrap();
-                sess.munmap(page(round * 3 - 2), 1).unwrap();
-                let kernel = mercury.kernel();
-                let (l1, index) = kernel.kmap().locate(kernel.all_pgds()[0]).unwrap();
-                let entry = machine.mem.read_pte(cpu, l1, index).unwrap();
-                assert!(entry.writable(), "the detach flipped it writable");
-                kernel.pv().set_pte(cpu, l1, index, entry).unwrap();
-                mercury.switch_to_virtual(cpu).unwrap();
-                assert_eq!(served(), round, "{strategy:?}: round {round}");
-                let walked = scratch_walk(&mercury, 0).1;
-                assert_eq!(hv.page_info.snapshot(), walked, "{strategy:?}: round {round}");
-            }
+            assert_eq!(served(), round, "round {round}");
+            let walked = scratch_walk(&mercury, 0).1;
+            assert_eq!(hv.page_info.snapshot(), walked, "round {round}");
         }
     }
 

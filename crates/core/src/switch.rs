@@ -67,7 +67,7 @@ use simx86::cpu::{vectors, InterruptSink, PrivLevel, TrapFrame};
 use simx86::paging::Pte;
 use simx86::sync::{Mutex, RwLock};
 use simx86::vmx::Ept;
-use simx86::{costs, Cpu, LazySet, Machine};
+use simx86::{costs, Cpu, Machine};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -410,18 +410,11 @@ pub struct Phase {
     pub name: &'static str,
     run: PhaseFn,
     undo: PhaseFn,
-    /// Spans `run` opens inside its own that the timeline reports too.
-    nested: &'static [&'static str],
 }
 
 impl Phase {
     const fn new(name: &'static str, run: PhaseFn, undo: PhaseFn) -> Phase {
-        Phase {
-            name,
-            run,
-            undo,
-            nested: &[],
-        }
+        Phase { name, run, undo }
     }
 
     /// The same row walked the other way: what one direction undoes is
@@ -445,14 +438,11 @@ const SELECTORS: Phase = Phase::new(
     Mercury::fix_selectors::<true>,
     Mercury::fix_selectors::<false>,
 );
-const ACCOUNT_DIRTY: Phase = Phase {
-    nested: &["switch.transfer.lazy_admit"],
-    ..Phase::new(
-        "switch.transfer.pginfo_recompute",
-        Mercury::account_dirty,
-        Mercury::drop_accounting,
-    )
-};
+const ACCOUNT_DIRTY: Phase = Phase::new(
+    "switch.transfer.pginfo_recompute",
+    Mercury::account_dirty,
+    Mercury::drop_accounting,
+);
 const ACCOUNT_FULL: Phase = Phase::new(
     "switch.transfer.pginfo_full",
     Mercury::account_full,
@@ -517,10 +507,6 @@ pub struct Mercury {
     /// with go the mode to reload for and the attach's scan, if it
     /// dealt one (each peer charges its stripe; see `crate::shard`).
     rendezvous: Rendezvous<(ExecMode, Option<ScanJob>)>,
-    /// Frames admitted lazily by the most recent attach, still awaiting
-    /// their first-touch validation; `None` outside a lazy admission
-    /// window.  Registered on every CPU's MMU while set.
-    lazy_set: Mutex<Option<Arc<LazySet>>>,
     /// Deferred switch target for the retry timer.
     pending: Mutex<Option<ExecMode>>,
     /// The staged successor VMM awaiting [`Mercury::live_update`], if
@@ -665,7 +651,6 @@ impl Mercury {
             assist,
             ept,
             rendezvous: Rendezvous::new(),
-            lazy_set: Mutex::new(None),
             pending: Mutex::new(None),
             pending_update: Mutex::new(None),
             abort: Mutex::new(None),
@@ -675,7 +660,7 @@ impl Mercury {
         });
 
         // Boot-time pre-cache (the always-on dirty-tracking default):
-        // for the dirty strategies on a native-booted kernel, compute
+        // under a dirty baseline on a native-booted kernel, compute
         // the page_info snapshot *now*, on the boot CPU, off the switch
         // path — one full-rate scan at install time buys every future
         // attach (including the first) the O(dirty) path.  An adopted
@@ -781,38 +766,6 @@ impl Mercury {
     /// A switch target deferred by the reference-count gate, if any.
     pub fn pending_target(&self) -> Option<ExecMode> {
         *self.pending.lock()
-    }
-
-    /// The pending set of the current lazy admission window, if one is
-    /// open (frames deferred by the last attach, awaiting their first
-    /// guest touch).
-    ///
-    /// ```
-    /// # use mercury::{AssistMode, NodeConfig, Stack, TrackingStrategy};
-    /// // LazyValidate admits the guest after validating only the dirty
-    /// // kernel-critical frames; anything else dirty waits in the
-    /// // pending set for its first touch.
-    /// let Stack { machine, mercury, .. } = Stack::build(
-    ///     &NodeConfig::default(),
-    ///     TrackingStrategy::LazyValidate,
-    ///     AssistMode::Software,
-    /// );
-    /// # let cpu = machine.boot_cpu();
-    /// assert!(mercury.lazy_set().is_none(), "no window before an attach");
-    /// mercury.switch_to_virtual(cpu).unwrap();
-    /// let pending = mercury.lazy_pending();
-    /// mercury.switch_to_native(cpu).unwrap();
-    /// assert!(mercury.lazy_set().is_none(), "detach drains the window");
-    /// # let _ = pending;
-    /// ```
-    pub fn lazy_set(&self) -> Option<Arc<LazySet>> {
-        self.lazy_set.lock().clone()
-    }
-
-    /// Number of frames still awaiting first-touch validation in the
-    /// current lazy admission window (0 when no window is open).
-    pub fn lazy_pending(&self) -> usize {
-        self.lazy_set.lock().as_ref().map_or(0, |s| s.remaining())
     }
 
     // ---- the native window's rounds (DESIGN.md §7b) --------------------------
@@ -1077,13 +1030,11 @@ impl Mercury {
     }
 
     /// The probes a completed `t` emits on the control processor, in
-    /// order: each row (and the spans it nests), then the driver's
-    /// fixed commit and per-CPU reload.
+    /// order: each row, then the driver's fixed commit and per-CPU
+    /// reload.
     pub fn timeline(&self, t: Transition) -> Vec<&'static str> {
-        let rows = self.phases(t).iter();
-        rows.flat_map(|row| std::iter::once(&row.name).chain(row.nested))
-            .chain(&["switch.vo_swap", "switch.reload_cpu"])
-            .copied()
+        let rows = self.phases(t).iter().map(|row| row.name);
+        rows.chain(["switch.vo_swap", "switch.reload_cpu"])
             .collect()
     }
 
@@ -1460,43 +1411,6 @@ impl Mercury {
             self.hypervisor().deactivate();
         }
         Ok(())
-    }
-
-    // The lazy window's MMU registrations are privileged, so they stay
-    // here as the helpers the accounting rows in `crate::pgtrack` call:
-    // volint exempts this one file from VO-BYPASS.
-
-    /// Open a lazy admission window over `set`: register it on every
-    /// CPU (registration flushes each TLB, so no cached translation can
-    /// bypass the first-touch check).
-    pub(crate) fn open_lazy_window(&self, set: Arc<LazySet>) {
-        // volint::bound(16) — one registration per CPU
-        for peer in &self.machine.cpus {
-            peer.set_lazy_set(Some(Arc::clone(&set)));
-        }
-        *self.lazy_set.lock() = Some(set);
-    }
-
-    /// Close the lazy admission window, if one is open.  Frames still
-    /// awaiting their first touch are drained in bulk: the release that
-    /// follows voids the accounting they would have validated into
-    /// (DESIGN.md §7b).  The set is sealed and deregistered — one TLB
-    /// flush per CPU — so a straggler touch fails loudly afterwards.
-    pub(crate) fn close_lazy_window(&self, _cpu: &Arc<Cpu>) {
-        if let Some(set) = self.lazy_set.lock().take() {
-            let _stragglers = set.drain().len();
-            set.seal();
-            merctrace::counter!(
-                _cpu.id,
-                "switch.lazy.stragglers",
-                _stragglers,
-                _cpu.cycles()
-            );
-            // volint::bound(16) — one deregistration per CPU
-            for peer in &self.machine.cpus {
-                peer.set_lazy_set(None);
-            }
-        }
     }
 
     // ---- phase bodies: hypervisor live-update (DESIGN.md §16) -----------------
@@ -2419,198 +2333,6 @@ pub(crate) mod tests {
             "re-attach ({warm}) must pay the blended rate for {dirtied} dirty frames ({floor})"
         );
         assert_eq!(sess.peek(va).unwrap(), 0);
-    }
-
-    /// A rig whose dirty set contains *non-critical* frames: a forked
-    /// child faults in pages, a detach finds it alive, and it exits
-    /// while native, so its tables are freed — stored to in the native
-    /// window, but no longer in [`Kernel::all_table_frames`].
-    fn lazy_rig(
-        strategy: TrackingStrategy,
-    ) -> (Arc<Machine>, Arc<Hypervisor>, Arc<Mercury>, Session) {
-        let (machine, hv, mercury) = rig(1, strategy);
-        let cpu = machine.boot_cpu();
-        let sess = Session::new(Arc::clone(mercury.kernel()), 0);
-        let child = sess.fork().unwrap();
-        assert_eq!(sess.waitpid().unwrap(), None); // parent blocks; child runs
-        let va = sess.mmap(8, Prot::RW, MmapBacking::Anon).unwrap();
-        for p in 0..8u64 {
-            sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
-        }
-        mercury.switch_to_virtual(cpu).unwrap();
-        mercury.switch_to_native(cpu).unwrap();
-        sess.exit(0).unwrap(); // the child's tables are freed while native
-        assert_eq!(sess.waitpid().unwrap().unwrap().0, child);
-        (machine, hv, mercury, sess)
-    }
-
-    #[test]
-    fn lazy_validate_defers_only_noncritical_dirty_frames() {
-        let (machine, hv, mercury, _sess) = lazy_rig(TrackingStrategy::LazyValidate);
-        let cpu = machine.boot_cpu();
-        assert!(
-            !mercury.revalidation_backlog().is_empty(),
-            "the exited child must leave dirty frames behind"
-        );
-
-        mercury.switch_to_virtual(cpu).unwrap();
-        let set = mercury
-            .lazy_set()
-            .expect("non-critical dirty frames must open a lazy admission window");
-        assert!(mercury.lazy_pending() > 0);
-        // Invariant: nothing the kernel can execute through was
-        // deferred — every live table frame was validated up front.
-        for f in mercury.kernel().all_table_frames() {
-            assert!(
-                !set.contains(f),
-                "kernel-critical frame {f:?} admitted without validation"
-            );
-        }
-        // Lazy admission still rebuilt correct accounting for the live set.
-        for pgd in mercury.kernel().all_pgds() {
-            let (typ, count) = hv.page_info.type_of(pgd);
-            assert_eq!(typ, xenon::PageType::L2);
-            assert!(count > 0);
-        }
-    }
-
-    #[test]
-    fn first_guest_touch_drains_the_lazy_window() {
-        let (machine, _hv, mercury, sess) = lazy_rig(TrackingStrategy::LazyValidate);
-        let cpu = machine.boot_cpu();
-        mercury.switch_to_virtual(cpu).unwrap();
-        let set = mercury.lazy_set().expect("lazy window open");
-        let pending0 = mercury.lazy_pending();
-        assert!(pending0 > 0);
-
-        // The pool free-list is LIFO, so faulting fresh pages in the
-        // guest reuses the child's freed (deferred) frames: each first
-        // touch takes the validation fault through the MMU hook.
-        let va = sess.mmap(16, Prot::RW, MmapBacking::Anon).unwrap();
-        for p in 0..16u64 {
-            sess.poke(VirtAddr(va.0 + p * PAGE_SIZE), p).unwrap();
-        }
-        assert!(
-            set.validated() > 0,
-            "reusing deferred frames must fault-validate them"
-        );
-        assert!(mercury.lazy_pending() < pending0);
-        assert!(
-            set.cycles_charged()
-                >= set.validated()
-                    * (costs::LAZY_VALIDATE_FAULT + costs::PGINFO_RECOMPUTE_PER_FRAME)
-        );
-    }
-
-    #[test]
-    fn detach_closes_and_seals_the_lazy_window() {
-        let (machine, _hv, mercury, _sess) = lazy_rig(TrackingStrategy::LazyValidate);
-        let cpu = machine.boot_cpu();
-        mercury.switch_to_virtual(cpu).unwrap();
-        let set = mercury.lazy_set().expect("lazy window open");
-        assert!(set.remaining() > 0);
-
-        mercury.switch_to_native(cpu).unwrap();
-        assert!(
-            mercury.lazy_set().is_none(),
-            "detach must close the admission window"
-        );
-        assert_eq!(set.remaining(), 0, "stragglers drained at detach");
-        assert!(set.is_sealed(), "window sealed so a stale touch fails loudly");
-        assert!(
-            cpu.active_lazy_set().is_none(),
-            "set deregistered from the MMU"
-        );
-    }
-
-    /// The lazy window is registered on every CPU from the initiator's
-    /// thread, so each registration's flush is a shootdown request.  A
-    /// peer translating a deferred frame's page on its own thread still
-    /// takes the validation fault on the first translation it starts
-    /// after `open_lazy_window` returned, and its clock ends at its own
-    /// ticks plus one `TLB_FLUSH` for the open and one for the close.
-    #[test]
-    fn lazy_window_reaches_a_peer_that_is_running_on_its_own_thread() {
-        use simx86::fault::AccessKind;
-        use simx86::mmu::Mmu;
-        use simx86::paging::Pte;
-        use std::sync::atomic::AtomicBool;
-
-        let (machine, _hv, mercury) = rig(2, TrackingStrategy::RecomputeOnSwitch);
-        let (cpu0, cpu1) = (Arc::clone(&machine.cpus[0]), Arc::clone(&machine.cpus[1]));
-        // A one-page address space of CPU 1's own, outside the kernel's.
-        let f = machine.allocator.alloc_many(&cpu0, 3).unwrap();
-        let (pgd, l1, data) = (f[0], f[1], f[2]);
-        let va = VirtAddr(0x0020_3000);
-        let flags = Pte::WRITABLE | Pte::ACCESSED;
-        let mem = &machine.mem;
-        mem.write_pte(&cpu0, pgd, va.l2_index(), Pte::new(l1.0, flags))
-            .unwrap();
-        mem.write_pte(&cpu0, l1, va.l1_index(), Pte::new(data.0, flags))
-            .unwrap();
-        cpu1.set_cr3_raw(pgd.0);
-
-        let translate = || Mmu::translate(mem, &cpu1, va, AccessKind::Read, false);
-        let c = cpu1.cycles();
-        translate().unwrap();
-        let miss_cost = cpu1.cycles() - c;
-        translate().unwrap();
-        let hit_cost = cpu1.cycles() - c - miss_cost;
-        let (hits0, misses0, flushes0) = cpu1.tlb_stats();
-        let cycles0 = cpu1.cycles();
-
-        let (rounds, stop) = (AtomicU64::new(0), AtomicBool::new(false));
-        struct StopOnDrop<'a>(&'a AtomicBool);
-        impl Drop for StopOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, Ordering::SeqCst);
-            }
-        }
-        let set = Arc::new(LazySet::new([data]));
-        std::thread::scope(|s| {
-            let _stop = StopOnDrop(&stop);
-            let peer = s.spawn(|| {
-                while !stop.load(Ordering::SeqCst) {
-                    assert_eq!(translate().unwrap().frame(), data);
-                    cpu1.tick(7);
-                    rounds.fetch_add(1, Ordering::SeqCst);
-                }
-            });
-            // Until the peer has begun and ended a translation after now.
-            let peer_translates = || {
-                let seen = rounds.load(Ordering::SeqCst);
-                while rounds.load(Ordering::SeqCst) < seen + 2 {
-                    assert!(!peer.is_finished(), "the peer's thread died");
-                    std::thread::yield_now();
-                }
-            };
-            peer_translates();
-            assert_eq!(set.validated(), 0);
-            mercury.open_lazy_window(Arc::clone(&set));
-            peer_translates();
-            assert_eq!(
-                (set.validated(), set.remaining()),
-                (1, 0),
-                "the deferred frame's first touch on the peer took the validation fault"
-            );
-            mercury.close_lazy_window(&cpu0);
-            peer_translates();
-        });
-
-        let rounds = rounds.load(Ordering::SeqCst);
-        let (hits, misses, flushes) = cpu1.tlb_stats();
-        assert_eq!(hits - hits0 + misses - misses0, rounds);
-        assert_eq!(flushes - flushes0, 2, "one flush counted per registration");
-        assert!(cpu1.active_lazy_set().is_none());
-        assert_eq!(
-            cpu1.cycles() - cycles0,
-            (hits - hits0) * hit_cost
-                + (misses - misses0) * miss_cost
-                + rounds * 7
-                + set.cycles_charged()
-                + 2 * costs::TLB_FLUSH,
-            "the peer's clock is its own ticks plus one TLB_FLUSH per registration"
-        );
     }
 
     #[test]

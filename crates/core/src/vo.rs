@@ -18,8 +18,7 @@
 //!   **active tracking** mirror of §5.1.2's first strategy, or — under
 //!   a dirty baseline, the default — the far cheaper **dirty marking**:
 //!   memory stamps the table frame the mutation stores to, so the next
-//!   attach revalidates just the written tables — synchronously up to a
-//!   cap, lazily on first touch beyond it.  The sink runs before the
+//!   attach revalidates just the written tables.  The sink runs before the
 //!   write lands, so at a retained table's first write since the detach
 //!   it keeps the frame's pre-image: the old side of the attach's delta
 //!   ([`PageInfoTable::reattach`]).

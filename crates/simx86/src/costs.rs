@@ -270,23 +270,6 @@ pub const DIRTY_TRACK_PER_PTE: u64 = 2;
 /// cache-line transfer of its descriptor to that CPU.
 pub const SHARD_CHUNK_DISPATCH: u64 = 200;
 
-/// Deferring one dirty frame to the lazy pending set at attach instead
-/// of revalidating it synchronously: a single set insertion.  The lazy
-/// admission path (`TrackingStrategy::LazyValidate`) trades this 1-cycle
-/// enqueue now for a [`LAZY_VALIDATE_FAULT`] +
-/// [`PGINFO_RECOMPUTE_PER_FRAME`] charge on the frame's first guest
-/// touch — the demand-paging shape of §5.1.2's recompute.
-pub const LAZY_DEFER_PER_FRAME: u64 = 1;
-
-/// Taking the validation fault raised by the MMU when the guest first
-/// touches a frame whose page_info revalidation was deferred by a lazy
-/// attach.  Covers the trap into the resident VMM's fixup handler and
-/// the return; the per-frame revalidation itself is charged separately
-/// at [`PGINFO_RECOMPUTE_PER_FRAME`].  Cheaper than a full guest trap
-/// round-trip because the fault never escapes to the guest kernel —
-/// like an A/D-bit assist, it is handled entirely below the guest.
-pub const LAZY_VALIDATE_FAULT: u64 = 350;
-
 /// Period of the retry timer armed when a switch request finds a
 /// non-zero virtualization-object reference count (§5.1.1: "every time
 /// interval (e.g., every 10 ms)").

@@ -242,9 +242,6 @@ pub struct Cpu {
     /// Is an EPT installed?  Read in place of `ept` while it is `None`.
     non_root: AtomicBool,
     ept: RwLock<Option<Arc<crate::vmx::Ept>>>,
-    /// Is a lazy set registered?  Read in place of `lazy` while it is `None`.
-    lazy_present: AtomicBool,
-    lazy: RwLock<Option<Arc<crate::lazy::LazySet>>>,
     /// The TLB; the MMU uses it during translations.
     pub(crate) tlb: Tlb,
 }
@@ -266,8 +263,6 @@ impl Cpu {
             gdt_kernel_dpl: AtomicU8::new(Gdt::NATIVE.kernel_dpl as u8),
             non_root: AtomicBool::new(false),
             ept: RwLock::new(None),
-            lazy_present: AtomicBool::new(false),
-            lazy: RwLock::new(None),
             tlb: Tlb::new(id),
         }
     }
@@ -554,35 +549,6 @@ impl Cpu {
             return None;
         }
         self.ept.read().clone()
-    }
-
-    // -- lazy frame validation (Mercury fault-driven attach) -------------
-
-    /// Install or remove the lazy-validation pending set the MMU checks
-    /// on every TLB-miss walk (Mercury's fault-driven attach).  Like
-    /// [`Cpu::set_non_root`], changing the set flushes the TLB so no
-    /// cached translation can bypass a deferred frame's first-touch
-    /// validation fault.  The switch engine registers the set on every
-    /// CPU from the initiator's thread, so the flush is a request
-    /// ([`Cpu::request_tlb_flush`]) whichever CPU this is.
-    /// Virtualization-sensitive (paper §5.1.2).
-    #[doc(alias = "volint-privileged")]
-    pub fn set_lazy_set(&self, set: Option<Arc<crate::lazy::LazySet>>) {
-        let present = set.is_some();
-        {
-            let mut slot = self.lazy.write();
-            *slot = set;
-            self.lazy_present.store(present, Ordering::Release);
-        }
-        self.request_tlb_flush();
-    }
-
-    /// The registered lazy-validation pending set, if any.
-    pub fn active_lazy_set(&self) -> Option<Arc<crate::lazy::LazySet>> {
-        if !self.lazy_present.load(Ordering::Acquire) {
-            return None;
-        }
-        self.lazy.read().clone()
     }
 
     // -- halting --------------------------------------------------------

@@ -69,16 +69,6 @@ pub enum Fault {
         /// The offending machine frame.
         frame: u32,
     },
-    /// A frame whose page_info revalidation was deferred by a lazy
-    /// attach was touched *outside* an open admission window (the
-    /// pending set was sealed with the frame still deferred).  In
-    /// normal operation the resident VMM drains the validation fault
-    /// transparently; this variant is the hard-fail guard rail for the
-    /// invariant that no deferral survives the window it was opened in.
-    ValidationPending {
-        /// The machine frame still awaiting validation.
-        frame: u32,
-    },
 }
 
 impl Fault {
@@ -115,9 +105,6 @@ impl fmt::Display for Fault {
             Fault::DoubleFault => write!(f, "double fault"),
             Fault::MachineCheck { detail } => write!(f, "machine check: {detail}"),
             Fault::EptViolation { frame } => write!(f, "EPT violation on frame {frame}"),
-            Fault::ValidationPending { frame } => {
-                write!(f, "frame {frame} touched with validation still pending")
-            }
         }
     }
 }

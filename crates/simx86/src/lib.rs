@@ -54,7 +54,6 @@ pub mod devices;
 pub mod evclock;
 pub mod fault;
 pub mod intc;
-pub mod lazy;
 pub mod machine;
 pub mod mem;
 pub mod mmu;
@@ -67,7 +66,6 @@ pub use cpu::{Cpu, Gate, IdtTable, InterruptSink, PrivLevel, TrapFrame};
 pub use evclock::EvClock;
 pub use fault::{AccessKind, Fault};
 pub use intc::InterruptController;
-pub use lazy::LazySet;
 pub use machine::{FrameAllocator, Machine, MachineConfig};
 pub use mem::{FrameNum, PhysAddr, PhysMemory};
 pub use mmu::Mmu;

@@ -61,13 +61,6 @@ impl Mmu {
         if let Some(ept) = &ept {
             ept.check(FrameNum(leaf.frame()))?;
         }
-        // Lazy fault-driven attach: the first touch of a frame whose
-        // page_info revalidation was deferred takes a validation fault
-        // drained by the resident VMM.  Registration flushed the TLB,
-        // so every deferred frame is guaranteed to pass through here.
-        if let Some(lazy) = cpu.active_lazy_set() {
-            lazy.check(cpu, FrameNum(leaf.frame()))?;
-        }
 
         // Set accessed/dirty in the in-memory entry, as hardware does.
         let mut updated = leaf.with_flags(Pte::ACCESSED);
@@ -236,26 +229,6 @@ mod tests {
         assert!(Mmu::translate(&mem, &cpu, va, AccessKind::Read, true).is_ok());
         cpu.invlpg(va.vpn());
         assert!(Mmu::translate(&mem, &cpu, va, AccessKind::Read, true).is_err());
-    }
-
-    #[test]
-    fn lazy_pending_frame_validated_on_first_touch() {
-        let (mem, cpu, va) = setup(Pte::WRITABLE | Pte::USER);
-        // Defer the data frame (3); registration flushes the TLB.
-        let set = Arc::new(crate::lazy::LazySet::new([FrameNum(3)]));
-        cpu.set_lazy_set(Some(Arc::clone(&set)));
-
-        Mmu::translate(&mem, &cpu, va, AccessKind::Read, true).unwrap();
-        assert_eq!(set.remaining(), 0, "first touch must drain the deferral");
-        assert_eq!(set.validated(), 1);
-
-        // Sealed with a pending frame: the touch is a hard fault.
-        let set2 = Arc::new(crate::lazy::LazySet::new([FrameNum(3)]));
-        set2.seal();
-        cpu.set_lazy_set(Some(set2));
-        let err = Mmu::translate(&mem, &cpu, va, AccessKind::Read, true).unwrap_err();
-        assert!(matches!(err, Fault::ValidationPending { frame: 3 }));
-        cpu.set_lazy_set(None);
     }
 
     #[test]

@@ -47,8 +47,8 @@ const STD_COLLISIONS: &[&str] = &[
 ];
 
 /// Type-ident wrappers skipped when mapping a struct field to the
-/// user type it holds (`lazy_set: Mutex<Option<Arc<LazySet>>>` maps
-/// to `LazySet`).
+/// user type it holds (`ept: RwLock<Option<Arc<Ept>>>` maps to
+/// `Ept`).
 const TYPE_WRAPPERS: &[&str] = &[
     "Arc", "Rc", "Box", "Option", "Vec", "VecDeque", "Mutex", "RwLock", "RefCell", "Cell",
     "BTreeMap", "BTreeSet", "HashMap", "HashSet", "Result",

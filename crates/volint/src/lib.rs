@@ -79,7 +79,8 @@ pub enum Rule {
     /// Loop reachable from a switch root with no static trip bound
     /// (graph rule; bounds feed the static cycle budget).
     SwitchLoopBound,
-    /// `volint::allow(..)` waiver that no longer suppresses anything.
+    /// `volint::allow(..)` waiver that no longer suppresses anything,
+    /// or a `volint::` marker of a kind volint does not know.
     StaleWaiver,
     /// A [`rules::FORBIDDEN`] token sequence outside the files that
     /// state its fact (one bring-up, one on-demand bracket, ...).
@@ -222,31 +223,41 @@ pub(crate) fn in_test_tree(name: &str) -> bool {
         .any(|c| matches!(c, "tests" | "examples" | "benches" | "benchmark"))
 }
 
-/// Waivers that never fired become STALE-WAIVER diagnostics — warnings
-/// by default, errors under `deny`.
+/// Waivers that never fired, and markers of an unknown kind, become
+/// STALE-WAIVER diagnostics — warnings by default, errors under `deny`.
 fn stale_waivers(facts: &[walk::FileFacts], deny: bool, sink: &mut Sink) {
+    let severity = if deny {
+        Severity::Error
+    } else {
+        Severity::Warning
+    };
     for f in facts {
         if in_test_tree(&f.name) {
             continue; // rules skip test trees; their waivers can't fire
         }
-        for (wl, rules) in &f.waivers {
-            if sink.used_waivers.contains(&(f.name.clone(), *wl)) {
-                continue;
-            }
-            sink.diags.push(Diagnostic {
-                file: f.name.clone(),
-                line: *wl,
-                rule: Rule::StaleWaiver,
-                severity: if deny {
-                    Severity::Error
-                } else {
-                    Severity::Warning
-                },
-                message: format!(
+        let stale = f
+            .waivers
+            .iter()
+            .filter(|(wl, _)| !sink.used_waivers.contains(&(f.name.clone(), *wl)))
+            .map(|(wl, rules)| {
+                let message = format!(
                     "waiver for {} suppresses no diagnostic; remove it or \
                      re-justify it against the current rules",
                     rules.join(", ")
-                ),
+                );
+                (*wl, message)
+            });
+        let unknown = f.unknown_markers.iter().map(|(line, kind)| {
+            let message = format!("`volint::{kind}` is no marker volint knows; it does nothing");
+            (*line, message)
+        });
+        for (line, message) in stale.chain(unknown) {
+            sink.diags.push(Diagnostic {
+                file: f.name.clone(),
+                line,
+                rule: Rule::StaleWaiver,
+                severity,
+                message,
             });
         }
     }

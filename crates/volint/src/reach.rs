@@ -5,12 +5,6 @@
 //! peer) and the hypercall dispatch — plus the fns the transition-table
 //! rows name.  One breadth-first walk from all of them gives the switch
 //! path the switch-path rules (SWITCH-ALLOC and friends) check.
-//!
-//! A `// volint::prune(..)` marker on (or directly above) a call-site
-//! line cuts that edge during the walk.  This is how the few
-//! genuinely-unreachable dispatch fan-out edges (the graph has no
-//! branch sensitivity) are kept off the switch path — visibly, in the
-//! caller's source, instead of inside the analyzer.
 
 use crate::callgraph::CallGraph;
 use crate::walk::FileFacts;
@@ -57,9 +51,8 @@ pub fn compute(graph: &CallGraph, files: &[FileFacts]) -> ReachSet {
     while head < queue.len() {
         let cur = queue[head];
         head += 1;
-        let file = graph.file(files, cur);
         for e in &graph.edges[cur] {
-            if reachable[e.callee] || file.is_pruned(e.line) {
+            if reachable[e.callee] {
                 continue;
             }
             reachable[e.callee] = true;
@@ -99,15 +92,5 @@ mod tests {
         assert!(r.reachable[deep]);
         assert!(!r.reachable[unrelated]);
         assert_eq!(r.chain(&g, &files, deep), "root_fn \u{2192} mid \u{2192} deep");
-    }
-
-    #[test]
-    fn prune_cuts_its_edge_only() {
-        let (files, g) = setup(
-            "// volint::root(SWITCH)\nfn root_fn() {\n    // volint::prune(*)\n    deep();\n    mid();\n}\nfn mid() {}\nfn deep() {}",
-        );
-        let r = compute(&g, &files);
-        assert!(!r.reachable[gid(&files, &g, "deep")], "pruned edge");
-        assert!(r.reachable[gid(&files, &g, "mid")], "the next line is not pruned");
     }
 }

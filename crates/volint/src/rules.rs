@@ -75,8 +75,6 @@ pub const SWITCH_CRITICAL: &[&str] = &[
     "run_transition",
     "handle_rendezvous_peer",
     "reload_and_return",
-    "open_lazy_window",
-    "close_lazy_window",
     "rebuild_accounting",
     "sharded_recompute_phase",
     "stripe",

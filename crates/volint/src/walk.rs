@@ -17,8 +17,11 @@
 //! // volint::root(SWITCH)           — above a fn: a switch-path root
 //! // volint::bound(64)              — on/above a loop: worst-case trips
 //! // volint::cost(8192)             — cycles statically charged here
-//! // volint::prune(*)               — cut call edges on/below this line
 //! ```
+//!
+//! A marker of any other kind is kept as unknown and reported
+//! (STALE-WAIVER), so a misspelt waiver or a retired kind cannot pass
+//! silently.
 //!
 //! The walk is deliberately tolerant: unknown constructs fall through
 //! as plain blocks and malformed input can never panic, only produce
@@ -195,8 +198,8 @@ pub struct FileFacts {
     pub waivers: Marked<Vec<String>>,
     /// `// volint::cost(N)` markers: (line, cycles).
     pub costs: Marked<u64>,
-    /// Lines of `// volint::prune(..)` markers.
-    pub prunes: Vec<usize>,
+    /// Markers of a kind volint does not know: (line, kind).
+    pub unknown_markers: Marked<String>,
     /// [`rules::FORBIDDEN`](crate::rules::FORBIDDEN) sequences outside
     /// their allowed files: (row, sequence, line).
     pub forbidden: Vec<(&'static crate::rules::Forbidden, &'static str, usize)>,
@@ -227,11 +230,6 @@ impl FileFacts {
             .iter()
             .find(|(wl, rules)| covers(*wl, line) && rules.iter().any(|r| r == rule || r == "*"))
             .map(|w| w.0)
-    }
-
-    /// Is the call edge at `line` cut by a prune marker covering it?
-    pub fn is_pruned(&self, line: usize) -> bool {
-        self.prunes.iter().any(|&p| covers(p, line))
     }
 }
 
@@ -283,8 +281,8 @@ fn marker_comment(line: &str) -> Option<&str> {
 
 /// Pull every `// volint::kind(args)` marker out of the raw source
 /// (they live in comments, which the lexer strips).  Waivers, costs
-/// and prunes land on `out`; root lines and bounds are returned for
-/// attachment to the fns and loops the walk finds.
+/// and unknown kinds land on `out`; root lines and bounds are returned
+/// for attachment to the fns and loops the walk finds.
 fn collect_markers(src: &str, out: &mut FileFacts) -> (Vec<usize>, Marked<u64>) {
     let (mut roots, mut bounds) = (Vec::new(), Vec::new());
     for (i, line) in src.lines().enumerate() {
@@ -305,10 +303,9 @@ fn collect_markers(src: &str, out: &mut FileFacts) -> (Vec<usize>, Marked<u64>) 
         match kind {
             "allow" => out.waivers.push((ln, args)),
             "root" => roots.push(ln),
-            "prune" => out.prunes.push(ln),
             "bound" => bounds.extend(num_value(first).map(|n| (ln, n))),
             "cost" => out.costs.extend(num_value(first).map(|n| (ln, n))),
-            _ => {}
+            _ => out.unknown_markers.push((ln, kind.to_string())),
         }
     }
     (roots, bounds)
@@ -1291,16 +1288,13 @@ mod tests {
     }
 
     #[test]
-    fn consts_costs_prunes() {
+    fn consts_and_costs() {
         let src = "pub const ENTRIES_PER_TABLE: usize = 512;\n\
                    struct S {\n    // a comment, not a marker\n    job: Mutex<u8>,\n}\n\
-                   fn f() {\n    // volint::cost(4_096)\n    tick();\n    // volint::prune(*)\n    helper();\n    for i in 0..ENTRIES_PER_TABLE { walk(i); }\n}\n";
+                   fn f() {\n    // volint::cost(4_096)\n    tick();\n    for i in 0..ENTRIES_PER_TABLE { walk(i); }\n}\n";
         let p = walk_file("x.rs", src);
         assert_eq!(p.consts.get("ENTRIES_PER_TABLE"), Some(&512));
         assert_eq!(p.costs, vec![(7, 4096)]);
-        assert_eq!(p.prunes, vec![9]);
-        assert!(p.is_pruned(9) && p.is_pruned(10));
-        assert!(!p.is_pruned(8) && !p.is_pruned(11));
         let lp = &p.fns[0].loops[0];
         assert_eq!(lp.static_end_const.as_deref(), Some("ENTRIES_PER_TABLE"));
         assert_eq!(lp.resolved_bound(&p.consts), Some(512));

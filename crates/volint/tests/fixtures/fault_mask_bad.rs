@@ -22,8 +22,8 @@ impl Mercury {
         self.install_tables(cpu, target);
     }
 
-    fn close_lazy_window(&self, cpu: &Arc<Cpu>) {
+    fn close_round(&self, cpu: &Arc<Cpu>) {
         // Clean: no injection hooks in the critical section.
-        self.deregister(cpu);
+        self.rendezvous.close(cpu);
     }
 }

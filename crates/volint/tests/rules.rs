@@ -174,7 +174,7 @@ fn real_workspace_is_clean() {
 
 /// The privileged set is `simx86`'s `#[doc(alias = "volint-privileged")]`
 /// markers and nothing else, so the markers across all of its sources
-/// must be exactly these 20 primitives: a dropped or an added marker
+/// must be exactly these 19 primitives: a dropped or an added marker
 /// changes what VO-BYPASS checks, and fails here until this list says so.
 #[test]
 fn simx86_markers_are_discovered() {
@@ -208,7 +208,6 @@ fn simx86_markers_are_discovered() {
         "lgdt",
         "set_gdt_raw",
         "set_non_root",
-        "set_lazy_set",
         // mem.rs
         "write_pte",
         "write_ptes",
@@ -266,6 +265,16 @@ fn stale_waiver_escalates_under_deny() {
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!(diags[0].rule.as_str(), "STALE-WAIVER");
     assert_eq!(diags[0].severity, Severity::Error);
+}
+
+/// A marker of an unknown kind — a retired `prune`, a misspelt
+/// `allow` — is reported under the same hygiene rule, and the
+/// diagnostic the misspelt waiver meant to waive still fires.
+#[test]
+fn unknown_marker_fixture() {
+    let src = include_str!("fixtures/unknown_marker_bad.rs");
+    assert!(expectations(src).iter().any(|(_, r)| r == "STALE-WAIVER"));
+    check_fixture("unknown_marker_bad.rs", src);
 }
 
 // ---------------------------------------------------------------

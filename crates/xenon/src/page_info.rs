@@ -224,18 +224,6 @@ impl PageInfo {
     }
 }
 
-/// A frame being promoted to a page table inside a lazy admission
-/// window takes its deferred first-touch validation now: the guest must
-/// never run through a table whose validation is still pending
-/// (DESIGN.md §7b), and a frame recycled into a table is never touched
-/// as a leaf, so the MMU hook alone would leave it pending.
-fn settle_deferred(cpu: &Cpu, frame: FrameNum) -> Result<(), HvError> {
-    match cpu.active_lazy_set() {
-        Some(lazy) => Ok(lazy.check(cpu, frame)?),
-        None => Ok(()),
-    }
-}
-
 impl Records {
     /// `frame`'s record as it counts ([`Record::view`]).
     #[inline]
@@ -442,7 +430,6 @@ impl Records {
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
-        settle_deferred(cpu, frame)?;
         // The table frame itself must be owned by the domain.
         self.check_owned(frame, dom, "L1 table frame")?;
         let mut view = mem.read_table(cpu, frame)?;
@@ -482,7 +469,6 @@ impl Records {
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
-        settle_deferred(cpu, frame)?;
         self.check_owned(frame, dom, "L2 table frame")?;
         let mut view = mem.read_table(cpu, frame)?;
         // If the walk fails, the entries below `held` hold an L1 reference.
@@ -668,7 +654,7 @@ impl Records {
         };
         let unmoved = self.generations.of(Some(dom)) == kept.generation.wrapping_add(1);
         let same_tables = kept.tables.as_slice() == tables;
-        if kept.dom != dom || !same_tables || !unmoved || cpu.active_lazy_set().is_some() {
+        if kept.dom != dom || !same_tables || !unmoved {
             return false;
         }
         if let Some(generation) = self.generations.0.get_mut(usize::from(dom.0)) {
@@ -1241,8 +1227,8 @@ impl PageInfoTable {
     /// retained (boot, a rolled-back switch, a re-arm), the set of
     /// tables changed, a table was written with no pre-image, a record
     /// was written outside the validators since the last walk, the
-    /// generation wrapped, a lazy window is open, or the patch meets a
-    /// conflict or a foreign frame.  Returns whether the retained
+    /// generation wrapped, or the patch meets a conflict or a foreign
+    /// frame.  Returns whether the retained
     /// accounting served.
     pub fn reattach(
         &self,
@@ -1309,7 +1295,6 @@ pub(crate) mod oracle {
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
-        settle_deferred(cpu, frame)?;
         check_owned(t, frame, dom, "L1 table frame")?;
         let mut taken: Vec<FrameNum> = Vec::new();
         let result = (|| {
@@ -1361,7 +1346,6 @@ pub(crate) mod oracle {
         charge_per_entry: u64,
     ) -> Result<(), HvError> {
         cpu.tick(charge_per_entry * ENTRIES_PER_TABLE as u64);
-        settle_deferred(cpu, frame)?;
         check_owned(t, frame, dom, "L2 table frame")?;
         let mut validated_here: Vec<FrameNum> = Vec::new();
         let mut refs_taken: Vec<FrameNum> = Vec::new();

@@ -18,9 +18,9 @@
 //! * **whole** ([`Rounds::round`]): every pending frame — live
 //!   migration's pre-copy rounds and its stop-and-copy.
 //!
-//! The final round of an attach runs inside the rendezvous and caps
-//! itself: it reads the work-list ([`Rounds::pending`]) without moving
-//! anything, revalidates up to its quota and defers the rest.
+//! The final round of an attach runs inside the rendezvous: it reads
+//! the work-list ([`Rounds::pending`]) without moving anything and
+//! revalidates all of it.
 
 use simx86::mem::{FrameNum, PhysMemory, WriteEpoch};
 
@@ -211,7 +211,7 @@ impl Rounds {
 
     /// The kept frames and `frames`, once each, in frame order.
     fn followed(&self, frames: &[FrameNum]) -> Vec<FrameNum> {
-        // volint::allow(SWITCH-ALLOC): the work-list, ≤ two lists of ≤ 256 table frames, built once per attach
+        // volint::allow(SWITCH-ALLOC): the work-list, two deduplicated lists of pool table frames, built once per attach
         let mut all = Vec::with_capacity(self.kept.len() + frames.len());
         all.extend_from_slice(&self.kept);
         all.extend_from_slice(frames);

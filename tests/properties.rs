@@ -177,8 +177,8 @@ fn run_mem_ops(bed: &TestBed, ops: &[MemOp]) {
 }
 
 /// §5.1.2 equivalence: whichever way the VMM regains its frame
-/// accounting — full recompute, active mirroring, incremental
-/// revalidation of the tables stored to, or lazy admission — the rebuilt
+/// accounting — full recompute, active mirroring or incremental
+/// revalidation of the tables stored to — the rebuilt
 /// `page_info` is bit-identical after any mmap/fork/munmap
 /// interleaving.  The ops run in the *native* window between a detach
 /// and a re-attach, so the dirty/mirror paths do real work, and for one

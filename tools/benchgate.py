@@ -278,9 +278,9 @@ def gate_budget(gate, fresh_tl, notes):
     """Measured phase times vs the committed static cycle budget.
 
     Every leg the timeline emits is cross-checked — the default
-    attach/detach, the recompute-on-switch anchors (`*_full`), and the
-    lazy-validate legs (`*_lazy`) — so a phase without a volint budget
-    entry cannot hide in a secondary leg.
+    attach/detach, the recompute-on-switch anchors (`*_full`) and the
+    live update — so a phase without a volint budget entry cannot hide
+    in a secondary leg.
     """
     with open(os.path.join(REPO, "volint_budget.json")) as f:
         budget = json.load(f)["phases"]
@@ -599,7 +599,7 @@ def main():
     notes = []
 
     # Compare every archived timeline leg (attach/detach plus the _full
-    # and _lazy variants); a leg that vanished from the fresh run is a
+    # variants and the live update); a leg that vanished from the fresh run is a
     # regression, a brand-new fresh leg is informational.
     for leg in sorted(archived_tl):
         if leg not in fresh_tl:

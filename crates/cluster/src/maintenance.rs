@@ -16,7 +16,7 @@ use nimbus::{Kernel, KernelError};
 use simx86::costs;
 use std::sync::Arc;
 use xenon::migrate::{LiveMigration, MigrationReport};
-use xenon::{Domain, GuestState, HvError};
+use xenon::{Domain, HvError};
 
 /// Errors from the evacuation orchestration.
 #[derive(Debug)]
@@ -81,18 +81,6 @@ pub struct EvacuatedGuest {
 /// before the storage copy and reclaims the frames once the guest has
 /// left.
 pub use nimbus::drivers::SplitDevices;
-
-/// The frozen kernel image stored on a migrated domain.  A domain that
-/// arrives without one is a malformed image — an error the watchdog can
-/// turn into a degraded node and a re-route, not a panic that takes the
-/// whole fleet process down.
-fn thawed_state(dom: &Arc<Domain>) -> Result<GuestState, MaintenanceError> {
-    dom.guest_state.lock().clone().ok_or_else(|| {
-        MaintenanceError::Migration(HvError::BadImage(
-            "frozen kernel state missing from migrated domain".into(),
-        ))
-    })
-}
 
 /// Copy the source disk image to the target ("networked file system"
 /// stand-in: the paper's migratable disks assume shared storage; we
@@ -166,11 +154,11 @@ pub fn evacuate(
     migrate_storage(source, target);
 
     let (dom, report) = migration
-        .finalize(cpu, &target.hv(), 0)
+        .finalize(cpu, &target.hv())
         .map_err(MaintenanceError::Migration)?;
 
     // Thaw the kernel on the target machine.
-    let guest_state = thawed_state(&dom)?;
+    let guest_state = dom.frozen_state().map_err(MaintenanceError::Migration)?;
     let kernel = Kernel::thaw(
         Arc::clone(&target.machine),
         BootMode::Guest {
@@ -233,10 +221,10 @@ pub fn return_home(
     migration.round(cpu).map_err(MaintenanceError::Migration)?;
     migrate_storage(host, home);
     let (dom, report) = migration
-        .finalize(cpu, &home.hv(), 0)
+        .finalize(cpu, &home.hv())
         .map_err(MaintenanceError::Migration)?;
 
-    let guest_state = thawed_state(&dom)?;
+    let guest_state = dom.frozen_state().map_err(MaintenanceError::Migration)?;
     let kernel = Kernel::thaw(
         Arc::clone(&home.machine),
         BootMode::Guest {
@@ -295,6 +283,7 @@ mod tests {
     use nimbus::kernel::{MmapBacking, ReadOutcome};
     use nimbus::mm::Prot;
     use nimbus::Session;
+    use xenon::GuestState;
 
     #[test]
     fn full_maintenance_cycle_preserves_workload_state() {
@@ -518,10 +507,14 @@ mod tests {
         // Corrupt the image in the way a buggy migration would: the
         // domain arrives without its frozen kernel state.  return_home
         // re-freezes, so clearing *after* the freeze requires failing
-        // at the thaw site; instead exercise the helper directly plus
+        // at the thaw site; instead exercise the accessor directly plus
         // the full path with a stripped domain.
         *guest.dom.guest_state.lock() = None;
-        let err = super::thawed_state(&guest.dom).unwrap_err();
+        let err = guest
+            .dom
+            .frozen_state()
+            .map_err(MaintenanceError::Migration)
+            .unwrap_err();
         assert!(
             matches!(err, MaintenanceError::Migration(HvError::BadImage(_))),
             "{err}"
@@ -530,7 +523,7 @@ mod tests {
         // A state of the wrong type gets as far as the thaw and is
         // refused there.
         *guest.dom.guest_state.lock() = Some(GuestState::new("not a kernel image"));
-        let foreign = super::thawed_state(&guest.dom).unwrap();
+        let foreign = guest.dom.frozen_state().unwrap();
         let thawed = Kernel::thaw(
             Arc::clone(&host.machine),
             BootMode::Guest {

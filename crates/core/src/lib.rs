@@ -23,10 +23,12 @@
 //! * **State reload** (§5.1.3): CR3/IDT/GDT are reloaded inside the
 //!   dedicated switch interrupt's handler, and the privilege-level
 //!   change is committed by editing the interrupt's return frame.
-//! * **Frame accounting strategies** ([`pgtrack`], §5.1.2): the default
-//!   recompute-on-attach (dominates the 0.22 ms switch of §7.4) and the
-//!   active-tracking alternative (2~3 % native overhead, faster
-//!   switch) — both implemented, compared by the ablation bench.
+//! * **Frame accounting strategies** ([`pgtrack`], §5.1.2): the paper's
+//!   two — recompute-on-attach (dominates the 0.22 ms switch of §7.4)
+//!   and active tracking (2~3 % native overhead, faster switch) — and
+//!   the default, [`TrackingStrategy::DirtyRecompute`], which
+//!   revalidates at attach only the page tables stored to while native.
+//!   All three are implemented and compared by the ablation bench.
 //! * **SMP rendezvous** ([`rendezvous`], §5.4): the control processor
 //!   IPIs its peers and coordinates the mode switch through shared
 //!   atomic variables so no core ever runs in the wrong mode.  The

@@ -46,12 +46,16 @@
 //!
 //! ## A spin charges nothing
 //!
-//! Every wait here is one loop, `spin_until`, and a spinning CPU is
-//! charged no cycle: its simulated clock stands still while its host
-//! thread spins, and is not idled forward through `simx86::evclock`
-//! either.  Only the host clock bounds the wait — the
-//! [`RENDEZVOUS_TIMEOUT`] behind the watchdog's sticky-degradation
-//! decision — so a wedged peer costs host time, not simulated time.
+//! A spinning CPU is charged no cycle: its simulated clock stands still
+//! while its host thread spins, and is not idled forward through
+//! `simx86::evclock` either.  Only the CP's waits have a deadline, and
+//! it is host time: `spin_until` gives up after [`RENDEZVOUS_TIMEOUT`]
+//! (the deadline behind the watchdog's sticky-degradation decision) and
+//! the CP closes the round, so a wedged peer costs host time, not
+//! simulated time.  A parked peer has no deadline of its own: every CP
+//! path after [`Rendezvous::begin`] ends in a go or a close, and the
+//! peer's spin ends on either, so it never gives up on a go that still
+//! lands.
 //! Idle consumers *around* a switch (the watchdog's retry backoff, a
 //! serving gap) idle up to their next deadline and re-enter the
 //! protocol tick-exact.
@@ -89,9 +93,9 @@ use simx86::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// How long a spinning participant waits before declaring the protocol
-/// wedged (host wall-clock; generous because peers only notice IPIs at
-/// service points).
+/// How long the CP spins for its peers before declaring the protocol
+/// wedged and closing the round (host wall-clock; generous because
+/// peers only notice IPIs at service points).
 pub const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Epochs are 30 bits wide: the word's top 30 bits.
@@ -231,8 +235,9 @@ pub struct Rendezvous<T> {
     /// The CP's release for the round of the epoch it is tagged with,
     /// written once, before go.
     release: Mutex<Option<(u32, T)>>,
-    /// Spin patience before a participant declares the protocol wedged
-    /// (configuration, not round state — tests shorten it).
+    /// The CP's spin patience before it declares the protocol wedged
+    /// and closes the round (configuration, not round state — tests
+    /// shorten it).  A parked peer waits for the go or the close.
     timeout: Duration,
 }
 
@@ -357,12 +362,20 @@ impl<T: Copy> Rendezvous<T> {
     pub fn check_in_and_wait(&self, epoch: u32) -> Result<T, RendezvousError> {
         self.update(|s| s.check_in(epoch))
             .ok_or(RendezvousError::Stale)?;
-        // Stop on go, or once the CP closed the round (its own timeout)
-        // while we were parked.
-        spin_until(self.timeout, || {
+        // Park until go, or until the CP closed the round while we were
+        // parked.  No deadline of our own: every CP path after `begin`
+        // ends in `signal_go` or a close, so a peer that gave up first
+        // could miss a go that still lands and run the old mode through
+        // the transfer.
+        // volint::bound(4096) — ends on the CP's go or close, which its own deadline-bounded waits (`wait_count`) guarantee; healthy-path budget: the CP's transfer
+        loop {
             let s = self.state();
-            s.go || !s.is_open(epoch)
-        });
+            if s.go || !s.is_open(epoch) {
+                break;
+            }
+            std::hint::spin_loop();
+            std::thread::yield_now();
+        }
         released(*self.release.lock(), epoch).ok_or(RendezvousError::Timeout)
     }
 
@@ -525,6 +538,21 @@ mod tests {
         assert_eq!(r.state(), RvState::fresh(epoch, false));
     }
 
+    /// A parked peer waits for its CP, not for a deadline of its own: a
+    /// go that lands after the CP's patience window has passed since the
+    /// check-in still releases it.
+    #[test]
+    fn a_go_after_the_patience_window_still_releases_the_parked_peer() {
+        let r = Arc::new(Rendezvous::with_timeout(Duration::from_millis(50)));
+        let epoch = r.begin().unwrap();
+        let parked = peer(&r, epoch);
+        r.wait_ready(1).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        r.signal_go(epoch);
+        r.wait_done(1).unwrap();
+        parked.join().unwrap();
+    }
+
     #[test]
     fn a_check_in_after_go_is_stale() {
         let r = Rendezvous::new();
@@ -546,9 +574,9 @@ mod tests {
     // a CP running a fixed number of rounds and `n` peers, and checks
     // §5.4's invariants on each step.  Either of the CP's waits may time
     // out at any step.  A parked peer's spin ends only on go or on a
-    // closed round: its own deadline is host time, and a peer that gave
-    // up while its round went on to go would run the old mode through
-    // the transfer (DESIGN.md §10).
+    // closed round, as `check_in_and_wait`'s does: it has no deadline of
+    // its own, since a peer that gave up while its round went on to go
+    // would run the old mode through the transfer (DESIGN.md §10).
 
     /// The release cell: the epoch tag and what the CP released, which
     /// here is its epoch too.

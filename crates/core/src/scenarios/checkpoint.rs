@@ -11,7 +11,7 @@ use crate::switch::{Mercury, SwitchError};
 use nimbus::{BootMode, Kernel};
 use simx86::{Cpu, Machine};
 use std::sync::Arc;
-use xenon::save::{restore_domain_mapped, save_domain, DomainImage};
+use xenon::save::{restore_domain, save_domain, DomainImage};
 use xenon::{HvError, Hypervisor};
 
 /// A whole-system checkpoint: every frame, the page tables, and the
@@ -20,8 +20,6 @@ use xenon::{HvError, Hypervisor};
 pub struct Checkpoint {
     /// The domain image (frames + control state).
     pub image: DomainImage,
-    /// Simulated cycle count at capture (source CPU clock).
-    pub taken_at: u64,
 }
 
 impl Checkpoint {
@@ -73,10 +71,7 @@ pub fn take(mercury: &Arc<Mercury>, cpu: &Arc<Cpu>) -> Result<Checkpoint, Checkp
         *mercury.dom0().guest_state.lock() = Some(state);
         save_domain(&mercury.hypervisor(), cpu, mercury.dom0()).map_err(CheckpointError::Hv)
     })?;
-    Ok(Checkpoint {
-        image,
-        taken_at: cpu.cycles(),
-    })
+    Ok(Checkpoint { image })
 }
 
 /// A system restored from a checkpoint.
@@ -99,18 +94,8 @@ pub fn restore(
 ) -> Result<RestoredSystem, CheckpointError> {
     let hv = Hypervisor::warm_up(machine);
     hv.activate();
-    let cpu = machine.boot_cpu();
-    let new_frames = machine
-        .allocator
-        .alloc_many(cpu, checkpoint.image.frames.len())
-        .ok_or(CheckpointError::Hv(HvError::OutOfMemory))?;
-    let (dom, frame_map) = restore_domain_mapped(&hv, cpu, &checkpoint.image, &new_frames, 0)
-        .map_err(CheckpointError::Hv)?;
-    let state = dom
-        .guest_state
-        .lock()
-        .clone()
-        .ok_or_else(|| CheckpointError::Hv(HvError::BadImage("no guest state".into())))?;
+    let (dom, frame_map) = restore_domain(&hv, &checkpoint.image).map_err(CheckpointError::Hv)?;
+    let state = dom.frozen_state().map_err(CheckpointError::Hv)?;
     let kernel = Kernel::thaw(
         Arc::clone(machine),
         BootMode::Guest {

@@ -281,7 +281,7 @@ mod tests {
         let mut out = vec![0u8; BLOCK_SIZE];
         frontend.read_block(cpu, 7, &mut out).unwrap();
         assert_eq!(out, block);
-        let (_, report) = migration.finalize(cpu, &target_hv, 0).unwrap();
+        let (_, report) = migration.finalize(cpu, &target_hv).unwrap();
 
         let moved = FrameNum(report.frame_map[&buf.0]);
         let mut landed = vec![0u8; BLOCK_SIZE];

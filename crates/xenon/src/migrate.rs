@@ -2,14 +2,18 @@
 //! hardware maintenance (§6.3) and HPC failover (§6.5).
 //!
 //! Rounds of [`LiveMigration::round`] ship the frames stored to since
-//! the previous round while the guest keeps running;
+//! the previous round while the guest keeps running, each captured
+//! through [`crate::save`]'s one frame capture;
 //! [`LiveMigration::finalize`] pauses the guest, ships the final dirty
-//! set plus vCPU/guest state, and materializes the domain on the target
-//! hypervisor.  What was stored to is memory's write stamps, which
-//! every store path sets — through the MMU or not: a backend's copy
-//! into a granted page, a ring word, a ballooned frame's zeroing — the
-//! log-dirty scheme of Clark et al.'s live migration, read as Xen's
-//! `SHADOW_OP_CLEAN` reads its bitmap.  Each round, the stop-and-copy
+//! set, assembles the domain image from the staged frames and the
+//! vCPU/guest state, and lands it on the target hypervisor with
+//! [`crate::save::restore_domain`].  The blackout is charged for the
+//! frames the stop-and-copy ships, not for the domain's size: the
+//! staged frames are not copied again.  What was stored to is memory's
+//! write stamps, which every store path sets — through the MMU or not:
+//! a backend's copy into a granted page, a ring word, a ballooned
+//! frame's zeroing — the log-dirty scheme of Clark et al.'s live
+//! migration, read as Xen's `SHADOW_OP_CLEAN` reads its bitmap.  Each round, the stop-and-copy
 //! included, is a whole round of the migration's own [`Rounds`], so it
 //! takes nothing from any other reader of the stamps, and the guest's
 //! page tables are never rewritten.
@@ -18,7 +22,7 @@ use crate::domain::Domain;
 use crate::error::HvError;
 use crate::hv::Hypervisor;
 use crate::rounds::Rounds;
-use crate::save::{restore_domain_mapped, save_domain, DomainImage, FrameImage};
+use crate::save::{restore_domain, DomainImage, FrameImage};
 use simx86::{costs, Cpu};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,25 +83,20 @@ impl LiveMigration {
     pub fn round(&mut self, cpu: &Cpu) -> Result<usize, HvError> {
         let owned = self.dom.frames();
         cpu.tick(costs::MEM_WORD * owned.len().div_ceil(64) as u64);
-        let (table, mem) = (&self.source.page_info, &self.source.machine.mem);
-        let staged = &mut self.staged;
-        let frames = self.rounds.round(mem, &owned, |f| {
+        let (source, staged) = (&self.source, &mut self.staged);
+        let frames = self.rounds.round(&source.machine.mem, &owned, |f| {
             cpu.tick(SHIP_PER_FRAME);
-            let image = FrameImage {
-                old_frame: f.0,
-                typ: table.type_of(f).0,
-                words: mem.export_frame(f)?,
-            };
-            staged.insert(f.0, image);
+            staged.insert(f.0, FrameImage::capture(source, f)?);
             Ok::<_, HvError>(())
         })?;
         self.shipped.push(frames);
         Ok(frames)
     }
 
-    /// Stop-and-copy: pause the guest, ship the last dirty set and the
-    /// control state, materialize the domain on `target`, and destroy it
-    /// at the source.  Returns the new domain and the report.
+    /// Stop-and-copy: pause the guest, ship the last dirty set, assemble
+    /// the image from the staged frames and the control state,
+    /// materialize the domain on `target`, and destroy it at the source.
+    /// Returns the new domain and the report.
     ///
     /// The caller re-wires devices afterwards (§5.2: network frontends
     /// reconnect to the new backend *after* migration completes).
@@ -105,7 +104,6 @@ impl LiveMigration {
         mut self,
         cpu: &Cpu,
         target: &Arc<Hypervisor>,
-        target_pcpu: usize,
     ) -> Result<(Arc<Domain>, MigrationReport), HvError> {
         if self.shipped.is_empty() {
             self.round(cpu)?;
@@ -121,36 +119,22 @@ impl LiveMigration {
         // The stop-and-copy: the last round, with the guest paused.
         self.round(cpu)?;
 
-        // Ship the control-plane image (vCPUs, pgds, guest state).
-        let control = save_domain(&self.source, cpu, &self.dom)?;
-
-        // Assemble the full image from the staged frames, in the
-        // domain's frame order.
-        let frames: Result<Vec<FrameImage>, HvError> = self
+        // The image: every frame as the rounds staged it, in the
+        // domain's frame order, and the control state (vCPUs, pgds,
+        // guest state) as it stands.
+        let frames = self
             .dom
             .frames()
             .iter()
             .map(|f| {
                 self.staged
-                    .get(&f.0)
-                    .cloned()
+                    .remove(&f.0)
                     .ok_or_else(|| HvError::BadImage(format!("frame {} never shipped", f.0)))
             })
-            .collect();
-        let image = DomainImage {
-            frames: frames?,
-            ..control
-        };
+            .collect::<Result<_, _>>()?;
+        let image = DomainImage::assemble(&self.dom, frames);
 
-        // Target side: allocate frames and restore.
-        let target_cpu = target.machine.boot_cpu();
-        let new_frames = target
-            .machine
-            .allocator
-            .alloc_many(target_cpu, image.frames.len())
-            .ok_or(HvError::OutOfMemory)?;
-        let (new_dom, frame_map) =
-            restore_domain_mapped(target, target_cpu, &image, &new_frames, target_pcpu)?;
+        let (new_dom, frame_map) = restore_domain(target, &image)?;
         for v in 0..new_dom.num_vcpus() {
             new_dom.set_runnable(v, true);
         }
@@ -253,7 +237,7 @@ mod tests {
         let r1 = mig.round(cpu).unwrap();
         assert!((2..16).contains(&r1), "round1 sent {r1}");
 
-        let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+        let (new_dom, report) = mig.finalize(cpu, &hv_dst).unwrap();
         assert_eq!(report.rounds.len(), 3);
         assert!(report.downtime_cycles > 0);
 
@@ -312,7 +296,7 @@ mod tests {
         let entry = Pte::new(f[7].0, Pte::USER);
         write(f[1], 5, entry).unwrap();
         write(f[0], 0, Pte::ABSENT).unwrap();
-        let (_, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+        let (_, report) = mig.finalize(cpu, &hv_dst).unwrap();
 
         assert_eq!(report.rounds[1], 2, "pgd and the unlinked L1");
         let l1 = FrameNum(report.frame_map[&f[1].0]);
@@ -333,7 +317,7 @@ mod tests {
         mig.round(cpu).unwrap();
 
         m_src.mem.write_bytes(f[3].base(), &0xabcd_u64.to_le_bytes()).unwrap();
-        let (_, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+        let (_, report) = mig.finalize(cpu, &hv_dst).unwrap();
 
         assert_eq!(report.rounds, [16, 1]);
         let moved = FrameNum(report.frame_map[&f[3].0]);
@@ -353,7 +337,7 @@ mod tests {
         assert_eq!(mig.round(cpu).unwrap(), 15);
 
         let fresh = hv_src.balloon_in(cpu, &dom, 1).unwrap();
-        let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+        let (new_dom, report) = mig.finalize(cpu, &hv_dst).unwrap();
 
         assert_eq!(report.rounds, [15, 1]);
         assert!(report.frame_map.contains_key(&fresh[0].0));
@@ -394,33 +378,38 @@ mod tests {
         }
     }
 
+    /// The stop-and-copy is charged for the frames it ships, not for
+    /// the domain's size: two migrations of the same guest that differ
+    /// only by `k` frames stored to after the last pre-copy round differ
+    /// in downtime by exactly `k` shipped frames, and the clean one
+    /// costs less than one copy of every owned frame.
     #[test]
-    fn downtime_scales_with_final_dirty_set() {
-        let (m_src, hv_src) = node();
-        let (_, hv_dst_a) = node();
-        let (_, hv_dst_b) = node();
-        let cpu = m_src.boot_cpu();
-
-        // Migration A: converged before finalize.
-        let dom_a = build_guest(&m_src, &hv_src);
-        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom_a));
-        mig.round(cpu).unwrap();
-        let (_, rep_a) = mig.finalize(cpu, &hv_dst_a, 0).unwrap();
-
-        // Migration B: never pre-copied the dirty tail.
-        let dom_b = build_guest(&m_src, &hv_src);
-        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom_b));
-        mig.round(cpu).unwrap();
-        for i in 0..4 {
-            guest_writes(&m_src, &dom_b, i, 7);
-        }
-        let (_, rep_b) = mig.finalize(cpu, &hv_dst_b, 0).unwrap();
-
+    fn a_stop_and_copy_is_charged_for_what_it_ships() {
+        let k = 4;
+        let downtime = |stores: usize| {
+            let (m_src, hv_src) = node();
+            let (_, hv_dst) = node();
+            let cpu = m_src.boot_cpu();
+            let dom = build_guest(&m_src, &hv_src);
+            let f = dom.frames();
+            let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+            mig.round(cpu).unwrap();
+            for frame in &f[8..8 + stores] {
+                m_src
+                    .mem
+                    .write_bytes(frame.base(), &7u64.to_le_bytes())
+                    .unwrap();
+            }
+            let (_, report) = mig.finalize(cpu, &hv_dst).unwrap();
+            assert_eq!(report.rounds, [f.len(), stores]);
+            (report.downtime_cycles, f.len() as u64)
+        };
+        let (clean, owned) = downtime(0);
+        let (dirty, _) = downtime(k);
+        assert_eq!(dirty - clean, k as u64 * SHIP_PER_FRAME);
         assert!(
-            rep_b.downtime_cycles > rep_a.downtime_cycles,
-            "dirtier stop-and-copy must cost more ({} vs {})",
-            rep_b.downtime_cycles,
-            rep_a.downtime_cycles
+            clean < owned * costs::FRAME_COPY,
+            "a clean stop-and-copy took {clean} cycles, more than copying all {owned} frames"
         );
     }
 }

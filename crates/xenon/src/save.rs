@@ -1,8 +1,14 @@
-//! Domain save/restore: the engine behind checkpointing (§6.1).
+//! Domain images: the one capture and the one restore behind
+//! checkpointing (§6.1) and live migration (§6.3).
 //!
 //! A [`DomainImage`] captures everything a domain is: its frames (with
 //! their page-table types), pinned base tables, vCPU state and the
-//! guest's frozen logical state.  Restore may place the domain in
+//! guest's frozen logical state.  A frame is captured by
+//! `FrameImage::capture` and an image assembled by
+//! `DomainImage::assemble`, whoever ships it: [`save_domain`] copies
+//! every frame at once, and a live migration assembles the frames its
+//! rounds staged (`crate::migrate`).  [`restore_domain`] places the
+//! domain in frames the target machine allocates, which may be
 //! *different* physical frames — page-table words are rewritten through
 //! the old→new frame mapping, the same machine-frame renumbering a real
 //! Xen restore performs via the P2M table.
@@ -28,6 +34,18 @@ pub struct FrameImage {
     pub words: Vec<u64>,
 }
 
+impl FrameImage {
+    /// Capture frame `f` of `hv`'s machine as it stands: its contents
+    /// and its page-table type.  The caller charges the copy.
+    pub(crate) fn capture(hv: &Hypervisor, f: FrameNum) -> Result<FrameImage, HvError> {
+        Ok(FrameImage {
+            old_frame: f.0,
+            typ: hv.page_info.type_of(f).0,
+            words: hv.machine.mem.export_frame(f)?,
+        })
+    }
+}
+
 /// A complete domain checkpoint.
 #[derive(Debug, Clone)]
 pub struct DomainImage {
@@ -43,14 +61,25 @@ pub struct DomainImage {
     pub pgds: Vec<u32>,
     /// vCPU state.
     pub vcpus: Vec<VcpuState>,
-    /// Vectors the guest had registered (the restored guest re-registers
-    /// its handlers; this list lets tests assert nothing was lost).
-    pub registered_vectors: Vec<u8>,
     /// The guest kernel's frozen logical state.
     pub guest_state: Option<GuestState>,
 }
 
 impl DomainImage {
+    /// The image of `dom`: its control state as it stands, and
+    /// `frames`, which the caller captured.
+    pub(crate) fn assemble(dom: &Domain, frames: Vec<FrameImage>) -> DomainImage {
+        DomainImage {
+            id: dom.id.0,
+            name: dom.name.clone(),
+            privileged: dom.privileged,
+            frames,
+            pgds: dom.pgds().iter().map(|p| p.0).collect(),
+            vcpus: dom.vcpus(),
+            guest_state: dom.guest_state.lock().clone(),
+        }
+    }
+
     /// Total bytes this image represents on the wire (frames only, as
     /// live migration counts them).
     pub fn wire_bytes(&self) -> u64 {
@@ -58,30 +87,19 @@ impl DomainImage {
     }
 }
 
-/// Capture a domain.  The caller is responsible for having paused the
-/// guest (no vCPU running) — checkpointing a running guest tears frames.
-pub fn save_domain(hv: &Hypervisor, cpu: &Cpu, dom: &Arc<Domain>) -> Result<DomainImage, HvError> {
-    let mem = &hv.machine.mem;
-    let mut frames = Vec::with_capacity(dom.frame_count());
-    for f in dom.frames() {
-        cpu.tick(costs::FRAME_COPY);
-        let (typ, _) = hv.page_info.type_of(f);
-        frames.push(FrameImage {
-            old_frame: f.0,
-            typ,
-            words: mem.export_frame(f)?,
-        });
-    }
-    Ok(DomainImage {
-        id: dom.id.0,
-        name: dom.name.clone(),
-        privileged: dom.privileged,
-        frames,
-        pgds: dom.pgds().iter().map(|p| p.0).collect(),
-        vcpus: dom.vcpus(),
-        registered_vectors: dom.registered_vectors(),
-        guest_state: dom.guest_state.lock().clone(),
-    })
+/// Capture a domain, every frame at one [`costs::FRAME_COPY`].  The
+/// caller is responsible for having paused the guest (no vCPU running)
+/// — checkpointing a running guest tears frames.
+pub fn save_domain(hv: &Hypervisor, cpu: &Cpu, dom: &Domain) -> Result<DomainImage, HvError> {
+    let frames = dom
+        .frames()
+        .into_iter()
+        .map(|f| {
+            cpu.tick(costs::FRAME_COPY);
+            FrameImage::capture(hv, f)
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(DomainImage::assemble(dom, frames))
 }
 
 /// Rewrite the present entries of a saved page-table frame through the
@@ -100,51 +118,39 @@ fn rewrite_table(words: &mut [u64], map: &HashMap<u32, u32>) -> Result<(), HvErr
     Ok(())
 }
 
-/// Restore an image into `hv`'s machine, placing the domain into
-/// `new_frames` (one per saved frame, any physical location).  Page
-/// tables are rewritten, base tables re-pinned, accounting rebuilt.
+/// Restore an image into `hv`'s machine: one frame per saved frame from
+/// the machine's allocator, any physical location, charged with its
+/// copy to the machine's boot CPU, where the domain's vCPUs are placed.
+/// Page tables are rewritten, base tables re-pinned, accounting
+/// rebuilt.  Returns the domain and the old→new frame relocation map
+/// — the guest kernel's thaw path needs it to translate its own frame
+/// references.
 ///
 /// The guest's Rust-side kernel object is *not* rebuilt here — the
-/// caller thaws it from `image.guest_state` (see nimbus' restore path).
+/// caller thaws it from [`Domain::frozen_state`] (see nimbus' restore
+/// path).
 pub fn restore_domain(
     hv: &Hypervisor,
-    cpu: &Cpu,
     image: &DomainImage,
-    new_frames: &[FrameNum],
-    pcpu: usize,
-) -> Result<Arc<Domain>, HvError> {
-    restore_domain_mapped(hv, cpu, image, new_frames, pcpu).map(|(dom, _)| dom)
-}
-
-/// [`restore_domain`], additionally returning the old→new frame
-/// relocation map — the guest kernel's thaw path needs it to translate
-/// its own frame references.
-pub fn restore_domain_mapped(
-    hv: &Hypervisor,
-    cpu: &Cpu,
-    image: &DomainImage,
-    new_frames: &[FrameNum],
-    pcpu: usize,
 ) -> Result<(Arc<Domain>, HashMap<u32, u32>), HvError> {
-    if new_frames.len() != image.frames.len() {
-        return Err(HvError::BadImage(format!(
-            "need {} frames, got {}",
-            image.frames.len(),
-            new_frames.len()
-        )));
-    }
+    let cpu = hv.machine.boot_cpu();
+    let new_frames = hv
+        .machine
+        .allocator
+        .alloc_many(cpu, image.frames.len())
+        .ok_or(HvError::OutOfMemory)?;
     let map: HashMap<u32, u32> = image
         .frames
         .iter()
-        .zip(new_frames)
+        .zip(&new_frames)
         .map(|(fi, nf)| (fi.old_frame, nf.0))
         .collect();
 
     let mem = &hv.machine.mem;
     let id = hv.allocate_domid(DomId(image.id));
-    let dom = Domain::new(id, image.name.clone(), image.privileged, pcpu);
+    let dom = Domain::new(id, image.name.clone(), image.privileged, 0);
 
-    for (fi, nf) in image.frames.iter().zip(new_frames) {
+    for (fi, nf) in image.frames.iter().zip(&new_frames) {
         cpu.tick(costs::FRAME_COPY);
         if fi.words.len() != WORDS_PER_PAGE {
             return Err(HvError::BadImage("frame image wrong size".into()));
@@ -173,7 +179,10 @@ pub fn restore_domain_mapped(
         image
             .vcpus
             .iter()
-            .map(|v| VcpuState { pcpu, ..v.clone() })
+            .map(|v| VcpuState {
+                pcpu: 0,
+                ..v.clone()
+            })
             .collect(),
     );
     *dom.guest_state.lock() = image.guest_state.clone();
@@ -230,8 +239,7 @@ mod tests {
         }
         // Burn a few frames so the restore lands elsewhere.
         let _burn = machine.allocator.alloc_many(cpu, 3).unwrap();
-        let new_frames = machine.allocator.alloc_many(cpu, 8).unwrap();
-        let restored = restore_domain(&hv, cpu, &image, &new_frames, 0).unwrap();
+        let (restored, _) = restore_domain(&hv, &image).unwrap();
 
         assert_eq!(restored.id, DomId(image.id));
         assert_eq!(restored.frame_count(), 8);
@@ -253,19 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn restore_rejects_frame_count_mismatch() {
-        let (machine, hv) = rig();
-        let cpu = machine.boot_cpu();
-        let dom = build_guest(&machine, &hv);
-        let image = save_domain(&hv, cpu, &dom).unwrap();
-        let too_few = machine.allocator.alloc_many(cpu, 2).unwrap();
-        assert!(matches!(
-            restore_domain(&hv, cpu, &image, &too_few, 0),
-            Err(HvError::BadImage(_))
-        ));
-    }
-
-    #[test]
     fn restore_rejects_dangling_pte() {
         let (machine, hv) = rig();
         let cpu = machine.boot_cpu();
@@ -279,9 +274,8 @@ mod tests {
             .unwrap();
         l1_img.words[7] = Pte::new(9999, Pte::WRITABLE).0;
         hv.destroy_domain(cpu, &dom).unwrap();
-        let new_frames = machine.allocator.alloc_many(cpu, 8).unwrap();
         assert!(matches!(
-            restore_domain(&hv, cpu, &image, &new_frames, 0),
+            restore_domain(&hv, &image),
             Err(HvError::BadImage(_))
         ));
     }

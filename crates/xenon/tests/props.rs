@@ -535,7 +535,7 @@ fn migration_preserves_memory_under_random_dirtying() {
                     model[*page] = *value;
                 }
             }
-            let (new_dom, report) = mig.finalize(cpu, &hv_dst, 0).unwrap();
+            let (new_dom, report) = mig.finalize(cpu, &hv_dst).unwrap();
 
             // Every page on the target matches the final source state.
             let dst_cpu = m_dst.boot_cpu();

@@ -167,8 +167,9 @@ SIM_SPEED_MIN_FRACTION = 0.8
 # stop-and-copy or a storage copy would land in the millisecond range,
 # so 1 ms catches the qualitative failure (migration blocking the
 # serving path) with wide headroom over queueing noise.  The downtime
-# ceiling bounds the worst single stop-and-copy + storage-copy window;
-# a pre-copy that stopped converging blows through it.
+# ceiling bounds the worst single stop-and-copy (the storage copy runs
+# before it and is not in the metric); a pre-copy that stopped
+# converging blows through it.
 FLEET_P999_CEILING_US = 1_000.0
 FLEET_DOWNTIME_CEILING_US = 50_000.0
 

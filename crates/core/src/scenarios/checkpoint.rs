@@ -10,9 +10,10 @@
 use crate::switch::{Mercury, SwitchError};
 use nimbus::{BootMode, Kernel};
 use simx86::{Cpu, Machine};
+use std::collections::HashMap;
 use std::sync::Arc;
 use xenon::save::{restore_domain, save_domain, DomainImage};
-use xenon::{HvError, Hypervisor};
+use xenon::{Domain, HvError, Hypervisor};
 
 /// A whole-system checkpoint: every frame, the page tables, and the
 /// kernel's frozen logical state.
@@ -88,28 +89,53 @@ pub struct RestoredSystem {
 /// The restored system comes up in **virtual mode** — the VMM that
 /// performed the restore is underneath it — exactly as §6.1 describes.
 /// The caller may install Mercury afterwards to regain native speed.
+///
+/// An image the VMM refuses, or a kernel that does not thaw, hands the
+/// machine's allocator back every frame the restore took: the domain's
+/// and the VMM's reservation.
 pub fn restore(
     machine: &Arc<Machine>,
     checkpoint: &Checkpoint,
 ) -> Result<RestoredSystem, CheckpointError> {
     let hv = Hypervisor::warm_up(machine);
     hv.activate();
-    let (dom, frame_map) = restore_domain(&hv, &checkpoint.image).map_err(CheckpointError::Hv)?;
-    let state = dom.frozen_state().map_err(CheckpointError::Hv)?;
-    let kernel = Kernel::thaw(
-        Arc::clone(machine),
-        BootMode::Guest {
-            hv: Arc::clone(&hv),
-            dom,
-        },
-        &state,
-        &frame_map,
-    )
-    .map_err(CheckpointError::Kernel)?;
+    let kernel = restore_domain(&hv, &checkpoint.image)
+        .map_err(CheckpointError::Hv)
+        .and_then(|(dom, frame_map)| {
+            thaw(machine, &hv, &dom, &frame_map).inspect_err(|_| {
+                let frames = hv.destroy_domain(machine.boot_cpu(), &dom);
+                let frames = frames.unwrap_or_default();
+                frames.into_iter().for_each(|f| machine.allocator.free(f));
+            })
+        })
+        .inspect_err(|_| {
+            let frames = hv.decommission();
+            frames.into_iter().for_each(|f| machine.allocator.free(f));
+        })?;
     // Reattach drivers on the new machine (native shape: the restored
     // OS is the driver domain).
     nimbus::drivers::attach_native(machine, &kernel).map_err(CheckpointError::Kernel)?;
     Ok(RestoredSystem { hv, kernel })
+}
+
+/// Thaw the kernel frozen in `dom`'s guest state, as a guest of `hv`.
+fn thaw(
+    machine: &Arc<Machine>,
+    hv: &Arc<Hypervisor>,
+    dom: &Arc<Domain>,
+    frame_map: &HashMap<u32, u32>,
+) -> Result<Arc<Kernel>, CheckpointError> {
+    let state = dom.frozen_state().map_err(CheckpointError::Hv)?;
+    Kernel::thaw(
+        Arc::clone(machine),
+        BootMode::Guest {
+            hv: Arc::clone(hv),
+            dom: Arc::clone(dom),
+        },
+        &state,
+        frame_map,
+    )
+    .map_err(CheckpointError::Kernel)
 }
 
 #[cfg(test)]
@@ -158,6 +184,31 @@ mod tests {
         // Note: file *data* lives on the failed machine's disk; §6.1
         // pairs checkpoints with shared storage.  Metadata travelled:
         assert!(sess2.stat("ckpt.txt").is_ok());
+    }
+
+    /// A checkpoint the VMM refuses, or whose kernel state is missing,
+    /// leaves the healthy machine with every frame it had.
+    #[test]
+    fn a_refused_restore_returns_every_frame() {
+        let (machine, _hv, mercury) = rig(1, TrackingStrategy::RecomputeOnSwitch);
+        let ckpt = take(&mercury, machine.boot_cpu()).unwrap();
+        let mut torn = ckpt.clone();
+        torn.image.frames.last_mut().unwrap().words.pop();
+        let mut stateless = ckpt;
+        stateless.image.guest_state = None;
+        for ckpt in [torn, stateless] {
+            let healthy = simx86::Machine::new(MachineConfig {
+                num_cpus: 1,
+                mem_frames: 16 * 1024,
+                disk_sectors: 64 * 1024,
+            });
+            let free = healthy.allocator.available();
+            assert!(matches!(
+                restore(&healthy, &ckpt),
+                Err(CheckpointError::Hv(xenon::HvError::BadImage(_)))
+            ));
+            assert_eq!(healthy.allocator.available(), free);
+        }
     }
 
     /// §5.1.1's retry timer rides every CPU's tick, so a restored SMP

@@ -21,7 +21,10 @@
 //!   attach revalidates just the written tables.  The sink runs before the
 //!   write lands, so at a retained table's first write since the detach
 //!   it keeps the frame's pre-image: the old side of the attach's delta
-//!   ([`PageInfoTable::reattach`]).
+//!   ([`PageInfoTable::reattach`]).  Only a table's first write since the
+//!   native window opened takes the frame table's lock; at every other
+//!   PTE store the sink is two loads, of the window's epoch and of the
+//!   frame's stamp ([`PageInfoTable::note_write`]).
 
 use crate::refcount::VoRefCount;
 use nimbus::paravirt::{ExecMode, KernelMap, PvOps};

@@ -36,7 +36,9 @@
 //! [`TableView::scan`] is the one loop over a table's present entries;
 //! [`PhysMemory::write_ptes`] stores a run of entries under one tick.
 //! The simulated cost is the per-word cost to the cycle, early exits
-//! included; only the host pays less.
+//! included; only the host pays less.  So too for whole frames: a
+//! zeroing or a copy is charged for the frame and moves only the lines
+//! that can hold data (below).
 //!
 //! A view loads each entry **once, when it is consumed**, and keeps
 //! what it loaded (DESIGN.md §14a): [`TableView::reread`] returns
@@ -66,6 +68,33 @@
 //! [`stored_since`](PhysMemory::stored_since), as in a seqlock.  Only
 //! a store in flight across the checkpoint itself may read either way.
 //! Stamps cost no cycle.
+//!
+//! # Whole-frame operations move only the lines that can hold data
+//!
+//! Beside its stamp, in one record, memory keeps per frame a **line
+//! mask**, one bit per 64-byte line (`WORDS_PER_LINE` words), with one
+//! invariant: *a line whose bit is clear holds only zero words*.  Every
+//! path that can leave a nonzero word in a line — the stamping paths
+//! above but `zero_frame` — sets the line's bit *after* its data store,
+//! with a `fetch_or`; `write_bytes` and `write_ptes` set one mask per
+//! frame per call, and a store of zero sets nothing.
+//! [`PhysMemory::zero_frame`] takes the mask (a `swap`, made only when
+//! the mask is nonzero) and zeroes just the lines it took;
+//! [`PhysMemory::copy_frame`] stores the lines either frame's mask
+//! names, then ORs the source's lines into the destination's mask.
+//! Each still charges its whole frame, and
+//! `zero_frame` stamps even when it stores nothing, so no cycle and no
+//! stamp can tell.
+//!
+//! The order keeps the invariant under a racing store.  A bit the
+//! zeroer's swap took was set after its store landed, and the swap reads
+//! it, so the zeroing of that line comes after that store; a bit set
+//! after the swap stays set.  The set is a read-modify-write even when
+//! the bit is already set: a store that only loaded the mask could see a
+//! bit a racing zeroer is about to take, yet land after that zeroer's
+//! zeroing (a CPU's load may pass its own earlier store), and leave a
+//! nonzero word in a line the mask reads clear.  A copy raced by a store
+//! to its source still ends with every word a value somebody stored.
 
 use crate::costs;
 use crate::cpu::Cpu;
@@ -129,15 +158,74 @@ fn new_frame() -> Frame {
         .expect("exact size")
 }
 
+/// Words per 64-byte line, the unit of a frame's line mask.
+const WORDS_PER_LINE: usize = 8;
+
+/// Lines per frame: one bit each in the frame's line mask.
+const LINES_PER_FRAME: usize = WORDS_PER_PAGE / WORDS_PER_LINE;
+
+const _: () = assert!(LINES_PER_FRAME == u64::BITS as usize);
+
+/// The line of the frame's word `index`, as its bit in a line mask.
+#[inline]
+fn line_bit(index: usize) -> u64 {
+    1 << (index / WORDS_PER_LINE % LINES_PER_FRAME)
+}
+
+/// The word indices of each line set in `mask`, lowest first: at most
+/// [`LINES_PER_FRAME`] ranges of [`WORDS_PER_LINE`].
+#[inline]
+fn lines_of(mut mask: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let line = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            line * WORDS_PER_LINE..(line + 1) * WORDS_PER_LINE
+        })
+    })
+}
+
 /// A point in the machine's write history ([`PhysMemory::checkpoint`]).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct WriteEpoch(u64);
 
+/// An optional [`WriteEpoch`] in one atomic word: its writers serialize
+/// among themselves, and any thread reads it without a lock.
+#[derive(Debug, Default)]
+pub struct EpochCell(AtomicU64);
+
+impl EpochCell {
+    /// The epoch last stored, if any.
+    #[inline]
+    pub fn load(&self) -> Option<WriteEpoch> {
+        // A checkpoint is never 0: 0 is "none".
+        Some(WriteEpoch(self.0.load(Ordering::Acquire))).filter(|epoch| epoch.0 != 0)
+    }
+
+    /// Replace the epoch.
+    #[inline]
+    pub fn store(&self, epoch: Option<WriteEpoch>) {
+        self.0
+            .store(epoch.map_or(0, |epoch| epoch.0), Ordering::Release);
+    }
+}
+
+/// What memory keeps per frame beside its words, in one record so that
+/// a store's stamp check and mark meet one cache line.
+#[derive(Default)]
+#[repr(align(16))]
+struct FrameMeta {
+    /// The write epoch of the frame's last store.
+    stamp: AtomicU64,
+    /// Bit `l` clear: line `l` holds only zero words.
+    lines: AtomicU64,
+}
+
 /// The machine's physical memory.
 pub struct PhysMemory {
     frames: Box<[Frame]>,
-    /// Per frame, the write epoch of its last store.
-    stamps: Box<[AtomicU64]>,
+    /// Per frame, its stamp and line mask.
+    meta: Box<[FrameMeta]>,
     /// The epoch stores are stamped with.
     epoch: AtomicU64,
 }
@@ -147,7 +235,7 @@ impl PhysMemory {
     pub fn new(num_frames: usize) -> Self {
         PhysMemory {
             frames: (0..num_frames).map(|_| new_frame()).collect(),
-            stamps: (0..num_frames).map(|_| AtomicU64::new(0)).collect(),
+            meta: (0..num_frames).map(|_| FrameMeta::default()).collect(),
             epoch: AtomicU64::new(0),
         }
     }
@@ -164,18 +252,18 @@ impl PhysMemory {
     /// Has `frame` been stored to since `epoch`?  A frame the machine
     /// does not have reads as written.
     pub fn stored_since(&self, frame: FrameNum, epoch: WriteEpoch) -> bool {
-        self.stamps
+        self.meta
             .get(frame.0 as usize)
-            .is_none_or(|stamp| stamp.load(Ordering::Acquire) >= epoch.0)
+            .is_none_or(|meta| meta.stamp.load(Ordering::Acquire) >= epoch.0)
     }
 
     /// Was `frame`'s last store after `since` and before `upto`?  The
     /// window of one round, read from one load of the stamp.  A frame
     /// the machine does not have reads as not stored.
     pub fn stored_between(&self, frame: FrameNum, since: WriteEpoch, upto: WriteEpoch) -> bool {
-        self.stamps
+        self.meta
             .get(frame.0 as usize)
-            .is_some_and(|stamp| (since.0..upto.0).contains(&stamp.load(Ordering::Acquire)))
+            .is_some_and(|meta| (since.0..upto.0).contains(&meta.stamp.load(Ordering::Acquire)))
     }
 
     /// Stamp `frame` with the current epoch, *before* its data is
@@ -186,13 +274,36 @@ impl PhysMemory {
     /// loads it.
     #[inline]
     fn stamp(&self, frame: FrameNum) {
-        let Some(stamp) = self.stamps.get(frame.0 as usize) else {
+        let Some(meta) = self.meta.get(frame.0 as usize) else {
             return;
         };
         let epoch = self.epoch.load(Ordering::Acquire);
-        if stamp.load(Ordering::Acquire) < epoch {
-            stamp.fetch_max(epoch, Ordering::AcqRel);
+        if meta.stamp.load(Ordering::Acquire) < epoch {
+            meta.stamp.fetch_max(epoch, Ordering::AcqRel);
         }
+    }
+
+    /// Mark the lines `lines` of `frame` as able to hold data, *after*
+    /// the stores it covers: a zeroer whose swap takes the bit zeroes
+    /// the line after those stores, and one whose swap comes first
+    /// leaves the bit set.  A read-modify-write even when the bits are
+    /// set (module doc).
+    #[inline]
+    fn mark(&self, frame: FrameNum, lines: u64) {
+        if lines == 0 {
+            return;
+        }
+        if let Some(meta) = self.meta.get(frame.0 as usize) {
+            meta.lines.fetch_or(lines, Ordering::AcqRel);
+        }
+    }
+
+    /// `frame`'s line mask as it stands.
+    #[inline]
+    fn lines(&self, frame: FrameNum) -> u64 {
+        self.meta
+            .get(frame.0 as usize)
+            .map_or(0, |meta| meta.lines.load(Ordering::Acquire))
     }
 
     /// Number of installed frames.
@@ -233,7 +344,9 @@ impl PhysMemory {
         let flip = faultgen::mem_read_site!(cpu.id, cpu.cycles(), pa.frame().0, pa.word_index());
         if flip != 0 {
             self.stamp(pa.frame());
-            return Ok(word.fetch_xor(flip, Ordering::AcqRel) ^ flip);
+            let flipped = word.fetch_xor(flip, Ordering::AcqRel) ^ flip;
+            self.mark(pa.frame(), line_bit(pa.word_index()));
+            return Ok(flipped);
         }
         Ok(word.load(Ordering::Acquire))
     }
@@ -244,6 +357,9 @@ impl PhysMemory {
         let word = self.word_ref(pa)?;
         self.stamp(pa.frame());
         word.store(value, Ordering::Release);
+        if value != 0 {
+            self.mark(pa.frame(), line_bit(pa.word_index()));
+        }
         Ok(())
     }
 
@@ -322,35 +438,53 @@ impl PhysMemory {
             .inspect_err(|_| cpu.tick(costs::MEM_WORD))?;
         cpu.tick(costs::MEM_WORD * entries.len() as u64);
         self.stamp(table);
+        let mut lines = 0;
         // volint::bound(512) — one run ≤ ENTRIES_PER_TABLE entries of one table
         for &(index, pte) in entries {
             // index < WORDS_PER_PAGE is the caller's contract, as for write_pte
             frame[index].store(pte.0, Ordering::Release);
+            if pte.0 != 0 {
+                lines |= line_bit(index);
+            }
         }
+        self.mark(table, lines);
         Ok(())
     }
 
     /// Copy a whole frame, word by word.  Charges [`costs::FRAME_COPY`].
+    /// Moves only the lines either frame's mask says can hold data.
     pub fn copy_frame(&self, cpu: &Cpu, src: FrameNum, dst: FrameNum) -> Result<(), Fault> {
         cpu.tick(costs::FRAME_COPY);
         if src == dst {
             return Ok(());
         }
         let (s, d) = (self.frame_ref(src)?, self.frame_ref(dst)?);
+        let from = self.lines(src);
         self.stamp(dst);
-        for (to, from) in d.iter().zip(s) {
-            to.store(from.load(Ordering::Acquire), Ordering::Release);
+        for words in lines_of(from | self.lines(dst)) {
+            for (to, from) in d[words.clone()].iter().zip(&s[words]) {
+                to.store(from.load(Ordering::Acquire), Ordering::Release);
+            }
         }
+        self.mark(dst, from);
         Ok(())
     }
 
-    /// Zero-fill a frame.  Charges [`costs::FRAME_ZERO`].
+    /// Zero-fill a frame.  Charges [`costs::FRAME_ZERO`].  Stores only
+    /// the lines its mask says can hold data, and takes the mask.
     pub fn zero_frame(&self, cpu: &Cpu, frame: FrameNum) -> Result<(), Fault> {
         cpu.tick(costs::FRAME_ZERO);
         let words = self.frame_ref(frame)?;
         self.stamp(frame);
-        for word in words {
-            word.store(0, Ordering::Release);
+        let Some(meta) = self.meta.get(frame.0 as usize) else {
+            return Ok(());
+        };
+        if meta.lines.load(Ordering::Acquire) != 0 {
+            for line in lines_of(meta.lines.swap(0, Ordering::AcqRel)) {
+                for word in &words[line] {
+                    word.store(0, Ordering::Release);
+                }
+            }
         }
         Ok(())
     }
@@ -374,13 +508,18 @@ impl PhysMemory {
     /// bytes of one word both land.  A buffer that runs off the end of
     /// memory is written up to the last frame that exists, then faults.
     pub fn write_bytes(&self, pa: PhysAddr, data: &[u8]) -> Result<(), Fault> {
-        // Each frame is stamped once, before its first word is stored.
-        let mut stamped = None;
-        for (at, lanes, range) in word_spans(pa, data.len()) {
+        // Each frame is stamped once, before its first word is stored,
+        // and marked once, after its last, with the lines of it that
+        // took a nonzero word.
+        let (mut frame, mut lines) = (None, 0);
+        let stored = word_spans(pa, data.len()).try_for_each(|(at, lanes, range)| {
             let word = self.word_ref(at)?;
-            if stamped != Some(at.frame()) {
+            if frame != Some(at.frame()) {
+                if let Some(done) = frame {
+                    self.mark(done, lines);
+                }
                 self.stamp(at.frame());
-                stamped = Some(at.frame());
+                (frame, lines) = (Some(at.frame()), 0);
             }
             let mut bytes = [0u8; 8];
             bytes[lanes.clone()].copy_from_slice(&data[range]);
@@ -394,8 +533,15 @@ impl PhysMemory {
                 })
                 .expect("the update never declines");
             }
+            if bits != 0 {
+                lines |= line_bit(at.word_index());
+            }
+            Ok(())
+        });
+        if let Some(done) = frame {
+            self.mark(done, lines);
         }
-        Ok(())
+        stored
     }
 
     /// Export a frame's raw contents (checkpointing, live migration).
@@ -409,9 +555,14 @@ impl PhysMemory {
         assert_eq!(words.len(), WORDS_PER_PAGE, "frame image has wrong size");
         let to = self.frame_ref(frame)?;
         self.stamp(frame);
-        for (to, &from) in to.iter().zip(words) {
+        let mut lines = 0;
+        for (index, (to, &from)) in to.iter().zip(words).enumerate() {
             to.store(from, Ordering::Release);
+            if from != 0 {
+                lines |= line_bit(index);
+            }
         }
+        self.mark(frame, lines);
         Ok(())
     }
 
@@ -629,7 +780,9 @@ impl TableView<'_> {
         let flip = faultgen::mem_read_site!(self.cpu.id, self.cpu.cycles(), self.table.0, index);
         if flip != 0 {
             self.mem.stamp(self.table);
-            Pte(word.fetch_xor(flip, Ordering::AcqRel) ^ flip)
+            let flipped = Pte(word.fetch_xor(flip, Ordering::AcqRel) ^ flip);
+            self.mem.mark(self.table, line_bit(index));
+            flipped
         } else {
             Pte(word.load(Ordering::Acquire))
         }
@@ -1213,6 +1366,260 @@ mod tests {
             mem.stored_since(FrameNum(9), since),
             "a missing frame reads as written"
         );
+    }
+
+    /// Whether every nonzero word of `frame` lies in a line its mask
+    /// has set: the mask's invariant.
+    fn lines_cover_the_data(mem: &PhysMemory, frame: FrameNum) -> bool {
+        let lines = mem.lines(frame);
+        mem.words(frame)
+            .unwrap()
+            .enumerate()
+            .all(|(index, word)| word == 0 || lines & line_bit(index) != 0)
+    }
+
+    /// Every store path that leaves a nonzero word marks its line, so
+    /// the whole-frame operations, which move only marked lines, see
+    /// it: a copy onto a destination dirty elsewhere is the source, and
+    /// a zeroing leaves nothing.
+    #[test]
+    fn every_store_path_marks_the_lines_it_fills() {
+        /// A store path, and the frames it fills.
+        type Store<'a> = (&'a str, &'a dyn Fn(&PhysMemory, &Cpu), &'a [u32]);
+        let image: Vec<u64> = (0..WORDS_PER_PAGE as u64)
+            .map(|i| if i % 97 == 3 { i << 8 | 1 } else { 0 })
+            .collect();
+        let stores: [Store; 6] = [
+            (
+                "write_word",
+                &|mem, cpu| mem.write_word(cpu, PhysAddr(PAGE_SIZE + 9 * 8), 5).unwrap(),
+                &[1],
+            ),
+            (
+                "write_pte",
+                &|mem, cpu| {
+                    mem.write_pte(cpu, FrameNum(1), 100, Pte::new(5, 0))
+                        .unwrap()
+                },
+                &[1],
+            ),
+            (
+                "write_ptes",
+                &|mem, cpu| {
+                    let run = [
+                        (17, Pte::new(3, 0)),
+                        (18, Pte::ABSENT),
+                        (300, Pte::new(4, Pte::USER)),
+                    ];
+                    mem.write_ptes(cpu, FrameNum(1), &run).unwrap()
+                },
+                &[1],
+            ),
+            // Forty bytes across the boundary of frames 1 and 2, in
+            // words of frame 1's last line and frame 2's first.
+            (
+                "write_bytes",
+                &|mem, _| {
+                    mem.write_bytes(PhysAddr(2 * PAGE_SIZE - 20), &[7; 40])
+                        .unwrap()
+                },
+                &[1, 2],
+            ),
+            (
+                "import_frame",
+                &|mem, _| mem.import_frame(FrameNum(1), &image).unwrap(),
+                &[1],
+            ),
+            (
+                "copy_frame",
+                &|mem, cpu| {
+                    mem.import_frame(FrameNum(0), &image).unwrap();
+                    mem.copy_frame(cpu, FrameNum(0), FrameNum(1)).unwrap()
+                },
+                &[1],
+            ),
+        ];
+        let (cpu, dirty) = (test_cpu(), FrameNum(3));
+        for (name, store, filled) in stores {
+            for &frame in filled {
+                let frame = FrameNum(frame);
+                let mem = PhysMemory::new(4);
+                store(&mem, &cpu);
+                assert!(
+                    mem.words(frame).unwrap().any(|word| word != 0),
+                    "{name}: {frame:?} filled"
+                );
+                assert!(lines_cover_the_data(&mem, frame), "{name}: {frame:?}");
+                // A destination with data in a line the store left alone.
+                mem.write_word(&cpu, PhysAddr(dirty.base().0 + 8 * 500), 0xd1d7)
+                    .unwrap();
+                mem.copy_frame(&cpu, frame, dirty).unwrap();
+                assert!(
+                    mem.frames_equal(frame, dirty).unwrap(),
+                    "{name}: copy of {frame:?}"
+                );
+                mem.zero_frame(&cpu, frame).unwrap();
+                assert_eq!(
+                    mem.export_frame(frame).unwrap(),
+                    [0; WORDS_PER_PAGE],
+                    "{name}: zeroed {frame:?}"
+                );
+                assert_eq!(mem.lines(frame), 0, "{name}: a zeroing takes the mask");
+            }
+        }
+    }
+
+    /// Random stores and whole-frame operations over four frames, held
+    /// after every one to a plain array of words, the memory without
+    /// line masks.
+    #[test]
+    fn the_line_mask_is_invisible_to_a_model_without_one() {
+        const FRAMES: u64 = 4;
+        faultgen::rng::check("the line mask is invisible", 200, |rng| {
+            let (mem, cpu) = (PhysMemory::new(FRAMES as usize), test_cpu());
+            let mut model = vec![[0u64; WORDS_PER_PAGE]; FRAMES as usize];
+            // Mostly zero, so that lines empty out again.
+            let value = |rng: &mut faultgen::rng::SplitMix64| {
+                [0, 0, rng.next_u64() | 1][rng.below(3) as usize]
+            };
+            for _ in 0..60 {
+                let frame = rng.below(FRAMES) as usize;
+                let index = rng.below(WORDS_PER_PAGE as u64) as usize;
+                match rng.below(6) {
+                    0 => {
+                        let word = value(rng);
+                        let pa = PhysAddr(FrameNum(frame as u32).base().0 + 8 * index as u64);
+                        mem.write_word(&cpu, pa, word).unwrap();
+                        model[frame][index] = word;
+                    }
+                    1 => {
+                        let run: Vec<(usize, Pte)> = (0..rng.below(20))
+                            .map(|_| (rng.below(WORDS_PER_PAGE as u64) as usize, Pte(value(rng))))
+                            .collect();
+                        mem.write_ptes(&cpu, FrameNum(frame as u32), &run).unwrap();
+                        for (index, pte) in run {
+                            model[frame][index] = pte.0;
+                        }
+                    }
+                    2 => {
+                        let size = FRAMES * PAGE_SIZE;
+                        let at = rng.below(size);
+                        let len = rng.below(200).min(size - at) as usize;
+                        let byte = value(rng) as u8;
+                        let data: Vec<u8> = (0..len).map(|i| byte.wrapping_mul(i as u8)).collect();
+                        mem.write_bytes(PhysAddr(at), &data).unwrap();
+                        for (i, &b) in data.iter().enumerate() {
+                            let at = at as usize + i;
+                            let word =
+                                &mut model[at / PAGE_SIZE as usize][at % PAGE_SIZE as usize / 8];
+                            let lane = 8 * (at % 8);
+                            *word = *word & !(0xff << lane) | u64::from(b) << lane;
+                        }
+                    }
+                    3 => {
+                        let src = rng.below(FRAMES) as usize;
+                        mem.copy_frame(&cpu, FrameNum(src as u32), FrameNum(frame as u32))
+                            .unwrap();
+                        model[frame] = model[src];
+                    }
+                    4 => {
+                        mem.zero_frame(&cpu, FrameNum(frame as u32)).unwrap();
+                        model[frame] = [0; WORDS_PER_PAGE];
+                    }
+                    _ => {
+                        let mut image = model[rng.below(FRAMES) as usize];
+                        image[index] = value(rng);
+                        mem.import_frame(FrameNum(frame as u32), &image).unwrap();
+                        model[frame] = image;
+                    }
+                }
+                for (f, words) in model.iter().enumerate() {
+                    assert_eq!(
+                        mem.export_frame(FrameNum(f as u32)).unwrap(),
+                        words,
+                        "frame {f}"
+                    );
+                    assert!(lines_cover_the_data(&mem, FrameNum(f as u32)), "frame {f}");
+                }
+            }
+        });
+    }
+
+    /// A store racing a zeroing of its frame lands before the zeroing
+    /// reaches its word or after; either way its line is marked if the
+    /// word is left nonzero.  The writer fills the frame word by word,
+    /// each line's first store raising its bit and the rest finding it
+    /// set, while the zeroer takes the mask again and again.
+    #[test]
+    fn line_mask_survives_stores_racing_zero_frame() {
+        const ROUNDS: u64 = 1_000;
+        let mem = PhysMemory::new(1);
+        let frame = FrameNum(0);
+        for round in 1..=ROUNDS {
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let cpu = Cpu::new(0);
+                    for index in 0..WORDS_PER_PAGE {
+                        let pa = PhysAddr(8 * index as u64);
+                        match index % 3 {
+                            0 => mem.write_word(&cpu, pa, round).unwrap(),
+                            1 => mem.write_ptes(&cpu, frame, &[(index, Pte(round))]).unwrap(),
+                            _ => mem.write_bytes(pa, &round.to_le_bytes()).unwrap(),
+                        }
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                let cpu = Cpu::new(1);
+                while !done.load(Ordering::Acquire) {
+                    mem.zero_frame(&cpu, frame).unwrap();
+                }
+            });
+            assert!(lines_cover_the_data(&mem, frame), "round {round}");
+            mem.zero_frame(&test_cpu(), frame).unwrap();
+            assert_eq!(
+                mem.export_frame(frame).unwrap(),
+                [0; WORDS_PER_PAGE],
+                "round {round}"
+            );
+        }
+    }
+
+    /// A copy racing a zeroing of its destination: what the copy stores
+    /// is marked after it lands, so a zeroing that took the mask first
+    /// cannot leave it unmarked.  Each round copies again and again
+    /// while the zeroer spins, and looks once both are done.
+    #[test]
+    fn line_mask_survives_copies_racing_zero_frame() {
+        const ROUNDS: usize = 500;
+        const COPIES: usize = 32;
+        let (mem, cpu) = (PhysMemory::new(2), test_cpu());
+        let (src, dst) = (FrameNum(0), FrameNum(1));
+        let image: Vec<u64> = (1..=WORDS_PER_PAGE as u64).collect();
+        mem.import_frame(src, &image).unwrap();
+        for round in 0..ROUNDS {
+            let done = std::sync::atomic::AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let cpu = Cpu::new(0);
+                    for _ in 0..COPIES {
+                        mem.copy_frame(&cpu, src, dst).unwrap();
+                    }
+                    done.store(true, Ordering::Release);
+                });
+                let cpu = Cpu::new(1);
+                while !done.load(Ordering::Acquire) {
+                    mem.zero_frame(&cpu, dst).unwrap();
+                }
+            });
+            assert!(lines_cover_the_data(&mem, dst), "round {round}");
+            mem.zero_frame(&cpu, dst).unwrap();
+            assert_eq!(
+                mem.export_frame(dst).unwrap(),
+                [0; WORDS_PER_PAGE],
+                "round {round}"
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@
 use crate::domain::DomId;
 use crate::error::HvError;
 use simx86::costs;
-use simx86::mem::{FrameNum, PhysMemory, TableView, WriteEpoch};
+use simx86::mem::{EpochCell, FrameNum, PhysMemory, TableView, WriteEpoch};
 use simx86::paging::{Pte, ENTRIES_PER_TABLE};
 use simx86::sync::Mutex;
 use simx86::Cpu;
@@ -80,6 +80,12 @@ pub struct PageInfo {
 /// The machine-wide frame accounting table.
 pub struct PageInfoTable {
     info: Mutex<Records>,
+    /// The retained detach's native window: set when the detach's flip
+    /// of the tables' direct-map entries is done, so a table stamped
+    /// from then on was written while native.  Written with the lock
+    /// held, and counts only while a [`Retained`] does; read without
+    /// the lock by [`PageInfoTable::note_write`].
+    native_since: EpochCell,
 }
 
 /// The frame records, as seen with the table's lock held.
@@ -123,9 +129,6 @@ struct Retained {
     /// Every page-table frame at the detach, sorted: the frames whose
     /// writes the attach must see.  At most [`RETAINED_TABLES`].
     tables: Vec<FrameNum>,
-    /// Set when the detach's flip of the tables' direct-map entries is
-    /// done: a table stamped from here on was written while native.
-    native_since: Option<WriteEpoch>,
     /// Set by the attach's flip before it writes: bit `i` says
     /// `tables[i]` was written while native.
     written: Option<[u64; RETAINED_TABLES / 64]>,
@@ -585,8 +588,9 @@ impl Records {
         Ok(())
     }
 
-    /// [`PageInfoTable::retain`] under the held lock.
-    fn retain(&mut self, dom: DomId, tables: Vec<FrameNum>) {
+    /// [`PageInfoTable::retain`] under the held lock; whether it kept
+    /// the records.
+    fn retain(&mut self, dom: DomId, tables: Vec<FrameNum>) -> bool {
         let (derived, generation) = (self.derived == Some(dom), self.generations.of(Some(dom)));
         self.clear_types_for(dom);
         // A wrapped generation reset every record of `dom`.
@@ -596,21 +600,19 @@ impl Records {
                 dom,
                 generation,
                 tables,
-                native_since: None,
                 written: None,
                 preimages: [const { None }; RETAINED_TABLES],
             });
+            return true;
         }
+        false
     }
 
     /// [`PageInfoTable::note_write`]'s pre-image: kept at the first
-    /// tracked write to a retained table once native mode began, and
-    /// only while nothing has stored to the frame since.
-    fn keep_preimage(&mut self, mem: &PhysMemory, frame: FrameNum) {
+    /// tracked write to a retained table once native mode began at
+    /// `since`, and only while nothing has stored to the frame since.
+    fn keep_preimage(&mut self, mem: &PhysMemory, frame: FrameNum, since: WriteEpoch) {
         let Some(kept) = &mut self.retained else {
-            return;
-        };
-        let Some(since) = kept.native_since else {
             return;
         };
         let Ok(slot) = kept.tables.binary_search(&frame) else {
@@ -928,6 +930,7 @@ impl PageInfoTable {
                 derived: None,
                 retained: None,
             }),
+            native_since: EpochCell::default(),
         }
     }
 
@@ -1177,7 +1180,10 @@ impl PageInfoTable {
     /// record wiped or re-owned since the last walk is repaired by the
     /// next one — and the clear did not wrap the generation.
     pub fn retain(&self, dom: DomId, tables: Vec<FrameNum>) {
-        self.info.lock().retain(dom, tables);
+        let mut info = self.info.lock();
+        if info.retain(dom, tables) {
+            self.native_since.store(None);
+        }
     }
 
     /// The detach's own stores to the retained tables are done (the
@@ -1185,8 +1191,8 @@ impl PageInfoTable {
     /// a checkpoint taken after them, was written while native.  No-op
     /// without a retained detach.
     pub fn open_native_window(&self, since: WriteEpoch) {
-        if let Some(kept) = &mut self.info.lock().retained {
-            kept.native_since = Some(since);
+        if self.info.lock().retained.is_some() {
+            self.native_since.store(Some(since));
         }
     }
 
@@ -1195,7 +1201,7 @@ impl PageInfoTable {
     /// written while native.
     pub fn close_native_window(&self, mem: &PhysMemory) {
         if let Some(kept) = &mut self.info.lock().retained {
-            let Some(since) = kept.native_since else {
+            let Some(since) = self.native_since.load() else {
                 return;
             };
             let mut written = [0; RETAINED_TABLES / 64];
@@ -1212,8 +1218,25 @@ impl PageInfoTable {
     /// The native VO's sink, run before each tracked page-table write:
     /// at the first one to a retained table, keep the frame's pre-image
     /// for the next [`Self::reattach`].
+    ///
+    /// Only a frame not stored to since the native window opened can
+    /// need a pre-image, so the sink takes the lock only then: with no
+    /// window open, and at every write after a frame's first since the
+    /// window opened, it is two loads: the lock is taken once per table
+    /// per native period, not once per PTE store.
     pub fn note_write(&self, mem: &PhysMemory, frame: FrameNum) {
-        self.info.lock().keep_preimage(mem, frame);
+        if self
+            .native_since
+            .load()
+            .is_none_or(|since| mem.stored_since(frame, since))
+        {
+            return;
+        }
+        let mut info = self.info.lock();
+        // Read again under the lock: a detach may have moved the window.
+        if let Some(since) = self.native_since.load() {
+            info.keep_preimage(mem, frame, since);
+        }
     }
 
     /// Attach with a baseline: `dom`'s accounting for the base tables
@@ -1838,6 +1861,71 @@ mod tests {
         assert!(
             served > 300,
             "the retained records served {served} attaches"
+        );
+    }
+
+    /// The sink keeps the pre-images it kept when every store took the
+    /// lock: nothing for the detach's own stores before the window
+    /// opens, each retained table's image at its first tracked store
+    /// after, and nothing new at its later stores (where the lock is no
+    /// longer taken) or for a frame that is not a retained table.  The
+    /// reattach then serves, and its records are a cold walk's.
+    #[test]
+    fn the_sink_keeps_each_tables_first_preimage_and_the_reattach_serves() {
+        let pde = |l1| Pte::new(l1, Pte::WRITABLE | Pte::USER);
+        let pte = |data| Pte::new(data, Pte::WRITABLE | Pte::USER);
+        let tree = [
+            (FrameNum(1), 0, pde(4)),
+            (FrameNum(1), 1, pde(5)),
+            (FrameNum(4), 0, pte(12)),
+            (FrameNum(5), 0, pte(13)),
+        ];
+        // Tracked stores before the window opens (one that moves no
+        // reference, as the detach's own flip nets to none) and after.
+        let detach = [(FrameNum(4), 0, Pte(pte(12).0 | Pte::ACCESSED))];
+        let native = [
+            (FrameNum(4), 2, pte(15)),
+            (FrameNum(4), 0, Pte::ABSENT),
+            (FrameNum(4), 3, pte(16)),
+            (FrameNum(5), 7, pte(17)),
+            (FrameNum(20), 0, Pte(9)),
+        ];
+        let (t, mem, cpu) = tree_rig(&tree);
+        let pgds = [FrameNum(1)];
+        let tables = [FrameNum(1), FrameNum(4), FrameNum(5)];
+        t.recompute_for_at(&cpu, &mem, D, FRAMES, &pgds, 0).unwrap();
+        let preimages = |t: &PageInfoTable| -> Vec<Option<Vec<u64>>> {
+            let info = t.info.lock();
+            let kept = info.retained.as_ref().expect("retained");
+            (0..tables.len())
+                .map(|slot| kept.preimages[slot].as_ref().map(|image| image.to_vec()))
+                .collect()
+        };
+        let store = |(table, index, pte): (FrameNum, usize, Pte)| {
+            t.note_write(&mem, table);
+            mem.write_pte(&cpu, table, index, pte).unwrap();
+        };
+        t.retain(D, tables.to_vec());
+        detach.into_iter().for_each(store);
+        assert_eq!(preimages(&t), [None, None, None], "no window, no pre-image");
+        t.open_native_window(mem.checkpoint());
+        let opened = tables.map(|table| mem.export_frame(table).unwrap());
+        native.into_iter().for_each(store);
+        let want = [None, Some(opened[1].clone()), Some(opened[2].clone())];
+        assert_eq!(
+            preimages(&t),
+            want,
+            "each table as its first native store found it"
+        );
+        t.close_native_window(&mem);
+        assert_eq!(t.reattach(&cpu, &mem, D, FRAMES, &pgds, &tables), Ok(true));
+        let every: Vec<_> = tree.iter().chain(&detach).chain(&native).copied().collect();
+        let (cold, cold_mem, cold_cpu) = tree_rig(&every);
+        cold.recompute_for_at(&cold_cpu, &cold_mem, D, FRAMES, &pgds, 0)
+            .unwrap();
+        assert!(
+            t.snapshot() == cold.snapshot(),
+            "the reattach's records are the walk's"
         );
     }
 

@@ -129,6 +129,10 @@ fn rewrite_table(words: &mut [u64], map: &HashMap<u32, u32>) -> Result<(), HvErr
 /// The guest's Rust-side kernel object is *not* rebuilt here — the
 /// caller thaws it from [`Domain::frozen_state`] (see nimbus' restore
 /// path).
+///
+/// A restore that fails leaves the target as it found it: what it
+/// pinned is unpinned, and every frame it took is unowned and back
+/// with the allocator.
 pub fn restore_domain(
     hv: &Hypervisor,
     image: &DomainImage,
@@ -139,18 +143,50 @@ pub fn restore_domain(
         .allocator
         .alloc_many(cpu, image.frames.len())
         .ok_or(HvError::OutOfMemory)?;
+    let id = hv.allocate_domid(DomId(image.id));
+    let dom = Domain::new(id, image.name.clone(), image.privileged, 0);
+    match place(hv, image, &dom, &new_frames) {
+        Ok(map) => {
+            hv.adopt_domain(Arc::clone(&dom));
+            Ok((dom, map))
+        }
+        Err(e) => {
+            let mem = &hv.machine.mem;
+            for pgd in dom.pgds() {
+                // Each pin `place` made succeeded whole, so each unpins.
+                let _ = hv.page_info.unpin_l2(cpu, mem, pgd, id);
+            }
+            for frame in dom.frames() {
+                hv.page_info.set_owner(frame, None);
+            }
+            for frame in new_frames {
+                hv.machine.allocator.free(frame);
+            }
+            Err(e)
+        }
+    }
+}
+
+/// Fill `new_frames` with `image`'s frames, owned by `dom`, and re-pin
+/// its base tables; `dom` names each frame it gave `dom` and each base
+/// table it pinned, also when it fails.  Returns the old→new frame map.
+fn place(
+    hv: &Hypervisor,
+    image: &DomainImage,
+    dom: &Domain,
+    new_frames: &[FrameNum],
+) -> Result<HashMap<u32, u32>, HvError> {
+    let cpu = hv.machine.boot_cpu();
     let map: HashMap<u32, u32> = image
         .frames
         .iter()
-        .zip(&new_frames)
+        .zip(new_frames)
         .map(|(fi, nf)| (fi.old_frame, nf.0))
         .collect();
 
     let mem = &hv.machine.mem;
-    let id = hv.allocate_domid(DomId(image.id));
-    let dom = Domain::new(id, image.name.clone(), image.privileged, 0);
-
-    for (fi, nf) in image.frames.iter().zip(&new_frames) {
+    let id = dom.id;
+    for (fi, nf) in image.frames.iter().zip(new_frames) {
         cpu.tick(costs::FRAME_COPY);
         if fi.words.len() != WORDS_PER_PAGE {
             return Err(HvError::BadImage("frame image wrong size".into()));
@@ -186,8 +222,7 @@ pub fn restore_domain(
             .collect(),
     );
     *dom.guest_state.lock() = image.guest_state.clone();
-    hv.adopt_domain(Arc::clone(&dom));
-    Ok((dom, map))
+    Ok(map)
 }
 
 #[cfg(test)]
@@ -260,24 +295,85 @@ mod tests {
         assert_eq!(word, 0xfeed_f00d);
     }
 
-    #[test]
-    fn restore_rejects_dangling_pte() {
+    /// Restore `image` expecting a refusal, and check the target is as
+    /// it was: every frame the restore took is back with the allocator,
+    /// and every record (owner, type, pin) as before.
+    fn assert_refused_without_a_trace(machine: &Machine, hv: &Hypervisor, image: &DomainImage) {
+        let (free, records) = (machine.allocator.available(), hv.page_info.snapshot());
+        assert!(restore_domain(hv, image).is_err());
+        assert_eq!(machine.allocator.available(), free, "frames leaked");
+        assert!(hv.page_info.snapshot() == records, "records left behind");
+    }
+
+    /// A saved guest, destroyed at the source, with its image passed
+    /// through `corrupt`.
+    fn corrupted_image(
+        corrupt: impl FnOnce(&mut DomainImage),
+    ) -> (Arc<Machine>, Arc<Hypervisor>, DomainImage) {
         let (machine, hv) = rig();
         let cpu = machine.boot_cpu();
         let dom = build_guest(&machine, &hv);
         let mut image = save_domain(&hv, cpu, &dom).unwrap();
-        // Corrupt: make the L1 point at a frame outside the image.
-        let l1_img = image
-            .frames
-            .iter_mut()
-            .find(|f| f.typ == PageType::L1)
-            .unwrap();
-        l1_img.words[7] = Pte::new(9999, Pte::WRITABLE).0;
+        corrupt(&mut image);
         hv.destroy_domain(cpu, &dom).unwrap();
+        (machine, hv, image)
+    }
+
+    #[test]
+    fn restore_rejects_dangling_pte() {
+        let (machine, hv, image) = corrupted_image(|image| {
+            // The L1 points at a frame outside the image.
+            let l1_img = image
+                .frames
+                .iter_mut()
+                .find(|f| f.typ == PageType::L1)
+                .unwrap();
+            l1_img.words[7] = Pte::new(9999, Pte::WRITABLE).0;
+        });
         assert!(matches!(
             restore_domain(&hv, &image),
             Err(HvError::BadImage(_))
         ));
+        assert_refused_without_a_trace(&machine, &hv, &image);
+    }
+
+    #[test]
+    fn restore_rejects_a_frame_of_the_wrong_size() {
+        let (machine, hv, image) = corrupted_image(|image| {
+            image.frames.last_mut().unwrap().words.pop();
+        });
+        assert!(matches!(
+            restore_domain(&hv, &image),
+            Err(HvError::BadImage(_))
+        ));
+        assert_refused_without_a_trace(&machine, &hv, &image);
+    }
+
+    /// The re-pin refuses after the frames are placed: at the first
+    /// base table (its tree maps a table writable), or at the second
+    /// (the same table again), with the first pinned and to undo.
+    #[test]
+    fn restore_rejects_a_tree_the_pin_refuses() {
+        let (machine, hv, image) = corrupted_image(|image| {
+            let pgd = image.pgds[0];
+            let l1_img = image
+                .frames
+                .iter_mut()
+                .find(|f| f.typ == PageType::L1)
+                .unwrap();
+            l1_img.words[8] = Pte::new(pgd, Pte::WRITABLE | Pte::USER).0;
+        });
+        assert_refused_without_a_trace(&machine, &hv, &image);
+        let (machine, hv, image) = corrupted_image(|image| image.pgds.push(image.pgds[0]));
+        assert_refused_without_a_trace(&machine, &hv, &image);
+        // Refused twice, the target still restores the good image.
+        let (machine, hv, mut image) = corrupted_image(|_| {});
+        image.pgds.push(image.pgds[0]);
+        let free = machine.allocator.available();
+        assert!(restore_domain(&hv, &image).is_err());
+        image.pgds.pop();
+        let (restored, _) = restore_domain(&hv, &image).unwrap();
+        assert_eq!(machine.allocator.available(), free - restored.frame_count());
     }
 
     #[test]

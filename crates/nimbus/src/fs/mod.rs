@@ -126,7 +126,12 @@ impl Vfs {
         self.free_blocks.len()
     }
 
-    /// Read up to `len` bytes at `pos`.
+    /// Read up to `len` bytes at `pos`.  The inode is borrowed, not
+    /// copied, and each block the range touches appends only its part
+    /// of the range to the result ([`BufferCache::read`]): the bytes
+    /// returned are the only bytes copied.  Each block costs what the
+    /// cache charges for it, a hit `tick(400)` whatever the part's
+    /// length.
     pub fn read(
         &mut self,
         cpu: &Arc<Cpu>,
@@ -135,7 +140,7 @@ impl Vfs {
         pos: u64,
         len: usize,
     ) -> Result<Vec<u8>, KernelError> {
-        let inode = self.inodes.get(&ino).ok_or(KernelError::NoEnt)?.clone();
+        let inode = self.inodes.get(&ino).ok_or(KernelError::NoEnt)?;
         if pos >= inode.size {
             return Ok(Vec::new());
         }
@@ -147,8 +152,8 @@ impl Vfs {
             let off = (cursor % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - off).min(len - out.len());
             let block = *inode.blocks.get(bi).ok_or(KernelError::BadAddress)?;
-            let data = self.cache.read(cpu, driver, block)?;
-            out.extend_from_slice(&data[off..off + take]);
+            self.cache
+                .read(cpu, driver, block, off..off + take, &mut out)?;
             cursor += take as u64;
         }
         Ok(out)
@@ -163,24 +168,19 @@ impl Vfs {
         pos: u64,
         data: &[u8],
     ) -> Result<usize, KernelError> {
-        // Grow the block list first, remembering which blocks are new:
-        // their on-device content is a stale remnant and must read as
-        // zeros.
+        // Grow the block list first; the blocks appended from
+        // `first_fresh` on are new, and their on-device content is a
+        // stale remnant that must read as zeros.
         let end = pos + data.len() as u64;
-        let mut fresh: Vec<u64> = Vec::new();
-        {
-            let inode = self.inodes.get_mut(&ino).ok_or(KernelError::NoEnt)?;
-            let need_blocks = end.div_ceil(BLOCK_SIZE as u64) as usize;
-            while inode.blocks.len() < need_blocks {
-                let b = self.free_blocks.pop().ok_or(KernelError::NoSpace)?;
-                fresh.push(b);
-                inode.blocks.push(b);
-            }
-            inode.size = inode.size.max(end);
+        let inode = self.inodes.get_mut(&ino).ok_or(KernelError::NoEnt)?;
+        let first_fresh = inode.blocks.len();
+        let need_blocks = end.div_ceil(BLOCK_SIZE as u64) as usize;
+        while inode.blocks.len() < need_blocks {
+            let b = self.free_blocks.pop().ok_or(KernelError::NoSpace)?;
+            inode.blocks.push(b);
         }
-        let blocks = self.inodes.get(&ino).expect("checked").blocks.clone();
-        // Fresh blocks not touched by this write (a sparse gap) still
-        // need their zeros established in the cache.
+        inode.size = inode.size.max(end);
+        let blocks = &inode.blocks;
         let mut cursor = pos;
         let mut written = 0;
         while written < data.len() {
@@ -188,7 +188,7 @@ impl Vfs {
             let off = (cursor % BLOCK_SIZE as u64) as usize;
             let take = (BLOCK_SIZE - off).min(data.len() - written);
             let chunk = &data[written..written + take];
-            if fresh.contains(&blocks[bi]) {
+            if bi >= first_fresh {
                 self.cache
                     .write_fresh(cpu, driver, blocks[bi], off, chunk)?;
             } else {
@@ -197,15 +197,11 @@ impl Vfs {
             cursor += take as u64;
             written += take;
         }
-        for b in fresh {
-            let covered = blocks
-                .iter()
-                .position(|&x| x == b)
-                .map(|bi| {
-                    let bstart = bi as u64 * BLOCK_SIZE as u64;
-                    pos < bstart + BLOCK_SIZE as u64 && end > bstart
-                })
-                .unwrap_or(false);
+        // Fresh blocks not touched by this write (a sparse gap) still
+        // need their zeros established in the cache.
+        for (bi, &b) in blocks.iter().enumerate().skip(first_fresh) {
+            let bstart = bi as u64 * BLOCK_SIZE as u64;
+            let covered = pos < bstart + BLOCK_SIZE as u64 && end > bstart;
             if !covered {
                 self.cache.write_fresh(cpu, driver, b, 0, &[])?;
             }
@@ -234,7 +230,7 @@ impl Vfs {
 
 #[cfg(test)]
 mod tests {
-    use super::buffer::tests_support::MemDriver;
+    use super::buffer::tests_support::{Io::*, MemDriver};
     use super::*;
 
     fn cpu() -> Arc<Cpu> {
@@ -326,5 +322,47 @@ mod tests {
         fs.sync(&cpu, &d).unwrap();
         fs.cache = BufferCache::new(8); // drop the whole cache
         assert_eq!(fs.read(&cpu, &d, ino, 0, 10).unwrap(), b"persist me");
+    }
+
+    /// The file path's simulated charges and the cache's counters after
+    /// a fixed sequence, as recorded before reads took a range: a
+    /// create, a prefill in two writes, a read across the block boundary
+    /// at 4 096, reads at and short of EOF, a sparse write past EOF and
+    /// a sync, then the read across the boundary again from an emptied
+    /// cache.
+    #[test]
+    fn the_file_paths_charges_are_pinned() {
+        let d = MemDriver::new();
+        let mut fs = Vfs::mkfs(10, 100);
+        let cpu = cpu();
+        let ino = fs.create(&cpu, "pinned").unwrap();
+        let a: Vec<u8> = (0..2048u32).map(|i| i as u8).collect();
+        let b: Vec<u8> = (0..2048u32).map(|i| (i * 7) as u8).collect();
+        fs.write(&cpu, &d, ino, 0, &a).unwrap();
+        fs.write(&cpu, &d, ino, 3072, &b).unwrap();
+        let across = fs.read(&cpu, &d, ino, 3840, 512).unwrap();
+        assert_eq!(across, b[768..1280]);
+        assert!(fs.read(&cpu, &d, ino, 5120, 512).unwrap().is_empty());
+        assert_eq!(fs.read(&cpu, &d, ino, 5000, 512).unwrap(), b[1928..]);
+        fs.write(&cpu, &d, ino, 3 * BLOCK_SIZE as u64 + 100, b"past eof")
+            .unwrap();
+        assert_eq!(fs.sync(&cpu, &d).unwrap(), 4);
+        fs.cache.drop_clean();
+        assert_eq!(fs.read(&cpu, &d, ino, 3840, 512).unwrap(), across);
+        assert_eq!(cpu.cycles(), 3856);
+        assert_eq!(fs.cache.stats, (4, 2, 4));
+        let io = [
+            Write(10),
+            Write(11),
+            Write(13),
+            Write(12),
+            Read(10),
+            Read(11),
+        ];
+        assert_eq!(
+            *d.log.lock(),
+            io,
+            "block 12 is the sparse gap, touched last"
+        );
     }
 }

@@ -281,7 +281,7 @@ impl Hypervisor {
             .into_keys()
             .collect();
         for id in ids {
-            self.sched.remove_domain(DomId(id));
+            self.sched.remove_domain(DomId(id), |_, _| ());
         }
         {
             let mut routing = self.routing.lock();
@@ -299,7 +299,7 @@ impl Hypervisor {
     /// instance, or a failed transfer into this one is being unwound).
     pub fn forget_domain(&self, id: DomId) {
         self.domains.write().remove(&id.0);
-        self.sched.remove_domain(id);
+        self.sched.remove_domain(id, |_, _| ());
         self.route_domain(id);
     }
 
@@ -401,7 +401,7 @@ impl Hypervisor {
             dom.remove_frame(*f);
         }
         dom.kill();
-        self.sched.remove_domain(dom.id);
+        self.sched.remove_domain(dom.id, |_, _| ());
         self.domains.write().remove(&dom.id.0);
         self.route_domain(dom.id);
         Ok(frames)

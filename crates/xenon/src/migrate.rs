@@ -96,7 +96,10 @@ impl LiveMigration {
     /// Stop-and-copy: pause the guest, ship the last dirty set, assemble
     /// the image from the staged frames and the control state,
     /// materialize the domain on `target`, and destroy it at the source.
-    /// Returns the new domain and the report.
+    /// Returns the new domain and the report.  If the last round, the
+    /// image or the restore fails, the guest resumes at the source as it
+    /// was paused: each vCPU's `runnable` flag and each run-queue entry
+    /// is put back, and the target keeps none of its frames.
     ///
     /// The caller re-wires devices afterwards (§5.2: network frontends
     /// reconnect to the new backend *after* migration completes).
@@ -111,30 +114,27 @@ impl LiveMigration {
         let downtime_start = cpu.cycles();
 
         // Pause: deschedule everywhere.
-        for v in 0..self.dom.num_vcpus() {
+        let runnable: Vec<bool> = self.dom.vcpus().iter().map(|v| v.runnable).collect();
+        for v in 0..runnable.len() {
             self.dom.set_runnable(v, false);
         }
-        self.source.sched.remove_domain(self.dom.id);
+        let mut queued = Vec::new();
+        self.source
+            .sched
+            .remove_domain(self.dom.id, |pcpu, unit| queued.push((pcpu, unit)));
 
-        // The stop-and-copy: the last round, with the guest paused.
-        self.round(cpu)?;
-
-        // The image: every frame as the rounds staged it, in the
-        // domain's frame order, and the control state (vCPUs, pgds,
-        // guest state) as it stands.
-        let frames = self
-            .dom
-            .frames()
-            .iter()
-            .map(|f| {
-                self.staged
-                    .remove(&f.0)
-                    .ok_or_else(|| HvError::BadImage(format!("frame {} never shipped", f.0)))
-            })
-            .collect::<Result<_, _>>()?;
-        let image = DomainImage::assemble(&self.dom, frames);
-
-        let (new_dom, frame_map) = restore_domain(target, &image)?;
+        let (new_dom, frame_map) = match self.stop_and_copy(cpu, target) {
+            Ok(landed) => landed,
+            Err(e) => {
+                for (v, was) in runnable.into_iter().enumerate() {
+                    self.dom.set_runnable(v, was);
+                }
+                for (pcpu, unit) in queued {
+                    self.source.sched.enqueue(pcpu, unit);
+                }
+                return Err(e);
+            }
+        };
         for v in 0..new_dom.num_vcpus() {
             new_dom.set_runnable(v, true);
         }
@@ -154,6 +154,30 @@ impl LiveMigration {
             rounds: std::mem::take(&mut self.shipped),
         };
         Ok((new_dom, report))
+    }
+
+    /// The paused part of [`Self::finalize`]: the last round, the image
+    /// (every frame as the rounds staged it, in the domain's frame
+    /// order, and the control state — vCPUs, pgds, guest state — as it
+    /// stands), and its restore on `target`.
+    fn stop_and_copy(
+        &mut self,
+        cpu: &Cpu,
+        target: &Arc<Hypervisor>,
+    ) -> Result<(Arc<Domain>, HashMap<u32, u32>), HvError> {
+        self.round(cpu)?;
+        let frames = self
+            .dom
+            .frames()
+            .iter()
+            .map(|f| {
+                self.staged
+                    .remove(&f.0)
+                    .ok_or_else(|| HvError::BadImage(format!("frame {} never shipped", f.0)))
+            })
+            .collect::<Result<_, _>>()?;
+        let image = DomainImage::assemble(&self.dom, frames);
+        restore_domain(target, &image)
     }
 }
 
@@ -451,5 +475,43 @@ mod abort_tests {
             m_src.mem.read_word(cpu, PhysAddr(f[2].base().0)).unwrap(),
             4242
         );
+    }
+
+    /// A stop-and-copy whose restore fails — a target with 4 free
+    /// frames for a 16-frame guest — resumes the guest at the source:
+    /// a vCPU is runnable, the source still hosts the domain, its
+    /// pCPU's scheduler picks it, and the target keeps no frame.
+    #[test]
+    fn a_failed_stop_and_copy_resumes_the_source() {
+        let (m_src, hv_src) = node();
+        let (m_dst, hv_dst) = node();
+        let cpu = m_src.boot_cpu();
+        let dom = build_guest(&m_src, &hv_src);
+        let spare = m_dst.allocator.available() - 4;
+        let _held = m_dst.allocator.alloc_many(m_dst.boot_cpu(), spare).unwrap();
+        let free_on_target = m_dst.allocator.available();
+        let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
+        mig.round(cpu).unwrap();
+
+        let failed = mig.finalize(cpu, &hv_dst);
+
+        assert!(
+            matches!(failed, Err(HvError::OutOfMemory)),
+            "{:?}",
+            failed.err()
+        );
+        assert!(dom.any_runnable(), "source vCPUs must not be left paused");
+        assert!(hv_src.domain(dom.id).is_some());
+        let next = hv_src
+            .sched
+            .pick_next(dom.home_pcpu(), |id| hv_src.domain(id));
+        assert_eq!(
+            next,
+            Some(crate::sched::SchedUnit {
+                dom: dom.id,
+                vcpu: 0
+            })
+        );
+        assert_eq!(m_dst.allocator.available(), free_on_target);
     }
 }

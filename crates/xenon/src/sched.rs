@@ -43,11 +43,19 @@ impl Scheduler {
     }
 
     /// Remove every vCPU of `dom` from all queues (domain destruction or
-    /// migration away).
-    pub fn remove_domain(&self, dom: DomId) {
+    /// migration away), handing each `(pcpu, unit)` removed to
+    /// `removed`, so a pause that is called off can put them back with
+    /// [`Self::enqueue`].  A callback rather than a list: domain
+    /// destruction runs on the live-update path, which must not allocate.
+    pub fn remove_domain(&self, dom: DomId, mut removed: impl FnMut(usize, SchedUnit)) {
         // volint::bound(64) — one run queue per physical CPU
-        for q in &self.queues {
-            q.lock().retain(|u| u.dom != dom);
+        for (pcpu, q) in self.queues.iter().enumerate() {
+            q.lock().retain(|&u| {
+                if u.dom == dom {
+                    removed(pcpu, u);
+                }
+                u.dom != dom
+            });
         }
     }
 
@@ -164,7 +172,9 @@ mod tests {
         s.enqueue(1, u);
         s.enqueue(1, u);
         assert_eq!(s.queue_len(1), 1);
-        s.remove_domain(a.id);
+        let mut removed = Vec::new();
+        s.remove_domain(a.id, |pcpu, unit| removed.push((pcpu, unit)));
+        assert_eq!(removed, [(1, u)]);
         assert_eq!(s.queue_len(1), 0);
         assert!(s.pick_next(1, |_| Some(a.clone())).is_none());
     }

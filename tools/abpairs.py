@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Alternated A/B pairs of two built benchmark harnesses on one workload.
+"""Alternated A/B pairs of two built benchmark harnesses, workload by workload.
 
-    python3 tools/abpairs.py A B --workload W [--seed N] [--seconds S] [--pairs K]
+    python3 tools/abpairs.py A B --workload W[,W...]|all [--seed N] [--seconds S] [--pairs K]
 
 A and B are `mercury-benchmark` executables (a parent build, then the
 change's; `benchmark/run.sh` builds one under
@@ -18,10 +18,16 @@ lists off the simulated clock (`setup_s`, `host_busy_mcycles_per_s`,
 its BENCHMARK.json bound — the acceptance gate's test — is marked
 `OUT OF BOUND`.
 
+`--workload` takes one name, a comma list, or `all` (the workloads
+BENCHMARK.json lists, in its order).  The pairs of each workload run in
+turn, and each workload's lines and summary are printed under a
+`== NAME ==` header.
+
 Every `sim_*` metric is a pure function of the seed, so the two sides
 must agree on all of them in every pair: the first that differs is
-named and the exit status is 1.  A run that fails or prints no result is
-exit 2.  Defaults: seed 11, 10 s, 6 pairs.
+named with its workload and the exit status is 1, without running the
+workloads after it.  A run that fails or prints no result is exit 2.
+Defaults: seed 11, 10 s, 6 pairs.
 """
 
 import argparse
@@ -43,6 +49,14 @@ def host_bounds(path=SPEC):
         spec = json.load(f)
     return {m["name"]: (m["better"], m["bound"])
             for m in spec["end_to_end"] if not m["name"].startswith("sim_")}
+
+
+def workloads(arg, path=SPEC):
+    """The workload names `--workload` stands for, in order."""
+    if arg == "all":
+        with open(path) as f:
+            return [w["name"] for w in json.load(f)["workloads"]]
+    return [name for name in arg.split(",") if name]
 
 
 def worse_by(better, a, b):
@@ -95,8 +109,21 @@ def main(argv):
     args = parser.parse_args(argv[1:])
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    names = workloads(args.workload)
+    if not names:
+        parser.error("--workload names no workload")
 
     bounds = host_bounds()
+    for workload in names:
+        print(f"== {workload} ==")
+        code = pairs(args, workload, bounds)
+        if code:
+            return code
+    return 0
+
+
+def pairs(args, workload, bounds):
+    """Run and summarise one workload's pairs; returns the exit status."""
     host = {"A": {}, "B": {}}
     wins = 0
     with tempfile.TemporaryDirectory() as out:
@@ -106,14 +133,14 @@ def main(argv):
             try:
                 for side in order:
                     binary = args.a if side == "A" else args.b
-                    got[side] = run(binary, args.workload, args.seed, args.seconds, out)
+                    got[side] = run(binary, workload, args.seed, args.seconds, out)
             except (OSError, RuntimeError, ValueError, KeyError) as e:
-                print(f"abpairs: pair {pair}: {e}", file=sys.stderr)
+                print(f"abpairs: {workload} pair {pair}: {e}", file=sys.stderr)
                 return 2
             differs = first_sim_difference(got["A"], got["B"])
             if differs:
                 va, vb = got["A"].get(differs, {}).get("value"), got["B"].get(differs, {}).get("value")
-                print(f"abpairs: pair {pair}: {differs} differs: A {va!r} B {vb!r}")
+                print(f"abpairs: {workload} pair {pair}: {differs} differs: A {va!r} B {vb!r}")
                 return 1
             for side in "AB":
                 for name in bounds:
@@ -137,7 +164,7 @@ def main(argv):
         ma, mb = statistics.median(host["A"][name]), statistics.median(host["B"][name])
         worse, flag = out_of_bound(name, ma, mb)
         print(f"{name}: A median {figure(ma)}  B median {figure(mb)}  worse by {100 * worse:+.2f} %{flag}")
-    print(f"sim_*: identical in every pair ({args.workload}, seed {args.seed}, {args.seconds} s)")
+    print(f"sim_*: identical in every pair ({workload}, seed {args.seed}, {args.seconds} s)")
     return 0
 
 

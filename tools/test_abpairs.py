@@ -31,19 +31,23 @@ runs = me + ".runs"
 n = int(open(runs).read()) if os.path.exists(runs) else 0
 with open(runs, "w") as f:
     f.write(str(n + 1))
-want = ["--workload", "switch_cycle", "--seed", "23", "--seconds", "1", "--trace", "0", "--out"]
-if sys.argv[1:10] != want or canned["exit"]:
-    print("harness: bad arguments" if sys.argv[1:10] != want else "harness: broke", file=sys.stderr)
+want = ["--seed", "23", "--seconds", "1", "--trace", "0", "--out"]
+workload = sys.argv[2]
+good = sys.argv[1] == "--workload" and workload in canned["workloads"] and sys.argv[3:10] == want
+if not good or canned["exit"]:
+    print("harness: bad arguments" if not good else "harness: broke", file=sys.stderr)
     sys.exit(canned["exit"] or 2)
 print("calibrating")
 metrics = {"setup_s": {"value": 0.02 + n, "unit": "s"}}
-metrics.update({k: {"value": v, "unit": "us"} for k, v in canned["sim"].items()})
+sim = dict(canned["sim"], **canned["sim_by_workload"].get(workload, {}))
+metrics.update({k: {"value": v, "unit": "us"} for k, v in sim.items()})
 metrics["host_ops_per_s"] = {"value": canned["rates"][n % len(canned["rates"])], "unit": "1/s"}
 metrics.update({k: {"value": v[n % len(v)], "unit": ""} for k, v in canned["host"].items()})
 print(json.dumps({"correct": True, "attempted": 100, "failed": 0, "metrics": metrics}))
 """
 
 SIM = {"sim_p50_us": 27.69, "sim_p99_us": 28.515, "sim_mean_us": 27.68}
+SIX = ["serve_native", "serve_virtual", "churn_native", "churn_virtual", "serve_switching", "switch_cycle"]
 
 
 class AbPairs(unittest.TestCase):
@@ -51,18 +55,19 @@ class AbPairs(unittest.TestCase):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
 
-    def stub(self, name, rates, sim=SIM, exit=0, host=None):
+    def stub(self, name, rates, sim=SIM, exit=0, host=None, sim_by_workload=None):
         path = os.path.join(self.dir.name, name)
         with open(path, "w") as f:
             f.write(STUB)
         os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
         with open(path + ".json", "w") as f:
-            json.dump({"rates": rates, "sim": sim, "exit": exit, "host": host or {}}, f)
+            json.dump({"rates": rates, "sim": sim, "exit": exit, "host": host or {}, "workloads": SIX,
+                       "sim_by_workload": sim_by_workload or {}}, f)
         return path
 
-    def run_main(self, a, b, pairs):
+    def run_main(self, a, b, pairs, workload="switch_cycle"):
         out = io.StringIO()
-        argv = ["abpairs", a, b, "--workload", "switch_cycle", "--seed", "23",
+        argv = ["abpairs", a, b, "--workload", workload, "--seed", "23",
                 "--seconds", "1", "--pairs", str(pairs)]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = ab.main(argv)
@@ -114,6 +119,26 @@ class AbPairs(unittest.TestCase):
         self.assertIn("x0.840, B won 0/2  OUT OF BOUND (bound 15 %)\n", text)
         code, text = self.run_main(self.stub("c", [100.0]), self.stub("d", [86.0]), 2)
         self.assertIn("x0.860, B won 0/2\n", text)
+
+    def test_several_workloads_run_in_turn_and_a_sim_difference_names_its_workload(self):
+        self.assertEqual(ab.workloads("all"), SIX)
+        self.assertEqual(ab.workloads("churn_native,switch_cycle"), ["churn_native", "switch_cycle"])
+        a = self.stub("a", [100.0])
+        b = self.stub("b", [110.0])
+        code, text = self.run_main(a, b, 2, workload="all")
+        self.assertEqual(code, 0, text)
+        headers = [line for line in text.splitlines() if line.startswith("== ")]
+        self.assertEqual(headers, [f"== {w} ==" for w in SIX])
+        for w in SIX:
+            self.assertIn(f"== {w} ==\npair 1 (AB): A 100  B 110  x1.100\n", text)
+            self.assertIn(f"sim_*: identical in every pair ({w}, seed 23, 1 s)\n", text)
+
+        c = self.stub("c", [110.0], sim_by_workload={"churn_native": {"sim_p50_us": 27.7}})
+        code, text = self.run_main(a, c, 2, workload="switch_cycle,churn_native,serve_native")
+        self.assertEqual(code, 1, text)
+        self.assertIn("sim_*: identical in every pair (switch_cycle, seed 23, 1 s)", text)
+        self.assertIn("abpairs: churn_native pair 1: sim_p50_us differs: A 27.69 B 27.7", text)
+        self.assertNotIn("serve_native", text)
 
     def test_a_failing_run_stops_the_pairs(self):
         a = self.stub("a", [100.0])

@@ -394,13 +394,12 @@ impl Watchdog {
         // fault stays armed until an update actually resolves it).
         // A failed roll-forward has dropped its staging, so the next
         // poll stages a fresh instance.
-        let updated = self.mercury.roll_forward(cpu).is_ok();
-        if updated {
+        if self.mercury.roll_forward(cpu).is_ok() {
             merctrace::counter!(cpu.id, "watchdog.live_update", 1, cpu.cycles());
-        } else {
-            merctrace::counter!(cpu.id, "watchdog.live_update_failed", 1, cpu.cycles());
+            return true;
         }
-        updated
+        merctrace::counter!(cpu.id, "watchdog.live_update_failed", 1, cpu.cycles());
+        false
     }
 }
 

@@ -18,11 +18,12 @@
 //! [`hist!`]) are the only interface instrumented crates use, and they
 //! are compiled by the `enabled` cargo feature:
 //!
-//! * feature **off** (the default, and what tier-1 `cargo test -q`
+//! * feature **off** (the default, and what `cargo test --workspace`
 //!   builds): every macro expands to an empty block — the arguments
 //!   are not even evaluated, so instrumented hot paths carry zero
 //!   probe overhead;
-//! * feature **on** (selected by `mercury-bench`): macros forward to
+//! * feature **on** (selected by the umbrella crate's `trace` feature,
+//!   which the `switch_timeline` bin requires): macros forward to
 //!   [`record`], which appends to the per-CPU ring and updates the
 //!   aggregate counter/histogram tables.
 //!

@@ -30,6 +30,9 @@ pub enum KernelError {
     Oops(Fault),
     /// A hypercall failed (virtual mode only).
     Hypervisor(HvError),
+    /// The process table is full (`fork` past [`crate::kernel::MAX_PROCESSES`];
+    /// Linux's `EAGAIN`).
+    ProcessLimit,
     /// Unknown program image.
     NoProgram,
 }
@@ -48,6 +51,7 @@ impl fmt::Display for KernelError {
             KernelError::BadAddress => write!(f, "bad address"),
             KernelError::Oops(fault) => write!(f, "kernel oops: {fault}"),
             KernelError::Hypervisor(e) => write!(f, "hypercall failed: {e}"),
+            KernelError::ProcessLimit => write!(f, "process table full"),
             KernelError::NoProgram => write!(f, "no such program image"),
         }
     }

@@ -126,6 +126,12 @@ pub type IdleTask = Arc<dyn Fn(&Arc<Cpu>, u64) -> u64 + Send + Sync>;
 /// more than a few microseconds of donated work.
 pub const IDLE_DONATION_QUANTUM: u64 = 10_000;
 
+/// The process table's size: [`Kernel::fork`] refuses a fork that
+/// would make more live processes than this
+/// ([`KernelError::ProcessLimit`], Linux's `EAGAIN`).  The switch
+/// path's per-process walks are bounded by it.
+pub const MAX_PROCESSES: usize = 64;
+
 const NO_BLOCK_DRIVER: KernelError = KernelError::Invalid("no block driver");
 const NO_NET_DRIVER: KernelError = KernelError::Invalid("no net driver");
 
@@ -1000,12 +1006,17 @@ impl Kernel {
     // Syscalls: processes
     // -----------------------------------------------------------------
 
-    /// `fork`: copy the current process with a COW address space.
+    /// `fork`: copy the current process with a COW address space.  A
+    /// full process table ([`MAX_PROCESSES`]) refuses the fork before
+    /// it is charged or spends a pid.
     pub fn fork(&self, cpu: &Arc<Cpu>) -> Result<Pid, KernelError> {
         let pv = self.pv();
-        cpu.tick(costs::FORK_BASE);
         let mut st = self.lock_state(cpu);
         let st = &mut *st;
+        if st.procs.len() >= MAX_PROCESSES {
+            return Err(KernelError::ProcessLimit);
+        }
+        cpu.tick(costs::FORK_BASE);
         st.current(cpu)?; // an idle CPU forks nothing: no pid is spent
         let child_pid = Pid(st.next_pid);
         st.next_pid += 1;
@@ -1652,7 +1663,7 @@ impl Kernel {
         let st = self.state.lock();
         // volint::allow(SWITCH-ALLOC): table-frame enumeration buffer; built on the CP before the flip loop touches any PTE, §5.1.2 accepts it
         let mut v: Vec<FrameNum> = self.kmap.l1s.iter().map(|&(_, f)| f).collect();
-        // volint::bound(64) — one aspace per live process, capped by the process table
+        // volint::bound(64) — one aspace per live process, capped by the process table (MAX_PROCESSES)
         for p in st.procs.values() {
             // volint::allow(SWITCH-ALLOC): extends the same enumeration buffer
             v.extend(p.aspace.table_frames());
@@ -2413,6 +2424,33 @@ mod error_path_tests {
             sess.socket(5555),
             Err(KernelError::Invalid("port in use"))
         ));
+    }
+
+    #[test]
+    fn fork_past_the_process_table_is_refused_and_spends_nothing() {
+        let (m, k) = boot_small(4096);
+        let sess = Session::new(Arc::clone(&k), 0);
+        let mut last = None;
+        while k.process_count() < MAX_PROCESSES {
+            last = Some(sess.fork().unwrap());
+        }
+        let cpu = m.boot_cpu();
+        let next_pid = k.state.lock().next_pid;
+        let cycles = cpu.cycles();
+        assert!(matches!(k.fork(cpu), Err(KernelError::ProcessLimit)));
+        assert_eq!(cpu.cycles(), cycles, "a refused fork is not charged");
+        assert_eq!(k.state.lock().next_pid, next_pid, "no pid is spent");
+        assert_eq!(k.process_count(), MAX_PROCESSES);
+
+        // One child exits and is reaped: the table has room again.
+        let child = last.unwrap();
+        sess.run_as(child).unwrap();
+        sess.exit(0).unwrap();
+        sess.run_as(Pid(1)).unwrap();
+        assert_eq!(sess.waitpid().unwrap(), Some((child, 0)));
+        assert_eq!(k.process_count(), MAX_PROCESSES - 1);
+        assert_eq!(sess.fork().unwrap(), Pid(next_pid));
+        assert_eq!(k.process_count(), MAX_PROCESSES);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! With the injection hooks compiled in (`--features fault`): a planted
+//! With the injection hooks compiled in (`--features faults`): a planted
 //! `MemWord` flip reached through [`PhysMemory::read_word`] fires on the
 //! first read at or after its due cycle, hands back the flipped word,
 //! and stays in memory — one atomic XOR, where a frame lock used to
@@ -8,7 +8,7 @@
 //!
 //! Alone in its file: the armed plan is process-wide, and a test binary
 //! of its own is a process of its own; the tests here take turns.
-#![cfg(feature = "fault")]
+#![cfg(feature = "faults")]
 
 use faultgen::{FaultSpec, FaultTarget};
 use simx86::{costs, Cpu, FrameNum, PhysAddr, PhysMemory};

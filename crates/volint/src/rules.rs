@@ -115,14 +115,14 @@ const ANYWHERE: Forbidden = Forbidden {
 
 const ON_DEMAND: &str =
     "the on-demand bracket is stated once: call `Mercury::on_demand` / `Mercury::reach`";
-const CAMPAIGN: &str = "a campaign is stated once: use `mercury_bench::campaign`, \
+const CAMPAIGN: &str = "a campaign is stated once: use `mercury_suite::campaign`, \
                         `mercury::SwitchCounts`, `Watchdog::new(mercury, policy)`";
 const OWNER_WRITTEN: &str =
     "a CPU's own state is a load and a store (`simx86::sync::owner_store`); \
      cross-CPU work is a mailbox request";
 const SYSCALL: &str = "a syscall reads its VO and drivers through the session's `SlotCache`";
-const SRC: &[&str] = &["crates/*/src/"];
-const CAMPAIGN_RS: &[&str] = &["crates/bench/src/campaign.rs"];
+const SRC: &[&str] = &["crates/*/src/", "src/"];
+const CAMPAIGN_RS: &[&str] = &["src/campaign.rs"];
 
 /// Structural facts stated once, each checked as FORBIDDEN: a row's
 /// token sequences may appear in its scope only in its allowed files.
@@ -133,7 +133,7 @@ pub const FORBIDDEN: &[Forbidden] = &[
                `nimbus::drivers::{attach_native, connect_split}`",
         section: "§3a",
         tokens: &["KernelConfig {", "NativeBlockDriver :: new", "FrontendBlockDriver :: new", "BlkBackend :: new"],
-        paths: &["crates/core/", "crates/cluster/", "crates/workloads/", "crates/servo/", "crates/bench/",
+        paths: &["crates/core/", "crates/cluster/", "crates/workloads/", "crates/servo/", "src/",
                  "examples/", "tests/"],
         allowed: &["crates/core/src/stack.rs", "crates/workloads/src/configs.rs"],
         ..ANYWHERE
@@ -142,9 +142,9 @@ pub const FORBIDDEN: &[Forbidden] = &[
                 allowed: &["crates/core/src/switch.rs"], ..ANYWHERE },
     Forbidden { name: ON_DEMAND, section: "§6", tokens: &["SwitchOutcome :: Deferred"], paths: SRC,
                 allowed: &["crates/core/src/switch.rs", "crates/cluster/src/watchdog.rs"], ..ANYWHERE },
-    Forbidden { name: CAMPAIGN, section: "§14", tokens: &["std :: env :: args"], paths: &["crates/bench/src/"],
+    Forbidden { name: CAMPAIGN, section: "§14", tokens: &["std :: env :: args"], paths: &["src/"],
                 allowed: CAMPAIGN_RS, ..ANYWHERE },
-    Forbidden { name: CAMPAIGN, section: "§14", tokens: &["15_000 + rng . below"], paths: &["crates/bench/"],
+    Forbidden { name: CAMPAIGN, section: "§14", tokens: &["15_000 + rng . below"], paths: &["src/", "tests/"],
                 allowed: CAMPAIGN_RS, ..ANYWHERE },
     Forbidden { name: CAMPAIGN, section: "§14",
                 tokens: &["fn watchdog_for", "struct SwitchTotals", "struct SwitchSnap"], ..ANYWHERE },

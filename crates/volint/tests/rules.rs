@@ -616,7 +616,9 @@ fn forbidden_on_demand_flag_fixture() {
     let allowed = ["crates/core/src/switch.rs"];
     let path = "crates/cluster/src/maintenance.rs";
     forbidden_fixture(path, IN_FN, &lines, true, &allowed);
-    // `crates/*/src/` is the scope: an integration test may keep a flag.
+    // The umbrella crate's `src/` is in scope too: a report bin is product code.
+    forbidden_fixture("src/bin/serving_tail.rs", IN_FN, &lines, true, &allowed);
+    // `crates/*/src/` and `src/` are the scope: an integration test may keep a flag.
     let flag = format!("fn t() {{\n{}\n}}\n", lines[0]);
     assert!(analyze_sources(&[("crates/core/tests/stress.rs".into(), flag)], true).is_empty());
 }
@@ -634,17 +636,22 @@ fn forbidden_on_demand_arm_fixture() {
 #[test]
 fn forbidden_campaign_args_fixture() {
     let lines = ["let argv: Vec<String> = std::env::args().collect();"];
-    let allowed = ["crates/bench/src/campaign.rs"];
-    let path = "crates/bench/src/bin/serving_tail.rs";
+    let allowed = ["src/campaign.rs"];
+    let path = "src/bin/serving_tail.rs";
     forbidden_fixture(path, IN_FN, &lines, true, &allowed);
 }
 
 #[test]
 fn forbidden_campaign_planner_fixture() {
     let lines = ["let frame = 15_000 + rng.below(1_000) as u32;"];
-    let allowed = ["crates/bench/src/campaign.rs"];
-    let path = "crates/bench/src/bin/fault_campaign.rs";
+    let allowed = ["src/campaign.rs"];
+    let path = "src/bin/fault_campaign.rs";
     forbidden_fixture(path, IN_FN, &lines, true, &allowed);
+    // The integration test that plants flips is in scope too.
+    let planner = format!("fn t() {{\n{}\n}}\n", lines[0]);
+    let got = analyze_sources(&[("tests/watchdog_under_load.rs".into(), planner)], true);
+    assert_eq!(got.len(), 1);
+    assert_eq!((got[0].line, got[0].rule.as_str()), (2, "FORBIDDEN"));
 }
 
 #[test]
@@ -654,7 +661,7 @@ fn forbidden_campaign_helpers_fixture() {
         "struct SwitchTotals;",
         "struct SwitchSnap;",
     ];
-    forbidden_fixture("crates/bench/src/lib.rs", IN_FN, &lines, true, &[]);
+    forbidden_fixture("src/lib.rs", IN_FN, &lines, true, &[]);
 }
 
 #[test]

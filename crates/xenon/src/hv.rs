@@ -1892,7 +1892,7 @@ mod wrapper_tests {
     /// deadlock), and the calls after it see the wipe exactly as a loop
     /// of `mmu_update` calls does: a wiped table refuses the rest of
     /// the run, a wiped target takes its next reference afresh.
-    #[cfg(feature = "fault")]
+    #[cfg(feature = "faults")]
     #[test]
     fn a_vmm_fault_due_mid_run_lands_as_on_the_per_call_path() {
         use faultgen::{FaultSpec, FaultTarget};

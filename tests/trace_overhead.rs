@@ -8,17 +8,18 @@ use mercury::SwitchOutcome;
 use mercury_workloads::configs::{SysKind, TestBed};
 
 // Gated on the umbrella `trace` feature, not on `merctrace/enabled`
-// directly: the CI feature matrix builds `--features trace`, which is
-// precisely the configuration where probes being live is *intended*.
+// directly: CI's second test cell builds `cargo test --workspace
+// --features trace,faults`, which is precisely the configuration where
+// probes being live is *intended*.
 #[cfg(not(feature = "trace"))]
 #[test]
 // The constancy of the asserted expression is the point: the test
 // pins which build configurations resolve `ENABLED` to false.
 #[allow(clippy::assertions_on_constants)]
 fn tracing_is_compiled_out_in_default_builds() {
-    // Feature unification must not leak `merctrace/enabled` into the
-    // root package's dependency graph (only mercury-bench turns it on,
-    // and nothing here depends on mercury-bench).
+    // Feature unification must not leak `merctrace/enabled` into a
+    // default build, `cargo test --workspace` included: no manifest's
+    // dependency entry turns it on, only the umbrella `trace` feature.
     assert!(
         !merctrace::ENABLED,
         "merctrace/enabled leaked into the default feature set"

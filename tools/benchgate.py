@@ -197,7 +197,10 @@ def bench_cmd(binary, extra=()):
     The binaries write their JSON into the current directory, so they
     run with `cwd` set to a scratch directory; cargo therefore has to be
     told where the workspace is.  `--offline`: the workspace has no
-    registry dependency and CI must not reach for one.
+    registry dependency and CI must not reach for one.  `--features
+    trace,faults`: the bins live in the umbrella crate, and one build
+    with both hook switches on serves all four (`switch_timeline`
+    requires `trace`, the campaigns `faults`).
     """
     cmd = [
         "cargo",
@@ -208,8 +211,8 @@ def bench_cmd(binary, extra=()):
         "-q",
         "--manifest-path",
         os.path.join(REPO, "Cargo.toml"),
-        "-p",
-        "mercury-bench",
+        "--features",
+        "trace,faults",
         "--bin",
         binary,
     ]

@@ -66,6 +66,7 @@ class BenchCommand(unittest.TestCase):
         self.assertIn("--offline", cmd)
         self.assertLess(cmd.index("--manifest-path"), cmd.index("--"))
         self.assertEqual(cmd[cmd.index("--bin") + 1], "serving_tail")
+        self.assertEqual(cmd[cmd.index("--features") + 1], "trace,faults")
         self.assertEqual(cmd[cmd.index("--") + 1 :], ["--seed", "11"])
         self.assertNotIn("--", bg.bench_cmd("all"))
 

@@ -235,4 +235,34 @@ mod tests {
             }
         }
     }
+
+    /// A stack dropped on the thread that faulted in it frees its
+    /// machine, though that thread's fault path kept a copy of the VO
+    /// it ran under (a VO holds its machine) and of the gate table its
+    /// CPU had loaded — in both modes, and with the copy left stale by
+    /// a detach.
+    #[test]
+    fn a_dropped_stack_frees_its_machine_on_the_thread_that_faulted() {
+        use nimbus::kernel::MmapBacking;
+        use nimbus::mm::Prot;
+        use nimbus::Session;
+        let stack = Stack::build(
+            &NodeConfig::small(),
+            TrackingStrategy::default(),
+            AssistMode::Software,
+        );
+        let machine = Arc::downgrade(&stack.machine);
+        let cpu = Arc::clone(stack.machine.boot_cpu());
+        let sess = Session::new(Arc::clone(&stack.kernel), 0);
+        let va = sess.mmap(4, Prot::RW, MmapBacking::Anon).unwrap();
+        sess.poke(va, 1).unwrap();
+        stack.mercury.switch_to_virtual(&cpu).unwrap();
+        sess.poke(simx86::paging::VirtAddr(va.0 + 4096), 2).unwrap();
+        stack.mercury.switch_to_native(&cpu).unwrap();
+        drop((sess, cpu, stack));
+        assert!(
+            machine.upgrade().is_none(),
+            "the machine outlived its stack"
+        );
+    }
 }

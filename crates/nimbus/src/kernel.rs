@@ -35,10 +35,11 @@ use simx86::cpu::{vectors, IdtTable, InterruptSink, TrapFrame};
 use simx86::fault::AccessKind;
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, VirtAddr, PAGE_SIZE};
-use simx86::sync::{Mutex, RwLock};
+use simx86::sync::{owner_store, Mutex, RwLock};
 use simx86::{costs, Cpu, Machine, Mmu, PrivLevel};
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xenon::{Domain, GuestState, Hypervisor};
@@ -132,23 +133,42 @@ pub const IDLE_DONATION_QUANTUM: u64 = 10_000;
 /// path's per-process walks are bounded by it.
 pub const MAX_PROCESSES: usize = 64;
 
+/// A page-fault verdict cell no handler has set since `user_access`
+/// cleared it.
+const VERDICT_UNSET: u64 = 0;
+/// The handler left the faulting process unsignalled.
+const VERDICT_CLEAR: u64 = 1;
+/// The handler left the faulting process signalled.
+const VERDICT_SIGNALLED: u64 = 2;
+
 const NO_BLOCK_DRIVER: KernelError = KernelError::Invalid("no block driver");
 const NO_NET_DRIVER: KernelError = KernelError::Invalid("no net driver");
 
 /// A slot the kernel swaps a few times a second and reads on every
-/// syscall — the VO, the block driver, the net driver (DESIGN.md §14b).
-/// A writer stores under the lock, then bumps the stamp (`Release`); a
-/// [`SlotCache`] takes the lock only when the stamp moved.
+/// syscall and every page fault — the VO, the block driver, the net
+/// driver (DESIGN.md §14b).  A writer stores under the lock, then sets
+/// a fresh stamp (`Release`); a [`SlotCache`] takes the lock only when
+/// the stamp moved.
 pub(crate) struct Published<V> {
     value: RwLock<V>,
     stamp: AtomicU64,
+}
+
+/// Every [`Published`] stamp comes from this one counter, so a stamp
+/// names one value of one slot for the life of the process: a copy
+/// kept by its stamp alone (the page-fault path's) cannot be taken for
+/// another kernel's.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+fn next_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed)
 }
 
 impl<V: Clone> Published<V> {
     fn new(value: V) -> Self {
         Published {
             value: RwLock::new(value),
-            stamp: AtomicU64::new(0),
+            stamp: AtomicU64::new(next_stamp()),
         }
     }
 
@@ -159,7 +179,7 @@ impl<V: Clone> Published<V> {
 
     fn publish(&self, value: V) {
         *self.value.write() = value;
-        self.stamp.fetch_add(1, Ordering::Release);
+        self.stamp.store(next_stamp(), Ordering::Release);
     }
 }
 
@@ -185,6 +205,19 @@ impl<V: Clone> SlotCache<V> {
         }
         Ref::map(self.0.borrow(), |(_, value)| value)
     }
+}
+
+/// The VO a host thread's last page fault ran under, as of `stamp`
+/// ([`Kernel::fault_pv`]).
+struct FaultPv {
+    stamp: u64,
+    pv: Arc<dyn PvOps>,
+}
+
+thread_local! {
+    /// This host thread's [`FaultPv`].  A kernel's drop empties the
+    /// dropping thread's: a VO holds its machine.
+    static FAULT_PV: RefCell<Option<Rc<FaultPv>>> = const { RefCell::new(None) };
 }
 
 /// Everything behind the kernel lock — and, cloned whole, everything a
@@ -306,6 +339,20 @@ pub struct Kernel {
     /// revalidation while Mercury is dormant); `None` means idle CPUs
     /// just wait for interrupts.
     idle_task: RwLock<Option<IdleTask>>,
+    /// Per CPU, a `VERDICT_*`: the faulting process's signal flag as
+    /// the page-fault handler left it, so [`Kernel::user_access`] reads
+    /// it back without the lock.  Owner-written: the thread driving the
+    /// CPU clears it before a fault, and the handler it runs sets it.
+    verdicts: Box<[AtomicU64]>,
+}
+
+impl Drop for Kernel {
+    /// Empty this thread's fault-path copy of a VO: it may be this
+    /// kernel's, and a VO holds its machine.
+    fn drop(&mut self) {
+        // The copy drops after the borrow ends, as in `fault_pv`.
+        let _old = FAULT_PV.try_with(|pv| pv.try_borrow_mut().ok().and_then(|mut pv| pv.take()));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -485,6 +532,9 @@ impl Kernel {
             idt.set_gate(vectors::SELF_VIRT_UPDATE, self_virt());
             Kernel {
                 smp: machine.num_cpus() > 1,
+                verdicts: (0..machine.num_cpus())
+                    .map(|_| AtomicU64::new(VERDICT_UNSET))
+                    .collect(),
                 machine,
                 pv: Published::new(pv),
                 state: Mutex::new(image.state),
@@ -623,6 +673,51 @@ impl Kernel {
     /// The active paravirt object.
     pub fn pv(&self) -> Arc<dyn PvOps> {
         self.pv.get()
+    }
+
+    /// The active paravirt object for the page-fault path, which runs
+    /// on the thread driving the faulting CPU: one `Acquire` load of the
+    /// slot's stamp, and the lock only when it moved since this thread's
+    /// last fault.
+    fn fault_pv(&self) -> Rc<FaultPv> {
+        let stamp = self.pv.stamp.load(Ordering::Acquire);
+        let hit =
+            FAULT_PV.with_borrow(|pv| pv.as_ref().filter(|pv| pv.stamp == stamp).map(Rc::clone));
+        if let Some(pv) = hit {
+            return pv;
+        }
+        let fresh = Rc::new(FaultPv {
+            stamp,
+            pv: self.pv.get(),
+        });
+        // The old copy drops after the borrow ends: it may hold the
+        // last reference to a machine.
+        let _old = FAULT_PV.with_borrow_mut(|pv| pv.replace(Rc::clone(&fresh)));
+        fresh
+    }
+
+    /// Set `cpu`'s page-fault verdict: the faulting process's signal
+    /// flag, or `None` to clear it.
+    fn set_fault_verdict(&self, cpu: &Cpu, signalled: Option<bool>) {
+        let verdict = match signalled {
+            None => VERDICT_UNSET,
+            Some(false) => VERDICT_CLEAR,
+            Some(true) => VERDICT_SIGNALLED,
+        };
+        if let Some(cell) = self.verdicts.get(cpu.id) {
+            let seen = cell.load(Ordering::Relaxed);
+            owner_store(cell, seen, verdict, cpu.id, "page-fault verdict");
+        }
+    }
+
+    /// The signal flag the page-fault handler left in `cpu`'s verdict
+    /// cell, if one of this kernel's set it since it was cleared.
+    fn fault_verdict(&self, cpu: &Cpu) -> Option<bool> {
+        match self.verdicts.get(cpu.id)?.load(Ordering::Relaxed) {
+            VERDICT_CLEAR => Some(false),
+            VERDICT_SIGNALLED => Some(true),
+            _ => None,
+        }
     }
 
     /// Swap the paravirt object (Mercury's VO relocation, §4.2).
@@ -1357,8 +1452,10 @@ impl Kernel {
     // -----------------------------------------------------------------
 
     /// The page-fault handler (runs in interrupt context via the gate).
+    /// It leaves the faulting process's signal flag in `cpu`'s verdict
+    /// cell for [`Kernel::user_access`].
     pub fn handle_page_fault(&self, cpu: &Arc<Cpu>, va: VirtAddr, access: AccessKind) {
-        let pv = self.pv();
+        let pv = self.fault_pv();
         let mut st = self.lock_state(cpu);
         let KState {
             procs,
@@ -1368,33 +1465,50 @@ impl Kernel {
             sched,
             ..
         } = &mut *st;
-        let Some(cur) = sched.current(cpu.id) else {
+        let Some(proc) = sched.current(cpu.id).and_then(|cur| procs.get_mut(&cur.0)) else {
             return;
         };
-        let Some(proc) = procs.get_mut(&cur.0) else {
-            return;
-        };
-        let mut ctx = self.mm_ctx(cpu, &pv, pool);
+        let mut ctx = self.mm_ctx(cpu, &pv.pv, pool);
+        if self
+            .fault_in(&mut ctx, proc, programs, vfs, va, access)
+            .is_err()
+        {
+            proc.signalled = true;
+        }
+        self.set_fault_verdict(cpu, Some(proc.signalled));
+    }
+
+    /// Map the page `proc`'s fault at `va` needs; an error is a signal.
+    fn fault_in(
+        &self,
+        ctx: &mut MmCtx<'_>,
+        proc: &mut Process,
+        programs: &ProgramRegistry,
+        vfs: &mut Vfs,
+        va: VirtAddr,
+        access: AccessKind,
+    ) -> Result<(), KernelError> {
         use crate::mm::FaultFix;
-        let fix = match proc.aspace.handle_anon_fault(&mut ctx, va, access) {
-            Ok(f) => f,
-            Err(_) => FaultFix::Signal,
-        };
+        let cpu = ctx.cpu;
+        let fix = proc
+            .aspace
+            .handle_anon_fault(ctx, va, access)
+            .unwrap_or(FaultFix::Signal);
         if fix != FaultFix::Signal {
-            return;
+            return Ok(());
         }
         // Backed kinds need data the address space can't reach; the
         // VMA is cloned because mapping the page borrows the space.
-        let Some(vma) = proc.aspace.vma_at(va).cloned() else {
-            proc.signalled = true;
-            return;
-        };
+        let vma = proc
+            .aspace
+            .vma_at(va)
+            .cloned()
+            .ok_or(KernelError::BadAddress)?;
         if access == AccessKind::Write && !vma.prot.write {
-            proc.signalled = true;
-            return;
+            return Err(KernelError::BadAddress);
         }
         let page = (va.page_base().0 - vma.start) / PAGE_SIZE;
-        let result: Result<(), KernelError> = (|| match &vma.kind {
+        match &vma.kind {
             VmaKind::Image {
                 prog,
                 page_off,
@@ -1407,7 +1521,7 @@ impl Kernel {
                     let copy = ctx.pool.alloc(cpu).ok_or(KernelError::NoMem)?;
                     ctx.mem.copy_frame(cpu, src, copy)?;
                     proc.aspace.map_page(
-                        &mut ctx,
+                        ctx,
                         va.page_base(),
                         copy,
                         Pte::WRITABLE | Pte::ACCESSED,
@@ -1415,7 +1529,7 @@ impl Kernel {
                 } else {
                     ctx.pool.incref(src);
                     proc.aspace
-                        .map_page(&mut ctx, va.page_base(), src, Pte::ACCESSED)?;
+                        .map_page(ctx, va.page_base(), src, Pte::ACCESSED)?;
                 }
                 Ok(())
             }
@@ -1434,14 +1548,10 @@ impl Kernel {
                 } else {
                     Pte::ACCESSED
                 };
-                proc.aspace
-                    .map_page(&mut ctx, va.page_base(), frame, flags)?;
+                proc.aspace.map_page(ctx, va.page_base(), frame, flags)?;
                 Ok(())
             }
             VmaKind::Anon => Err(KernelError::BadAddress),
-        })();
-        if result.is_err() {
-            proc.signalled = true;
         }
     }
 
@@ -1465,8 +1575,14 @@ impl Kernel {
                 Err(fault) if fault.is_page_fault() => {
                     cpu.tick(costs::TRAP_ENTER_NATIVE);
                     let error = va.0 | ((write as u64) << 62);
+                    self.set_fault_verdict(cpu, None);
                     cpu.deliver_exception(vectors::PAGE_FAULT, error)?;
-                    if self.current_signalled(cpu) {
+                    // A dispatch that ran no handler of this kernel's
+                    // leaves the cell unset: ask under the lock.
+                    let signalled = self
+                        .fault_verdict(cpu)
+                        .unwrap_or_else(|| self.current_signalled(cpu));
+                    if signalled {
                         return Err(KernelError::BadAddress);
                     }
                 }
@@ -1819,12 +1935,12 @@ pub(crate) mod tests {
         kernel
     }
 
-    fn boot_bare(machine: &Arc<Machine>) -> Arc<Kernel> {
+    pub(crate) fn boot_bare(machine: &Arc<Machine>) -> Arc<Kernel> {
         boot_sized(machine, 8 * 1024, 4096)
     }
 
     /// Boot a guest kernel on an always-on hypervisor (the X-0 shape).
-    fn boot_guest(machine: &Arc<Machine>) -> (Arc<Hypervisor>, Arc<Kernel>) {
+    pub(crate) fn boot_guest(machine: &Arc<Machine>) -> (Arc<Hypervisor>, Arc<Kernel>) {
         let hv = Hypervisor::warm_up(machine);
         hv.activate();
         let cpu = machine.boot_cpu();
@@ -2502,5 +2618,142 @@ mod yield_to_tests {
             Err(KernelError::Invalid("yield_to target not ready"))
         ));
         let _ = r;
+    }
+}
+
+/// A user access reads the page-fault handler's verdict from a per-CPU
+/// cell instead of re-locking the kernel, and the handler reads the VO
+/// from the faulting thread's copy.
+#[cfg(test)]
+mod fault_path_tests {
+    use super::tests::{boot_bare, boot_guest, machine};
+    use super::*;
+    use crate::session::Session;
+
+    /// Every way a fault can end in a signal, each op's result, the
+    /// signal flag after it and the cycles it took: a write to a
+    /// read-only VMA, a touch outside every VMA, an access with a
+    /// signal already pending (set by `GpSink` before it) and then the
+    /// page it mapped, a clean fault, and a fault whose gate runs no
+    /// handler of this kernel (the cell stays unset).
+    fn signal_cases(k: &Arc<Kernel>) -> Vec<(String, bool, u64)> {
+        let sess = Session::new(Arc::clone(k), 0);
+        let cpu = Arc::clone(sess.cpu());
+        let ro = sess.mmap(2, Prot::RO, MmapBacking::Anon).unwrap();
+        let rw = sess.mmap(4, Prot::RW, MmapBacking::Anon).unwrap();
+        let mut got = Vec::new();
+        let mut op = |what: &dyn Fn() -> Result<u64, KernelError>| {
+            let c0 = cpu.cycles();
+            let r = what();
+            got.push((
+                format!("{r:?}"),
+                k.current_signalled(&cpu),
+                cpu.cycles() - c0,
+            ));
+            sess.clear_signal();
+        };
+        op(&|| sess.poke(ro, 1).map(|_| 0));
+        op(&|| sess.peek(VirtAddr(rw.0 + 64 * PAGE_SIZE)));
+        op(&|| {
+            cpu.deliver_exception(vectors::GP_FAULT, 0)?;
+            sess.poke(rw, 7).map(|_| 0)
+        });
+        op(&|| sess.peek(rw));
+        op(&|| {
+            sess.poke(page_of(rw, 1), 9)
+                .and_then(|_| sess.peek(page_of(rw, 1)))
+        });
+        let mut idt = IdtTable::new("test");
+        idt.set_gate(vectors::PAGE_FAULT, Arc::new(GpSink(Arc::downgrade(k))));
+        let loaded = cpu.current_idt().unwrap();
+        cpu.set_idt_raw(Arc::new(idt));
+        op(&|| sess.poke(page_of(rw, 2), 3).map(|_| 0));
+        cpu.set_idt_raw(loaded);
+        op(&|| {
+            sess.poke(page_of(rw, 2), 3)
+                .and_then(|_| sess.peek(page_of(rw, 2)))
+        });
+        got
+    }
+
+    fn page_of(va: VirtAddr, page: u64) -> VirtAddr {
+        VirtAddr(va.0 + page * PAGE_SIZE)
+    }
+
+    /// A fault runs under the VO its own kernel published last, with two
+    /// kernels faulting in turn on one thread and one of them
+    /// publishing a new VO between faults: a copy kept by a stamp that
+    /// two slots could share would hand one kernel the other's.
+    #[test]
+    fn a_fault_runs_under_the_vo_its_kernel_published_last() {
+        use crate::session::tests::Marked;
+        let kernels = [machine(1), machine(1)].map(|m| boot_bare(&m));
+        let sessions = kernels.each_ref().map(|k| Session::new(Arc::clone(k), 0));
+        let vas = sessions
+            .each_ref()
+            .map(|s| s.mmap(8, Prot::RW, MmapBacking::Anon).unwrap());
+        let fault = |i: usize, page| {
+            let cpu = sessions[i].cpu();
+            let c0 = cpu.cycles();
+            sessions[i].poke(page_of(vas[i], page), 1).unwrap();
+            cpu.cycles() - c0
+        };
+        let mark = |i: usize, pte| {
+            let inner = kernels[i].pv();
+            kernels[i].set_pv(Arc::new(Marked {
+                inner,
+                entry: 0,
+                exit: 0,
+                pte,
+            }));
+        };
+        // The first fault of each maps its L1 as well; after it, a
+        // fault is one PTE store.
+        let plain = [fault(0, 0), fault(1, 0), fault(0, 1)][2];
+        assert_eq!(fault(1, 1), plain);
+        mark(0, 1_000);
+        mark(1, 70_000);
+        assert_eq!(fault(0, 2), plain + 1_000);
+        assert_eq!(fault(1, 2), plain + 70_000);
+        mark(0, 5_000_000);
+        assert_eq!(fault(0, 3), plain + 5_001_000, "the new VO wraps the old");
+        assert_eq!(fault(1, 3), plain + 70_000);
+    }
+
+    /// Each case's result, flag and cycles, natively and under the
+    /// VMM.  The unset cell is the last `BadAddress`: read as "not
+    /// signalled" it would retry, and take two more traps.
+    #[test]
+    fn a_signalling_fault_returns_bad_address_as_the_locked_read_did() {
+        let case = |r: &str, signalled, cycles| (r.to_string(), signalled, cycles);
+        let bad = "Err(BadAddress)";
+        let m = machine(1);
+        let k = boot_bare(&m);
+        assert_eq!(
+            signal_cases(&k),
+            [
+                case(bad, true, 2592),
+                case(bad, true, 2332),
+                case(bad, true, 5166),
+                case("Ok(0)", false, 66),
+                case("Ok(9)", false, 3464),
+                case(bad, true, 1334),
+                case("Ok(3)", false, 3464),
+            ]
+        );
+        let m = machine(1);
+        let (_hv, k) = boot_guest(&m);
+        assert_eq!(
+            signal_cases(&k),
+            [
+                case(bad, true, 4092),
+                case(bad, true, 3832),
+                case(bad, true, 146834),
+                case("Ok(0)", false, 66),
+                case("Ok(9)", false, 7431),
+                case(bad, true, 1334),
+                case("Ok(3)", false, 7431),
+            ]
+        );
     }
 }

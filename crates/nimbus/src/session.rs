@@ -291,7 +291,7 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::kernel::tests::{boot_sized, machine};
     use crate::paravirt::{ExecMode, KernelMap};
@@ -299,12 +299,14 @@ mod tests {
     use simx86::mem::FrameNum;
     use simx86::paging::Pte;
 
-    /// A VO that charges its own syscall entry and exit costs and does
-    /// everything else as the VO it wraps.
-    struct Marked {
-        inner: Arc<dyn PvOps>,
-        entry: u64,
-        exit: u64,
+    /// A VO that charges its own syscall entry and exit costs, and its
+    /// own extra cost per `set_pte`, and does everything else as the VO
+    /// it wraps.
+    pub(crate) struct Marked {
+        pub(crate) inner: Arc<dyn PvOps>,
+        pub(crate) entry: u64,
+        pub(crate) exit: u64,
+        pub(crate) pte: u64,
     }
 
     impl PvOps for Marked {
@@ -345,6 +347,7 @@ mod tests {
             index: usize,
             val: Pte,
         ) -> Result<(), KernelError> {
+            cpu.tick(self.pte);
             self.inner.set_pte(cpu, table, index, val)
         }
         fn set_ptes(
@@ -400,6 +403,7 @@ mod tests {
                 inner: k.pv(),
                 entry,
                 exit,
+                pte: 0,
             })
         };
         let (first, second) = (marked(1_000, 10), marked(7_000, 300));

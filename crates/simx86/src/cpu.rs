@@ -19,8 +19,10 @@ use crate::costs;
 use crate::fault::Fault;
 use crate::sync::{owner_store, RwLock};
 use crate::tlb::Tlb;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Number of interrupt vectors in a gate table.
 pub const N_VECTORS: usize = 64;
@@ -222,6 +224,22 @@ impl IdtTable {
     }
 }
 
+/// What the thread driving a CPU last read of its gate table
+/// ([`Cpu::loaded_idt`]): the table as of `stamp`.  `cpu` is weak, so a
+/// snapshot keeps no CPU alive, and it keeps the CPU's allocation, so
+/// no CPU made later can be taken for it.
+struct IdtSnap {
+    cpu: Weak<Cpu>,
+    stamp: u64,
+    idt: Option<Arc<IdtTable>>,
+}
+
+thread_local! {
+    /// This host thread's [`IdtSnap`]: one, for the CPU it drives (a
+    /// thread that drives several re-reads on each change of CPU).
+    static IDT_SNAP: RefCell<Option<Rc<IdtSnap>>> = const { RefCell::new(None) };
+}
+
 /// A simulated CPU core.
 pub struct Cpu {
     /// Core id (APIC id).
@@ -237,6 +255,9 @@ pub struct Cpu {
     in_service: AtomicBool,
     halted: AtomicBool,
     idt: RwLock<Option<Arc<IdtTable>>>,
+    /// Moves with every swap of `idt`, as a load and a store under its
+    /// write lock: how a driving thread's [`IdtSnap`] knows it is stale.
+    idt_stamp: AtomicU64,
     /// The loaded descriptor table, as its one field.
     gdt_kernel_dpl: AtomicU8,
     /// Is an EPT installed?  Read in place of `ept` while it is `None`.
@@ -260,6 +281,7 @@ impl Cpu {
             in_service: AtomicBool::new(false),
             halted: AtomicBool::new(false),
             idt: RwLock::new(None),
+            idt_stamp: AtomicU64::new(0),
             gdt_kernel_dpl: AtomicU8::new(Gdt::NATIVE.kernel_dpl as u8),
             non_root: AtomicBool::new(false),
             ept: RwLock::new(None),
@@ -463,7 +485,7 @@ impl Cpu {
     pub fn lidt(&self, table: Arc<IdtTable>) -> Result<(), Fault> {
         self.require_pl0("lidt")?;
         self.tick(60);
-        *self.idt.write() = Some(table);
+        self.load_idt(&mut self.idt.write(), table);
         merctrace::counter!(self.id, "simx86.privop.lidt", 1, self.cycles());
         Ok(())
     }
@@ -472,7 +494,7 @@ impl Cpu {
     /// Virtualization-sensitive (paper §5.1.3).
     #[doc(alias = "volint-privileged")]
     pub fn set_idt_raw(&self, table: Arc<IdtTable>) {
-        *self.idt.write() = Some(table);
+        self.load_idt(&mut self.idt.write(), table);
     }
 
     /// Hardware-internal IDT swap that happens only while `loaded` is
@@ -483,13 +505,51 @@ impl Cpu {
     pub fn replace_idt_raw(&self, loaded: &Arc<IdtTable>, table: Arc<IdtTable>) {
         let mut idt = self.idt.write();
         if idt.as_ref().is_some_and(|t| Arc::ptr_eq(t, loaded)) {
-            *idt = Some(table);
+            self.load_idt(&mut idt, table);
         }
+    }
+
+    /// Put `table` in `idt`, this CPU's slot under its write lock, and
+    /// move the stamp.  The lock orders the writers, so the bump is a
+    /// load and a store.
+    fn load_idt(&self, idt: &mut Option<Arc<IdtTable>>, table: Arc<IdtTable>) {
+        *idt = Some(table);
+        let stamp = self.idt_stamp.load(Ordering::Relaxed);
+        self.idt_stamp.store(stamp + 1, Ordering::Release);
     }
 
     /// The currently loaded gate table, if any.
     pub fn current_idt(&self) -> Option<Arc<IdtTable>> {
         self.idt.read().clone()
+    }
+
+    /// The gate table this CPU has loaded, read by the thread driving
+    /// it for a dispatch: one `Acquire` load of the stamp, and the lock
+    /// only when the stamp moved or the thread last read another CPU.
+    /// The `Rc` keeps the table for the dispatch even if its handler
+    /// loads another.
+    fn loaded_idt(self: &Arc<Self>) -> Rc<IdtSnap> {
+        let stamp = self.idt_stamp.load(Ordering::Acquire);
+        let hit = IDT_SNAP.with_borrow(|snap| {
+            snap.as_ref()
+                .filter(|s| s.stamp == stamp && std::ptr::eq(s.cpu.as_ptr(), Arc::as_ptr(self)))
+                .map(Rc::clone)
+        });
+        if let Some(snap) = hit {
+            return snap;
+        }
+        let fresh = {
+            let idt = self.idt.read();
+            Rc::new(IdtSnap {
+                cpu: Arc::downgrade(self),
+                stamp: self.idt_stamp.load(Ordering::Relaxed),
+                idt: idt.clone(),
+            })
+        };
+        // The old snapshot drops after the borrow ends: its table's
+        // handlers are arbitrary code.
+        let _old = IDT_SNAP.with_borrow_mut(|snap| snap.replace(Rc::clone(&fresh)));
+        fresh
     }
 
     /// `lgdt`: install a descriptor table.  Privileged.
@@ -613,8 +673,8 @@ impl Cpu {
             let vector = bits.trailing_zeros() as u8;
             self.pending.fetch_and(!(1 << vector), Ordering::AcqRel);
             // A handler may load another gate table; read it per vector.
-            if let Some(idt) = self.current_idt() {
-                self.dispatch(&idt, vector, 0);
+            if let Some(idt) = &self.loaded_idt().idt {
+                self.dispatch(idt, vector, 0);
             }
             n += 1;
         }
@@ -628,11 +688,11 @@ impl Cpu {
     /// Returns the fault back to the caller if no handler is installed
     /// (double fault).
     pub fn deliver_exception(self: &Arc<Self>, vector: u8, error: u64) -> Result<(), Fault> {
-        match self.current_idt() {
+        match &self.loaded_idt().idt {
             Some(idt) if idt.gate(vector).is_some() => {
                 merctrace::counter!(self.id, "simx86.fault", 1, self.cycles());
                 merctrace::hist!(self.id, "simx86.fault.vector", vector, self.cycles());
-                self.dispatch(&idt, vector, error);
+                self.dispatch(idt, vector, error);
                 Ok(())
             }
             _ => Err(Fault::DoubleFault),
@@ -858,5 +918,109 @@ mod tests {
         cpu.tick(17);
         // What `tick` does when its load saw 10 and a foreign tick of 7 landed.
         owner_store(&cpu.cycles, 10, 11, cpu.id, "cycle counter");
+    }
+
+    /// A sink that counts its calls and, on its first, loads `next` as
+    /// the table of the CPU it runs on.
+    struct Relinker {
+        calls: AtomicUsize,
+        next: std::sync::Mutex<Option<Arc<IdtTable>>>,
+    }
+    impl InterruptSink for Relinker {
+        fn handle(&self, cpu: &Arc<Cpu>, _frame: &mut TrapFrame) {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            if let Some(next) = self.next.lock().unwrap().take() {
+                cpu.lidt(next).unwrap();
+            }
+        }
+    }
+
+    fn table(vector: u8, sink: Arc<dyn InterruptSink>) -> Arc<IdtTable> {
+        let mut idt = IdtTable::new("test");
+        idt.set_gate(vector, sink);
+        Arc::new(idt)
+    }
+
+    fn counter() -> Arc<CountSink> {
+        Arc::new(CountSink(AtomicUsize::new(0)))
+    }
+
+    /// A table a handler loads with `lidt` is dispatched through from
+    /// the next exception on, and the table it replaced lives until its
+    /// handler has returned (only the CPU held it).
+    #[test]
+    fn a_table_loaded_by_a_handler_takes_the_next_exception() {
+        let cpu = Arc::new(Cpu::new(0));
+        let after = counter();
+        let first = Arc::new(Relinker {
+            calls: AtomicUsize::new(0),
+            next: std::sync::Mutex::new(Some(table(vectors::PAGE_FAULT, after.clone()))),
+        });
+        cpu.lidt(table(vectors::PAGE_FAULT, first.clone())).unwrap();
+        for _ in 0..3 {
+            cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        }
+        assert_eq!(first.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(after.0.load(Ordering::SeqCst), 2);
+        // The same through the interrupt path.
+        let late = counter();
+        let timer = Arc::new(Relinker {
+            calls: AtomicUsize::new(0),
+            next: std::sync::Mutex::new(Some(table(vectors::TIMER, late.clone()))),
+        });
+        cpu.lidt(table(vectors::TIMER, timer.clone())).unwrap();
+        cpu.sti().unwrap();
+        for _ in 0..3 {
+            cpu.raise(vectors::TIMER);
+            assert_eq!(cpu.service_pending(), 1);
+        }
+        assert_eq!(timer.calls.load(Ordering::SeqCst), 1);
+        assert_eq!(late.0.load(Ordering::SeqCst), 2);
+    }
+
+    /// A table another thread swaps in with `replace_idt_raw` takes
+    /// the exceptions the driving thread delivers after the swap; a
+    /// replace naming a table that is not loaded swaps nothing.
+    #[test]
+    fn a_table_replaced_from_another_thread_takes_the_next_exception() {
+        let cpu = Arc::new(Cpu::new(0));
+        let (old, new, stray) = (counter(), counter(), counter());
+        let loaded = table(vectors::PAGE_FAULT, old.clone());
+        cpu.lidt(Arc::clone(&loaded)).unwrap();
+        cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let unloaded = table(vectors::PAGE_FAULT, stray.clone());
+                cpu.replace_idt_raw(&unloaded, table(vectors::PAGE_FAULT, stray.clone()));
+                cpu.replace_idt_raw(&loaded, table(vectors::PAGE_FAULT, new.clone()));
+            });
+        });
+        cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        let calls = [&old, &new, &stray].map(|c| c.0.load(Ordering::SeqCst));
+        assert_eq!(calls, [1, 2, 0]);
+    }
+
+    /// One thread driving several CPUs in turn dispatches each through
+    /// its own table, and a CPU made after another was dropped, with
+    /// the same number of table loads, is not taken for it.
+    #[test]
+    fn each_cpu_a_thread_drives_dispatches_through_its_own_table() {
+        let (a, b) = (counter(), counter());
+        let cpus = [Arc::new(Cpu::new(0)), Arc::new(Cpu::new(1))];
+        cpus[0].lidt(table(vectors::PAGE_FAULT, a.clone())).unwrap();
+        cpus[1].lidt(table(vectors::PAGE_FAULT, b.clone())).unwrap();
+        for cpu in cpus.iter().chain(&cpus) {
+            cpu.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        }
+        assert_eq!([&a, &b].map(|c| c.0.load(Ordering::SeqCst)), [2, 2]);
+        // The thread last drove CPU 1; drop it and make another.
+        let [_, gone] = cpus;
+        drop(gone);
+        let c = counter();
+        let fresh = Arc::new(Cpu::new(1));
+        fresh.lidt(table(vectors::PAGE_FAULT, c.clone())).unwrap();
+        fresh.deliver_exception(vectors::PAGE_FAULT, 0).unwrap();
+        assert_eq!([&b, &c].map(|c| c.0.load(Ordering::SeqCst)), [2, 1]);
     }
 }

@@ -172,6 +172,15 @@ fn line_bit(index: usize) -> u64 {
     1 << (index / WORDS_PER_LINE % LINES_PER_FRAME)
 }
 
+/// The line mask of the nonzero entries among `entries`.
+#[inline]
+fn nonzero_lines(entries: &[(usize, Pte)]) -> u64 {
+    entries
+        .iter()
+        .filter(|(_, pte)| pte.0 != 0)
+        .fold(0, |lines, &(index, _)| lines | line_bit(index))
+}
+
 /// The word indices of each line set in `mask`, lowest first: at most
 /// [`LINES_PER_FRAME`] ranges of [`WORDS_PER_LINE`].
 #[inline]
@@ -439,14 +448,31 @@ impl PhysMemory {
         cpu.tick(costs::MEM_WORD * entries.len() as u64);
         self.stamp(table);
         let mut lines = 0;
-        // volint::bound(512) — one run ≤ ENTRIES_PER_TABLE entries of one table
-        for &(index, pte) in entries {
-            // index < WORDS_PER_PAGE is the caller's contract, as for write_pte
-            frame[index].store(pte.0, Ordering::Release);
-            if pte.0 != 0 {
-                lines |= line_bit(index);
+        // A line's width of entries at a time: the stores OR their words
+        // and their indices together, and eight whose indices agree
+        // above the line's bits share a line, which one test marks.
+        // Eight across lines, and the last few, are marked entry by entry.
+        let mut blocks = entries.chunks_exact(WORDS_PER_LINE);
+        // volint::bound(64) — one run ≤ ENTRIES_PER_TABLE entries of one table
+        for block in &mut blocks {
+            let (mut words, mut any, mut all) = (0, 0, usize::MAX);
+            // volint::bound(8) — WORDS_PER_LINE entries
+            for &(index, pte) in block {
+                // index < WORDS_PER_PAGE is the caller's contract, as for write_pte
+                frame[index].store(pte.0, Ordering::Release);
+                (words, any, all) = (words | pte.0, any | index, all & index);
             }
+            lines |= match (any ^ all) < WORDS_PER_LINE {
+                true if words != 0 => line_bit(all),
+                true => 0,
+                false => nonzero_lines(block),
+            };
         }
+        // volint::bound(7) — what is left after the blocks of eight
+        for &(index, pte) in blocks.remainder() {
+            frame[index].store(pte.0, Ordering::Release);
+        }
+        lines |= nonzero_lines(blocks.remainder());
         self.mark(table, lines);
         Ok(())
     }
@@ -1467,6 +1493,38 @@ mod tests {
                 assert_eq!(mem.lines(frame), 0, "{name}: a zeroing takes the mask");
             }
         }
+    }
+
+    /// `write_ptes` builds its mask eight entries at a time: a run whose
+    /// entries, zero and nonzero, fall over several lines marks exactly
+    /// the lines an entry-by-entry mask would.  Its blocks: eight in one
+    /// line with one nonzero entry, eight zeros in one line, eight
+    /// across three lines, eight whose first and last share a line and
+    /// whose nonzero one does not, and a tail of three that stores zero
+    /// over a nonzero entry.
+    #[test]
+    fn write_ptes_marks_the_lines_of_its_nonzero_entries() {
+        let entry = |index: usize, nonzero: bool| match nonzero {
+            true => (index, Pte::new(index as u32, Pte::USER)),
+            false => (index, Pte::ABSENT),
+        };
+        let mut run: Vec<(usize, Pte)> = (24..32).map(|i| entry(i, i == 29)).collect();
+        run.extend((32..40).map(|i| entry(i, false)));
+        run.extend([0, 7, 8, 15, 16, 23, 40, 41].map(|i| entry(i, [15, 16, 41].contains(&i))));
+        run.extend([48, 100, 49, 50, 51, 52, 53, 55].map(|i| entry(i, i == 100)));
+        run.extend([entry(17, false), entry(511, true), entry(511, false)]);
+        let per_entry = run
+            .iter()
+            .filter(|(_, pte)| pte.0 != 0)
+            .fold(0, |lines, &(index, _)| lines | line_bit(index));
+        assert_eq!(
+            per_entry,
+            [1, 2, 3, 5, 12, 63].map(|l| 1u64 << l).iter().sum()
+        );
+        let (mem, cpu) = (PhysMemory::new(2), test_cpu());
+        mem.write_ptes(&cpu, FrameNum(1), &run).unwrap();
+        assert_eq!(mem.lines(FrameNum(1)), per_entry);
+        assert!(lines_cover_the_data(&mem, FrameNum(1)));
     }
 
     /// Random stores and whole-frame operations over four frames, held

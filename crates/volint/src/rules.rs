@@ -120,7 +120,8 @@ const CAMPAIGN: &str = "a campaign is stated once: use `mercury_suite::campaign`
 const OWNER_WRITTEN: &str =
     "a CPU's own state is a load and a store (`simx86::sync::owner_store`); \
      cross-CPU work is a mailbox request";
-const SYSCALL: &str = "a syscall reads its VO and drivers through the session's `SlotCache`";
+const SYSCALL: &str = "a syscall reads its VO and drivers through the session's `SlotCache`, \
+                       and a page fault its VO through `Kernel::fault_pv`";
 const SRC: &[&str] = &["crates/*/src/", "src/"];
 const CAMPAIGN_RS: &[&str] = &["src/campaign.rs"];
 
@@ -167,10 +168,12 @@ pub const FORBIDDEN: &[Forbidden] = &[
                 paths: &["crates/simx86/src/tlb.rs"], tests: false, ..ANYWHERE },
     Forbidden { name: SYSCALL, section: "§14b", tokens: &[". pv ( )", "block_driver ( )", "net_driver ( )"],
                 paths: &["crates/nimbus/src/session.rs"], tests: false, ..ANYWHERE },
-    Forbidden { name: SYSCALL, section: "§14b", tokens: &["block_driver ( )", "net_driver ( )"],
+    Forbidden { name: SYSCALL, section: "§14b", tokens: &[". pv ( )", "block_driver ( )", "net_driver ( )"],
                 paths: &["crates/nimbus/src/kernel.rs"], tests: false,
                 bodies: &[("Kernel", "read"), ("Kernel", "write"), ("Kernel", "sendto"),
-                          ("Kernel", "recvfrom"), ("Kernel", "recvfrom_nonblock")],
+                          ("Kernel", "recvfrom"), ("Kernel", "recvfrom_nonblock"),
+                          ("Kernel", "handle_page_fault"), ("Kernel", "user_access"),
+                          ("PageFaultSink", "handle")],
                 ..ANYWHERE },
 ];
 

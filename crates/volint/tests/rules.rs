@@ -721,6 +721,21 @@ fn forbidden_session_fixture() {
     forbidden_fixture("crates/nimbus/src/session.rs", IN_FN, &lines, false, &[]);
 }
 
+/// The kernel's row also covers the page-fault path, which reads its VO
+/// from the faulting thread's copy: `pv()` is a finding in the handler,
+/// its sink and `user_access`, and not in the kernel's other fns.
+#[test]
+fn forbidden_fault_path_bodies_fixture() {
+    let wrap = "impl Kernel {\n\
+                pub fn handle_page_fault(&self) {\nLINES}\n\
+                pub fn user_access(&self) {\nLINES}\n\
+                pub fn mprotect(&self) {\nlet pv = self.pv();\n}\n}\n\
+                impl InterruptSink for PageFaultSink {\n\
+                fn handle(&self) {\nLINES}\n}\n";
+    let lines = ["let pv = k.pv();"];
+    forbidden_fixture("crates/nimbus/src/kernel.rs", wrap, &lines, false, &[]);
+}
+
 /// The kernel's row covers the bodies of the syscalls a session hands
 /// its drivers to, and no other fn: `Kernel::sync` keeps its lookup.
 #[test]

@@ -26,13 +26,6 @@
 
 pub mod campaign;
 
-pub use mercury;
-pub use mercury_cluster;
-pub use mercury_workloads;
-pub use nimbus;
-pub use simx86;
-pub use xenon;
-
 use mercury::{SwitchOutcome, TrackingStrategy};
 use mercury_workloads::configs::{switch_with_peers, TestBed};
 use mercury_workloads::lmbench::lat_fork;

@@ -4,6 +4,9 @@
     report.py PROFILE                   self and inclusive time by function
     report.py PROFILE --callers PATTERN who calls the functions matching
                                         PATTERN (a regex), by immediate caller
+    report.py PROFILE --callees PATTERN where the time under the functions
+                                        matching PATTERN goes, by the frame
+                                        below the outermost match
     report.py PROFILE --locked          the share of samples whose interrupted
                                         instruction follows a `lock`-prefixed
                                         one or an `xchg`, by function
@@ -392,6 +395,20 @@ def report(text, args):
               callers.most_common(), total, args.top)
         return 0
 
+    if args.callees:
+        pattern = re.compile(args.callees)
+        callees = collections.Counter()
+        for names in named:
+            for depth in range(len(names) - 1, -1, -1):
+                if pattern.search(names[depth]):
+                    callees[names[depth - 1] if depth else "[self]"] += 1
+                    break
+        under = sum(callees.values())
+        print("%.1f%% of samples (%d) are under /%s/\n" % (100.0 * under / total, under, args.callees))
+        table("callees of /%s/ (outermost match per sample)" % args.callees,
+              callees.most_common(), total, args.top)
+        return 0
+
     self_time = collections.Counter(names[0] for names in named)
     inclusive = collections.Counter()
     for names in named:
@@ -407,6 +424,7 @@ def main(argv=None):
     ap.add_argument("--top", type=int, default=25, help="rows per table (default 25)")
     mode = ap.add_mutually_exclusive_group()
     mode.add_argument("--callers", metavar="PATTERN")
+    mode.add_argument("--callees", metavar="PATTERN")
     mode.add_argument("--locked", action="store_true")
     mode.add_argument("--diff", nargs=2, metavar=("A", "B"))
     mode.add_argument("--annotate", metavar="SYMBOL")

@@ -53,7 +53,7 @@ rp.stat_exe = lambda path: FIXTURE_EXE if path == "/fixture/harness" else None
 
 
 def run(**mode):
-    args = argparse.Namespace(top=25, callers=None, locked=False)
+    args = argparse.Namespace(top=25, callers=None, callees=None, locked=False)
     vars(args).update(mode)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
@@ -151,6 +151,30 @@ class Profile(unittest.TestCase):
             [("87.50%", "7", "[root]")],
         )
 
+    def test_callees_take_the_frame_below_the_outermost_match(self):
+        _, out = run(callees="^main$")
+        self.assertIn("87.5% of samples (7) are under /^main$/", out)
+        self.assertEqual(
+            rows(out, "callees of /^main$/ (outermost match per sample)"),
+            [
+                ("62.50%", "5", "nimbus::mm::pool::FramePool::incref"),
+                ("12.50%", "1", "simx86::mem::PhysMemory::read_pte"),
+                ("12.50%", "1", "[libc.so.6]"),
+            ],
+        )
+        # A sample whose match is its leaf is the function's own time;
+        # with both on the stack, the outer one is the match.
+        _, out = run(callees="read_pte")
+        self.assertEqual(
+            rows(out, "callees of /read_pte/ (outermost match per sample)"),
+            [("50.00%", "4", "[self]"), ("12.50%", "1", "simx86::cpu::Cpu::tick")],
+        )
+        _, out = run(callees="incref|read_pte")
+        self.assertEqual(
+            rows(out, "callees of /incref|read_pte/ (outermost match per sample)"),
+            [("50.00%", "4", "simx86::mem::PhysMemory::read_pte"), ("25.00%", "2", "[self]")],
+        )
+
     def test_locked_share_counts_lock_prefixes_and_memory_xchg_only(self):
         _, out = run(locked=True)
         self.assertIn("50.0% of samples (4) follow a lock-prefixed instruction or an xchg", out)
@@ -207,7 +231,7 @@ class Profile(unittest.TestCase):
         self.assertEqual(after, {0x1106, 0x110C, 0x1204})
 
     def test_an_empty_profile_is_an_error(self):
-        args = argparse.Namespace(top=25, callers=None, locked=False)
+        args = argparse.Namespace(top=25, callers=None, callees=None, locked=False)
         with contextlib.redirect_stderr(io.StringIO()):
             self.assertEqual(rp.report("# hostprof period_us=200 dropped=0\n# maps\n# stacks\n", args), 1)
 
@@ -232,7 +256,7 @@ class Profile(unittest.TestCase):
         old = fixture("profile.txt").split("\n")
         old[0] = "# hostprof period_us=200 dropped=0"
         del old[1:3]  # the `# exe` section
-        args = argparse.Namespace(top=25, callers=None, locked=False)
+        args = argparse.Namespace(top=25, callers=None, callees=None, locked=False)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             self.assertEqual(rp.report("\n".join(old), args), 0)

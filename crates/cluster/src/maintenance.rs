@@ -303,7 +303,11 @@ mod tests {
         let guest = evacuate(home, host).unwrap();
         assert!(guest.report.total_frames > 0);
         assert_eq!(guest.kernel.exec_mode(), ExecMode::Virtual);
-        assert_eq!(host.hv().domains().len(), 2, "host hosts its OS + the guest");
+        assert_eq!(
+            host.hv().domains().len(),
+            2,
+            "host hosts its OS + the guest"
+        );
 
         // The evacuated OS keeps running on the host.
         let gsess = Session::new(Arc::clone(&guest.kernel), 0);

@@ -423,7 +423,11 @@ mod tests {
             // A child with pages of its own, alive at the detach.
             let sess = Session::new(Arc::clone(kernel), 0);
             sess.fork().unwrap();
-            assert_eq!(sess.waitpid().unwrap(), None, "the parent blocks, the child runs");
+            assert_eq!(
+                sess.waitpid().unwrap(),
+                None,
+                "the parent blocks, the child runs"
+            );
             let va = sess.mmap(8, Prot::RW, MmapBacking::Anon).unwrap();
             sess.poke(va, 1).unwrap();
             // Detach: an O(owned) wipe, or an O(tables) release under a
@@ -444,8 +448,11 @@ mod tests {
             let live = kernel.all_table_frames();
             restore_entries(&mercury, &live[..3]);
             let dirty = mercury.revalidation_backlog();
-            let freed: Vec<FrameNum> =
-                at_detach.iter().filter(|f| !live.contains(f)).copied().collect();
+            let freed: Vec<FrameNum> = at_detach
+                .iter()
+                .filter(|f| !live.contains(f))
+                .copied()
+                .collect();
             if walk.is_none() {
                 // The three tables stored to, and the freed tables the
                 // exit stored to: nothing else.
@@ -583,9 +590,18 @@ mod tests {
             mercury.inject_abort(Some(row.name));
             assert!(mercury.switch_to_virtual(cpu).is_err(), "{}", row.name);
             let after = mercury.revalidation_backlog();
-            assert!(before.iter().all(|f| after.contains(f)), "{}: {after:?}", row.name);
+            assert!(
+                before.iter().all(|f| after.contains(f)),
+                "{}: {after:?}",
+                row.name
+            );
             mercury.switch_to_virtual(cpu).unwrap();
-            assert_eq!(hv.page_info.snapshot(), scratch_walk(&mercury, 0).1, "{}", row.name);
+            assert_eq!(
+                hv.page_info.snapshot(),
+                scratch_walk(&mercury, 0).1,
+                "{}",
+                row.name
+            );
         }
     }
 
@@ -603,8 +619,13 @@ mod tests {
                 // A detach that retained what an attach derived.
                 mercury.switch_to_native(cpu).unwrap();
                 mercury.switch_to_virtual(cpu).unwrap();
-                let wanted = [xenon::PageType::Writable, xenon::PageType::L1][usize::from(leaf_table)];
-                let frame = hv.page_info.snapshot().iter().position(|rec| rec.typ == wanted);
+                let wanted =
+                    [xenon::PageType::Writable, xenon::PageType::L1][usize::from(leaf_table)];
+                let frame = hv
+                    .page_info
+                    .snapshot()
+                    .iter()
+                    .position(|rec| rec.typ == wanted);
                 let frame = simx86::FrameNum(frame.unwrap() as u32);
                 if while_virtual {
                     hv.page_info.corrupt_record(frame);

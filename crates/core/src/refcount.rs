@@ -86,7 +86,10 @@ mod tests {
             panic!("sensitive section blew up");
         }));
         assert!(result.is_err());
-        assert!(rc.is_idle(), "guard drop must restore idleness after a panic");
+        assert!(
+            rc.is_idle(),
+            "guard drop must restore idleness after a panic"
+        );
         // And the counter is still usable afterwards.
         let _g = rc.enter();
         assert_eq!(rc.current(), 1);

@@ -168,7 +168,10 @@ impl std::fmt::Display for SwitchError {
             SwitchError::NothingPending => write!(f, "no switch outcome recorded"),
             SwitchError::NoUpdateStaged => write!(f, "no successor VMM staged for live-update"),
             SwitchError::NotVirtual => {
-                write!(f, "live-update requires virtual mode (the incumbent VMM must be live)")
+                write!(
+                    f,
+                    "live-update requires virtual mode (the incumbent VMM must be live)"
+                )
             }
             SwitchError::UpdateRolledBack(e) => {
                 write!(f, "live-update rolled back to the incumbent VMM: {e}")
@@ -2143,7 +2146,11 @@ pub(crate) mod tests {
                 let (_, table, index) = leaf_of(&machine, va);
                 if tracked_first {
                     let next = (index + 1) % simx86::paging::ENTRIES_PER_TABLE;
-                    mercury.kernel().pv().set_pte(cpu, table, next, Pte::ABSENT).unwrap();
+                    mercury
+                        .kernel()
+                        .pv()
+                        .set_pte(cpu, table, next, Pte::ABSENT)
+                        .unwrap();
                 }
                 plant_over(&machine, va);
                 let before = hv.page_info.snapshot();
@@ -2302,7 +2309,10 @@ pub(crate) mod tests {
         assert!(attach.contains(&ACCOUNT_DIRTY.name) && !attach.contains(&ACCOUNT_FULL.name));
         let owned = mercury.kernel().pool_frames().len() as u64;
         let pginfo = mercury.stats.last_pginfo_cycles.load(Ordering::Relaxed);
-        assert!(pginfo * 5 <= costs::PGINFO_RECOMPUTE_PER_FRAME * owned, "{pginfo}");
+        assert!(
+            pginfo * 5 <= costs::PGINFO_RECOMPUTE_PER_FRAME * owned,
+            "{pginfo}"
+        );
     }
 
     #[test]

@@ -426,7 +426,11 @@ mod tests {
     fn vmm_state_fires_once_and_stays_active_until_resolved() {
         let _g = serial();
         reset();
-        arm(vec![spec(8, 100, FaultTarget::VmmState { cpu: 0, frame: 77 })]);
+        arm(vec![spec(
+            8,
+            100,
+            FaultTarget::VmmState { cpu: 0, frame: 77 },
+        )]);
         assert_eq!(vmm_site(0, 50), None, "not due");
         assert_eq!(vmm_site(1, 200), None, "other cpu untouched");
         assert_eq!(vmm_site(0, 200), Some(77));

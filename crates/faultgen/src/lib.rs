@@ -247,7 +247,11 @@ mod tests {
         assert_eq!(irq_site!(_bump(), _bump()), None);
         assert_eq!(hypercall_site!(_bump(), _bump()), 0);
         assert_eq!(vmm_site!(_bump(), _bump()), None);
-        assert_eq!(evaluated.get(), 0, "a disabled hook evaluated its arguments");
+        assert_eq!(
+            evaluated.get(),
+            0,
+            "a disabled hook evaluated its arguments"
+        );
     }
 
     #[cfg(feature = "enabled")]

@@ -198,7 +198,10 @@ mod tests {
     #[test]
     fn class_ids_are_stable() {
         assert_eq!(FaultClass::MemBitFlip.as_str(), "mem-bit-flip");
-        assert_eq!(FaultClass::DescriptorCorrupt.to_string(), "descriptor-corrupt");
+        assert_eq!(
+            FaultClass::DescriptorCorrupt.to_string(),
+            "descriptor-corrupt"
+        );
         assert_eq!(FaultClass::VmmCorrupt.as_str(), "vmm-corrupt");
         assert_eq!(
             FaultSpec {

@@ -94,7 +94,11 @@ pub fn json(snap: &Snapshot) -> String {
             h.max
         );
     }
-    let _ = write!(out, "}},\n  \"out_of_range\": {},\n  \"cpus\": [", snap.out_of_range);
+    let _ = write!(
+        out,
+        "}},\n  \"out_of_range\": {},\n  \"cpus\": [",
+        snap.out_of_range
+    );
     for (ci, cpu) in snap.cpus.iter().enumerate() {
         if ci > 0 {
             out.push(',');

@@ -204,7 +204,9 @@ static TRACER: OnceLock<Tracer> = OnceLock::new();
 
 fn make_tracer(capacity: usize) -> Tracer {
     Tracer {
-        rings: (0..MAX_CPUS).map(|_| Mutex::new(Ring::new(capacity))).collect(),
+        rings: (0..MAX_CPUS)
+            .map(|_| Mutex::new(Ring::new(capacity)))
+            .collect(),
         counters: Mutex::new(BTreeMap::new()),
         hists: Mutex::new(BTreeMap::new()),
         out_of_range: Mutex::new(0),
@@ -456,7 +458,13 @@ pub fn snapshot() -> Snapshot {
 #[macro_export]
 macro_rules! span_begin {
     ($cpu:expr, $name:expr, $ts:expr) => {
-        $crate::record($cpu as usize, $crate::Kind::SpanBegin, $name, 0u64, $ts as u64)
+        $crate::record(
+            $cpu as usize,
+            $crate::Kind::SpanBegin,
+            $name,
+            0u64,
+            $ts as u64,
+        )
     };
 }
 
@@ -469,7 +477,13 @@ macro_rules! span_begin {
 #[macro_export]
 macro_rules! span_end {
     ($cpu:expr, $name:expr, $ts:expr) => {
-        $crate::record($cpu as usize, $crate::Kind::SpanEnd, $name, 0u64, $ts as u64)
+        $crate::record(
+            $cpu as usize,
+            $crate::Kind::SpanEnd,
+            $name,
+            0u64,
+            $ts as u64,
+        )
     };
 }
 

@@ -286,7 +286,10 @@ mod tests {
         let moved = FrameNum(report.frame_map[&buf.0]);
         let mut landed = vec![0u8; BLOCK_SIZE];
         target.mem.read_bytes(moved.base(), &mut landed).unwrap();
-        assert!(landed == block, "the target holds round 0's copy of the frame");
+        assert!(
+            landed == block,
+            "the target holds round 0's copy of the frame"
+        );
     }
 
     #[test]

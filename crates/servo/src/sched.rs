@@ -654,7 +654,11 @@ mod tests {
                 },
             );
             server.run(&traffic(9, 15_000, 300), |_, _| {});
-            let mut soj: Vec<u64> = server.records().iter().filter_map(|r| r.sojourn()).collect();
+            let mut soj: Vec<u64> = server
+                .records()
+                .iter()
+                .filter_map(|r| r.sojourn())
+                .collect();
             soj.sort();
             soj[soj.len() * 99 / 100]
         };

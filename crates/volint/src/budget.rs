@@ -99,9 +99,11 @@ fn range_cost(
 
     for &(line, cycles) in &file.costs {
         if line >= lo && line <= hi && line >= body.line && line <= body.end_line {
-            total = total.saturating_add(
-                cycles.saturating_mul(loop_product(body, line, &graph.consts)),
-            );
+            total = total.saturating_add(cycles.saturating_mul(loop_product(
+                body,
+                line,
+                &graph.consts,
+            )));
         }
     }
 
@@ -116,8 +118,7 @@ fn range_cost(
         *slot = (*slot).max(c);
     }
     for (line, c) in per_line {
-        total = total
-            .saturating_add(c.saturating_mul(loop_product(body, line, &graph.consts)));
+        total = total.saturating_add(c.saturating_mul(loop_product(body, line, &graph.consts)));
     }
     total
 }

@@ -41,9 +41,9 @@ const NAME_FANOUT_CAP: usize = 6;
 /// always the std method, so the unique-name fallback must not graft
 /// it onto a workspace fn that happens to share the name.
 const STD_COLLISIONS: &[&str] = &[
-    "insert", "remove", "get", "push", "pop", "take", "clear", "len",
-    "read", "write", "lock", "send", "recv", "extend", "collect",
-    "clone", "iter", "next", "flush", "contains", "drain", "join",
+    "insert", "remove", "get", "push", "pop", "take", "clear", "len", "read", "write", "lock",
+    "send", "recv", "extend", "collect", "clone", "iter", "next", "flush", "contains", "drain",
+    "join",
 ];
 
 /// Type-ident wrappers skipped when mapping a struct field to the
@@ -206,9 +206,7 @@ fn resolve(
     by_name: &BTreeMap<&str, Vec<usize>>,
     field_types: &BTreeMap<String, String>,
 ) -> Vec<usize> {
-    let methods_of = |t: &str| -> Option<Vec<usize>> {
-        type_methods.get(&(t, name)).cloned()
-    };
+    let methods_of = |t: &str| -> Option<Vec<usize>> { type_methods.get(&(t, name)).cloned() };
     let capped_by_name = || -> Vec<usize> {
         match by_name.get(name) {
             Some(v) if v.len() <= NAME_FANOUT_CAP => v.clone(),
@@ -273,10 +271,7 @@ fn resolve(
             }
             Some(_) => {
                 // `module::func()`.
-                free_fns
-                    .get(name)
-                    .cloned()
-                    .unwrap_or_else(capped_by_name)
+                free_fns.get(name).cloned().unwrap_or_else(capped_by_name)
             }
             None => free_fns.get(name).cloned().unwrap_or_default(),
         }
@@ -289,10 +284,7 @@ mod tests {
     use crate::walk::walk_file;
 
     fn graph_of(sources: &[(&str, &str)]) -> (Vec<FileFacts>, CallGraph) {
-        let files: Vec<FileFacts> = sources
-            .iter()
-            .map(|(n, s)| walk_file(n, s))
-            .collect();
+        let files: Vec<FileFacts> = sources.iter().map(|(n, s)| walk_file(n, s)).collect();
         let g = CallGraph::build(&files);
         (files, g)
     }

@@ -194,13 +194,9 @@ pub fn lex(src: &str) -> Vec<Token> {
             }
             c if c.is_ascii_digit() => {
                 let mut j = i;
-                while j < n
-                    && (bytes[j].is_alphanumeric() || bytes[j] == '_' || bytes[j] == '.')
-                {
+                while j < n && (bytes[j].is_alphanumeric() || bytes[j] == '_' || bytes[j] == '.') {
                     // Stop a float scan at `..` (range) or `.method()`.
-                    if bytes[j] == '.'
-                        && (j + 1 >= n || !bytes[j + 1].is_ascii_digit())
-                    {
+                    if bytes[j] == '.' && (j + 1 >= n || !bytes[j + 1].is_ascii_digit()) {
                         break;
                     }
                     j += 1;

@@ -421,7 +421,9 @@ mod tests {
 
         // Only a marker makes a primitive privileged.
         let unmarked = "fn f(cpu: &Cpu) { cpu.lidt(0); }".to_string();
-        assert!(analyze_sources(&[("crates/app/src/x.rs".to_string(), unmarked)], false).is_empty());
+        assert!(
+            analyze_sources(&[("crates/app/src/x.rs".to_string(), unmarked)], false).is_empty()
+        );
     }
 
     /// Diagnostics and budget come from one walk: one `lex` per file.

@@ -91,6 +91,9 @@ mod tests {
         let unrelated = gid(&files, &g, "unrelated");
         assert!(r.reachable[deep]);
         assert!(!r.reachable[unrelated]);
-        assert_eq!(r.chain(&g, &files, deep), "root_fn \u{2192} mid \u{2192} deep");
+        assert_eq!(
+            r.chain(&g, &files, deep),
+            "root_fn \u{2192} mid \u{2192} deep"
+        );
     }
 }

@@ -428,7 +428,10 @@ mod tests {
         while sess.poke(page(base + touched), touched + 1).is_ok() {
             touched += 1;
         }
-        assert!(0 < touched && touched < pages, "pool not dry after {touched} pages");
+        assert!(
+            0 < touched && touched < pages,
+            "pool not dry after {touched} pages"
+        );
         sess.clear_signal();
 
         // A payload through each frontend lands in its buffer frame.
@@ -438,7 +441,11 @@ mod tests {
         sess.write(fd, &[0xCD; 4096]).unwrap();
         sess.sync().unwrap();
         for p in 0..touched {
-            assert_eq!(sess.peek(page(base + p)).unwrap(), p + 1, "page {p} of {touched}");
+            assert_eq!(
+                sess.peek(page(base + p)).unwrap(),
+                p + 1,
+                "page {p} of {touched}"
+            );
         }
     }
 

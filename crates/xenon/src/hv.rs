@@ -1541,15 +1541,16 @@ mod wrapper_tests {
         assert_eq!(hv.page_info.owner(give[0]), None);
 
         // The other domain can receive them — scrubbed.
-        machine
-            .mem
-            .write_word(cpu, give[0].base(), 0xdead)
-            .unwrap();
+        machine.mem.write_word(cpu, give[0].base(), 0xdead).unwrap();
         let got = hv.balloon_in(cpu, &d1, 2).unwrap();
         assert_eq!(d1.frame_count(), 10);
         for f in &got {
             assert_eq!(hv.page_info.owner(*f), Some(d1.id));
-            assert_eq!(machine.mem.read_word(cpu, f.base()).unwrap(), 0, "not scrubbed");
+            assert_eq!(
+                machine.mem.read_word(cpu, f.base()).unwrap(),
+                0,
+                "not scrubbed"
+            );
         }
     }
 
@@ -1787,13 +1788,7 @@ mod wrapper_tests {
         hv: &Hypervisor,
         cpu: &Cpu,
         frames: &[FrameNum],
-    ) -> (
-        u64,
-        u64,
-        u64,
-        Vec<PageInfo>,
-        Vec<Vec<u64>>,
-    ) {
+    ) -> (u64, u64, u64, Vec<PageInfo>, Vec<Vec<u64>>) {
         (
             cpu.cycles(),
             hv.stats.hypercalls.load(Ordering::Relaxed),

@@ -67,7 +67,10 @@ impl std::fmt::Display for UpdateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             UpdateError::VersionOrder { from, to } => {
-                write!(f, "live-update refused: v{to} is not newer than running v{from}")
+                write!(
+                    f,
+                    "live-update refused: v{to} is not newer than running v{from}"
+                )
             }
             UpdateError::TargetActive => write!(f, "live-update target is already active"),
             UpdateError::TargetNotPristine => {
@@ -230,7 +233,11 @@ mod tests {
         (machine, hv, cpu)
     }
 
-    fn host_guest(machine: &Arc<Machine>, hv: &Arc<Hypervisor>, cpu: &Arc<Cpu>) -> Arc<crate::Domain> {
+    fn host_guest(
+        machine: &Arc<Machine>,
+        hv: &Arc<Hypervisor>,
+        cpu: &Arc<Cpu>,
+    ) -> Arc<crate::Domain> {
         let frames = machine.allocator.alloc_many(cpu, 64).unwrap();
         let dom = hv.create_domain(cpu, "dom0", frames.clone(), 0).unwrap();
         // A small live page-table tree: pgd -> l1 -> two data frames.

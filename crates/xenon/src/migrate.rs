@@ -340,12 +340,18 @@ mod tests {
         let mut mig = LiveMigration::new(Arc::clone(&hv_src), Arc::clone(&dom));
         mig.round(cpu).unwrap();
 
-        m_src.mem.write_bytes(f[3].base(), &0xabcd_u64.to_le_bytes()).unwrap();
+        m_src
+            .mem
+            .write_bytes(f[3].base(), &0xabcd_u64.to_le_bytes())
+            .unwrap();
         let (_, report) = mig.finalize(cpu, &hv_dst).unwrap();
 
         assert_eq!(report.rounds, [16, 1]);
         let moved = FrameNum(report.frame_map[&f[3].0]);
-        assert_eq!(m_dst.mem.read_word(m_dst.boot_cpu(), moved.base()).unwrap(), 0xabcd);
+        assert_eq!(
+            m_dst.mem.read_word(m_dst.boot_cpu(), moved.base()).unwrap(),
+            0xabcd
+        );
     }
 
     /// A frame ballooned in between rounds is one round 0 never saw:
@@ -383,7 +389,11 @@ mod tests {
         guest_writes(&m_src, &dom, 2, 5);
         let before = tables(&m_src);
         let c0 = cpu.cycles();
-        assert_eq!(mig.round(cpu).unwrap(), 2, "the leaf table and the data frame");
+        assert_eq!(
+            mig.round(cpu).unwrap(),
+            2,
+            "the leaf table and the data frame"
+        );
         assert_eq!(cpu.cycles() - c0, costs::MEM_WORD + 2 * SHIP_PER_FRAME);
         assert_eq!(tables(&m_src), before);
     }

@@ -231,7 +231,10 @@ impl Records {
     /// `frame`'s record as it counts ([`Record::view`]).
     #[inline]
     fn rec(&self, frame: FrameNum) -> Result<PageInfo, HvError> {
-        let rec = self.frames.get(frame.0 as usize).ok_or(out_of_range(frame))?;
+        let rec = self
+            .frames
+            .get(frame.0 as usize)
+            .ok_or(out_of_range(frame))?;
         Ok(rec.view(self.generations.of(rec.info.owner)))
     }
 
@@ -263,7 +266,11 @@ impl Records {
     /// A record of `owner` is written: what a detach retained for it
     /// no longer stands.
     fn forget_retained(&mut self, owner: Option<DomId>) {
-        if self.retained.as_ref().is_some_and(|kept| owner == Some(kept.dom)) {
+        if self
+            .retained
+            .as_ref()
+            .is_some_and(|kept| owner == Some(kept.dom))
+        {
             self.retained = None;
         }
     }
@@ -281,7 +288,10 @@ impl Records {
     }
 
     fn check_owned(&self, frame: FrameNum, dom: DomId, why: &'static str) -> Result<(), HvError> {
-        let rec = self.frames.get(frame.0 as usize).ok_or(out_of_range(frame))?;
+        let rec = self
+            .frames
+            .get(frame.0 as usize)
+            .ok_or(out_of_range(frame))?;
         if rec.info.owner == Some(dom) {
             Ok(())
         } else {
@@ -363,7 +373,10 @@ impl Records {
         if *generation != 0 {
             return;
         }
-        let owned = self.frames.iter_mut().filter(|rec| rec.info.owner == Some(dom));
+        let owned = self
+            .frames
+            .iter_mut()
+            .filter(|rec| rec.info.owner == Some(dom));
         // volint::bound(16384) — one step per frame of the 16 384-frame pool, once per 2^32 clears
         for rec in owned {
             *rec = Record {
@@ -1638,7 +1651,11 @@ mod tests {
         assert_eq!(t.snapshot(), untyped);
         // The generation wraps to 0, the one frames 1–3 were typed under.
         t.clear_types_for(D);
-        assert_eq!(t.snapshot(), untyped, "a record typed before the wrap came back");
+        assert_eq!(
+            t.snapshot(),
+            untyped,
+            "a record typed before the wrap came back"
+        );
         t.recompute_for(&cpu, &mem, D, 8, &[FrameNum(1)]).unwrap();
         assert_eq!(t.snapshot(), typed);
     }

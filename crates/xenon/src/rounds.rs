@@ -223,7 +223,11 @@ impl Rounds {
     /// Is `frame` pending in the open window: stored to since the
     /// rounds' epoch, or since the sweep's if the sweep has passed it?
     fn is_pending(&self, mem: &PhysMemory, frame: FrameNum) -> bool {
-        let since = if frame.0 < self.next { self.sweep } else { self.since };
+        let since = if frame.0 < self.next {
+            self.sweep
+        } else {
+            self.since
+        };
         mem.stored_since(frame, since)
     }
 }

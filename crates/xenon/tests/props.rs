@@ -129,8 +129,15 @@ fn rounds_over_one_memory_are_independent() {
         let mem = PhysMemory::new(frames as usize);
         let cpu = Cpu::new(0);
         let unfollowed = |f: u32| f % 13 == 5;
-        let followed: Vec<FrameNum> = (0..frames).filter(|&f| !unfollowed(f)).map(FrameNum).collect();
-        let words = |mem: &PhysMemory| (0..frames).map(|f| mem.export_frame(FrameNum(f)).unwrap()).collect::<Vec<_>>();
+        let followed: Vec<FrameNum> = (0..frames)
+            .filter(|&f| !unfollowed(f))
+            .map(FrameNum)
+            .collect();
+        let words = |mem: &PhysMemory| {
+            (0..frames)
+                .map(|f| mem.export_frame(FrameNum(f)).unwrap())
+                .collect::<Vec<_>>()
+        };
 
         let mut readers: [(Rounds, BTreeSet<u32>); 2] =
             [(); 2].map(|()| (Rounds::default(), BTreeSet::new()));
@@ -171,7 +178,11 @@ fn rounds_over_one_memory_are_independent() {
                     let f = rng.below(frames as u64) as u32;
                     let at = FrameNum(f).base();
                     let word = mem.read_word(&cpu, at).unwrap();
-                    let word = if rng.below(2) == 0 { word } else { rng.next_u64() };
+                    let word = if rng.below(2) == 0 {
+                        word
+                    } else {
+                        rng.next_u64()
+                    };
                     mem.write_word(&cpu, at, word).unwrap();
                     if !unfollowed(f) {
                         unswept.insert(f);
@@ -211,206 +222,232 @@ fn eager_clear(table: &PageInfoTable, dom: DomId) {
 /// both domains leaves nothing typed.
 #[test]
 fn generation_clear_equals_an_eager_pass_across_ownership_moves() {
-    check("generation_clear_equals_an_eager_pass_across_ownership_moves", 128, |rng| {
-        let frames = rng.range(64, 200) as usize;
-        let run = rng.range(1, 5) as usize;
-        let doms = [DomId(1), DomId(2)];
-        let mem = PhysMemory::new(frames);
-        let cpu = Arc::new(Cpu::new(0));
-        let table = PageInfoTable::new(frames);
-        let eager = PageInfoTable::new(frames);
-        let mut owned: [Vec<FrameNum>; 2] = Default::default();
-        for f in 0..frames {
-            let d = f / run % 2;
-            table.set_owner(FrameNum(f as u32), Some(doms[d]));
-            eager.set_owner(FrameNum(f as u32), Some(doms[d]));
-            owned[d].push(FrameNum(f as u32));
-        }
-        // Per domain: three base tables, six leaf tables, data after
-        // them; now and then an entry names a table frame or a frame of
-        // the other domain, so some validations fail.
-        let pick = |rng: &mut SplitMix64, frames: &[FrameNum]| {
-            frames[rng.below(frames.len() as u64) as usize]
-        };
-        for d in 0..2 {
-            let (pgds, rest) = owned[d].split_at(3);
-            let (l1s, data) = rest.split_at(6);
-            for &l1 in l1s {
-                for _ in 0..rng.below(10) {
-                    let target = match rng.below(16) {
-                        0 => pick(rng, l1s),
-                        1 => pick(rng, &owned[1 - d]),
-                        _ => pick(rng, data),
-                    };
-                    let flags = [Pte::USER, Pte::WRITABLE | Pte::USER][rng.below(2) as usize];
-                    let slot = rng.below(512) as usize;
-                    mem.write_pte(&cpu, l1, slot, Pte::new(target.0, flags))
-                        .unwrap();
+    check(
+        "generation_clear_equals_an_eager_pass_across_ownership_moves",
+        128,
+        |rng| {
+            let frames = rng.range(64, 200) as usize;
+            let run = rng.range(1, 5) as usize;
+            let doms = [DomId(1), DomId(2)];
+            let mem = PhysMemory::new(frames);
+            let cpu = Arc::new(Cpu::new(0));
+            let table = PageInfoTable::new(frames);
+            let eager = PageInfoTable::new(frames);
+            let mut owned: [Vec<FrameNum>; 2] = Default::default();
+            for f in 0..frames {
+                let d = f / run % 2;
+                table.set_owner(FrameNum(f as u32), Some(doms[d]));
+                eager.set_owner(FrameNum(f as u32), Some(doms[d]));
+                owned[d].push(FrameNum(f as u32));
+            }
+            // Per domain: three base tables, six leaf tables, data after
+            // them; now and then an entry names a table frame or a frame of
+            // the other domain, so some validations fail.
+            let pick = |rng: &mut SplitMix64, frames: &[FrameNum]| {
+                frames[rng.below(frames.len() as u64) as usize]
+            };
+            for d in 0..2 {
+                let (pgds, rest) = owned[d].split_at(3);
+                let (l1s, data) = rest.split_at(6);
+                for &l1 in l1s {
+                    for _ in 0..rng.below(10) {
+                        let target = match rng.below(16) {
+                            0 => pick(rng, l1s),
+                            1 => pick(rng, &owned[1 - d]),
+                            _ => pick(rng, data),
+                        };
+                        let flags = [Pte::USER, Pte::WRITABLE | Pte::USER][rng.below(2) as usize];
+                        let slot = rng.below(512) as usize;
+                        mem.write_pte(&cpu, l1, slot, Pte::new(target.0, flags))
+                            .unwrap();
+                    }
+                }
+                for &pgd in pgds {
+                    for _ in 0..rng.below(6) {
+                        let l1 = if rng.below(12) == 0 {
+                            pick(rng, data)
+                        } else {
+                            pick(rng, l1s)
+                        };
+                        let pde = Pte::new(l1.0, Pte::WRITABLE | Pte::USER);
+                        mem.write_pte(&cpu, pgd, rng.below(512) as usize, pde)
+                            .unwrap();
+                    }
                 }
             }
-            for &pgd in pgds {
-                for _ in 0..rng.below(6) {
-                    let l1 = if rng.below(12) == 0 {
-                        pick(rng, data)
-                    } else {
-                        pick(rng, l1s)
-                    };
-                    let pde = Pte::new(l1.0, Pte::WRITABLE | Pte::USER);
-                    mem.write_pte(&cpu, pgd, rng.below(512) as usize, pde)
-                        .unwrap();
-                }
-            }
-        }
 
-        let eager_cpu = Arc::new(Cpu::new(1));
-        let setup = cpu.cycles();
-        // What each domain's structures hold references through.  A
-        // clear, a failed recompute or a corrupted record forgets them:
-        // their references are gone or no longer theirs to drop.  While
-        // `exact`, they account for all of the domain's type state.
-        let mut pinned: [Vec<FrameNum>; 2] = Default::default();
-        let mut leaves: [Vec<FrameNum>; 2] = Default::default();
-        let mut exact = [true; 2];
-        let owner_of = |f: FrameNum| doms.iter().position(|&dom| table.owner(f) == Some(dom));
-        for step in 0..64 {
-            let d = rng.below(2) as usize;
-            let dom = doms[d];
-            let what = match rng.below(11) {
-                0 | 1 => {
-                    let pgd = owned[d][rng.below(3) as usize];
-                    if pinned[d].contains(&pgd) {
-                        continue;
+            let eager_cpu = Arc::new(Cpu::new(1));
+            let setup = cpu.cycles();
+            // What each domain's structures hold references through.  A
+            // clear, a failed recompute or a corrupted record forgets them:
+            // their references are gone or no longer theirs to drop.  While
+            // `exact`, they account for all of the domain's type state.
+            let mut pinned: [Vec<FrameNum>; 2] = Default::default();
+            let mut leaves: [Vec<FrameNum>; 2] = Default::default();
+            let mut exact = [true; 2];
+            let owner_of = |f: FrameNum| doms.iter().position(|&dom| table.owner(f) == Some(dom));
+            for step in 0..64 {
+                let d = rng.below(2) as usize;
+                let dom = doms[d];
+                let what = match rng.below(11) {
+                    0 | 1 => {
+                        let pgd = owned[d][rng.below(3) as usize];
+                        if pinned[d].contains(&pgd) {
+                            continue;
+                        }
+                        let got = table.pin_l2(&cpu, &mem, pgd, dom);
+                        assert_eq!(got, eager.pin_l2(&eager_cpu, &mem, pgd, dom), "step {step}");
+                        if got.is_ok() {
+                            pinned[d].push(pgd);
+                        }
+                        "pin"
                     }
-                    let got = table.pin_l2(&cpu, &mem, pgd, dom);
-                    assert_eq!(got, eager.pin_l2(&eager_cpu, &mem, pgd, dom), "step {step}");
-                    if got.is_ok() {
-                        pinned[d].push(pgd);
+                    2 if !pinned[d].is_empty() => {
+                        let at = rng.below(pinned[d].len() as u64) as usize;
+                        let pgd = pinned[d].swap_remove(at);
+                        let got = table.unpin_l2(&cpu, &mem, pgd, dom);
+                        assert_eq!(
+                            got,
+                            eager.unpin_l2(&eager_cpu, &mem, pgd, dom),
+                            "step {step}"
+                        );
+                        got.unwrap();
+                        "unpin"
                     }
-                    "pin"
-                }
-                2 if !pinned[d].is_empty() => {
-                    let at = rng.below(pinned[d].len() as u64) as usize;
-                    let pgd = pinned[d].swap_remove(at);
-                    let got = table.unpin_l2(&cpu, &mem, pgd, dom);
-                    assert_eq!(got, eager.unpin_l2(&eager_cpu, &mem, pgd, dom), "step {step}");
-                    got.unwrap();
-                    "unpin"
-                }
-                3 => {
-                    let f = pick(rng, &owned[d][3..]);
-                    if table.type_of(f).1 != 0 {
-                        continue;
+                    3 => {
+                        let f = pick(rng, &owned[d][3..]);
+                        if table.type_of(f).1 != 0 {
+                            continue;
+                        }
+                        let got = table.validate_l1(&cpu, &mem, f, dom, 0);
+                        assert_eq!(
+                            got,
+                            eager.validate_l1(&eager_cpu, &mem, f, dom, 0),
+                            "step {step}"
+                        );
+                        if got.is_ok() {
+                            leaves[d].push(f);
+                        }
+                        "validate a leaf"
                     }
-                    let got = table.validate_l1(&cpu, &mem, f, dom, 0);
-                    assert_eq!(got, eager.validate_l1(&eager_cpu, &mem, f, dom, 0), "step {step}");
-                    if got.is_ok() {
-                        leaves[d].push(f);
+                    4 => {
+                        // One not held by a directory too: the others'
+                        // entries are not this caller's to drop yet.
+                        let alone = |f: &FrameNum| table.type_of(*f) == (PageType::L1, 1);
+                        let Some(at) = leaves[d].iter().position(alone) else {
+                            continue;
+                        };
+                        let f = leaves[d].swap_remove(at);
+                        table.invalidate_l1(&cpu, &mem, f).unwrap();
+                        eager.invalidate_l1(&eager_cpu, &mem, f).unwrap();
+                        "release a leaf"
                     }
-                    "validate a leaf"
-                }
-                4 => {
-                    // One not held by a directory too: the others'
-                    // entries are not this caller's to drop yet.
-                    let alone = |f: &FrameNum| table.type_of(*f) == (PageType::L1, 1);
-                    let Some(at) = leaves[d].iter().position(alone) else {
-                        continue;
-                    };
-                    let f = leaves[d].swap_remove(at);
-                    table.invalidate_l1(&cpu, &mem, f).unwrap();
-                    eager.invalidate_l1(&eager_cpu, &mem, f).unwrap();
-                    "release a leaf"
-                }
-                5 => {
-                    table.clear_types_for(dom);
-                    eager_clear(&eager, dom);
-                    (pinned[d], leaves[d]) = Default::default();
-                    exact[d] = true;
-                    "clear"
-                }
-                6 if leaves[d].is_empty() => {
-                    let before = table.snapshot();
-                    let got = table.recompute_for(&cpu, &mem, dom, owned[d].len(), &pinned[d]);
-                    eager_clear(&eager, dom);
-                    let want = eager.recompute_for(&eager_cpu, &mem, dom, owned[d].len(), &pinned[d]);
-                    assert_eq!(got, want, "step {step}");
-                    if got.is_err() {
-                        // The switch rollback's wholesale teardown.
+                    5 => {
                         table.clear_types_for(dom);
                         eager_clear(&eager, dom);
-                        pinned[d].clear();
+                        (pinned[d], leaves[d]) = Default::default();
                         exact[d] = true;
-                    } else if exact[d] {
-                        assert_eq!(table.snapshot(), before, "recompute of {dom:?}");
+                        "clear"
                     }
-                    "recompute"
-                }
-                7 | 8 => {
-                    // An untyped frame (a cleared one included) moves to
-                    // either domain or to none, now and then one the
-                    // machine lacks.  A typed one moves to the other
-                    // domain with its type state, and its old owner's
-                    // structures are forgotten: their references moved.
-                    let f = FrameNum(rng.below(frames as u64 + 2) as u32);
-                    let rec = table.get(f);
-                    let typed = (rec.typ, rec.type_count, rec.pinned) != (PageType::None, 0, false);
-                    let to = match owner_of(f) {
-                        Some(from) if typed => {
-                            (pinned[from], leaves[from]) = Default::default();
-                            exact = [false; 2];
-                            Some(doms[1 - from])
+                    6 if leaves[d].is_empty() => {
+                        let before = table.snapshot();
+                        let got = table.recompute_for(&cpu, &mem, dom, owned[d].len(), &pinned[d]);
+                        eager_clear(&eager, dom);
+                        let want =
+                            eager.recompute_for(&eager_cpu, &mem, dom, owned[d].len(), &pinned[d]);
+                        assert_eq!(got, want, "step {step}");
+                        if got.is_err() {
+                            // The switch rollback's wholesale teardown.
+                            table.clear_types_for(dom);
+                            eager_clear(&eager, dom);
+                            pinned[d].clear();
+                            exact[d] = true;
+                        } else if exact[d] {
+                            assert_eq!(table.snapshot(), before, "recompute of {dom:?}");
                         }
-                        _ => [Some(doms[0]), Some(doms[1]), None][rng.below(3) as usize],
-                    };
-                    table.set_owner(f, to);
-                    eager.set_owner(f, to);
-                    "move"
-                }
-                9 => {
-                    let f = FrameNum(rng.below(frames as u64) as u32);
-                    if let Some(hit) = owner_of(f) {
-                        (pinned[hit], leaves[hit]) = Default::default();
-                        exact[hit] = false;
+                        "recompute"
                     }
-                    table.corrupt_record(f);
-                    eager.corrupt_record(f);
-                    "corrupt"
-                }
-                10 => {
-                    // `destroy_domain` once its pins are dropped.
-                    let gone = table.frames_owned(dom);
-                    assert_eq!(gone, eager.frames_owned(dom), "step {step}");
-                    table.clear_types_for(dom);
-                    eager_clear(&eager, dom);
-                    for &f in &gone {
-                        table.set_owner(f, None);
-                        eager.set_owner(f, None);
+                    7 | 8 => {
+                        // An untyped frame (a cleared one included) moves to
+                        // either domain or to none, now and then one the
+                        // machine lacks.  A typed one moves to the other
+                        // domain with its type state, and its old owner's
+                        // structures are forgotten: their references moved.
+                        let f = FrameNum(rng.below(frames as u64 + 2) as u32);
+                        let rec = table.get(f);
+                        let typed =
+                            (rec.typ, rec.type_count, rec.pinned) != (PageType::None, 0, false);
+                        let to = match owner_of(f) {
+                            Some(from) if typed => {
+                                (pinned[from], leaves[from]) = Default::default();
+                                exact = [false; 2];
+                                Some(doms[1 - from])
+                            }
+                            _ => [Some(doms[0]), Some(doms[1]), None][rng.below(3) as usize],
+                        };
+                        table.set_owner(f, to);
+                        eager.set_owner(f, to);
+                        "move"
                     }
-                    (pinned[d], leaves[d]) = Default::default();
-                    exact[d] = true;
-                    "destroy"
+                    9 => {
+                        let f = FrameNum(rng.below(frames as u64) as u32);
+                        if let Some(hit) = owner_of(f) {
+                            (pinned[hit], leaves[hit]) = Default::default();
+                            exact[hit] = false;
+                        }
+                        table.corrupt_record(f);
+                        eager.corrupt_record(f);
+                        "corrupt"
+                    }
+                    10 => {
+                        // `destroy_domain` once its pins are dropped.
+                        let gone = table.frames_owned(dom);
+                        assert_eq!(gone, eager.frames_owned(dom), "step {step}");
+                        table.clear_types_for(dom);
+                        eager_clear(&eager, dom);
+                        for &f in &gone {
+                            table.set_owner(f, None);
+                            eager.set_owner(f, None);
+                        }
+                        (pinned[d], leaves[d]) = Default::default();
+                        exact[d] = true;
+                        "destroy"
+                    }
+                    _ => continue,
+                };
+                assert_eq!(
+                    table.snapshot(),
+                    eager.snapshot(),
+                    "step {step}: {what} by {dom:?}"
+                );
+                for f in (0..frames as u32 + 2).map(FrameNum) {
+                    assert_eq!(table.get(f), eager.get(f), "step {step}: {what}, {f:?}");
+                    assert_eq!(
+                        table.type_of(f),
+                        eager.type_of(f),
+                        "step {step}: {what}, {f:?}"
+                    );
                 }
-                _ => continue,
-            };
-            assert_eq!(table.snapshot(), eager.snapshot(), "step {step}: {what} by {dom:?}");
-            for f in (0..frames as u32 + 2).map(FrameNum) {
-                assert_eq!(table.get(f), eager.get(f), "step {step}: {what}, {f:?}");
-                assert_eq!(table.type_of(f), eager.type_of(f), "step {step}: {what}, {f:?}");
+                assert_eq!(
+                    cpu.cycles() - setup,
+                    eager_cpu.cycles(),
+                    "step {step}: {what}"
+                );
             }
-            assert_eq!(cpu.cycles() - setup, eager_cpu.cycles(), "step {step}: {what}");
-        }
-        for dom in doms {
-            table.clear_types_for(dom);
-            eager_clear(&eager, dom);
-        }
-        assert_eq!(table.snapshot(), eager.snapshot());
-        for (f, rec) in table.snapshot().iter().enumerate() {
-            assert_eq!(
-                (rec.typ, rec.type_count, rec.pinned),
-                (PageType::None, 0, false),
-                "frame {f}"
-            );
-        }
-    });
+            for dom in doms {
+                table.clear_types_for(dom);
+                eager_clear(&eager, dom);
+            }
+            assert_eq!(table.snapshot(), eager.snapshot());
+            for (f, rec) in table.snapshot().iter().enumerate() {
+                assert_eq!(
+                    (rec.typ, rec.type_count, rec.pinned),
+                    (PageType::None, 0, false),
+                    "frame {f}"
+                );
+            }
+        },
+    );
 }
 
 /// Type references never allow a writable mapping of a typed page

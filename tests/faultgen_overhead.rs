@@ -53,7 +53,8 @@ fn disabled_hook_macros_do_not_evaluate_arguments() {
         evaluated.set(evaluated.get() + 1);
         0
     };
-    let flip = faultgen::mem_read_site!(_bump() as usize, _bump(), _bump() as u32, _bump() as usize);
+    let flip =
+        faultgen::mem_read_site!(_bump() as usize, _bump(), _bump() as u32, _bump() as usize);
     let disk = faultgen::disk_site!(_bump());
     let irq = faultgen::irq_site!(_bump() as usize, _bump());
     let gate = faultgen::gate_site!(_bump() as usize, _bump(), _bump() as u8);
@@ -61,7 +62,10 @@ fn disabled_hook_macros_do_not_evaluate_arguments() {
     // The no-fault constants, compared as values: each disabled hook
     // expands to a constant, so a bare `assert!` on one is a constant
     // assertion.
-    assert_eq!((flip, disk, irq, gate, hypercall), (0, false, None, false, 0));
+    assert_eq!(
+        (flip, disk, irq, gate, hypercall),
+        (0, false, None, false, 0)
+    );
     assert_eq!(
         evaluated.get(),
         0,

@@ -212,7 +212,10 @@ fn all_strategies_rebuild_identical_accounting() {
         });
         for (snap, strategy) in snaps.iter().zip(TrackingStrategy::ALL) {
             for (round, (got, want)) in snap.iter().zip(&snaps[0]).enumerate() {
-                assert_eq!(got, want, "{strategy:?} diverged from recompute in round {round}");
+                assert_eq!(
+                    got, want,
+                    "{strategy:?} diverged from recompute in round {round}"
+                );
             }
         }
     });

@@ -35,11 +35,9 @@ use simx86::cpu::{vectors, IdtTable, InterruptSink, TrapFrame};
 use simx86::fault::AccessKind;
 use simx86::mem::FrameNum;
 use simx86::paging::{Pte, VirtAddr, PAGE_SIZE};
-use simx86::sync::{owner_store, Mutex, RwLock};
+use simx86::sync::{owner_store, Mutex, Published, RwLock, SlotCache};
 use simx86::{costs, Cpu, Machine, Mmu, PrivLevel};
-use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xenon::{Domain, GuestState, Hypervisor};
@@ -144,80 +142,11 @@ const VERDICT_SIGNALLED: u64 = 2;
 const NO_BLOCK_DRIVER: KernelError = KernelError::Invalid("no block driver");
 const NO_NET_DRIVER: KernelError = KernelError::Invalid("no net driver");
 
-/// A slot the kernel swaps a few times a second and reads on every
-/// syscall and every page fault — the VO, the block driver, the net
-/// driver (DESIGN.md §14b).  A writer stores under the lock, then sets
-/// a fresh stamp (`Release`); a [`SlotCache`] takes the lock only when
-/// the stamp moved.
-pub(crate) struct Published<V> {
-    value: RwLock<V>,
-    stamp: AtomicU64,
-}
-
-/// Every [`Published`] stamp comes from this one counter, so a stamp
-/// names one value of one slot for the life of the process: a copy
-/// kept by its stamp alone (the page-fault path's) cannot be taken for
-/// another kernel's.
-static STAMPS: AtomicU64 = AtomicU64::new(1);
-
-fn next_stamp() -> u64 {
-    STAMPS.fetch_add(1, Ordering::Relaxed)
-}
-
-impl<V: Clone> Published<V> {
-    fn new(value: V) -> Self {
-        Published {
-            value: RwLock::new(value),
-            stamp: AtomicU64::new(next_stamp()),
-        }
-    }
-
-    /// The value now: a lock and a clone (the cold readers' path).
-    fn get(&self) -> V {
-        self.value.read().clone()
-    }
-
-    fn publish(&self, value: V) {
-        *self.value.write() = value;
-        self.stamp.store(next_stamp(), Ordering::Release);
-    }
-}
-
-/// The reader's half of a [`Published`] slot, for the one host thread
-/// that drives a [`crate::Session`]: the value as of the stamp it was
-/// read at.  A reader that sees the new stamp then reads at least that
-/// value; one that sees the old stamp uses what it would have read a
-/// moment earlier.
-pub(crate) struct SlotCache<V>(RefCell<(u64, V)>);
-
-impl<V: Clone> SlotCache<V> {
-    pub(crate) fn new(slot: &Published<V>) -> Self {
-        let stamp = slot.stamp.load(Ordering::Acquire);
-        SlotCache(RefCell::new((stamp, slot.get())))
-    }
-
-    /// The slot's value: one `Acquire` load, and the lock only when
-    /// the stamp moved since the last read.
-    pub(crate) fn read(&self, slot: &Published<V>) -> Ref<'_, V> {
-        let stamp = slot.stamp.load(Ordering::Acquire);
-        if self.0.borrow().0 != stamp {
-            *self.0.borrow_mut() = (stamp, slot.get());
-        }
-        Ref::map(self.0.borrow(), |(_, value)| value)
-    }
-}
-
-/// The VO a host thread's last page fault ran under, as of `stamp`
-/// ([`Kernel::fault_pv`]).
-struct FaultPv {
-    stamp: u64,
-    pv: Arc<dyn PvOps>,
-}
-
 thread_local! {
-    /// This host thread's [`FaultPv`].  A kernel's drop empties the
+    /// The VO this host thread's last page fault ran under
+    /// ([`Kernel::handle_page_fault`]).  A kernel's drop empties the
     /// dropping thread's: a VO holds its machine.
-    static FAULT_PV: RefCell<Option<Rc<FaultPv>>> = const { RefCell::new(None) };
+    static FAULT_PV: SlotCache<Arc<dyn PvOps>> = const { SlotCache::new() };
 }
 
 /// Everything behind the kernel lock — and, cloned whole, everything a
@@ -350,8 +279,7 @@ impl Drop for Kernel {
     /// Empty this thread's fault-path copy of a VO: it may be this
     /// kernel's, and a VO holds its machine.
     fn drop(&mut self) {
-        // The copy drops after the borrow ends, as in `fault_pv`.
-        let _old = FAULT_PV.try_with(|pv| pv.try_borrow_mut().ok().and_then(|mut pv| pv.take()));
+        let _ = FAULT_PV.try_with(SlotCache::clear);
     }
 }
 
@@ -675,27 +603,6 @@ impl Kernel {
         self.pv.get()
     }
 
-    /// The active paravirt object for the page-fault path, which runs
-    /// on the thread driving the faulting CPU: one `Acquire` load of the
-    /// slot's stamp, and the lock only when it moved since this thread's
-    /// last fault.
-    fn fault_pv(&self) -> Rc<FaultPv> {
-        let stamp = self.pv.stamp.load(Ordering::Acquire);
-        let hit =
-            FAULT_PV.with_borrow(|pv| pv.as_ref().filter(|pv| pv.stamp == stamp).map(Rc::clone));
-        if let Some(pv) = hit {
-            return pv;
-        }
-        let fresh = Rc::new(FaultPv {
-            stamp,
-            pv: self.pv.get(),
-        });
-        // The old copy drops after the borrow ends: it may hold the
-        // last reference to a machine.
-        let _old = FAULT_PV.with_borrow_mut(|pv| pv.replace(Rc::clone(&fresh)));
-        fresh
-    }
-
     /// Set `cpu`'s page-fault verdict: the faulting process's signal
     /// flag, or `None` to clear it.
     fn set_fault_verdict(&self, cpu: &Cpu, signalled: Option<bool>) {
@@ -727,7 +634,7 @@ impl Kernel {
 
     /// Current execution mode.
     pub fn exec_mode(&self) -> ExecMode {
-        self.pv.value.read().mode()
+        self.pv.get().mode()
     }
 
     /// The kernel's own gate table (Mercury restores it on detach).
@@ -1455,7 +1362,7 @@ impl Kernel {
     /// It leaves the faulting process's signal flag in `cpu`'s verdict
     /// cell for [`Kernel::user_access`].
     pub fn handle_page_fault(&self, cpu: &Arc<Cpu>, va: VirtAddr, access: AccessKind) {
-        let pv = self.fault_pv();
+        let pv = FAULT_PV.with(|pv| pv.read(&self.pv));
         let mut st = self.lock_state(cpu);
         let KState {
             procs,
@@ -1468,7 +1375,7 @@ impl Kernel {
         let Some(proc) = sched.current(cpu.id).and_then(|cur| procs.get_mut(&cur.0)) else {
             return;
         };
-        let mut ctx = self.mm_ctx(cpu, &pv.pv, pool);
+        let mut ctx = self.mm_ctx(cpu, &pv, pool);
         if self
             .fault_in(&mut ctx, proc, programs, vfs, va, access)
             .is_err()

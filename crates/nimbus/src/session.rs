@@ -8,13 +8,14 @@
 use crate::drivers::block::BlockDriver;
 use crate::drivers::net::NetDriver;
 use crate::error::KernelError;
-use crate::kernel::{Kernel, MmapBacking, ReadOutcome, RecvOutcome, SlotCache, WriteOutcome};
+use crate::kernel::{Kernel, MmapBacking, ReadOutcome, RecvOutcome, WriteOutcome};
 use crate::mm::Prot;
 use crate::paravirt::PvOps;
 use crate::process::Pid;
 use simx86::paging::{VirtAddr, PAGE_SIZE};
+use simx86::sync::SlotCache;
 use simx86::{costs, Cpu};
-use std::cell::Ref;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// A driver-thread ↔ CPU binding.
@@ -35,9 +36,9 @@ impl Session {
     pub fn new(kernel: Arc<Kernel>, cpu_id: usize) -> Session {
         let cpu = Arc::clone(&kernel.machine.cpus[cpu_id]);
         Session {
-            pv: SlotCache::new(&kernel.pv),
-            block: SlotCache::new(&kernel.block),
-            net: SlotCache::new(&kernel.net),
+            pv: SlotCache::new(),
+            block: SlotCache::new(),
+            net: SlotCache::new(),
             kernel,
             cpu,
         }
@@ -79,12 +80,12 @@ impl Session {
     }
 
     /// The block driver the kernel last published.
-    fn block(&self) -> Ref<'_, Option<Arc<dyn BlockDriver>>> {
+    fn block(&self) -> Rc<Option<Arc<dyn BlockDriver>>> {
         self.block.read(&self.kernel.block)
     }
 
     /// The net driver the kernel last published.
-    fn net(&self) -> Ref<'_, Option<Arc<dyn NetDriver>>> {
+    fn net(&self) -> Rc<Option<Arc<dyn NetDriver>>> {
         self.net.read(&self.kernel.net)
     }
 

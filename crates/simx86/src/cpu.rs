@@ -17,12 +17,11 @@
 
 use crate::costs;
 use crate::fault::Fault;
-use crate::sync::{owner_store, RwLock};
+use crate::sync::{owner_store, Published, RwLock, SlotCache};
 use crate::tlb::Tlb;
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 /// Number of interrupt vectors in a gate table.
 pub const N_VECTORS: usize = 64;
@@ -224,20 +223,11 @@ impl IdtTable {
     }
 }
 
-/// What the thread driving a CPU last read of its gate table
-/// ([`Cpu::loaded_idt`]): the table as of `stamp`.  `cpu` is weak, so a
-/// snapshot keeps no CPU alive, and it keeps the CPU's allocation, so
-/// no CPU made later can be taken for it.
-struct IdtSnap {
-    cpu: Weak<Cpu>,
-    stamp: u64,
-    idt: Option<Arc<IdtTable>>,
-}
-
 thread_local! {
-    /// This host thread's [`IdtSnap`]: one, for the CPU it drives (a
-    /// thread that drives several re-reads on each change of CPU).
-    static IDT_SNAP: RefCell<Option<Rc<IdtSnap>>> = const { RefCell::new(None) };
+    /// The gate table this host thread last dispatched through
+    /// ([`Cpu::loaded_idt`]): one copy, for the CPU it drives (a thread
+    /// that drives several re-reads on each change of CPU).
+    static LOADED_IDT: SlotCache<Option<Arc<IdtTable>>> = const { SlotCache::new() };
 }
 
 /// A simulated CPU core.
@@ -254,10 +244,7 @@ pub struct Cpu {
     pending: AtomicU64,
     in_service: AtomicBool,
     halted: AtomicBool,
-    idt: RwLock<Option<Arc<IdtTable>>>,
-    /// Moves with every swap of `idt`, as a load and a store under its
-    /// write lock: how a driving thread's [`IdtSnap`] knows it is stale.
-    idt_stamp: AtomicU64,
+    idt: Published<Option<Arc<IdtTable>>>,
     /// The loaded descriptor table, as its one field.
     gdt_kernel_dpl: AtomicU8,
     /// Is an EPT installed?  Read in place of `ept` while it is `None`.
@@ -280,8 +267,7 @@ impl Cpu {
             pending: AtomicU64::new(0),
             in_service: AtomicBool::new(false),
             halted: AtomicBool::new(false),
-            idt: RwLock::new(None),
-            idt_stamp: AtomicU64::new(0),
+            idt: Published::new(None),
             gdt_kernel_dpl: AtomicU8::new(Gdt::NATIVE.kernel_dpl as u8),
             non_root: AtomicBool::new(false),
             ept: RwLock::new(None),
@@ -485,7 +471,7 @@ impl Cpu {
     pub fn lidt(&self, table: Arc<IdtTable>) -> Result<(), Fault> {
         self.require_pl0("lidt")?;
         self.tick(60);
-        self.load_idt(&mut self.idt.write(), table);
+        self.idt.publish(Some(table));
         merctrace::counter!(self.id, "simx86.privop.lidt", 1, self.cycles());
         Ok(())
     }
@@ -494,7 +480,7 @@ impl Cpu {
     /// Virtualization-sensitive (paper §5.1.3).
     #[doc(alias = "volint-privileged")]
     pub fn set_idt_raw(&self, table: Arc<IdtTable>) {
-        self.load_idt(&mut self.idt.write(), table);
+        self.idt.publish(Some(table));
     }
 
     /// Hardware-internal IDT swap that happens only while `loaded` is
@@ -503,53 +489,23 @@ impl Cpu {
     /// Virtualization-sensitive (paper §3.2.1).
     #[doc(alias = "volint-privileged")]
     pub fn replace_idt_raw(&self, loaded: &Arc<IdtTable>, table: Arc<IdtTable>) {
-        let mut idt = self.idt.write();
-        if idt.as_ref().is_some_and(|t| Arc::ptr_eq(t, loaded)) {
-            self.load_idt(&mut idt, table);
-        }
-    }
-
-    /// Put `table` in `idt`, this CPU's slot under its write lock, and
-    /// move the stamp.  The lock orders the writers, so the bump is a
-    /// load and a store.
-    fn load_idt(&self, idt: &mut Option<Arc<IdtTable>>, table: Arc<IdtTable>) {
-        *idt = Some(table);
-        let stamp = self.idt_stamp.load(Ordering::Relaxed);
-        self.idt_stamp.store(stamp + 1, Ordering::Release);
+        self.idt.publish_if(
+            |idt| idt.as_ref().is_some_and(|t| Arc::ptr_eq(t, loaded)),
+            Some(table),
+        );
     }
 
     /// The currently loaded gate table, if any.
     pub fn current_idt(&self) -> Option<Arc<IdtTable>> {
-        self.idt.read().clone()
+        self.idt.get()
     }
 
     /// The gate table this CPU has loaded, read by the thread driving
-    /// it for a dispatch: one `Acquire` load of the stamp, and the lock
-    /// only when the stamp moved or the thread last read another CPU.
-    /// The `Rc` keeps the table for the dispatch even if its handler
-    /// loads another.
-    fn loaded_idt(self: &Arc<Self>) -> Rc<IdtSnap> {
-        let stamp = self.idt_stamp.load(Ordering::Acquire);
-        let hit = IDT_SNAP.with_borrow(|snap| {
-            snap.as_ref()
-                .filter(|s| s.stamp == stamp && std::ptr::eq(s.cpu.as_ptr(), Arc::as_ptr(self)))
-                .map(Rc::clone)
-        });
-        if let Some(snap) = hit {
-            return snap;
-        }
-        let fresh = {
-            let idt = self.idt.read();
-            Rc::new(IdtSnap {
-                cpu: Arc::downgrade(self),
-                stamp: self.idt_stamp.load(Ordering::Relaxed),
-                idt: idt.clone(),
-            })
-        };
-        // The old snapshot drops after the borrow ends: its table's
-        // handlers are arbitrary code.
-        let _old = IDT_SNAP.with_borrow_mut(|snap| snap.replace(Rc::clone(&fresh)));
-        fresh
+    /// it for a dispatch through the thread's [`SlotCache`].  The `Rc`
+    /// keeps the table for the dispatch even if its handler loads
+    /// another.
+    fn loaded_idt(&self) -> Rc<Option<Arc<IdtTable>>> {
+        LOADED_IDT.with(|idt| idt.read(&self.idt))
     }
 
     /// `lgdt`: install a descriptor table.  Privileged.
@@ -673,7 +629,7 @@ impl Cpu {
             let vector = bits.trailing_zeros() as u8;
             self.pending.fetch_and(!(1 << vector), Ordering::AcqRel);
             // A handler may load another gate table; read it per vector.
-            if let Some(idt) = &self.loaded_idt().idt {
+            if let Some(idt) = &*self.loaded_idt() {
                 self.dispatch(idt, vector, 0);
             }
             n += 1;
@@ -688,7 +644,7 @@ impl Cpu {
     /// Returns the fault back to the caller if no handler is installed
     /// (double fault).
     pub fn deliver_exception(self: &Arc<Self>, vector: u8, error: u64) -> Result<(), Fault> {
-        match &self.loaded_idt().idt {
+        match &*self.loaded_idt() {
             Some(idt) if idt.gate(vector).is_some() => {
                 merctrace::counter!(self.id, "simx86.fault", 1, self.cycles());
                 merctrace::hist!(self.id, "simx86.fault.vector", vector, self.cycles());
